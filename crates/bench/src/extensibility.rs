@@ -60,9 +60,9 @@ pub fn register_bloomjoin(opt: &mut Optimizer) {
             out.tables = both;
             out.cols.extend(i.cols.iter().copied());
             out.preds = o.preds.union(i.preds).union(jp).union(residual);
-            out.order = Vec::new();
+            out.order = Default::default();
             out.temp = false;
-            out.paths = Vec::new();
+            out.paths = Default::default();
             out.card = card;
             out.cost = Cost::new(
                 o.cost.once + i.cost.once + o.card * model.hash_cpu,

@@ -18,6 +18,7 @@
 //! `JMeth`.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use starqo_dsl::{AltAst, BinOpAst, ExprAst, GuardAst, ReqAst, RuleFileAst, StarDefAst};
 
@@ -69,6 +70,7 @@ pub fn compile_into(rules: &mut RuleSet, ast: &RuleFileAst, env: &CompileEnv<'_>
                 rules.by_name.insert(def.name.clone(), id);
                 rules.stars.push(StarDef {
                     name: def.name.clone(),
+                    span_name: format!("star:{}", def.name).into(),
                     params: def.params.clone(),
                     groups: Vec::new(),
                 });
@@ -133,6 +135,7 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
     let forall_slot = scope.next;
     let mut alts = Vec::new();
     for alt in def.body.alternatives() {
+        let label = format!("{}[alt {}]", def.name, alts.len() + 1);
         alts.push(compile_alt(
             rules,
             alt,
@@ -140,6 +143,7 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
             forall_slot,
             env,
             &def.name,
+            label.into(),
         )?);
     }
     Ok(AltGroup {
@@ -156,6 +160,7 @@ fn compile_alt(
     forall_slot: u32,
     env: &CompileEnv<'_>,
     star: &str,
+    label: Arc<str>,
 ) -> Result<Alt> {
     let (forall, inner_scope);
     match &alt.forall {
@@ -188,6 +193,7 @@ fn compile_alt(
         forall,
         expr,
         guard,
+        label,
     })
 }
 
@@ -226,7 +232,7 @@ fn compile_expr(
                 let p = compile_expr(rules, &args[1], scope, env, star)?;
                 Expr::Glue(Box::new(s), Box::new(p))
             } else if LOLEPOP_NAMES.contains(&name.as_str()) || env.ext_ops.contains(name) {
-                Expr::CallOp(name.clone(), compile_args(args)?)
+                Expr::CallOp(name.as_str().into(), compile_args(args)?)
             } else if let Some(id) = rules.lookup(name) {
                 let want = rules.star(id).params.len();
                 if want != args.len() {
@@ -349,7 +355,7 @@ mod tests {
             compile("star M(T1, T2, P) = JOIN(MG, Glue(T1, {}), Glue(T2, {}), P, {});").unwrap();
         let m = rs.star(rs.lookup("M").unwrap());
         if let Expr::CallOp(name, args) = &m.groups[0].alts[0].expr {
-            assert_eq!(name, "JOIN");
+            assert_eq!(&**name, "JOIN");
             assert!(matches!(&args[0], Expr::Const(RuleValue::Sym(s)) if s.as_ref() == "MG"));
             assert!(matches!(&args[3], Expr::Var(2)));
         } else {
@@ -429,6 +435,6 @@ mod tests {
         )
         .unwrap();
         let oj = rs.star(rs.lookup("OJ").unwrap());
-        assert!(matches!(&oj.groups[0].alts[0].expr, Expr::CallOp(n, _) if n == "OUTERJOIN"));
+        assert!(matches!(&oj.groups[0].alts[0].expr, Expr::CallOp(n, _) if &**n == "OUTERJOIN"));
     }
 }

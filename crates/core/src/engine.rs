@@ -20,9 +20,9 @@ use std::time::Instant;
 
 use starqo_catalog::{Catalog, ColId};
 use starqo_plan::{
-    AccessSpec, CostModel, ExtArg, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
+    AccessSpec, ColSet, CostModel, ExtArg, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
 };
-use starqo_query::{PredSet, QCol, QSet, Query};
+use starqo_query::{PredSet, QCol, QSet, Query, Shared};
 use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEvent, Tracer};
 
 use crate::error::{panic_msg, CoreError, Result};
@@ -60,15 +60,33 @@ pub struct OptStats {
     pub native_calls: u64,
 }
 
-/// Memo key: a STAR reference with its argument values.
+/// Memo key: a STAR reference with its argument values. The arguments are
+/// digested once, when the key is made; probing, inserting and growing the
+/// memo then hash eight bytes, not the argument values again.
 struct MemoKey {
     star: StarId,
     args: Vec<RuleValue>,
+    digest: u64,
+}
+
+impl MemoKey {
+    fn new(star: StarId, args: Vec<RuleValue>) -> Self {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        star.hash(&mut h);
+        for a in &args {
+            a.digest(&mut h);
+        }
+        MemoKey {
+            star,
+            args,
+            digest: h.finish(),
+        }
+    }
 }
 
 impl PartialEq for MemoKey {
     fn eq(&self, other: &Self) -> bool {
-        self.star == other.star && self.args == other.args
+        self.digest == other.digest && self.star == other.star && self.args == other.args
     }
 }
 
@@ -76,10 +94,7 @@ impl Eq for MemoKey {}
 
 impl Hash for MemoKey {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        self.star.hash(h);
-        for a in &self.args {
-            a.digest(h);
-        }
+        self.digest.hash(h);
     }
 }
 
@@ -119,8 +134,11 @@ pub struct Engine<'a> {
     pub stats: OptStats,
     /// Plan provenance: fingerprint → "Star[alt k]" of the alternative that
     /// first produced the node, realizing §1's "traced to explain the
-    /// origin of any execution plan". Glue veneers record as "Glue".
-    pub provenance: HashMap<u64, String>,
+    /// origin of any execution plan". Glue veneers record as "Glue". The
+    /// values are handles on labels rendered when the rules were compiled.
+    pub provenance: HashMap<u64, Arc<str>>,
+    /// The provenance label of Glue veneers.
+    pub(crate) glue_label: Arc<str>,
     /// Structured event sink; `Tracer::off()` by default (zero overhead).
     pub tracer: Tracer,
     /// Request-scoped span recorder; `SpanContext::off()` by default.
@@ -138,8 +156,13 @@ pub struct Engine<'a> {
     /// Current Glue recursion depth (Glue can re-enter via AccessRoot);
     /// only depth-0 invocations accumulate `glue_nanos`.
     pub(crate) glue_depth: u32,
+    /// The one property-function context of the run (it caches what it
+    /// derives per quantifier).
+    ctx: PropCtx<'a>,
     memo: HashMap<MemoKey, Arc<Vec<PlanRef>>>,
     pub(crate) glue_cache: HashMap<GlueKey, Arc<Vec<PlanRef>>>,
+    /// Scratch set of [`Engine::dedup`], reused across calls.
+    seen: HashSet<u64>,
     /// Armed fault-injection plan (`native`/`prop` sites), from the config.
     faults: Option<Arc<FaultPlan>>,
     /// Absolute deadline computed from the budget at construction.
@@ -192,14 +215,17 @@ impl<'a> Engine<'a> {
             table,
             stats: OptStats::default(),
             provenance: HashMap::new(),
+            glue_label: "Glue".into(),
             tracer: Tracer::off(),
             spans: SpanContext::off(),
             star_nanos: Histogram::new(),
             plan_cost: Histogram::new(),
             glue_nanos: 0,
             glue_depth: 0,
+            ctx: PropCtx::new(catalog, query, model),
             memo: HashMap::new(),
             glue_cache: HashMap::new(),
+            seen: HashSet::new(),
             faults: config.faults.clone(),
             deadline: config.budget.deadline.map(|d| Instant::now() + d),
             exhausted: None,
@@ -227,8 +253,8 @@ impl<'a> Engine<'a> {
         self.glue_nanos
     }
 
-    pub fn prop_ctx(&self) -> PropCtx<'a> {
-        PropCtx::new(self.catalog, self.query, self.model)
+    pub fn prop_ctx(&self) -> &PropCtx<'a> {
+        &self.ctx
     }
 
     fn native_ctx(&self) -> NativeCtx<'_> {
@@ -315,7 +341,7 @@ impl<'a> Engine<'a> {
     pub fn eval_star(&mut self, id: StarId, args: Vec<RuleValue>) -> Result<Arc<Vec<PlanRef>>> {
         self.stats.star_refs += 1;
         self.check_deadline();
-        let key = MemoKey { star: id, args };
+        let mut key = MemoKey::new(id, args);
         let traced = self.tracer.enabled();
         let spanned = self.spans.enabled();
         // Reference ids advance whenever either consumer needs them: trace
@@ -328,28 +354,19 @@ impl<'a> Engine<'a> {
             0
         };
         let parent = self.cur_ref();
-        if !self.config.ablate_memo {
-            if let Some(hit) = self.memo.get(&key) {
-                self.stats.memo_hits += 1;
-                let hit = hit.clone();
-                self.tracer.emit(|| TraceEvent::StarRef {
-                    star: self.rules.star(id).name.clone(),
-                    sid: id.0,
-                    id: ref_id,
-                    parent,
-                    memo_hit: true,
-                });
-                return Ok(hit);
-            }
-        }
+        let memo = (!self.config.ablate_memo).then_some(&self.memo);
+        let hit = memo.and_then(|m| m.get(&key)).cloned();
         self.tracer.emit(|| TraceEvent::StarRef {
             star: self.rules.star(id).name.clone(),
             sid: id.0,
             id: ref_id,
             parent,
-            memo_hit: false,
+            memo_hit: hit.is_some(),
         });
-        let args = key.args.clone();
+        if let Some(hit) = hit {
+            self.stats.memo_hits += 1;
+            return Ok(hit);
+        }
         let max_depth = self.config.budget.max_star_depth.unwrap_or(MAX_DEPTH);
         if self.depth >= max_depth {
             return Err(self.eval_err(
@@ -365,18 +382,24 @@ impl<'a> Engine<'a> {
         // request is expanded by one thread), `meta` carries the ref id.
         let star_span = if spanned {
             self.spans
-                .enter_meta(format!("star:{}", self.rules.star(id).name), ref_id)
+                .enter_meta(self.rules.star(id).span_name.clone(), ref_id)
         } else {
             SpanGuard::noop()
         };
         let start = traced.then(std::time::Instant::now);
-        let result = self.eval_star_inner(id, &args);
+        // The reference's arguments are both its memo key and the base of
+        // its environment: bindings and the ∀ variable are pushed above
+        // them and popped again, so nothing is copied per reference.
+        let params = key.args.len();
+        let result = self.eval_star_inner(id, &mut key.args);
+        key.args.truncate(params);
         if traced || spanned {
             self.ref_stack.pop();
         }
         self.depth -= 1;
-        let plans = result?;
-        let plans = Arc::new(dedup(plans));
+        let mut plans = result?;
+        self.dedup(&mut plans);
+        let plans = Arc::new(plans);
         drop(star_span);
         if let Some(start) = start {
             let nanos = start.elapsed().as_nanos() as u64;
@@ -401,24 +424,32 @@ impl<'a> Engine<'a> {
         Ok(plans)
     }
 
-    fn eval_star_inner(&mut self, id: StarId, args: &[RuleValue]) -> Result<Vec<PlanRef>> {
-        let star = self.rules.star(id).clone();
+    fn eval_star_inner(&mut self, id: StarId, env: &mut Vec<RuleValue>) -> Result<Vec<PlanRef>> {
+        // Borrowed from the rule set for the run's lifetime, never copied:
+        // expansion is a dictionary lookup plus substitution (§2.3).
+        let rules: &'a RuleSet = self.rules;
+        let star = rules.star(id);
+        let params = env.len();
         let mut out: Vec<PlanRef> = Vec::new();
         let mut first_err: Option<CoreError> = None;
         for (group_idx, group) in star.groups.iter().enumerate() {
             // Environment: parameters, then this group's bindings, then one
             // slot for the forall variable.
-            let mut env: Vec<RuleValue> = args.to_vec();
+            env.truncate(params);
             for b in &group.bindings {
-                let v = self.eval_expr(b, &mut env.clone(), &star.name)?;
+                let v = self.eval_expr(b, env, &star.name)?;
                 env.push(v);
             }
+            let bound = env.len();
             let mut any_fired = false;
             for (alt_idx, alt) in group.alts.iter().enumerate() {
                 if self.quarantined.contains(&(id, group_idx, alt_idx)) {
                     continue;
                 }
                 self.stats.alts_considered += 1;
+                // A panicking alternative may leave its ∀ item pushed.
+                env.truncate(bound);
+                let before = out.len();
                 // Quarantine boundary: rules are data, so a panicking or
                 // erroring alternative (guard included) disables itself
                 // while its siblings keep optimizing. A panic unwinding
@@ -427,7 +458,7 @@ impl<'a> Engine<'a> {
                 let depth0 = self.depth;
                 let stack0 = self.ref_stack.len();
                 let glue_depth0 = self.glue_depth;
-                let step = catch_unwind(AssertUnwindSafe(|| -> Result<Option<Vec<PlanRef>>> {
+                let step = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
                     let fire = match &alt.guard {
                         Guard::Always => true,
                         Guard::Otherwise => !any_fired,
@@ -436,7 +467,7 @@ impl<'a> Engine<'a> {
                             // The forall variable is not in scope in the
                             // guard; guards are per-alternative, not
                             // per-item.
-                            let v = self.eval_expr(cond, &mut env.clone(), &star.name)?;
+                            let v = self.eval_expr(cond, env, &star.name)?;
                             v.as_bool().ok_or_else(|| {
                                 self.eval_err(&star.name, "condition did not evaluate to a boolean")
                             })?
@@ -451,27 +482,35 @@ impl<'a> Engine<'a> {
                                 cond: self.rules.render_expr(cond, &star.params, self.natives),
                             });
                         }
-                        return Ok(None);
+                        return Ok(false);
                     }
-                    self.eval_alt(alt, &env, &star.name, alt_idx).map(Some)
+                    self.eval_alt(alt, env, &star.name, alt_idx, &mut out)?;
+                    Ok(true)
                 }));
+                // Only an alternative that ran to completion contributes.
+                if !matches!(step, Ok(Ok(true))) {
+                    out.truncate(before);
+                }
                 match step {
-                    Ok(Ok(None)) => {} // condition of applicability failed
-                    Ok(Ok(Some(produced))) => {
+                    Ok(Ok(false)) => {} // condition of applicability failed
+                    Ok(Ok(true)) => {
                         any_fired = true;
+                        let produced = &out[before..];
                         self.tracer.emit(|| TraceEvent::AltFired {
                             star: star.name.clone(),
                             alt: alt_idx + 1,
                             ref_id: self.cur_ref(),
                             plans: produced.len(),
                         });
-                        for p in &produced {
-                            self.provenance
-                                .entry(p.fingerprint())
-                                .or_insert_with(|| format!("{}[alt {}]", star.name, alt_idx + 1));
+                        // First producer wins, and what a STAR reference
+                        // returns was recorded by that STAR's alternatives.
+                        if !matches!(alt.expr, Expr::CallStar(..)) {
+                            for p in produced {
+                                let origin = self.provenance.entry(p.fingerprint());
+                                origin.or_insert_with(|| alt.label.clone());
+                            }
                         }
                         let productive = !produced.is_empty();
-                        out.extend(produced);
                         if group.exclusive {
                             break;
                         }
@@ -482,7 +521,7 @@ impl<'a> Engine<'a> {
                         }
                     }
                     Ok(Err(e)) => {
-                        let e = self.quarantine_alt(id, group_idx, alt_idx, &star, alt, e);
+                        let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
                         first_err.get_or_insert(e);
                     }
                     Err(payload) => {
@@ -490,10 +529,10 @@ impl<'a> Engine<'a> {
                         self.ref_stack.truncate(stack0);
                         self.glue_depth = glue_depth0;
                         let e = CoreError::Panicked {
-                            context: format!("STAR {}[alt {}]", star.name, alt_idx + 1),
+                            context: format!("STAR {}", alt.label),
                             msg: panic_msg(payload),
                         };
-                        let e = self.quarantine_alt(id, group_idx, alt_idx, &star, alt, e);
+                        let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
                         first_err.get_or_insert(e);
                     }
                 }
@@ -549,25 +588,24 @@ impl<'a> Engine<'a> {
         err
     }
 
+    /// Evaluate one alternative, appending the plans it produces to `out`.
     fn eval_alt(
         &mut self,
         alt: &Alt,
-        env: &[RuleValue],
+        env: &mut Vec<RuleValue>,
         star: &str,
         alt_idx: usize,
-    ) -> Result<Vec<PlanRef>> {
-        let mut out = Vec::new();
+        out: &mut Vec<PlanRef>,
+    ) -> Result<()> {
+        let before = out.len();
         match &alt.forall {
             None => {
-                let mut env = env.to_vec();
-                let v = self.eval_expr(&alt.expr, &mut env, star)?;
+                let v = self.eval_expr(&alt.expr, env, star)?;
                 out.extend(self.want_plans(&v, star)?.iter().cloned());
             }
             Some(set_expr) => {
-                let mut env0 = env.to_vec();
-                let set = self.eval_expr(set_expr, &mut env0, star)?;
-                let mut items: Vec<RuleValue> = match set {
-                    RuleValue::List(items) => items.as_ref().clone(),
+                let items = match self.eval_expr(set_expr, env, star)? {
+                    RuleValue::List(items) => items,
                     other => {
                         return Err(self.eval_err(
                             star,
@@ -577,13 +615,14 @@ impl<'a> Engine<'a> {
                 };
                 // Per-rule expansion cap: excess ∀ items are dropped
                 // (degraded), not an error.
+                let mut items = items.as_slice();
                 if let Some(cap) = self.config.budget.max_forall_items {
                     if items.len() > cap {
                         self.exhaust(
                             "forall_items",
                             format!("forall expansion of {} items capped at {cap}", items.len()),
                         );
-                        items.truncate(cap);
+                        items = &items[..cap];
                     }
                 }
                 self.tracer.emit(|| TraceEvent::ForallExpand {
@@ -593,18 +632,18 @@ impl<'a> Engine<'a> {
                     items: items.len(),
                 });
                 for item in items {
-                    let mut env2 = env.to_vec();
-                    env2.push(item);
-                    let v = self.eval_expr(&alt.expr, &mut env2, star)?;
-                    out.extend(self.want_plans(&v, star)?.iter().cloned());
+                    env.push(item.clone());
+                    let v = self.eval_expr(&alt.expr, env, star);
+                    env.pop();
+                    out.extend(self.want_plans(&v?, star)?.iter().cloned());
                     // Greedy (degraded) mode: first productive item wins.
-                    if self.exhausted.is_some() && !out.is_empty() {
+                    if self.exhausted.is_some() && out.len() > before {
                         break;
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn want_plans(&self, v: &RuleValue, star: &str) -> Result<Arc<Vec<PlanRef>>> {
@@ -618,12 +657,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate one rule expression.
-    pub fn eval_expr(
-        &mut self,
-        e: &Expr,
-        env: &mut Vec<RuleValue>,
-        star: &str,
-    ) -> Result<RuleValue> {
+    pub fn eval_expr(&mut self, e: &Expr, env: &[RuleValue], star: &str) -> Result<RuleValue> {
         match e {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Var(slot) => env
@@ -634,15 +668,13 @@ impl<'a> Engine<'a> {
                 let vals = self.eval_args(args, env, star)?;
                 Ok(RuleValue::Plans(self.eval_star(*id, vals)?))
             }
-            Expr::CallFn(id, args) => {
-                let vals = self.eval_args(args, env, star)?;
-                self.stats.native_calls += 1;
-                self.call_native(*id, &vals, star)
-            }
-            Expr::CallOp(name, args) => {
-                let vals = self.eval_args(args, env, star)?;
-                Ok(RuleValue::Plans(self.apply_op(name, &vals, star)?))
-            }
+            Expr::CallFn(id, args) => self.with_args::<3>(args, env, star, |engine, vals| {
+                engine.stats.native_calls += 1;
+                engine.call_native(*id, vals, star)
+            }),
+            Expr::CallOp(op, args) => self.with_args::<5>(args, env, star, |engine, vals| {
+                Ok(RuleValue::Plans(engine.apply_op(op, vals, star)?))
+            }),
             Expr::Glue(stream_e, preds_e) => {
                 let sv = self.eval_expr(stream_e, env, star)?;
                 let pv = self.eval_expr(preds_e, env, star)?;
@@ -738,13 +770,41 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Evaluate the arguments of a native or LOLEPOP call and hand them to
+    /// `call`. Built-in natives take at most three and LOLEPOPs five, so
+    /// they live in a stack buffer of `N`; only a wider extension pays for
+    /// a vector.
+    fn with_args<const N: usize>(
+        &mut self,
+        args: &[Expr],
+        env: &[RuleValue],
+        star: &str,
+        call: impl FnOnce(&mut Self, &[RuleValue]) -> Result<RuleValue>,
+    ) -> Result<RuleValue> {
+        let mut buf: [RuleValue; N] = std::array::from_fn(|_| RuleValue::AllCols);
+        if args.len() > buf.len() {
+            let vals = self.eval_args(args, env, star)?;
+            return call(self, &vals);
+        }
+        for (slot, a) in buf.iter_mut().zip(args) {
+            *slot = self.eval_expr(a, env, star)?;
+        }
+        call(self, &buf[..args.len()])
+    }
+
+    /// Evaluate call arguments, with room left for the bindings and ∀
+    /// variable a referenced STAR pushes above them.
     fn eval_args(
         &mut self,
         args: &[Expr],
-        env: &mut Vec<RuleValue>,
+        env: &[RuleValue],
         star: &str,
     ) -> Result<Vec<RuleValue>> {
-        args.iter().map(|a| self.eval_expr(a, env, star)).collect()
+        let mut vals = Vec::with_capacity(args.len() + 4);
+        for a in args {
+            vals.push(self.eval_expr(a, env, star)?);
+        }
+        Ok(vals)
     }
 
     fn eval_binary(
@@ -752,7 +812,7 @@ impl<'a> Engine<'a> {
         op: BinOp,
         l: &Expr,
         r: &Expr,
-        env: &mut Vec<RuleValue>,
+        env: &[RuleValue],
         star: &str,
     ) -> Result<RuleValue> {
         // Short-circuit booleans.
@@ -845,19 +905,19 @@ impl<'a> Engine<'a> {
         let b = self.as_cols(r, star)?;
         let out: Vec<QCol> = match op {
             BinOp::Union => {
-                let mut v = a;
-                for c in b {
-                    if !v.contains(&c) {
-                        v.push(c);
+                let mut v = a.to_vec();
+                for c in b.iter() {
+                    if !v.contains(c) {
+                        v.push(*c);
                     }
                 }
                 v
             }
-            BinOp::Minus => a.into_iter().filter(|c| !b.contains(c)).collect(),
-            BinOp::Intersect => a.into_iter().filter(|c| b.contains(c)).collect(),
+            BinOp::Minus => a.iter().filter(|c| !b.contains(c)).copied().collect(),
+            BinOp::Intersect => a.iter().filter(|c| b.contains(c)).copied().collect(),
             _ => unreachable!(),
         };
-        Ok(RuleValue::Cols(Arc::new(out)))
+        Ok(RuleValue::Cols(out.into()))
     }
 
     // ---- coercions ------------------------------------------------------
@@ -869,21 +929,22 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Ordered column list; `{}` (empty preds) coerces to the empty list.
-    pub fn as_cols(&self, v: &RuleValue, star: &str) -> Result<Vec<QCol>> {
+    /// Ordered column list (a shared view of the value's own columns);
+    /// `{}` (empty preds) coerces to the empty list.
+    pub fn as_cols(&self, v: &RuleValue, star: &str) -> Result<Shared<QCol>> {
         match v {
-            RuleValue::Cols(c) => Ok(c.as_ref().clone()),
+            RuleValue::Cols(c) => Ok(c.clone()),
             RuleValue::ColSet(c) => Ok(c.iter().copied().collect()),
-            RuleValue::Preds(p) if p.is_empty() => Ok(Vec::new()),
+            RuleValue::Preds(p) if p.is_empty() => Ok(Shared::EMPTY),
             other => Err(self.eval_err(star, format!("expected columns, got {}", other.kind()))),
         }
     }
 
-    pub fn as_colset(&self, v: &RuleValue, star: &str) -> Result<std::collections::BTreeSet<QCol>> {
+    pub fn as_colset(&self, v: &RuleValue, star: &str) -> Result<ColSet> {
         match v {
-            RuleValue::ColSet(c) => Ok(c.as_ref().clone()),
+            RuleValue::ColSet(c) => Ok(c.clone()),
             RuleValue::Cols(c) => Ok(c.iter().copied().collect()),
-            RuleValue::Preds(p) if p.is_empty() => Ok(Default::default()),
+            RuleValue::Preds(p) if p.is_empty() => Ok(ColSet::new()),
             other => Err(self.eval_err(star, format!("expected column set, got {}", other.kind()))),
         }
     }
@@ -896,17 +957,17 @@ impl<'a> Engine<'a> {
     /// offer alternatives, and illegal ones simply produce no plan.
     fn apply_op(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         args: &[RuleValue],
         star: &str,
     ) -> Result<Arc<Vec<PlanRef>>> {
-        let out = match name {
+        let mut out = match name.as_ref() {
             "ACCESS" => self.op_access(args, star)?,
             "GET" => self.op_get(args, star)?,
             "SORT" => {
                 let plans = self.arg_plans(args, 0, "SORT", star)?;
                 let key = self.as_cols(&args[1], star)?;
-                self.map_unary(&plans, |_| Lolepop::Sort { key: key.clone() })?
+                self.map_unary(&plans, |_| Lolepop::Sort { key: key.to_vec() })?
             }
             "SHIP" => {
                 let plans = self.arg_plans(args, 0, "SHIP", star)?;
@@ -925,7 +986,7 @@ impl<'a> Engine<'a> {
             "BUILD_INDEX" => {
                 let plans = self.arg_plans(args, 0, "BUILD_INDEX", star)?;
                 let key = self.as_cols(&args[1], star)?;
-                self.map_unary(&plans, |_| Lolepop::BuildIndex { key: key.clone() })?
+                self.map_unary(&plans, |_| Lolepop::BuildIndex { key: key.to_vec() })?
             }
             "FILTER" => {
                 let plans = self.arg_plans(args, 0, "FILTER", star)?;
@@ -944,9 +1005,10 @@ impl<'a> Engine<'a> {
                 }
                 out
             }
-            ext => self.op_ext(ext, args, star)?,
+            _ => self.op_ext(name, args, star)?,
         };
-        Ok(Arc::new(dedup(out)))
+        self.dedup(&mut out);
+        Ok(Arc::new(out))
     }
 
     fn arg_plans(
@@ -992,21 +1054,8 @@ impl<'a> Engine<'a> {
     /// their breakdowns. Counts toward `glue_veneers`, not `plans_built` —
     /// a veneer is impedance matching, not a strategy alternative.
     pub(crate) fn build_veneer(&mut self, op: Lolepop, inputs: Vec<PlanRef>) -> Result<PlanRef> {
-        let ctx = self.prop_ctx();
-        let prop = self.prop;
-        let faults = self.faults.clone();
-        let op_name = faults.is_some().then(|| op.name());
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            if let (Some(plan), Some(name)) = (&faults, &op_name) {
-                if let Some(mode) = plan.trigger("prop", name) {
-                    if let Some(msg) = faults::fire(mode, name) {
-                        return Err(CoreError::Glue(msg));
-                    }
-                }
-            }
-            prop.build(op, inputs, &ctx).map_err(CoreError::from)
-        }));
-        let p = match built {
+        let op_name = self.faults.is_some().then(|| op.name());
+        let p = match self.derive_node(op, inputs, &op_name, CoreError::Glue) {
             Ok(r) => r?,
             Err(payload) => {
                 return Err(CoreError::Panicked {
@@ -1020,6 +1069,28 @@ impl<'a> Engine<'a> {
         Ok(p)
     }
 
+    /// Derive a node's properties and build it, behind the fault-injection
+    /// (`prop` site, matched on `op_name`) and panic-containment boundary.
+    fn derive_node(
+        &self,
+        op: Lolepop,
+        inputs: Vec<PlanRef>,
+        op_name: &Option<String>,
+        injected: impl FnOnce(String) -> CoreError,
+    ) -> std::thread::Result<Result<PlanRef>> {
+        catch_unwind(AssertUnwindSafe(|| {
+            if let (Some(plan), Some(name)) = (&self.faults, op_name) {
+                if let Some(mode) = plan.trigger("prop", name) {
+                    if let Some(msg) = faults::fire(mode, name) {
+                        return Err(injected(msg));
+                    }
+                }
+            }
+            let built = self.prop.build(op, inputs, &self.ctx);
+            built.map_err(CoreError::from)
+        }))
+    }
+
     /// Run a property function under the fault-injection and panic-
     /// containment boundary. A typed rejection stays a counted rejection;
     /// a panic becomes `CoreError::Panicked` for the caller to propagate
@@ -1030,7 +1101,6 @@ impl<'a> Engine<'a> {
         inputs: Vec<PlanRef>,
         out: &mut Vec<PlanRef>,
     ) -> Result<()> {
-        let ctx = PropCtx::new(self.catalog, self.query, self.model);
         // `op` moves into build(); keep its name around only when tracing
         // or fault matching needs it.
         let op_name = if self.tracer.enabled() || self.faults.is_some() {
@@ -1038,22 +1108,11 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        let prop = self.prop;
-        let faults = self.faults.clone();
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            if let (Some(plan), Some(name)) = (&faults, &op_name) {
-                if let Some(mode) = plan.trigger("prop", name) {
-                    if let Some(msg) = faults::fire(mode, name) {
-                        return Err(CoreError::Eval {
-                            star: "<injected>".to_string(),
-                            msg,
-                        });
-                    }
-                }
-            }
-            prop.build(op, inputs, &ctx).map_err(CoreError::from)
-        }));
-        match built {
+        let injected = |msg| CoreError::Eval {
+            star: "<injected>".to_string(),
+            msg,
+        };
+        match self.derive_node(op, inputs, &op_name, injected) {
             Ok(Ok(p)) => {
                 self.stats.plans_built += 1;
                 if let Some(cap) = self.config.budget.max_plans_built {
@@ -1117,12 +1176,7 @@ impl<'a> Engine<'a> {
                     self.eval_err(star, "base-table ACCESS requires a single-table stream")
                 })?;
                 let cols = match &args[2] {
-                    RuleValue::AllCols => {
-                        let t = self.catalog.table(self.query.quantifier(q).table);
-                        (0..t.columns.len() as u32)
-                            .map(|c| QCol::new(q, ColId(c)))
-                            .collect()
-                    }
+                    RuleValue::AllCols => self.all_cols(q),
                     other => self.as_colset(other, star)?,
                 };
                 let spec = if flavor.as_ref() == "heap" {
@@ -1171,6 +1225,13 @@ impl<'a> Engine<'a> {
         Ok(out)
     }
 
+    /// `*` on a base table: every catalog column of quantifier `q`.
+    fn all_cols(&self, q: starqo_query::QId) -> ColSet {
+        let t = self.catalog.table(self.query.quantifier(q).table);
+        let cols = 0..t.columns.len() as u32;
+        cols.map(|c| QCol::new(q, ColId(c))).collect()
+    }
+
     fn op_get(&mut self, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
         if args.len() != 4 {
             return Err(self.eval_err(star, "GET takes (input, table, cols, preds)"));
@@ -1183,12 +1244,7 @@ impl<'a> Engine<'a> {
             other => return Err(self.eval_err(star, format!("GET table: got {}", other.kind()))),
         };
         let cols = match &args[2] {
-            RuleValue::AllCols => {
-                let t = self.catalog.table(self.query.quantifier(q).table);
-                (0..t.columns.len() as u32)
-                    .map(|c| QCol::new(q, ColId(c)))
-                    .collect()
-            }
+            RuleValue::AllCols => self.all_cols(q),
             other => self.as_colset(other, star)?,
         };
         let preds = self.as_preds(&args[3], star)?;
@@ -1238,7 +1294,7 @@ impl<'a> Engine<'a> {
 
     /// Extension operators: SAP arguments become plan inputs (in order);
     /// scalar arguments are packaged as `ExtArg`s.
-    fn op_ext(&mut self, name: &str, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
+    fn op_ext(&mut self, name: &Arc<str>, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
         if !self.prop.has_ext(name) {
             return Err(self.eval_err(star, format!("unknown operator {name}")));
         }
@@ -1251,7 +1307,7 @@ impl<'a> Engine<'a> {
                 RuleValue::Int(i) => ext_args.push(ExtArg::Int(*i)),
                 RuleValue::Str(s) | RuleValue::Sym(s) => ext_args.push(ExtArg::Str(s.clone())),
                 RuleValue::Site(s) => ext_args.push(ExtArg::Site(*s)),
-                RuleValue::Cols(c) => ext_args.push(ExtArg::Cols(c.as_ref().clone())),
+                RuleValue::Cols(c) => ext_args.push(ExtArg::Cols(c.to_vec())),
                 other => {
                     return Err(self.eval_err(
                         star,
@@ -1262,7 +1318,7 @@ impl<'a> Engine<'a> {
         }
         let arity = plan_args.len();
         let op = Lolepop::Ext {
-            name: Arc::from(name),
+            name: name.clone(),
             args: ext_args,
             arity,
         };
@@ -1290,17 +1346,16 @@ impl<'a> Engine<'a> {
 impl Engine<'_> {
     /// The recorded rule origin of a plan node, if any.
     pub fn origin(&self, fingerprint: u64) -> Option<&str> {
-        self.provenance.get(&fingerprint).map(|s| s.as_str())
+        self.provenance.get(&fingerprint).map(|s| &**s)
     }
-}
 
-/// Drop structurally duplicate plans.
-pub fn dedup(plans: Vec<PlanRef>) -> Vec<PlanRef> {
-    let mut seen = std::collections::HashSet::new();
-    plans
-        .into_iter()
-        .filter(|p| seen.insert(p.fingerprint()))
-        .collect()
+    /// Drop structurally duplicate plans, keeping first occurrences.
+    pub(crate) fn dedup(&mut self, plans: &mut Vec<PlanRef>) {
+        if plans.len() > 1 {
+            self.seen.clear();
+            plans.retain(|p| self.seen.insert(p.fingerprint()));
+        }
+    }
 }
 
 /// Convenience: make a stream value.

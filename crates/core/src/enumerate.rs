@@ -14,8 +14,6 @@
 //! `JoinRoot` rule's conditions, exactly as §4.1 suggests; the driver only
 //! skips pairs no rule could accept, as an efficiency matter.
 
-use std::sync::Arc;
-
 use starqo_plan::PlanRef;
 use starqo_query::QSet;
 
@@ -36,19 +34,19 @@ pub struct Enumerated {
 
 /// Run bottom-up enumeration over the engine's query.
 pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
-    let n = engine.query.quantifiers.len();
-    let all = engine.query.all_qset();
+    let query = engine.query;
+    let n = query.quantifiers.len();
+    let all = query.all_qset();
 
     // Level 1: single-table access plans via AccessRoot.
-    for qt in &engine.query.quantifiers.clone() {
+    for qt in &query.quantifiers {
         let qs = QSet::single(qt.id);
-        let preds = engine.query.eligible_preds(qs);
-        let cols = engine.query.required_cols(qt.id);
+        let preds = query.eligible_preds(qs);
         let plans = engine.eval_star_by_name(
             "AccessRoot",
             vec![
                 RuleValue::Stream(StreamRef::new(qs)),
-                RuleValue::ColSet(Arc::new(cols)),
+                RuleValue::ColSet(query.required_cols(qt.id).clone()),
                 RuleValue::Preds(preds),
             ],
         )?;
@@ -67,7 +65,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
     // a level would otherwise be unbuildable.
     for k in 2..=n {
         for s in subsets_of_size(all, k as u32) {
-            let mut built_any = !engine.table.keys_for_tables(s).is_empty();
+            let mut built_any = engine.table.has_tables(s);
             for cartesian_pass in [false, true] {
                 if cartesian_pass && built_any {
                     break;
@@ -85,9 +83,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
                         continue;
                     }
                     // Both sides must already have plans.
-                    if engine.table.keys_for_tables(s1).is_empty()
-                        || engine.table.keys_for_tables(s2).is_empty()
-                    {
+                    if !engine.table.has_tables(s1) || !engine.table.has_tables(s2) {
                         continue;
                     }
                     let new_preds = engine.query.newly_eligible(s1, s2);
@@ -128,7 +124,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
         order: if engine.query.order_by.is_empty() {
             None
         } else {
-            Some(engine.query.order_by.clone())
+            Some(engine.query.order_by.as_slice().into())
         },
         site: Some(engine.query.query_site),
         temp: false,
@@ -150,50 +146,35 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
 /// Estimated-small test for Cartesian candidates (§2.3: "streams of small
 /// estimated cardinality").
 fn small(engine: &Engine<'_>, s: QSet) -> bool {
-    engine
-        .table
-        .keys_for_tables(s)
-        .into_iter()
-        .filter_map(|k| engine.table.best(k))
+    let keys = engine.table.keys_for_tables(s);
+    keys.filter_map(|k| engine.table.best(k))
         .any(|p| p.props.card <= engine.model.small_card)
 }
 
-/// All subsets of `all` with exactly `k` bits.
-fn subsets_of_size(all: QSet, k: u32) -> Vec<QSet> {
-    let mut out = Vec::new();
-    // Enumerate subsets of the bitmask; fine for ≤ ~20 quantifiers, which is
-    // far beyond the experiments.
-    let bits: Vec<u32> = all.iter().map(|q| q.0).collect();
-    let n = bits.len();
-    let mut mask = 0u64;
-    loop {
-        if mask.count_ones() == k {
-            let mut s = QSet::EMPTY;
-            for (i, b) in bits.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    s = s.insert(starqo_query::QId(*b));
-                }
-            }
-            out.push(s);
+/// All subsets of `all` with exactly `k` (≥ 1) bits, in ascending mask
+/// order: Gosper's hack walks the k-bit patterns over `|all|` positions,
+/// and each pattern selects that many of `all`'s members.
+fn subsets_of_size(all: QSet, k: u32) -> impl Iterator<Item = QSet> {
+    let end = 1u128 << all.len();
+    let mut pattern = (1u128 << k) - 1;
+    std::iter::from_fn(move || {
+        if pattern >= end {
+            return None;
         }
-        mask += 1;
-        if mask >= (1u64 << n) {
-            break;
-        }
-    }
-    out
+        let members = all.iter().enumerate();
+        let picked = members.filter(|(i, _)| pattern & (1 << i) != 0);
+        let subset = picked.map(|(_, q)| q).collect();
+        let low = pattern & pattern.wrapping_neg();
+        let ripple = pattern + low;
+        pattern = ripple | (((pattern ^ ripple) >> 2) / low);
+        Some(subset)
+    })
 }
 
 /// Unordered partitions of `s` into two non-empty disjoint halves.
-fn partitions(s: QSet) -> Vec<(QSet, QSet)> {
-    let mut out = Vec::new();
-    for sub in s.proper_subsets() {
-        let comp = s.minus(sub);
-        if sub.0 < comp.0 {
-            out.push((sub, comp));
-        }
-    }
-    out
+fn partitions(s: QSet) -> impl Iterator<Item = (QSet, QSet)> {
+    let halves = s.proper_subsets().map(move |sub| (sub, s.minus(sub)));
+    halves.filter(|(sub, comp)| sub.0 < comp.0)
 }
 
 #[cfg(test)]
@@ -204,16 +185,18 @@ mod tests {
     #[test]
     fn subsets_of_size_counts() {
         let all = QSet::all(4);
-        assert_eq!(subsets_of_size(all, 1).len(), 4);
-        assert_eq!(subsets_of_size(all, 2).len(), 6);
-        assert_eq!(subsets_of_size(all, 3).len(), 4);
-        assert_eq!(subsets_of_size(all, 4).len(), 1);
+        assert_eq!(subsets_of_size(all, 1).count(), 4);
+        assert_eq!(subsets_of_size(all, 2).count(), 6);
+        assert_eq!(subsets_of_size(all, 3).count(), 4);
+        assert_eq!(subsets_of_size(all, 4).count(), 1);
+        let masks: Vec<u64> = subsets_of_size(all, 2).map(|s| s.0).collect();
+        assert_eq!(masks, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]);
     }
 
     #[test]
     fn subsets_respect_sparse_sets() {
         let s = QSet::from_iter([QId(1), QId(3), QId(5)]);
-        let twos = subsets_of_size(s, 2);
+        let twos: Vec<QSet> = subsets_of_size(s, 2).collect();
         assert_eq!(twos.len(), 3);
         for t in twos {
             assert!(t.is_subset_of(s));
@@ -224,13 +207,13 @@ mod tests {
     #[test]
     fn partitions_are_unordered_and_complete() {
         let s = QSet::all(3);
-        let ps = partitions(s);
+        let ps: Vec<_> = partitions(s).collect();
         assert_eq!(ps.len(), 3); // {0}|{1,2}, {1}|{0,2}, {2}|{0,1}
         for (a, b) in ps {
             assert!(a.is_disjoint(b));
             assert_eq!(a.union(b), s);
         }
         let s4 = QSet::all(4);
-        assert_eq!(partitions(s4).len(), 7); // 2^(4-1) - 1
+        assert_eq!(partitions(s4).count(), 7); // 2^(4-1) - 1
     }
 }

@@ -25,7 +25,7 @@ use starqo_plan::{AccessSpec, Lolepop, PlanRef};
 use starqo_query::{PredSet, QSet};
 use starqo_trace::{SpanGuard, TraceEvent};
 
-use crate::engine::{dedup, Engine, GlueKey};
+use crate::engine::{Engine, GlueKey};
 use crate::error::{CoreError, Result};
 use crate::value::{ReqVec, RuleValue, StreamRef};
 
@@ -96,12 +96,10 @@ fn glue_miss(
             satisfied.push(p);
         }
     }
-    let mut satisfied = dedup(satisfied);
+    engine.dedup(&mut satisfied);
     for p in &satisfied {
-        engine
-            .provenance
-            .entry(p.fingerprint())
-            .or_insert_with(|| "Glue".to_string());
+        let origin = engine.provenance.entry(p.fingerprint());
+        origin.or_insert_with(|| engine.glue_label.clone());
     }
     if satisfied.is_empty() {
         return Err(CoreError::Glue(format!(
@@ -142,7 +140,7 @@ pub fn glue_plans(
         }
         out.push(engine.build_veneer(Lolepop::Filter { preds: extra }, vec![p.clone()])?);
     }
-    let out = dedup(out);
+    engine.dedup(&mut out);
     engine.tracer.emit(|| TraceEvent::GlueRef {
         ref_id: engine.cur_ref(),
         cache_hit: false,
@@ -265,12 +263,12 @@ fn access_root(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> Result<
     let q = tables
         .as_single()
         .ok_or_else(|| CoreError::Glue(format!("AccessRoot on multi-table stream {tables}")))?;
-    let cols = engine.query.required_cols(q);
+    let cols = engine.query.required_cols(q).clone();
     engine.eval_star_by_name(
         "AccessRoot",
         vec![
             RuleValue::Stream(StreamRef::new(tables)),
-            RuleValue::ColSet(Arc::new(cols)),
+            RuleValue::ColSet(cols),
             RuleValue::Preds(preds),
         ],
     )
@@ -286,7 +284,8 @@ fn veneer(engine: &mut Engine<'_>, plan: PlanRef, reqs: &ReqVec) -> Result<Optio
             if !order.iter().all(|c| p.props.cols.contains(c)) {
                 return Ok(None);
             }
-            p = engine.build_veneer(Lolepop::Sort { key: order.clone() }, vec![p])?;
+            let key = order.to_vec();
+            p = engine.build_veneer(Lolepop::Sort { key }, vec![p])?;
         }
     }
     if let Some(site) = reqs.site {

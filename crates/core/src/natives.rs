@@ -37,10 +37,8 @@ impl<'a> NativeCtx<'a> {
     /// cheapest plan in the plan table (falling back to the stored site of a
     /// single base table, then the query site).
     pub fn current_site(&self, tables: QSet) -> starqo_catalog::SiteId {
-        let best = self
-            .table
-            .keys_for_tables(tables)
-            .into_iter()
+        let keys = self.table.keys_for_tables(tables);
+        let best = keys
             .filter_map(|k| self.table.best(k))
             .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()));
         if let Some(p) = best {
@@ -212,9 +210,7 @@ fn n_sort_key(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 2, "sort_key")?;
     let sp = want_preds(&args[0])?;
     let side = want_tables(&args[1])?;
-    Ok(RuleValue::Cols(Arc::new(
-        ctx.classifier().sort_key(sp, side),
-    )))
+    Ok(RuleValue::Cols(ctx.classifier().sort_key(sp, side).into()))
 }
 
 fn n_index_cols(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
@@ -222,9 +218,9 @@ fn n_index_cols(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     let ip = want_preds(&args[0])?;
     let xp = want_preds(&args[1])?;
     let t2 = want_tables(&args[2])?;
-    Ok(RuleValue::Cols(Arc::new(
-        ctx.classifier().index_cols(ip, xp, t2),
-    )))
+    Ok(RuleValue::Cols(
+        ctx.classifier().index_cols(ip, xp, t2).into(),
+    ))
 }
 
 // ---- generic set/scalar helpers ----------------------------------------
@@ -352,13 +348,10 @@ fn n_tid_stream_cols(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValu
     arity(args, 1, "tid_stream_cols")?;
     let (ix, q) = want_index(&args[0])?;
     let def = ctx.catalog.index(ix);
-    let mut cols: std::collections::BTreeSet<starqo_query::QCol> = def
-        .cols
-        .iter()
-        .map(|c| starqo_query::QCol::new(q, *c))
-        .collect();
-    cols.insert(starqo_query::QCol::new(q, starqo_catalog::TID_COL));
-    Ok(RuleValue::ColSet(Arc::new(cols)))
+    let key = def.cols.iter().copied().chain([starqo_catalog::TID_COL]);
+    Ok(RuleValue::ColSet(
+        key.map(|c| starqo_query::QCol::new(q, c)).collect(),
+    ))
 }
 
 /// The TID pseudo-column of a single-table stream, as a one-element ordered
@@ -370,10 +363,8 @@ fn n_tid_col(_ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
         .tables
         .as_single()
         .ok_or_else(|| err("tid_col: stream must be a single table"))?;
-    Ok(RuleValue::Cols(Arc::new(vec![starqo_query::QCol::new(
-        q,
-        starqo_catalog::TID_COL,
-    )])))
+    let tid = starqo_query::QCol::new(q, starqo_catalog::TID_COL);
+    Ok(RuleValue::Cols([tid].as_slice().into()))
 }
 
 fn n_covers(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
@@ -393,12 +384,8 @@ fn n_covers(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     // Every applied predicate must touch only key columns of this table.
     let preds = want_preds(&args[2])?;
     let preds_ok = preds.iter().all(|p| {
-        ctx.query
-            .pred(p)
-            .cols()
-            .iter()
-            .filter(|c| c.q == q)
-            .all(|c| key.contains(c))
+        let mut on_q = ctx.query.pred_cols(p).iter().filter(|c| c.q == q);
+        on_q.all(|c| key.contains(c))
     });
     Ok(RuleValue::Bool(cols_ok && preds_ok))
 }

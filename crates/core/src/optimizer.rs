@@ -92,8 +92,8 @@ pub struct Optimized {
     pub table_keys: usize,
     /// Rule provenance: node fingerprint → "Star[alt k]" (or "Glue") that
     /// first produced it — §1's "traced to explain the origin of any
-    /// execution plan".
-    pub provenance: std::collections::HashMap<u64, String>,
+    /// execution plan". The labels are shared with the compiled rules.
+    pub provenance: std::collections::HashMap<u64, Arc<str>>,
     /// Counters and per-phase wall-clock timings for this run.
     pub metrics: MetricsSummary,
     /// True when a budget resource ran out and the plan came from greedy,
@@ -113,11 +113,8 @@ impl Optimized {
     pub fn origin_trace(&self, plan: &PlanRef) -> Vec<String> {
         let mut out = Vec::new();
         plan.visit(&mut |n| {
-            let rule = self
-                .provenance
-                .get(&n.fingerprint())
-                .map(|s| s.as_str())
-                .unwrap_or("(driver)");
+            let rule = self.provenance.get(&n.fingerprint());
+            let rule = rule.map_or("(driver)", |s| s);
             out.push(format!("{} <= {}", n.op.name(), rule));
         });
         out
@@ -126,13 +123,15 @@ impl Optimized {
 
 /// A rule-driven query optimizer: a catalog, a cost model, a rule set
 /// compiled from DSL text, a native-function registry, and a
-/// property-function registry.
+/// property-function registry. The compiled repertoire does not depend on
+/// the catalog and is shared by every [`Optimizer::with_catalog`] copy.
+#[derive(Clone)]
 pub struct Optimizer {
     catalog: Arc<Catalog>,
     model: CostModel,
-    rules: RuleSet,
-    natives: Natives,
-    prop: PropEngine,
+    rules: Arc<RuleSet>,
+    natives: Arc<Natives>,
+    prop: Arc<PropEngine>,
     ext_ops: BTreeSet<String>,
     /// Accumulated wall time spent compiling rule text (reported as the
     /// `compile` phase of every subsequent optimization's metrics).
@@ -157,12 +156,22 @@ impl Optimizer {
         Optimizer {
             catalog,
             model: CostModel::default(),
-            rules: RuleSet::default(),
-            natives: Natives::builtin(),
-            prop: PropEngine::new(),
+            rules: Arc::default(),
+            natives: Arc::new(Natives::builtin()),
+            prop: Arc::default(),
             ext_ops: BTreeSet::new(),
             compile_nanos: 0,
             warnings: Vec::new(),
+        }
+    }
+
+    /// The same compiled repertoire, cost model and compile time over another
+    /// catalog snapshot: what a new catalog epoch or a heal's corrected
+    /// statistics need, without parsing a rule file again.
+    pub fn with_catalog(&self, catalog: Arc<Catalog>) -> Self {
+        Optimizer {
+            catalog,
+            ..self.clone()
         }
     }
 
@@ -180,7 +189,7 @@ impl Optimizer {
                 natives: &self.natives,
                 ext_ops: &self.ext_ops,
             };
-            compile_into(&mut self.rules, &ast, &env)
+            compile_into(Arc::make_mut(&mut self.rules), &ast, &env)
         })();
         self.compile_nanos += started.elapsed().as_nanos() as u64;
         result
@@ -197,13 +206,13 @@ impl Optimizer {
     /// afterwards may reference it like any built-in operator. The run-time
     /// routine is registered separately with the executor.
     pub fn register_ext_op(&mut self, name: &str, prop_fn: ExtPropFn) {
-        self.prop.register_ext(name, prop_fn);
+        Arc::make_mut(&mut self.prop).register_ext(name, prop_fn);
         self.ext_ops.insert(name.to_string());
     }
 
     /// Register a native condition/set function usable from rules.
     pub fn register_native(&mut self, name: &str, f: crate::natives::NativeFn) {
-        self.natives.register(name, f);
+        Arc::make_mut(&mut self.natives).register(name, f);
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -324,11 +333,7 @@ impl Optimizer {
                     op: n.op.name(),
                     fp: n.fingerprint(),
                     depth,
-                    origin: engine
-                        .provenance
-                        .get(&n.fingerprint())
-                        .cloned()
-                        .unwrap_or_else(|| "(driver)".to_string()),
+                    origin: engine.origin(n.fingerprint()).unwrap_or("(driver)").into(),
                     card: n.props.card,
                     cost: n.props.cost.total(),
                 });

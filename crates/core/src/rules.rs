@@ -8,6 +8,7 @@
 //! star with the same name *appends* a group.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::natives::Natives;
 use crate::value::RuleValue;
@@ -52,8 +53,9 @@ pub enum Expr {
     Var(u32),
     /// Reference another STAR.
     CallStar(StarId, Vec<Expr>),
-    /// Reference a LOLEPOP (or registered extension operator) by name.
-    CallOp(String, Vec<Expr>),
+    /// Reference a LOLEPOP (or registered extension operator) by name; an
+    /// extension's plan nodes share the handle.
+    CallOp(Arc<str>, Vec<Expr>),
     /// Call a native function (the paper's "C functions").
     CallFn(u32, Vec<Expr>),
     /// Reference Glue: `Glue(stream, pushdown_preds)` (§3.2).
@@ -81,6 +83,9 @@ pub struct Alt {
     pub forall: Option<Expr>,
     pub expr: Expr,
     pub guard: Guard,
+    /// `Star[alt k]`, rendered once here: the provenance of every plan the
+    /// alternative produces is a clone of this handle, not a new string.
+    pub label: Arc<str>,
 }
 
 /// A group of alternatives sharing `with`-bindings and bracket kind.
@@ -97,6 +102,8 @@ pub struct AltGroup {
 #[derive(Debug, Clone)]
 pub struct StarDef {
     pub name: String,
+    /// `star:<name>`, the span recorded around each expansion.
+    pub span_name: Arc<str>,
     pub params: Vec<String>,
     pub groups: Vec<AltGroup>,
 }

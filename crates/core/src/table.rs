@@ -33,7 +33,10 @@ pub struct TableStats {
 /// The memo of alternative plans per relational key.
 #[derive(Debug, Clone, Default)]
 pub struct PlanTable {
-    map: HashMap<PlanKey, Vec<PlanRef>>,
+    /// Hashed on the tables; under them, one slot per predicate set in
+    /// first-insertion order (a handful at most). The enumerator's "any
+    /// plans for this quantifier set?" is therefore a single lookup.
+    map: HashMap<QSet, Vec<(PredSet, Vec<PlanRef>)>>,
     pub stats: TableStats,
     /// ABLATION: when set, dominance pruning is skipped (duplicates are
     /// still dropped).
@@ -74,8 +77,14 @@ impl PlanTable {
     /// plan survived.
     pub fn insert(&mut self, plan: PlanRef) -> bool {
         self.stats.offered += 1;
-        let key = Self::key_of(&plan);
-        let slot = self.map.entry(key).or_default();
+        let (tables, preds) = Self::key_of(&plan);
+        let slots = self.map.entry(tables).or_default();
+        let at = slots.iter().position(|(p, _)| *p == preds);
+        let at = at.unwrap_or_else(|| {
+            slots.push((preds, Vec::new()));
+            slots.len() - 1
+        });
+        let slot = &mut slots[at].1;
         if slot.iter().any(|p| p.fingerprint() == plan.fingerprint()) {
             self.stats.duplicates += 1;
             self.tracer.emit(|| TraceEvent::TablePrune {
@@ -130,8 +139,10 @@ impl PlanTable {
     }
 
     /// All plans for a key.
-    pub fn get(&self, key: PlanKey) -> &[PlanRef] {
-        self.map.get(&key).map(|v| v.as_slice()).unwrap_or(&[])
+    pub fn get(&self, (tables, preds): PlanKey) -> &[PlanRef] {
+        let slots = self.map.get(&tables).map(Vec::as_slice).unwrap_or(&[]);
+        let slot = slots.iter().find(|(p, _)| *p == preds);
+        slot.map(|(_, plans)| plans.as_slice()).unwrap_or(&[])
     }
 
     /// Cheapest plan for a key (by total cost).
@@ -141,23 +152,28 @@ impl PlanTable {
             .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()))
     }
 
-    /// All keys whose quantifier set equals `tables` (any predicate set).
-    pub fn keys_for_tables(&self, tables: QSet) -> Vec<PlanKey> {
-        self.map
-            .keys()
-            .filter(|(t, _)| *t == tables)
-            .copied()
-            .collect()
+    /// Does any plan exist for exactly this quantifier set? (An entry is
+    /// only ever created by the insert that fills it.)
+    pub fn has_tables(&self, tables: QSet) -> bool {
+        self.map.contains_key(&tables)
+    }
+
+    /// All keys whose quantifier set equals `tables` (any predicate set),
+    /// in first-insertion order.
+    pub fn keys_for_tables(&self, tables: QSet) -> impl Iterator<Item = PlanKey> + '_ {
+        let slots = self.map.get(&tables).into_iter().flatten();
+        slots.map(move |(preds, _)| (tables, *preds))
     }
 
     /// Number of plans retained across all keys.
     pub fn total_plans(&self) -> usize {
-        self.map.values().map(|v| v.len()).sum()
+        let slots = self.map.values().flatten();
+        slots.map(|(_, plans)| plans.len()).sum()
     }
 
     /// Number of distinct relational keys.
     pub fn total_keys(&self) -> usize {
-        self.map.len()
+        self.map.values().map(Vec::len).sum()
     }
 }
 
@@ -173,7 +189,7 @@ mod tests {
         props.tables = QSet::single(QId(0));
         props.cost = Cost::new(cost_once, cost_rescan);
         if ordered {
-            props.order = vec![starqo_query::QCol::new(QId(0), starqo_catalog::ColId(0))];
+            props.order = vec![starqo_query::QCol::new(QId(0), starqo_catalog::ColId(0))].into();
         }
         // Salt the op parameters so fingerprints differ.
         PlanNode::with_props(
@@ -257,8 +273,9 @@ mod tests {
         t.insert(plan(9.0, 9.0, 1, false, 2));
         assert_eq!(t.total_plans(), 2);
         assert_eq!(t.total_keys(), 1);
-        assert_eq!(t.keys_for_tables(QSet::single(QId(0))).len(), 1);
-        assert!(t.keys_for_tables(QSet::single(QId(5))).is_empty());
+        assert_eq!(t.keys_for_tables(QSet::single(QId(0))).count(), 1);
+        assert!(t.has_tables(QSet::single(QId(0))));
+        assert!(!t.has_tables(QSet::single(QId(5))));
         assert!(t
             .best((QSet::single(QId(5)), starqo_query::PredSet::EMPTY))
             .is_none());

@@ -6,27 +6,26 @@
 //! requirements are accumulated until Glue is referenced") — and
 //! [`RuleValue::Plans`], the paper's SAP (Set of Alternative Plans, §2.2).
 
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use starqo_catalog::{IndexId, SiteId};
-use starqo_plan::PlanRef;
-use starqo_query::{PredSet, QCol, QSet};
+use starqo_plan::{ColSet, PlanRef};
+use starqo_query::{PredSet, QCol, QSet, Shared};
 
 /// Accumulated required properties on a stream (§3.2). `T[site = s]` etc.
 /// append to this; only Glue discharges it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ReqVec {
     /// Required tuple order.
-    pub order: Option<Vec<QCol>>,
+    pub order: Option<Shared<QCol>>,
     /// Required delivery site.
     pub site: Option<SiteId>,
     /// Must be materialized as a temp.
     pub temp: bool,
     /// Required access path: an index whose key starts with these columns
     /// (§4.5.3's `paths ⊇ IX`).
-    pub paths: Option<Vec<QCol>>,
+    pub paths: Option<Shared<QCol>>,
 }
 
 impl ReqVec {
@@ -62,9 +61,9 @@ pub enum RuleValue {
     Sym(Arc<str>),
     Site(SiteId),
     /// An ordered column list (sort keys, index keys, ORDER requirements).
-    Cols(Arc<Vec<QCol>>),
+    Cols(Shared<QCol>),
     /// An unordered column set (the C parameter of access STARs).
-    ColSet(Arc<BTreeSet<QCol>>),
+    ColSet(ColSet),
     /// A predicate set.
     Preds(PredSet),
     /// A stream: table set + accumulated requirements.
@@ -185,7 +184,7 @@ mod tests {
         r.temp = true;
         assert!(!r.is_empty());
         let r2 = ReqVec {
-            order: Some(vec![QCol::new(QId(0), ColId(0))]),
+            order: Some(vec![QCol::new(QId(0), ColId(0))].into()),
             ..Default::default()
         };
         assert!(!r2.is_empty());

@@ -88,7 +88,7 @@ fn stream(q: u32) -> RuleValue {
 
 fn dept_args() -> Vec<RuleValue> {
     // AccessRoot(T, C, P) arguments for DEPT with its single-table pred.
-    let cols: std::collections::BTreeSet<QCol> = [
+    let cols: starqo_plan::ColSet = [
         QCol::new(QId(0), starqo_catalog::ColId(0)),
         QCol::new(QId(0), starqo_catalog::ColId(1)),
     ]
@@ -96,7 +96,7 @@ fn dept_args() -> Vec<RuleValue> {
     .collect();
     vec![
         stream(0),
-        RuleValue::ColSet(Arc::new(cols)),
+        RuleValue::ColSet(cols),
         RuleValue::Preds(PredSet::single(starqo_query::PredId(0))),
     ]
 }
@@ -165,7 +165,7 @@ fn set_operators_on_predicates() {
     );
     let mut e = fx.engine();
     // Pass both preds; join pred p1 is subtracted, leaving only p0.
-    let cols: std::collections::BTreeSet<QCol> = [
+    let cols: starqo_plan::ColSet = [
         QCol::new(QId(0), starqo_catalog::ColId(0)),
         QCol::new(QId(0), starqo_catalog::ColId(1)),
     ]
@@ -175,11 +175,7 @@ fn set_operators_on_predicates() {
     let plans = e
         .eval_star_by_name(
             "Minus",
-            vec![
-                stream(0),
-                RuleValue::ColSet(Arc::new(cols)),
-                RuleValue::Preds(all),
-            ],
+            vec![stream(0), RuleValue::ColSet(cols), RuleValue::Preds(all)],
         )
         .unwrap();
     assert_eq!(plans.len(), 1);
@@ -201,10 +197,8 @@ fn requirements_accumulate_until_glue() {
             panic!()
         };
         let q = s.tables.as_single().unwrap();
-        Ok(RuleValue::Cols(Arc::new(vec![QCol::new(
-            q,
-            starqo_catalog::ColId(0),
-        )])))
+        let dno = QCol::new(q, starqo_catalog::ColId(0));
+        Ok(RuleValue::Cols(vec![dno].into()))
     });
     // Recompile with the extended registry so the names resolve.
     let mut opt = Optimizer::new(fx.cat.clone()).unwrap();
@@ -214,10 +208,8 @@ fn requirements_accumulate_until_glue() {
             panic!()
         };
         let q = s.tables.as_single().unwrap();
-        Ok(RuleValue::Cols(Arc::new(vec![QCol::new(
-            q,
-            starqo_catalog::ColId(0),
-        )])))
+        let dno = QCol::new(q, starqo_catalog::ColId(0));
+        Ok(RuleValue::Cols(vec![dno].into()))
     });
     opt.load_rules(
         "star Outer(T, C, P) = Inner(T[site = la()], C, P)\n\

@@ -12,7 +12,7 @@ use std::fmt;
 pub enum PlanError {
     /// Operator applied to the wrong number of inputs.
     Arity {
-        op: &'static str,
+        op: String,
         expected: usize,
         got: usize,
     },

@@ -12,11 +12,12 @@
 //! property is to leave it unchanged, so property functions clone the input
 //! vector and touch only what their operator changes.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use starqo_catalog::{Catalog, TID_COL};
-use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, QSet, Query};
+use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, QSet, Query, Shared};
 
 use crate::cost::CostModel;
 use crate::error::{PlanError, Result};
@@ -26,10 +27,13 @@ use crate::props::{AvailPath, ColSet, Cost, CostComponents, PathSource, Props};
 use crate::sel::Selectivity;
 
 /// Context every property function receives: catalog, query, cost model.
+/// One context serves a whole optimization run, so what it derives per
+/// quantifier (the catalog PATHS) is derived once and shared by every plan.
 pub struct PropCtx<'a> {
     pub catalog: &'a Catalog,
     pub query: &'a Query,
     pub model: &'a CostModel,
+    paths: Vec<OnceCell<Shared<AvailPath>>>,
 }
 
 impl<'a> PropCtx<'a> {
@@ -38,6 +42,7 @@ impl<'a> PropCtx<'a> {
             catalog,
             query,
             model,
+            paths: vec![OnceCell::new(); query.quantifiers.len()],
         }
     }
 
@@ -46,7 +51,7 @@ impl<'a> PropCtx<'a> {
     }
 
     /// Width in bytes of a set of quantified columns (TID counts as 8).
-    pub fn width(&self, cols: &ColSet) -> f64 {
+    pub fn width(&self, cols: &[QCol]) -> f64 {
         let mut w = 0u64;
         for c in cols {
             if c.col.is_tid() {
@@ -67,16 +72,19 @@ impl<'a> PropCtx<'a> {
     }
 
     /// Catalog access paths of quantifier `q` as `AvailPath`s.
-    pub fn catalog_paths(&self, q: QId) -> Vec<AvailPath> {
-        let t = self.query.quantifier(q).table;
-        self.catalog
-            .indexes_on(t)
-            .map(|ix| AvailPath {
-                key: ix.cols.iter().map(|c| QCol::new(q, *c)).collect(),
-                source: PathSource::Catalog(ix.id),
-                clustered: ix.clustered,
-            })
-            .collect()
+    pub fn catalog_paths(&self, q: QId) -> Shared<AvailPath> {
+        let paths = self.paths[q.0 as usize].get_or_init(|| {
+            let t = self.query.quantifier(q).table;
+            let on_table = self.catalog.indexes_on(t);
+            on_table
+                .map(|ix| AvailPath {
+                    key: ix.cols.iter().map(|c| QCol::new(q, *c)).collect(),
+                    source: PathSource::Catalog(ix.id),
+                    clustered: ix.clustered,
+                })
+                .collect()
+        });
+        paths.clone()
     }
 }
 
@@ -109,7 +117,7 @@ impl PropEngine {
         let need = op.arity();
         if inputs.len() != need {
             return Err(PlanError::Arity {
-                op: Box::leak(op.name().into_boxed_str()),
+                op: op.name(),
                 expected: need,
                 got: inputs.len(),
             });
@@ -137,8 +145,15 @@ impl PropEngine {
 
     /// Derive properties and construct the node in one step.
     pub fn build(&self, op: Lolepop, inputs: Vec<PlanRef>, ctx: &PropCtx<'_>) -> Result<PlanRef> {
-        let in_props: Vec<&Props> = inputs.iter().map(|i| &i.props).collect();
-        let props = self.derive(&op, &in_props, ctx)?;
+        let props = match inputs.as_slice() {
+            [] => self.derive(&op, &[], ctx),
+            [a] => self.derive(&op, &[&a.props], ctx),
+            [a, b] => self.derive(&op, &[&a.props, &b.props], ctx),
+            more => {
+                let in_props: Vec<&Props> = more.iter().map(|i| &i.props).collect();
+                self.derive(&op, &in_props, ctx)
+            }
+        }?;
         Ok(PlanNode::with_props(op, inputs, props))
     }
 
@@ -171,7 +186,7 @@ impl PropEngine {
         btree: bool,
         ctx: &PropCtx<'_>,
     ) -> Result<Props> {
-        for c in cols {
+        for c in cols.iter() {
             if c.q != q {
                 return Err(PlanError::Scope {
                     op: "ACCESS",
@@ -191,19 +206,16 @@ impl PropEngine {
         // For a B-tree storage manager, predicates matching a key prefix
         // restrict the range of pages scanned.
         let (scanned_frac, order) = if btree {
-            let key = table.native_order().to_vec();
-            let (matched, ncols) = cl.index_matching(preds, q, &key);
+            let key = table.native_order();
+            let (matched, ncols) = cl.index_matching(preds, q, key);
             let frac = if ncols > 0 {
                 sel.preds(matched, local)
             } else {
                 1.0
             };
-            (
-                frac,
-                key.iter().map(|c| QCol::new(q, *c)).collect::<Vec<_>>(),
-            )
+            (frac, key.iter().map(|c| QCol::new(q, *c)).collect())
         } else {
-            (1.0, Vec::new())
+            (1.0, Shared::EMPTY)
         };
         let scanned = base_card * scanned_frac;
         let rescan = model.scan_io_c(scanned, row_w) + model.stream_cpu_c(scanned, preds.len());
@@ -238,8 +250,8 @@ impl PropEngine {
             });
         }
         // The output stream can only carry the TID and key columns.
-        let key_qcols: Vec<QCol> = ix.cols.iter().map(|c| QCol::new(q, *c)).collect();
-        for c in cols {
+        let key_qcols: Shared<QCol> = ix.cols.iter().map(|c| QCol::new(q, *c)).collect();
+        for c in cols.iter() {
             if c.q != q || (!c.col.is_tid() && !key_qcols.contains(c)) {
                 return Err(PlanError::Scope {
                     op: "ACCESS(index)",
@@ -250,13 +262,8 @@ impl PropEngine {
         // Applied predicates must be evaluable on key columns.
         let cl = Classifier::new(ctx.query);
         for p in preds.iter() {
-            let ok = ctx
-                .query
-                .pred(p)
-                .cols()
-                .iter()
-                .filter(|c| c.q == q)
-                .all(|c| key_qcols.contains(c));
+            let mut on_q = ctx.query.pred_cols(p).iter().filter(|c| c.q == q);
+            let ok = on_q.all(|c| key_qcols.contains(c));
             if !ok {
                 return Err(PlanError::Scope {
                     op: "ACCESS(index)",
@@ -308,7 +315,7 @@ impl PropEngine {
                 "ACCESS(temp) over a non-materialized input".into(),
             ));
         }
-        for c in cols {
+        for c in cols.iter() {
             if !input.cols.contains(c) {
                 return Err(PlanError::Scope {
                     op: "ACCESS(temp)",
@@ -350,7 +357,7 @@ impl PropEngine {
                 )));
             }
         }
-        for c in cols {
+        for c in cols.iter() {
             if !input.cols.contains(c) {
                 return Err(PlanError::Scope {
                     op: "ACCESS(temp-index)",
@@ -395,7 +402,7 @@ impl PropEngine {
         let mut out = input.clone();
         out.cols = cols.clone();
         out.preds = input.preds.union(preds);
-        out.order = key.to_vec();
+        out.order = key.into();
         out.card = input.card * sel.preds(preds.minus(input.preds), input.tables);
         out.cost = Cost::from_parts(input.cost.once_by, rescan);
         Ok(out)
@@ -422,7 +429,7 @@ impl PropEngine {
                 detail: "input must be a single-table TID stream".into(),
             });
         }
-        for c in cols {
+        for c in cols.iter() {
             if c.q != q {
                 return Err(PlanError::Scope {
                     op: "GET",
@@ -452,13 +459,8 @@ impl PropEngine {
         let cpu = model.stream_cpu_c(n, preds.len());
         let sel = ctx.sel();
         let mut out = input.clone();
-        let mut out_cols: ColSet = cols.clone();
-        for c in &input.cols {
-            if !c.col.is_tid() {
-                out_cols.insert(*c);
-            }
-        }
-        out.cols = out_cols;
+        let carried = input.cols.iter().filter(|c| !c.col.is_tid());
+        out.cols = cols.iter().chain(carried).copied().collect();
         out.preds = input.preds.union(preds);
         out.card = n * sel.preds(preds.minus(input.preds), QSet::single(q));
         out.cost = Cost::from_parts(input.cost.once_by, input.cost.rescan_by + io + cpu);
@@ -477,7 +479,7 @@ impl PropEngine {
         let model = ctx.model;
         let width = ctx.width(&input.cols);
         let mut out = input.clone();
-        out.order = key.to_vec();
+        out.order = key.into();
         out.cost = Cost::from_parts(
             input.cost.breakdown() + model.sort_cost_c(input.card, width),
             model.scan_io_c(input.card, width) + model.stream_cpu_c(input.card, 0),
@@ -492,7 +494,7 @@ impl PropEngine {
         // Shipping preserves order (streams are sent in sequence) but the
         // destination has neither the temp nor its access paths.
         out.temp = false;
-        out.paths.clear();
+        out.paths = Shared::EMPTY;
         if input.site != to {
             out.cost = Cost::from_parts(
                 input.cost.once_by,
@@ -507,7 +509,7 @@ impl PropEngine {
         let width = ctx.width(&input.cols);
         let mut out = input.clone();
         out.temp = true;
-        out.paths.clear(); // a fresh temp has no auxiliary access paths
+        out.paths = Shared::EMPTY; // a fresh temp has no auxiliary access paths
         out.cost = Cost::from_parts(
             input.cost.breakdown()
                 + CostComponents::io(model.pages(input.card, width) * model.w_io),
@@ -536,11 +538,12 @@ impl PropEngine {
         let key_set: ColSet = key.iter().copied().collect();
         let model = ctx.model;
         let mut out = input.clone();
-        out.paths.push(AvailPath {
-            key: key.to_vec(),
+        let built = AvailPath {
+            key: key.into(),
             source: PathSource::Dynamic,
             clustered: false,
-        });
+        };
+        out.paths = input.paths.iter().cloned().chain([built]).collect();
         out.cost = Cost::from_parts(
             input.cost.once_by + model.index_build_cost_c(input.card, ctx.width(&key_set)),
             input.cost.rescan_by,
@@ -651,16 +654,14 @@ impl PropEngine {
             ),
         };
 
-        let mut cols = outer.cols.clone();
-        cols.extend(inner.cols.iter().copied());
         let order = match flavor {
             // NL and MG preserve the outer's order; hash join destroys order.
             JoinFlavor::NL | JoinFlavor::MG => outer.order.clone(),
-            JoinFlavor::HA => Vec::new(),
+            JoinFlavor::HA => Shared::EMPTY,
         };
         Ok(Props {
             tables: both,
-            cols,
+            cols: outer.cols.union(&inner.cols),
             preds: outer
                 .preds
                 .union(inner.preds)
@@ -669,7 +670,7 @@ impl PropEngine {
             order,
             site: outer.site,
             temp: false,
-            paths: Vec::new(),
+            paths: Shared::EMPTY,
             card,
             cost,
         })
@@ -687,9 +688,9 @@ impl PropEngine {
         let _ = ctx;
         let mut out = l.clone();
         out.preds = l.preds.intersect(r.preds);
-        out.order = Vec::new();
+        out.order = Shared::EMPTY;
         out.temp = false;
-        out.paths.clear();
+        out.paths = Shared::EMPTY;
         out.card = l.card + r.card;
         out.cost = Cost::from_parts(
             l.cost.once_by + r.cost.once_by,

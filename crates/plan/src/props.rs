@@ -7,13 +7,9 @@
 //! physical properties say HOW it is delivered (ORDER, SITE, TEMP, PATHS);
 //! estimated properties say HOW MUCH (CARD, COST).
 
-use std::collections::BTreeSet;
-
 use starqo_catalog::{IndexId, SiteId};
-use starqo_query::{PredSet, QCol, QSet};
-
-/// A set of quantified columns (the COLS property).
-pub type ColSet = BTreeSet<QCol>;
+pub use starqo_query::ColSet;
+use starqo_query::{PredSet, QCol, QSet, Shared};
 
 /// Where an access path came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +24,7 @@ pub enum PathSource {
 /// (Figure 2) together with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AvailPath {
-    pub key: Vec<QCol>,
+    pub key: Shared<QCol>,
     pub source: PathSource,
     pub clustered: bool,
 }
@@ -180,7 +176,8 @@ impl Cost {
 ///
 /// §5: "the default action of any LOLEPOP on any property is to leave the
 /// input property unchanged" — property functions start from a clone of the
-/// input vector and modify only what their operator changes.
+/// input vector and modify only what their operator changes. COLS, ORDER
+/// and PATHS are shared slices, so that clone copies no column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Props {
     // Relational (WHAT)
@@ -192,13 +189,13 @@ pub struct Props {
     pub preds: PredSet,
     // Physical (HOW)
     /// Ordering of tuples: an ordered list of columns; empty = unknown.
-    pub order: Vec<QCol>,
+    pub order: Shared<QCol>,
     /// Site to which tuples are delivered.
     pub site: SiteId,
     /// True if materialized in a temporary table.
     pub temp: bool,
     /// Available access paths on the (set of) tables.
-    pub paths: Vec<AvailPath>,
+    pub paths: Shared<AvailPath>,
     // Estimated (HOW MUCH)
     /// Estimated number of tuples resulting.
     pub card: f64,
@@ -213,10 +210,10 @@ impl Props {
             tables: QSet::EMPTY,
             cols: ColSet::new(),
             preds: PredSet::EMPTY,
-            order: Vec::new(),
+            order: Shared::EMPTY,
             site,
             temp: false,
-            paths: Vec::new(),
+            paths: Shared::EMPTY,
             card: 0.0,
             cost: Cost::ZERO,
         }
@@ -268,7 +265,7 @@ mod tests {
     #[test]
     fn order_prefix_satisfaction() {
         let mut p = Props::empty(SiteId(0));
-        p.order = vec![qc(0, 1), qc(0, 2)];
+        p.order = vec![qc(0, 1), qc(0, 2)].into();
         assert!(p.order_satisfies(&[]));
         assert!(p.order_satisfies(&[qc(0, 1)]));
         assert!(p.order_satisfies(&[qc(0, 1), qc(0, 2)]));
@@ -279,11 +276,12 @@ mod tests {
     #[test]
     fn path_prefix_lookup() {
         let mut p = Props::empty(SiteId(0));
-        p.paths.push(AvailPath {
-            key: vec![qc(0, 3), qc(0, 1)],
+        p.paths = vec![AvailPath {
+            key: vec![qc(0, 3), qc(0, 1)].into(),
             source: PathSource::Dynamic,
             clustered: false,
-        });
+        }]
+        .into();
         assert!(p.path_with_prefix(&[qc(0, 3)]).is_some());
         assert!(p.path_with_prefix(&[qc(0, 3), qc(0, 1)]).is_some());
         assert!(p.path_with_prefix(&[qc(0, 1)]).is_none());

@@ -35,9 +35,9 @@ impl<'a> Selectivity<'a> {
     pub fn ndv_max(&self, preds: PredSet, side: QSet) -> f64 {
         preds
             .iter()
-            .flat_map(|p| self.query.pred(p).cols())
+            .flat_map(|p| self.query.pred_cols(p))
             .filter(|c| side.contains(c.q))
-            .map(|c| self.ndv(c))
+            .map(|c| self.ndv(*c))
             .fold(1.0_f64, f64::max)
     }
 

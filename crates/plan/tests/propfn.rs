@@ -146,7 +146,7 @@ fn heap_access_rejects_foreign_columns() {
 fn index_access_gives_order_and_tids() {
     let f = Fixture::new();
     let p = emp_index_access(&f);
-    assert_eq!(p.props.order, vec![QCol::new(E, ColId(2))]);
+    assert_eq!(*p.props.order, [QCol::new(E, ColId(2))]);
     assert!(p.props.cols.contains(&tid_col(E)));
     assert_eq!(p.props.card, 10_000.0);
     // EMP has one catalog path.
@@ -243,7 +243,7 @@ fn sort_sets_order_and_pays_once() {
     let s = f
         .build(Lolepop::Sort { key: key.clone() }, vec![d.clone()])
         .unwrap();
-    assert_eq!(s.props.order, key);
+    assert_eq!(*s.props.order, *key);
     assert!(s.props.cost.once > d.props.cost.total());
     assert!(s.props.order_satisfies(&key));
     // Sorting on a column the stream doesn't carry is illegal.

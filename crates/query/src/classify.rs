@@ -54,15 +54,14 @@ impl<'q> Classifier<'q> {
     /// (no ORs).
     pub fn join_preds(&self, p_set: PredSet) -> PredSet {
         PredSet::from_iter(p_set.iter().filter(|p| {
-            let pred = self.query.pred(*p);
-            pred.quantifiers().len() > 1 && !pred.expr.contains_or()
+            self.query.pred_quantifiers(*p).len() > 1 && !self.query.pred(*p).expr.contains_or()
         }))
     }
 
     /// IP: predicates eligible on the inner only: χ(p) ⊆ χ(T2).
     pub fn inner_preds(&self, p_set: PredSet, t2: QSet) -> PredSet {
         PredSet::from_iter(p_set.iter().filter(|p| {
-            let qs = self.query.pred(*p).quantifiers();
+            let qs = self.query.pred_quantifiers(*p);
             !qs.is_empty() && qs.is_subset_of(t2)
         }))
     }
@@ -126,9 +125,8 @@ impl<'q> Classifier<'q> {
             }
         };
         for p in ip.union(xp).iter() {
-            let pred = self.query.pred(p);
-            let is_eq = matches!(&pred.expr, PredExpr::Cmp(CmpOp::Eq, _, _));
-            for c in pred.cols() {
+            let is_eq = matches!(&self.query.pred(p).expr, PredExpr::Cmp(CmpOp::Eq, _, _));
+            for &c in self.query.pred_cols(p) {
                 if t2.contains(c.q) {
                     if is_eq {
                         push(&mut eq_cols, c);
@@ -149,7 +147,7 @@ impl<'q> Classifier<'q> {
     pub fn sort_key(&self, sp: PredSet, side: QSet) -> Vec<QCol> {
         let mut out = Vec::new();
         for p in sp.iter() {
-            for c in self.query.pred(p).cols() {
+            for &c in self.query.pred_cols(p) {
                 if side.contains(c.q) && !out.contains(&c) {
                     out.push(c);
                 }

@@ -176,6 +176,7 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
             select,
             order_by,
             query_site: q.query_site,
+            facts: Default::default(),
         },
         fingerprint: QueryFingerprint { hash, text },
         params,

@@ -20,6 +20,7 @@ pub mod pred;
 pub mod qset;
 pub mod query;
 pub mod scalar;
+pub mod shared;
 
 pub use classify::Classifier;
 pub use error::{QueryError, Result};
@@ -29,3 +30,4 @@ pub use pred::{CmpOp, PredExpr, PredId, PredSet, Predicate};
 pub use qset::{QId, QSet};
 pub use query::{Quantifier, Query, QueryBuilder};
 pub use scalar::{ArithOp, QCol, Scalar};
+pub use shared::{ColSet, Shared};

@@ -1,6 +1,6 @@
 //! The query object consumed by the optimizer.
 
-use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 use starqo_catalog::{Catalog, SiteId, TableId};
 
@@ -8,6 +8,7 @@ use crate::error::{QueryError, Result};
 use crate::pred::{PredExpr, PredId, PredSet, Predicate};
 use crate::qset::{QId, QSet};
 use crate::scalar::QCol;
+use crate::shared::ColSet;
 
 /// A quantifier: one table reference (range variable) of the query.
 #[derive(Debug, Clone)]
@@ -32,9 +33,59 @@ pub struct Query {
     pub order_by: Vec<QCol>,
     /// Site at which the query result must be delivered.
     pub query_site: SiteId,
+    /// What the optimizer asks thousands of times per run, derived from the
+    /// fields above on first use (so never on the cache-hit path). A query
+    /// is not edited once built.
+    pub(crate) facts: OnceLock<Facts>,
+}
+
+/// Each predicate's quantifier set and sorted column list, each
+/// quantifier's required columns.
+#[derive(Debug, Clone)]
+pub(crate) struct Facts {
+    pred_qs: Vec<QSet>,
+    pred_cols: Vec<Vec<QCol>>,
+    required: Vec<ColSet>,
 }
 
 impl Query {
+    fn facts(&self) -> &Facts {
+        self.facts.get_or_init(|| {
+            let pred_cols: Vec<Vec<QCol>> = self
+                .predicates
+                .iter()
+                .map(|p| p.cols().into_iter().collect())
+                .collect();
+            let required = self
+                .quantifiers
+                .iter()
+                .map(|qt| {
+                    let wanted = self.select.iter().chain(&self.order_by);
+                    wanted
+                        .chain(pred_cols.iter().flatten())
+                        .filter(|c| c.q == qt.id)
+                        .copied()
+                        .collect()
+                })
+                .collect();
+            Facts {
+                pred_qs: self.predicates.iter().map(|p| p.quantifiers()).collect(),
+                pred_cols,
+                required,
+            }
+        })
+    }
+
+    /// The quantifiers predicate `p` references (cached).
+    pub fn pred_quantifiers(&self, p: PredId) -> QSet {
+        self.facts().pred_qs[p.0 as usize]
+    }
+
+    /// χ(p): the columns of predicate `p`, sorted (cached).
+    pub fn pred_cols(&self, p: PredId) -> &[QCol] {
+        &self.facts().pred_cols[p.0 as usize]
+    }
+
     /// The set of all quantifiers.
     pub fn all_qset(&self) -> QSet {
         QSet::all(self.quantifiers.len())
@@ -57,12 +108,9 @@ impl Query {
     /// is in the set. ("the table order determines which predicates are
     /// eligible", §1.)
     pub fn eligible_preds(&self, qset: QSet) -> PredSet {
-        PredSet::from_iter(
-            self.predicates
-                .iter()
-                .filter(|p| !p.quantifiers().is_empty() && p.quantifiers().is_subset_of(qset))
-                .map(|p| p.id),
-        )
+        let qs = self.facts().pred_qs.iter().enumerate();
+        qs.filter(|(_, qs)| !qs.is_empty() && qs.is_subset_of(qset))
+            .fold(PredSet::EMPTY, |s, (i, _)| s.insert(PredId(i as u32)))
     }
 
     /// Predicates that become *newly* eligible when `s1` and `s2` are joined:
@@ -76,8 +124,7 @@ impl Query {
     /// True if some predicate links the two sets (a join predicate exists).
     /// This is the default "joinable pair" criterion of §2.3.
     pub fn connects(&self, s1: QSet, s2: QSet) -> bool {
-        self.predicates.iter().any(|p| {
-            let qs = p.quantifiers();
+        self.facts().pred_qs.iter().any(|qs| {
             !qs.intersect(s1).is_empty()
                 && !qs.intersect(s2).is_empty()
                 && qs.is_subset_of(s1.union(s2))
@@ -87,30 +134,8 @@ impl Query {
     /// The columns of quantifier `q` that anything downstream needs: the
     /// projection, any predicate, or the required order. This drives the
     /// COLS property of table-access plans ("pushing down the projection").
-    pub fn required_cols(&self, q: QId) -> BTreeSet<QCol> {
-        let mut out = BTreeSet::new();
-        for c in self.select.iter().chain(self.order_by.iter()) {
-            if c.q == q {
-                out.insert(*c);
-            }
-        }
-        for p in &self.predicates {
-            for c in p.cols() {
-                if c.q == q {
-                    out.insert(c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Required columns for a whole quantifier set.
-    pub fn required_cols_of(&self, qs: QSet) -> BTreeSet<QCol> {
-        let mut out = BTreeSet::new();
-        for q in qs.iter() {
-            out.extend(self.required_cols(q));
-        }
-        out
+    pub fn required_cols(&self, q: QId) -> &ColSet {
+        &self.facts().required[q.0 as usize]
     }
 
     /// Human-readable name of a quantified column, e.g. `E.NAME`.
@@ -268,6 +293,7 @@ impl QueryBuilder {
             select: self.select,
             order_by: self.order_by,
             query_site: self.query_site,
+            facts: OnceLock::new(),
         })
     }
 }
@@ -336,7 +362,6 @@ mod tests {
         let e_cols = q.required_cols(QId(1));
         // NAME (select) + DNO (join pred)
         assert_eq!(e_cols.len(), 2);
-        assert_eq!(q.required_cols_of(q.all_qset()).len(), 4);
     }
 
     #[test]

@@ -274,8 +274,9 @@ pub struct Service {
     config_sig: Arc<str>,
     cache: PlanCache,
     gate: OptGate,
-    /// The compiled optimizer, tagged with the catalog epoch it was built
-    /// against; rebuilt (rules recompiled) when the epoch moves.
+    /// The optimizer, tagged with the catalog epoch it plans against. The
+    /// rules are compiled once, in `with_shared`; an epoch move swaps the
+    /// catalog under them.
     optimizer: RwLock<(u64, Arc<Optimizer>)>,
     telemetry: Arc<Telemetry>,
     tracer: Tracer,
@@ -778,7 +779,7 @@ impl Service {
                 ),
             }
         })?;
-        let optimizer = self.optimizer_for(cat, epoch)?;
+        let optimizer = self.optimizer_for(cat, epoch);
         let mut config = self.config.opt_config.clone();
         if let Some(d) = deadline.or(self.config.default_deadline) {
             config.budget.deadline = Some(match config.budget.deadline {
@@ -815,22 +816,21 @@ impl Service {
         Ok((Arc::new(optimized), nanos))
     }
 
-    /// The compiled optimizer for this epoch, rebuilding (recompiling the
-    /// rule repertoire against the new snapshot) when the epoch moved.
-    fn optimizer_for(&self, cat: &Arc<Catalog>, epoch: u64) -> Result<Arc<Optimizer>, ServeError> {
+    /// The optimizer for this epoch: when the epoch moved, the compiled rule
+    /// repertoire (which no catalog change can alter) is re-pointed at the
+    /// new snapshot, so the write lock is held for a handful of `Arc` clones.
+    fn optimizer_for(&self, cat: &Arc<Catalog>, epoch: u64) -> Arc<Optimizer> {
         {
             let g = self.optimizer.read().unwrap_or_else(|p| p.into_inner());
             if g.0 == epoch {
-                return Ok(Arc::clone(&g.1));
+                return Arc::clone(&g.1);
             }
         }
         let mut g = self.optimizer.write().unwrap_or_else(|p| p.into_inner());
         if g.0 != epoch {
-            let rebuilt =
-                Optimizer::new(Arc::clone(cat)).map_err(|e| ServeError::Catalog(e.to_string()))?;
-            *g = (epoch, Arc::new(rebuilt));
+            *g = (epoch, Arc::new(g.1.with_catalog(Arc::clone(cat))));
         }
-        Ok(Arc::clone(&g.1))
+        Arc::clone(&g.1)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1073,10 +1073,9 @@ impl Service {
         if fault("optimize") {
             return pin(reason::REOPT_ERROR, true);
         }
-        let optimizer = match Optimizer::new(overlay_cat) {
-            Ok(o) => o,
-            Err(_) => return pin(reason::REOPT_ERROR, true),
-        };
+        let current = self.optimizer.read().unwrap_or_else(|p| p.into_inner());
+        let optimizer = current.1.with_catalog(overlay_cat);
+        drop(current);
         let mut oc = self.config.opt_config.clone();
         oc.budget = cfg.budget.clone();
         let opt_started = Instant::now();

@@ -35,7 +35,7 @@ pub use sink::{JsonLinesSink, MemorySink, NullSink, TraceSink};
 pub use telemetry::{
     from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, FeedbackPlane, HealRecord,
     HotQuery, LatencyPath, Metric, PhaseKind, PhasePlane, QErrorSketch, SnapshotRing, SpanContext,
-    SpanGuard, SpanMode, SpanRecord, SpanStore, SpanTree, SuspectConfig, SuspectVerdict,
+    SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree, SuspectConfig, SuspectVerdict,
     TailConfig, TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceSampler,
 };
 

@@ -48,7 +48,7 @@ pub use sample::TraceSampler;
 pub use snapshot::TelemetrySnapshot;
 pub use spans::{
     from_chrome_trace, read_span_trees, to_chrome_trace, SpanContext, SpanGuard, SpanMode,
-    SpanRecord, SpanStore, SpanTree, TailConfig, TailSampler,
+    SpanName, SpanRecord, SpanStore, SpanTree, TailConfig, TailSampler,
 };
 pub use topk::{HotQuery, TopKTracker};
 

@@ -24,7 +24,6 @@
 //! Trees serialize as one-line JSON (JSONL streams, tolerant reader) and
 //! export as Chrome `trace_event` JSON for `about://tracing`.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -83,6 +82,64 @@ impl Default for TailConfig {
     }
 }
 
+/// A span's name, never built per span on the recording path: serve-layer
+/// phase names are literals, and the optimizer's `star:<Name>` is a handle
+/// on the string rendered when the rule was compiled. Deserialized names
+/// own theirs.
+#[derive(Clone)]
+pub enum SpanName {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for SpanName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        match self {
+            SpanName::Static(s) => s,
+            SpanName::Shared(s) => s,
+        }
+    }
+}
+
+impl PartialEq for SpanName {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SpanName {}
+
+impl std::fmt::Debug for SpanName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl std::fmt::Display for SpanName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl From<&'static str> for SpanName {
+    fn from(s: &'static str) -> Self {
+        SpanName::Static(s)
+    }
+}
+
+impl From<String> for SpanName {
+    fn from(s: String) -> Self {
+        SpanName::Shared(s.into())
+    }
+}
+
+impl From<Arc<str>> for SpanName {
+    fn from(s: Arc<str>) -> Self {
+        SpanName::Shared(s)
+    }
+}
+
 /// One closed span: offsets are nanos from the owning request's start.
 /// `parent` is the enclosing span's id (0 = the root has no parent; real
 /// ids start at 1). `meta` is span-specific payload — the engine's
@@ -91,10 +148,7 @@ impl Default for TailConfig {
 pub struct SpanRecord {
     pub id: u32,
     pub parent: u32,
-    /// Static on the recording hot path (serve-layer phase names are
-    /// literals — no per-span allocation), owned when formatted (the
-    /// optimizer's `star:<name>` spans) or deserialized.
-    pub name: Cow<'static, str>,
+    pub name: SpanName,
     pub start_nanos: u64,
     pub end_nanos: u64,
     pub meta: u64,
@@ -247,7 +301,11 @@ impl SpanTree {
                     Some(SpanRecord {
                         id: u32::try_from(f("id")?).ok()?,
                         parent: u32::try_from(f("parent")?).ok()?,
-                        name: Cow::Owned(e.get("name").and_then(JsonValue::as_str)?.to_string()),
+                        name: e
+                            .get("name")
+                            .and_then(JsonValue::as_str)?
+                            .to_string()
+                            .into(),
                         start_nanos: f("start")?,
                         end_nanos: f("end")?,
                         meta: f("meta")?,
@@ -408,12 +466,12 @@ pub fn from_chrome_trace(text: &str) -> Result<Vec<SpanTree>, String> {
                 tree.spans.push(SpanRecord {
                     id: u32::try_from(u("id")?).map_err(|_| "span id overflow")?,
                     parent: u32::try_from(u("parent")?).map_err(|_| "span parent overflow")?,
-                    name: Cow::Owned(
-                        e.get("name")
-                            .and_then(JsonValue::as_str)
-                            .ok_or("span event missing name")?
-                            .to_string(),
-                    ),
+                    name: e
+                        .get("name")
+                        .and_then(JsonValue::as_str)
+                        .ok_or("span event missing name")?
+                        .to_string()
+                        .into(),
                     start_nanos: u("start_nanos")?,
                     end_nanos: u("end_nanos")?,
                     meta: u("meta")?,
@@ -548,12 +606,12 @@ impl SpanContext {
 
     /// Open a span under the current innermost open span. The returned
     /// guard records on drop; spans therefore appear in completion order.
-    pub fn enter(&self, name: impl Into<Cow<'static, str>>) -> SpanGuard {
+    pub fn enter(&self, name: impl Into<SpanName>) -> SpanGuard {
         self.enter_meta(name, 0)
     }
 
     /// [`Self::enter`] with an initial `meta` payload.
-    pub fn enter_meta(&self, name: impl Into<Cow<'static, str>>, meta: u64) -> SpanGuard {
+    pub fn enter_meta(&self, name: impl Into<SpanName>, meta: u64) -> SpanGuard {
         let Some(inner) = self.inner.as_ref() else {
             return SpanGuard::noop();
         };
@@ -617,7 +675,7 @@ pub struct SpanGuard {
     inner: Option<Arc<SpanInner>>,
     id: u32,
     parent: u32,
-    name: Cow<'static, str>,
+    name: SpanName,
     start_nanos: u64,
     meta: u64,
 }
@@ -630,7 +688,7 @@ impl SpanGuard {
             inner: None,
             id: 0,
             parent: 0,
-            name: Cow::Borrowed(""),
+            name: SpanName::Static(""),
             start_nanos: 0,
             meta: 0,
         }
@@ -638,7 +696,7 @@ impl SpanGuard {
 
     /// Rename the span before it closes (e.g. `cache_lookup` becomes
     /// `flight_wait` once the serve reports it coalesced).
-    pub fn rename(&mut self, name: impl Into<Cow<'static, str>>) {
+    pub fn rename(&mut self, name: impl Into<SpanName>) {
         if self.inner.is_some() {
             self.name = name.into();
         }
@@ -682,7 +740,7 @@ impl Drop for SpanGuard {
         let record = SpanRecord {
             id: self.id,
             parent: self.parent,
-            name: std::mem::replace(&mut self.name, Cow::Borrowed("")),
+            name: std::mem::replace(&mut self.name, SpanName::Static("")),
             start_nanos: self.start_nanos,
             end_nanos,
             meta: self.meta,
@@ -867,7 +925,7 @@ mod tests {
                 .map(|(i, (name, parent))| SpanRecord {
                     id: u32::try_from(i).unwrap() + 1,
                     parent: *parent,
-                    name: Cow::Owned((*name).to_string()),
+                    name: (*name).to_string().into(),
                     start_nanos: (i as u64) * 100,
                     end_nanos: (i as u64) * 100 + 50,
                     meta: i as u64,

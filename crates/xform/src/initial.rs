@@ -28,7 +28,7 @@ pub fn initial_plan(
             StorageKind::BTree { .. } => AccessSpec::BTreeTable(qt.id),
         };
         let single_preds = query.eligible_preds(qs);
-        let cols = query.required_cols(qt.id);
+        let cols = query.required_cols(qt.id).clone();
         let scan = prop.build(
             Lolepop::Access {
                 spec,

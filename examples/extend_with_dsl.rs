@@ -81,8 +81,8 @@ fn main() {
             out.tables = both;
             out.cols.extend(i.cols.iter().copied());
             out.preds = o.preds.union(i.preds).union(*jp).union(*residual);
-            out.order = Vec::new();
-            out.paths = Vec::new();
+            out.order = Default::default();
+            out.paths = Default::default();
             out.card = o.card * i.card * sel.preds(new_preds, both);
             out.cost = Cost::new(
                 o.cost.once + i.cost.once + o.card * ctx.model.hash_cpu,

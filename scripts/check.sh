@@ -139,4 +139,14 @@ cargo build -q --offline -p starqo-bench --bin exec
 grep -q "divergences: 0" target/bench/exec_smoke.txt
 echo "vexec smoke passed."
 
+echo "== perf ledger smoke (its tests, then all five workloads at 1/50 length) =="
+# Read-only use of perf/ (its own workspace and lock file): a PR that breaks
+# one of the public signatures listed in perf/README.md fails here rather
+# than when the ledger is next run. `bench --smoke` exits non-zero on a
+# missing or non-finite metric or any failed request.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+cargo run -q --release --offline --manifest-path perf/Cargo.toml -- bench --smoke \
+    > target/bench/perf_smoke.txt
+echo "perf ledger smoke passed."
+
 echo "All checks passed."

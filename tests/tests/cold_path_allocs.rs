@@ -1,0 +1,124 @@
+//! Allocation guards for the cold optimize path, counted, not timed.
+//!
+//! A counting `GlobalAlloc` whose counters are per thread, so the two tests
+//! (and the harness's own threads) cannot see each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use starqo_catalog::ColId;
+use starqo_core::{OptConfig, Optimizer};
+use starqo_plan::{CostModel, Lolepop, PlanError, PropCtx, PropEngine};
+use starqo_query::{CmpOp, PredExpr, QCol, QueryBuilder, Scalar};
+use starqo_workload::{synth_catalog, SynthSpec};
+
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without destructors: touching them from inside
+    // the allocator neither allocates nor runs during thread teardown.
+    /// Allocations and reallocations made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread allocated minus blocks it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f`; returns its result, the allocations it made and the blocks it
+/// left allocated (both on this thread).
+fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
+    let (a0, l0) = (ALLOCS.get(), LIVE.get());
+    let out = f();
+    (out, ALLOCS.get() - a0, LIVE.get() - l0)
+}
+
+/// The diet's figure for this query is 18.2 allocations per plan built
+/// (the engine before it needed 152.8); the ceiling sits ~25 % above it,
+/// so a clone that creeps back into the expansion loop fails here without
+/// a stopwatch.
+#[test]
+fn cold_optimize_allocations_per_plan_stay_lean() {
+    const CEILING: f64 = 23.0;
+    let spec = SynthSpec {
+        tables: 6,
+        card_range: (50, 5_000),
+        ..Default::default()
+    };
+    let cat = synth_catalog(12, &spec);
+    let mut b = QueryBuilder::new();
+    let qs: Vec<_> = (0..6)
+        .map(|i| {
+            b.quantifier(&cat, &format!("T{i}"), &format!("t{i}"))
+                .unwrap()
+        })
+        .collect();
+    for &spoke in &qs[1..] {
+        b.predicate(PredExpr::Cmp(
+            CmpOp::Eq,
+            Scalar::col(qs[0], ColId(1)),
+            Scalar::col(spoke, ColId(0)),
+        ))
+        .unwrap();
+    }
+    b.select(QCol::new(qs[0], ColId(0)));
+    b.select(QCol::new(qs[5], ColId(2)));
+    let query = b.build().unwrap();
+    let opt = Optimizer::new(cat).unwrap();
+    let config = OptConfig::default();
+
+    let (out, allocs, _) = measure(|| opt.optimize(&query, &config).unwrap());
+    let per_plan = allocs as f64 / out.stats.plans_built as f64;
+    assert!(
+        per_plan <= CEILING,
+        "{allocs} allocations for {} plans = {per_plan:.1} per plan, ceiling {CEILING}",
+        out.stats.plans_built
+    );
+}
+
+/// A rule file that applies an operator to the wrong number of inputs gets
+/// this error on every reference; it must own its text, not leak it.
+#[test]
+fn arity_errors_do_not_leak() {
+    let cat = synth_catalog(12, &SynthSpec::default());
+    let mut b = QueryBuilder::new();
+    let q = b.quantifier(&cat, "T0", "t0").unwrap();
+    b.select(QCol::new(q, ColId(0)));
+    let query = b.build().unwrap();
+    let model = CostModel::default();
+    let ctx = PropCtx::new(&cat, &query, &model);
+    let engine = PropEngine::new();
+
+    let fire = || engine.derive(&Lolepop::Store, &[], &ctx).unwrap_err();
+    assert_eq!(fire().to_string(), "STORE: expected 1 inputs, got 0");
+    let ((), _, live) = measure(|| {
+        for _ in 0..10_000 {
+            assert!(matches!(fire(), PlanError::Arity { .. }));
+        }
+    });
+    assert_eq!(live, 0, "{live} blocks still allocated after 10 000 errors");
+}

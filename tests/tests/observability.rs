@@ -60,9 +60,9 @@ fn traced_run_emits_a_rule_firing_for_every_best_plan_node() {
     // Per best-plan node: its provenance "Star[alt k]" must correspond to an
     // alt_fired event (or to a glue_ref for Glue veneers).
     out.best.visit(&mut |n| {
-        let origin = out.provenance.get(&n.fingerprint()).expect("provenance");
+        let origin: &str = out.provenance.get(&n.fingerprint()).expect("provenance");
         let seen = events.iter().any(|e| match e {
-            TraceEvent::AltFired { star, alt, .. } => *origin == format!("{star}[alt {alt}]"),
+            TraceEvent::AltFired { star, alt, .. } => origin == format!("{star}[alt {alt}]"),
             TraceEvent::GlueRef { .. } => origin == "Glue",
             _ => false,
         });
