@@ -1,8 +1,8 @@
 //! E23 — the vectorized executor: serial interpreter vs morsel-driven
 //! batches on the same plans.
 //!
-//! For each fleet query the optimizer's alternatives are filtered to the
-//! vexec-supported subset and the cheapest supported plan is executed
+//! For each fleet query the cheapest alternative of the case's class
+//! (hash join, uncorrelated or sideways-bound nested loops) is executed
 //! three ways: the serial `starqo-exec` oracle, vexec with 1 worker, and
 //! vexec with 8 workers. Because all three run the *same plan* on the
 //! *same data*, the wall-clock ratio isolates executor efficiency —
@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value};
 use starqo_core::{OptConfig, Optimizer};
-use starqo_exec::{Executor, QueryResult};
-use starqo_plan::PlanRef;
+use starqo_exec::{is_correlated, Executor, QueryResult};
+use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::{CmpOp, PredExpr, QCol, Query, QueryBuilder, Scalar};
 use starqo_storage::{Database, DatabaseBuilder, Tuple};
 use starqo_trace::MetricsRegistry;
@@ -69,8 +69,9 @@ enum CaseSpec {
         card_range: (u64, u64),
         scale: u64,
         seed: u64,
-        /// Enable the cartesian repertoire (uncorrelated NL inners only
-        /// exist there; index-probe NL inners are correlated and fall back).
+        /// Enable the cartesian repertoire: uncorrelated NL inners only
+        /// exist there (without it an NL inner is an index probe bound by
+        /// the outer row — the `nlp-*` classes).
         nl: bool,
     },
     /// Handcrafted scan-heavy join: a large multi-predicate-filtered probe
@@ -133,6 +134,29 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             scale: 1,
             seed: 43,
             nl: true,
+        },
+        // Sideways information passing: the inner is compiled once and
+        // re-run per outer row (the serving layer's commonest small-table
+        // plan; before the one-executor PR these fell back to serial).
+        CaseSpec::Synth {
+            shape: QueryShape::Chain,
+            sname: "nlp-chain",
+            n: 3,
+            marker: "JOIN(NL)",
+            card_range: (400, 800),
+            scale: 1,
+            seed: 44,
+            nl: false,
+        },
+        CaseSpec::Synth {
+            shape: QueryShape::Star,
+            sname: "nlp-star",
+            n: 3,
+            marker: "JOIN(NL)",
+            card_range: (400, 800),
+            scale: 1,
+            seed: 45,
+            nl: false,
         },
     ]
 }
@@ -287,7 +311,7 @@ pub fn e23_vexec(quick: bool) -> Report {
     let mut unsupported = 0u64;
     let mut serial_ms_total = 0.0f64;
     let mut vexec8_ms_total = 0.0f64;
-    let widths = [16usize, 9, 10, 10, 10, 8, 8];
+    let widths = [18usize, 9, 10, 10, 10, 8, 8];
     report.line(row(
         &[
             "case",
@@ -315,6 +339,19 @@ pub fn e23_vexec(quick: bool) -> Report {
         };
         ncases += 1;
         let case = &case;
+        let correlated = case.plan.any(&|n| {
+            matches!(
+                n.op,
+                Lolepop::Join {
+                    flavor: JoinFlavor::NL,
+                    ..
+                }
+            ) && n
+                .inputs
+                .get(1)
+                .is_some_and(|i| is_correlated(i, &case.query))
+        });
+        reg.count("exec_correlated_nl_cases", correlated as u64);
         let (want, serial_ms) = best_ms(reps, || {
             Executor::new(&case.db, &case.query)
                 .run(&case.plan)
@@ -372,6 +409,10 @@ pub fn e23_vexec(quick: bool) -> Report {
     ));
     report.line(format!("divergences: {divergences}"));
     assert_eq!(divergences, 0, "vexec diverged from the serial oracle");
+    assert!(
+        reg.summary().counter("exec_correlated_nl_cases") >= Some(2),
+        "the fleet lost its sideways-bound nested-loop cases"
+    );
     if !quick {
         // The acceptance floor: vectorization (selection-before-gather,
         // compiled expressions, fused pipelines) must carry a 3× aggregate

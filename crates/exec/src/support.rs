@@ -6,48 +6,63 @@
 //! accounting, panic rendering — live here exactly once.
 
 use starqo_catalog::Value;
-use starqo_query::{Classifier, CmpOp, PredSet, QCol, Query, Scalar};
+use starqo_query::{Classifier, CmpOp, PredExpr, PredSet, QCol, Query, Scalar};
 use starqo_storage::Tuple;
 
 use crate::error::Result;
 use crate::scalar::{eval_scalar, Bindings, RowView};
 
+/// Per key column of an index, the expressions that could bind it: the
+/// non-key side of every `key_col = expr` predicate, in predicate order.
+/// The list ends at the first key column no predicate is sargable on.
+pub fn prefix_candidates<'q>(
+    query: &'q Query,
+    key: &[QCol],
+    preds: PredSet,
+) -> Vec<Vec<&'q Scalar>> {
+    let cl = Classifier::new(query);
+    let mut cols = Vec::new();
+    for kc in key {
+        let cands: Vec<&Scalar> = preds
+            .iter()
+            .filter(|p| cl.sargable_on(*p, *kc) == Some(CmpOp::Eq))
+            .filter_map(|p| match &query.pred(p).expr {
+                PredExpr::Cmp(_, l, r) => Some(if l.as_col() == Some(*kc) { r } else { l }),
+                PredExpr::Or(_) => None,
+            })
+            .collect();
+        if cands.is_empty() {
+            break;
+        }
+        cols.push(cands);
+    }
+    cols
+}
+
 /// Find the longest bound equality prefix of an index key: for each key
-/// column in order, a predicate `key_col = expr` whose `expr` is evaluable
-/// from constants and outer bindings alone.
+/// column in order, the first [`prefix_candidates`] expression that
+/// evaluates, from constants and outer bindings alone, to a non-NULL value.
 pub fn bound_prefix(
     query: &Query,
     key: &[QCol],
     preds: PredSet,
     bindings: &Bindings,
 ) -> Result<Vec<Value>> {
-    let cl = Classifier::new(query);
-    let empty_schema: Vec<QCol> = Vec::new();
     let empty_row = Tuple(Vec::new());
+    let view = RowView {
+        schema: &[],
+        row: &empty_row,
+        bindings,
+    };
     let mut values = Vec::new();
-    'keys: for kc in key {
-        for p in preds.iter() {
-            if cl.sargable_on(p, *kc) != Some(CmpOp::Eq) {
-                continue;
-            }
-            // Locate the non-key side and try to evaluate it from
-            // bindings/constants.
-            if let starqo_query::PredExpr::Cmp(_, l, r) = &query.pred(p).expr {
-                let other: &Scalar = if l.as_col() == Some(*kc) { r } else { l };
-                let view = RowView {
-                    schema: &empty_schema,
-                    row: &empty_row,
-                    bindings,
-                };
-                if let Ok(v) = eval_scalar(other, &view) {
-                    if !v.is_null() {
-                        values.push(v);
-                        continue 'keys;
-                    }
-                }
-            }
+    for cands in prefix_candidates(query, key, preds) {
+        let bound = cands
+            .into_iter()
+            .find_map(|s| eval_scalar(s, &view).ok().filter(|v| !v.is_null()));
+        match bound {
+            Some(v) => values.push(v),
+            None => break,
         }
-        break;
     }
     Ok(values)
 }

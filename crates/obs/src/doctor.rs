@@ -270,35 +270,6 @@ impl Diagnosis {
             );
         }
 
-        // Executor fallback rate: the serving layer keeps selecting the
-        // vectorized executor only to have `supports()` decline the plan —
-        // every such request silently runs on the serial engine. A handful
-        // is expected (the vexec subset is intentionally partial); a
-        // majority means the workload and the executor choice disagree.
-        let fallbacks = c("vexec_fallbacks");
-        let executions = c("serve_executions");
-        let vexec_active = fallbacks + c("vexec_batches") + c("vexec_morsels_queued") > 0;
-        if vexec_active && executions >= 10 && fallbacks * 2 >= executions {
-            push(
-                Severity::Warn,
-                "executor_fallback",
-                format!(
-                    "{fallbacks} of {executions} executed request(s) fell back to the \
-                     serial engine (plans outside the vexec subset — see exec_fallback \
-                     trace reasons, or set executor=serial)"
-                ),
-            );
-        } else if fallbacks > 0 {
-            push(
-                Severity::Info,
-                "executor_fallback",
-                format!(
-                    "{fallbacks} vexec fallback(s) over {executions} execution(s) \
-                     served serially"
-                ),
-            );
-        }
-
         Diagnosis { findings }
     }
 
@@ -551,47 +522,6 @@ mod tests {
         assert_eq!(f.severity, Severity::Warn);
         assert!(f.detail.contains("retry cap"), "{}", f.detail);
         assert!(f.detail.contains("0xa11ce"), "{}", f.detail);
-    }
-
-    #[test]
-    fn executor_fallback_rate_grades_info_vs_warn() {
-        // The smoke snapshot's 5 fallbacks over 200 executions are the
-        // expected trickle: context only.
-        let d = Diagnosis::from_snapshot(&smoke_snapshot());
-        let f = d
-            .findings
-            .iter()
-            .find(|f| f.check == "executor_fallback")
-            .expect("executor_fallback finding");
-        assert_eq!(f.severity, Severity::Info);
-        assert!(f.detail.contains("5 vexec fallback(s)"), "{}", f.detail);
-
-        // A majority of executions falling back means the executor choice
-        // and the workload disagree.
-        let mut s = smoke_snapshot();
-        for (name, v) in s.counters.iter_mut() {
-            if name == "vexec_fallbacks" {
-                *v = 150;
-            }
-        }
-        let d = Diagnosis::from_snapshot(&s);
-        let f = d
-            .findings
-            .iter()
-            .find(|f| f.check == "executor_fallback")
-            .expect("executor_fallback finding");
-        assert_eq!(f.severity, Severity::Warn);
-        assert!(f.detail.contains("150 of 200"), "{}", f.detail);
-
-        // No vexec activity at all: the check stays silent.
-        let mut s = smoke_snapshot();
-        for (name, v) in s.counters.iter_mut() {
-            if name.starts_with("vexec_") {
-                *v = 0;
-            }
-        }
-        let d = Diagnosis::from_snapshot(&s);
-        assert!(d.findings.iter().all(|f| f.check != "executor_fallback"));
     }
 
     #[test]

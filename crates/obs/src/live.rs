@@ -106,10 +106,8 @@ impl LiveReport {
             c("opt_glue_refs")
         ));
 
-        // Vectorized-executor plane: present only once the service has
-        // routed at least one request through (or away from) vexec.
-        let vexec_active = c("vexec_morsels_queued") + c("vexec_rows") + c("vexec_fallbacks");
-        if vexec_active > 0 {
+        // Executor plane: present once a request has been executed.
+        if c("vexec_morsels_queued") + c("vexec_rows") > 0 {
             out.push_str("\n-- executor --\n");
             out.push_str(&format!(
                 "  vectorized      {} batches   {} rows\n",
@@ -121,10 +119,6 @@ impl LiveReport {
                 c("vexec_morsels"),
                 c("vexec_morsels_queued"),
                 c("vexec_morsels_queued").saturating_sub(c("vexec_morsels"))
-            ));
-            out.push_str(&format!(
-                "  fallbacks       {} (unsupported plans served serially)\n",
-                c("vexec_fallbacks")
             ));
         }
 
@@ -355,7 +349,6 @@ pub fn smoke_snapshot() -> TelemetrySnapshot {
             ("vexec_morsels_queued".into(), 62),
             ("vexec_morsels".into(), 60),
             ("vexec_rows".into(), 1_550),
-            ("vexec_fallbacks".into(), 5),
         ],
         phases: vec![
             ("prepare".into(), 400_000, 200),
@@ -445,15 +438,14 @@ mod tests {
         assert!(text.contains("store 6/64 resident"), "{text}");
         assert!(text.contains("-- phases --"), "{text}");
         assert!(text.contains("cache_lookup"), "{text}");
-        // Vectorized-executor plane: batch/morsel tallies, in-flight gauge
-        // (queued - completed), and the serial-fallback count.
+        // Executor plane: batch/morsel tallies and the in-flight gauge
+        // (queued - completed).
         assert!(text.contains("-- executor --"), "{text}");
         assert!(text.contains("240 batches   1550 rows"), "{text}");
         assert!(
             text.contains("60 completed / 62 queued   (2 in flight)"),
             "{text}"
         );
-        assert!(text.contains("fallbacks       5"), "{text}");
         // Quantiles are real values, not placeholders, for non-empty paths.
         let latency_line = text
             .lines()

@@ -119,27 +119,13 @@ impl ServeCacheStats {
     }
 }
 
-/// Vectorized-executor activity from a serving-layer trace: the
-/// `exec_fallback` event stream plus any `vexec_*` counter snapshots.
+/// Executor activity from a serving-layer trace: the `vexec_*` counter
+/// snapshots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeExecStats {
-    /// `exec_fallback` events: plans the vectorized executor declined,
-    /// keyed by the typed reason (the request ran serially).
-    pub fallback_reasons: BTreeMap<String, u64>,
     /// Latest `vexec_*` counter snapshot (last-write-wins, like the serve
     /// counters).
     pub counters: BTreeMap<String, u64>,
-}
-
-impl ServeExecStats {
-    pub fn fallbacks(&self) -> u64 {
-        self.fallback_reasons.values().sum()
-    }
-
-    /// Whether the trace carried any vectorized-executor activity at all.
-    pub fn any(&self) -> bool {
-        self.fallbacks() > 0 || !self.counters.is_empty()
-    }
 }
 
 /// Self-healing activity from a serving-layer trace: the `plan_reopt` /
@@ -355,9 +341,6 @@ impl Profile {
                 TraceEvent::Counter { name, value } if name.starts_with("vexec_") => {
                     exec.counters.insert(name.clone(), *value);
                 }
-                TraceEvent::ExecFallback { reason, .. } => {
-                    *exec.fallback_reasons.entry(reason.clone()).or_insert(0) += 1;
-                }
                 TraceEvent::PlanReopt { .. } => heal.reopts += 1,
                 TraceEvent::PlanSwap {
                     incumbent_work,
@@ -542,31 +525,15 @@ impl Profile {
             }
         }
 
-        if self.exec.any() {
+        if !self.exec.counters.is_empty() {
             let _ = writeln!(out, "\nexecutor:");
-            if !self.exec.counters.is_empty() {
-                let rendered: Vec<String> = self
-                    .exec
-                    .counters
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect();
-                let _ = writeln!(out, "  counters: {}", rendered.join("  "));
-            }
-            if self.exec.fallbacks() > 0 {
-                let _ = writeln!(
-                    out,
-                    "  fallbacks {} (unsupported plans served serially)",
-                    self.exec.fallbacks(),
-                );
-                let rendered: Vec<String> = self
-                    .exec
-                    .fallback_reasons
-                    .iter()
-                    .map(|(r, n)| format!("{n}x {r}"))
-                    .collect();
-                let _ = writeln!(out, "  fallback reasons: {}", rendered.join("  "));
-            }
+            let rendered: Vec<String> = self
+                .exec
+                .counters
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            let _ = writeln!(out, "  counters: {}", rendered.join("  "));
         }
 
         if !self.lineage.is_empty() {
@@ -736,25 +703,13 @@ mod tests {
         assert!(!p.render().contains("serve cache:"));
         assert!(!p.heal.any());
         assert!(!p.render().contains("serve heal:"));
-        assert!(!p.exec.any());
+        assert!(p.exec.counters.is_empty());
         assert!(!p.render().contains("executor:"));
     }
 
     #[test]
-    fn exec_fallbacks_and_vexec_counters_aggregate_into_their_own_section() {
+    fn vexec_counters_aggregate_into_their_own_section() {
         let events = vec![
-            TraceEvent::ExecFallback {
-                fp: 7,
-                reason: "correlated inner".into(),
-            },
-            TraceEvent::ExecFallback {
-                fp: 9,
-                reason: "correlated inner".into(),
-            },
-            TraceEvent::ExecFallback {
-                fp: 11,
-                reason: "extension operator".into(),
-            },
             // Two snapshots of the same counter: last one wins.
             TraceEvent::Counter {
                 name: "vexec_rows".into(),
@@ -775,10 +730,6 @@ mod tests {
             },
         ];
         let p = Profile::from_events(&events);
-        assert!(p.exec.any());
-        assert_eq!(p.exec.fallbacks(), 3);
-        assert_eq!(p.exec.fallback_reasons.get("correlated inner"), Some(&2));
-        assert_eq!(p.exec.fallback_reasons.get("extension operator"), Some(&1));
         assert_eq!(p.exec.counters.get("vexec_rows"), Some(&250));
         assert_eq!(p.exec.counters.get("vexec_batches"), Some(&12));
         assert_eq!(p.exec.counters.get("serve_requests"), None);
@@ -789,31 +740,6 @@ mod tests {
             text.contains("counters: vexec_batches=12  vexec_rows=250"),
             "{text}"
         );
-        assert!(
-            text.contains("fallbacks 3 (unsupported plans served serially)"),
-            "{text}"
-        );
-        assert!(
-            text.contains("fallback reasons: 2x correlated inner  1x extension operator"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn counters_alone_surface_the_executor_section() {
-        // A healthy vexec run has no fallback events, only counters; the
-        // section must still appear.
-        let events = vec![TraceEvent::Counter {
-            name: "vexec_morsels".into(),
-            value: 40,
-        }];
-        let p = Profile::from_events(&events);
-        assert!(p.exec.any());
-        assert_eq!(p.exec.fallbacks(), 0);
-        let text = p.render();
-        assert!(text.contains("executor:"), "{text}");
-        assert!(text.contains("vexec_morsels=40"), "{text}");
-        assert!(!text.contains("fallback reasons"), "{text}");
     }
 
     #[test]

@@ -47,6 +47,5 @@ pub use admission::{GateTimeout, OptGate, Permit};
 pub use cache::{CacheConfig, CacheMeta, PlanCache};
 pub use heal::HealConfig;
 pub use service::{
-    ExecutorChoice, Prepared, ServeCountersSnapshot, ServeError, ServeOutcome, Service,
-    ServiceConfig,
+    Prepared, ServeCountersSnapshot, ServeError, ServeOutcome, Service, ServiceConfig,
 };

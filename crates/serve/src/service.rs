@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use starqo_catalog::{Catalog, CatalogOverlay, SharedCatalog};
 use starqo_core::{faults, OptConfig, Optimized, Optimizer};
-use starqo_exec::{rows_equal_multiset, shadow_run, Executor, QueryResult};
+use starqo_exec::{rows_equal_multiset, shadow_run, QueryResult};
 use starqo_query::{canonicalize, CanonicalQuery, Query, QueryFingerprint};
 use starqo_storage::Database;
 use starqo_trace::{
@@ -22,20 +22,6 @@ use crate::heal::{reason, within_margin, work_units, Admission, HealConfig, Heal
 /// away by admission control, so followers sharing the flight surface the
 /// same typed outcome.
 const REJECTED_MARKER: &str = "\u{1}rejected\u{1}";
-
-/// Which executor runs the winning plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorChoice {
-    /// The row-at-a-time interpreter in `starqo-exec` (the oracle).
-    #[default]
-    Serial,
-    /// The vectorized batch executor in `starqo-vexec`, with this many
-    /// morsel workers (clamped to at least 1). Plans outside the
-    /// vectorized subset — correlated nested-loop inners, extension
-    /// operators — fall back to the serial engine per request, counted in
-    /// `vexec_fallbacks` and traced as `exec_fallback` events.
-    Vexec { workers: usize },
-}
 
 /// Service-level configuration.
 #[derive(Debug, Clone)]
@@ -63,11 +49,6 @@ pub struct ServiceConfig {
     /// flags as cardinality suspects. `None` (the default) keeps the loop
     /// off: drift is still *detected*, nobody acts on it.
     pub heal: Option<HealConfig>,
-    /// Which executor runs winning plans ([`ExecutorChoice::Serial`] by
-    /// default). The vectorized choice is output-identical to serial —
-    /// the equivalence harness enforces bit-matching results — so this
-    /// only changes *how* rows are produced, never *which* rows.
-    pub executor: ExecutorChoice,
 }
 
 impl Default for ServiceConfig {
@@ -81,7 +62,6 @@ impl Default for ServiceConfig {
             default_deadline: None,
             telemetry: TelemetryConfig::from_env(),
             heal: None,
-            executor: ExecutorChoice::Serial,
         }
     }
 }
@@ -209,9 +189,6 @@ pub struct ServeCountersSnapshot {
     pub vexec_morsels: u64,
     /// Rows that flowed out of vectorized pipelines.
     pub vexec_rows: u64,
-    /// Requests that asked for the vectorized executor but ran serially
-    /// because the plan is outside the vectorized subset.
-    pub vexec_fallbacks: u64,
 }
 
 impl ServeCountersSnapshot {
@@ -260,7 +237,6 @@ impl ServeCountersSnapshot {
             ("vexec_batches", self.vexec_batches),
             ("vexec_morsels", self.vexec_morsels),
             ("vexec_rows", self.vexec_rows),
-            ("vexec_fallbacks", self.vexec_fallbacks),
         ]
     }
 }
@@ -401,7 +377,6 @@ impl Service {
             vexec_batches: c(Metric::VexecBatches),
             vexec_morsels: c(Metric::VexecMorsels),
             vexec_rows: c(Metric::VexecRows),
-            vexec_fallbacks: c(Metric::VexecFallbacks),
         }
     }
 
@@ -634,45 +609,20 @@ impl Service {
         let outcome = self.serve_prepared(prepared, deadline, ctx)?;
         let query = &prepared.canonical.query;
         let plan = &outcome.optimized.best;
-        // Resolve the executor choice per plan: the vectorized engine is
-        // output-identical where it applies, and falls back (typed, counted)
-        // where it does not.
-        let vexec_workers = match self.config.executor {
-            ExecutorChoice::Serial => None,
-            ExecutorChoice::Vexec { workers } => match starqo_vexec::supports(plan, query) {
-                Ok(()) => Some(workers),
-                Err(why) => {
-                    self.telemetry.add(Metric::VexecFallbacks, 1);
-                    let fp = outcome.fingerprint.hash;
-                    self.tracer.emit(|| TraceEvent::ExecFallback {
-                        fp,
-                        reason: why.clone(),
-                    });
-                    None
-                }
-            },
-        };
+        // One executor: the vectorized engine, inline on this thread. The
+        // serial interpreter is its oracle (tests, chaos, shadow-verify),
+        // not a second serve path.
         let exec_span = ctx.enter("execute");
         let exec_started = Instant::now();
-        let result = match vexec_workers {
-            Some(workers) => {
-                let mut vx = starqo_vexec::VexecExecutor::new(db, query);
-                vx.set_workers(workers);
-                vx.set_telemetry(Arc::clone(&self.telemetry));
-                vx.set_spans(ctx.clone());
-                vx.run(plan)
-            }
-            None => {
-                let mut ex = Executor::new(db, query);
-                ex.set_telemetry(Arc::clone(&self.telemetry));
-                ex.set_spans(ctx.clone());
-                ex.run(plan)
-            }
-        }
-        .map_err(|e| ServeError::Execute(e.to_string()))?;
+        let mut vx = starqo_vexec::VexecExecutor::new(db, query);
+        vx.set_telemetry(Arc::clone(&self.telemetry));
+        vx.set_spans(ctx.clone());
+        let result = vx
+            .run(plan)
+            .map_err(|e| ServeError::Execute(e.to_string()))?;
         drop(exec_span);
-        self.telemetry
-            .record_phase(PhaseKind::Execute, exec_started.elapsed().as_nanos() as u64);
+        let nanos = exec_started.elapsed().as_nanos() as u64;
+        self.telemetry.record_phase(PhaseKind::Execute, nanos);
         // Fold this run's compact actuals into the feedback plane: the
         // cached plan's estimated root cardinality against what actually
         // came out. Counted even when tracing is suppressed; only a
@@ -680,7 +630,6 @@ impl Service {
         // tracer, unsampled — suspect events are rare and load-bearing.
         let fp = outcome.fingerprint.hash;
         let est = outcome.optimized.best.props.card.round().max(0.0) as u64;
-        let nanos = exec_started.elapsed().as_nanos() as u64;
         if let Some(v) =
             self.telemetry
                 .record_feedback(fp, est, result.rows.len() as u64, nanos, outcome.epoch)
@@ -1435,84 +1384,27 @@ mod tests {
     }
 
     #[test]
-    fn vexec_executor_choice_matches_serial_and_counts_activity() {
+    fn serve_path_matches_the_serial_oracle_and_counts_vexec_activity() {
         let cat = catalog();
         let db = database(&cat);
-        let q = parse_query(
-            &cat,
+        let svc = Service::new(Arc::clone(&cat), ServiceConfig::default()).unwrap();
+        for sql in [
             "SELECT E.NAME, D.MGR FROM EMP E, DEPT D WHERE E.DNO = D.DNO",
-        )
-        .unwrap();
-        let serial = Service::new(Arc::clone(&cat), ServiceConfig::default()).unwrap();
-        let (want, _) = serial.execute(&db, &q).unwrap();
-
-        let vec_svc = Service::new(
-            Arc::clone(&cat),
-            ServiceConfig {
-                executor: ExecutorChoice::Vexec { workers: 4 },
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let (got, _) = vec_svc.execute(&db, &q).unwrap();
-        assert_eq!(got, want, "vexec serve path diverged from serial");
-        let snap = vec_svc.counters();
-        let ran_vectorized = snap.vexec_rows > 0 || snap.vexec_batches > 0;
-        let fell_back = snap.vexec_fallbacks > 0;
-        assert!(
-            ran_vectorized ^ fell_back,
-            "exactly one of vectorized/fallback should have happened: {snap:?}"
-        );
-        // The serial service never touches vexec counters.
-        let s = serial.counters();
-        assert_eq!((s.vexec_rows, s.vexec_fallbacks), (0, 0));
-        // Snapshot rows expose the new counters for gates/export.
-        let names: Vec<&str> = snap.rows().iter().map(|(n, _)| *n).collect();
-        for n in [
-            "vexec_batches",
-            "vexec_morsels",
-            "vexec_rows",
-            "vexec_fallbacks",
-        ] {
-            assert!(names.contains(&n), "missing snapshot row {n}");
-        }
-    }
-
-    #[test]
-    fn vexec_fallback_emits_typed_trace_event() {
-        use starqo_trace::MemorySink;
-        let cat = catalog();
-        let db = database(&cat);
-        let q = parse_query(
-            &cat,
             "SELECT E.NAME FROM EMP E, DEPT D WHERE E.DNO = D.DNO AND D.MGR = 'M1'",
-        )
-        .unwrap();
-        let sink = Arc::new(MemorySink::new());
-        let svc = Service::new(
-            Arc::clone(&cat),
-            ServiceConfig {
-                executor: ExecutorChoice::Vexec { workers: 2 },
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
-        .with_tracer(Tracer::shared(sink.clone()));
-        let (_, outcome) = svc.execute(&db, &q).unwrap();
+        ] {
+            let q = parse_query(&cat, sql).unwrap();
+            let (got, outcome) = svc.execute(&db, &q).unwrap();
+            let prepared = svc.prepare(&q);
+            let want = starqo_exec::Executor::new(&db, prepared.query())
+                .run(&outcome.optimized.best)
+                .unwrap();
+            assert_eq!(got, want, "serve path diverged from the oracle on {sql}");
+        }
         let snap = svc.counters();
-        let fallbacks: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                TraceEvent::ExecFallback { fp, reason } => Some((fp, reason)),
-                _ => None,
-            })
-            .collect();
-        // Whichever way the plan went, the trace agrees with the counter.
-        assert_eq!(snap.vexec_fallbacks as usize, fallbacks.len());
-        for (fp, reason) in fallbacks {
-            assert_eq!(fp, outcome.fingerprint.hash);
-            assert!(!reason.is_empty());
+        assert!(snap.vexec_rows > 0 && snap.vexec_batches > 0 && snap.vexec_morsels > 0);
+        let names: Vec<&str> = snap.rows().iter().map(|(n, _)| *n).collect();
+        for n in ["vexec_batches", "vexec_morsels", "vexec_rows"] {
+            assert!(names.contains(&n), "missing snapshot row {n}");
         }
     }
 

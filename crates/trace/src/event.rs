@@ -211,11 +211,6 @@ pub enum TraceEvent {
         attempt: u64,
         backoff_nanos: u64,
     },
-    /// The serving layer asked for the vectorized executor but the plan is
-    /// outside its supported subset, so the request ran on the serial
-    /// engine instead. `reason` is the `supports()` rejection (e.g. a
-    /// correlated nested-loop inner or an extension operator).
-    ExecFallback { fp: u64, reason: String },
 }
 
 impl TraceEvent {
@@ -250,7 +245,6 @@ impl TraceEvent {
             TraceEvent::PlanReopt { .. } => "plan_reopt",
             TraceEvent::PlanSwap { .. } => "plan_swap",
             TraceEvent::PlanPinned { .. } => "plan_pinned",
-            TraceEvent::ExecFallback { .. } => "exec_fallback",
         }
     }
 
@@ -464,7 +458,6 @@ impl TraceEvent {
                 .str("reason", reason)
                 .u64("attempt", *attempt)
                 .u64("backoff_nanos", *backoff_nanos),
-            TraceEvent::ExecFallback { fp, reason } => o.u64("fp", *fp).str("reason", reason),
         }
         .finish()
     }
@@ -642,10 +635,6 @@ impl TraceEvent {
                 reason: str_of("reason")?,
                 attempt: u64_of("attempt")?,
                 backoff_nanos: u64_of("backoff_nanos")?,
-            },
-            "exec_fallback" => TraceEvent::ExecFallback {
-                fp: u64_of("fp")?,
-                reason: str_of("reason")?,
             },
             _ => return None,
         })
@@ -885,10 +874,6 @@ mod tests {
                 reason: "verify_mismatch".into(),
                 attempt: 2,
                 backoff_nanos: 400_000_000,
-            },
-            TraceEvent::ExecFallback {
-                fp: 0xDEAD_BEEF,
-                reason: "correlated nested-loop inner (sideways information passing)".into(),
             },
         ]
     }

@@ -97,13 +97,10 @@ pub enum Metric {
     VexecMorsels,
     /// Rows leaving vectorized pipeline chains at exchanges.
     VexecRows,
-    /// Requests routed to the serial executor because the plan shape is
-    /// unsupported by the vectorized executor.
-    VexecFallbacks,
 }
 
 impl Metric {
-    pub const COUNT: usize = 36;
+    pub const COUNT: usize = 35;
 
     pub const ALL: [Metric; Metric::COUNT] = [
         Metric::Requests,
@@ -141,7 +138,6 @@ impl Metric {
         Metric::VexecQueued,
         Metric::VexecMorsels,
         Metric::VexecRows,
-        Metric::VexecFallbacks,
     ];
 
     /// The stable exported name (JSON keys, Prometheus metric names,
@@ -183,7 +179,6 @@ impl Metric {
             Metric::VexecQueued => "vexec_morsels_queued",
             Metric::VexecMorsels => "vexec_morsels",
             Metric::VexecRows => "vexec_rows",
-            Metric::VexecFallbacks => "vexec_fallbacks",
         }
     }
 }

@@ -8,6 +8,7 @@
 use crate::hist::{Histogram, BUCKETS};
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
+use crate::telemetry::counters::Metric;
 use crate::telemetry::heal::HealRecord;
 use crate::telemetry::phases::PhaseReading;
 use crate::telemetry::qerror::QErrorSketch;
@@ -184,6 +185,9 @@ impl TelemetrySnapshot {
             .and_then(JsonValue::fields)
             .ok_or("snapshot missing counters")?
             .iter()
+            // A counter this build no longer exports is dropped, not an
+            // error: snapshots written before a metric was retired load.
+            .filter(|(k, _)| Metric::ALL.iter().any(|m| m.name() == k.as_str()))
             .map(|(k, c)| {
                 c.as_u64()
                     .map(|n| (k.clone(), n))
@@ -741,6 +745,17 @@ mod tests {
         // Pre-v3 fields default to empty/zero too.
         assert!(parsed.phases.is_empty());
         assert_eq!(parsed.span_capacity, 0);
+    }
+
+    #[test]
+    fn retired_counter_names_are_ignored_not_rejected() {
+        // A snapshot from before the serve path had one executor.
+        let text = r#"{"version":4,"uptime_nanos":5,"counters":{"serve_requests":2,"vexec_fallbacks":7,"vexec_rows":9},"latency":{},"topk":[]}"#;
+        let parsed = TelemetrySnapshot::from_json(text).expect("old snapshot loads");
+        assert_eq!(parsed.counter("serve_requests"), Some(2));
+        assert_eq!(parsed.counter("vexec_rows"), Some(9));
+        assert_eq!(parsed.counter("vexec_fallbacks"), None);
+        assert_eq!(parsed.counters.len(), 2);
     }
 
     #[test]

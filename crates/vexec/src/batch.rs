@@ -1,22 +1,28 @@
 //! Columnar batches and selection vectors — the unit of data flow between
-//! vectorized operators.
+//! vectorized operators, and the form in which rows cross pipeline breakers.
 //!
-//! A [`Batch`] holds up to [`BATCH_ROWS`] rows in column-major order.
-//! Filters never move data: they refine the *selection vector* (the ordered
-//! set of live row indices), and downstream operators iterate only the live
-//! rows. Data moves once — when a gather materializes survivors (at an
-//! operator that changes the stream schema, or at the final exchange).
+//! A [`Batch`] holds rows in column-major order. Inside a chain it carries
+//! up to [`BATCH_ROWS`] rows and filters never move data: they refine the
+//! *selection vector* (the ordered set of live row indices). Data moves once
+//! — when the chain's survivors are appended to the breaker's materialized
+//! relation, which is itself one compact `Batch` of any length (a [`Rel`]):
+//! SORT, the joins, temps and the result builder address its rows by number.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use starqo_catalog::Value;
-use starqo_storage::Tuple;
 
-/// Target rows per batch (the classic vectorized sweet spot: big enough to
-/// amortize per-batch dispatch, small enough to stay cache-resident).
+use crate::expr::BatchRow;
+
+/// Target rows per in-chain batch (the classic vectorized sweet spot: big
+/// enough to amortize per-batch dispatch, small enough to stay
+/// cache-resident).
 pub const BATCH_ROWS: usize = 1024;
 
 /// One columnar batch: `cols` all have length `rows`; `sel`, when present,
 /// lists the live row indices in ascending order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Batch {
     pub cols: Vec<Vec<Value>>,
     pub rows: usize,
@@ -33,13 +39,14 @@ impl Batch {
         }
     }
 
-    /// An empty batch whose columns have room for `cap` rows.
-    pub fn with_capacity(ncols: usize, cap: usize) -> Batch {
-        Batch {
-            cols: (0..ncols).map(|_| Vec::with_capacity(cap)).collect(),
-            rows: 0,
-            sel: None,
-        }
+    /// Empty the batch and give it `ncols` columns, keeping the column
+    /// allocations it already has (scratch and pooled batches are reused
+    /// across sub-ranges and across re-runs of a correlated inner).
+    pub fn reset(&mut self, ncols: usize) {
+        self.cols.resize_with(ncols, Vec::new);
+        self.cols.iter_mut().for_each(Vec::clear);
+        self.rows = 0;
+        self.sel = None;
     }
 
     /// Number of live (selected) rows.
@@ -58,23 +65,66 @@ impl Batch {
         }
     }
 
-    /// Append one row's values (builder-side; caller keeps columns aligned).
+    /// Borrow row `row` for expression evaluation.
     #[inline]
-    pub fn push_value(&mut self, col: usize, v: Value) {
-        self.cols[col].push(v);
+    pub(crate) fn row(&self, row: usize) -> BatchRow<'_> {
+        BatchRow {
+            cols: &self.cols,
+            row,
+        }
     }
 
-    /// Mark one appended row complete.
-    #[inline]
-    pub fn commit_row(&mut self) {
-        self.rows += 1;
+    /// Move the live rows of `from` onto the end of this (compact) batch.
+    /// `from` is left to be [`Self::reset`]; dense batches move by `memcpy`.
+    pub fn append_live(&mut self, from: &mut Batch) {
+        match &from.sel {
+            None => {
+                for (dst, src) in self.cols.iter_mut().zip(&mut from.cols) {
+                    dst.append(src);
+                }
+            }
+            Some(sel) => {
+                for (dst, src) in self.cols.iter_mut().zip(&mut from.cols) {
+                    dst.extend(sel.iter().map(|&i| take(&mut src[i as usize])));
+                }
+            }
+        }
+        self.rows += from.live();
     }
+}
 
-    /// Gather the live rows into row-major tuples, appending to `out`.
-    pub fn gather_into(&self, out: &mut Vec<Tuple>) {
-        out.reserve(self.live());
-        for i in self.live_rows() {
-            out.push(Tuple(self.cols.iter().map(|c| c[i].clone()).collect()));
+/// Move a value out of a finished batch, leaving NULL behind.
+#[inline]
+pub(crate) fn take(v: &mut Value) -> Value {
+    std::mem::replace(v, Value::Null)
+}
+
+/// A materialized relation crossing a pipeline breaker: one compact batch,
+/// either owned by its single consumer (values may be moved out) or shared
+/// with the temp cache (STORE'd temps, cached SORT output).
+pub(crate) enum Rel {
+    Owned(Batch),
+    Shared(Arc<Batch>),
+}
+
+impl Rel {
+    /// The shared form, without copying rows either way.
+    pub fn share(self) -> Arc<Batch> {
+        match self {
+            Rel::Owned(b) => Arc::new(b),
+            Rel::Shared(a) => a,
+        }
+    }
+}
+
+impl Deref for Rel {
+    type Target = Batch;
+
+    #[inline]
+    fn deref(&self) -> &Batch {
+        match self {
+            Rel::Owned(b) => b,
+            Rel::Shared(a) => a,
         }
     }
 }
@@ -102,38 +152,45 @@ impl Iterator for SelIter<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn selection_vector_drives_live_iteration() {
-        let mut b = Batch::new(1);
-        for v in 0..5 {
-            b.push_value(0, Value::Int(v));
-            b.commit_row();
+    fn ints(vals: std::ops::Range<i64>) -> Batch {
+        Batch {
+            rows: vals.clone().count(),
+            cols: vec![vals.map(Value::Int).collect()],
+            sel: None,
         }
+    }
+
+    #[test]
+    fn selection_vector_drives_live_iteration_and_append() {
+        let mut b = ints(0..5);
         assert_eq!(b.live(), 5);
         assert_eq!(b.live_rows().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
         b.sel = Some(vec![1, 4]);
         assert_eq!(b.live(), 2);
-        let mut out = Vec::new();
-        b.gather_into(&mut out);
+        let mut out = ints(7..8);
+        out.append_live(&mut b);
+        assert_eq!(out.rows, 3);
         assert_eq!(
-            out,
-            vec![Tuple(vec![Value::Int(1)]), Tuple(vec![Value::Int(4)])]
+            out.cols[0],
+            vec![Value::Int(7), Value::Int(1), Value::Int(4)]
         );
+        // Dense batches move wholesale.
+        let mut dense = ints(10..12);
+        out.append_live(&mut dense);
+        assert_eq!(out.rows, 5);
+        assert_eq!(out.cols[0][3..], [Value::Int(10), Value::Int(11)]);
     }
 
     #[test]
-    fn empty_batch_gathers_nothing() {
-        let b = Batch::new(3);
-        assert_eq!(b.live(), 0);
-        let mut out = Vec::new();
-        b.gather_into(&mut out);
-        assert!(out.is_empty());
-        let mut b = Batch::new(1);
-        b.push_value(0, Value::Int(7));
-        b.commit_row();
+    fn empty_selections_append_nothing_and_reset_keeps_shape() {
+        let mut out = Batch::new(1);
+        let mut b = ints(7..8);
         b.sel = Some(Vec::new()); // everything filtered out
         assert_eq!(b.live(), 0);
-        b.gather_into(&mut out);
-        assert!(out.is_empty());
+        out.append_live(&mut b);
+        assert_eq!((out.rows, out.cols[0].len()), (0, 0));
+        b.reset(3);
+        assert_eq!((b.cols.len(), b.rows, b.live()), (3, 0, 0));
+        assert!(b.sel.is_none() && b.cols.iter().all(Vec::is_empty));
     }
 }

@@ -1,262 +1,402 @@
 //! Fused operator chains: one chain = one pipeline fragment.
 //!
-//! A chain is a *source* (heap/b-tree rows, index entries, or a materialized
-//! row vector), an *emit* step that maps source rows into the stream schema
+//! A chain is a *source* (base-table rows, index TIDs, or a materialized
+//! relation), an *emit* step that maps source rows into the stream schema
 //! (applying the access predicates BEFORE gathering — rejected rows are
-//! never cloned), and a sequence of fused operators (FILTER, GET, SHIP,
-//! hash-probe, nested-loop cross) applied batch-at-a-time.
+//! never cloned), and a sequence of fused streaming operators (FILTER, GET,
+//! SHIP) applied batch-at-a-time. Survivors are appended to the relation
+//! the enclosing breaker consumes.
 //!
 //! Chains are `Sync`: the morsel driver shares one chain across workers,
 //! each claiming disjoint source ranges. All mutable run state (stats, SHIP
 //! byte tallies) lives in [`ChainStats`] atomics.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use starqo_catalog::Value;
-use starqo_exec::{ExecError, Result, StreamSchema};
-use starqo_storage::{Tid, Tuple, ROWS_PER_PAGE};
+use starqo_exec::support::value_bytes;
+use starqo_exec::{position, ExecError, Result};
+use starqo_plan::PlanNode;
+use starqo_query::{PredSet, QCol, Query};
+use starqo_storage::{BTreeIndexData, StoredTable, Tid, Tuple, ROWS_PER_PAGE};
 
 use crate::batch::{Batch, BATCH_ROWS};
-use crate::expr::{BatchRow, CExpr, PredProg, VRow};
+use crate::expr::{BatchRow, CExpr, PredProg, Scope, VRow};
+use crate::plan::Node;
 
-/// Where a chain's rows come from.
-pub(crate) enum ChainSource<'a> {
+const NULL_VALUE: Value = Value::Null;
+
+/// Emit slot of the TID pseudo-column (any slot past the base tuple reads
+/// the TID, see [`BaseRow`]).
+pub(crate) const TID_SLOT: usize = usize::MAX;
+
+/// Where a chain's rows come from, as compiled; the driver resolves it to an
+/// [`Input`] once per run.
+pub(crate) enum Source<'a> {
     /// A stored base table; morsels are TID ranges.
-    Table(&'a starqo_storage::StoredTable),
-    /// Materialized index entries (key values + TID), already in key order.
-    Entries(Arc<Vec<(Vec<Value>, Tid)>>),
-    /// A materialized row vector (temp accesses, pipeline breakers).
-    Rows(Arc<Vec<Tuple>>),
+    Table(&'a StoredTable),
+    /// A catalog index, scanned or probed by `prefix`. Entries are read as
+    /// TIDs in key order; the key columns are served from the base rows the
+    /// index was built over (the same values, without copying keys).
+    Index {
+        table: &'a StoredTable,
+        data: &'a BTreeIndexData,
+        prefix: Prefix,
+    },
+    /// A materialized child: a STORE'd temp re-accessed (`temp`, evaluated
+    /// through the temp cache) or a breaker feeding streaming operators.
+    Rel { child: Box<Node<'a>>, temp: bool },
+    /// A dynamic index over a cached temp, probed by `prefix`; `key` are the
+    /// index key's slots in the temp.
+    TempIndex {
+        child: Box<Node<'a>>,
+        key: Vec<usize>,
+        prefix: Prefix,
+    },
 }
 
-impl ChainSource<'_> {
-    pub fn len(&self) -> usize {
-        match self {
-            ChainSource::Table(t) => t.len(),
-            ChainSource::Entries(e) => e.len(),
-            ChainSource::Rows(r) => r.len(),
+/// The bound equality prefix of an index key: per key column, the compiled
+/// candidate expressions (the non-key sides of its `key = expr` predicates,
+/// in predicate order). Same rule as the serial engine's `bound_prefix`:
+/// the first candidate yielding a non-NULL value binds the column, and the
+/// prefix ends at the first column nothing binds.
+pub(crate) struct Prefix(Vec<Vec<CExpr>>);
+
+impl Prefix {
+    pub fn compile(query: &Query, key: &[QCol], preds: PredSet, scope: &Scope) -> Prefix {
+        let mut cols = Vec::new();
+        for cands in starqo_exec::support::prefix_candidates(query, key, preds) {
+            // Compiled against the empty schema, as the serial engine
+            // evaluates them: a candidate reading the accessed row itself
+            // can only fail there, so it is dropped here.
+            let bound: Vec<CExpr> = cands
+                .into_iter()
+                .map(|s| CExpr::compile(s, &[], scope))
+                .filter(CExpr::is_bound)
+                .collect();
+            if bound.is_empty() {
+                break;
+            }
+            cols.push(bound);
+        }
+        Prefix(cols)
+    }
+
+    /// Evaluate into `out` (cleared first) under the current bindings.
+    pub fn eval(&self, outer: &[Value], out: &mut Vec<Value>) {
+        out.clear();
+        let no_row = BatchRow { cols: &[], row: 0 };
+        for cands in &self.0 {
+            let value = |c: &CExpr| c.eval_owned(&no_row, outer).ok();
+            match cands.iter().find_map(|c| value(c).filter(|v| !v.is_null())) {
+                Some(v) => out.push(v),
+                None => break,
+            }
         }
     }
 }
 
-/// How one output slot of a scan emit is produced from the source.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SrcSlot {
-    /// Base-table column position (for entries: key position).
-    Base(usize),
-    /// The TID pseudo-column.
-    Tid,
+/// The rows one run of a chain reads.
+pub(crate) enum Input<'r> {
+    /// Every row of a base table.
+    Table(&'r StoredTable),
+    /// The base rows named by index entries, in key order.
+    Tids(&'r StoredTable, &'r [Tid]),
+    /// Every row of a materialized relation.
+    Rel(&'r Batch),
+    /// The rows of a relation named by a dynamic-index probe.
+    RelRows(&'r Batch, &'r [u32]),
+}
+
+impl Input<'_> {
+    pub fn len(&self) -> usize {
+        match self {
+            Input::Table(t) => t.len(),
+            Input::Tids(_, tids) => tids.len(),
+            Input::Rel(b) => b.rows,
+            Input::RelRows(_, rows) => rows.len(),
+        }
+    }
+}
+
+/// Borrowed view of a base-table row during emit: slots are base column
+/// positions, anything past the tuple is the TID pseudo-column.
+struct BaseRow<'a> {
+    base: &'a [Value],
+    tid: Value,
+}
+
+impl<'a> BaseRow<'a> {
+    #[inline]
+    fn new(base: &'a Tuple, tid: Tid) -> Self {
+        BaseRow {
+            base: &base.0,
+            tid: tid.to_value(),
+        }
+    }
+}
+
+impl VRow for BaseRow<'_> {
+    #[inline]
+    fn slot(&self, slot: usize) -> &Value {
+        self.base.get(slot).unwrap_or(&self.tid)
+    }
 }
 
 /// The emit step: source row → stream-schema row, with the access
 /// predicates evaluated on a *borrowed* view first (selection before
-/// gather — survivors are cloned exactly once).
-pub(crate) enum Emit {
-    /// Base-table scan (`ChainSource::Table`).
-    Scan {
-        slots: Vec<SrcSlot>,
-        preds: PredProg,
-    },
-    /// Index entries (`ChainSource::Entries`): `Base(i)` reads key slot `i`.
-    Index {
-        slots: Vec<SrcSlot>,
-        preds: PredProg,
-    },
-    /// Materialized rows (`ChainSource::Rows`): slots are positions in the
-    /// source row.
-    Rows { map: Vec<usize>, preds: PredProg },
+/// gather — survivors are cloned exactly once). `slots` and the predicate
+/// program address the source layout directly: base column positions (or
+/// [`TID_SLOT`]) for table and index sources, column positions for
+/// relations.
+pub(crate) struct Emit {
+    pub slots: Vec<usize>,
+    pub preds: PredProg,
 }
 
 impl Emit {
-    /// True when the emit neither filters nor permutes — rows pass through
-    /// unchanged (lets the driver skip batching entirely for bare breakers).
-    pub fn is_passthrough(&self, source_width: usize) -> bool {
-        match self {
-            Emit::Rows { map, preds } => {
-                preds.is_empty()
-                    && map.len() == source_width
-                    && map.iter().enumerate().all(|(i, m)| i == *m)
-            }
-            _ => false,
-        }
+    /// Compile the access predicates against `schema` and re-address them
+    /// (and the output columns) to source positions `slots`.
+    pub fn new(
+        query: &Query,
+        preds: PredSet,
+        schema: &[QCol],
+        scope: &Scope,
+        slots: Vec<usize>,
+    ) -> Emit {
+        let preds = PredProg::compile(query, preds, schema, scope).remapped(&slots);
+        Emit { slots, preds }
     }
 
-    fn width(&self) -> usize {
-        match self {
-            Emit::Scan { slots, .. } | Emit::Index { slots, .. } => slots.len(),
-            Emit::Rows { map, .. } => map.len(),
-        }
+    /// True when the emit neither filters nor permutes a `width`-column
+    /// relation — its rows pass through unchanged.
+    pub fn is_passthrough(&self, width: usize) -> bool {
+        self.preds.is_empty()
+            && self.slots.len() == width
+            && self.slots.iter().enumerate().all(|(i, s)| i == *s)
     }
 
-    /// Emit one batch from `source[range]`. The returned batch is compact
-    /// (no selection vector): predicates ran before the gather.
+    /// Append the surviving rows of `input[range]` to `out`: refine a
+    /// selection vector (`sel`, scratch) predicate-at-a-time over borrowed
+    /// rows, then gather the survivors column by column.
     pub fn emit_range(
         &self,
-        source: &ChainSource<'_>,
-        range: std::ops::Range<usize>,
-    ) -> Result<Batch> {
-        let mut out = Batch::with_capacity(self.width(), range.len());
-        match (self, source) {
-            (Emit::Scan { slots, preds }, ChainSource::Table(table)) => {
-                // Slice iteration: one bounds check per morsel, not per row.
-                let start = range.start;
-                for (off, base) in table.rows_range(range).iter().enumerate() {
-                    let tid_value = Tid((start + off) as u64).to_value();
-                    let row = ScanRow {
-                        slots,
-                        base,
-                        tid: &tid_value,
-                    };
-                    if preds.eval_row(&row)? {
-                        for (s, slot) in slots.iter().enumerate() {
-                            out.push_value(s, row.slot_value(*slot).clone());
-                        }
-                        out.commit_row();
-                    }
-                }
+        input: &Input<'_>,
+        range: Range<usize>,
+        outer: &[Value],
+        sel: &mut Vec<u32>,
+        out: &mut Batch,
+    ) -> Result<()> {
+        let (start, n) = (range.start, range.len());
+        match input {
+            Input::Table(table) => {
+                // One slice per sub-range: one bounds check, not one per row.
+                let rows = table.rows_range(range);
+                let row_at =
+                    |i: u32| BaseRow::new(&rows[i as usize], Tid((start + i as usize) as u64));
+                self.emit(n, row_at, outer, sel, out)
             }
-            (Emit::Index { slots, preds }, ChainSource::Entries(entries)) => {
-                for (key, tid) in &entries[range] {
-                    let tid_value = tid.to_value();
-                    let row = IndexRow {
-                        slots,
-                        key,
-                        tid: &tid_value,
-                    };
-                    if preds.eval_row(&row)? {
-                        for (s, slot) in slots.iter().enumerate() {
-                            out.push_value(s, row.slot_value(*slot).clone());
-                        }
-                        out.commit_row();
-                    }
-                }
+            Input::Tids(table, tids) => {
+                let (rows, tids) = (table.rows_range(0..table.len()), &tids[range]);
+                let row_at = |i: u32| {
+                    let tid = tids[i as usize];
+                    BaseRow::new(&rows[tid.0 as usize], tid)
+                };
+                self.emit(n, row_at, outer, sel, out)
             }
-            (Emit::Rows { map, preds }, ChainSource::Rows(rows)) => {
-                for r in &rows[range] {
-                    let row = MappedRow { map, row: r };
-                    if preds.eval_row(&row)? {
-                        for (s, pos) in map.iter().enumerate() {
-                            out.push_value(s, r.get(*pos).clone());
-                        }
-                        out.commit_row();
-                    }
-                }
+            Input::Rel(rel) => {
+                let row_at = |i: u32| rel.row(start + i as usize);
+                self.emit(n, row_at, outer, sel, out)
             }
-            _ => {
-                return Err(ExecError::BadPlan(
-                    "vexec chain emit does not match its source".into(),
-                ))
+            Input::RelRows(rel, rows) => {
+                let rows = &rows[range];
+                let row_at = |i: u32| rel.row(rows[i as usize] as usize);
+                self.emit(n, row_at, outer, sel, out)
             }
         }
-        Ok(out)
+    }
+
+    fn emit<R: VRow>(
+        &self,
+        n: usize,
+        row_at: impl Fn(u32) -> R,
+        outer: &[Value],
+        sel: &mut Vec<u32>,
+        out: &mut Batch,
+    ) -> Result<()> {
+        sel.clear();
+        sel.extend(0..n as u32);
+        self.preds.refine(sel, &row_at, outer)?;
+        for (col, slot) in out.cols.iter_mut().zip(&self.slots) {
+            col.extend(sel.iter().map(|i| row_at(*i).slot(*slot).clone()));
+        }
+        out.rows += sel.len();
+        Ok(())
     }
 }
 
-/// Borrowed view of a base-table row during scan emit.
-struct ScanRow<'a> {
-    slots: &'a [SrcSlot],
-    base: &'a Tuple,
-    tid: &'a Value,
+/// Candidate slot that reads NULL (an output column neither side carries).
+const NULL_SLOT: usize = usize::MAX;
+
+/// How an operator with two row sources builds its output (GET: input row +
+/// fetched base tuple; joins: outer row + inner row). Each output column
+/// names a slot of the two-sided candidate row — below `split` the left
+/// source, above it the right — and the operator's predicates are compiled
+/// against the output schema, then re-addressed the same way, so they run
+/// on the *borrowed* candidate and only survivors are gathered.
+pub(crate) struct Combine {
+    src: Vec<usize>,
+    split: usize,
+    preds: PredProg,
 }
 
-impl ScanRow<'_> {
-    #[inline]
-    fn slot_value(&self, s: SrcSlot) -> &Value {
-        match s {
-            SrcSlot::Base(i) => self.base.get(i),
-            SrcSlot::Tid => self.tid,
-        }
-    }
+/// Borrowed two-sided candidate row.
+struct PairRow<'a, L, R> {
+    left: &'a L,
+    right: &'a R,
+    split: usize,
 }
 
-impl VRow for ScanRow<'_> {
+impl<L: VRow, R: VRow> VRow for PairRow<'_, L, R> {
     #[inline]
     fn slot(&self, slot: usize) -> &Value {
-        self.slot_value(self.slots[slot])
-    }
-}
-
-/// Borrowed view of an index entry during emit.
-struct IndexRow<'a> {
-    slots: &'a [SrcSlot],
-    key: &'a [Value],
-    tid: &'a Value,
-}
-
-impl IndexRow<'_> {
-    #[inline]
-    fn slot_value(&self, s: SrcSlot) -> &Value {
-        match s {
-            SrcSlot::Base(i) => &self.key[i],
-            SrcSlot::Tid => self.tid,
+        if slot < self.split {
+            self.left.slot(slot)
+        } else if slot == NULL_SLOT {
+            &NULL_VALUE
+        } else {
+            self.right.slot(slot - self.split)
         }
     }
 }
 
-impl VRow for IndexRow<'_> {
+impl Combine {
+    /// `left` is the left source's schema; `right` locates a column in the
+    /// right source. Columns found in neither read NULL.
+    pub fn new(
+        query: &Query,
+        preds: PredSet,
+        out_schema: &[QCol],
+        scope: &Scope,
+        left: &[QCol],
+        right: impl Fn(QCol) -> Option<usize>,
+    ) -> Combine {
+        let split = left.len();
+        let src: Vec<usize> = out_schema
+            .iter()
+            .map(|c| match position(left, *c) {
+                Some(i) => i,
+                None => right(*c).map_or(NULL_SLOT, |i| split + i),
+            })
+            .collect();
+        let preds = PredProg::compile(query, preds, out_schema, scope).remapped(&src);
+        Combine { src, split, preds }
+    }
+
+    pub fn width(&self) -> usize {
+        self.src.len()
+    }
+
+    /// Do the predicates accept the candidate `(left, right)`?
     #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        self.slot_value(self.slots[slot])
+    fn test<L: VRow, R: VRow>(&self, left: &L, right: &R, outer: &[Value]) -> Result<bool> {
+        let row = PairRow {
+            left,
+            right,
+            split: self.split,
+        };
+        self.preds.eval_row(&row, outer)
+    }
+
+    /// Test the candidate `(left, right)` and, if it survives, append it to
+    /// `out`.
+    #[inline]
+    pub fn emit<L: VRow, R: VRow>(
+        &self,
+        left: &L,
+        right: &R,
+        outer: &[Value],
+        out: &mut Batch,
+    ) -> Result<()> {
+        let row = PairRow {
+            left,
+            right,
+            split: self.split,
+        };
+        if self.preds.eval_row(&row, outer)? {
+            for (col, slot) in out.cols.iter_mut().zip(&self.src) {
+                col.push(row.slot(*slot).clone());
+            }
+            out.rows += 1;
+        }
+        Ok(())
+    }
+
+    /// [`Self::test`] row `l` of `left` against row `r` of `right` and, if
+    /// the candidate survives, note the pair for [`Self::gather`].
+    #[inline]
+    pub fn admit(
+        &self,
+        (left, l): (&Batch, usize),
+        (right, r): (&Batch, usize),
+        outer: &[Value],
+        pairs: &mut Vec<(u32, u32)>,
+    ) -> Result<()> {
+        if self.test(&left.row(l), &right.row(r), outer)? {
+            pairs.push((l as u32, r as u32));
+        }
+        Ok(())
+    }
+
+    /// Append the surviving candidates `pairs` — (left row, right row) — to
+    /// `out`, one output column at a time.
+    pub fn gather(&self, left: &Batch, right: &Batch, pairs: &[(u32, u32)], out: &mut Batch) {
+        for (col, slot) in out.cols.iter_mut().zip(&self.src) {
+            if *slot < self.split {
+                let src = &left.cols[*slot];
+                col.extend(pairs.iter().map(|(l, _)| src[*l as usize].clone()));
+            } else if *slot == NULL_SLOT {
+                col.extend(pairs.iter().map(|_| Value::Null));
+            } else {
+                let src = &right.cols[*slot - self.split];
+                col.extend(pairs.iter().map(|(_, r)| src[*r as usize].clone()));
+            }
+        }
+        out.rows += pairs.len();
     }
 }
 
-/// Borrowed view of a materialized row through a projection map.
-struct MappedRow<'a> {
-    map: &'a [usize],
-    row: &'a Tuple,
-}
+/// Row view over a bare tuple.
+struct TupleRow<'a>(&'a Tuple);
 
-impl VRow for MappedRow<'_> {
+impl VRow for TupleRow<'_> {
     #[inline]
     fn slot(&self, slot: usize) -> &Value {
-        self.row.get(self.map[slot])
+        self.0.get(slot)
     }
-}
-
-/// How one output slot of a GET is produced.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum GetSlot {
-    /// Copy from the input stream.
-    In(usize),
-    /// Fetch from the base tuple by column position.
-    Base(usize),
 }
 
 /// Fused TID dereference: fetch the base tuple for each live input row,
 /// evaluate the GET predicates on a borrowed (input, base) view, and gather
 /// survivors into the output schema.
 pub(crate) struct GetOp<'a> {
-    pub table: &'a starqo_storage::StoredTable,
+    pub table: &'a StoredTable,
     pub tid_slot: usize,
-    pub out_slots: Vec<GetSlot>,
-    pub preds: PredProg,
-}
-
-/// Borrowed candidate row of a GET before gathering.
-struct GetRow<'a> {
-    out_slots: &'a [GetSlot],
-    cols: &'a [Vec<Value>],
-    row: usize,
-    base: &'a Tuple,
-}
-
-impl VRow for GetRow<'_> {
-    #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        match self.out_slots[slot] {
-            GetSlot::In(i) => &self.cols[i][self.row],
-            GetSlot::Base(i) => self.base.get(i),
-        }
-    }
+    /// Left = the input stream, right = the base tuple by column position.
+    pub combine: Combine,
 }
 
 impl GetOp<'_> {
-    fn apply(&self, input: &Batch, stats: &ChainStats) -> Result<Batch> {
-        let mut out = Batch::with_capacity(self.out_slots.len(), input.live());
-        // Buffer locality within the morsel: consecutive same-page fetches
-        // cost one read (serial counts this per GET invocation; per-morsel
+    fn apply(
+        &self,
+        input: &Batch,
+        outer: &[Value],
+        out: &mut Batch,
+        stats: &ChainStats,
+    ) -> Result<()> {
+        // Buffer locality within the batch: consecutive same-page fetches
+        // cost one read (serial counts this per GET invocation; per-batch
         // resets can only over-count, never under-count).
         let mut last_page = u64::MAX;
         let mut fetched = 0u64;
@@ -271,185 +411,24 @@ impl GetOp<'_> {
                 pages += 1;
                 last_page = page;
             }
-            let row = GetRow {
-                out_slots: &self.out_slots,
-                cols: &input.cols,
-                row: i,
-                base,
-            };
-            if self.preds.eval_row(&row)? {
-                for s in 0..self.out_slots.len() {
-                    out.push_value(s, row.slot(s).clone());
-                }
-                out.commit_row();
-            }
+            self.combine
+                .emit(&input.row(i), &TupleRow(base), outer, out)?;
         }
         stats.tuples_fetched.fetch_add(fetched, Ordering::Relaxed);
         stats.pages_read.fetch_add(pages, Ordering::Relaxed);
-        Ok(out)
-    }
-}
-
-/// How one output slot of a join combine is produced.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CombineSlot {
-    Outer(usize),
-    Inner(usize),
-    Null,
-}
-
-/// Borrowed candidate row of a join: outer side from batch columns, inner
-/// side from a materialized tuple.
-struct JoinRow<'a> {
-    combine: &'a [CombineSlot],
-    cols: &'a [Vec<Value>],
-    row: usize,
-    inner: &'a Tuple,
-}
-
-const NULL_VALUE: Value = Value::Null;
-
-impl VRow for JoinRow<'_> {
-    #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        match self.combine[slot] {
-            CombineSlot::Outer(i) => &self.cols[i][self.row],
-            CombineSlot::Inner(i) => self.inner.get(i),
-            CombineSlot::Null => &NULL_VALUE,
-        }
-    }
-}
-
-/// Fused hash-join probe. The build table maps inner key values to inner
-/// row indices (built once, in inner row order — output order matches the
-/// serial engine's outer-major, build-order-minor iteration).
-pub(crate) struct ProbeOp {
-    pub keys: Vec<CExpr>,
-    pub table: HashMap<Vec<Value>, Vec<u32>>,
-    pub inner: Arc<Vec<Tuple>>,
-    pub combine: Vec<CombineSlot>,
-    /// join ∪ residual predicates, re-applied on the combined row exactly
-    /// like the serial engine (hash equality admits cross-type matches the
-    /// predicates then confirm).
-    pub preds: PredProg,
-}
-
-impl ProbeOp {
-    fn apply(&self, input: &Batch, out: &mut Vec<Batch>) -> Result<()> {
-        let mut cur = Batch::with_capacity(self.combine.len(), BATCH_ROWS.min(input.live()));
-        let mut key = Vec::with_capacity(self.keys.len());
-        'orow: for i in input.live_rows() {
-            key.clear();
-            let row = BatchRow {
-                cols: &input.cols,
-                row: i,
-            };
-            for k in &self.keys {
-                let v = k.eval_owned(&row)?;
-                if v.is_null() {
-                    continue 'orow; // NULL keys never match
-                }
-                key.push(v);
-            }
-            if let Some(matches) = self.table.get(&key) {
-                for m in matches {
-                    let cand = JoinRow {
-                        combine: &self.combine,
-                        cols: &input.cols,
-                        row: i,
-                        inner: &self.inner[*m as usize],
-                    };
-                    if self.preds.eval_row(&cand)? {
-                        for s in 0..self.combine.len() {
-                            cur.push_value(s, cand.slot(s).clone());
-                        }
-                        cur.commit_row();
-                        if cur.rows >= BATCH_ROWS {
-                            out.push(std::mem::replace(
-                                &mut cur,
-                                Batch::with_capacity(self.combine.len(), BATCH_ROWS),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if cur.rows > 0 {
-            out.push(cur);
-        }
         Ok(())
     }
 }
 
-/// Fused nested-loop cross: every live outer row against every inner row,
-/// with the full predicate set on the combined candidate. Only legal for
-/// uncorrelated inners — the driver evaluates the inner subtree exactly
-/// once (the serial engine re-evaluates it per outer row).
-pub(crate) struct CrossOp {
-    pub inner: Arc<Vec<Tuple>>,
-    pub combine: Vec<CombineSlot>,
-    pub preds: PredProg,
-}
-
-impl CrossOp {
-    fn apply(&self, input: &Batch, out: &mut Vec<Batch>) -> Result<()> {
-        let mut cur = Batch::with_capacity(self.combine.len(), BATCH_ROWS.min(input.live()));
-        for i in input.live_rows() {
-            for inner in self.inner.iter() {
-                let cand = JoinRow {
-                    combine: &self.combine,
-                    cols: &input.cols,
-                    row: i,
-                    inner,
-                };
-                if self.preds.eval_row(&cand)? {
-                    for s in 0..self.combine.len() {
-                        cur.push_value(s, cand.slot(s).clone());
-                    }
-                    cur.commit_row();
-                    if cur.rows >= BATCH_ROWS {
-                        out.push(std::mem::replace(
-                            &mut cur,
-                            Batch::with_capacity(self.combine.len(), BATCH_ROWS),
-                        ));
-                    }
-                }
-            }
-        }
-        if cur.rows > 0 {
-            out.push(cur);
-        }
-        Ok(())
-    }
-}
-
-/// SHIP accounting: tallies wire bytes for the live rows; the driver
-/// converts bytes to messages once per ship operator after the run (same
-/// `(bytes / 4096).max(1)` convention as the serial engine).
-pub(crate) struct ShipOp {
-    /// Index into [`ChainStats::ship_bytes`].
-    pub idx: usize,
-}
-
-impl ShipOp {
-    fn account(&self, input: &Batch, stats: &ChainStats) {
-        let mut bytes = 0u64;
-        for i in input.live_rows() {
-            for c in &input.cols {
-                bytes += starqo_exec::support::value_bytes(&c[i]);
-            }
-        }
-        stats.ship_bytes[self.idx].fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-/// One fused operator in a chain.
+/// One fused streaming operator in a chain.
 pub(crate) enum Op<'a> {
     Filter(PredProg),
     Get(GetOp<'a>),
-    Ship(ShipOp),
-    Probe(ProbeOp),
-    Cross(CrossOp),
+    /// SHIP accounting: tallies wire bytes for the live rows into
+    /// [`ChainStats::ship_bytes`] at this index; the driver converts bytes
+    /// to messages once per ship operator after the run (same
+    /// `(bytes / 4096).max(1)` convention as the serial engine).
+    Ship(usize),
 }
 
 /// Shared mutable run state for one chain execution (workers update it
@@ -462,83 +441,71 @@ pub(crate) struct ChainStats {
     pub ship_bytes: Vec<AtomicU64>,
 }
 
+/// Per-worker scratch a chain run reuses across sub-ranges (and, pooled by
+/// the executor, across re-runs): the emit step's selection vector and two
+/// batches the streaming operators ping-pong between.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    sel: Vec<u32>,
+    a: Batch,
+    b: Batch,
+}
+
 /// One compiled pipeline fragment.
 pub(crate) struct Chain<'a> {
-    pub source: ChainSource<'a>,
+    pub source: Source<'a>,
     pub emit: Emit,
     pub ops: Vec<Op<'a>>,
-    pub schema: StreamSchema,
-    /// Display name of the chain's root operator (fault-site labels).
-    pub name: String,
+    /// The chain's topmost plan operator (names the fault sites).
+    pub top: &'a PlanNode,
     /// Number of SHIP ops fused into this chain.
     pub ships: usize,
 }
 
 impl Chain<'_> {
-    /// True when running the chain would just hand back its source rows.
-    pub fn is_identity(&self) -> bool {
-        self.ops.is_empty()
-            && match &self.source {
-                ChainSource::Rows(r) => self
-                    .emit
-                    .is_passthrough(r.first().map(|t| t.arity()).unwrap_or(self.schema.len())),
-                _ => false,
-            }
-    }
-
-    /// Run the ops over one emitted batch, appending finished batches to
-    /// `out`. Expanding ops (probe/cross) recurse over the remaining ops for
-    /// each produced batch.
-    pub fn run_ops(
-        &self,
-        ops: &[Op<'_>],
-        mut batch: Batch,
-        out: &mut Vec<Batch>,
-        stats: &ChainStats,
-    ) -> Result<()> {
-        for (k, op) in ops.iter().enumerate() {
-            match op {
-                Op::Filter(p) => p.filter(&mut batch)?,
-                Op::Ship(s) => s.account(&batch, stats),
-                Op::Get(g) => batch = g.apply(&batch, stats)?,
-                Op::Probe(p) => {
-                    let mut produced = Vec::new();
-                    p.apply(&batch, &mut produced)?;
-                    for nb in produced {
-                        self.run_ops(&ops[k + 1..], nb, out, stats)?;
-                    }
-                    return Ok(());
-                }
-                Op::Cross(c) => {
-                    let mut produced = Vec::new();
-                    c.apply(&batch, &mut produced)?;
-                    for nb in produced {
-                        self.run_ops(&ops[k + 1..], nb, out, stats)?;
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        out.push(batch);
-        Ok(())
-    }
-
-    /// Process one morsel (a source range): emit batch-sized sub-ranges and
-    /// push the resulting batches onto `out`.
+    /// Process one morsel (a source range) in batch-sized sub-ranges,
+    /// appending the survivors to `dest`. A chain with no operators emits
+    /// straight into `dest`.
     pub fn run_morsel(
         &self,
-        range: std::ops::Range<usize>,
+        input: &Input<'_>,
+        range: Range<usize>,
+        outer: &[Value],
         stats: &ChainStats,
-    ) -> Result<Vec<Batch>> {
-        let mut out = Vec::new();
+        scratch: &mut Scratch,
+        dest: &mut Batch,
+    ) -> Result<()> {
+        let Scratch { sel, a, b } = scratch;
         let mut start = range.start;
         while start < range.end {
-            let end = (start + BATCH_ROWS).min(range.end);
-            let batch = self.emit.emit_range(&self.source, start..end)?;
-            self.run_ops(&self.ops, batch, &mut out, stats)?;
-            start = end;
+            let sub = start..(start + BATCH_ROWS).min(range.end);
+            start = sub.end;
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            if self.ops.is_empty() {
+                self.emit.emit_range(input, sub, outer, sel, dest)?;
+                continue;
+            }
+            a.reset(self.emit.slots.len());
+            self.emit.emit_range(input, sub, outer, sel, a)?;
+            for op in &self.ops {
+                match op {
+                    Op::Filter(p) => p.filter(a, outer)?,
+                    Op::Ship(idx) => {
+                        let bytes: u64 = a
+                            .live_rows()
+                            .map(|i| a.cols.iter().map(|c| value_bytes(&c[i])).sum::<u64>())
+                            .sum();
+                        stats.ship_bytes[*idx].fetch_add(bytes, Ordering::Relaxed);
+                    }
+                    Op::Get(g) => {
+                        b.reset(g.combine.width());
+                        g.apply(a, outer, b, stats)?;
+                        std::mem::swap(a, b);
+                    }
+                }
+            }
+            dest.append_live(a);
         }
-        Ok(out)
+        Ok(())
     }
 }

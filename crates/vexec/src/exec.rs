@@ -1,51 +1,46 @@
-//! The vectorized executor: compiles LOLEPOP plans into fused chains and
-//! drives them morsel-at-a-time across a worker pool.
+//! The vectorized executor: compiles a LOLEPOP plan into fused chains and
+//! native pipeline breakers, and runs it with rows staying columnar from
+//! the base tables to the result.
 //!
 //! ## Oracle contract
 //!
 //! Every run must produce a `QueryResult` byte-identical to the serial
-//! interpreter's (`starqo_exec::Executor`) for any plan [`supports`]
-//! accepts — including row ORDER, which the serial engine fixes by source
-//! order. The driver guarantees this by assembling worker output in morsel
-//! index order at each exchange, regardless of completion order.
+//! interpreter's (`starqo_exec::Executor`) for any plan without extension
+//! operators — including row ORDER, which the serial engine fixes by source
+//! order (stable sorts, outer-major joins, morsels reassembled in index
+//! order at each exchange) — and the same `rows_out`, `pipeline_rows`,
+//! `temps_built`, `indexes_built` and `probes`.
 //!
-//! ## Where the speed comes from
-//!
-//! - predicates are compiled once per pipeline (no per-row schema binary
-//!   search, no bindings maps, no `Vec`-per-tuple candidate allocation);
-//! - selection before gather: access/GET/join predicates run on *borrowed*
-//!   views and only survivors are ever cloned;
-//! - uncorrelated nested-loop inners are evaluated exactly once (the serial
-//!   engine re-evaluates the inner subtree per outer row);
-//! - morsels run on as many workers as the host offers.
+//! How the run is organised — compile once, columnar relations across
+//! breakers, re-runnable correlated inners, inline morsels at one worker —
+//! is in the crate docs and `docs/EXECUTOR.md`.
 
+use std::cmp::Ordering as Cmp;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use starqo_catalog::{Value, TID_COL};
-use starqo_exec::support::{bound_prefix, panic_msg};
-use starqo_exec::{
-    cols_schema, is_correlated, position, project_rows, schema_of, Bindings, ExecError, FaultHook,
-    QueryResult, Result, StreamSchema,
-};
-use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
-use starqo_query::{CmpOp, PredSet, QCol, Query, Scalar};
+use starqo_catalog::Value;
+use starqo_exec::support::panic_msg;
+use starqo_exec::{position, ExecError, FaultHook, QueryResult, Result};
+use starqo_plan::{Lolepop, PlanRef};
+use starqo_query::Query;
 use starqo_storage::{Database, Tid, Tuple, ROWS_PER_PAGE};
 use starqo_trace::{LatencyPath, Metric, SpanContext, SpanGuard, Telemetry};
 
-use crate::batch::Batch;
-use crate::chain::{
-    Chain, ChainSource, ChainStats, CombineSlot, CrossOp, Emit, GetOp, GetSlot, Op, ProbeOp,
-    ShipOp, SrcSlot,
-};
-use crate::expr::{CExpr, PredProg, VRow};
+use crate::batch::{take, Batch, Rel};
+use crate::chain::{Chain, ChainStats, Combine, Input, Scratch, Source};
+use crate::expr::{CExpr, Scope};
+use crate::plan::{Compiler, Kind, Node};
 
 /// Rows per morsel: the work-stealing granule. A multiple of the batch size
 /// so batch boundaries never straddle morsels.
 pub const MORSEL_ROWS: usize = 4096;
+
+/// Column buffers kept for reuse within one run.
+const SPARE_COLUMNS: usize = 32;
 
 /// Run counters (superset of the serial engine's [`starqo_exec::ExecStats`]
 /// resource model, plus the vectorized-runtime tallies). All values are
@@ -53,7 +48,7 @@ pub const MORSEL_ROWS: usize = 4096;
 /// count and completion order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VexecStats {
-    /// Columnar batches that reached the end of a chain.
+    /// Batch-sized source ranges pushed through chains.
     pub batches: u64,
     /// Morsels enqueued across all chains.
     pub morsels_queued: u64,
@@ -74,51 +69,26 @@ pub struct VexecStats {
     pub bytes_shipped: u64,
     pub temps_built: u64,
     pub indexes_built: u64,
+    /// Index probes, as the serial engine counts them: an uncorrelated
+    /// nested-loop inner is evaluated once here but charged once per outer
+    /// row, like the re-scan it stands for.
     pub probes: u64,
 }
 
 /// Can the vectorized executor run this plan? Returns the reason it cannot.
 ///
-/// Two shapes are rejected: extension operators (their routines are
-/// registered against the serial executor's row-at-a-time calling
-/// convention) and nested-loop joins with *correlated* inners (sideways
-/// information passing re-evaluates the inner per outer row — the one
-/// pattern that is inherently row-driven).
-pub fn supports(plan: &PlanRef, query: &Query) -> std::result::Result<(), String> {
-    let mut reason: Option<String> = None;
+/// Only extension operators are rejected: their routines are registered
+/// against the serial executor's row-at-a-time calling convention (running
+/// one anyway yields the serial engine's `UnknownExtOp` error).
+pub fn supports(plan: &PlanRef, _query: &Query) -> std::result::Result<(), String> {
+    let mut reason = None;
     plan.visit(&mut |n| {
-        if reason.is_some() {
-            return;
-        }
-        match &n.op {
-            Lolepop::Ext { name, .. } => {
-                reason = Some(format!("extension operator {name}"));
-            }
-            Lolepop::Join {
-                flavor: JoinFlavor::NL,
-                ..
-            } => {
-                if let Some(inner) = n.inputs.get(1) {
-                    if is_correlated(inner, query) {
-                        reason = Some(
-                            "correlated nested-loop inner (sideways information passing)"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-            _ => {}
+        if let Lolepop::Ext { name, .. } = &n.op {
+            reason.get_or_insert_with(|| format!("extension operator {name}"));
         }
     });
-    match reason {
-        Some(r) => Err(r),
-        None => Ok(()),
-    }
+    reason.map_or(Ok(()), Err)
 }
-
-/// A built dynamic index: key values → row numbers of the materialized
-/// temp, in insertion order.
-type DynIndex = std::collections::BTreeMap<Vec<Value>, Vec<usize>>;
 
 /// The vectorized plan executor for one database.
 pub struct VexecExecutor<'a> {
@@ -126,11 +96,23 @@ pub struct VexecExecutor<'a> {
     query: &'a Query,
     workers: usize,
     stats: VexecStats,
-    /// Materialization cache for correlation-free STORE/SORT subtrees
-    /// (same node-identity keying as the serial engine).
-    temp_cache: HashMap<usize, Arc<Vec<Tuple>>>,
-    /// Dynamic index cache, keyed by (store node, key columns).
-    index_cache: HashMap<(usize, Vec<QCol>), Arc<DynIndex>>,
+    /// Materialization cache for correlation-free temp inputs and SORT
+    /// output (same node-identity keying as the serial engine).
+    temp_cache: HashMap<usize, Arc<Batch>>,
+    /// Dynamic indexes by temp node: the temp's row numbers in key order
+    /// (stable, so equal keys keep row order).
+    index_cache: HashMap<usize, Arc<[u32]>>,
+    /// Column buffers of consumed relations, reused by the next chain run
+    /// or breaker output: a correlated inner re-run per outer row allocates
+    /// nothing, and a plan touches about its peak live memory, not the sum
+    /// of its intermediates.
+    spare: Vec<Vec<Value>>,
+    /// The emptied column lists those buffers came in.
+    shells: Vec<Vec<Vec<Value>>>,
+    /// Chain and probe scratch, reused across re-runs like `spare`.
+    scratch: Vec<Scratch>,
+    prefix_buf: Vec<Value>,
+    tid_buf: Vec<Tid>,
     /// Fault hook for the `vexec` site; consulted per morsel
     /// (`morsel(<op>)`) and per exchange (`exchange(<op>)`).
     fault_hook: Option<FaultHook>,
@@ -147,13 +129,19 @@ impl<'a> VexecExecutor<'a> {
             stats: VexecStats::default(),
             temp_cache: HashMap::new(),
             index_cache: HashMap::new(),
+            spare: Vec::new(),
+            shells: Vec::new(),
+            scratch: Vec::new(),
+            prefix_buf: Vec::new(),
+            tid_buf: Vec::new(),
             fault_hook: None,
             telemetry: None,
             spans: SpanContext::off(),
         }
     }
 
-    /// Set the worker-pool width (clamped to at least 1).
+    /// Set the worker-pool width (clamped to at least 1). At 1 — the default
+    /// and the serving path — every chain runs inline on the calling thread.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -199,544 +187,403 @@ impl<'a> VexecExecutor<'a> {
             pipeline_span.set_meta(result.rows.len() as u64);
         }
         drop(pipeline_span);
-        if let (Some(t), Ok(result)) = (&self.telemetry, &out) {
-            let nanos = started.elapsed().as_nanos() as u64;
-            t.add(Metric::Executions, 1);
-            t.add(Metric::ExecRows, result.rows.len() as u64);
-            t.add(Metric::ExecNanos, nanos);
-            t.add(Metric::PipelineRows, self.stats.pipeline_rows);
-            t.observe(LatencyPath::Execute, nanos);
+        if let Some(t) = &self.telemetry {
+            t.add(Metric::VexecQueued, self.stats.morsels_queued);
+            t.add(Metric::VexecMorsels, self.stats.morsels);
+            t.add(Metric::VexecBatches, self.stats.batches);
+            t.add(Metric::VexecRows, self.stats.rows);
+            if let Ok(result) = &out {
+                let nanos = started.elapsed().as_nanos() as u64;
+                t.add(Metric::Executions, 1);
+                t.add(Metric::ExecRows, result.rows.len() as u64);
+                t.add(Metric::ExecNanos, nanos);
+                t.add(Metric::PipelineRows, self.stats.pipeline_rows);
+                t.observe(LatencyPath::Execute, nanos);
+            }
         }
         out
     }
 
     fn run_inner(&mut self, plan: &PlanRef) -> Result<QueryResult> {
-        let rows = self.eval(plan)?;
-        self.stats.rows_out = rows.len() as u64;
-        self.stats.pipeline_rows += rows.len() as u64;
-        let schema = schema_of(plan);
-        if self.query.select.is_empty() {
-            return Ok(QueryResult { schema, rows });
+        let root = Compiler {
+            db: self.db,
+            query: self.query,
+            scope: Scope::default(),
         }
-        let want = self.query.select.clone();
-        let projected = project_rows(&schema, &rows, &want)?;
-        Ok(QueryResult {
-            schema: want,
-            rows: projected,
-        })
+        .compile(plan);
+        let rel = self.run_node(&root, &mut Vec::new())?;
+        self.stats.rows_out = rel.rows as u64;
+        self.stats.pipeline_rows += rel.rows as u64;
+        // Result rows are built once, already in select-list order.
+        let plan_schema = &plan.props.cols;
+        let (schema, idx): (Vec<_>, Vec<usize>) = if self.query.select.is_empty() {
+            (plan_schema.to_vec(), (0..plan_schema.len()).collect())
+        } else {
+            let want = &self.query.select;
+            let idx = want.iter().map(|c| {
+                position(plan_schema, *c).ok_or_else(|| ExecError::UnboundColumn(c.to_string()))
+            });
+            (want.clone(), idx.collect::<Result<_>>()?)
+        };
+        let distinct = idx.iter().enumerate().all(|(k, i)| !idx[..k].contains(i));
+        let rows = match rel {
+            // Sole owner of a finished relation: move the values out.
+            Rel::Owned(mut b) if distinct => (0..b.rows)
+                .map(|r| Tuple(idx.iter().map(|c| take(&mut b.cols[*c][r])).collect()))
+                .collect(),
+            rel => (0..rel.rows)
+                .map(|r| Tuple(idx.iter().map(|c| rel.cols[*c][r].clone()).collect()))
+                .collect(),
+        };
+        Ok(QueryResult { schema, rows })
     }
 
-    /// Evaluate one node to materialized rows. Streaming operators compile
-    /// into a fused chain; breakers (SORT/STORE/joins/UNION) materialize
-    /// here with the same structure as the serial engine.
-    fn eval(&mut self, node: &PlanNode) -> Result<Vec<Tuple>> {
-        match &node.op {
-            Lolepop::Access { .. }
-            | Lolepop::Get { .. }
-            | Lolepop::Filter { .. }
-            | Lolepop::Ship { .. } => {
-                let chain = self.compile_chain(node)?;
-                self.run_chain(chain)
-            }
-            Lolepop::Sort { key } => {
-                let child = input(node, 0)?;
-                let rows = self.eval_cached(child)?;
-                let schema = schema_of(child);
-                let mut rows = rows.as_ref().clone();
-                let idx: Vec<usize> = key
-                    .iter()
-                    .map(|c| {
-                        position(&schema, *c).ok_or_else(|| ExecError::UnboundColumn(c.to_string()))
-                    })
-                    .collect::<Result<_>>()?;
-                rows.sort_by(|a, b| {
-                    idx.iter()
-                        .map(|i| a.get(*i).cmp(b.get(*i)))
-                        .find(|o| *o != std::cmp::Ordering::Equal)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                Ok(rows)
-            }
-            Lolepop::Store | Lolepop::BuildIndex { .. } => {
-                Ok(self.eval_cached(input(node, 0)?)?.as_ref().clone())
-            }
-            Lolepop::Join {
-                flavor,
-                join_preds,
-                residual,
-            } => self.join(node, *flavor, *join_preds, *residual),
-            Lolepop::Union => {
-                let mut rows = self.eval(input(node, 0)?)?;
-                rows.extend(self.eval(input(node, 1)?)?);
-                Ok(rows)
-            }
-            Lolepop::Ext { name, .. } => Err(ExecError::BadPlan(format!(
-                "vexec does not support extension operator {name}; use the serial executor"
-            ))),
+    /// SORT: permute row numbers, then gather each column once — moving the
+    /// values when the input is owned. An input already in key order (a
+    /// table loaded in key order, a B-tree scan) passes through untouched.
+    fn sort(&mut self, input: Rel, key: &[usize]) -> Rel {
+        let cols = key_cols(&input, key.iter().copied());
+        if (1..input.rows).all(|i| cmp_rows(&cols, i - 1, &cols, i).is_le()) {
+            return input;
         }
+        let perm = sorted_rows(&input, key);
+        let mut out = self.fresh(input.cols.len());
+        match input {
+            Rel::Owned(mut b) => {
+                for (dst, src) in out.cols.iter_mut().zip(&mut b.cols) {
+                    dst.extend(perm.iter().map(|i| take(&mut src[*i as usize])));
+                }
+                self.recycle(Rel::Owned(b));
+            }
+            Rel::Shared(b) => {
+                for (dst, src) in out.cols.iter_mut().zip(&b.cols) {
+                    dst.extend(perm.iter().map(|i| src[*i as usize].clone()));
+                }
+            }
+        }
+        out.rows = perm.len();
+        Rel::Owned(out)
+    }
+
+    /// An empty `width`-column batch, built from pooled column buffers.
+    fn fresh(&mut self, width: usize) -> Batch {
+        let mut cols = self.shells.pop().unwrap_or_default();
+        cols.extend((0..width).map(|_| self.spare.pop().unwrap_or_default()));
+        Batch {
+            cols,
+            rows: 0,
+            sel: None,
+        }
+    }
+
+    /// Return a consumed relation's column buffers to the pool (shared
+    /// relations stay with the cache).
+    fn recycle(&mut self, rel: Rel) {
+        if let Rel::Owned(mut b) = rel {
+            for mut col in b.cols.drain(..) {
+                if self.spare.len() < SPARE_COLUMNS {
+                    col.clear();
+                    self.spare.push(col);
+                }
+            }
+            self.shells.push(b.cols);
+        }
+    }
+
+    /// Evaluate one node under the bindings in `scope` (the values of the
+    /// enclosing correlated nested-loop outers, as compiled).
+    fn run_node(&mut self, node: &Node<'_>, scope: &mut Vec<Value>) -> Result<Rel> {
+        match &node.kind {
+            Kind::Chain(chain) => self.run_chain(chain, node.width(), scope),
+            Kind::Sort { child, key } => {
+                if let Some(hit) = self.temp_cache.get(&node.key()) {
+                    return Ok(Rel::Shared(hit.clone()));
+                }
+                let input = if child.is_store() {
+                    Rel::Shared(self.run_cached(child, scope)?)
+                } else {
+                    self.run_node(child, scope)?
+                };
+                let sorted = self.sort(input, key);
+                // Cache the sorted output (not, like the serial engine, the
+                // unsorted child it would re-sort per evaluation).
+                Ok(if node.cacheable {
+                    let shared = sorted.share();
+                    self.temp_cache.insert(node.key(), shared.clone());
+                    Rel::Shared(shared)
+                } else {
+                    sorted
+                })
+            }
+            Kind::Temp(child) => Ok(Rel::Shared(self.run_cached(child, scope)?)),
+            Kind::Merge {
+                outer,
+                inner,
+                keys,
+                combine,
+            } => {
+                let outer = self.run_node(outer, scope)?;
+                let inner = self.run_node(inner, scope)?;
+                let pairs = merge(&outer, &inner, keys, combine, scope)?;
+                self.joined(combine, outer, inner, &pairs)
+            }
+            Kind::Loop {
+                outer,
+                inner,
+                binds,
+                combine,
+            } => self.nested_loops(outer, inner, binds.as_deref(), combine, scope),
+            Kind::Hash {
+                outer,
+                inner,
+                keys,
+                combine,
+            } => {
+                // Inner side first (build), preserving the serial engine's
+                // evaluation (and error) order.
+                let inner = self.run_node(inner, scope)?;
+                let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+                for row in 0..inner.rows {
+                    let exprs = keys.iter().map(|(_, ie)| ie);
+                    if let Some(key) = hash_key(exprs, &inner, row, scope)? {
+                        table.entry(key).or_default().push(row as u32);
+                    }
+                }
+                let outer = self.run_node(outer, scope)?;
+                let mut pairs = Vec::new();
+                for row in 0..outer.rows {
+                    let exprs = keys.iter().map(|(oe, _)| oe);
+                    let key = hash_key(exprs, &outer, row, scope)?;
+                    // Hash equality admits cross-type matches; join ∪
+                    // residual then confirm on the combined row, in build
+                    // order (outer-major, like the serial engine).
+                    for m in key.and_then(|k| table.get(&k)).into_iter().flatten() {
+                        combine.admit((&outer, row), (&inner, *m as usize), scope, &mut pairs)?;
+                    }
+                }
+                self.joined(combine, outer, inner, &pairs)
+            }
+            Kind::Union(l, r) => {
+                let mut out = match self.run_node(l, scope)? {
+                    Rel::Owned(b) => b,
+                    Rel::Shared(a) => a.as_ref().clone(),
+                };
+                match self.run_node(r, scope)? {
+                    Rel::Owned(mut b) => out.append_live(&mut b),
+                    Rel::Shared(a) => out.append_live(&mut a.as_ref().clone()),
+                }
+                Ok(Rel::Owned(out))
+            }
+            Kind::Fail(e) => Err(e.clone()),
+        }
+    }
+
+    /// Gather a join's surviving row pairs into its output relation and
+    /// return both inputs' buffers to the pool.
+    fn joined(
+        &mut self,
+        combine: &Combine,
+        outer: Rel,
+        inner: Rel,
+        pairs: &[(u32, u32)],
+    ) -> Result<Rel> {
+        let mut out = self.fresh(combine.width());
+        combine.gather(&outer, &inner, pairs, &mut out);
+        self.recycle(outer);
+        self.recycle(inner);
+        Ok(Rel::Owned(out))
     }
 
     /// Evaluate with node-identity caching when the subtree is
     /// correlation-free — identical policy and accounting to the serial
-    /// engine's `eval_cached`.
-    fn eval_cached(&mut self, node: &PlanRef) -> Result<Arc<Vec<Tuple>>> {
-        let key = Arc::as_ptr(node) as usize;
-        if let Some(hit) = self.temp_cache.get(&key) {
+    /// engine's `eval_cached`, except that hits and misses alike hand out
+    /// the shared relation itself, never a copy.
+    fn run_cached(&mut self, node: &Node<'_>, scope: &mut Vec<Value>) -> Result<Arc<Batch>> {
+        if let Some(hit) = self.temp_cache.get(&node.key()) {
             return Ok(hit.clone());
         }
-        let mut store_span = if self.spans.enabled() && matches!(node.op, Lolepop::Store) {
+        let mut store_span = if node.is_store() {
             self.spans.enter("pipeline:store")
         } else {
             SpanGuard::noop()
         };
-        let rows = Arc::new(self.eval(node)?);
-        store_span.set_meta(rows.len() as u64);
+        let rel = self.run_node(node, scope)?.share();
+        store_span.set_meta(rel.rows as u64);
         drop(store_span);
-        if !is_correlated(node, self.query) {
-            if matches!(node.op, Lolepop::Store) {
-                self.stats.temps_built += 1;
-                self.stats.pipeline_rows += rows.len() as u64;
-            }
-            self.temp_cache.insert(key, rows.clone());
+        if node.uncorrelated && node.is_store() {
+            self.stats.temps_built += 1;
+            self.stats.pipeline_rows += rel.rows as u64;
         }
-        Ok(rows)
+        if node.cacheable {
+            self.temp_cache.insert(node.key(), rel.clone());
+        }
+        Ok(rel)
     }
 
-    /// Compile a streaming subtree into one fused chain. Non-streaming
-    /// children are materialized (via [`Self::eval`]) and become row
-    /// sources.
-    fn compile_chain(&mut self, node: &PlanNode) -> Result<Chain<'a>> {
-        let db: &'a Database = self.db;
-        match &node.op {
-            Lolepop::Access { spec, cols, preds } => {
-                let schema = cols_schema(cols);
-                match spec {
-                    AccessSpec::HeapTable(q) | AccessSpec::BTreeTable(q) => {
-                        let table_id = self.query.quantifier(*q).table;
-                        let stored = db.table(table_id)?;
-                        // Full-scan page accounting, charged up front like
-                        // the serial engine.
-                        self.stats.pages_read += stored.pages();
-                        let slots = scan_slots(&schema);
-                        let prog = PredProg::compile(self.query, *preds, &schema);
-                        Ok(Chain {
-                            source: ChainSource::Table(stored),
-                            emit: Emit::Scan { slots, preds: prog },
-                            ops: Vec::new(),
-                            schema,
-                            name: node.op.name(),
-                            ships: 0,
-                        })
-                    }
-                    AccessSpec::Index { index, q } => {
-                        let def = db.catalog().index(*index).clone();
-                        let data = db.index(*index)?;
-                        let key_qcols: Vec<QCol> =
-                            def.cols.iter().map(|c| QCol::new(*q, *c)).collect();
-                        let bindings = Bindings::new();
-                        let prefix = bound_prefix(self.query, &key_qcols, *preds, &bindings)?;
-                        let mut entries: Vec<(Vec<Value>, Tid)> = Vec::new();
-                        if prefix.is_empty() {
-                            self.stats.pages_read += data.pages();
-                            for (key, tid) in data.scan() {
-                                entries.push((key.clone(), tid));
-                            }
-                        } else {
-                            self.stats.probes += 1;
-                            for (key, tid) in data.probe_prefix(&prefix) {
-                                entries.push((key.clone(), tid));
-                            }
-                            self.stats.pages_read +=
-                                (entries.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
-                        }
-                        // Slot map: TID pseudo-column or position within the
-                        // index key (same `unwrap_or(0)` fallback as serial).
-                        let slots: Vec<SrcSlot> = schema
-                            .iter()
-                            .map(|c| {
-                                if c.col.is_tid() {
-                                    SrcSlot::Tid
-                                } else {
-                                    SrcSlot::Base(
-                                        def.cols.iter().position(|k| *k == c.col).unwrap_or(0),
-                                    )
-                                }
-                            })
-                            .collect();
-                        let prog = PredProg::compile(self.query, *preds, &schema);
-                        Ok(Chain {
-                            source: ChainSource::Entries(Arc::new(entries)),
-                            emit: Emit::Index { slots, preds: prog },
-                            ops: Vec::new(),
-                            schema,
-                            name: node.op.name(),
-                            ships: 0,
-                        })
-                    }
-                    AccessSpec::TempHeap => {
-                        let inp = input(node, 0)?;
-                        let in_schema = schema_of(inp);
-                        let rows = self.eval_cached(inp)?;
-                        self.stats.pages_read += (rows.len() as u64).div_ceil(ROWS_PER_PAGE).max(1);
-                        let map = projection_map(&in_schema, &schema)?;
-                        let prog = PredProg::compile(self.query, *preds, &schema);
-                        Ok(Chain {
-                            source: ChainSource::Rows(rows),
-                            emit: Emit::Rows { map, preds: prog },
-                            ops: Vec::new(),
-                            schema,
-                            name: node.op.name(),
-                            ships: 0,
-                        })
-                    }
-                    AccessSpec::TempIndex { key } => {
-                        let inp = input(node, 0)?;
-                        let in_schema = schema_of(inp);
-                        let rows = self.eval_cached(inp)?;
-                        let hits = self.temp_index_hits(inp, key, &in_schema, &rows, *preds)?;
-                        let map = projection_map(&in_schema, &schema)?;
-                        let prog = PredProg::compile(self.query, *preds, &schema);
-                        Ok(Chain {
-                            source: ChainSource::Rows(Arc::new(hits)),
-                            emit: Emit::Rows { map, preds: prog },
-                            ops: Vec::new(),
-                            schema,
-                            name: node.op.name(),
-                            ships: 0,
-                        })
-                    }
-                }
-            }
-            Lolepop::Filter { preds } => {
-                let mut chain = self.compile_chain(input(node, 0)?)?;
-                let prog = PredProg::compile(self.query, *preds, &chain.schema);
-                chain.ops.push(Op::Filter(prog));
-                chain.name = node.op.name();
-                Ok(chain)
-            }
-            Lolepop::Ship { .. } => {
-                let mut chain = self.compile_chain(input(node, 0)?)?;
-                chain.ops.push(Op::Ship(ShipOp { idx: chain.ships }));
-                chain.ships += 1;
-                chain.name = node.op.name();
-                Ok(chain)
-            }
-            Lolepop::Get { q, cols: _, preds } => {
-                let mut chain = self.compile_chain(input(node, 0)?)?;
-                let in_schema = chain.schema.clone();
-                let out_schema = schema_of(node);
-                let tid_col = QCol::new(*q, TID_COL);
-                let tid_slot = position(&in_schema, tid_col)
-                    .ok_or_else(|| ExecError::BadPlan("GET input lacks TID column".into()))?;
-                let table_id = self.query.quantifier(*q).table;
-                let stored = db.table(table_id)?;
-                let out_slots: Vec<GetSlot> = out_schema
-                    .iter()
-                    .map(|c| {
-                        if let Some(i) = position(&in_schema, *c) {
-                            GetSlot::In(i)
-                        } else {
-                            GetSlot::Base(c.col.0 as usize)
-                        }
-                    })
-                    .collect();
-                let prog = PredProg::compile(self.query, *preds, &out_schema);
-                chain.ops.push(Op::Get(GetOp {
-                    table: stored,
-                    tid_slot,
-                    out_slots,
-                    preds: prog,
-                }));
-                chain.schema = out_schema;
-                chain.name = node.op.name();
-                Ok(chain)
-            }
-            // Anything else is a pipeline breaker: materialize it and wrap
-            // the rows as an identity source.
-            _ => {
-                let schema = schema_of(node);
-                let rows = self.eval(node)?;
-                let map: Vec<usize> = (0..schema.len()).collect();
-                Ok(Chain {
-                    source: ChainSource::Rows(Arc::new(rows)),
-                    emit: Emit::Rows {
-                        map,
-                        preds: PredProg::default(),
-                    },
-                    ops: Vec::new(),
-                    schema,
-                    name: node.op.name(),
-                    ships: 0,
-                })
-            }
-        }
-    }
-
-    /// Probe (or build, then probe) the dynamic index over a cached temp —
-    /// serial `access_temp_index` semantics, shared cache keying included.
-    fn temp_index_hits(
+    /// JOIN(NL). An uncorrelated inner is evaluated once; a correlated one
+    /// is re-run per outer row with that row's columns re-bound in `scope`.
+    /// An empty outer never evaluates the inner at all (the serial engine
+    /// never reaches it).
+    fn nested_loops(
         &mut self,
-        inp: &PlanRef,
-        key: &[QCol],
-        in_schema: &StreamSchema,
-        rows: &Arc<Vec<Tuple>>,
-        preds: PredSet,
-    ) -> Result<Vec<Tuple>> {
-        let cache_key = (Arc::as_ptr(inp) as usize, key.to_vec());
-        let index = match self.index_cache.get(&cache_key) {
-            Some(ix) => ix.clone(),
-            None => {
-                let mut map: std::collections::BTreeMap<Vec<Value>, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                let kpos: Vec<usize> = key
-                    .iter()
-                    .map(|c| {
-                        position(in_schema, *c)
-                            .ok_or_else(|| ExecError::UnboundColumn(c.to_string()))
-                    })
-                    .collect::<Result<_>>()?;
-                for (i, r) in rows.iter().enumerate() {
-                    let k: Vec<Value> = kpos.iter().map(|p| r.get(*p).clone()).collect();
-                    map.entry(k).or_default().push(i);
-                }
-                self.stats.indexes_built += 1;
-                let ix = Arc::new(map);
-                self.index_cache.insert(cache_key, ix.clone());
-                ix
+        outer: &Node<'_>,
+        inner_node: &Node<'_>,
+        binds: Option<&[usize]>,
+        combine: &Combine,
+        scope: &mut Vec<Value>,
+    ) -> Result<Rel> {
+        let outer_width = outer.width();
+        let outer = self.run_node(outer, scope)?;
+        let mut pairs = Vec::new();
+        let mut out = self.fresh(combine.width());
+        let Some(binds) = binds else {
+            if outer.rows == 0 {
+                return Ok(Rel::Owned(out));
             }
+            let probes = self.stats.probes;
+            let inner = self.run_node(inner_node, scope)?;
+            self.stats.probes += (self.stats.probes - probes) * (outer.rows as u64 - 1);
+            for o in 0..outer.rows {
+                for i in 0..inner.rows {
+                    combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
+                }
+            }
+            combine.gather(&outer, &inner, &pairs, &mut out);
+            return Ok(Rel::Owned(out));
         };
-        let bindings = Bindings::new();
-        let prefix = bound_prefix(self.query, key, preds, &bindings)?;
-        self.stats.probes += 1;
-        let mut hits: Vec<Tuple> = Vec::new();
-        if prefix.is_empty() {
-            hits.extend(rows.iter().cloned());
-        } else {
-            use std::ops::Bound;
-            for (k, idxs) in
-                index.range::<[Value], _>((Bound::Included(prefix.as_slice()), Bound::Unbounded))
-            {
-                if k.len() < prefix.len() || k[..prefix.len()] != prefix[..] {
-                    break;
-                }
-                for i in idxs {
-                    hits.push(rows[*i].clone());
-                }
+        let base = scope.len();
+        scope.resize(base + outer_width, Value::Null);
+        for o in 0..outer.rows {
+            for &b in binds {
+                scope[base + b] = outer.cols[b][o].clone();
             }
+            let inner = self.run_node(inner_node, scope)?;
+            pairs.clear();
+            for i in 0..inner.rows {
+                combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
+            }
+            combine.gather(&outer, &inner, &pairs, &mut out);
+            self.recycle(inner);
         }
-        self.stats.pages_read += (hits.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
-        Ok(hits)
+        scope.truncate(base);
+        Ok(Rel::Owned(out))
     }
 
-    fn join(
+    /// Resolve a chain's source under the current bindings and drive it.
+    fn run_chain(
         &mut self,
-        node: &PlanNode,
-        flavor: JoinFlavor,
-        join_preds: PredSet,
-        residual: PredSet,
-    ) -> Result<Vec<Tuple>> {
-        let (outer_node, inner_node) = (input(node, 0)?, input(node, 1)?);
-        let o_schema = schema_of(outer_node);
-        let i_schema = schema_of(inner_node);
-        let out_schema = schema_of(node);
-        let all_preds = join_preds.union(residual);
-        let combine = combine_slots(&out_schema, &o_schema, &i_schema);
-
-        match flavor {
-            JoinFlavor::NL => {
-                if is_correlated(inner_node, self.query) {
-                    return Err(ExecError::BadPlan(
-                        "vexec cannot run correlated nested-loop inners; use the serial executor"
-                            .into(),
-                    ));
-                }
-                // Outer first: an empty outer must not evaluate the inner at
-                // all (the serial engine never reaches it).
-                let outer_rows = self.eval(outer_node)?;
-                if outer_rows.is_empty() {
-                    return Ok(Vec::new());
-                }
-                // Uncorrelated: evaluate the inner subtree ONCE.
-                let inner_rows = Arc::new(self.eval(inner_node)?);
-                let prog = PredProg::compile(self.query, all_preds, &out_schema);
-                let chain = Chain {
-                    source: ChainSource::Rows(Arc::new(outer_rows)),
-                    emit: Emit::Rows {
-                        map: (0..o_schema.len()).collect(),
-                        preds: PredProg::default(),
-                    },
-                    ops: vec![Op::Cross(CrossOp {
-                        inner: inner_rows,
-                        combine,
-                        preds: prog,
-                    })],
-                    schema: out_schema,
-                    name: node.op.name(),
-                    ships: 0,
-                };
-                self.run_chain(chain)
+        chain: &Chain<'_>,
+        width: usize,
+        scope: &mut Vec<Value>,
+    ) -> Result<Rel> {
+        match &chain.source {
+            Source::Table(table) => {
+                // Full-scan page accounting, charged up front like the
+                // serial engine.
+                self.stats.pages_read += table.pages();
+                self.drive(chain, width, &Input::Table(table), scope)
             }
-            JoinFlavor::HA => {
-                // Split each hashable predicate into (outer expr, inner
-                // expr) exactly like the serial engine.
-                let mut pairs: Vec<(Scalar, Scalar)> = Vec::new();
-                for p in join_preds.iter() {
-                    if let starqo_query::PredExpr::Cmp(CmpOp::Eq, l, r) = &self.query.pred(p).expr {
-                        if l.quantifiers().is_subset_of(outer_node.props.tables) {
-                            pairs.push((l.clone(), r.clone()));
-                        } else {
-                            pairs.push((r.clone(), l.clone()));
-                        }
-                    }
+            Source::Index {
+                table,
+                data,
+                prefix,
+            } => {
+                let mut bound = std::mem::take(&mut self.prefix_buf);
+                let mut tids = std::mem::take(&mut self.tid_buf);
+                prefix.eval(scope, &mut bound);
+                tids.clear();
+                if bound.is_empty() {
+                    self.stats.pages_read += data.pages();
+                    tids.extend(data.scan().map(|(_, tid)| tid));
+                } else {
+                    self.stats.probes += 1;
+                    tids.extend(data.probe_prefix(&bound).map(|(_, tid)| tid));
+                    self.stats.pages_read += (tids.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
                 }
-                // Inner side first (build), preserving the serial engine's
-                // evaluation (and error) order.
-                let inner_rows = Arc::new(self.eval(inner_node)?);
-                let inner_keys: Vec<CExpr> = pairs
-                    .iter()
-                    .map(|(_, ie)| CExpr::compile(ie, &i_schema))
-                    .collect();
-                let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-                'row: for (i, r) in inner_rows.iter().enumerate() {
-                    let row = TupleRow(r);
-                    let mut key = Vec::with_capacity(inner_keys.len());
-                    for ke in &inner_keys {
-                        let v = ke.eval_owned(&row)?;
-                        if v.is_null() {
-                            continue 'row; // NULL keys never match
-                        }
-                        key.push(v);
-                    }
-                    table.entry(key).or_default().push(i as u32);
-                }
-                let mut chain = self.compile_chain(outer_node)?;
-                let outer_keys: Vec<CExpr> = pairs
-                    .iter()
-                    .map(|(oe, _)| CExpr::compile(oe, &chain.schema))
-                    .collect();
-                let prog = PredProg::compile(self.query, all_preds, &out_schema);
-                chain.ops.push(Op::Probe(ProbeOp {
-                    keys: outer_keys,
-                    table,
-                    inner: inner_rows,
-                    combine,
-                    preds: prog,
-                }));
-                chain.schema = out_schema;
-                chain.name = node.op.name();
-                self.run_chain(chain)
+                let out = self.drive(chain, width, &Input::Tids(table, &tids), scope);
+                (self.prefix_buf, self.tid_buf) = (bound, tids);
+                out
             }
-            JoinFlavor::MG => {
-                // Merge keys are paired per predicate, identically to the
-                // serial engine (including its validation errors).
-                let mut op_pos: Vec<usize> = Vec::new();
-                let mut ip_pos: Vec<usize> = Vec::new();
-                for p in join_preds.iter() {
-                    let starqo_query::PredExpr::Cmp(CmpOp::Eq, l, r) = &self.query.pred(p).expr
-                    else {
-                        return Err(ExecError::BadPlan(
-                            "merge join predicate is not a column equality".into(),
-                        ));
-                    };
-                    let (lc, rc) = match (l.as_col(), r.as_col()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => {
-                            return Err(ExecError::BadPlan(
-                                "merge join predicate side is not a bare column".into(),
-                            ))
-                        }
-                    };
-                    let (oc, ic) = if outer_node.props.tables.contains(lc.q) {
-                        (lc, rc)
-                    } else {
-                        (rc, lc)
-                    };
-                    op_pos.push(
-                        position(&o_schema, oc)
-                            .ok_or_else(|| ExecError::UnboundColumn(oc.to_string()))?,
-                    );
-                    ip_pos.push(
-                        position(&i_schema, ic)
-                            .ok_or_else(|| ExecError::UnboundColumn(ic.to_string()))?,
-                    );
-                }
-                let outer_rows = self.eval(outer_node)?;
-                let inner_rows = self.eval(inner_node)?;
-                let prog = PredProg::compile(self.query, all_preds, &out_schema);
-                let keyed = |r: &Tuple, pos: &[usize]| -> Vec<Value> {
-                    pos.iter().map(|p| r.get(*p).clone()).collect()
+            Source::Rel { child, temp } => {
+                let rel = if *temp {
+                    let rel = self.run_cached(child, scope)?;
+                    self.stats.pages_read += (rel.rows as u64).div_ceil(ROWS_PER_PAGE).max(1);
+                    Rel::Shared(rel)
+                } else {
+                    self.run_node(child, scope)?
                 };
-                let mut out = Vec::new();
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < outer_rows.len() && b < inner_rows.len() {
-                    let ka = keyed(&outer_rows[a], &op_pos);
-                    let kb = keyed(&inner_rows[b], &ip_pos);
-                    match ka.cmp(&kb) {
-                        std::cmp::Ordering::Less => a += 1,
-                        std::cmp::Ordering::Greater => b += 1,
-                        std::cmp::Ordering::Equal => {
-                            let mut a_end = a + 1;
-                            while a_end < outer_rows.len()
-                                && keyed(&outer_rows[a_end], &op_pos) == ka
-                            {
-                                a_end += 1;
-                            }
-                            let mut b_end = b + 1;
-                            while b_end < inner_rows.len()
-                                && keyed(&inner_rows[b_end], &ip_pos) == kb
-                            {
-                                b_end += 1;
-                            }
-                            // Candidate rows are evaluated on a borrowed
-                            // two-sided view; survivors materialize once.
-                            for o in &outer_rows[a..a_end] {
-                                for i in &inner_rows[b..b_end] {
-                                    let cand = PairRow {
-                                        combine: &combine,
-                                        outer: o,
-                                        inner: i,
-                                    };
-                                    if prog.eval_row(&cand)? {
-                                        out.push(Tuple(
-                                            (0..combine.len())
-                                                .map(|s| cand.slot(s).clone())
-                                                .collect(),
-                                        ));
-                                    }
-                                }
-                            }
-                            a = a_end;
-                            b = b_end;
-                        }
-                    }
+                if chain.ops.is_empty() && chain.emit.is_passthrough(rel.cols.len()) {
+                    return Ok(rel);
                 }
-                Ok(out)
+                self.drive(chain, width, &Input::Rel(&rel), scope)
+            }
+            Source::TempIndex { child, key, prefix } => {
+                let rel = self.run_cached(child, scope)?;
+                let index = match self.index_cache.get(&child.key()) {
+                    Some(ix) => ix.clone(),
+                    None => {
+                        let ix: Arc<[u32]> = sorted_rows(&rel, key).into();
+                        self.stats.indexes_built += 1;
+                        self.index_cache.insert(child.key(), ix.clone());
+                        ix
+                    }
+                };
+                let mut bound = std::mem::take(&mut self.prefix_buf);
+                prefix.eval(scope, &mut bound);
+                self.stats.probes += 1;
+                // Rows whose key starts with the bound prefix, in key order;
+                // an unbound probe reads the whole temp in row order.
+                let cmp_prefix = |row: &u32| {
+                    let keys = key.iter().zip(&bound);
+                    keys.map(|(k, v)| rel.cols[*k][*row as usize].cmp(v))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Cmp::Equal)
+                };
+                let lo = index.partition_point(|r| cmp_prefix(r).is_lt());
+                let hits = &index[lo..lo + index[lo..].partition_point(|r| cmp_prefix(r).is_eq())];
+                let input = if bound.is_empty() {
+                    Input::Rel(&rel)
+                } else {
+                    Input::RelRows(&rel, hits)
+                };
+                self.stats.pages_read += (input.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
+                let out = self.drive(chain, width, &input, scope);
+                self.prefix_buf = bound;
+                out
             }
         }
     }
 
-    /// Drive one chain: split the source into morsels, fan them across the
-    /// worker pool, and exchange-merge the batches in morsel order.
-    fn run_chain(&mut self, chain: Chain<'_>) -> Result<Vec<Tuple>> {
-        if chain.is_identity() {
-            if let ChainSource::Rows(rows) = chain.source {
-                let out = Arc::try_unwrap(rows).unwrap_or_else(|r| r.as_ref().clone());
-                return Ok(out);
-            }
+    /// Consult the `vexec` fault site `<stage>(<op>)`; the label is built
+    /// only when a hook is armed.
+    fn fault(hook: &Option<FaultHook>, stage: &str, chain: &Chain<'_>) -> Result<()> {
+        match hook
+            .as_ref()
+            .and_then(|h| h(&format!("{stage}({})", chain.top.op.name())))
+        {
+            Some(msg) => Err(ExecError::Injected(msg)),
+            None => Ok(()),
         }
-        let n = chain.source.len();
-        let morsels: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(MORSEL_ROWS)
-            .map(|s| s..(s + MORSEL_ROWS).min(n))
-            .collect();
-        let m = morsels.len();
+    }
+
+    /// Drive one chain over `input`: split it into morsels, run them —
+    /// inline at one worker, else fanned across scoped threads — and
+    /// exchange-merge the survivors in morsel order.
+    fn drive(
+        &mut self,
+        chain: &Chain<'_>,
+        width: usize,
+        input: &Input<'_>,
+        outer: &[Value],
+    ) -> Result<Rel> {
+        let n = input.len();
+        let m = n.div_ceil(MORSEL_ROWS);
+        let mut dest = self.fresh(width);
         if m == 0 {
-            return Ok(Vec::new());
+            return Ok(Rel::Owned(dest));
         }
+        let morsel = |i: usize| i * MORSEL_ROWS..((i + 1) * MORSEL_ROWS).min(n);
         self.stats.morsels_queued += m as u64;
-        if let Some(t) = &self.telemetry {
-            t.add(Metric::VexecQueued, m as u64);
-        }
         let stats = ChainStats {
             ship_bytes: (0..chain.ships).map(|_| Default::default()).collect(),
             ..Default::default()
@@ -744,89 +591,76 @@ impl<'a> VexecExecutor<'a> {
         let workers = self.workers.min(m);
         self.stats.max_workers = self.stats.max_workers.max(workers as u64);
 
-        let next = AtomicUsize::new(0);
-        let poison = AtomicBool::new(false);
-        let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-        let results: Mutex<Vec<Option<Vec<Batch>>>> = Mutex::new((0..m).map(|_| None).collect());
-        let done = AtomicUsize::new(0);
-
-        let worker = || {
-            while !poison.load(Ordering::Acquire) {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= m {
-                    break;
-                }
-                let range = morsels[i].clone();
-                // Contain everything a morsel can do — including fault-hook
-                // panics — so a worker never unwinds across the pool.
-                let r = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Batch>> {
-                    if let Some(hook) = &self.fault_hook {
-                        if let Some(msg) = hook(&format!("morsel({})", chain.name)) {
-                            return Err(ExecError::Injected(msg));
-                        }
-                    }
-                    chain.run_morsel(range, &stats)
-                }));
-                match r {
-                    Ok(Ok(batches)) => {
-                        if let Ok(mut slots) = results.lock() {
-                            slots[i] = Some(batches);
-                        }
-                        done.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &self.telemetry {
-                            t.add(Metric::VexecMorsels, 1);
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        let mut err = first_err.lock().unwrap_or_else(|p| p.into_inner());
-                        if err.is_none() {
-                            *err = Some(e);
-                        }
-                        poison.store(true, Ordering::Release);
-                    }
-                    Err(payload) => {
-                        let msg = panic_msg(payload);
-                        let mut err = first_err.lock().unwrap_or_else(|p| p.into_inner());
-                        if err.is_none() {
-                            *err = Some(ExecError::Panicked(msg));
-                        }
-                        poison.store(true, Ordering::Release);
-                    }
-                }
-            }
-        };
-
         if workers <= 1 {
-            worker();
+            let mut scratch = self.scratch.pop().unwrap_or_default();
+            let hook = &self.fault_hook;
+            let run = (0..m).try_for_each(|i| -> Result<()> {
+                Self::fault(hook, "morsel", chain)?;
+                chain.run_morsel(input, morsel(i), outer, &stats, &mut scratch, &mut dest)?;
+                self.stats.morsels += 1;
+                Ok(())
+            });
+            self.scratch.push(scratch);
+            run?;
         } else {
+            let next = AtomicUsize::new(0);
+            let poison = AtomicBool::new(false);
+            let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
+            let results: Mutex<Vec<Option<Batch>>> = Mutex::new((0..m).map(|_| None).collect());
+            let hook = &self.fault_hook;
+            let worker = || {
+                let mut scratch = Scratch::default();
+                while !poison.load(Ordering::Acquire) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= m {
+                        break;
+                    }
+                    // Contain everything a morsel can do — including
+                    // fault-hook panics — so a worker never unwinds across
+                    // the pool.
+                    let r = catch_unwind(AssertUnwindSafe(|| -> Result<Batch> {
+                        Self::fault(hook, "morsel", chain)?;
+                        let mut part = Batch::new(width);
+                        let range = morsel(i);
+                        chain.run_morsel(input, range, outer, &stats, &mut scratch, &mut part)?;
+                        Ok(part)
+                    }));
+                    let err = match r {
+                        Ok(Ok(part)) => {
+                            if let Ok(mut slots) = results.lock() {
+                                slots[i] = Some(part);
+                            }
+                            continue;
+                        }
+                        Ok(Err(e)) => e,
+                        Err(payload) => ExecError::Panicked(panic_msg(payload)),
+                    };
+                    first_err
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .get_or_insert(err);
+                    poison.store(true, Ordering::Release);
+                }
+            };
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(worker);
                 }
             });
-        }
-
-        self.stats.morsels += done.load(Ordering::Relaxed) as u64;
-        if let Some(e) = first_err.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            return Err(e);
-        }
-        // Exchange: deterministic merge in morsel order.
-        if let Some(hook) = &self.fault_hook {
-            if let Some(msg) = hook(&format!("exchange({})", chain.name)) {
-                return Err(ExecError::Injected(msg));
+            if let Some(e) = first_err.lock().unwrap_or_else(|p| p.into_inner()).take() {
+                return Err(e);
+            }
+            // Exchange: deterministic merge in morsel order.
+            for slot in std::mem::take(&mut *results.lock().unwrap_or_else(|p| p.into_inner())) {
+                let mut part = slot.ok_or_else(|| {
+                    ExecError::BadPlan("vexec exchange missing a morsel result".into())
+                })?;
+                dest.append_live(&mut part);
+                self.stats.morsels += 1;
             }
         }
-        let slots = std::mem::take(&mut *results.lock().unwrap_or_else(|p| p.into_inner()));
-        let mut out: Vec<Tuple> = Vec::new();
-        for slot in slots {
-            let batches = slot.ok_or_else(|| {
-                ExecError::BadPlan("vexec exchange missing a morsel result".into())
-            })?;
-            for b in &batches {
-                b.gather_into(&mut out);
-            }
-        }
-        self.stats.rows += out.len() as u64;
+        Self::fault(&self.fault_hook, "exchange", chain)?;
+        self.stats.rows += dest.rows as u64;
         self.stats.batches += stats.batches.load(Ordering::Relaxed);
         self.stats.tuples_fetched += stats.tuples_fetched.load(Ordering::Relaxed);
         self.stats.pages_read += stats.pages_read.load(Ordering::Relaxed);
@@ -835,91 +669,99 @@ impl<'a> VexecExecutor<'a> {
             self.stats.bytes_shipped += bytes;
             self.stats.msgs += (bytes / 4096).max(1);
         }
-        if let Some(t) = &self.telemetry {
-            t.add(Metric::VexecBatches, stats.batches.load(Ordering::Relaxed));
-            t.add(Metric::VexecRows, out.len() as u64);
-        }
-        Ok(out)
+        Ok(Rel::Owned(dest))
     }
 }
 
-/// Row view over a bare tuple whose layout IS the schema order.
-struct TupleRow<'a>(&'a Tuple);
-
-impl VRow for TupleRow<'_> {
-    #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        self.0.get(slot)
-    }
+/// A row's hash-join key, or `None` if any part is NULL (NULL keys never
+/// match).
+fn hash_key<'k>(
+    exprs: impl Iterator<Item = &'k CExpr>,
+    rel: &Batch,
+    row: usize,
+    scope: &[Value],
+) -> Result<Option<Vec<Value>>> {
+    let values = exprs.map(|e| e.eval_owned(&rel.row(row), scope));
+    let key = values.collect::<Result<Vec<_>>>()?;
+    Ok((!key.iter().any(Value::is_null)).then_some(key))
 }
 
-/// Two-sided candidate row for merge joins (both sides materialized).
-struct PairRow<'a> {
-    combine: &'a [CombineSlot],
-    outer: &'a Tuple,
-    inner: &'a Tuple,
+/// The key columns `slots` of a relation, in key order.
+fn key_cols(rel: &Batch, slots: impl Iterator<Item = usize>) -> Vec<&[Value]> {
+    slots.map(|k| rel.cols[k].as_slice()).collect()
 }
 
-const NULL_VALUE: Value = Value::Null;
-
-impl VRow for PairRow<'_> {
-    #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        match self.combine[slot] {
-            CombineSlot::Outer(i) => self.outer.get(i),
-            CombineSlot::Inner(i) => self.inner.get(i),
-            CombineSlot::Null => &NULL_VALUE,
+/// Compare row `i` of one relation with row `j` of another (or the same) on
+/// their paired key columns, in place.
+#[inline]
+fn cmp_rows(a: &[&[Value]], i: usize, b: &[&[Value]], j: usize) -> Cmp {
+    for (ca, cb) in a.iter().zip(b) {
+        match ca[i].cmp(&cb[j]) {
+            Cmp::Equal => {}
+            unequal => return unequal,
         }
     }
+    Cmp::Equal
 }
 
-/// Slot plan for a scan emit: base column position or the TID pseudo-column.
-fn scan_slots(schema: &[QCol]) -> Vec<SrcSlot> {
-    schema
-        .iter()
-        .map(|c| {
-            if c.col.is_tid() {
-                SrcSlot::Tid
-            } else {
-                SrcSlot::Base(c.col.0 as usize)
+/// `rel`'s row numbers in `key` order. Stable, like the serial engine's
+/// `sort_by`: rows with equal keys keep their source order.
+fn sorted_rows(rel: &Batch, key: &[usize]) -> Vec<u32> {
+    // One all-integer key column (the usual merge key): sort (key, row)
+    // pairs by value — the row number breaks ties, which *is* stable order.
+    if let [k] = key {
+        let pairs = rel.cols[*k].iter().zip(0u32..).map(|(v, row)| match v {
+            Value::Int(x) => Some((*x, row)),
+            _ => None,
+        });
+        if let Some(mut pairs) = pairs.collect::<Option<Vec<_>>>() {
+            pairs.sort_unstable();
+            return pairs.into_iter().map(|(_, row)| row).collect();
+        }
+    }
+    let mut perm: Vec<u32> = (0..rel.rows as u32).collect();
+    let cols = key_cols(rel, key.iter().copied());
+    perm.sort_by(|a, b| cmp_rows(&cols, *a as usize, &cols, *b as usize));
+    perm
+}
+
+/// JOIN(MG) over two relations sorted on the paired `keys`: advance both
+/// cursors comparing key slots in place, and for each pair of equal-key
+/// runs emit the run product, outer-major, through `combine` — whose
+/// join ∪ residual predicates decide (so NULL keys, which compare equal,
+/// never match).
+fn merge(
+    outer: &Batch,
+    inner: &Batch,
+    keys: &[(usize, usize)],
+    combine: &Combine,
+    scope: &[Value],
+) -> Result<Vec<(u32, u32)>> {
+    let mut out = Vec::new();
+    let ok = key_cols(outer, keys.iter().map(|(o, _)| *o));
+    let ik = key_cols(inner, keys.iter().map(|(_, i)| *i));
+    let (mut a, mut b) = (0usize, 0usize);
+    while a < outer.rows && b < inner.rows {
+        match cmp_rows(&ok, a, &ik, b) {
+            Cmp::Less => a += 1,
+            Cmp::Greater => b += 1,
+            Cmp::Equal => {
+                let mut a_end = a + 1;
+                while a_end < outer.rows && cmp_rows(&ok, a_end, &ok, a).is_eq() {
+                    a_end += 1;
+                }
+                let mut b_end = b + 1;
+                while b_end < inner.rows && cmp_rows(&ik, b_end, &ik, b).is_eq() {
+                    b_end += 1;
+                }
+                for o in a..a_end {
+                    for i in b..b_end {
+                        combine.admit((outer, o), (inner, i), scope, &mut out)?;
+                    }
+                }
+                (a, b) = (a_end, b_end);
             }
-        })
-        .collect()
-}
-
-/// Positions of `schema`'s columns within `in_schema` (errors exactly like
-/// serial projection on a missing column).
-fn projection_map(in_schema: &[QCol], schema: &[QCol]) -> Result<Vec<usize>> {
-    schema
-        .iter()
-        .map(|c| position(in_schema, *c).ok_or_else(|| ExecError::UnboundColumn(c.to_string())))
-        .collect()
-}
-
-/// Combine plan for a join output row.
-fn combine_slots(out_schema: &[QCol], o_schema: &[QCol], i_schema: &[QCol]) -> Vec<CombineSlot> {
-    out_schema
-        .iter()
-        .map(|c| {
-            if let Some(p) = position(o_schema, *c) {
-                CombineSlot::Outer(p)
-            } else if let Some(p) = position(i_schema, *c) {
-                CombineSlot::Inner(p)
-            } else {
-                CombineSlot::Null
-            }
-        })
-        .collect()
-}
-
-/// Checked input access with the serial engine's exact error text.
-fn input(node: &PlanNode, i: usize) -> Result<&PlanRef> {
-    node.inputs.get(i).ok_or_else(|| {
-        ExecError::BadPlan(format!(
-            "{} requires input #{} but the node has {}",
-            node.op.name(),
-            i + 1,
-            node.inputs.len()
-        ))
-    })
+        }
+    }
+    Ok(out)
 }

@@ -3,14 +3,20 @@
 //! The serial interpreter resolves every column reference per row via
 //! `RowView` (binary search over the schema, then a bindings map). vexec
 //! compiles each expression ONCE against the stream schema it will run on:
-//! column references become slot indices, unresolvable references become
-//! [`CExpr::Unbound`] nodes that error only if actually evaluated — which
-//! preserves the serial engine's OR-arm short-circuit semantics (an unbound
-//! arm after a true arm is never touched).
+//! column references become slot indices, references to the columns of an
+//! enclosing nested-loop outer become [`CExpr::Outer`] slots into the
+//! executor's binding vector (sideways information passing without a map),
+//! and unresolvable references become [`CExpr::Unbound`] nodes that error
+//! only if actually evaluated — which preserves the serial engine's OR-arm
+//! short-circuit semantics (an unbound arm after a true arm is never
+//! touched).
 //!
 //! Evaluation semantics are copied from `starqo_exec::scalar` verbatim:
 //! wrapping integer add/sub/mul, division (and any non-int pair) widening to
 //! doubles, NULL poisoning arithmetic, and NULL failing every comparison.
+
+use std::cell::Cell;
+use std::cmp::Ordering as Cmp;
 
 use starqo_catalog::Value;
 use starqo_exec::{ExecError, Result};
@@ -38,6 +44,43 @@ impl VRow for BatchRow<'_> {
     }
 }
 
+/// The columns bound by the enclosing correlated nested-loop joins while a
+/// subtree is compiled, innermost join last — the compile-time mirror of the
+/// executor's binding vector. A reference resolves to the *latest* binding
+/// of its column (the serial engine's map insert overwrites) and marks the
+/// slot used, so the join re-binds only what its inner actually reads.
+#[derive(Default)]
+pub(crate) struct Scope {
+    cols: Vec<QCol>,
+    used: Vec<Cell<bool>>,
+}
+
+impl Scope {
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    pub fn push(&mut self, cols: &[QCol]) {
+        self.cols.extend_from_slice(cols);
+        self.used.resize(self.cols.len(), Cell::new(false));
+    }
+
+    pub fn truncate(&mut self, len: usize) {
+        self.cols.truncate(len);
+        self.used.truncate(len);
+    }
+
+    pub fn is_used(&self, slot: usize) -> bool {
+        self.used[slot].get()
+    }
+
+    fn resolve(&self, c: QCol) -> Option<usize> {
+        let slot = self.cols.iter().rposition(|x| *x == c)?;
+        self.used[slot].set(true);
+        Some(slot)
+    }
+}
+
 /// Borrowed or computed value (avoids cloning for bare-column operands).
 pub(crate) enum CowVal<'a> {
     Ref(&'a Value),
@@ -54,42 +97,68 @@ impl CowVal<'_> {
     }
 }
 
-/// A scalar expression compiled against a fixed stream schema.
+/// A scalar expression compiled against a fixed stream schema and scope.
 #[derive(Debug, Clone)]
 pub(crate) enum CExpr {
     /// Resolved column: slot index in the stream schema.
     Col(usize),
-    /// Column absent from the schema; errors if (and only if) evaluated.
+    /// Column of an enclosing nested-loop outer: slot in the binding vector.
+    Outer(usize),
+    /// Column absent from schema and scope; errors if (and only if) evaluated.
     Unbound(QCol),
     Const(Value),
     Arith(ArithOp, Box<CExpr>, Box<CExpr>),
 }
 
 impl CExpr {
-    pub fn compile(s: &Scalar, schema: &[QCol]) -> CExpr {
+    pub fn compile(s: &Scalar, schema: &[QCol], scope: &Scope) -> CExpr {
         match s {
             Scalar::Col(c) => match schema.binary_search(c) {
                 Ok(i) => CExpr::Col(i),
-                Err(_) => CExpr::Unbound(*c),
+                Err(_) => scope.resolve(*c).map_or(CExpr::Unbound(*c), CExpr::Outer),
             },
             Scalar::Const(v) => CExpr::Const(v.clone()),
             Scalar::Arith(op, l, r) => CExpr::Arith(
                 *op,
-                Box::new(CExpr::compile(l, schema)),
-                Box::new(CExpr::compile(r, schema)),
+                Box::new(CExpr::compile(l, schema, scope)),
+                Box::new(CExpr::compile(r, schema, scope)),
             ),
         }
     }
 
-    /// Evaluate to an owned value (used for join keys).
-    pub fn eval_owned<R: VRow>(&self, row: &R) -> Result<Value> {
+    /// True when evaluation can never raise `UnboundColumn`.
+    pub fn is_bound(&self) -> bool {
+        match self {
+            CExpr::Unbound(_) => false,
+            CExpr::Arith(_, l, r) => l.is_bound() && r.is_bound(),
+            _ => true,
+        }
+    }
+
+    /// Re-address row slots (`Col(i)` becomes `Col(map[i])`): lets a program
+    /// compiled against an operator's output schema read its *source*
+    /// layout directly, with no per-access slot translation.
+    fn remap(&mut self, map: &[usize]) {
+        match self {
+            CExpr::Col(i) => *i = map[*i],
+            CExpr::Arith(_, l, r) => {
+                l.remap(map);
+                r.remap(map);
+            }
+            _ => {}
+        }
+    }
+
+    /// Evaluate to an owned value (join keys, index-probe prefixes).
+    pub fn eval_owned<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<Value> {
         match self {
             CExpr::Col(i) => Ok(row.slot(*i).clone()),
+            CExpr::Outer(i) => Ok(outer[*i].clone()),
             CExpr::Unbound(c) => Err(ExecError::UnboundColumn(c.to_string())),
             CExpr::Const(v) => Ok(v.clone()),
             CExpr::Arith(op, l, r) => {
-                let lv = l.eval_owned(row)?;
-                let rv = r.eval_owned(row)?;
+                let lv = l.eval_owned(row, outer)?;
+                let rv = r.eval_owned(row, outer)?;
                 match (&lv, &rv, op) {
                     (Value::Int(a), Value::Int(b), ArithOp::Add) => {
                         Ok(Value::Int(a.wrapping_add(*b)))
@@ -111,12 +180,13 @@ impl CExpr {
 
     /// Evaluate, borrowing when the expression is a bare column or constant.
     #[inline]
-    pub fn eval_ref<'a, R: VRow>(&'a self, row: &'a R) -> Result<CowVal<'a>> {
+    pub fn eval_ref<'a, R: VRow>(&'a self, row: &'a R, outer: &'a [Value]) -> Result<CowVal<'a>> {
         match self {
             CExpr::Col(i) => Ok(CowVal::Ref(row.slot(*i))),
+            CExpr::Outer(i) => Ok(CowVal::Ref(&outer[*i])),
             CExpr::Const(v) => Ok(CowVal::Ref(v)),
             CExpr::Unbound(c) => Err(ExecError::UnboundColumn(c.to_string())),
-            CExpr::Arith(..) => Ok(CowVal::Own(self.eval_owned(row)?)),
+            CExpr::Arith(..) => Ok(CowVal::Own(self.eval_owned(row, outer)?)),
         }
     }
 }
@@ -134,11 +204,11 @@ pub(crate) enum CPred {
 }
 
 impl CPred {
-    pub fn compile(e: &PredExpr, schema: &[QCol]) -> CPred {
+    pub fn compile(e: &PredExpr, schema: &[QCol], scope: &Scope) -> CPred {
         match e {
             PredExpr::Cmp(op, l, r) => {
-                let cl = CExpr::compile(l, schema);
-                let cr = CExpr::compile(r, schema);
+                let cl = CExpr::compile(l, schema, scope);
+                let cr = CExpr::compile(r, schema, scope);
                 match (cl, cr) {
                     (CExpr::Col(i), CExpr::Const(v)) if !v.is_null() => CPred::ColConst(*op, i, v),
                     (CExpr::Const(v), CExpr::Col(i)) if !v.is_null() => {
@@ -147,15 +217,28 @@ impl CPred {
                     (cl, cr) => CPred::Cmp(*op, cl, cr),
                 }
             }
-            PredExpr::Or(arms) => {
-                CPred::Or(arms.iter().map(|a| CPred::compile(a, schema)).collect())
+            PredExpr::Or(arms) => CPred::Or(
+                arms.iter()
+                    .map(|a| CPred::compile(a, schema, scope))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn remap(&mut self, map: &[usize]) {
+        match self {
+            CPred::Cmp(_, l, r) => {
+                l.remap(map);
+                r.remap(map);
             }
+            CPred::ColConst(_, i, _) => *i = map[*i],
+            CPred::Or(arms) => arms.iter_mut().for_each(|a| a.remap(map)),
         }
     }
 
     /// NULL comparisons are false; OR short-circuits left to right.
     #[inline]
-    pub fn eval<R: VRow>(&self, row: &R) -> Result<bool> {
+    pub fn eval<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<bool> {
         match self {
             CPred::ColConst(op, slot, v) => {
                 let lv = row.slot(*slot);
@@ -165,8 +248,8 @@ impl CPred {
                 Ok(op.eval(lv.cmp(v)))
             }
             CPred::Cmp(op, l, r) => {
-                let lv = l.eval_ref(row)?;
-                let rv = r.eval_ref(row)?;
+                let lv = l.eval_ref(row, outer)?;
+                let rv = r.eval_ref(row, outer)?;
                 let (lv, rv) = (lv.get(), rv.get());
                 if lv.is_null() || rv.is_null() {
                     return Ok(false);
@@ -175,7 +258,7 @@ impl CPred {
             }
             CPred::Or(arms) => {
                 for a in arms {
-                    if a.eval(row)? {
+                    if a.eval(row, outer)? {
                         return Ok(true);
                     }
                 }
@@ -194,13 +277,19 @@ pub(crate) struct PredProg {
 }
 
 impl PredProg {
-    pub fn compile(query: &Query, preds: PredSet, schema: &[QCol]) -> PredProg {
+    pub fn compile(query: &Query, preds: PredSet, schema: &[QCol], scope: &Scope) -> PredProg {
         PredProg {
             preds: preds
                 .iter()
-                .map(|p| CPred::compile(&query.pred(p).expr, schema))
+                .map(|p| CPred::compile(&query.pred(p).expr, schema, scope))
                 .collect(),
         }
+    }
+
+    /// [`CExpr::remap`] over every predicate.
+    pub fn remapped(mut self, map: &[usize]) -> PredProg {
+        self.preds.iter_mut().for_each(|p| p.remap(map));
+        self
     }
 
     pub fn is_empty(&self) -> bool {
@@ -210,44 +299,63 @@ impl PredProg {
     /// Row-at-a-time conjunction (used on candidate rows before they are
     /// gathered into a batch).
     #[inline]
-    pub fn eval_row<R: VRow>(&self, row: &R) -> Result<bool> {
+    pub fn eval_row<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<bool> {
         for p in &self.preds {
-            if !p.eval(row)? {
+            if !p.eval(row, outer)? {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
-    /// Vectorized filter: refine the batch's selection vector in place,
-    /// predicate-at-a-time over the shrinking survivor set. Later predicates
-    /// see only earlier survivors — exactly the rows the serial engine's
-    /// per-row short circuit would have evaluated them on.
-    pub fn filter(&self, batch: &mut Batch) -> Result<()> {
+    /// Refine a selection vector in place, predicate-at-a-time over the
+    /// shrinking survivor set; `row_at` borrows the row a selection index
+    /// names. Later predicates see only earlier survivors — exactly the
+    /// rows the serial engine's per-row short circuit would have evaluated
+    /// them on.
+    pub fn refine<R: VRow>(
+        &self,
+        sel: &mut Vec<u32>,
+        row_at: impl Fn(u32) -> R,
+        outer: &[Value],
+    ) -> Result<()> {
+        for p in &self.preds {
+            let mut kept = 0;
+            if let CPred::ColConst(op, slot, Value::Int(c)) = p {
+                // Integer column vs constant: the operator is decided once,
+                // the loop body is a compare and a branch-free append.
+                let pass = [Cmp::Less, Cmp::Equal, Cmp::Greater].map(|o| op.eval(o));
+                for k in 0..sel.len() {
+                    let keep = match row_at(sel[k]).slot(*slot) {
+                        Value::Int(x) => pass[(x.cmp(c) as i8 + 1) as usize],
+                        _ => p.eval(&row_at(sel[k]), outer)?,
+                    };
+                    sel[kept] = sel[k];
+                    kept += keep as usize;
+                }
+            } else {
+                for k in 0..sel.len() {
+                    let keep = p.eval(&row_at(sel[k]), outer)?;
+                    sel[kept] = sel[k];
+                    kept += keep as usize;
+                }
+            }
+            sel.truncate(kept);
+        }
+        Ok(())
+    }
+
+    /// Vectorized filter: refine the batch's selection vector in place.
+    pub fn filter(&self, batch: &mut Batch, outer: &[Value]) -> Result<()> {
         if self.preds.is_empty() {
             return Ok(());
         }
-        let mut current: Vec<u32> = match batch.sel.take() {
+        let mut sel: Vec<u32> = match batch.sel.take() {
             Some(s) => s,
             None => (0..batch.rows as u32).collect(),
         };
-        for p in &self.preds {
-            if current.is_empty() {
-                break;
-            }
-            let mut next = Vec::with_capacity(current.len());
-            for &i in &current {
-                let row = BatchRow {
-                    cols: &batch.cols,
-                    row: i as usize,
-                };
-                if p.eval(&row)? {
-                    next.push(i);
-                }
-            }
-            current = next;
-        }
-        batch.sel = Some(current);
+        self.refine(&mut sel, |i| batch.row(i as usize), outer)?;
+        batch.sel = Some(sel);
         Ok(())
     }
 }
@@ -280,8 +388,9 @@ mod tests {
                 Box::new(Scalar::col(QId(0), ColId(1))),
             ),
             &s,
+            &Scope::default(),
         );
-        assert_eq!(add.eval_owned(&row).unwrap(), Value::Int(9));
+        assert_eq!(add.eval_owned(&row, &[]).unwrap(), Value::Int(9));
         let div = CExpr::compile(
             &Scalar::Arith(
                 ArithOp::Div,
@@ -289,17 +398,18 @@ mod tests {
                 Box::new(Scalar::col(QId(0), ColId(1))),
             ),
             &s,
+            &Scope::default(),
         );
-        assert_eq!(div.eval_owned(&row).unwrap(), Value::Double(3.5));
+        assert_eq!(div.eval_owned(&row, &[]).unwrap(), Value::Double(3.5));
         // NULL poisons arithmetic, and NULL fails comparisons.
         let null_row = OneRow(vec![Value::Null, Value::Int(2)]);
-        assert_eq!(add.eval_owned(&null_row).unwrap(), Value::Null);
+        assert_eq!(add.eval_owned(&null_row, &[]).unwrap(), Value::Null);
         let eq_self = CPred::Cmp(
             CmpOp::Eq,
-            CExpr::compile(&Scalar::col(QId(0), ColId(0)), &s),
-            CExpr::compile(&Scalar::col(QId(0), ColId(0)), &s),
+            CExpr::compile(&Scalar::col(QId(0), ColId(0)), &s, &Scope::default()),
+            CExpr::compile(&Scalar::col(QId(0), ColId(0)), &s, &Scope::default()),
         );
-        assert!(!eq_self.eval(&null_row).unwrap());
+        assert!(!eq_self.eval(&null_row, &[]).unwrap());
     }
 
     #[test]
@@ -321,10 +431,11 @@ mod tests {
                 ),
             ]),
             &s,
+            &Scope::default(),
         );
-        assert!(or.eval(&row).unwrap());
+        assert!(or.eval(&row, &[]).unwrap());
         let row2 = OneRow(vec![Value::Int(9), Value::Int(2)]);
-        assert!(or.eval(&row2).is_err()); // first arm false → second arm errors
+        assert!(or.eval(&row2, &[]).is_err()); // first arm false → second arm errors
     }
 
     #[test]
@@ -332,19 +443,19 @@ mod tests {
         let s = schema();
         let mut b = Batch::new(2);
         for v in 0..6 {
-            b.push_value(0, Value::Int(v));
-            b.push_value(1, Value::Int(v % 2));
-            b.commit_row();
+            b.cols[0].push(Value::Int(v));
+            b.cols[1].push(Value::Int(v % 2));
+            b.rows += 1;
         }
         b.sel = Some(vec![0, 2, 3, 4, 5]); // row 1 pre-filtered
         let prog = PredProg {
             preds: vec![CPred::Cmp(
                 CmpOp::Eq,
-                CExpr::compile(&Scalar::col(QId(0), ColId(1)), &s),
+                CExpr::compile(&Scalar::col(QId(0), ColId(1)), &s, &Scope::default()),
                 CExpr::Const(Value::Int(1)),
             )],
         };
-        prog.filter(&mut b).unwrap();
+        prog.filter(&mut b, &[]).unwrap();
         assert_eq!(b.sel, Some(vec![3, 5]));
     }
 }

@@ -1,39 +1,45 @@
 //! # starqo-vexec
 //!
-//! A vectorized batch executor for LOLEPOP plans, with morsel-driven
-//! parallelism.
+//! The vectorized batch executor for LOLEPOP plans — the engine
+//! `starqo-serve` runs every request on.
 //!
 //! The serial interpreter in `starqo-exec` is the semantic *oracle*: it
 //! materializes each operator row-at-a-time, resolving every column through
 //! a schema binary search and re-evaluating nested-loop inners per outer
-//! tuple. This crate compiles the same plans into *pipelines* of fused
-//! batch operators:
+//! tuple under a cloned bindings map. This crate compiles the same plans,
+//! once per run ([`plan`]), into fused chains and native pipeline breakers:
 //!
-//! - tuples flow as columnar [`batch::Batch`]es of up to
-//!   [`batch::BATCH_ROWS`] rows with selection vectors — filters refine the
-//!   selection, data moves only when survivors are gathered;
-//! - scalar and predicate expressions are compiled once per pipeline
-//!   against its stream schema ([`expr`]) instead of resolved per row;
-//! - heap/B-tree scans, index entry streams, and temp re-accesses are split
-//!   into [`exec::MORSEL_ROWS`]-row *morsels* claimed by a worker pool;
-//!   exchanges reassemble worker output in morsel order, so results are
-//!   deterministic regardless of scheduling;
-//! - pipeline breakers (SORT, STORE/BUILD_INDEX, join builds, UNION) reuse
-//!   the serial engine's structure — including its temp/index caches — so
-//!   resource accounting and row order match.
+//! - tuples flow as columnar [`batch::Batch`]es — up to
+//!   [`batch::BATCH_ROWS`] rows with selection vectors inside a chain, one
+//!   compact relation across a breaker — and never as row vectors; the only
+//!   per-row allocation is the result row itself;
+//! - scalar and predicate expressions are compiled against the stream
+//!   schema they run on ([`expr`]); references to an enclosing nested-loop
+//!   outer become slots of a binding vector, so a correlated inner is
+//!   compiled once and *re-run* per outer row;
+//! - SORT permutes row numbers (stably) and gathers once; merge join
+//!   compares key slots in place; temps, cached SORT output and dynamic
+//!   indexes are shared by reference, built exactly once (§4.5.2);
+//! - heap/B-tree scans, index TID streams and temp re-accesses ([`chain`])
+//!   split into [`exec::MORSEL_ROWS`]-row *morsels*: run inline at one
+//!   worker, or claimed by scoped threads and reassembled in morsel order,
+//!   so results are deterministic regardless of scheduling.
 //!
 //! ## The oracle guarantee
 //!
-//! For every plan [`supports`] accepts, [`VexecExecutor::run`] returns a
-//! `QueryResult` **identical** to `starqo_exec::Executor::run` — same rows,
-//! same order, same schema — at any worker count, with or without injected
-//! faults (faults surface as the same typed errors). The equivalence
-//! harness in `tests/tests/vexec.rs` and experiment E23 enforce this.
+//! For every plan without extension operators ([`supports`]),
+//! [`VexecExecutor::run`] returns a `QueryResult` **identical** to
+//! `starqo_exec::Executor::run` — same rows, same order, same schema — at
+//! any worker count, with or without injected faults (faults surface as the
+//! same typed errors), and counts the same rows, temps, indexes and probes.
+//! The equivalence harness in `tests/tests/vexec.rs` and experiment E23
+//! enforce this.
 
 pub mod batch;
 pub mod chain;
 pub mod exec;
 pub mod expr;
+pub mod plan;
 
 pub use batch::{Batch, BATCH_ROWS};
 pub use exec::{supports, VexecExecutor, VexecStats, MORSEL_ROWS};

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use starqo_core::{Budget, OptConfig, Optimizer};
-use starqo_exec::{ExecError, Executor, QueryResult};
-use starqo_plan::PlanRef;
+use starqo_exec::{is_correlated, ExecError, Executor, QueryResult};
+use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::Query;
 use starqo_storage::Database;
 use starqo_vexec::{supports, VexecExecutor, VexecStats, MORSEL_ROWS};
@@ -54,9 +54,11 @@ fn rand_config(rng: &mut Rng64) -> OptConfig {
 /// results are bit-identical (order included) and that the vexec batch
 /// counters do not depend on the worker count. Returns the serial result.
 fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) -> QueryResult {
-    let want = Executor::new(db, query)
+    let mut serial = Executor::new(db, query);
+    let want = serial
         .run(plan)
         .unwrap_or_else(|e| panic!("{ctx}: serial executor failed: {e}"));
+    let oracle = *serial.stats();
     let mut stats_at: Option<VexecStats> = None;
     for &w in &WORKER_COUNTS {
         let mut vx = VexecExecutor::new(db, query);
@@ -71,6 +73,27 @@ fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) ->
             plan.op_names()
         );
         let mut s = *vx.stats();
+        // The counters the service and the feedback plane read must not
+        // notice which engine ran.
+        assert_eq!(
+            (
+                s.rows_out,
+                s.pipeline_rows,
+                s.temps_built,
+                s.indexes_built,
+                s.probes
+            ),
+            (
+                oracle.rows_out,
+                oracle.pipeline_rows,
+                oracle.temps_built,
+                oracle.indexes_built,
+                oracle.probes
+            ),
+            "{ctx}: vexec({w} workers) rows_out/pipeline_rows/temps/indexes/probes \
+             diverged from serial on {:?}",
+            plan.op_names()
+        );
         // Worker-count bookkeeping may legitimately differ; everything
         // else (batches, morsels, rows, I/O accounting) must not.
         s.max_workers = 0;
@@ -85,12 +108,12 @@ fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) ->
     want
 }
 
-/// Every supported optimizer alternative — across shapes, sites, storage
-/// kinds, and feature toggles — matches the serial oracle exactly at
-/// 1, 2, and 8 workers.
+/// Every optimizer alternative — across shapes, sites, storage kinds, and
+/// feature toggles, correlated nested-loop inners included — is supported
+/// and matches the serial oracle exactly at 1, 2, and 8 workers.
 #[test]
 fn vexec_matches_serial_on_random_fleet() {
-    let mut supported = 0usize;
+    let mut correlated = 0usize;
     let mut total = 0usize;
     for seed in 0..24u64 {
         let mut rng = Rng64::new(seed.wrapping_mul(0x5851F42D4C957F2D));
@@ -117,21 +140,30 @@ fn vexec_matches_serial_on_random_fleet() {
             .chain(std::iter::once(&out.best))
         {
             total += 1;
-            if supports(plan, &query).is_err() {
-                continue;
-            }
-            supported += 1;
+            assert_eq!(supports(plan, &query), Ok(()), "seed {seed}: no Ext here");
+            correlated += has_correlated_nl(plan, &query) as usize;
             assert_equivalent(&db, &query, plan, &format!("seed {seed}"));
         }
     }
-    // Correlated NL inners (sideways information passing) fall back to the
-    // serial engine and dominate this fleet; everything else should run
-    // vectorized. Measured support is ~35% of all alternatives; if this
-    // floor regresses, `supports` got too conservative.
+    // Sideways information passing dominates this fleet (~65% of all
+    // alternatives); if it vanishes the harness stopped testing it.
     assert!(
-        supported * 4 >= total && supported >= 100,
-        "vexec supports only {supported}/{total} fleet plans"
+        total >= 300 && correlated * 2 >= total,
+        "fleet has {correlated} correlated-NL plans of {total}"
     );
+}
+
+/// True if some JOIN(NL) in the plan has a correlated inner.
+fn has_correlated_nl(plan: &PlanRef, query: &Query) -> bool {
+    plan.any(&|n| {
+        matches!(
+            n.op,
+            Lolepop::Join {
+                flavor: JoinFlavor::NL,
+                ..
+            }
+        ) && n.inputs.get(1).is_some_and(|i| is_correlated(i, query))
+    })
 }
 
 /// Budget-degraded plans (memo cap forces greedy glue) are still executed
@@ -156,12 +188,10 @@ fn vexec_matches_serial_on_degraded_plans() {
         };
         let out = opt.optimize(&query, &config).unwrap();
         assert!(out.degraded, "seed {seed}: memo cap 2 should degrade");
-        if supports(&out.best, &query).is_ok() {
-            checked += 1;
-            assert_equivalent(&db, &query, &out.best, &format!("degraded seed {seed}"));
-        }
+        checked += 1;
+        assert_equivalent(&db, &query, &out.best, &format!("degraded seed {seed}"));
     }
-    assert!(checked > 0, "no degraded plan was vexec-supported");
+    assert!(checked > 0, "no degraded plan was checked");
 }
 
 /// Selection-vector edges: a local predicate that matches nothing (empty
@@ -191,9 +221,6 @@ fn vexec_handles_empty_and_partial_selections() {
             .iter()
             .chain(std::iter::once(&out.best))
         {
-            if supports(plan, &query).is_err() {
-                continue;
-            }
             let want = assert_equivalent(&db, &query, plan, &format!("param {param:?}"));
             if expect_empty {
                 assert!(want.rows.is_empty(), "param -1 should select nothing");
@@ -230,7 +257,9 @@ fn vexec_survives_morsel_boundaries_mid_duplicate_run() {
         .iter()
         .chain(std::iter::once(&out.best))
     {
-        if supports(plan, &query).is_err() {
+        // The serial oracle re-scans a 9k-row inner per outer row on these;
+        // the fleet and the edge cases cover them at sizes it can afford.
+        if has_correlated_nl(plan, &query) {
             continue;
         }
         saw_hash_join |= plan.op_names().iter().any(|n| n.contains("JOIN(HA)"));
@@ -297,4 +326,322 @@ fn vexec_contains_worker_panics() {
     // A clean executor on the same plan still matches the oracle — the
     // fault runs above poisoned nothing shared.
     assert_equivalent(&db, &query, &plan, "post-chaos");
+}
+
+// ---- targeted cases the fleet cannot guarantee ------------------------
+//
+// Hand-built plans over two small tables, `L(K, V)` and `R(K, W)` (index
+// `RK` on `R.K`), joined on `L.K = R.K`. `V`/`W` are distinct per row, so a
+// result row names exactly which source rows met and in what order.
+
+mod edge {
+    use std::sync::Arc;
+
+    use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value, TID_COL};
+    use starqo_plan::{
+        AccessSpec, ColSet, CostModel, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
+    };
+    use starqo_query::{parse_query, PredId, PredSet, QCol, QId, Query};
+    use starqo_storage::{Database, DatabaseBuilder};
+
+    pub const L: QId = QId(0);
+    pub const R: QId = QId(1);
+    const P_JOIN: PredId = PredId(0);
+    const P_L: PredId = PredId(1);
+    const P_R: PredId = PredId(2);
+
+    pub struct Edge {
+        pub db: Database,
+        pub query: Query,
+        model: CostModel,
+        engine: PropEngine,
+    }
+
+    pub fn qc(q: QId, c: u32) -> QCol {
+        QCol::new(q, ColId(c))
+    }
+
+    fn cols(items: &[QCol]) -> ColSet {
+        items.iter().copied().collect()
+    }
+
+    impl Edge {
+        /// `l`/`r`: the key column of each table, row by row; `V`/`W` are
+        /// the row numbers. Local predicates `L.V >= l_min AND R.W >= r_min`
+        /// let a side be emptied without changing the plan shape.
+        pub fn new(l: &[Value], r: &[Value], l_min: i64, r_min: i64) -> Edge {
+            let cat = Arc::new(
+                Catalog::builder()
+                    .site("s")
+                    .table("L", "s", StorageKind::Heap, l.len() as u64)
+                    .column("K", DataType::Int, None)
+                    .column("V", DataType::Int, None)
+                    .table("R", "s", StorageKind::Heap, r.len() as u64)
+                    .column("K", DataType::Double, None)
+                    .column("W", DataType::Int, None)
+                    .index("RK", "R", &["K"], false, false)
+                    .build()
+                    .unwrap(),
+            );
+            let mut b = DatabaseBuilder::new(cat.clone());
+            for (table, keys) in [("L", l), ("R", r)] {
+                for (i, k) in keys.iter().enumerate() {
+                    b.insert(table, vec![k.clone(), Value::Int(i as i64)])
+                        .unwrap();
+                }
+            }
+            let sql = format!(
+                "SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND L.V >= {l_min} AND R.W >= {r_min}"
+            );
+            Edge {
+                db: b.build().unwrap(),
+                query: parse_query(&cat, &sql).unwrap(),
+                model: CostModel::default(),
+                engine: PropEngine::new(),
+            }
+        }
+
+        fn build(&self, op: Lolepop, inputs: Vec<PlanRef>) -> PlanRef {
+            let ctx = PropCtx::new(self.db.catalog(), &self.query, &self.model);
+            self.engine
+                .build(op, inputs, &ctx)
+                .unwrap_or_else(|e| panic!("edge plan rejected: {e:?}"))
+        }
+
+        fn local(q: QId) -> PredId {
+            if q == L {
+                P_L
+            } else {
+                P_R
+            }
+        }
+
+        /// `ACCESS(heap)` of one side with its local predicate, plus `extra`.
+        pub fn scan(&self, q: QId, extra: PredSet) -> PlanRef {
+            self.build(
+                Lolepop::Access {
+                    spec: AccessSpec::HeapTable(q),
+                    cols: cols(&[qc(q, 0), qc(q, 1)]),
+                    preds: PredSet::single(Self::local(q)).union(extra),
+                },
+                vec![],
+            )
+        }
+
+        pub fn sorted(&self, q: QId) -> PlanRef {
+            let key = vec![qc(q, 0)];
+            self.build(Lolepop::Sort { key }, vec![self.scan(q, PredSet::EMPTY)])
+        }
+
+        pub fn join(&self, flavor: JoinFlavor, outer: PlanRef, inner: PlanRef) -> PlanRef {
+            self.build(
+                Lolepop::Join {
+                    flavor,
+                    join_preds: PredSet::single(P_JOIN),
+                    residual: PredSet::EMPTY,
+                },
+                vec![outer, inner],
+            )
+        }
+
+        /// Correlated inner: `R` scanned with the join predicate pushed down.
+        pub fn pushed_scan(&self) -> PlanRef {
+            self.scan(R, PredSet::single(P_JOIN))
+        }
+
+        /// Correlated inner over a STORE'd temp: re-accessed as a heap, or
+        /// probed through a dynamic index on `R.K`.
+        pub fn temp(&self, indexed: bool) -> PlanRef {
+            let store = self.build(Lolepop::Store, vec![self.scan(R, PredSet::EMPTY)]);
+            let key = vec![qc(R, 0)];
+            let (spec, input) = match indexed {
+                true => (
+                    AccessSpec::TempIndex { key: key.clone() },
+                    self.build(Lolepop::BuildIndex { key }, vec![store]),
+                ),
+                false => (AccessSpec::TempHeap, store),
+            };
+            self.build(
+                Lolepop::Access {
+                    spec,
+                    cols: cols(&[qc(R, 0), qc(R, 1)]),
+                    preds: PredSet::single(P_JOIN),
+                },
+                vec![input],
+            )
+        }
+
+        /// Correlated inner: catalog-index probe on `R.K`, then GET.
+        pub fn index_probe(&self) -> PlanRef {
+            let index = self.db.catalog().index_by_name("RK").unwrap().id;
+            let probe = self.build(
+                Lolepop::Access {
+                    spec: AccessSpec::Index { index, q: R },
+                    cols: cols(&[qc(R, 0), QCol::new(R, TID_COL)]),
+                    preds: PredSet::single(P_JOIN),
+                },
+                vec![],
+            );
+            self.build(
+                Lolepop::Get {
+                    q: R,
+                    cols: cols(&[qc(R, 0), qc(R, 1)]),
+                    preds: PredSet::single(P_R),
+                },
+                vec![probe],
+            )
+        }
+
+        /// Every join plan of the fixture: the three flavors, and nested
+        /// loops over each correlated inner.
+        pub fn plans(&self) -> Vec<(&'static str, PlanRef)> {
+            let l = || self.scan(L, PredSet::EMPTY);
+            vec![
+                (
+                    "MG",
+                    self.join(JoinFlavor::MG, self.sorted(L), self.sorted(R)),
+                ),
+                (
+                    "HA",
+                    self.join(JoinFlavor::HA, l(), self.scan(R, PredSet::EMPTY)),
+                ),
+                (
+                    "NL/scan",
+                    self.join(JoinFlavor::NL, l(), self.scan(R, PredSet::EMPTY)),
+                ),
+                (
+                    "NL/pushed",
+                    self.join(JoinFlavor::NL, l(), self.pushed_scan()),
+                ),
+                ("NL/temp", self.join(JoinFlavor::NL, l(), self.temp(false))),
+                (
+                    "NL/temp-index",
+                    self.join(JoinFlavor::NL, l(), self.temp(true)),
+                ),
+                (
+                    "NL/index",
+                    self.join(JoinFlavor::NL, l(), self.index_probe()),
+                ),
+            ]
+        }
+    }
+}
+
+use edge::Edge;
+use starqo_catalog::Value;
+
+fn ints(keys: impl IntoIterator<Item = i64>) -> Vec<Value> {
+    keys.into_iter().map(Value::Int).collect()
+}
+
+/// Check every fixture plan against the oracle; returns the MG result.
+fn check_edge(e: &Edge, ctx: &str) -> QueryResult {
+    let mut mg = None;
+    for (name, plan) in e.plans() {
+        let got = assert_equivalent(&e.db, &e.query, &plan, &format!("{ctx}: {name}"));
+        mg.get_or_insert(got);
+    }
+    mg.expect("fixture has plans")
+}
+
+/// Duplicate sort keys with distinct payloads: SORT must be stable (the
+/// oracle's `sort_by` is), or the merge output order diverges.
+#[test]
+fn vexec_sort_is_stable_on_duplicate_keys() {
+    // Keys descend in runs, so sorting genuinely reorders; payloads tell
+    // equal-key rows apart.
+    let l = ints((0..600).map(|i| 5 - i / 100));
+    let r = ints((0..60).map(|i| 5 - i / 10));
+    let e = Edge::new(&l, &r, 0, 0);
+    let want = check_edge(&e, "stable sort");
+    assert_eq!(want.rows.len(), 600 * 10);
+    // Within one key, outer rows keep source order and so do inner rows.
+    let v = |i: usize| want.rows[i].get(0).clone();
+    let w = |i: usize| want.rows[i].get(1).clone();
+    assert_eq!(
+        (v(0), w(0), w(1)),
+        (Value::Int(500), Value::Int(50), Value::Int(51))
+    );
+    assert_eq!(v(10), Value::Int(501));
+}
+
+/// NULL keys never match (on either side, in any flavor), and an `Int` key
+/// matches the `Double` of the same value — in merge order, hash probe and
+/// index probe alike.
+#[test]
+fn vexec_handles_null_and_cross_type_join_keys() {
+    let l = vec![
+        Value::Int(2),
+        Value::Null,
+        Value::Int(1),
+        Value::Int(3),
+        Value::Null,
+        Value::Int(1),
+    ];
+    let r = vec![
+        Value::Double(1.0),
+        Value::Null,
+        Value::Int(3),
+        Value::Double(2.5),
+        Value::Double(1.0),
+        Value::Null,
+        Value::Int(2),
+    ];
+    let e = Edge::new(&l, &r, 0, 0);
+    let want = check_edge(&e, "null/cross-type");
+    // 1 ⋈ {1.0, 1.0} twice, 2 ⋈ 2, 3 ⋈ 3; NULLs and 2.5 never.
+    assert_eq!(want.rows.len(), 4 + 1 + 1);
+}
+
+/// Duplicate-key runs on BOTH merge sides that straddle the batch boundary
+/// (row 1024 falls mid-run on each side), plus keys only one side has.
+#[test]
+fn vexec_merges_duplicate_runs_across_batch_boundaries() {
+    assert_eq!(starqo_vexec::BATCH_ROWS, 1024);
+    let l = ints((0..1500).map(|i| i / 100)); // run 1000..1100 holds row 1024
+    let r = ints((0..1300).map(|i| 3 + i / 50)); // run 1000..1050 holds row 1024
+    let e = Edge::new(&l, &r, 0, 0);
+    let want = check_edge(&e, "batch boundary");
+    // L keys 0..=14, R keys 3..=28: 12 common keys, 100 × 50 rows each.
+    assert_eq!(want.rows.len(), 12 * 100 * 50);
+}
+
+/// An empty outer never evaluates the inner; an empty inner yields nothing;
+/// both hold for every flavor and every correlated inner.
+#[test]
+fn vexec_handles_empty_outer_and_empty_inner() {
+    let (l, r) = (ints(0..40), ints((0..40).map(|i| i % 8)));
+    for (l_min, r_min, what) in [(1_000, 0, "empty outer"), (0, 1_000, "empty inner")] {
+        let e = Edge::new(&l, &r, l_min, r_min);
+        let want = check_edge(&e, what);
+        assert!(want.rows.is_empty(), "{what} must produce no rows");
+    }
+    // Control: the same plans with neither side emptied do join.
+    let want = check_edge(&Edge::new(&l, &r, 0, 0), "control");
+    assert_eq!(want.rows.len(), 40);
+}
+
+/// Correlated inners re-run per outer row: over a STORE'd temp (built
+/// once), through a dynamic-index probe, and through a catalog-index probe
+/// — including outer rows whose bound key is NULL, which bind no prefix and
+/// fall back to a full scan that the pushed-down predicate then empties.
+#[test]
+fn vexec_reruns_correlated_inners_with_null_bindings() {
+    let l: Vec<Value> = (0..30)
+        .map(|i| match i % 5 {
+            0 => Value::Null,
+            _ => Value::Int(i % 7),
+        })
+        .collect();
+    let r = ints((0..90).map(|i| i % 9));
+    let e = Edge::new(&l, &r, 0, 0);
+    let want = check_edge(&e, "correlated");
+    assert_eq!(want.rows.len(), 24 * 10);
+    // The temp under the re-run inner is materialized exactly once, its
+    // index built once and probed once per outer row (§4.5.2).
+    let (_, plan) = e.plans().swap_remove(5);
+    let mut vx = VexecExecutor::new(&e.db, &e.query);
+    vx.run(&plan).unwrap();
+    let s = vx.stats();
+    assert_eq!((s.temps_built, s.indexes_built, s.probes), (1, 1, 30));
 }
