@@ -28,6 +28,7 @@ use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEven
 use crate::error::{panic_msg, CoreError, Result};
 use crate::faults::{self, FaultPlan};
 use crate::glue;
+use crate::hash::{RunHasher, RunMap, RunSet};
 use crate::natives::{NativeCtx, Natives};
 use crate::optimizer::OptConfig;
 use crate::rules::{Alt, BinOp, Expr, Guard, ReqExpr, RuleSet, StarDef, StarId};
@@ -71,7 +72,7 @@ struct MemoKey {
 
 impl MemoKey {
     fn new(star: StarId, args: Vec<RuleValue>) -> Self {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = RunHasher::default();
         star.hash(&mut h);
         for a in &args {
             a.digest(&mut h);
@@ -159,10 +160,13 @@ pub struct Engine<'a> {
     /// The one property-function context of the run (it caches what it
     /// derives per quantifier).
     ctx: PropCtx<'a>,
-    memo: HashMap<MemoKey, Arc<Vec<PlanRef>>>,
-    pub(crate) glue_cache: HashMap<GlueKey, Arc<Vec<PlanRef>>>,
+    memo: RunMap<MemoKey, Arc<Vec<PlanRef>>>,
+    pub(crate) glue_cache: RunMap<GlueKey, Arc<Vec<PlanRef>>>,
     /// Scratch set of [`Engine::dedup`], reused across calls.
-    seen: HashSet<u64>,
+    seen: RunSet<u64>,
+    /// The STARs the driver and Glue reference, resolved once per run.
+    access_root: Option<StarId>,
+    join_root: Option<StarId>,
     /// Armed fault-injection plan (`native`/`prop` sites), from the config.
     faults: Option<Arc<FaultPlan>>,
     /// Absolute deadline computed from the budget at construction.
@@ -223,9 +227,11 @@ impl<'a> Engine<'a> {
             glue_nanos: 0,
             glue_depth: 0,
             ctx: PropCtx::new(catalog, query, model),
-            memo: HashMap::new(),
-            glue_cache: HashMap::new(),
-            seen: HashSet::new(),
+            memo: RunMap::default(),
+            glue_cache: RunMap::default(),
+            seen: RunSet::default(),
+            access_root: rules.lookup("AccessRoot"),
+            join_root: rules.lookup("JoinRoot"),
             faults: config.faults.clone(),
             deadline: config.budget.deadline.map(|d| Instant::now() + d),
             exhausted: None,
@@ -319,7 +325,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Reference a STAR by name (driver entry point).
+    /// Reference a STAR by name, for callers that have only a name.
     pub fn eval_star_by_name(
         &mut self,
         name: &str,
@@ -332,12 +338,49 @@ impl<'a> Engine<'a> {
         self.eval_star(id, args)
     }
 
+    /// Reference `AccessRoot` for a single-table stream with `preds`
+    /// applied, registering its plans in the plan table.
+    pub(crate) fn access_root(
+        &mut self,
+        tables: QSet,
+        preds: PredSet,
+    ) -> Result<Arc<Vec<PlanRef>>> {
+        let q = tables
+            .as_single()
+            .ok_or_else(|| CoreError::Glue(format!("AccessRoot on multi-table stream {tables}")))?;
+        let args = vec![
+            stream(tables),
+            RuleValue::ColSet(self.query.required_cols(q).clone()),
+            RuleValue::Preds(preds),
+        ];
+        let id = self.access_root;
+        let id = id.ok_or_else(|| self.eval_err("AccessRoot", "no such STAR"))?;
+        self.eval_star(id, args)
+    }
+
+    /// Reference `JoinRoot` for two streams that `preds` newly relate,
+    /// registering its plans in the plan table.
+    pub(crate) fn join_root(
+        &mut self,
+        s1: QSet,
+        s2: QSet,
+        preds: PredSet,
+    ) -> Result<Arc<Vec<PlanRef>>> {
+        let args = vec![stream(s1), stream(s2), RuleValue::Preds(preds)];
+        let id = self.join_root;
+        let id = id.ok_or_else(|| self.eval_err("JoinRoot", "no such STAR"))?;
+        self.eval_star(id, args)
+    }
+
     /// The reference id events emitted right now should attribute to.
     pub(crate) fn cur_ref(&self) -> u64 {
         self.ref_stack.last().copied().unwrap_or(0)
     }
 
-    /// Reference a STAR: expand its alternative definitions.
+    /// Reference a STAR: expand its alternative definitions. What a fresh
+    /// expansion of `AccessRoot`/`JoinRoot` produces goes into the plan
+    /// table, whoever referenced it (driver, Glue or a rule); a memo hit
+    /// registers nothing — the expansion it answers from already did.
     pub fn eval_star(&mut self, id: StarId, args: Vec<RuleValue>) -> Result<Arc<Vec<PlanRef>>> {
         self.stats.star_refs += 1;
         self.check_deadline();
@@ -419,6 +462,11 @@ impl<'a> Engine<'a> {
             }
             _ => {
                 self.memo.insert(key, plans.clone());
+            }
+        }
+        if Some(id) == self.access_root || Some(id) == self.join_root {
+            for p in plans.iter() {
+                self.table.insert(p.clone());
             }
         }
         Ok(plans)

@@ -6,10 +6,28 @@
 //! > generated earlier, until all tables have been joined.
 //!
 //! "What constitutes a joinable pair of streams depends upon a compile-time
-//! parameter": the default prefers pairs linked by an eligible join
-//! predicate (as in System R and R\*); `OptConfig::cartesian` additionally
-//! considers Cartesian products between two streams of small estimated
-//! cardinality. Composite inners (bushy plans) are likewise gated by
+//! parameter". At level *k* (the *k*-table subsets) a pair of streams is
+//! joinable when both already hold plans and an eligible join predicate
+//! links them (the default, as in System R and R\*), or — under
+//! `OptConfig::cartesian` — when both have small estimated cardinality.
+//! `JoinRoot` is referenced for joinable pairs only, so under the default
+//! parameters a connected join graph has plans for exactly its connected
+//! subsets.
+//!
+//! Cartesian products are deferred, level-wise: only a level at which *no*
+//! pair was joinable is re-run admitting any two planned streams, which is
+//! how a disconnected join graph is still answered. The product is taken at
+//! the *first* such level, not the last possible one — with components
+//! `ABC` and `DE`, `ABC × D` is built at level 4 and `(ABC) × (DE)` is never
+//! considered — and one joinable pair anywhere in a level suppresses the
+//! fallback for the whole level, so `cartesian: true` searches a superset
+//! of the default's space only while every stream is small. The fallback
+//! terminates with a plan for all tables by induction: if level
+//! *k − 1* holds a planned subset and a table outside it exists, their
+//! product is built at level *k* at the latest, so every level keeps at
+//! least one planned subset and level *n* has only the full set to plan.
+//!
+//! Composite inners (bushy plans) are gated by
 //! `OptConfig::composite_inners` — the restriction itself lives in the
 //! `JoinRoot` rule's conditions, exactly as §4.1 suggests; the driver only
 //! skips pairs no rule could accept, as an efficiency matter.
@@ -19,7 +37,7 @@ use starqo_query::QSet;
 
 use crate::engine::Engine;
 use crate::error::{CoreError, Result};
-use crate::value::{ReqVec, RuleValue, StreamRef};
+use crate::value::{ReqVec, StreamRef};
 
 /// Result of an enumeration run.
 #[derive(Debug, Clone)]
@@ -41,73 +59,19 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
     // Level 1: single-table access plans via AccessRoot.
     for qt in &query.quantifiers {
         let qs = QSet::single(qt.id);
-        let preds = query.eligible_preds(qs);
-        let plans = engine.eval_star_by_name(
-            "AccessRoot",
-            vec![
-                RuleValue::Stream(StreamRef::new(qs)),
-                RuleValue::ColSet(query.required_cols(qt.id).clone()),
-                RuleValue::Preds(preds),
-            ],
-        )?;
-        if plans.is_empty() {
+        if engine.access_root(qs, query.eligible_preds(qs))?.is_empty() {
             return Err(CoreError::NoPlan(format!(
                 "AccessRoot produced no plan for {}",
                 qt.alias
             )));
         }
-        for p in plans.iter() {
-            engine.table.insert(p.clone());
-        }
     }
 
-    // Levels 2..n: joinable pairs, connected first; Cartesian fallback when
-    // a level would otherwise be unbuildable.
-    for k in 2..=n {
-        for s in subsets_of_size(all, k as u32) {
-            let mut built_any = engine.table.has_tables(s);
-            for cartesian_pass in [false, true] {
-                if cartesian_pass && built_any {
-                    break;
-                }
-                for (s1, s2) in partitions(s) {
-                    // Skip pairs no JoinRoot alternative could accept.
-                    if !engine.config.composite_inners && s1.len() > 1 && s2.len() > 1 {
-                        continue;
-                    }
-                    let connected = engine.query.connects(s1, s2);
-                    let allowed = cartesian_pass
-                        || connected
-                        || (engine.config.cartesian && small(engine, s1) && small(engine, s2));
-                    if !allowed {
-                        continue;
-                    }
-                    // Both sides must already have plans.
-                    if !engine.table.has_tables(s1) || !engine.table.has_tables(s2) {
-                        continue;
-                    }
-                    let new_preds = engine.query.newly_eligible(s1, s2);
-                    let plans = engine.eval_star_by_name(
-                        "JoinRoot",
-                        vec![
-                            RuleValue::Stream(StreamRef::new(s1)),
-                            RuleValue::Stream(StreamRef::new(s2)),
-                            RuleValue::Preds(new_preds),
-                        ],
-                    )?;
-                    for p in plans.iter() {
-                        built_any = true;
-                        engine.table.insert(p.clone());
-                    }
-                    // Greedy (degraded) mode: once the budget is exhausted,
-                    // the first partition producing plans for this subset
-                    // is enough — a complete plan always survives because
-                    // Glue veneers can discharge any root requirement.
-                    if engine.degraded() && built_any {
-                        break;
-                    }
-                }
-            }
+    // Levels 2..n: joinable pairs; Cartesian products only for a level
+    // that would otherwise hold no plan at all.
+    for k in 2..=n as u32 {
+        if !join_level(engine, all, k, false)? {
+            join_level(engine, all, k, true)?;
         }
     }
 
@@ -117,7 +81,7 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
     let root_alternatives = engine.table.get(root_key).to_vec();
     if root_alternatives.is_empty() {
         return Err(CoreError::NoPlan(
-            "no plan covers all tables (disconnected join graph without cartesian=true?)".into(),
+            "no plan covers all tables (JoinRoot accepted no pair of streams)".into(),
         ));
     }
     let reqs = ReqVec {
@@ -141,6 +105,41 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
         best,
         root_alternatives,
     })
+}
+
+/// Reference `JoinRoot` for every admissible partition of every `k`-subset
+/// of `all`; `any_pair` admits pairs no predicate links (the Cartesian
+/// fallback). Returns whether the level produced a plan.
+fn join_level(engine: &mut Engine<'_>, all: QSet, k: u32, any_pair: bool) -> Result<bool> {
+    let mut level_built = false;
+    for s in subsets_of_size(all, k) {
+        for (s1, s2) in partitions(s) {
+            // Skip pairs no JoinRoot alternative could accept.
+            if !engine.config.composite_inners && s1.len() > 1 && s2.len() > 1 {
+                continue;
+            }
+            // Both sides must already have plans.
+            if !engine.table.has_tables(s1) || !engine.table.has_tables(s2) {
+                continue;
+            }
+            let joinable = any_pair
+                || engine.query.connects(s1, s2)
+                || (engine.config.cartesian && small(engine, s1) && small(engine, s2));
+            if !joinable {
+                continue;
+            }
+            let new_preds = engine.query.newly_eligible(s1, s2);
+            level_built |= !engine.join_root(s1, s2, new_preds)?.is_empty();
+            // Greedy (degraded) mode: once the budget is exhausted, the
+            // first partition producing plans for this subset is enough — a
+            // complete plan always survives because Glue veneers can
+            // discharge any root requirement.
+            if engine.degraded() && engine.table.has_tables(s) {
+                break;
+            }
+        }
+    }
+    Ok(level_built)
 }
 
 /// Estimated-small test for Cartesian candidates (§2.3: "streams of small

@@ -27,7 +27,7 @@ use starqo_trace::{SpanGuard, TraceEvent};
 
 use crate::engine::{Engine, GlueKey};
 use crate::error::{CoreError, Result};
-use crate::value::{ReqVec, RuleValue, StreamRef};
+use crate::value::{ReqVec, StreamRef};
 
 /// Discharge a stream's accumulated requirements (plus pushdown predicates).
 pub fn glue(
@@ -89,10 +89,16 @@ fn glue_miss(
     stream: &StreamRef,
     pushdown: PredSet,
 ) -> Result<Arc<Vec<PlanRef>>> {
-    let candidates = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
+    let (candidates, registered) = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
     let mut satisfied: Vec<PlanRef> = Vec::new();
+    let mut products: Vec<PlanRef> = Vec::new();
     for plan in candidates {
-        if let Some(p) = veneer(engine, plan, &stream.reqs)? {
+        if let Some(p) = veneer(engine, plan.clone(), &stream.reqs)? {
+            // A registered candidate that needed no veneer would only die
+            // in the table's duplicate scan.
+            if !(registered && Arc::ptr_eq(&p, &plan)) {
+                products.push(p.clone());
+            }
             satisfied.push(p);
         }
     }
@@ -109,8 +115,8 @@ fn glue_miss(
     }
     // Register Glue products so later references find them ("Glue may
     // generate some new plans having different properties").
-    for p in &satisfied {
-        engine.table.insert(p.clone());
+    for p in products {
+        engine.table.insert(p);
     }
     if !engine.config.glue_keep_all {
         satisfied.sort_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()));
@@ -151,12 +157,14 @@ pub fn glue_plans(
 }
 
 /// Step 1: find or create plans with the required relational properties.
+/// The flag tells whether they are registered in the plan table (read from
+/// it, or made by an `AccessRoot` reference) or Glue's own fresh products.
 fn candidate_plans(
     engine: &mut Engine<'_>,
     tables: QSet,
     pushdown: PredSet,
     reqs: &ReqVec,
-) -> Result<Vec<PlanRef>> {
+) -> Result<(Vec<PlanRef>, bool)> {
     let base_preds = engine.query.eligible_preds(tables);
     let extra = pushdown.minus(base_preds);
     let target = base_preds.union(extra);
@@ -209,21 +217,17 @@ fn candidate_plans(
             },
             vec![p],
         )?;
-        return Ok(vec![probe]);
+        return Ok((vec![probe], false));
     }
 
     if extra.is_empty() {
-        return existing_or_access(engine, tables, base_preds);
+        return Ok((existing_or_access(engine, tables, base_preds)?, true));
     }
 
     if tables.len() == 1 {
         // Re-reference the top-most single-table STAR so the access path can
         // exploit the pushed-down (converted) join predicates.
-        let plans = access_root(engine, tables, target)?;
-        for p in plans.iter() {
-            engine.table.insert(p.clone());
-        }
-        Ok(plans.as_ref().clone())
+        Ok((engine.access_root(tables, target)?.as_ref().clone(), true))
     } else {
         // Composite stream: retrofit a FILTER.
         let base = existing_or_access(engine, tables, base_preds)?;
@@ -231,7 +235,7 @@ fn candidate_plans(
         for p in base {
             out.push(engine.build_veneer(Lolepop::Filter { preds: extra }, vec![p])?);
         }
-        Ok(out)
+        Ok((out, false))
     }
 }
 
@@ -247,31 +251,11 @@ fn existing_or_access(
         return Ok(found.to_vec());
     }
     if tables.len() == 1 {
-        let plans = access_root(engine, tables, preds)?;
-        for p in plans.iter() {
-            engine.table.insert(p.clone());
-        }
-        return Ok(plans.as_ref().clone());
+        return Ok(engine.access_root(tables, preds)?.as_ref().clone());
     }
     Err(CoreError::Glue(format!(
         "no plans exist for composite {tables} with predicates {preds} (enumeration order bug?)"
     )))
-}
-
-/// Reference the AccessRoot STAR for a single-table stream.
-fn access_root(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> Result<Arc<Vec<PlanRef>>> {
-    let q = tables
-        .as_single()
-        .ok_or_else(|| CoreError::Glue(format!("AccessRoot on multi-table stream {tables}")))?;
-    let cols = engine.query.required_cols(q).clone();
-    engine.eval_star_by_name(
-        "AccessRoot",
-        vec![
-            RuleValue::Stream(StreamRef::new(tables)),
-            RuleValue::ColSet(cols),
-            RuleValue::Preds(preds),
-        ],
-    )
 }
 
 /// Step 2: inject SORT / SHIP / STORE veneers to satisfy physical

@@ -38,6 +38,7 @@ pub mod enumerate;
 pub mod error;
 pub mod faults;
 pub mod glue;
+mod hash;
 pub mod natives;
 pub mod optimizer;
 pub mod rules;

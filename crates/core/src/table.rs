@@ -8,11 +8,11 @@
 //! as good on every physical property — the System-R "interesting order"
 //! idea generalized to the whole property vector (§3).
 
-use std::collections::HashMap;
-
 use starqo_plan::PlanRef;
 use starqo_query::{PredSet, QSet};
 use starqo_trace::{TraceEvent, Tracer};
+
+use crate::hash::RunMap;
 
 /// Relational key of a plan: what it produces.
 pub type PlanKey = (QSet, PredSet);
@@ -36,7 +36,7 @@ pub struct PlanTable {
     /// Hashed on the tables; under them, one slot per predicate set in
     /// first-insertion order (a handful at most). The enumerator's "any
     /// plans for this quantifier set?" is therefore a single lookup.
-    map: HashMap<QSet, Vec<(PredSet, Vec<PlanRef>)>>,
+    map: RunMap<QSet, Vec<(PredSet, Vec<PlanRef>)>>,
     pub stats: TableStats,
     /// ABLATION: when set, dominance pruning is skipped (duplicates are
     /// still dropped).

@@ -329,6 +329,32 @@ fn star_memoization_counts_hits() {
 }
 
 #[test]
+fn root_star_plans_are_registered_whoever_references_them() {
+    // A user rule may reference AccessRoot itself. Its plans must reach
+    // the plan table then, because a later driver or Glue reference with
+    // the same arguments is a memo hit and registers nothing.
+    let fx = Fx::new(
+        "star Wrapped(T, C, P) = AccessRoot(T, C, P);",
+        OptConfig::default(),
+    );
+    let mut e = fx.engine();
+    let dept = QSet::single(QId(0));
+    assert!(!e.table.has_tables(dept));
+    let plans = e.eval_star_by_name("Wrapped", dept_args()).unwrap();
+    assert!(!plans.is_empty());
+    let key = (dept, PredSet::single(starqo_query::PredId(0)));
+    let best = e
+        .table
+        .best(key)
+        .expect("AccessRoot's plans are registered");
+    assert!(plans.iter().any(|p| Arc::ptr_eq(p, best)));
+    // The memo answers the repeat; the table is not offered the plans again.
+    let offered = e.table.stats.offered;
+    e.eval_star_by_name("AccessRoot", dept_args()).unwrap();
+    assert_eq!(e.table.stats.offered, offered);
+}
+
+#[test]
 fn symbols_compare_loosely_with_strings() {
     // storage_kind returns a string; rules may compare with a bare symbol.
     let fx = Fx::new(

@@ -7,12 +7,27 @@
 //!   a fixed rule set and query — gated by the tighter `counter_pct`.
 //!
 //! Only *increases* violate: doing less work or running faster never
-//! fails the gate. Counters present in just one file are reported as
-//! informational notes, not violations (benchmarks grow new counters).
+//! fails the gate. A counter whose baseline is zero (`exec_divergences`,
+//! heal `escapes`, ...) must stay zero: any non-zero fresh value violates.
+//! Counters present in just one file are reported as informational notes,
+//! not violations (benchmarks grow new counters).
+//!
+//! Measurements derived from wall-clock time ([`WALL_CLOCK`]) are compared
+//! and reported like the rest but are not work counters:
+//! [`GateResult::counters_passed`] ignores them.
 
 use std::fmt::Write as _;
 
 use starqo_trace::read::{parse_json, JsonValue};
+
+/// Measurements that depend on how fast the host ran: total wall time and
+/// the "overhead above its ceiling" ticks of the E19/E20 benches, which
+/// have flipped 0 -> 1 on an unchanged binary.
+pub const WALL_CLOCK: [&str; 3] = [
+    "wall_ms",
+    "telemetry_overhead_violations",
+    "drift_overhead_violations",
+];
 
 /// One measurement that regressed past its threshold.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +53,13 @@ pub struct GateResult {
 impl GateResult {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// No deterministic work counter regressed (violations of
+    /// [`WALL_CLOCK`] measurements do not count).
+    pub fn counters_passed(&self) -> bool {
+        let mut metrics = self.violations.iter().map(|v| v.metric.as_str());
+        metrics.all(|m| WALL_CLOCK.contains(&m))
     }
 
     pub fn render(&self) -> String {
@@ -136,13 +158,15 @@ pub fn gate(baseline: &str, fresh: &str, th: Thresholds) -> Result<GateResult, S
 }
 
 fn check(metric: &str, baseline: f64, fresh: f64, threshold_pct: f64, out: &mut Vec<Violation>) {
-    if baseline <= 0.0 {
-        // Can't compute a percentage; any nonzero growth from zero is a
-        // regression only if the threshold is zero too — skip instead of
-        // dividing by zero.
+    // No percentage exists over a zero baseline: such a counter is pinned,
+    // and leaving zero at all is the regression.
+    let change_pct = if baseline > 0.0 {
+        (fresh - baseline) * 100.0 / baseline
+    } else if fresh > 0.0 {
+        f64::INFINITY
+    } else {
         return;
-    }
-    let change_pct = (fresh - baseline) * 100.0 / baseline;
+    };
     if change_pct > threshold_pct {
         out.push(Violation {
             metric: metric.to_string(),
@@ -217,6 +241,40 @@ mod tests {
         let r = gate(base, fresh, Thresholds::default()).unwrap();
         assert!(r.passed());
         assert_eq!(r.notes.len(), 2);
+    }
+
+    #[test]
+    fn zero_baseline_counter_must_stay_zero() {
+        let doc = |n: u64| {
+            format!(
+                r#"{{"bench":"exec","wall_ms":1,"metrics":{{"counters":{{"exec_divergences":{n},"exec_cases":12}}}}}}"#
+            )
+        };
+        let r = gate(&doc(0), &doc(0), Thresholds::default()).unwrap();
+        assert!(r.passed(), "{r:?}");
+        let r = gate(&doc(0), &doc(2), Thresholds::default()).unwrap();
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].metric, "exec_divergences");
+        assert!(!r.counters_passed());
+        assert!(
+            r.render().contains("REGRESSION exec_divergences: 0 -> 2"),
+            "{}",
+            r.render()
+        );
+    }
+
+    #[test]
+    fn wall_clock_ticks_are_reported_but_not_counter_failures() {
+        let doc = |wall: f64, tick: u64| {
+            format!(
+                r#"{{"bench":"telemetry","wall_ms":{wall},"metrics":{{"counters":{{"telemetry_overhead_violations":{tick},"telemetry_requests":8000}}}}}}"#
+            )
+        };
+        let r = gate(&doc(100.0, 0), &doc(200.0, 1), Thresholds::default()).unwrap();
+        let metrics: Vec<&str> = r.violations.iter().map(|v| v.metric.as_str()).collect();
+        assert_eq!(metrics, ["wall_ms", "telemetry_overhead_violations"]);
+        assert!(!r.passed());
+        assert!(r.counters_passed());
     }
 
     #[test]

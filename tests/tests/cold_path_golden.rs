@@ -1,13 +1,21 @@
-//! Same plans, same counters: the cold optimize path may get cheaper, it may
-//! not choose, count or attribute anything differently.
+//! Same plans, same origins, pinned counters: the cold optimize path may get
+//! cheaper, it may not choose or attribute anything differently — and when
+//! it does less work, the golden says exactly how much less.
 //!
 //! A fixed seeded fleet of 4..8-way chain/star/tree/cyclic joins is optimized
 //! and everything the optimizer reports about each run — the winner's EXPLAIN
 //! text, the number of root alternatives, every `OptStats` and `TableStats`
 //! field, the plan-table size and the sorted origin trace — is compared with
-//! `cold_path_golden.txt`, recorded at the commit before the engine's
-//! allocation diet. Plans are compared by EXPLAIN text, not by raw
+//! `cold_path_golden.txt`. Plans are compared by EXPLAIN text, not by raw
 //! fingerprint, so the node hasher is free to change.
+//!
+//! The EXPLAIN and origin-trace lines date from the commit before the
+//! engine's allocation diet and have never moved. The counter lines
+//! (`root_alternatives`, `OptStats`, `TableStats`, `table_plans`) were
+//! re-recorded once, when the enumeration driver stopped referencing
+//! `JoinRoot` for pairs no predicate links: a change that moves only those
+//! lines, downwards, is a work reduction; one that moves any other line
+//! changes a winner.
 //!
 //! `STARQO_UPDATE_GOLDEN=1 cargo test -p starqo-integration --test
 //! cold_path_golden` rewrites the file; a diff in it is a behaviour change
