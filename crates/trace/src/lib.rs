@@ -159,9 +159,20 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `events_constructed()` is process-wide and tests run on parallel
+    /// threads: every test here that reads or bumps it holds this, so the
+    /// ones asserting `before + n` see only their own events.
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A failed holder poisons nothing: the lock guards no data.
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn off_tracer_constructs_no_events() {
+        let _serial = counter_lock();
         let t = Tracer::off();
         let before = events_constructed();
         for _ in 0..100 {
@@ -172,6 +183,7 @@ mod tests {
 
     #[test]
     fn null_sink_collapses_to_off() {
+        let _serial = counter_lock();
         let t = Tracer::new(NullSink);
         assert!(!t.enabled());
         let before = events_constructed();
@@ -181,6 +193,7 @@ mod tests {
 
     #[test]
     fn enabled_tracer_delivers_events() {
+        let _serial = counter_lock();
         let sink = Arc::new(MemorySink::new());
         let t = Tracer::shared(sink.clone());
         assert!(t.enabled());
@@ -201,6 +214,7 @@ mod tests {
 
     #[test]
     fn spans_pair_start_and_end() {
+        let _serial = counter_lock();
         let sink = Arc::new(MemorySink::new());
         let t = Tracer::shared(sink.clone());
         {
@@ -224,6 +238,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_sink() {
+        let _serial = counter_lock();
         let sink = Arc::new(MemorySink::new());
         let t = Tracer::shared(sink.clone());
         let t2 = t.clone();

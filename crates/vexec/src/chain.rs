@@ -21,7 +21,7 @@ use starqo_plan::PlanNode;
 use starqo_query::{PredSet, QCol, Query};
 use starqo_storage::{BTreeIndexData, StoredTable, Tid, Tuple, ROWS_PER_PAGE};
 
-use crate::batch::{Batch, BATCH_ROWS};
+use crate::batch::{Batch, Val, BATCH_ROWS};
 use crate::expr::{BatchRow, CExpr, PredProg, Scope, VRow};
 use crate::plan::Node;
 
@@ -124,7 +124,8 @@ impl Input<'_> {
 /// positions, anything past the tuple is the TID pseudo-column.
 struct BaseRow<'a> {
     base: &'a [Value],
-    tid: Value,
+    /// The TID as its column value ([`Tid::to_value`]'s integer).
+    tid: i64,
 }
 
 impl<'a> BaseRow<'a> {
@@ -132,21 +133,21 @@ impl<'a> BaseRow<'a> {
     fn new(base: &'a Tuple, tid: Tid) -> Self {
         BaseRow {
             base: &base.0,
-            tid: tid.to_value(),
+            tid: tid.0 as i64,
         }
     }
 }
 
-impl VRow for BaseRow<'_> {
+impl<'a> VRow<'a> for BaseRow<'a> {
     #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        self.base.get(slot).unwrap_or(&self.tid)
+    fn slot(&self, slot: usize) -> Val<'a> {
+        self.base.get(slot).map_or(Val::Int(self.tid), Val::of)
     }
 }
 
 /// The emit step: source row → stream-schema row, with the access
 /// predicates evaluated on a *borrowed* view first (selection before
-/// gather — survivors are cloned exactly once). `slots` and the predicate
+/// gather — survivors are copied exactly once). `slots` and the predicate
 /// program address the source layout directly: base column positions (or
 /// [`TID_SLOT`]) for table and index sources, column positions for
 /// relations.
@@ -217,7 +218,7 @@ impl Emit {
         }
     }
 
-    fn emit<R: VRow>(
+    fn emit<'a, R: VRow<'a>>(
         &self,
         n: usize,
         row_at: impl Fn(u32) -> R,
@@ -229,7 +230,7 @@ impl Emit {
         sel.extend(0..n as u32);
         self.preds.refine(sel, &row_at, outer)?;
         for (col, slot) in out.cols.iter_mut().zip(&self.slots) {
-            col.extend(sel.iter().map(|i| row_at(*i).slot(*slot).clone()));
+            col.extend(sel.iter().map(|i| row_at(*i).slot(*slot)));
         }
         out.rows += sel.len();
         Ok(())
@@ -258,13 +259,13 @@ struct PairRow<'a, L, R> {
     split: usize,
 }
 
-impl<L: VRow, R: VRow> VRow for PairRow<'_, L, R> {
+impl<'a, L: VRow<'a>, R: VRow<'a>> VRow<'a> for PairRow<'_, L, R> {
     #[inline]
-    fn slot(&self, slot: usize) -> &Value {
+    fn slot(&self, slot: usize) -> Val<'a> {
         if slot < self.split {
             self.left.slot(slot)
         } else if slot == NULL_SLOT {
-            &NULL_VALUE
+            Val::Ref(&NULL_VALUE)
         } else {
             self.right.slot(slot - self.split)
         }
@@ -300,7 +301,12 @@ impl Combine {
 
     /// Do the predicates accept the candidate `(left, right)`?
     #[inline]
-    fn test<L: VRow, R: VRow>(&self, left: &L, right: &R, outer: &[Value]) -> Result<bool> {
+    fn test<'a, L: VRow<'a>, R: VRow<'a>>(
+        &self,
+        left: &L,
+        right: &R,
+        outer: &[Value],
+    ) -> Result<bool> {
         let row = PairRow {
             left,
             right,
@@ -312,7 +318,7 @@ impl Combine {
     /// Test the candidate `(left, right)` and, if it survives, append it to
     /// `out`.
     #[inline]
-    pub fn emit<L: VRow, R: VRow>(
+    pub fn emit<'a, L: VRow<'a>, R: VRow<'a>>(
         &self,
         left: &L,
         right: &R,
@@ -326,7 +332,7 @@ impl Combine {
         };
         if self.preds.eval_row(&row, outer)? {
             for (col, slot) in out.cols.iter_mut().zip(&self.src) {
-                col.push(row.slot(*slot).clone());
+                col.push(row.slot(*slot));
             }
             out.rows += 1;
         }
@@ -354,13 +360,12 @@ impl Combine {
     pub fn gather(&self, left: &Batch, right: &Batch, pairs: &[(u32, u32)], out: &mut Batch) {
         for (col, slot) in out.cols.iter_mut().zip(&self.src) {
             if *slot < self.split {
-                let src = &left.cols[*slot];
-                col.extend(pairs.iter().map(|(l, _)| src[*l as usize].clone()));
+                col.gather(&left.cols[*slot], pairs.iter().map(|(l, _)| *l as usize));
             } else if *slot == NULL_SLOT {
-                col.extend(pairs.iter().map(|_| Value::Null));
+                col.extend(pairs.iter().map(|_| Val::Ref(&NULL_VALUE)));
             } else {
                 let src = &right.cols[*slot - self.split];
-                col.extend(pairs.iter().map(|(_, r)| src[*r as usize].clone()));
+                col.gather(src, pairs.iter().map(|(_, r)| *r as usize));
             }
         }
         out.rows += pairs.len();
@@ -370,10 +375,10 @@ impl Combine {
 /// Row view over a bare tuple.
 struct TupleRow<'a>(&'a Tuple);
 
-impl VRow for TupleRow<'_> {
+impl<'a> VRow<'a> for TupleRow<'a> {
     #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        self.0.get(slot)
+    fn slot(&self, slot: usize) -> Val<'a> {
+        Val::of(self.0.get(slot))
     }
 }
 
@@ -402,7 +407,7 @@ impl GetOp<'_> {
         let mut fetched = 0u64;
         let mut pages = 0u64;
         for i in input.live_rows() {
-            let tid = Tid::from_value(&input.cols[self.tid_slot][i])
+            let tid = Tid::from_value(&input.cols[self.tid_slot].value(i))
                 .ok_or_else(|| ExecError::BadPlan("non-TID value in TID column".into()))?;
             let base = self.table.fetch(tid)?;
             fetched += 1;
@@ -491,9 +496,13 @@ impl Chain<'_> {
                 match op {
                     Op::Filter(p) => p.filter(a, outer)?,
                     Op::Ship(idx) => {
+                        let bytes_of = |v: Val<'_>| match v {
+                            Val::Int(x) => value_bytes(&Value::Int(x)),
+                            Val::Ref(v) => value_bytes(v),
+                        };
                         let bytes: u64 = a
                             .live_rows()
-                            .map(|i| a.cols.iter().map(|c| value_bytes(&c[i])).sum::<u64>())
+                            .map(|i| a.cols.iter().map(|c| bytes_of(c.get(i))).sum::<u64>())
                             .sum();
                         stats.ship_bytes[*idx].fetch_add(bytes, Ordering::Relaxed);
                     }

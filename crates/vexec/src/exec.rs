@@ -30,7 +30,7 @@ use starqo_query::Query;
 use starqo_storage::{Database, Tid, Tuple, ROWS_PER_PAGE};
 use starqo_trace::{LatencyPath, Metric, SpanContext, SpanGuard, Telemetry};
 
-use crate::batch::{take, Batch, Rel};
+use crate::batch::{Batch, Column, Rel, Val};
 use crate::chain::{Chain, ChainStats, Combine, Input, Scratch, Source};
 use crate::expr::{CExpr, Scope};
 use crate::plan::{Compiler, Kind, Node};
@@ -102,15 +102,18 @@ pub struct VexecExecutor<'a> {
     /// Dynamic indexes by temp node: the temp's row numbers in key order
     /// (stable, so equal keys keep row order).
     index_cache: HashMap<usize, Arc<[u32]>>,
-    /// Column buffers of consumed relations, reused by the next chain run
-    /// or breaker output: a correlated inner re-run per outer row allocates
-    /// nothing, and a plan touches about its peak live memory, not the sum
-    /// of its intermediates.
-    spare: Vec<Vec<Value>>,
+    /// Integer column buffers of consumed relations, reused by the next
+    /// chain run or breaker output: a correlated inner re-run per outer row
+    /// allocates nothing, and a plan touches about its peak live memory, not
+    /// the sum of its intermediates. Demoted columns are not pooled — every
+    /// column starts out typed, so their buffers would have no taker.
+    spare: Vec<Vec<i64>>,
     /// The emptied column lists those buffers came in.
-    shells: Vec<Vec<Vec<Value>>>,
+    shells: Vec<Vec<Column>>,
     /// Chain and probe scratch, reused across re-runs like `spare`.
     scratch: Vec<Scratch>,
+    /// The radix sort's ping-pong buffers, likewise.
+    sort_buf: SortBuf,
     prefix_buf: Vec<Value>,
     tid_buf: Vec<Tid>,
     /// Fault hook for the `vexec` site; consulted per morsel
@@ -132,6 +135,7 @@ impl<'a> VexecExecutor<'a> {
             spare: Vec::new(),
             shells: Vec::new(),
             scratch: Vec::new(),
+            sort_buf: SortBuf::default(),
             prefix_buf: Vec::new(),
             tid_buf: Vec::new(),
             fault_hook: None,
@@ -225,50 +229,41 @@ impl<'a> VexecExecutor<'a> {
             });
             (want.clone(), idx.collect::<Result<_>>()?)
         };
-        let distinct = idx.iter().enumerate().all(|(k, i)| !idx[..k].contains(i));
-        let rows = match rel {
-            // Sole owner of a finished relation: move the values out.
-            Rel::Owned(mut b) if distinct => (0..b.rows)
-                .map(|r| Tuple(idx.iter().map(|c| take(&mut b.cols[*c][r])).collect()))
-                .collect(),
-            rel => (0..rel.rows)
-                .map(|r| Tuple(idx.iter().map(|c| rel.cols[*c][r].clone()).collect()))
-                .collect(),
-        };
+        // The one place a row becomes `Value`s again.
+        let cols: Vec<&Column> = idx.iter().map(|c| &rel.cols[*c]).collect();
+        let rows = (0..rel.rows)
+            .map(|r| Tuple(cols.iter().map(|c| c.value(r)).collect()))
+            .collect();
+        self.recycle(rel);
         Ok(QueryResult { schema, rows })
     }
 
-    /// SORT: permute row numbers, then gather each column once — moving the
-    /// values when the input is owned. An input already in key order (a
-    /// table loaded in key order, a B-tree scan) passes through untouched.
+    /// SORT: permute row numbers, then gather each column once. An input
+    /// already in key order (a table loaded in key order, a B-tree scan)
+    /// passes through untouched.
     fn sort(&mut self, input: Rel, key: &[usize]) -> Rel {
         let cols = key_cols(&input, key.iter().copied());
-        if (1..input.rows).all(|i| cmp_rows(&cols, i - 1, &cols, i).is_le()) {
+        let in_order = match cols[..] {
+            [Column::Int(k)] => k.windows(2).all(|w| w[0] <= w[1]),
+            _ => (1..input.rows).all(|i| cmp_rows(&cols, i - 1, &cols, i).is_le()),
+        };
+        if in_order {
             return input;
         }
-        let perm = sorted_rows(&input, key);
         let mut out = self.fresh(input.cols.len());
-        match input {
-            Rel::Owned(mut b) => {
-                for (dst, src) in out.cols.iter_mut().zip(&mut b.cols) {
-                    dst.extend(perm.iter().map(|i| take(&mut src[*i as usize])));
-                }
-                self.recycle(Rel::Owned(b));
-            }
-            Rel::Shared(b) => {
-                for (dst, src) in out.cols.iter_mut().zip(&b.cols) {
-                    dst.extend(perm.iter().map(|i| src[*i as usize].clone()));
-                }
-            }
+        let perm = sorted_rows(&input, key, &mut self.sort_buf);
+        for (dst, src) in out.cols.iter_mut().zip(&input.cols) {
+            dst.gather(src, perm.iter().map(|i| *i as usize));
         }
-        out.rows = perm.len();
+        out.rows = input.rows;
+        self.recycle(input);
         Rel::Owned(out)
     }
 
     /// An empty `width`-column batch, built from pooled column buffers.
     fn fresh(&mut self, width: usize) -> Batch {
         let mut cols = self.shells.pop().unwrap_or_default();
-        cols.extend((0..width).map(|_| self.spare.pop().unwrap_or_default()));
+        cols.extend((0..width).map(|_| Column::Int(self.spare.pop().unwrap_or_default())));
         Batch {
             cols,
             rows: 0,
@@ -280,10 +275,12 @@ impl<'a> VexecExecutor<'a> {
     /// relations stay with the cache).
     fn recycle(&mut self, rel: Rel) {
         if let Rel::Owned(mut b) = rel {
-            for mut col in b.cols.drain(..) {
-                if self.spare.len() < SPARE_COLUMNS {
-                    col.clear();
-                    self.spare.push(col);
+            for col in b.cols.drain(..) {
+                if let Column::Int(mut ints) = col {
+                    if self.spare.len() < SPARE_COLUMNS {
+                        ints.clear();
+                        self.spare.push(ints);
+                    }
                 }
             }
             self.shells.push(b.cols);
@@ -364,13 +361,11 @@ impl<'a> VexecExecutor<'a> {
                 self.joined(combine, outer, inner, &pairs)
             }
             Kind::Union(l, r) => {
-                let mut out = match self.run_node(l, scope)? {
-                    Rel::Owned(b) => b,
-                    Rel::Shared(a) => a.as_ref().clone(),
-                };
-                match self.run_node(r, scope)? {
-                    Rel::Owned(mut b) => out.append_live(&mut b),
-                    Rel::Shared(a) => out.append_live(&mut a.as_ref().clone()),
+                let mut out = self.fresh(node.width());
+                for arm in [l, r] {
+                    let rel = self.run_node(arm, scope)?;
+                    out.append_live(&rel);
+                    self.recycle(rel);
                 }
                 Ok(Rel::Owned(out))
             }
@@ -455,7 +450,7 @@ impl<'a> VexecExecutor<'a> {
         scope.resize(base + outer_width, Value::Null);
         for o in 0..outer.rows {
             for &b in binds {
-                scope[base + b] = outer.cols[b][o].clone();
+                scope[base + b] = outer.cols[b].value(o);
             }
             let inner = self.run_node(inner_node, scope)?;
             pairs.clear();
@@ -522,7 +517,7 @@ impl<'a> VexecExecutor<'a> {
                 let index = match self.index_cache.get(&child.key()) {
                     Some(ix) => ix.clone(),
                     None => {
-                        let ix: Arc<[u32]> = sorted_rows(&rel, key).into();
+                        let ix: Arc<[u32]> = sorted_rows(&rel, key, &mut self.sort_buf).into();
                         self.stats.indexes_built += 1;
                         self.index_cache.insert(child.key(), ix.clone());
                         ix
@@ -535,7 +530,7 @@ impl<'a> VexecExecutor<'a> {
                 // an unbound probe reads the whole temp in row order.
                 let cmp_prefix = |row: &u32| {
                     let keys = key.iter().zip(&bound);
-                    keys.map(|(k, v)| rel.cols[*k][*row as usize].cmp(v))
+                    keys.map(|(k, v)| rel.cols[*k].get(*row as usize).total_cmp(Val::of(v)))
                         .find(|o| o.is_ne())
                         .unwrap_or(Cmp::Equal)
                 };
@@ -652,10 +647,10 @@ impl<'a> VexecExecutor<'a> {
             }
             // Exchange: deterministic merge in morsel order.
             for slot in std::mem::take(&mut *results.lock().unwrap_or_else(|p| p.into_inner())) {
-                let mut part = slot.ok_or_else(|| {
+                let part = slot.ok_or_else(|| {
                     ExecError::BadPlan("vexec exchange missing a morsel result".into())
                 })?;
-                dest.append_live(&mut part);
+                dest.append_live(&part);
                 self.stats.morsels += 1;
             }
         }
@@ -687,16 +682,16 @@ fn hash_key<'k>(
 }
 
 /// The key columns `slots` of a relation, in key order.
-fn key_cols(rel: &Batch, slots: impl Iterator<Item = usize>) -> Vec<&[Value]> {
-    slots.map(|k| rel.cols[k].as_slice()).collect()
+fn key_cols(rel: &Batch, slots: impl Iterator<Item = usize>) -> Vec<&Column> {
+    slots.map(|k| &rel.cols[k]).collect()
 }
 
 /// Compare row `i` of one relation with row `j` of another (or the same) on
 /// their paired key columns, in place.
 #[inline]
-fn cmp_rows(a: &[&[Value]], i: usize, b: &[&[Value]], j: usize) -> Cmp {
+fn cmp_rows(a: &[&Column], i: usize, b: &[&Column], j: usize) -> Cmp {
     for (ca, cb) in a.iter().zip(b) {
-        match ca[i].cmp(&cb[j]) {
+        match ca.get(i).total_cmp(cb.get(j)) {
             Cmp::Equal => {}
             unequal => return unequal,
         }
@@ -704,32 +699,86 @@ fn cmp_rows(a: &[&[Value]], i: usize, b: &[&[Value]], j: usize) -> Cmp {
     Cmp::Equal
 }
 
+/// Widest radix digit: 4 096 counters stay in L1, and a key range that fits
+/// (a dense ID column of a few thousand rows) sorts in a single counting pass.
+const MAX_DIGIT_BITS: u32 = 12;
+
+/// The radix sort's buffers: (key offset, row) in the current digit order,
+/// the same pair as the target of the running pass, and the digit counters.
+#[derive(Default)]
+struct SortBuf {
+    keys: [Vec<u64>; 2],
+    rows: [Vec<u32>; 2],
+    counts: Vec<u32>,
+}
+
 /// `rel`'s row numbers in `key` order. Stable, like the serial engine's
 /// `sort_by`: rows with equal keys keep their source order.
-fn sorted_rows(rel: &Batch, key: &[usize]) -> Vec<u32> {
-    // One all-integer key column (the usual merge key): sort (key, row)
-    // pairs by value — the row number breaks ties, which *is* stable order.
+fn sorted_rows<'b>(rel: &Batch, key: &[usize], buf: &'b mut SortBuf) -> &'b [u32] {
+    let rows = &mut buf.rows[0];
+    rows.clear();
+    rows.extend(0..rel.rows as u32);
+    // One typed integer key column (the usual merge key): no comparisons.
     if let [k] = key {
-        let pairs = rel.cols[*k].iter().zip(0u32..).map(|(v, row)| match v {
-            Value::Int(x) => Some((*x, row)),
-            _ => None,
-        });
-        if let Some(mut pairs) = pairs.collect::<Option<Vec<_>>>() {
-            pairs.sort_unstable();
-            return pairs.into_iter().map(|(_, row)| row).collect();
+        if let Column::Int(ints) = &rel.cols[*k] {
+            return radix_rows(ints, buf);
         }
     }
-    let mut perm: Vec<u32> = (0..rel.rows as u32).collect();
     let cols = key_cols(rel, key.iter().copied());
-    perm.sort_by(|a, b| cmp_rows(&cols, *a as usize, &cols, *b as usize));
-    perm
+    let rows = &mut buf.rows[0];
+    rows.sort_by(|a, b| cmp_rows(&cols, *a as usize, &cols, *b as usize));
+    rows
+}
+
+/// Stable LSD radix sort of `0..ints.len()` (already in `buf.rows[0]`) by
+/// `ints`. Keys are taken as unsigned offsets from the minimum — exact even
+/// when `max - min` overflows `i64` — and only the bits of the largest
+/// offset are sorted on, in equal digits of at most [`MAX_DIGIT_BITS`].
+fn radix_rows<'b>(ints: &[i64], buf: &'b mut SortBuf) -> &'b [u32] {
+    let SortBuf { keys, rows, counts } = buf;
+    let (min, max) = ints
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(*x), hi.max(*x)));
+    let bits = u64::BITS - (max.wrapping_sub(min) as u64).leading_zeros();
+    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    let digit = if passes == 0 {
+        0
+    } else {
+        bits.div_ceil(passes)
+    };
+    let [from_k, to_k] = keys;
+    let [from_r, to_r] = rows;
+    from_k.clear();
+    from_k.extend(ints.iter().map(|x| x.wrapping_sub(min) as u64));
+    to_k.resize(ints.len(), 0);
+    to_r.resize(ints.len(), 0);
+    for pass in 0..passes {
+        let digit_of = |k: u64| (k >> (pass * digit)) as usize & ((1 << digit) - 1);
+        counts.clear();
+        counts.resize(1 << digit, 0);
+        from_k.iter().for_each(|k| counts[digit_of(*k)] += 1);
+        // Counts become each digit's first target position.
+        let mut at = 0;
+        for c in counts.iter_mut() {
+            at += std::mem::replace(c, at);
+        }
+        for (k, r) in from_k.iter().zip(from_r.iter()) {
+            let to = &mut counts[digit_of(*k)];
+            to_k[*to as usize] = *k;
+            to_r[*to as usize] = *r;
+            *to += 1;
+        }
+        std::mem::swap(from_k, to_k);
+        std::mem::swap(from_r, to_r);
+    }
+    from_r
 }
 
 /// JOIN(MG) over two relations sorted on the paired `keys`: advance both
 /// cursors comparing key slots in place, and for each pair of equal-key
 /// runs emit the run product, outer-major, through `combine` — whose
 /// join ∪ residual predicates decide (so NULL keys, which compare equal,
-/// never match).
+/// never match). One typed key column a side is walked as two `i64` slices.
 fn merge(
     outer: &Batch,
     inner: &Batch,
@@ -738,30 +787,55 @@ fn merge(
     scope: &[Value],
 ) -> Result<Vec<(u32, u32)>> {
     let mut out = Vec::new();
+    let admit = |o, i| combine.admit((outer, o), (inner, i), scope, &mut out);
     let ok = key_cols(outer, keys.iter().map(|(o, _)| *o));
     let ik = key_cols(inner, keys.iter().map(|(_, i)| *i));
+    match (&ok[..], &ik[..]) {
+        ([Column::Int(ok)], [Column::Int(ik)]) => merge_runs(
+            (ok.len(), ik.len()),
+            |a, b| ok[a].cmp(&ik[b]),
+            (|a, b| ok[a] == ok[b], |a, b| ik[a] == ik[b]),
+            admit,
+        )?,
+        _ => merge_runs(
+            (outer.rows, inner.rows),
+            |a, b| cmp_rows(&ok, a, &ik, b),
+            (
+                |a, b| cmp_rows(&ok, a, &ok, b).is_eq(),
+                |a, b| cmp_rows(&ik, a, &ik, b).is_eq(),
+            ),
+            admit,
+        )?,
+    }
+    Ok(out)
+}
+
+/// The merge itself, over row numbers: `cmp(a, b)` orders outer row `a`
+/// against inner row `b`, `same` tells whether two rows of one side share
+/// a key, and every pair of each equal-key run product goes to `admit`.
+fn merge_runs(
+    (outer_rows, inner_rows): (usize, usize),
+    cmp: impl Fn(usize, usize) -> Cmp,
+    (same_outer, same_inner): (impl Fn(usize, usize) -> bool, impl Fn(usize, usize) -> bool),
+    mut admit: impl FnMut(usize, usize) -> Result<()>,
+) -> Result<()> {
     let (mut a, mut b) = (0usize, 0usize);
-    while a < outer.rows && b < inner.rows {
-        match cmp_rows(&ok, a, &ik, b) {
+    while a < outer_rows && b < inner_rows {
+        match cmp(a, b) {
             Cmp::Less => a += 1,
             Cmp::Greater => b += 1,
             Cmp::Equal => {
-                let mut a_end = a + 1;
-                while a_end < outer.rows && cmp_rows(&ok, a_end, &ok, a).is_eq() {
-                    a_end += 1;
-                }
-                let mut b_end = b + 1;
-                while b_end < inner.rows && cmp_rows(&ik, b_end, &ik, b).is_eq() {
-                    b_end += 1;
-                }
+                let a_end = (a + 1..outer_rows).find(|r| !same_outer(*r, a));
+                let b_end = (b + 1..inner_rows).find(|r| !same_inner(*r, b));
+                let (a_end, b_end) = (a_end.unwrap_or(outer_rows), b_end.unwrap_or(inner_rows));
                 for o in a..a_end {
                     for i in b..b_end {
-                        combine.admit((outer, o), (inner, i), scope, &mut out)?;
+                        admit(o, i)?;
                     }
                 }
                 (a, b) = (a_end, b_end);
             }
         }
     }
-    Ok(out)
+    Ok(())
 }

@@ -22,25 +22,26 @@ use starqo_catalog::Value;
 use starqo_exec::{ExecError, Result};
 use starqo_query::{ArithOp, CmpOp, PredExpr, PredSet, QCol, Query, Scalar};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Column, Val};
 
 /// Access to one logical row during vectorized evaluation. Implementations
-/// borrow the value — no per-row tuple is materialized for candidates that
-/// end up filtered out.
-pub(crate) trait VRow {
-    fn slot(&self, slot: usize) -> &Value;
+/// hand out views — no per-row tuple is materialized for candidates that
+/// end up filtered out, and an integer never becomes a `Value` on the way
+/// to a comparison.
+pub(crate) trait VRow<'a> {
+    fn slot(&self, slot: usize) -> Val<'a>;
 }
 
 /// A row inside a columnar batch.
 pub(crate) struct BatchRow<'a> {
-    pub cols: &'a [Vec<Value>],
+    pub cols: &'a [Column],
     pub row: usize,
 }
 
-impl VRow for BatchRow<'_> {
+impl<'a> VRow<'a> for BatchRow<'a> {
     #[inline]
-    fn slot(&self, slot: usize) -> &Value {
-        &self.cols[slot][self.row]
+    fn slot(&self, slot: usize) -> Val<'a> {
+        self.cols[slot].get(self.row)
     }
 }
 
@@ -78,22 +79,6 @@ impl Scope {
         let slot = self.cols.iter().rposition(|x| *x == c)?;
         self.used[slot].set(true);
         Some(slot)
-    }
-}
-
-/// Borrowed or computed value (avoids cloning for bare-column operands).
-pub(crate) enum CowVal<'a> {
-    Ref(&'a Value),
-    Own(Value),
-}
-
-impl CowVal<'_> {
-    #[inline]
-    pub fn get(&self) -> &Value {
-        match self {
-            CowVal::Ref(v) => v,
-            CowVal::Own(v) => v,
-        }
     }
 }
 
@@ -150,9 +135,9 @@ impl CExpr {
     }
 
     /// Evaluate to an owned value (join keys, index-probe prefixes).
-    pub fn eval_owned<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<Value> {
+    pub fn eval_owned<'a, R: VRow<'a>>(&self, row: &R, outer: &[Value]) -> Result<Value> {
         match self {
-            CExpr::Col(i) => Ok(row.slot(*i).clone()),
+            CExpr::Col(i) => Ok(row.slot(*i).to_value()),
             CExpr::Outer(i) => Ok(outer[*i].clone()),
             CExpr::Unbound(c) => Err(ExecError::UnboundColumn(c.to_string())),
             CExpr::Const(v) => Ok(v.clone()),
@@ -178,15 +163,24 @@ impl CExpr {
         }
     }
 
-    /// Evaluate, borrowing when the expression is a bare column or constant.
+    /// Evaluate to a view: a bare column, binding or constant is seen in
+    /// place, a computed value is parked in `tmp` and seen there.
     #[inline]
-    pub fn eval_ref<'a, R: VRow>(&'a self, row: &'a R, outer: &'a [Value]) -> Result<CowVal<'a>> {
+    pub fn eval_view<'t, 'a: 't, R: VRow<'a>>(
+        &'t self,
+        row: &R,
+        outer: &'t [Value],
+        tmp: &'t mut Value,
+    ) -> Result<Val<'t>> {
         match self {
-            CExpr::Col(i) => Ok(CowVal::Ref(row.slot(*i))),
-            CExpr::Outer(i) => Ok(CowVal::Ref(&outer[*i])),
-            CExpr::Const(v) => Ok(CowVal::Ref(v)),
+            CExpr::Col(i) => Ok(row.slot(*i)),
+            CExpr::Outer(i) => Ok(Val::of(&outer[*i])),
+            CExpr::Const(v) => Ok(Val::of(v)),
             CExpr::Unbound(c) => Err(ExecError::UnboundColumn(c.to_string())),
-            CExpr::Arith(..) => Ok(CowVal::Own(self.eval_owned(row, outer)?)),
+            CExpr::Arith(..) => {
+                *tmp = self.eval_owned(row, outer)?;
+                Ok(Val::of(tmp))
+            }
         }
     }
 }
@@ -196,10 +190,13 @@ impl CExpr {
 pub(crate) enum CPred {
     Cmp(CmpOp, CExpr, CExpr),
     /// Bare column vs non-NULL constant — the dominant scan-predicate
-    /// shape, compiled to a direct slot compare (no `CowVal` wrapping, no
-    /// per-side dispatch). Constant-on-the-left compiles here too, with the
-    /// operator flipped.
+    /// shape, compiled to a direct slot compare (no per-side dispatch).
+    /// Constant-on-the-left compiles here too, with the operator flipped.
     ColConst(CmpOp, usize, Value),
+    /// Bare column vs bare column — the join-predicate shape, evaluated on
+    /// every merge, hash and nested-loop candidate: two slot views and a
+    /// compare.
+    ColCol(CmpOp, usize, usize),
     Or(Vec<CPred>),
 }
 
@@ -214,6 +211,7 @@ impl CPred {
                     (CExpr::Const(v), CExpr::Col(i)) if !v.is_null() => {
                         CPred::ColConst(op.flipped(), i, v)
                     }
+                    (CExpr::Col(i), CExpr::Col(j)) => CPred::ColCol(*op, i, j),
                     (cl, cr) => CPred::Cmp(*op, cl, cr),
                 }
             }
@@ -232,29 +230,22 @@ impl CPred {
                 r.remap(map);
             }
             CPred::ColConst(_, i, _) => *i = map[*i],
+            CPred::ColCol(_, i, j) => (*i, *j) = (map[*i], map[*j]),
             CPred::Or(arms) => arms.iter_mut().for_each(|a| a.remap(map)),
         }
     }
 
     /// NULL comparisons are false; OR short-circuits left to right.
     #[inline]
-    pub fn eval<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<bool> {
+    pub fn eval<'a, R: VRow<'a>>(&self, row: &R, outer: &[Value]) -> Result<bool> {
         match self {
-            CPred::ColConst(op, slot, v) => {
-                let lv = row.slot(*slot);
-                if lv.is_null() {
-                    return Ok(false); // NULL fails every comparison
-                }
-                Ok(op.eval(lv.cmp(v)))
-            }
+            CPred::ColConst(op, slot, v) => Ok(compare(*op, row.slot(*slot), Val::of(v))),
+            CPred::ColCol(op, l, r) => Ok(compare(*op, row.slot(*l), row.slot(*r))),
             CPred::Cmp(op, l, r) => {
-                let lv = l.eval_ref(row, outer)?;
-                let rv = r.eval_ref(row, outer)?;
-                let (lv, rv) = (lv.get(), rv.get());
-                if lv.is_null() || rv.is_null() {
-                    return Ok(false);
-                }
-                Ok(op.eval(lv.cmp(rv)))
+                let (mut lt, mut rt) = (Value::Null, Value::Null);
+                let lv = l.eval_view(row, outer, &mut lt)?;
+                let rv = r.eval_view(row, outer, &mut rt)?;
+                Ok(compare(*op, lv, rv))
             }
             CPred::Or(arms) => {
                 for a in arms {
@@ -265,6 +256,15 @@ impl CPred {
                 Ok(false)
             }
         }
+    }
+}
+
+/// `l op r`, NULL on either side failing.
+#[inline]
+fn compare(op: CmpOp, l: Val<'_>, r: Val<'_>) -> bool {
+    match (l, r) {
+        (Val::Int(a), Val::Int(b)) => op.eval(a.cmp(&b)),
+        _ => !l.is_null() && !r.is_null() && op.eval(l.total_cmp(r)),
     }
 }
 
@@ -299,7 +299,7 @@ impl PredProg {
     /// Row-at-a-time conjunction (used on candidate rows before they are
     /// gathered into a batch).
     #[inline]
-    pub fn eval_row<R: VRow>(&self, row: &R, outer: &[Value]) -> Result<bool> {
+    pub fn eval_row<'a, R: VRow<'a>>(&self, row: &R, outer: &[Value]) -> Result<bool> {
         for p in &self.preds {
             if !p.eval(row, outer)? {
                 return Ok(false);
@@ -313,7 +313,7 @@ impl PredProg {
     /// names. Later predicates see only earlier survivors — exactly the
     /// rows the serial engine's per-row short circuit would have evaluated
     /// them on.
-    pub fn refine<R: VRow>(
+    pub fn refine<'a, R: VRow<'a>>(
         &self,
         sel: &mut Vec<u32>,
         row_at: impl Fn(u32) -> R,
@@ -327,8 +327,8 @@ impl PredProg {
                 let pass = [Cmp::Less, Cmp::Equal, Cmp::Greater].map(|o| op.eval(o));
                 for k in 0..sel.len() {
                     let keep = match row_at(sel[k]).slot(*slot) {
-                        Value::Int(x) => pass[(x.cmp(c) as i8 + 1) as usize],
-                        _ => p.eval(&row_at(sel[k]), outer)?,
+                        Val::Int(x) => pass[(x.cmp(c) as i8 + 1) as usize],
+                        Val::Ref(_) => p.eval(&row_at(sel[k]), outer)?,
                     };
                     sel[kept] = sel[k];
                     kept += keep as usize;
@@ -370,17 +370,17 @@ mod tests {
         vec![QCol::new(QId(0), ColId(0)), QCol::new(QId(0), ColId(1))]
     }
 
-    struct OneRow(Vec<Value>);
-    impl VRow for OneRow {
-        fn slot(&self, slot: usize) -> &Value {
-            &self.0[slot]
+    struct OneRow<'a>(&'a [Value]);
+    impl<'a> VRow<'a> for OneRow<'a> {
+        fn slot(&self, slot: usize) -> Val<'a> {
+            Val::of(&self.0[slot])
         }
     }
 
     #[test]
     fn arithmetic_matches_serial_semantics() {
         let s = schema();
-        let row = OneRow(vec![Value::Int(7), Value::Int(2)]);
+        let row = OneRow(&[Value::Int(7), Value::Int(2)]);
         let add = CExpr::compile(
             &Scalar::Arith(
                 ArithOp::Add,
@@ -402,7 +402,7 @@ mod tests {
         );
         assert_eq!(div.eval_owned(&row, &[]).unwrap(), Value::Double(3.5));
         // NULL poisons arithmetic, and NULL fails comparisons.
-        let null_row = OneRow(vec![Value::Null, Value::Int(2)]);
+        let null_row = OneRow(&[Value::Null, Value::Int(2)]);
         assert_eq!(add.eval_owned(&null_row, &[]).unwrap(), Value::Null);
         let eq_self = CPred::Cmp(
             CmpOp::Eq,
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn or_short_circuit_skips_unbound_arms() {
         let s = schema();
-        let row = OneRow(vec![Value::Int(1), Value::Int(2)]);
+        let row = OneRow(&[Value::Int(1), Value::Int(2)]);
         let or = CPred::compile(
             &PredExpr::Or(vec![
                 PredExpr::Cmp(
@@ -434,7 +434,7 @@ mod tests {
             &Scope::default(),
         );
         assert!(or.eval(&row, &[]).unwrap());
-        let row2 = OneRow(vec![Value::Int(9), Value::Int(2)]);
+        let row2 = OneRow(&[Value::Int(9), Value::Int(2)]);
         assert!(or.eval(&row2, &[]).is_err()); // first arm false → second arm errors
     }
 
@@ -443,8 +443,8 @@ mod tests {
         let s = schema();
         let mut b = Batch::new(2);
         for v in 0..6 {
-            b.cols[0].push(Value::Int(v));
-            b.cols[1].push(Value::Int(v % 2));
+            b.cols[0].push(Val::Int(v));
+            b.cols[1].push(Val::Int(v % 2));
             b.rows += 1;
         }
         b.sel = Some(vec![0, 2, 3, 4, 5]); // row 1 pre-filtered

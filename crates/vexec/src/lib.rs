@@ -13,11 +13,17 @@
 //!   [`batch::BATCH_ROWS`] rows with selection vectors inside a chain, one
 //!   compact relation across a breaker — and never as row vectors; the only
 //!   per-row allocation is the result row itself;
+//! - a [`batch::Column`] is plain `i64`s until the first value that is not
+//!   an integer demotes it, in place, to tagged `Value`s — decided by the
+//!   data alone — and rows are read through a `Copy` view
+//!   ([`batch::Val`]), so integers are copied, compared and sorted as
+//!   integers and become `Value`s again only in the result rows;
 //! - scalar and predicate expressions are compiled against the stream
 //!   schema they run on ([`expr`]); references to an enclosing nested-loop
 //!   outer become slots of a binding vector, so a correlated inner is
 //!   compiled once and *re-run* per outer row;
-//! - SORT permutes row numbers (stably) and gathers once; merge join
+//! - SORT permutes row numbers (stably — one LSD radix for a typed integer
+//!   key, a comparison sort otherwise) and gathers once; merge join
 //!   compares key slots in place; temps, cached SORT output and dynamic
 //!   indexes are shared by reference, built exactly once (§4.5.2);
 //! - heap/B-tree scans, index TID streams and temp re-accesses ([`chain`])
@@ -41,5 +47,5 @@ pub mod exec;
 pub mod expr;
 pub mod plan;
 
-pub use batch::{Batch, BATCH_ROWS};
+pub use batch::{Batch, Column, Val, BATCH_ROWS};
 pub use exec::{supports, VexecExecutor, VexecStats, MORSEL_ROWS};

@@ -22,6 +22,7 @@ echo "starqo-obs smoke passed."
 
 echo "== estimation observatory smoke (run -> accuracy -> calibrate -> re-run) =="
 cargo build -q --offline -p starqo-bench --bin workload_run
+mkdir -p target/bench # nothing before this smoke creates it on a fresh target/
 ./target/debug/workload_run --quick --out target/bench/smoke_trace.jsonl > /dev/null
 # Capture full output before grepping: `| grep -q` would close the pipe
 # early and make the writer die on a broken pipe.

@@ -536,12 +536,24 @@ fn ints(keys: impl IntoIterator<Item = i64>) -> Vec<Value> {
 
 /// Check every fixture plan against the oracle; returns the MG result.
 fn check_edge(e: &Edge, ctx: &str) -> QueryResult {
-    let mut mg = None;
+    check_edge_plans(e, ctx, &[])
+}
+
+/// The fixture plans whose cost does not grow with `|L| × |R|` — the ones a
+/// relation of several morsels can afford under the row-at-a-time oracle.
+const SUBQUADRATIC: [&str; 4] = ["MG", "HA", "NL/temp-index", "NL/index"];
+
+/// Check the fixture plans named in `only` (all of them when empty) against
+/// the oracle; returns the first one's result.
+fn check_edge_plans(e: &Edge, ctx: &str, only: &[&str]) -> QueryResult {
+    let mut first = None;
     for (name, plan) in e.plans() {
-        let got = assert_equivalent(&e.db, &e.query, &plan, &format!("{ctx}: {name}"));
-        mg.get_or_insert(got);
+        if only.is_empty() || only.contains(&name) {
+            let got = assert_equivalent(&e.db, &e.query, &plan, &format!("{ctx}: {name}"));
+            first.get_or_insert(got);
+        }
     }
-    mg.expect("fixture has plans")
+    first.expect("fixture has the named plans")
 }
 
 /// Duplicate sort keys with distinct payloads: SORT must be stable (the
@@ -644,4 +656,150 @@ fn vexec_reruns_correlated_inners_with_null_bindings() {
     vx.run(&plan).unwrap();
     let s = vx.stats();
     assert_eq!((s.temps_built, s.indexes_built, s.probes), (1, 1, 30));
+}
+
+// ---- typed columns and the radix SORT ----------------------------------
+//
+// A column travels as plain `i64`s until the first value that is not an
+// integer, and a single typed key column is sorted by radix. Neither may be
+// observable: the cases below put the change of representation at every
+// place it can happen and the sort keys at every edge of the key domain.
+
+/// `n` keys `(7 i) mod ndv` that stop being integers only in the rows just
+/// past each of `turns`: first a NULL, then the key as a `Double` (equal to
+/// the integer it replaces), then a string — and integers again after that.
+fn turning_keys(n: usize, ndv: i64, turns: &[usize]) -> Vec<Value> {
+    let mut keys = ints((0..n as i64).map(|i| (7 * i) % ndv));
+    for &t in turns {
+        for at in (t + 6..t + 300).step_by(31).filter(|at| *at < n) {
+            let key = (7 * at as i64) % ndv;
+            keys[at] = match (at - t) / 100 {
+                0 => Value::Null,
+                1 => Value::Double(key as f64),
+                _ => Value::str(format!("k{}", key % 5)),
+            };
+        }
+    }
+    keys
+}
+
+/// A join/sort column that turns NULL, then `Double`, then `Str` in the
+/// middle of the second batch, in the middle of the second morsel, or both —
+/// so the column is demoted mid-batch inside a morsel, or arrives typed from
+/// one morsel and demoted from the next and meets itself at the exchange —
+/// on either side of every join flavor.
+#[test]
+fn vexec_demotes_integer_columns_mid_batch_mid_morsel_and_at_the_exchange() {
+    assert_eq!((starqo_vexec::BATCH_ROWS, MORSEL_ROWS), (1024, 4096));
+    for turns in [&[1024][..], &[4096], &[1024, 4096]] {
+        let l = turning_keys(5_000, 1_900, turns);
+        let r = turning_keys(4_700, 2_300, turns);
+        let e = Edge::new(&l, &r, 0, 0);
+        let want = check_edge_plans(&e, &format!("turns {turns:?}"), &SUBQUADRATIC);
+        // Strings met strings, doubles met integers, NULLs met nothing.
+        let l_key = |row: &starqo_storage::Tuple| match row.get(0) {
+            Value::Int(v) => l[*v as usize].clone(),
+            other => panic!("L.V is a row number, got {other}"),
+        };
+        let met = |what: fn(&Value) -> bool| want.rows.iter().any(|row| what(&l_key(row)));
+        assert!(met(|k| matches!(k, Value::Str(_))) && met(|k| matches!(k, Value::Double(_))));
+        assert!(!met(Value::is_null) && want.rows.len() > 5_000);
+    }
+    // The same at a size every plan can afford: the quadratic nested loops
+    // and the re-scanned temp, column turning inside the second batch.
+    let l = turning_keys(1_400, 45, &[1024]);
+    let r = turning_keys(1_350, 60, &[1024]);
+    check_edge(&Edge::new(&l, &r, 1_000, 1_000), "turning, all plans");
+}
+
+/// A typed key column against a demoted one, both ways round: an `Int`
+/// equals the `Double` of the same value in merge order, hash probe and
+/// index probe alike, and NULL matches nothing.
+#[test]
+fn vexec_joins_typed_key_columns_with_demoted_ones() {
+    let typed = ints((0..400).map(|i| (400 - i) / 3));
+    let mixed: Vec<Value> = (0..300)
+        .map(|i| match i % 4 {
+            0 => Value::Double((i / 2) as f64),
+            1 => Value::Null,
+            2 => Value::Double(i as f64 + 0.5),
+            _ => Value::Int(i / 2),
+        })
+        .collect();
+    let hits = |e: &Edge, ctx: &str| check_edge(e, ctx).rows.len();
+    let forward = hits(&Edge::new(&typed, &mixed, 0, 0), "typed ⋈ mixed");
+    let backward = hits(&Edge::new(&mixed, &typed, 0, 0), "mixed ⋈ typed");
+    assert!(
+        forward > 100 && forward == backward,
+        "{forward} vs {backward}"
+    );
+}
+
+/// Sort keys at the ends of the `i64` domain, where `max - min` overflows;
+/// all-equal keys; one row; no rows.
+#[test]
+fn vexec_sorts_extreme_constant_single_and_empty_keys() {
+    let ends = [
+        i64::MAX,
+        0,
+        i64::MIN,
+        -1,
+        i64::MAX,
+        i64::MIN + 1,
+        1,
+        i64::MIN,
+    ];
+    let l = ints((0..96).map(|i| ends[i % ends.len()]));
+    let r = ints((0..40).map(|i| ends[(3 * i) % ends.len()]));
+    let want = check_edge(&Edge::new(&l, &r, 0, 0), "domain ends");
+    // Merge order: `i64::MIN` first — L rows 2, 7, 10, … each with every
+    // `i64::MIN` row of R.
+    let per_outer = r.iter().filter(|k| **k == Value::Int(i64::MIN)).count();
+    assert_eq!(want.rows[0].get(0), &Value::Int(2));
+    assert_eq!(want.rows[per_outer].get(0), &Value::Int(7));
+
+    let want = check_edge(
+        &Edge::new(&ints([7; 50]), &ints([7; 30]), 0, 0),
+        "all equal",
+    );
+    assert_eq!(want.rows.len(), 50 * 30);
+    let want = check_edge(&Edge::new(&ints([3]), &ints([4, 3]), 0, 0), "one row");
+    assert_eq!(want.rows.len(), 1);
+    // One surviving row on each side, then none at all, under the SORTs.
+    let (l, r) = (ints((0..9).rev()), ints((0..9).rev()));
+    assert_eq!(
+        check_edge(&Edge::new(&l, &r, 8, 8), "one each").rows.len(),
+        1
+    );
+    assert!(check_edge(&Edge::new(&l, &r, 9, 9), "no rows")
+        .rows
+        .is_empty());
+}
+
+/// 70 000 rows on a 3-bit key: eight duplicate runs of thousands of rows
+/// that a stable sort must leave in source order, through SORT and through
+/// the dynamic index alike.
+#[test]
+fn vexec_radix_sort_is_stable_across_long_duplicate_runs() {
+    let l = ints((0..70_000).map(|i| (i * 5 + i / 1_000) % 8));
+    let r = ints([5, 2, 7, 0, 2]);
+    let e = Edge::new(&l, &r, 0, 0);
+    let want = check_edge_plans(&e, "3-bit key", &["MG", "HA"]);
+    let matches = |k: &Value| l.iter().filter(|x| *x == k).count();
+    assert_eq!(want.rows.len(), r.iter().map(matches).sum::<usize>());
+    // …and as the indexed inner of a small outer.
+    check_edge_plans(&Edge::new(&r, &l, 0, 0), "3-bit index", &SUBQUADRATIC);
+}
+
+/// Keys drawn from the whole `i64` range: every radix pass runs, on offsets
+/// from a minimum that `i64` subtraction could not reach.
+#[test]
+fn vexec_radix_sort_covers_the_whole_i64_range() {
+    let mut rng = Rng64::new(0x5EED);
+    let mut pool: Vec<i64> = (0..3_000).map(|_| rng.next_u64() as i64).collect();
+    pool.extend([i64::MIN, i64::MAX, 0]);
+    let mut draw = |n: usize| ints((0..n).map(|_| pool[rng.index(pool.len())]));
+    let (l, r) = (draw(9_000), draw(5_000));
+    let want = check_edge_plans(&Edge::new(&l, &r, 0, 0), "64-bit keys", &SUBQUADRATIC);
+    assert!(want.rows.len() > 9_000, "{} rows", want.rows.len());
 }
