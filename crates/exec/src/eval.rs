@@ -15,10 +15,12 @@ use std::time::Instant;
 use starqo_catalog::{Value, TID_COL};
 use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
 use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, Query, Scalar};
-use starqo_storage::{Database, Tid, Tuple, ROWS_PER_PAGE};
+use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
 // Shared with the vectorized executor (`starqo-vexec`), which must agree
 // with this interpreter to the bit.
-use crate::support::{bound_prefix as support_bound_prefix, panic_msg, value_bytes};
+use crate::support::{
+    bound_key_range, bound_prefix as support_bound_prefix, panic_msg, value_bytes,
+};
 use starqo_trace::{
     LatencyPath, Metric, NodeActuals, SpanContext, SpanGuard, Telemetry, TraceEvent, Tracer,
 };
@@ -409,9 +411,17 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<Tuple>> {
         let table_id = self.query.quantifier(q).table;
         let stored = self.db.table(table_id)?;
-        self.stats.pages_read += stored.pages();
+        // The key-range read of a B-tree-stored table (a heap has no key:
+        // nothing binds, the range is the whole table). Only the rows read
+        // are charged and only they meet the predicates — all of them.
+        let key = self.db.catalog().table(table_id).native_order();
+        let key_qcols: Vec<QCol> = key.iter().map(|c| QCol::new(q, *c)).collect();
+        let (prefix, bounds) = bound_key_range(self.query, &key_qcols, preds, bindings);
+        let range = stored.key_range(key, &prefix, bounds.lower.as_ref(), bounds.upper.as_ref());
+        self.stats.pages_read += pages_spanned(&range);
         let mut out = Vec::new();
-        for (tid, row) in stored.scan() {
+        for (i, row) in stored.rows_range(range.clone()).iter().enumerate() {
+            let tid = Tid((range.start + i) as u64);
             let tuple = Tuple(
                 schema
                     .iter()

@@ -21,12 +21,13 @@ use std::fmt::Write as _;
 use starqo_trace::read::{parse_json, JsonValue};
 
 /// Measurements that depend on how fast the host ran: total wall time and
-/// the "overhead above its ceiling" ticks of the E19/E20 benches, which
+/// the "overhead above its ceiling" ticks of the E19/E20/E21 benches, which
 /// have flipped 0 -> 1 on an unchanged binary.
-pub const WALL_CLOCK: [&str; 3] = [
+pub const WALL_CLOCK: [&str; 4] = [
     "wall_ms",
     "telemetry_overhead_violations",
     "drift_overhead_violations",
+    "spans_overhead_violations",
 ];
 
 /// One measurement that regressed past its threshold.
@@ -275,6 +276,21 @@ mod tests {
         assert_eq!(metrics, ["wall_ms", "telemetry_overhead_violations"]);
         assert!(!r.passed());
         assert!(r.counters_passed());
+    }
+
+    #[test]
+    fn spans_overhead_tick_is_wall_clock_but_its_counters_are_not() {
+        let doc = |tick: u64, retained: u64| {
+            format!(
+                r#"{{"bench":"spans","wall_ms":100,"metrics":{{"counters":{{"spans_overhead_violations":{tick},"spans_retained":{retained}}}}}}}"#
+            )
+        };
+        // The tick alone flips 0 -> 1: reported, but no counter failed.
+        let r = gate(&doc(0, 40), &doc(1, 40), Thresholds::default()).unwrap();
+        assert!(!r.passed() && r.counters_passed(), "{}", r.render());
+        // A deterministic counter of the same bench regressing still fails.
+        let r = gate(&doc(0, 40), &doc(1, 80), Thresholds::default()).unwrap();
+        assert!(!r.counters_passed(), "{}", r.render());
     }
 
     #[test]

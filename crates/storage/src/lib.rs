@@ -18,5 +18,5 @@ pub mod tuple;
 pub use btree::BTreeIndexData;
 pub use db::{Database, DatabaseBuilder};
 pub use error::{Result, StorageError};
-pub use table::{StoredTable, ROWS_PER_PAGE};
+pub use table::{pages_spanned, StoredTable, ROWS_PER_PAGE};
 pub use tuple::{Tid, Tuple};

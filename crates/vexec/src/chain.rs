@@ -14,11 +14,11 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use starqo_catalog::Value;
-use starqo_exec::support::value_bytes;
+use starqo_catalog::{ColId, Value};
+use starqo_exec::support::{prefix_candidates, range_candidates, value_bytes, KeyBounds};
 use starqo_exec::{position, ExecError, Result};
 use starqo_plan::PlanNode;
-use starqo_query::{PredSet, QCol, Query};
+use starqo_query::{CmpOp, PredSet, QCol, QId, Query, Scalar};
 use starqo_storage::{BTreeIndexData, StoredTable, Tid, Tuple, ROWS_PER_PAGE};
 
 use crate::batch::{Batch, Val, BATCH_ROWS};
@@ -34,8 +34,12 @@ pub(crate) const TID_SLOT: usize = usize::MAX;
 /// Where a chain's rows come from, as compiled; the driver resolves it to an
 /// [`Input`] once per run.
 pub(crate) enum Source<'a> {
-    /// A stored base table; morsels are TID ranges.
-    Table(&'a StoredTable),
+    /// A stored base table, read over the rows `key` resolves — all of them
+    /// for a heap, which has no key. Morsels are TID ranges.
+    Table {
+        table: &'a StoredTable,
+        key: KeyRange<'a>,
+    },
     /// A catalog index, scanned or probed by `prefix`. Entries are read as
     /// TIDs in key order; the key columns are served from the base rows the
     /// index was built over (the same values, without copying keys).
@@ -65,8 +69,12 @@ pub(crate) struct Prefix(Vec<Vec<CExpr>>);
 
 impl Prefix {
     pub fn compile(query: &Query, key: &[QCol], preds: PredSet, scope: &Scope) -> Prefix {
+        Prefix::of(prefix_candidates(query, key, preds), scope)
+    }
+
+    fn of(candidates: Vec<Vec<&Scalar>>, scope: &Scope) -> Prefix {
         let mut cols = Vec::new();
-        for cands in starqo_exec::support::prefix_candidates(query, key, preds) {
+        for cands in candidates {
             // Compiled against the empty schema, as the serial engine
             // evaluates them: a candidate reading the accessed row itself
             // can only fail there, so it is dropped here.
@@ -97,10 +105,75 @@ impl Prefix {
     }
 }
 
+/// The compiled key-range read of a table stored in `key` order (§4.5.2's
+/// B-tree storage manager): the bound equality [`Prefix`] of the key and,
+/// when it binds every equality column, the range predicates on the column
+/// after it — `Classifier::index_matching`'s rule, resolved exactly as the
+/// serial engine's `bound_key_range`. The rows found are a superset of the
+/// qualifying ones; the emit step still runs every predicate on them.
+pub(crate) struct KeyRange<'a> {
+    key: &'a [ColId],
+    prefix: Prefix,
+    /// Bounds on the key column after `prefix`; empty unless `prefix` can
+    /// bind every key column an equality predicate is sargable on.
+    range: Vec<(CmpOp, CExpr)>,
+}
+
+impl<'a> KeyRange<'a> {
+    pub fn compile(
+        query: &Query,
+        q: QId,
+        key: &'a [ColId],
+        preds: PredSet,
+        scope: &Scope,
+    ) -> KeyRange<'a> {
+        let qcols: Vec<QCol> = key.iter().map(|c| QCol::new(q, *c)).collect();
+        let cands = prefix_candidates(query, &qcols, preds);
+        let eq_cols = cands.len();
+        let prefix = Prefix::of(cands, scope);
+        let mut range = Vec::new();
+        if let Some(kc) = qcols.get(eq_cols).filter(|_| prefix.0.len() == eq_cols) {
+            for (op, s) in range_candidates(query, *kc, preds) {
+                let bound = CExpr::compile(s, &[], scope);
+                if bound.is_bound() {
+                    range.push((op, bound));
+                }
+            }
+        }
+        KeyRange { key, prefix, range }
+    }
+
+    /// The positions of `table`'s rows to read under the current bindings;
+    /// `prefix` is scratch.
+    pub fn resolve(
+        &self,
+        table: &StoredTable,
+        outer: &[Value],
+        prefix: &mut Vec<Value>,
+    ) -> Range<usize> {
+        self.prefix.eval(outer, prefix);
+        let mut bounds = KeyBounds::OPEN;
+        if prefix.len() == self.prefix.0.len() {
+            let no_row = BatchRow { cols: &[], row: 0 };
+            for (op, bound) in &self.range {
+                if let Ok(v) = bound.eval_owned(&no_row, outer) {
+                    bounds.apply(*op, v);
+                }
+            }
+        }
+        table.key_range(
+            self.key,
+            prefix,
+            bounds.lower.as_ref(),
+            bounds.upper.as_ref(),
+        )
+    }
+}
+
 /// The rows one run of a chain reads.
 pub(crate) enum Input<'r> {
-    /// Every row of a base table.
-    Table(&'r StoredTable),
+    /// Contiguous rows of a base table, the first at this TID.
+    Table(&'r [Tuple], usize),
     /// The base rows named by index entries, in key order.
     Tids(&'r StoredTable, &'r [Tid]),
     /// Every row of a materialized relation.
@@ -112,7 +185,7 @@ pub(crate) enum Input<'r> {
 impl Input<'_> {
     pub fn len(&self) -> usize {
         match self {
-            Input::Table(t) => t.len(),
+            Input::Table(rows, _) => rows.len(),
             Input::Tids(_, tids) => tids.len(),
             Input::Rel(b) => b.rows,
             Input::RelRows(_, rows) => rows.len(),
@@ -191,11 +264,11 @@ impl Emit {
     ) -> Result<()> {
         let (start, n) = (range.start, range.len());
         match input {
-            Input::Table(table) => {
+            Input::Table(rows, first) => {
                 // One slice per sub-range: one bounds check, not one per row.
-                let rows = table.rows_range(range);
+                let (rows, first) = (&rows[range], first + start);
                 let row_at =
-                    |i: u32| BaseRow::new(&rows[i as usize], Tid((start + i as usize) as u64));
+                    |i: u32| BaseRow::new(&rows[i as usize], Tid((first + i as usize) as u64));
                 self.emit(n, row_at, outer, sel, out)
             }
             Input::Tids(table, tids) => {

@@ -27,7 +27,7 @@ use starqo_exec::support::panic_msg;
 use starqo_exec::{position, ExecError, FaultHook, QueryResult, Result};
 use starqo_plan::{Lolepop, PlanRef};
 use starqo_query::Query;
-use starqo_storage::{Database, Tid, Tuple, ROWS_PER_PAGE};
+use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
 use starqo_trace::{LatencyPath, Metric, SpanContext, SpanGuard, Telemetry};
 
 use crate::batch::{Batch, Column, Rel, Val};
@@ -472,11 +472,15 @@ impl<'a> VexecExecutor<'a> {
         scope: &mut Vec<Value>,
     ) -> Result<Rel> {
         match &chain.source {
-            Source::Table(table) => {
-                // Full-scan page accounting, charged up front like the
+            Source::Table { table, key } => {
+                // The pages of the rows read, charged up front like the
                 // serial engine.
-                self.stats.pages_read += table.pages();
-                self.drive(chain, width, &Input::Table(table), scope)
+                let mut bound = std::mem::take(&mut self.prefix_buf);
+                let range = key.resolve(table, scope, &mut bound);
+                self.prefix_buf = bound;
+                self.stats.pages_read += pages_spanned(&range);
+                let input = Input::Table(table.rows_range(range.clone()), range.start);
+                self.drive(chain, width, &input, scope)
             }
             Source::Index {
                 table,

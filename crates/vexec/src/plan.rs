@@ -18,7 +18,7 @@ use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
 use starqo_query::{CmpOp, PredExpr, PredSet, QCol, Query};
 use starqo_storage::Database;
 
-use crate::chain::{Chain, Combine, Emit, GetOp, Op, Prefix, Source, TID_SLOT};
+use crate::chain::{Chain, Combine, Emit, GetOp, KeyRange, Op, Prefix, Source, TID_SLOT};
 use crate::expr::{CExpr, PredProg, Scope};
 
 /// One compiled operator (or fused run of streaming operators).
@@ -188,7 +188,7 @@ impl<'a> Compiler<'a> {
             Lolepop::Access { spec, cols, preds } => {
                 let (source, slots) = match spec {
                     AccessSpec::HeapTable(q) | AccessSpec::BTreeTable(q) => {
-                        let table = db.table(query.quantifier(*q).table)?;
+                        let id = query.quantifier(*q).table;
                         let slot = |c: &QCol| {
                             if c.col.is_tid() {
                                 TID_SLOT
@@ -196,7 +196,14 @@ impl<'a> Compiler<'a> {
                                 c.col.0 as usize
                             }
                         };
-                        (Source::Table(table), cols.iter().map(slot).collect())
+                        // A heap's native order is empty: its key range
+                        // binds nothing and reads the whole table.
+                        let key = db.catalog().table(id).native_order();
+                        let source = Source::Table {
+                            table: db.table(id)?,
+                            key: KeyRange::compile(query, *q, key, *preds, &self.scope),
+                        };
+                        (source, cols.iter().map(slot).collect())
                     }
                     AccessSpec::Index { index, q } => {
                         let def = db.catalog().index(*index);

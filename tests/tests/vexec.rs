@@ -803,3 +803,331 @@ fn vexec_radix_sort_covers_the_whole_i64_range() {
     let want = check_edge_plans(&Edge::new(&l, &r, 0, 0), "64-bit keys", &SUBQUADRATIC);
     assert!(want.rows.len() > 9_000, "{} rows", want.rows.len());
 }
+
+// ---- key-range reads of a B-tree-stored table ---------------------------
+//
+// `ACCESS(btree)` reads only the rows under the bound equality prefix of
+// the table's key (and one range on the next key column), found by binary
+// search — in both engines. The fixture is `L(K, J, V)`, a heap of binding
+// values, and `R(A, B, W)` stored in `(A, B)` order; `V`/`W` are row
+// numbers, and every plan selects `R`'s TID so a narrowed scan has to report
+// absolute row positions.
+
+mod keyed {
+    use std::sync::Arc;
+
+    use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value, TID_COL};
+    use starqo_plan::{
+        AccessSpec, ColSet, CostModel, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
+    };
+    use starqo_query::{parse_query, PredId, PredSet, QCol, QId, Query};
+    use starqo_storage::{Database, DatabaseBuilder};
+
+    pub const L: QId = QId(0);
+    pub const R: QId = QId(1);
+
+    pub struct Keyed {
+        pub db: Database,
+        pub query: Query,
+        model: CostModel,
+        engine: PropEngine,
+    }
+
+    pub fn preds(ids: &[u32]) -> PredSet {
+        ids.iter()
+            .fold(PredSet::EMPTY, |s, p| s.union(PredSet::single(PredId(*p))))
+    }
+
+    impl Keyed {
+        /// `l`: `(K, J)` per row of `L`; `r`: `(A, B)` per row of `R`, in
+        /// insertion order (loading sorts them). `conds` is the WHERE
+        /// clause; its conjuncts are predicates 0, 1, … in order.
+        pub fn new(l: &[(Value, Value)], r: &[(Value, Value)], conds: &str) -> Keyed {
+            let key = vec![ColId(0), ColId(1)];
+            let cat = Arc::new(
+                Catalog::builder()
+                    .site("s")
+                    .table("L", "s", StorageKind::Heap, l.len() as u64)
+                    .column("K", DataType::Int, None)
+                    .column("J", DataType::Int, None)
+                    .column("V", DataType::Int, None)
+                    .table("R", "s", StorageKind::BTree { key }, r.len() as u64)
+                    .column("A", DataType::Int, None)
+                    .column("B", DataType::Int, None)
+                    .column("W", DataType::Int, None)
+                    .build()
+                    .unwrap(),
+            );
+            let mut b = DatabaseBuilder::new(cat.clone());
+            for (table, rows) in [("L", l), ("R", r)] {
+                for (i, (x, y)) in rows.iter().enumerate() {
+                    b.insert(table, vec![x.clone(), y.clone(), Value::Int(i as i64)])
+                        .unwrap();
+                }
+            }
+            let sql = format!("SELECT L.V, R.W FROM L, R WHERE {conds}");
+            let mut query = parse_query(&cat, &sql).unwrap();
+            query.select.push(QCol::new(R, TID_COL));
+            Keyed {
+                db: b.build().unwrap(),
+                query,
+                model: CostModel::default(),
+                engine: PropEngine::new(),
+            }
+        }
+
+        fn build(&self, op: Lolepop, inputs: Vec<PlanRef>) -> PlanRef {
+            let ctx = PropCtx::new(self.db.catalog(), &self.query, &self.model);
+            self.engine
+                .build(op, inputs, &ctx)
+                .unwrap_or_else(|e| panic!("keyed plan rejected: {e:?}"))
+        }
+
+        /// `ACCESS(btree) R {A, B, W, TID}` under `preds`.
+        pub fn inner(&self, preds: PredSet) -> PlanRef {
+            let cols: ColSet = [0, 1, 2]
+                .map(|c| QCol::new(R, ColId(c)))
+                .into_iter()
+                .chain([QCol::new(R, TID_COL)])
+                .collect();
+            let spec = AccessSpec::BTreeTable(R);
+            self.build(Lolepop::Access { spec, cols, preds }, vec![])
+        }
+
+        /// `JOIN(NL)` of all of `L` with [`Self::inner`] under `pushed`,
+        /// which are also the join predicates.
+        pub fn nl(&self, pushed: PredSet) -> PlanRef {
+            let outer = self.build(
+                Lolepop::Access {
+                    spec: AccessSpec::HeapTable(L),
+                    cols: [0, 1, 2]
+                        .map(|c| QCol::new(L, ColId(c)))
+                        .into_iter()
+                        .collect(),
+                    preds: PredSet::EMPTY,
+                },
+                vec![],
+            );
+            self.build(
+                Lolepop::Join {
+                    flavor: JoinFlavor::NL,
+                    join_preds: pushed,
+                    residual: PredSet::EMPTY,
+                },
+                vec![outer, self.inner(pushed)],
+            )
+        }
+    }
+}
+
+use keyed::Keyed;
+use starqo_storage::{Tid, ROWS_PER_PAGE};
+
+/// Run `plan` on the oracle and on vexec at 1, 2 and 8 workers: the same
+/// `Result` — rows and order, or the same typed error — and on success the
+/// same shared counters *and* `pages_read`, which both engines charge for
+/// the rows of the range alone. A selected TID names the stored row whose
+/// `W` came out with it. Returns the oracle's outcome and its `pages_read`.
+fn assert_same_read(k: &Keyed, plan: &PlanRef, ctx: &str) -> (Result<QueryResult, String>, u64) {
+    let mut serial = Executor::new(&k.db, &k.query);
+    let want = serial.run(plan).map_err(|e| e.to_string());
+    let oracle = *serial.stats();
+    for &w in &WORKER_COUNTS {
+        let mut vx = VexecExecutor::new(&k.db, &k.query);
+        vx.set_workers(w);
+        let got = vx.run(plan).map_err(|e| e.to_string());
+        assert_eq!(got, want, "{ctx}: vexec({w} workers) diverged from serial");
+        let s = vx.stats();
+        if want.is_ok() {
+            assert_eq!(
+                (s.rows_out, s.pipeline_rows, s.probes, s.pages_read),
+                (
+                    oracle.rows_out,
+                    oracle.pipeline_rows,
+                    oracle.probes,
+                    oracle.pages_read
+                ),
+                "{ctx}: vexec({w} workers) rows_out/pipeline_rows/probes/pages_read"
+            );
+        }
+    }
+    if let Ok(result) = &want {
+        let r = k.db.catalog().table_by_name("R").unwrap().id;
+        let r = k.db.table(r).unwrap();
+        let (w, tid) = (result.schema.len() - 2, result.schema.len() - 1);
+        for row in &result.rows {
+            let tid = Tid::from_value(row.get(tid)).expect("a TID");
+            assert_eq!(r.fetch(tid).unwrap().get(2), row.get(w), "{ctx}");
+        }
+    }
+    (want, oracle.pages_read)
+}
+
+/// [`assert_same_read`] of a plan that must succeed, also checked — without
+/// the TID — against the brute-force reference evaluator, which never
+/// narrows anything.
+fn check_read(k: &Keyed, plan: &PlanRef, ctx: &str) -> (QueryResult, u64) {
+    let (got, pages) = assert_same_read(k, plan, ctx);
+    let got = got.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let mut query = k.query.clone();
+    query.select.truncate(2);
+    let want = starqo_exec::reference_eval(&k.db, &query).unwrap();
+    let rows: Vec<_> = got.rows.iter().map(|r| r.0[..2].to_vec()).collect();
+    let rows: Vec<_> = rows.into_iter().map(starqo_storage::Tuple).collect();
+    assert!(
+        starqo_exec::rows_equal_multiset(&rows, &want),
+        "{ctx}: narrowed read disagrees with the reference evaluator"
+    );
+    (got, pages)
+}
+
+fn pair(a: Value, b: i64) -> (Value, Value) {
+    (a, Value::Int(b))
+}
+
+/// Non-unique keys, keys that are `Int` in one row and the equal `Double`
+/// in the next, NULL keys — probed by bindings that hit, miss between two
+/// keys, fall off either end, are NULL (no prefix: the whole table is read
+/// and the predicate empties it), a `Double`, or a string.
+#[test]
+fn vexec_key_range_reads_nonunique_null_and_cross_type_keys() {
+    let r: Vec<_> = (0..240)
+        .map(|i| {
+            // Six rows per key 0..40, inserted scattered.
+            let i = i * 77 % 240;
+            let k = i / 6;
+            let a = match i % 6 {
+                0 => Value::Double(k as f64),
+                1 => Value::Double(k as f64 + 0.5),
+                2 if k % 4 == 0 => Value::Null,
+                _ => Value::Int(k),
+            };
+            pair(a, i % 9)
+        })
+        .collect();
+    let l = vec![
+        pair(Value::Int(0), 0),
+        pair(Value::Int(17), 0),
+        pair(Value::Int(39), 0),
+        pair(Value::Int(-3), 0),
+        pair(Value::Int(40), 0),
+        pair(Value::Null, 0),
+        pair(Value::Double(17.0), 0),
+        pair(Value::Double(16.5), 0),
+        pair(Value::Double(16.25), 0),
+        pair(Value::str("17"), 0),
+        pair(Value::Int(17), 0),
+        pair(Value::Null, 0),
+    ];
+    let k = Keyed::new(&l, &r, "L.K = R.A");
+    let (got, pages) = check_read(&k, &k.nl(keyed::preds(&[0])), "cross-type keys");
+    // 0 ⋈ 4 rows (one of key 0's is NULL), 17 ⋈ 5 three times over, 39 ⋈ 5,
+    // 16.5 ⋈ 1; the rest meet nothing.
+    assert_eq!(got.rows.len(), 4 + 3 * 5 + 5 + 1);
+    // Ten bound probes of a page or two each, and two NULL bindings that
+    // read the whole table.
+    let whole = 240u64.div_ceil(ROWS_PER_PAGE);
+    assert!(
+        pages > 2 * whole && pages <= 1 + 10 * 2 + 2 * whole,
+        "{pages} pages"
+    );
+}
+
+/// A range predicate on the key: on its first column with no equality
+/// prefix, on its second column under one, one-sided, two-sided, inverted,
+/// bound by the outer row or by a constant, and NULL.
+#[test]
+fn vexec_key_range_reads_range_predicates_with_and_without_a_prefix() {
+    let r: Vec<_> = (0..600)
+        .map(|i| pair(Value::Int(i * 11 % 30), i * 7 % 20))
+        .collect();
+    let l: Vec<_> = (0..12)
+        .map(|i| match i {
+            10 => (Value::Null, Value::Int(3)),
+            11 => (Value::Int(4), Value::Null),
+            _ => pair(Value::Int(i * 3), i % 5 * 4),
+        })
+        .collect();
+    let whole = 600u64.div_ceil(ROWS_PER_PAGE);
+    for (conds, pushed, narrows) in [
+        // Equality prefix, then a lower bound from the outer row.
+        ("L.K = R.A AND R.B >= L.J", &[0, 1][..], true),
+        ("L.K = R.A AND L.J > R.B", &[0, 1], true),
+        // Two-sided; the first bound of each side is the one searched by.
+        (
+            "L.K = R.A AND R.B > 3 AND R.B <= 12 AND R.B < 15",
+            &[0, 1, 2, 3],
+            true,
+        ),
+        // Inverted: nothing qualifies, one page is looked at.
+        ("L.K = R.A AND R.B > 12 AND R.B < 5", &[0, 1, 2], true),
+        // No equality on A: the range is on the first key column.
+        ("R.A < L.K AND R.B = 4", &[0, 1], true),
+        ("R.A >= L.K AND R.A <= 20", &[0, 1], true),
+        // A range on B alone is not a key range: the whole table, per row.
+        ("R.B >= L.J AND R.W >= 0", &[0], false),
+    ] {
+        let k = Keyed::new(&l, &r, conds);
+        let (_, pages) = check_read(&k, &k.nl(keyed::preds(pushed)), conds);
+        let full = 1 + 12 * whole;
+        assert_eq!(pages < full, narrows, "{conds}: {pages} pages of {full}");
+    }
+}
+
+/// A range of one key that starts before row 4 096 and ends after it, and
+/// one of 5 000 rows — several morsels, none starting at row 0 — at every
+/// worker count: TIDs are absolute and the exchange keeps key order.
+#[test]
+fn vexec_key_range_reads_straddle_morsel_boundaries() {
+    // Key 0: rows 0..3 900; key 1: 3 900..4 400; key 2: 4 400..9 400.
+    let key_of = |i: i64| match i % 94 {
+        0..=38 => 0,
+        39..=43 => 1,
+        _ => 2,
+    };
+    let r: Vec<_> = (0..9_400)
+        .map(|i| pair(Value::Int(key_of(i)), i % 50))
+        .collect();
+    let l = vec![
+        pair(Value::Int(1), 10),
+        pair(Value::Int(2), 45),
+        pair(Value::Int(3), 0),
+    ];
+    let k = Keyed::new(&l, &r, "L.K = R.A AND R.B >= L.J");
+    let plan = k.nl(keyed::preds(&[0, 1]));
+    let (got, pages) = check_read(&k, &plan, "morsel boundary");
+    assert_eq!(got.rows.len(), 500 * 40 / 50 + 5_000 * 5 / 50);
+    let tids: Vec<u64> = got
+        .rows
+        .iter()
+        .map(|r| Tid::from_value(r.get(2)).unwrap().0)
+        .collect();
+    assert!(tids.windows(2).all(|w| w[0] < w[1]), "rows left key order");
+    assert!(tids[0] < MORSEL_ROWS as u64 && tids[399] > MORSEL_ROWS as u64);
+    // Without the equality prefix the same rows come from whole-key ranges
+    // of several morsels each.
+    let k = Keyed::new(&l, &r, "L.K = R.A AND R.W >= 0");
+    let (_, wide) = check_read(&k, &k.nl(keyed::preds(&[0])), "whole keys");
+    assert!(pages < wide && wide < 3 * 9_400u64.div_ceil(ROWS_PER_PAGE));
+    let mut vx = VexecExecutor::new(&k.db, &k.query);
+    vx.set_workers(8);
+    vx.run(&k.nl(keyed::preds(&[0]))).unwrap();
+    assert!(vx.stats().max_workers > 1, "5 000 rows are two morsels");
+}
+
+/// A predicate that can only fail — it names a column nothing binds — ahead
+/// of the key equality: the rows outside the range never meet it, so the
+/// read fails exactly when the range holds a row, in both engines alike.
+#[test]
+fn vexec_key_range_reads_raise_only_what_the_rows_read_raise() {
+    let r: Vec<_> = (0..200).map(|i| pair(Value::Int(i % 10 * 2), i)).collect();
+    let l = vec![pair(Value::Int(0), 0)];
+    for (key, fails) in [(4, true), (5, false), (99, false)] {
+        let mut k = Keyed::new(&l, &r, &format!("L.J < R.B AND R.A = {key}"));
+        // `R` alone, as the root: `L.J` is unbound wherever it is evaluated.
+        k.query.select.remove(0);
+        let (got, pages) = assert_same_read(&k, &k.inner(keyed::preds(&[0, 1])), "unbound");
+        assert_eq!(got.is_err(), fails, "key {key}: {got:?}");
+        assert!(fails || (got.unwrap().rows.is_empty() && pages == 1));
+    }
+}
