@@ -3,17 +3,24 @@
 //!
 //! For each fleet query the cheapest alternative of the case's class
 //! (hash join, uncorrelated or sideways-bound nested loops) is executed
-//! three ways: the serial `starqo-exec` oracle, vexec with 1 worker, and
-//! vexec with 8 workers. Because all three run the *same plan* on the
-//! *same data*, the wall-clock ratio isolates executor efficiency —
-//! vectorized predicate evaluation over selection vectors, compiled
-//! expressions, and fused pipelines — from plan quality.
+//! the serial `starqo-exec` oracle and vexec with 1, 2 and 8 workers.
+//! Because all run the *same plan* on the *same data*, the wall-clock ratio
+//! isolates executor efficiency — vectorized predicate evaluation over
+//! selection vectors, compiled expressions, and fused pipelines — from plan
+//! quality.
+//!
+//! Every table loaded through `DatabaseBuilder::build` carries an integer
+//! mirror of its all-integer columns, which is what vexec scans; two scan
+//! cases keep the row path under the same comparison — one whose probe
+//! table holds a NULL (that column is read from the rows, beside mirrored
+//! neighbours) and one whose probe table was touched after `build` (no
+//! mirror at all).
 //!
 //! Asserted invariants:
 //! - **bit-equality**: every vexec run returns exactly the serial result
 //!   (rows *and* order); divergences are counted and must be zero;
-//! - **counter determinism**: batch/morsel/row counts are identical at 1
-//!   and 8 workers;
+//! - **counter determinism**: batch/morsel/row counts are identical at 1,
+//!   2 and 8 workers;
 //! - **throughput floor** (full mode only): vexec at 8 workers is at
 //!   least 3× the serial throughput in aggregate across the fleet.
 
@@ -84,7 +91,21 @@ enum CaseSpec {
         t0: u64,
         t1: u64,
         seed: u64,
+        load: Load,
     },
+}
+
+/// How a scan case's probe table `T0` reaches the executors.
+#[derive(Clone, Copy, PartialEq)]
+enum Load {
+    /// Every row through `DatabaseBuilder::build`, every column all
+    /// integers: vexec reads the table's integer mirror.
+    Built,
+    /// The middle row's `P1` is NULL: that column is not mirrored and its
+    /// predicate reads the rows, beside mirrored neighbours.
+    NullBearing,
+    /// The last row is inserted after `build`: nothing is mirrored.
+    LateInsert,
 }
 
 /// The per-class suite. The scan class carries the throughput floor; the
@@ -98,12 +119,28 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             t0: if quick { 60_000 } else { 600_000 },
             t1: 2_000,
             seed: 9,
+            load: Load::Built,
         },
         CaseSpec::Scan {
             name: "scan-asym2",
             t0: if quick { 40_000 } else { 400_000 },
             t1: 1_000,
             seed: 10,
+            load: Load::Built,
+        },
+        CaseSpec::Scan {
+            name: "scan-null",
+            t0: if quick { 20_000 } else { 200_000 },
+            t1: 1_000,
+            seed: 11,
+            load: Load::NullBearing,
+        },
+        CaseSpec::Scan {
+            name: "scan-late",
+            t0: if quick { 20_000 } else { 200_000 },
+            t1: 1_000,
+            seed: 12,
+            load: Load::LateInsert,
         },
         CaseSpec::Synth {
             shape: QueryShape::Chain,
@@ -211,7 +248,13 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
                 });
             (name, case)
         }
-        CaseSpec::Scan { name, t0, t1, seed } => {
+        CaseSpec::Scan {
+            name,
+            t0,
+            t1,
+            seed,
+            load,
+        } => {
             let mut b = Catalog::builder().site("site0");
             for (tname, card, fk_dom) in [("T0", *t0, *t1), ("T1", *t1, *t0)] {
                 b = b
@@ -225,22 +268,38 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
             let mut rng = Rng64::new(*seed);
             let mut dbb = DatabaseBuilder::new(cat.clone());
             let tabs = cat.tables().to_vec();
+            let mut late = None;
             for (i, t) in tabs.iter().enumerate() {
                 let next = tabs[(i + 1) % tabs.len()].card.max(1);
                 for id in 0..t.card {
-                    dbb.insert_id(
-                        t.id,
-                        Tuple(vec![
-                            Value::Int(id as i64),
-                            Value::Int(rng.below(next) as i64),
-                            Value::Int(rng.below(100) as i64),
-                            Value::Int(rng.below(10) as i64),
-                        ]),
-                    )
-                    .expect("scan row");
+                    let mut row = [id, rng.below(next), rng.below(100), rng.below(10)]
+                        .map(|v| Value::Int(v as i64));
+                    if i == 0 && id == t.card / 2 && *load == Load::NullBearing {
+                        row[3] = Value::Null;
+                    }
+                    let row = Tuple(row.to_vec());
+                    if i == 0 && id + 1 == t.card && *load == Load::LateInsert {
+                        late = Some(row);
+                    } else {
+                        dbb.insert_id(t.id, row).expect("scan row");
+                    }
                 }
             }
-            let db = dbb.build().expect("scan database");
+            let mut db = dbb.build().expect("scan database");
+            if let Some(row) = late {
+                db.insert(tabs[0].id, row).expect("late scan row");
+            }
+            // The case exercises the read path its name says.
+            let mirrored = |c| {
+                db.table(tabs[0].id)
+                    .is_ok_and(|t| t.int_column(c).is_some())
+            };
+            let expect = match load {
+                Load::Built => [true, true, true, true],
+                Load::NullBearing => [true, true, true, false],
+                Load::LateInsert => [false, false, false, false],
+            };
+            assert_eq!([0, 1, 2, 3].map(mirrored), expect, "{name}: T0's mirror");
             // T0 ⋈ T1 with a two-predicate filter on the big probe side —
             // a selective analytic scan feeding a small-build hash join.
             let mut qb = QueryBuilder::new();
@@ -368,18 +427,21 @@ pub fn e23_vexec(quick: bool) -> Report {
             });
             (got, ms, stats.expect("ran"))
         };
-        let (got1, v1_ms, mut s1) = run_vexec(1);
-        let (got8, v8_ms, mut s8) = run_vexec(8);
-        if got1 != want {
-            divergences += 1;
-        }
-        if got8 != want {
-            divergences += 1;
-        }
+        let [(got1, v1_ms, mut s1), (got2, _, mut s2), (got8, v8_ms, mut s8)] =
+            [1, 2, 8].map(run_vexec);
+        divergences += [got1, got2, got8]
+            .iter()
+            .filter(|got| **got != want)
+            .count() as u64;
         // Batch/morsel/row accounting must not depend on scheduling.
-        s1.max_workers = 0;
-        s8.max_workers = 0;
-        assert_eq!(s1, s8, "{}: stats depend on worker count", case.name);
+        for s in [&mut s1, &mut s2, &mut s8] {
+            s.max_workers = 0;
+        }
+        assert!(
+            s1 == s8 && s2 == s8,
+            "{}: stats depend on worker count",
+            case.name
+        );
         reg.count("exec_rows_out", want.rows.len() as u64);
         reg.count("exec_vexec_batches", s8.batches);
         reg.count("exec_vexec_morsels", s8.morsels);

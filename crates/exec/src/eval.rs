@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 use starqo_catalog::{Value, TID_COL};
 use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
@@ -21,9 +20,7 @@ use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
 use crate::support::{
     bound_key_range, bound_prefix as support_bound_prefix, panic_msg, value_bytes,
 };
-use starqo_trace::{
-    LatencyPath, Metric, NodeActuals, SpanContext, SpanGuard, Telemetry, TraceEvent, Tracer,
-};
+use starqo_trace::{NodeActuals, TraceEvent, Tracer};
 
 use crate::error::{ExecError, Result};
 use crate::result::{project_rows, QueryResult};
@@ -93,12 +90,6 @@ pub struct Executor<'a> {
     node_stats: HashMap<u64, NodeActuals>,
     /// Armed fault-injection hook; `None` in production.
     fault_hook: Option<FaultHook>,
-    /// Live metrics plane; when attached, [`Self::run`] records
-    /// executions, rows out, wall nanos, and the execute-latency histogram.
-    telemetry: Option<Arc<Telemetry>>,
-    /// Request-scoped span recorder; when live, the root pipeline and
-    /// every STORE materialization (pipeline breakers) record spans.
-    spans: SpanContext,
 }
 
 impl<'a> Executor<'a> {
@@ -114,8 +105,6 @@ impl<'a> Executor<'a> {
             collect: false,
             node_stats: HashMap::new(),
             fault_hook: None,
-            telemetry: None,
-            spans: SpanContext::off(),
         }
     }
 
@@ -135,20 +124,6 @@ impl<'a> Executor<'a> {
     /// a trace sink — what `explain_analyze` consumes.
     pub fn enable_node_stats(&mut self) {
         self.collect = true;
-    }
-
-    /// Attach the live telemetry plane: each successful [`Self::run`]
-    /// records one execution (count, rows out, wall nanos) in the counter
-    /// plane and the `execute` latency histogram. Counter cost only —
-    /// per-node actuals stay off unless a tracer asks for them.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// Attach a request's span recorder (root pipeline + STORE
-    /// materialization spans).
-    pub fn set_spans(&mut self, spans: SpanContext) {
-        self.spans = spans;
     }
 
     /// Actuals per plan-node fingerprint gathered so far.
@@ -172,32 +147,10 @@ impl<'a> Executor<'a> {
     /// injected faults) are caught here and surfaced as
     /// [`ExecError::Panicked`] — never a process abort.
     pub fn run(&mut self, plan: &PlanRef) -> Result<QueryResult> {
-        let started = Instant::now();
-        // The root pipeline's span (`meta` = rows out); STORE subtrees
-        // record their own `pipeline:store` children as they materialize.
-        let mut pipeline_span = if self.spans.enabled() {
-            self.spans.enter(format!("pipeline:{}", plan.op.name()))
-        } else {
-            SpanGuard::noop()
-        };
-        let out =
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner(plan))) {
-                Ok(r) => r,
-                Err(payload) => Err(ExecError::Panicked(panic_msg(payload))),
-            };
-        if let Ok(result) = &out {
-            pipeline_span.set_meta(result.rows.len() as u64);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner(plan))) {
+            Ok(r) => r,
+            Err(payload) => Err(ExecError::Panicked(panic_msg(payload))),
         }
-        drop(pipeline_span);
-        if let (Some(t), Ok(result)) = (&self.telemetry, &out) {
-            let nanos = started.elapsed().as_nanos() as u64;
-            t.add(Metric::Executions, 1);
-            t.add(Metric::ExecRows, result.rows.len() as u64);
-            t.add(Metric::ExecNanos, nanos);
-            t.add(Metric::PipelineRows, self.stats.pipeline_rows);
-            t.observe(LatencyPath::Execute, nanos);
-        }
-        out
     }
 
     fn run_inner(&mut self, plan: &PlanRef) -> Result<QueryResult> {
@@ -361,14 +314,7 @@ impl<'a> Executor<'a> {
         if let Some(hit) = self.temp_cache.get(&key) {
             return Ok(hit.clone());
         }
-        let mut store_span = if self.spans.enabled() && matches!(node.op, Lolepop::Store) {
-            self.spans.enter("pipeline:store")
-        } else {
-            SpanGuard::noop()
-        };
         let rows = Arc::new(self.eval(node, bindings)?);
-        store_span.set_meta(rows.len() as u64);
-        drop(store_span);
         if !is_correlated(node, self.query) {
             // Count a temp materialization only for STORE nodes themselves
             // (not for the cached children they wrap).

@@ -8,7 +8,7 @@ use starqo_catalog::{Catalog, IndexId, StorageKind, TableId};
 use crate::btree::BTreeIndexData;
 use crate::error::{Result, StorageError};
 use crate::table::StoredTable;
-use crate::tuple::Tuple;
+use crate::tuple::{Tid, Tuple};
 
 /// A loaded database: one `StoredTable` per catalog table, plus built
 /// indexes. Sites are bookkeeping — all data lives in this process, and the
@@ -37,6 +37,25 @@ impl Database {
     pub fn actual_card(&self, id: TableId) -> u64 {
         self.tables.get(&id).map(|t| t.len() as u64).unwrap_or(0)
     }
+
+    /// Append one row to a loaded table and rebuild the table's indexes over
+    /// it (a unique violation is reported with the row already stored). The
+    /// table loses what `build` derived from its rows — the key order of a
+    /// B-tree-stored table and the integer mirror — and is read row by row
+    /// from then on. A maintenance path, linear in the table per call: bulk
+    /// loading is [`DatabaseBuilder`]'s job.
+    pub fn insert(&mut self, table: TableId, row: Tuple) -> Result<Tid> {
+        let data = self
+            .tables
+            .get_mut(&table)
+            .ok_or(StorageError::NoSuchTable(table))?;
+        let tid = data.insert(self.catalog.table(table), row)?;
+        for def in self.catalog.indexes_on(table) {
+            self.indexes
+                .insert(def.id, BTreeIndexData::build(def, data)?);
+        }
+        Ok(tid)
+    }
 }
 
 /// Builder that loads rows and then builds all catalog indexes.
@@ -57,30 +76,29 @@ impl DatabaseBuilder {
 
     /// Insert one row into a table (by name).
     pub fn insert(&mut self, table: &str, values: Vec<starqo_catalog::Value>) -> Result<()> {
-        let t = self
+        let schema = self
             .catalog
             .table_by_name(table)
             .map_err(|_| StorageError::NoSuchTable(TableId(u32::MAX)))?;
-        let schema = t.clone();
         self.tables
             .get_mut(&schema.id)
             .ok_or(StorageError::NoSuchTable(schema.id))?
-            .insert(&schema, Tuple(values))?;
+            .insert(schema, Tuple(values))?;
         Ok(())
     }
 
     /// Insert one row by table id.
     pub fn insert_id(&mut self, table: TableId, row: Tuple) -> Result<()> {
-        let schema = self.catalog.table(table).clone();
         self.tables
             .get_mut(&table)
             .ok_or(StorageError::NoSuchTable(table))?
-            .insert(&schema, row)?;
+            .insert(self.catalog.table(table), row)?;
         Ok(())
     }
 
-    /// Finish loading: sort B-tree-stored tables on their keys, then build
-    /// every catalog index.
+    /// Finish loading: sort B-tree-stored tables on their keys, mirror the
+    /// integer columns of every table now that its rows are where they will
+    /// stay, then build every catalog index.
     pub fn build(mut self) -> Result<Database> {
         for t in self.catalog.tables() {
             if let StorageKind::BTree { key } = &t.storage {
@@ -89,6 +107,7 @@ impl DatabaseBuilder {
                 }
             }
         }
+        self.tables.values_mut().for_each(StoredTable::mirror_ints);
         let mut indexes = HashMap::new();
         for def in self.catalog.indexes() {
             let data = self
@@ -144,6 +163,43 @@ mod tests {
         let ix = db.index(IndexId(0)).unwrap();
         assert_eq!(ix.entries(), 3);
         assert_eq!(db.actual_card(TableId(0)), 3);
+    }
+
+    /// `build` mirrors the integer column of the rows *as sorted*; a clone
+    /// keeps the mirror; a row inserted afterwards is stored and indexed, and
+    /// the table is back to rows alone.
+    #[test]
+    fn build_mirrors_sorted_rows_and_a_later_insert_drops_the_mirror() {
+        let mut b = DatabaseBuilder::new(catalog());
+        for (a, s) in [(3, "c"), (1, "a"), (2, "b")] {
+            b.insert("T", vec![Value::Int(a), Value::str(s)]).unwrap();
+        }
+        let mut db = b.build().unwrap();
+        let t = db.table(TableId(0)).unwrap();
+        assert_eq!(
+            t.int_column(0),
+            Some(&[1, 2, 3][..]),
+            "positions after the sort"
+        );
+        assert_eq!(t.int_column(1), None, "a string column");
+        let copy = db.clone();
+        let tid = db
+            .insert(TableId(0), Tuple(vec![Value::Int(0), Value::str("b")]))
+            .unwrap();
+        assert_eq!(tid.0, 3);
+        let t = db.table(TableId(0)).unwrap();
+        assert_eq!((t.len(), t.int_column(0)), (4, None));
+        let ix = db.index(IndexId(0)).unwrap();
+        let b_rows: Vec<_> = ix
+            .probe_prefix(&[Value::str("b")])
+            .map(|(_, t)| t.0)
+            .collect();
+        assert_eq!((ix.entries(), b_rows), (4, vec![1, 3]));
+        // The clone taken before the insert still has its own mirror.
+        let t = copy.table(TableId(0)).unwrap();
+        assert_eq!((t.len(), t.int_column(0)), (3, Some(&[1, 2, 3][..])));
+        assert!(db.insert(TableId(9), Tuple(vec![])).is_err());
+        assert!(db.insert(TableId(0), Tuple(vec![])).is_err(), "arity");
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! tuples"; this crate is what gets accessed. Page structure exists so the
 //! evaluator can report honest simulated I/O counts (pages touched), which
 //! is what the cost model estimates.
+//!
+//! A table's rows are `Vec<Tuple>` — what `scan`, `fetch` and `rows_range`
+//! hand out, and all the reference evaluator reads. A table loaded by
+//! [`DatabaseBuilder::build`] also carries a column-major mirror of its
+//! all-integer columns ([`StoredTable::int_column`]): one `i64` slice per
+//! such column by row position, which the vectorized executor scans and
+//! [`StoredTable::key_range`] compares through. Touching the table drops it.
 
 pub mod btree;
 pub mod db;

@@ -166,9 +166,19 @@ impl Column {
     /// variant this is an indexed copy with no per-value dispatch.
     pub fn gather(&mut self, src: &Column, rows: impl Iterator<Item = usize>) {
         match (&mut *self, src) {
-            (Column::Int(dst), Column::Int(src)) => dst.extend(rows.map(|r| src[r])),
+            (_, Column::Int(src)) => self.gather_ints(src, rows),
             (Column::Any(dst), Column::Any(src)) => dst.extend(rows.map(|r| src[r].clone())),
             _ => self.extend(rows.map(|r| src.get(r))),
+        }
+    }
+
+    /// Append the integers at positions `rows` of `src`, in that order: the
+    /// indexed copy behind [`Column::gather`], and how the survivors of a
+    /// base table's mirrored column enter a batch.
+    pub fn gather_ints(&mut self, src: &[i64], rows: impl Iterator<Item = usize>) {
+        match self {
+            Column::Int(dst) => dst.extend(rows.map(|r| src[r])),
+            Column::Any(dst) => dst.extend(rows.map(|r| Value::Int(src[r]))),
         }
     }
 

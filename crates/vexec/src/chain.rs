@@ -22,7 +22,7 @@ use starqo_query::{CmpOp, PredSet, QCol, QId, Query, Scalar};
 use starqo_storage::{BTreeIndexData, StoredTable, Tid, Tuple, ROWS_PER_PAGE};
 
 use crate::batch::{Batch, Val, BATCH_ROWS};
-use crate::expr::{BatchRow, CExpr, PredProg, Scope, VRow};
+use crate::expr::{BatchRow, CExpr, PredProg, RowSource, Scope, VRow};
 use crate::plan::Node;
 
 const NULL_VALUE: Value = Value::Null;
@@ -172,8 +172,8 @@ impl<'a> KeyRange<'a> {
 
 /// The rows one run of a chain reads.
 pub(crate) enum Input<'r> {
-    /// Contiguous rows of a base table, the first at this TID.
-    Table(&'r [Tuple], usize),
+    /// The rows of a base table at these contiguous positions (TIDs).
+    Table(&'r StoredTable, Range<usize>),
     /// The base rows named by index entries, in key order.
     Tids(&'r StoredTable, &'r [Tid]),
     /// Every row of a materialized relation.
@@ -185,7 +185,7 @@ pub(crate) enum Input<'r> {
 impl Input<'_> {
     pub fn len(&self) -> usize {
         match self {
-            Input::Table(rows, _) => rows.len(),
+            Input::Table(_, rows) => rows.len(),
             Input::Tids(_, tids) => tids.len(),
             Input::Rel(b) => b.rows,
             Input::RelRows(_, rows) => rows.len(),
@@ -193,28 +193,57 @@ impl Input<'_> {
     }
 }
 
-/// Borrowed view of a base-table row during emit: slots are base column
-/// positions, anything past the tuple is the TID pseudo-column.
-struct BaseRow<'a> {
-    base: &'a [Value],
-    /// The TID as its column value ([`Tid::to_value`]'s integer).
-    tid: i64,
+/// A stored table as a [`RowSource`]: positions are TIDs, and a column is an
+/// integer slice exactly when the table mirrors it.
+#[derive(Clone, Copy)]
+struct BaseTable<'a> {
+    table: &'a StoredTable,
+    rows: &'a [Tuple],
 }
 
-impl<'a> BaseRow<'a> {
-    #[inline]
-    fn new(base: &'a Tuple, tid: Tid) -> Self {
-        BaseRow {
-            base: &base.0,
-            tid: tid.0 as i64,
+impl<'a> BaseTable<'a> {
+    fn of(table: &'a StoredTable) -> Self {
+        BaseTable {
+            table,
+            rows: table.rows_range(0..table.len()),
         }
     }
+}
+
+impl<'a> RowSource<'a> for BaseTable<'a> {
+    type Row = BaseRow<'a>;
+
+    #[inline]
+    fn row_at(self, pos: usize) -> BaseRow<'a> {
+        BaseRow { base: self, pos }
+    }
+
+    #[inline]
+    fn ints(self, slot: usize) -> Option<&'a [i64]> {
+        self.table.int_column(slot)
+    }
+}
+
+/// Borrowed view of the base-table row at `pos` (during emit, and under
+/// GET): slots are base column positions, read from the table's integer
+/// mirror where it has one and from the stored tuple where it has not;
+/// anything past the tuple is the TID pseudo-column — `pos` itself, as
+/// [`Tid::to_value`]'s integer.
+struct BaseRow<'a> {
+    base: BaseTable<'a>,
+    pos: usize,
 }
 
 impl<'a> VRow<'a> for BaseRow<'a> {
     #[inline]
     fn slot(&self, slot: usize) -> Val<'a> {
-        self.base.get(slot).map_or(Val::Int(self.tid), Val::of)
+        match self.base.ints(slot) {
+            Some(ints) => Val::Int(ints[self.pos]),
+            None => {
+                let stored = self.base.rows[self.pos].0.get(slot);
+                stored.map_or(Val::Int(self.pos as i64), Val::of)
+            }
+        }
     }
 }
 
@@ -264,46 +293,44 @@ impl Emit {
     ) -> Result<()> {
         let (start, n) = (range.start, range.len());
         match input {
-            Input::Table(rows, first) => {
-                // One slice per sub-range: one bounds check, not one per row.
-                let (rows, first) = (&rows[range], first + start);
-                let row_at =
-                    |i: u32| BaseRow::new(&rows[i as usize], Tid((first + i as usize) as u64));
-                self.emit(n, row_at, outer, sel, out)
+            Input::Table(table, rows) => {
+                // Absolute positions: a key range need not start at row 0.
+                let first = rows.start + start;
+                let pos = |i: u32| first + i as usize;
+                self.emit(n, BaseTable::of(table), pos, outer, sel, out)
             }
             Input::Tids(table, tids) => {
-                let (rows, tids) = (table.rows_range(0..table.len()), &tids[range]);
-                let row_at = |i: u32| {
-                    let tid = tids[i as usize];
-                    BaseRow::new(&rows[tid.0 as usize], tid)
-                };
-                self.emit(n, row_at, outer, sel, out)
+                let tids = &tids[range];
+                let pos = |i: u32| tids[i as usize].0 as usize;
+                self.emit(n, BaseTable::of(table), pos, outer, sel, out)
             }
-            Input::Rel(rel) => {
-                let row_at = |i: u32| rel.row(start + i as usize);
-                self.emit(n, row_at, outer, sel, out)
-            }
+            Input::Rel(rel) => self.emit(n, *rel, |i| start + i as usize, outer, sel, out),
             Input::RelRows(rel, rows) => {
                 let rows = &rows[range];
-                let row_at = |i: u32| rel.row(rows[i as usize] as usize);
-                self.emit(n, row_at, outer, sel, out)
+                self.emit(n, *rel, |i| rows[i as usize] as usize, outer, sel, out)
             }
         }
     }
 
-    fn emit<'a, R: VRow<'a>>(
+    /// `n` rows of `src`, the `i`-th at position `pos(i)`.
+    fn emit<'a, S: RowSource<'a>>(
         &self,
         n: usize,
-        row_at: impl Fn(u32) -> R,
+        src: S,
+        pos: impl Fn(u32) -> usize,
         outer: &[Value],
         sel: &mut Vec<u32>,
         out: &mut Batch,
     ) -> Result<()> {
         sel.clear();
         sel.extend(0..n as u32);
-        self.preds.refine(sel, &row_at, outer)?;
+        self.preds.refine(sel, n, src, &pos, outer)?;
         for (col, slot) in out.cols.iter_mut().zip(&self.slots) {
-            col.extend(sel.iter().map(|i| row_at(*i).slot(*slot)));
+            let at = sel.iter().map(|i| pos(*i));
+            match src.ints(*slot) {
+                Some(ints) => col.gather_ints(ints, at),
+                None => col.extend(at.map(|p| src.row_at(p).slot(*slot))),
+            }
         }
         out.rows += sel.len();
         Ok(())
@@ -445,16 +472,6 @@ impl Combine {
     }
 }
 
-/// Row view over a bare tuple.
-struct TupleRow<'a>(&'a Tuple);
-
-impl<'a> VRow<'a> for TupleRow<'a> {
-    #[inline]
-    fn slot(&self, slot: usize) -> Val<'a> {
-        Val::of(self.0.get(slot))
-    }
-}
-
 /// Fused TID dereference: fetch the base tuple for each live input row,
 /// evaluate the GET predicates on a borrowed (input, base) view, and gather
 /// survivors into the output schema.
@@ -479,18 +496,19 @@ impl GetOp<'_> {
         let mut last_page = u64::MAX;
         let mut fetched = 0u64;
         let mut pages = 0u64;
+        let base = BaseTable::of(self.table);
         for i in input.live_rows() {
             let tid = Tid::from_value(&input.cols[self.tid_slot].value(i))
                 .ok_or_else(|| ExecError::BadPlan("non-TID value in TID column".into()))?;
-            let base = self.table.fetch(tid)?;
+            self.table.fetch(tid)?;
             fetched += 1;
             let page = tid.page(ROWS_PER_PAGE);
             if page != last_page {
                 pages += 1;
                 last_page = page;
             }
-            self.combine
-                .emit(&input.row(i), &TupleRow(base), outer, out)?;
+            let row = base.row_at(tid.0 as usize);
+            self.combine.emit(&input.row(i), &row, outer, out)?;
         }
         stats.tuples_fetched.fetch_add(fetched, Ordering::Relaxed);
         stats.pages_read.fetch_add(pages, Ordering::Relaxed);

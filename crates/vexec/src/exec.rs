@@ -163,8 +163,8 @@ impl<'a> VexecExecutor<'a> {
         self.telemetry = Some(telemetry);
     }
 
-    /// Attach a request's span recorder (root pipeline + STORE spans, same
-    /// names as the serial engine so trace consumers see one vocabulary).
+    /// Attach a request's span recorder (the root `pipeline:<op>` span and
+    /// one `pipeline:store` per materialized temp).
     pub fn set_spans(&mut self, spans: SpanContext) {
         self.spans = spans;
     }
@@ -174,8 +174,8 @@ impl<'a> VexecExecutor<'a> {
     }
 
     /// Execute a plan and project onto the query's select list. Mirrors
-    /// `starqo_exec::Executor::run` bit for bit, including panic containment
-    /// and telemetry accounting.
+    /// `starqo_exec::Executor::run` bit for bit, panic containment included;
+    /// the telemetry plane and the request's spans are fed from here alone.
     pub fn run(&mut self, plan: &PlanRef) -> Result<QueryResult> {
         let started = Instant::now();
         let mut pipeline_span = if self.spans.enabled() {
@@ -479,8 +479,7 @@ impl<'a> VexecExecutor<'a> {
                 let range = key.resolve(table, scope, &mut bound);
                 self.prefix_buf = bound;
                 self.stats.pages_read += pages_spanned(&range);
-                let input = Input::Table(table.rows_range(range.clone()), range.start);
-                self.drive(chain, width, &input, scope)
+                self.drive(chain, width, &Input::Table(table, range), scope)
             }
             Source::Index {
                 table,

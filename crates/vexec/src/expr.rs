@@ -16,7 +16,6 @@
 //! doubles, NULL poisoning arithmetic, and NULL failing every comparison.
 
 use std::cell::Cell;
-use std::cmp::Ordering as Cmp;
 
 use starqo_catalog::Value;
 use starqo_exec::{ExecError, Result};
@@ -42,6 +41,37 @@ impl<'a> VRow<'a> for BatchRow<'a> {
     #[inline]
     fn slot(&self, slot: usize) -> Val<'a> {
         self.cols[slot].get(self.row)
+    }
+}
+
+/// Rows addressed by position — a base table by TID, a batch by row number —
+/// that may hold a slot of all of them as one integer slice. Predicates and
+/// the gather read a slot through that slice when there is one, and through
+/// a row view when there is not.
+pub(crate) trait RowSource<'a>: Copy {
+    type Row: VRow<'a>;
+
+    fn row_at(self, pos: usize) -> Self::Row;
+
+    /// `slot` of every row, indexed by position: a typed batch column, or a
+    /// base table's mirrored column.
+    fn ints(self, slot: usize) -> Option<&'a [i64]>;
+}
+
+impl<'a> RowSource<'a> for &'a Batch {
+    type Row = BatchRow<'a>;
+
+    #[inline]
+    fn row_at(self, pos: usize) -> BatchRow<'a> {
+        self.row(pos)
+    }
+
+    #[inline]
+    fn ints(self, slot: usize) -> Option<&'a [i64]> {
+        match self.cols.get(slot)? {
+            Column::Int(ints) => Some(ints),
+            Column::Any(_) => None,
+        }
     }
 }
 
@@ -308,39 +338,35 @@ impl PredProg {
         Ok(true)
     }
 
-    /// Refine a selection vector in place, predicate-at-a-time over the
-    /// shrinking survivor set; `row_at` borrows the row a selection index
-    /// names. Later predicates see only earlier survivors — exactly the
-    /// rows the serial engine's per-row short circuit would have evaluated
-    /// them on.
-    pub fn refine<'a, R: VRow<'a>>(
+    /// Refine a selection vector over the `n` rows `sel` indexes, in place,
+    /// predicate-at-a-time over the shrinking survivor set; selection index
+    /// `i` names the row of `src` at `pos(i)`. Later predicates see only
+    /// earlier survivors — exactly the rows the serial engine's per-row
+    /// short circuit would have evaluated them on. An integer constant
+    /// against a slot `src` holds typed is compared slice element to
+    /// register, the operator decided once for the whole pass.
+    pub fn refine<'a, S: RowSource<'a>>(
         &self,
         sel: &mut Vec<u32>,
-        row_at: impl Fn(u32) -> R,
+        n: usize,
+        src: S,
+        pos: impl Fn(u32) -> usize,
         outer: &[Value],
     ) -> Result<()> {
         for p in &self.preds {
-            let mut kept = 0;
-            if let CPred::ColConst(op, slot, Value::Int(c)) = p {
-                // Integer column vs constant: the operator is decided once,
-                // the loop body is a compare and a branch-free append.
-                let pass = [Cmp::Less, Cmp::Equal, Cmp::Greater].map(|o| op.eval(o));
-                for k in 0..sel.len() {
-                    let keep = match row_at(sel[k]).slot(*slot) {
-                        Val::Int(x) => pass[(x.cmp(c) as i8 + 1) as usize],
-                        Val::Ref(_) => p.eval(&row_at(sel[k]), outer)?,
-                    };
-                    sel[kept] = sel[k];
-                    kept += keep as usize;
-                }
-            } else {
-                for k in 0..sel.len() {
-                    let keep = p.eval(&row_at(sel[k]), outer)?;
-                    sel[kept] = sel[k];
-                    kept += keep as usize;
-                }
-            }
-            sel.truncate(kept);
+            let typed = match p {
+                CPred::ColConst(op, slot, Value::Int(c)) => src.ints(*slot).map(|x| (*op, x, *c)),
+                _ => None,
+            };
+            match typed {
+                Some((CmpOp::Eq, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] == c)),
+                Some((CmpOp::Ne, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] != c)),
+                Some((CmpOp::Lt, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] < c)),
+                Some((CmpOp::Le, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] <= c)),
+                Some((CmpOp::Gt, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] > c)),
+                Some((CmpOp::Ge, x, c)) => keep(sel, n, |i| Ok(x[pos(i)] >= c)),
+                None => keep(sel, n, |i| p.eval(&src.row_at(pos(i)), outer)),
+            }?;
         }
         Ok(())
     }
@@ -354,10 +380,33 @@ impl PredProg {
             Some(s) => s,
             None => (0..batch.rows as u32).collect(),
         };
-        self.refine(&mut sel, |i| batch.row(i as usize), outer)?;
+        self.refine(&mut sel, batch.rows, &*batch, |i| i as usize, outer)?;
         batch.sel = Some(sel);
         Ok(())
     }
+}
+
+/// The one selection loop: keep the indices of `sel` — ascending, out of
+/// `0..n` — that pass `test`, compacting in place with a branch-free append.
+/// A selection nothing has narrowed yet is `0..n` itself (its length says
+/// so), and its pass counts the indices instead of reading them back.
+#[inline]
+fn keep(sel: &mut Vec<u32>, n: usize, test: impl Fn(u32) -> Result<bool>) -> Result<()> {
+    let mut kept = 0;
+    if sel.len() == n {
+        for i in 0..n as u32 {
+            sel[kept] = i;
+            kept += test(i)? as usize;
+        }
+    } else {
+        for k in 0..sel.len() {
+            let i = sel[k];
+            sel[kept] = i;
+            kept += test(i)? as usize;
+        }
+    }
+    sel.truncate(kept);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,6 +18,10 @@
 //!   data alone — and rows are read through a `Copy` view
 //!   ([`batch::Val`]), so integers are copied, compared and sorted as
 //!   integers and become `Value`s again only in the result rows;
+//! - a base table's all-integer columns are read through the `i64` mirror
+//!   `starqo-storage` keeps of them, never through its rows: one selection
+//!   loop compares an integer column — mirrored or batch — against a
+//!   constant slice element to register, operator decided outside the loop;
 //! - scalar and predicate expressions are compiled against the stream
 //!   schema they run on ([`expr`]); references to an enclosing nested-loop
 //!   outer become slots of a binding vector, so a correlated inner is

@@ -1131,3 +1131,422 @@ fn vexec_key_range_reads_raise_only_what_the_rows_read_raise() {
         assert!(fails || (got.unwrap().rows.is_empty() && pages == 1));
     }
 }
+
+// ---- scans of a mirrored base table --------------------------------------
+//
+// `DatabaseBuilder::build` mirrors every all-integer column of a table as
+// one `i64` slice by row position, and vexec reads a mirrored column through
+// that slice — one typed kernel for integer column-vs-constant predicates, a
+// typed gather for the survivors — and everything else through the rows. The
+// oracle reads rows only, so agreeing with it is what proves the mirror says
+// the same thing. The fixture is `T(A, B, C, S, N)`: `A`/`B` integers, `C`
+// the row number, `S` a string, `N` an integer column with one NULL (never
+// mirrored); every plan runs on the rows as `build` left them *and* on the
+// same rows with the last one inserted after `build`, which has no mirror.
+
+mod scan {
+    use std::sync::Arc;
+
+    use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value, TID_COL};
+    use starqo_plan::{AccessSpec, ColSet, CostModel, Lolepop, PlanRef, PropCtx, PropEngine};
+    use starqo_query::{CmpOp, PredExpr, PredSet, QCol, QId, Query, QueryBuilder, Scalar};
+    use starqo_storage::{Database, DatabaseBuilder, Tuple};
+
+    pub const T: QId = QId(0);
+    pub const U: QId = QId(1);
+    pub const COLS: u32 = 5;
+
+    pub struct Scan {
+        /// `[mirrored, unmirrored]`, the same rows at the same positions.
+        pub dbs: [Database; 2],
+        btree: bool,
+        model: CostModel,
+        engine: PropEngine,
+    }
+
+    pub fn t(col: u32) -> QCol {
+        QCol::new(T, ColId(col))
+    }
+
+    /// `T.col op v`.
+    pub fn cmp(col: u32, op: CmpOp, v: Value) -> PredExpr {
+        PredExpr::Cmp(op, Scalar::Col(t(col)), Scalar::Const(v))
+    }
+
+    impl Scan {
+        /// `rows` of `T`, in position order: sorted on `A` when `btree`,
+        /// with the last row's key the largest (it is the one inserted
+        /// after `build`). `U(X)` exists so that a predicate can name a
+        /// column no scan of `T` binds; `T_B` indexes `B`.
+        pub fn new(btree: bool, rows: &[Vec<Value>]) -> Scan {
+            let storage = match btree {
+                true => StorageKind::BTree {
+                    key: vec![ColId(0)],
+                },
+                false => StorageKind::Heap,
+            };
+            let cat = Arc::new(
+                Catalog::builder()
+                    .site("s")
+                    .table("T", "s", storage, rows.len() as u64)
+                    .column("A", DataType::Int, None)
+                    .column("B", DataType::Int, None)
+                    .column("C", DataType::Int, None)
+                    .column("S", DataType::Str, None)
+                    .column("N", DataType::Int, None)
+                    .index("T_B", "T", &["B"], false, false)
+                    .table("U", "s", StorageKind::Heap, 0)
+                    .column("X", DataType::Int, None)
+                    .build()
+                    .unwrap(),
+            );
+            let load = |rows: &[Vec<Value>]| {
+                let mut b = DatabaseBuilder::new(cat.clone());
+                for row in rows {
+                    b.insert("T", row.clone()).unwrap();
+                }
+                b.build().unwrap()
+            };
+            let (last, rest) = rows.split_last().expect("a row to insert late");
+            let id = cat.table_by_name("T").unwrap().id;
+            let mut plain = load(rest);
+            plain.insert(id, Tuple(last.clone())).unwrap();
+            let dbs = [load(rows), plain];
+            let [m, p] = dbs.each_ref().map(|db| db.table(id).unwrap());
+            assert!(m.int_column(0).is_some() && m.int_column(2).is_some());
+            assert!(m.int_column(3).is_none() && m.int_column(4).is_none());
+            assert!((0..COLS as usize).all(|c| p.int_column(c).is_none()));
+            assert!(m.scan().eq(p.scan()), "same rows, same positions");
+            Scan {
+                dbs,
+                btree,
+                model: CostModel::default(),
+                engine: PropEngine::new(),
+            }
+        }
+
+        /// `SELECT select FROM T, U WHERE preds` (conjuncts 0, 1, … in order).
+        pub fn query(&self, select: &[QCol], preds: Vec<PredExpr>) -> Query {
+            let cat = self.dbs[0].catalog();
+            let mut b = QueryBuilder::new();
+            b.quantifier(cat, "T", "T").unwrap();
+            b.quantifier(cat, "U", "U").unwrap();
+            for p in preds {
+                b.predicate(p).unwrap();
+            }
+            for c in select {
+                b.select(*c);
+            }
+            b.build().unwrap()
+        }
+
+        fn build(&self, query: &Query, op: Lolepop, inputs: Vec<PlanRef>) -> PlanRef {
+            let ctx = PropCtx::new(self.dbs[0].catalog(), query, &self.model);
+            self.engine
+                .build(op, inputs, &ctx)
+                .unwrap_or_else(|e| panic!("scan plan rejected: {e:?}"))
+        }
+
+        fn all_cols() -> impl Iterator<Item = QCol> {
+            (0..COLS).map(t)
+        }
+
+        /// `ACCESS(heap|btree) T {A, B, C, S, N, TID}` under every predicate.
+        pub fn access(&self, query: &Query) -> PlanRef {
+            let cols: ColSet = Self::all_cols().chain([QCol::new(T, TID_COL)]).collect();
+            let spec = match self.btree {
+                true => AccessSpec::BTreeTable(T),
+                false => AccessSpec::HeapTable(T),
+            };
+            let preds = query.all_preds();
+            self.build(query, Lolepop::Access { spec, cols, preds }, vec![])
+        }
+
+        /// `GET T {A, B, C, S, N} [get] (ACCESS(index T_B) {B, TID} [probe])`.
+        pub fn index_get(&self, query: &Query, probe: PredSet, get: PredSet) -> PlanRef {
+            let index = self.dbs[0].catalog().index_by_name("T_B").unwrap().id;
+            let entries = self.build(
+                query,
+                Lolepop::Access {
+                    spec: AccessSpec::Index { index, q: T },
+                    cols: [t(1), QCol::new(T, TID_COL)].into_iter().collect(),
+                    preds: probe,
+                },
+                vec![],
+            );
+            let cols = Self::all_cols().collect();
+            let preds = get;
+            self.build(query, Lolepop::Get { q: T, cols, preds }, vec![entries])
+        }
+    }
+}
+
+use scan::{cmp, Scan};
+use starqo_query::{CmpOp, PredExpr, PredId, PredSet, QCol, Scalar};
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// `n` rows of the scan fixture: `A = a(i)`, `B = i % 10`, `C = i`, `S` a
+/// string, `N = i` but NULL in the middle row.
+fn scan_rows(n: i64, a: impl Fn(i64) -> i64) -> Vec<Vec<Value>> {
+    let row = |i: i64| {
+        let n = if i == n / 2 {
+            Value::Null
+        } else {
+            Value::Int(i)
+        };
+        let s = Value::str(format!("s{}", i % 7));
+        vec![Value::Int(a(i)), Value::Int(i % 10), Value::Int(i), s, n]
+    };
+    (0..n).map(row).collect()
+}
+
+/// Run `plan` on the mirrored and on the unmirrored database, each against
+/// its own oracle at 1, 2 and 8 workers — the same `Result`, rows and order
+/// or typed error, and worker-independent counters — and the two databases
+/// against each other.
+fn check_scan(s: &Scan, query: &Query, plan: &PlanRef, ctx: &str) -> Result<QueryResult, String> {
+    let outcome = s.dbs.each_ref().map(|db| {
+        let want = Executor::new(db, query)
+            .run(plan)
+            .map_err(|e| e.to_string());
+        let mut stats_at: Option<VexecStats> = None;
+        for &w in &WORKER_COUNTS {
+            let mut vx = VexecExecutor::new(db, query);
+            vx.set_workers(w);
+            let got = vx.run(plan).map_err(|e| e.to_string());
+            assert_eq!(got, want, "{ctx}: vexec({w} workers) diverged from serial");
+            let mut stats = *vx.stats();
+            stats.max_workers = 0;
+            let first = *stats_at.get_or_insert(stats);
+            assert!(
+                want.is_err() || stats == first,
+                "{ctx}: stats at {w} workers"
+            );
+        }
+        want
+    });
+    let [mirrored, plain] = outcome;
+    assert_eq!(mirrored, plain, "{ctx}: the mirror changed the answer");
+    mirrored
+}
+
+/// The row numbers (`C`, selected first) of a successful [`check_scan`].
+fn scanned(s: &Scan, query: &Query, plan: &PlanRef, ctx: &str) -> Vec<i64> {
+    let got = check_scan(s, query, plan, ctx).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let row_number = |r: &starqo_storage::Tuple| match r.get(0) {
+        Value::Int(c) => *c,
+        other => panic!("{ctx}: row number {other:?}"),
+    };
+    got.rows.iter().map(row_number).collect()
+}
+
+/// Every operator against constants at both ends of the `i64` domain, one
+/// present in the column, one absent from it, and `Double`s that equal and
+/// fall between integers — on a column that itself holds `i64::MIN` and
+/// `i64::MAX`, over three morsels. Checked against `Value`'s own order too.
+#[test]
+fn vexec_scans_a_mirrored_column_under_every_operator_and_constant() {
+    let a = |i: i64| match i % 1000 {
+        13 => i64::MIN,
+        14 => i64::MAX,
+        r => r * 37 % 1000 * 2,
+    };
+    let s = Scan::new(false, &scan_rows(9_000, a));
+    let consts = [
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Int(500),
+        Value::Int(501),
+        Value::Double(500.0),
+        Value::Double(500.5),
+        Value::Double(-1e30),
+    ];
+    for op in OPS {
+        for c in &consts {
+            let ctx = format!("A {} {c:?}", op.symbol());
+            let query = s.query(&[scan::t(2)], vec![cmp(0, op, c.clone())]);
+            let got = scanned(&s, &query, &s.access(&query), &ctx);
+            let want: Vec<i64> = (0..9_000)
+                .filter(|i| op.eval(Value::Int(a(*i)).cmp(c)))
+                .collect();
+            assert_eq!(got, want, "{ctx}");
+        }
+    }
+}
+
+/// A later predicate sees exactly the survivors of the earlier ones: a first
+/// predicate that keeps every row (the second still starts from `0..n`),
+/// one that keeps none, and one that keeps some — after which a pass that
+/// restarted from `0..n` would resurrect rejected rows. The second and third
+/// predicates are on a mirrored column, an unmirrored integer column with a
+/// NULL in it, and a string column.
+#[test]
+fn vexec_scan_predicates_see_only_earlier_survivors() {
+    let a = |i: i64| i * 7 % 100;
+    let s = Scan::new(false, &scan_rows(6_000, a));
+    let firsts = [
+        ("all", cmp(0, CmpOp::Ge, Value::Int(i64::MIN)), 6_000),
+        ("none", cmp(0, CmpOp::Lt, Value::Int(0)), 0),
+        ("some", cmp(0, CmpOp::Lt, Value::Int(40)), 2_400),
+    ];
+    for (name, first, kept) in firsts {
+        let only = s.query(&[scan::t(2)], vec![first.clone()]);
+        assert_eq!(scanned(&s, &only, &s.access(&only), name).len(), kept);
+        let rest = [
+            cmp(1, CmpOp::Ne, Value::Int(3)),
+            cmp(4, CmpOp::Ge, Value::Int(1_000)),
+            cmp(3, CmpOp::Ne, Value::str("s2")),
+        ];
+        let mut preds = vec![first];
+        for (k, next) in rest.into_iter().enumerate() {
+            preds.push(next);
+            let ctx = format!("first keeps {name}, then {k} more");
+            let query = s.query(&[scan::t(2)], preds.clone());
+            let got = scanned(&s, &query, &s.access(&query), &ctx);
+            let want: Vec<i64> = (0..6_000)
+                .filter(|i| match name {
+                    "all" => true,
+                    "none" => false,
+                    _ => a(*i) < 40,
+                })
+                .filter(|i| i % 10 != 3)
+                .filter(|i| k < 1 || (*i >= 1_000 && *i != 3_000))
+                .filter(|i| k < 2 || i % 7 != 2)
+                .collect();
+            assert_eq!(got, want, "{ctx}");
+        }
+    }
+}
+
+/// A string column, the NULL-bearing column and the TID in the select list
+/// of an otherwise mirrored table: each output column comes from where its
+/// values live, row for row.
+#[test]
+fn vexec_scan_selects_unmirrored_columns_beside_mirrored_ones() {
+    let s = Scan::new(false, &scan_rows(5_000, |i| i % 50));
+    let tid = QCol::new(scan::T, starqo_catalog::TID_COL);
+    let select = [scan::t(2), scan::t(3), scan::t(4), scan::t(0), tid];
+    let preds = vec![
+        cmp(0, CmpOp::Gt, Value::Int(44)),
+        cmp(1, CmpOp::Le, Value::Int(6)),
+    ];
+    let query = s.query(&select, preds);
+    let got = check_scan(&s, &query, &s.access(&query), "mixed select").unwrap();
+    let want = (0..5_000).filter(|i| i % 50 > 44 && i % 10 <= 6);
+    assert_eq!(got.rows.len(), 200);
+    for (row, c) in got.rows.iter().zip(want) {
+        let n = if c == 2_500 {
+            Value::Null
+        } else {
+            Value::Int(c)
+        };
+        let want = [
+            Value::Int(c),
+            Value::str(format!("s{}", c % 7)),
+            n,
+            Value::Int(c % 50),
+            Value::Int(c),
+        ];
+        assert_eq!(row.0, want);
+    }
+}
+
+/// A predicate that can only fail (it names a column of `U`, which a scan
+/// of `T` never binds) behind an integer predicate: the rows the first one
+/// rejects never meet it, so the scan fails exactly when the first keeps a
+/// row — the same `Result` from both engines, mirror or no mirror.
+#[test]
+fn vexec_scan_raises_only_what_surviving_rows_raise() {
+    let s = Scan::new(false, &scan_rows(5_000, |i| i % 50));
+    let unbound = PredExpr::Cmp(
+        CmpOp::Lt,
+        Scalar::col(scan::U, starqo_catalog::ColId(0)),
+        Scalar::Col(scan::t(1)),
+    );
+    for (min, fails) in [(50, false), (49, true), (0, true)] {
+        let first = cmp(0, CmpOp::Ge, Value::Int(min));
+        let query = s.query(&[scan::t(2)], vec![first, unbound.clone()]);
+        let got = check_scan(&s, &query, &s.access(&query), "unbound");
+        assert_eq!(got.is_err(), fails, "A >= {min}: {got:?}");
+        assert!(fails || got.unwrap().rows.is_empty());
+    }
+}
+
+/// A key range of a B-tree-stored table that starts mid-table and crosses
+/// two 4 096-row morsel boundaries, TID selected: the mirror is read at
+/// absolute positions, so every TID names the stored row its `C` came from
+/// (a range-relative read would return the first rows of the table).
+#[test]
+fn vexec_scans_a_mirrored_key_range_at_absolute_positions() {
+    // Keys 0..100, 100 rows each, in key order; C is the position.
+    let s = Scan::new(true, &scan_rows(10_000, |i| i / 100));
+    let preds = vec![
+        cmp(0, CmpOp::Ge, Value::Int(30)),
+        cmp(0, CmpOp::Lt, Value::Int(93)),
+        cmp(1, CmpOp::Eq, Value::Int(7)),
+    ];
+    let tid = QCol::new(scan::T, starqo_catalog::TID_COL);
+    let query = s.query(&[scan::t(2), tid, scan::t(0)], preds);
+    let plan = s.access(&query);
+    let got = check_scan(&s, &query, &plan, "key range").unwrap();
+    let want: Vec<i64> = (3_000..9_300).filter(|i| i % 10 == 7).collect();
+    assert_eq!(got.rows.len(), want.len());
+    for (row, c) in got.rows.iter().zip(want) {
+        assert_eq!(row.0, [Value::Int(c), Value::Int(c), Value::Int(c / 100)]);
+    }
+    // The mirrored table read the range alone, in more than one morsel, none
+    // starting at row 0; the unmirrored twin lost its key order to the late
+    // insert and scanned everything.
+    let pages = s.dbs.each_ref().map(|db| {
+        let mut vx = VexecExecutor::new(db, &query);
+        vx.run(&plan).unwrap();
+        (vx.stats().pages_read, vx.stats().morsels)
+    });
+    let range = 6_300u64.div_ceil(ROWS_PER_PAGE);
+    assert!(pages[0].0 <= range + 1 && pages[0].1 == 2, "{pages:?}");
+    assert!(
+        pages[1].0 >= 10_000 / ROWS_PER_PAGE && pages[1].1 == 3,
+        "{pages:?}"
+    );
+}
+
+/// `Input::Tids` and GET over a mirrored table: an index probe and a whole
+/// index scan (entries in key order, so positions jump around the mirror),
+/// with a range predicate on the indexed column evaluated over the entries
+/// and integer, NULL-bearing and string predicates evaluated under GET.
+#[test]
+fn vexec_index_scans_and_gets_read_the_mirror_by_tid() {
+    let a = |i: i64| i * 31 % 400;
+    let s = Scan::new(false, &scan_rows(6_000, a));
+    let preds = vec![
+        cmp(1, CmpOp::Eq, Value::Int(4)),
+        cmp(1, CmpOp::Ge, Value::Int(4)),
+        cmp(0, CmpOp::Lt, Value::Int(300)),
+        cmp(4, CmpOp::Ne, Value::Int(14)),
+        cmp(3, CmpOp::Ne, Value::str("s0")),
+    ];
+    let set = |ids: &[u32]| {
+        ids.iter()
+            .fold(PredSet::EMPTY, |s, p| s.union(PredSet::single(PredId(*p))))
+    };
+    let query = s.query(&[scan::t(2), scan::t(3), scan::t(0)], preds);
+    for (probe, ctx) in [(0, "probe B = 4"), (1, "scan B >= 4")] {
+        let plan = s.index_get(&query, set(&[probe]), set(&[2, 3, 4]));
+        let got = scanned(&s, &query, &plan, ctx);
+        // Index order: by B, then by position.
+        let mut want: Vec<i64> = (0..6_000)
+            .filter(|i| if probe == 0 { i % 10 == 4 } else { i % 10 >= 4 })
+            .filter(|i| a(*i) < 300 && *i != 14 && *i != 3_000 && i % 7 != 0)
+            .collect();
+        want.sort_by_key(|i| (i % 10, *i));
+        assert_eq!(got, want, "{ctx}");
+    }
+}
