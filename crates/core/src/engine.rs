@@ -12,15 +12,16 @@
 //! alternatives need be evaluated only once" (§1) — the E12 counters come
 //! from here.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 use starqo_catalog::{Catalog, ColId};
 use starqo_plan::{
-    AccessSpec, ColSet, CostModel, ExtArg, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
+    AccessSpec, ColSet, CostModel, ExtArg, Inputs, JoinFlavor, Lolepop, PlanRef, PropCtx,
+    PropEngine,
 };
 use starqo_query::{PredSet, QCol, QSet, Query, Shared};
 use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEvent, Tracer};
@@ -28,12 +29,12 @@ use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEven
 use crate::error::{panic_msg, CoreError, Result};
 use crate::faults::{self, FaultPlan};
 use crate::glue;
-use crate::hash::{RunHasher, RunMap, RunSet};
+use crate::hash::{DigestMap, RunHasher, RunMap, RunSet};
 use crate::natives::{NativeCtx, Natives};
 use crate::optimizer::OptConfig;
 use crate::rules::{Alt, BinOp, Expr, Guard, ReqExpr, RuleSet, StarDef, StarId};
 use crate::table::PlanTable;
-use crate::value::{ReqVec, RuleValue, StreamRef};
+use crate::value::{RuleValue, Sap, StreamRef};
 
 /// Work counters for the optimization run — the currency of experiment E8
 /// (STAR expansion vs. transformational search).
@@ -61,42 +62,13 @@ pub struct OptStats {
     pub native_calls: u64,
 }
 
-/// Memo key: a STAR reference with its argument values. The arguments are
-/// digested once, when the key is made; probing, inserting and growing the
-/// memo then hash eight bytes, not the argument values again.
+/// Memo key: the referenced STAR and where its argument values were moved
+/// to in [`Engine::memo_args`] when the reference was first expanded. The
+/// memo is probed with a digest of the arguments while they still sit on
+/// the operand stack.
 struct MemoKey {
     star: StarId,
-    args: Vec<RuleValue>,
-    digest: u64,
-}
-
-impl MemoKey {
-    fn new(star: StarId, args: Vec<RuleValue>) -> Self {
-        let mut h = RunHasher::default();
-        star.hash(&mut h);
-        for a in &args {
-            a.digest(&mut h);
-        }
-        MemoKey {
-            star,
-            args,
-            digest: h.finish(),
-        }
-    }
-}
-
-impl PartialEq for MemoKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.digest == other.digest && self.star == other.star && self.args == other.args
-    }
-}
-
-impl Eq for MemoKey {}
-
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        self.digest.hash(h);
-    }
+    args: Range<usize>,
 }
 
 /// One quarantined rule alternative: the diagnostic surfaced on
@@ -114,12 +86,50 @@ pub struct QuarantineRecord {
     pub reason: String,
 }
 
-/// Glue cache key.
-#[derive(PartialEq, Eq, Hash)]
-pub(crate) struct GlueKey {
-    pub tables: QSet,
-    pub pushdown: PredSet,
-    pub reqs: ReqVec,
+/// An evaluated expression. A variable or a constant is not copied to be
+/// read: it is named by where it already lives, and only an argument that
+/// must sit on the operand stack is cloned.
+enum Operand<'r> {
+    /// An environment slot, by its index on the operand stack.
+    Slot(usize),
+    /// A constant of the rule.
+    Const(&'r RuleValue),
+    /// A computed value.
+    Val(RuleValue),
+}
+
+impl Operand<'_> {
+    fn get<'s>(&'s self, stack: &'s [RuleValue]) -> &'s RuleValue {
+        match self {
+            Operand::Slot(i) => &stack[*i],
+            Operand::Const(v) => v,
+            Operand::Val(v) => v,
+        }
+    }
+
+    fn into_value(self, stack: &[RuleValue]) -> RuleValue {
+        match self {
+            Operand::Slot(i) => stack[i].clone(),
+            Operand::Const(v) => v.clone(),
+            Operand::Val(v) => v,
+        }
+    }
+}
+
+/// The environment of the reference being expanded: a window of the operand
+/// stack holding the parameters, then one slot per `with` binding of the
+/// group under evaluation, then the ∀ variable.
+struct Frame<'r> {
+    star: &'r StarDef,
+    /// Operand-stack index of parameter 0.
+    base: usize,
+    params: usize,
+    /// The group's bindings; the first `forced` of them hold their value,
+    /// the rest are evaluated when a slot at or beyond them is first read.
+    bindings: &'r [Expr],
+    forced: usize,
+    /// Slots in scope right now.
+    live: usize,
 }
 
 /// One optimization run's interpreter state.
@@ -137,7 +147,7 @@ pub struct Engine<'a> {
     /// first produced the node, realizing §1's "traced to explain the
     /// origin of any execution plan". Glue veneers record as "Glue". The
     /// values are handles on labels rendered when the rules were compiled.
-    pub provenance: HashMap<u64, Arc<str>>,
+    pub provenance: RunMap<u64, Arc<str>>,
     /// The provenance label of Glue veneers.
     pub(crate) glue_label: Arc<str>,
     /// Structured event sink; `Tracer::off()` by default (zero overhead).
@@ -160,9 +170,26 @@ pub struct Engine<'a> {
     /// The one property-function context of the run (it caches what it
     /// derives per quantifier).
     ctx: PropCtx<'a>,
-    memo: RunMap<MemoKey, Arc<Vec<PlanRef>>>,
-    pub(crate) glue_cache: RunMap<GlueKey, Arc<Vec<PlanRef>>>,
-    /// Scratch set of [`Engine::dedup`], reused across calls.
+    memo: DigestMap<MemoKey, Sap>,
+    /// The argument values of every memoized reference, end to end.
+    memo_args: Vec<RuleValue>,
+    /// Keyed by the stream (tables + requirements) and the pushdown.
+    pub(crate) glue_cache: DigestMap<(StreamRef, PredSet), Sap>,
+    /// The operand stack: the arguments of the reference, native or LOLEPOP
+    /// being called are pushed here, and a referenced STAR's environment is
+    /// the window that starts at its arguments ([`Frame`]). Stack
+    /// discipline throughout: whoever pushes truncates back.
+    stack: Vec<RuleValue>,
+    /// Plans of the SAP under construction, by the same discipline: a
+    /// producer notes the length, pushes, and [`Engine::finish_sap`] takes
+    /// its plans off again.
+    pub(crate) plans: Vec<PlanRef>,
+    /// The SAPs the alternatives of the references being expanded have
+    /// produced so far, innermost reference on top.
+    parts: Vec<Sap>,
+    /// The SAP of no plans; every empty result is a handle on it.
+    empty: Sap,
+    /// Scratch set of [`Engine::finish_sap`], reused across calls.
     seen: RunSet<u64>,
     /// The STARs the driver and Glue reference, resolved once per run.
     access_root: Option<StarId>,
@@ -175,8 +202,8 @@ pub struct Engine<'a> {
     /// engine explores greedily (first productive alternative wins).
     exhausted: Option<String>,
     /// Alternatives disabled after panicking or erroring, keyed by
-    /// (star, group, alternative).
-    quarantined: HashSet<(StarId, usize, usize)>,
+    /// (star, group, alternative). Empty in every healthy run.
+    quarantined: RunSet<(StarId, usize, usize)>,
     /// Quarantine diagnostics in order of occurrence.
     pub quarantine_log: Vec<QuarantineRecord>,
     depth: u32,
@@ -218,7 +245,7 @@ impl<'a> Engine<'a> {
             config,
             table,
             stats: OptStats::default(),
-            provenance: HashMap::new(),
+            provenance: RunMap::default(),
             glue_label: "Glue".into(),
             tracer: Tracer::off(),
             spans: SpanContext::off(),
@@ -227,15 +254,20 @@ impl<'a> Engine<'a> {
             glue_nanos: 0,
             glue_depth: 0,
             ctx: PropCtx::new(catalog, query, model),
-            memo: RunMap::default(),
-            glue_cache: RunMap::default(),
+            memo: DigestMap::default(),
+            memo_args: Vec::new(),
+            glue_cache: DigestMap::default(),
+            stack: Vec::new(),
+            plans: Vec::new(),
+            parts: Vec::new(),
+            empty: Arc::new([]),
             seen: RunSet::default(),
             access_root: rules.lookup("AccessRoot"),
             join_root: rules.lookup("JoinRoot"),
             faults: config.faults.clone(),
             deadline: config.budget.deadline.map(|d| Instant::now() + d),
             exhausted: None,
-            quarantined: HashSet::new(),
+            quarantined: RunSet::default(),
             quarantine_log: Vec::new(),
             depth: 0,
             next_ref_id: 0,
@@ -261,16 +293,6 @@ impl<'a> Engine<'a> {
 
     pub fn prop_ctx(&self) -> &PropCtx<'a> {
         &self.ctx
-    }
-
-    fn native_ctx(&self) -> NativeCtx<'_> {
-        NativeCtx {
-            catalog: self.catalog,
-            query: self.query,
-            model: self.model,
-            config: self.config,
-            table: &self.table,
-        }
     }
 
     fn eval_err(&self, star: &str, msg: impl Into<String>) -> CoreError {
@@ -326,11 +348,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Reference a STAR by name, for callers that have only a name.
-    pub fn eval_star_by_name(
-        &mut self,
-        name: &str,
-        args: Vec<RuleValue>,
-    ) -> Result<Arc<Vec<PlanRef>>> {
+    pub fn eval_star_by_name(&mut self, name: &str, args: Vec<RuleValue>) -> Result<Sap> {
         let id = self
             .rules
             .lookup(name)
@@ -338,38 +356,38 @@ impl<'a> Engine<'a> {
         self.eval_star(id, args)
     }
 
+    /// Reference a STAR: expand its alternative definitions (see
+    /// [`Engine::reference`]).
+    pub fn eval_star(&mut self, id: StarId, args: Vec<RuleValue>) -> Result<Sap> {
+        let base = self.stack.len();
+        self.stack.extend(args);
+        self.reference(id, base)
+    }
+
     /// Reference `AccessRoot` for a single-table stream with `preds`
     /// applied, registering its plans in the plan table.
-    pub(crate) fn access_root(
-        &mut self,
-        tables: QSet,
-        preds: PredSet,
-    ) -> Result<Arc<Vec<PlanRef>>> {
+    pub(crate) fn access_root(&mut self, tables: QSet, preds: PredSet) -> Result<Sap> {
         let q = tables
             .as_single()
             .ok_or_else(|| CoreError::Glue(format!("AccessRoot on multi-table stream {tables}")))?;
-        let args = vec![
-            stream(tables),
-            RuleValue::ColSet(self.query.required_cols(q).clone()),
-            RuleValue::Preds(preds),
-        ];
         let id = self.access_root;
         let id = id.ok_or_else(|| self.eval_err("AccessRoot", "no such STAR"))?;
-        self.eval_star(id, args)
+        let base = self.stack.len();
+        let cols = RuleValue::ColSet(self.query.required_cols(q).clone());
+        self.stack
+            .extend([stream(tables), cols, RuleValue::Preds(preds)]);
+        self.reference(id, base)
     }
 
     /// Reference `JoinRoot` for two streams that `preds` newly relate,
     /// registering its plans in the plan table.
-    pub(crate) fn join_root(
-        &mut self,
-        s1: QSet,
-        s2: QSet,
-        preds: PredSet,
-    ) -> Result<Arc<Vec<PlanRef>>> {
-        let args = vec![stream(s1), stream(s2), RuleValue::Preds(preds)];
+    pub(crate) fn join_root(&mut self, s1: QSet, s2: QSet, preds: PredSet) -> Result<Sap> {
         let id = self.join_root;
         let id = id.ok_or_else(|| self.eval_err("JoinRoot", "no such STAR"))?;
-        self.eval_star(id, args)
+        let base = self.stack.len();
+        self.stack
+            .extend([stream(s1), stream(s2), RuleValue::Preds(preds)]);
+        self.reference(id, base)
     }
 
     /// The reference id events emitted right now should attribute to.
@@ -377,14 +395,21 @@ impl<'a> Engine<'a> {
         self.ref_stack.last().copied().unwrap_or(0)
     }
 
-    /// Reference a STAR: expand its alternative definitions. What a fresh
-    /// expansion of `AccessRoot`/`JoinRoot` produces goes into the plan
-    /// table, whoever referenced it (driver, Glue or a rule); a memo hit
-    /// registers nothing — the expansion it answers from already did.
-    pub fn eval_star(&mut self, id: StarId, args: Vec<RuleValue>) -> Result<Arc<Vec<PlanRef>>> {
+    /// Reference STAR `id` with the arguments on the operand stack from
+    /// `base` up, which are consumed: a memo lookup, else the expansion of
+    /// its alternative definitions. What a fresh expansion of
+    /// `AccessRoot`/`JoinRoot` produces goes into the plan table, whoever
+    /// referenced it (driver, Glue or a rule); a memo hit registers nothing
+    /// — the expansion it answers from already did.
+    fn reference(&mut self, id: StarId, base: usize) -> Result<Sap> {
+        let result = self.lookup_or_expand(id, base);
+        self.stack.truncate(base);
+        result
+    }
+
+    fn lookup_or_expand(&mut self, id: StarId, base: usize) -> Result<Sap> {
         self.stats.star_refs += 1;
         self.check_deadline();
-        let mut key = MemoKey::new(id, args);
         let traced = self.tracer.enabled();
         let spanned = self.spans.enabled();
         // Reference ids advance whenever either consumer needs them: trace
@@ -397,8 +422,19 @@ impl<'a> Engine<'a> {
             0
         };
         let parent = self.cur_ref();
+        // The arguments are digested once, where they are; probing and
+        // growing the memo then hash eight bytes, and they are compared
+        // with a stored key only where the digests already agree.
+        let mut h = RunHasher::default();
+        id.hash(&mut h);
+        for a in &self.stack[base..] {
+            a.digest(&mut h);
+        }
+        let digest = h.finish();
+        let same_reference =
+            |k: &MemoKey| k.star == id && self.memo_args[k.args.clone()] == self.stack[base..];
         let memo = (!self.config.ablate_memo).then_some(&self.memo);
-        let hit = memo.and_then(|m| m.get(&key)).cloned();
+        let hit = memo.and_then(|m| m.find(digest, same_reference)).cloned();
         self.tracer.emit(|| TraceEvent::StarRef {
             star: self.rules.star(id).name.clone(),
             sid: id.0,
@@ -430,19 +466,17 @@ impl<'a> Engine<'a> {
             SpanGuard::noop()
         };
         let start = traced.then(std::time::Instant::now);
-        // The reference's arguments are both its memo key and the base of
-        // its environment: bindings and the ∀ variable are pushed above
-        // them and popped again, so nothing is copied per reference.
-        let params = key.args.len();
-        let result = self.eval_star_inner(id, &mut key.args);
-        key.args.truncate(params);
+        // The arguments are the base of the reference's environment:
+        // bindings and the ∀ variable are pushed above them and popped
+        // again, so nothing is copied per reference.
+        let params = self.stack.len() - base;
+        let result = self.expand(id, base);
+        self.stack.truncate(base + params);
         if traced || spanned {
             self.ref_stack.pop();
         }
         self.depth -= 1;
-        let mut plans = result?;
-        self.dedup(&mut plans);
-        let plans = Arc::new(plans);
+        let plans = result?;
         drop(star_span);
         if let Some(start) = start {
             let nanos = start.elapsed().as_nanos() as u64;
@@ -460,8 +494,13 @@ impl<'a> Engine<'a> {
             Some(cap) if self.memo.len() >= cap => {
                 self.exhaust("memo_entries", format!("memo cap of {cap} entries reached"));
             }
+            _ if self.config.ablate_memo => {}
             _ => {
-                self.memo.insert(key, plans.clone());
+                let at = self.memo_args.len();
+                self.memo_args.extend(self.stack.drain(base..));
+                let args = at..self.memo_args.len();
+                self.memo
+                    .insert(digest, MemoKey { star: id, args }, plans.clone());
             }
         }
         if Some(id) == self.access_root || Some(id) == self.join_root {
@@ -472,37 +511,55 @@ impl<'a> Engine<'a> {
         Ok(plans)
     }
 
-    fn eval_star_inner(&mut self, id: StarId, env: &mut Vec<RuleValue>) -> Result<Vec<PlanRef>> {
+    /// Expand a STAR over the environment at `base`: every alternative
+    /// whose condition of applicability holds contributes the SAPs it
+    /// evaluates to. A reference that got exactly one SAP returns that
+    /// handle itself — `PermutedJoin → SitedJoin → JMeth` forward one block
+    /// — and only several are merged into a new one.
+    fn expand(&mut self, id: StarId, base: usize) -> Result<Sap> {
         // Borrowed from the rule set for the run's lifetime, never copied:
         // expansion is a dictionary lookup plus substitution (§2.3).
         let rules: &'a RuleSet = self.rules;
         let star = rules.star(id);
-        let params = env.len();
-        let mut out: Vec<PlanRef> = Vec::new();
+        let params = self.stack.len() - base;
+        let parts0 = self.parts.len();
+        let mut f = Frame {
+            star,
+            base,
+            params,
+            bindings: &[],
+            forced: 0,
+            live: params,
+        };
         let mut first_err: Option<CoreError> = None;
         for (group_idx, group) in star.groups.iter().enumerate() {
-            // Environment: parameters, then this group's bindings, then one
+            // Environment: parameters, then one slot per binding of this
+            // group (a filler until the binding is first read), then one
             // slot for the forall variable.
-            env.truncate(params);
-            for b in &group.bindings {
-                let v = self.eval_expr(b, env, &star.name)?;
-                env.push(v);
-            }
-            let bound = env.len();
+            let bound = base + params + group.bindings.len();
+            self.stack.truncate(base + params);
+            self.stack.resize(bound, RuleValue::AllCols);
+            f.bindings = &group.bindings;
+            f.forced = 0;
             let mut any_fired = false;
             for (alt_idx, alt) in group.alts.iter().enumerate() {
-                if self.quarantined.contains(&(id, group_idx, alt_idx)) {
+                if !self.quarantined.is_empty()
+                    && self.quarantined.contains(&(id, group_idx, alt_idx))
+                {
                     continue;
                 }
                 self.stats.alts_considered += 1;
-                // A panicking alternative may leave its ∀ item pushed.
-                env.truncate(bound);
-                let before = out.len();
+                // A failed alternative may leave operands or its ∀ item.
+                self.stack.truncate(bound);
+                f.live = bound - base;
+                let before = self.parts.len();
+                let plans0 = self.plans.len();
                 // Quarantine boundary: rules are data, so a panicking or
-                // erroring alternative (guard included) disables itself
-                // while its siblings keep optimizing. A panic unwinding
-                // through nested references leaves depth/ref/glue counters
-                // advanced; snapshot them for repair.
+                // erroring alternative (guard and the bindings it reads
+                // included) disables itself while its siblings keep
+                // optimizing. A panic unwinding through nested references
+                // leaves depth/ref/glue counters advanced; snapshot them
+                // for repair.
                 let depth0 = self.depth;
                 let stack0 = self.ref_stack.len();
                 let glue_depth0 = self.glue_depth;
@@ -515,8 +572,8 @@ impl<'a> Engine<'a> {
                             // The forall variable is not in scope in the
                             // guard; guards are per-alternative, not
                             // per-item.
-                            let v = self.eval_expr(cond, env, &star.name)?;
-                            v.as_bool().ok_or_else(|| {
+                            let v = self.eval_expr(cond, &mut f)?;
+                            v.get(&self.stack).as_bool().ok_or_else(|| {
                                 self.eval_err(&star.name, "condition did not evaluate to a boolean")
                             })?
                         }
@@ -532,33 +589,36 @@ impl<'a> Engine<'a> {
                         }
                         return Ok(false);
                     }
-                    self.eval_alt(alt, env, &star.name, alt_idx, &mut out)?;
+                    self.eval_alt(alt, &mut f, alt_idx)?;
                     Ok(true)
                 }));
                 // Only an alternative that ran to completion contributes.
                 if !matches!(step, Ok(Ok(true))) {
-                    out.truncate(before);
+                    self.parts.truncate(before);
+                    self.plans.truncate(plans0);
                 }
                 match step {
                     Ok(Ok(false)) => {} // condition of applicability failed
                     Ok(Ok(true)) => {
                         any_fired = true;
-                        let produced = &out[before..];
+                        let produced = &self.parts[before..];
                         self.tracer.emit(|| TraceEvent::AltFired {
                             star: star.name.clone(),
                             alt: alt_idx + 1,
                             ref_id: self.cur_ref(),
-                            plans: produced.len(),
+                            plans: produced.iter().map(|sap| sap.len()).sum(),
                         });
                         // First producer wins, and what a STAR reference
-                        // returns was recorded by that STAR's alternatives.
+                        // returns was recorded by that STAR's alternatives
+                        // — which is why handing its SAP on unchanged
+                        // leaves every origin as it was.
                         if !matches!(alt.expr, Expr::CallStar(..)) {
-                            for p in produced {
+                            for p in produced.iter().flat_map(|sap| sap.iter()) {
                                 let origin = self.provenance.entry(p.fingerprint());
                                 origin.or_insert_with(|| alt.label.clone());
                             }
                         }
-                        let productive = !produced.is_empty();
+                        let productive = produced.iter().any(|sap| !sap.is_empty());
                         if group.exclusive {
                             break;
                         }
@@ -586,16 +646,55 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        let out = if self.parts.len() == parts0 + 1 {
+            self.parts.pop().unwrap_or_else(|| self.empty.clone())
+        } else {
+            let start = self.plans.len();
+            for sap in self.parts.drain(parts0..) {
+                self.plans.extend(sap.iter().cloned());
+            }
+            self.finish_sap(start)
+        };
         // Partial failure with surviving plans is quarantine-and-continue;
         // a reference that produced nothing *because* its alternatives
         // failed keeps the first typed error (a fully-broken rule — e.g. a
         // cyclic definition — still fails loudly).
-        if out.is_empty() {
-            if let Some(e) = first_err {
-                return Err(e);
-            }
+        match first_err {
+            Some(e) if out.is_empty() => Err(e),
+            _ => Ok(out),
         }
-        Ok(out)
+    }
+
+    /// Drop structural duplicates among the plans pushed since `start`,
+    /// keeping first occurrences.
+    pub(crate) fn dedup(&mut self, start: usize) {
+        if self.plans.len() - start > 1 {
+            self.seen.clear();
+            let mut kept = start;
+            for i in start..self.plans.len() {
+                if self.seen.insert(self.plans[i].fingerprint()) {
+                    self.plans.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            self.plans.truncate(kept);
+        }
+    }
+
+    /// Take the (duplicate-free) plans pushed since `start` off the scratch
+    /// vector as one SAP: the only place a SAP's block is allocated.
+    pub(crate) fn take_sap(&mut self, start: usize) -> Sap {
+        if self.plans.len() == start {
+            return self.empty.clone();
+        }
+        self.plans.drain(start..).collect()
+    }
+
+    /// [`Self::dedup`] then [`Self::take_sap`]: how every producer but Glue
+    /// (which ranks its plans in between) closes the SAP it pushed.
+    pub(crate) fn finish_sap(&mut self, start: usize) -> Sap {
+        self.dedup(start);
+        self.take_sap(start)
     }
 
     /// Disable one alternative for the rest of the run, recording a
@@ -636,27 +735,21 @@ impl<'a> Engine<'a> {
         err
     }
 
-    /// Evaluate one alternative, appending the plans it produces to `out`.
-    fn eval_alt(
-        &mut self,
-        alt: &Alt,
-        env: &mut Vec<RuleValue>,
-        star: &str,
-        alt_idx: usize,
-        out: &mut Vec<PlanRef>,
-    ) -> Result<()> {
-        let before = out.len();
+    /// Evaluate one alternative, pushing the SAPs it produces on `parts`.
+    fn eval_alt(&mut self, alt: &'a Alt, f: &mut Frame<'a>, alt_idx: usize) -> Result<()> {
+        let star = f.star;
         match &alt.forall {
             None => {
-                let v = self.eval_expr(&alt.expr, env, star)?;
-                out.extend(self.want_plans(&v, star)?.iter().cloned());
+                let v = self.eval_expr(&alt.expr, f)?;
+                let sap = self.want_plans(v, &star.name)?;
+                self.parts.push(sap);
             }
             Some(set_expr) => {
-                let items = match self.eval_expr(set_expr, env, star)? {
-                    RuleValue::List(items) => items,
+                let items = match self.eval_expr(set_expr, f)?.get(&self.stack) {
+                    RuleValue::List(items) => items.clone(),
                     other => {
                         return Err(self.eval_err(
-                            star,
+                            &star.name,
                             format!("forall set must be a list, got {}", other.kind()),
                         ))
                     }
@@ -674,18 +767,25 @@ impl<'a> Engine<'a> {
                     }
                 }
                 self.tracer.emit(|| TraceEvent::ForallExpand {
-                    star: star.to_string(),
+                    star: star.name.clone(),
                     alt: alt_idx + 1,
                     ref_id: self.cur_ref(),
                     items: items.len(),
                 });
+                let var = self.stack.len();
+                let mut productive = false;
                 for item in items {
-                    env.push(item.clone());
-                    let v = self.eval_expr(&alt.expr, env, star);
-                    env.pop();
-                    out.extend(self.want_plans(&v?, star)?.iter().cloned());
+                    self.stack.push(item.clone());
+                    f.live += 1;
+                    let v = self.eval_expr(&alt.expr, f);
+                    f.live -= 1;
+                    let sap = v.and_then(|v| self.want_plans(v, &star.name));
+                    self.stack.truncate(var);
+                    let sap = sap?;
+                    productive |= !sap.is_empty();
+                    self.parts.push(sap);
                     // Greedy (degraded) mode: first productive item wins.
-                    if self.exhausted.is_some() && out.len() > before {
+                    if self.exhausted.is_some() && productive {
                         break;
                     }
                 }
@@ -694,9 +794,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn want_plans(&self, v: &RuleValue, star: &str) -> Result<Arc<Vec<PlanRef>>> {
-        match v {
-            RuleValue::Plans(p) => Ok(p.clone()),
+    fn want_plans(&self, v: Operand<'_>, star: &str) -> Result<Sap> {
+        match v.into_value(&self.stack) {
+            RuleValue::Plans(p) => Ok(p),
             other => Err(self.eval_err(
                 star,
                 format!("alternative did not produce plans (got {})", other.kind()),
@@ -704,46 +804,68 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Evaluate one rule expression.
-    pub fn eval_expr(&mut self, e: &Expr, env: &[RuleValue], star: &str) -> Result<RuleValue> {
+    /// Evaluate one rule expression in the environment `f`. A variable or a
+    /// constant is answered here, inlined into the caller; only a compound
+    /// expression pays for a call.
+    #[inline]
+    fn eval_expr(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Result<Operand<'a>> {
         match e {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(slot) => env
-                .get(*slot as usize)
-                .cloned()
-                .ok_or_else(|| self.eval_err(star, format!("unbound slot {slot}"))),
-            Expr::CallStar(id, args) => {
-                let vals = self.eval_args(args, env, star)?;
-                Ok(RuleValue::Plans(self.eval_star(*id, vals)?))
+            Expr::Const(v) => Ok(Operand::Const(v)),
+            Expr::Var(slot) => {
+                let slot = *slot as usize;
+                // A slot at or beyond the first binding without a value
+                // yet: evaluate up to it (or report it unbound).
+                if slot >= f.params + f.forced {
+                    self.force_bindings(f, slot)?;
+                }
+                Ok(Operand::Slot(f.base + slot))
             }
-            Expr::CallFn(id, args) => self.with_args::<3>(args, env, star, |engine, vals| {
-                engine.stats.native_calls += 1;
-                engine.call_native(*id, vals, star)
-            }),
-            Expr::CallOp(op, args) => self.with_args::<5>(args, env, star, |engine, vals| {
-                Ok(RuleValue::Plans(engine.apply_op(op, vals, star)?))
-            }),
+            _ => self.eval_compound(e, f),
+        }
+    }
+
+    fn eval_compound(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Result<Operand<'a>> {
+        let star: &'a str = &f.star.name;
+        match e {
+            Expr::Const(_) | Expr::Var(_) => self.eval_expr(e, f),
+            Expr::CallStar(id, args) => {
+                let base = self.push_args(args, f)?;
+                Ok(Operand::Val(RuleValue::Plans(self.reference(*id, base)?)))
+            }
+            Expr::CallFn(id, args) => {
+                let top = self.push_args(args, f)?;
+                self.stats.native_calls += 1;
+                let v = self.call_native(*id, &self.stack[top..], star);
+                self.stack.truncate(top);
+                Ok(Operand::Val(v?))
+            }
+            Expr::CallOp(op, args) => {
+                let top = self.push_args(args, f)?;
+                let plans = self.apply_op(op, top, star);
+                self.stack.truncate(top);
+                Ok(Operand::Val(RuleValue::Plans(plans?)))
+            }
             Expr::Glue(stream_e, preds_e) => {
-                let sv = self.eval_expr(stream_e, env, star)?;
-                let pv = self.eval_expr(preds_e, env, star)?;
-                let pushdown = self.as_preds(&pv, star)?;
-                match sv {
-                    RuleValue::Stream(s) => Ok(RuleValue::Plans(glue::glue(self, s, pushdown)?)),
+                let sv = self.eval_expr(stream_e, f)?;
+                let pv = self.eval_expr(preds_e, f)?;
+                let pushdown = self.as_preds(pv.get(&self.stack), star)?;
+                let plans = match sv.into_value(&self.stack) {
+                    RuleValue::Stream(s) => glue::glue(self, s, pushdown)?,
                     // Glue over an existing SAP: discharge nothing (no
                     // requirements travel with a SAP); retrofit a FILTER for
                     // any pushdown predicates not yet applied.
-                    RuleValue::Plans(ps) => {
-                        Ok(RuleValue::Plans(glue::glue_plans(self, &ps, pushdown)?))
-                    }
+                    RuleValue::Plans(ps) => glue::glue_plans(self, &ps, pushdown)?,
                     other => {
-                        Err(self
-                            .eval_err(star, format!("Glue expects a stream, got {}", other.kind())))
+                        return Err(self.eval_err(
+                            star,
+                            format!("Glue expects a stream, got {}", other.kind()),
+                        ))
                     }
-                }
+                };
+                Ok(Operand::Val(RuleValue::Plans(plans)))
             }
             Expr::WithReqs(base, reqs) => {
-                let b = self.eval_expr(base, env, star)?;
-                let mut s = match b {
+                let mut s = match self.eval_expr(base, f)?.into_value(&self.stack) {
                     RuleValue::Stream(s) => s,
                     other => {
                         return Err(self.eval_err(
@@ -756,50 +878,79 @@ impl<'a> Engine<'a> {
                     match r {
                         ReqExpr::Temp => s.reqs.temp = true,
                         ReqExpr::Order(e) => {
-                            let v = self.eval_expr(e, env, star)?;
-                            s.reqs.order = Some(self.as_cols(&v, star)?);
+                            let v = self.eval_expr(e, f)?;
+                            s.reqs.order = Some(self.as_cols(v.get(&self.stack), star)?);
                         }
-                        ReqExpr::Site(e) => {
-                            let v = self.eval_expr(e, env, star)?;
-                            match v {
-                                RuleValue::Site(site) => s.reqs.site = Some(site),
-                                other => {
-                                    return Err(self.eval_err(
-                                        star,
-                                        format!(
-                                            "site requirement must be a site, got {}",
-                                            other.kind()
-                                        ),
-                                    ))
-                                }
+                        ReqExpr::Site(e) => match self.eval_expr(e, f)?.get(&self.stack) {
+                            RuleValue::Site(site) => s.reqs.site = Some(*site),
+                            other => {
+                                return Err(self.eval_err(
+                                    star,
+                                    format!(
+                                        "site requirement must be a site, got {}",
+                                        other.kind()
+                                    ),
+                                ))
                             }
-                        }
+                        },
                         ReqExpr::Paths(e) => {
-                            let v = self.eval_expr(e, env, star)?;
-                            let cols = self.as_cols(&v, star)?;
+                            let v = self.eval_expr(e, f)?;
+                            let cols = self.as_cols(v.get(&self.stack), star)?;
                             if !cols.is_empty() {
                                 s.reqs.paths = Some(cols);
                             }
                         }
                     }
                 }
-                Ok(RuleValue::Stream(s))
+                Ok(Operand::Val(RuleValue::Stream(s)))
             }
-            Expr::Binary(op, l, r) => self.eval_binary(*op, l, r, env, star),
+            Expr::Binary(op, l, r) => self.eval_binary(*op, l, r, f).map(Operand::Val),
             Expr::Not(inner) => {
-                let v = self.eval_expr(inner, env, star)?;
-                v.as_bool()
-                    .map(|b| RuleValue::Bool(!b))
+                let v = self.eval_expr(inner, f)?;
+                let b = v.get(&self.stack).as_bool();
+                b.map(|b| Operand::Val(RuleValue::Bool(!b)))
                     .ok_or_else(|| self.eval_err(star, "'not' applied to non-boolean"))
             }
         }
+    }
+
+    /// Make environment slot `slot` readable: evaluate the group's `with`
+    /// bindings that have no value yet, left to right up to that slot, into
+    /// the slots reserved for them. Runs where the first read happens —
+    /// inside the reading alternative's quarantine boundary — and at most
+    /// once per reference: a binding no firing alternative reads is never
+    /// evaluated.
+    fn force_bindings(&mut self, f: &mut Frame<'a>, slot: usize) -> Result<()> {
+        if slot >= f.live {
+            return Err(self.eval_err(&f.star.name, format!("unbound slot {slot}")));
+        }
+        let bindings = f.bindings;
+        while f.forced < bindings.len() && f.params + f.forced <= slot {
+            let v = self.eval_expr(&bindings[f.forced], f)?;
+            self.stack[f.base + f.params + f.forced] = v.into_value(&self.stack);
+            f.forced += 1;
+        }
+        Ok(())
+    }
+
+    /// Evaluate the arguments of a STAR, native or LOLEPOP call onto the
+    /// operand stack; returns where they start. The callee reads them as a
+    /// slice (a STAR as the base of its environment) and the caller
+    /// truncates back.
+    fn push_args(&mut self, args: &'a [Expr], f: &mut Frame<'a>) -> Result<usize> {
+        let top = self.stack.len();
+        for a in args {
+            let v = self.eval_expr(a, f)?.into_value(&self.stack);
+            self.stack.push(v);
+        }
+        Ok(top)
     }
 
     /// Call a native function behind the fault-injection and panic-
     /// containment boundary: armed faults fire first, then the call runs
     /// under `catch_unwind` so a panicking native becomes a typed error
     /// (and quarantines the invoking alternative).
-    fn call_native(&mut self, id: u32, vals: &[RuleValue], star: &str) -> Result<RuleValue> {
+    fn call_native(&self, id: u32, vals: &[RuleValue], star: &str) -> Result<RuleValue> {
         let natives = self.natives;
         if let Some(plan) = &self.faults {
             if let Some(mode) = plan.trigger("native", natives.name(id)) {
@@ -808,7 +959,13 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let ctx = self.native_ctx();
+        let ctx = NativeCtx {
+            catalog: self.catalog,
+            query: self.query,
+            model: self.model,
+            config: self.config,
+            table: &self.table,
+        };
         match catch_unwind(AssertUnwindSafe(|| natives.call(id, &ctx, vals))) {
             Ok(r) => r,
             Err(payload) => Err(CoreError::Panicked {
@@ -818,73 +975,38 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Evaluate the arguments of a native or LOLEPOP call and hand them to
-    /// `call`. Built-in natives take at most three and LOLEPOPs five, so
-    /// they live in a stack buffer of `N`; only a wider extension pays for
-    /// a vector.
-    fn with_args<const N: usize>(
-        &mut self,
-        args: &[Expr],
-        env: &[RuleValue],
-        star: &str,
-        call: impl FnOnce(&mut Self, &[RuleValue]) -> Result<RuleValue>,
-    ) -> Result<RuleValue> {
-        let mut buf: [RuleValue; N] = std::array::from_fn(|_| RuleValue::AllCols);
-        if args.len() > buf.len() {
-            let vals = self.eval_args(args, env, star)?;
-            return call(self, &vals);
-        }
-        for (slot, a) in buf.iter_mut().zip(args) {
-            *slot = self.eval_expr(a, env, star)?;
-        }
-        call(self, &buf[..args.len()])
-    }
-
-    /// Evaluate call arguments, with room left for the bindings and ∀
-    /// variable a referenced STAR pushes above them.
-    fn eval_args(
-        &mut self,
-        args: &[Expr],
-        env: &[RuleValue],
-        star: &str,
-    ) -> Result<Vec<RuleValue>> {
-        let mut vals = Vec::with_capacity(args.len() + 4);
-        for a in args {
-            vals.push(self.eval_expr(a, env, star)?);
-        }
-        Ok(vals)
-    }
-
     fn eval_binary(
         &mut self,
         op: BinOp,
-        l: &Expr,
-        r: &Expr,
-        env: &[RuleValue],
-        star: &str,
+        l: &'a Expr,
+        r: &'a Expr,
+        f: &mut Frame<'a>,
     ) -> Result<RuleValue> {
+        let star: &'a str = &f.star.name;
         // Short-circuit booleans.
         if matches!(op, BinOp::And | BinOp::Or) {
-            let lv = self.eval_expr(l, env, star)?;
+            let lv = self.eval_expr(l, f)?;
             let lb = lv
+                .get(&self.stack)
                 .as_bool()
                 .ok_or_else(|| self.eval_err(star, "boolean operator on non-boolean"))?;
             if (op == BinOp::And && !lb) || (op == BinOp::Or && lb) {
                 return Ok(RuleValue::Bool(lb));
             }
-            let rv = self.eval_expr(r, env, star)?;
-            return rv
-                .as_bool()
+            let rv = self.eval_expr(r, f)?;
+            let rb = rv.get(&self.stack).as_bool();
+            return rb
                 .map(RuleValue::Bool)
                 .ok_or_else(|| self.eval_err(star, "boolean operator on non-boolean"));
         }
-        let lv = self.eval_expr(l, env, star)?;
-        let rv = self.eval_expr(r, env, star)?;
+        let lv = self.eval_expr(l, f)?;
+        let rv = self.eval_expr(r, f)?;
+        let (lv, rv) = (lv.get(&self.stack), rv.get(&self.stack));
         Ok(match op {
-            BinOp::Eq => RuleValue::Bool(self.loose_eq(&lv, &rv)),
-            BinOp::Ne => RuleValue::Bool(!self.loose_eq(&lv, &rv)),
+            BinOp::Eq => RuleValue::Bool(self.loose_eq(lv, rv)),
+            BinOp::Ne => RuleValue::Bool(!self.loose_eq(lv, rv)),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let (a, b) = match (&lv, &rv) {
+                let (a, b) = match (lv, rv) {
                     (RuleValue::Int(a), RuleValue::Int(b)) => (*a, *b),
                     _ => {
                         return Err(self.eval_err(
@@ -901,27 +1023,27 @@ impl<'a> Engine<'a> {
                     _ => unreachable!(),
                 })
             }
-            BinOp::In => match &rv {
-                RuleValue::List(items) => RuleValue::Bool(items.contains(&lv)),
-                RuleValue::ColSet(cs) => match &lv {
+            BinOp::In => match rv {
+                RuleValue::List(items) => RuleValue::Bool(items.contains(lv)),
+                RuleValue::ColSet(cs) => match lv {
                     RuleValue::Cols(c) if c.len() == 1 => RuleValue::Bool(cs.contains(&c[0])),
                     _ => return Err(self.eval_err(star, "'in' expects a column and a colset")),
                 },
                 _ => return Err(self.eval_err(star, "'in' expects a list on the right")),
             },
             BinOp::Subset => {
-                let a = self.as_preds(&lv, star);
-                let b = self.as_preds(&rv, star);
+                let a = self.as_preds(lv, star);
+                let b = self.as_preds(rv, star);
                 match (a, b) {
                     (Ok(a), Ok(b)) => RuleValue::Bool(a.is_subset_of(b)),
                     _ => {
-                        let a = self.as_colset(&lv, star)?;
-                        let b = self.as_colset(&rv, star)?;
+                        let a = self.as_colset(lv, star)?;
+                        let b = self.as_colset(rv, star)?;
                         RuleValue::Bool(a.iter().all(|c| b.contains(c)))
                     }
                 }
             }
-            BinOp::Union | BinOp::Minus | BinOp::Intersect => self.set_op(op, &lv, &rv, star)?,
+            BinOp::Union | BinOp::Minus | BinOp::Intersect => self.set_op(op, lv, rv, star)?,
             BinOp::And | BinOp::Or => unreachable!(),
         })
     }
@@ -940,11 +1062,11 @@ impl<'a> Engine<'a> {
     fn set_op(&self, op: BinOp, l: &RuleValue, r: &RuleValue, star: &str) -> Result<RuleValue> {
         // Predicate sets are the common case; `{}` is canonical empty preds
         // and coerces to either side.
-        if let (Ok(a), Ok(b)) = (self.as_preds(l, star), self.as_preds(r, star)) {
+        if let (RuleValue::Preds(a), RuleValue::Preds(b)) = (l, r) {
             return Ok(RuleValue::Preds(match op {
-                BinOp::Union => a.union(b),
-                BinOp::Minus => a.minus(b),
-                BinOp::Intersect => a.intersect(b),
+                BinOp::Union => a.union(*b),
+                BinOp::Minus => a.minus(*b),
+                BinOp::Intersect => a.intersect(*b),
                 _ => unreachable!(),
             }));
         }
@@ -999,74 +1121,65 @@ impl<'a> Engine<'a> {
 
     // ---- LOLEPOP application ---------------------------------------------
 
-    /// Apply a LOLEPOP reference: map over the cartesian product of its SAP
-    /// arguments, building one plan node per combination. Combinations a
-    /// property function rejects are skipped (counted), not fatal — rules
-    /// offer alternatives, and illegal ones simply produce no plan.
-    fn apply_op(
-        &mut self,
-        name: &Arc<str>,
-        args: &[RuleValue],
-        star: &str,
-    ) -> Result<Arc<Vec<PlanRef>>> {
-        let mut out = match name.as_ref() {
-            "ACCESS" => self.op_access(args, star)?,
-            "GET" => self.op_get(args, star)?,
+    /// Apply a LOLEPOP reference to the arguments on the operand stack from
+    /// `top` up: map over the cartesian product of its SAP arguments,
+    /// building one plan node per combination. Combinations a property
+    /// function rejects are skipped (counted), not fatal — rules offer
+    /// alternatives, and illegal ones simply produce no plan.
+    fn apply_op(&mut self, name: &Arc<str>, top: usize, star: &str) -> Result<Sap> {
+        let start = self.plans.len();
+        match name.as_ref() {
+            "ACCESS" => self.op_access(top, star)?,
+            "GET" => self.op_get(top, star)?,
             "SORT" => {
-                let plans = self.arg_plans(args, 0, "SORT", star)?;
-                let key = self.as_cols(&args[1], star)?;
-                self.map_unary(&plans, |_| Lolepop::Sort { key: key.to_vec() })?
+                let plans = self.arg_plans(top, 0, "SORT", star)?;
+                let key = self.as_cols(&self.stack[top + 1], star)?;
+                self.map_unary(&plans, || Lolepop::Sort { key: key.clone() })?
             }
             "SHIP" => {
-                let plans = self.arg_plans(args, 0, "SHIP", star)?;
-                let to = match &args[1] {
+                let plans = self.arg_plans(top, 0, "SHIP", star)?;
+                let to = match &self.stack[top + 1] {
                     RuleValue::Site(s) => *s,
                     other => {
                         return Err(self.eval_err(star, format!("SHIP site: got {}", other.kind())))
                     }
                 };
-                self.map_unary(&plans, |_| Lolepop::Ship { to })?
+                self.map_unary(&plans, || Lolepop::Ship { to })?
             }
             "STORE" => {
-                let plans = self.arg_plans(args, 0, "STORE", star)?;
-                self.map_unary(&plans, |_| Lolepop::Store)?
+                let plans = self.arg_plans(top, 0, "STORE", star)?;
+                self.map_unary(&plans, || Lolepop::Store)?
             }
             "BUILD_INDEX" => {
-                let plans = self.arg_plans(args, 0, "BUILD_INDEX", star)?;
-                let key = self.as_cols(&args[1], star)?;
-                self.map_unary(&plans, |_| Lolepop::BuildIndex { key: key.to_vec() })?
+                let plans = self.arg_plans(top, 0, "BUILD_INDEX", star)?;
+                let key = self.as_cols(&self.stack[top + 1], star)?;
+                self.map_unary(&plans, || Lolepop::BuildIndex { key: key.to_vec() })?
             }
             "FILTER" => {
-                let plans = self.arg_plans(args, 0, "FILTER", star)?;
-                let preds = self.as_preds(&args[1], star)?;
-                self.map_unary(&plans, |_| Lolepop::Filter { preds })?
+                let plans = self.arg_plans(top, 0, "FILTER", star)?;
+                let preds = self.as_preds(&self.stack[top + 1], star)?;
+                self.map_unary(&plans, || Lolepop::Filter { preds })?
             }
-            "JOIN" => self.op_join(args, star)?,
+            "JOIN" => self.op_join(top, star)?,
             "UNION" => {
-                let l = self.arg_plans(args, 0, "UNION", star)?;
-                let r = self.arg_plans(args, 1, "UNION", star)?;
-                let mut out = Vec::new();
+                let l = self.arg_plans(top, 0, "UNION", star)?;
+                let r = self.arg_plans(top, 1, "UNION", star)?;
                 for a in l.iter() {
                     for b in r.iter() {
-                        self.try_build(Lolepop::Union, vec![a.clone(), b.clone()], &mut out)?;
+                        self.try_build(Lolepop::Union, Inputs::Two([a.clone(), b.clone()]))?;
                     }
                 }
-                out
             }
-            _ => self.op_ext(name, args, star)?,
-        };
-        self.dedup(&mut out);
-        Ok(Arc::new(out))
+            _ => self.op_ext(name, top, star)?,
+        }
+        Ok(self.finish_sap(start))
     }
 
-    fn arg_plans(
-        &self,
-        args: &[RuleValue],
-        i: usize,
-        op: &str,
-        star: &str,
-    ) -> Result<Arc<Vec<PlanRef>>> {
-        args.get(i)
+    /// The SAP that is argument `i` of the call whose arguments start at
+    /// `top`.
+    fn arg_plans(&self, top: usize, i: usize, op: &str, star: &str) -> Result<Sap> {
+        self.stack[top..]
+            .get(i)
             .and_then(|v| v.plans().cloned())
             .ok_or_else(|| self.eval_err(star, format!("{op}: argument {i} must be plans")))
     }
@@ -1096,14 +1209,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Build a Glue veneer node (SORT / SHIP / STORE / FILTER / BUILD_INDEX
-    /// / temp-index probe), emitting `plan_built` like rule-built plans do.
-    /// Veneers are the only nodes carrying pure sort and communication
-    /// cost, so calibration would be blind to those components without
-    /// their breakdowns. Counts toward `glue_veneers`, not `plans_built` —
-    /// a veneer is impedance matching, not a strategy alternative.
-    pub(crate) fn build_veneer(&mut self, op: Lolepop, inputs: Vec<PlanRef>) -> Result<PlanRef> {
+    /// / temp-index probe) over `input`, emitting `plan_built` like
+    /// rule-built plans do. Veneers are the only nodes carrying pure sort
+    /// and communication cost, so calibration would be blind to those
+    /// components without their breakdowns. Counts toward `glue_veneers`,
+    /// not `plans_built` — a veneer is impedance matching, not a strategy
+    /// alternative.
+    pub(crate) fn build_veneer(&mut self, op: Lolepop, input: PlanRef) -> Result<PlanRef> {
         let op_name = self.faults.is_some().then(|| op.name());
-        let p = match self.derive_node(op, inputs, &op_name, CoreError::Glue) {
+        let p = match self.derive_node(op, Inputs::One([input]), &op_name, CoreError::Glue) {
             Ok(r) => r?,
             Err(payload) => {
                 return Err(CoreError::Panicked {
@@ -1122,7 +1236,7 @@ impl<'a> Engine<'a> {
     fn derive_node(
         &self,
         op: Lolepop,
-        inputs: Vec<PlanRef>,
+        inputs: Inputs,
         op_name: &Option<String>,
         injected: impl FnOnce(String) -> CoreError,
     ) -> std::thread::Result<Result<PlanRef>> {
@@ -1140,15 +1254,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Run a property function under the fault-injection and panic-
-    /// containment boundary. A typed rejection stays a counted rejection;
-    /// a panic becomes `CoreError::Panicked` for the caller to propagate
+    /// containment boundary and push the node on the SAP under
+    /// construction. A typed rejection stays a counted rejection; a panic
+    /// becomes `CoreError::Panicked` for the caller to propagate
     /// (quarantining the invoking alternative).
-    fn try_build(
-        &mut self,
-        op: Lolepop,
-        inputs: Vec<PlanRef>,
-        out: &mut Vec<PlanRef>,
-    ) -> Result<()> {
+    fn try_build(&mut self, op: Lolepop, inputs: Inputs) -> Result<()> {
         // `op` moves into build(); keep its name around only when tracing
         // or fault matching needs it.
         let op_name = if self.tracer.enabled() || self.faults.is_some() {
@@ -1171,7 +1281,7 @@ impl<'a> Engine<'a> {
                 self.plan_cost
                     .record(p.props.cost.once.max(0.0).round() as u64);
                 self.emit_plan_built(&p);
-                out.push(p);
+                self.plans.push(p);
                 Ok(())
             }
             Ok(Err(e)) => {
@@ -1193,32 +1303,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn map_unary(
-        &mut self,
-        plans: &Arc<Vec<PlanRef>>,
-        mut op: impl FnMut(&PlanRef) -> Lolepop,
-    ) -> Result<Vec<PlanRef>> {
-        let mut out = Vec::new();
+    fn map_unary(&mut self, plans: &Sap, mut op: impl FnMut() -> Lolepop) -> Result<()> {
         for p in plans.iter() {
-            let o = op(p);
-            self.try_build(o, vec![p.clone()], &mut out)?;
+            self.try_build(op(), Inputs::One([p.clone()]))?;
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn op_access(&mut self, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
+    fn op_access(&mut self, top: usize, star: &str) -> Result<()> {
+        let args = &self.stack[top..];
         if args.len() != 4 {
             return Err(self.eval_err(star, "ACCESS takes (flavor, target, cols, preds)"));
         }
         let flavor = match &args[0] {
-            RuleValue::Sym(s) | RuleValue::Str(s) => s.clone(),
+            RuleValue::Sym(s) | RuleValue::Str(s) => s.as_ref(),
             other => {
                 return Err(self.eval_err(star, format!("ACCESS flavor: got {}", other.kind())))
             }
         };
         let preds = self.as_preds(&args[3], star)?;
-        let mut out = Vec::new();
-        match (&args[1], flavor.as_ref()) {
+        match (&args[1], flavor) {
             (RuleValue::Stream(s), "heap" | "btree") => {
                 let q = s.tables.as_single().ok_or_else(|| {
                     self.eval_err(star, "base-table ACCESS requires a single-table stream")
@@ -1227,50 +1331,41 @@ impl<'a> Engine<'a> {
                     RuleValue::AllCols => self.all_cols(q),
                     other => self.as_colset(other, star)?,
                 };
-                let spec = if flavor.as_ref() == "heap" {
+                let spec = if flavor == "heap" {
                     AccessSpec::HeapTable(q)
                 } else {
                     AccessSpec::BTreeTable(q)
                 };
-                self.try_build(Lolepop::Access { spec, cols, preds }, vec![], &mut out)?;
+                let op = Lolepop::Access { spec, cols, preds };
+                self.try_build(op, Inputs::Rest(Vec::new()))
             }
             (RuleValue::Index(ix, q), "index") => {
+                let spec = AccessSpec::Index { index: *ix, q: *q };
                 let cols = self.as_colset(&args[2], star)?;
-                self.try_build(
-                    Lolepop::Access {
-                        spec: AccessSpec::Index { index: *ix, q: *q },
-                        cols,
-                        preds,
-                    },
-                    vec![],
-                    &mut out,
-                )?;
+                let op = Lolepop::Access { spec, cols, preds };
+                self.try_build(op, Inputs::Rest(Vec::new()))
             }
             (RuleValue::Plans(plans), "heap" | "temp") => {
+                let plans = plans.clone();
+                // `*` on a temp: each plan's own columns.
+                let cols = match &args[2] {
+                    RuleValue::AllCols => None,
+                    _ if plans.is_empty() => None,
+                    other => Some(self.as_colset(other, star)?),
+                };
                 for p in plans.iter() {
-                    let cols = match &args[2] {
-                        RuleValue::AllCols => p.props.cols.clone(),
-                        other => self.as_colset(other, star)?,
-                    };
-                    self.try_build(
-                        Lolepop::Access {
-                            spec: AccessSpec::TempHeap,
-                            cols,
-                            preds,
-                        },
-                        vec![p.clone()],
-                        &mut out,
-                    )?;
+                    let cols = cols.clone().unwrap_or_else(|| p.props.cols.clone());
+                    let spec = AccessSpec::TempHeap;
+                    let op = Lolepop::Access { spec, cols, preds };
+                    self.try_build(op, Inputs::One([p.clone()]))?;
                 }
+                Ok(())
             }
-            (target, fl) => {
-                return Err(self.eval_err(
-                    star,
-                    format!("ACCESS: unsupported flavor {fl} on {}", target.kind()),
-                ))
-            }
+            (target, fl) => Err(self.eval_err(
+                star,
+                format!("ACCESS: unsupported flavor {fl} on {}", target.kind()),
+            )),
         }
-        Ok(out)
     }
 
     /// `*` on a base table: every catalog column of quantifier `q`.
@@ -1280,11 +1375,12 @@ impl<'a> Engine<'a> {
         cols.map(|c| QCol::new(q, ColId(c))).collect()
     }
 
-    fn op_get(&mut self, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
+    fn op_get(&mut self, top: usize, star: &str) -> Result<()> {
+        let args = &self.stack[top..];
         if args.len() != 4 {
             return Err(self.eval_err(star, "GET takes (input, table, cols, preds)"));
         }
-        let input = self.arg_plans(args, 0, "GET", star)?;
+        let input = self.arg_plans(top, 0, "GET", star)?;
         let q = match &args[1] {
             RuleValue::Stream(s) => s.tables.as_single().ok_or_else(|| {
                 self.eval_err(star, "GET requires a single-table stream parameter")
@@ -1296,14 +1392,15 @@ impl<'a> Engine<'a> {
             other => self.as_colset(other, star)?,
         };
         let preds = self.as_preds(&args[3], star)?;
-        self.map_unary(&input, |_| Lolepop::Get {
+        self.map_unary(&input, || Lolepop::Get {
             q,
             cols: cols.clone(),
             preds,
         })
     }
 
-    fn op_join(&mut self, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
+    fn op_join(&mut self, top: usize, star: &str) -> Result<()> {
+        let args = &self.stack[top..];
         if args.len() != 5 {
             return Err(self.eval_err(
                 star,
@@ -1319,36 +1416,32 @@ impl<'a> Engine<'a> {
             },
             other => return Err(self.eval_err(star, format!("JOIN flavor: got {}", other.kind()))),
         };
-        let outer = self.arg_plans(args, 1, "JOIN", star)?;
-        let inner = self.arg_plans(args, 2, "JOIN", star)?;
+        let outer = self.arg_plans(top, 1, "JOIN", star)?;
+        let inner = self.arg_plans(top, 2, "JOIN", star)?;
         let join_preds = self.as_preds(&args[3], star)?;
         let residual = self.as_preds(&args[4], star)?;
-        let mut out = Vec::new();
         for o in outer.iter() {
             for i in inner.iter() {
-                self.try_build(
-                    Lolepop::Join {
-                        flavor,
-                        join_preds,
-                        residual,
-                    },
-                    vec![o.clone(), i.clone()],
-                    &mut out,
-                )?;
+                let op = Lolepop::Join {
+                    flavor,
+                    join_preds,
+                    residual,
+                };
+                self.try_build(op, Inputs::Two([o.clone(), i.clone()]))?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Extension operators: SAP arguments become plan inputs (in order);
     /// scalar arguments are packaged as `ExtArg`s.
-    fn op_ext(&mut self, name: &Arc<str>, args: &[RuleValue], star: &str) -> Result<Vec<PlanRef>> {
+    fn op_ext(&mut self, name: &Arc<str>, top: usize, star: &str) -> Result<()> {
         if !self.prop.has_ext(name) {
             return Err(self.eval_err(star, format!("unknown operator {name}")));
         }
-        let mut plan_args: Vec<Arc<Vec<PlanRef>>> = Vec::new();
+        let mut plan_args: Vec<Sap> = Vec::new();
         let mut ext_args: Vec<ExtArg> = Vec::new();
-        for a in args {
+        for a in &self.stack[top..] {
             match a {
                 RuleValue::Plans(p) => plan_args.push(p.clone()),
                 RuleValue::Preds(p) => ext_args.push(ExtArg::Preds(*p)),
@@ -1383,11 +1476,10 @@ impl<'a> Engine<'a> {
             }
             combos = next;
         }
-        let mut out = Vec::new();
         for inputs in combos {
-            self.try_build(op.clone(), inputs, &mut out)?;
+            self.try_build(op.clone(), inputs.into())?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -1395,14 +1487,6 @@ impl Engine<'_> {
     /// The recorded rule origin of a plan node, if any.
     pub fn origin(&self, fingerprint: u64) -> Option<&str> {
         self.provenance.get(&fingerprint).map(|s| &**s)
-    }
-
-    /// Drop structurally duplicate plans, keeping first occurrences.
-    pub(crate) fn dedup(&mut self, plans: &mut Vec<PlanRef>) {
-        if plans.len() > 1 {
-            self.seen.clear();
-            plans.retain(|p| self.seen.insert(p.fingerprint()));
-        }
     }
 }
 

@@ -19,29 +19,28 @@
 //! stored at its destination (which is why §4.3's `SitedJoin` stores a
 //! shipped inner: rescans then stay local).
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use starqo_plan::{AccessSpec, Lolepop, PlanRef};
 use starqo_query::{PredSet, QSet};
 use starqo_trace::{SpanGuard, TraceEvent};
 
-use crate::engine::{Engine, GlueKey};
+use crate::engine::Engine;
 use crate::error::{CoreError, Result};
-use crate::value::{ReqVec, StreamRef};
+use crate::hash::RunHasher;
+use crate::value::{ReqVec, Sap, StreamRef};
 
 /// Discharge a stream's accumulated requirements (plus pushdown predicates).
-pub fn glue(
-    engine: &mut Engine<'_>,
-    stream: StreamRef,
-    pushdown: PredSet,
-) -> Result<Arc<Vec<PlanRef>>> {
+pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Result<Sap> {
     engine.stats.glue_refs += 1;
-    let key = GlueKey {
-        tables: stream.tables,
-        pushdown,
-        reqs: stream.reqs.clone(),
-    };
-    if let Some(hit) = engine.glue_cache.get(&key) {
+    // The cache is probed with the stream as it came; it becomes a stored
+    // key only after a miss.
+    let mut h = RunHasher::default();
+    (&stream, pushdown).hash(&mut h);
+    let digest = h.finish();
+    let same = |(s, p): &(StreamRef, PredSet)| *s == stream && *p == pushdown;
+    if let Some(hit) = engine.glue_cache.find(digest, same) {
         engine.stats.glue_cache_hits += 1;
         let hit = hit.clone();
         engine.tracer.emit(|| TraceEvent::GlueRef {
@@ -66,7 +65,9 @@ pub fn glue(
     };
     let started = std::time::Instant::now();
     let veneers_before = engine.stats.glue_veneers;
+    let start = engine.plans.len();
     let result = glue_miss(engine, &stream, pushdown);
+    engine.plans.truncate(start);
     drop(glue_span);
     engine.glue_depth -= 1;
     if engine.glue_depth == 0 {
@@ -79,92 +80,94 @@ pub fn glue(
         candidates: out.len(),
         veneers: (engine.stats.glue_veneers - veneers_before) as usize,
     });
-    engine.glue_cache.insert(key, out.clone());
+    engine
+        .glue_cache
+        .insert(digest, (stream, pushdown), out.clone());
     Ok(out)
 }
 
 /// The cache-miss path of [`glue`]: find candidates, veneer, register.
-fn glue_miss(
-    engine: &mut Engine<'_>,
-    stream: &StreamRef,
-    pushdown: PredSet,
-) -> Result<Arc<Vec<PlanRef>>> {
-    let (candidates, registered) = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
-    let mut satisfied: Vec<PlanRef> = Vec::new();
-    let mut products: Vec<PlanRef> = Vec::new();
-    for plan in candidates {
-        if let Some(p) = veneer(engine, plan.clone(), &stream.reqs)? {
-            // A registered candidate that needed no veneer would only die
-            // in the table's duplicate scan.
-            if !(registered && Arc::ptr_eq(&p, &plan)) {
-                products.push(p.clone());
-            }
-            satisfied.push(p);
+/// Works on the engine's scratch vector: the candidates first, what
+/// satisfies the requirements above them.
+fn glue_miss(engine: &mut Engine<'_>, stream: &StreamRef, pushdown: PredSet) -> Result<Sap> {
+    let first = engine.plans.len();
+    let registered = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
+    let satisfied = engine.plans.len();
+    for at in first..satisfied {
+        let plan = engine.plans[at].clone();
+        if let Some(p) = veneer(engine, plan, &stream.reqs)? {
+            engine.plans.push(p);
         }
     }
-    engine.dedup(&mut satisfied);
-    for p in &satisfied {
-        let origin = engine.provenance.entry(p.fingerprint());
-        origin.or_insert_with(|| engine.glue_label.clone());
-    }
-    if satisfied.is_empty() {
+    if engine.plans.len() == satisfied {
         return Err(CoreError::Glue(format!(
             "no plan for tables {} satisfies requirements {:?}",
             stream.tables, stream.reqs
         )));
     }
     // Register Glue products so later references find them ("Glue may
-    // generate some new plans having different properties").
+    // generate some new plans having different properties"). A registered
+    // candidate that needed no veneer would only die in the table's
+    // duplicate scan.
+    let (candidates, products) = engine.plans[first..].split_at(satisfied - first);
     for p in products {
-        engine.table.insert(p);
+        if !(registered && candidates.iter().any(|c| Arc::ptr_eq(c, p))) {
+            engine.table.insert(p.clone());
+        }
+    }
+    engine.dedup(satisfied);
+    for p in &engine.plans[satisfied..] {
+        let origin = engine.provenance.entry(p.fingerprint());
+        origin.or_insert_with(|| engine.glue_label.clone());
     }
     if !engine.config.glue_keep_all {
-        satisfied.sort_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()));
-        satisfied.truncate(1);
+        // The first of the cheapest, as a stable sort would put it.
+        let cost = |at: usize| engine.plans[at].props.cost.total();
+        let cheapest = (satisfied..engine.plans.len()).min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
+        engine.plans.swap(satisfied, cheapest.unwrap_or(satisfied));
+        engine.plans.truncate(satisfied + 1);
     }
-    Ok(Arc::new(satisfied))
+    Ok(engine.take_sap(satisfied))
 }
 
 /// Glue over an already-computed SAP: no requirements travel with a SAP, so
 /// only pushdown predicates remain to discharge (FILTER retrofit).
-pub fn glue_plans(
-    engine: &mut Engine<'_>,
-    plans: &Arc<Vec<PlanRef>>,
-    pushdown: PredSet,
-) -> Result<Arc<Vec<PlanRef>>> {
+pub fn glue_plans(engine: &mut Engine<'_>, plans: &Sap, pushdown: PredSet) -> Result<Sap> {
     engine.stats.glue_refs += 1;
     if pushdown.is_empty() {
         return Ok(plans.clone());
     }
     let veneers_before = engine.stats.glue_veneers;
-    let mut out = Vec::new();
+    let start = engine.plans.len();
     for p in plans.iter() {
         let extra = pushdown.minus(p.props.preds);
-        if extra.is_empty() {
-            out.push(p.clone());
-            continue;
-        }
-        out.push(engine.build_veneer(Lolepop::Filter { preds: extra }, vec![p.clone()])?);
+        let p = if extra.is_empty() {
+            p.clone()
+        } else {
+            engine.build_veneer(Lolepop::Filter { preds: extra }, p.clone())?
+        };
+        engine.plans.push(p);
     }
-    engine.dedup(&mut out);
+    let out = engine.finish_sap(start);
     engine.tracer.emit(|| TraceEvent::GlueRef {
         ref_id: engine.cur_ref(),
         cache_hit: false,
         candidates: out.len(),
         veneers: (engine.stats.glue_veneers - veneers_before) as usize,
     });
-    Ok(Arc::new(out))
+    Ok(out)
 }
 
-/// Step 1: find or create plans with the required relational properties.
-/// The flag tells whether they are registered in the plan table (read from
-/// it, or made by an `AccessRoot` reference) or Glue's own fresh products.
+/// Step 1: find or create plans with the required relational properties
+/// and push them on the engine's scratch vector. The flag tells whether
+/// they are registered in the plan table (read from it, or made by an
+/// `AccessRoot` reference) or Glue's own fresh products.
 fn candidate_plans(
     engine: &mut Engine<'_>,
     tables: QSet,
     pushdown: PredSet,
     reqs: &ReqVec,
-) -> Result<(Vec<PlanRef>, bool)> {
+) -> Result<bool> {
     let base_preds = engine.query.eligible_preds(tables);
     let extra = pushdown.minus(base_preds);
     let target = base_preds.union(extra);
@@ -172,13 +175,15 @@ fn candidate_plans(
     // A required access path is built below (STORE + BUILD_INDEX) from base
     // plans; pushed predicates are applied by the probe, not by re-accessing
     // the table.
-    if let Some(ix) = reqs.paths.clone() {
-        let base = existing_or_access(engine, tables, base_preds)?;
-        let Some(cheapest) = base
+    if let Some(ix) = &reqs.paths {
+        let base = engine.plans.len();
+        existing_or_access(engine, tables, base_preds)?;
+        let cheapest = engine.plans[base..]
             .iter()
             .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()))
-            .cloned()
-        else {
+            .cloned();
+        engine.plans.truncate(base);
+        let Some(cheapest) = cheapest else {
             return Err(CoreError::Glue(format!("no base plans for {tables}")));
         };
         // SHIP to the required site first so the temp and its index live
@@ -186,11 +191,11 @@ fn candidate_plans(
         let mut p = cheapest;
         if let Some(site) = reqs.site {
             if p.props.site != site {
-                p = engine.build_veneer(Lolepop::Ship { to: site }, vec![p])?;
+                p = engine.build_veneer(Lolepop::Ship { to: site }, p)?;
             }
         }
         if !p.props.temp {
-            p = engine.build_veneer(Lolepop::Store, vec![p])?;
+            p = engine.build_veneer(Lolepop::Store, p)?;
         }
         let ix_cols: Vec<_> = ix
             .iter()
@@ -202,56 +207,53 @@ fn candidate_plans(
                 "required path columns not in stream".into(),
             ));
         }
-        p = engine.build_veneer(
-            Lolepop::BuildIndex {
-                key: ix_cols.clone(),
-            },
-            vec![p],
-        )?;
-        let cols = p.props.cols.clone();
-        let probe = engine.build_veneer(
-            Lolepop::Access {
-                spec: AccessSpec::TempIndex { key: ix_cols },
-                cols,
-                preds: extra,
-            },
-            vec![p],
-        )?;
-        return Ok((vec![probe], false));
+        let key = ix_cols.clone();
+        p = engine.build_veneer(Lolepop::BuildIndex { key }, p)?;
+        let probe = Lolepop::Access {
+            spec: AccessSpec::TempIndex { key: ix_cols },
+            cols: p.props.cols.clone(),
+            preds: extra,
+        };
+        let probe = engine.build_veneer(probe, p)?;
+        engine.plans.push(probe);
+        return Ok(false);
     }
 
     if extra.is_empty() {
-        return Ok((existing_or_access(engine, tables, base_preds)?, true));
+        existing_or_access(engine, tables, base_preds)?;
+        return Ok(true);
     }
 
     if tables.len() == 1 {
         // Re-reference the top-most single-table STAR so the access path can
         // exploit the pushed-down (converted) join predicates.
-        Ok((engine.access_root(tables, target)?.as_ref().clone(), true))
+        let plans = engine.access_root(tables, target)?;
+        engine.plans.extend(plans.iter().cloned());
+        Ok(true)
     } else {
         // Composite stream: retrofit a FILTER.
-        let base = existing_or_access(engine, tables, base_preds)?;
-        let mut out = Vec::new();
-        for p in base {
-            out.push(engine.build_veneer(Lolepop::Filter { preds: extra }, vec![p])?);
+        let base = engine.plans.len();
+        existing_or_access(engine, tables, base_preds)?;
+        for at in base..engine.plans.len() {
+            let p = engine.plans[at].clone();
+            engine.plans[at] = engine.build_veneer(Lolepop::Filter { preds: extra }, p)?;
         }
-        Ok((out, false))
+        Ok(false)
     }
 }
 
-/// Look plans up in the table; reference `AccessRoot` for single tables when
-/// none exist yet.
-fn existing_or_access(
-    engine: &mut Engine<'_>,
-    tables: QSet,
-    preds: PredSet,
-) -> Result<Vec<PlanRef>> {
+/// Push the plans the table holds for a key on the scratch vector;
+/// reference `AccessRoot` for single tables when none exist yet.
+fn existing_or_access(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> Result<()> {
     let found = engine.table.get((tables, preds));
     if !found.is_empty() {
-        return Ok(found.to_vec());
+        engine.plans.extend_from_slice(found);
+        return Ok(());
     }
     if tables.len() == 1 {
-        return Ok(engine.access_root(tables, preds)?.as_ref().clone());
+        let plans = engine.access_root(tables, preds)?;
+        engine.plans.extend(plans.iter().cloned());
+        return Ok(());
     }
     Err(CoreError::Glue(format!(
         "no plans exist for composite {tables} with predicates {preds} (enumeration order bug?)"
@@ -268,17 +270,17 @@ fn veneer(engine: &mut Engine<'_>, plan: PlanRef, reqs: &ReqVec) -> Result<Optio
             if !order.iter().all(|c| p.props.cols.contains(c)) {
                 return Ok(None);
             }
-            let key = order.to_vec();
-            p = engine.build_veneer(Lolepop::Sort { key }, vec![p])?;
+            let key = order.clone();
+            p = engine.build_veneer(Lolepop::Sort { key }, p)?;
         }
     }
     if let Some(site) = reqs.site {
         if p.props.site != site {
-            p = engine.build_veneer(Lolepop::Ship { to: site }, vec![p])?;
+            p = engine.build_veneer(Lolepop::Ship { to: site }, p)?;
         }
     }
     if reqs.temp && !p.props.temp {
-        p = engine.build_veneer(Lolepop::Store, vec![p])?;
+        p = engine.build_veneer(Lolepop::Store, p)?;
     }
     Ok(Some(p))
 }

@@ -1,14 +1,13 @@
-//! A multiply-rotate hasher for the tables that live and die with one
-//! optimization run: the STAR memo, the Glue cache, the duplicate-scan
-//! scratch set and the plan table.
+//! A multiply-rotate hasher for the tables one optimization run fills: the
+//! STAR memo, the Glue cache, the duplicate-scan scratch set, the plan
+//! table and the provenance map.
 //!
 //! Their keys are quantifier-set masks, predicate masks and plan
 //! fingerprints the engine computed itself, their sizes are bounded by the
-//! query's own subsets and the [`crate::Budget`], and they are dropped with
-//! the run — SipHash's resistance to crafted keys buys nothing there and
-//! was 12 % of a cold optimization. Anything keyed by outside input, or
-//! visible outside the run (`PlanNode::fingerprint`, `Optimized::provenance`),
-//! keeps the standard hasher.
+//! query's own subsets and the [`crate::Budget`], and nothing is inserted
+//! into them once the run is over — SipHash's resistance to crafted keys
+//! buys nothing there and was 12 % of a cold optimization. Anything keyed by
+//! outside input (`PlanNode::fingerprint` itself) keeps the standard hasher.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -18,7 +17,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
 #[derive(Default)]
-pub(crate) struct RunHasher(u64);
+pub struct RunHasher(u64);
 
 impl RunHasher {
     #[inline]
@@ -78,8 +77,54 @@ impl Hasher for RunHasher {
     }
 }
 
-pub(crate) type RunMap<K, V> = HashMap<K, V, BuildHasherDefault<RunHasher>>;
+pub type RunMap<K, V> = HashMap<K, V, BuildHasherDefault<RunHasher>>;
 pub(crate) type RunSet<T> = HashSet<T, BuildHasherDefault<RunHasher>>;
+
+/// A map probed with a digest of a key the caller only borrows: the memo is
+/// asked about arguments that still sit on the operand stack, the Glue cache
+/// about a stream that may never be stored. Keys are compared by the
+/// caller's closure, so a digest collision costs a comparison, never a wrong
+/// answer; an owned key is made only by the insert that follows a miss.
+pub(crate) struct DigestMap<K, V> {
+    /// Digest → the newest entry with that digest.
+    heads: RunMap<u64, u32>,
+    /// Key, value, and the next-older entry with the same digest.
+    entries: Vec<(K, V, Option<u32>)>,
+}
+
+impl<K, V> Default for DigestMap<K, V> {
+    fn default() -> Self {
+        DigestMap {
+            heads: RunMap::default(),
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K, V> DigestMap<K, V> {
+    pub fn find(&self, digest: u64, mut is_key: impl FnMut(&K) -> bool) -> Option<&V> {
+        let mut at = self.heads.get(&digest).copied();
+        while let Some(i) = at {
+            let (key, value, older) = &self.entries[i as usize];
+            if is_key(key) {
+                return Some(value);
+            }
+            at = *older;
+        }
+        None
+    }
+
+    /// Add an entry the caller has just failed to [`find`](Self::find).
+    pub fn insert(&mut self, digest: u64, key: K, value: V) {
+        let at = self.entries.len() as u32;
+        let older = self.heads.insert(digest, at);
+        self.entries.push((key, value, older));
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -90,6 +135,20 @@ mod tests {
         let mut s = RunHasher::default();
         v.hash(&mut s);
         s.finish()
+    }
+
+    #[test]
+    fn digest_map_keeps_colliding_keys_apart() {
+        let mut m: DigestMap<&str, u32> = DigestMap::default();
+        assert!(m.find(7, |_| true).is_none());
+        m.insert(7, "a", 1);
+        m.insert(7, "b", 2);
+        m.insert(9, "c", 3);
+        assert_eq!(m.find(7, |k| *k == "a"), Some(&1));
+        assert_eq!(m.find(7, |k| *k == "b"), Some(&2));
+        assert_eq!(m.find(7, |k| *k == "c"), None);
+        assert_eq!(m.find(9, |k| *k == "c"), Some(&3));
+        assert_eq!(m.len(), 3);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::engine::{Engine, OptStats, QuarantineRecord};
 use crate::enumerate::enumerate;
 use crate::error::{panic_msg, CoreError, Result};
 use crate::faults::FaultPlan;
+use crate::hash::RunMap;
 use crate::natives::Natives;
 use crate::rules::RuleSet;
 use crate::table::TableStats;
@@ -92,8 +93,9 @@ pub struct Optimized {
     pub table_keys: usize,
     /// Rule provenance: node fingerprint → "Star[alt k]" (or "Glue") that
     /// first produced it — §1's "traced to explain the origin of any
-    /// execution plan". The labels are shared with the compiled rules.
-    pub provenance: std::collections::HashMap<u64, Arc<str>>,
+    /// execution plan". The labels are shared with the compiled rules; the
+    /// map is the engine's own, handed over as the run ends.
+    pub provenance: RunMap<u64, Arc<str>>,
     /// Counters and per-phase wall-clock timings for this run.
     pub metrics: MetricsSummary,
     /// True when a budget resource ran out and the plan came from greedy,

@@ -91,7 +91,8 @@ pub struct Alt {
 /// A group of alternatives sharing `with`-bindings and bracket kind.
 #[derive(Debug, Clone)]
 pub struct AltGroup {
-    /// `with`-bindings, evaluated left to right after the parameters.
+    /// `with`-bindings, one environment slot each after the parameters;
+    /// evaluated left to right up to the slot an alternative first reads.
     pub bindings: Vec<Expr>,
     /// `{}` (first matching guard wins) vs `[]` (all matching guards fire).
     pub exclusive: bool,

@@ -50,6 +50,11 @@ impl StreamRef {
     }
 }
 
+/// A Set of Alternative Plans (§2.2): one shared block, so handing a SAP on
+/// — to the memo, to a referencing STAR, to a LOLEPOP argument — copies a
+/// handle, never the plans.
+pub type Sap = Arc<[PlanRef]>;
+
 /// A value during rule evaluation.
 #[derive(Debug, Clone)]
 pub enum RuleValue {
@@ -69,7 +74,7 @@ pub enum RuleValue {
     /// A stream: table set + accumulated requirements.
     Stream(StreamRef),
     /// A Set of Alternative Plans.
-    Plans(Arc<Vec<PlanRef>>),
+    Plans(Sap),
     /// A catalog index bound to the quantifier it serves (self-joins give
     /// the same index different quantifiers).
     Index(IndexId, starqo_query::QId),
@@ -105,7 +110,7 @@ impl RuleValue {
         }
     }
 
-    pub fn plans(&self) -> Option<&Arc<Vec<PlanRef>>> {
+    pub fn plans(&self) -> Option<&Sap> {
         match self {
             RuleValue::Plans(p) => Some(p),
             _ => None,
@@ -156,10 +161,11 @@ impl PartialEq for RuleValue {
             (Preds(a), Preds(b)) => a == b,
             (Stream(a), Stream(b)) => a == b,
             (Plans(a), Plans(b)) => {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b.iter())
-                        .all(|(x, y)| x.fingerprint() == y.fingerprint())
+                Arc::ptr_eq(a, b)
+                    || (a.len() == b.len()
+                        && a.iter()
+                            .zip(b.iter())
+                            .all(|(x, y)| x.fingerprint() == y.fingerprint()))
             }
             (Index(a, qa), Index(b, qb)) => a == b && qa == qb,
             (List(a), List(b)) => a == b,

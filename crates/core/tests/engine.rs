@@ -355,6 +355,97 @@ fn root_star_plans_are_registered_whoever_references_them() {
 }
 
 #[test]
+fn a_reference_that_got_one_sap_hands_it_on() {
+    // `Wrapped` and `Picked` each fire one alternative: what they return is
+    // their callee's block, not a copy of it, memoized under their own keys;
+    // the plan's origin is still the alternative that built it.
+    let fx = Fx::new(
+        "star Wrapped(T, C, P) = Picked(T, C, P);\n\
+         star Picked(T, C, P) = {\n\
+             TableAccess(T, C, P)  if count(T) == 99;\n\
+             TableAccess(T, C, P)  otherwise;\n\
+         }\n\
+         star Twice(T, C, P) = [ TableAccess(T, C, P); Again(T, C, P); ]\n\
+         star Again(T, C, P) = TableAccess(T, C, P);",
+        OptConfig::default(),
+    );
+    let mut e = fx.engine();
+    let wrapped = e.eval_star_by_name("Wrapped", dept_args()).unwrap();
+    let (refs, hits) = (e.stats.star_refs, e.stats.memo_hits);
+    let callee = e.eval_star_by_name("TableAccess", dept_args()).unwrap();
+    assert!(Arc::ptr_eq(&wrapped, &callee));
+    let again = e.eval_star_by_name("Wrapped", dept_args()).unwrap();
+    assert!(Arc::ptr_eq(&wrapped, &again));
+    assert_eq!(e.stats.star_refs, refs + 2);
+    assert_eq!(e.stats.memo_hits, hits + 2, "each under its own key");
+    assert_eq!(wrapped.len(), 1);
+    assert_eq!(
+        e.origin(wrapped[0].fingerprint()),
+        Some("TableAccess[alt 1]")
+    );
+    // Two fired alternatives are merged into a block of their own.
+    let twice = e.eval_star_by_name("Twice", dept_args()).unwrap();
+    assert!(!Arc::ptr_eq(&twice, &callee));
+    assert_eq!(twice.len(), 1, "and the duplicate is dropped");
+}
+
+#[test]
+fn bindings_are_evaluated_on_first_read_inside_the_alternative() {
+    // `boom` is read only by the second alternative, whose guard rejects it
+    // first; the third alternative reads it and is the one quarantined.
+    fn boom(
+        _: &starqo_core::natives::NativeCtx<'_>,
+        _: &[RuleValue],
+    ) -> starqo_core::Result<RuleValue> {
+        panic!("boom evaluated")
+    }
+    let cat = catalog();
+    let q = query(&cat);
+    let mut opt = Optimizer::new(cat.clone()).unwrap();
+    opt.register_native("boom", boom);
+    let mut natives = Natives::builtin();
+    natives.register("boom", boom);
+    opt.load_rules(
+        "star Lazy(T, C, P) =\n\
+             with N = count(T), B = boom()\n\
+             [\n\
+                 TableAccess(T, C, P)  if N == 1;\n\
+                 TableAccess(T, C, B)  if N == 99 and is_empty(B);\n\
+             ]\n\
+         star Eager(T, C, P) =\n\
+             with B = boom()\n\
+             [\n\
+                 TableAccess(T, C, P);\n\
+                 TableAccess(T, C, B);\n\
+             ]",
+    )
+    .unwrap();
+    let (prop, model, config) = (
+        PropEngine::new(),
+        CostModel::default(),
+        OptConfig::default(),
+    );
+    let mut e = Engine::new(opt.rules(), &natives, &prop, &cat, &q, &model, &config);
+    let calls = e.stats.native_calls;
+    let plans = e.eval_star_by_name("Lazy", dept_args()).unwrap();
+    assert_eq!(plans.len(), 1);
+    assert!(e.quarantine_log.is_empty(), "{:?}", e.quarantine_log);
+    // count(T) once for both guards, storage_kind inside TableAccess; no boom.
+    assert_eq!(e.stats.native_calls, calls + 2);
+
+    let plans = e.eval_star_by_name("Eager", dept_args()).unwrap();
+    assert_eq!(
+        plans.len(),
+        1,
+        "the alternative that never reads B survives"
+    );
+    assert_eq!(e.quarantine_log.len(), 1);
+    assert_eq!(e.quarantine_log[0].star, "Eager");
+    assert_eq!(e.quarantine_log[0].alt, 2);
+    assert!(e.quarantine_log[0].reason.contains("boom evaluated"));
+}
+
+#[test]
 fn symbols_compare_loosely_with_strings() {
     // storage_kind returns a string; rules may compare with a bare symbol.
     let fx = Fx::new(

@@ -326,6 +326,33 @@ fn memoization_pays_off() {
     assert!(out.table_plans > 0 && out.table_keys > 0);
 }
 
+/// Where a SAP handed on unchanged, or built in the engine's shared scratch
+/// vector, could alias wrongly: a reference re-expanded instead of answered
+/// from the memo must return the same plans, and Glue keeping every
+/// satisfying plan must not lose the cheapest — local and across sites, base
+/// repertoire and all of §4.5.
+#[test]
+fn memo_ablation_and_keep_all_reach_the_same_winner() {
+    for distributed in [false, true] {
+        for base in [OptConfig::default(), OptConfig::full()] {
+            let (_, _, want) = optimize(distributed, &base);
+            let mut no_memo = base.clone();
+            no_memo.ablate_memo = true;
+            let (_, _, got) = optimize(distributed, &no_memo);
+            assert_eq!(got.best.fingerprint(), want.best.fingerprint());
+            assert_eq!(got.stats.memo_hits, 0);
+            assert_eq!(got.root_alternatives.len(), want.root_alternatives.len());
+            assert_eq!(got.origin_trace(&got.best), want.origin_trace(&want.best));
+
+            let mut keep_all = base.clone();
+            keep_all.glue_keep_all = true;
+            let (_, _, got) = optimize(distributed, &keep_all);
+            let (got, want) = (got.best.props.cost.total(), want.best.props.cost.total());
+            assert!(got <= want + 1e-9, "keep_all {got} vs cheapest-only {want}");
+        }
+    }
+}
+
 #[test]
 fn three_way_join_with_order_by() {
     let cat = Arc::new(

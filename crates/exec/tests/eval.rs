@@ -140,7 +140,7 @@ fn figure1_sort_merge_plan_executes_correctly() {
     let d = dept_scan(&f, PredSet::single(P_MGR));
     let d_sorted = f.build(
         Lolepop::Sort {
-            key: vec![QCol::new(D, ColId(0))],
+            key: vec![QCol::new(D, ColId(0))].into(),
         },
         vec![d],
     );

@@ -35,7 +35,7 @@ pub use cost::CostModel;
 pub use error::{PlanError, Result};
 pub use explain::Explain;
 pub use lolepop::{AccessSpec, ExtArg, JoinFlavor, Lolepop};
-pub use node::{PlanNode, PlanRef};
+pub use node::{Inputs, PlanNode, PlanRef};
 pub use propfn::{ExtPropFn, PropCtx, PropEngine};
 pub use props::{AvailPath, ColSet, Cost, CostComponents, PathSource, Props};
 pub use sel::Selectivity;

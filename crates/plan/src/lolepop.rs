@@ -9,7 +9,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use starqo_catalog::{IndexId, SiteId, Value};
-use starqo_query::{PredSet, QCol, QId};
+use starqo_query::{PredSet, QCol, QId, Shared};
 
 use crate::props::ColSet;
 
@@ -109,8 +109,9 @@ pub enum Lolepop {
         cols: ColSet,
         preds: PredSet,
     },
-    /// Sort the input into `key` order.
-    Sort { key: Vec<QCol> },
+    /// Sort the input into `key` order: the very list the output's ORDER
+    /// property (and a Glue requirement that asked for it) shares.
+    Sort { key: Shared<QCol> },
     /// Deliver the input stream at another site.
     Ship { to: SiteId },
     /// Materialize the input as a temporary stored table.
@@ -256,10 +257,10 @@ mod tests {
     #[test]
     fn param_hash_distinguishes_parameters() {
         let s1 = Lolepop::Sort {
-            key: vec![QCol::new(QId(0), ColId(0))],
+            key: vec![QCol::new(QId(0), ColId(0))].into(),
         };
         let s2 = Lolepop::Sort {
-            key: vec![QCol::new(QId(0), ColId(1))],
+            key: vec![QCol::new(QId(0), ColId(1))].into(),
         };
         assert_ne!(s1.param_hash(), s2.param_hash());
         assert_eq!(s1.param_hash(), s1.clone().param_hash());

@@ -7,6 +7,7 @@
 //! recognized cheaply.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::lolepop::Lolepop;
@@ -15,12 +16,50 @@ use crate::props::Props;
 /// Shared reference to a plan node.
 pub type PlanRef = Arc<PlanNode>;
 
+/// A node's table inputs, read as a slice. Every built-in LOLEPOP takes at
+/// most two, which live in the node itself; only an extension operator of
+/// higher arity pays for a vector (a leaf's empty one allocates nothing).
+#[derive(Debug)]
+pub enum Inputs {
+    One([PlanRef; 1]),
+    Two([PlanRef; 2]),
+    Rest(Vec<PlanRef>),
+}
+
+impl Deref for Inputs {
+    type Target = [PlanRef];
+    fn deref(&self) -> &[PlanRef] {
+        match self {
+            Inputs::One(a) => a,
+            Inputs::Two(a) => a,
+            Inputs::Rest(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Inputs {
+    type Item = &'a PlanRef;
+    type IntoIter = std::slice::Iter<'a, PlanRef>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<PlanRef>> for Inputs {
+    fn from(v: Vec<PlanRef>) -> Self {
+        match <[PlanRef; 1]>::try_from(v) {
+            Ok(one) => Inputs::One(one),
+            Err(v) => <[PlanRef; 2]>::try_from(v).map_or_else(Inputs::Rest, Inputs::Two),
+        }
+    }
+}
+
 /// One LOLEPOP application: the operator, its table inputs, and the derived
 /// property vector of its output stream.
 #[derive(Debug)]
 pub struct PlanNode {
     pub op: Lolepop,
-    pub inputs: Vec<PlanRef>,
+    pub inputs: Inputs,
     pub props: Props,
     fingerprint: u64,
 }
@@ -29,10 +68,11 @@ impl PlanNode {
     /// Construct a node with the given (already derived) properties.
     /// Use [`crate::propfn::PropEngine::build`] to derive properties and
     /// validate legality; this constructor only computes the fingerprint.
-    pub fn with_props(op: Lolepop, inputs: Vec<PlanRef>, props: Props) -> PlanRef {
+    pub fn with_props(op: Lolepop, inputs: impl Into<Inputs>, props: Props) -> PlanRef {
+        let inputs = inputs.into();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         op.param_hash().hash(&mut h);
-        for i in &inputs {
+        for i in inputs.iter() {
             i.fingerprint.hash(&mut h);
         }
         let fingerprint = h.finish();
@@ -64,7 +104,7 @@ impl PlanNode {
     /// Pre-order visit of all nodes.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PlanNode)) {
         f(self);
-        for i in &self.inputs {
+        for i in self.inputs.iter() {
             i.visit(f);
         }
     }
@@ -75,7 +115,7 @@ impl PlanNode {
     pub fn visit_depth<'a>(&'a self, f: &mut impl FnMut(&'a PlanNode, usize)) {
         fn walk<'a>(n: &'a PlanNode, depth: usize, f: &mut impl FnMut(&'a PlanNode, usize)) {
             f(n, depth);
-            for i in &n.inputs {
+            for i in n.inputs.iter() {
                 walk(i, depth + 1, f);
             }
         }

@@ -22,7 +22,7 @@ use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, QSet, Query, Shared};
 use crate::cost::CostModel;
 use crate::error::{PlanError, Result};
 use crate::lolepop::{AccessSpec, JoinFlavor, Lolepop};
-use crate::node::{PlanNode, PlanRef};
+use crate::node::{Inputs, PlanNode, PlanRef};
 use crate::props::{AvailPath, ColSet, Cost, CostComponents, PathSource, Props};
 use crate::sel::Selectivity;
 
@@ -88,6 +88,26 @@ impl<'a> PropCtx<'a> {
     }
 }
 
+/// Does the stream's order start with its sort key for `sp` —
+/// `order_satisfies(&Classifier::sort_key(sp, input.tables))`, checked column
+/// by column instead of building the key for every merge join derived?
+fn ordered_on_sort_key(input: &Props, query: &Query, sp: PredSet) -> bool {
+    // The distinct key columns seen so far are exactly `order[..matched]`.
+    let mut matched = 0;
+    for p in sp.iter() {
+        for c in query.pred_cols(p) {
+            if !input.tables.contains(c.q) || input.order[..matched].contains(c) {
+                continue;
+            }
+            if input.order.get(matched) != Some(c) {
+                return false;
+            }
+            matched += 1;
+        }
+    }
+    true
+}
+
 /// Signature of an extension property function.
 pub type ExtPropFn = Arc<dyn Fn(&Lolepop, &[&Props], &PropCtx<'_>) -> Result<Props> + Send + Sync>;
 
@@ -144,8 +164,14 @@ impl PropEngine {
     }
 
     /// Derive properties and construct the node in one step.
-    pub fn build(&self, op: Lolepop, inputs: Vec<PlanRef>, ctx: &PropCtx<'_>) -> Result<PlanRef> {
-        let props = match inputs.as_slice() {
+    pub fn build(
+        &self,
+        op: Lolepop,
+        inputs: impl Into<Inputs>,
+        ctx: &PropCtx<'_>,
+    ) -> Result<PlanRef> {
+        let inputs = inputs.into();
+        let props = match &*inputs {
             [] => self.derive(&op, &[], ctx),
             [a] => self.derive(&op, &[&a.props], ctx),
             [a, b] => self.derive(&op, &[&a.props, &b.props], ctx),
@@ -467,8 +493,8 @@ impl PropEngine {
         Ok(out)
     }
 
-    fn sort(&self, key: &[QCol], input: &Props, ctx: &PropCtx<'_>) -> Result<Props> {
-        for c in key {
+    fn sort(&self, key: &Shared<QCol>, input: &Props, ctx: &PropCtx<'_>) -> Result<Props> {
+        for c in key.iter() {
             if !input.cols.contains(c) {
                 return Err(PlanError::Scope {
                     op: "SORT",
@@ -479,7 +505,7 @@ impl PropEngine {
         let model = ctx.model;
         let width = ctx.width(&input.cols);
         let mut out = input.clone();
-        out.order = key.into();
+        out.order = key.clone();
         out.cost = Cost::from_parts(
             input.cost.breakdown() + model.sort_cost_c(input.card, width),
             model.scan_io_c(input.card, width) + model.stream_cpu_c(input.card, 0),
@@ -598,17 +624,14 @@ impl PropEngine {
                     "merge join predicates must be sortable (col = col)".into(),
                 ));
             }
-            let o_key = cl.sort_key(join_preds, outer.tables);
-            let i_key = cl.sort_key(join_preds, inner.tables);
-            if !outer.order_satisfies(&o_key) {
-                return Err(PlanError::OrderViolation {
-                    detail: format!("outer order {:?} lacks prefix {:?}", outer.order, o_key),
-                });
-            }
-            if !inner.order_satisfies(&i_key) {
-                return Err(PlanError::OrderViolation {
-                    detail: format!("inner order {:?} lacks prefix {:?}", inner.order, i_key),
-                });
+            for (input, side) in [(outer, "outer"), (inner, "inner")] {
+                if !ordered_on_sort_key(input, ctx.query, join_preds) {
+                    let key = cl.sort_key(join_preds, input.tables);
+                    let order = &input.order;
+                    return Err(PlanError::OrderViolation {
+                        detail: format!("{side} order {order:?} lacks prefix {key:?}"),
+                    });
+                }
             }
         }
         if flavor == JoinFlavor::HA {
@@ -697,5 +720,56 @@ impl PropEngine {
             l.cost.rescan_by + r.cost.rescan_by,
         );
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use starqo_catalog::{ColId, DataType, SiteId, StorageKind};
+    use starqo_query::parse_query;
+
+    /// The column-by-column check is `order_satisfies` of the built key, on
+    /// a predicate set whose sort key drops a repeated column.
+    #[test]
+    fn ordered_on_sort_key_is_order_satisfies_of_the_key() {
+        let cat = Catalog::builder()
+            .site("s")
+            .table("A", "s", StorageKind::Heap, 100)
+            .column("X", DataType::Int, Some(10))
+            .column("W", DataType::Int, Some(10))
+            .table("B", "s", StorageKind::Heap, 100)
+            .column("Y", DataType::Int, Some(10))
+            .column("Z", DataType::Int, Some(10))
+            .build()
+            .unwrap();
+        let sql = "SELECT A.X FROM A, B WHERE A.X = B.Y AND A.X = B.Z AND A.W = B.Z";
+        let query = parse_query(&cat, sql).unwrap();
+        let sp = query.all_preds();
+        let cl = Classifier::new(&query);
+        let col = |q: u32, c: u32| QCol::new(QId(q), ColId(c));
+        let orders: [&[QCol]; 8] = [
+            &[],
+            &[col(0, 0)],
+            &[col(0, 0), col(0, 1)],
+            &[col(0, 1), col(0, 0)],
+            &[col(0, 0), col(0, 1), col(1, 0)],
+            &[col(1, 0)],
+            &[col(1, 0), col(1, 1)],
+            &[col(1, 1), col(1, 0)],
+        ];
+        for q in [QId(0), QId(1)] {
+            for order in orders {
+                let mut props = Props::empty(SiteId(0));
+                props.tables = QSet::single(q);
+                props.order = order.into();
+                let key = cl.sort_key(sp, props.tables);
+                assert_eq!(
+                    ordered_on_sort_key(&props, &query, sp),
+                    props.order_satisfies(&key),
+                    "order {order:?}, key {key:?}"
+                );
+            }
+        }
     }
 }

@@ -241,7 +241,12 @@ fn sort_sets_order_and_pays_once() {
     let d = dept_access(&f);
     let key = vec![QCol::new(D, ColId(0))];
     let s = f
-        .build(Lolepop::Sort { key: key.clone() }, vec![d.clone()])
+        .build(
+            Lolepop::Sort {
+                key: key.clone().into(),
+            },
+            vec![d.clone()],
+        )
         .unwrap();
     assert_eq!(*s.props.order, *key);
     assert!(s.props.cost.once > d.props.cost.total());
@@ -250,7 +255,7 @@ fn sort_sets_order_and_pays_once() {
     let err = f
         .build(
             Lolepop::Sort {
-                key: vec![QCol::new(D, ColId(2))],
+                key: vec![QCol::new(D, ColId(2))].into(),
             },
             vec![d],
         )
@@ -396,7 +401,7 @@ fn figure1_plan(f: &Fixture) -> PlanRef {
     let sorted = f
         .build(
             Lolepop::Sort {
-                key: vec![QCol::new(D, ColId(0))],
+                key: vec![QCol::new(D, ColId(0))].into(),
             },
             vec![d],
         )
@@ -479,7 +484,7 @@ fn merge_join_rejects_unsortable_preds() {
     let sorted = f
         .build(
             Lolepop::Sort {
-                key: vec![QCol::new(D, ColId(0))],
+                key: vec![QCol::new(D, ColId(0))].into(),
             },
             vec![d],
         )

@@ -147,7 +147,7 @@ fn operator_chains_accumulate_cost() {
         assert!(plan.props.card >= 0.0);
         let mut last = plan.props.cost.total();
         let mut steps: Vec<Lolepop> = vec![Lolepop::Sort {
-            key: vec![QCol::new(a, ColId(0))],
+            key: vec![QCol::new(a, ColId(0))].into(),
         }];
         if to_other_site {
             steps.push(Lolepop::Ship { to: SiteId(1) });

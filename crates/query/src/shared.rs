@@ -79,13 +79,28 @@ impl ColSet {
         new
     }
 
-    /// Set union; shares `self` when `other` adds nothing.
+    /// Set union; shares `self` when `other` adds nothing, and otherwise
+    /// merges the two sorted lists straight into the new shared block (its
+    /// length is known first, so no vector is built and copied).
     #[must_use]
     pub fn union(&self, other: &ColSet) -> ColSet {
-        if other.iter().all(|c| self.contains(c)) {
+        let new = other.iter().filter(|c| !self.contains(c)).count();
+        if new == 0 {
             return self.clone();
         }
-        self.iter().chain(other.iter()).copied().collect()
+        let (a, b) = (&self[..], &other[..]);
+        let (mut i, mut j) = (0, 0);
+        let merged = (0..a.len() + new).map(|_| {
+            if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+                j += (j < b.len() && a[i] == b[j]) as usize;
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            }
+        });
+        ColSet(Shared(Some(merged.collect())))
     }
 }
 
@@ -142,5 +157,25 @@ mod tests {
         assert_eq!(s.union(&t), s);
         assert_eq!(t.union(&s), s);
         assert_eq!(ColSet::new().union(&t), t);
+    }
+
+    #[test]
+    fn union_merges_like_collecting_both() {
+        let sets: Vec<ColSet> = [
+            vec![],
+            vec![qc(0, 1)],
+            vec![qc(0, 0), qc(0, 2), qc(1, 1)],
+            vec![qc(0, 1), qc(0, 2), qc(2, 0)],
+            vec![qc(1, 0), qc(1, 1), qc(1, 2), qc(3, 0)],
+        ]
+        .into_iter()
+        .map(|cols| cols.into_iter().collect())
+        .collect();
+        for a in &sets {
+            for b in &sets {
+                let both: ColSet = a.iter().chain(b.iter()).copied().collect();
+                assert_eq!(a.union(b), both, "{a:?} ∪ {b:?}");
+            }
+        }
     }
 }

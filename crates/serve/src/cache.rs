@@ -244,8 +244,20 @@ impl PlanCache {
             meta.saved_nanos = nanos;
             return (Ok((v, 0)), meta);
         }
+        self.fill(key, fp_hash, epoch, cold, meta)
+    }
 
-        let fkey = (Arc::clone(fp), Arc::clone(sig), epoch);
+    /// The miss path of [`Self::serve`]: join the key's flight; as its
+    /// leader, optimize and install.
+    fn fill(
+        &self,
+        key: Key,
+        fp_hash: u64,
+        epoch: u64,
+        cold: impl FnOnce() -> Result<(Arc<Optimized>, u64, bool), String>,
+        mut meta: CacheMeta,
+    ) -> (Result<(Arc<Optimized>, u64), String>, CacheMeta) {
+        let fkey = (Arc::clone(&key.0), Arc::clone(&key.1), epoch);
         let mut guard = match self.flights.lead_or_wait(fkey) {
             Role::Leader(g) => g,
             Role::Follower(Ok((v, nanos))) => {
@@ -255,6 +267,16 @@ impl PlanCache {
             }
             Role::Follower(Err(e)) => return (Err(e), meta),
         };
+        // An earlier flight for this key may have installed its result and
+        // retired between our probe and our election; leading a second one
+        // would optimize the same fingerprint twice. Look again now that no
+        // other leader can exist: a resident entry is a hit.
+        if let Some((v, nanos)) = self.probe(&key, fp_hash, epoch, &mut meta) {
+            guard.complete(Ok((Arc::clone(&v), nanos)));
+            meta.hit = true;
+            meta.saved_nanos = nanos;
+            return (Ok((v, 0)), meta);
+        }
         match cold() {
             Ok((value, nanos, cacheable)) => {
                 if cacheable {
@@ -443,6 +465,52 @@ mod tests {
         let v = optimized();
         let (r, _) = cache.serve(&fp, &sig, 1, 0, move || Ok((v, 1, true)));
         assert!(r.is_ok());
+    }
+
+    /// The double-leader race, interleaved by hand: the second caller's
+    /// probe misses while the first is still optimizing, and its election
+    /// comes only after the first has installed its plan and retired the
+    /// flight. It must find the resident entry, not optimize again.
+    #[test]
+    fn a_flight_retired_between_probe_and_election_is_a_hit() {
+        use std::sync::Barrier;
+        let cache = PlanCache::new(&CacheConfig::default());
+        let (fp, sig) = (key("q"), key("cfg"));
+        let k: Key = (Arc::clone(&fp), Arc::clone(&sig));
+        let v = optimized();
+        let (probed, colds) = (Barrier::new(2), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                cache.serve(&fp, &sig, 1, 0, || {
+                    colds.fetch_add(1, Ordering::SeqCst);
+                    probed.wait(); // the second caller has probed and missed
+                    Ok((Arc::clone(&v), 42, true))
+                })
+            });
+            let mut meta = CacheMeta::default();
+            assert!(cache.probe(&k, 1, 0, &mut meta).is_none());
+            probed.wait();
+            let (r, _) = first.join().expect("first caller");
+            assert!(r.is_ok());
+            // Installed and retired: the second caller now wins the election.
+            let (r, meta) = cache.fill(
+                k.clone(),
+                1,
+                0,
+                || {
+                    colds.fetch_add(1, Ordering::SeqCst);
+                    Ok((Arc::clone(&v), 99, true))
+                },
+                meta,
+            );
+            assert!(r.is_ok());
+            assert!(meta.hit && !meta.coalesced, "{meta:?}");
+            assert_eq!(meta.saved_nanos, 42);
+        });
+        assert_eq!(colds.load(Ordering::SeqCst), 1, "one cold optimization");
+        // The hit retired its own flight: the key is served from the cache.
+        let (_, meta) = cache.serve(&fp, &sig, 1, 0, || panic!("cached"));
+        assert!(meta.hit);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub fn initial_plan(
     if !query.order_by.is_empty() && !plan.props.order_satisfies(&query.order_by) {
         plan = prop.build(
             Lolepop::Sort {
-                key: query.order_by.clone(),
+                key: query.order_by.as_slice().into(),
             },
             vec![plan],
             &ctx,

@@ -387,7 +387,9 @@ impl XformRule for NlToMerge {
                 build(
                     ctx,
                     stats,
-                    Lolepop::Sort { key: key.clone() },
+                    Lolepop::Sort {
+                        key: key.as_slice().into(),
+                    },
                     vec![side.clone()],
                 )
             }

@@ -150,7 +150,7 @@ fn rebuild_with_child(
     ctx: &XformCtx<'_>,
     stats: &mut XformStats,
 ) -> Option<PlanRef> {
-    let mut inputs: Vec<PlanRef> = plan.inputs.clone();
+    let mut inputs: Vec<PlanRef> = plan.inputs.to_vec();
     inputs[i] = new_child;
     stats.reestimations += 1;
     let op: Lolepop = plan.op.clone();

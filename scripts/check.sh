@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+# A re-recorded golden may move work counters, never a winner, its EXPLAIN
+# text, its cost or an origin trace.
+if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt; then
+    echo "== cold-path golden re-recorded: only counters may differ from HEAD =="
+    scripts/golden_diff.sh HEAD
+fi
+
 echo "== starqo-obs smoke (profile a real trace) =="
 cargo build -q --offline -p starqo-obs
 cargo run -q --offline --example trace_plan > /dev/null

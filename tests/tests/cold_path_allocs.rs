@@ -89,13 +89,15 @@ fn catalog(tables: usize) -> Arc<Catalog> {
     synth_catalog(12, &spec)
 }
 
-/// The diet's figure for this query was 18.2 allocations per plan built
-/// (the engine before it needed 152.8), 17.0 now that only joinable pairs
-/// are expanded; the ceiling sits ~25 % above the diet's figure, so a clone
-/// that creeps back into the expansion loop fails here without a stopwatch.
+/// 7.1 allocations per plan built for this query — the node, its `cols`,
+/// the SAPs it travels in and little else (17.0 before references stopped
+/// paying for their containers, 18.2 after the first diet, 152.8 before
+/// it); the ceiling sits ~25 % above today's figure, so a clone or a
+/// per-reference vector that creeps back into the expansion loop fails
+/// here without a stopwatch.
 #[test]
 fn cold_optimize_allocations_per_plan_stay_lean() {
-    const CEILING: f64 = 23.0;
+    const CEILING: f64 = 8.9;
     let cat = catalog(6);
     let star: Vec<_> = (1..6).map(|spoke| (0, spoke)).collect();
     let query = join_query(&cat, 6, &star);
@@ -111,21 +113,26 @@ fn cold_optimize_allocations_per_plan_stay_lean() {
     );
 }
 
-/// Work ceiling for the enumeration contract: an 8-way chain has 36
-/// connected subsets of its 255, and under the default parameters only
-/// those are planned — 168 plans built and 3 703 allocations for this
-/// query. Planning every subset (a Cartesian fallback per subset instead of
-/// per level) took 1 602 plans and 43 601 allocations; the ceilings sit
-/// ~25 % above today's figures, so exponential subsets fail here, not just
-/// on the benchmark ledger.
-#[test]
-fn eight_way_chain_plans_only_joinable_subsets() {
-    const PLANS_CEILING: u64 = 210;
-    const ALLOCS_CEILING: u64 = 4_650;
+fn eight_way_chain() -> (Optimizer, Query) {
     let cat = catalog(8);
     let chain: Vec<_> = (0..7).map(|i| (i, i + 1)).collect();
     let query = join_query(&cat, 8, &chain);
-    let opt = Optimizer::new(cat).unwrap();
+    (Optimizer::new(cat).unwrap(), query)
+}
+
+/// Work ceiling for the enumeration contract: an 8-way chain has 36
+/// connected subsets of its 255, and under the default parameters only
+/// those are planned — 168 plans built and 1 504 allocations for this
+/// query (3 703 while every reference, SAP and LOLEPOP application still
+/// allocated its own containers). Planning every subset (a Cartesian
+/// fallback per subset instead of per level) took 1 602 plans and 43 601
+/// allocations; the ceilings sit ~25 % above today's figures, so
+/// exponential subsets fail here, not just on the benchmark ledger.
+#[test]
+fn eight_way_chain_plans_only_joinable_subsets() {
+    const PLANS_CEILING: u64 = 210;
+    const ALLOCS_CEILING: u64 = 1_880;
+    let (opt, query) = eight_way_chain();
     let config = OptConfig::default();
 
     let (out, allocs, _) = measure(|| opt.optimize(&query, &config).unwrap());
@@ -134,6 +141,29 @@ fn eight_way_chain_plans_only_joinable_subsets() {
         "{} plans built (ceiling {PLANS_CEILING}), {allocs} allocations (ceiling {ALLOCS_CEILING})",
         out.stats.plans_built
     );
+}
+
+/// `with` bindings are evaluated when first read: the `enabled(...)`-gated
+/// `JMeth` groups of `extensions.star` reject their alternative before
+/// reading one, so the default configuration stopped paying for them
+/// (994 native calls on this query; 1 498 while bindings were evaluated
+/// eagerly — the ceiling is three quarters of that) and `OptConfig::full()`,
+/// which reads nearly all of them, pays no more than it did (33 859). The
+/// winners are the ones eager evaluation chose.
+#[test]
+fn unread_bindings_cost_no_native_calls() {
+    let (opt, query) = eight_way_chain();
+    for (config, calls_ceiling, cost, ops) in [
+        (OptConfig::default(), 1_123, 5_893.103_687_552, 28),
+        (OptConfig::full(), 33_859, 854.178, 16),
+    ] {
+        let out = opt.optimize(&query, &config).unwrap();
+        let calls = out.stats.native_calls;
+        assert!(calls <= calls_ceiling, "{calls} native calls");
+        let total = out.best.props.cost.total();
+        assert!((total - cost).abs() < 1e-6, "winner costs {total}");
+        assert_eq!(out.best.op_count(), ops);
+    }
 }
 
 /// A rule file that applies an operator to the wrong number of inputs gets

@@ -12,14 +12,18 @@
 //! The EXPLAIN and origin-trace lines date from the commit before the
 //! engine's allocation diet and have never moved. The counter lines
 //! (`root_alternatives`, `OptStats`, `TableStats`, `table_plans`) were
-//! re-recorded once, when the enumeration driver stopped referencing
-//! `JoinRoot` for pairs no predicate links: a change that moves only those
-//! lines, downwards, is a work reduction; one that moves any other line
-//! changes a winner.
+//! re-recorded twice: when the enumeration driver stopped referencing
+//! `JoinRoot` for pairs no predicate links, and when `with` bindings became
+//! evaluated on first read (`native_calls` fell in every `OptStats` line,
+//! nothing else in them moved). A change that moves only those lines,
+//! downwards, is a work reduction; one that moves any other line changes a
+//! winner.
 //!
 //! `STARQO_UPDATE_GOLDEN=1 cargo test -p starqo-integration --test
 //! cold_path_golden` rewrites the file; a diff in it is a behaviour change
-//! and needs a reason.
+//! and needs a reason, and `scripts/golden_diff.sh <ref>` (run by
+//! `scripts/check.sh` on a modified file) fails if it reaches past the
+//! counter lines.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

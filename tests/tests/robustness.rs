@@ -340,6 +340,53 @@ fn injected_native_error_is_contained() {
     }
 }
 
+/// `with` bindings are evaluated on first read, inside the reading
+/// alternative's quarantine boundary: a failing `hashable_preds` is never
+/// called while the hash-join alternative cannot fire (its `enabled(...)`
+/// guard rejects it first), and with hash joins enabled it quarantines
+/// exactly that alternative — the rest of `JMeth` keeps optimizing.
+#[test]
+fn a_failing_binding_costs_only_the_alternative_that_reads_it() {
+    let (cat, db, query) = multi_join_setup();
+    let opt = Optimizer::new(cat).unwrap();
+    let faulted = |base: OptConfig, mode: &str| OptConfig {
+        faults: Some(Arc::new(
+            FaultPlan::parse(&format!("native:hashable_preds:{mode}")).unwrap(),
+        )),
+        ..base
+    };
+    let healthy = opt.optimize(&query, &OptConfig::default()).unwrap();
+    let want = Executor::new(&db, &query).run(&healthy.best).unwrap();
+    for mode in ["panic", "error"] {
+        let out = opt
+            .optimize(&query, &faulted(OptConfig::default(), mode))
+            .unwrap();
+        assert_eq!(out.best.fingerprint(), healthy.best.fingerprint());
+        assert!(out.quarantined.is_empty(), "{mode}: {:?}", out.quarantined);
+        assert_eq!(
+            out.stats, healthy.stats,
+            "{mode}: the same work, call for call"
+        );
+
+        let out = opt
+            .optimize(&query, &faulted(OptConfig::full(), mode))
+            .unwrap();
+        let hit: Vec<_> = out.quarantined.iter().map(|q| q.cond.as_str()).collect();
+        assert_eq!(hit.len(), 1, "{mode}: {hit:?}");
+        assert!(hit[0].starts_with("enabled('hashjoin')"), "{mode}: {hit:?}");
+        assert_eq!(out.quarantined[0].star, "JMeth");
+        assert!(!out.best.any(&|n| matches!(
+            n.op,
+            Lolepop::Join {
+                flavor: starqo_plan::JoinFlavor::HA,
+                ..
+            }
+        )));
+        let got = Executor::new(&db, &query).run(&out.best).unwrap();
+        assert!(rows_equal_multiset(&got.rows, &want.rows));
+    }
+}
+
 /// The executor fault hook surfaces injections and contains panics as typed
 /// errors.
 #[test]

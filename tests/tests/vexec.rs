@@ -429,7 +429,7 @@ mod edge {
         }
 
         pub fn sorted(&self, q: QId) -> PlanRef {
-            let key = vec![qc(q, 0)];
+            let key = vec![qc(q, 0)].into();
             self.build(Lolepop::Sort { key }, vec![self.scan(q, PredSet::EMPTY)])
         }
 
