@@ -2,8 +2,9 @@
 //! batches on the same plans.
 //!
 //! For each fleet query the cheapest alternative of the case's class
-//! (hash join, uncorrelated or sideways-bound nested loops) is executed
-//! the serial `starqo-exec` oracle and vexec with 1, 2 and 8 workers.
+//! (hash join, sort-merge join, uncorrelated or sideways-bound nested loops)
+//! is executed by the serial `starqo-exec` oracle and vexec with 1, 2 and 8
+//! workers.
 //! Because all run the *same plan* on the *same data*, the wall-clock ratio
 //! isolates executor efficiency — vectorized predicate evaluation over
 //! selection vectors, compiled expressions, and fused pipelines — from plan
@@ -14,7 +15,11 @@
 //! cases keep the row path under the same comparison — one whose probe
 //! table holds a NULL (that column is read from the rows, beside mirrored
 //! neighbours) and one whose probe table was touched after `build` (no
-//! mirror at all).
+//! mirror at all). Two merge cases cover the class the ledger's slowest
+//! workload (`exec_join`) runs: a 3-way chain on unique inner keys, where
+//! the merge applies every join predicate itself, and a many-to-many join on
+//! duplicate keys with NULLs among them and a residual on top, where it
+//! walks demoted key columns and interprets the residual on every pair.
 //!
 //! Asserted invariants:
 //! - **bit-equality**: every vexec run returns exactly the serial result
@@ -93,6 +98,18 @@ enum CaseSpec {
         seed: u64,
         load: Load,
     },
+    /// Handcrafted sort-merge joins over unindexed heaps of `rows` rows,
+    /// planned like the ledger's `exec_join` by the service's default
+    /// repertoire (no hash join): the chain `T0.K = T1.ID AND T1.K = T2.ID`
+    /// on unique inner keys — or, `dup`, `T0.K = T1.K` on a key of
+    /// `rows / 20` values (equal-key runs of about 20 × 20), NULL in every
+    /// tenth row of `T0`, under the residual `T0.P < T1.P`.
+    Merge {
+        name: &'static str,
+        rows: u64,
+        dup: bool,
+        seed: u64,
+    },
 }
 
 /// How a scan case's probe table `T0` reaches the executors.
@@ -161,6 +178,18 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             scale,
             seed: 42,
             nl: false,
+        },
+        CaseSpec::Merge {
+            name: "mg-chain",
+            rows: if quick { 2_000 } else { 4_000 },
+            dup: false,
+            seed: 46,
+        },
+        CaseSpec::Merge {
+            name: "mg-dup",
+            rows: if quick { 1_500 } else { 3_000 },
+            dup: true,
+            seed: 47,
         },
         CaseSpec::Synth {
             shape: QueryShape::Chain,
@@ -339,6 +368,81 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
                     query,
                     plan,
                 });
+            ((*name).to_string(), case)
+        }
+        CaseSpec::Merge {
+            name,
+            rows,
+            dup,
+            seed,
+        } => {
+            let tables = if *dup { 2 } else { 3 };
+            let keys = if *dup { rows / 20 } else { *rows };
+            let mut b = Catalog::builder().site("site0");
+            for t in 0..tables {
+                b = b
+                    .table(format!("T{t}"), "site0", StorageKind::Heap, *rows)
+                    .column("ID", DataType::Int, Some(*rows))
+                    .column("K", DataType::Int, Some(keys))
+                    .column("P", DataType::Int, Some(100));
+            }
+            let cat = Arc::new(b.build().expect("merge catalog"));
+            let mut rng = Rng64::new(*seed);
+            let mut dbb = DatabaseBuilder::new(cat.clone());
+            for (t, table) in cat.tables().iter().enumerate() {
+                for id in 0..*rows {
+                    let key = match *dup && t == 0 && id % 10 == 0 {
+                        true => Value::Null,
+                        false => Value::Int(rng.below(keys) as i64),
+                    };
+                    let row = vec![
+                        Value::Int(id as i64),
+                        key,
+                        Value::Int(rng.below(100) as i64),
+                    ];
+                    dbb.insert_id(table.id, Tuple(row)).expect("merge row");
+                }
+            }
+            let db = dbb.build().expect("merge database");
+            let mut qb = QueryBuilder::new();
+            let q: Vec<_> = (0..tables)
+                .map(|t| qb.quantifier(&cat, &format!("T{t}"), &format!("t{t}")))
+                .collect::<Result<_, _>>()
+                .expect("merge tables");
+            let (id, k, p) = (ColId(0), ColId(1), ColId(2));
+            let preds = match *dup {
+                true => vec![
+                    (CmpOp::Eq, (q[0], k), (q[1], k)),
+                    (CmpOp::Lt, (q[0], p), (q[1], p)),
+                ],
+                false => vec![
+                    (CmpOp::Eq, (q[0], k), (q[1], id)),
+                    (CmpOp::Eq, (q[1], k), (q[2], id)),
+                ],
+            };
+            for (op, (lq, lc), (rq, rc)) in preds {
+                qb.predicate(PredExpr::Cmp(op, Scalar::col(lq, lc), Scalar::col(rq, rc)))
+                    .expect("merge pred");
+            }
+            qb.select(QCol::new(q[0], id));
+            qb.select(QCol::new(q[tables - 1], p));
+            let query = qb.build().expect("merge query");
+            let opt = Optimizer::new(cat).expect("rules compile");
+            let config = OptConfig {
+                glue_keep_all: true,
+                ..OptConfig::default()
+            };
+            let out = opt.optimize(&query, &config).expect("merge case optimizes");
+            let case = pick_plan(&out.root_alternatives, &out.best, &query, "JOIN(MG)");
+            // The case exercises the join method its name says, throughout.
+            let merges = |p: &PlanRef| p.op_names().iter().filter(|n| *n == "JOIN(MG)").count();
+            assert_eq!(case.as_ref().map(merges), Some(tables - 1), "{name}");
+            let case = case.map(|plan| Case {
+                name: (*name).to_string(),
+                db,
+                query,
+                plan,
+            });
             ((*name).to_string(), case)
         }
     }

@@ -154,7 +154,10 @@ impl PlanCache {
                 return None;
             }
         }
-        // Stale epoch: upgrade to a write lock and remove on contact.
+        // Stale epoch: upgrade to a write lock and remove on contact. The
+        // removed plan outlives the guard (declared first, dropped last): a
+        // whole `Optimized` is not freed with the shard write-locked.
+        let stale;
         let mut g = shard.write().unwrap_or_else(|p| p.into_inner());
         if let Some(e) = g.map.get(key) {
             if e.epoch == epoch {
@@ -166,8 +169,8 @@ impl PlanCache {
                 let out = (Arc::clone(&e.value), e.opt_nanos);
                 return Some(out);
             }
-            let removed = g.map.remove(key);
-            if let Some(e) = removed {
+            stale = g.map.remove_entry(key);
+            if let Some((_, e)) = &stale {
                 g.bytes = g.bytes.saturating_sub(e.bytes);
                 meta.invalidated = true;
             }
@@ -187,6 +190,9 @@ impl PlanCache {
     ) {
         let bytes = estimate_bytes(key.0.len(), &value);
         let shard = self.shard_of(fp_hash);
+        // The replaced and evicted plans, freed once the shard is unlocked
+        // (declared before the guard, so dropped after it).
+        let mut retired = Vec::new();
         let mut g = shard.write().unwrap_or_else(|p| p.into_inner());
         let entry = Entry {
             value,
@@ -198,6 +204,7 @@ impl PlanCache {
         };
         if let Some(old) = g.map.insert(key, entry) {
             g.bytes = g.bytes.saturating_sub(old.bytes);
+            retired.push(old);
         }
         g.bytes += bytes;
         while g.map.len() > self.per_shard_cap || g.bytes > self.per_shard_bytes {
@@ -216,6 +223,7 @@ impl PlanCache {
                     if let Some(e) = g.map.remove(&k) {
                         g.bytes = g.bytes.saturating_sub(e.bytes);
                         meta.evicted.push((e.fp_hash, reason));
+                        retired.push(e);
                     }
                 }
                 None => break,
@@ -311,11 +319,14 @@ impl PlanCache {
         let key: Key = (Arc::clone(fp), Arc::clone(sig));
         let bytes = estimate_bytes(key.0.len(), &value);
         let shard = self.shard_of(fp_hash);
+        // The replaced plan, freed once the shard is unlocked (declared
+        // before the guard, so dropped after it).
+        let _old;
         let mut g = shard.write().unwrap_or_else(|p| p.into_inner());
         match g.map.get_mut(&key) {
             Some(e) if e.epoch == epoch => {
                 let old_bytes = e.bytes;
-                e.value = value;
+                _old = std::mem::replace(&mut e.value, value);
                 e.opt_nanos = opt_nanos;
                 e.bytes = bytes;
                 e.last_used.store(

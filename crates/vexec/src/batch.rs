@@ -114,10 +114,14 @@ impl Column {
         }
     }
 
-    /// Row `row` as an owned value.
+    /// Row `row` as an owned value, read straight off the column's own
+    /// vector (the result builder does this once per value it returns).
     #[inline]
     pub fn value(&self, row: usize) -> Value {
-        self.get(row).to_value()
+        match self {
+            Column::Int(v) => Value::Int(v[row]),
+            Column::Any(v) => v[row].clone(),
+        }
     }
 
     /// Rewrite an `Int` column as `Any`, value for value.

@@ -399,6 +399,20 @@ impl Combine {
         self.src.len()
     }
 
+    /// Leave to a sort-merge on `keys` — (left slot, right slot) pairs — the
+    /// equalities it establishes by merging
+    /// ([`PredProg::remove_equalities`]); what stays in the program is all
+    /// that runs on a candidate. Returns the left slots of the keys the
+    /// merge now answers for: a run holding a NULL there joins nothing.
+    pub fn applied_by_merge(&mut self, keys: &[(usize, usize)]) -> Vec<usize> {
+        let pairs: Vec<_> = keys.iter().map(|(l, r)| (*l, self.split + r)).collect();
+        let removed = self.preds.remove_equalities(&pairs);
+        let applied = keys.iter().zip(removed);
+        applied
+            .filter_map(|((l, _), gone)| gone.then_some(*l))
+            .collect()
+    }
+
     /// Do the predicates accept the candidate `(left, right)`?
     #[inline]
     fn test<'a, L: VRow<'a>, R: VRow<'a>>(
@@ -607,5 +621,64 @@ impl Chain<'_> {
             dest.append_live(a);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::batch::Column;
+    use starqo_catalog::{Catalog, DataType, StorageKind};
+    use starqo_query::parse_query;
+
+    /// What a merge on `(K, J)` leaves in its join's program: the equalities
+    /// on the two key pairs go — whichever side of the `=` the outer column
+    /// was written on — and the residual stays, evaluated on candidates
+    /// whose keys it no longer looks at. A key the join's output does not
+    /// carry is not the merge's to apply.
+    #[test]
+    fn a_merge_takes_over_exactly_its_key_equalities() {
+        let mut b = Catalog::builder().site("s");
+        for t in ["L", "R"] {
+            b = b.table(t, "s", StorageKind::Heap, 1);
+            for c in ["K", "J", "P"] {
+                b = b.column(c, DataType::Int, None);
+            }
+        }
+        let cat = Arc::new(b.build().unwrap());
+        let sql = "SELECT L.P FROM L, R WHERE L.K = R.K AND L.P < R.P AND R.J = L.J";
+        let query = parse_query(&cat, sql).unwrap();
+        let side = |q: u32| {
+            (0..3)
+                .map(|c| QCol::new(QId(q), ColId(c)))
+                .collect::<Vec<_>>()
+        };
+        let (left, right) = (side(0), side(1));
+        let combine = |out: &[QCol]| {
+            let at = |c| position(&right, c);
+            Combine::new(&query, query.all_preds(), out, &Scope::default(), &left, at)
+        };
+        let keys = [(0, 0), (1, 1)];
+        let row = |k, j, p| Batch {
+            cols: [k, j, p].map(|v| Column::Int(vec![v])).to_vec(),
+            rows: 1,
+            sel: None,
+        };
+        let test = |c: &Combine, l: &Batch, r: &Batch| c.test(&l.row(0), &r.row(0), &[]).ok();
+
+        let both: Vec<QCol> = left.iter().chain(&right).copied().collect();
+        let mut c = combine(&both);
+        assert_eq!(test(&c, &row(1, 2, 3), &row(1, 9, 4)), Some(false));
+        assert_eq!(c.applied_by_merge(&keys), [0, 1]);
+        assert_eq!(test(&c, &row(1, 2, 3), &row(7, 9, 4)), Some(true));
+        assert_eq!(test(&c, &row(1, 2, 4), &row(1, 2, 4)), Some(false));
+
+        // `L.K` projected out: `L.K = R.K` can only raise, and it comes
+        // first — nothing after it is taken over either.
+        let mut c = combine(&both[1..]);
+        assert_eq!(c.applied_by_merge(&keys), [0usize; 0]);
+        assert_eq!(test(&c, &row(1, 2, 3), &row(1, 2, 4)), None);
     }
 }

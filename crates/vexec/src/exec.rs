@@ -317,11 +317,12 @@ impl<'a> VexecExecutor<'a> {
                 outer,
                 inner,
                 keys,
+                applied,
                 combine,
             } => {
                 let outer = self.run_node(outer, scope)?;
                 let inner = self.run_node(inner, scope)?;
-                let pairs = merge(&outer, &inner, keys, combine, scope)?;
+                let pairs = merge(&outer, &inner, keys, applied, combine, scope)?;
                 self.joined(combine, outer, inner, &pairs)
             }
             Kind::Loop {
@@ -432,18 +433,19 @@ impl<'a> VexecExecutor<'a> {
         let mut pairs = Vec::new();
         let mut out = self.fresh(combine.width());
         let Some(binds) = binds else {
-            if outer.rows == 0 {
-                return Ok(Rel::Owned(out));
-            }
-            let probes = self.stats.probes;
-            let inner = self.run_node(inner_node, scope)?;
-            self.stats.probes += (self.stats.probes - probes) * (outer.rows as u64 - 1);
-            for o in 0..outer.rows {
-                for i in 0..inner.rows {
-                    combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
+            if outer.rows > 0 {
+                let probes = self.stats.probes;
+                let inner = self.run_node(inner_node, scope)?;
+                self.stats.probes += (self.stats.probes - probes) * (outer.rows as u64 - 1);
+                for o in 0..outer.rows {
+                    for i in 0..inner.rows {
+                        combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
+                    }
                 }
+                combine.gather(&outer, &inner, &pairs, &mut out);
+                self.recycle(inner);
             }
-            combine.gather(&outer, &inner, &pairs, &mut out);
+            self.recycle(outer);
             return Ok(Rel::Owned(out));
         };
         let base = scope.len();
@@ -461,6 +463,7 @@ impl<'a> VexecExecutor<'a> {
             self.recycle(inner);
         }
         scope.truncate(base);
+        self.recycle(outer);
         Ok(Rel::Owned(out))
     }
 
@@ -779,17 +782,28 @@ fn radix_rows<'b>(ints: &[i64], buf: &'b mut SortBuf) -> &'b [u32] {
 
 /// JOIN(MG) over two relations sorted on the paired `keys`: advance both
 /// cursors comparing key slots in place, and for each pair of equal-key
-/// runs emit the run product, outer-major, through `combine` — whose
-/// join ∪ residual predicates decide (so NULL keys, which compare equal,
-/// never match). One typed key column a side is walked as two `i64` slices.
+/// runs emit the run product, outer-major. A run's keys are equal under
+/// `Value`'s total order, which for non-NULL values is the join predicate's
+/// own `=` (an `Int` meets the `Double` of the same value), so the merge has
+/// applied the equalities on the `applied` outer slots once it has skipped
+/// the runs holding a NULL there — NULLs compare equal and never match —
+/// and `combine` evaluates only what is left, if anything, on each pair.
+/// One typed key column a side is walked as two `i64` slices.
 fn merge(
     outer: &Batch,
     inner: &Batch,
     keys: &[(usize, usize)],
+    applied: &[usize],
     combine: &Combine,
     scope: &[Value],
 ) -> Result<Vec<(u32, u32)>> {
-    let mut out = Vec::new();
+    // A foreign-key join returns about its larger side; an empty side
+    // returns nothing.
+    let expect = match outer.rows.min(inner.rows) {
+        0 => 0,
+        _ => outer.rows.max(inner.rows),
+    };
+    let mut out = Vec::with_capacity(expect);
     let admit = |o, i| combine.admit((outer, o), (inner, i), scope, &mut out);
     let ok = key_cols(outer, keys.iter().map(|(o, _)| *o));
     let ik = key_cols(inner, keys.iter().map(|(_, i)| *i));
@@ -798,28 +812,35 @@ fn merge(
             (ok.len(), ik.len()),
             |a, b| ok[a].cmp(&ik[b]),
             (|a, b| ok[a] == ok[b], |a, b| ik[a] == ik[b]),
+            |_| false,
             admit,
         )?,
-        _ => merge_runs(
-            (outer.rows, inner.rows),
-            |a, b| cmp_rows(&ok, a, &ik, b),
-            (
-                |a, b| cmp_rows(&ok, a, &ok, b).is_eq(),
-                |a, b| cmp_rows(&ik, a, &ik, b).is_eq(),
-            ),
-            admit,
-        )?,
+        _ => {
+            let strict = key_cols(outer, applied.iter().copied());
+            merge_runs(
+                (outer.rows, inner.rows),
+                |a, b| cmp_rows(&ok, a, &ik, b),
+                (
+                    |a, b| cmp_rows(&ok, a, &ok, b).is_eq(),
+                    |a, b| cmp_rows(&ik, a, &ik, b).is_eq(),
+                ),
+                |a| strict.iter().any(|c| c.get(a).is_null()),
+                admit,
+            )?
+        }
     }
     Ok(out)
 }
 
 /// The merge itself, over row numbers: `cmp(a, b)` orders outer row `a`
 /// against inner row `b`, `same` tells whether two rows of one side share
-/// a key, and every pair of each equal-key run product goes to `admit`.
+/// a key, `skip(a)` whether the run outer row `a` starts matches nothing,
+/// and every pair of every other equal-key run product goes to `admit`.
 fn merge_runs(
     (outer_rows, inner_rows): (usize, usize),
     cmp: impl Fn(usize, usize) -> Cmp,
     (same_outer, same_inner): (impl Fn(usize, usize) -> bool, impl Fn(usize, usize) -> bool),
+    skip: impl Fn(usize) -> bool,
     mut admit: impl FnMut(usize, usize) -> Result<()>,
 ) -> Result<()> {
     let (mut a, mut b) = (0usize, 0usize);
@@ -831,9 +852,11 @@ fn merge_runs(
                 let a_end = (a + 1..outer_rows).find(|r| !same_outer(*r, a));
                 let b_end = (b + 1..inner_rows).find(|r| !same_inner(*r, b));
                 let (a_end, b_end) = (a_end.unwrap_or(outer_rows), b_end.unwrap_or(inner_rows));
-                for o in a..a_end {
-                    for i in b..b_end {
-                        admit(o, i)?;
+                if !skip(a) {
+                    for o in a..a_end {
+                        for i in b..b_end {
+                            admit(o, i)?;
+                        }
                     }
                 }
                 (a, b) = (a_end, b_end);

@@ -253,6 +253,15 @@ impl CPred {
         }
     }
 
+    /// True when evaluation can never raise `UnboundColumn`.
+    fn is_bound(&self) -> bool {
+        match self {
+            CPred::Cmp(_, l, r) => l.is_bound() && r.is_bound(),
+            CPred::ColConst(..) | CPred::ColCol(..) => true,
+            CPred::Or(arms) => arms.iter().all(CPred::is_bound),
+        }
+    }
+
     fn remap(&mut self, map: &[usize]) {
         match self {
             CPred::Cmp(_, l, r) => {
@@ -324,6 +333,30 @@ impl PredProg {
 
     pub fn is_empty(&self) -> bool {
         self.preds.is_empty()
+    }
+
+    /// Remove the predicates an operator applies by construction: every
+    /// bare `slot a = slot b` with `(a, b)` one of `pairs`, either way round.
+    /// Returns, per pair, whether a predicate on it was removed — on those
+    /// the operator must itself never pass a NULL, which the equality
+    /// rejected. Removal stops at the first predicate that can raise: the
+    /// ones after it were reached only by candidates every earlier predicate
+    /// accepted, and which candidates reach a raising predicate is the
+    /// serial engine's error behaviour.
+    pub fn remove_equalities(&mut self, pairs: &[(usize, usize)]) -> Vec<bool> {
+        let mut removed = vec![false; pairs.len()];
+        let mut may_raise = false;
+        self.preds.retain(|p| {
+            may_raise |= !p.is_bound();
+            let pair = match p {
+                CPred::ColCol(CmpOp::Eq, l, r) if !may_raise => {
+                    pairs.iter().position(|k| *k == (*l, *r) || *k == (*r, *l))
+                }
+                _ => None,
+            };
+            pair.map(|k| removed[k] = true).is_none()
+        });
+        removed
     }
 
     /// Row-at-a-time conjunction (used on candidate rows before they are
@@ -485,6 +518,54 @@ mod tests {
         assert!(or.eval(&row, &[]).unwrap());
         let row2 = OneRow(&[Value::Int(9), Value::Int(2)]);
         assert!(or.eval(&row2, &[]).is_err()); // first arm false → second arm errors
+    }
+
+    /// Only a bare `slot = slot` on a listed pair goes, either way round;
+    /// another operator, another pair, an OR and a computed side stay — and
+    /// so does everything from the first predicate that can raise onwards.
+    #[test]
+    fn remove_equalities_takes_only_bound_equalities_on_the_pairs() {
+        let unbound = CExpr::Unbound(QCol::new(QId(9), ColId(0)));
+        let eq = |l, r| CPred::ColCol(CmpOp::Eq, l, r);
+        let shown = |p: &PredProg| format!("{:?}", p.preds);
+        let pairs = [(0, 4), (1, 5), (2, 6), (3, 7)];
+        let kept = vec![
+            CPred::ColCol(CmpOp::Lt, 0, 4),
+            eq(0, 5),
+            CPred::Or(vec![eq(1, 5)]),
+            CPred::Cmp(CmpOp::Eq, CExpr::Col(2), CExpr::Const(Value::Null)),
+        ];
+        let mut preds = vec![eq(0, 4), eq(5, 1)];
+        preds.extend(kept.clone());
+        let mut prog = PredProg { preds };
+        assert_eq!(
+            prog.remove_equalities(&pairs),
+            [true, true, false, false],
+            "{prog:?}"
+        );
+        assert_eq!(shown(&prog), format!("{kept:?}"));
+
+        // (2, 6) sits behind a predicate that can raise — bare, or as the
+        // arm of an OR an earlier arm may or may not shield.
+        let raising = [
+            CPred::Cmp(CmpOp::Lt, unbound.clone(), CExpr::Col(1)),
+            CPred::Or(vec![
+                eq(0, 1),
+                CPred::Cmp(CmpOp::Eq, CExpr::Col(0), unbound),
+            ]),
+        ];
+        for raising in raising {
+            let rest = vec![raising, eq(2, 6), CPred::ColCol(CmpOp::Ge, 3, 7)];
+            let mut preds = vec![eq(0, 4)];
+            preds.extend(rest.clone());
+            let mut prog = PredProg { preds };
+            assert_eq!(prog.remove_equalities(&pairs), [true, false, false, false]);
+            assert_eq!(shown(&prog), format!("{rest:?}"));
+        }
+        assert!(PredProg::default()
+            .remove_equalities(&pairs)
+            .iter()
+            .all(|r| !r));
     }
 
     #[test]

@@ -60,11 +60,14 @@ pub(crate) enum Kind<'a> {
     },
     /// STORE / BUILD_INDEX: the cached child, passed through.
     Temp(Box<Node<'a>>),
-    /// `keys`: per join predicate, its (outer, inner) column slots.
+    /// `keys`: per join predicate, its (outer, inner) column slots;
+    /// `applied`: the outer slots of the keys whose equality the merge itself
+    /// applies — `combine` no longer holds it.
     Merge {
         outer: Box<Node<'a>>,
         inner: Box<Node<'a>>,
         keys: Vec<(usize, usize)>,
+        applied: Vec<usize>,
         combine: Combine,
     },
     /// Nested loops. `binds`: for a correlated inner, the outer slots it
@@ -321,7 +324,7 @@ impl<'a> Compiler<'a> {
         let (o_schema, i_schema) = (schema(outer_node), schema(inner_node));
         // join ∪ residual run on the combined candidate under the *enclosing*
         // bindings, exactly like the serial engine.
-        let combine = Combine::new(
+        let mut combine = Combine::new(
             query,
             join_preds.union(residual),
             schema(node),
@@ -403,10 +406,14 @@ impl<'a> Compiler<'a> {
                         position(i_schema, ic).ok_or_else(|| unbound(ic))?,
                     ));
                 }
+                // JP is the merge's to apply (§4): equal key runs *are* the
+                // equalities, so only what is left is evaluated per pair.
+                let applied = combine.applied_by_merge(&keys);
                 Kind::Merge {
                     outer,
                     inner: self.boxed(inner_node),
                     keys,
+                    applied,
                     combine,
                 }
             }

@@ -51,27 +51,33 @@ fn rand_config(rng: &mut Rng64) -> OptConfig {
 }
 
 /// Run `plan` serially and through vexec at every worker count; assert the
-/// results are bit-identical (order included) and that the vexec batch
-/// counters do not depend on the worker count. Returns the serial result.
-fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) -> QueryResult {
+/// outcomes are identical — the same rows in the same order, or the same
+/// typed error — and, on success, that the counters both engines keep agree
+/// and the vexec batch counters do not depend on the worker count. Returns
+/// the serial outcome.
+fn same_outcome(
+    db: &Database,
+    query: &Query,
+    plan: &PlanRef,
+    ctx: &str,
+) -> Result<QueryResult, String> {
     let mut serial = Executor::new(db, query);
-    let want = serial
-        .run(plan)
-        .unwrap_or_else(|e| panic!("{ctx}: serial executor failed: {e}"));
+    let want = serial.run(plan).map_err(|e| e.to_string());
     let oracle = *serial.stats();
     let mut stats_at: Option<VexecStats> = None;
     for &w in &WORKER_COUNTS {
         let mut vx = VexecExecutor::new(db, query);
         vx.set_workers(w);
-        let got = vx
-            .run(plan)
-            .unwrap_or_else(|e| panic!("{ctx}: vexec({w} workers) failed: {e}"));
+        let got = vx.run(plan).map_err(|e| e.to_string());
         assert_eq!(
             got,
             want,
             "{ctx}: vexec({w} workers) diverged from serial on {:?}",
             plan.op_names()
         );
+        if want.is_err() {
+            continue;
+        }
         let mut s = *vx.stats();
         // The counters the service and the feedback plane read must not
         // notice which engine ran.
@@ -106,6 +112,11 @@ fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) ->
         }
     }
     want
+}
+
+/// [`same_outcome`] of a plan that must succeed.
+fn assert_equivalent(db: &Database, query: &Query, plan: &PlanRef, ctx: &str) -> QueryResult {
+    same_outcome(db, query, plan, ctx).unwrap_or_else(|e| panic!("{ctx}: both engines failed: {e}"))
 }
 
 /// Every optimizer alternative — across shapes, sites, storage kinds, and
@@ -330,25 +341,37 @@ fn vexec_contains_worker_panics() {
 
 // ---- targeted cases the fleet cannot guarantee ------------------------
 //
-// Hand-built plans over two small tables, `L(K, V)` and `R(K, W)` (index
-// `RK` on `R.K`), joined on `L.K = R.K`. `V`/`W` are distinct per row, so a
-// result row names exactly which source rows met and in what order.
+// Hand-built plans over two small tables, `L(K, V, J, P)` and `R(K, W, J, P)`
+// (index `RK` on `R.K`), joined on `L.K = R.K`. `V`/`W` are distinct per row,
+// so a result row names exactly which source rows met and in what order. The
+// wide form of the fixture also joins on `J` and compares the `P`s.
 
 mod edge {
     use std::sync::Arc;
 
     use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value, TID_COL};
     use starqo_plan::{
-        AccessSpec, ColSet, CostModel, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine,
+        AccessSpec, ColSet, CostModel, JoinFlavor, Lolepop, PlanNode, PlanRef, PropCtx, PropEngine,
     };
     use starqo_query::{parse_query, PredId, PredSet, QCol, QId, Query};
     use starqo_storage::{Database, DatabaseBuilder};
 
     pub const L: QId = QId(0);
     pub const R: QId = QId(1);
-    const P_JOIN: PredId = PredId(0);
+    pub const P_JOIN: PredId = PredId(0);
     const P_L: PredId = PredId(1);
     const P_R: PredId = PredId(2);
+    /// `L.P < R.P` and `L.J = R.J`, in the wide form only.
+    pub const P_LESS: PredId = PredId(3);
+    pub const P_JOIN_J: PredId = PredId(4);
+
+    /// A wide row less its row number: `[K, J, P]`.
+    pub type Row = [Value; 3];
+
+    pub fn preds(ids: &[PredId]) -> PredSet {
+        ids.iter()
+            .fold(PredSet::EMPTY, |s, p| s.union(PredSet::single(*p)))
+    }
 
     pub struct Edge {
         pub db: Database,
@@ -370,28 +393,48 @@ mod edge {
         /// the row numbers. Local predicates `L.V >= l_min AND R.W >= r_min`
         /// let a side be emptied without changing the plan shape.
         pub fn new(l: &[Value], r: &[Value], l_min: i64, r_min: i64) -> Edge {
+            let zero = Value::Int(0);
+            let narrow = |keys: &[Value]| -> Vec<Row> {
+                let row = |k: &Value| [k.clone(), zero.clone(), zero.clone()];
+                keys.iter().map(row).collect()
+            };
+            Edge::load(&narrow(l), &narrow(r), l_min, r_min, "")
+        }
+
+        /// The wide form: `l`/`r` give `[K, J, P]` row by row, and the query
+        /// also holds [`P_LESS`] and [`P_JOIN_J`] for a plan to apply.
+        pub fn wide(l: &[Row], r: &[Row]) -> Edge {
+            Edge::load(l, r, 0, 0, " AND L.P < R.P AND L.J = R.J")
+        }
+
+        fn load(l: &[Row], r: &[Row], l_min: i64, r_min: i64, more: &str) -> Edge {
             let cat = Arc::new(
                 Catalog::builder()
                     .site("s")
                     .table("L", "s", StorageKind::Heap, l.len() as u64)
                     .column("K", DataType::Int, None)
                     .column("V", DataType::Int, None)
+                    .column("J", DataType::Int, None)
+                    .column("P", DataType::Int, None)
                     .table("R", "s", StorageKind::Heap, r.len() as u64)
                     .column("K", DataType::Double, None)
                     .column("W", DataType::Int, None)
+                    .column("J", DataType::Int, None)
+                    .column("P", DataType::Int, None)
                     .index("RK", "R", &["K"], false, false)
                     .build()
                     .unwrap(),
             );
             let mut b = DatabaseBuilder::new(cat.clone());
-            for (table, keys) in [("L", l), ("R", r)] {
-                for (i, k) in keys.iter().enumerate() {
-                    b.insert(table, vec![k.clone(), Value::Int(i as i64)])
-                        .unwrap();
+            for (table, rows) in [("L", l), ("R", r)] {
+                for (i, [k, j, p]) in rows.iter().enumerate() {
+                    let row = vec![k.clone(), Value::Int(i as i64), j.clone(), p.clone()];
+                    b.insert(table, row).unwrap();
                 }
             }
             let sql = format!(
-                "SELECT L.V, R.W FROM L, R WHERE L.K = R.K AND L.V >= {l_min} AND R.W >= {r_min}"
+                "SELECT L.V, R.W FROM L, R \
+                 WHERE L.K = R.K AND L.V >= {l_min} AND R.W >= {r_min}{more}"
             );
             Edge {
                 db: b.build().unwrap(),
@@ -418,10 +461,16 @@ mod edge {
 
         /// `ACCESS(heap)` of one side with its local predicate, plus `extra`.
         pub fn scan(&self, q: QId, extra: PredSet) -> PlanRef {
+            self.access(q, &[0, 1], extra)
+        }
+
+        /// [`Self::scan`] carrying the columns `carry`.
+        fn access(&self, q: QId, carry: &[u32], extra: PredSet) -> PlanRef {
+            let carry: Vec<QCol> = carry.iter().map(|c| qc(q, *c)).collect();
             self.build(
                 Lolepop::Access {
                     spec: AccessSpec::HeapTable(q),
-                    cols: cols(&[qc(q, 0), qc(q, 1)]),
+                    cols: cols(&carry),
                     preds: PredSet::single(Self::local(q)).union(extra),
                 },
                 vec![],
@@ -434,14 +483,55 @@ mod edge {
         }
 
         pub fn join(&self, flavor: JoinFlavor, outer: PlanRef, inner: PlanRef) -> PlanRef {
-            self.build(
-                Lolepop::Join {
+            let join_preds = PredSet::single(P_JOIN);
+            let residual = PredSet::EMPTY;
+            let op = Lolepop::Join {
+                flavor,
+                join_preds,
+                residual,
+            };
+            self.build(op, vec![outer, inner])
+        }
+
+        /// The three flavors of one join — `join_preds` of [`P_JOIN`] and
+        /// [`P_JOIN_J`], `residual` applied on top — over scans carrying the
+        /// columns `carry`; the merge inputs are sorted on the joined keys.
+        pub fn flavors(
+            &self,
+            join_preds: &[PredId],
+            residual: &[PredId],
+            carry: &[u32],
+        ) -> Vec<(&'static str, PlanRef)> {
+            let side = |q: QId, sorted: bool| {
+                let scan = self.access(q, carry, PredSet::EMPTY);
+                let key = [(P_JOIN, 0), (P_JOIN_J, 2)].into_iter();
+                let key = key.filter(|(p, _)| join_preds.contains(p));
+                let key = key.map(|(_, c)| qc(q, c)).collect::<Vec<_>>().into();
+                match sorted {
+                    true => self.build(Lolepop::Sort { key }, vec![scan]),
+                    false => scan,
+                }
+            };
+            let flavor = |name, flavor, sorted| {
+                let op = Lolepop::Join {
                     flavor,
-                    join_preds: PredSet::single(P_JOIN),
-                    residual: PredSet::EMPTY,
-                },
-                vec![outer, inner],
-            )
+                    join_preds: preds(join_preds),
+                    residual: preds(residual),
+                };
+                (name, self.build(op, vec![side(L, sorted), side(R, sorted)]))
+            };
+            vec![
+                flavor("MG", JoinFlavor::MG, true),
+                flavor("HA", JoinFlavor::HA, false),
+                flavor("NL", JoinFlavor::NL, false),
+            ]
+        }
+
+        /// `plan`'s root, claiming an output schema without `col`.
+        pub fn projecting_out(plan: &PlanRef, col: QCol) -> PlanRef {
+            let mut props = plan.props.clone();
+            props.cols = props.cols.iter().copied().filter(|c| *c != col).collect();
+            PlanNode::with_props(plan.op.clone(), plan.inputs.to_vec(), props)
         }
 
         /// Correlated inner: `R` scanned with the join predicate pushed down.
@@ -656,6 +746,302 @@ fn vexec_reruns_correlated_inners_with_null_bindings() {
     vx.run(&plan).unwrap();
     let s = vx.stats();
     assert_eq!((s.temps_built, s.indexes_built, s.probes), (1, 1, 30));
+}
+
+// ---- JOIN(MG) applies its own join predicates ----------------------------
+//
+// The merge establishes `outer key = inner key` by construction — equal-key
+// runs, NULL runs skipped — and interprets only what is left of
+// join ∪ residual on each pair. The oracle interprets everything on every
+// pair of every run, so agreeing with it (rows, order, errors) on the cases
+// below is what shows nothing was dropped that still had something to say.
+
+use edge::{qc, Row, P_JOIN, P_JOIN_J, P_LESS};
+
+fn int_row(k: i64, j: i64, p: i64) -> Row {
+    [k, j, p].map(Value::Int)
+}
+
+/// SQL's `=`: NULL equals nothing, an `Int` the `Double` of its value.
+fn sql_eq(a: &Value, b: &Value) -> bool {
+    !a.is_null() && a == b
+}
+
+/// The (L row, R row) pairs of the wide fixture that `keep` accepts, counted
+/// by brute force.
+fn count_pairs(l: &[Row], r: &[Row], keep: impl Fn(&Row, &Row) -> bool) -> usize {
+    l.iter()
+        .map(|a| r.iter().filter(|b| keep(a, b)).count())
+        .sum()
+}
+
+/// Every flavor of one wide join against the oracle at 1, 2 and 8 workers;
+/// when they all succeed, MG ≡ HA ≡ NL as sets of rows. Returns the
+/// outcomes, MG's first.
+fn check_flavors(
+    e: &Edge,
+    join: &[PredId],
+    residual: &[PredId],
+    carry: &[u32],
+    ctx: &str,
+) -> Vec<Result<QueryResult, String>> {
+    let outcome = |(name, plan): (&str, PlanRef)| {
+        same_outcome(&e.db, &e.query, &plan, &format!("{ctx}: {name}"))
+    };
+    let outcomes: Vec<_> = e
+        .flavors(join, residual, carry)
+        .into_iter()
+        .map(outcome)
+        .collect();
+    let sorted = |o: &Result<QueryResult, String>| {
+        let mut rows = o.clone().ok()?.rows;
+        rows.sort();
+        Some(rows)
+    };
+    if let [Some(mg), Some(ha), Some(nl)] = &outcomes.iter().map(sorted).collect::<Vec<_>>()[..] {
+        assert!(mg == ha && mg == nl, "{ctx}: the flavors disagree");
+    }
+    outcomes
+}
+
+/// [`check_flavors`] of a join every flavor must answer; MG's rows.
+fn flavors_agree(
+    e: &Edge,
+    join: &[PredId],
+    residual: &[PredId],
+    carry: &[u32],
+    ctx: &str,
+) -> QueryResult {
+    let mut outcomes = check_flavors(e, join, residual, carry, ctx);
+    assert!(outcomes.iter().all(Result::is_ok), "{ctx}: {outcomes:?}");
+    outcomes.swap_remove(0).unwrap()
+}
+
+/// Many-to-many duplicate keys under a residual `L.P < R.P` that keeps some
+/// pairs of every run and rejects others: the residual still runs on every
+/// pair the merge emits, and on those only.
+#[test]
+fn vexec_merge_interprets_only_the_residual_on_duplicate_runs() {
+    let l: Vec<Row> = (0..240).map(|i| int_row(i % 6, 0, i % 7)).collect();
+    let r: Vec<Row> = (0..150).map(|i| int_row(1 + i % 5, 0, i % 11)).collect();
+    let e = Edge::wide(&l, &r);
+    let got = flavors_agree(&e, &[P_JOIN], &[P_LESS], &[0, 1, 3], "dup residual");
+    for key in 1..6 {
+        let run = |a: &Row, b: &Row| a[0] == Value::Int(key) && a[0] == b[0];
+        let (all, kept) = (
+            count_pairs(&l, &r, run),
+            count_pairs(&l, &r, |a, b| run(a, b) && a[2] < b[2]),
+        );
+        assert!(0 < kept && kept < all, "key {key}: {kept} of {all}");
+    }
+    let kept = count_pairs(&l, &r, |a, b| a[0] == b[0] && a[2] < b[2]);
+    assert_eq!(got.rows.len(), kept);
+    // Without the residual the same plan returns every pair of every run.
+    let all = flavors_agree(&e, &[P_JOIN], &[], &[0, 1, 3], "dup, no residual");
+    assert_eq!(all.rows.len(), 5 * 40 * 30);
+}
+
+/// A two-column merge key, `K` typed and `J` demoted by NULLs and doubles on
+/// both sides: a run with a NULL `J` joins nothing, an `Int` `J` meets the
+/// equal `Double`, with and without a residual on top — and `L.J = R.J` as a
+/// *residual* of a merge on `K` alone is an equality the merge does not
+/// establish, so it must still be interpreted.
+#[test]
+fn vexec_merges_a_two_column_key_of_one_typed_and_one_demoted_column() {
+    let j = |i: i64| match i % 5 {
+        0 => Value::Null,
+        1 => Value::Double((i % 3) as f64),
+        _ => Value::Int(i % 3),
+    };
+    let l: Vec<Row> = (0..400)
+        .map(|i| [Value::Int(i % 8), j(i), Value::Int(i % 13)])
+        .collect();
+    let r: Vec<Row> = (0..300)
+        .map(|i| [Value::Int(i % 10), j(i + 2), Value::Int(i % 9)])
+        .collect();
+    let e = Edge::wide(&l, &r);
+    let both = |a: &Row, b: &Row| sql_eq(&a[0], &b[0]) && sql_eq(&a[1], &b[1]);
+    let carry = [0, 1, 2, 3];
+    let want = count_pairs(&l, &r, both);
+    let nulls = count_pairs(&l, &r, |a, b| {
+        a[0] == b[0] && a[1].is_null() && b[1].is_null()
+    });
+    assert!(
+        want > 1_000 && nulls > 100,
+        "{want} matches, {nulls} NULL pairs"
+    );
+    let got = flavors_agree(&e, &[P_JOIN, P_JOIN_J], &[], &carry, "two keys");
+    assert_eq!(got.rows.len(), want);
+    let got = flavors_agree(
+        &e,
+        &[P_JOIN, P_JOIN_J],
+        &[P_LESS],
+        &carry,
+        "two keys, residual",
+    );
+    assert_eq!(
+        got.rows.len(),
+        count_pairs(&l, &r, |a, b| both(a, b) && a[2] < b[2])
+    );
+    let got = flavors_agree(&e, &[P_JOIN], &[P_JOIN_J], &carry, "J as a residual");
+    assert_eq!(got.rows.len(), want);
+}
+
+/// NULL keys on both sides. A 200-row twin returns the oracle's rows from
+/// every flavor; at 20 000 NULLs a side — a 4 × 10⁸-pair run product the
+/// merge must not multiply out — the vectorized merge still answers at once.
+#[test]
+fn vexec_merge_skips_null_runs_instead_of_multiplying_them_out() {
+    let keys = |nulls: usize, real: std::ops::Range<i64>| {
+        let mut keys = vec![Value::Null; nulls];
+        // Real keys scattered among the NULLs, descending.
+        for (n, k) in real.rev().enumerate() {
+            keys.insert(n * 3 % (keys.len() + 1), Value::Int(k));
+        }
+        keys
+    };
+    let e = Edge::new(&keys(150, 0..50), &keys(170, 20..50), 0, 0);
+    assert_eq!(check_edge(&e, "NULL runs, small").rows.len(), 30);
+
+    let e = Edge::new(&keys(20_000, 0..50), &keys(20_000, 0..50), 0, 0);
+    let plans = e.plans();
+    let run = |name: &str| {
+        let (_, plan) = plans
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("a fixture plan");
+        let started = std::time::Instant::now();
+        let got = VexecExecutor::new(&e.db, &e.query).run(plan).unwrap();
+        (got, started.elapsed())
+    };
+    let (mg, took) = run("MG");
+    assert!(
+        SUBQUADRATIC.contains(&"MG") && took.as_secs_f64() < 1.0,
+        "MG took {took:?}"
+    );
+    assert_eq!(mg.rows.len(), 50);
+    let (mut ha, _) = run("HA");
+    ha.rows.sort_by(|a, b| b.cmp(a)); // V descends as K ascends
+    assert_eq!(mg, ha);
+}
+
+/// Under a residual, so the interpreted path runs: `Int` keys against the
+/// equal `Double`s, the ends of the `i64` domain, and an empty side.
+#[test]
+fn vexec_merge_residual_sees_cross_type_and_extreme_keys_and_empty_sides() {
+    let row = |k: Value, p: i64| [k, Value::Int(0), Value::Int(p)];
+    let l: Vec<Row> = [i64::MAX, 3, i64::MIN, 3, -1, i64::MAX, 2]
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| row(Value::Int(k), i as i64 % 3))
+        .collect();
+    let r = vec![
+        row(Value::Double(3.0), 1),
+        row(Value::Int(i64::MAX), 2),
+        row(Value::Int(i64::MIN), 0),
+        row(Value::Double(-1.0), 2),
+        row(Value::Double(2.5), 2),
+        row(Value::Int(3), 2),
+        row(Value::Null, 2),
+    ];
+    let keep = |a: &Row, b: &Row| a[0] == b[0] && a[2] < b[2];
+    let want = count_pairs(&l, &r, keep);
+    assert!(want >= 5, "{want}");
+    let carry = [0, 1, 3];
+    let got = flavors_agree(&Edge::wide(&l, &r), &[P_JOIN], &[P_LESS], &carry, "ends");
+    assert_eq!(got.rows.len(), want);
+    for (l, r, what) in [
+        (&l[..], &[][..], "empty inner"),
+        (&[], &r[..], "empty outer"),
+    ] {
+        let got = flavors_agree(&Edge::wide(l, r), &[P_JOIN], &[P_LESS], &carry, what);
+        assert!(got.rows.is_empty(), "{what}");
+    }
+}
+
+/// A residual naming a column nothing carries raises exactly when a pair
+/// reaches it — the oracle's `Result`, flavor by flavor. A run of NULL keys
+/// never does (the key equality, first in predicate order, rejects it); but
+/// where the unbound residual comes *before* a key equality in predicate
+/// order, a run that is NULL only on that later key does reach it, so that
+/// equality stays interpreted and its NULL runs are multiplied out.
+#[test]
+fn vexec_merge_raises_what_the_oracle_raises_on_an_unbound_residual() {
+    let rows = |keys: &[Value]| -> Vec<Row> {
+        let row = |k: &Value| [k.clone(), Value::Null, Value::Int(0)];
+        keys.iter().map(row).collect()
+    };
+    let with_null = |keys: std::ops::Range<i64>| {
+        let mut keys = ints(keys);
+        keys.extend([Value::Null, Value::Null]);
+        rows(&keys)
+    };
+    for (l, r, raises, what) in [
+        (
+            with_null(0..5),
+            with_null(5..9),
+            false,
+            "NULLs only in common",
+        ),
+        (with_null(0..5), with_null(4..9), true, "one common key"),
+        (rows(&ints(0..5)), rows(&[]), false, "empty inner"),
+    ] {
+        let e = Edge::wide(&l, &r);
+        // `P` is not carried: `L.P < R.P` can only raise.
+        for got in check_flavors(&e, &[P_JOIN], &[P_LESS], &[0, 1], what) {
+            assert_eq!(got.is_err(), raises, "{what}: {got:?}");
+            let unbound = format!("unbound column {}", qc(edge::L, 3));
+            assert!(!raises || got.unwrap_err() == unbound);
+        }
+    }
+    // `L.K = R.K` (0) · `L.P < R.P` (3, unbound) · `L.J = R.J` (4): every `J`
+    // is NULL, so every run of a common `K` is a NULL run on the second key.
+    let e = Edge::wide(&with_null(0..5), &with_null(4..9));
+    let got = check_flavors(
+        &e,
+        &[P_JOIN, P_JOIN_J],
+        &[P_LESS],
+        &[0, 1, 2],
+        "unbound first",
+    );
+    assert!(got[0].is_err(), "MG: {:?}", got[0]);
+    let e = Edge::wide(&with_null(0..5), &with_null(5..9));
+    let got = check_flavors(
+        &e,
+        &[P_JOIN, P_JOIN_J],
+        &[P_LESS],
+        &[0, 1, 2],
+        "NULL K only",
+    );
+    assert!(
+        got[0].as_ref().is_ok_and(|g| g.rows.is_empty()),
+        "{:?}",
+        got[0]
+    );
+}
+
+/// A merge key missing from the join's own output schema: its equality does
+/// not compile to a comparison of two bound slots, so the merge leaves it to
+/// the interpreter, which raises on the first pair of any equal-key run —
+/// NULL runs included, as in the oracle.
+#[test]
+fn vexec_merge_leaves_a_projected_out_key_to_the_interpreter() {
+    for (l, r, raises, what) in [
+        (ints(0..5), ints(5..9), false, "disjoint"),
+        (ints(0..5), ints(4..9), true, "one common key"),
+        (
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Null],
+            true,
+            "NULLs in common",
+        ),
+    ] {
+        let e = Edge::new(&l, &r, 0, 0);
+        let (_, mg) = e.plans().swap_remove(0);
+        let plan = Edge::projecting_out(&mg, qc(edge::L, 0));
+        let got = same_outcome(&e.db, &e.query, &plan, what);
+        assert_eq!(got.is_err(), raises, "{what}: {got:?}");
+    }
 }
 
 // ---- typed columns and the radix SORT ----------------------------------
