@@ -20,19 +20,19 @@ use std::time::Instant;
 
 use starqo_catalog::{Catalog, ColId};
 use starqo_plan::{
-    AccessSpec, ColSet, CostModel, ExtArg, Inputs, JoinFlavor, Lolepop, PlanRef, PropCtx,
-    PropEngine,
+    AccessSpec, ColSet, CostModel, ExtArg, JoinFlavor, Lolepop, PropCtx, PropEngine, Props,
 };
 use starqo_query::{PredSet, QCol, QSet, Query, Shared};
 use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEvent, Tracer};
 
-use crate::error::{panic_msg, CoreError, Result};
+use crate::error::{panic_msg, CoreError, Res, Result};
 use crate::faults::{self, FaultPlan};
 use crate::glue;
 use crate::hash::{DigestMap, RunHasher, RunMap, RunSet};
 use crate::natives::{NativeCtx, Natives};
 use crate::optimizer::OptConfig;
 use crate::rules::{Alt, BinOp, Expr, Guard, ReqExpr, RuleSet, StarDef, StarId};
+use crate::store::{PlanId, RunStore};
 use crate::table::PlanTable;
 use crate::value::{RuleValue, Sap, StreamRef};
 
@@ -141,6 +141,9 @@ pub struct Engine<'a> {
     pub query: &'a Query,
     pub model: &'a CostModel,
     pub config: &'a OptConfig,
+    /// Every plan node and SAP of the run, and the requirement vectors of
+    /// its streams; everything else names them by index.
+    pub store: RunStore,
     pub table: PlanTable,
     pub stats: OptStats,
     /// Plan provenance: fingerprint → "Star[alt k]" of the alternative that
@@ -183,12 +186,10 @@ pub struct Engine<'a> {
     /// Plans of the SAP under construction, by the same discipline: a
     /// producer notes the length, pushes, and [`Engine::finish_sap`] takes
     /// its plans off again.
-    pub(crate) plans: Vec<PlanRef>,
+    pub(crate) plans: Vec<PlanId>,
     /// The SAPs the alternatives of the references being expanded have
     /// produced so far, innermost reference on top.
     parts: Vec<Sap>,
-    /// The SAP of no plans; every empty result is a handle on it.
-    empty: Sap,
     /// Scratch set of [`Engine::finish_sap`], reused across calls.
     seen: RunSet<u64>,
     /// The STARs the driver and Glue reference, resolved once per run.
@@ -243,6 +244,7 @@ impl<'a> Engine<'a> {
             query,
             model,
             config,
+            store: RunStore::default(),
             table,
             stats: OptStats::default(),
             provenance: RunMap::default(),
@@ -260,7 +262,6 @@ impl<'a> Engine<'a> {
             stack: Vec::new(),
             plans: Vec::new(),
             parts: Vec::new(),
-            empty: Arc::new([]),
             seen: RunSet::default(),
             access_root: rules.lookup("AccessRoot"),
             join_root: rules.lookup("JoinRoot"),
@@ -295,11 +296,11 @@ impl<'a> Engine<'a> {
         &self.ctx
     }
 
-    fn eval_err(&self, star: &str, msg: impl Into<String>) -> CoreError {
-        CoreError::Eval {
+    fn eval_err(&self, star: &str, msg: impl Into<String>) -> Box<CoreError> {
+        Box::new(CoreError::Eval {
             star: star.to_string(),
             msg: msg.into(),
-        }
+        })
     }
 
     // ---- resource governor ----------------------------------------------
@@ -361,12 +362,12 @@ impl<'a> Engine<'a> {
     pub fn eval_star(&mut self, id: StarId, args: Vec<RuleValue>) -> Result<Sap> {
         let base = self.stack.len();
         self.stack.extend(args);
-        self.reference(id, base)
+        Ok(self.reference(id, base)?)
     }
 
     /// Reference `AccessRoot` for a single-table stream with `preds`
     /// applied, registering its plans in the plan table.
-    pub(crate) fn access_root(&mut self, tables: QSet, preds: PredSet) -> Result<Sap> {
+    pub(crate) fn access_root(&mut self, tables: QSet, preds: PredSet) -> Res<Sap> {
         let q = tables
             .as_single()
             .ok_or_else(|| CoreError::Glue(format!("AccessRoot on multi-table stream {tables}")))?;
@@ -381,7 +382,7 @@ impl<'a> Engine<'a> {
 
     /// Reference `JoinRoot` for two streams that `preds` newly relate,
     /// registering its plans in the plan table.
-    pub(crate) fn join_root(&mut self, s1: QSet, s2: QSet, preds: PredSet) -> Result<Sap> {
+    pub(crate) fn join_root(&mut self, s1: QSet, s2: QSet, preds: PredSet) -> Res<Sap> {
         let id = self.join_root;
         let id = id.ok_or_else(|| self.eval_err("JoinRoot", "no such STAR"))?;
         let base = self.stack.len();
@@ -401,13 +402,13 @@ impl<'a> Engine<'a> {
     /// `AccessRoot`/`JoinRoot` produces goes into the plan table, whoever
     /// referenced it (driver, Glue or a rule); a memo hit registers nothing
     /// — the expansion it answers from already did.
-    fn reference(&mut self, id: StarId, base: usize) -> Result<Sap> {
+    fn reference(&mut self, id: StarId, base: usize) -> Res<Sap> {
         let result = self.lookup_or_expand(id, base);
         self.stack.truncate(base);
         result
     }
 
-    fn lookup_or_expand(&mut self, id: StarId, base: usize) -> Result<Sap> {
+    fn lookup_or_expand(&mut self, id: StarId, base: usize) -> Res<Sap> {
         self.stats.star_refs += 1;
         self.check_deadline();
         let traced = self.tracer.enabled();
@@ -428,13 +429,18 @@ impl<'a> Engine<'a> {
         let mut h = RunHasher::default();
         id.hash(&mut h);
         for a in &self.stack[base..] {
-            a.digest(&mut h);
+            a.digest(&mut h, &self.store);
         }
         let digest = h.finish();
-        let same_reference =
-            |k: &MemoKey| k.star == id && self.memo_args[k.args.clone()] == self.stack[base..];
+        let (args, store) = (&self.stack[base..], &self.store);
+        let same_reference = |k: &MemoKey| {
+            let stored = &self.memo_args[k.args.clone()];
+            k.star == id
+                && stored.len() == args.len()
+                && stored.iter().zip(args).all(|(a, b)| a.same(b, store))
+        };
         let memo = (!self.config.ablate_memo).then_some(&self.memo);
-        let hit = memo.and_then(|m| m.find(digest, same_reference)).cloned();
+        let hit = memo.and_then(|m| m.find(digest, same_reference)).copied();
         self.tracer.emit(|| TraceEvent::StarRef {
             star: self.rules.star(id).name.clone(),
             sid: id.0,
@@ -499,13 +505,12 @@ impl<'a> Engine<'a> {
                 let at = self.memo_args.len();
                 self.memo_args.extend(self.stack.drain(base..));
                 let args = at..self.memo_args.len();
-                self.memo
-                    .insert(digest, MemoKey { star: id, args }, plans.clone());
+                self.memo.insert(digest, MemoKey { star: id, args }, plans);
             }
         }
         if Some(id) == self.access_root || Some(id) == self.join_root {
-            for p in plans.iter() {
-                self.table.insert(p.clone());
+            for &p in self.store.sap(plans) {
+                self.table.insert(&self.store, p);
             }
         }
         Ok(plans)
@@ -513,10 +518,10 @@ impl<'a> Engine<'a> {
 
     /// Expand a STAR over the environment at `base`: every alternative
     /// whose condition of applicability holds contributes the SAPs it
-    /// evaluates to. A reference that got exactly one SAP returns that
-    /// handle itself — `PermutedJoin → SitedJoin → JMeth` forward one block
-    /// — and only several are merged into a new one.
-    fn expand(&mut self, id: StarId, base: usize) -> Result<Sap> {
+    /// evaluates to. A reference that got exactly one SAP returns that SAP
+    /// itself — `PermutedJoin → SitedJoin → JMeth` forward one range — and
+    /// only several are merged into a new one.
+    fn expand(&mut self, id: StarId, base: usize) -> Res<Sap> {
         // Borrowed from the rule set for the run's lifetime, never copied:
         // expansion is a dictionary lookup plus substitution (§2.3).
         let rules: &'a RuleSet = self.rules;
@@ -531,7 +536,7 @@ impl<'a> Engine<'a> {
             forced: 0,
             live: params,
         };
-        let mut first_err: Option<CoreError> = None;
+        let mut first_err: Option<Box<CoreError>> = None;
         for (group_idx, group) in star.groups.iter().enumerate() {
             // Environment: parameters, then one slot per binding of this
             // group (a filler until the binding is first read), then one
@@ -563,7 +568,7 @@ impl<'a> Engine<'a> {
                 let depth0 = self.depth;
                 let stack0 = self.ref_stack.len();
                 let glue_depth0 = self.glue_depth;
-                let step = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
+                let step = catch_unwind(AssertUnwindSafe(|| -> Res<bool> {
                     let fire = match &alt.guard {
                         Guard::Always => true,
                         Guard::Otherwise => !any_fired,
@@ -613,8 +618,8 @@ impl<'a> Engine<'a> {
                         // — which is why handing its SAP on unchanged
                         // leaves every origin as it was.
                         if !matches!(alt.expr, Expr::CallStar(..)) {
-                            for p in produced.iter().flat_map(|sap| sap.iter()) {
-                                let origin = self.provenance.entry(p.fingerprint());
+                            for &p in produced.iter().flat_map(|&sap| self.store.sap(sap)) {
+                                let origin = self.provenance.entry(self.store[p].fingerprint);
                                 origin.or_insert_with(|| alt.label.clone());
                             }
                         }
@@ -636,10 +641,10 @@ impl<'a> Engine<'a> {
                         self.depth = depth0;
                         self.ref_stack.truncate(stack0);
                         self.glue_depth = glue_depth0;
-                        let e = CoreError::Panicked {
+                        let e = Box::new(CoreError::Panicked {
                             context: format!("STAR {}", alt.label),
                             msg: panic_msg(payload),
-                        };
+                        });
                         let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
                         first_err.get_or_insert(e);
                     }
@@ -647,11 +652,11 @@ impl<'a> Engine<'a> {
             }
         }
         let out = if self.parts.len() == parts0 + 1 {
-            self.parts.pop().unwrap_or_else(|| self.empty.clone())
+            self.parts.pop().unwrap_or_default()
         } else {
             let start = self.plans.len();
             for sap in self.parts.drain(parts0..) {
-                self.plans.extend(sap.iter().cloned());
+                self.plans.extend_from_slice(self.store.sap(sap));
             }
             self.finish_sap(start)
         };
@@ -672,7 +677,7 @@ impl<'a> Engine<'a> {
             self.seen.clear();
             let mut kept = start;
             for i in start..self.plans.len() {
-                if self.seen.insert(self.plans[i].fingerprint()) {
+                if self.seen.insert(self.store[self.plans[i]].fingerprint) {
                     self.plans.swap(kept, i);
                     kept += 1;
                 }
@@ -682,12 +687,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Take the (duplicate-free) plans pushed since `start` off the scratch
-    /// vector as one SAP: the only place a SAP's block is allocated.
+    /// vector as one SAP in the store.
     pub(crate) fn take_sap(&mut self, start: usize) -> Sap {
-        if self.plans.len() == start {
-            return self.empty.clone();
-        }
-        self.plans.drain(start..).collect()
+        let sap = self.store.add_sap(&self.plans[start..]);
+        self.plans.truncate(start);
+        sap
     }
 
     /// [`Self::dedup`] then [`Self::take_sap`]: how every producer but Glue
@@ -706,8 +710,8 @@ impl<'a> Engine<'a> {
         alt_idx: usize,
         star: &StarDef,
         alt: &Alt,
-        err: CoreError,
-    ) -> CoreError {
+        err: Box<CoreError>,
+    ) -> Box<CoreError> {
         if !self.quarantined.insert((id, group_idx, alt_idx)) {
             return err; // already quarantined (recursive re-entry)
         }
@@ -736,7 +740,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate one alternative, pushing the SAPs it produces on `parts`.
-    fn eval_alt(&mut self, alt: &'a Alt, f: &mut Frame<'a>, alt_idx: usize) -> Result<()> {
+    fn eval_alt(&mut self, alt: &'a Alt, f: &mut Frame<'a>, alt_idx: usize) -> Res<()> {
         let star = f.star;
         match &alt.forall {
             None => {
@@ -794,9 +798,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn want_plans(&self, v: Operand<'_>, star: &str) -> Result<Sap> {
-        match v.into_value(&self.stack) {
-            RuleValue::Plans(p) => Ok(p),
+    fn want_plans(&self, v: Operand<'_>, star: &str) -> Res<Sap> {
+        match v.get(&self.stack) {
+            RuleValue::Plans(p) => Ok(*p),
             other => Err(self.eval_err(
                 star,
                 format!("alternative did not produce plans (got {})", other.kind()),
@@ -808,7 +812,7 @@ impl<'a> Engine<'a> {
     /// constant is answered here, inlined into the caller; only a compound
     /// expression pays for a call.
     #[inline]
-    fn eval_expr(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Result<Operand<'a>> {
+    fn eval_expr(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Res<Operand<'a>> {
         match e {
             Expr::Const(v) => Ok(Operand::Const(v)),
             Expr::Var(slot) => {
@@ -824,7 +828,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn eval_compound(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Result<Operand<'a>> {
+    fn eval_compound(&mut self, e: &'a Expr, f: &mut Frame<'a>) -> Res<Operand<'a>> {
         let star: &'a str = &f.star.name;
         match e {
             Expr::Const(_) | Expr::Var(_) => self.eval_expr(e, f),
@@ -854,7 +858,7 @@ impl<'a> Engine<'a> {
                     // Glue over an existing SAP: discharge nothing (no
                     // requirements travel with a SAP); retrofit a FILTER for
                     // any pushdown predicates not yet applied.
-                    RuleValue::Plans(ps) => glue::glue_plans(self, &ps, pushdown)?,
+                    RuleValue::Plans(ps) => glue::glue_plans(self, ps, pushdown)?,
                     other => {
                         return Err(self.eval_err(
                             star,
@@ -865,8 +869,8 @@ impl<'a> Engine<'a> {
                 Ok(Operand::Val(RuleValue::Plans(plans)))
             }
             Expr::WithReqs(base, reqs) => {
-                let mut s = match self.eval_expr(base, f)?.into_value(&self.stack) {
-                    RuleValue::Stream(s) => s,
+                let s = match self.eval_expr(base, f)?.get(&self.stack) {
+                    RuleValue::Stream(s) => *s,
                     other => {
                         return Err(self.eval_err(
                             star,
@@ -874,15 +878,16 @@ impl<'a> Engine<'a> {
                         ))
                     }
                 };
+                let mut acc = self.store.reqs(&s).clone();
                 for r in reqs {
                     match r {
-                        ReqExpr::Temp => s.reqs.temp = true,
+                        ReqExpr::Temp => acc.temp = true,
                         ReqExpr::Order(e) => {
                             let v = self.eval_expr(e, f)?;
-                            s.reqs.order = Some(self.as_cols(v.get(&self.stack), star)?);
+                            acc.order = Some(self.as_cols(v.get(&self.stack), star)?);
                         }
                         ReqExpr::Site(e) => match self.eval_expr(e, f)?.get(&self.stack) {
-                            RuleValue::Site(site) => s.reqs.site = Some(*site),
+                            RuleValue::Site(site) => acc.site = Some(*site),
                             other => {
                                 return Err(self.eval_err(
                                     star,
@@ -897,11 +902,12 @@ impl<'a> Engine<'a> {
                             let v = self.eval_expr(e, f)?;
                             let cols = self.as_cols(v.get(&self.stack), star)?;
                             if !cols.is_empty() {
-                                s.reqs.paths = Some(cols);
+                                acc.paths = Some(cols);
                             }
                         }
                     }
                 }
+                let s = self.store.stream(s.tables, acc);
                 Ok(Operand::Val(RuleValue::Stream(s)))
             }
             Expr::Binary(op, l, r) => self.eval_binary(*op, l, r, f).map(Operand::Val),
@@ -920,7 +926,7 @@ impl<'a> Engine<'a> {
     /// inside the reading alternative's quarantine boundary — and at most
     /// once per reference: a binding no firing alternative reads is never
     /// evaluated.
-    fn force_bindings(&mut self, f: &mut Frame<'a>, slot: usize) -> Result<()> {
+    fn force_bindings(&mut self, f: &mut Frame<'a>, slot: usize) -> Res<()> {
         if slot >= f.live {
             return Err(self.eval_err(&f.star.name, format!("unbound slot {slot}")));
         }
@@ -937,7 +943,7 @@ impl<'a> Engine<'a> {
     /// operand stack; returns where they start. The callee reads them as a
     /// slice (a STAR as the base of its environment) and the caller
     /// truncates back.
-    fn push_args(&mut self, args: &'a [Expr], f: &mut Frame<'a>) -> Result<usize> {
+    fn push_args(&mut self, args: &'a [Expr], f: &mut Frame<'a>) -> Res<usize> {
         let top = self.stack.len();
         for a in args {
             let v = self.eval_expr(a, f)?.into_value(&self.stack);
@@ -950,7 +956,7 @@ impl<'a> Engine<'a> {
     /// containment boundary: armed faults fire first, then the call runs
     /// under `catch_unwind` so a panicking native becomes a typed error
     /// (and quarantines the invoking alternative).
-    fn call_native(&self, id: u32, vals: &[RuleValue], star: &str) -> Result<RuleValue> {
+    fn call_native(&self, id: u32, vals: &[RuleValue], star: &str) -> Res<RuleValue> {
         let natives = self.natives;
         if let Some(plan) = &self.faults {
             if let Some(mode) = plan.trigger("native", natives.name(id)) {
@@ -965,13 +971,14 @@ impl<'a> Engine<'a> {
             model: self.model,
             config: self.config,
             table: &self.table,
+            store: &self.store,
         };
         match catch_unwind(AssertUnwindSafe(|| natives.call(id, &ctx, vals))) {
-            Ok(r) => r,
-            Err(payload) => Err(CoreError::Panicked {
+            Ok(r) => Ok(r?),
+            Err(payload) => Err(Box::new(CoreError::Panicked {
                 context: format!("native function '{}'", natives.name(id)),
                 msg: panic_msg(payload),
-            }),
+            })),
         }
     }
 
@@ -981,7 +988,7 @@ impl<'a> Engine<'a> {
         l: &'a Expr,
         r: &'a Expr,
         f: &mut Frame<'a>,
-    ) -> Result<RuleValue> {
+    ) -> Res<RuleValue> {
         let star: &'a str = &f.star.name;
         // Short-circuit booleans.
         if matches!(op, BinOp::And | BinOp::Or) {
@@ -1024,7 +1031,9 @@ impl<'a> Engine<'a> {
                 })
             }
             BinOp::In => match rv {
-                RuleValue::List(items) => RuleValue::Bool(items.contains(lv)),
+                RuleValue::List(items) => {
+                    RuleValue::Bool(items.iter().any(|i| i.same(lv, &self.store)))
+                }
                 RuleValue::ColSet(cs) => match lv {
                     RuleValue::Cols(c) if c.len() == 1 => RuleValue::Bool(cs.contains(&c[0])),
                     _ => return Err(self.eval_err(star, "'in' expects a column and a colset")),
@@ -1055,11 +1064,11 @@ impl<'a> Engine<'a> {
             (RuleValue::Str(x), RuleValue::Sym(y)) | (RuleValue::Sym(x), RuleValue::Str(y)) => {
                 x == y
             }
-            _ => a == b,
+            _ => a.same(b, &self.store),
         }
     }
 
-    fn set_op(&self, op: BinOp, l: &RuleValue, r: &RuleValue, star: &str) -> Result<RuleValue> {
+    fn set_op(&self, op: BinOp, l: &RuleValue, r: &RuleValue, star: &str) -> Res<RuleValue> {
         // Predicate sets are the common case; `{}` is canonical empty preds
         // and coerces to either side.
         if let (RuleValue::Preds(a), RuleValue::Preds(b)) = (l, r) {
@@ -1092,7 +1101,7 @@ impl<'a> Engine<'a> {
 
     // ---- coercions ------------------------------------------------------
 
-    pub fn as_preds(&self, v: &RuleValue, star: &str) -> Result<PredSet> {
+    fn as_preds(&self, v: &RuleValue, star: &str) -> Res<PredSet> {
         match v {
             RuleValue::Preds(p) => Ok(*p),
             other => Err(self.eval_err(star, format!("expected preds, got {}", other.kind()))),
@@ -1101,7 +1110,7 @@ impl<'a> Engine<'a> {
 
     /// Ordered column list (a shared view of the value's own columns);
     /// `{}` (empty preds) coerces to the empty list.
-    pub fn as_cols(&self, v: &RuleValue, star: &str) -> Result<Shared<QCol>> {
+    fn as_cols(&self, v: &RuleValue, star: &str) -> Res<Shared<QCol>> {
         match v {
             RuleValue::Cols(c) => Ok(c.clone()),
             RuleValue::ColSet(c) => Ok(c.iter().copied().collect()),
@@ -1110,7 +1119,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    pub fn as_colset(&self, v: &RuleValue, star: &str) -> Result<ColSet> {
+    fn as_colset(&self, v: &RuleValue, star: &str) -> Res<ColSet> {
         match v {
             RuleValue::ColSet(c) => Ok(c.clone()),
             RuleValue::Cols(c) => Ok(c.iter().copied().collect()),
@@ -1126,7 +1135,7 @@ impl<'a> Engine<'a> {
     /// building one plan node per combination. Combinations a property
     /// function rejects are skipped (counted), not fatal — rules offer
     /// alternatives, and illegal ones simply produce no plan.
-    fn apply_op(&mut self, name: &Arc<str>, top: usize, star: &str) -> Result<Sap> {
+    fn apply_op(&mut self, name: &Arc<str>, top: usize, star: &str) -> Res<Sap> {
         let start = self.plans.len();
         match name.as_ref() {
             "ACCESS" => self.op_access(top, star)?,
@@ -1134,7 +1143,7 @@ impl<'a> Engine<'a> {
             "SORT" => {
                 let plans = self.arg_plans(top, 0, "SORT", star)?;
                 let key = self.as_cols(&self.stack[top + 1], star)?;
-                self.map_unary(&plans, || Lolepop::Sort { key: key.clone() })?
+                self.map_unary(plans, || Lolepop::Sort { key: key.clone() })?
             }
             "SHIP" => {
                 let plans = self.arg_plans(top, 0, "SHIP", star)?;
@@ -1144,43 +1153,46 @@ impl<'a> Engine<'a> {
                         return Err(self.eval_err(star, format!("SHIP site: got {}", other.kind())))
                     }
                 };
-                self.map_unary(&plans, || Lolepop::Ship { to })?
+                self.map_unary(plans, || Lolepop::Ship { to })?
             }
             "STORE" => {
                 let plans = self.arg_plans(top, 0, "STORE", star)?;
-                self.map_unary(&plans, || Lolepop::Store)?
+                self.map_unary(plans, || Lolepop::Store)?
             }
             "BUILD_INDEX" => {
                 let plans = self.arg_plans(top, 0, "BUILD_INDEX", star)?;
                 let key = self.as_cols(&self.stack[top + 1], star)?;
-                self.map_unary(&plans, || Lolepop::BuildIndex { key: key.to_vec() })?
+                self.map_unary(plans, || Lolepop::BuildIndex { key: key.to_vec() })?
             }
             "FILTER" => {
                 let plans = self.arg_plans(top, 0, "FILTER", star)?;
                 let preds = self.as_preds(&self.stack[top + 1], star)?;
-                self.map_unary(&plans, || Lolepop::Filter { preds })?
+                self.map_unary(plans, || Lolepop::Filter { preds })?
             }
             "JOIN" => self.op_join(top, star)?,
             "UNION" => {
                 let l = self.arg_plans(top, 0, "UNION", star)?;
                 let r = self.arg_plans(top, 1, "UNION", star)?;
-                for a in l.iter() {
-                    for b in r.iter() {
-                        self.try_build(Lolepop::Union, Inputs::Two([a.clone(), b.clone()]))?;
+                for i in 0..l.len() {
+                    for j in 0..r.len() {
+                        let (a, b) = (self.store.sap(l)[i], self.store.sap(r)[j]);
+                        self.try_build(Lolepop::Union, &[a, b])?;
                     }
                 }
             }
             _ => self.op_ext(name, top, star)?,
         }
-        Ok(self.finish_sap(start))
+        // Every SAP is duplicate-free, so one node per combination of its
+        // plans is too: nothing to drop.
+        Ok(self.take_sap(start))
     }
 
     /// The SAP that is argument `i` of the call whose arguments start at
     /// `top`.
-    fn arg_plans(&self, top: usize, i: usize, op: &str, star: &str) -> Result<Sap> {
+    fn arg_plans(&self, top: usize, i: usize, op: &str, star: &str) -> Res<Sap> {
         self.stack[top..]
             .get(i)
-            .and_then(|v| v.plans().cloned())
+            .and_then(RuleValue::plans)
             .ok_or_else(|| self.eval_err(star, format!("{op}: argument {i} must be plans")))
     }
 
@@ -1188,12 +1200,13 @@ impl<'a> Engine<'a> {
     /// shared by rule-built plans and Glue veneers so estimate→actual
     /// analytics see a per-component cost breakdown for every node that
     /// can appear in a winning plan.
-    fn emit_plan_built(&self, p: &PlanRef) {
+    fn emit_plan_built(&self, p: PlanId) {
         self.tracer.emit(|| {
+            let p = &self.store[p];
             let by = p.props.cost.breakdown();
             TraceEvent::PlanBuilt {
                 op: p.op.name(),
-                fp: p.fingerprint(),
+                fp: p.fingerprint,
                 ref_id: self.cur_ref(),
                 card: p.props.card,
                 cost_once: p.props.cost.once,
@@ -1215,31 +1228,32 @@ impl<'a> Engine<'a> {
     /// components without their breakdowns. Counts toward `glue_veneers`,
     /// not `plans_built` — a veneer is impedance matching, not a strategy
     /// alternative.
-    pub(crate) fn build_veneer(&mut self, op: Lolepop, input: PlanRef) -> Result<PlanRef> {
+    pub(crate) fn build_veneer(&mut self, op: Lolepop, input: PlanId) -> Res<PlanId> {
         let op_name = self.faults.is_some().then(|| op.name());
-        let p = match self.derive_node(op, Inputs::One([input]), &op_name, CoreError::Glue) {
+        let p = match self.build_node(op, &[input], &op_name, CoreError::Glue) {
             Ok(r) => r?,
             Err(payload) => {
-                return Err(CoreError::Panicked {
+                return Err(Box::new(CoreError::Panicked {
                     context: "property function (glue veneer)".to_string(),
                     msg: panic_msg(payload),
-                })
+                }))
             }
         };
         self.stats.glue_veneers += 1;
-        self.emit_plan_built(&p);
+        self.emit_plan_built(p);
         Ok(p)
     }
 
-    /// Derive a node's properties and build it, behind the fault-injection
-    /// (`prop` site, matched on `op_name`) and panic-containment boundary.
-    fn derive_node(
-        &self,
+    /// Derive a node's properties from its inputs' and store it, behind
+    /// the fault-injection (`prop` site, matched on `op_name`) and
+    /// panic-containment boundary.
+    fn build_node(
+        &mut self,
         op: Lolepop,
-        inputs: Inputs,
+        inputs: &[PlanId],
         op_name: &Option<String>,
         injected: impl FnOnce(String) -> CoreError,
-    ) -> std::thread::Result<Result<PlanRef>> {
+    ) -> std::thread::Result<Result<PlanId>> {
         catch_unwind(AssertUnwindSafe(|| {
             if let (Some(plan), Some(name)) = (&self.faults, op_name) {
                 if let Some(mode) = plan.trigger("prop", name) {
@@ -1248,8 +1262,17 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            let built = self.prop.build(op, inputs, &self.ctx);
-            built.map_err(CoreError::from)
+            let props = |p: PlanId| &self.store[p].props;
+            let derived = match *inputs {
+                [] => self.prop.derive(&op, &[], &self.ctx),
+                [a] => self.prop.derive(&op, &[props(a)], &self.ctx),
+                [a, b] => self.prop.derive(&op, &[props(a), props(b)], &self.ctx),
+                _ => {
+                    let all: Vec<&Props> = inputs.iter().map(|&p| props(p)).collect();
+                    self.prop.derive(&op, &all, &self.ctx)
+                }
+            };
+            Ok(self.store.add(op, inputs, derived?))
         }))
     }
 
@@ -1258,8 +1281,8 @@ impl<'a> Engine<'a> {
     /// construction. A typed rejection stays a counted rejection; a panic
     /// becomes `CoreError::Panicked` for the caller to propagate
     /// (quarantining the invoking alternative).
-    fn try_build(&mut self, op: Lolepop, inputs: Inputs) -> Result<()> {
-        // `op` moves into build(); keep its name around only when tracing
+    fn try_build(&mut self, op: Lolepop, inputs: &[PlanId]) -> Res<()> {
+        // `op` moves into the store; keep its name around only when tracing
         // or fault matching needs it.
         let op_name = if self.tracer.enabled() || self.faults.is_some() {
             Some(op.name())
@@ -1270,7 +1293,7 @@ impl<'a> Engine<'a> {
             star: "<injected>".to_string(),
             msg,
         };
-        match self.derive_node(op, inputs, &op_name, injected) {
+        match self.build_node(op, inputs, &op_name, injected) {
             Ok(Ok(p)) => {
                 self.stats.plans_built += 1;
                 if let Some(cap) = self.config.budget.max_plans_built {
@@ -1278,9 +1301,9 @@ impl<'a> Engine<'a> {
                         self.exhaust("plans_built", format!("plan cap of {cap} nodes reached"));
                     }
                 }
-                self.plan_cost
-                    .record(p.props.cost.once.max(0.0).round() as u64);
-                self.emit_plan_built(&p);
+                let once = self.store[p].props.cost.once;
+                self.plan_cost.record(once.max(0.0).round() as u64);
+                self.emit_plan_built(p);
                 self.plans.push(p);
                 Ok(())
             }
@@ -1293,24 +1316,25 @@ impl<'a> Engine<'a> {
                 });
                 Ok(())
             }
-            Err(payload) => Err(CoreError::Panicked {
+            Err(payload) => Err(Box::new(CoreError::Panicked {
                 context: format!(
                     "property function for {}",
                     op_name.unwrap_or_else(|| "operator".to_string())
                 ),
                 msg: panic_msg(payload),
-            }),
+            })),
         }
     }
 
-    fn map_unary(&mut self, plans: &Sap, mut op: impl FnMut() -> Lolepop) -> Result<()> {
-        for p in plans.iter() {
-            self.try_build(op(), Inputs::One([p.clone()]))?;
+    fn map_unary(&mut self, plans: Sap, mut op: impl FnMut() -> Lolepop) -> Res<()> {
+        for i in 0..plans.len() {
+            let p = self.store.sap(plans)[i];
+            self.try_build(op(), &[p])?;
         }
         Ok(())
     }
 
-    fn op_access(&mut self, top: usize, star: &str) -> Result<()> {
+    fn op_access(&mut self, top: usize, star: &str) -> Res<()> {
         let args = &self.stack[top..];
         if args.len() != 4 {
             return Err(self.eval_err(star, "ACCESS takes (flavor, target, cols, preds)"));
@@ -1337,27 +1361,29 @@ impl<'a> Engine<'a> {
                     AccessSpec::BTreeTable(q)
                 };
                 let op = Lolepop::Access { spec, cols, preds };
-                self.try_build(op, Inputs::Rest(Vec::new()))
+                self.try_build(op, &[])
             }
             (RuleValue::Index(ix, q), "index") => {
                 let spec = AccessSpec::Index { index: *ix, q: *q };
                 let cols = self.as_colset(&args[2], star)?;
                 let op = Lolepop::Access { spec, cols, preds };
-                self.try_build(op, Inputs::Rest(Vec::new()))
+                self.try_build(op, &[])
             }
             (RuleValue::Plans(plans), "heap" | "temp") => {
-                let plans = plans.clone();
+                let plans = *plans;
                 // `*` on a temp: each plan's own columns.
                 let cols = match &args[2] {
                     RuleValue::AllCols => None,
                     _ if plans.is_empty() => None,
                     other => Some(self.as_colset(other, star)?),
                 };
-                for p in plans.iter() {
-                    let cols = cols.clone().unwrap_or_else(|| p.props.cols.clone());
+                for i in 0..plans.len() {
+                    let p = self.store.sap(plans)[i];
+                    let cols = cols.clone();
+                    let cols = cols.unwrap_or_else(|| self.store[p].props.cols.clone());
                     let spec = AccessSpec::TempHeap;
                     let op = Lolepop::Access { spec, cols, preds };
-                    self.try_build(op, Inputs::One([p.clone()]))?;
+                    self.try_build(op, &[p])?;
                 }
                 Ok(())
             }
@@ -1375,7 +1401,7 @@ impl<'a> Engine<'a> {
         cols.map(|c| QCol::new(q, ColId(c))).collect()
     }
 
-    fn op_get(&mut self, top: usize, star: &str) -> Result<()> {
+    fn op_get(&mut self, top: usize, star: &str) -> Res<()> {
         let args = &self.stack[top..];
         if args.len() != 4 {
             return Err(self.eval_err(star, "GET takes (input, table, cols, preds)"));
@@ -1392,14 +1418,14 @@ impl<'a> Engine<'a> {
             other => self.as_colset(other, star)?,
         };
         let preds = self.as_preds(&args[3], star)?;
-        self.map_unary(&input, || Lolepop::Get {
+        self.map_unary(input, || Lolepop::Get {
             q,
             cols: cols.clone(),
             preds,
         })
     }
 
-    fn op_join(&mut self, top: usize, star: &str) -> Result<()> {
+    fn op_join(&mut self, top: usize, star: &str) -> Res<()> {
         let args = &self.stack[top..];
         if args.len() != 5 {
             return Err(self.eval_err(
@@ -1420,14 +1446,15 @@ impl<'a> Engine<'a> {
         let inner = self.arg_plans(top, 2, "JOIN", star)?;
         let join_preds = self.as_preds(&args[3], star)?;
         let residual = self.as_preds(&args[4], star)?;
-        for o in outer.iter() {
-            for i in inner.iter() {
+        for i in 0..outer.len() {
+            for j in 0..inner.len() {
+                let (o, n) = (self.store.sap(outer)[i], self.store.sap(inner)[j]);
                 let op = Lolepop::Join {
                     flavor,
                     join_preds,
                     residual,
                 };
-                self.try_build(op, Inputs::Two([o.clone(), i.clone()]))?;
+                self.try_build(op, &[o, n])?;
             }
         }
         Ok(())
@@ -1435,7 +1462,7 @@ impl<'a> Engine<'a> {
 
     /// Extension operators: SAP arguments become plan inputs (in order);
     /// scalar arguments are packaged as `ExtArg`s.
-    fn op_ext(&mut self, name: &Arc<str>, top: usize, star: &str) -> Result<()> {
+    fn op_ext(&mut self, name: &Arc<str>, top: usize, star: &str) -> Res<()> {
         if !self.prop.has_ext(name) {
             return Err(self.eval_err(star, format!("unknown operator {name}")));
         }
@@ -1443,7 +1470,7 @@ impl<'a> Engine<'a> {
         let mut ext_args: Vec<ExtArg> = Vec::new();
         for a in &self.stack[top..] {
             match a {
-                RuleValue::Plans(p) => plan_args.push(p.clone()),
+                RuleValue::Plans(p) => plan_args.push(*p),
                 RuleValue::Preds(p) => ext_args.push(ExtArg::Preds(*p)),
                 RuleValue::Int(i) => ext_args.push(ExtArg::Int(*i)),
                 RuleValue::Str(s) | RuleValue::Sym(s) => ext_args.push(ExtArg::Str(s.clone())),
@@ -1464,20 +1491,20 @@ impl<'a> Engine<'a> {
             arity,
         };
         // Cartesian product over SAP arguments.
-        let mut combos: Vec<Vec<PlanRef>> = vec![Vec::new()];
-        for sap in &plan_args {
+        let mut combos: Vec<Vec<PlanId>> = vec![Vec::new()];
+        for &sap in &plan_args {
             let mut next = Vec::new();
             for c in &combos {
-                for p in sap.iter() {
+                for &p in self.store.sap(sap) {
                     let mut c2 = c.clone();
-                    c2.push(p.clone());
+                    c2.push(p);
                     next.push(c2);
                 }
             }
             combos = next;
         }
         for inputs in combos {
-            self.try_build(op.clone(), inputs.into())?;
+            self.try_build(op.clone(), &inputs)?;
         }
         Ok(())
     }

@@ -37,7 +37,8 @@ use starqo_query::QSet;
 
 use crate::engine::Engine;
 use crate::error::{CoreError, Result};
-use crate::value::{ReqVec, StreamRef};
+use crate::store::PlanId;
+use crate::value::ReqVec;
 
 /// Result of an enumeration run.
 #[derive(Debug, Clone)]
@@ -78,8 +79,8 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
     // Final requirements: ORDER BY and the query site, discharged by Glue —
     // the paper's mechanism applied at the root.
     let root_key = (all, engine.query.eligible_preds(all));
-    let root_alternatives = engine.table.get(root_key).to_vec();
-    if root_alternatives.is_empty() {
+    let roots = engine.table.get(root_key).to_vec();
+    if roots.is_empty() {
         return Err(CoreError::NoPlan(
             "no plan covers all tables (JoinRoot accepted no pair of streams)".into(),
         ));
@@ -94,15 +95,19 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
         temp: false,
         paths: None,
     };
-    let stream = StreamRef { tables: all, reqs };
+    let stream = engine.store.stream(all, reqs);
     let finals = crate::glue::glue(engine, stream, starqo_query::PredSet::EMPTY)?;
-    let best = finals
+    let store = &engine.store;
+    let cost = |p: &PlanId| store[*p].props.cost.total();
+    let best = store
+        .sap(finals)
         .iter()
-        .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()))
-        .cloned()
-        .ok_or_else(|| CoreError::NoPlan("glue returned no final plan".into()))?;
+        .min_by(|a, b| cost(a).total_cmp(&cost(b)));
+    let best = *best.ok_or_else(|| CoreError::NoPlan("glue returned no final plan".into()))?;
+    // The run ends here: what leaves it is made into shared plan DAGs.
+    let mut root_alternatives = store.materialize(std::iter::once(best).chain(roots));
     Ok(Enumerated {
-        best,
+        best: root_alternatives.remove(0),
         root_alternatives,
     })
 }
@@ -146,8 +151,8 @@ fn join_level(engine: &mut Engine<'_>, all: QSet, k: u32, any_pair: bool) -> Res
 /// estimated cardinality").
 fn small(engine: &Engine<'_>, s: QSet) -> bool {
     let keys = engine.table.keys_for_tables(s);
-    keys.filter_map(|k| engine.table.best(k))
-        .any(|p| p.props.card <= engine.model.small_card)
+    keys.filter_map(|k| engine.table.best(&engine.store, k))
+        .any(|p| engine.store[p].props.card <= engine.model.small_card)
 }
 
 /// All subsets of `all` with exactly `k` (≥ 1) bits, in ascending mask

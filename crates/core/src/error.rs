@@ -25,6 +25,17 @@ pub enum CoreError {
 
 pub type Result<T> = std::result::Result<T, CoreError>;
 
+/// What the interpreter's own functions return: the error boxed, so a
+/// result is no wider than the value it carries (a `CoreError` is 56 bytes,
+/// a rule value 32) on the path every reference takes.
+pub(crate) type Res<T> = std::result::Result<T, Box<CoreError>>;
+
+impl From<Box<CoreError>> for CoreError {
+    fn from(e: Box<CoreError>) -> Self {
+        *e
+    }
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

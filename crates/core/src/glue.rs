@@ -20,15 +20,15 @@
 //! shipped inner: rescans then stay local).
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-use starqo_plan::{AccessSpec, Lolepop, PlanRef};
+use starqo_plan::{AccessSpec, Lolepop};
 use starqo_query::{PredSet, QSet};
 use starqo_trace::{SpanGuard, TraceEvent};
 
 use crate::engine::Engine;
-use crate::error::{CoreError, Result};
+use crate::error::{CoreError, Res, Result};
 use crate::hash::RunHasher;
+use crate::store::PlanId;
 use crate::value::{ReqVec, Sap, StreamRef};
 
 /// Discharge a stream's accumulated requirements (plus pushdown predicates).
@@ -37,12 +37,14 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
     // The cache is probed with the stream as it came; it becomes a stored
     // key only after a miss.
     let mut h = RunHasher::default();
-    (&stream, pushdown).hash(&mut h);
+    stream.tables.hash(&mut h);
+    engine.store.reqs(&stream).hash(&mut h);
+    pushdown.hash(&mut h);
     let digest = h.finish();
-    let same = |(s, p): &(StreamRef, PredSet)| *s == stream && *p == pushdown;
-    if let Some(hit) = engine.glue_cache.find(digest, same) {
+    let store = &engine.store;
+    let same = |(s, p): &(StreamRef, PredSet)| *p == pushdown && store.same_stream(s, &stream);
+    if let Some(&hit) = engine.glue_cache.find(digest, same) {
         engine.stats.glue_cache_hits += 1;
-        let hit = hit.clone();
         engine.tracer.emit(|| TraceEvent::GlueRef {
             ref_id: engine.cur_ref(),
             cache_hit: true,
@@ -66,7 +68,9 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
     let started = std::time::Instant::now();
     let veneers_before = engine.stats.glue_veneers;
     let start = engine.plans.len();
-    let result = glue_miss(engine, &stream, pushdown);
+    // Requirements read while the engine builds: a copy (a count or two).
+    let reqs = engine.store.reqs(&stream).clone();
+    let result = glue_miss(engine, stream.tables, &reqs, pushdown);
     engine.plans.truncate(start);
     drop(glue_span);
     engine.glue_depth -= 1;
@@ -80,30 +84,28 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
         candidates: out.len(),
         veneers: (engine.stats.glue_veneers - veneers_before) as usize,
     });
-    engine
-        .glue_cache
-        .insert(digest, (stream, pushdown), out.clone());
+    engine.glue_cache.insert(digest, (stream, pushdown), out);
     Ok(out)
 }
 
 /// The cache-miss path of [`glue`]: find candidates, veneer, register.
 /// Works on the engine's scratch vector: the candidates first, what
 /// satisfies the requirements above them.
-fn glue_miss(engine: &mut Engine<'_>, stream: &StreamRef, pushdown: PredSet) -> Result<Sap> {
+fn glue_miss(engine: &mut Engine<'_>, tables: QSet, reqs: &ReqVec, pushdown: PredSet) -> Res<Sap> {
     let first = engine.plans.len();
-    let registered = candidate_plans(engine, stream.tables, pushdown, &stream.reqs)?;
+    let registered = candidate_plans(engine, tables, pushdown, reqs)?;
     let satisfied = engine.plans.len();
     for at in first..satisfied {
-        let plan = engine.plans[at].clone();
-        if let Some(p) = veneer(engine, plan, &stream.reqs)? {
+        let plan = engine.plans[at];
+        if let Some(p) = veneer(engine, plan, reqs)? {
             engine.plans.push(p);
         }
     }
     if engine.plans.len() == satisfied {
         return Err(CoreError::Glue(format!(
-            "no plan for tables {} satisfies requirements {:?}",
-            stream.tables, stream.reqs
-        )));
+            "no plan for tables {tables} satisfies requirements {reqs:?}"
+        ))
+        .into());
     }
     // Register Glue products so later references find them ("Glue may
     // generate some new plans having different properties"). A registered
@@ -111,18 +113,18 @@ fn glue_miss(engine: &mut Engine<'_>, stream: &StreamRef, pushdown: PredSet) -> 
     // duplicate scan.
     let (candidates, products) = engine.plans[first..].split_at(satisfied - first);
     for p in products {
-        if !(registered && candidates.iter().any(|c| Arc::ptr_eq(c, p))) {
-            engine.table.insert(p.clone());
+        if !(registered && candidates.contains(p)) {
+            engine.table.insert(&engine.store, *p);
         }
     }
     engine.dedup(satisfied);
-    for p in &engine.plans[satisfied..] {
-        let origin = engine.provenance.entry(p.fingerprint());
+    for &p in &engine.plans[satisfied..] {
+        let origin = engine.provenance.entry(engine.store[p].fingerprint);
         origin.or_insert_with(|| engine.glue_label.clone());
     }
     if !engine.config.glue_keep_all {
         // The first of the cheapest, as a stable sort would put it.
-        let cost = |at: usize| engine.plans[at].props.cost.total();
+        let cost = |at: usize| engine.store[engine.plans[at]].props.cost.total();
         let cheapest = (satisfied..engine.plans.len()).min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
         engine.plans.swap(satisfied, cheapest.unwrap_or(satisfied));
         engine.plans.truncate(satisfied + 1);
@@ -132,19 +134,20 @@ fn glue_miss(engine: &mut Engine<'_>, stream: &StreamRef, pushdown: PredSet) -> 
 
 /// Glue over an already-computed SAP: no requirements travel with a SAP, so
 /// only pushdown predicates remain to discharge (FILTER retrofit).
-pub fn glue_plans(engine: &mut Engine<'_>, plans: &Sap, pushdown: PredSet) -> Result<Sap> {
+pub fn glue_plans(engine: &mut Engine<'_>, plans: Sap, pushdown: PredSet) -> Result<Sap> {
     engine.stats.glue_refs += 1;
     if pushdown.is_empty() {
-        return Ok(plans.clone());
+        return Ok(plans);
     }
     let veneers_before = engine.stats.glue_veneers;
     let start = engine.plans.len();
-    for p in plans.iter() {
-        let extra = pushdown.minus(p.props.preds);
+    for i in 0..plans.len() {
+        let p = engine.store.sap(plans)[i];
+        let extra = pushdown.minus(engine.store[p].props.preds);
         let p = if extra.is_empty() {
-            p.clone()
+            p
         } else {
-            engine.build_veneer(Lolepop::Filter { preds: extra }, p.clone())?
+            engine.build_veneer(Lolepop::Filter { preds: extra }, p)?
         };
         engine.plans.push(p);
     }
@@ -167,7 +170,7 @@ fn candidate_plans(
     tables: QSet,
     pushdown: PredSet,
     reqs: &ReqVec,
-) -> Result<bool> {
+) -> Res<bool> {
     let base_preds = engine.query.eligible_preds(tables);
     let extra = pushdown.minus(base_preds);
     let target = base_preds.union(extra);
@@ -178,40 +181,36 @@ fn candidate_plans(
     if let Some(ix) = &reqs.paths {
         let base = engine.plans.len();
         existing_or_access(engine, tables, base_preds)?;
+        let cost = |p: &PlanId| engine.store[*p].props.cost.total();
         let cheapest = engine.plans[base..]
             .iter()
-            .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()))
-            .cloned();
+            .min_by(|a, b| cost(a).total_cmp(&cost(b)))
+            .copied();
         engine.plans.truncate(base);
         let Some(cheapest) = cheapest else {
-            return Err(CoreError::Glue(format!("no base plans for {tables}")));
+            return Err(CoreError::Glue(format!("no base plans for {tables}")).into());
         };
         // SHIP to the required site first so the temp and its index live
         // where the join runs.
         let mut p = cheapest;
         if let Some(site) = reqs.site {
-            if p.props.site != site {
+            if engine.store[p].props.site != site {
                 p = engine.build_veneer(Lolepop::Ship { to: site }, p)?;
             }
         }
-        if !p.props.temp {
+        if !engine.store[p].props.temp {
             p = engine.build_veneer(Lolepop::Store, p)?;
         }
-        let ix_cols: Vec<_> = ix
-            .iter()
-            .filter(|c| p.props.cols.contains(c))
-            .copied()
-            .collect();
+        let cols = &engine.store[p].props.cols;
+        let ix_cols: Vec<_> = ix.iter().filter(|c| cols.contains(c)).copied().collect();
         if ix_cols.is_empty() {
-            return Err(CoreError::Glue(
-                "required path columns not in stream".into(),
-            ));
+            return Err(CoreError::Glue("required path columns not in stream".into()).into());
         }
         let key = ix_cols.clone();
         p = engine.build_veneer(Lolepop::BuildIndex { key }, p)?;
         let probe = Lolepop::Access {
             spec: AccessSpec::TempIndex { key: ix_cols },
-            cols: p.props.cols.clone(),
+            cols: engine.store[p].props.cols.clone(),
             preds: extra,
         };
         let probe = engine.build_veneer(probe, p)?;
@@ -228,14 +227,14 @@ fn candidate_plans(
         // Re-reference the top-most single-table STAR so the access path can
         // exploit the pushed-down (converted) join predicates.
         let plans = engine.access_root(tables, target)?;
-        engine.plans.extend(plans.iter().cloned());
+        engine.plans.extend_from_slice(engine.store.sap(plans));
         Ok(true)
     } else {
         // Composite stream: retrofit a FILTER.
         let base = engine.plans.len();
         existing_or_access(engine, tables, base_preds)?;
         for at in base..engine.plans.len() {
-            let p = engine.plans[at].clone();
+            let p = engine.plans[at];
             engine.plans[at] = engine.build_veneer(Lolepop::Filter { preds: extra }, p)?;
         }
         Ok(false)
@@ -244,7 +243,7 @@ fn candidate_plans(
 
 /// Push the plans the table holds for a key on the scratch vector;
 /// reference `AccessRoot` for single tables when none exist yet.
-fn existing_or_access(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> Result<()> {
+fn existing_or_access(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> Res<()> {
     let found = engine.table.get((tables, preds));
     if !found.is_empty() {
         engine.plans.extend_from_slice(found);
@@ -252,22 +251,24 @@ fn existing_or_access(engine: &mut Engine<'_>, tables: QSet, preds: PredSet) -> 
     }
     if tables.len() == 1 {
         let plans = engine.access_root(tables, preds)?;
-        engine.plans.extend(plans.iter().cloned());
+        engine.plans.extend_from_slice(engine.store.sap(plans));
         return Ok(());
     }
     Err(CoreError::Glue(format!(
         "no plans exist for composite {tables} with predicates {preds} (enumeration order bug?)"
-    )))
+    ))
+    .into())
 }
 
 /// Step 2: inject SORT / SHIP / STORE veneers to satisfy physical
 /// requirements. Returns `None` if the plan cannot be made to satisfy them
 /// (e.g. the sort columns are not in the stream).
-fn veneer(engine: &mut Engine<'_>, plan: PlanRef, reqs: &ReqVec) -> Result<Option<PlanRef>> {
+fn veneer(engine: &mut Engine<'_>, plan: PlanId, reqs: &ReqVec) -> Res<Option<PlanId>> {
     let mut p = plan;
     if let Some(order) = &reqs.order {
-        if !p.props.order_satisfies(order) {
-            if !order.iter().all(|c| p.props.cols.contains(c)) {
+        let props = &engine.store[p].props;
+        if !props.order_satisfies(order) {
+            if !order.iter().all(|c| props.cols.contains(c)) {
                 return Ok(None);
             }
             let key = order.clone();
@@ -275,11 +276,11 @@ fn veneer(engine: &mut Engine<'_>, plan: PlanRef, reqs: &ReqVec) -> Result<Optio
         }
     }
     if let Some(site) = reqs.site {
-        if p.props.site != site {
+        if engine.store[p].props.site != site {
             p = engine.build_veneer(Lolepop::Ship { to: site }, p)?;
         }
     }
-    if reqs.temp && !p.props.temp {
+    if reqs.temp && !engine.store[p].props.temp {
         p = engine.build_veneer(Lolepop::Store, p)?;
     }
     Ok(Some(p))

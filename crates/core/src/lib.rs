@@ -19,6 +19,8 @@
 //!   cheapest (or all) satisfying plans.
 //! * [`table`] — the plan table, "a data structure hashed on the tables and
 //!   predicates" (§4.4), with property-aware cost pruning.
+//! * [`store`] — the run's plan nodes and SAPs, named by index while the run
+//!   lasts; only what leaves it becomes `PlanRef` DAGs.
 //! * [`enumerate`] — the bottom-up join enumerator of §2.3: `AccessRoot` per
 //!   table, then repeated `JoinRoot` references over joinable pairs, with
 //!   composite inners and Cartesian products as compile-time parameters.
@@ -42,6 +44,7 @@ mod hash;
 pub mod natives;
 pub mod optimizer;
 pub mod rules;
+pub mod store;
 pub mod table;
 pub mod value;
 

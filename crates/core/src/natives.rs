@@ -16,8 +16,9 @@ use starqo_query::{Classifier, PredSet, QSet, Query};
 
 use crate::error::{CoreError, Result};
 use crate::optimizer::OptConfig;
+use crate::store::RunStore;
 use crate::table::PlanTable;
-use crate::value::RuleValue;
+use crate::value::{RuleValue, StreamRef};
 
 /// Read-only context natives evaluate in.
 pub struct NativeCtx<'a> {
@@ -26,6 +27,10 @@ pub struct NativeCtx<'a> {
     pub model: &'a CostModel,
     pub config: &'a OptConfig,
     pub table: &'a PlanTable,
+    /// The run's plans and stream requirements: a SAP argument's plans are
+    /// read here (`store.sap(sap)`, `store[id].props`), and so are a
+    /// stream's requirements (`store.reqs(stream)`).
+    pub store: &'a RunStore,
 }
 
 impl<'a> NativeCtx<'a> {
@@ -39,10 +44,11 @@ impl<'a> NativeCtx<'a> {
     pub fn current_site(&self, tables: QSet) -> starqo_catalog::SiteId {
         let keys = self.table.keys_for_tables(tables);
         let best = keys
-            .filter_map(|k| self.table.best(k))
-            .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()));
+            .filter_map(|k| self.table.best(self.store, k))
+            .map(|p| &self.store[p].props)
+            .min_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
         if let Some(p) = best {
-            return p.props.site;
+            return p.site;
         }
         if let Some(q) = tables.as_single() {
             return self.catalog.table(self.query.quantifier(q).table).site;
@@ -132,17 +138,20 @@ fn want_preds(v: &RuleValue) -> Result<PredSet> {
     }
 }
 
-fn want_stream(v: &RuleValue) -> Result<&crate::value::StreamRef> {
+fn want_stream(v: &RuleValue) -> Result<&StreamRef> {
     match v {
         RuleValue::Stream(s) => Ok(s),
         other => Err(err(format!("expected stream, got {}", other.kind()))),
     }
 }
 
-fn want_tables(v: &RuleValue) -> Result<QSet> {
+fn want_tables(ctx: &NativeCtx<'_>, v: &RuleValue) -> Result<QSet> {
     match v {
         RuleValue::Stream(s) => Ok(s.tables),
-        RuleValue::Plans(ps) => Ok(ps.first().map(|p| p.props.tables).unwrap_or(QSet::EMPTY)),
+        RuleValue::Plans(ps) => {
+            let first = ctx.store.sap(*ps).first();
+            Ok(first.map_or(QSet::EMPTY, |&p| ctx.store[p].props.tables))
+        }
         other => Err(err(format!("expected stream, got {}", other.kind()))),
     }
 }
@@ -176,31 +185,31 @@ fn n_join_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
 fn n_inner_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 2, "inner_preds")?;
     let p = want_preds(&args[0])?;
-    let t2 = want_tables(&args[1])?;
+    let t2 = want_tables(ctx, &args[1])?;
     Ok(RuleValue::Preds(ctx.classifier().inner_preds(p, t2)))
 }
 
 fn n_sortable_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 3, "sortable_preds")?;
     let p = want_preds(&args[0])?;
-    let t1 = want_tables(&args[1])?;
-    let t2 = want_tables(&args[2])?;
+    let t1 = want_tables(ctx, &args[1])?;
+    let t2 = want_tables(ctx, &args[2])?;
     Ok(RuleValue::Preds(ctx.classifier().sortable_preds(p, t1, t2)))
 }
 
 fn n_hashable_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 3, "hashable_preds")?;
     let p = want_preds(&args[0])?;
-    let t1 = want_tables(&args[1])?;
-    let t2 = want_tables(&args[2])?;
+    let t1 = want_tables(ctx, &args[1])?;
+    let t2 = want_tables(ctx, &args[2])?;
     Ok(RuleValue::Preds(ctx.classifier().hashable_preds(p, t1, t2)))
 }
 
 fn n_indexable_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 3, "indexable_preds")?;
     let p = want_preds(&args[0])?;
-    let t1 = want_tables(&args[1])?;
-    let t2 = want_tables(&args[2])?;
+    let t1 = want_tables(ctx, &args[1])?;
+    let t2 = want_tables(ctx, &args[2])?;
     Ok(RuleValue::Preds(
         ctx.classifier().indexable_preds(p, t1, t2),
     ))
@@ -209,7 +218,7 @@ fn n_indexable_preds(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValu
 fn n_sort_key(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 2, "sort_key")?;
     let sp = want_preds(&args[0])?;
-    let side = want_tables(&args[1])?;
+    let side = want_tables(ctx, &args[1])?;
     Ok(RuleValue::Cols(ctx.classifier().sort_key(sp, side).into()))
 }
 
@@ -217,7 +226,7 @@ fn n_index_cols(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 3, "index_cols")?;
     let ip = want_preds(&args[0])?;
     let xp = want_preds(&args[1])?;
-    let t2 = want_tables(&args[2])?;
+    let t2 = want_tables(ctx, &args[2])?;
     Ok(RuleValue::Cols(
         ctx.classifier().index_cols(ip, xp, t2).into(),
     ))
@@ -293,7 +302,10 @@ fn n_required_site(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue>
     // `T![site]`: the accumulated site requirement; defaults to the current
     // site so that "no requirement" compares equal.
     Ok(RuleValue::Site(
-        s.reqs.site.unwrap_or_else(|| ctx.current_site(s.tables)),
+        ctx.store
+            .reqs(s)
+            .site
+            .unwrap_or_else(|| ctx.current_site(s.tables)),
     ))
 }
 
@@ -407,6 +419,6 @@ fn n_enabled(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
 
 fn n_composite_inner_ok(ctx: &NativeCtx<'_>, args: &[RuleValue]) -> Result<RuleValue> {
     arity(args, 1, "composite_inner_ok")?;
-    let t = want_tables(&args[0])?;
+    let t = want_tables(ctx, &args[0])?;
     Ok(RuleValue::Bool(ctx.config.composite_inners || t.len() <= 1))
 }

@@ -6,13 +6,15 @@
 //! the property-Pareto frontier: a plan is dropped if another plan is at
 //! most as expensive (componentwise, one-time and per-rescan) and at least
 //! as good on every physical property — the System-R "interesting order"
-//! idea generalized to the whole property vector (§3).
+//! idea generalized to the whole property vector (§3). Plans are the run's
+//! store entries; what needs their properties is handed the store.
 
-use starqo_plan::PlanRef;
+use starqo_plan::Props;
 use starqo_query::{PredSet, QSet};
 use starqo_trace::{TraceEvent, Tracer};
 
 use crate::hash::RunMap;
+use crate::store::{PlanId, RunStore};
 
 /// Relational key of a plan: what it produces.
 pub type PlanKey = (QSet, PredSet);
@@ -36,7 +38,7 @@ pub struct PlanTable {
     /// Hashed on the tables; under them, one slot per predicate set in
     /// first-insertion order (a handful at most). The enumerator's "any
     /// plans for this quantifier set?" is therefore a single lookup.
-    map: RunMap<QSet, Vec<(PredSet, Vec<PlanRef>)>>,
+    map: RunMap<QSet, Vec<(PredSet, Vec<PlanId>)>>,
     pub stats: TableStats,
     /// ABLATION: when set, dominance pruning is skipped (duplicates are
     /// still dropped).
@@ -47,8 +49,7 @@ pub struct PlanTable {
 
 /// Does `a` dominate `b`? Cheaper-or-equal on both cost components and at
 /// least as good on every physical property.
-fn dominates(a: &PlanRef, b: &PlanRef) -> bool {
-    let (pa, pb) = (&a.props, &b.props);
+fn dominates(pa: &Props, pb: &Props) -> bool {
     pa.cost.once <= pb.cost.once
         && pa.cost.rescan <= pb.cost.rescan
         && pa.site == pb.site
@@ -69,15 +70,12 @@ impl PlanTable {
         self.tracer = tracer;
     }
 
-    fn key_of(plan: &PlanRef) -> PlanKey {
-        (plan.props.tables, plan.props.preds)
-    }
-
     /// Insert a plan, pruning dominated alternatives. Returns true if the
     /// plan survived.
-    pub fn insert(&mut self, plan: PlanRef) -> bool {
+    pub fn insert(&mut self, store: &RunStore, id: PlanId) -> bool {
         self.stats.offered += 1;
-        let (tables, preds) = Self::key_of(&plan);
+        let plan = &store[id];
+        let (tables, preds) = (plan.props.tables, plan.props.preds);
         let slots = self.map.entry(tables).or_default();
         let at = slots.iter().position(|(p, _)| *p == preds);
         let at = at.unwrap_or_else(|| {
@@ -85,11 +83,14 @@ impl PlanTable {
             slots.len() - 1
         });
         let slot = &mut slots[at].1;
-        if slot.iter().any(|p| p.fingerprint() == plan.fingerprint()) {
+        if slot
+            .iter()
+            .any(|&p| store[p].fingerprint == plan.fingerprint)
+        {
             self.stats.duplicates += 1;
             self.tracer.emit(|| TraceEvent::TablePrune {
                 op: plan.op.name(),
-                fp: plan.fingerprint(),
+                fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
                 duplicate: true,
             });
@@ -98,18 +99,21 @@ impl PlanTable {
         if self.ablate_pruning {
             self.tracer.emit(|| TraceEvent::TableInsert {
                 op: plan.op.name(),
-                fp: plan.fingerprint(),
+                fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
                 evicted: 0,
             });
-            slot.push(plan);
+            slot.push(id);
             return true;
         }
-        if slot.iter().any(|p| dominates(p, &plan)) {
+        if slot
+            .iter()
+            .any(|&p| dominates(&store[p].props, &plan.props))
+        {
             self.stats.dominated += 1;
             self.tracer.emit(|| TraceEvent::TablePrune {
                 op: plan.op.name(),
-                fp: plan.fingerprint(),
+                fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
                 duplicate: false,
             });
@@ -117,39 +121,42 @@ impl PlanTable {
         }
         let before = slot.len();
         if self.tracer.enabled() {
-            for victim in slot.iter().filter(|p| dominates(&plan, p)) {
+            let victims = slot.iter().map(|&p| &store[p]);
+            for victim in victims.filter(|v| dominates(&plan.props, &v.props)) {
                 self.tracer.emit(|| TraceEvent::TableDominated {
                     op: victim.op.name(),
-                    fp: victim.fingerprint(),
+                    fp: victim.fingerprint,
                     cost: victim.props.cost.total(),
                 });
             }
         }
-        slot.retain(|p| !dominates(&plan, p));
+        slot.retain(|&p| !dominates(&plan.props, &store[p].props));
         let evicted = before - slot.len();
         self.stats.evicted += evicted as u64;
         self.tracer.emit(|| TraceEvent::TableInsert {
             op: plan.op.name(),
-            fp: plan.fingerprint(),
+            fp: plan.fingerprint,
             cost: plan.props.cost.total(),
             evicted,
         });
-        slot.push(plan);
+        slot.push(id);
         true
     }
 
     /// All plans for a key.
-    pub fn get(&self, (tables, preds): PlanKey) -> &[PlanRef] {
+    pub fn get(&self, (tables, preds): PlanKey) -> &[PlanId] {
         let slots = self.map.get(&tables).map(Vec::as_slice).unwrap_or(&[]);
         let slot = slots.iter().find(|(p, _)| *p == preds);
         slot.map(|(_, plans)| plans.as_slice()).unwrap_or(&[])
     }
 
     /// Cheapest plan for a key (by total cost).
-    pub fn best(&self, key: PlanKey) -> Option<&PlanRef> {
+    pub fn best(&self, store: &RunStore, key: PlanKey) -> Option<PlanId> {
+        let cost = |p: PlanId| store[p].props.cost.total();
         self.get(key)
             .iter()
-            .min_by(|a, b| a.props.cost.total().total_cmp(&b.props.cost.total()))
+            .copied()
+            .min_by(|&a, &b| cost(a).total_cmp(&cost(b)))
     }
 
     /// Does any plan exist for exactly this quantifier set? (An entry is
@@ -181,103 +188,125 @@ impl PlanTable {
 mod tests {
     use super::*;
     use starqo_catalog::SiteId;
-    use starqo_plan::{ColSet, Cost, Lolepop, PlanNode, Props};
+    use starqo_plan::{ColSet, Cost, Lolepop};
     use starqo_query::QId;
 
-    fn plan(cost_once: f64, cost_rescan: f64, site: u16, ordered: bool, salt: i64) -> PlanRef {
+    /// A SHIP over an ACCESS, added to the store it is given.
+    fn plan(
+        cost_once: f64,
+        cost_rescan: f64,
+        site: u16,
+        ordered: bool,
+        salt: i64,
+    ) -> impl FnOnce(&mut RunStore) -> PlanId {
         let mut props = Props::empty(SiteId(site));
         props.tables = QSet::single(QId(0));
         props.cost = Cost::new(cost_once, cost_rescan);
         if ordered {
             props.order = vec![starqo_query::QCol::new(QId(0), starqo_catalog::ColId(0))].into();
         }
-        // Salt the op parameters so fingerprints differ.
-        PlanNode::with_props(
-            Lolepop::Ship {
+        move |store| {
+            let access = Lolepop::Access {
+                spec: starqo_plan::AccessSpec::HeapTable(QId(0)),
+                cols: ColSet::new(),
+                preds: starqo_query::PredSet::EMPTY,
+            };
+            let access = store.add(access, &[], Props::empty(SiteId(site)));
+            // Salt the op parameters so fingerprints differ.
+            let ship = Lolepop::Ship {
                 to: SiteId(salt as u16),
-            },
-            vec![PlanNode::with_props(
-                Lolepop::Access {
-                    spec: starqo_plan::AccessSpec::HeapTable(QId(0)),
-                    cols: ColSet::new(),
-                    preds: starqo_query::PredSet::EMPTY,
-                },
-                vec![],
-                Props::empty(SiteId(site)),
-            )],
-            props,
-        )
+            };
+            store.add(ship, &[access], props)
+        }
+    }
+
+    /// A plan table and the store its plans live in.
+    #[derive(Default)]
+    struct Fx {
+        t: PlanTable,
+        store: RunStore,
+    }
+
+    impl Fx {
+        fn insert(&mut self, plan: impl FnOnce(&mut RunStore) -> PlanId) -> bool {
+            let id = plan(&mut self.store);
+            self.t.insert(&self.store, id)
+        }
     }
 
     #[test]
     fn cheaper_same_properties_evicts() {
-        let mut t = PlanTable::new();
-        assert!(t.insert(plan(10.0, 10.0, 0, false, 1)));
-        assert!(t.insert(plan(5.0, 5.0, 0, false, 2)));
+        let mut f = Fx::default();
+        assert!(f.insert(plan(10.0, 10.0, 0, false, 1)));
+        assert!(f.insert(plan(5.0, 5.0, 0, false, 2)));
         let key = (QSet::single(QId(0)), starqo_query::PredSet::EMPTY);
-        assert_eq!(t.get(key).len(), 1);
-        assert_eq!(t.stats.evicted, 1);
-        assert_eq!(t.best(key).unwrap().props.cost.total(), 10.0);
+        assert_eq!(f.t.get(key).len(), 1);
+        assert_eq!(f.t.stats.evicted, 1);
+        let best = f.t.best(&f.store, key).unwrap();
+        assert_eq!(f.store[best].props.cost.total(), 10.0);
     }
 
     #[test]
     fn more_expensive_same_properties_rejected() {
-        let mut t = PlanTable::new();
-        assert!(t.insert(plan(5.0, 5.0, 0, false, 1)));
-        assert!(!t.insert(plan(10.0, 10.0, 0, false, 2)));
-        assert_eq!(t.stats.dominated, 1);
+        let mut f = Fx::default();
+        assert!(f.insert(plan(5.0, 5.0, 0, false, 1)));
+        assert!(!f.insert(plan(10.0, 10.0, 0, false, 2)));
+        assert_eq!(f.t.stats.dominated, 1);
     }
 
     #[test]
     fn interesting_order_survives_higher_cost() {
-        let mut t = PlanTable::new();
-        assert!(t.insert(plan(5.0, 5.0, 0, false, 1)));
+        let mut f = Fx::default();
+        assert!(f.insert(plan(5.0, 5.0, 0, false, 1)));
         // More expensive but ordered: kept (System-R interesting orders).
-        assert!(t.insert(plan(20.0, 20.0, 0, true, 2)));
+        assert!(f.insert(plan(20.0, 20.0, 0, true, 2)));
         let key = (QSet::single(QId(0)), starqo_query::PredSet::EMPTY);
-        assert_eq!(t.get(key).len(), 2);
+        assert_eq!(f.t.get(key).len(), 2);
     }
 
     #[test]
     fn different_sites_coexist() {
-        let mut t = PlanTable::new();
-        assert!(t.insert(plan(5.0, 5.0, 0, false, 1)));
-        assert!(t.insert(plan(50.0, 50.0, 1, false, 2)));
+        let mut f = Fx::default();
+        assert!(f.insert(plan(5.0, 5.0, 0, false, 1)));
+        assert!(f.insert(plan(50.0, 50.0, 1, false, 2)));
         let key = (QSet::single(QId(0)), starqo_query::PredSet::EMPTY);
-        assert_eq!(t.get(key).len(), 2);
+        assert_eq!(f.t.get(key).len(), 2);
     }
 
     #[test]
     fn duplicates_dropped() {
-        let mut t = PlanTable::new();
-        let p = plan(5.0, 5.0, 0, false, 1);
-        assert!(t.insert(p.clone()));
-        assert!(!t.insert(p));
-        assert_eq!(t.stats.duplicates, 1);
+        let mut f = Fx::default();
+        let p = plan(5.0, 5.0, 0, false, 1)(&mut f.store);
+        assert!(f.t.insert(&f.store, p));
+        assert!(!f.t.insert(&f.store, p));
+        assert_eq!(f.t.stats.duplicates, 1);
     }
 
     #[test]
     fn cheaper_rescan_expensive_once_coexists() {
-        let mut t = PlanTable::new();
+        let mut f = Fx::default();
         // Scan: no setup, expensive rescan. Temp-ish: setup, cheap rescan.
-        assert!(t.insert(plan(0.0, 100.0, 0, false, 1)));
-        assert!(t.insert(plan(120.0, 1.0, 0, false, 2)));
+        assert!(f.insert(plan(0.0, 100.0, 0, false, 1)));
+        assert!(f.insert(plan(120.0, 1.0, 0, false, 2)));
         let key = (QSet::single(QId(0)), starqo_query::PredSet::EMPTY);
-        assert_eq!(t.get(key).len(), 2, "NL-inner-friendly plans must survive");
+        assert_eq!(
+            f.t.get(key).len(),
+            2,
+            "NL-inner-friendly plans must survive"
+        );
     }
 
     #[test]
     fn counters_and_keys() {
-        let mut t = PlanTable::new();
-        t.insert(plan(5.0, 5.0, 0, false, 1));
-        t.insert(plan(9.0, 9.0, 1, false, 2));
-        assert_eq!(t.total_plans(), 2);
-        assert_eq!(t.total_keys(), 1);
-        assert_eq!(t.keys_for_tables(QSet::single(QId(0))).count(), 1);
-        assert!(t.has_tables(QSet::single(QId(0))));
-        assert!(!t.has_tables(QSet::single(QId(5))));
-        assert!(t
-            .best((QSet::single(QId(5)), starqo_query::PredSet::EMPTY))
-            .is_none());
+        let mut f = Fx::default();
+        f.insert(plan(5.0, 5.0, 0, false, 1));
+        f.insert(plan(9.0, 9.0, 1, false, 2));
+        assert_eq!(f.t.total_plans(), 2);
+        assert_eq!(f.t.total_keys(), 1);
+        assert_eq!(f.t.keys_for_tables(QSet::single(QId(0))).count(), 1);
+        assert!(f.t.has_tables(QSet::single(QId(0))));
+        assert!(!f.t.has_tables(QSet::single(QId(5))));
+        let nowhere = (QSet::single(QId(5)), starqo_query::PredSet::EMPTY);
+        assert!(f.t.best(&f.store, nowhere).is_none());
     }
 }

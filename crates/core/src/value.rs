@@ -5,13 +5,18 @@
 //! (quantifier) set with its *accumulated required properties* (§3.2: "the
 //! requirements are accumulated until Glue is referenced") — and
 //! [`RuleValue::Plans`], the paper's SAP (Set of Alternative Plans, §2.2).
+//! Both name what they hold in the run's [`RunStore`], so a value is 32
+//! bytes and a reference copies its arguments without touching a count.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use starqo_catalog::{IndexId, SiteId};
-use starqo_plan::{ColSet, PlanRef};
+use starqo_plan::ColSet;
 use starqo_query::{PredSet, QCol, QSet, Shared};
+
+use crate::store::RunStore;
+pub use crate::store::Sap;
 
 /// Accumulated required properties on a stream (§3.2). `T[site = s]` etc.
 /// append to this; only Glue discharges it.
@@ -34,26 +39,22 @@ impl ReqVec {
     }
 }
 
-/// A stream argument: a quantifier set plus accumulated requirements.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A stream argument: a quantifier set plus the requirements accumulated on
+/// it, which sit in the run's store ([`RunStore::reqs`]; a stream with
+/// requirements is made by [`RunStore::stream`]).
+#[derive(Debug, Clone, Copy)]
 pub struct StreamRef {
     pub tables: QSet,
-    pub reqs: ReqVec,
+    /// 1 + where its requirements sit in the store; 0 for none.
+    pub(crate) reqs: u32,
 }
 
 impl StreamRef {
+    /// A stream with no requirements.
     pub fn new(tables: QSet) -> Self {
-        StreamRef {
-            tables,
-            reqs: ReqVec::default(),
-        }
+        StreamRef { tables, reqs: 0 }
     }
 }
-
-/// A Set of Alternative Plans (§2.2): one shared block, so handing a SAP on
-/// — to the memo, to a referencing STAR, to a LOLEPOP argument — copies a
-/// handle, never the plans.
-pub type Sap = Arc<[PlanRef]>;
 
 /// A value during rule evaluation.
 #[derive(Debug, Clone)]
@@ -110,15 +111,16 @@ impl RuleValue {
         }
     }
 
-    pub fn plans(&self) -> Option<&Sap> {
+    pub fn plans(&self) -> Option<Sap> {
         match self {
-            RuleValue::Plans(p) => Some(p),
+            RuleValue::Plans(p) => Some(*p),
             _ => None,
         }
     }
 
-    /// Digest for memoization: plans hash by structural fingerprint.
-    pub fn digest<H: Hasher>(&self, h: &mut H) {
+    /// Digest for memoization, of what [`RuleValue::same`] compares: plans
+    /// by structural fingerprint, streams by their requirements.
+    pub fn digest<H: Hasher>(&self, h: &mut H, store: &RunStore) {
         std::mem::discriminant(self).hash(h);
         match self {
             RuleValue::Bool(b) => b.hash(h),
@@ -128,10 +130,13 @@ impl RuleValue {
             RuleValue::Cols(c) => c.hash(h),
             RuleValue::ColSet(c) => c.hash(h),
             RuleValue::Preds(p) => p.hash(h),
-            RuleValue::Stream(s) => s.hash(h),
+            RuleValue::Stream(s) => {
+                s.tables.hash(h);
+                store.reqs(s).hash(h);
+            }
             RuleValue::Plans(ps) => {
-                for p in ps.iter() {
-                    p.fingerprint().hash(h);
+                for &p in store.sap(*ps) {
+                    store[p].fingerprint.hash(h);
                 }
             }
             RuleValue::Index(i, q) => {
@@ -140,16 +145,17 @@ impl RuleValue {
             }
             RuleValue::List(items) => {
                 for i in items.iter() {
-                    i.digest(h);
+                    i.digest(h, store);
                 }
             }
             RuleValue::AllCols => {}
         }
     }
-}
 
-impl PartialEq for RuleValue {
-    fn eq(&self, other: &Self) -> bool {
+    /// Equality as the memo and the rules' `==` see it: SAPs are equal when
+    /// their plans are, fingerprint by fingerprint, wherever in the store
+    /// they sit; streams when their tables and requirements are.
+    pub fn same(&self, other: &RuleValue, store: &RunStore) -> bool {
         use RuleValue::*;
         match (self, other) {
             (Bool(a), Bool(b)) => a == b,
@@ -159,23 +165,17 @@ impl PartialEq for RuleValue {
             (Cols(a), Cols(b)) => a == b,
             (ColSet(a), ColSet(b)) => a == b,
             (Preds(a), Preds(b)) => a == b,
-            (Stream(a), Stream(b)) => a == b,
-            (Plans(a), Plans(b)) => {
-                Arc::ptr_eq(a, b)
-                    || (a.len() == b.len()
-                        && a.iter()
-                            .zip(b.iter())
-                            .all(|(x, y)| x.fingerprint() == y.fingerprint()))
-            }
+            (Stream(a), Stream(b)) => store.same_stream(a, b),
+            (Plans(a), Plans(b)) => store.same_plans(*a, *b),
             (Index(a, qa), Index(b, qb)) => a == b && qa == qb,
-            (List(a), List(b)) => a == b,
+            (List(a), List(b)) => {
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.same(y, store))
+            }
             (AllCols, AllCols) => true,
             _ => false,
         }
     }
 }
-
-impl Eq for RuleValue {}
 
 #[cfg(test)]
 mod tests {
@@ -198,29 +198,40 @@ mod tests {
 
     #[test]
     fn value_equality_and_kinds() {
-        assert_eq!(RuleValue::Int(3), RuleValue::Int(3));
-        assert_ne!(RuleValue::Int(3), RuleValue::Bool(true));
-        assert_eq!(RuleValue::Sym("NL".into()), RuleValue::Sym("NL".into()));
-        assert_ne!(RuleValue::Sym("NL".into()), RuleValue::Str("NL".into()));
+        let store = RunStore::default();
+        let same = |a: RuleValue, b: RuleValue| a.same(&b, &store);
+        assert!(same(RuleValue::Int(3), RuleValue::Int(3)));
+        assert!(!same(RuleValue::Int(3), RuleValue::Bool(true)));
+        assert!(same(
+            RuleValue::Sym("NL".into()),
+            RuleValue::Sym("NL".into())
+        ));
+        assert!(!same(
+            RuleValue::Sym("NL".into()),
+            RuleValue::Str("NL".into())
+        ));
         assert_eq!(RuleValue::AllCols.kind(), "*");
         assert_eq!(RuleValue::Preds(PredSet::EMPTY).kind(), "preds");
     }
 
     #[test]
     fn digest_distinguishes() {
-        fn d(v: &RuleValue) -> u64 {
+        let store = RunStore::default();
+        let d = |v: &RuleValue| {
             let mut h = std::collections::hash_map::DefaultHasher::new();
-            v.digest(&mut h);
+            v.digest(&mut h, &store);
             h.finish()
-        }
+        };
+        let stream = |q| RuleValue::Stream(StreamRef::new(QSet::single(QId(q))));
         assert_ne!(d(&RuleValue::Int(1)), d(&RuleValue::Int(2)));
-        assert_eq!(
-            d(&RuleValue::Stream(StreamRef::new(QSet::single(QId(1))))),
-            d(&RuleValue::Stream(StreamRef::new(QSet::single(QId(1)))))
-        );
-        assert_ne!(
-            d(&RuleValue::Stream(StreamRef::new(QSet::single(QId(1))))),
-            d(&RuleValue::Stream(StreamRef::new(QSet::single(QId(2)))))
-        );
+        assert_eq!(d(&stream(1)), d(&stream(1)));
+        assert_ne!(d(&stream(1)), d(&stream(2)));
+    }
+
+    /// Four words: a value moves through `Result`s and the operand stack in
+    /// two 16-byte halves, never through `memcpy`.
+    #[test]
+    fn a_value_is_four_words() {
+        assert!(std::mem::size_of::<RuleValue>() <= 32);
     }
 }

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use starqo_catalog::{Catalog, DataType, SiteId, StorageKind};
 use starqo_core::engine::Engine;
 use starqo_core::natives::Natives;
-use starqo_core::value::{ReqVec, RuleValue, StreamRef};
+use starqo_core::value::{ReqVec, RuleValue, Sap, StreamRef};
 use starqo_core::{glue, OptConfig, Optimizer, RuleSet};
-use starqo_plan::{CostModel, Lolepop, PropEngine};
+use starqo_plan::{CostModel, Lolepop, PlanRef, PropEngine};
 use starqo_query::{parse_query, PredSet, QCol, QId, QSet, Query};
 
 fn catalog() -> Arc<Catalog> {
@@ -82,6 +82,11 @@ impl Fx {
     }
 }
 
+/// The plans of a SAP, as the run would hand them out.
+fn plans_of(e: &Engine<'_>, sap: Sap) -> Vec<PlanRef> {
+    e.store.materialize(e.store.sap(sap).to_vec())
+}
+
 fn stream(q: u32) -> RuleValue {
     RuleValue::Stream(StreamRef::new(QSet::single(QId(q))))
 }
@@ -150,7 +155,8 @@ fn forall_expands_each_element() {
         OptConfig::default(),
     );
     let mut e = fx.engine();
-    let plans = e.eval_star_by_name("PerSite", dept_args()).unwrap();
+    let sap = e.eval_star_by_name("PerSite", dept_args()).unwrap();
+    let plans = plans_of(&e, sap);
     assert_eq!(plans.len(), 2);
     let sites: std::collections::BTreeSet<SiteId> = plans.iter().map(|p| p.props.site).collect();
     assert_eq!(sites.len(), 2);
@@ -172,12 +178,9 @@ fn set_operators_on_predicates() {
     .into_iter()
     .collect();
     let all = PredSet::from_iter([starqo_query::PredId(0), starqo_query::PredId(1)]);
-    let plans = e
-        .eval_star_by_name(
-            "Minus",
-            vec![stream(0), RuleValue::ColSet(cols), RuleValue::Preds(all)],
-        )
-        .unwrap();
+    let args = vec![stream(0), RuleValue::ColSet(cols), RuleValue::Preds(all)];
+    let sap = e.eval_star_by_name("Minus", args).unwrap();
+    let plans = plans_of(&e, sap);
     assert_eq!(plans.len(), 1);
     assert_eq!(
         plans[0].props.preds,
@@ -220,16 +223,13 @@ fn requirements_accumulate_until_glue() {
     let mut e = Engine::new(
         &rules, &natives, &fx.prop, &fx.cat, &fx.query, &fx.model, &fx.config,
     );
-    let plans = e
-        .eval_star_by_name(
-            "Outer",
-            vec![
-                stream(0),
-                dept_args()[1].clone(),
-                RuleValue::Preds(PredSet::single(starqo_query::PredId(0))),
-            ],
-        )
-        .unwrap();
+    let args = vec![
+        stream(0),
+        dept_args()[1].clone(),
+        RuleValue::Preds(PredSet::single(starqo_query::PredId(0))),
+    ];
+    let sap = e.eval_star_by_name("Outer", args).unwrap();
+    let plans = plans_of(&e, sap);
     assert_eq!(plans.len(), 1);
     let p = &plans[0];
     assert_eq!(p.props.site, SiteId(1));
@@ -245,16 +245,15 @@ fn requirements_accumulate_until_glue() {
 fn glue_discharges_temp_with_store_at_destination() {
     let fx = Fx::new("", OptConfig::default());
     let mut e = fx.engine();
-    let s = StreamRef {
-        tables: QSet::single(QId(0)),
-        reqs: ReqVec {
-            order: None,
-            site: Some(SiteId(1)), // DEPT lives at N.Y. (site 0)
-            temp: true,
-            paths: None,
-        },
+    let reqs = ReqVec {
+        order: None,
+        site: Some(SiteId(1)), // DEPT lives at N.Y. (site 0)
+        temp: true,
+        paths: None,
     };
-    let plans = glue::glue(&mut e, s, PredSet::EMPTY).unwrap();
+    let s = e.store.stream(QSet::single(QId(0)), reqs);
+    let sap = glue::glue(&mut e, s, PredSet::EMPTY).unwrap();
+    let plans = plans_of(&e, sap);
     let p = &plans[0];
     assert!(p.props.temp);
     assert_eq!(p.props.site, SiteId(1));
@@ -267,25 +266,24 @@ fn glue_discharges_temp_with_store_at_destination() {
 fn glue_is_cached_per_requirement_vector() {
     let fx = Fx::new("", OptConfig::default());
     let mut e = fx.engine();
-    let s = StreamRef {
-        tables: QSet::single(QId(0)),
-        reqs: ReqVec::default(),
-    };
-    let a = glue::glue(&mut e, s.clone(), PredSet::EMPTY).unwrap();
+    let s = StreamRef::new(QSet::single(QId(0)));
+    let a = glue::glue(&mut e, s, PredSet::EMPTY).unwrap();
     let before = e.stats.glue_cache_hits;
     let b = glue::glue(&mut e, s, PredSet::EMPTY).unwrap();
     assert_eq!(e.stats.glue_cache_hits, before + 1);
     assert_eq!(a.len(), b.len());
-    // A different requirement misses the cache.
-    let s2 = StreamRef {
-        tables: QSet::single(QId(0)),
-        reqs: ReqVec {
-            temp: true,
-            ..Default::default()
-        },
+    // A different requirement misses the cache; the same one, accumulated
+    // separately, hits it.
+    let temp = || ReqVec {
+        temp: true,
+        ..Default::default()
     };
+    let s2 = e.store.stream(QSet::single(QId(0)), temp());
     glue::glue(&mut e, s2, PredSet::EMPTY).unwrap();
     assert_eq!(e.stats.glue_cache_hits, before + 1);
+    let s3 = e.store.stream(QSet::single(QId(0)), temp());
+    glue::glue(&mut e, s3, PredSet::EMPTY).unwrap();
+    assert_eq!(e.stats.glue_cache_hits, before + 2);
 }
 
 #[test]
@@ -297,11 +295,9 @@ fn glue_pushdown_rereferences_access_root() {
     };
     let fx = Fx::new("", config);
     let mut e = fx.engine();
-    let s = StreamRef {
-        tables: QSet::single(QId(1)),
-        reqs: ReqVec::default(),
-    };
+    let s = StreamRef::new(QSet::single(QId(1)));
     let plans = glue::glue(&mut e, s, PredSet::single(starqo_query::PredId(1))).unwrap();
+    let plans = plans_of(&e, plans);
     for p in plans.iter() {
         assert!(p.props.preds.contains(starqo_query::PredId(1)));
     }
@@ -329,6 +325,37 @@ fn star_memoization_counts_hits() {
 }
 
 #[test]
+fn the_memo_compares_arguments_by_what_they_hold() {
+    // `A` and `B` build the same plan into two SAPs of their own; `O1` and
+    // `O2` accumulate the same requirement on two streams of their own. A
+    // reference with either is the same reference.
+    let fx = Fx::new(
+        "star A(T, C, P) = ACCESS(heap, T, C, P);\n\
+         star B(T, C, P) = ACCESS(heap, T, C, P);\n\
+         star Use(S) = STORE(S);\n\
+         star O1(T, C, P) = Inner(T[temp], C, P);\n\
+         star O2(T, C, P) = Inner(T[temp], C, P);\n\
+         star Inner(T, C, P) = Glue(T, P);",
+        OptConfig::default(),
+    );
+    let mut e = fx.engine();
+    let a = e.eval_star_by_name("A", dept_args()).unwrap();
+    let b = e.eval_star_by_name("B", dept_args()).unwrap();
+    assert_ne!(a, b);
+    let hits = e.stats.memo_hits;
+    let x = e
+        .eval_star_by_name("Use", vec![RuleValue::Plans(a)])
+        .unwrap();
+    let y = e
+        .eval_star_by_name("Use", vec![RuleValue::Plans(b)])
+        .unwrap();
+    assert_eq!((x, e.stats.memo_hits), (y, hits + 1));
+    e.eval_star_by_name("O1", dept_args()).unwrap();
+    e.eval_star_by_name("O2", dept_args()).unwrap();
+    assert_eq!(e.stats.memo_hits, hits + 2, "Inner(T[temp], ..) again");
+}
+
+#[test]
 fn root_star_plans_are_registered_whoever_references_them() {
     // A user rule may reference AccessRoot itself. Its plans must reach
     // the plan table then, because a later driver or Glue reference with
@@ -345,9 +372,9 @@ fn root_star_plans_are_registered_whoever_references_them() {
     let key = (dept, PredSet::single(starqo_query::PredId(0)));
     let best = e
         .table
-        .best(key)
+        .best(&e.store, key)
         .expect("AccessRoot's plans are registered");
-    assert!(plans.iter().any(|p| Arc::ptr_eq(p, best)));
+    assert!(e.store.sap(plans).contains(&best));
     // The memo answers the repeat; the table is not offered the plans again.
     let offered = e.table.stats.offered;
     e.eval_star_by_name("AccessRoot", dept_args()).unwrap();
@@ -373,19 +400,20 @@ fn a_reference_that_got_one_sap_hands_it_on() {
     let wrapped = e.eval_star_by_name("Wrapped", dept_args()).unwrap();
     let (refs, hits) = (e.stats.star_refs, e.stats.memo_hits);
     let callee = e.eval_star_by_name("TableAccess", dept_args()).unwrap();
-    assert!(Arc::ptr_eq(&wrapped, &callee));
+    assert_eq!(wrapped, callee);
     let again = e.eval_star_by_name("Wrapped", dept_args()).unwrap();
-    assert!(Arc::ptr_eq(&wrapped, &again));
+    assert_eq!(wrapped, again);
     assert_eq!(e.stats.star_refs, refs + 2);
     assert_eq!(e.stats.memo_hits, hits + 2, "each under its own key");
     assert_eq!(wrapped.len(), 1);
+    let plan = e.store.sap(wrapped)[0];
     assert_eq!(
-        e.origin(wrapped[0].fingerprint()),
+        e.origin(e.store[plan].fingerprint),
         Some("TableAccess[alt 1]")
     );
-    // Two fired alternatives are merged into a block of their own.
+    // Two fired alternatives are merged into a SAP of their own.
     let twice = e.eval_star_by_name("Twice", dept_args()).unwrap();
-    assert!(!Arc::ptr_eq(&twice, &callee));
+    assert_ne!(twice, callee);
     assert_eq!(twice.len(), 1, "and the duplicate is dropped");
 }
 

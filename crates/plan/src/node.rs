@@ -70,12 +70,7 @@ impl PlanNode {
     /// validate legality; this constructor only computes the fingerprint.
     pub fn with_props(op: Lolepop, inputs: impl Into<Inputs>, props: Props) -> PlanRef {
         let inputs = inputs.into();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        op.param_hash().hash(&mut h);
-        for i in inputs.iter() {
-            i.fingerprint.hash(&mut h);
-        }
-        let fingerprint = h.finish();
+        let fingerprint = Self::fingerprint_of(&op, inputs.iter().map(|i| i.fingerprint));
         Arc::new(PlanNode {
             op,
             inputs,
@@ -88,6 +83,17 @@ impl PlanNode {
     /// Two plans with equal fingerprints are the same operator tree.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// The fingerprint of `op` applied to inputs with these fingerprints —
+    /// for a plan held somewhere other than a `PlanNode`.
+    pub fn fingerprint_of(op: &Lolepop, inputs: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        op.param_hash().hash(&mut h);
+        for fingerprint in inputs {
+            fingerprint.hash(&mut h);
+        }
+        h.finish()
     }
 
     /// Total number of operators in the tree (shared nodes counted once per

@@ -15,8 +15,8 @@ cargo test --workspace -q
 
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
-if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt; then
-    echo "== cold-path golden re-recorded: only counters may differ from HEAD =="
+if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then
+    echo "== cold-path goldens re-recorded: only counters may differ from HEAD =="
     scripts/golden_diff.sh HEAD
 fi
 
@@ -156,5 +156,14 @@ cargo test -q --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- bench --smoke \
     > target/bench/perf_smoke.txt
 echo "perf ledger smoke passed."
+
+echo "== profiler smoke (one sampled 1-s cold_adhoc repetition) =="
+if command -v cc > /dev/null && command -v addr2line > /dev/null && command -v python3 > /dev/null; then
+    scripts/profile.sh cold_adhoc 1 > target/bench/profile_smoke.txt
+    grep -q "starqo_core::engine" target/bench/profile_smoke.txt
+    echo "profiler smoke passed."
+else
+    echo "profiler smoke skipped: scripts/profile.sh needs cc, addr2line and python3."
+fi
 
 echo "All checks passed."

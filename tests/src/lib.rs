@@ -1,1 +1,3 @@
 //! Shared helpers for the integration-test crate (see tests/tests/).
+
+pub mod cold;

@@ -26,140 +26,12 @@
 //! counter lines.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use starqo_catalog::{Catalog, ColId, SiteId};
-use starqo_core::{Budget, OptConfig, Optimizer};
+use starqo_core::Optimizer;
+use starqo_integration::cold::{golden_fleet, Case};
 use starqo_plan::Explain;
-use starqo_query::{CmpOp, PredExpr, QCol, Query, QueryBuilder, Scalar};
-use starqo_workload::{synth_catalog, SynthSpec};
 
 const GOLDEN: &str = include_str!("cold_path_golden.txt");
-
-#[derive(Clone, Copy, Debug)]
-enum Shape {
-    Chain,
-    Star,
-    Tree,
-    Cyclic,
-}
-
-/// `Ti.FK = Tj.ID` join graph of the given shape over the first `n` tables,
-/// a local predicate on `T0`, optionally ORDER BY a column of the last table.
-fn query(cat: &Catalog, shape: Shape, n: usize, order_by: bool, site: SiteId) -> Query {
-    let mut b = QueryBuilder::new();
-    let qs: Vec<_> = (0..n)
-        .map(|i| {
-            b.quantifier(cat, &format!("T{i}"), &format!("t{i}"))
-                .expect("table")
-        })
-        .collect();
-    let (id, fk, p0) = (ColId(0), ColId(1), ColId(2));
-    let mut edge = |a: usize, z: usize| {
-        b.predicate(PredExpr::Cmp(
-            CmpOp::Eq,
-            Scalar::col(qs[a], fk),
-            Scalar::col(qs[z], id),
-        ))
-        .expect("pred");
-    };
-    match shape {
-        Shape::Chain => (0..n - 1).for_each(|i| edge(i, i + 1)),
-        Shape::Star => (1..n).for_each(|i| edge(0, i)),
-        Shape::Tree => (1..n).for_each(|i| edge((i - 1) / 2, i)),
-        Shape::Cyclic => {
-            (0..n - 1).for_each(|i| edge(i, i + 1));
-            edge(n - 1, 0);
-        }
-    }
-    b.predicate(PredExpr::Cmp(
-        CmpOp::Lt,
-        Scalar::col(qs[0], p0),
-        Scalar::Const(starqo_catalog::Value::Int(7)),
-    ))
-    .expect("pred");
-    b.select(QCol::new(qs[0], id));
-    b.select(QCol::new(qs[n - 1], p0));
-    if order_by {
-        b.order_by(QCol::new(qs[n - 1], fk));
-    }
-    b.query_site(site);
-    b.build().expect("query")
-}
-
-struct Case {
-    name: String,
-    cat: Arc<Catalog>,
-    query: Query,
-    config: OptConfig,
-}
-
-/// The fleet: every width × shape once per catalog, with ORDER BY, the
-/// config family and `glue_keep_all` rotated so each combination occurs at
-/// several widths without running the full cross product.
-fn fleet() -> Vec<Case> {
-    let spec = |sites| SynthSpec {
-        tables: 8,
-        card_range: (50, 5_000),
-        sites,
-        ..Default::default()
-    };
-    let cats = [
-        ("1site", synth_catalog(12, &spec(1))),
-        ("3site", synth_catalog(12, &spec(3))),
-    ];
-    let shapes = [Shape::Chain, Shape::Star, Shape::Tree, Shape::Cyclic];
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    for (cname, cat) in &cats {
-        for n in 4..=8usize {
-            for shape in shapes {
-                k += 1;
-                let order_by = k & 1 == 0;
-                let one_site = *cname == "1site";
-                // Clamp the rotation where the search space explodes: bushy
-                // search stops at 7 tables (5 when plans also multiply by
-                // site), and keeping every Glue product (millions of plans
-                // on wide or multi-site bushy joins) stays on the narrow end.
-                let full = k & 2 == 0 && n <= if one_site { 7 } else { 5 };
-                let keep_all = k % 3 == 1
-                    && match (full, one_site) {
-                        (false, true) => n <= 6,
-                        (true, true) | (false, false) => n <= 4,
-                        (true, false) => false,
-                    };
-                let mut config = if full {
-                    OptConfig::full()
-                } else {
-                    OptConfig::default()
-                };
-                config.glue_keep_all = keep_all;
-                let site = SiteId((matches!(k % 3, 0) && !one_site) as u16);
-                out.push(Case {
-                    name: format!(
-                        "{cname} {shape:?}{n} order_by={order_by} full={full} keep_all={keep_all} site={}",
-                        site.0
-                    ),
-                    cat: cat.clone(),
-                    query: query(cat, shape, n, order_by, site),
-                    config,
-                });
-            }
-        }
-    }
-    // One degraded run: a plan cap low enough to flip the engine into greedy
-    // mode half-way up the lattice.
-    let (cname, cat) = &cats[1];
-    let mut config = OptConfig::full();
-    config.budget = Budget::default().with_plans_cap(120);
-    out.push(Case {
-        name: format!("{cname} Star6 degraded plans_cap=120"),
-        cat: cat.clone(),
-        query: query(cat, Shape::Star, 6, true, SiteId(0)),
-        config,
-    });
-    out
-}
 
 fn render(case: &Case) -> String {
     let opt = Optimizer::new(case.cat.clone()).expect("rules");
@@ -185,7 +57,7 @@ fn render(case: &Case) -> String {
 
 #[test]
 fn same_plans_same_counters() {
-    let cases = fleet();
+    let cases = golden_fleet();
     assert!(cases.iter().any(|c| c.config.glue_keep_all));
     let actual: String = cases.iter().map(render).collect();
     if std::env::var_os("STARQO_UPDATE_GOLDEN").is_some() {
