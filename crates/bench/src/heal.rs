@@ -5,8 +5,8 @@
 //! heal-enabled service: the workload's ground truth shifts to `SCALE`×
 //! the catalog statistics mid-run with no epoch bump. The feedback plane
 //! flags the drifting fingerprints; the healer re-optimizes each one under
-//! overlay-corrected statistics, shadow-verifies the candidate against the
-//! incumbent's rows, runs the probation A/B, and swaps. The experiment
+//! overlay-corrected statistics, verifies the candidate against the
+//! incumbent's rows, compares the two runs' work units, and swaps. The experiment
 //! asserts that every drifting fingerprint ends healed (≥1 swap, suspect
 //! flag clear, no re-flag over a full post-heal pass), that the controls
 //! never trigger a re-optimization, and that post-heal throughput lands
@@ -50,7 +50,6 @@ const STAGES: &[&str] = &["overlay", "optimize", "verify", "probation", "swap"];
 /// very next serve of the fingerprint.
 fn fast_heal() -> HealConfig {
     HealConfig {
-        probation_runs: 1,
         backoff_base: Duration::from_nanos(1),
         ..HealConfig::default()
     }

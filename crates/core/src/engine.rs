@@ -20,12 +20,13 @@ use std::time::Instant;
 
 use starqo_catalog::{Catalog, ColId};
 use starqo_plan::{
-    AccessSpec, ColSet, CostModel, ExtArg, JoinFlavor, Lolepop, PropCtx, PropEngine, Props,
+    panic_msg, AccessSpec, ColSet, CostModel, ExtArg, JoinFlavor, Lolepop, PropCtx, PropEngine,
+    Props,
 };
 use starqo_query::{PredSet, QCol, QSet, Query, Shared};
 use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEvent, Tracer};
 
-use crate::error::{panic_msg, CoreError, Res, Result};
+use crate::error::{CoreError, Res, Result};
 use crate::faults::{self, FaultPlan};
 use crate::glue;
 use crate::hash::{DigestMap, RunHasher, RunMap, RunSet};

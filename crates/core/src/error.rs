@@ -50,18 +50,6 @@ impl fmt::Display for CoreError {
     }
 }
 
-/// Render a caught panic payload (the `Box<dyn Any>` from `catch_unwind`)
-/// as a message string.
-pub fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 impl std::error::Error for CoreError {}
 
 impl From<starqo_dsl::DslError> for CoreError {

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use starqo_catalog::Catalog;
-use starqo_plan::{CostModel, ExtPropFn, PlanRef, PropEngine};
+use starqo_plan::{panic_msg, CostModel, ExtPropFn, PlanRef, PropEngine};
 use starqo_query::Query;
 use starqo_trace::{
     Metric, MetricsRegistry, MetricsSummary, Phase, SpanContext, Telemetry, TraceEvent, Tracer,
@@ -14,7 +14,7 @@ use crate::budget::Budget;
 use crate::compile::{compile_into, CompileEnv};
 use crate::engine::{Engine, OptStats, QuarantineRecord};
 use crate::enumerate::enumerate;
-use crate::error::{panic_msg, CoreError, Result};
+use crate::error::{CoreError, Result};
 use crate::faults::FaultPlan;
 use crate::hash::RunMap;
 use crate::natives::Natives;

@@ -12,20 +12,21 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use starqo_catalog::{Value, TID_COL};
-use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
+// The key-binding and accounting helpers are shared with the vectorized
+// executor (`starqo-vexec`), which must agree with this interpreter to the bit.
+pub use starqo_plan::{is_correlated, FaultHook};
+use starqo_plan::{
+    panic_msg, position, prefix_candidates, range_candidates, value_bytes, AccessSpec, JoinFlavor,
+    KeyBounds, Lolepop, PlanNode, PlanRef, QueryResult, StreamSchema,
+};
 use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, Query, Scalar};
 use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
-// Shared with the vectorized executor (`starqo-vexec`), which must agree
-// with this interpreter to the bit.
-use crate::support::{
-    bound_key_range, bound_prefix as support_bound_prefix, panic_msg, value_bytes,
-};
 use starqo_trace::{NodeActuals, TraceEvent, Tracer};
 
-use crate::error::{ExecError, Result};
-use crate::result::{project_rows, QueryResult};
+use crate::result::project_rows;
 use crate::scalar::{eval_preds, eval_scalar, Bindings, RowView};
-use crate::schema::{cols_schema, position, schema_of, StreamSchema};
+use crate::schema::{cols_schema, schema_of};
+use crate::{ExecError, Result};
 
 /// A lazily built in-memory index over a cached temp: key values → row
 /// numbers within the cached materialization.
@@ -64,13 +65,6 @@ pub type ExtExecFn = Arc<
         + Send
         + Sync,
 >;
-
-/// A fault-injection hook, consulted once per operator evaluation with the
-/// operator's display name (robustness testing; see `starqo-core`'s `faults`
-/// module). Returning `Some(msg)` surfaces [`ExecError::Injected`]; the hook
-/// may also panic (contained by [`Executor::run`]) or stall before returning
-/// `None`.
-pub type FaultHook = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
 
 /// The plan evaluator for one database.
 pub struct Executor<'a> {
@@ -392,17 +386,6 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Find the longest bound equality prefix of an index key (see
-    /// [`crate::support::bound_prefix`], shared with vexec).
-    fn bound_prefix(
-        &self,
-        key: &[QCol],
-        preds: PredSet,
-        bindings: &Bindings,
-    ) -> Result<Vec<Value>> {
-        support_bound_prefix(self.query, key, preds, bindings)
-    }
-
     fn scan_index(
         &mut self,
         index: starqo_catalog::IndexId,
@@ -414,7 +397,7 @@ impl<'a> Executor<'a> {
         let def = self.db.catalog().index(index).clone();
         let data = self.db.index(index)?;
         let key_qcols: Vec<QCol> = def.cols.iter().map(|c| QCol::new(q, *c)).collect();
-        let prefix = self.bound_prefix(&key_qcols, preds, bindings)?;
+        let prefix = bound_prefix(self.query, &key_qcols, preds, bindings);
 
         let mut out = Vec::new();
         let emit = |key: &Vec<Value>, tid: Tid, out: &mut Vec<Tuple>| {
@@ -553,7 +536,7 @@ impl<'a> Executor<'a> {
                 ix
             }
         };
-        let prefix = self.bound_prefix(key, preds, bindings)?;
+        let prefix = bound_prefix(self.query, key, preds, bindings);
         self.stats.probes += 1;
         let mut hits: Vec<Tuple> = Vec::new();
         if prefix.is_empty() {
@@ -798,24 +781,54 @@ fn input(node: &PlanNode, i: usize) -> Result<&PlanRef> {
     })
 }
 
-/// True if the subtree references quantifiers outside its own table set
-/// (i.e. depends on enclosing nested-loop bindings and must not be cached).
-pub fn is_correlated(node: &PlanNode, query: &Query) -> bool {
-    let root_tables = node.props.tables;
-    node.any(&|n| {
-        let preds = match &n.op {
-            Lolepop::Access { preds, .. } => *preds,
-            Lolepop::Get { preds, .. } => *preds,
-            Lolepop::Filter { preds } => *preds,
-            Lolepop::Join {
-                join_preds,
-                residual,
-                ..
-            } => join_preds.union(*residual),
-            _ => PredSet::EMPTY,
-        };
-        preds
-            .iter()
-            .any(|p| !query.pred(p).quantifiers().is_subset_of(root_tables))
-    })
+fn no_row(bindings: &Bindings) -> RowView<'_> {
+    const EMPTY_ROW: &Tuple = &Tuple(Vec::new());
+    RowView {
+        schema: &[],
+        row: EMPTY_ROW,
+        bindings,
+    }
+}
+
+/// For each key column in order, the first candidate that evaluates, from
+/// constants and outer bindings alone, to a non-NULL value; ends at the
+/// first column nothing binds.
+fn eval_prefix(cands: Vec<Vec<&Scalar>>, bindings: &Bindings) -> Vec<Value> {
+    let view = no_row(bindings);
+    let bind = |col: Vec<&Scalar>| {
+        col.into_iter()
+            .find_map(|s| eval_scalar(s, &view).ok().filter(|v| !v.is_null()))
+    };
+    cands.into_iter().map_while(bind).collect()
+}
+
+/// The longest bound equality prefix of an index key: for each key column
+/// in order, the first [`prefix_candidates`] expression that evaluates, from
+/// constants and outer bindings alone, to a non-NULL value.
+fn bound_prefix(query: &Query, key: &[QCol], preds: PredSet, bindings: &Bindings) -> Vec<Value> {
+    eval_prefix(prefix_candidates(query, key, preds), bindings)
+}
+
+/// What a key-range read of a table stored in `key` order is narrowed by:
+/// the [`bound_prefix`] and — only when every equality column of the key
+/// got bound — the [`KeyBounds`] of the [`range_candidates`] that evaluate.
+fn bound_key_range(
+    query: &Query,
+    key: &[QCol],
+    preds: PredSet,
+    bindings: &Bindings,
+) -> (Vec<Value>, KeyBounds) {
+    let cands = prefix_candidates(query, key, preds);
+    let eq_cols = cands.len();
+    let prefix = eval_prefix(cands, bindings);
+    let mut bounds = KeyBounds::OPEN;
+    if let Some(kc) = key.get(eq_cols).filter(|_| prefix.len() == eq_cols) {
+        let view = no_row(bindings);
+        for (op, s) in range_candidates(query, *kc, preds) {
+            if let Ok(v) = eval_scalar(s, &view) {
+                bounds.apply(op, v);
+            }
+        }
+    }
+    (prefix, bounds)
 }

@@ -8,8 +8,8 @@
 use starqo_query::{QCol, Query};
 use starqo_storage::{Database, Tuple};
 
-use crate::error::Result;
 use crate::scalar::{eval_preds, Bindings, RowView};
+use crate::Result;
 
 /// Evaluate the query by brute force, returning rows projected on the
 /// query's select list (or all columns of all quantifiers for `SELECT *`).

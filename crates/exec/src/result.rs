@@ -1,35 +1,10 @@
-//! Query results and multiset comparison.
+//! Projection of materialized rows onto a column list.
 
+use starqo_plan::position;
 use starqo_query::QCol;
 use starqo_storage::Tuple;
 
-use crate::error::{ExecError, Result};
-use crate::schema::{position, StreamSchema};
-
-/// The rows a plan produced, with their schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryResult {
-    pub schema: StreamSchema,
-    pub rows: Vec<Tuple>,
-}
-
-impl QueryResult {
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Project onto a column list (reordering allowed).
-    pub fn project(&self, cols: &[QCol]) -> Result<QueryResult> {
-        Ok(QueryResult {
-            schema: cols.to_vec(),
-            rows: project_rows(&self.schema, &self.rows, cols)?,
-        })
-    }
-}
+use crate::{ExecError, Result};
 
 /// Project rows from one schema onto a target column list.
 pub fn project_rows(schema: &[QCol], rows: &[Tuple], cols: &[QCol]) -> Result<Vec<Tuple>> {
@@ -41,18 +16,6 @@ pub fn project_rows(schema: &[QCol], rows: &[Tuple], cols: &[QCol]) -> Result<Ve
         .iter()
         .map(|r| Tuple(idx.iter().map(|i| r.get(*i).clone()).collect()))
         .collect())
-}
-
-/// Multiset equality of two row collections (order-insensitive).
-pub fn rows_equal_multiset(a: &[Tuple], b: &[Tuple]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut x: Vec<&Tuple> = a.iter().collect();
-    let mut y: Vec<&Tuple> = b.iter().collect();
-    x.sort();
-    y.sort();
-    x == y
 }
 
 #[cfg(test)]
@@ -72,15 +35,5 @@ mod tests {
         let out = project_rows(&schema, &rows, &[qc(0, 1), qc(0, 0)]).unwrap();
         assert_eq!(out[0], Tuple(vec![Value::Int(2), Value::Int(1)]));
         assert!(project_rows(&schema, &rows, &[qc(1, 0)]).is_err());
-    }
-
-    #[test]
-    fn multiset_comparison() {
-        let a = vec![Tuple(vec![Value::Int(1)]), Tuple(vec![Value::Int(2)])];
-        let b = vec![Tuple(vec![Value::Int(2)]), Tuple(vec![Value::Int(1)])];
-        let c = vec![Tuple(vec![Value::Int(2)]), Tuple(vec![Value::Int(2)])];
-        assert!(rows_equal_multiset(&a, &b));
-        assert!(!rows_equal_multiset(&a, &c));
-        assert!(!rows_equal_multiset(&a, &a[..1]));
     }
 }

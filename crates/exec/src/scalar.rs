@@ -7,11 +7,11 @@
 use std::collections::BTreeMap;
 
 use starqo_catalog::Value;
+use starqo_plan::position;
 use starqo_query::{PredExpr, PredSet, QCol, Query, Scalar};
 use starqo_storage::Tuple;
 
-use crate::error::{ExecError, Result};
-use crate::schema::position;
+use crate::{ExecError, Result};
 
 /// Columns bound by enclosing nested-loop outers.
 pub type Bindings = BTreeMap<QCol, Value>;

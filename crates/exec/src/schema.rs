@@ -4,11 +4,7 @@
 //! layout is fully determined by the plan's properties — the evaluator and
 //! the optimizer never need to negotiate.
 
-use starqo_plan::{ColSet, PlanNode};
-use starqo_query::QCol;
-
-/// Ordered column layout of a stream.
-pub type StreamSchema = Vec<QCol>;
+use starqo_plan::{ColSet, PlanNode, StreamSchema};
 
 /// The schema of a plan node's output stream.
 pub fn schema_of(node: &PlanNode) -> StreamSchema {
@@ -20,17 +16,12 @@ pub fn cols_schema(cols: &ColSet) -> StreamSchema {
     cols.iter().copied().collect()
 }
 
-/// Position of a column within a schema.
-pub fn position(schema: &[QCol], col: QCol) -> Option<usize> {
-    // Schemas are sorted; binary search keeps wide rows cheap.
-    schema.binary_search(&col).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use starqo_catalog::ColId;
-    use starqo_query::QId;
+    use starqo_plan::position;
+    use starqo_query::{QCol, QId};
 
     #[test]
     fn schema_is_sorted_and_searchable() {

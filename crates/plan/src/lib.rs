@@ -19,6 +19,10 @@
 //!   nested-loop inners need.
 //! * **Explain** — the paper's two plan renderings: the operator graph of
 //!   Figure 1 and the nested functional notation of §2.1.
+//! * **What a run yields** ([`result`], [`support`]) — the result and error
+//!   types and the key-binding helpers every executor shares, so the
+//!   serving engine (`starqo-vexec`) needs nothing from the serial oracle
+//!   (`starqo-exec`).
 
 pub mod calib;
 pub mod cost;
@@ -28,7 +32,9 @@ pub mod lolepop;
 pub mod node;
 pub mod propfn;
 pub mod props;
+pub mod result;
 pub mod sel;
+pub mod support;
 
 pub use calib::{CostCalibration, COST_PROFILE_ENV};
 pub use cost::CostModel;
@@ -38,4 +44,9 @@ pub use lolepop::{AccessSpec, ExtArg, JoinFlavor, Lolepop};
 pub use node::{Inputs, PlanNode, PlanRef};
 pub use propfn::{ExtPropFn, PropCtx, PropEngine};
 pub use props::{AvailPath, ColSet, Cost, CostComponents, PathSource, Props};
+pub use result::{position, rows_equal_multiset, ExecError, QueryResult, StreamSchema};
 pub use sel::Selectivity;
+pub use support::{
+    is_correlated, panic_msg, prefix_candidates, range_candidates, value_bytes, FaultHook,
+    KeyBounds,
+};

@@ -2,12 +2,13 @@
 //! state (attempts, backoff, retry cap), and the plan-stability arithmetic.
 //!
 //! The serving loop (in [`crate::service`]) drives the pipeline —
-//! suspect → re-optimize under a dedicated budget → shadow-verify →
-//! probation A/B → swap or pin. This module owns everything *about* that
-//! pipeline that must be deterministic and unit-testable without a
-//! database: whether an attempt is admitted (backoff / retry cap / epoch
-//! reset), how a resolution updates the schedule, the work-unit metric the
-//! stability guard compares, and the typed pin reasons.
+//! suspect → re-optimize under a dedicated budget → verify (one run per
+//! side) → probation A/B over those runs' work units → swap or pin. This
+//! module owns everything *about* that pipeline that must be deterministic
+//! and unit-testable without a database: whether an attempt is admitted
+//! (backoff / retry cap / epoch reset), how a resolution updates the
+//! schedule, the work-unit metric the stability guard compares, and the
+//! typed pin reasons.
 //!
 //! Single-flight is enforced with the same leader/follower machinery as
 //! the plan cache ([`crate::flight`]), in non-blocking mode: a request
@@ -20,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use starqo_core::Budget;
-use starqo_exec::ExecStats;
 use starqo_trace::HealRecord;
+use starqo_vexec::VexecStats;
 
 use crate::flight::{FlightGuard, FlightMap};
 
@@ -39,7 +40,7 @@ pub mod reason {
     pub const BUDGET_DEGRADED: &str = "budget_degraded";
     /// The catalog epoch moved mid-pipeline; the candidate is stale.
     pub const EPOCH_MOVED: &str = "epoch_moved";
-    /// The candidate's shadow run did not bit-match the incumbent's rows.
+    /// The candidate's verify run did not bit-match the incumbent's rows.
     pub const VERIFY_MISMATCH: &str = "verify_mismatch";
     /// Probation measured the candidate as doing more work than the
     /// incumbent allows (`regression_margin`).
@@ -59,9 +60,6 @@ pub struct HealConfig {
     /// Dedicated budget for re-optimizations, independent of request
     /// deadlines. Exhaustion pins with [`reason::BUDGET_DEGRADED`].
     pub budget: Budget,
-    /// Measured executions per side (incumbent, candidate) in the
-    /// probation A/B, beyond the verification run.
-    pub probation_runs: u32,
     /// Fractional work-unit slack the candidate is allowed over the
     /// incumbent and still swap (0.10 = 10%). A candidate doing *equal*
     /// work swaps — it carries refreshed cardinality estimates, which is
@@ -83,7 +81,6 @@ impl Default for HealConfig {
     fn default() -> Self {
         HealConfig {
             budget: Budget::unlimited(),
-            probation_runs: 3,
             regression_margin: 0.10,
             backoff_base: Duration::from_millis(50),
             retry_cap: 4,
@@ -96,7 +93,6 @@ impl fmt::Debug for HealConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HealConfig")
             .field("budget", &self.budget)
-            .field("probation_runs", &self.probation_runs)
             .field("regression_margin", &self.regression_margin)
             .field("backoff_base", &self.backoff_base)
             .field("retry_cap", &self.retry_cap)
@@ -269,10 +265,10 @@ impl Healer {
 }
 
 /// The stability guard's deterministic cost proxy: a weighted fold of the
-/// executor's simulated resource counters, mirroring the cost model's
+/// serving engine's simulated resource counters, mirroring the cost model's
 /// page/CPU/message components. Wall time decides nothing — only events
 /// report it — so probation verdicts are reproducible.
-pub(crate) fn work_units(s: &ExecStats) -> u64 {
+pub(crate) fn work_units(s: &VexecStats) -> u64 {
     s.pages_read
         .saturating_mul(8)
         .saturating_add(s.tuples_fetched)

@@ -26,10 +26,14 @@
 //!   cached;
 //! * with healing enabled ([`HealConfig`]), a fingerprint flagged as a
 //!   cardinality *suspect* by the feedback plane is re-optimized in-line
-//!   under a dedicated budget, shadow-verified against the incumbent, and
-//!   swapped only if a probation A/B run shows it is not slower — every
-//!   failure pins the incumbent with a typed reason and arms exponential
-//!   backoff (see `docs/SERVING.md`, "Self-healing").
+//!   under a dedicated budget, verified against the incumbent (one run of
+//!   each on the serving engine, rows compared as multisets), and swapped
+//!   only if those runs' work units show it is not slower — every failure
+//!   pins the incumbent with a typed reason and arms exponential backoff
+//!   (see `docs/SERVING.md`, "Self-healing").
+//!
+//! Every plan runs on `starqo-vexec`, the one engine this crate links; the
+//! serial interpreter `starqo-exec` is a test and bench oracle only.
 //!
 //! See `docs/SERVING.md` for the architecture and tuning guide.
 

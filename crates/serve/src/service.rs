@@ -6,13 +6,14 @@ use std::time::{Duration, Instant};
 
 use starqo_catalog::{Catalog, CatalogOverlay, SharedCatalog};
 use starqo_core::{faults, OptConfig, Optimized, Optimizer};
-use starqo_exec::{rows_equal_multiset, shadow_run, QueryResult};
+use starqo_plan::{rows_equal_multiset, PlanRef, QueryResult};
 use starqo_query::{canonicalize, CanonicalQuery, Query, QueryFingerprint};
 use starqo_storage::Database;
 use starqo_trace::{
     LatencyPath, Metric, PhaseKind, SpanContext, Telemetry, TelemetryConfig, TelemetrySnapshot,
     TraceEvent, Tracer,
 };
+use starqo_vexec::{VexecExecutor, VexecStats};
 
 use crate::admission::OptGate;
 use crate::cache::{CacheConfig, PlanCache};
@@ -610,11 +611,10 @@ impl Service {
         let query = &prepared.canonical.query;
         let plan = &outcome.optimized.best;
         // One executor: the vectorized engine, inline on this thread. The
-        // serial interpreter is its oracle (tests, chaos, shadow-verify),
-        // not a second serve path.
+        // serial interpreter is its oracle in tests and benches only.
         let exec_span = ctx.enter("execute");
         let exec_started = Instant::now();
-        let mut vx = starqo_vexec::VexecExecutor::new(db, query);
+        let mut vx = VexecExecutor::new(db, query);
         vx.set_telemetry(Arc::clone(&self.telemetry));
         vx.set_spans(ctx.clone());
         let result = vx
@@ -918,8 +918,8 @@ impl Service {
         flight.complete(Ok(()));
     }
 
-    /// The pipeline: overlay → re-optimize → shadow-verify → probation →
-    /// swap CAS. Returns how the attempt resolved; every exit that keeps
+    /// The pipeline: overlay → re-optimize → verify → probation → swap
+    /// CAS. Returns how the attempt resolved; every exit that keeps
     /// the incumbent carries its typed reason. Chaos sites (`reopt:<stage>`
     /// in `STARQO_FAULTS`) fire at each stage boundary.
     fn heal_pipeline(
@@ -1038,41 +1038,30 @@ impl Service {
         }
         let candidate = Arc::new(optimized);
 
-        // -- shadow-verify: the oracle bit-match ------------------------
+        // -- verify: the candidate's rows bit-match the incumbent's -----
         cfg.stage("verify");
         if fault("verify") {
             return pin(reason::REOPT_ERROR, true);
         }
-        let (inc_rows, inc_stats) = match shadow_run(db, query, &outcome.optimized.best) {
-            Ok(v) => v,
-            Err(_) => return pin(reason::REOPT_ERROR, true),
+        let Some((inc_rows, inc_stats)) = verify_run(db, query, &outcome.optimized.best) else {
+            return pin(reason::REOPT_ERROR, true);
         };
-        let (cand_rows, cand_stats) = match shadow_run(db, query, &candidate.best) {
-            Ok(v) => v,
-            Err(_) => return pin(reason::REOPT_ERROR, true),
+        let Some((cand_rows, cand_stats)) = verify_run(db, query, &candidate.best) else {
+            return pin(reason::REOPT_ERROR, true);
         };
         if !rows_equal_multiset(&inc_rows.rows, &cand_rows.rows) {
             return pin(reason::VERIFY_MISMATCH, false);
         }
 
-        // -- probation A/B over deterministic work units ----------------
+        // -- probation A/B over the verify runs' work units --------------
+        // Every counter `work_units` reads is deterministic per (plan,
+        // database), so re-running either side could not change the verdict.
         cfg.stage("probation");
         if fault("probation") {
             return pin(reason::REOPT_ERROR, true);
         }
-        let mut incumbent_work = work_units(&inc_stats);
-        let mut candidate_work = work_units(&cand_stats);
-        for _ in 0..cfg.probation_runs {
-            let inc = shadow_run(db, query, &outcome.optimized.best);
-            let cand = shadow_run(db, query, &candidate.best);
-            match (inc, cand) {
-                (Ok((_, i)), Ok((_, c))) => {
-                    incumbent_work = incumbent_work.saturating_add(work_units(&i));
-                    candidate_work = candidate_work.saturating_add(work_units(&c));
-                }
-                _ => return pin(reason::REOPT_ERROR, true),
-            }
-        }
+        let incumbent_work = work_units(&inc_stats);
+        let candidate_work = work_units(&cand_stats);
         if !within_margin(incumbent_work, candidate_work, cfg.regression_margin) {
             // The incumbent just beat a freshly optimized candidate in a
             // paired A/B: its suspect verdict is refuted, not merely
@@ -1117,6 +1106,15 @@ impl Service {
             candidate_work,
         }
     }
+}
+
+/// Run `plan` for heal on a bare executor — no telemetry, no spans: heal's
+/// private experiments must not fold into the telemetry or feedback planes,
+/// or they would perturb the very drift signal that triggered them.
+fn verify_run(db: &Database, query: &Query, plan: &PlanRef) -> Option<(QueryResult, VexecStats)> {
+    let mut vx = VexecExecutor::new(db, query);
+    let result = vx.run(plan).ok()?;
+    Some((result, *vx.stats()))
 }
 
 /// How one heal attempt resolved (internal to the driver).

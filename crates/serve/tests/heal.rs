@@ -69,15 +69,9 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     let cat = catalog();
     let db = drifted_database(&cat);
     let sink = Arc::new(MemorySink::new());
-    let svc = Service::new(
-        Arc::clone(&cat),
-        heal_service_config(HealConfig {
-            probation_runs: 1,
-            ..HealConfig::default()
-        }),
-    )
-    .unwrap()
-    .with_tracer(Tracer::shared(sink.clone()));
+    let svc = Service::new(Arc::clone(&cat), heal_service_config(HealConfig::default()))
+        .unwrap()
+        .with_tracer(Tracer::shared(sink.clone()));
     let q = parse_query(&cat, DRIFT_SQL).unwrap();
 
     for _ in 0..5 {
@@ -125,7 +119,11 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
         svc.execute(&db, &q).unwrap();
     }
     assert!(!svc.telemetry().is_suspect(fp));
-    assert_eq!(svc.counters().reopt_attempts, 1, "no reopt storm");
+    let c = svc.counters();
+    assert_eq!(c.reopt_attempts, 1, "no reopt storm");
+    // Heal's verify runs stay out of the telemetry and feedback planes:
+    // only the 10 served requests were counted.
+    assert_eq!((c.executions, c.feedback_runs), (10, 10));
 }
 
 #[test]
@@ -134,7 +132,6 @@ fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     let db = drifted_database(&cat);
     let sink = Arc::new(MemorySink::new());
     let mut config = heal_service_config(HealConfig {
-        probation_runs: 1,
         // Effectively-zero backoff so the retry is admitted immediately.
         backoff_base: Duration::from_nanos(1),
         ..HealConfig::default()
@@ -178,7 +175,6 @@ fn injected_panic_is_contained_as_a_pin() {
     let cat = catalog();
     let db = drifted_database(&cat);
     let mut config = heal_service_config(HealConfig {
-        probation_runs: 1,
         // Long backoff: exactly one attempt inside this test.
         backoff_base: Duration::from_secs(60),
         ..HealConfig::default()
@@ -211,7 +207,6 @@ fn epoch_bump_mid_reopt_pins_epoch_moved_not_a_stale_swap() {
     let bumped = Arc::new(AtomicUsize::new(0));
     let hook_bumped = Arc::clone(&bumped);
     let config = heal_service_config(HealConfig {
-        probation_runs: 1,
         backoff_base: Duration::from_secs(60),
         on_stage: Some(Arc::new(move |stage| {
             // The catalog epoch moves after the candidate is fully built
@@ -246,7 +241,6 @@ fn eight_threads_one_reopt_flight_per_fingerprint() {
     let finished = Arc::new(AtomicUsize::new(0));
     let gate_finished = Arc::clone(&finished);
     let config = heal_service_config(HealConfig {
-        probation_runs: 1,
         // Hold the (single) heal leader at the first stage until the other
         // seven threads have finished their requests, maximizing the window
         // in which they could have started a duplicate flight.

@@ -15,9 +15,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use starqo_catalog::{ColId, Value};
-use starqo_exec::support::{prefix_candidates, range_candidates, value_bytes, KeyBounds};
-use starqo_exec::{position, ExecError, Result};
-use starqo_plan::PlanNode;
+use starqo_plan::result::{ExecError, Result};
+use starqo_plan::{
+    position, prefix_candidates, range_candidates, value_bytes, KeyBounds, PlanNode,
+};
 use starqo_query::{CmpOp, PredSet, QCol, QId, Query, Scalar};
 use starqo_storage::{BTreeIndexData, StoredTable, Tid, Tuple, ROWS_PER_PAGE};
 

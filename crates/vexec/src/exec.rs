@@ -5,11 +5,14 @@
 //! ## Oracle contract
 //!
 //! Every run must produce a `QueryResult` byte-identical to the serial
-//! interpreter's (`starqo_exec::Executor`) for any plan without extension
-//! operators — including row ORDER, which the serial engine fixes by source
-//! order (stable sorts, outer-major joins, morsels reassembled in index
-//! order at each exchange) — and the same `rows_out`, `pipeline_rows`,
-//! `temps_built`, `indexes_built` and `probes`.
+//! interpreter's (`starqo_exec::Executor`, the test oracle) for any plan
+//! without extension operators — including row ORDER, which the serial
+//! engine fixes by source order (stable sorts, outer-major joins, morsels
+//! reassembled in index order at each exchange) — and the same `rows_out`,
+//! `pipeline_rows`, `temps_built`, `indexes_built`, `probes`,
+//! `tuples_fetched`, `msgs` and `bytes_shipped`. `pages_read` is the one
+//! resource counter that may differ: an uncorrelated nested-loop inner is
+//! evaluated once here, where the oracle re-scans it for every outer row.
 //!
 //! How the run is organised — compile once, columnar relations across
 //! breakers, re-runnable correlated inners, inline morsels at one worker —
@@ -23,9 +26,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use starqo_catalog::Value;
-use starqo_exec::support::panic_msg;
-use starqo_exec::{position, ExecError, FaultHook, QueryResult, Result};
-use starqo_plan::{Lolepop, PlanRef};
+use starqo_plan::result::{ExecError, Result};
+use starqo_plan::{panic_msg, position, FaultHook, Lolepop, PlanRef, QueryResult};
 use starqo_query::Query;
 use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
 use starqo_trace::{LatencyPath, Metric, SpanContext, SpanGuard, Telemetry};
@@ -42,10 +44,13 @@ pub const MORSEL_ROWS: usize = 4096;
 /// Column buffers kept for reuse within one run.
 const SPARE_COLUMNS: usize = 32;
 
-/// Run counters (superset of the serial engine's [`starqo_exec::ExecStats`]
-/// resource model, plus the vectorized-runtime tallies). All values are
-/// deterministic for a given plan and database — independent of worker
-/// count and completion order.
+/// Run counters (the serial oracle's `ExecStats` resource model plus the
+/// vectorized-runtime tallies). All values are deterministic for a given
+/// plan and database — independent of worker count and completion order.
+/// Every resource counter but `pages_read` equals the oracle's; that one
+/// charges the I/O this engine does, so an uncorrelated nested-loop inner,
+/// evaluated once, is read once (the oracle re-scans it per outer row).
+/// Heal's probation judges plans by these counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VexecStats {
     /// Batch-sized source ranges pushed through chains.

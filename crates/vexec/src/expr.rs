@@ -18,7 +18,7 @@
 use std::cell::Cell;
 
 use starqo_catalog::Value;
-use starqo_exec::{ExecError, Result};
+use starqo_plan::result::{ExecError, Result};
 use starqo_query::{ArithOp, CmpOp, PredExpr, PredSet, QCol, Query, Scalar};
 
 use crate::batch::{Batch, Column, Val};

@@ -3,7 +3,8 @@
 //! The vectorized batch executor for LOLEPOP plans — the engine
 //! `starqo-serve` runs every request on.
 //!
-//! The serial interpreter in `starqo-exec` is the semantic *oracle*: it
+//! The serial interpreter in `starqo-exec` is the semantic *oracle* —
+//! used by tests and benches, never linked by this crate or the service. It
 //! materializes each operator row-at-a-time, resolving every column through
 //! a schema binary search and re-evaluating nested-loop inners per outer
 //! tuple under a cloned bindings map. This crate compiles the same plans,
@@ -41,9 +42,12 @@
 //! [`VexecExecutor::run`] returns a `QueryResult` **identical** to
 //! `starqo_exec::Executor::run` — same rows, same order, same schema — at
 //! any worker count, with or without injected faults (faults surface as the
-//! same typed errors), and counts the same rows, temps, indexes and probes.
-//! The equivalence harness in `tests/tests/vexec.rs` and experiment E23
-//! enforce this.
+//! same typed errors), and counts the same rows, temps, indexes, probes,
+//! fetches and shipped messages and bytes. Only `pages_read` may be lower:
+//! an uncorrelated nested-loop inner is evaluated, and read, once. The result
+//! and error types, and the key-binding helpers both engines use, live in
+//! `starqo-plan`. The equivalence harness in `tests/tests/vexec.rs` and
+//! experiment E23 enforce this.
 
 pub mod batch;
 pub mod chain;

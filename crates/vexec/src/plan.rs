@@ -13,8 +13,8 @@
 //! it is evaluated — an inner under an empty outer never is.
 
 use starqo_catalog::TID_COL;
-use starqo_exec::{is_correlated, position, ExecError, Result};
-use starqo_plan::{AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
+use starqo_plan::result::{ExecError, Result};
+use starqo_plan::{is_correlated, position, AccessSpec, JoinFlavor, Lolepop, PlanNode, PlanRef};
 use starqo_query::{CmpOp, PredExpr, PredSet, QCol, Query};
 use starqo_storage::Database;
 

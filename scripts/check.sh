@@ -13,6 +13,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== one engine at run time: no runtime crate links the serial oracle =="
+for crate in starqo-serve starqo-vexec; do
+    if cargo tree -p "$crate" -e normal --offline --prefix none | grep -q '^starqo-exec '; then
+        echo "$crate links starqo-exec: the serial oracle is a test/bench dependency only." >&2
+        exit 1
+    fi
+done
+
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
 if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then

@@ -24,6 +24,7 @@ use std::io::{BufRead, Write as _};
 
 use starqo::prelude::*;
 use starqo::workload::{dept_emp_catalog, dept_emp_database};
+use starqo_vexec::VexecExecutor;
 
 struct Shell {
     cat: std::sync::Arc<Catalog>,
@@ -201,7 +202,8 @@ impl Shell {
         let Some((query, out)) = self.optimize(sql, false) else {
             return;
         };
-        let mut exec = Executor::new(&self.db, &query);
+        // The engine the service serves with.
+        let mut exec = VexecExecutor::new(&self.db, &query);
         match exec.run(&out.best) {
             Err(e) => println!("  execution error: {e}"),
             Ok(result) => {

@@ -1,7 +1,7 @@
 //! Cross-crate span-layer tests: the request-scoped span trees recorded
 //! under concurrent load must bit-match a serial replay (the structural
 //! digest is a pure function of the request's path through the service),
-//! interval diffing must survive a snapshot schema upgrade mid-stream, and
+//! interval diffing must delta phases that appear mid-stream from zero, and
 //! span-tree JSONL streams must reconstruct past truncation and noise.
 
 use std::sync::Arc;
@@ -95,41 +95,39 @@ fn concurrent_span_trees_bit_match_the_serial_oracle() {
     }
 }
 
-/// A watcher that seeded its ring before an upgrade keeps producing sane
-/// deltas afterwards: a v1 document (no phases, no span store) diffed
-/// against a live v3 snapshot deltas the new counters from zero and
-/// carries the span gauges through as absolutes.
+/// A watcher that seeded its ring from an idle plane keeps producing sane
+/// deltas: a v4 document with no phases recorded and the span store off,
+/// diffed against a later live snapshot, deltas the new phases and counters
+/// from zero and carries the span gauges through as absolutes.
 #[test]
-fn snapshot_ring_diffs_across_a_version_upgrade() {
-    let v1_text = r#"{"version":1,"uptime_nanos":1000,"counters":{"serve_requests":10,"serve_spans_kept":0},"latency":{},"topk":[]}"#;
-    let v1 = TelemetrySnapshot::from_json(v1_text).expect("v1 parses");
-    assert!(v1.phases.is_empty());
+fn snapshot_ring_diffs_phases_from_an_idle_base() {
+    let idle_text = r#"{"version":4,"uptime_nanos":1000,"counters":{"serve_requests":10,"serve_spans_kept":0},"latency":{},"topk":[],"qerror":[],"phases":{},"span_store":{"resident":0,"capacity":0,"evicted":0},"heal":[]}"#;
+    let idle = TelemetrySnapshot::from_json(idle_text).expect("v4 parses");
+    assert!(idle.phases.is_empty());
 
     let mut ring = SnapshotRing::new(4);
-    assert!(ring.push(v1).is_none(), "first push seeds the diff base");
+    assert!(ring.push(idle).is_none(), "first push seeds the diff base");
 
-    let mut v3 = TelemetrySnapshot::from_json(v1_text).expect("seed");
-    v3.uptime_nanos = 3_000;
-    v3.counters = vec![
+    let mut live = TelemetrySnapshot::from_json(idle_text).expect("seed");
+    live.uptime_nanos = 3_000;
+    live.counters = vec![
         ("serve_requests".into(), 25),
         ("serve_spans_kept".into(), 4),
     ];
-    v3.phases = vec![
-        ("prepare".into(), 9_000, 25),
-        ("execute".into(), 70_000, 25),
-    ];
-    v3.span_resident = 4;
-    v3.span_capacity = 64;
-    v3.span_evicted = 0;
-    // The upgraded snapshot must itself round-trip at the current version.
-    assert!(v3.to_json().contains("\"version\":4"));
+    live.phases = live_phases();
+    live.span_resident = 4;
+    live.span_capacity = 64;
+    live.span_evicted = 0;
+    // The live snapshot must itself round-trip.
+    let reparsed = TelemetrySnapshot::from_json(&live.to_json()).expect("round-trips");
+    assert_eq!(reparsed, live);
 
-    let delta = ring.push(v3).expect("second push yields a delta");
+    let delta = ring.push(live).expect("second push yields a delta");
     assert_eq!(delta.uptime_nanos, 2_000);
     assert_eq!(delta.counter("serve_requests"), Some(15));
     assert_eq!(delta.counter("serve_spans_kept"), Some(4));
-    // Phases absent from the v1 base delta from zero…
-    assert_eq!(delta.phases, v3_phases());
+    // Phases absent from the idle base delta from zero…
+    assert_eq!(delta.phases, live_phases());
     // …and the span-store gauges pass through as the later absolutes.
     assert_eq!(
         (delta.span_resident, delta.span_capacity, delta.span_evicted),
@@ -138,7 +136,7 @@ fn snapshot_ring_diffs_across_a_version_upgrade() {
     assert_eq!(ring.counter_series("serve_spans_kept"), vec![4]);
 }
 
-fn v3_phases() -> Vec<(String, u64, u64)> {
+fn live_phases() -> Vec<(String, u64, u64)> {
     vec![
         ("prepare".into(), 9_000, 25),
         ("execute".into(), 70_000, 25),

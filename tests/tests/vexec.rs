@@ -79,25 +79,33 @@ fn same_outcome(
             continue;
         }
         let mut s = *vx.stats();
-        // The counters the service and the feedback plane read must not
-        // notice which engine ran.
+        // The counters the service, the feedback plane and heal's probation
+        // read must not notice which engine ran. `pages_read` is the one
+        // resource counter that may differ: vexec evaluates an uncorrelated
+        // nested-loop inner once, where the oracle re-scans it per outer row.
         assert_eq!(
             (
                 s.rows_out,
                 s.pipeline_rows,
                 s.temps_built,
                 s.indexes_built,
-                s.probes
+                s.probes,
+                s.tuples_fetched,
+                s.msgs,
+                s.bytes_shipped
             ),
             (
                 oracle.rows_out,
                 oracle.pipeline_rows,
                 oracle.temps_built,
                 oracle.indexes_built,
-                oracle.probes
+                oracle.probes,
+                oracle.tuples_fetched,
+                oracle.msgs,
+                oracle.bytes_shipped
             ),
-            "{ctx}: vexec({w} workers) rows_out/pipeline_rows/temps/indexes/probes \
-             diverged from serial on {:?}",
+            "{ctx}: vexec({w} workers) rows_out/pipeline_rows/temps/indexes/probes/\
+             fetches/msgs/bytes diverged from serial on {:?}",
             plan.op_names()
         );
         // Worker-count bookkeeping may legitimately differ; everything
