@@ -10,7 +10,9 @@
 //! or a typed error; a panic escaping to the runner is a contract
 //! violation, counted and reported.
 //!
-//! Everything is seeded (`Rng64`), so a failing sweep replays exactly.
+//! Everything is seeded (`Rng64`, `SEED`), so a failing sweep replays
+//! exactly. With `STARQO_FAULTS` set, the driver runs the fleet once under
+//! exactly that fault plan instead of sweeping.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -25,6 +27,9 @@ use starqo_workload::{
     dept_emp_catalog, dept_emp_database, dept_emp_query, query_shape, synth_catalog,
     synth_database, QueryShape, Rng64, SynthSpec,
 };
+
+/// The sweep's seed: it picks which invocation each fault fires on.
+const SEED: u64 = 42;
 
 /// Every operator name the property functions and the executor dispatch on.
 /// `JOIN` matches all flavors (`JOIN(NL)`, `JOIN(MG)`, `JOIN(HA)`) through
@@ -201,7 +206,7 @@ fn classify(
 /// Run the fleet once under a caller-supplied fault plan — the consumer of
 /// the `STARQO_FAULTS` environment spec. Hit counters reset per query, so
 /// a `@k` spec means "the k-th invocation within each query".
-pub fn run_under_plan(plan: Arc<FaultPlan>, quick: bool) -> ChaosReport {
+fn run_under_plan(plan: Arc<FaultPlan>, quick: bool) -> ChaosReport {
     let fleet = build_fleet(quick);
     let mut report = ChaosReport {
         sweeps: 1,
@@ -220,10 +225,9 @@ pub fn run_under_plan(plan: Arc<FaultPlan>, quick: bool) -> ChaosReport {
 }
 
 /// Sweep every fault site × mode across the fleet. Deterministic for a
-/// given `(seed, quick)`; the seed varies which invocation (k) each fault
-/// fires on.
-pub fn run_chaos(seed: u64, quick: bool) -> ChaosReport {
-    let mut rng = Rng64::new(seed);
+/// given `quick`; `SEED` varies which invocation (k) each fault fires on.
+fn run_chaos(quick: bool) -> ChaosReport {
+    let mut rng = Rng64::new(SEED);
     let fleet = build_fleet(quick);
     let natives = Natives::builtin();
 
@@ -275,6 +279,20 @@ pub fn run_chaos(seed: u64, quick: bool) -> ChaosReport {
     report
 }
 
+/// E18: the fault-injection sweep — or, given `plan` (the `STARQO_FAULTS`
+/// spec), one run of the fleet under exactly that plan. Panics when a fault
+/// escaped containment.
+pub fn e18_chaos(plan: Option<Arc<FaultPlan>>, quick: bool) -> crate::Report {
+    let chaos = match plan {
+        Some(plan) => run_under_plan(plan, quick),
+        None => run_chaos(quick),
+    };
+    let mut report = crate::Report::new("E18", "fault-injection sweep (zero panic escapes)");
+    report.line(chaos.render());
+    assert!(chaos.escapes.is_empty(), "{}", chaos.render());
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +301,7 @@ mod tests {
     /// escape — the tentpole's robustness contract.
     #[test]
     fn quick_chaos_sweep_contains_every_fault() {
-        let report = run_chaos(42, true);
+        let report = run_chaos(true);
         assert!(report.escapes.is_empty(), "{}", report.render());
         assert_eq!(
             report.ok + report.degraded + report.typed_errors,

@@ -27,16 +27,15 @@
 //! `drift_snapshot.json` / `drift_snapshot.prom`, so `starqo-obs live`,
 //! `watch`, and `doctor` can render exactly what the benchmark measured.
 
+use starqo_obs::{Diagnosis, LiveReport};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_trace::{
     MemorySink, MetricsRegistry, SuspectConfig, TelemetryConfig, TelemetrySnapshot, TraceEvent,
     TraceSampler, Tracer,
 };
-use starqo_workload::{
-    query_shape_param, synth_catalog, synth_database, synth_database_scaled, QueryShape, SynthSpec,
-};
+use starqo_workload::{query_shape_param, synth_database, synth_database_scaled, QueryShape};
 
-use crate::serving::{run_exec_pass, templates, zipf_cdf, PassSummary, Template};
+use crate::serving::{best_of, mode_table, Template, Workload, SEED, ZIPF_S};
 use crate::{bench_dir, row, Report};
 
 /// How many × the catalog's stated cardinality the shifted database holds.
@@ -44,12 +43,6 @@ use crate::{bench_dir, row, Report};
 /// crosses the single-run Q threshold whatever its baseline estimation
 /// error (which phase A bounds), small enough to execute quickly.
 pub(crate) const SCALE: u64 = 32;
-
-/// Parameter constants are drawn from `0..PARAM_DOMAIN`. The synthetic
-/// payload columns have at least `(card_min / 10).max(2) = 3` distinct
-/// values, so every draw selects rows and every run observes a real
-/// cardinality.
-pub(crate) const PARAM_DOMAIN: u64 = 3;
 
 /// Suspect thresholds for the run: flag on geomean Q ≥ 4 or any single run
 /// with Q ≥ 8, after 8 runs of history. Latency-based flagging is off —
@@ -75,27 +68,16 @@ pub(crate) fn drifts(t: &Template) -> bool {
 /// E20: mid-run cardinality drift — detection latency, false-positive
 /// controls, and the feedback plane's serve-path overhead.
 pub fn e20_drift(quick: bool) -> Report {
-    let (threads, per_thread) = if quick { (4, 50) } else { (8, 200) };
-    let (rounds, seed, zipf_s) = (if quick { 2u64 } else { 3 }, 42u64, 1.1);
+    let w = Workload::new(quick, if quick { (4, 50) } else { (8, 200) });
+    let rounds = if quick { 2u64 } else { 3 };
     let overhead_ceiling = if quick { 60.0 } else { 5.0 };
     // A drifting fingerprint's first post-shift serve must trip the
     // single-run threshold; a small slack absorbs racing folds that land
     // between the flag and the sticky-bit read.
     let detect_bound = 4u64;
 
-    let spec = SynthSpec {
-        tables: 4,
-        card_range: (30, 60),
-        sites: 1,
-        index_prob: 0.6,
-        btree_prob: 0.4,
-        payload_cols: 2,
-    };
-    let cat = synth_catalog(seed, &spec);
-    let base_db = synth_database(seed, cat.clone());
-    let shift_db = synth_database_scaled(seed, cat.clone(), SCALE);
-    let fleet = templates(quick);
-    let cdf = zipf_cdf(fleet.len(), zipf_s);
+    let base_db = synth_database(SEED, w.cat.clone());
+    let shift_db = synth_database_scaled(SEED, w.cat.clone(), SCALE);
 
     // Both services carry the full plane and an identical (rarely sampled)
     // tracer, so the overhead delta is the feedback fold alone. Suspect
@@ -103,7 +85,7 @@ pub fn e20_drift(quick: bool) -> Report {
     let sink = std::sync::Arc::new(MemorySink::new());
     let service = |feedback: bool| {
         Service::new(
-            cat.clone(),
+            w.cat.clone(),
             ServiceConfig {
                 telemetry: TelemetryConfig {
                     feedback,
@@ -119,51 +101,13 @@ pub fn e20_drift(quick: bool) -> Report {
     };
     let nofb_svc = service(false);
     let fb_svc = service(true);
-    let modes: [(&str, &Service); 2] = [("no-feedback", &nofb_svc), ("feedback", &fb_svc)];
 
     // Warmup populates both plan caches and gives every fingerprint a
-    // baseline feedback history well past `min_runs`; then `rounds`
-    // measured passes, interleaved so host noise hits both modes equally.
-    for (_, svc) in &modes {
-        run_exec_pass(
-            svc,
-            &cat,
-            &base_db,
-            &fleet,
-            &cdf,
-            threads,
-            per_thread,
-            seed,
-            PARAM_DOMAIN,
-        );
-    }
-    let mut best: [Option<PassSummary>; 2] = [None, None];
-    for round in 0..rounds {
-        for (i, (_, svc)) in modes.iter().enumerate() {
-            let pass = run_exec_pass(
-                svc,
-                &cat,
-                &base_db,
-                &fleet,
-                &cdf,
-                threads,
-                per_thread,
-                seed + round,
-                PARAM_DOMAIN,
-            );
-            let better = best[i]
-                .as_ref()
-                .is_none_or(|b| pass.throughput() > b.throughput());
-            if better {
-                best[i] = Some(pass);
-            }
-        }
-    }
-    let best: Vec<PassSummary> = best
-        .into_iter()
-        .map(|b| b.expect("measured pass"))
-        .collect();
-    let overhead = (best[0].throughput() / best[1].throughput().max(1e-9) - 1.0) * 100.0;
+    // baseline feedback history well past `min_runs`.
+    let best = best_of(&[&nofb_svc, &fb_svc], rounds, |svc, round| {
+        w.execute_pass(svc, &base_db, SEED + round)
+    });
+    let overhead = best[1].overhead_vs(&best[0]);
     let overhead_violations = u64::from(overhead > overhead_ceiling);
 
     // Phase A: with data matching the statistics, nothing may be suspect —
@@ -171,10 +115,11 @@ pub fn e20_drift(quick: bool) -> Report {
     // the thresholds, which is what makes the post-shift detection bound
     // provable rather than lucky.
     let base_snap = fb_svc.telemetry_snapshot();
-    let fps: Vec<(bool, u64, &'static str)> = fleet
+    let fps: Vec<(bool, u64, &'static str)> = w
+        .fleet
         .iter()
         .map(|t| {
-            let q = query_shape_param(&cat, t.shape, t.n, t.param.then_some(0));
+            let q = query_shape_param(&w.cat, t.shape, t.n, t.param.then_some(0));
             (drifts(t), fb_svc.prepare(&q).fingerprint().hash, t.name)
         })
         .collect();
@@ -183,17 +128,7 @@ pub fn e20_drift(quick: bool) -> Report {
 
     // Phase B: same service, same cache, same sketches — only the ground
     // truth moves.
-    let shift = run_exec_pass(
-        &fb_svc,
-        &cat,
-        &shift_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed + rounds,
-        PARAM_DOMAIN,
-    );
+    let shift = w.execute_pass(&fb_svc, &shift_db, SEED + rounds);
     let snap = fb_svc.telemetry_snapshot();
 
     // Detection accounting: the PlanSuspect event carries the run count at
@@ -238,7 +173,7 @@ pub fn e20_drift(quick: bool) -> Report {
             eprintln!("E20 consistency failure: {what}");
         }
     };
-    let total_fb_requests = (1 + rounds + 1) * (threads * per_thread) as u64;
+    let total_fb_requests = (1 + rounds + 1) * w.requests();
     check(
         snap.counter("serve_feedback_runs") == Some(total_fb_requests),
         "feedback plane folded every execution",
@@ -252,7 +187,7 @@ pub fn e20_drift(quick: bool) -> Report {
         "suspect counter matches the registry",
     );
     check(
-        snap.qerror.len() == fleet.len(),
+        snap.qerror.len() == w.fleet.len(),
         "one sketch per distinct fingerprint",
     );
     check(
@@ -283,41 +218,14 @@ pub fn e20_drift(quick: bool) -> Report {
     let mut report = Report::new(
         "E20",
         format!(
-            "cardinality drift: {threads} threads x {per_thread} reqs x {} passes, \
-             {} templates, zipf(s={zipf_s}), shift x{SCALE} mid-run",
-            rounds,
-            fleet.len()
+            "cardinality drift: {} threads x {} reqs x {rounds} passes, \
+             {} templates, zipf(s={ZIPF_S}), shift x{SCALE} mid-run",
+            w.threads,
+            w.per_thread,
+            w.fleet.len()
         ),
     );
-    let widths = [11, 9, 12, 9, 9, 12];
-    report.line(row(
-        &[
-            "mode".into(),
-            "requests".into(),
-            "thrpt(q/s)".into(),
-            "p50(us)".into(),
-            "p99(us)".into(),
-            "overhead(%)".into(),
-        ],
-        &widths,
-    ));
-    for (i, (mode, _)) in modes.iter().enumerate() {
-        report.line(row(
-            &[
-                (*mode).into(),
-                best[i].requests.to_string(),
-                format!("{:.0}", best[i].throughput()),
-                format!("{:.1}", best[i].p50_us),
-                format!("{:.1}", best[i].p99_us),
-                if i == 0 {
-                    "baseline".into()
-                } else {
-                    format!("{:+.1}", overhead)
-                },
-            ],
-            &widths,
-        ));
-    }
+    mode_table(&mut report, &["no-feedback", "feedback"], &best);
     report.line(format!(
         "ceiling: feedback <= {overhead_ceiling}%  (violations: {overhead_violations}, \
          wall-clock — report-only outside the gate)"
@@ -397,10 +305,23 @@ pub fn e20_drift(quick: bool) -> Report {
         "feedback sketches disagree with the counter plane"
     );
     assert_eq!(json_roundtrip_failures, 0, "snapshot JSON must round-trip");
+    // The exported snapshot drives the operator tools: the dashboard marks
+    // the drifted plans and the doctor calls them out.
+    assert!(
+        LiveReport::new(snap.clone()).render().contains("SUSPECT"),
+        "the dashboard must mark the drifted plans"
+    );
+    assert!(
+        Diagnosis::from_snapshot(&snap)
+            .findings
+            .iter()
+            .any(|f| f.check == "plan_drift"),
+        "the doctor must report plan_drift"
+    );
 
     let mut reg = MetricsRegistry::new();
     reg.count("drift_requests", total_fb_requests);
-    reg.count("drift_templates", fleet.len() as u64);
+    reg.count("drift_templates", w.fleet.len() as u64);
     reg.count("drift_drifting_fps", n_drifting);
     reg.count("drift_control_fps", n_control);
     reg.count("drift_suspects_flagged", flagged_drifting);

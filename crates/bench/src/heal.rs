@@ -20,9 +20,9 @@
 //! escapes to a request, no served result ever diverges from the
 //! brute-force oracle, and — because the fault fires once and backoff is
 //! near-zero — every sweep still ends with the fingerprint healed. The
-//! `heal` binary also honors `STARQO_FAULTS` (site `reopt`) to run exactly
-//! one caller-specified sweep, which is how CI's serve-path chaos-smoke
-//! job drives it.
+//! `heal` experiment also honors `STARQO_FAULTS` (site `reopt`) to run
+//! exactly one caller-specified sweep ([`e22_under_plan`]), which is how
+//! `scripts/bench.sh gate` drives the serve-path fault specs.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -37,10 +37,10 @@ use starqo_storage::{Database, DatabaseBuilder};
 use starqo_trace::{
     MemorySink, MetricsRegistry, SuspectConfig, TelemetryConfig, TraceEvent, TraceSampler, Tracer,
 };
-use starqo_workload::{query_shape_param, synth_catalog, synth_database_scaled, SynthSpec};
+use starqo_workload::{query_shape_param, synth_database, synth_database_scaled};
 
-use crate::drift::{drifts, suspect_config, PARAM_DOMAIN, SCALE};
-use crate::serving::{run_exec_pass, templates, zipf_cdf};
+use crate::drift::{drifts, suspect_config, SCALE};
+use crate::serving::{Workload, SEED, ZIPF_S};
 use crate::{row, Report};
 
 /// The re-opt pipeline stages a fault can target, in execution order.
@@ -183,7 +183,7 @@ fn run_sweep(label: &str, plan: Arc<FaultPlan>, report: &mut HealChaosReport) {
 }
 
 /// Sweep every re-opt stage × fault mode, one fresh service per sweep.
-pub fn run_reopt_chaos() -> HealChaosReport {
+fn run_reopt_chaos() -> HealChaosReport {
     let modes = [FaultMode::Panic, FaultMode::Error, FaultMode::Stall(20_000)];
     let mut report = HealChaosReport::default();
     // Injected panics are the experiment; silence the default hook's
@@ -201,10 +201,10 @@ pub fn run_reopt_chaos() -> HealChaosReport {
 }
 
 /// Run exactly one sweep under a caller-supplied fault plan — the consumer
-/// of the `STARQO_FAULTS` environment spec (CI's serve-path chaos-smoke
-/// job). The plan must target the `reopt` site to bite; any other site is
-/// simply never triggered by the heal pipeline.
-pub fn run_under_plan(plan: Arc<FaultPlan>) -> HealChaosReport {
+/// of the `STARQO_FAULTS` environment spec. The plan must target the
+/// `reopt` site to bite; any other site is simply never triggered by the
+/// heal pipeline.
+fn run_under_plan(plan: Arc<FaultPlan>) -> HealChaosReport {
     let mut report = HealChaosReport::default();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -213,34 +213,35 @@ pub fn run_under_plan(plan: Arc<FaultPlan>) -> HealChaosReport {
     report
 }
 
+/// E22's single-sweep form: one re-opt chaos sweep under `plan`, as a
+/// report. Panics on any escape, divergence, or fingerprint left unhealed
+/// after the fault.
+pub fn e22_under_plan(plan: Arc<FaultPlan>) -> Report {
+    let chaos = run_under_plan(plan);
+    let mut report = Report::new("E22", "self-healing under one STARQO_FAULTS spec");
+    report.line(chaos.render());
+    assert!(chaos.escapes.is_empty(), "{}", chaos.render());
+    assert_eq!(chaos.divergences, 0, "{}", chaos.render());
+    assert_eq!(chaos.unhealed, 0, "{}", chaos.render());
+    report
+}
+
 /// E22: the self-healing soak — drift recovery plus the re-opt chaos
 /// sweep.
 pub fn e22_heal(quick: bool) -> Report {
-    let (threads, per_thread) = if quick { (4, 50) } else { (8, 200) };
-    let (seed, zipf_s) = (42u64, 1.1);
+    let w = Workload::new(quick, if quick { (4, 50) } else { (8, 200) });
     // Post-heal throughput must land within 10% of a fresh-cache service
     // on the same data; the smoke run loosens the floor — its passes are
     // too short to average out host noise.
     let throughput_floor = if quick { 0.40 } else { 0.90 };
 
-    let spec = SynthSpec {
-        tables: 4,
-        card_range: (30, 60),
-        sites: 1,
-        index_prob: 0.6,
-        btree_prob: 0.4,
-        payload_cols: 2,
-    };
-    let cat = synth_catalog(seed, &spec);
-    let base_db = starqo_workload::synth_database(seed, cat.clone());
-    let shift_db = synth_database_scaled(seed, cat.clone(), SCALE);
-    let fleet = templates(quick);
-    let cdf = zipf_cdf(fleet.len(), zipf_s);
+    let base_db = synth_database(SEED, w.cat.clone());
+    let shift_db = synth_database_scaled(SEED, w.cat.clone(), SCALE);
 
     let sink = Arc::new(MemorySink::new());
     let service = |heal: Option<HealConfig>| {
         Service::new(
-            cat.clone(),
+            w.cat.clone(),
             ServiceConfig {
                 telemetry: TelemetryConfig {
                     feedback: true,
@@ -259,17 +260,7 @@ pub fn e22_heal(quick: bool) -> Report {
 
     // Warm pass on faithful data: plan cache populated, every fingerprint's
     // sketch well past `min_runs`, nothing suspect, nothing healed.
-    run_exec_pass(
-        &healing,
-        &cat,
-        &base_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed,
-        PARAM_DOMAIN,
-    );
+    w.execute_pass(&healing, &base_db, SEED);
     let warm_counters = healing.counters();
     assert_eq!(
         warm_counters.suspects_flagged, 0,
@@ -282,67 +273,28 @@ pub fn e22_heal(quick: bool) -> Report {
 
     // Shift pass: the ground truth moves to SCALE× under the same catalog
     // epoch. Suspects trip mid-pass and the healer repairs them inline.
-    let shift = run_exec_pass(
-        &healing,
-        &cat,
-        &shift_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed + 1,
-        PARAM_DOMAIN,
-    );
+    let shift = w.execute_pass(&healing, &shift_db, SEED + 1);
     // Post-heal pass: the measured window. Every serve runs against the
     // already-healed cache; a re-flag here would mean the healed estimate
     // is still drifting.
-    let post = run_exec_pass(
-        &healing,
-        &cat,
-        &shift_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed + 2,
-        PARAM_DOMAIN,
-    );
+    let post = w.execute_pass(&healing, &shift_db, SEED + 2);
 
     // The fresh-cache yardstick: an identically configured (heal-less)
     // service that only ever saw the shifted data — one warmup pass to
     // populate its cache, one measured pass.
     let fresh_svc = service(None);
-    run_exec_pass(
-        &fresh_svc,
-        &cat,
-        &shift_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed + 1,
-        PARAM_DOMAIN,
-    );
-    let fresh = run_exec_pass(
-        &fresh_svc,
-        &cat,
-        &shift_db,
-        &fleet,
-        &cdf,
-        threads,
-        per_thread,
-        seed + 2,
-        PARAM_DOMAIN,
-    );
+    w.execute_pass(&fresh_svc, &shift_db, SEED + 1);
+    let fresh = w.execute_pass(&fresh_svc, &shift_db, SEED + 2);
     let ratio = post.throughput() / fresh.throughput().max(1e-9);
     let throughput_violations = u64::from(ratio < throughput_floor);
 
     // Per-fingerprint accounting against the stitched heal records.
     let snap = healing.telemetry_snapshot();
-    let fps: Vec<(bool, u64, &'static str)> = fleet
+    let fps: Vec<(bool, u64, &'static str)> = w
+        .fleet
         .iter()
         .map(|t| {
-            let q = query_shape_param(&cat, t.shape, t.n, t.param.then_some(0));
+            let q = query_shape_param(&w.cat, t.shape, t.n, t.param.then_some(0));
             (drifts(t), healing.prepare(&q).fingerprint().hash, t.name)
         })
         .collect();
@@ -391,9 +343,11 @@ pub fn e22_heal(quick: bool) -> Report {
     let mut report = Report::new(
         "E22",
         format!(
-            "self-healing soak: {threads} threads x {per_thread} reqs/pass, {} templates, \
-             zipf(s={zipf_s}), shift x{SCALE}, reopt chaos {} sweeps",
-            fleet.len(),
+            "self-healing soak: {} threads x {} reqs/pass, {} templates, \
+             zipf(s={ZIPF_S}), shift x{SCALE}, reopt chaos {} sweeps",
+            w.threads,
+            w.per_thread,
+            w.fleet.len(),
             chaos.sweeps
         ),
     );
@@ -497,7 +451,7 @@ pub fn e22_heal(quick: bool) -> Report {
 
     let mut reg = MetricsRegistry::new();
     reg.count("heal_requests", shift.requests + post.requests);
-    reg.count("heal_templates", fleet.len() as u64);
+    reg.count("heal_templates", w.fleet.len() as u64);
     reg.count("heal_drifting_fps", n_drifting);
     reg.count("heal_control_fps", n_control);
     reg.count("heal_unhealed_fps", unhealed);

@@ -3,9 +3,9 @@
 //! join estimates to actuals, fit a cost-calibration profile, and measure
 //! how much the re-run's COST Q-error drops.
 //!
-//! The same runner backs the standalone `workload_run` binary, which emits
-//! one combined JSONL stream for offline `starqo-obs accuracy` /
-//! `starqo-obs calibrate` analysis.
+//! The same runner backs the `workload_run` experiment
+//! ([`workload_trace`]), which emits one combined JSONL stream for offline
+//! `starqo-obs accuracy` / `starqo-obs calibrate` analysis.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +35,7 @@ pub struct RunSummary {
 /// combined optimizer+executor event stream (with `query_start` /
 /// `query_done` segment markers) through `tracer`. `quick` trims the
 /// synthetic sweep for smoke tests.
-pub fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
+fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
     let mut sum = RunSummary::default();
     let config = OptConfig::full();
     let mut run_one = |name: &str, cat: &Arc<Catalog>, db: &Database, query: &Query| {
@@ -114,6 +114,29 @@ pub fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSumma
         }
     }
     sum
+}
+
+/// Run the workload once into the JSONL trace at `path`, under the cost
+/// model `STARQO_COST_PROFILE` names (the default model when unset).
+pub fn workload_trace(path: &std::path::Path, quick: bool) -> crate::Report {
+    let sink = JsonLinesSink::to_file(path)
+        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
+    let tracer = Tracer::new(sink);
+    let sum = run_workload(&tracer, &CostModel::from_env(), quick);
+    tracer.flush();
+    let mut r = crate::Report::new("E16", "workload trace for starqo-obs accuracy / calibrate");
+    r.line(format!(
+        "ran {} queries ({} rows) in {:.1} ms; trace: {}",
+        sum.queries,
+        sum.rows,
+        sum.nanos as f64 / 1e6,
+        path.display()
+    ));
+    r.line(format!(
+        "analyze with: starqo-obs accuracy {}",
+        path.display()
+    ));
+    r
 }
 
 /// Run the workload into a JSONL trace file and load the resulting events.

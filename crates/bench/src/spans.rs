@@ -39,16 +39,11 @@ use starqo_trace::{
     SuspectConfig, TailConfig, TelemetryConfig,
 };
 use starqo_workload::{
-    query_shape_param, synth_catalog, synth_database, synth_database_scaled, QueryShape, SynthSpec,
+    query_shape_param, synth_catalog, synth_database, synth_database_scaled, QueryShape,
 };
 
-use crate::serving::{run_exec_pass, run_pass, templates, zipf_cdf, PassSummary};
-use crate::{bench_dir, row, Report};
-
-/// Parameter constants for the end-to-end passes are drawn from
-/// `0..PARAM_DOMAIN` (the E20 idiom: a small domain keeps executions
-/// cheap and the plan cache warm).
-const PARAM_DOMAIN: u64 = 3;
+use crate::serving::{best_of, mode_table, spec, Workload, SEED, ZIPF_S};
+use crate::{bench_dir, Report};
 
 /// Tail-mode overhead ceiling on the end-to-end workload, in percent of
 /// spans-off throughput. Quick runs are too short to measure overhead
@@ -63,29 +58,14 @@ fn ceiling(quick: bool) -> f64 {
     }
 }
 
-fn spec() -> SynthSpec {
-    SynthSpec {
-        tables: 4,
-        card_range: (30, 60),
-        sites: 1,
-        index_prob: 0.6,
-        btree_prob: 0.4,
-        payload_cols: 2,
-    }
-}
-
 /// E21: span-tracing overhead + tail-retention proof.
 pub fn e21_spans(quick: bool) -> Report {
-    let (threads, per_thread) = if quick { (4, 60) } else { (8, 250) };
-    let (rounds, seed, zipf_s) = (if quick { 2u64 } else { 3 }, 42u64, 1.1);
-
-    let cat = synth_catalog(seed, &spec());
-    let fleet = templates(quick);
-    let cdf = zipf_cdf(fleet.len(), zipf_s);
+    let w = Workload::new(quick, if quick { (4, 60) } else { (8, 250) });
+    let rounds = if quick { 2u64 } else { 3 };
 
     let service = |spans: SpanMode| {
         Service::new(
-            cat.clone(),
+            w.cat.clone(),
             ServiceConfig {
                 telemetry: TelemetryConfig {
                     spans,
@@ -99,90 +79,29 @@ pub fn e21_spans(quick: bool) -> Report {
     let off_svc = service(SpanMode::Off);
     let tail_svc = service(SpanMode::Tail);
     let full_svc = service(SpanMode::Full);
-    let modes: [(&str, &Service); 3] = [
-        ("spans-off", &off_svc),
-        ("tail", &tail_svc),
-        ("full", &full_svc),
-    ];
+    let modes = [&off_svc, &tail_svc, &full_svc];
 
-    // End-to-end passes (the gated workload): one warmup per service
-    // populates the plan cache, then `rounds` measured passes interleaved
-    // across the modes so slow moments of the host hit all three fairly.
-    let db = synth_database(seed, cat.clone());
-    let mut best: [Option<PassSummary>; 3] = [None, None, None];
-    for (_, svc) in &modes {
-        run_exec_pass(
-            svc,
-            &cat,
-            &db,
-            &fleet,
-            &cdf,
-            threads,
-            per_thread,
-            seed,
-            PARAM_DOMAIN,
-        );
-    }
-    for round in 0..rounds {
-        for (i, (_, svc)) in modes.iter().enumerate() {
-            let pass = run_exec_pass(
-                svc,
-                &cat,
-                &db,
-                &fleet,
-                &cdf,
-                threads,
-                per_thread,
-                seed + round,
-                PARAM_DOMAIN,
-            );
-            let better = best[i]
-                .as_ref()
-                .is_none_or(|b| pass.throughput() > b.throughput());
-            if better {
-                best[i] = Some(pass);
-            }
-        }
-    }
-    let best: Vec<PassSummary> = best
-        .into_iter()
-        .map(|b| b.expect("measured pass"))
-        .collect();
-    let base_thrpt = best[0].throughput().max(1e-9);
-    let overhead = |i: usize| (base_thrpt / best[i].throughput().max(1e-9) - 1.0) * 100.0;
+    // End-to-end passes (the gated workload): the warmup populates the
+    // plan cache.
+    let db = synth_database(SEED, w.cat.clone());
+    let best = best_of(&modes, rounds, |svc, round| {
+        w.execute_pass(svc, &db, SEED + round)
+    });
     let tail_ceiling = ceiling(quick);
-    let overhead_violations = u64::from(overhead(1) > tail_ceiling);
+    let overhead_violations = u64::from(best[1].overhead_vs(&best[0]) > tail_ceiling);
 
     // Hit-path microbench (report-only): optimize-only requests resolve as
     // ~µs plan-cache hits, the worst case for relative span cost — the
     // recorder's clock reads and lock hops are a visible fraction of a
     // request that does almost nothing else.
-    let mut hit_best: [Option<PassSummary>; 3] = [None, None, None];
-    for (_, svc) in &modes {
-        run_pass(svc, &cat, &fleet, &cdf, threads, per_thread, seed);
-    }
-    for round in 0..rounds {
-        for (i, (_, svc)) in modes.iter().enumerate() {
-            let pass = run_pass(svc, &cat, &fleet, &cdf, threads, per_thread, seed + round);
-            let better = hit_best[i]
-                .as_ref()
-                .is_none_or(|b| pass.throughput() > b.throughput());
-            if better {
-                hit_best[i] = Some(pass);
-            }
-        }
-    }
-    let hit_best: Vec<PassSummary> = hit_best
-        .into_iter()
-        .map(|b| b.expect("measured pass"))
-        .collect();
-    let hit_base = hit_best[0].throughput().max(1e-9);
-    let hit_overhead = |i: usize| (hit_base / hit_best[i].throughput().max(1e-9) - 1.0) * 100.0;
+    let hit_best = best_of(&modes, rounds, |svc, round| {
+        w.optimize_pass(svc, SEED + round)
+    });
 
     // Deterministic invariants: every request decided exactly once per
     // mode, full keeps everything, off records nothing. Both workloads ran
     // (1 warmup + `rounds` measured) passes against every service.
-    let total_requests = 2 * (1 + rounds) * (threads * per_thread) as u64;
+    let total_requests = 2 * (1 + rounds) * w.requests();
     let mut consistency_failures = 0u64;
     let mut check = |ok: bool, what: &str| {
         if !ok {
@@ -233,7 +152,7 @@ pub fn e21_spans(quick: bool) -> Report {
 
     // The injected-retention scenario: a drifted-data request must survive
     // the tail sampler with a complete tree that bit-matches the oracle.
-    let scenario = retention_scenario(seed);
+    let scenario = retention_scenario();
 
     // Round-trips + export: JSONL line per tree, Chrome trace alongside.
     let tail_trees = tail_svc.telemetry().span_trees();
@@ -263,59 +182,18 @@ pub fn e21_spans(quick: bool) -> Report {
     let mut report = Report::new(
         "E21",
         format!(
-            "span tracing overhead: {threads} threads x {per_thread} reqs x {rounds} passes, \
-             {} templates, zipf(s={zipf_s})",
-            fleet.len()
+            "span tracing overhead: {} threads x {} reqs x {rounds} passes, \
+             {} templates, zipf(s={ZIPF_S})",
+            w.threads,
+            w.per_thread,
+            w.fleet.len()
         ),
     );
-    let widths = [10, 9, 12, 9, 9, 12];
-    report.line(row(
-        &[
-            "mode".into(),
-            "requests".into(),
-            "thrpt(q/s)".into(),
-            "p50(us)".into(),
-            "p99(us)".into(),
-            "overhead(%)".into(),
-        ],
-        &widths,
-    ));
+    let names = ["spans-off", "tail", "full"];
     report.line("end-to-end (prepare -> optimize -> execute; the gated workload):");
-    for (i, (mode, _)) in modes.iter().enumerate() {
-        report.line(row(
-            &[
-                (*mode).into(),
-                best[i].requests.to_string(),
-                format!("{:.0}", best[i].throughput()),
-                format!("{:.1}", best[i].p50_us),
-                format!("{:.1}", best[i].p99_us),
-                if i == 0 {
-                    "baseline".into()
-                } else {
-                    format!("{:+.1}", overhead(i))
-                },
-            ],
-            &widths,
-        ));
-    }
+    mode_table(&mut report, &names, &best);
     report.line("hit-path (optimize-only plan-cache hits; worst-case microbench, report-only):");
-    for (i, (mode, _)) in modes.iter().enumerate() {
-        report.line(row(
-            &[
-                (*mode).into(),
-                hit_best[i].requests.to_string(),
-                format!("{:.0}", hit_best[i].throughput()),
-                format!("{:.1}", hit_best[i].p50_us),
-                format!("{:.1}", hit_best[i].p99_us),
-                if i == 0 {
-                    "baseline".into()
-                } else {
-                    format!("{:+.1}", hit_overhead(i))
-                },
-            ],
-            &widths,
-        ));
-    }
+    mode_table(&mut report, &names, &hit_best);
     report.line(format!(
         "ceiling: end-to-end tail <= {tail_ceiling}% (violations: {overhead_violations}, \
          wall-clock — report-only outside the gate); full mode and hit-path report-only"
@@ -383,9 +261,9 @@ struct ScenarioOutcome {
 /// then push one cold drifted request and four reruns through it. The tail
 /// sampler must keep the cold request (slow), and — once the feedback
 /// plane flags the fingerprint — the fast reruns too (suspect).
-fn retention_scenario(seed: u64) -> ScenarioOutcome {
-    let cat = synth_catalog(seed, &spec());
-    let db = synth_database_scaled(seed, cat.clone(), 100);
+fn retention_scenario() -> ScenarioOutcome {
+    let cat = synth_catalog(SEED, &spec());
+    let db = synth_database_scaled(SEED, cat.clone(), 100);
     let telemetry = |spans: SpanMode| TelemetryConfig {
         spans,
         // Deterministic thresholding: refresh every decision, arm the

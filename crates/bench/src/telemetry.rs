@@ -22,10 +22,9 @@
 
 use starqo_serve::{Service, ServiceConfig};
 use starqo_trace::{MetricsRegistry, TelemetryConfig, TelemetrySnapshot, TraceSampler, Tracer};
-use starqo_workload::{synth_catalog, SynthSpec};
 
-use crate::serving::{run_pass, templates, zipf_cdf, PassSummary};
-use crate::{bench_dir, row, Report};
+use crate::serving::{best_of, mode_table, Workload, SEED, ZIPF_S};
+use crate::{bench_dir, Report};
 
 /// Overhead ceilings, in percent of counters-only throughput. Quick runs
 /// (unit tests, smokes) are too short to measure overhead meaningfully, so
@@ -42,25 +41,13 @@ fn ceilings(quick: bool) -> (f64, f64) {
 /// E19: telemetry overhead — counters-only vs full plane vs full + sampled
 /// tracing, with the deterministic snapshot invariants cross-checked.
 pub fn e19_telemetry(quick: bool) -> Report {
-    let (threads, per_thread) = if quick { (4, 60) } else { (8, 250) };
-    let (rounds, seed, zipf_s) = (if quick { 2u64 } else { 3 }, 42u64, 1.1);
+    let w = Workload::new(quick, if quick { (4, 60) } else { (8, 250) });
+    let rounds = if quick { 2u64 } else { 3 };
     let sample_rate = 64;
-
-    let spec = SynthSpec {
-        tables: 4,
-        card_range: (30, 60),
-        sites: 1,
-        index_prob: 0.6,
-        btree_prob: 0.4,
-        payload_cols: 2,
-    };
-    let cat = synth_catalog(seed, &spec);
-    let fleet = templates(quick);
-    let cdf = zipf_cdf(fleet.len(), zipf_s);
 
     let service = |telemetry: TelemetryConfig| {
         Service::new(
-            cat.clone(),
+            w.cat.clone(),
             ServiceConfig {
                 telemetry,
                 ..ServiceConfig::default()
@@ -78,46 +65,18 @@ pub fn e19_telemetry(quick: bool) -> Report {
         ..TelemetryConfig::default()
     })
     .with_tracer(Tracer::shared(std::sync::Arc::new(sink)));
-    let modes: [(&str, &Service); 3] = [
-        ("counters", &counters_svc),
-        ("full", &full_svc),
-        ("full+trace", &traced_svc),
-    ];
 
-    // One warmup pass per service populates the plan cache (every later
-    // pass is all-hits), then `rounds` measured passes, interleaved across
-    // the modes so slow moments of the host hit all three fairly.
-    for (_, svc) in &modes {
-        run_pass(svc, &cat, &fleet, &cdf, threads, per_thread, seed);
-    }
-    let mut best: [Option<PassSummary>; 3] = [None, None, None];
-    for round in 0..rounds {
-        for (i, (_, svc)) in modes.iter().enumerate() {
-            let pass = run_pass(svc, &cat, &fleet, &cdf, threads, per_thread, seed + round);
-            let better = best[i]
-                .as_ref()
-                .is_none_or(|b| pass.throughput() > b.throughput());
-            if better {
-                best[i] = Some(pass);
-            }
-        }
-    }
-    let best: Vec<PassSummary> = best
-        .into_iter()
-        .map(|b| b.expect("measured pass"))
-        .collect();
-    let base_thrpt = best[0].throughput().max(1e-9);
-    let overhead = |i: usize| (base_thrpt / best[i].throughput().max(1e-9) - 1.0) * 100.0;
-
-    let total_requests = (1 + rounds) * (threads * per_thread) as u64;
+    // The warmup pass populates the plan cache (every later pass is
+    // all-hits).
+    let best = best_of(
+        &[&counters_svc, &full_svc, &traced_svc],
+        rounds,
+        |svc, round| w.optimize_pass(svc, SEED + round),
+    );
+    let total_requests = (1 + rounds) * w.requests();
     let (full_ceiling, traced_ceiling) = ceilings(quick);
-    let mut overhead_violations = 0u64;
-    if overhead(1) > full_ceiling {
-        overhead_violations += 1;
-    }
-    if overhead(2) > traced_ceiling {
-        overhead_violations += 1;
-    }
+    let overhead_violations = u64::from(best[1].overhead_vs(&best[0]) > full_ceiling)
+        + u64::from(best[2].overhead_vs(&best[0]) > traced_ceiling);
 
     // Deterministic invariants: the snapshot must agree with the counter
     // plane, the full tiers must have seen every request, and the
@@ -140,7 +99,7 @@ pub fn e19_telemetry(quick: bool) -> Report {
         "snapshot requests counter matches the plane",
     );
     check(
-        full_counters.misses == fleet.len() as u64,
+        full_counters.misses == w.fleet.len() as u64,
         "single-flight pins cold optimizations to one per template",
     );
     check(
@@ -152,7 +111,7 @@ pub fn e19_telemetry(quick: bool) -> Report {
         "optimize histogram counted every miss",
     );
     check(
-        snap.topk.len() == fleet.len(),
+        snap.topk.len() == w.fleet.len(),
         "top-K tracks every distinct fingerprint",
     );
     check(
@@ -203,41 +162,14 @@ pub fn e19_telemetry(quick: bool) -> Report {
     let mut report = Report::new(
         "E19",
         format!(
-            "telemetry overhead: {threads} threads x {per_thread} reqs x {} passes, \
-             {} templates, zipf(s={zipf_s}), trace sample 1/{sample_rate}",
-            rounds,
-            fleet.len()
+            "telemetry overhead: {} threads x {} reqs x {rounds} passes, \
+             {} templates, zipf(s={ZIPF_S}), trace sample 1/{sample_rate}",
+            w.threads,
+            w.per_thread,
+            w.fleet.len()
         ),
     );
-    let widths = [10, 9, 12, 9, 9, 12];
-    report.line(row(
-        &[
-            "mode".into(),
-            "requests".into(),
-            "thrpt(q/s)".into(),
-            "p50(us)".into(),
-            "p99(us)".into(),
-            "overhead(%)".into(),
-        ],
-        &widths,
-    ));
-    for (i, (mode, _)) in modes.iter().enumerate() {
-        report.line(row(
-            &[
-                (*mode).into(),
-                best[i].requests.to_string(),
-                format!("{:.0}", best[i].throughput()),
-                format!("{:.1}", best[i].p50_us),
-                format!("{:.1}", best[i].p99_us),
-                if i == 0 {
-                    "baseline".into()
-                } else {
-                    format!("{:+.1}", overhead(i))
-                },
-            ],
-            &widths,
-        ));
-    }
+    mode_table(&mut report, &["counters", "full", "full+trace"], &best);
     report.line(format!(
         "ceilings: full <= {full_ceiling}%, full+trace <= {traced_ceiling}%  \
          (violations: {overhead_violations}, wall-clock — report-only outside the gate)"

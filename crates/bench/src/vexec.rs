@@ -4,11 +4,8 @@
 //! For each fleet query the cheapest alternative of the case's class
 //! (hash join, sort-merge join, uncorrelated or sideways-bound nested loops)
 //! is executed by the serial `starqo-exec` oracle and vexec with 1, 2 and 8
-//! workers.
-//! Because all run the *same plan* on the *same data*, the wall-clock ratio
-//! isolates executor efficiency — vectorized predicate evaluation over
-//! selection vectors, compiled expressions, and fused pipelines — from plan
-//! quality.
+//! workers, on the same data. The throughput claim (vexec against the
+//! oracle) lives in the perf ledger's `vexec.speedup_vs_exec`.
 //!
 //! Every table loaded through `DatabaseBuilder::build` carries an integer
 //! mirror of its all-integer columns, which is what vexec scans; two scan
@@ -25,25 +22,21 @@
 //! - **bit-equality**: every vexec run returns exactly the serial result
 //!   (rows *and* order); divergences are counted and must be zero;
 //! - **counter determinism**: batch/morsel/row counts are identical at 1,
-//!   2 and 8 workers;
-//! - **throughput floor** (full mode only): vexec at 8 workers is at
-//!   least 3× the serial throughput in aggregate across the fleet.
+//!   2 and 8 workers.
 
 use std::sync::Arc;
 
 use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value};
 use starqo_core::{OptConfig, Optimizer};
-use starqo_exec::{is_correlated, Executor, QueryResult};
+use starqo_exec::{is_correlated, Executor};
 use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::{CmpOp, PredExpr, QCol, Query, QueryBuilder, Scalar};
 use starqo_storage::{Database, DatabaseBuilder, Tuple};
 use starqo_trace::MetricsRegistry;
-use starqo_vexec::{supports, VexecExecutor};
-use starqo_workload::{
-    query_shape, synth_catalog, synth_database_scaled, QueryShape, Rng64, SynthSpec,
-};
+use starqo_vexec::{supports, VexecExecutor, VexecStats};
+use starqo_workload::{query_shape, synth_catalog, synth_database, QueryShape, Rng64, SynthSpec};
 
-use crate::{row, time_ms, Report};
+use crate::Report;
 
 struct Case {
     name: String,
@@ -79,7 +72,6 @@ enum CaseSpec {
         n: usize,
         marker: &'static str,
         card_range: (u64, u64),
-        scale: u64,
         seed: u64,
         /// Enable the cartesian repertoire: uncorrelated NL inners only
         /// exist there (without it an NL inner is an index probe bound by
@@ -125,36 +117,34 @@ enum Load {
     LateInsert,
 }
 
-/// The per-class suite. The scan class carries the throughput floor; the
-/// synthetic classes are ratio breadth (symmetric hash joins are
-/// build-dominated in both engines, so their ratio is near 1).
-fn case_specs(quick: bool) -> Vec<CaseSpec> {
-    let scale = if quick { 1 } else { 2 };
+/// The per-class suite: scans over each read path of the probe table,
+/// hash and merge joins, and uncorrelated and sideways-bound nested loops.
+fn case_specs() -> Vec<CaseSpec> {
     vec![
         CaseSpec::Scan {
             name: "scan-asym",
-            t0: if quick { 60_000 } else { 600_000 },
+            t0: 60_000,
             t1: 2_000,
             seed: 9,
             load: Load::Built,
         },
         CaseSpec::Scan {
             name: "scan-asym2",
-            t0: if quick { 40_000 } else { 400_000 },
+            t0: 40_000,
             t1: 1_000,
             seed: 10,
             load: Load::Built,
         },
         CaseSpec::Scan {
             name: "scan-null",
-            t0: if quick { 20_000 } else { 200_000 },
+            t0: 20_000,
             t1: 1_000,
             seed: 11,
             load: Load::NullBearing,
         },
         CaseSpec::Scan {
             name: "scan-late",
-            t0: if quick { 20_000 } else { 200_000 },
+            t0: 20_000,
             t1: 1_000,
             seed: 12,
             load: Load::LateInsert,
@@ -165,7 +155,6 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             n: 3,
             marker: "JOIN(HA)",
             card_range: (2_000, 4_000),
-            scale,
             seed: 41,
             nl: false,
         },
@@ -175,19 +164,18 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             n: 3,
             marker: "JOIN(HA)",
             card_range: (2_000, 4_000),
-            scale,
             seed: 42,
             nl: false,
         },
         CaseSpec::Merge {
             name: "mg-chain",
-            rows: if quick { 2_000 } else { 4_000 },
+            rows: 2_000,
             dup: false,
             seed: 46,
         },
         CaseSpec::Merge {
             name: "mg-dup",
-            rows: if quick { 1_500 } else { 3_000 },
+            rows: 1_500,
             dup: true,
             seed: 47,
         },
@@ -197,7 +185,6 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             n: 3,
             marker: "JOIN(NL)",
             card_range: (400, 800),
-            scale: 1,
             seed: 43,
             nl: true,
         },
@@ -210,7 +197,6 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             n: 3,
             marker: "JOIN(NL)",
             card_range: (400, 800),
-            scale: 1,
             seed: 44,
             nl: false,
         },
@@ -220,7 +206,6 @@ fn case_specs(quick: bool) -> Vec<CaseSpec> {
             n: 3,
             marker: "JOIN(NL)",
             card_range: (400, 800),
-            scale: 1,
             seed: 45,
             nl: false,
         },
@@ -238,7 +223,6 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
             n,
             marker,
             card_range,
-            scale,
             seed,
             nl,
         } => {
@@ -251,7 +235,7 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
                 payload_cols: 2,
             };
             let cat = synth_catalog(*seed, &spec);
-            let db = synth_database_scaled(*seed, cat.clone(), *scale);
+            let db = synth_database(*seed, cat.clone());
             let query = query_shape(&cat, *shape, *n, true);
             let opt = Optimizer::new(cat).expect("rules compile");
             let mut config = OptConfig {
@@ -448,60 +432,25 @@ fn materialize(spec: &CaseSpec) -> (String, Option<Case>) {
     }
 }
 
-/// Best-of-N wall milliseconds for one executor closure.
-fn best_ms(reps: usize, mut f: impl FnMut() -> QueryResult) -> (QueryResult, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let (r, ms) = time_ms(&mut f);
-        best = best.min(ms);
-        out = Some(r);
-    }
-    (out.expect("at least one rep"), best)
-}
-
-pub fn e23_vexec(quick: bool) -> Report {
+pub fn e23_vexec() -> Report {
     let mut report = Report::new(
         "E23",
         "vectorized batch executor vs serial interpreter (same plans, same data)",
     );
-    let reps = if quick { 2 } else { 3 };
-    let specs = case_specs(quick);
-
     let mut reg = MetricsRegistry::new();
     let mut divergences = 0u64;
     let mut ncases = 0u64;
     let mut unsupported = 0u64;
-    let mut serial_ms_total = 0.0f64;
-    let mut vexec8_ms_total = 0.0f64;
-    let widths = [18usize, 9, 10, 10, 10, 8, 8];
-    report.line(row(
-        &[
-            "case",
-            "rows",
-            "serial_ms",
-            "vexec1_ms",
-            "vexec8_ms",
-            "x1",
-            "x8",
-        ]
-        .map(String::from),
-        &widths,
-    ));
-    for spec in &specs {
+    for spec in &case_specs() {
         // One case lives at a time: the big scan cases are dropped before
         // the next materializes.
         let (cname, case) = materialize(spec);
-        let case = match case {
-            Some(c) => c,
-            None => {
-                unsupported += 1;
-                report.line(format!("{cname}: no supported plan of this class, skipped"));
-                continue;
-            }
+        let Some(case) = case else {
+            unsupported += 1;
+            report.line(format!("{cname}: no supported plan of this class, skipped"));
+            continue;
         };
         ncases += 1;
-        let case = &case;
         let correlated = case.plan.any(&|n| {
             matches!(
                 n.op,
@@ -515,32 +464,23 @@ pub fn e23_vexec(quick: bool) -> Report {
                 .is_some_and(|i| is_correlated(i, &case.query))
         });
         reg.count("exec_correlated_nl_cases", correlated as u64);
-        let (want, serial_ms) = best_ms(reps, || {
-            Executor::new(&case.db, &case.query)
-                .run(&case.plan)
-                .expect("serial executes")
-        });
+        let want = Executor::new(&case.db, &case.query)
+            .run(&case.plan)
+            .expect("serial executes");
         let run_vexec = |workers: usize| {
-            let mut stats = None;
-            let (got, ms) = best_ms(reps, || {
-                let mut vx = VexecExecutor::new(&case.db, &case.query);
-                vx.set_workers(workers);
-                let r = vx.run(&case.plan).expect("vexec executes");
-                stats = Some(*vx.stats());
-                r
-            });
-            (got, ms, stats.expect("ran"))
+            let mut vx = VexecExecutor::new(&case.db, &case.query);
+            vx.set_workers(workers);
+            let got = vx.run(&case.plan).expect("vexec executes");
+            // Batch/morsel/row accounting must not depend on scheduling.
+            let stats = VexecStats {
+                max_workers: 0,
+                ..*vx.stats()
+            };
+            (got, stats)
         };
-        let [(got1, v1_ms, mut s1), (got2, _, mut s2), (got8, v8_ms, mut s8)] =
-            [1, 2, 8].map(run_vexec);
-        divergences += [got1, got2, got8]
-            .iter()
-            .filter(|got| **got != want)
-            .count() as u64;
-        // Batch/morsel/row accounting must not depend on scheduling.
-        for s in [&mut s1, &mut s2, &mut s8] {
-            s.max_workers = 0;
-        }
+        let [(got1, s1), (got2, s2), (got8, s8)] = [1, 2, 8].map(run_vexec);
+        let diverged = [got1, got2, got8].iter().filter(|g| **g != want).count();
+        divergences += diverged as u64;
         assert!(
             s1 == s8 && s2 == s8,
             "{}: stats depend on worker count",
@@ -550,44 +490,24 @@ pub fn e23_vexec(quick: bool) -> Report {
         reg.count("exec_vexec_batches", s8.batches);
         reg.count("exec_vexec_morsels", s8.morsels);
         reg.count("exec_vexec_rows", s8.rows);
-        serial_ms_total += serial_ms;
-        vexec8_ms_total += v8_ms;
-        report.line(row(
-            &[
-                case.name.clone(),
-                want.rows.len().to_string(),
-                format!("{serial_ms:.2}"),
-                format!("{v1_ms:.2}"),
-                format!("{v8_ms:.2}"),
-                format!("{:.2}", serial_ms / v1_ms.max(1e-9)),
-                format!("{:.2}", serial_ms / v8_ms.max(1e-9)),
-            ],
-            &widths,
+        report.line(format!(
+            "{:<18} {:>6} rows  {:>4} batches  {:>3} morsels  divergences: {diverged}",
+            case.name,
+            want.rows.len(),
+            s8.batches,
+            s8.morsels
         ));
     }
     assert!(ncases > 0, "fleet produced no vexec-supported plan");
-    let speedup8 = serial_ms_total / vexec8_ms_total.max(1e-9);
     reg.count("exec_cases", ncases);
     reg.count("exec_unsupported_cases", unsupported);
     reg.count("exec_divergences", divergences);
-    report.line(format!(
-        "aggregate: serial {serial_ms_total:.1} ms, vexec-8 {vexec8_ms_total:.1} ms, speedup {speedup8:.2}x"
-    ));
     report.line(format!("divergences: {divergences}"));
     assert_eq!(divergences, 0, "vexec diverged from the serial oracle");
     assert!(
         reg.summary().counter("exec_correlated_nl_cases") >= Some(2),
         "the fleet lost its sideways-bound nested-loop cases"
     );
-    if !quick {
-        // The acceptance floor: vectorization (selection-before-gather,
-        // compiled expressions, fused pipelines) must carry a 3× aggregate
-        // throughput win even on a single core.
-        assert!(
-            speedup8 >= 3.0,
-            "vexec-8 speedup {speedup8:.2}x below the 3x floor"
-        );
-    }
     report.absorb(&reg.summary());
     report
 }
@@ -596,10 +516,10 @@ pub fn e23_vexec(quick: bool) -> Report {
 mod tests {
     use super::*;
 
-    /// The quick bench stays bit-exact and counter-deterministic.
+    /// The bench stays bit-exact and counter-deterministic.
     #[test]
     fn quick_e23_is_exact() {
-        let report = e23_vexec(true);
+        let report = e23_vexec();
         assert_eq!(report.metrics.counter("exec_divergences"), Some(0));
         assert!(report.metrics.counter("exec_cases").unwrap_or(0) >= 1);
         assert!(report.body.contains("divergences: 0"));

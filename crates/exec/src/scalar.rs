@@ -96,12 +96,6 @@ pub fn eval_preds(query: &Query, preds: PredSet, row: &RowView<'_>) -> Result<bo
     Ok(true)
 }
 
-/// Evaluate a comparison with SQL-style equality semantics, used for join
-/// key matching in merge/hash joins.
-pub fn values_join_equal(a: &Value, b: &Value) -> bool {
-    !a.is_null() && !b.is_null() && a == b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,8 +204,24 @@ mod tests {
 
     #[test]
     fn join_equality_rejects_nulls() {
-        assert!(values_join_equal(&Value::Int(1), &Value::Int(1)));
-        assert!(!values_join_equal(&Value::Null, &Value::Null));
-        assert!(!values_join_equal(&Value::Int(1), &Value::Int(2)));
+        let s = schema();
+        let b = Bindings::new();
+        let eq = PredExpr::Cmp(
+            CmpOp::Eq,
+            Scalar::col(QId(0), ColId(0)),
+            Scalar::col(QId(0), ColId(1)),
+        );
+        let holds = |l: Value, r: Value| {
+            let row = Tuple(vec![l, r]);
+            let view = RowView {
+                schema: &s,
+                row: &row,
+                bindings: &b,
+            };
+            eval_pred_expr(&eq, &view).unwrap()
+        };
+        assert!(holds(Value::Int(1), Value::Int(1)));
+        assert!(!holds(Value::Null, Value::Null));
+        assert!(!holds(Value::Int(1), Value::Int(2)));
     }
 }

@@ -347,7 +347,7 @@ impl Diagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::smoke_snapshot;
+    use crate::testutil::smoke_snapshot;
 
     #[test]
     fn smoke_snapshot_yields_the_expected_findings() {

@@ -1,16 +1,17 @@
 //! Benchmark regression gate: compare a fresh `BENCH_*.json` against a
-//! committed baseline with percentage thresholds.
+//! committed baseline.
 //!
 //! Two classes of measurement get different thresholds:
-//! - **wall_ms** is wall-clock and noisy — gated by `wall_pct`;
+//! - **wall_ms** is wall-clock and noisy — allowed [`WALL_PCT`];
 //! - **work counters** (star_refs, plans_built, ...) are deterministic for
-//!   a fixed rule set and query — gated by the tighter `counter_pct`.
+//!   a fixed rule set and query — allowed the tighter [`COUNTER_PCT`].
 //!
 //! Only *increases* violate: doing less work or running faster never
 //! fails the gate. A counter whose baseline is zero (`exec_divergences`,
 //! heal `escapes`, ...) must stay zero: any non-zero fresh value violates.
-//! Counters present in just one file are reported as informational notes,
-//! not violations (benchmarks grow new counters).
+//! A baseline counter the fresh run no longer emits violates too — a pinned
+//! counter must not vanish silently. A counter new in the fresh run is an
+//! informational note (benchmarks grow new counters).
 //!
 //! Measurements derived from wall-clock time ([`WALL_CLOCK`]) are compared
 //! and reported like the rest but are not work counters:
@@ -19,6 +20,11 @@
 use std::fmt::Write as _;
 
 use starqo_trace::read::{parse_json, JsonValue};
+
+/// Allowed wall-clock increase, percent.
+pub const WALL_PCT: f64 = 25.0;
+/// Allowed work-counter increase, percent.
+pub const COUNTER_PCT: f64 = 5.0;
 
 /// Measurements that depend on how fast the host ran: total wall time and
 /// the "overhead above its ceiling" ticks of the E19/E20/E21 benches, which
@@ -35,7 +41,8 @@ pub const WALL_CLOCK: [&str; 4] = [
 pub struct Violation {
     pub metric: String,
     pub baseline: f64,
-    pub fresh: f64,
+    /// `None` when the fresh run no longer emits the counter.
+    pub fresh: Option<f64>,
     pub change_pct: f64,
     pub threshold_pct: f64,
 }
@@ -45,9 +52,9 @@ pub struct Violation {
 pub struct GateResult {
     pub bench: String,
     pub violations: Vec<Violation>,
-    /// Measurements compared (wall_ms + shared counters).
+    /// Measurements compared (wall_ms + baseline counters).
     pub checked: usize,
-    /// Counters present in only one of the two files.
+    /// Counters new in the fresh run.
     pub notes: Vec<String>,
 }
 
@@ -73,11 +80,18 @@ impl GateResult {
             self.violations.len()
         );
         for v in &self.violations {
-            let _ = writeln!(
-                out,
-                "  REGRESSION {}: {} -> {} ({:+.1}%, threshold {:.1}%)",
-                v.metric, v.baseline, v.fresh, v.change_pct, v.threshold_pct
-            );
+            let _ = match v.fresh {
+                Some(fresh) => writeln!(
+                    out,
+                    "  REGRESSION {}: {} -> {} ({:+.1}%, threshold {:.1}%)",
+                    v.metric, v.baseline, fresh, v.change_pct, v.threshold_pct
+                ),
+                None => writeln!(
+                    out,
+                    "  REGRESSION {}: {} -> missing from fresh run",
+                    v.metric, v.baseline
+                ),
+            };
         }
         for n in &self.notes {
             let _ = writeln!(out, "  note: {n}");
@@ -86,26 +100,8 @@ impl GateResult {
     }
 }
 
-/// Percentage thresholds for [`gate`].
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Allowed wall-clock increase, percent.
-    pub wall_pct: f64,
-    /// Allowed work-counter increase, percent.
-    pub counter_pct: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            wall_pct: 25.0,
-            counter_pct: 5.0,
-        }
-    }
-}
-
 /// Compare two `BENCH_*.json` documents (baseline, fresh).
-pub fn gate(baseline: &str, fresh: &str, th: Thresholds) -> Result<GateResult, String> {
+pub fn gate(baseline: &str, fresh: &str) -> Result<GateResult, String> {
     let base = parse_json(baseline).map_err(|e| format!("baseline: {e}"))?;
     let new = parse_json(fresh).map_err(|e| format!("fresh: {e}"))?;
     let mut result = GateResult {
@@ -122,7 +118,7 @@ pub fn gate(baseline: &str, fresh: &str, th: Thresholds) -> Result<GateResult, S
         new.get("wall_ms").and_then(JsonValue::as_f64),
     ) {
         result.checked += 1;
-        check("wall_ms", bw, fw, th.wall_pct, &mut result.violations);
+        check("wall_ms", bw, fw, WALL_PCT, &mut result.violations);
     }
 
     let counters = |doc: &JsonValue| -> Vec<(String, f64)> {
@@ -140,14 +136,16 @@ pub fn gate(baseline: &str, fresh: &str, th: Thresholds) -> Result<GateResult, S
     let bc = counters(&base);
     let fc = counters(&new);
     for (k, bv) in &bc {
+        result.checked += 1;
         match fc.iter().find(|(fk, _)| fk == k) {
-            Some((_, fv)) => {
-                result.checked += 1;
-                check(k, *bv, *fv, th.counter_pct, &mut result.violations);
-            }
-            None => result
-                .notes
-                .push(format!("counter {k} missing from fresh run")),
+            Some((_, fv)) => check(k, *bv, *fv, COUNTER_PCT, &mut result.violations),
+            None => result.violations.push(Violation {
+                metric: k.clone(),
+                baseline: *bv,
+                fresh: None,
+                change_pct: f64::INFINITY,
+                threshold_pct: COUNTER_PCT,
+            }),
         }
     }
     for (k, _) in &fc {
@@ -172,7 +170,7 @@ fn check(metric: &str, baseline: f64, fresh: f64, threshold_pct: f64, out: &mut 
         out.push(Violation {
             metric: metric.to_string(),
             baseline,
-            fresh,
+            fresh: Some(fresh),
             change_pct,
             threshold_pct,
         });
@@ -192,7 +190,7 @@ mod tests {
     #[test]
     fn unchanged_run_passes() {
         let doc = bench_json(100.0, 500, 2000);
-        let r = gate(&doc, &doc, Thresholds::default()).unwrap();
+        let r = gate(&doc, &doc).unwrap();
         assert!(r.passed(), "{r:?}");
         assert_eq!(r.checked, 3);
         assert_eq!(r.bench, "strategies");
@@ -203,7 +201,7 @@ mod tests {
         // star_refs 500 -> 600 = +20%, over the 5% counter threshold.
         let base = bench_json(100.0, 500, 2000);
         let fresh = bench_json(100.0, 600, 2000);
-        let r = gate(&base, &fresh, Thresholds::default()).unwrap();
+        let r = gate(&base, &fresh).unwrap();
         assert_eq!(r.violations.len(), 1);
         let v = &r.violations[0];
         assert_eq!(v.metric, "star_refs");
@@ -220,10 +218,10 @@ mod tests {
         // +20% wall time: under the 25% wall threshold, passes.
         let base = bench_json(100.0, 500, 2000);
         let fresh = bench_json(120.0, 500, 2000);
-        assert!(gate(&base, &fresh, Thresholds::default()).unwrap().passed());
+        assert!(gate(&base, &fresh).unwrap().passed());
         // +30%: fails.
         let fresh = bench_json(130.0, 500, 2000);
-        let r = gate(&base, &fresh, Thresholds::default()).unwrap();
+        let r = gate(&base, &fresh).unwrap();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].metric, "wall_ms");
     }
@@ -232,16 +230,25 @@ mod tests {
     fn improvements_never_violate() {
         let base = bench_json(100.0, 500, 2000);
         let fresh = bench_json(10.0, 100, 50);
-        assert!(gate(&base, &fresh, Thresholds::default()).unwrap().passed());
+        assert!(gate(&base, &fresh).unwrap().passed());
     }
 
     #[test]
-    fn missing_and_new_counters_are_notes_not_violations() {
-        let base = r#"{"bench":"x","wall_ms":1,"metrics":{"counters":{"old_counter":5}}}"#;
+    fn missing_counter_violates_new_counter_is_a_note() {
+        let base = r#"{"bench":"x","wall_ms":1,"metrics":{"counters":{"exec_divergences":0}}}"#;
         let fresh = r#"{"bench":"x","wall_ms":1,"metrics":{"counters":{"new_counter":9}}}"#;
-        let r = gate(base, fresh, Thresholds::default()).unwrap();
-        assert!(r.passed());
-        assert_eq!(r.notes.len(), 2);
+        let r = gate(base, fresh).unwrap();
+        assert!(!r.counters_passed(), "{}", r.render());
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].metric, "exec_divergences");
+        assert_eq!(r.violations[0].fresh, None);
+        assert!(
+            r.render()
+                .contains("REGRESSION exec_divergences: 0 -> missing from fresh run"),
+            "{}",
+            r.render()
+        );
+        assert_eq!(r.notes, ["counter new_counter new in fresh run"]);
     }
 
     #[test]
@@ -251,9 +258,9 @@ mod tests {
                 r#"{{"bench":"exec","wall_ms":1,"metrics":{{"counters":{{"exec_divergences":{n},"exec_cases":12}}}}}}"#
             )
         };
-        let r = gate(&doc(0), &doc(0), Thresholds::default()).unwrap();
+        let r = gate(&doc(0), &doc(0)).unwrap();
         assert!(r.passed(), "{r:?}");
-        let r = gate(&doc(0), &doc(2), Thresholds::default()).unwrap();
+        let r = gate(&doc(0), &doc(2)).unwrap();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].metric, "exec_divergences");
         assert!(!r.counters_passed());
@@ -271,7 +278,7 @@ mod tests {
                 r#"{{"bench":"telemetry","wall_ms":{wall},"metrics":{{"counters":{{"telemetry_overhead_violations":{tick},"telemetry_requests":8000}}}}}}"#
             )
         };
-        let r = gate(&doc(100.0, 0), &doc(200.0, 1), Thresholds::default()).unwrap();
+        let r = gate(&doc(100.0, 0), &doc(200.0, 1)).unwrap();
         let metrics: Vec<&str> = r.violations.iter().map(|v| v.metric.as_str()).collect();
         assert_eq!(metrics, ["wall_ms", "telemetry_overhead_violations"]);
         assert!(!r.passed());
@@ -286,16 +293,16 @@ mod tests {
             )
         };
         // The tick alone flips 0 -> 1: reported, but no counter failed.
-        let r = gate(&doc(0, 40), &doc(1, 40), Thresholds::default()).unwrap();
+        let r = gate(&doc(0, 40), &doc(1, 40)).unwrap();
         assert!(!r.passed() && r.counters_passed(), "{}", r.render());
         // A deterministic counter of the same bench regressing still fails.
-        let r = gate(&doc(0, 40), &doc(1, 80), Thresholds::default()).unwrap();
+        let r = gate(&doc(0, 40), &doc(1, 80)).unwrap();
         assert!(!r.counters_passed(), "{}", r.render());
     }
 
     #[test]
     fn malformed_json_is_an_error() {
-        assert!(gate("not json", "{}", Thresholds::default()).is_err());
-        assert!(gate("{}", "nope", Thresholds::default()).is_err());
+        assert!(gate("not json", "{}").is_err());
+        assert!(gate("{}", "nope").is_err());
     }
 }

@@ -13,7 +13,7 @@
 //!   or folded-stacks output for standard flamegraph tooling;
 //! - [`diff::TraceDiff`] — behavioral comparison of two runs;
 //! - [`gate::gate`] — `BENCH_*.json` regression gating against a committed
-//!   baseline with percentage thresholds;
+//!   baseline: work counters enforced, wall-clock report-only;
 //! - [`accuracy::AccuracyReport`] — the estimate→actual join: CARD/COST
 //!   Q-error per plan node, aggregated per LOLEPOP, per STAR rule, and per
 //!   workload query;
@@ -52,9 +52,9 @@ pub use diff::TraceDiff;
 pub use doctor::{Diagnosis, Finding, Severity};
 pub use flame::FlameTree;
 pub use fmt::{fmt_nanos, sparkline};
-pub use gate::{gate, GateResult, Thresholds, Violation};
-pub use live::{smoke_snapshot, LiveReport};
+pub use gate::{gate, GateResult, Violation};
+pub use live::LiveReport;
 pub use profile::{LineageRow, Profile, StarProfile};
 pub use spans::{smoke_trees, SpanReport};
 pub use starqo_plan::CostCalibration;
-pub use watch::{smoke_sequence, Watcher};
+pub use watch::Watcher;

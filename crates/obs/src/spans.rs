@@ -141,8 +141,8 @@ impl SpanReport {
     }
 }
 
-/// Deterministic synthetic trees for smoke-testing the spans pipeline
-/// (table + waterfall + Chrome export) without a live service: a slow cold
+/// Deterministic synthetic trees for testing the spans pipeline (table +
+/// waterfall + Chrome export) without a live service: a slow cold
 /// request with nested optimizer spans and a fast suspect hit.
 pub fn smoke_trees() -> Vec<SpanTree> {
     let span = |id: u32, parent: u32, name: &str, start: u64, end: u64, meta: u64| SpanRecord {

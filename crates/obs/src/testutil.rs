@@ -1,7 +1,7 @@
 //! Hand-constructed traces shared by the analytics tests. Every number
 //! here is asserted somewhere — change with care.
 
-use starqo_trace::{CostBreakdownEv, TraceEvent};
+use starqo_trace::{CostBreakdownEv, TelemetrySnapshot, TraceEvent};
 
 /// A minimal but complete run: `JoinRoot` expands once and references
 /// `JMeth` twice (one expansion, one memo hit). `JMeth`'s alt 1 fails its
@@ -107,4 +107,147 @@ pub fn trace_one_star() -> Vec<TraceEvent> {
             cost: 5.0,
         },
     ]
+}
+
+/// A deterministic synthetic snapshot for the dashboard, doctor and
+/// exporter tests (render + JSON + Prometheus) without a live service.
+pub fn smoke_snapshot() -> TelemetrySnapshot {
+    use starqo_trace::{FeedbackPlane, Histogram, HotQuery, SuspectConfig};
+    let mut optimize = Histogram::new();
+    let mut cache_hit = Histogram::new();
+    let mut execute = Histogram::new();
+    let mut end_to_end = Histogram::new();
+    for i in 0..200u64 {
+        // A few cold optimizations, many cheap warm serves.
+        if i % 50 == 0 {
+            optimize.record(2_000_000 + i * 10_000);
+            end_to_end.record(2_100_000 + i * 10_000);
+        } else {
+            cache_hit.record(2_000 + (i % 7) * 300);
+            end_to_end.record(2_500 + (i % 7) * 300);
+        }
+        execute.record(40_000 + (i % 11) * 1_000);
+    }
+    TelemetrySnapshot {
+        uptime_nanos: 2_000_000_000,
+        counters: vec![
+            ("serve_requests".into(), 200),
+            ("serve_cache_hit".into(), 196),
+            ("serve_cache_coalesced".into(), 0),
+            ("serve_cache_miss".into(), 4),
+            ("serve_cache_evict".into(), 0),
+            ("serve_cache_invalidate".into(), 0),
+            ("serve_rejected".into(), 0),
+            ("serve_degraded".into(), 0),
+            ("serve_errors".into(), 0),
+            ("serve_executions".into(), 200),
+            ("serve_exec_rows".into(), 1_600),
+            ("serve_trace_sampled".into(), 3),
+            ("serve_trace_unsampled".into(), 197),
+            ("opt_star_refs".into(), 56),
+            ("opt_memo_hits".into(), 24),
+            ("opt_plans_built".into(), 180),
+            ("opt_glue_refs".into(), 32),
+            ("serve_opt_nanos".into(), 8_600_000),
+            ("serve_saved_nanos".into(), 420_000_000),
+            ("serve_exec_nanos".into(), 9_000_000),
+            ("serve_pipeline_rows".into(), 2_400),
+            ("serve_feedback_runs".into(), 200),
+            ("serve_suspects_flagged".into(), 1),
+            ("serve_spans_kept".into(), 6),
+            ("serve_spans_dropped".into(), 194),
+            ("serve_reopt_attempts".into(), 3),
+            ("serve_reopt_failures".into(), 1),
+            ("serve_reopt_backoff".into(), 2),
+            ("serve_reopt_retry_capped".into(), 0),
+            ("serve_plan_swap".into(), 1),
+            ("serve_plan_pinned".into(), 2),
+            ("vexec_batches".into(), 240),
+            ("vexec_morsels_queued".into(), 62),
+            ("vexec_morsels".into(), 60),
+            ("vexec_rows".into(), 1_550),
+        ],
+        phases: vec![
+            ("prepare".into(), 400_000, 200),
+            ("cache_lookup".into(), 600_000, 196),
+            ("enumerate".into(), 7_200_000, 4),
+            ("glue".into(), 900_000, 4),
+            ("compile".into(), 300_000, 4),
+            ("execute".into(), 9_000_000, 200),
+        ],
+        span_resident: 6,
+        span_capacity: 64,
+        span_evicted: 0,
+        latency: vec![
+            ("optimize".into(), optimize),
+            ("cache_hit".into(), cache_hit),
+            ("execute".into(), execute),
+            ("end_to_end".into(), end_to_end),
+        ],
+        topk: vec![
+            HotQuery {
+                fp: 0xA11CE,
+                count: 120,
+                err: 0,
+                nanos: 360_000,
+                last_epoch: 1,
+            },
+            HotQuery {
+                fp: 0xB0B,
+                count: 80,
+                err: 45,
+                nanos: 250_000,
+                last_epoch: 1,
+            },
+        ],
+        qerror: {
+            // A drifted fingerprint (flags suspect) and an accurate one,
+            // folded through the real plane so the smoke snapshot stays
+            // honest about the sketch invariants.
+            let plane = FeedbackPlane::new(
+                1,
+                4,
+                SuspectConfig {
+                    min_runs: 4,
+                    ..SuspectConfig::default()
+                },
+            );
+            for i in 0..8u64 {
+                plane.record(0xA11CE, 20, 320, 40_000 + i * 1_000, 1);
+                plane.record(0xB0B, 64, 64, 45_000 + i * 1_000, 1);
+            }
+            plane.snapshot()
+        },
+        heal: vec![starqo_trace::HealRecord {
+            fp: 0xA11CE,
+            epoch: 1,
+            attempts: 0,
+            swaps: 1,
+            pins: 2,
+            backoff_hits: 2,
+            retry_capped: false,
+            last_reason: "swapped".into(),
+            backoff_until_nanos: 0,
+        }],
+    }
+}
+
+/// A deterministic sequence of absolute snapshots for the watch-loop
+/// tests: steady traffic with a drift flag
+/// appearing mid-sequence.
+pub fn smoke_sequence() -> Vec<TelemetrySnapshot> {
+    (0..4u64)
+        .map(|i| {
+            let mut s = smoke_snapshot();
+            s.uptime_nanos = (i + 1) * 1_000_000_000;
+            for (name, v) in s.counters.iter_mut() {
+                // Counters grow linearly; the suspect flag lands on tick 3.
+                *v = match name.as_str() {
+                    "serve_suspects_flagged" => u64::from(i >= 2),
+                    _ => *v * (i + 1) / 4,
+                };
+            }
+            s
+        })
+        .collect()
 }

@@ -147,29 +147,10 @@ impl LiveReport {
     }
 }
 
-/// A deterministic sequence of absolute snapshots for smoke-testing the
-/// watch loop without a live service: steady traffic with a drift flag
-/// appearing mid-sequence.
-pub fn smoke_sequence() -> Vec<TelemetrySnapshot> {
-    (0..4u64)
-        .map(|i| {
-            let mut s = crate::live::smoke_snapshot();
-            s.uptime_nanos = (i + 1) * 1_000_000_000;
-            for (name, v) in s.counters.iter_mut() {
-                // Counters grow linearly; the suspect flag lands on tick 3.
-                *v = match name.as_str() {
-                    "serve_suspects_flagged" => u64::from(i >= 2),
-                    _ => *v * (i + 1) / 4,
-                };
-            }
-            s
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{smoke_sequence, smoke_snapshot};
 
     #[test]
     fn first_tick_is_lifetime_later_ticks_are_intervals_with_trends() {
@@ -218,7 +199,7 @@ mod tests {
             w.tick(s);
         }
         let frame = w.tick({
-            let mut s = crate::live::smoke_snapshot();
+            let mut s = smoke_snapshot();
             s.uptime_nanos = 5_000_000_000;
             s.heal[0].retry_capped = true;
             s

@@ -32,8 +32,6 @@ pub struct ServiceConfig {
     pub opt_config: OptConfig,
     /// Plan-cache sizing.
     pub cache: CacheConfig,
-    /// Serve straight from the optimizer when false (benchmark baseline).
-    pub cache_enabled: bool,
     /// Concurrent *cold* optimizations allowed at once (0 = unlimited).
     /// Cache hits are never gated.
     pub max_concurrent_opt: usize,
@@ -57,7 +55,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             opt_config: OptConfig::default(),
             cache: CacheConfig::default(),
-            cache_enabled: true,
             max_concurrent_opt: 0,
             max_queue_wait: None,
             default_deadline: None,
@@ -450,18 +447,6 @@ impl Service {
         let fp_text: Arc<str> = Arc::from(fp.text.as_str());
         let tracer = self.request_tracer(fp.hash);
 
-        if !self.config.cache_enabled {
-            let (optimized, nanos) =
-                self.cold_optimize(prepared, &cat, epoch, deadline, &tracer, ctx)?;
-            self.telemetry.add(Metric::CacheMiss, 1);
-            self.telemetry.add(Metric::OptNanos, nanos);
-            self.telemetry.observe(LatencyPath::Optimize, nanos);
-            tracer.emit(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
-            let outcome = self.finish(prepared, optimized, false, false, epoch, nanos, 0);
-            self.finish_request(fp.hash, epoch, started);
-            return Ok(outcome);
-        }
-
         // The lookup span covers the whole cache interaction: a hit returns
         // immediately, a leader's cold optimization nests its own `optimize`
         // span inside, and a follower blocks here for the flight — in which
@@ -832,9 +817,8 @@ impl Service {
         ctx: &SpanContext,
     ) {
         let Some(healer) = &self.healer else { return };
-        // No cache entry means nothing to swap; a degraded incumbent is
-        // never cached either.
-        if !self.config.cache_enabled || outcome.optimized.degraded {
+        // A degraded incumbent is never cached: there is no entry to swap.
+        if outcome.optimized.degraded {
             return;
         }
         let fp = outcome.fingerprint.hash;
@@ -1299,26 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_always_misses() {
-        let cat = catalog();
-        let svc = Service::new(
-            Arc::clone(&cat),
-            ServiceConfig {
-                cache_enabled: false,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let q = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
-        svc.optimize(&q).unwrap();
-        svc.optimize(&q).unwrap();
-        let snap = svc.counters();
-        assert_eq!(snap.misses, 2);
-        assert_eq!(snap.hits, 0);
-        assert_eq!(svc.cache_len(), 0);
-    }
-
-    #[test]
     fn zero_wait_gate_rejects_second_request() {
         let cat = catalog();
         let svc = Arc::new(
@@ -1327,7 +1291,6 @@ mod tests {
                 ServiceConfig {
                     max_concurrent_opt: 1,
                     max_queue_wait: Some(Duration::ZERO),
-                    cache_enabled: false,
                     ..ServiceConfig::default()
                 },
             )
