@@ -44,7 +44,7 @@ pub fn e8_star_vs_xform() -> crate::Report {
     for n in 2..=6usize {
         let query = query_shape(&cat, QueryShape::Chain, n, true);
         let (star, star_ms) = crate::time_ms(|| opt.optimize(&query, &star_config).expect("star"));
-        r.absorb(&star.metrics);
+        r.absorb(&star);
         r.line(crate::row(
             &[
                 n.to_string(),
@@ -117,7 +117,7 @@ pub fn e12_reestimation() -> crate::Report {
     for n in 2..=5usize {
         let query = query_shape(&cat, QueryShape::Chain, n, false);
         let star = opt.optimize(&query, &star_config).expect("star");
-        r.absorb(&star.metrics);
+        r.absorb(&star);
         let xf = XformOptimizer::new().with_budget(1_000);
         let xout = xf.optimize(&cat, &query).expect("xform");
         r.line(crate::row(
@@ -179,7 +179,7 @@ pub fn e9_enumeration() -> crate::Report {
             let mut best_so_far = f64::INFINITY;
             for (label, config) in configs {
                 let out = opt.optimize(&query, &config).expect("optimize");
-                r.absorb(&out.metrics);
+                r.absorb(&out);
                 let best = out.best.props.cost.total();
                 r.line(crate::row(
                     &[
@@ -249,7 +249,7 @@ pub fn e14_ablations() -> crate::Report {
         let mut best_cost = None;
         for (label, config) in configs {
             let (out, ms) = crate::time_ms(|| opt.optimize(&query, &config).expect("optimize"));
-            r.absorb(&out.metrics);
+            r.absorb(&out);
             let cost = out.best.props.cost.total();
             // Ablations change work, never the answer.
             match best_cost {

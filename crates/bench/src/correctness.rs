@@ -116,7 +116,7 @@ pub fn e15_estimation_quality() -> crate::Report {
             let out = opt
                 .optimize(&query, &OptConfig::default())
                 .expect("optimize");
-            r.absorb(&out.metrics);
+            r.absorb(&out);
             let mut ex = Executor::new(&db, &query);
             let got = ex.run(&out.best).expect("executes");
             let est = out.best.props.card.max(0.5);

@@ -26,7 +26,7 @@ pub fn e10_join_sites() -> crate::Report {
             ..Default::default()
         };
         let out = opt.optimize(&query, &config).expect("optimize");
-        r.absorb(&out.metrics);
+        r.absorb(&out);
         let mut ships = 0;
         out.best.visit(&mut |n| {
             if matches!(n.op, Lolepop::Ship { .. }) {
@@ -71,7 +71,7 @@ pub fn e10_join_sites() -> crate::Report {
         let out = opt
             .optimize(&query, &OptConfig::default())
             .expect("optimize");
-        r.absorb(&out.metrics);
+        r.absorb(&out);
         r.line(crate::row(
             &[
                 sites.to_string(),

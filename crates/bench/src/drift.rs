@@ -30,7 +30,7 @@
 use starqo_obs::{Diagnosis, LiveReport};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_trace::{
-    MemorySink, MetricsRegistry, SuspectConfig, TelemetryConfig, TelemetrySnapshot, TraceEvent,
+    MemorySink, Metric, SuspectConfig, TelemetryConfig, TelemetrySnapshot, TraceEvent,
     TraceSampler, Tracer,
 };
 use starqo_workload::{query_shape_param, synth_database, synth_database_scaled, QueryShape};
@@ -175,7 +175,7 @@ pub fn e20_drift(quick: bool) -> Report {
     };
     let total_fb_requests = (1 + rounds + 1) * w.requests();
     check(
-        snap.counter("serve_feedback_runs") == Some(total_fb_requests),
+        snap.counters[Metric::FeedbackRuns] == total_fb_requests,
         "feedback plane folded every execution",
     );
     check(
@@ -183,7 +183,7 @@ pub fn e20_drift(quick: bool) -> Report {
         "sketch run counts sum to the folded total",
     );
     check(
-        snap.counter("serve_suspects_flagged") == Some(snap.suspects().len() as u64),
+        snap.counters[Metric::SuspectFlagged] == snap.suspects().len() as u64,
         "suspect counter matches the registry",
     );
     check(
@@ -196,7 +196,7 @@ pub fn e20_drift(quick: bool) -> Report {
     );
     let nofb_snap = nofb_svc.telemetry_snapshot();
     check(
-        nofb_snap.counter("serve_feedback_runs") == Some(0) && nofb_snap.qerror.is_empty(),
+        nofb_snap.counters[Metric::FeedbackRuns] == 0 && nofb_snap.qerror.is_empty(),
         "disabled feedback plane folds nothing",
     );
     let json_roundtrip_failures = match TelemetrySnapshot::from_json(&snap.to_json()) {
@@ -319,7 +319,7 @@ pub fn e20_drift(quick: bool) -> Report {
         "the doctor must report plan_drift"
     );
 
-    let mut reg = MetricsRegistry::new();
+    let reg = &mut report.metrics;
     reg.count("drift_requests", total_fb_requests);
     reg.count("drift_templates", w.fleet.len() as u64);
     reg.count("drift_drifting_fps", n_drifting);
@@ -330,7 +330,6 @@ pub fn e20_drift(quick: bool) -> Report {
     reg.count("drift_consistency_failures", consistency_failures);
     reg.count("drift_json_roundtrip_failures", json_roundtrip_failures);
     reg.count("drift_overhead_violations", overhead_violations);
-    report.absorb(&reg.summary());
     report
 }
 

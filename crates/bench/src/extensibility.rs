@@ -198,7 +198,7 @@ pub fn e11_extensibility() -> crate::Report {
     let stock = Optimizer::new(cat.clone()).expect("rules");
     let config = OptConfig::default().enable("bloomjoin").enable("hashjoin");
     let before = stock.optimize(&query, &config).expect("optimize");
-    r.absorb(&before.metrics);
+    r.absorb(&before);
     r.line(format!(
         "before extension: best = {}  (cost {:.0})",
         before.best.op_names().join(" <- "),
@@ -215,7 +215,7 @@ pub fn e11_extensibility() -> crate::Report {
     });
     r.line(format!("extension rule compiled in {compile_ms:.2} ms"));
     let after = extended.optimize(&query, &config).expect("optimize");
-    r.absorb(&after.metrics);
+    r.absorb(&after);
     r.line(format!(
         "after extension:  best = {}  (cost {:.0})",
         after.best.op_names().join(" <- "),

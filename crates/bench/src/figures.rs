@@ -24,7 +24,7 @@ pub fn e1_figure1() -> crate::Report {
     let out = opt
         .optimize(&query, &config)
         .expect("optimization succeeds");
-    r.absorb(&out.metrics);
+    r.absorb(&out);
 
     let fig1 = out
         .root_alternatives
@@ -74,7 +74,7 @@ pub fn e2_figure2() -> crate::Report {
     let out = opt
         .optimize(&query, &config)
         .expect("optimization succeeds");
-    r.absorb(&out.metrics);
+    r.absorb(&out);
     let fig1 = out
         .root_alternatives
         .iter()

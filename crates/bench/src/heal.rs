@@ -35,7 +35,7 @@ use starqo_query::{canonicalize, parse_query};
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
 use starqo_trace::{
-    MemorySink, MetricsRegistry, SuspectConfig, TelemetryConfig, TraceEvent, TraceSampler, Tracer,
+    MemorySink, Metric, SuspectConfig, TelemetryConfig, TraceEvent, TraceSampler, Tracer,
 };
 use starqo_workload::{query_shape_param, synth_database, synth_database_scaled};
 
@@ -174,10 +174,10 @@ fn run_sweep(label: &str, plan: Arc<FaultPlan>, report: &mut HealChaosReport) {
     }
 
     let c = svc.counters();
-    report.pins += c.plan_pinned;
-    report.swaps += c.plan_swaps;
+    report.pins += c[Metric::PlanPinned];
+    report.swaps += c[Metric::PlanSwap];
     let fp = svc.prepare(&query).fingerprint().hash;
-    if c.plan_swaps == 0 || svc.telemetry().is_suspect(fp) {
+    if c[Metric::PlanSwap] == 0 || svc.telemetry().is_suspect(fp) {
         report.unhealed += 1;
     }
 }
@@ -263,11 +263,13 @@ pub fn e22_heal(quick: bool) -> Report {
     w.execute_pass(&healing, &base_db, SEED);
     let warm_counters = healing.counters();
     assert_eq!(
-        warm_counters.suspects_flagged, 0,
+        warm_counters[Metric::SuspectFlagged],
+        0,
         "faithful data must not trip the feedback plane"
     );
     assert_eq!(
-        warm_counters.reopt_attempts, 0,
+        warm_counters[Metric::ReoptAttempts],
+        0,
         "nothing suspect means nothing to heal"
     );
 
@@ -385,7 +387,11 @@ pub fn e22_heal(quick: bool) -> Report {
     ));
     report.line(format!(
         "heal counters: {} attempts, {} swaps, {} pins, {} failures, {} backoff suppressions",
-        c.reopt_attempts, c.plan_swaps, c.plan_pinned, c.reopt_failures, c.reopt_backoff
+        c[Metric::ReoptAttempts],
+        c[Metric::PlanSwap],
+        c[Metric::PlanPinned],
+        c[Metric::ReoptFailures],
+        c[Metric::ReoptBackoff]
     ));
     if !pin_reasons.is_empty() {
         report.line(format!(
@@ -441,7 +447,8 @@ pub fn e22_heal(quick: bool) -> Report {
         report.body
     );
     assert_eq!(
-        c.reopt_failures, 0,
+        c[Metric::ReoptFailures],
+        0,
         "no faults armed: the recovery phase must not fail a heal\n{}",
         report.body
     );
@@ -449,21 +456,20 @@ pub fn e22_heal(quick: bool) -> Report {
     assert_eq!(chaos.divergences, 0, "{}", chaos.render());
     assert_eq!(chaos.unhealed, 0, "{}", chaos.render());
 
-    let mut reg = MetricsRegistry::new();
+    let reg = &mut report.metrics;
     reg.count("heal_requests", shift.requests + post.requests);
     reg.count("heal_templates", w.fleet.len() as u64);
     reg.count("heal_drifting_fps", n_drifting);
     reg.count("heal_control_fps", n_control);
     reg.count("heal_unhealed_fps", unhealed);
     reg.count("heal_false_reopts", false_reopts);
-    reg.count("heal_reopt_failures", c.reopt_failures);
+    reg.count("heal_reopt_failures", c[Metric::ReoptFailures]);
     reg.count("heal_throughput_violations", throughput_violations);
     reg.count("heal_chaos_sweeps", chaos.sweeps);
     reg.count("heal_chaos_runs", chaos.runs);
     reg.count("heal_chaos_escapes", chaos.escapes.len() as u64);
     reg.count("heal_chaos_divergences", chaos.divergences);
     reg.count("heal_chaos_unhealed", chaos.unhealed);
-    report.absorb(&reg.summary());
     report
 }
 

@@ -34,10 +34,12 @@ pub mod vexec;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use starqo_core::Optimized;
 use starqo_trace::MetricsSummary;
 
 /// A printable experiment report, plus the optimizer metrics accumulated
-/// across every `optimize` call the experiment made.
+/// across every `optimize` call the experiment made and the experiment's
+/// own counters.
 pub struct Report {
     pub id: &'static str,
     pub title: String,
@@ -59,9 +61,33 @@ impl Report {
         let _ = writeln!(self.body, "{}", s.as_ref());
     }
 
-    /// Fold one optimization run's metrics into this report's totals.
-    pub fn absorb(&mut self, m: &MetricsSummary) {
-        self.metrics.absorb(m);
+    /// Fold one optimization's work counters and phase times into this
+    /// report's totals.
+    pub fn absorb(&mut self, out: &Optimized) {
+        let (s, t, m) = (&out.stats, &out.table_stats, &mut self.metrics);
+        for (name, n) in [
+            ("alts_considered", s.alts_considered),
+            ("conds_evaluated", s.conds_evaluated),
+            ("degraded", u64::from(out.degraded)),
+            ("glue_cache_hits", s.glue_cache_hits),
+            ("glue_refs", s.glue_refs),
+            ("glue_veneers", s.glue_veneers),
+            ("memo_hits", s.memo_hits),
+            ("native_calls", s.native_calls),
+            ("plans_built", s.plans_built),
+            ("plans_rejected", s.plans_rejected),
+            ("rules_quarantined", out.quarantined.len() as u64),
+            ("star_refs", s.star_refs),
+            ("table_dominated", t.dominated),
+            ("table_duplicates", t.duplicates),
+            ("table_evicted", t.evicted),
+            ("table_offered", t.offered),
+        ] {
+            m.count(name, n);
+        }
+        for (phase, nanos) in out.phase_nanos() {
+            m.add_phase(phase, nanos);
+        }
     }
 
     pub fn render(&self) -> String {

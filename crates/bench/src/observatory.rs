@@ -17,7 +17,7 @@ use starqo_obs::{calibrate, AccuracyReport};
 use starqo_plan::CostModel;
 use starqo_query::Query;
 use starqo_storage::Database;
-use starqo_trace::{JsonLinesSink, MetricsRegistry, TraceEvent, Tracer};
+use starqo_trace::{JsonLinesSink, TraceEvent, Tracer};
 use starqo_workload::{
     dept_emp_catalog, dept_emp_database, dept_emp_query, query_shape, synth_catalog,
     synth_database, QueryShape, SynthSpec,
@@ -233,12 +233,11 @@ pub fn e16_estimation_observatory() -> crate::Report {
     // Gate-able counters: only the deterministic half of the experiment
     // (pass A joins under the default model; pass B depends on measured
     // wall time through the fitted scales, so it stays out of the gate).
-    let mut m = MetricsRegistry::new();
+    let m = &mut r.metrics;
     m.count("obs_queries", sum_a.queries);
     m.count("obs_nodes_joined", acc_a.joined());
     m.count("obs_card_q_p50_milli", (c50 * 1000.0).round() as u64);
     m.merge_hist("obs_card_q_milli", &acc_a.card_hist);
-    r.absorb(&m.summary());
     r
 }
 

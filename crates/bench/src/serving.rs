@@ -25,7 +25,7 @@ use starqo_exec::{reference_eval, rows_equal_multiset};
 use starqo_query::{canonicalize, Query};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_storage::Database;
-use starqo_trace::MetricsRegistry;
+use starqo_trace::Metric;
 use starqo_workload::{
     query_shape_param, synth_catalog, synth_database, QueryShape, Rng64, SynthSpec,
 };
@@ -337,12 +337,12 @@ pub fn e17_serving(quick: bool) -> Report {
         "warm pass: {} requests, hit ratio {:.3}, {} misses",
         warm.requests,
         warm_snap.hit_ratio(),
-        warm_snap.misses
+        warm_snap[Metric::CacheMiss]
     ));
     report.line(format!(
         "cold-optimization time avoided: {:.1}ms across {} warm serves",
-        final_snap.saved_nanos as f64 / 1e6,
-        final_snap.hits + final_snap.coalesced,
+        final_snap[Metric::SavedNanos] as f64 / 1e6,
+        final_snap[Metric::CacheHit] + final_snap[Metric::CacheCoalesced],
     ));
     report.line(format!(
         "correctness: {executions} warm executions vs reference oracle, divergences: {divergences}"
@@ -359,19 +359,21 @@ pub fn e17_serving(quick: bool) -> Report {
         warm_snap.hit_ratio()
     );
     assert_eq!(
-        warm_snap.misses,
+        warm_snap[Metric::CacheMiss],
         w.fleet.len() as u64,
         "exactly one cold optimization per template"
     );
 
-    let mut reg = MetricsRegistry::new();
+    let reg = &mut report.metrics;
     reg.count("serve_requests", warm.requests);
-    reg.count("serve_cache_miss", final_snap.misses);
-    reg.count("serve_warm", final_snap.hits + final_snap.coalesced);
-    reg.count("serve_cache_evict", final_snap.evictions);
-    reg.count("serve_rejected", final_snap.rejected);
+    reg.count("serve_cache_miss", final_snap[Metric::CacheMiss]);
+    reg.count(
+        "serve_warm",
+        final_snap[Metric::CacheHit] + final_snap[Metric::CacheCoalesced],
+    );
+    reg.count("serve_cache_evict", final_snap[Metric::CacheEvict]);
+    reg.count("serve_rejected", final_snap[Metric::Rejected]);
     reg.count("serve_divergences", divergences);
-    report.absorb(&reg.summary());
     report
 }
 

@@ -35,7 +35,7 @@
 
 use starqo_serve::{Service, ServiceConfig};
 use starqo_trace::{
-    from_chrome_trace, read_span_trees, to_chrome_trace, MetricsRegistry, SpanMode, SpanTree,
+    from_chrome_trace, read_span_trees, to_chrome_trace, Metric, Phase, SpanMode, SpanTree,
     SuspectConfig, TailConfig, TelemetryConfig,
 };
 use starqo_workload::{
@@ -112,8 +112,8 @@ pub fn e21_spans(quick: bool) -> Report {
     let spans_of = |svc: &Service| {
         let s = svc.telemetry_snapshot();
         (
-            s.counter("serve_spans_kept").unwrap_or(0),
-            s.counter("serve_spans_dropped").unwrap_or(0),
+            s.counters[Metric::SpansKept],
+            s.counters[Metric::SpansDropped],
         )
     };
     let (off_kept, off_dropped) = spans_of(&off_svc);
@@ -143,10 +143,7 @@ pub fn e21_spans(quick: bool) -> Report {
         "tail store accounts for every kept tree",
     );
     check(
-        full_snap
-            .phases
-            .iter()
-            .any(|(name, nanos, _)| name == "enumerate" && *nanos > 0),
+        full_snap.phases[Phase::Enumerate].0 > 0,
         "cold-path phase profile attributes enumeration time",
     );
 
@@ -219,7 +216,7 @@ pub fn e21_spans(quick: bool) -> Report {
     assert!(scenario.slow_retained, "slow cold request must be retained");
     assert!(scenario.oracle_match, "retained tree must match the oracle");
 
-    let mut reg = MetricsRegistry::new();
+    let reg = &mut report.metrics;
     reg.count("spans_requests", total_requests);
     reg.count("spans_off_decisions", off_kept + off_dropped);
     reg.count("spans_full_kept", full_kept);
@@ -237,7 +234,6 @@ pub fn e21_spans(quick: bool) -> Report {
     reg.count("spans_jsonl_roundtrip_failures", jsonl_roundtrip_failures);
     reg.count("spans_chrome_roundtrip_failures", chrome_roundtrip_failures);
     reg.count("spans_overhead_violations", overhead_violations);
-    report.absorb(&reg.summary());
     report
 }
 

@@ -78,7 +78,7 @@ pub fn e4_strategy_space() -> crate::Report {
         let query = dept_emp_query(&cat);
         let opt = Optimizer::new(cat).expect("rules");
         let out = opt.optimize(&query, config).expect("optimize");
-        r.absorb(&out.metrics);
+        r.absorb(&out);
         r.line(crate::row(
             &[
                 label.to_string(),
@@ -189,8 +189,8 @@ pub fn e5_hash_join() -> crate::Report {
     ] {
         let base = two_table_best(o, i, o.min(i) / 10, ordered, EQ_JOIN, &OptConfig::default());
         let with = two_table_best(o, i, o.min(i) / 10, ordered, EQ_JOIN, &ha);
-        r.absorb(&base.metrics);
-        r.absorb(&with.metrics);
+        r.absorb(&base);
+        r.absorb(&with);
         r.line(crate::row(
             &[
                 format!("{}{}", o, if ordered { " (ord)" } else { "" }),
@@ -256,8 +256,8 @@ pub fn e6_forced_projection() -> crate::Report {
             .expect("optimize");
         let fp = OptConfig::default().enable("force_projection");
         let with = opt.optimize(&query, &fp).expect("optimize");
-        r.absorb(&base.metrics);
-        r.absorb(&with.metrics);
+        r.absorb(&base);
+        r.absorb(&with);
         r.line(crate::row(
             &[
                 payload.to_string(),
@@ -301,8 +301,8 @@ pub fn e7_dynamic_index() -> crate::Report {
         let base = two_table_best(o, i, i, false, EXPR_JOIN, &OptConfig::default());
         let di = OptConfig::default().enable("dynamic_index");
         let with = two_table_best(o, i, i, false, EXPR_JOIN, &di);
-        r.absorb(&base.metrics);
-        r.absorb(&with.metrics);
+        r.absorb(&base);
+        r.absorb(&with);
         r.line(crate::row(
             &[
                 o.to_string(),

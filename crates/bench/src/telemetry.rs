@@ -21,7 +21,7 @@
 //! `starqo-obs live` can render exactly what the benchmark measured.
 
 use starqo_serve::{Service, ServiceConfig};
-use starqo_trace::{MetricsRegistry, TelemetryConfig, TelemetrySnapshot, TraceSampler, Tracer};
+use starqo_trace::{LatencyPath, Metric, TelemetryConfig, TelemetrySnapshot, TraceSampler, Tracer};
 
 use crate::serving::{best_of, mode_table, Workload, SEED, ZIPF_S};
 use crate::{bench_dir, Report};
@@ -91,23 +91,23 @@ pub fn e19_telemetry(quick: bool) -> Report {
     let full_counters = full_svc.counters();
     let snap = full_svc.telemetry_snapshot();
     check(
-        full_counters.requests == total_requests,
+        full_counters[Metric::Requests] == total_requests,
         "full service saw every request",
     );
     check(
-        snap.counter("serve_requests") == Some(total_requests),
+        snap.counters[Metric::Requests] == total_requests,
         "snapshot requests counter matches the plane",
     );
     check(
-        full_counters.misses == w.fleet.len() as u64,
+        full_counters[Metric::CacheMiss] == w.fleet.len() as u64,
         "single-flight pins cold optimizations to one per template",
     );
     check(
-        snap.hist("end_to_end").map(|h| h.count()) == Some(total_requests),
+        snap.latency[LatencyPath::EndToEnd].count() == total_requests,
         "end-to-end histogram counted every request",
     );
     check(
-        snap.hist("optimize").map(|h| h.count()) == Some(full_counters.misses),
+        snap.latency[LatencyPath::Optimize].count() == full_counters[Metric::CacheMiss],
         "optimize histogram counted every miss",
     );
     check(
@@ -124,20 +124,22 @@ pub fn e19_telemetry(quick: bool) -> Report {
     );
     let cold = counters_svc.telemetry_snapshot();
     check(
-        cold.counter("serve_requests") == Some(total_requests),
+        cold.counters[Metric::Requests] == total_requests,
         "counters-only plane still counts requests",
     );
     check(
-        cold.latency.iter().all(|(_, h)| h.count() == 0) && cold.topk.is_empty(),
+        cold.latency.iter().all(|h| h.count() == 0) && cold.topk.is_empty(),
         "counters-only plane skips histograms and top-K",
     );
     let traced = traced_svc.counters();
     check(
-        traced.trace_sampled + traced.trace_unsampled == total_requests,
+        traced[Metric::TraceSampled] + traced[Metric::TraceUnsampled] == total_requests,
         "head sampler decided every traced-service request",
     );
     check(
-        counters_svc.counters().trace_sampled + counters_svc.counters().trace_unsampled == 0,
+        counters_svc.counters()[Metric::TraceSampled]
+            + counters_svc.counters()[Metric::TraceUnsampled]
+            == 0,
         "no sampler decisions without an attached tracer",
     );
 
@@ -176,7 +178,8 @@ pub fn e19_telemetry(quick: bool) -> Report {
     ));
     report.line(format!(
         "tracing: {} sampled / {} suppressed of {total_requests} requests",
-        traced.trace_sampled, traced.trace_unsampled
+        traced[Metric::TraceSampled],
+        traced[Metric::TraceUnsampled]
     ));
     report.line(format!(
         "consistency: {consistency_failures} failures across snapshot/counter cross-checks"
@@ -191,17 +194,16 @@ pub fn e19_telemetry(quick: bool) -> Report {
     );
     assert_eq!(json_roundtrip_failures, 0, "snapshot JSON must round-trip");
 
-    let mut reg = MetricsRegistry::new();
+    let reg = &mut report.metrics;
     reg.count("telemetry_requests", total_requests);
-    reg.count("telemetry_cache_miss", full_counters.misses);
+    reg.count("telemetry_cache_miss", full_counters[Metric::CacheMiss]);
     reg.count("telemetry_hist_end_to_end", total_requests);
     reg.count("telemetry_hot_queries", snap.topk.len() as u64);
-    reg.count("telemetry_trace_sampled", traced.trace_sampled);
-    reg.count("telemetry_trace_unsampled", traced.trace_unsampled);
+    reg.count("telemetry_trace_sampled", traced[Metric::TraceSampled]);
+    reg.count("telemetry_trace_unsampled", traced[Metric::TraceUnsampled]);
     reg.count("telemetry_consistency_failures", consistency_failures);
     reg.count("telemetry_json_roundtrip_failures", json_roundtrip_failures);
     reg.count("telemetry_overhead_violations", overhead_violations);
-    report.absorb(&reg.summary());
     report
 }
 

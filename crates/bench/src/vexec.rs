@@ -32,7 +32,6 @@ use starqo_exec::{is_correlated, Executor};
 use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::{CmpOp, PredExpr, QCol, Query, QueryBuilder, Scalar};
 use starqo_storage::{Database, DatabaseBuilder, Tuple};
-use starqo_trace::MetricsRegistry;
 use starqo_vexec::{supports, VexecExecutor, VexecStats};
 use starqo_workload::{query_shape, synth_catalog, synth_database, QueryShape, Rng64, SynthSpec};
 
@@ -437,7 +436,6 @@ pub fn e23_vexec() -> Report {
         "E23",
         "vectorized batch executor vs serial interpreter (same plans, same data)",
     );
-    let mut reg = MetricsRegistry::new();
     let mut divergences = 0u64;
     let mut ncases = 0u64;
     let mut unsupported = 0u64;
@@ -463,7 +461,9 @@ pub fn e23_vexec() -> Report {
                 .get(1)
                 .is_some_and(|i| is_correlated(i, &case.query))
         });
-        reg.count("exec_correlated_nl_cases", correlated as u64);
+        report
+            .metrics
+            .count("exec_correlated_nl_cases", correlated as u64);
         let want = Executor::new(&case.db, &case.query)
             .run(&case.plan)
             .expect("serial executes");
@@ -486,10 +486,12 @@ pub fn e23_vexec() -> Report {
             "{}: stats depend on worker count",
             case.name
         );
-        reg.count("exec_rows_out", want.rows.len() as u64);
-        reg.count("exec_vexec_batches", s8.batches);
-        reg.count("exec_vexec_morsels", s8.morsels);
-        reg.count("exec_vexec_rows", s8.rows);
+        report
+            .metrics
+            .count("exec_rows_out", want.rows.len() as u64);
+        report.metrics.count("exec_vexec_batches", s8.batches);
+        report.metrics.count("exec_vexec_morsels", s8.morsels);
+        report.metrics.count("exec_vexec_rows", s8.rows);
         report.line(format!(
             "{:<18} {:>6} rows  {:>4} batches  {:>3} morsels  divergences: {diverged}",
             case.name,
@@ -499,16 +501,15 @@ pub fn e23_vexec() -> Report {
         ));
     }
     assert!(ncases > 0, "fleet produced no vexec-supported plan");
-    reg.count("exec_cases", ncases);
-    reg.count("exec_unsupported_cases", unsupported);
-    reg.count("exec_divergences", divergences);
+    report.metrics.count("exec_cases", ncases);
+    report.metrics.count("exec_unsupported_cases", unsupported);
+    report.metrics.count("exec_divergences", divergences);
     report.line(format!("divergences: {divergences}"));
     assert_eq!(divergences, 0, "vexec diverged from the serial oracle");
     assert!(
-        reg.summary().counter("exec_correlated_nl_cases") >= Some(2),
+        report.metrics.counter("exec_correlated_nl_cases") >= Some(2),
         "the fleet lost its sideways-bound nested-loop cases"
     );
-    report.absorb(&reg.summary());
     report
 }
 

@@ -24,7 +24,7 @@ use starqo_plan::{
     Props,
 };
 use starqo_query::{PredSet, QCol, QSet, Query, Shared};
-use starqo_trace::{CostBreakdownEv, Histogram, SpanContext, SpanGuard, TraceEvent, Tracer};
+use starqo_trace::{CostBreakdownEv, SpanContext, SpanGuard, TraceEvent, Tracer};
 
 use crate::error::{CoreError, Res, Result};
 use crate::faults::{self, FaultPlan};
@@ -160,12 +160,6 @@ pub struct Engine<'a> {
     /// When live, every non-memoized STAR expansion and top-level Glue
     /// invocation appends a span to the owning request's tree.
     pub(crate) spans: SpanContext,
-    /// Per-reference inclusive latency distribution (recorded only when a
-    /// tracer is attached — timing a reference costs a clock read).
-    pub star_nanos: Histogram,
-    /// Distribution of `cost.once` over every plan node built (always on:
-    /// recording is two adds).
-    pub plan_cost: Histogram,
     /// Wall-clock nanos spent inside top-level Glue invocations.
     pub(crate) glue_nanos: u64,
     /// Current Glue recursion depth (Glue can re-enter via AccessRoot);
@@ -252,8 +246,6 @@ impl<'a> Engine<'a> {
             glue_label: "Glue".into(),
             tracer: Tracer::off(),
             spans: SpanContext::off(),
-            star_nanos: Histogram::new(),
-            plan_cost: Histogram::new(),
             glue_nanos: 0,
             glue_depth: 0,
             ctx: PropCtx::new(catalog, query, model),
@@ -487,7 +479,6 @@ impl<'a> Engine<'a> {
         drop(star_span);
         if let Some(start) = start {
             let nanos = start.elapsed().as_nanos() as u64;
-            self.star_nanos.record(nanos);
             self.tracer.emit(|| TraceEvent::StarDone {
                 star: self.rules.star(id).name.clone(),
                 id: ref_id,
@@ -1302,8 +1293,6 @@ impl<'a> Engine<'a> {
                         self.exhaust("plans_built", format!("plan cap of {cap} nodes reached"));
                     }
                 }
-                let once = self.store[p].props.cost.once;
-                self.plan_cost.record(once.max(0.0).round() as u64);
                 self.emit_plan_built(p);
                 self.plans.push(p);
                 Ok(())

@@ -23,7 +23,7 @@ use std::hash::{Hash, Hasher};
 
 use starqo_plan::{AccessSpec, Lolepop};
 use starqo_query::{PredSet, QSet};
-use starqo_trace::{SpanGuard, TraceEvent};
+use starqo_trace::{Phase, SpanGuard, TraceEvent};
 
 use crate::engine::Engine;
 use crate::error::{CoreError, Res, Result};
@@ -61,7 +61,7 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
     // Only the outermost invocation gets a span — nested Glue time is
     // already inside it, mirroring the `glue_nanos` accounting below.
     let glue_span = if engine.glue_depth == 1 && engine.spans.enabled() {
-        engine.spans.enter("glue")
+        engine.spans.enter(Phase::Glue.name())
     } else {
         SpanGuard::noop()
     };

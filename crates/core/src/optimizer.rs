@@ -6,9 +6,7 @@ use std::sync::Arc;
 use starqo_catalog::Catalog;
 use starqo_plan::{panic_msg, CostModel, ExtPropFn, PlanRef, PropEngine};
 use starqo_query::Query;
-use starqo_trace::{
-    Metric, MetricsRegistry, MetricsSummary, Phase, SpanContext, Telemetry, TraceEvent, Tracer,
-};
+use starqo_trace::{LatencyPath, Metric, Phase, SpanContext, Telemetry, TraceEvent, Tracer};
 
 use crate::budget::Budget;
 use crate::compile::{compile_into, CompileEnv};
@@ -87,6 +85,13 @@ pub struct Optimized {
     pub stats: OptStats,
     /// Plan-table churn counters.
     pub table_stats: TableStats,
+    /// Wall nanos of enumeration, Glue included.
+    pub enumerate_nanos: u64,
+    /// Wall nanos inside top-level Glue invocations (a part of
+    /// `enumerate_nanos`).
+    pub glue_nanos: u64,
+    /// Wall nanos the optimizer spent compiling its rule text.
+    pub compile_nanos: u64,
     /// Plans retained in the plan table at the end.
     pub table_plans: usize,
     /// Relational keys in the plan table at the end.
@@ -96,8 +101,6 @@ pub struct Optimized {
     /// execution plan". The labels are shared with the compiled rules; the
     /// map is the engine's own, handed over as the run ends.
     pub provenance: RunMap<u64, Arc<str>>,
-    /// Counters and per-phase wall-clock timings for this run.
-    pub metrics: MetricsSummary,
     /// True when a budget resource ran out and the plan came from greedy,
     /// best-so-far exploration (anytime semantics). The plan is still
     /// complete and executable.
@@ -110,6 +113,15 @@ pub struct Optimized {
 }
 
 impl Optimized {
+    /// The run's phase times, by the telemetry plane's [`Phase`].
+    pub fn phase_nanos(&self) -> [(Phase, u64); 3] {
+        [
+            (Phase::Enumerate, self.enumerate_nanos),
+            (Phase::Glue, self.glue_nanos),
+            (Phase::Compile, self.compile_nanos),
+        ]
+    }
+
     /// The origin chain of a plan: one line per node, pre-order, annotated
     /// with the rule alternative that produced it.
     pub fn origin_trace(&self, plan: &PlanRef) -> Vec<String> {
@@ -136,7 +148,7 @@ pub struct Optimizer {
     prop: Arc<PropEngine>,
     ext_ops: BTreeSet<String>,
     /// Accumulated wall time spent compiling rule text (reported as the
-    /// `compile` phase of every subsequent optimization's metrics).
+    /// `compile` phase of every subsequent optimization).
     compile_nanos: u64,
     /// Structural lint warnings accumulated over every `load_rules` call.
     warnings: Vec<starqo_dsl::LintWarning>,
@@ -277,7 +289,7 @@ impl Optimizer {
 
     /// [`Self::optimize`] with a structured-event tracer attached. The
     /// engine, plan table, and Glue all emit through it; phase timings and
-    /// work counters land in [`Optimized::metrics`].
+    /// work counters land in [`Optimized`] either way.
     pub fn optimize_traced(
         &self,
         query: &Query,
@@ -294,7 +306,6 @@ impl Optimizer {
         tracer: Tracer,
         spans: &SpanContext,
     ) -> Result<Optimized> {
-        let mut metrics = MetricsRegistry::new();
         let mut engine = Engine::new(
             &self.rules,
             &self.natives,
@@ -306,9 +317,9 @@ impl Optimizer {
         );
         engine.set_tracer(tracer.clone());
         engine.set_spans(spans.clone());
-        let span = tracer.span("optimize");
-        let enumerate_span = spans.enter("enumerate");
-        let timer = metrics.start(Phase::Enumerate);
+        let span = tracer.span(LatencyPath::Optimize.name());
+        let enumerate_span = spans.enter(Phase::Enumerate.name());
+        let started = std::time::Instant::now();
         // Last-resort containment: panics escaping the engine's per-
         // alternative quarantine (e.g. from driver-level Glue) surface as
         // a typed error, never a process abort.
@@ -321,7 +332,7 @@ impl Optimizer {
                     msg: panic_msg(payload),
                 }),
             };
-        metrics.finish(timer);
+        let enumerate_nanos = started.elapsed().as_nanos() as u64;
         drop(enumerate_span);
         drop(span);
         let out = out?;
@@ -341,31 +352,6 @@ impl Optimizer {
                 });
             });
         }
-        // Glue time is nested inside enumeration; report it under its own
-        // phase (and leave it inside `enumerate` — callers comparing the two
-        // see how much of enumeration is property enforcement).
-        metrics.add_phase_nanos(Phase::Glue, engine.glue_nanos());
-        metrics.add_phase_nanos(Phase::Compile, self.compile_nanos);
-        let s = engine.stats;
-        metrics.count("star_refs", s.star_refs);
-        metrics.count("memo_hits", s.memo_hits);
-        metrics.count("alts_considered", s.alts_considered);
-        metrics.count("conds_evaluated", s.conds_evaluated);
-        metrics.count("plans_built", s.plans_built);
-        metrics.count("plans_rejected", s.plans_rejected);
-        metrics.count("glue_refs", s.glue_refs);
-        metrics.count("glue_cache_hits", s.glue_cache_hits);
-        metrics.count("glue_veneers", s.glue_veneers);
-        metrics.count("native_calls", s.native_calls);
-        let t = engine.table.stats;
-        metrics.count("table_offered", t.offered);
-        metrics.count("table_dominated", t.dominated);
-        metrics.count("table_evicted", t.evicted);
-        metrics.count("table_duplicates", t.duplicates);
-        metrics.merge_hist("star_ref_nanos", &engine.star_nanos);
-        metrics.merge_hist("plan_cost_once", &engine.plan_cost);
-        metrics.count("rules_quarantined", engine.quarantine_log.len() as u64);
-        metrics.count("degraded", engine.degraded() as u64);
         let degraded = engine.degraded();
         let degraded_reason = engine.degraded_reason().map(str::to_string);
         Ok(Optimized {
@@ -373,10 +359,15 @@ impl Optimizer {
             root_alternatives: out.root_alternatives,
             stats: engine.stats,
             table_stats: engine.table.stats,
+            enumerate_nanos,
+            // Glue time is nested inside enumeration; it is reported on its
+            // own too, so callers see how much of enumeration is property
+            // enforcement.
+            glue_nanos: engine.glue_nanos(),
+            compile_nanos: self.compile_nanos,
             table_plans: engine.table.total_plans(),
             table_keys: engine.table.total_keys(),
             provenance: engine.provenance,
-            metrics: metrics.summary(),
             degraded,
             degraded_reason,
             quarantined: engine.quarantine_log,

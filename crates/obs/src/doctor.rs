@@ -6,7 +6,7 @@
 //! mutates anything.
 
 use starqo_trace::json::JsonObj;
-use starqo_trace::TelemetrySnapshot;
+use starqo_trace::{Metric, TelemetrySnapshot};
 
 /// How much a finding should worry the operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,7 +49,7 @@ impl Diagnosis {
     /// conservative — the doctor flags what is unambiguously wrong, the
     /// dashboards carry the nuance.
     pub fn from_snapshot(s: &TelemetrySnapshot) -> Diagnosis {
-        let c = |name: &str| s.counter(name).unwrap_or(0);
+        let c = |m: Metric| s.counters[m];
         let mut findings = Vec::new();
         let mut push = |severity: Severity, check: &'static str, detail: String| {
             findings.push(Finding {
@@ -59,7 +59,7 @@ impl Diagnosis {
             });
         };
 
-        let requests = c("serve_requests");
+        let requests = c(Metric::Requests);
         if requests == 0 {
             push(
                 Severity::Info,
@@ -70,20 +70,20 @@ impl Diagnosis {
 
         // Cache efficacy: only judged once there is enough traffic for the
         // ratio to mean something.
-        let served = c("serve_cache_hit") + c("serve_cache_coalesced") + c("serve_cache_miss");
-        if served >= 50 && s.hit_ratio() < 0.5 {
+        let served = c(Metric::CacheHit) + c(Metric::CacheCoalesced) + c(Metric::CacheMiss);
+        if served >= 50 && s.counters.hit_ratio() < 0.5 {
             push(
                 Severity::Warn,
                 "cache_efficacy",
                 format!(
                     "hit ratio {:.1}% over {served} served requests (churning workload, \
                      undersized cache, or epoch thrash)",
-                    s.hit_ratio() * 100.0
+                    s.counters.hit_ratio() * 100.0
                 ),
             );
         }
 
-        let errors = c("serve_errors");
+        let errors = c(Metric::Errors);
         if errors > 0 {
             push(
                 Severity::Crit,
@@ -91,7 +91,7 @@ impl Diagnosis {
                 format!("{errors} optimizer/executor error(s) surfaced to callers"),
             );
         }
-        let rejected = c("serve_rejected");
+        let rejected = c(Metric::Rejected);
         if rejected > 0 {
             push(
                 Severity::Crit,
@@ -99,7 +99,7 @@ impl Diagnosis {
                 format!("{rejected} request(s) rejected by admission control"),
             );
         }
-        let degraded = c("serve_degraded");
+        let degraded = c(Metric::Degraded);
         if degraded > 0 {
             push(
                 Severity::Warn,
@@ -107,7 +107,7 @@ impl Diagnosis {
                 format!("{degraded} plan(s) degraded by budget exhaustion"),
             );
         }
-        let invalidations = c("serve_cache_invalidate");
+        let invalidations = c(Metric::CacheInvalidate);
         if invalidations > 0 && invalidations * 5 >= requests.max(1) {
             push(
                 Severity::Warn,
@@ -175,7 +175,7 @@ impl Diagnosis {
         // Span-store saturation: the tail sampler keeps retaining but the
         // bounded store is recycling trees — slow outliers silently age out
         // before anyone looks at them.
-        let span_drops = c("serve_spans_dropped");
+        let span_drops = c(Metric::SpansDropped);
         if s.span_evicted > 0 {
             push(
                 Severity::Warn,
@@ -186,7 +186,7 @@ impl Diagnosis {
                     s.span_evicted, s.span_capacity
                 ),
             );
-        } else if c("serve_spans_kept") == 0 && span_drops > 0 {
+        } else if c(Metric::SpansKept) == 0 && span_drops > 0 {
             push(
                 Severity::Info,
                 "span_saturation",
@@ -199,7 +199,7 @@ impl Diagnosis {
 
         // Feedback coverage: executions happening but nothing folding
         // means the feedback plane is disabled and drift is invisible.
-        if c("serve_executions") > 0 && c("serve_feedback_runs") == 0 {
+        if c(Metric::Executions) > 0 && c(Metric::FeedbackRuns) == 0 {
             push(
                 Severity::Warn,
                 "feedback_coverage",
@@ -211,8 +211,8 @@ impl Diagnosis {
         // Re-optimization storm: the healer keeps burning budget without
         // landing candidates — every attempt either fails or loses the
         // stability guard. Judged only with enough attempts to matter.
-        let attempts = c("serve_reopt_attempts");
-        let swaps = c("serve_plan_swap");
+        let attempts = c(Metric::ReoptAttempts);
+        let swaps = c(Metric::PlanSwap);
         if attempts >= 5 && swaps * 4 < attempts {
             push(
                 Severity::Warn,
@@ -220,7 +220,7 @@ impl Diagnosis {
                 format!(
                     "{attempts} re-optimization attempt(s) produced only {swaps} swap(s) \
                      ({} pinned) — stale fault, bad overlay stats, or a retry cap too high",
-                    c("serve_plan_pinned")
+                    c(Metric::PlanPinned)
                 ),
             );
         }
@@ -379,14 +379,8 @@ mod tests {
         let mut s = smoke_snapshot();
         s.qerror.clear();
         s.topk.clear();
-        for (name, v) in s.counters.iter_mut() {
-            if name == "serve_errors" {
-                *v = 3;
-            }
-            if name == "serve_rejected" {
-                *v = 7;
-            }
-        }
+        s.counters[Metric::Errors] = 3;
+        s.counters[Metric::Rejected] = 7;
         let d = Diagnosis::from_snapshot(&s);
         assert_eq!(d.crit_count(), 2);
         let text = d.render();
@@ -413,11 +407,7 @@ mod tests {
         // A window where the tail sampler kept nothing is context, not a
         // fault: there was simply nothing worth retaining.
         s.span_evicted = 0;
-        for (name, v) in s.counters.iter_mut() {
-            if name == "serve_spans_kept" {
-                *v = 0;
-            }
-        }
+        s.counters[Metric::SpansKept] = 0;
         let d = Diagnosis::from_snapshot(&s);
         let f = d
             .findings
@@ -431,11 +421,7 @@ mod tests {
     fn json_verdict_parses_and_sorts_most_severe_first() {
         use starqo_trace::{parse_json, JsonValue};
         let mut s = smoke_snapshot();
-        for (name, v) in s.counters.iter_mut() {
-            if name == "serve_errors" {
-                *v = 2;
-            }
-        }
+        s.counters[Metric::Errors] = 2;
         let d = Diagnosis::from_snapshot(&s);
         let v = parse_json(&d.to_json()).expect("doctor json parses");
         assert_eq!(v.get("healthy").and_then(|x| x.as_bool()), Some(false));
@@ -457,14 +443,8 @@ mod tests {
     #[test]
     fn reopt_storm_flags_a_thrashing_heal_loop() {
         let mut s = smoke_snapshot();
-        for (name, v) in s.counters.iter_mut() {
-            if name == "serve_reopt_attempts" {
-                *v = 12;
-            }
-            if name == "serve_plan_swap" {
-                *v = 1;
-            }
-        }
+        s.counters[Metric::ReoptAttempts] = 12;
+        s.counters[Metric::PlanSwap] = 1;
         let d = Diagnosis::from_snapshot(&s);
         let f = d
             .findings
@@ -529,11 +509,7 @@ mod tests {
         let mut s = smoke_snapshot();
         s.qerror.clear();
         s.topk.clear();
-        for (name, v) in s.counters.iter_mut() {
-            if name == "serve_feedback_runs" {
-                *v = 0;
-            }
-        }
+        s.counters[Metric::FeedbackRuns] = 0;
         let d = Diagnosis::from_snapshot(&s);
         assert!(d.findings.iter().any(|f| f.check == "feedback_coverage"));
     }

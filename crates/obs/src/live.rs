@@ -5,7 +5,7 @@
 //! snapshots ([`TelemetrySnapshot::delta_since`]) and the same renderer
 //! shows interval rates instead of lifetime totals.
 
-use starqo_trace::{Histogram, TelemetrySnapshot};
+use starqo_trace::{Histogram, LatencyPath, Metric, Phase, TelemetrySnapshot};
 
 use crate::fmt::fmt_nanos;
 
@@ -40,7 +40,7 @@ impl LiveReport {
 
     pub fn render(&self) -> String {
         let s = &self.snapshot;
-        let c = |name: &str| s.counter(name).unwrap_or(0);
+        let c = |m: Metric| s.counters[m];
         let mut out = String::new();
         let window = if self.interval { "interval" } else { "uptime" };
         out.push_str(&format!(
@@ -51,47 +51,47 @@ impl LiveReport {
         out.push_str("-- serving --\n");
         out.push_str(&format!(
             "  requests        {:>10}   ({:.1}/s)\n",
-            c("serve_requests"),
+            c(Metric::Requests),
             s.requests_per_sec()
         ));
         out.push_str(&format!(
             "  cache           {:>9.2}% hit   (hit {} + coalesced {} / miss {})\n",
-            s.hit_ratio() * 100.0,
-            c("serve_cache_hit"),
-            c("serve_cache_coalesced"),
-            c("serve_cache_miss")
+            s.counters.hit_ratio() * 100.0,
+            c(Metric::CacheHit),
+            c(Metric::CacheCoalesced),
+            c(Metric::CacheMiss)
         ));
         out.push_str(&format!(
             "  churn           evict {}   invalidate {}\n",
-            c("serve_cache_evict"),
-            c("serve_cache_invalidate")
+            c(Metric::CacheEvict),
+            c(Metric::CacheInvalidate)
         ));
         out.push_str(&format!(
             "  pressure        rejected {}   degraded {}   errors {}\n",
-            c("serve_rejected"),
-            c("serve_degraded"),
-            c("serve_errors")
+            c(Metric::Rejected),
+            c(Metric::Degraded),
+            c(Metric::Errors)
         ));
         out.push_str(&format!(
             "  execution       {} runs   {} rows   {} pipeline rows\n",
-            c("serve_executions"),
-            c("serve_exec_rows"),
-            c("serve_pipeline_rows")
+            c(Metric::Executions),
+            c(Metric::ExecRows),
+            c(Metric::PipelineRows)
         ));
-        if c("serve_feedback_runs") > 0 {
+        if c(Metric::FeedbackRuns) > 0 {
             out.push_str(&format!(
                 "  feedback        {} runs folded   {} suspects flagged\n",
-                c("serve_feedback_runs"),
-                c("serve_suspects_flagged")
+                c(Metric::FeedbackRuns),
+                c(Metric::SuspectFlagged)
             ));
         }
-        let (sampled, unsampled) = (c("serve_trace_sampled"), c("serve_trace_unsampled"));
+        let (sampled, unsampled) = (c(Metric::TraceSampled), c(Metric::TraceUnsampled));
         if sampled + unsampled > 0 {
             out.push_str(&format!(
                 "  tracing         {sampled} sampled / {unsampled} suppressed\n"
             ));
         }
-        let (kept, dropped) = (c("serve_spans_kept"), c("serve_spans_dropped"));
+        let (kept, dropped) = (c(Metric::SpansKept), c(Metric::SpansDropped));
         if kept + dropped > 0 || s.span_capacity > 0 {
             out.push_str(&format!(
                 "  spans           {kept} kept / {dropped} dropped   store {}/{} resident   {} evicted\n",
@@ -100,25 +100,25 @@ impl LiveReport {
         }
         out.push_str(&format!(
             "  optimizer work  {} star refs   {} memo hits   {} plans built   {} glue refs\n",
-            c("opt_star_refs"),
-            c("opt_memo_hits"),
-            c("opt_plans_built"),
-            c("opt_glue_refs")
+            c(Metric::StarRefs),
+            c(Metric::MemoHits),
+            c(Metric::PlansBuilt),
+            c(Metric::GlueRefs)
         ));
 
         // Executor plane: present once a request has been executed.
-        if c("vexec_morsels_queued") + c("vexec_rows") > 0 {
+        if c(Metric::VexecQueued) + c(Metric::VexecRows) > 0 {
             out.push_str("\n-- executor --\n");
             out.push_str(&format!(
                 "  vectorized      {} batches   {} rows\n",
-                c("vexec_batches"),
-                c("vexec_rows")
+                c(Metric::VexecBatches),
+                c(Metric::VexecRows)
             ));
             out.push_str(&format!(
                 "  morsels         {} completed / {} queued   ({} in flight)\n",
-                c("vexec_morsels"),
-                c("vexec_morsels_queued"),
-                c("vexec_morsels_queued").saturating_sub(c("vexec_morsels"))
+                c(Metric::VexecMorsels),
+                c(Metric::VexecQueued),
+                c(Metric::VexecQueued).saturating_sub(c(Metric::VexecMorsels))
             ));
         }
 
@@ -127,10 +127,11 @@ impl LiveReport {
             "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
             "path", "count", "p50", "p90", "p99", "p999", "max"
         ));
-        for (path, h) in &s.latency {
+        for p in LatencyPath::ALL {
+            let h = &s.latency[p];
             out.push_str(&format!(
                 "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
-                path,
+                p.name(),
                 h.count(),
                 fmt_quantile(h, 0.5),
                 fmt_quantile(h, 0.9),
@@ -140,22 +141,21 @@ impl LiveReport {
             ));
         }
 
-        if !s.phases.is_empty() {
-            out.push_str("\n-- phases --\n");
+        out.push_str("\n-- phases --\n");
+        out.push_str(&format!(
+            "  {:<12} {:>9} {:>10} {:>10}\n",
+            "phase", "count", "total", "mean"
+        ));
+        for p in Phase::ALL {
+            let (nanos, count) = s.phases[p];
+            let mean = nanos.checked_div(count).unwrap_or(0);
             out.push_str(&format!(
                 "  {:<12} {:>9} {:>10} {:>10}\n",
-                "phase", "count", "total", "mean"
+                p.name(),
+                count,
+                fmt_nanos(nanos),
+                fmt_nanos(mean)
             ));
-            for (name, nanos, count) in &s.phases {
-                let mean = nanos.checked_div(*count).unwrap_or(0);
-                out.push_str(&format!(
-                    "  {:<12} {:>9} {:>10} {:>10}\n",
-                    name,
-                    count,
-                    fmt_nanos(*nanos),
-                    fmt_nanos(mean)
-                ));
-            }
         }
 
         out.push_str("\n-- hot queries --\n");
@@ -234,23 +234,23 @@ impl LiveReport {
             }
         }
 
-        let reopt_total = c("serve_reopt_attempts")
-            + c("serve_reopt_backoff")
-            + c("serve_plan_swap")
-            + c("serve_plan_pinned");
+        let reopt_total = c(Metric::ReoptAttempts)
+            + c(Metric::ReoptBackoff)
+            + c(Metric::PlanSwap)
+            + c(Metric::PlanPinned);
         if reopt_total > 0 || !s.heal.is_empty() {
             out.push_str("\n-- serve heal --\n");
             out.push_str(&format!(
                 "  reopt           {} attempts   {} failures   swap {} / pin {}\n",
-                c("serve_reopt_attempts"),
-                c("serve_reopt_failures"),
-                c("serve_plan_swap"),
-                c("serve_plan_pinned")
+                c(Metric::ReoptAttempts),
+                c(Metric::ReoptFailures),
+                c(Metric::PlanSwap),
+                c(Metric::PlanPinned)
             ));
             out.push_str(&format!(
                 "  backoff         {} suppressed   {} retry-capped\n",
-                c("serve_reopt_backoff"),
-                c("serve_reopt_retry_capped")
+                c(Metric::ReoptBackoff),
+                c(Metric::ReoptRetryCapped)
             ));
             if !s.heal.is_empty() {
                 out.push_str(&format!(
@@ -360,7 +360,8 @@ mod tests {
         let later = smoke_snapshot();
         let mut earlier = smoke_snapshot();
         earlier.uptime_nanos = 1_000_000_000;
-        earlier.counters = vec![("serve_requests".into(), 150)];
+        earlier.counters = Default::default();
+        earlier.counters[Metric::Requests] = 150;
         let report = LiveReport::since(&later, &earlier);
         let text = report.render();
         assert!(text.contains("interval 1.00s"));

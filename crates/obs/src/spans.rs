@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use starqo_trace::{SpanRecord, SpanTree};
+use starqo_trace::{LatencyPath, Phase, SpanRecord, SpanTree};
 
 use crate::fmt::fmt_nanos;
 
@@ -164,14 +164,14 @@ pub fn smoke_trees() -> Vec<SpanTree> {
             suspect: false,
             retained: "slow".to_string(),
             spans: vec![
-                span(2, 1, "prepare", 2_000, 42_000, 0),
-                span(5, 4, "enumerate", 130_000, 1_890_000, 0),
+                span(2, 1, Phase::Prepare.name(), 2_000, 42_000, 0),
+                span(5, 4, Phase::Enumerate.name(), 130_000, 1_890_000, 0),
                 span(6, 5, "star:Join", 150_000, 900_000, 3),
                 span(7, 5, "star:AccessRoot", 910_000, 1_400_000, 5),
-                span(8, 5, "glue", 1_410_000, 1_800_000, 0),
-                span(4, 3, "optimize", 120_000, 1_950_000, 0),
-                span(3, 1, "cache_lookup", 60_000, 2_000_000, 0),
-                span(9, 1, "execute", 2_050_000, 2_540_000, 0),
+                span(8, 5, Phase::Glue.name(), 1_410_000, 1_800_000, 0),
+                span(4, 3, LatencyPath::Optimize.name(), 120_000, 1_950_000, 0),
+                span(3, 1, Phase::CacheLookup.name(), 60_000, 2_000_000, 0),
+                span(9, 1, Phase::Execute.name(), 2_050_000, 2_540_000, 0),
                 span(10, 9, "pipeline:join", 2_060_000, 2_500_000, 160),
                 span(1, 0, "request", 0, 2_600_000, 0),
             ],
@@ -187,9 +187,9 @@ pub fn smoke_trees() -> Vec<SpanTree> {
             suspect: true,
             retained: "suspect".to_string(),
             spans: vec![
-                span(2, 1, "prepare", 500, 1_500, 0),
-                span(3, 1, "cache_lookup", 2_000, 5_000, 0),
-                span(4, 1, "execute", 5_500, 8_600, 0),
+                span(2, 1, Phase::Prepare.name(), 500, 1_500, 0),
+                span(3, 1, Phase::CacheLookup.name(), 2_000, 5_000, 0),
+                span(4, 1, Phase::Execute.name(), 5_500, 8_600, 0),
                 span(5, 4, "pipeline:scan", 5_600, 8_500, 64),
                 span(1, 0, "request", 0, 9_000, 0),
             ],

@@ -1,7 +1,7 @@
 //! Hand-constructed traces shared by the analytics tests. Every number
 //! here is asserted somewhere — change with care.
 
-use starqo_trace::{CostBreakdownEv, TelemetrySnapshot, TraceEvent};
+use starqo_trace::{CostBreakdownEv, Counters, Metric, Phase, TelemetrySnapshot, TraceEvent};
 
 /// A minimal but complete run: `JoinRoot` expands once and references
 /// `JMeth` twice (one expansion, one memo hit). `JMeth`'s alt 1 fails its
@@ -128,62 +128,65 @@ pub fn smoke_snapshot() -> TelemetrySnapshot {
         }
         execute.record(40_000 + (i % 11) * 1_000);
     }
+    let mut counters = Counters::default();
+    for (m, v) in [
+        (Metric::Requests, 200),
+        (Metric::CacheHit, 196),
+        (Metric::CacheCoalesced, 0),
+        (Metric::CacheMiss, 4),
+        (Metric::CacheEvict, 0),
+        (Metric::CacheInvalidate, 0),
+        (Metric::Rejected, 0),
+        (Metric::Degraded, 0),
+        (Metric::Errors, 0),
+        (Metric::Executions, 200),
+        (Metric::ExecRows, 1_600),
+        (Metric::TraceSampled, 3),
+        (Metric::TraceUnsampled, 197),
+        (Metric::StarRefs, 56),
+        (Metric::MemoHits, 24),
+        (Metric::PlansBuilt, 180),
+        (Metric::GlueRefs, 32),
+        (Metric::OptNanos, 8_600_000),
+        (Metric::SavedNanos, 420_000_000),
+        (Metric::ExecNanos, 9_000_000),
+        (Metric::PipelineRows, 2_400),
+        (Metric::FeedbackRuns, 200),
+        (Metric::SuspectFlagged, 1),
+        (Metric::SpansKept, 6),
+        (Metric::SpansDropped, 194),
+        (Metric::ReoptAttempts, 3),
+        (Metric::ReoptFailures, 1),
+        (Metric::ReoptBackoff, 2),
+        (Metric::ReoptRetryCapped, 0),
+        (Metric::PlanSwap, 1),
+        (Metric::PlanPinned, 2),
+        (Metric::VexecBatches, 240),
+        (Metric::VexecQueued, 62),
+        (Metric::VexecMorsels, 60),
+        (Metric::VexecRows, 1_550),
+    ] {
+        counters[m] = v;
+    }
+    let mut phases = [(0, 0); Phase::COUNT];
+    for (p, reading) in [
+        (Phase::Prepare, (400_000, 200)),
+        (Phase::CacheLookup, (600_000, 196)),
+        (Phase::Enumerate, (7_200_000, 4)),
+        (Phase::Glue, (900_000, 4)),
+        (Phase::Compile, (300_000, 4)),
+        (Phase::Execute, (9_000_000, 200)),
+    ] {
+        phases[p] = reading;
+    }
     TelemetrySnapshot {
         uptime_nanos: 2_000_000_000,
-        counters: vec![
-            ("serve_requests".into(), 200),
-            ("serve_cache_hit".into(), 196),
-            ("serve_cache_coalesced".into(), 0),
-            ("serve_cache_miss".into(), 4),
-            ("serve_cache_evict".into(), 0),
-            ("serve_cache_invalidate".into(), 0),
-            ("serve_rejected".into(), 0),
-            ("serve_degraded".into(), 0),
-            ("serve_errors".into(), 0),
-            ("serve_executions".into(), 200),
-            ("serve_exec_rows".into(), 1_600),
-            ("serve_trace_sampled".into(), 3),
-            ("serve_trace_unsampled".into(), 197),
-            ("opt_star_refs".into(), 56),
-            ("opt_memo_hits".into(), 24),
-            ("opt_plans_built".into(), 180),
-            ("opt_glue_refs".into(), 32),
-            ("serve_opt_nanos".into(), 8_600_000),
-            ("serve_saved_nanos".into(), 420_000_000),
-            ("serve_exec_nanos".into(), 9_000_000),
-            ("serve_pipeline_rows".into(), 2_400),
-            ("serve_feedback_runs".into(), 200),
-            ("serve_suspects_flagged".into(), 1),
-            ("serve_spans_kept".into(), 6),
-            ("serve_spans_dropped".into(), 194),
-            ("serve_reopt_attempts".into(), 3),
-            ("serve_reopt_failures".into(), 1),
-            ("serve_reopt_backoff".into(), 2),
-            ("serve_reopt_retry_capped".into(), 0),
-            ("serve_plan_swap".into(), 1),
-            ("serve_plan_pinned".into(), 2),
-            ("vexec_batches".into(), 240),
-            ("vexec_morsels_queued".into(), 62),
-            ("vexec_morsels".into(), 60),
-            ("vexec_rows".into(), 1_550),
-        ],
-        phases: vec![
-            ("prepare".into(), 400_000, 200),
-            ("cache_lookup".into(), 600_000, 196),
-            ("enumerate".into(), 7_200_000, 4),
-            ("glue".into(), 900_000, 4),
-            ("compile".into(), 300_000, 4),
-            ("execute".into(), 9_000_000, 200),
-        ],
+        counters,
+        phases,
         span_resident: 6,
         span_capacity: 64,
         span_evicted: 0,
-        latency: vec![
-            ("optimize".into(), optimize),
-            ("cache_hit".into(), cache_hit),
-            ("execute".into(), execute),
-            ("end_to_end".into(), end_to_end),
-        ],
+        latency: [optimize, cache_hit, execute, end_to_end],
         topk: vec![
             HotQuery {
                 fp: 0xA11CE,
@@ -240,11 +243,11 @@ pub fn smoke_sequence() -> Vec<TelemetrySnapshot> {
         .map(|i| {
             let mut s = smoke_snapshot();
             s.uptime_nanos = (i + 1) * 1_000_000_000;
-            for (name, v) in s.counters.iter_mut() {
+            for m in Metric::ALL {
                 // Counters grow linearly; the suspect flag lands on tick 3.
-                *v = match name.as_str() {
-                    "serve_suspects_flagged" => u64::from(i >= 2),
-                    _ => *v * (i + 1) / 4,
+                s.counters[m] = match m {
+                    Metric::SuspectFlagged => u64::from(i >= 2),
+                    _ => s.counters[m] * (i + 1) / 4,
                 };
             }
             s

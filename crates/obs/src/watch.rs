@@ -5,7 +5,7 @@
 //! (requests/s series, cache hit trend, drift/suspect movement) computed
 //! from the retained ring.
 
-use starqo_trace::{SnapshotRing, TelemetrySnapshot};
+use starqo_trace::{Metric, SnapshotRing, TelemetrySnapshot};
 
 use crate::fmt::sparkline;
 use crate::live::LiveReport;
@@ -73,21 +73,21 @@ impl Watcher {
             .ring
             .deltas()
             .iter()
-            .map(|d| (d.hit_ratio() * 100.0).round() as u64)
+            .map(|d| (d.counters.hit_ratio() * 100.0).round() as u64)
             .collect();
         out.push_str(&format!(
             "  cache hit %     {}  (last {})\n",
             sparkline(&hits),
             hits.last().copied().unwrap_or(0)
         ));
-        let flagged = self.ring.counter_series("serve_suspects_flagged");
+        let flagged = self.ring.counter_series(Metric::SuspectFlagged);
         out.push_str(&format!(
             "  new suspects    {}  (last {})\n",
             sparkline(&flagged),
             flagged.last().copied().unwrap_or(0)
         ));
-        let reopts = self.ring.counter_series("serve_reopt_attempts");
-        let swaps = self.ring.counter_series("serve_plan_swap");
+        let reopts = self.ring.counter_series(Metric::ReoptAttempts);
+        let swaps = self.ring.counter_series(Metric::PlanSwap);
         if reopts.iter().chain(swaps.iter()).any(|v| *v > 0) {
             out.push_str(&format!(
                 "  reopt attempts  {}  (last {})\n",
@@ -217,9 +217,9 @@ mod tests {
             w.tick(s);
         }
         // serve_requests absolutes: 50, 100, 150, 200 → deltas 50 each.
-        assert_eq!(w.ring().counter_series("serve_requests"), vec![50, 50, 50]);
+        assert_eq!(w.ring().counter_series(Metric::Requests), vec![50, 50, 50]);
         assert_eq!(
-            w.ring().counter_series("serve_suspects_flagged"),
+            w.ring().counter_series(Metric::SuspectFlagged),
             vec![0, 1, 0]
         );
     }

@@ -50,6 +50,4 @@ pub mod service;
 pub use admission::{GateTimeout, OptGate, Permit};
 pub use cache::{CacheConfig, CacheMeta, PlanCache};
 pub use heal::HealConfig;
-pub use service::{
-    Prepared, ServeCountersSnapshot, ServeError, ServeOutcome, Service, ServiceConfig,
-};
+pub use service::{Prepared, ServeError, ServeOutcome, Service, ServiceConfig};

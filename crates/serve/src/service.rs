@@ -10,8 +10,8 @@ use starqo_plan::{rows_equal_multiset, PlanRef, QueryResult};
 use starqo_query::{canonicalize, CanonicalQuery, Query, QueryFingerprint};
 use starqo_storage::Database;
 use starqo_trace::{
-    LatencyPath, Metric, PhaseKind, SpanContext, Telemetry, TelemetryConfig, TelemetrySnapshot,
-    TraceEvent, Tracer,
+    Counters, LatencyPath, Metric, Phase, SpanContext, Telemetry, TelemetryConfig,
+    TelemetrySnapshot, TraceEvent, Tracer,
 };
 use starqo_vexec::{VexecExecutor, VexecStats};
 
@@ -128,117 +128,6 @@ pub struct ServeOutcome {
     pub fingerprint: QueryFingerprint,
 }
 
-/// A point-in-time fold of the service's counter plane (the live
-/// [`Telemetry`] striped counters — one relaxed atomic op per increment on
-/// the hot path, folded across stripes here).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeCountersSnapshot {
-    pub requests: u64,
-    pub hits: u64,
-    pub coalesced: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub invalidations: u64,
-    pub rejected: u64,
-    pub degraded: u64,
-    pub errors: u64,
-    pub opt_nanos: u64,
-    pub saved_nanos: u64,
-    /// Plan executions completed through [`Service::execute_prepared`].
-    pub executions: u64,
-    /// Result rows those executions produced.
-    pub exec_rows: u64,
-    /// Wall nanos spent executing plans.
-    pub exec_nanos: u64,
-    /// Requests whose attached tracer the head sampler admitted.
-    pub trace_sampled: u64,
-    /// Requests whose attached tracer the head sampler suppressed.
-    pub trace_unsampled: u64,
-    /// STAR references made by cold optimizations.
-    pub star_refs: u64,
-    /// Memo hits inside cold optimizations.
-    pub memo_hits: u64,
-    /// Plans built by cold optimizations.
-    pub plans_built: u64,
-    /// Glue invocations inside cold optimizations.
-    pub glue_refs: u64,
-    /// Rows crossing pipeline breakers during executions.
-    pub pipeline_rows: u64,
-    /// Per-run actuals folded into the feedback plane.
-    pub feedback_runs: u64,
-    /// Fingerprints newly flagged suspect by the feedback plane.
-    pub suspects_flagged: u64,
-    /// Suspect-triggered re-optimization attempts started.
-    pub reopt_attempts: u64,
-    /// Attempts that failed before the stability guard could rule
-    /// (contained panic, typed error, heal-budget degradation).
-    pub reopt_failures: u64,
-    /// Heal triggers suppressed by an armed backoff window (or the cap).
-    pub reopt_backoff: u64,
-    /// Fingerprints that hit the retry cap (counted at the capping pin).
-    pub reopt_retry_capped: u64,
-    /// Candidates that passed verification + probation and were installed.
-    pub plan_swaps: u64,
-    /// Attempts resolved by keeping the incumbent, with a typed reason.
-    pub plan_pinned: u64,
-    /// Column batches the vectorized executor emitted.
-    pub vexec_batches: u64,
-    /// Morsels its worker pool completed.
-    pub vexec_morsels: u64,
-    /// Rows that flowed out of vectorized pipelines.
-    pub vexec_rows: u64,
-}
-
-impl ServeCountersSnapshot {
-    /// Requests served without a cold optimization, over all requests that
-    /// produced a plan.
-    pub fn hit_ratio(&self) -> f64 {
-        let served = self.hits + self.coalesced + self.misses;
-        if served == 0 {
-            0.0
-        } else {
-            (self.hits + self.coalesced) as f64 / served as f64
-        }
-    }
-
-    /// Stable `(name, value)` rows, for metrics export and benchmarks.
-    /// Deterministic counters only — wall-clock sums (`*_nanos`) stay out
-    /// so benchmark gates can enforce these values exactly.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("serve_requests", self.requests),
-            ("serve_cache_hit", self.hits),
-            ("serve_cache_coalesced", self.coalesced),
-            ("serve_cache_miss", self.misses),
-            ("serve_cache_evict", self.evictions),
-            ("serve_cache_invalidate", self.invalidations),
-            ("serve_rejected", self.rejected),
-            ("serve_degraded", self.degraded),
-            ("serve_errors", self.errors),
-            ("serve_executions", self.executions),
-            ("serve_exec_rows", self.exec_rows),
-            ("serve_trace_sampled", self.trace_sampled),
-            ("serve_trace_unsampled", self.trace_unsampled),
-            ("opt_star_refs", self.star_refs),
-            ("opt_memo_hits", self.memo_hits),
-            ("opt_plans_built", self.plans_built),
-            ("opt_glue_refs", self.glue_refs),
-            ("serve_pipeline_rows", self.pipeline_rows),
-            ("serve_feedback_runs", self.feedback_runs),
-            ("serve_suspects_flagged", self.suspects_flagged),
-            ("serve_reopt_attempts", self.reopt_attempts),
-            ("serve_reopt_failures", self.reopt_failures),
-            ("serve_reopt_backoff", self.reopt_backoff),
-            ("serve_reopt_retry_capped", self.reopt_retry_capped),
-            ("serve_plan_swap", self.plan_swaps),
-            ("serve_plan_pinned", self.plan_pinned),
-            ("vexec_batches", self.vexec_batches),
-            ("vexec_morsels", self.vexec_morsels),
-            ("vexec_rows", self.vexec_rows),
-        ]
-    }
-}
-
 /// A thread-safe serving layer: one catalog, one compiled rule set, one
 /// plan cache, many worker threads. All methods take `&self`.
 pub struct Service {
@@ -309,7 +198,7 @@ impl Service {
             canonical: canonicalize(query),
         };
         self.telemetry
-            .record_phase(PhaseKind::Prepare, started.elapsed().as_nanos() as u64);
+            .record_phase(Phase::Prepare, started.elapsed().as_nanos() as u64);
         prepared
     }
 
@@ -339,43 +228,8 @@ impl Service {
     }
 
     /// Current counters, folded from the striped plane.
-    pub fn counters(&self) -> ServeCountersSnapshot {
-        let fold = self.telemetry.fold();
-        let c = |m: Metric| fold[m as usize];
-        ServeCountersSnapshot {
-            requests: c(Metric::Requests),
-            hits: c(Metric::CacheHit),
-            coalesced: c(Metric::CacheCoalesced),
-            misses: c(Metric::CacheMiss),
-            evictions: c(Metric::CacheEvict),
-            invalidations: c(Metric::CacheInvalidate),
-            rejected: c(Metric::Rejected),
-            degraded: c(Metric::Degraded),
-            errors: c(Metric::Errors),
-            opt_nanos: c(Metric::OptNanos),
-            saved_nanos: c(Metric::SavedNanos),
-            executions: c(Metric::Executions),
-            exec_rows: c(Metric::ExecRows),
-            exec_nanos: c(Metric::ExecNanos),
-            trace_sampled: c(Metric::TraceSampled),
-            trace_unsampled: c(Metric::TraceUnsampled),
-            star_refs: c(Metric::StarRefs),
-            memo_hits: c(Metric::MemoHits),
-            plans_built: c(Metric::PlansBuilt),
-            glue_refs: c(Metric::GlueRefs),
-            pipeline_rows: c(Metric::PipelineRows),
-            feedback_runs: c(Metric::FeedbackRuns),
-            suspects_flagged: c(Metric::SuspectFlagged),
-            reopt_attempts: c(Metric::ReoptAttempts),
-            reopt_failures: c(Metric::ReoptFailures),
-            reopt_backoff: c(Metric::ReoptBackoff),
-            reopt_retry_capped: c(Metric::ReoptRetryCapped),
-            plan_swaps: c(Metric::PlanSwap),
-            plan_pinned: c(Metric::PlanPinned),
-            vexec_batches: c(Metric::VexecBatches),
-            vexec_morsels: c(Metric::VexecMorsels),
-            vexec_rows: c(Metric::VexecRows),
-        }
+    pub fn counters(&self) -> Counters {
+        self.telemetry.fold()
     }
 
     /// Resident plan-cache entries.
@@ -383,15 +237,18 @@ impl Service {
         self.cache.len()
     }
 
-    /// Emit the counter snapshot as `counter` trace events (the obs
-    /// `profile` section reads these back).
+    /// Emit the counters as `counter` trace events (the obs `profile`
+    /// section reads these back). Deterministic counters only — wall-clock
+    /// sums (`*_nanos`) stay out so benchmark gates can enforce the values
+    /// exactly.
     pub fn emit_counters(&self) {
-        let snap = self.counters();
-        for (name, value) in snap.rows() {
-            self.tracer.emit(|| TraceEvent::Counter {
-                name: name.to_string(),
-                value,
-            });
+        for (m, value) in self.counters().iter() {
+            if !m.name().ends_with("_nanos") {
+                self.tracer.emit(|| TraceEvent::Counter {
+                    name: m.name().to_string(),
+                    value,
+                });
+            }
         }
     }
 
@@ -451,7 +308,7 @@ impl Service {
         // immediately, a leader's cold optimization nests its own `optimize`
         // span inside, and a follower blocks here for the flight — in which
         // case the span is renamed `flight_wait` to say what the time *was*.
-        let mut lookup_span = ctx.enter("cache_lookup");
+        let mut lookup_span = ctx.enter(Phase::CacheLookup.name());
         let lookup_started = Instant::now();
         let (result, meta) = self
             .cache
@@ -469,7 +326,7 @@ impl Service {
             });
         let lookup_nanos = lookup_started.elapsed().as_nanos() as u64;
         if meta.coalesced {
-            lookup_span.rename("flight_wait");
+            lookup_span.rename(Phase::FlightWait.name());
         }
         drop(lookup_span);
 
@@ -491,9 +348,9 @@ impl Service {
                 if meta.hit || meta.coalesced {
                     self.telemetry.record_phase(
                         if meta.coalesced {
-                            PhaseKind::FlightWait
+                            Phase::FlightWait
                         } else {
-                            PhaseKind::CacheLookup
+                            Phase::CacheLookup
                         },
                         lookup_nanos,
                     );
@@ -518,7 +375,7 @@ impl Service {
                     // optimization (attributed to its optimizer phases);
                     // only the residue is cache bookkeeping.
                     self.telemetry
-                        .record_phase(PhaseKind::CacheLookup, lookup_nanos.saturating_sub(nanos));
+                        .record_phase(Phase::CacheLookup, lookup_nanos.saturating_sub(nanos));
                     self.telemetry.add(Metric::CacheMiss, 1);
                     self.telemetry.add(Metric::OptNanos, nanos);
                     self.telemetry.observe(LatencyPath::Optimize, nanos);
@@ -597,7 +454,7 @@ impl Service {
         let plan = &outcome.optimized.best;
         // One executor: the vectorized engine, inline on this thread. The
         // serial interpreter is its oracle in tests and benches only.
-        let exec_span = ctx.enter("execute");
+        let exec_span = ctx.enter(Phase::Execute.name());
         let exec_started = Instant::now();
         let mut vx = VexecExecutor::new(db, query);
         vx.set_telemetry(Arc::clone(&self.telemetry));
@@ -607,7 +464,7 @@ impl Service {
             .map_err(|e| ServeError::Execute(e.to_string()))?;
         drop(exec_span);
         let nanos = exec_started.elapsed().as_nanos() as u64;
-        self.telemetry.record_phase(PhaseKind::Execute, nanos);
+        self.telemetry.record_phase(Phase::Execute, nanos);
         // Fold this run's compact actuals into the feedback plane: the
         // cached plan's estimated root cardinality against what actually
         // came out. Counted even when tracing is suppressed; only a
@@ -640,7 +497,7 @@ impl Service {
     /// [`Self::prepare`] under a `prepare` span (phase attribution lives in
     /// `prepare` itself, so direct callers are counted too).
     fn prepare_spanned(&self, query: &Query, ctx: &SpanContext) -> Prepared {
-        let _span = ctx.enter("prepare");
+        let _span = ctx.enter(Phase::Prepare.name());
         self.prepare(query)
     }
 
@@ -721,7 +578,7 @@ impl Service {
                 None => d,
             });
         }
-        let opt_span = ctx.enter("optimize");
+        let opt_span = ctx.enter(LatencyPath::Optimize.name());
         let started = Instant::now();
         let optimized = optimizer
             .optimize_spanned(
@@ -737,12 +594,9 @@ impl Service {
             })?;
         let nanos = started.elapsed().as_nanos() as u64;
         drop(opt_span);
-        // Fold the optimizer's own phase clocks into the cold-path profile
-        // (names shared with the per-request MetricsRegistry).
-        for (name, phase_nanos) in optimized.metrics.phase_nanos() {
-            if let Some(kind) = PhaseKind::from_name(name) {
-                self.telemetry.record_phase(kind, *phase_nanos);
-            }
+        // Fold the optimizer's own phase clocks into the cold-path profile.
+        for (phase, phase_nanos) in optimized.phase_nanos() {
+            self.telemetry.record_phase(phase, phase_nanos);
         }
         if optimized.degraded {
             self.telemetry.add(Metric::Degraded, 1);
@@ -849,7 +703,7 @@ impl Service {
         let epoch = outcome.epoch;
         self.tracer
             .emit(|| TraceEvent::PlanReopt { fp, epoch, attempt });
-        let span = ctx.enter("reopt");
+        let span = ctx.enter(Phase::Reopt.name());
         let started = Instant::now();
         let cfg = healer.config().clone();
         // The whole pipeline is panic-contained: an injected (or real)
@@ -864,7 +718,7 @@ impl Service {
             },
         };
         self.telemetry
-            .record_phase(PhaseKind::Reopt, started.elapsed().as_nanos() as u64);
+            .record_phase(Phase::Reopt, started.elapsed().as_nanos() as u64);
         drop(span);
         match resolution {
             HealResolution::Swapped {
@@ -1119,7 +973,6 @@ mod tests {
     use starqo_catalog::{DataType, StorageKind, Value};
     use starqo_query::parse_query;
     use starqo_storage::DatabaseBuilder;
-    use starqo_trace::Histogram;
 
     fn catalog() -> Arc<Catalog> {
         Arc::new(
@@ -1169,8 +1022,8 @@ mod tests {
         assert!(o2.cache_hit, "different constant + conjunct order must hit");
         assert_eq!(o1.fingerprint, o2.fingerprint);
         let snap = svc.counters();
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.hits, 1);
+        assert_eq!(snap[Metric::CacheMiss], 1);
+        assert_eq!(snap[Metric::CacheHit], 1);
         assert!(snap.hit_ratio() > 0.49);
     }
 
@@ -1240,9 +1093,12 @@ mod tests {
             svc.execute(&db, &q).unwrap();
         }
         let snap = svc.counters();
-        assert_eq!(snap.feedback_runs, 5);
-        assert_eq!(snap.suspects_flagged, 1, "flagged exactly once");
-        assert!(snap.pipeline_rows >= 5 * 200, "root rows counted per run");
+        assert_eq!(snap[Metric::FeedbackRuns], 5);
+        assert_eq!(snap[Metric::SuspectFlagged], 1, "flagged exactly once");
+        assert!(
+            snap[Metric::PipelineRows] >= 5 * 200,
+            "root rows counted per run"
+        );
         let suspects = svc.telemetry().suspects();
         assert_eq!(suspects.len(), 1);
         assert_eq!(suspects[0].runs, 5, "sketch keeps folding after the flag");
@@ -1276,8 +1132,8 @@ mod tests {
         assert_eq!(o2.epoch, 1);
         assert!(!o2.cache_hit, "epoch bump must force a re-optimization");
         let snap = svc.counters();
-        assert_eq!(snap.invalidations, 1);
-        assert_eq!(snap.misses, 2);
+        assert_eq!(snap[Metric::CacheInvalidate], 1);
+        assert_eq!(snap[Metric::CacheMiss], 2);
         // The re-optimization saw the new statistics.
         assert!(o2.optimized.best.props.card > o1.optimized.best.props.card);
     }
@@ -1301,7 +1157,7 @@ mod tests {
         let q = parse_query(&cat, "SELECT E.NAME FROM EMP E").unwrap();
         let err = svc.optimize(&q).unwrap_err();
         assert!(matches!(err, ServeError::Rejected { .. }), "{err}");
-        assert_eq!(svc.counters().rejected, 1);
+        assert_eq!(svc.counters()[Metric::Rejected], 1);
     }
 
     #[test]
@@ -1316,24 +1172,26 @@ mod tests {
         }
         let counters = svc.counters();
         assert_eq!(
-            (counters.requests, counters.misses, counters.hits),
+            (
+                counters[Metric::Requests],
+                counters[Metric::CacheMiss],
+                counters[Metric::CacheHit]
+            ),
             (5, 1, 4)
         );
-        assert_eq!(counters.executions, 5);
-        assert!(counters.star_refs > 0 && counters.plans_built > 0);
+        assert_eq!(counters[Metric::Executions], 5);
+        assert!(counters[Metric::StarRefs] > 0 && counters[Metric::PlansBuilt] > 0);
 
         let snap = svc.telemetry_snapshot();
         // The snapshot's counter plane is the same fold `counters()` reads.
-        for (name, value) in counters.rows() {
-            assert_eq!(snap.counter(name), Some(value), "{name}");
-        }
-        assert!((snap.hit_ratio() - counters.hit_ratio()).abs() < 1e-9);
+        assert_eq!(snap.counters, counters);
         // Latency paths: 1 cold optimize, 4 warm serves, 5 end-to-end, and
         // 5 executions.
-        assert_eq!(snap.hist("optimize").map(Histogram::count), Some(1));
-        assert_eq!(snap.hist("cache_hit").map(Histogram::count), Some(4));
-        assert_eq!(snap.hist("end_to_end").map(Histogram::count), Some(5));
-        assert_eq!(snap.hist("execute").map(Histogram::count), Some(5));
+        let count = |p: LatencyPath| snap.latency[p].count();
+        assert_eq!(count(LatencyPath::Optimize), 1);
+        assert_eq!(count(LatencyPath::CacheHit), 4);
+        assert_eq!(count(LatencyPath::EndToEnd), 5);
+        assert_eq!(count(LatencyPath::Execute), 5);
         // The one fingerprint is the hottest query, with exact counts.
         let fp = prepared.fingerprint().hash;
         assert_eq!(snap.topk.len(), 1);
@@ -1361,12 +1219,45 @@ mod tests {
                 .unwrap();
             assert_eq!(got, want, "serve path diverged from the oracle on {sql}");
         }
-        let snap = svc.counters();
-        assert!(snap.vexec_rows > 0 && snap.vexec_batches > 0 && snap.vexec_morsels > 0);
-        let names: Vec<&str> = snap.rows().iter().map(|(n, _)| *n).collect();
-        for n in ["vexec_batches", "vexec_morsels", "vexec_rows"] {
-            assert!(names.contains(&n), "missing snapshot row {n}");
+        let c = svc.counters();
+        for m in [
+            Metric::VexecRows,
+            Metric::VexecBatches,
+            Metric::VexecMorsels,
+        ] {
+            assert!(c[m] > 0, "{m:?}");
         }
+    }
+
+    #[test]
+    fn emit_counters_covers_every_counter_but_the_nanos() {
+        use starqo_trace::MemorySink;
+        let cat = catalog();
+        let db = database(&cat);
+        let sink = Arc::new(MemorySink::new());
+        let svc = Service::new(Arc::clone(&cat), ServiceConfig::default())
+            .unwrap()
+            .with_tracer(Tracer::shared(sink.clone()));
+        let q = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
+        svc.execute(&db, &q).unwrap();
+        let before = sink.events().len();
+        svc.emit_counters();
+        let emitted: Vec<(String, u64)> = sink.events()[before..]
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Counter { name, value } => Some((name.clone(), *value)),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<(String, u64)> = Metric::ALL
+            .iter()
+            .filter(|m| !m.name().ends_with("_nanos"))
+            .map(|m| (m.name().to_string(), svc.telemetry().get(*m)))
+            .collect();
+        assert_eq!(emitted, expect);
+        assert!(emitted
+            .iter()
+            .any(|(n, v)| n == "vexec_morsels_queued" && *v > 0));
     }
 
     #[test]
@@ -1384,9 +1275,9 @@ mod tests {
         svc.optimize(&q).unwrap();
         svc.optimize(&q).unwrap();
         let snap = svc.telemetry_snapshot();
-        assert_eq!(snap.counter("serve_requests"), Some(2));
-        assert_eq!(snap.counter("serve_cache_hit"), Some(1));
-        assert!(snap.hist("end_to_end").is_some_and(Histogram::is_empty));
+        assert_eq!(snap.counters[Metric::Requests], 2);
+        assert_eq!(snap.counters[Metric::CacheHit], 1);
+        assert!(snap.latency[LatencyPath::EndToEnd].is_empty());
         assert!(snap.topk.is_empty());
     }
 
@@ -1417,8 +1308,8 @@ mod tests {
         // The decision is per-request but deterministic on the fingerprint:
         // both requests land on the same side of the sampler.
         let (expect_sampled, expect_unsampled) = if admitted { (2, 0) } else { (0, 2) };
-        assert_eq!(counters.trace_sampled, expect_sampled);
-        assert_eq!(counters.trace_unsampled, expect_unsampled);
+        assert_eq!(counters[Metric::TraceSampled], expect_sampled);
+        assert_eq!(counters[Metric::TraceUnsampled], expect_unsampled);
         assert_eq!(sink.events().is_empty(), !admitted);
     }
 
@@ -1468,34 +1359,26 @@ mod tests {
         );
         assert!(!s.contains("optimize"), "hits skip optimization: {s}");
         let snap = svc.telemetry_snapshot();
-        assert_eq!(snap.counter("serve_spans_kept"), Some(2));
-        assert_eq!(snap.counter("serve_spans_dropped"), Some(0));
+        assert_eq!(snap.counters[Metric::SpansKept], 2);
+        assert_eq!(snap.counters[Metric::SpansDropped], 0);
         assert!(snap.span_resident == 2 && snap.span_evicted == 0);
         // Cold-path phases saw the request: prepare + enumerate + execute.
-        let phase = |name: &str| {
-            snap.phases
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, _, count)| *count)
-                .unwrap_or(0)
-        };
-        assert_eq!(phase("prepare"), 2);
-        assert_eq!(phase("enumerate"), 1);
-        assert_eq!(phase("execute"), 2);
-        assert_eq!(phase("cache_lookup") + phase("flight_wait"), 2);
+        let phase = |p: Phase| snap.phases[p].1;
+        assert_eq!(phase(Phase::Prepare), 2);
+        assert_eq!(phase(Phase::Enumerate), 1);
+        assert_eq!(phase(Phase::Execute), 2);
+        assert_eq!(phase(Phase::CacheLookup) + phase(Phase::FlightWait), 2);
     }
 
     #[test]
     fn counter_rows_are_stable() {
-        let snap = ServeCountersSnapshot {
-            requests: 3,
-            hits: 1,
-            coalesced: 1,
-            misses: 1,
-            ..Default::default()
-        };
-        let rows = snap.rows();
-        assert_eq!(rows[0], ("serve_requests", 3));
-        assert!((snap.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
+        let mut c = Counters::default();
+        c[Metric::Requests] = 3;
+        c[Metric::CacheHit] = 1;
+        c[Metric::CacheCoalesced] = 1;
+        c[Metric::CacheMiss] = 1;
+        assert_eq!(c.iter().next(), Some((Metric::Requests, 3)));
+        assert_eq!(c.iter().count(), Metric::COUNT);
+        assert!((c.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
     }
 }

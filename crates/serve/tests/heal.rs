@@ -17,7 +17,7 @@ use starqo_core::FaultPlan;
 use starqo_query::parse_query;
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
-use starqo_trace::{MemorySink, SuspectConfig, TelemetryConfig, TraceEvent, Tracer};
+use starqo_trace::{MemorySink, Metric, SuspectConfig, TelemetryConfig, TraceEvent, Tracer};
 
 const DRIFT_SQL: &str = "SELECT E.NAME FROM EMP E WHERE E.DNO = 1";
 
@@ -80,10 +80,10 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     }
 
     let c = svc.counters();
-    assert_eq!(c.suspects_flagged, 1);
-    assert_eq!(c.reopt_attempts, 1, "one attempt healed it");
-    assert_eq!(c.plan_swaps, 1);
-    assert_eq!((c.plan_pinned, c.reopt_failures), (0, 0));
+    assert_eq!(c[Metric::SuspectFlagged], 1);
+    assert_eq!(c[Metric::ReoptAttempts], 1, "one attempt healed it");
+    assert_eq!(c[Metric::PlanSwap], 1);
+    assert_eq!((c[Metric::PlanPinned], c[Metric::ReoptFailures]), (0, 0));
 
     // Satellite: the sticky suspect flag is un-stuck by the swap, and the
     // Q-error window restarted against the healed plan's estimate.
@@ -120,10 +120,10 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     }
     assert!(!svc.telemetry().is_suspect(fp));
     let c = svc.counters();
-    assert_eq!(c.reopt_attempts, 1, "no reopt storm");
+    assert_eq!(c[Metric::ReoptAttempts], 1, "no reopt storm");
     // Heal's verify runs stay out of the telemetry and feedback planes:
     // only the 10 served requests were counted.
-    assert_eq!((c.executions, c.feedback_runs), (10, 10));
+    assert_eq!((c[Metric::Executions], c[Metric::FeedbackRuns]), (10, 10));
 }
 
 #[test]
@@ -150,10 +150,10 @@ fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     }
 
     let c = svc.counters();
-    assert_eq!(c.reopt_attempts, 2, "pin, then the healing retry");
-    assert_eq!(c.reopt_failures, 1);
-    assert_eq!(c.plan_pinned, 1);
-    assert_eq!(c.plan_swaps, 1);
+    assert_eq!(c[Metric::ReoptAttempts], 2, "pin, then the healing retry");
+    assert_eq!(c[Metric::ReoptFailures], 1);
+    assert_eq!(c[Metric::PlanPinned], 1);
+    assert_eq!(c[Metric::PlanSwap], 1);
 
     let pinned: Vec<_> = sink
         .events()
@@ -189,10 +189,13 @@ fn injected_panic_is_contained_as_a_pin() {
     }
 
     let c = svc.counters();
-    assert_eq!(c.reopt_attempts, 1);
-    assert_eq!(c.reopt_failures, 1);
-    assert_eq!(c.plan_swaps, 0);
-    assert!(c.reopt_backoff >= 1, "later triggers suppressed by backoff");
+    assert_eq!(c[Metric::ReoptAttempts], 1);
+    assert_eq!(c[Metric::ReoptFailures], 1);
+    assert_eq!(c[Metric::PlanSwap], 0);
+    assert!(
+        c[Metric::ReoptBackoff] >= 1,
+        "later triggers suppressed by backoff"
+    );
     let records = svc.heal_records();
     assert_eq!(records[0].last_reason, "reopt_panic");
     assert!(records[0].backoff_until_nanos > 0, "backoff armed");
@@ -226,9 +229,13 @@ fn epoch_bump_mid_reopt_pins_epoch_moved_not_a_stale_swap() {
     }
 
     let c = svc.counters();
-    assert_eq!(c.reopt_attempts, 1);
-    assert_eq!(c.plan_swaps, 0, "stale-epoch candidate must not install");
-    assert_eq!(c.plan_pinned, 1);
+    assert_eq!(c[Metric::ReoptAttempts], 1);
+    assert_eq!(
+        c[Metric::PlanSwap],
+        0,
+        "stale-epoch candidate must not install"
+    );
+    assert_eq!(c[Metric::PlanPinned], 1);
     assert_eq!(bumped.load(Ordering::SeqCst), 1, "hook fired once");
     let records = svc.heal_records();
     assert_eq!(records[0].last_reason, "epoch_moved");
@@ -262,7 +269,7 @@ fn eight_threads_one_reopt_flight_per_fingerprint() {
     for _ in 0..2 {
         svc.execute(&db, &q).unwrap();
     }
-    assert_eq!(svc.counters().reopt_attempts, 0);
+    assert_eq!(svc.counters()[Metric::ReoptAttempts], 0);
 
     // Eight threads race the third run: exactly one trips the verdict,
     // exactly one wins the heal flight; the rest keep serving.
@@ -283,10 +290,11 @@ fn eight_threads_one_reopt_flight_per_fingerprint() {
 
     let c = svc.counters();
     assert_eq!(
-        c.reopt_attempts, 1,
+        c[Metric::ReoptAttempts],
+        1,
         "single-flight: one re-opt across 8 racing threads"
     );
-    assert_eq!(c.plan_swaps, 1);
+    assert_eq!(c[Metric::PlanSwap], 1);
     let fp = svc.prepare(&q).fingerprint().hash;
     assert!(!svc.telemetry().is_suspect(fp));
 }

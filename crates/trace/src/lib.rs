@@ -2,7 +2,9 @@
 //!
 //! Structured observability for the STAR optimizer and the plan executor:
 //! typed [`TraceEvent`]s flowing into pluggable [`TraceSink`]s, named spans,
-//! and a [`MetricsRegistry`] of counters plus per-phase timers.
+//! the live [`Telemetry`] plane over the [`Metric`], [`Phase`] and
+//! [`LatencyPath`] catalogs, and the [`MetricsSummary`] a bench report
+//! accumulates.
 //!
 //! The crate is dependency-free by design (JSON serialization is
 //! hand-rolled in [`json`]) and its hot path is free when tracing is off:
@@ -15,6 +17,8 @@
 // panicking; tests may unwrap freely (the gate is off under cfg(test)).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+#[macro_use]
+mod catalog;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -29,14 +33,15 @@ use std::time::Instant;
 
 pub use event::{load_jsonl, read_events, CostBreakdownEv, NodeActuals, TraceEvent};
 pub use hist::Histogram;
-pub use metrics::{MetricsRegistry, MetricsSummary, Phase, PhaseTimer};
+pub use metrics::MetricsSummary;
 pub use read::{parse_json, JsonError, JsonValue};
 pub use sink::{JsonLinesSink, MemorySink, NullSink, TraceSink};
 pub use telemetry::{
-    from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, FeedbackPlane, HealRecord,
-    HotQuery, LatencyPath, Metric, PhaseKind, PhasePlane, QErrorSketch, SnapshotRing, SpanContext,
-    SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree, SuspectConfig, SuspectVerdict,
-    TailConfig, TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceSampler,
+    from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, Counters, FeedbackPlane,
+    HealRecord, HotQuery, LatencyPath, Metric, Phase, PhasePlane, QErrorSketch, SnapshotRing,
+    SpanContext, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree, SuspectConfig,
+    SuspectVerdict, TailConfig, TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TraceSampler,
 };
 
 /// Global count of trace events ever constructed in this process. Only

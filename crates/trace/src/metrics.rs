@@ -1,151 +1,47 @@
-//! Named monotonic counters and per-phase wall-clock timers, aggregated
-//! into a [`MetricsSummary`] that optimization results expose.
-
-use std::collections::BTreeMap;
-use std::time::Instant;
+//! Named counters, histograms and per-phase wall time accumulated over a
+//! run of experiments: the machine-readable half of a bench report.
 
 use crate::hist::Histogram;
 use crate::json::JsonObj;
+use crate::telemetry::Phase;
 
-/// The optimizer/executor lifecycle phases that get first-class timers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Phase {
-    /// SQL-subset text → `Query`.
-    Parse,
-    /// DSL rule text → executable rule structures.
-    Compile,
-    /// Bottom-up STAR-driven plan enumeration.
-    Enumerate,
-    /// Glue invocations (property enforcement).
-    Glue,
-    /// Plan execution.
-    Execute,
-}
-
-impl Phase {
-    pub const ALL: [Phase; 5] = [
-        Phase::Parse,
-        Phase::Compile,
-        Phase::Enumerate,
-        Phase::Glue,
-        Phase::Execute,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Parse => "parse",
-            Phase::Compile => "compile",
-            Phase::Enumerate => "enumerate",
-            Phase::Glue => "glue",
-            Phase::Execute => "execute",
-        }
-    }
-}
-
-/// An in-flight phase measurement; hand it back to
-/// [`MetricsRegistry::finish`] to record it.
-#[derive(Debug)]
-#[must_use = "finish() this timer to record the phase"]
-pub struct PhaseTimer {
-    phase: Phase,
-    start: Instant,
-}
-
-/// Mutable collection point for counters, phase timers, and histograms.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    phase_nanos: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Bump a named monotonic counter.
-    pub fn count(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Record one observation into a named log-bucketed histogram.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
-    }
-
-    /// Fold an externally built histogram into a named one.
-    pub fn merge_hist(&mut self, name: &'static str, hist: &Histogram) {
-        if !hist.is_empty() {
-            self.hists.entry(name).or_default().merge(hist);
-        }
-    }
-
-    /// Start timing a phase.
-    pub fn start(&self, phase: Phase) -> PhaseTimer {
-        PhaseTimer {
-            phase,
-            start: Instant::now(),
-        }
-    }
-
-    /// Stop a phase timer and accumulate its elapsed time. Phases may run
-    /// multiple times (e.g. `Glue`); durations add up.
-    pub fn finish(&mut self, timer: PhaseTimer) {
-        self.add_phase_nanos(timer.phase, timer.start.elapsed().as_nanos() as u64);
-    }
-
-    /// Accumulate an externally measured duration for a phase.
-    pub fn add_phase_nanos(&mut self, phase: Phase, nanos: u64) {
-        *self.phase_nanos.entry(phase.name()).or_insert(0) += nanos;
-    }
-
-    /// Time a closure under a phase.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let t = self.start(phase);
-        let r = f();
-        self.finish(t);
-        r
-    }
-
-    /// Freeze into an immutable summary.
-    pub fn summary(&self) -> MetricsSummary {
-        MetricsSummary {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            phase_nanos: self
-                .phase_nanos
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        }
-    }
-}
-
-/// Immutable aggregation of a run: counters, per-phase wall time, and
-/// log-bucketed value distributions.
+/// Named monotonic counters, phase nanos and log-bucketed value
+/// distributions. Names keep their first-seen order; adding to a name
+/// again accumulates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSummary {
     counters: Vec<(String, u64)>,
-    phase_nanos: Vec<(String, u64)>,
+    phase_nanos: Vec<(Phase, u64)>,
     hists: Vec<(String, Histogram)>,
 }
 
 impl MetricsSummary {
-    pub fn counters(&self) -> &[(String, u64)] {
-        &self.counters
+    /// Bump a named counter.
+    pub fn count(&mut self, name: &str, delta: u64) {
+        match self.counters.iter_mut().find(|(k, _)| k == name) {
+            Some((_, v)) => *v += delta,
+            None => self.counters.push((name.to_string(), delta)),
+        }
     }
 
-    pub fn phase_nanos(&self) -> &[(String, u64)] {
-        &self.phase_nanos
+    /// Add wall time to a phase. Phases may run many times (e.g. `Glue`);
+    /// durations add up.
+    pub fn add_phase(&mut self, phase: Phase, nanos: u64) {
+        match self.phase_nanos.iter_mut().find(|(p, _)| *p == phase) {
+            Some((_, v)) => *v += nanos,
+            None => self.phase_nanos.push((phase, nanos)),
+        }
+    }
+
+    /// Fold an externally built histogram into a named one.
+    pub fn merge_hist(&mut self, name: &str, hist: &Histogram) {
+        if hist.is_empty() {
+            return;
+        }
+        match self.hists.iter_mut().find(|(k, _)| k == name) {
+            Some((_, h)) => h.merge(hist),
+            None => self.hists.push((name.to_string(), hist.clone())),
+        }
     }
 
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -155,40 +51,17 @@ impl MetricsSummary {
             .map(|(_, v)| *v)
     }
 
-    pub fn phase(&self, phase: Phase) -> Option<u64> {
-        self.phase_nanos
-            .iter()
-            .find(|(k, _)| k == phase.name())
-            .map(|(_, v)| *v)
-    }
-
-    pub fn hists(&self) -> &[(String, Histogram)] {
-        &self.hists
-    }
-
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    /// Merge another summary into this one (counters and phases add).
+    /// Merge another summary into this one (counters and phases add,
+    /// histograms merge).
     pub fn absorb(&mut self, other: &MetricsSummary) {
         for (k, v) in &other.counters {
-            match self.counters.iter_mut().find(|(ek, _)| ek == k) {
-                Some((_, ev)) => *ev += v,
-                None => self.counters.push((k.clone(), *v)),
-            }
+            self.count(k, *v);
         }
-        for (k, v) in &other.phase_nanos {
-            match self.phase_nanos.iter_mut().find(|(ek, _)| ek == k) {
-                Some((_, ev)) => *ev += v,
-                None => self.phase_nanos.push((k.clone(), *v)),
-            }
+        for (p, v) in &other.phase_nanos {
+            self.add_phase(*p, *v);
         }
-        for (k, v) in &other.hists {
-            match self.hists.iter_mut().find(|(ek, _)| ek == k) {
-                Some((_, ev)) => ev.merge(v),
-                None => self.hists.push((k.clone(), v.clone())),
-            }
+        for (k, h) in &other.hists {
+            self.merge_hist(k, h);
         }
     }
 
@@ -200,8 +73,8 @@ impl MetricsSummary {
             counters = counters.u64(k, *v);
         }
         let mut phases = JsonObj::new();
-        for (k, v) in &self.phase_nanos {
-            phases = phases.u64(k, *v);
+        for (p, v) in &self.phase_nanos {
+            phases = phases.u64(p.name(), *v);
         }
         let mut out = JsonObj::new()
             .raw("counters", &counters.finish())
@@ -215,26 +88,6 @@ impl MetricsSummary {
         }
         out.finish()
     }
-
-    /// Multi-line human rendering (for reports and explain output).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("phases:\n");
-        for (k, v) in &self.phase_nanos {
-            out.push_str(&format!("  {:<12} {:>12.3} ms\n", k, *v as f64 / 1e6));
-        }
-        out.push_str("counters:\n");
-        for (k, v) in &self.counters {
-            out.push_str(&format!("  {k:<28} {v}\n"));
-        }
-        if !self.hists.is_empty() {
-            out.push_str("histograms:\n");
-            for (k, v) in &self.hists {
-                out.push_str(&format!("  {k:<28} {}\n", v.render_line(|x| x.to_string())));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -243,52 +96,51 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsSummary::default();
         m.count("memo_hits", 2);
         m.count("memo_hits", 3);
         m.count("plans", 1);
-        let s = m.summary();
-        assert_eq!(s.counter("memo_hits"), Some(5));
-        assert_eq!(s.counter("plans"), Some(1));
-        assert_eq!(s.counter("absent"), None);
+        assert_eq!(m.counter("memo_hits"), Some(5));
+        assert_eq!(m.counter("plans"), Some(1));
+        assert_eq!(m.counter("absent"), None);
     }
 
     #[test]
     fn phases_accumulate_across_runs() {
-        let mut m = MetricsRegistry::new();
-        m.add_phase_nanos(Phase::Glue, 10);
-        m.add_phase_nanos(Phase::Glue, 5);
-        assert_eq!(m.summary().phase(Phase::Glue), Some(15));
-    }
-
-    #[test]
-    fn timing_a_closure_records_nonzero() {
-        let mut m = MetricsRegistry::new();
-        let out = m.time(Phase::Enumerate, || {
-            std::hint::black_box((0..1000).sum::<u64>())
-        });
-        assert_eq!(out, 499_500);
-        assert!(m.summary().phase(Phase::Enumerate).unwrap() > 0);
+        let mut m = MetricsSummary::default();
+        m.add_phase(Phase::Glue, 10);
+        m.add_phase(Phase::Glue, 5);
+        assert_eq!(m.to_json(), r#"{"counters":{},"phase_nanos":{"glue":15}}"#);
     }
 
     #[test]
     fn summary_json_shape() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsSummary::default();
         m.count("x", 1);
-        m.add_phase_nanos(Phase::Parse, 42);
-        let j = m.summary().to_json();
-        assert_eq!(j, r#"{"counters":{"x":1},"phase_nanos":{"parse":42}}"#);
+        m.add_phase(Phase::Enumerate, 42);
+        let mut h = Histogram::new();
+        h.record(7);
+        m.merge_hist("h", &h);
+        m.merge_hist("empty", &Histogram::new());
+        // An empty histogram is not recorded.
+        assert_eq!(
+            m.to_json(),
+            format!(
+                r#"{{"counters":{{"x":1}},"phase_nanos":{{"enumerate":42}},"histograms":{{"h":{}}}}}"#,
+                h.to_json()
+            )
+        );
     }
 
     #[test]
     fn absorb_merges() {
         let mut a = MetricsSummary::default();
-        let mut reg = MetricsRegistry::new();
-        reg.count("x", 1);
-        reg.add_phase_nanos(Phase::Execute, 5);
-        a.absorb(&reg.summary());
-        a.absorb(&reg.summary());
+        let mut one = MetricsSummary::default();
+        one.count("x", 1);
+        one.add_phase(Phase::Execute, 5);
+        a.absorb(&one);
+        a.absorb(&one);
         assert_eq!(a.counter("x"), Some(2));
-        assert_eq!(a.phase(Phase::Execute), Some(10));
+        assert!(a.to_json().contains(r#""phase_nanos":{"execute":10}"#));
     }
 }

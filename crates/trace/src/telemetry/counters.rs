@@ -7,178 +7,139 @@
 //! each slot atomically (totals may lag in-flight increments by design —
 //! monotonic counters make that harmless).
 
+use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// The fixed serve-path metric catalog. Names are stable: they match the
-/// `serve_*` counters PR 5's service emitted (the obs `profile` section and
-/// the bench gate key on them) plus the optimizer/executor work counters
-/// the telemetry plane folds in live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum Metric {
-    /// Requests entering `optimize_prepared`.
-    Requests,
-    /// Served from a resident cache entry.
-    CacheHit,
-    /// Shared a concurrent leader's in-flight optimization.
-    CacheCoalesced,
-    /// Paid for a cold optimization.
-    CacheMiss,
-    /// Entries evicted for capacity/bytes.
-    CacheEvict,
-    /// Entries dropped for a stale catalog epoch.
-    CacheInvalidate,
-    /// Turned away by admission control.
-    Rejected,
-    /// Plans degraded by budget exhaustion.
-    Degraded,
-    /// Optimizer errors surfaced to callers.
-    Errors,
-    /// Plan executions completed through the service.
-    Executions,
-    /// Result rows produced by those executions.
-    ExecRows,
-    /// Requests whose fingerprint the head-based sampler admitted to the
-    /// attached tracer.
-    TraceSampled,
-    /// Requests the sampler suppressed (tracer attached, fingerprint not
-    /// in the sample).
-    TraceUnsampled,
-    /// STAR references made by cold optimizations (engine work).
-    StarRefs,
-    /// Memo hits inside those cold optimizations.
-    MemoHits,
-    /// Plans built by cold optimizations.
-    PlansBuilt,
-    /// Glue invocations inside cold optimizations.
-    GlueRefs,
-    /// Wall nanos spent in cold optimization.
-    OptNanos,
-    /// Cold-optimization nanos avoided by warm serves.
-    SavedNanos,
-    /// Wall nanos spent executing plans.
-    ExecNanos,
-    /// Rows crossing pipeline breakers (temp materializations plus the
-    /// root pipeline) during execution — the executor's compact per-run
-    /// actuals, counted even when tracing is suppressed.
-    PipelineRows,
-    /// Per-run actuals folded into the feedback plane's Q-error sketches.
-    FeedbackRuns,
-    /// Fingerprints newly flagged suspect by the feedback plane (each
-    /// fingerprint is flagged at most once; the flag is sticky).
-    SuspectFlagged,
-    /// Span trees the tail sampler retained into the span store.
-    SpansKept,
-    /// Span trees recorded but dropped by the tail sampler.
-    SpansDropped,
-    /// Suspect-triggered re-optimizations started (single-flight leaders).
-    ReoptAttempts,
-    /// Re-optimizations that failed before the stability guard could rule
-    /// (panic contained, injected/typed error, budget degradation).
-    ReoptFailures,
-    /// Heal triggers suppressed because the fingerprint was in backoff.
-    ReoptBackoff,
-    /// Fingerprints whose heal retries hit the cap and were pinned until
-    /// the next epoch.
-    ReoptRetryCapped,
-    /// Candidates that passed the stability guard and replaced the
-    /// incumbent plan in the cache.
-    PlanSwap,
-    /// Re-optimizations resolved by keeping the incumbent (typed reason:
-    /// verify mismatch, regression, epoch move, failure).
-    PlanPinned,
-    /// Columnar batches completed by the vectorized executor.
-    VexecBatches,
-    /// Morsels enqueued to the vectorized executor's worker pool. Paired
-    /// with [`Metric::VexecMorsels`]: `queued - completed` is the live
-    /// worker-pool queue depth (both counters are monotonic).
-    VexecQueued,
-    /// Morsels completed by the vectorized executor's worker pool.
-    VexecMorsels,
-    /// Rows leaving vectorized pipeline chains at exchanges.
-    VexecRows,
+catalog! {
+    /// The fixed serve-path counter catalog. Each name is the counter's JSON
+    /// key and `counter` trace-event name, and, as `starqo_<name>_total`,
+    /// its Prometheus series. Names are stable: the obs dashboards, the
+    /// doctor and the bench gate key on them.
+    pub enum Metric {
+        /// Requests entering `optimize_prepared`.
+        Requests = "serve_requests",
+        /// Served from a resident cache entry.
+        CacheHit = "serve_cache_hit",
+        /// Shared a concurrent leader's in-flight optimization.
+        CacheCoalesced = "serve_cache_coalesced",
+        /// Paid for a cold optimization.
+        CacheMiss = "serve_cache_miss",
+        /// Entries evicted for capacity/bytes.
+        CacheEvict = "serve_cache_evict",
+        /// Entries dropped for a stale catalog epoch.
+        CacheInvalidate = "serve_cache_invalidate",
+        /// Turned away by admission control.
+        Rejected = "serve_rejected",
+        /// Plans degraded by budget exhaustion.
+        Degraded = "serve_degraded",
+        /// Optimizer errors surfaced to callers.
+        Errors = "serve_errors",
+        /// Plan executions completed through the service.
+        Executions = "serve_executions",
+        /// Result rows produced by those executions.
+        ExecRows = "serve_exec_rows",
+        /// Requests whose fingerprint the head-based sampler admitted to the
+        /// attached tracer.
+        TraceSampled = "serve_trace_sampled",
+        /// Requests the sampler suppressed (tracer attached, fingerprint not
+        /// in the sample).
+        TraceUnsampled = "serve_trace_unsampled",
+        /// STAR references made by cold optimizations (engine work).
+        StarRefs = "opt_star_refs",
+        /// Memo hits inside those cold optimizations.
+        MemoHits = "opt_memo_hits",
+        /// Plans built by cold optimizations.
+        PlansBuilt = "opt_plans_built",
+        /// Glue invocations inside cold optimizations.
+        GlueRefs = "opt_glue_refs",
+        /// Wall nanos spent in cold optimization.
+        OptNanos = "serve_opt_nanos",
+        /// Cold-optimization nanos avoided by warm serves.
+        SavedNanos = "serve_saved_nanos",
+        /// Wall nanos spent executing plans.
+        ExecNanos = "serve_exec_nanos",
+        /// Rows crossing pipeline breakers (temp materializations plus the
+        /// root pipeline) during execution — the executor's compact per-run
+        /// actuals, counted even when tracing is suppressed.
+        PipelineRows = "serve_pipeline_rows",
+        /// Per-run actuals folded into the feedback plane's Q-error sketches.
+        FeedbackRuns = "serve_feedback_runs",
+        /// Fingerprints newly flagged suspect by the feedback plane (each
+        /// fingerprint is flagged at most once; the flag is sticky).
+        SuspectFlagged = "serve_suspects_flagged",
+        /// Span trees the tail sampler retained into the span store.
+        SpansKept = "serve_spans_kept",
+        /// Span trees recorded but dropped by the tail sampler.
+        SpansDropped = "serve_spans_dropped",
+        /// Suspect-triggered re-optimizations started (single-flight leaders).
+        ReoptAttempts = "serve_reopt_attempts",
+        /// Re-optimizations that failed before the stability guard could rule
+        /// (panic contained, injected/typed error, budget degradation).
+        ReoptFailures = "serve_reopt_failures",
+        /// Heal triggers suppressed because the fingerprint was in backoff.
+        ReoptBackoff = "serve_reopt_backoff",
+        /// Fingerprints whose heal retries hit the cap and were pinned until
+        /// the next epoch.
+        ReoptRetryCapped = "serve_reopt_retry_capped",
+        /// Candidates that passed the stability guard and replaced the
+        /// incumbent plan in the cache.
+        PlanSwap = "serve_plan_swap",
+        /// Re-optimizations resolved by keeping the incumbent (typed reason:
+        /// verify mismatch, regression, epoch move, failure).
+        PlanPinned = "serve_plan_pinned",
+        /// Columnar batches completed by the vectorized executor.
+        VexecBatches = "vexec_batches",
+        /// Morsels enqueued to the vectorized executor's worker pool. Paired
+        /// with [`Metric::VexecMorsels`]: `queued - completed` is the live
+        /// worker-pool queue depth (both counters are monotonic).
+        VexecQueued = "vexec_morsels_queued",
+        /// Morsels completed by the vectorized executor's worker pool.
+        VexecMorsels = "vexec_morsels",
+        /// Rows leaving vectorized pipeline chains at exchanges.
+        VexecRows = "vexec_rows",
+    }
 }
 
-impl Metric {
-    pub const COUNT: usize = 35;
+/// Every counter of the catalog, folded across stripes: one value per
+/// [`Metric`], indexed by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counters([u64; Metric::COUNT]);
 
-    pub const ALL: [Metric; Metric::COUNT] = [
-        Metric::Requests,
-        Metric::CacheHit,
-        Metric::CacheCoalesced,
-        Metric::CacheMiss,
-        Metric::CacheEvict,
-        Metric::CacheInvalidate,
-        Metric::Rejected,
-        Metric::Degraded,
-        Metric::Errors,
-        Metric::Executions,
-        Metric::ExecRows,
-        Metric::TraceSampled,
-        Metric::TraceUnsampled,
-        Metric::StarRefs,
-        Metric::MemoHits,
-        Metric::PlansBuilt,
-        Metric::GlueRefs,
-        Metric::OptNanos,
-        Metric::SavedNanos,
-        Metric::ExecNanos,
-        Metric::PipelineRows,
-        Metric::FeedbackRuns,
-        Metric::SuspectFlagged,
-        Metric::SpansKept,
-        Metric::SpansDropped,
-        Metric::ReoptAttempts,
-        Metric::ReoptFailures,
-        Metric::ReoptBackoff,
-        Metric::ReoptRetryCapped,
-        Metric::PlanSwap,
-        Metric::PlanPinned,
-        Metric::VexecBatches,
-        Metric::VexecQueued,
-        Metric::VexecMorsels,
-        Metric::VexecRows,
-    ];
+impl Default for Counters {
+    fn default() -> Self {
+        Counters([0; Metric::COUNT])
+    }
+}
 
-    /// The stable exported name (JSON keys, Prometheus metric names,
-    /// `counter` trace events).
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::Requests => "serve_requests",
-            Metric::CacheHit => "serve_cache_hit",
-            Metric::CacheCoalesced => "serve_cache_coalesced",
-            Metric::CacheMiss => "serve_cache_miss",
-            Metric::CacheEvict => "serve_cache_evict",
-            Metric::CacheInvalidate => "serve_cache_invalidate",
-            Metric::Rejected => "serve_rejected",
-            Metric::Degraded => "serve_degraded",
-            Metric::Errors => "serve_errors",
-            Metric::Executions => "serve_executions",
-            Metric::ExecRows => "serve_exec_rows",
-            Metric::TraceSampled => "serve_trace_sampled",
-            Metric::TraceUnsampled => "serve_trace_unsampled",
-            Metric::StarRefs => "opt_star_refs",
-            Metric::MemoHits => "opt_memo_hits",
-            Metric::PlansBuilt => "opt_plans_built",
-            Metric::GlueRefs => "opt_glue_refs",
-            Metric::OptNanos => "serve_opt_nanos",
-            Metric::SavedNanos => "serve_saved_nanos",
-            Metric::ExecNanos => "serve_exec_nanos",
-            Metric::PipelineRows => "serve_pipeline_rows",
-            Metric::FeedbackRuns => "serve_feedback_runs",
-            Metric::SuspectFlagged => "serve_suspects_flagged",
-            Metric::SpansKept => "serve_spans_kept",
-            Metric::SpansDropped => "serve_spans_dropped",
-            Metric::ReoptAttempts => "serve_reopt_attempts",
-            Metric::ReoptFailures => "serve_reopt_failures",
-            Metric::ReoptBackoff => "serve_reopt_backoff",
-            Metric::ReoptRetryCapped => "serve_reopt_retry_capped",
-            Metric::PlanSwap => "serve_plan_swap",
-            Metric::PlanPinned => "serve_plan_pinned",
-            Metric::VexecBatches => "vexec_batches",
-            Metric::VexecQueued => "vexec_morsels_queued",
-            Metric::VexecMorsels => "vexec_morsels",
-            Metric::VexecRows => "vexec_rows",
+impl Index<Metric> for Counters {
+    type Output = u64;
+
+    fn index(&self, m: Metric) -> &u64 {
+        &self.0[m]
+    }
+}
+
+impl IndexMut<Metric> for Counters {
+    fn index_mut(&mut self, m: Metric) -> &mut u64 {
+        &mut self.0[m]
+    }
+}
+
+impl Counters {
+    /// `(metric, value)` in catalog order.
+    pub fn iter(&self) -> impl Iterator<Item = (Metric, u64)> + '_ {
+        Metric::ALL.into_iter().zip(self.0)
+    }
+
+    /// Warm serves (resident hits plus coalesced waits) over all serves
+    /// that produced a plan.
+    pub fn hit_ratio(&self) -> f64 {
+        let hits = self[Metric::CacheHit] + self[Metric::CacheCoalesced];
+        let served = hits + self[Metric::CacheMiss];
+        if served == 0 {
+            0.0
+        } else {
+            hits as f64 / served as f64
         }
     }
 }
@@ -265,11 +226,11 @@ impl CounterPlane {
             .sum()
     }
 
-    /// Fold every metric across stripes, in `Metric::ALL` order.
-    pub fn fold(&self) -> [u64; Metric::COUNT] {
-        let mut out = [0u64; Metric::COUNT];
+    /// Fold every metric across stripes.
+    pub fn fold(&self) -> Counters {
+        let mut out = Counters::default();
         for s in self.stripes.iter() {
-            for (o, slot) in out.iter_mut().zip(s.slots.iter()) {
+            for (o, slot) in out.0.iter_mut().zip(s.slots.iter()) {
                 *o += slot.load(Ordering::Relaxed);
             }
         }
@@ -291,7 +252,9 @@ mod tests {
         assert_eq!(names[0], "serve_requests");
         for (i, m) in Metric::ALL.iter().enumerate() {
             assert_eq!(*m as usize, i, "ALL order must match discriminants");
+            assert_eq!(Metric::from_name(m.name()), Some(*m));
         }
+        assert_eq!(Metric::from_name("vexec_fallbacks"), None);
     }
 
     #[test]
@@ -320,7 +283,7 @@ mod tests {
         assert_eq!(plane.get(Metric::Requests), 8_000);
         assert_eq!(plane.get(Metric::ExecRows), 24_000);
         let fold = plane.fold();
-        assert_eq!(fold[Metric::Requests as usize], 8_000);
-        assert_eq!(fold[Metric::CacheMiss as usize], 0);
+        assert_eq!(fold[Metric::Requests], 8_000);
+        assert_eq!(fold[Metric::CacheMiss], 0);
     }
 }

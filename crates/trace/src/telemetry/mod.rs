@@ -39,9 +39,9 @@ pub mod spans;
 pub mod topk;
 
 pub use atomic_hist::AtomicHistogram;
-pub use counters::{CounterPlane, Metric};
+pub use counters::{CounterPlane, Counters, Metric};
 pub use heal::HealRecord;
-pub use phases::{PhaseKind, PhasePlane, PhaseReading};
+pub use phases::{Phase, PhasePlane};
 pub use qerror::{qlog_micro, FeedbackPlane, QErrorSketch, SuspectConfig, SuspectVerdict};
 pub use ring::SnapshotRing;
 pub use sample::TraceSampler;
@@ -128,38 +128,18 @@ impl TelemetryConfig {
     }
 }
 
-/// The latency paths the plane tracks, end to end and by stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum LatencyPath {
-    /// Cold optimization (cache miss, the engine actually ran).
-    Optimize,
-    /// Warm serve (resident hit or coalesced wait).
-    CacheHit,
-    /// Plan execution.
-    Execute,
-    /// Whole `optimize_prepared` request, any outcome that yields a plan.
-    EndToEnd,
-}
-
-impl LatencyPath {
-    pub const COUNT: usize = 4;
-
-    pub const ALL: [LatencyPath; LatencyPath::COUNT] = [
-        LatencyPath::Optimize,
-        LatencyPath::CacheHit,
-        LatencyPath::Execute,
-        LatencyPath::EndToEnd,
-    ];
-
-    /// Stable exported name (snapshot JSON keys, Prometheus `path` label).
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyPath::Optimize => "optimize",
-            LatencyPath::CacheHit => "cache_hit",
-            LatencyPath::Execute => "execute",
-            LatencyPath::EndToEnd => "end_to_end",
-        }
+catalog! {
+    /// The latency paths the plane tracks, end to end and by stage. Each
+    /// name is the path's snapshot JSON key and its Prometheus `path` label.
+    pub enum LatencyPath {
+        /// Cold optimization (cache miss, the engine actually ran).
+        Optimize = "optimize",
+        /// Warm serve (resident hit or coalesced wait).
+        CacheHit = "cache_hit",
+        /// Plan execution.
+        Execute = "execute",
+        /// Whole `optimize_prepared` request, any outcome that yields a plan.
+        EndToEnd = "end_to_end",
     }
 }
 
@@ -262,8 +242,8 @@ impl Telemetry {
         self.counters.get(m)
     }
 
-    /// Fold every counter, in [`Metric::ALL`] order.
-    pub fn fold(&self) -> [u64; Metric::COUNT] {
+    /// Fold every counter.
+    pub fn fold(&self) -> Counters {
         self.counters.fold()
     }
 
@@ -271,7 +251,7 @@ impl Telemetry {
     #[inline]
     pub fn observe(&self, path: LatencyPath, nanos: u64) {
         if self.full {
-            self.hists[path as usize].record(nanos);
+            self.hists[path].record(nanos);
         }
     }
 
@@ -346,12 +326,12 @@ impl Telemetry {
     /// Attribute nanos to one cold-path phase occurrence. Always live,
     /// two relaxed atomic ops.
     #[inline]
-    pub fn record_phase(&self, phase: PhaseKind, nanos: u64) {
+    pub fn record_phase(&self, phase: Phase, nanos: u64) {
         self.phases.add(phase, nanos);
     }
 
     /// Fold one phase across stripes: `(nanos, count)`.
-    pub fn phase(&self, phase: PhaseKind) -> (u64, u64) {
+    pub fn phase(&self, phase: Phase) -> (u64, u64) {
         self.phases.get(phase)
     }
 
@@ -478,21 +458,14 @@ impl Telemetry {
         admitted
     }
 
-    /// Freeze the plane: counters in catalog order, one histogram per
-    /// latency path, the current top-K (at most `topk` entries).
+    /// Freeze the plane: every counter, one histogram per latency path,
+    /// the current top-K (at most `topk` entries).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let fold = self.fold();
         let (span_resident, span_capacity, span_evicted) = self.span_store_stats();
         TelemetrySnapshot {
             uptime_nanos: self.uptime_nanos(),
-            counters: Metric::ALL
-                .iter()
-                .map(|m| (m.name().to_string(), fold[*m as usize]))
-                .collect(),
-            latency: LatencyPath::ALL
-                .iter()
-                .map(|p| (p.name().to_string(), self.hists[*p as usize].snapshot()))
-                .collect(),
+            counters: self.fold(),
+            latency: self.hists.each_ref().map(AtomicHistogram::snapshot),
             topk: self.topk.snapshot(self.topk_k),
             qerror: self
                 .feedback
@@ -525,9 +498,9 @@ mod tests {
         t.record_request(42, 500, 1);
         assert!(t.record_feedback(42, 10, 1_000, 500, 1).is_none());
         let snap = t.snapshot();
-        assert_eq!(snap.counter("serve_requests"), Some(3));
-        assert_eq!(snap.counter("serve_feedback_runs"), Some(0));
-        assert!(snap.hist("end_to_end").is_some_and(Histogram::is_empty));
+        assert_eq!(snap.counters[Metric::Requests], 3);
+        assert_eq!(snap.counters[Metric::FeedbackRuns], 0);
+        assert!(snap.latency[LatencyPath::EndToEnd].is_empty());
         assert!(snap.topk.is_empty());
         assert!(snap.qerror.is_empty());
     }
@@ -559,7 +532,6 @@ mod tests {
         assert_eq!(snap.qerror[0].fp, 2);
         assert_eq!(snap.suspects().len(), 1);
     }
-    use crate::hist::Histogram;
 
     #[test]
     fn full_plane_populates_every_tier() {
@@ -573,11 +545,9 @@ mod tests {
         t.observe(LatencyPath::EndToEnd, 1_100);
         t.record_request(7, 1_100, 3);
         let snap = t.snapshot();
-        assert_eq!(snap.counter("serve_requests"), Some(2));
-        assert_eq!(snap.counters.len(), Metric::COUNT);
-        assert_eq!(snap.latency.len(), LatencyPath::COUNT);
-        assert_eq!(snap.hist("optimize").map(Histogram::count), Some(1));
-        assert_eq!(snap.hist("cache_hit").map(Histogram::count), Some(0));
+        assert_eq!(snap.counters[Metric::Requests], 2);
+        assert_eq!(snap.latency[LatencyPath::Optimize].count(), 1);
+        assert_eq!(snap.latency[LatencyPath::CacheHit].count(), 0);
         assert_eq!(
             (snap.topk[0].fp, snap.topk[0].nanos, snap.topk[0].last_epoch),
             (7, 1_100, 3)
@@ -670,24 +640,24 @@ mod tests {
     #[test]
     fn phase_plane_folds_into_snapshots() {
         let t = Telemetry::default();
-        t.record_phase(PhaseKind::Prepare, 300);
-        t.record_phase(PhaseKind::Enumerate, 10_000);
-        t.record_phase(PhaseKind::Enumerate, 2_000);
-        assert_eq!(t.phase(PhaseKind::Enumerate), (12_000, 2));
+        t.record_phase(Phase::Prepare, 300);
+        t.record_phase(Phase::Enumerate, 10_000);
+        t.record_phase(Phase::Enumerate, 2_000);
+        assert_eq!(t.phase(Phase::Enumerate), (12_000, 2));
         let snap = t.snapshot();
-        assert_eq!(snap.phases.len(), PhaseKind::COUNT);
-        assert_eq!(snap.phases[PhaseKind::Prepare as usize].1, 300);
-        assert_eq!(snap.phases[PhaseKind::Enumerate as usize].2, 2);
+        assert_eq!(snap.phases[Phase::Prepare].0, 300);
+        assert_eq!(snap.phases[Phase::Enumerate].1, 2);
     }
 
     #[test]
     fn snapshot_counter_order_matches_catalog() {
-        let snap = Telemetry::default().snapshot();
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            assert_eq!(snap.counters[i].0, m.name());
+        let json = Telemetry::default().snapshot().to_json();
+        let at = |name: &str| json.find(&format!("\"{name}\":")).expect(name);
+        for pair in Metric::ALL.windows(2) {
+            assert!(at(pair[0].name()) < at(pair[1].name()), "{pair:?}");
         }
-        for (i, p) in LatencyPath::ALL.iter().enumerate() {
-            assert_eq!(snap.latency[i].0, p.name());
+        for pair in LatencyPath::ALL.windows(2) {
+            assert!(at(pair[0].name()) < at(pair[1].name()), "{pair:?}");
         }
     }
 }

@@ -12,74 +12,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::telemetry::counters::{stripe_count, thread_stripe};
 
-/// The request stages the plane attributes time to. `Glue` nanos are a
-/// subset of `Enumerate` (glue rules fire inside STAR expansion); the
-/// other phases are disjoint slices of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum PhaseKind {
-    /// Parse + fingerprint canonicalization (`Service::prepare`).
-    Prepare,
-    /// Plan-cache probe on the serve path (resident hit or miss check).
-    CacheLookup,
-    /// Waiting on another thread's in-flight optimization (coalesced).
-    FlightWait,
-    /// STAR expansion / memo DP inside a cold optimization.
-    Enumerate,
-    /// Glue-rule invocations (nested inside enumerate).
-    Glue,
-    /// Rule compilation folded into a cold optimization.
-    Compile,
-    /// Plan execution.
-    Execute,
-    /// Suspect-triggered re-optimization (overlay build, re-plan,
-    /// shadow verify, and probation — the whole heal pipeline).
-    Reopt,
-}
-
-impl PhaseKind {
-    pub const COUNT: usize = 8;
-
-    pub const ALL: [PhaseKind; PhaseKind::COUNT] = [
-        PhaseKind::Prepare,
-        PhaseKind::CacheLookup,
-        PhaseKind::FlightWait,
-        PhaseKind::Enumerate,
-        PhaseKind::Glue,
-        PhaseKind::Compile,
-        PhaseKind::Execute,
-        PhaseKind::Reopt,
-    ];
-
-    /// Stable exported name (snapshot JSON keys, Prometheus `phase`
-    /// label). Matches the optimizer's `MetricsRegistry` phase names
-    /// where both exist.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseKind::Prepare => "prepare",
-            PhaseKind::CacheLookup => "cache_lookup",
-            PhaseKind::FlightWait => "flight_wait",
-            PhaseKind::Enumerate => "enumerate",
-            PhaseKind::Glue => "glue",
-            PhaseKind::Compile => "compile",
-            PhaseKind::Execute => "execute",
-            PhaseKind::Reopt => "reopt",
-        }
-    }
-
-    /// Parse an optimizer `MetricsRegistry` phase name into a kind.
-    pub fn from_name(name: &str) -> Option<PhaseKind> {
-        PhaseKind::ALL.iter().copied().find(|p| p.name() == name)
+catalog! {
+    /// The request stages the plane attributes time to. Each name is the
+    /// phase's snapshot JSON key, its Prometheus `phase` label and the name
+    /// of the span that marks it. `Glue` nanos are a subset of `Enumerate`
+    /// (glue rules fire inside STAR expansion); the other phases are
+    /// disjoint slices of a request.
+    pub enum Phase {
+        /// Parse + fingerprint canonicalization (`Service::prepare`).
+        Prepare = "prepare",
+        /// Plan-cache probe on the serve path (resident hit or miss check).
+        CacheLookup = "cache_lookup",
+        /// Waiting on another thread's in-flight optimization (coalesced).
+        FlightWait = "flight_wait",
+        /// STAR expansion / memo DP inside a cold optimization.
+        Enumerate = "enumerate",
+        /// Glue-rule invocations (nested inside enumerate).
+        Glue = "glue",
+        /// Rule compilation folded into a cold optimization.
+        Compile = "compile",
+        /// Plan execution.
+        Execute = "execute",
+        /// Suspect-triggered re-optimization (overlay build, re-plan,
+        /// shadow verify, and probation — the whole heal pipeline).
+        Reopt = "reopt",
     }
 }
-
-/// One folded phase reading: `(name, nanos, count)`.
-pub type PhaseReading = (String, u64, u64);
 
 #[repr(align(128))]
 struct PhaseStripe {
-    nanos: [AtomicU64; PhaseKind::COUNT],
-    counts: [AtomicU64; PhaseKind::COUNT],
+    nanos: [AtomicU64; Phase::COUNT],
+    counts: [AtomicU64; Phase::COUNT],
 }
 
 impl PhaseStripe {
@@ -117,14 +80,14 @@ impl PhasePlane {
 
     /// Attribute `nanos` to one phase occurrence.
     #[inline]
-    pub fn add(&self, phase: PhaseKind, nanos: u64) {
+    pub fn add(&self, phase: Phase, nanos: u64) {
         let stripe = &self.stripes[thread_stripe() & self.mask];
         stripe.nanos[phase as usize].fetch_add(nanos, Ordering::Relaxed);
         stripe.counts[phase as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold one phase across stripes: `(nanos, count)`.
-    pub fn get(&self, phase: PhaseKind) -> (u64, u64) {
+    pub fn get(&self, phase: Phase) -> (u64, u64) {
         let mut nanos = 0u64;
         let mut count = 0u64;
         for s in self.stripes.iter() {
@@ -134,15 +97,9 @@ impl PhasePlane {
         (nanos, count)
     }
 
-    /// Fold every phase, in [`PhaseKind::ALL`] order.
-    pub fn fold(&self) -> Vec<PhaseReading> {
-        PhaseKind::ALL
-            .iter()
-            .map(|p| {
-                let (nanos, count) = self.get(*p);
-                (p.name().to_string(), nanos, count)
-            })
-            .collect()
+    /// Fold every phase: `(nanos, count)`, indexed by [`Phase`].
+    pub fn fold(&self) -> [(u64, u64); Phase::COUNT] {
+        Phase::ALL.map(|p| self.get(p))
     }
 }
 
@@ -152,16 +109,16 @@ mod tests {
 
     #[test]
     fn phase_names_are_unique_and_ordered_like_all() {
-        let names: Vec<&str> = PhaseKind::ALL.iter().map(|p| p.name()).collect();
+        let names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        assert_eq!(dedup.len(), PhaseKind::COUNT, "duplicate phase name");
-        for (i, p) in PhaseKind::ALL.iter().enumerate() {
+        assert_eq!(dedup.len(), Phase::COUNT, "duplicate phase name");
+        for (i, p) in Phase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i, "ALL order must match discriminants");
         }
-        assert_eq!(PhaseKind::from_name("glue"), Some(PhaseKind::Glue));
-        assert_eq!(PhaseKind::from_name("parse"), None);
+        assert_eq!(Phase::from_name("glue"), Some(Phase::Glue));
+        assert_eq!(Phase::from_name("parse"), None);
     }
 
     #[test]
@@ -172,16 +129,16 @@ mod tests {
                 let plane = plane.clone();
                 scope.spawn(move || {
                     for _ in 0..500 {
-                        plane.add(PhaseKind::Enumerate, 10);
-                        plane.add(PhaseKind::Execute, 3);
+                        plane.add(Phase::Enumerate, 10);
+                        plane.add(Phase::Execute, 3);
                     }
                 });
             }
         });
-        assert_eq!(plane.get(PhaseKind::Enumerate), (40_000, 4_000));
-        assert_eq!(plane.get(PhaseKind::Execute), (12_000, 4_000));
+        assert_eq!(plane.get(Phase::Enumerate), (40_000, 4_000));
+        assert_eq!(plane.get(Phase::Execute), (12_000, 4_000));
         let fold = plane.fold();
-        assert_eq!(fold[PhaseKind::Enumerate as usize].1, 40_000);
-        assert_eq!(fold[PhaseKind::Prepare as usize], ("prepare".into(), 0, 0));
+        assert_eq!(fold[Phase::Enumerate].0, 40_000);
+        assert_eq!(fold[Phase::Prepare], (0, 0));
     }
 }

@@ -3,6 +3,7 @@
 //! point-to-point deltas, and read them back oldest-first for trend views
 //! (`starqo-obs watch` sparklines, the doctor's drift verdicts).
 
+use crate::telemetry::counters::Metric;
 use crate::telemetry::snapshot::TelemetrySnapshot;
 
 /// The ring. Not thread-safe by itself — one watcher owns it and feeds it
@@ -64,11 +65,8 @@ impl SnapshotRing {
 
     /// One counter's value across the retained deltas, oldest first —
     /// the raw series behind a trend sparkline.
-    pub fn counter_series(&self, name: &str) -> Vec<u64> {
-        self.deltas()
-            .iter()
-            .map(|d| d.counter(name).unwrap_or(0))
-            .collect()
+    pub fn counter_series(&self, m: Metric) -> Vec<u64> {
+        self.deltas().iter().map(|d| d.counters[m]).collect()
     }
 
     /// Retained delta count (≤ capacity).
@@ -86,11 +84,12 @@ mod tests {
     use super::*;
 
     fn snap(uptime: u64, requests: u64) -> TelemetrySnapshot {
-        TelemetrySnapshot {
+        let mut s = TelemetrySnapshot {
             uptime_nanos: uptime,
-            counters: vec![("serve_requests".into(), requests)],
             ..TelemetrySnapshot::default()
-        }
+        };
+        s.counters[Metric::Requests] = requests;
+        s
     }
 
     #[test]
@@ -99,16 +98,13 @@ mod tests {
         assert!(ring.push(snap(0, 0)).is_none(), "first push seeds only");
         for i in 1..=5u64 {
             let delta = ring.push(snap(i * 1_000, i * 10)).expect("delta");
-            assert_eq!(delta.counter("serve_requests"), Some(10));
+            assert_eq!(delta.counters[Metric::Requests], 10);
             assert_eq!(delta.uptime_nanos, 1_000);
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.counter_series("serve_requests"), vec![10, 10, 10]);
+        assert_eq!(ring.counter_series(Metric::Requests), vec![10, 10, 10]);
         assert_eq!(ring.latest().unwrap().uptime_nanos, 1_000);
-        assert_eq!(
-            ring.last_absolute().unwrap().counter("serve_requests"),
-            Some(50)
-        );
+        assert_eq!(ring.last_absolute().unwrap().counters[Metric::Requests], 50);
     }
 
     #[test]
@@ -118,8 +114,8 @@ mod tests {
         ring.push(snap(1, 1)); // delta 1
         ring.push(snap(2, 3)); // delta 2
         ring.push(snap(3, 6)); // delta 3, evicts delta 1
-        assert_eq!(ring.counter_series("serve_requests"), vec![2, 3]);
+        assert_eq!(ring.counter_series(Metric::Requests), vec![2, 3]);
         ring.push(snap(4, 10)); // delta 4, evicts delta 2
-        assert_eq!(ring.counter_series("serve_requests"), vec![3, 4]);
+        assert_eq!(ring.counter_series(Metric::Requests), vec![3, 4]);
     }
 }

@@ -8,35 +8,35 @@
 use crate::hist::{Histogram, BUCKETS};
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
-use crate::telemetry::counters::Metric;
+use crate::telemetry::counters::{Counters, Metric};
 use crate::telemetry::heal::HealRecord;
-use crate::telemetry::phases::PhaseReading;
+use crate::telemetry::phases::Phase;
 use crate::telemetry::qerror::QErrorSketch;
 use crate::telemetry::topk::HotQuery;
+use crate::telemetry::LatencyPath;
 
-/// A consistent-enough copy of the whole telemetry plane: counters in
-/// [`super::Metric::ALL`] order, one histogram per latency path, and the
-/// hot-fingerprint top-K. "Consistent enough": each field is read
-/// atomically but the plane keeps serving while the snapshot is taken, so
-/// cross-field invariants may lag by in-flight requests.
+/// A consistent-enough copy of the whole telemetry plane: every counter,
+/// one histogram per latency path, and the hot-fingerprint top-K.
+/// "Consistent enough": each field is read atomically but the plane keeps
+/// serving while the snapshot is taken, so cross-field invariants may lag
+/// by in-flight requests.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySnapshot {
     /// Nanos since the telemetry plane was created (interval rates divide
     /// counter deltas by the delta of this).
     pub uptime_nanos: u64,
-    /// `(name, value)` in stable catalog order.
-    pub counters: Vec<(String, u64)>,
-    /// `(path, histogram)`: optimize, cache_hit, execute, end_to_end.
-    pub latency: Vec<(String, Histogram)>,
+    /// Every catalog counter, indexed by [`Metric`].
+    pub counters: Counters,
+    /// One histogram per latency path, indexed by [`LatencyPath`].
+    pub latency: [Histogram; LatencyPath::COUNT],
     /// Hottest fingerprints by request count, descending.
     pub topk: Vec<HotQuery>,
     /// The feedback plane's per-fingerprint plan-quality sketches, worst
     /// geomean Q-error first (empty when feedback is off or nothing has
     /// executed).
     pub qerror: Vec<QErrorSketch>,
-    /// Cold-path phase attribution: `(phase, nanos, count)` in
-    /// [`super::PhaseKind::ALL`] order.
-    pub phases: Vec<PhaseReading>,
+    /// Cold-path phase attribution: `(nanos, count)`, indexed by [`Phase`].
+    pub phases: [(u64, u64); Phase::COUNT],
     /// Span trees currently resident in the span store (0 = spans off).
     pub span_resident: u64,
     /// Span-store retention capacity (0 = spans off).
@@ -51,17 +51,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-    }
-
-    pub fn hist(&self, path: &str) -> Option<&Histogram> {
-        self.latency.iter().find(|(k, _)| k == path).map(|(_, v)| v)
-    }
-
     /// One fingerprint's plan-quality sketch, if resident.
     pub fn qerror_for(&self, fp: u64) -> Option<&QErrorSketch> {
         self.qerror.iter().find(|e| e.fp == fp)
@@ -78,22 +67,10 @@ impl TelemetrySnapshot {
         self.heal.iter().find(|h| h.fp == fp)
     }
 
-    /// Warm serves over all serves that produced a plan.
-    pub fn hit_ratio(&self) -> f64 {
-        let hits = self.counter("serve_cache_hit").unwrap_or(0)
-            + self.counter("serve_cache_coalesced").unwrap_or(0);
-        let served = hits + self.counter("serve_cache_miss").unwrap_or(0);
-        if served == 0 {
-            0.0
-        } else {
-            hits as f64 / served as f64
-        }
-    }
-
     /// Requests per second over this snapshot's window (lifetime for a
     /// point-in-time snapshot, the interval for a delta).
     pub fn requests_per_sec(&self) -> f64 {
-        let reqs = self.counter("serve_requests").unwrap_or(0);
+        let reqs = self.counters[Metric::Requests];
         let secs = self.uptime_nanos as f64 / 1e9;
         if secs <= 0.0 {
             0.0
@@ -105,12 +82,12 @@ impl TelemetrySnapshot {
     /// Serialize losslessly (histograms carry their buckets).
     pub fn to_json(&self) -> String {
         let mut counters = JsonObj::new();
-        for (k, v) in &self.counters {
-            counters = counters.u64(k, *v);
+        for (m, v) in self.counters.iter() {
+            counters = counters.u64(m.name(), v);
         }
         let mut latency = JsonObj::new();
-        for (k, h) in &self.latency {
-            latency = latency.raw(k, &h.to_json_full());
+        for p in LatencyPath::ALL {
+            latency = latency.raw(p.name(), &self.latency[p].to_json_full());
         }
         let topk: Vec<String> = self
             .topk
@@ -145,12 +122,13 @@ impl TelemetrySnapshot {
             })
             .collect();
         let mut phases = JsonObj::new();
-        for (name, nanos, count) in &self.phases {
+        for p in Phase::ALL {
+            let (nanos, count) = self.phases[p];
             phases = phases.raw(
-                name,
+                p.name(),
                 &JsonObj::new()
-                    .u64("nanos", *nanos)
-                    .u64("count", *count)
+                    .u64("nanos", nanos)
+                    .u64("count", count)
                     .finish(),
             );
         }
@@ -173,7 +151,10 @@ impl TelemetrySnapshot {
     }
 
     /// Parse the [`Self::to_json`] form back. Only the current version (4)
-    /// loads, with every section present.
+    /// loads, with every section present. A counter, path or phase name
+    /// this build does not know is dropped, not an error (snapshots written
+    /// before one was retired still load); one this build knows but the
+    /// document lacks reads as zero.
     pub fn from_json(text: &str) -> Result<TelemetrySnapshot, String> {
         let v = parse_json(text).map_err(|e| format!("snapshot JSON: {e}"))?;
         match v.get("version").and_then(JsonValue::as_u64) {
@@ -185,31 +166,29 @@ impl TelemetrySnapshot {
             .get("uptime_nanos")
             .and_then(JsonValue::as_u64)
             .ok_or("snapshot missing uptime_nanos")?;
-        let counters = v
+        let mut counters = Counters::default();
+        for (k, c) in v
             .get("counters")
             .and_then(JsonValue::fields)
             .ok_or("snapshot missing counters")?
-            .iter()
-            // A counter this build no longer exports is dropped, not an
-            // error: snapshots written before a metric was retired load.
-            .filter(|(k, _)| Metric::ALL.iter().any(|m| m.name() == k.as_str()))
-            .map(|(k, c)| {
-                c.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("counter {k} is not a u64"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let latency = v
+        {
+            if let Some(m) = Metric::from_name(k) {
+                counters[m] = c
+                    .as_u64()
+                    .ok_or_else(|| format!("counter {k} is not a u64"))?;
+            }
+        }
+        let mut latency: [Histogram; LatencyPath::COUNT] = Default::default();
+        for (k, h) in v
             .get("latency")
             .and_then(JsonValue::fields)
             .ok_or("snapshot missing latency")?
-            .iter()
-            .map(|(k, h)| {
-                Histogram::from_json_value(h)
-                    .map(|parsed| (k.clone(), parsed))
-                    .ok_or_else(|| format!("latency {k} is not a full histogram"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        {
+            if let Some(p) = LatencyPath::from_name(k) {
+                latency[p] = Histogram::from_json_value(h)
+                    .ok_or_else(|| format!("latency {k} is not a full histogram"))?;
+            }
+        }
         let topk = match v.get("topk") {
             Some(JsonValue::Arr(items)) => items
                 .iter()
@@ -250,17 +229,18 @@ impl TelemetrySnapshot {
                 .ok_or("malformed qerror entry")?,
             _ => return Err("snapshot missing qerror".to_string()),
         };
-        let phases = v
+        let mut phases = [(0, 0); Phase::COUNT];
+        for (k, p) in v
             .get("phases")
             .and_then(JsonValue::fields)
             .ok_or("snapshot missing phases")?
-            .iter()
-            .map(|(k, p)| {
-                let f = |key: &str| p.get(key).and_then(JsonValue::as_u64);
-                Some((k.clone(), f("nanos")?, f("count")?))
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or("malformed phase entry")?;
+        {
+            let f = |key: &str| p.get(key).and_then(JsonValue::as_u64);
+            let reading = f("nanos").zip(f("count")).ok_or("malformed phase entry")?;
+            if let Some(phase) = Phase::from_name(k) {
+                phases[phase] = reading;
+            }
+        }
         let span_store = v.get("span_store").ok_or("snapshot missing span_store")?;
         let span = |k: &str| {
             span_store
@@ -298,12 +278,14 @@ impl TelemetrySnapshot {
         let mut out = String::new();
         out.push_str("# TYPE starqo_uptime_nanos gauge\n");
         out.push_str(&format!("starqo_uptime_nanos {}\n", self.uptime_nanos));
-        for (k, v) in &self.counters {
+        for (m, v) in self.counters.iter() {
+            let k = m.name();
             out.push_str(&format!("# TYPE starqo_{k}_total counter\n"));
             out.push_str(&format!("starqo_{k}_total {v}\n"));
         }
         out.push_str("# TYPE starqo_latency_nanos summary\n");
-        for (path, h) in &self.latency {
+        for p in LatencyPath::ALL {
+            let (path, h) = (p.name(), &self.latency[p]);
             for (q, val) in [
                 ("0.5", h.p50()),
                 ("0.9", h.p90()),
@@ -327,7 +309,8 @@ impl TelemetrySnapshot {
         // The same data as a standard Prometheus histogram: cumulative
         // `le` buckets (log₂ bounds) ending in +Inf, plus _sum/_count.
         out.push_str("# TYPE starqo_latency_hist_nanos histogram\n");
-        for (path, h) in &self.latency {
+        for p in LatencyPath::ALL {
+            let (path, h) = (p.name(), &self.latency[p]);
             let counts = h.bucket_counts();
             let mut cumulative = 0u64;
             for (b, &n) in counts.iter().enumerate() {
@@ -353,13 +336,12 @@ impl TelemetrySnapshot {
                 h.count()
             ));
         }
-        if !self.phases.is_empty() {
-            out.push_str("# TYPE starqo_phase_nanos counter\n");
-            out.push_str("# TYPE starqo_phase_count counter\n");
-            for (name, nanos, count) in &self.phases {
-                out.push_str(&format!("starqo_phase_nanos{{phase=\"{name}\"}} {nanos}\n"));
-                out.push_str(&format!("starqo_phase_count{{phase=\"{name}\"}} {count}\n"));
-            }
+        out.push_str("# TYPE starqo_phase_nanos counter\n");
+        out.push_str("# TYPE starqo_phase_count counter\n");
+        for p in Phase::ALL {
+            let (name, (nanos, count)) = (p.name(), self.phases[p]);
+            out.push_str(&format!("starqo_phase_nanos{{phase=\"{name}\"}} {nanos}\n"));
+            out.push_str(&format!("starqo_phase_count{{phase=\"{name}\"}} {count}\n"));
         }
         if self.span_capacity > 0 {
             out.push_str("# TYPE starqo_span_store_resident gauge\n");
@@ -440,20 +422,11 @@ impl TelemetrySnapshot {
     /// bucket bounds (exact min/max are not recoverable from two
     /// endpoints).
     pub fn delta_since(&self, prev: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.saturating_sub(prev.counter(k).unwrap_or(0))))
-            .collect();
-        let latency = self
-            .latency
-            .iter()
-            .map(|(k, h)| {
-                let empty = Histogram::default();
-                let base = prev.hist(k).unwrap_or(&empty);
-                (k.clone(), hist_delta(h, base))
-            })
-            .collect();
+        let mut counters = self.counters;
+        for m in Metric::ALL {
+            counters[m] = counters[m].saturating_sub(prev.counters[m]);
+        }
+        let latency = LatencyPath::ALL.map(|p| hist_delta(&self.latency[p], &prev.latency[p]));
         let topk: Vec<HotQuery> = self
             .topk
             .iter()
@@ -499,25 +472,11 @@ impl TelemetrySnapshot {
                 })
             })
             .collect();
-        // Phase nanos/counts are monotonic: subtract pairwise (a phase
-        // absent earlier — not yet recorded at the base — deltas from zero).
-        let phases = self
-            .phases
-            .iter()
-            .map(|(name, nanos, count)| {
-                let (pn, pc) = prev
-                    .phases
-                    .iter()
-                    .find(|(k, _, _)| k == name)
-                    .map(|(_, n, c)| (*n, *c))
-                    .unwrap_or((0, 0));
-                (
-                    name.clone(),
-                    nanos.saturating_sub(pn),
-                    count.saturating_sub(pc),
-                )
-            })
-            .collect();
+        // Phase nanos/counts are monotonic: subtract pairwise.
+        let phases = Phase::ALL.map(|p| {
+            let ((nanos, count), (pn, pc)) = (self.phases[p], prev.phases[p]);
+            (nanos.saturating_sub(pn), count.saturating_sub(pc))
+        });
         TelemetrySnapshot {
             uptime_nanos: self.uptime_nanos.saturating_sub(prev.uptime_nanos),
             counters,
@@ -578,20 +537,15 @@ mod tests {
         for v in [500u64, 600, 700, 5_000, 160_000] {
             e2e.record(v);
         }
+        let mut phases = [(0, 0); Phase::COUNT];
+        phases[Phase::Prepare] = (40_000, 100);
+        phases[Phase::Enumerate] = (900_000, 5);
+        phases[Phase::Execute] = (700_000, 95);
         TelemetrySnapshot {
             uptime_nanos: 2_000_000_000,
-            counters: vec![
-                ("serve_requests".into(), 100),
-                ("serve_cache_hit".into(), 90),
-                ("serve_cache_coalesced".into(), 5),
-                ("serve_cache_miss".into(), 5),
-            ],
-            latency: vec![("optimize".into(), opt), ("end_to_end".into(), e2e)],
-            phases: vec![
-                ("prepare".into(), 40_000, 100),
-                ("enumerate".into(), 900_000, 5),
-                ("execute".into(), 700_000, 95),
-            ],
+            counters: counters(100, 90, 5, 5),
+            latency: [opt, Histogram::new(), Histogram::new(), e2e],
+            phases,
             span_resident: 2,
             span_capacity: 64,
             span_evicted: 1,
@@ -626,6 +580,15 @@ mod tests {
         }
     }
 
+    fn counters(requests: u64, hit: u64, coalesced: u64, miss: u64) -> Counters {
+        let mut c = Counters::default();
+        c[Metric::Requests] = requests;
+        c[Metric::CacheHit] = hit;
+        c[Metric::CacheCoalesced] = coalesced;
+        c[Metric::CacheMiss] = miss;
+        c
+    }
+
     fn sample_sketch() -> QErrorSketch {
         let plane = crate::telemetry::qerror::FeedbackPlane::new(
             1,
@@ -655,10 +618,10 @@ mod tests {
     #[test]
     fn derived_rates_are_hand_computable() {
         let snap = sample_snapshot();
-        assert!((snap.hit_ratio() - 0.95).abs() < 1e-9);
+        assert!((snap.counters.hit_ratio() - 0.95).abs() < 1e-9);
         assert!((snap.requests_per_sec() - 50.0).abs() < 1e-9);
-        assert_eq!(snap.counter("serve_requests"), Some(100));
-        assert_eq!(snap.counter("absent"), None);
+        assert_eq!(snap.counters[Metric::Requests], 100);
+        assert_eq!(Counters::default().hit_ratio(), 0.0);
     }
 
     #[test]
@@ -692,20 +655,12 @@ mod tests {
         let later = sample_snapshot();
         let mut earlier = sample_snapshot();
         earlier.uptime_nanos = 1_000_000_000;
-        earlier.counters = vec![
-            ("serve_requests".into(), 40),
-            ("serve_cache_hit".into(), 36),
-            ("serve_cache_coalesced".into(), 2),
-            ("serve_cache_miss".into(), 2),
-        ];
+        earlier.counters = counters(40, 36, 2, 2);
         // Earlier optimize histogram: the first two observations.
         let mut opt = Histogram::new();
         opt.record(1_000);
         opt.record(2_000);
-        earlier.latency = vec![
-            ("optimize".into(), opt),
-            ("end_to_end".into(), Histogram::new()),
-        ];
+        earlier.latency = [opt, Histogram::new(), Histogram::new(), Histogram::new()];
         earlier.topk = vec![HotQuery {
             fp: 0xDEAD_BEEF,
             count: 25,
@@ -716,9 +671,9 @@ mod tests {
 
         let d = later.delta_since(&earlier);
         assert_eq!(d.uptime_nanos, 1_000_000_000);
-        assert_eq!(d.counter("serve_requests"), Some(60));
+        assert_eq!(d.counters[Metric::Requests], 60);
         assert!((d.requests_per_sec() - 60.0).abs() < 1e-9);
-        let opt = d.hist("optimize").expect("optimize");
+        let opt = &d.latency[LatencyPath::Optimize];
         assert_eq!(opt.count(), 2);
         assert_eq!(opt.sum(), 4_000 + 150_000);
         // The interval's two observations: 4_000 (bucket 12) and 150_000.
@@ -734,22 +689,23 @@ mod tests {
         // A snapshot from before the serve path had one executor.
         let text = r#"{"version":4,"uptime_nanos":5,"counters":{"serve_requests":2,"vexec_fallbacks":7,"vexec_rows":9},"latency":{},"topk":[],"qerror":[],"phases":{},"span_store":{"resident":0,"capacity":0,"evicted":0},"heal":[]}"#;
         let parsed = TelemetrySnapshot::from_json(text).expect("old snapshot loads");
-        assert_eq!(parsed.counter("serve_requests"), Some(2));
-        assert_eq!(parsed.counter("vexec_rows"), Some(9));
-        assert_eq!(parsed.counter("vexec_fallbacks"), None);
-        assert_eq!(parsed.counters.len(), 2);
+        assert_eq!(parsed.counters[Metric::Requests], 2);
+        assert_eq!(parsed.counters[Metric::VexecRows], 9);
+        // Known counters the document lacks read as zero.
+        assert_eq!(parsed.counters.iter().map(|(_, v)| v).sum::<u64>(), 11);
     }
 
     #[test]
     fn delta_subtracts_phases_and_keeps_span_gauges() {
         let later = sample_snapshot();
         let mut earlier = sample_snapshot();
-        earlier.phases = vec![("prepare".into(), 10_000, 30)];
+        earlier.phases = [(0, 0); Phase::COUNT];
+        earlier.phases[Phase::Prepare] = (10_000, 30);
         earlier.span_evicted = 0;
         let d = later.delta_since(&earlier);
-        assert_eq!(d.phases[0], ("prepare".into(), 30_000, 70));
+        assert_eq!(d.phases[Phase::Prepare], (30_000, 70));
         // Phases absent from the earlier snapshot delta from zero.
-        assert_eq!(d.phases[1], ("enumerate".into(), 900_000, 5));
+        assert_eq!(d.phases[Phase::Enumerate], (900_000, 5));
         assert_eq!(d.span_evicted, 1);
         assert_eq!((d.span_resident, d.span_capacity), (2, 64));
     }

@@ -14,6 +14,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use starqo::prelude::*;
 use starqo::trace::TraceSink;
@@ -82,16 +83,14 @@ fn main() {
     }
     let db = loader.build().expect("database");
 
-    let mut metrics = MetricsRegistry::new();
-    let query = metrics
-        .time(Phase::Parse, || {
-            parse_query(
-                &cat,
-                "SELECT C.NAME, I.PRICE FROM CUSTOMERS C, ORDERS O, ITEMS I \
-                 WHERE C.CID = O.CID AND O.ITEM = I.ITEM AND C.TIER = 1",
-            )
-        })
-        .expect("query");
+    let parse_started = Instant::now();
+    let query = parse_query(
+        &cat,
+        "SELECT C.NAME, I.PRICE FROM CUSTOMERS C, ORDERS O, ITEMS I \
+         WHERE C.CID = O.CID AND O.ITEM = I.ITEM AND C.TIER = 1",
+    )
+    .expect("query");
+    let parse_nanos = parse_started.elapsed().as_nanos() as u64;
 
     // Attach the tracer: everything the engine, plan table, Glue, and
     // executor see goes to target/trace_plan.jsonl AND an in-memory buffer.
@@ -142,9 +141,9 @@ fn main() {
     let mut executor = Executor::new(&db, &query);
     executor.set_tracer(tracer.clone());
     executor.enable_node_stats();
-    let result = metrics
-        .time(Phase::Execute, || executor.run(&optimized.best))
-        .expect("execute");
+    let exec_started = Instant::now();
+    let result = executor.run(&optimized.best).expect("execute");
+    let exec_nanos = exec_started.elapsed().as_nanos() as u64;
     println!(
         "\n== EXPLAIN ANALYZE ({} result rows) ==",
         result.rows.len()
@@ -156,10 +155,15 @@ fn main() {
     );
 
     // ── 3. the phase-timing and counter summary ────────────────────────
-    let mut summary = optimized.metrics.clone();
-    summary.absorb(&metrics.summary());
     println!("\n== phases & counters ==");
-    print!("{}", summary.render());
+    let ms = |nanos: u64| nanos as f64 / 1e6;
+    println!("  {:<12} {:>12.3} ms", "parse", ms(parse_nanos));
+    for (phase, nanos) in optimized.phase_nanos() {
+        println!("  {:<12} {:>12.3} ms", phase.name(), ms(nanos));
+    }
+    println!("  {:<12} {:>12.3} ms", "execute", ms(exec_nanos));
+    println!("  {:?}", optimized.stats);
+    println!("  {:?}", optimized.table_stats);
 
     tracer.flush();
     println!(

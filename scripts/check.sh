@@ -35,7 +35,12 @@ echo "== perf ledger smoke (its tests, then all five workloads at 1/50 length) =
 # Read-only use of perf/ (its own workspace and lock file): a PR that breaks
 # one of the public signatures listed in perf/README.md fails here rather
 # than when the ledger is next run. `bench --smoke` exits non-zero on a
-# missing or non-finite metric or any failed request.
+# missing or non-finite metric or any failed request. Building perf/ (here
+# and in the profiler smoke) rewrites its lock file when the workspace's
+# crate versions have moved; a lock that was clean is restored on exit.
+if git diff --quiet HEAD -- perf/Cargo.lock 2>/dev/null; then
+    trap 'git checkout -- perf/Cargo.lock' EXIT
+fi
 cargo test -q --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- bench --smoke \
     > target/bench/perf_smoke.txt

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use starqo_serve::{Service, ServiceConfig};
-use starqo_trace::{MemorySink, TraceEvent, Tracer};
+use starqo_trace::{MemorySink, Metric, TraceEvent, Tracer};
 use starqo_workload::{query_shape_param, synth_catalog, QueryShape, Rng64, SynthSpec};
 
 fn small_catalog(seed: u64) -> Arc<starqo_catalog::Catalog> {
@@ -59,14 +59,17 @@ fn contention_one_cold_optimization_per_fingerprint() {
     });
 
     let snap = svc.counters();
-    assert_eq!(snap.requests, 8 * 32);
+    assert_eq!(snap[Metric::Requests], 8 * 32);
     assert_eq!(
-        snap.misses,
+        snap[Metric::CacheMiss],
         templates.len() as u64,
         "exactly one cold optimization per distinct fingerprint: {snap:?}"
     );
-    assert_eq!(snap.hits + snap.coalesced + snap.misses, snap.requests);
-    assert_eq!(snap.evictions, 0);
+    assert_eq!(
+        snap[Metric::CacheHit] + snap[Metric::CacheCoalesced] + snap[Metric::CacheMiss],
+        snap[Metric::Requests]
+    );
+    assert_eq!(snap[Metric::CacheEvict], 0);
     assert!(snap.hit_ratio() > 0.9);
     assert_eq!(svc.cache_len(), templates.len());
 
@@ -79,8 +82,11 @@ fn contention_one_cold_optimization_per_fingerprint() {
         .iter()
         .filter(|e| matches!(e, TraceEvent::CacheHit { .. }))
         .count() as u64;
-    assert_eq!(miss_events, snap.misses);
-    assert_eq!(hit_events, snap.hits + snap.coalesced);
+    assert_eq!(miss_events, snap[Metric::CacheMiss]);
+    assert_eq!(
+        hit_events,
+        snap[Metric::CacheHit] + snap[Metric::CacheCoalesced]
+    );
 }
 
 /// A stats refresh bumps the catalog epoch: the cached plan is invalidated
@@ -112,8 +118,8 @@ fn stats_epoch_bump_reoptimizes_with_new_cardinality() {
         o1.optimized.best.props.card
     );
     let snap = svc.counters();
-    assert_eq!(snap.invalidations, 1);
-    assert_eq!(snap.misses, 2);
+    assert_eq!(snap[Metric::CacheInvalidate], 1);
+    assert_eq!(snap[Metric::CacheMiss], 2);
 
     // The plan re-caches under the new epoch.
     assert!(svc.optimize(&query).expect("warm again").cache_hit);
@@ -148,7 +154,7 @@ fn index_ddl_invalidates_and_reoptimizes() {
         o2.optimized.best.props.cost.total(),
         o1.optimized.best.props.cost.total()
     );
-    assert_eq!(svc.counters().invalidations, 1);
+    assert_eq!(svc.counters()[Metric::CacheInvalidate], 1);
 
     // Dropping the index invalidates again.
     svc.shared_catalog().drop_index("T1_ID").expect("drop");

@@ -7,7 +7,9 @@
 use std::sync::Arc;
 
 use starqo_serve::{Service, ServiceConfig};
-use starqo_trace::{read_span_trees, SnapshotRing, SpanMode, TelemetryConfig, TelemetrySnapshot};
+use starqo_trace::{
+    read_span_trees, Metric, Phase, SnapshotRing, SpanMode, TelemetryConfig, TelemetrySnapshot,
+};
 use starqo_workload::{query_shape_param, synth_catalog, QueryShape, SynthSpec};
 
 fn spec() -> SynthSpec {
@@ -103,17 +105,15 @@ fn concurrent_span_trees_bit_match_the_serial_oracle() {
 fn snapshot_ring_diffs_phases_from_an_idle_base() {
     let idle_text = r#"{"version":4,"uptime_nanos":1000,"counters":{"serve_requests":10,"serve_spans_kept":0},"latency":{},"topk":[],"qerror":[],"phases":{},"span_store":{"resident":0,"capacity":0,"evicted":0},"heal":[]}"#;
     let idle = TelemetrySnapshot::from_json(idle_text).expect("v4 parses");
-    assert!(idle.phases.is_empty());
+    assert_eq!(idle.phases, [(0, 0); Phase::COUNT]);
 
     let mut ring = SnapshotRing::new(4);
     assert!(ring.push(idle).is_none(), "first push seeds the diff base");
 
     let mut live = TelemetrySnapshot::from_json(idle_text).expect("seed");
     live.uptime_nanos = 3_000;
-    live.counters = vec![
-        ("serve_requests".into(), 25),
-        ("serve_spans_kept".into(), 4),
-    ];
+    live.counters[Metric::Requests] = 25;
+    live.counters[Metric::SpansKept] = 4;
     live.phases = live_phases();
     live.span_resident = 4;
     live.span_capacity = 64;
@@ -124,8 +124,8 @@ fn snapshot_ring_diffs_phases_from_an_idle_base() {
 
     let delta = ring.push(live).expect("second push yields a delta");
     assert_eq!(delta.uptime_nanos, 2_000);
-    assert_eq!(delta.counter("serve_requests"), Some(15));
-    assert_eq!(delta.counter("serve_spans_kept"), Some(4));
+    assert_eq!(delta.counters[Metric::Requests], 15);
+    assert_eq!(delta.counters[Metric::SpansKept], 4);
     // Phases absent from the idle base delta from zero…
     assert_eq!(delta.phases, live_phases());
     // …and the span-store gauges pass through as the later absolutes.
@@ -133,14 +133,14 @@ fn snapshot_ring_diffs_phases_from_an_idle_base() {
         (delta.span_resident, delta.span_capacity, delta.span_evicted),
         (4, 64, 0)
     );
-    assert_eq!(ring.counter_series("serve_spans_kept"), vec![4]);
+    assert_eq!(ring.counter_series(Metric::SpansKept), vec![4]);
 }
 
-fn live_phases() -> Vec<(String, u64, u64)> {
-    vec![
-        ("prepare".into(), 9_000, 25),
-        ("execute".into(), 70_000, 25),
-    ]
+fn live_phases() -> [(u64, u64); Phase::COUNT] {
+    let mut phases = [(0, 0); Phase::COUNT];
+    phases[Phase::Prepare] = (9_000, 25);
+    phases[Phase::Execute] = (70_000, 25);
+    phases
 }
 
 /// A span JSONL stream that lost its tail (a crashed exporter) and picked

@@ -89,9 +89,9 @@ fn concurrent_hammering_matches_the_serial_total() {
     }
 
     let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("serve_requests"), Some(expect_requests));
-    assert_eq!(snap.counter("serve_exec_rows"), Some(expect_rows));
-    let hist = snap.hist("end_to_end").expect("end_to_end histogram");
+    assert_eq!(snap.counters[Metric::Requests], expect_requests);
+    assert_eq!(snap.counters[Metric::ExecRows], expect_rows);
+    let hist = &snap.latency[LatencyPath::EndToEnd];
     assert_eq!(hist.count(), expect_requests);
     assert_eq!(hist.min(), expect_hist.min());
     assert_eq!(hist.max(), expect_hist.max());
@@ -126,12 +126,12 @@ fn concurrent_hammering_matches_the_serial_total() {
         }
     }
     assert_eq!(snap.qerror, oracle.snapshot());
-    assert_eq!(snap.counter("serve_feedback_runs"), Some(threads * 500));
+    assert_eq!(snap.counters[Metric::FeedbackRuns], threads * 500);
     // Exactly the planted spiky fingerprint is suspect.
     let suspects = snap.suspects();
     assert_eq!(suspects.len(), 1);
     assert_eq!(suspects[0].fp, 0xBEEF + 4);
-    assert_eq!(snap.counter("serve_suspects_flagged"), Some(1));
+    assert_eq!(snap.counters[Metric::SuspectFlagged], 1);
 }
 
 /// Property test: whatever interleaving the writers produce, a pair of
@@ -177,16 +177,14 @@ fn delta_since_never_underflows_under_concurrent_updates() {
         for _ in 0..200 {
             let cur = telemetry.snapshot();
             let delta = cur.delta_since(&prev);
-            for (name, v) in &delta.counters {
-                let c = cur.counter(name).unwrap_or(0);
-                let p = prev.counter(name).unwrap_or(0);
-                assert!(p <= c, "counter {name} went backwards: {p} -> {c}");
-                assert_eq!(*v, c - p, "counter {name} delta");
+            for (name, v) in delta.counters.iter() {
+                let (c, p) = (cur.counters[name], prev.counters[name]);
+                assert!(p <= c, "counter {name:?} went backwards: {p} -> {c}");
+                assert_eq!(v, c - p, "counter {name:?} delta");
             }
-            let empty = Histogram::new();
-            for (path, h) in &delta.latency {
-                let c = cur.hist(path).expect("histogram path");
-                let p = prev.hist(path).unwrap_or(&empty);
+            for path in LatencyPath::ALL {
+                let h = &delta.latency[path];
+                let (c, p) = (&cur.latency[path], &prev.latency[path]);
                 for (b, ((&d, &cb), &pb)) in h
                     .bucket_counts()
                     .iter()
@@ -194,10 +192,10 @@ fn delta_since_never_underflows_under_concurrent_updates() {
                     .zip(p.bucket_counts())
                     .enumerate()
                 {
-                    assert!(pb <= cb, "hist {path} bucket {b} went backwards");
-                    assert_eq!(d, cb - pb, "hist {path} bucket {b} delta");
+                    assert!(pb <= cb, "hist {path:?} bucket {b} went backwards");
+                    assert_eq!(d, cb - pb, "hist {path:?} bucket {b} delta");
                 }
-                assert!(h.count() <= c.count(), "hist {path} count overflow");
+                assert!(h.count() <= c.count(), "hist {path:?} count overflow");
             }
             for e in &delta.topk {
                 let c = cur.topk.iter().find(|t| t.fp == e.fp).expect("cur entry");
@@ -246,8 +244,8 @@ fn counters_only_plane_is_safe_under_concurrency_and_stays_lean() {
         }
     });
     let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("serve_requests"), Some(4 * 500));
-    assert!(snap.latency.iter().all(|(_, h)| h.count() == 0));
+    assert_eq!(snap.counters[Metric::Requests], 4 * 500);
+    assert!(snap.latency.iter().all(|h| h.count() == 0));
     assert!(snap.topk.is_empty());
 }
 
@@ -274,7 +272,7 @@ fn snapshot_survives_json_and_prometheus_exposition() {
     let prom = snap.to_prometheus();
     assert!(prom.contains("# TYPE starqo_serve_requests_total counter"));
     assert!(prom.contains("starqo_serve_requests_total 500"));
-    let hit = snap.hist("cache_hit").expect("cache_hit histogram");
+    let hit = &snap.latency[LatencyPath::CacheHit];
     assert!(prom.contains(&format!(
         "starqo_latency_nanos_count{{path=\"cache_hit\"}} {}",
         hit.count()
@@ -298,7 +296,7 @@ fn snapshot_survives_json_and_prometheus_exposition() {
     // Standard histogram exposition: the `_sum`/`_count` pair and the
     // closing `+Inf` bucket must agree with the *JSON-round-tripped*
     // snapshot, so the two exporters can never drift apart silently.
-    let hit = parsed.hist("cache_hit").expect("cache_hit histogram");
+    let hit = &parsed.latency[LatencyPath::CacheHit];
     assert!(prom.contains("# TYPE starqo_latency_hist_nanos histogram"));
     assert!(prom.contains(&format!(
         "starqo_latency_hist_nanos_bucket{{path=\"cache_hit\",le=\"+Inf\"}} {}",
