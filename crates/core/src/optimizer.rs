@@ -6,7 +6,7 @@ use std::sync::Arc;
 use starqo_catalog::Catalog;
 use starqo_plan::{panic_msg, CostModel, ExtPropFn, PlanRef, PropEngine};
 use starqo_query::Query;
-use starqo_trace::{LatencyPath, Metric, Phase, SpanContext, Telemetry, TraceEvent, Tracer};
+use starqo_trace::{Phase, SpanContext, TraceEvent, Tracer};
 
 use crate::budget::Budget;
 use crate::compile::{compile_into, CompileEnv};
@@ -250,43 +250,6 @@ impl Optimizer {
         self.optimize_traced(query, config, Tracer::off())
     }
 
-    /// [`Self::optimize_traced`] with the live telemetry plane attached:
-    /// after a successful run, the engine's work counters (STAR references,
-    /// memo hits, plans built, Glue invocations) fold into `telemetry` so
-    /// live dashboards see optimizer work without per-request trace events.
-    /// Latency histograms are the caller's concern — the serving layer
-    /// times the paths it owns.
-    pub fn optimize_observed(
-        &self,
-        query: &Query,
-        config: &OptConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-    ) -> Result<Optimized> {
-        self.optimize_spanned(query, config, tracer, telemetry, &SpanContext::off())
-    }
-
-    /// [`Self::optimize_observed`] with a request's span recorder
-    /// attached: the engine records one span per non-memoized STAR
-    /// expansion (`star:<Name>`, `meta` = the `star_ref` id) and per
-    /// top-level Glue invocation, all nested under an `enumerate` span —
-    /// the cold path of the request's span tree.
-    pub fn optimize_spanned(
-        &self,
-        query: &Query,
-        config: &OptConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-        spans: &SpanContext,
-    ) -> Result<Optimized> {
-        let out = self.optimize_inner(query, config, tracer, spans)?;
-        telemetry.add(Metric::StarRefs, out.stats.star_refs);
-        telemetry.add(Metric::MemoHits, out.stats.memo_hits);
-        telemetry.add(Metric::PlansBuilt, out.stats.plans_built);
-        telemetry.add(Metric::GlueRefs, out.stats.glue_refs);
-        Ok(out)
-    }
-
     /// [`Self::optimize`] with a structured-event tracer attached. The
     /// engine, plan table, and Glue all emit through it; phase timings and
     /// work counters land in [`Optimized`] either way.
@@ -296,10 +259,15 @@ impl Optimizer {
         config: &OptConfig,
         tracer: Tracer,
     ) -> Result<Optimized> {
-        self.optimize_inner(query, config, tracer, &SpanContext::off())
+        self.optimize_spanned(query, config, tracer, &SpanContext::off())
     }
 
-    fn optimize_inner(
+    /// [`Self::optimize_traced`] with a request's span recorder attached:
+    /// the engine records one span per non-memoized STAR expansion
+    /// (`star:<Name>`, `meta` = the `star_ref` id) and per top-level Glue
+    /// invocation, all nested under an `enumerate` span — the cold path of
+    /// the request's span tree.
+    pub fn optimize_spanned(
         &self,
         query: &Query,
         config: &OptConfig,
@@ -317,7 +285,6 @@ impl Optimizer {
         );
         engine.set_tracer(tracer.clone());
         engine.set_spans(spans.clone());
-        let span = tracer.span(LatencyPath::Optimize.name());
         let enumerate_span = spans.enter(Phase::Enumerate.name());
         let started = std::time::Instant::now();
         // Last-resort containment: panics escaping the engine's per-
@@ -334,7 +301,6 @@ impl Optimizer {
             };
         let enumerate_nanos = started.elapsed().as_nanos() as u64;
         drop(enumerate_span);
-        drop(span);
         let out = out?;
         // Emit the winning plan's lineage: one pre-order `best_node` per
         // operator, annotated with the rule alternative that produced it —

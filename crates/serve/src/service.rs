@@ -581,20 +581,20 @@ impl Service {
         let opt_span = ctx.enter(LatencyPath::Optimize.name());
         let started = Instant::now();
         let optimized = optimizer
-            .optimize_spanned(
-                &prepared.canonical.query,
-                &config,
-                tracer.clone(),
-                &self.telemetry,
-                ctx,
-            )
+            .optimize_spanned(&prepared.canonical.query, &config, tracer.clone(), ctx)
             .map_err(|e| {
                 self.telemetry.add(Metric::Errors, 1);
                 ServeError::Optimize(e.to_string())
             })?;
         let nanos = started.elapsed().as_nanos() as u64;
         drop(opt_span);
-        // Fold the optimizer's own phase clocks into the cold-path profile.
+        // Fold the optimizer's work counters and its own phase clocks into
+        // the plane.
+        let stats = &optimized.stats;
+        self.telemetry.add(Metric::StarRefs, stats.star_refs);
+        self.telemetry.add(Metric::MemoHits, stats.memo_hits);
+        self.telemetry.add(Metric::PlansBuilt, stats.plans_built);
+        self.telemetry.add(Metric::GlueRefs, stats.glue_refs);
         for (phase, phase_nanos) in optimized.phase_nanos() {
             self.telemetry.record_phase(phase, phase_nanos);
         }

@@ -1,10 +1,10 @@
 //! The typed event taxonomy emitted by the optimizer and executor.
 //!
-//! Every variant serializes to one flat JSON object (see
-//! [`TraceEvent::to_json`]) with a `"type"` discriminator, so a JSON-Lines
-//! trace is trivially greppable/`jq`-able — and parses back via
-//! [`TraceEvent::from_json`], so offline tooling (the `starqo-obs`
-//! analytics) consumes the same stream the sinks wrote.
+//! Every variant serializes to one flat JSON object with a `"type"`
+//! discriminator, so a JSON-Lines trace is trivially greppable/`jq`-able —
+//! and parses back via [`TraceEvent::from_json`], so offline tooling (the
+//! `starqo-obs` analytics) consumes the same stream the sinks wrote. Both
+//! directions come from the `record!` table below.
 //!
 //! Attribution model: every STAR reference gets a unique `id` and carries
 //! the `parent` reference id it was expanded under (0 = the enumeration
@@ -14,660 +14,229 @@
 //! plan's structural fingerprint `fp`, letting consumers join "which rule
 //! built the plan" with "what the plan table did to it".
 
-use crate::json::JsonObj;
-use crate::read::{parse_json, JsonValue};
-
-/// Per-component cost attribution carried on plan-construction events.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CostBreakdownEv {
-    pub io: f64,
-    pub cpu: f64,
-    pub comm: f64,
-    pub other: f64,
-}
-
-/// One structured trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A STAR was referenced (possibly satisfied from the memo). `sid` is
-    /// the stable index of the STAR in the rule set; `id` is unique per
-    /// reference; `parent` is the enclosing reference's id (0 = driver).
-    StarRef {
-        star: String,
-        sid: u32,
-        id: u64,
-        parent: u64,
-        memo_hit: bool,
-    },
-    /// A non-memoized STAR reference finished expanding: how many plans it
-    /// returned and its inclusive wall-clock time. Pairs with the
-    /// `StarRef` of the same `id`.
-    StarDone {
-        star: String,
-        id: u64,
-        plans: usize,
-        nanos: u64,
-    },
-    /// One alternative of a STAR fired and produced plans.
-    AltFired {
-        star: String,
-        alt: usize,
-        ref_id: u64,
-        plans: usize,
-    },
-    /// An alternative's condition of applicability evaluated to false.
-    /// `cond` is the rendered condition text (for failure attribution).
-    CondFailed {
-        star: String,
-        alt: usize,
-        ref_id: u64,
-        cond: String,
-    },
-    /// A `forall` alternative expanded over a set (∀-fan-out).
-    ForallExpand {
-        star: String,
-        alt: usize,
-        ref_id: u64,
-        items: usize,
-    },
-    /// The Glue mechanism was invoked to meet required properties.
-    GlueRef {
-        ref_id: u64,
-        cache_hit: bool,
-        candidates: usize,
-        veneers: usize,
-    },
-    /// A plan node was built, with its estimated properties and cost split.
-    PlanBuilt {
-        op: String,
-        fp: u64,
-        ref_id: u64,
-        card: f64,
-        cost_once: f64,
-        cost_rescan: f64,
-        breakdown: CostBreakdownEv,
-    },
-    /// A candidate operator application failed to build (illegal combo).
-    PlanRejected {
-        op: String,
-        ref_id: u64,
-        reason: String,
-    },
-    /// A plan entered the plan table.
-    TableInsert {
-        op: String,
-        fp: u64,
-        cost: f64,
-        evicted: usize,
-    },
-    /// A plan was pruned: dominated by an existing entry, or a duplicate.
-    TablePrune {
-        op: String,
-        fp: u64,
-        cost: f64,
-        duplicate: bool,
-    },
-    /// An existing table entry was evicted by a dominating newcomer.
-    TableDominated { op: String, fp: u64, cost: f64 },
-    /// One node of the winning plan (emitted pre-order after optimization
-    /// succeeds), annotated with the rule alternative that built it.
-    BestNode {
-        op: String,
-        fp: u64,
-        depth: usize,
-        origin: String,
-        card: f64,
-        cost: f64,
-    },
-    /// Per-LOLEPOP actuals recorded by the executor. `fp` is the plan
-    /// node's structural fingerprint — the same key `PlanBuilt` and
-    /// `BestNode` carry — so estimate-vs-actual joins need no side channel.
-    ExecNode {
-        op: String,
-        fp: u64,
-        rows_out: u64,
-        invocations: u64,
-        nanos: u64,
-    },
-    /// A workload runner is about to optimize + execute one named query.
-    /// Delimits per-query segments in a combined multi-query stream: every
-    /// event until the next `QueryStart` belongs to this query.
-    QueryStart { name: String },
-    /// The named query finished executing: final row count and inclusive
-    /// optimize+execute wall-clock time.
-    QueryDone { name: String, rows: u64, nanos: u64 },
-    /// A named span opened (engine phases, per-query wrappers, ...).
-    SpanStart { name: String },
-    /// A named span closed after `nanos`.
-    SpanEnd { name: String, nanos: u64 },
-    /// A free-form named counter observation (metrics bridge).
-    Counter { name: String, value: u64 },
-    /// A rule alternative panicked or errored and was disabled for the
-    /// rest of the run; `cond` is the rendered condition of applicability
-    /// (or the alternative's expression when unguarded).
-    RuleQuarantined {
-        star: String,
-        alt: usize,
-        ref_id: u64,
-        cond: String,
-        reason: String,
-    },
-    /// A resource budget ran out; the engine degraded to greedy,
-    /// best-so-far exploration (anytime semantics).
-    BudgetExhausted { resource: String, detail: String },
-    /// The serving layer satisfied a request from the plan cache. `fp` is
-    /// the canonical query fingerprint hash; `saved_nanos` is the cold
-    /// optimization time the hit avoided (as measured when the entry was
-    /// populated).
-    CacheHit {
-        fp: u64,
-        epoch: u64,
-        saved_nanos: u64,
-    },
-    /// No usable cache entry: the request paid for a cold optimization.
-    CacheMiss { fp: u64, epoch: u64 },
-    /// An entry left the cache to make room (`reason` = "capacity" or
-    /// "bytes").
-    CacheEvict { fp: u64, reason: String },
-    /// An entry was dropped because its catalog epoch was stale; `epoch`
-    /// is the *current* epoch that invalidated it.
-    CacheInvalidate { fp: u64, epoch: u64 },
-    /// The feedback plane flagged a cached plan as suspect: after `runs`
-    /// executed serves its observed Q-error or latency trend crossed the
-    /// configured threshold (`reason` = "geomean_q", "max_q", or
-    /// "mean_latency"). Detection only — the plan keeps serving.
-    PlanSuspect {
-        fp: u64,
-        epoch: u64,
-        runs: u64,
-        geomean_q: f64,
-        max_q: f64,
-        reason: String,
-    },
-    /// The self-healing loop started a suspect-triggered re-optimization
-    /// for this fingerprint (single-flight: one per fingerprint at a
-    /// time). `attempt` counts retries since the last successful swap or
-    /// epoch change (1-based).
-    PlanReopt { fp: u64, epoch: u64, attempt: u64 },
-    /// A re-optimized candidate passed the stability guard (shadow
-    /// verification + probation A/B) and replaced the incumbent cached
-    /// plan. Work units are the probation window's deterministic
-    /// execution-effort totals for each side.
-    PlanSwap {
-        fp: u64,
-        epoch: u64,
-        incumbent_work: u64,
-        candidate_work: u64,
-    },
-    /// A re-optimization resolved by keeping the incumbent plan. `reason`
-    /// is typed: "reopt_panic", "reopt_error", "budget_degraded",
-    /// "epoch_moved", "verify_mismatch", "regression", or "retry_capped".
-    /// `backoff_nanos` is the backoff armed before the next retry (0 when
-    /// capped or when no retry will happen).
-    PlanPinned {
-        fp: u64,
-        epoch: u64,
-        reason: String,
-        attempt: u64,
-        backoff_nanos: u64,
-    },
-}
-
-impl TraceEvent {
-    /// The `"type"` discriminator used in the JSON form.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::StarRef { .. } => "star_ref",
-            TraceEvent::StarDone { .. } => "star_done",
-            TraceEvent::AltFired { .. } => "alt_fired",
-            TraceEvent::CondFailed { .. } => "cond_failed",
-            TraceEvent::ForallExpand { .. } => "forall_expand",
-            TraceEvent::GlueRef { .. } => "glue_ref",
-            TraceEvent::PlanBuilt { .. } => "plan_built",
-            TraceEvent::PlanRejected { .. } => "plan_rejected",
-            TraceEvent::TableInsert { .. } => "table_insert",
-            TraceEvent::TablePrune { .. } => "table_prune",
-            TraceEvent::TableDominated { .. } => "table_dominated",
-            TraceEvent::BestNode { .. } => "best_node",
-            TraceEvent::ExecNode { .. } => "exec_node",
-            TraceEvent::QueryStart { .. } => "query_start",
-            TraceEvent::QueryDone { .. } => "query_done",
-            TraceEvent::SpanStart { .. } => "span_start",
-            TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::Counter { .. } => "counter",
-            TraceEvent::RuleQuarantined { .. } => "rule_quarantined",
-            TraceEvent::BudgetExhausted { .. } => "budget_exhausted",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::CacheInvalidate { .. } => "cache_invalidate",
-            TraceEvent::PlanSuspect { .. } => "plan_suspect",
-            TraceEvent::PlanReopt { .. } => "plan_reopt",
-            TraceEvent::PlanSwap { .. } => "plan_swap",
-            TraceEvent::PlanPinned { .. } => "plan_pinned",
-        }
-    }
-
-    /// Serialize as one flat JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let o = JsonObj::new().str("type", self.kind());
-        match self {
-            TraceEvent::StarRef {
-                star,
-                sid,
-                id,
-                parent,
-                memo_hit,
-            } => o
-                .str("star", star)
-                .u64("sid", *sid as u64)
-                .u64("id", *id)
-                .u64("parent", *parent)
-                .bool("memo_hit", *memo_hit),
-            TraceEvent::StarDone {
-                star,
-                id,
-                plans,
-                nanos,
-            } => o
-                .str("star", star)
-                .u64("id", *id)
-                .u64("plans", *plans as u64)
-                .u64("nanos", *nanos),
-            TraceEvent::AltFired {
-                star,
-                alt,
-                ref_id,
-                plans,
-            } => o
-                .str("star", star)
-                .u64("alt", *alt as u64)
-                .u64("ref_id", *ref_id)
-                .u64("plans", *plans as u64),
-            TraceEvent::CondFailed {
-                star,
-                alt,
-                ref_id,
-                cond,
-            } => o
-                .str("star", star)
-                .u64("alt", *alt as u64)
-                .u64("ref_id", *ref_id)
-                .str("cond", cond),
-            TraceEvent::ForallExpand {
-                star,
-                alt,
-                ref_id,
-                items,
-            } => o
-                .str("star", star)
-                .u64("alt", *alt as u64)
-                .u64("ref_id", *ref_id)
-                .u64("items", *items as u64),
-            TraceEvent::GlueRef {
-                ref_id,
-                cache_hit,
-                candidates,
-                veneers,
-            } => o
-                .u64("ref_id", *ref_id)
-                .bool("cache_hit", *cache_hit)
-                .u64("candidates", *candidates as u64)
-                .u64("veneers", *veneers as u64),
-            TraceEvent::PlanBuilt {
-                op,
-                fp,
-                ref_id,
-                card,
-                cost_once,
-                cost_rescan,
-                breakdown,
-            } => o
-                .str("op", op)
-                .u64("fp", *fp)
-                .u64("ref_id", *ref_id)
-                .f64("card", *card)
-                .f64("cost_once", *cost_once)
-                .f64("cost_rescan", *cost_rescan)
-                .f64("io", breakdown.io)
-                .f64("cpu", breakdown.cpu)
-                .f64("comm", breakdown.comm)
-                .f64("other", breakdown.other),
-            TraceEvent::PlanRejected { op, ref_id, reason } => {
-                o.str("op", op).u64("ref_id", *ref_id).str("reason", reason)
-            }
-            TraceEvent::TableInsert {
-                op,
-                fp,
-                cost,
-                evicted,
-            } => o
-                .str("op", op)
-                .u64("fp", *fp)
-                .f64("cost", *cost)
-                .u64("evicted", *evicted as u64),
-            TraceEvent::TablePrune {
-                op,
-                fp,
-                cost,
-                duplicate,
-            } => o
-                .str("op", op)
-                .u64("fp", *fp)
-                .f64("cost", *cost)
-                .bool("duplicate", *duplicate),
-            TraceEvent::TableDominated { op, fp, cost } => {
-                o.str("op", op).u64("fp", *fp).f64("cost", *cost)
-            }
-            TraceEvent::BestNode {
-                op,
-                fp,
-                depth,
-                origin,
-                card,
-                cost,
-            } => o
-                .str("op", op)
-                .u64("fp", *fp)
-                .u64("depth", *depth as u64)
-                .str("origin", origin)
-                .f64("card", *card)
-                .f64("cost", *cost),
-            TraceEvent::ExecNode {
-                op,
-                fp,
-                rows_out,
-                invocations,
-                nanos,
-            } => o
-                .str("op", op)
-                .u64("fp", *fp)
-                .u64("rows_out", *rows_out)
-                .u64("invocations", *invocations)
-                .u64("nanos", *nanos),
-            TraceEvent::QueryStart { name } => o.str("name", name),
-            TraceEvent::QueryDone { name, rows, nanos } => {
-                o.str("name", name).u64("rows", *rows).u64("nanos", *nanos)
-            }
-            TraceEvent::SpanStart { name } => o.str("name", name),
-            TraceEvent::SpanEnd { name, nanos } => o.str("name", name).u64("nanos", *nanos),
-            TraceEvent::Counter { name, value } => o.str("name", name).u64("value", *value),
-            TraceEvent::RuleQuarantined {
-                star,
-                alt,
-                ref_id,
-                cond,
-                reason,
-            } => o
-                .str("star", star)
-                .u64("alt", *alt as u64)
-                .u64("ref_id", *ref_id)
-                .str("cond", cond)
-                .str("reason", reason),
-            TraceEvent::BudgetExhausted { resource, detail } => {
-                o.str("resource", resource).str("detail", detail)
-            }
-            TraceEvent::CacheHit {
-                fp,
-                epoch,
-                saved_nanos,
-            } => o
-                .u64("fp", *fp)
-                .u64("epoch", *epoch)
-                .u64("saved_nanos", *saved_nanos),
-            TraceEvent::CacheMiss { fp, epoch } => o.u64("fp", *fp).u64("epoch", *epoch),
-            TraceEvent::CacheEvict { fp, reason } => o.u64("fp", *fp).str("reason", reason),
-            TraceEvent::CacheInvalidate { fp, epoch } => o.u64("fp", *fp).u64("epoch", *epoch),
-            TraceEvent::PlanSuspect {
-                fp,
-                epoch,
-                runs,
-                geomean_q,
-                max_q,
-                reason,
-            } => o
-                .u64("fp", *fp)
-                .u64("epoch", *epoch)
-                .u64("runs", *runs)
-                .f64("geomean_q", *geomean_q)
-                .f64("max_q", *max_q)
-                .str("reason", reason),
-            TraceEvent::PlanReopt { fp, epoch, attempt } => o
-                .u64("fp", *fp)
-                .u64("epoch", *epoch)
-                .u64("attempt", *attempt),
-            TraceEvent::PlanSwap {
-                fp,
-                epoch,
-                incumbent_work,
-                candidate_work,
-            } => o
-                .u64("fp", *fp)
-                .u64("epoch", *epoch)
-                .u64("incumbent_work", *incumbent_work)
-                .u64("candidate_work", *candidate_work),
-            TraceEvent::PlanPinned {
-                fp,
-                epoch,
-                reason,
-                attempt,
-                backoff_nanos,
-            } => o
-                .u64("fp", *fp)
-                .u64("epoch", *epoch)
-                .str("reason", reason)
-                .u64("attempt", *attempt)
-                .u64("backoff_nanos", *backoff_nanos),
-        }
-        .finish()
-    }
-
-    /// Parse one JSON-Lines line back into a typed event. `None` for
-    /// malformed lines, unknown `type`s, or missing fields — readers skip
-    /// rather than fail, so traces from newer writers degrade gracefully.
-    pub fn from_json(line: &str) -> Option<TraceEvent> {
-        let v = parse_json(line.trim()).ok()?;
-        let str_of = |k: &str| v.get(k)?.as_str().map(str::to_string);
-        let u64_of = |k: &str| v.get(k)?.as_u64();
-        let usize_of = |k: &str| v.get(k)?.as_usize();
-        let f64_of = |k: &str| v.get(k)?.as_f64();
-        let bool_of = |k: &str| v.get(k)?.as_bool();
-        Some(match v.get("type")?.as_str()? {
-            "star_ref" => TraceEvent::StarRef {
-                star: str_of("star")?,
-                sid: u64_of("sid")? as u32,
-                id: u64_of("id")?,
-                parent: u64_of("parent")?,
-                memo_hit: bool_of("memo_hit")?,
-            },
-            "star_done" => TraceEvent::StarDone {
-                star: str_of("star")?,
-                id: u64_of("id")?,
-                plans: usize_of("plans")?,
-                nanos: u64_of("nanos")?,
-            },
-            "alt_fired" => TraceEvent::AltFired {
-                star: str_of("star")?,
-                alt: usize_of("alt")?,
-                ref_id: u64_of("ref_id")?,
-                plans: usize_of("plans")?,
-            },
-            "cond_failed" => TraceEvent::CondFailed {
-                star: str_of("star")?,
-                alt: usize_of("alt")?,
-                ref_id: u64_of("ref_id")?,
-                cond: str_of("cond")?,
-            },
-            "forall_expand" => TraceEvent::ForallExpand {
-                star: str_of("star")?,
-                alt: usize_of("alt")?,
-                ref_id: u64_of("ref_id")?,
-                items: usize_of("items")?,
-            },
-            "glue_ref" => TraceEvent::GlueRef {
-                ref_id: u64_of("ref_id")?,
-                cache_hit: bool_of("cache_hit")?,
-                candidates: usize_of("candidates")?,
-                veneers: usize_of("veneers")?,
-            },
-            "plan_built" => TraceEvent::PlanBuilt {
-                op: str_of("op")?,
-                fp: u64_of("fp")?,
-                ref_id: u64_of("ref_id")?,
-                card: f64_of("card")?,
-                cost_once: f64_of("cost_once")?,
-                cost_rescan: f64_of("cost_rescan")?,
-                breakdown: CostBreakdownEv {
-                    io: f64_of("io")?,
-                    cpu: f64_of("cpu")?,
-                    comm: f64_of("comm")?,
-                    other: f64_of("other")?,
-                },
-            },
-            "plan_rejected" => TraceEvent::PlanRejected {
-                op: str_of("op")?,
-                ref_id: u64_of("ref_id")?,
-                reason: str_of("reason")?,
-            },
-            "table_insert" => TraceEvent::TableInsert {
-                op: str_of("op")?,
-                fp: u64_of("fp")?,
-                cost: f64_of("cost")?,
-                evicted: usize_of("evicted")?,
-            },
-            "table_prune" => TraceEvent::TablePrune {
-                op: str_of("op")?,
-                fp: u64_of("fp")?,
-                cost: f64_of("cost")?,
-                duplicate: bool_of("duplicate")?,
-            },
-            "table_dominated" => TraceEvent::TableDominated {
-                op: str_of("op")?,
-                fp: u64_of("fp")?,
-                cost: f64_of("cost")?,
-            },
-            "best_node" => TraceEvent::BestNode {
-                op: str_of("op")?,
-                fp: u64_of("fp")?,
-                depth: usize_of("depth")?,
-                origin: str_of("origin")?,
-                card: f64_of("card")?,
-                cost: f64_of("cost")?,
-            },
-            "exec_node" => TraceEvent::ExecNode {
-                op: str_of("op")?,
-                // Absent in pre-observatory traces: degrade to 0 (unjoinable)
-                // instead of dropping the whole event.
-                fp: u64_of("fp").unwrap_or(0),
-                rows_out: u64_of("rows_out")?,
-                invocations: u64_of("invocations")?,
-                nanos: u64_of("nanos")?,
-            },
-            "query_start" => TraceEvent::QueryStart {
-                name: str_of("name")?,
-            },
-            "query_done" => TraceEvent::QueryDone {
-                name: str_of("name")?,
-                rows: u64_of("rows")?,
-                nanos: u64_of("nanos")?,
-            },
-            "span_start" => TraceEvent::SpanStart {
-                name: str_of("name")?,
-            },
-            "span_end" => TraceEvent::SpanEnd {
-                name: str_of("name")?,
-                nanos: u64_of("nanos")?,
-            },
-            "counter" => TraceEvent::Counter {
-                name: str_of("name")?,
-                value: u64_of("value")?,
-            },
-            "rule_quarantined" => TraceEvent::RuleQuarantined {
-                star: str_of("star")?,
-                alt: usize_of("alt")?,
-                ref_id: u64_of("ref_id")?,
-                cond: str_of("cond")?,
-                reason: str_of("reason")?,
-            },
-            "budget_exhausted" => TraceEvent::BudgetExhausted {
-                resource: str_of("resource")?,
-                detail: str_of("detail")?,
-            },
-            "cache_hit" => TraceEvent::CacheHit {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-                saved_nanos: u64_of("saved_nanos")?,
-            },
-            "cache_miss" => TraceEvent::CacheMiss {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-            },
-            "cache_evict" => TraceEvent::CacheEvict {
-                fp: u64_of("fp")?,
-                reason: str_of("reason")?,
-            },
-            "cache_invalidate" => TraceEvent::CacheInvalidate {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-            },
-            "plan_suspect" => TraceEvent::PlanSuspect {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-                runs: u64_of("runs")?,
-                geomean_q: f64_of("geomean_q")?,
-                max_q: f64_of("max_q")?,
-                reason: str_of("reason")?,
-            },
-            "plan_reopt" => TraceEvent::PlanReopt {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-                attempt: u64_of("attempt")?,
-            },
-            "plan_swap" => TraceEvent::PlanSwap {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-                incumbent_work: u64_of("incumbent_work")?,
-                candidate_work: u64_of("candidate_work")?,
-            },
-            "plan_pinned" => TraceEvent::PlanPinned {
-                fp: u64_of("fp")?,
-                epoch: u64_of("epoch")?,
-                reason: str_of("reason")?,
-                attempt: u64_of("attempt")?,
-                backoff_nanos: u64_of("backoff_nanos")?,
-            },
-            _ => return None,
-        })
-    }
-
-    /// The value of `v` as a typed event, when it is one.
-    pub fn from_value(v: &JsonValue) -> Option<TraceEvent> {
-        // Delegate through the string form only for objects that look like
-        // events; cheap enough for offline tooling.
-        v.get("type")?;
-        TraceEvent::from_json(&render_value(v))
+record! {
+    /// Per-component cost attribution carried on plan-construction events,
+    /// written flattened beside the event's own fields.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct CostBreakdownEv {
+        pub io: f64,
+        pub cpu: f64,
+        pub comm: f64,
+        pub other: f64,
     }
 }
 
-fn render_value(v: &JsonValue) -> String {
-    match v {
-        JsonValue::Null => "null".into(),
-        JsonValue::Bool(b) => b.to_string(),
-        JsonValue::UInt(n) => n.to_string(),
-        JsonValue::Int(n) => n.to_string(),
-        JsonValue::Num(n) => crate::json::num(*n),
-        JsonValue::Str(s) => format!("\"{}\"", crate::json::escape(s)),
-        JsonValue::Arr(items) => {
-            let parts: Vec<String> = items.iter().map(render_value).collect();
-            format!("[{}]", parts.join(","))
-        }
-        JsonValue::Obj(fields) => {
-            let parts: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{}", crate::json::escape(k), render_value(v)))
-                .collect();
-            format!("{{{}}}", parts.join(","))
-        }
+record! {
+    /// One structured trace event.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A STAR was referenced (possibly satisfied from the memo). `sid` is
+        /// the stable index of the STAR in the rule set; `id` is unique per
+        /// reference; `parent` is the enclosing reference's id (0 = driver).
+        StarRef = "star_ref" {
+            star: String,
+            sid: u32,
+            id: u64,
+            parent: u64,
+            memo_hit: bool,
+        },
+        /// A non-memoized STAR reference finished expanding: how many plans it
+        /// returned and its inclusive wall-clock time. Pairs with the
+        /// `StarRef` of the same `id`.
+        StarDone = "star_done" {
+            star: String,
+            id: u64,
+            plans: usize,
+            nanos: u64,
+        },
+        /// One alternative of a STAR fired and produced plans.
+        AltFired = "alt_fired" {
+            star: String,
+            alt: usize,
+            ref_id: u64,
+            plans: usize,
+        },
+        /// An alternative's condition of applicability evaluated to false.
+        /// `cond` is the rendered condition text (for failure attribution).
+        CondFailed = "cond_failed" {
+            star: String,
+            alt: usize,
+            ref_id: u64,
+            cond: String,
+        },
+        /// A `forall` alternative expanded over a set (∀-fan-out).
+        ForallExpand = "forall_expand" {
+            star: String,
+            alt: usize,
+            ref_id: u64,
+            items: usize,
+        },
+        /// The Glue mechanism was invoked to meet required properties.
+        GlueRef = "glue_ref" {
+            ref_id: u64,
+            cache_hit: bool,
+            candidates: usize,
+            veneers: usize,
+        },
+        /// A plan node was built, with its estimated properties and cost split.
+        PlanBuilt = "plan_built" {
+            op: String,
+            fp: u64,
+            ref_id: u64,
+            card: f64,
+            cost_once: f64,
+            cost_rescan: f64,
+            breakdown: CostBreakdownEv,
+        },
+        /// A candidate operator application failed to build (illegal combo).
+        PlanRejected = "plan_rejected" {
+            op: String,
+            ref_id: u64,
+            reason: String,
+        },
+        /// A plan entered the plan table.
+        TableInsert = "table_insert" {
+            op: String,
+            fp: u64,
+            cost: f64,
+            evicted: usize,
+        },
+        /// A plan was pruned: dominated by an existing entry, or a duplicate.
+        TablePrune = "table_prune" {
+            op: String,
+            fp: u64,
+            cost: f64,
+            duplicate: bool,
+        },
+        /// An existing table entry was evicted by a dominating newcomer.
+        TableDominated = "table_dominated" {
+            op: String,
+            fp: u64,
+            cost: f64,
+        },
+        /// One node of the winning plan (emitted pre-order after optimization
+        /// succeeds), annotated with the rule alternative that built it.
+        BestNode = "best_node" {
+            op: String,
+            fp: u64,
+            depth: usize,
+            origin: String,
+            card: f64,
+            cost: f64,
+        },
+        /// Per-LOLEPOP actuals recorded by the executor. `fp` is the plan
+        /// node's structural fingerprint — the same key `PlanBuilt` and
+        /// `BestNode` carry — so estimate-vs-actual joins need no side channel.
+        ExecNode = "exec_node" {
+            op: String,
+            fp: u64,
+            rows_out: u64,
+            invocations: u64,
+            nanos: u64,
+        },
+        /// A workload runner is about to optimize + execute one named query.
+        /// Delimits per-query segments in a combined multi-query stream: every
+        /// event until the next `QueryStart` belongs to this query.
+        QueryStart = "query_start" {
+            name: String,
+        },
+        /// The named query finished executing: final row count and inclusive
+        /// optimize+execute wall-clock time.
+        QueryDone = "query_done" {
+            name: String,
+            rows: u64,
+            nanos: u64,
+        },
+        /// A free-form named counter observation (metrics bridge).
+        Counter = "counter" {
+            name: String,
+            value: u64,
+        },
+        /// A rule alternative panicked or errored and was disabled for the
+        /// rest of the run; `cond` is the rendered condition of applicability
+        /// (or the alternative's expression when unguarded).
+        RuleQuarantined = "rule_quarantined" {
+            star: String,
+            alt: usize,
+            ref_id: u64,
+            cond: String,
+            reason: String,
+        },
+        /// A resource budget ran out; the engine degraded to greedy,
+        /// best-so-far exploration (anytime semantics).
+        BudgetExhausted = "budget_exhausted" {
+            resource: String,
+            detail: String,
+        },
+        /// The serving layer satisfied a request from the plan cache. `fp` is
+        /// the canonical query fingerprint hash; `saved_nanos` is the cold
+        /// optimization time the hit avoided (as measured when the entry was
+        /// populated).
+        CacheHit = "cache_hit" {
+            fp: u64,
+            epoch: u64,
+            saved_nanos: u64,
+        },
+        /// No usable cache entry: the request paid for a cold optimization.
+        CacheMiss = "cache_miss" {
+            fp: u64,
+            epoch: u64,
+        },
+        /// An entry left the cache to make room (`reason` = "capacity" or
+        /// "bytes").
+        CacheEvict = "cache_evict" {
+            fp: u64,
+            reason: String,
+        },
+        /// An entry was dropped because its catalog epoch was stale; `epoch`
+        /// is the *current* epoch that invalidated it.
+        CacheInvalidate = "cache_invalidate" {
+            fp: u64,
+            epoch: u64,
+        },
+        /// The feedback plane flagged a cached plan as suspect: after `runs`
+        /// executed serves its observed Q-error or latency trend crossed the
+        /// configured threshold (`reason` = "geomean_q", "max_q", or
+        /// "mean_latency"). Detection only — the plan keeps serving.
+        PlanSuspect = "plan_suspect" {
+            fp: u64,
+            epoch: u64,
+            runs: u64,
+            geomean_q: f64,
+            max_q: f64,
+            reason: String,
+        },
+        /// The self-healing loop started a suspect-triggered re-optimization
+        /// for this fingerprint (single-flight: one per fingerprint at a
+        /// time). `attempt` counts retries since the last successful swap or
+        /// epoch change (1-based).
+        PlanReopt = "plan_reopt" {
+            fp: u64,
+            epoch: u64,
+            attempt: u64,
+        },
+        /// A re-optimized candidate passed the stability guard (shadow
+        /// verification + probation A/B) and replaced the incumbent cached
+        /// plan. Work units are the probation window's deterministic
+        /// execution-effort totals for each side.
+        PlanSwap = "plan_swap" {
+            fp: u64,
+            epoch: u64,
+            incumbent_work: u64,
+            candidate_work: u64,
+        },
+        /// A re-optimization resolved by keeping the incumbent plan. `reason`
+        /// is typed: "reopt_panic", "reopt_error", "budget_degraded",
+        /// "epoch_moved", "verify_mismatch", "regression", or "retry_capped".
+        /// `backoff_nanos` is the backoff armed before the next retry (0 when
+        /// capped or when no retry will happen).
+        PlanPinned = "plan_pinned" {
+            fp: u64,
+            epoch: u64,
+            reason: String,
+            attempt: u64,
+            backoff_nanos: u64,
+        },
     }
 }
 
@@ -712,7 +281,7 @@ mod tests {
     use super::*;
 
     /// One of every variant, with distinguishable field values.
-    pub(crate) fn one_of_each() -> Vec<TraceEvent> {
+    fn one_of_each() -> Vec<TraceEvent> {
         vec![
             TraceEvent::StarRef {
                 star: "JoinRoot".into(),
@@ -809,13 +378,6 @@ mod tests {
                 name: "paper/local".into(),
                 rows: 84,
                 nanos: 77_000,
-            },
-            TraceEvent::SpanStart {
-                name: "optimize".into(),
-            },
-            TraceEvent::SpanEnd {
-                name: "optimize".into(),
-                nanos: 5_000,
             },
             TraceEvent::Counter {
                 name: "x".into(),
@@ -942,35 +504,34 @@ mod tests {
             r#"{"type":"unknown_kind"}"#,
             r#"{"type":"counter","name":"x"}"#,
             r#"{"type":"counter","name":"x","value":"nope"}"#,
+            r#"{"type":"exec_node","op":"SORT","rows_out":9,"invocations":1,"nanos":55}"#,
         ] {
             assert_eq!(TraceEvent::from_json(bad), None, "accepted: {bad:?}");
         }
     }
 
     #[test]
-    fn legacy_exec_node_without_fp_parses_as_zero() {
-        // Pre-observatory traces lack "fp" on exec_node; they should still
-        // load (with an unjoinable fp of 0) rather than be skipped.
-        let line = r#"{"type":"exec_node","op":"SORT","rows_out":9,"invocations":1,"nanos":55}"#;
-        assert_eq!(
-            TraceEvent::from_json(line),
-            Some(TraceEvent::ExecNode {
-                op: "SORT".into(),
-                fp: 0,
-                rows_out: 9,
-                invocations: 1,
-                nanos: 55,
-            })
-        );
+    fn out_of_range_integers_reject_the_line() {
+        // 2^32 does not fit `sid: u32`: the line is refused and counted as
+        // skipped, never loaded as a wrapped `sid: 0`.
+        let line =
+            r#"{"type":"star_ref","star":"J","sid":4294967296,"id":1,"parent":0,"memo_hit":false}"#;
+        assert_eq!(TraceEvent::from_json(line), None);
+        assert_eq!(read_events(line), (Vec::new(), 1));
+        let widest = line.replace("4294967296", "4294967295");
+        assert!(matches!(
+            TraceEvent::from_json(&widest),
+            Some(TraceEvent::StarRef { sid: u32::MAX, .. })
+        ));
     }
 
     #[test]
     fn read_events_skips_bad_lines_and_blanks() {
-        let text = "\n{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\ngarbage\n\n{\"type\":\"span_start\",\"name\":\"s\"}\n";
+        let text = "\n{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\ngarbage\n\n{\"type\":\"query_start\",\"name\":\"s\"}\n";
         let (events, skipped) = read_events(text);
         assert_eq!(events.len(), 2);
         assert_eq!(skipped, 1);
         assert_eq!(events[0].kind(), "counter");
-        assert_eq!(events[1].kind(), "span_start");
+        assert_eq!(events[1].kind(), "query_start");
     }
 }

@@ -2,6 +2,8 @@
 //! so there is no serde). Only what trace events need: flat objects with
 //! string / number / bool fields and string arrays.
 
+use crate::record::Field;
+
 /// Escape a string for inclusion in a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -90,6 +92,11 @@ impl JsonObj {
         }
         self.buf.push(']');
         self
+    }
+
+    /// A record field, written the way its type says ([`Field`]).
+    pub fn field(self, k: &str, v: &impl Field) -> Self {
+        v.write_field(self, k)
     }
 
     /// Embed an already-serialized JSON value verbatim.

@@ -1,13 +1,14 @@
 //! # starqo-trace
 //!
 //! Structured observability for the STAR optimizer and the plan executor:
-//! typed [`TraceEvent`]s flowing into pluggable [`TraceSink`]s, named spans,
-//! the live [`Telemetry`] plane over the [`Metric`], [`Phase`] and
-//! [`LatencyPath`] catalogs, and the [`MetricsSummary`] a bench report
-//! accumulates.
+//! typed [`TraceEvent`]s flowing into pluggable [`TraceSink`]s, the live
+//! [`Telemetry`] plane over the [`Metric`], [`Phase`] and [`LatencyPath`]
+//! catalogs (with request-scoped [`SpanTree`]s), and the [`MetricsSummary`]
+//! a bench report accumulates.
 //!
-//! The crate is dependency-free by design (JSON serialization is
-//! hand-rolled in [`json`]) and its hot path is free when tracing is off:
+//! The crate is dependency-free by design (every serialized record is
+//! declared once in a [`record`] table over the hand-rolled [`json`] writer
+//! and [`read`] parser) and its hot path is free when tracing is off:
 //! [`Tracer::emit`] takes a *closure* producing the event, and the closure
 //! is never invoked — no strings formatted, no allocations — unless a sink
 //! is attached and enabled. A global "events constructed" counter
@@ -19,6 +20,8 @@
 
 #[macro_use]
 mod catalog;
+#[macro_use]
+pub mod record;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -29,7 +32,6 @@ pub mod telemetry;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 pub use event::{load_jsonl, read_events, CostBreakdownEv, NodeActuals, TraceEvent};
 pub use hist::Histogram;
@@ -115,48 +117,10 @@ impl Tracer {
         }
     }
 
-    /// Open a named span; the guard emits `span_end` with elapsed nanos on
-    /// drop. With tracing off this is a no-op guard.
-    pub fn span(&self, name: &str) -> Span {
-        if self.enabled() {
-            self.emit(|| TraceEvent::SpanStart {
-                name: name.to_string(),
-            });
-            Span {
-                tracer: self.clone(),
-                name: Some(name.to_string()),
-                start: Instant::now(),
-            }
-        } else {
-            Span {
-                tracer: Tracer::off(),
-                name: None,
-                start: Instant::now(),
-            }
-        }
-    }
-
     /// Flush the underlying sink, if any.
     pub fn flush(&self) {
         if let Some(sink) = &self.inner {
             sink.flush();
-        }
-    }
-}
-
-/// RAII guard for a named span; see [`Tracer::span`].
-#[derive(Debug)]
-pub struct Span {
-    tracer: Tracer,
-    name: Option<String>,
-    start: Instant,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            self.tracer.emit(|| TraceEvent::SpanEnd { name, nanos });
         }
     }
 }
@@ -215,30 +179,6 @@ mod tests {
                 value: 3
             }]
         );
-    }
-
-    #[test]
-    fn spans_pair_start_and_end() {
-        let _serial = counter_lock();
-        let sink = Arc::new(MemorySink::new());
-        let t = Tracer::shared(sink.clone());
-        {
-            let _s = t.span("enumerate");
-            t.emit(|| TraceEvent::Counter {
-                name: "inside".into(),
-                value: 1,
-            });
-        }
-        let evs = sink.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(
-            evs[0],
-            TraceEvent::SpanStart {
-                name: "enumerate".into()
-            }
-        );
-        assert_eq!(evs[1].kind(), "counter");
-        assert!(matches!(&evs[2], TraceEvent::SpanEnd { name, .. } if name == "enumerate"));
     }
 
     #[test]

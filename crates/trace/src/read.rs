@@ -61,10 +61,6 @@ impl JsonValue {
         }
     }
 
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(v) => Some(*v),

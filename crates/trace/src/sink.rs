@@ -134,17 +134,21 @@ mod tests {
             }
         }
         let sink = JsonLinesSink::new(Box::new(SharedWriter(shared.clone())));
-        sink.emit(&TraceEvent::SpanStart { name: "a".into() });
-        sink.emit(&TraceEvent::SpanEnd {
+        sink.emit(&TraceEvent::QueryStart { name: "a".into() });
+        sink.emit(&TraceEvent::QueryDone {
             name: "a".into(),
+            rows: 3,
             nanos: 7,
         });
         sink.flush();
         let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], r#"{"type":"span_start","name":"a"}"#);
-        assert_eq!(lines[1], r#"{"type":"span_end","name":"a","nanos":7}"#);
+        assert_eq!(lines[0], r#"{"type":"query_start","name":"a"}"#);
+        assert_eq!(
+            lines[1],
+            r#"{"type":"query_done","name":"a","rows":3,"nanos":7}"#
+        );
     }
 
     #[test]

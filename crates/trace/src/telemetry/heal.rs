@@ -6,74 +6,39 @@
 //! frozen export form (snapshot JSON version 4's `heal` array, Prometheus
 //! `starqo_heal_*` gauges).
 
-use crate::json::JsonObj;
-use crate::read::JsonValue;
-
-/// One fingerprint's heal history, frozen at snapshot time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HealRecord {
-    /// Canonical query fingerprint hash.
-    pub fp: u64,
-    /// Catalog epoch of the most recent re-optimization attempt.
-    pub epoch: u64,
-    /// Re-optimization attempts since the last swap or epoch change
-    /// (the backoff schedule's exponent).
-    pub attempts: u64,
-    /// Candidates that passed the stability guard and replaced the
-    /// incumbent, over the record's lifetime.
-    pub swaps: u64,
-    /// Attempts resolved by keeping the incumbent, over the lifetime.
-    pub pins: u64,
-    /// Heal triggers suppressed because the fingerprint was in backoff.
-    pub backoff_hits: u64,
-    /// The retry cap was reached: no further attempts until the next
-    /// swap or epoch change resets the schedule.
-    pub retry_capped: bool,
-    /// How the last attempt resolved: `"swapped"`, or a typed pin reason
-    /// (`"reopt_panic"`, `"reopt_error"`, `"budget_degraded"`,
-    /// `"epoch_moved"`, `"verify_mismatch"`, `"regression"`,
-    /// `"retry_capped"`). Empty before the first resolution.
-    pub last_reason: String,
-    /// Service-relative deadline (nanos since service start) before which
-    /// new attempts are suppressed (0 = not in backoff).
-    pub backoff_until_nanos: u64,
+record! {
+    /// One fingerprint's heal history, frozen at snapshot time.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct HealRecord {
+        /// Canonical query fingerprint hash.
+        pub fp: u64,
+        /// Catalog epoch of the most recent re-optimization attempt.
+        pub epoch: u64,
+        /// Re-optimization attempts since the last swap or epoch change
+        /// (the backoff schedule's exponent).
+        pub attempts: u64,
+        /// Candidates that passed the stability guard and replaced the
+        /// incumbent, over the record's lifetime.
+        pub swaps: u64,
+        /// Attempts resolved by keeping the incumbent, over the lifetime.
+        pub pins: u64,
+        /// Heal triggers suppressed because the fingerprint was in backoff.
+        pub backoff_hits: u64,
+        /// The retry cap was reached: no further attempts until the next
+        /// swap or epoch change resets the schedule.
+        pub retry_capped: bool,
+        /// How the last attempt resolved: `"swapped"`, or a typed pin reason
+        /// (`"reopt_panic"`, `"reopt_error"`, `"budget_degraded"`,
+        /// `"epoch_moved"`, `"verify_mismatch"`, `"regression"`,
+        /// `"retry_capped"`). Empty before the first resolution.
+        pub last_reason: String,
+        /// Service-relative deadline (nanos since service start) before which
+        /// new attempts are suppressed (0 = not in backoff).
+        pub backoff_until_nanos: u64,
+    }
 }
 
 impl HealRecord {
-    /// Serialize one record as a JSON object.
-    pub fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("fp", self.fp)
-            .u64("epoch", self.epoch)
-            .u64("attempts", self.attempts)
-            .u64("swaps", self.swaps)
-            .u64("pins", self.pins)
-            .u64("backoff_hits", self.backoff_hits)
-            .bool("retry_capped", self.retry_capped)
-            .str("last_reason", &self.last_reason)
-            .u64("backoff_until_nanos", self.backoff_until_nanos)
-            .finish()
-    }
-
-    /// Parse the [`Self::to_json`] form back.
-    pub fn from_json_value(v: &JsonValue) -> Option<HealRecord> {
-        let f = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-        Some(HealRecord {
-            fp: f("fp")?,
-            epoch: f("epoch")?,
-            attempts: f("attempts")?,
-            swaps: f("swaps")?,
-            pins: f("pins")?,
-            backoff_hits: f("backoff_hits")?,
-            retry_capped: v.get("retry_capped").and_then(JsonValue::as_bool)?,
-            last_reason: v
-                .get("last_reason")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)?,
-            backoff_until_nanos: f("backoff_until_nanos")?,
-        })
-    }
-
     /// The interval view against an earlier record of the same
     /// fingerprint: monotonic tallies subtract, flags and the last
     /// resolution take the later record's values.
@@ -95,7 +60,6 @@ impl HealRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::parse_json;
 
     fn sample() -> HealRecord {
         HealRecord {
@@ -114,8 +78,7 @@ mod tests {
     #[test]
     fn json_roundtrips_exactly() {
         let rec = sample();
-        let v = parse_json(&rec.to_json()).expect("json");
-        assert_eq!(HealRecord::from_json_value(&v), Some(rec));
+        assert_eq!(HealRecord::from_json(&rec.to_json()), Some(rec));
     }
 
     #[test]

@@ -54,25 +54,28 @@ pub use topk::{HotQuery, TopKTracker};
 
 use std::time::Instant;
 
-/// Sizing and gating knobs for a [`Telemetry`] plane.
+/// Top-K tracker shards (rounded up to a power of two).
+pub const TOPK_SHARDS: usize = 4;
+/// Feedback-plane shards (rounded up to a power of two).
+pub const FEEDBACK_SHARDS: usize = 4;
+/// Q-error sketches per feedback shard.
+pub const FEEDBACK_CAPACITY: usize = 64;
+/// Max recorded spans per request; overflow is counted, not grown.
+pub const SPAN_CAP: usize = 256;
+
+/// Sizing and gating knobs for a [`Telemetry`] plane. Counters, histograms
+/// and the phase profiler take one stripe per available core; the other
+/// sizes are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Enable the histogram and top-K tiers (counters are always on).
     pub full: bool,
     /// Top-K capacity per shard, and the default `k` of snapshots.
     pub topk: usize,
-    /// Top-K shard count (rounded up to a power of two).
-    pub topk_shards: usize,
-    /// Counter/histogram stripes (0 = one per available core).
-    pub stripes: usize,
     /// Head sampler applied to attached tracers.
     pub sample: TraceSampler,
     /// Enable the per-fingerprint Q-error feedback plane.
     pub feedback: bool,
-    /// Feedback-plane shard count (rounded up to a power of two).
-    pub feedback_shards: usize,
-    /// Sketch capacity per feedback shard.
-    pub feedback_capacity: usize,
     /// Suspect-detection thresholds for the feedback plane.
     pub suspect: SuspectConfig,
     /// Request-scoped span tracing mode (off / tail-retained / full).
@@ -81,8 +84,6 @@ pub struct TelemetryConfig {
     pub span_store: usize,
     /// Span-store shard count (rounded up to a power of two).
     pub span_shards: usize,
-    /// Max recorded spans per request; overflow is counted, not grown.
-    pub span_cap: usize,
     /// Tail-sampler thresholds (used when `spans` is [`SpanMode::Tail`]).
     pub tail: TailConfig,
 }
@@ -92,17 +93,12 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             full: true,
             topk: 32,
-            topk_shards: 4,
-            stripes: 0,
             sample: TraceSampler::all(),
             feedback: true,
-            feedback_shards: 4,
-            feedback_capacity: 64,
             suspect: SuspectConfig::default(),
             spans: SpanMode::Off,
             span_store: 64,
             span_shards: 4,
-            span_cap: 256,
             tail: TailConfig::default(),
         }
     }
@@ -164,7 +160,6 @@ pub struct Telemetry {
 #[derive(Debug)]
 struct SpanPlane {
     mode: SpanMode,
-    span_cap: usize,
     next_request: std::sync::atomic::AtomicU64,
     store: SpanStore,
     tail: TailSampler,
@@ -184,29 +179,25 @@ impl Default for Telemetry {
 
 impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Telemetry {
+        // Striped planes take 0 stripes to mean one per available core.
         Telemetry {
             full: config.full,
             started: Instant::now(),
-            counters: CounterPlane::new(config.stripes),
-            hists: std::array::from_fn(|_| AtomicHistogram::new(config.stripes)),
-            topk: TopKTracker::new(config.topk_shards, config.topk.max(1)),
+            counters: CounterPlane::new(0),
+            hists: std::array::from_fn(|_| AtomicHistogram::new(0)),
+            topk: TopKTracker::new(TOPK_SHARDS, config.topk.max(1)),
             topk_k: config.topk.max(1),
             sampler: config.sample,
-            feedback: config.feedback.then(|| {
-                FeedbackPlane::new(
-                    config.feedback_shards,
-                    config.feedback_capacity.max(1),
-                    config.suspect,
-                )
-            }),
-            phases: PhasePlane::new(config.stripes),
+            feedback: config
+                .feedback
+                .then(|| FeedbackPlane::new(FEEDBACK_SHARDS, FEEDBACK_CAPACITY, config.suspect)),
+            phases: PhasePlane::new(0),
             spans: (config.spans != SpanMode::Off).then(|| SpanPlane {
                 mode: config.spans,
-                span_cap: config.span_cap.max(1),
                 next_request: std::sync::atomic::AtomicU64::new(1),
                 store: SpanStore::new(config.span_shards, config.span_store),
                 tail: TailSampler::new(config.tail),
-                totals: AtomicHistogram::new(config.stripes),
+                totals: AtomicHistogram::new(0),
             }),
         }
     }
@@ -353,7 +344,7 @@ impl Telemetry {
                 let id = plane
                     .next_request
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                SpanContext::start(id, plane.span_cap)
+                SpanContext::start(id, SPAN_CAP)
             }
             None => SpanContext::off(),
         }
@@ -536,7 +527,6 @@ mod tests {
     #[test]
     fn full_plane_populates_every_tier() {
         let t = Telemetry::new(TelemetryConfig {
-            stripes: 2,
             topk: 4,
             ..TelemetryConfig::default()
         });

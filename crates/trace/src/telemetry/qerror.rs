@@ -68,37 +68,39 @@ pub fn qlog_to_q(qlog: u64) -> f64 {
     (qlog as f64 / QLOG_SCALE as f64).exp2()
 }
 
-/// One fingerprint's streaming plan-quality sketch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QErrorSketch {
-    /// Canonical query fingerprint hash.
-    pub fp: u64,
-    /// Executed runs folded in over the sketch's lifetime (recycling
-    /// resets the sketch; an epoch refresh does *not*).
-    pub runs: u64,
-    /// Runs folded into the current Q-error window — since the last
-    /// estimate refresh. Equal to `runs` while the plan never changes.
-    pub q_runs: u64,
-    /// Σ quantized `log₂ Q` over the window's runs ([`QLOG_SCALE`]
-    /// micro-units); `geomean Q = 2^(sum / q_runs / SCALE)`.
-    pub qlog_sum_micro: u64,
-    /// Max per-run quantized `log₂ Q` in the current window.
-    pub qlog_max_micro: u64,
-    /// The cached plan's estimated root cardinality at the highest epoch
-    /// seen (for a fixed epoch the estimate is a constant of the plan).
-    pub est_rows: u64,
-    /// Smallest actual root cardinality observed (lifetime).
-    pub actual_min: u64,
-    /// Largest actual root cardinality observed (lifetime).
-    pub actual_max: u64,
-    /// Log₂ execution-latency histogram over the lifetime runs.
-    pub nanos: Histogram,
-    /// Highest catalog epoch folded in.
-    pub last_epoch: u64,
-    /// Drift flag: set once when the window crosses the suspect
-    /// thresholds; sticky until the next estimate refresh (new plan or
-    /// epoch installed) clears it along with the window.
-    pub suspect: bool,
+record! {
+    /// One fingerprint's streaming plan-quality sketch.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QErrorSketch {
+        /// Canonical query fingerprint hash.
+        pub fp: u64,
+        /// Executed runs folded in over the sketch's lifetime (recycling
+        /// resets the sketch; an epoch refresh does *not*).
+        pub runs: u64,
+        /// Runs folded into the current Q-error window — since the last
+        /// estimate refresh. Equal to `runs` while the plan never changes.
+        pub q_runs: u64,
+        /// Σ quantized `log₂ Q` over the window's runs ([`QLOG_SCALE`]
+        /// micro-units); `geomean Q = 2^(sum / q_runs / SCALE)`.
+        pub qlog_sum_micro: u64,
+        /// Max per-run quantized `log₂ Q` in the current window.
+        pub qlog_max_micro: u64,
+        /// The cached plan's estimated root cardinality at the highest epoch
+        /// seen (for a fixed epoch the estimate is a constant of the plan).
+        pub est_rows: u64,
+        /// Smallest actual root cardinality observed (lifetime).
+        pub actual_min: u64,
+        /// Largest actual root cardinality observed (lifetime).
+        pub actual_max: u64,
+        /// Log₂ execution-latency histogram over the lifetime runs.
+        pub nanos: Histogram,
+        /// Highest catalog epoch folded in.
+        pub last_epoch: u64,
+        /// Drift flag: set once when the window crosses the suspect
+        /// thresholds; sticky until the next estimate refresh (new plan or
+        /// epoch installed) clears it along with the window.
+        pub suspect: bool,
+    }
 }
 
 impl QErrorSketch {

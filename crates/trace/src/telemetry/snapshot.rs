@@ -8,6 +8,7 @@
 use crate::hist::{Histogram, BUCKETS};
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
+use crate::record::{Field, Record};
 use crate::telemetry::counters::{Counters, Metric};
 use crate::telemetry::heal::HealRecord;
 use crate::telemetry::phases::Phase;
@@ -89,38 +90,6 @@ impl TelemetrySnapshot {
         for p in LatencyPath::ALL {
             latency = latency.raw(p.name(), &self.latency[p].to_json_full());
         }
-        let topk: Vec<String> = self
-            .topk
-            .iter()
-            .map(|e| {
-                JsonObj::new()
-                    .u64("fp", e.fp)
-                    .u64("count", e.count)
-                    .u64("err", e.err)
-                    .u64("nanos", e.nanos)
-                    .u64("last_epoch", e.last_epoch)
-                    .finish()
-            })
-            .collect();
-        let qerror: Vec<String> = self
-            .qerror
-            .iter()
-            .map(|e| {
-                JsonObj::new()
-                    .u64("fp", e.fp)
-                    .u64("runs", e.runs)
-                    .u64("q_runs", e.q_runs)
-                    .u64("qlog_sum_micro", e.qlog_sum_micro)
-                    .u64("qlog_max_micro", e.qlog_max_micro)
-                    .u64("est_rows", e.est_rows)
-                    .u64("actual_min", e.actual_min)
-                    .u64("actual_max", e.actual_max)
-                    .raw("nanos", &e.nanos.to_json_full())
-                    .u64("last_epoch", e.last_epoch)
-                    .bool("suspect", e.suspect)
-                    .finish()
-            })
-            .collect();
         let mut phases = JsonObj::new();
         for p in Phase::ALL {
             let (nanos, count) = self.phases[p];
@@ -136,17 +105,16 @@ impl TelemetrySnapshot {
             .u64("resident", self.span_resident)
             .u64("capacity", self.span_capacity)
             .u64("evicted", self.span_evicted);
-        let heal: Vec<String> = self.heal.iter().map(HealRecord::to_json).collect();
         JsonObj::new()
             .u64("version", 4)
             .u64("uptime_nanos", self.uptime_nanos)
             .raw("counters", &counters.finish())
             .raw("latency", &latency.finish())
-            .raw("topk", &format!("[{}]", topk.join(",")))
-            .raw("qerror", &format!("[{}]", qerror.join(",")))
+            .field("topk", &self.topk)
+            .field("qerror", &self.qerror)
             .raw("phases", &phases.finish())
             .raw("span_store", &span_store.finish())
-            .raw("heal", &format!("[{}]", heal.join(",")))
+            .field("heal", &self.heal)
             .finish()
     }
 
@@ -189,46 +157,8 @@ impl TelemetrySnapshot {
                     .ok_or_else(|| format!("latency {k} is not a full histogram"))?;
             }
         }
-        let topk = match v.get("topk") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|e| {
-                    let f = |k: &str| e.get(k).and_then(JsonValue::as_u64);
-                    Some(HotQuery {
-                        fp: f("fp")?,
-                        count: f("count")?,
-                        err: f("err")?,
-                        nanos: f("nanos")?,
-                        last_epoch: f("last_epoch")?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed topk entry")?,
-            _ => return Err("snapshot missing topk".to_string()),
-        };
-        let qerror = match v.get("qerror") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|e| {
-                    let f = |k: &str| e.get(k).and_then(JsonValue::as_u64);
-                    Some(QErrorSketch {
-                        fp: f("fp")?,
-                        runs: f("runs")?,
-                        q_runs: f("q_runs")?,
-                        qlog_sum_micro: f("qlog_sum_micro")?,
-                        qlog_max_micro: f("qlog_max_micro")?,
-                        est_rows: f("est_rows")?,
-                        actual_min: f("actual_min")?,
-                        actual_max: f("actual_max")?,
-                        nanos: e.get("nanos").and_then(Histogram::from_json_value)?,
-                        last_epoch: f("last_epoch")?,
-                        suspect: e.get("suspect").and_then(JsonValue::as_bool)?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed qerror entry")?,
-            _ => return Err("snapshot missing qerror".to_string()),
-        };
+        let topk = records(&v, "topk")?;
+        let qerror = records(&v, "qerror")?;
         let mut phases = [(0, 0); Phase::COUNT];
         for (k, p) in v
             .get("phases")
@@ -248,14 +178,7 @@ impl TelemetrySnapshot {
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("span_store {k} is not a u64"))
         };
-        let heal = match v.get("heal") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(HealRecord::from_json_value)
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed heal entry")?,
-            _ => return Err("snapshot missing heal".to_string()),
-        };
+        let heal = records(&v, "heal")?;
         Ok(TelemetrySnapshot {
             uptime_nanos,
             counters,
@@ -501,6 +424,11 @@ impl TelemetrySnapshot {
                 .collect(),
         }
     }
+}
+
+/// One required array section of a snapshot document, every entry complete.
+fn records<R: Record>(v: &JsonValue, key: &str) -> Result<Vec<R>, String> {
+    Vec::read_field(v, key).ok_or_else(|| format!("snapshot missing or malformed {key}"))
 }
 
 /// Bucket-wise histogram subtraction. Min/max of the interval are

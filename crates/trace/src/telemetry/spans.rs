@@ -22,7 +22,8 @@
 //!   the doctor can flag an undersized store.
 //!
 //! Trees serialize as one-line JSON (JSONL streams, tolerant reader) and
-//! export as Chrome `trace_event` JSON for `about://tracing`.
+//! export as Chrome `trace_event` JSON for `about://tracing`; both forms
+//! come from the `record!` tables of [`SpanTree`] and [`SpanRecord`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +32,7 @@ use std::time::Instant;
 
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
+use crate::record::Field;
 
 /// Span tracing mode for a telemetry plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,45 +142,59 @@ impl From<Arc<str>> for SpanName {
     }
 }
 
-/// One closed span: offsets are nanos from the owning request's start.
-/// `parent` is the enclosing span's id (0 = the root has no parent; real
-/// ids start at 1). `meta` is span-specific payload — the engine's
-/// `star_ref` id for `star:*` spans, row counts for pipelines, 0 elsewhere.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    pub id: u32,
-    pub parent: u32,
-    pub name: SpanName,
-    pub start_nanos: u64,
-    pub end_nanos: u64,
-    pub meta: u64,
+impl Default for SpanName {
+    fn default() -> Self {
+        SpanName::Static("")
+    }
 }
 
-/// A finished request's retained span tree plus the request-level facts
-/// the tail sampler judged it by.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanTree {
-    /// Plane-unique request id (also the Chrome export's `tid`).
-    pub request_id: u64,
-    /// The request's query fingerprint.
-    pub fp: u64,
-    /// Catalog epoch the request served against (0 on error paths).
-    pub epoch: u64,
-    /// End-to-end nanos for the whole request.
-    pub total_nanos: u64,
-    /// How the serve resolved: "hit", "coalesced", "miss", or "error".
-    pub outcome: String,
-    /// The plan was degraded by budget exhaustion.
-    pub degraded: bool,
-    /// The fingerprint was suspect when the request finished.
-    pub suspect: bool,
-    /// Why the tail sampler kept this tree ("slow", "error", "degraded",
-    /// "suspect", or "full" when the mode retains everything).
-    pub retained: String,
-    /// Spans in completion order (children close before parents).
-    pub spans: Vec<SpanRecord>,
-    /// Spans discarded because the per-request buffer cap was hit.
-    pub dropped: u32,
+record! {
+    /// One closed span: offsets are nanos from the owning request's start.
+    /// `parent` is the enclosing span's id (0 = the root has no parent; real
+    /// ids start at 1). `meta` is span-specific payload — the engine's
+    /// `star_ref` id for `star:*` spans, row counts for pipelines, 0 elsewhere.
+    /// A Chrome span event carries the name itself and the rest in `args`.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct SpanRecord {
+        pub id: u32,
+        pub parent: u32,
+        pub name: SpanName,
+        pub start_nanos: u64 = "start",
+        pub end_nanos: u64 = "end",
+        pub meta: u64,
+    }
+    args { id, parent, start_nanos, end_nanos, meta }
+}
+
+record! {
+    /// A finished request's retained span tree plus the request-level facts
+    /// the tail sampler judged it by. A Chrome export's per-request metadata
+    /// event carries every field but the spans in `args`.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct SpanTree {
+        /// Plane-unique request id (also the Chrome export's `tid`).
+        pub request_id: u64,
+        /// The request's query fingerprint.
+        pub fp: u64,
+        /// Catalog epoch the request served against (0 on error paths).
+        pub epoch: u64,
+        /// End-to-end nanos for the whole request.
+        pub total_nanos: u64,
+        /// How the serve resolved: "hit", "coalesced", "miss", or "error".
+        pub outcome: String,
+        /// The plan was degraded by budget exhaustion.
+        pub degraded: bool,
+        /// The fingerprint was suspect when the request finished.
+        pub suspect: bool,
+        /// Why the tail sampler kept this tree ("slow", "error", "degraded",
+        /// "suspect", or "full" when the mode retains everything).
+        pub retained: String,
+        /// Spans discarded because the per-request buffer cap was hit.
+        pub dropped: u32,
+        /// Spans in completion order (children close before parents).
+        pub spans: Vec<SpanRecord>,
+    }
+    args { request_id, fp, epoch, total_nanos, outcome, degraded, suspect, retained, dropped }
 }
 
 impl SpanTree {
@@ -239,95 +255,6 @@ impl SpanTree {
         }
         depth
     }
-
-    /// One-line lossless JSON (a JSONL stream holds one tree per line).
-    pub fn to_json(&self) -> String {
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| {
-                JsonObj::new()
-                    .u64("id", u64::from(s.id))
-                    .u64("parent", u64::from(s.parent))
-                    .str("name", &s.name)
-                    .u64("start", s.start_nanos)
-                    .u64("end", s.end_nanos)
-                    .u64("meta", s.meta)
-                    .finish()
-            })
-            .collect();
-        JsonObj::new()
-            .u64("request_id", self.request_id)
-            .u64("fp", self.fp)
-            .u64("epoch", self.epoch)
-            .u64("total_nanos", self.total_nanos)
-            .str("outcome", &self.outcome)
-            .bool("degraded", self.degraded)
-            .bool("suspect", self.suspect)
-            .str("retained", &self.retained)
-            .u64("dropped", u64::from(self.dropped))
-            .raw("spans", &format!("[{}]", spans.join(",")))
-            .finish()
-    }
-
-    /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(text: &str) -> Result<SpanTree, String> {
-        let v = parse_json(text).map_err(|e| format!("span tree JSON: {e}"))?;
-        Self::from_value(&v)
-    }
-
-    fn from_value(v: &JsonValue) -> Result<SpanTree, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("span tree missing {k}"))
-        };
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("span tree missing {k}"))
-        };
-        let b = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| format!("span tree missing {k}"))
-        };
-        let spans = match v.get("spans") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|e| {
-                    let f = |k: &str| e.get(k).and_then(JsonValue::as_u64);
-                    Some(SpanRecord {
-                        id: u32::try_from(f("id")?).ok()?,
-                        parent: u32::try_from(f("parent")?).ok()?,
-                        name: e
-                            .get("name")
-                            .and_then(JsonValue::as_str)?
-                            .to_string()
-                            .into(),
-                        start_nanos: f("start")?,
-                        end_nanos: f("end")?,
-                        meta: f("meta")?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()
-                .ok_or("malformed span entry")?,
-            _ => return Err("span tree missing spans".to_string()),
-        };
-        Ok(SpanTree {
-            request_id: u("request_id")?,
-            fp: u("fp")?,
-            epoch: u("epoch")?,
-            total_nanos: u("total_nanos")?,
-            outcome: s("outcome")?,
-            degraded: b("degraded")?,
-            suspect: b("suspect")?,
-            retained: s("retained")?,
-            spans,
-            dropped: u32::try_from(u("dropped")?).unwrap_or(u32::MAX),
-        })
-    }
 }
 
 /// Read a JSONL stream of span trees. Tolerant: blank lines are ignored,
@@ -343,8 +270,8 @@ pub fn read_span_trees(text: &str) -> (Vec<SpanTree>, usize) {
             continue;
         }
         match SpanTree::from_json(line) {
-            Ok(tree) => trees.push(tree),
-            Err(_) => skipped += 1,
+            Some(tree) => trees.push(tree),
+            None => skipped += 1,
         }
     }
     (trees, skipped)
@@ -358,35 +285,18 @@ pub fn read_span_trees(text: &str) -> (Vec<SpanTree>, usize) {
 pub fn to_chrome_trace(trees: &[SpanTree]) -> String {
     let mut events = Vec::new();
     for t in trees {
-        let meta_args = JsonObj::new()
-            .str("name", &format!("req {:#x} {}", t.fp, t.outcome))
-            .u64("request_id", t.request_id)
-            .u64("fp", t.fp)
-            .u64("epoch", t.epoch)
-            .u64("total_nanos", t.total_nanos)
-            .str("outcome", &t.outcome)
-            .bool("degraded", t.degraded)
-            .bool("suspect", t.suspect)
-            .str("retained", &t.retained)
-            .u64("dropped", u64::from(t.dropped))
-            .finish();
+        let label = JsonObj::new().str("name", &format!("req {:#x} {}", t.fp, t.outcome));
         events.push(
             JsonObj::new()
                 .str("name", "thread_name")
                 .str("ph", "M")
                 .u64("pid", 1)
                 .u64("tid", t.request_id)
-                .raw("args", &meta_args)
+                .raw("args", &t.write_args(label).finish())
                 .finish(),
         );
         for s in &t.spans {
-            let args = JsonObj::new()
-                .u64("id", u64::from(s.id))
-                .u64("parent", u64::from(s.parent))
-                .u64("start_nanos", s.start_nanos)
-                .u64("end_nanos", s.end_nanos)
-                .u64("meta", s.meta)
-                .finish();
+            let args = s.write_args(JsonObj::new()).finish();
             events.push(
                 JsonObj::new()
                     .str("name", &s.name)
@@ -422,60 +332,15 @@ pub fn from_chrome_trace(text: &str) -> Result<Vec<SpanTree>, String> {
             .ok_or("event missing tid")?;
         let args = e.get("args").ok_or("event missing args")?;
         match ph {
-            "M" => {
-                let u = |k: &str| {
-                    args.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("metadata event missing {k}"))
-                };
-                let s = |k: &str| {
-                    args.get(k)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("metadata event missing {k}"))
-                };
-                trees.push(SpanTree {
-                    request_id: u("request_id")?,
-                    fp: u("fp")?,
-                    epoch: u("epoch")?,
-                    total_nanos: u("total_nanos")?,
-                    outcome: s("outcome")?,
-                    degraded: args
-                        .get("degraded")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or("metadata event missing degraded")?,
-                    suspect: args
-                        .get("suspect")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or("metadata event missing suspect")?,
-                    retained: s("retained")?,
-                    spans: Vec::new(),
-                    dropped: u32::try_from(u("dropped")?).unwrap_or(u32::MAX),
-                });
-            }
+            "M" => trees.push(SpanTree::read_args(args).ok_or("malformed metadata event")?),
             "X" => {
                 let tree = trees
                     .iter_mut()
                     .find(|t| t.request_id == tid)
                     .ok_or("span event before its metadata event")?;
-                let u = |k: &str| {
-                    args.get(k)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("span event missing {k}"))
-                };
-                tree.spans.push(SpanRecord {
-                    id: u32::try_from(u("id")?).map_err(|_| "span id overflow")?,
-                    parent: u32::try_from(u("parent")?).map_err(|_| "span parent overflow")?,
-                    name: e
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("span event missing name")?
-                        .to_string()
-                        .into(),
-                    start_nanos: u("start_nanos")?,
-                    end_nanos: u("end_nanos")?,
-                    meta: u("meta")?,
-                });
+                let mut span = SpanRecord::read_args(args).ok_or("malformed span event")?;
+                span.name = SpanName::read_field(e, "name").ok_or("span event missing name")?;
+                tree.spans.push(span);
             }
             _ => {}
         }
@@ -1017,6 +882,21 @@ mod tests {
         let (trees, skipped) = read_span_trees(cut);
         assert_eq!((trees.len(), skipped), (1, 1));
         assert_eq!(trees[0], t1);
+    }
+
+    #[test]
+    fn out_of_range_u32_fields_reject_the_tree() {
+        // `dropped` and span ids are u32: a wider value refuses the line
+        // (counted as skipped) instead of saturating or wrapping.
+        let line = tree_with(&[("request", 0)]).to_json();
+        for (from, to) in [
+            ("\"dropped\":0", "\"dropped\":4294967296"),
+            ("\"id\":1", "\"id\":4294967296"),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_eq!(SpanTree::from_json(&bad), None, "{bad}");
+            assert_eq!(read_span_trees(&bad).1, 1);
+        }
     }
 
     #[test]

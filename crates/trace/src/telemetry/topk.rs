@@ -14,19 +14,21 @@ use std::sync::Mutex;
 
 use crate::telemetry::sample::mix64;
 
-/// One tracked fingerprint: exact or space-saving-approximate totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotQuery {
-    /// Canonical query fingerprint hash.
-    pub fp: u64,
-    /// Requests observed (overcounted by at most `err`).
-    pub count: u64,
-    /// Space-saving overcount bound: 0 while the entry never recycled.
-    pub err: u64,
-    /// Cumulative end-to-end latency nanos attributed to this entry.
-    pub nanos: u64,
-    /// Catalog epoch of the most recent request.
-    pub last_epoch: u64,
+record! {
+    /// One tracked fingerprint: exact or space-saving-approximate totals.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HotQuery {
+        /// Canonical query fingerprint hash.
+        pub fp: u64,
+        /// Requests observed (overcounted by at most `err`).
+        pub count: u64,
+        /// Space-saving overcount bound: 0 while the entry never recycled.
+        pub err: u64,
+        /// Cumulative end-to-end latency nanos attributed to this entry.
+        pub nanos: u64,
+        /// Catalog epoch of the most recent request.
+        pub last_epoch: u64,
+    }
 }
 
 /// The sharded tracker. `snapshot(k)` merges shards and returns the global

@@ -6,10 +6,7 @@
 use starqo_trace::{LatencyPath, Metric, Phase, Telemetry, TelemetryConfig, TelemetrySnapshot};
 
 fn pinned_snapshot() -> TelemetrySnapshot {
-    let t = Telemetry::new(TelemetryConfig {
-        stripes: 2,
-        ..TelemetryConfig::default()
-    });
+    let t = Telemetry::new(TelemetryConfig::default());
     t.add(Metric::Requests, 7);
     t.add(Metric::CacheHit, 5);
     t.add(Metric::CacheMiss, 2);

@@ -26,6 +26,9 @@ smoke)
     echo "== starqo-obs on the exported artifacts =="
     cargo run -q --release --offline --example trace_plan > /dev/null
     $obs profile target/trace_plan.jsonl > /dev/null
+    $obs flame target/trace_plan.jsonl > /dev/null
+    $obs flame target/trace_plan.jsonl --folded > /dev/null
+    $obs diff target/trace_plan.jsonl "$dir/workload_trace.jsonl" > /dev/null
     $obs accuracy "$dir/workload_trace.jsonl" > /dev/null
     $obs calibrate "$dir/workload_trace.jsonl" --out "$dir/smoke_profile.json" > /dev/null
     STARQO_COST_PROFILE="$dir/smoke_profile.json" \

@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use starqo_trace::telemetry::{FEEDBACK_CAPACITY, FEEDBACK_SHARDS};
 use starqo_trace::{
     FeedbackPlane, Histogram, LatencyPath, Metric, Telemetry, TelemetryConfig, TelemetrySnapshot,
 };
@@ -115,11 +116,7 @@ fn concurrent_hammering_matches_the_serial_total() {
     // construction (see `feedback_workload`), so this is equality of whole
     // structs — histogram buckets, suspect flags, and all.
     let config = TelemetryConfig::default();
-    let oracle = FeedbackPlane::new(
-        config.feedback_shards,
-        config.feedback_capacity,
-        config.suspect,
-    );
+    let oracle = FeedbackPlane::new(FEEDBACK_SHARDS, FEEDBACK_CAPACITY, config.suspect);
     for tid in 0..threads {
         for (fp, est, actual, nanos) in feedback_workload(tid) {
             let _ = oracle.record(fp, est, actual, nanos, 3);

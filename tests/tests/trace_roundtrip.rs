@@ -81,7 +81,7 @@ fn events_with_random_payloads_survive_the_jsonl_loop() {
                 ref_id: rng.next_u64(),
                 reason: nasty_string(&mut rng, 30),
             },
-            2 => TraceEvent::SpanStart {
+            2 => TraceEvent::QueryStart {
                 name: nasty_string(&mut rng, 20),
             },
             3 => TraceEvent::TableInsert {
