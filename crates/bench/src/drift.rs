@@ -30,8 +30,7 @@
 use starqo_obs::{Diagnosis, LiveReport};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_trace::{
-    MemorySink, Metric, SuspectConfig, TelemetryConfig, TelemetrySnapshot, TraceEvent,
-    TraceSampler, Tracer,
+    Metric, SpanMode, SuspectConfig, TelemetryConfig, TelemetrySnapshot, TraceEvent,
 };
 use starqo_workload::{query_shape_param, synth_database, synth_database_scaled, QueryShape};
 
@@ -79,10 +78,10 @@ pub fn e20_drift(quick: bool) -> Report {
     let base_db = synth_database(SEED, w.cat.clone());
     let shift_db = synth_database_scaled(SEED, w.cat.clone(), SCALE);
 
-    // Both services carry the full plane and an identical (rarely sampled)
-    // tracer, so the overhead delta is the feedback fold alone. Suspect
-    // events bypass the sampler — the sink sees every detection.
-    let sink = std::sync::Arc::new(MemorySink::new());
+    // Both services carry the full plane and tail-retained span trees, so
+    // the overhead delta is the feedback fold alone. A detection lands on
+    // the flagging request's tree, which the tail sampler keeps (suspect);
+    // the store holds every request of the run, so none is evicted.
     let service = |feedback: bool| {
         Service::new(
             w.cat.clone(),
@@ -90,14 +89,14 @@ pub fn e20_drift(quick: bool) -> Report {
                 telemetry: TelemetryConfig {
                     feedback,
                     suspect: suspect_config(),
-                    sample: TraceSampler::one_in(1024),
+                    spans: SpanMode::Tail,
+                    span_store: (2 + rounds as usize) * w.requests() as usize,
                     ..TelemetryConfig::default()
                 },
                 ..ServiceConfig::default()
             },
         )
         .expect("service builds")
-        .with_tracer(Tracer::shared(sink.clone()))
     };
     let nofb_svc = service(false);
     let fb_svc = service(true);
@@ -134,11 +133,13 @@ pub fn e20_drift(quick: bool) -> Report {
     // Detection accounting: the PlanSuspect event carries the run count at
     // flag time; minus the fingerprint's pre-shift runs, that is the
     // number of post-shift serves detection took.
-    let flag_runs: Vec<(u64, u64)> = sink
-        .events()
+    let flag_runs: Vec<(u64, u64)> = fb_svc
+        .telemetry()
+        .span_trees()
         .iter()
-        .filter_map(|e| match e {
-            TraceEvent::PlanSuspect { fp, runs, .. } => Some((*fp, *runs)),
+        .flat_map(|t| &t.events)
+        .filter_map(|e| match e.event {
+            TraceEvent::PlanSuspect { fp, runs, .. } => Some((fp, runs)),
             _ => None,
         })
         .collect();

@@ -34,9 +34,7 @@ use starqo_exec::{reference_eval, rows_equal_multiset};
 use starqo_query::{canonicalize, parse_query};
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
-use starqo_trace::{
-    MemorySink, Metric, SuspectConfig, TelemetryConfig, TraceEvent, TraceSampler, Tracer,
-};
+use starqo_trace::{Metric, SpanMode, SuspectConfig, TelemetryConfig, TraceEvent};
 use starqo_workload::{query_shape_param, synth_database, synth_database_scaled};
 
 use crate::drift::{drifts, suspect_config, SCALE};
@@ -238,7 +236,9 @@ pub fn e22_heal(quick: bool) -> Report {
     let base_db = synth_database(SEED, w.cat.clone());
     let shift_db = synth_database_scaled(SEED, w.cat.clone(), SCALE);
 
-    let sink = Arc::new(MemorySink::new());
+    // Every request's tree is kept (a healed request is no longer suspect
+    // when it retires, so the tail sampler could drop it), and the store
+    // holds all three passes: the heal events are read back from it.
     let service = |heal: Option<HealConfig>| {
         Service::new(
             w.cat.clone(),
@@ -246,7 +246,8 @@ pub fn e22_heal(quick: bool) -> Report {
                 telemetry: TelemetryConfig {
                     feedback: true,
                     suspect: suspect_config(),
-                    sample: TraceSampler::one_in(1024),
+                    spans: SpanMode::Full,
+                    span_store: 3 * w.requests() as usize,
                     ..TelemetryConfig::default()
                 },
                 heal,
@@ -254,7 +255,6 @@ pub fn e22_heal(quick: bool) -> Report {
             },
         )
         .expect("service builds")
-        .with_tracer(Tracer::shared(sink.clone()))
     };
     let healing = service(Some(fast_heal()));
 
@@ -302,16 +302,16 @@ pub fn e22_heal(quick: bool) -> Report {
         .collect();
     let n_drifting = fps.iter().filter(|(d, _, _)| *d).count() as u64;
     let n_control = fps.len() as u64 - n_drifting;
-    let reopt_fps: Vec<u64> = sink
-        .events()
-        .iter()
+    let trees = healing.telemetry().span_trees();
+    let events = || trees.iter().flat_map(|t| &t.events).map(|e| &e.event);
+    let reopt_fps: Vec<u64> = events()
         .filter_map(|e| match e {
             TraceEvent::PlanReopt { fp, .. } => Some(*fp),
             _ => None,
         })
         .collect();
     let mut pin_reasons: std::collections::BTreeMap<String, u64> = Default::default();
-    for e in sink.events().iter() {
+    for e in events() {
         if let TraceEvent::PlanPinned { reason, .. } = e {
             *pin_reasons.entry(reason.clone()).or_default() += 1;
         }

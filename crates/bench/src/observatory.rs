@@ -1,10 +1,11 @@
 //! E16: the estimation-accuracy observatory — optimize **and execute** the
-//! whole `starqo-workload` fleet (paper + synthetic) with tracing on,
-//! join estimates to actuals, fit a cost-calibration profile, and measure
-//! how much the re-run's COST Q-error drops.
+//! whole `starqo-workload` fleet (paper + synthetic), each query recorded
+//! as one detailed span tree, join estimates to actuals, fit a
+//! cost-calibration profile, and measure how much the re-run's COST
+//! Q-error drops.
 //!
 //! The same runner backs the `workload_run` experiment
-//! ([`workload_trace`]), which emits one combined JSONL stream for offline
+//! ([`workload_trace`]), which writes the trees as JSONL for offline
 //! `starqo-obs accuracy` / `starqo-obs calibrate` analysis.
 
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use starqo_obs::{calibrate, AccuracyReport};
 use starqo_plan::CostModel;
 use starqo_query::Query;
 use starqo_storage::Database;
-use starqo_trace::{JsonLinesSink, TraceEvent, Tracer};
+use starqo_trace::{SpanContext, SpanTree, TraceEvent};
 use starqo_workload::{
     dept_emp_catalog, dept_emp_database, dept_emp_query, query_shape, synth_catalog,
     synth_database, QueryShape, SynthSpec,
@@ -31,20 +32,23 @@ pub struct RunSummary {
     pub nanos: u64,
 }
 
-/// Optimize and execute every workload query under `model`, emitting the
-/// combined optimizer+executor event stream (with `query_start` /
-/// `query_done` segment markers) through `tracer`. `quick` trims the
+/// Optimize and execute every workload query under `model`, each into one
+/// detailed span tree carrying the optimizer's and executor's events
+/// (named by `query_start`, closed by `query_done`). `quick` trims the
 /// synthetic sweep for smoke tests.
-fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
+fn run_workload(model: &CostModel, quick: bool) -> (RunSummary, Vec<SpanTree>) {
     let mut sum = RunSummary::default();
+    let mut trees = Vec::new();
     let config = OptConfig::full();
     let mut run_one = |name: &str, cat: &Arc<Catalog>, db: &Database, query: &Query| {
         let mut opt = Optimizer::new(cat.clone()).expect("rule repertoire loads");
         opt.set_cost_model(model.clone());
-        tracer.emit(|| TraceEvent::QueryStart { name: name.into() });
+        let ctx = SpanContext::detailed(trees.len() as u64 + 1);
+        let root = ctx.enter("query");
+        ctx.detail(|| TraceEvent::QueryStart { name: name.into() });
         let start = Instant::now();
         let out = opt
-            .optimize_traced(query, &config, tracer.clone())
+            .optimize_spanned(query, &config, &ctx)
             .unwrap_or_else(|e| panic!("optimize {name}: {e:?}"));
         // Untraced warm-up execution: the first run pays allocator and
         // cache first-touch costs that would otherwise pollute the
@@ -58,7 +62,7 @@ fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
         let mut got = None;
         for _ in 0..3 {
             let mut ex = Executor::new(db, query);
-            ex.set_tracer(tracer.clone());
+            ex.set_spans(ctx.clone());
             got = Some(
                 ex.run(&out.best)
                     .unwrap_or_else(|e| panic!("execute {name}: {e:?}")),
@@ -67,11 +71,13 @@ fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
         let got = got.expect("at least one traced execution");
         let nanos = start.elapsed().as_nanos() as u64;
         let rows = got.rows.len() as u64;
-        tracer.emit(|| TraceEvent::QueryDone {
+        ctx.detail(|| TraceEvent::QueryDone {
             name: name.into(),
             rows,
             nanos,
         });
+        drop(root);
+        trees.extend(ctx.finish(0, 0, nanos, "miss", false, false, "sampled"));
         sum.queries += 1;
         sum.rows += rows;
         sum.nanos += nanos;
@@ -113,17 +119,26 @@ fn run_workload(tracer: &Tracer, model: &CostModel, quick: bool) -> RunSummary {
             run_one(&format!("synth{seed}/{sname}"), &cat, &db, &query);
         }
     }
-    sum
+    (sum, trees)
+}
+
+/// Run the workload under `model` and write its trees to `path`, one JSON
+/// object per line.
+fn traced_run(
+    path: &std::path::Path,
+    model: &CostModel,
+    quick: bool,
+) -> (RunSummary, Vec<SpanTree>) {
+    let (sum, trees) = run_workload(model, quick);
+    let text: String = trees.iter().map(|t| t.to_json() + "\n").collect();
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
+    (sum, trees)
 }
 
 /// Run the workload once into the JSONL trace at `path`, under the cost
 /// model `STARQO_COST_PROFILE` names (the default model when unset).
 pub fn workload_trace(path: &std::path::Path, quick: bool) -> crate::Report {
-    let sink = JsonLinesSink::to_file(path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    let tracer = Tracer::new(sink);
-    let sum = run_workload(&tracer, &CostModel::from_env(), quick);
-    tracer.flush();
+    let (sum, _) = traced_run(path, &CostModel::from_env(), quick);
     let mut r = crate::Report::new("E16", "workload trace for starqo-obs accuracy / calibrate");
     r.line(format!(
         "ran {} queries ({} rows) in {:.1} ms; trace: {}",
@@ -137,22 +152,6 @@ pub fn workload_trace(path: &std::path::Path, quick: bool) -> crate::Report {
         path.display()
     ));
     r
-}
-
-/// Run the workload into a JSONL trace file and load the resulting events.
-fn traced_run(
-    path: &std::path::Path,
-    model: &CostModel,
-    quick: bool,
-) -> (RunSummary, Vec<TraceEvent>) {
-    let sink = JsonLinesSink::to_file(path)
-        .unwrap_or_else(|e| panic!("create trace {}: {e}", path.display()));
-    let tracer = Tracer::new(sink);
-    let sum = run_workload(&tracer, model, quick);
-    tracer.flush();
-    let (events, _skipped) = starqo_trace::load_jsonl(path)
-        .unwrap_or_else(|e| panic!("reload trace {}: {e}", path.display()));
-    (sum, events)
 }
 
 /// E16 report: uncalibrated run → accuracy join → least-squares calibration
@@ -172,8 +171,8 @@ pub fn e16_estimation_observatory() -> crate::Report {
 
     // Pass A: the default, uncalibrated cost model.
     let base = CostModel::default();
-    let (sum_a, events_a) = traced_run(&dir.join("workload_uncalibrated.jsonl"), &base, false);
-    let acc_a = AccuracyReport::from_events(&events_a);
+    let (sum_a, trees_a) = traced_run(&dir.join("workload_uncalibrated.jsonl"), &base, false);
+    let acc_a = AccuracyReport::from_trees(&trees_a);
     write("accuracy_uncalibrated.json", acc_a.to_json() + "\n");
 
     // Fit per-component scales from every joined node's (estimate
@@ -183,8 +182,8 @@ pub fn e16_estimation_observatory() -> crate::Report {
 
     // Pass B: re-optimize and re-run everything under the fitted profile.
     let calibrated = fit.profile.apply(&base);
-    let (_sum_b, events_b) = traced_run(&dir.join("workload_calibrated.jsonl"), &calibrated, false);
-    let acc_b = AccuracyReport::from_events(&events_b);
+    let (_sum_b, trees_b) = traced_run(&dir.join("workload_calibrated.jsonl"), &calibrated, false);
+    let acc_b = AccuracyReport::from_trees(&trees_b);
     write("accuracy_calibrated.json", acc_b.to_json() + "\n");
 
     let (a50, a90, _) = acc_a.cost_quantiles();
@@ -244,18 +243,15 @@ pub fn e16_estimation_observatory() -> crate::Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc as StdArc;
 
-    /// The quick workload runs end-to-end, the stream segments cleanly, and
-    /// every query's winning-plan root joins to an executor actual.
+    /// The quick workload runs end-to-end, one tree per query, and every
+    /// query's winning-plan root joins to an executor actual.
     #[test]
     fn quick_workload_produces_a_joinable_stream() {
-        let sink = StdArc::new(starqo_trace::MemorySink::new());
-        let tracer = Tracer::shared(sink.clone());
-        let sum = run_workload(&tracer, &CostModel::default(), true);
+        let (sum, trees) = run_workload(&CostModel::default(), true);
         assert!(sum.queries >= 6, "{sum:?}");
-        let events = sink.events();
-        let acc = AccuracyReport::from_events(&events);
+        assert_eq!(trees.len() as u64, sum.queries);
+        let acc = AccuracyReport::from_trees(&trees);
         assert_eq!(acc.queries.len() as u64, sum.queries);
         for q in &acc.queries {
             assert!(q.joined > 0, "query {} joined no nodes", q.name);

@@ -4,8 +4,8 @@
 //!
 //! - **counters**  — counters-only plane (histograms and top-K off);
 //! - **full**      — the default: counters + latency histograms + top-K;
-//! - **full+trace** — full plane plus an attached JSONL tracer head-sampled
-//!   at 1/64, the always-on-tracing configuration.
+//! - **full+trace** — full plane plus tail-retained span trees, detailed
+//!   for 1/64 of the fingerprints: the always-on-tracing configuration.
 //!
 //! Throughput is compared best-of-N with the three services interleaved
 //! round-robin, so machine-wide drift hits every mode equally. The wall
@@ -21,7 +21,9 @@
 //! `starqo-obs live` can render exactly what the benchmark measured.
 
 use starqo_serve::{Service, ServiceConfig};
-use starqo_trace::{LatencyPath, Metric, TelemetryConfig, TelemetrySnapshot, TraceSampler, Tracer};
+use starqo_trace::{
+    LatencyPath, Metric, SpanMode, TelemetryConfig, TelemetrySnapshot, TraceSampler,
+};
 
 use crate::serving::{best_of, mode_table, Workload, SEED, ZIPF_S};
 use crate::{bench_dir, Report};
@@ -57,14 +59,11 @@ pub fn e19_telemetry(quick: bool) -> Report {
     };
     let counters_svc = service(TelemetryConfig::counters_only());
     let full_svc = service(TelemetryConfig::default());
-    let trace_path = bench_dir().join("telemetry_trace.jsonl");
-    let sink = starqo_trace::JsonLinesSink::to_file(&trace_path)
-        .unwrap_or_else(|e| panic!("cannot open {}: {e}", trace_path.display()));
     let traced_svc = service(TelemetryConfig {
-        sample: TraceSampler::one_in(sample_rate),
+        sample: Some(TraceSampler::one_in(sample_rate)),
+        spans: SpanMode::Tail,
         ..TelemetryConfig::default()
-    })
-    .with_tracer(Tracer::shared(std::sync::Arc::new(sink)));
+    });
 
     // The warmup pass populates the plan cache (every later pass is
     // all-hits).
@@ -140,7 +139,7 @@ pub fn e19_telemetry(quick: bool) -> Report {
         counters_svc.counters()[Metric::TraceSampled]
             + counters_svc.counters()[Metric::TraceUnsampled]
             == 0,
-        "no sampler decisions without an attached tracer",
+        "no sampler decisions without span recording",
     );
 
     // Exporters: JSON round-trip exactly, and both artifacts land in
@@ -177,7 +176,7 @@ pub fn e19_telemetry(quick: bool) -> Report {
          (violations: {overhead_violations}, wall-clock — report-only outside the gate)"
     ));
     report.line(format!(
-        "tracing: {} sampled / {} suppressed of {total_requests} requests",
+        "tracing: {} detailed / {} undetailed of {total_requests} requests",
         traced[Metric::TraceSampled],
         traced[Metric::TraceUnsampled]
     ));
@@ -186,7 +185,6 @@ pub fn e19_telemetry(quick: bool) -> Report {
     ));
     report.line(format!("snapshot exported: {}", json_path.display()));
     report.line(format!("snapshot exported: {}", prom_path.display()));
-    report.line(format!("trace written:     {}", trace_path.display()));
 
     assert_eq!(
         consistency_failures, 0,

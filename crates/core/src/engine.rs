@@ -24,7 +24,7 @@ use starqo_plan::{
     Props,
 };
 use starqo_query::{PredSet, QCol, QSet, Query, Shared};
-use starqo_trace::{CostBreakdownEv, SpanContext, SpanGuard, TraceEvent, Tracer};
+use starqo_trace::{CostBreakdownEv, SpanContext, SpanGuard, TraceEvent};
 
 use crate::error::{CoreError, Res, Result};
 use crate::faults::{self, FaultPlan};
@@ -154,11 +154,11 @@ pub struct Engine<'a> {
     pub provenance: RunMap<u64, Arc<str>>,
     /// The provenance label of Glue veneers.
     pub(crate) glue_label: Arc<str>,
-    /// Structured event sink; `Tracer::off()` by default (zero overhead).
-    pub tracer: Tracer,
     /// Request-scoped span recorder; `SpanContext::off()` by default.
     /// When live, every non-memoized STAR expansion and top-level Glue
-    /// invocation appends a span to the owning request's tree.
+    /// invocation appends a span to the owning request's tree; on a
+    /// detailed request the engine, plan table and Glue annotate their
+    /// events there too.
     pub(crate) spans: SpanContext,
     /// Wall-clock nanos spent inside top-level Glue invocations.
     pub(crate) glue_nanos: u64,
@@ -204,7 +204,7 @@ pub struct Engine<'a> {
     pub quarantine_log: Vec<QuarantineRecord>,
     depth: u32,
     /// Unique-per-run STAR reference ids (0 is reserved for "the driver");
-    /// only advanced when a tracer is attached.
+    /// only advanced when the request records spans.
     next_ref_id: u64,
     /// Stack of in-flight reference ids — the top is the `parent` of any
     /// reference (and the `ref_id` of any event) emitted right now.
@@ -244,7 +244,6 @@ impl<'a> Engine<'a> {
             stats: OptStats::default(),
             provenance: RunMap::default(),
             glue_label: "Glue".into(),
-            tracer: Tracer::off(),
             spans: SpanContext::off(),
             glue_nanos: 0,
             glue_depth: 0,
@@ -269,13 +268,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Attach a tracer; the plan table shares it (insert/prune events).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.table.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Attach a request's span recorder (per-STAR and Glue spans).
+    /// Attach a request's span recorder (per-STAR and Glue spans, and the
+    /// events of a detailed request).
     pub fn set_spans(&mut self, spans: SpanContext) {
         self.spans = spans;
     }
@@ -316,7 +310,7 @@ impl<'a> Engine<'a> {
         if self.exhausted.is_some() {
             return;
         }
-        self.tracer.emit(|| TraceEvent::BudgetExhausted {
+        self.spans.detail(|| TraceEvent::BudgetExhausted {
             resource: resource.to_string(),
             detail: detail.clone(),
         });
@@ -404,12 +398,11 @@ impl<'a> Engine<'a> {
     fn lookup_or_expand(&mut self, id: StarId, base: usize) -> Res<Sap> {
         self.stats.star_refs += 1;
         self.check_deadline();
-        let traced = self.tracer.enabled();
         let spanned = self.spans.enabled();
-        // Reference ids advance whenever either consumer needs them: trace
-        // events and spans share the same id space, so a span's `meta`
-        // cross-references the `star_ref` events of the same request.
-        let ref_id = if traced || spanned {
+        // Reference ids advance whenever the request records: events and
+        // spans share the same id space, so a span's `meta` cross-references
+        // the `star_ref` events of the same request.
+        let ref_id = if spanned {
             self.next_ref_id += 1;
             self.next_ref_id
         } else {
@@ -434,7 +427,7 @@ impl<'a> Engine<'a> {
         };
         let memo = (!self.config.ablate_memo).then_some(&self.memo);
         let hit = memo.and_then(|m| m.find(digest, same_reference)).copied();
-        self.tracer.emit(|| TraceEvent::StarRef {
+        self.spans.detail(|| TraceEvent::StarRef {
             star: self.rules.star(id).name.clone(),
             sid: id.0,
             id: ref_id,
@@ -453,39 +446,28 @@ impl<'a> Engine<'a> {
             ));
         }
         self.depth += 1;
-        if traced || spanned {
-            self.ref_stack.push(ref_id);
-        }
         // The expansion's span: nested references nest naturally (one
-        // request is expanded by one thread), `meta` carries the ref id.
+        // request is expanded by one thread), `meta` carries the ref id,
+        // and its duration is the expansion's inclusive time.
         let star_span = if spanned {
+            self.ref_stack.push(ref_id);
             self.spans
                 .enter_meta(self.rules.star(id).span_name.clone(), ref_id)
         } else {
             SpanGuard::noop()
         };
-        let start = traced.then(std::time::Instant::now);
         // The arguments are the base of the reference's environment:
         // bindings and the ∀ variable are pushed above them and popped
         // again, so nothing is copied per reference.
         let params = self.stack.len() - base;
         let result = self.expand(id, base);
         self.stack.truncate(base + params);
-        if traced || spanned {
+        if spanned {
             self.ref_stack.pop();
         }
         self.depth -= 1;
         let plans = result?;
         drop(star_span);
-        if let Some(start) = start {
-            let nanos = start.elapsed().as_nanos() as u64;
-            self.tracer.emit(|| TraceEvent::StarDone {
-                star: self.rules.star(id).name.clone(),
-                id: ref_id,
-                plans: plans.len(),
-                nanos,
-            });
-        }
         match self.config.budget.max_memo_entries {
             // A full memo stops growing (references re-expand from here
             // on) and flips the engine into greedy mode.
@@ -502,7 +484,7 @@ impl<'a> Engine<'a> {
         }
         if Some(id) == self.access_root || Some(id) == self.join_root {
             for &p in self.store.sap(plans) {
-                self.table.insert(&self.store, p);
+                self.table.insert(&self.store, p, &self.spans);
             }
         }
         Ok(plans)
@@ -577,7 +559,7 @@ impl<'a> Engine<'a> {
                     };
                     if !fire {
                         if let Guard::If(cond) = &alt.guard {
-                            self.tracer.emit(|| TraceEvent::CondFailed {
+                            self.spans.detail(|| TraceEvent::CondFailed {
                                 star: star.name.clone(),
                                 alt: alt_idx + 1,
                                 ref_id: self.cur_ref(),
@@ -599,7 +581,7 @@ impl<'a> Engine<'a> {
                     Ok(Ok(true)) => {
                         any_fired = true;
                         let produced = &self.parts[before..];
-                        self.tracer.emit(|| TraceEvent::AltFired {
+                        self.spans.detail(|| TraceEvent::AltFired {
                             star: star.name.clone(),
                             alt: alt_idx + 1,
                             ref_id: self.cur_ref(),
@@ -715,7 +697,7 @@ impl<'a> Engine<'a> {
                 .render_expr(&alt.expr, &star.params, self.natives),
         };
         let reason = err.to_string();
-        self.tracer.emit(|| TraceEvent::RuleQuarantined {
+        self.spans.detail(|| TraceEvent::RuleQuarantined {
             star: star.name.clone(),
             alt: alt_idx + 1,
             ref_id: self.cur_ref(),
@@ -762,7 +744,7 @@ impl<'a> Engine<'a> {
                         items = &items[..cap];
                     }
                 }
-                self.tracer.emit(|| TraceEvent::ForallExpand {
+                self.spans.detail(|| TraceEvent::ForallExpand {
                     star: star.name.clone(),
                     alt: alt_idx + 1,
                     ref_id: self.cur_ref(),
@@ -1188,12 +1170,12 @@ impl<'a> Engine<'a> {
             .ok_or_else(|| self.eval_err(star, format!("{op}: argument {i} must be plans")))
     }
 
-    /// Emit the `plan_built` trace event for a freshly built plan node —
+    /// Annotate the `plan_built` event for a freshly built plan node —
     /// shared by rule-built plans and Glue veneers so estimate→actual
     /// analytics see a per-component cost breakdown for every node that
     /// can appear in a winning plan.
     fn emit_plan_built(&self, p: PlanId) {
-        self.tracer.emit(|| {
+        self.spans.detail(|| {
             let p = &self.store[p];
             let by = p.props.cost.breakdown();
             TraceEvent::PlanBuilt {
@@ -1274,9 +1256,9 @@ impl<'a> Engine<'a> {
     /// becomes `CoreError::Panicked` for the caller to propagate
     /// (quarantining the invoking alternative).
     fn try_build(&mut self, op: Lolepop, inputs: &[PlanId]) -> Res<()> {
-        // `op` moves into the store; keep its name around only when tracing
+        // `op` moves into the store; keep its name around only when detail
         // or fault matching needs it.
-        let op_name = if self.tracer.enabled() || self.faults.is_some() {
+        let op_name = if self.spans.is_detailed() || self.faults.is_some() {
             Some(op.name())
         } else {
             None
@@ -1299,7 +1281,7 @@ impl<'a> Engine<'a> {
             }
             Ok(Err(e)) => {
                 self.stats.plans_rejected += 1;
-                self.tracer.emit(|| TraceEvent::PlanRejected {
+                self.spans.detail(|| TraceEvent::PlanRejected {
                     op: op_name.clone().unwrap_or_default(),
                     ref_id: self.cur_ref(),
                     reason: e.to_string(),

@@ -45,7 +45,7 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
     let same = |(s, p): &(StreamRef, PredSet)| *p == pushdown && store.same_stream(s, &stream);
     if let Some(&hit) = engine.glue_cache.find(digest, same) {
         engine.stats.glue_cache_hits += 1;
-        engine.tracer.emit(|| TraceEvent::GlueRef {
+        engine.spans.detail(|| TraceEvent::GlueRef {
             ref_id: engine.cur_ref(),
             cache_hit: true,
             candidates: hit.len(),
@@ -78,7 +78,7 @@ pub fn glue(engine: &mut Engine<'_>, stream: StreamRef, pushdown: PredSet) -> Re
         engine.glue_nanos += started.elapsed().as_nanos() as u64;
     }
     let out = result?;
-    engine.tracer.emit(|| TraceEvent::GlueRef {
+    engine.spans.detail(|| TraceEvent::GlueRef {
         ref_id: engine.cur_ref(),
         cache_hit: false,
         candidates: out.len(),
@@ -114,7 +114,7 @@ fn glue_miss(engine: &mut Engine<'_>, tables: QSet, reqs: &ReqVec, pushdown: Pre
     let (candidates, products) = engine.plans[first..].split_at(satisfied - first);
     for p in products {
         if !(registered && candidates.contains(p)) {
-            engine.table.insert(&engine.store, *p);
+            engine.table.insert(&engine.store, *p, &engine.spans);
         }
     }
     engine.dedup(satisfied);
@@ -152,7 +152,7 @@ pub fn glue_plans(engine: &mut Engine<'_>, plans: Sap, pushdown: PredSet) -> Res
         engine.plans.push(p);
     }
     let out = engine.finish_sap(start);
-    engine.tracer.emit(|| TraceEvent::GlueRef {
+    engine.spans.detail(|| TraceEvent::GlueRef {
         ref_id: engine.cur_ref(),
         cache_hit: false,
         candidates: out.len(),

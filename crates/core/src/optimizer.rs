@@ -6,7 +6,7 @@ use std::sync::Arc;
 use starqo_catalog::Catalog;
 use starqo_plan::{panic_msg, CostModel, ExtPropFn, PlanRef, PropEngine};
 use starqo_query::Query;
-use starqo_trace::{Phase, SpanContext, TraceEvent, Tracer};
+use starqo_trace::{Phase, SpanContext, TraceEvent};
 
 use crate::budget::Budget;
 use crate::compile::{compile_into, CompileEnv};
@@ -247,31 +247,21 @@ impl Optimizer {
 
     /// Optimize one query under the given configuration.
     pub fn optimize(&self, query: &Query, config: &OptConfig) -> Result<Optimized> {
-        self.optimize_traced(query, config, Tracer::off())
+        self.optimize_spanned(query, config, &SpanContext::off())
     }
 
-    /// [`Self::optimize`] with a structured-event tracer attached. The
-    /// engine, plan table, and Glue all emit through it; phase timings and
-    /// work counters land in [`Optimized`] either way.
-    pub fn optimize_traced(
-        &self,
-        query: &Query,
-        config: &OptConfig,
-        tracer: Tracer,
-    ) -> Result<Optimized> {
-        self.optimize_spanned(query, config, tracer, &SpanContext::off())
-    }
-
-    /// [`Self::optimize_traced`] with a request's span recorder attached:
-    /// the engine records one span per non-memoized STAR expansion
+    /// [`Self::optimize`] with a request's span recorder attached: the
+    /// engine records one span per non-memoized STAR expansion
     /// (`star:<Name>`, `meta` = the `star_ref` id) and per top-level Glue
     /// invocation, all nested under an `enumerate` span — the cold path of
-    /// the request's span tree.
+    /// the request's span tree. A detailed request also carries the
+    /// engine's, plan table's and Glue's events and the winner's
+    /// `best_node` lineage; phase timings and work counters land in
+    /// [`Optimized`] either way.
     pub fn optimize_spanned(
         &self,
         query: &Query,
         config: &OptConfig,
-        tracer: Tracer,
         spans: &SpanContext,
     ) -> Result<Optimized> {
         let mut engine = Engine::new(
@@ -283,7 +273,6 @@ impl Optimizer {
             &self.model,
             config,
         );
-        engine.set_tracer(tracer.clone());
         engine.set_spans(spans.clone());
         let enumerate_span = spans.enter(Phase::Enumerate.name());
         let started = std::time::Instant::now();
@@ -302,13 +291,13 @@ impl Optimizer {
         let enumerate_nanos = started.elapsed().as_nanos() as u64;
         drop(enumerate_span);
         let out = out?;
-        // Emit the winning plan's lineage: one pre-order `best_node` per
-        // operator, annotated with the rule alternative that produced it —
-        // offline analytics recover "which rules built the winner" without
+        // Annotate the winning plan's lineage: one pre-order `best_node` per
+        // operator, with the rule alternative that produced it — offline
+        // analytics recover "which rules built the winner" without
         // re-running the optimizer.
-        if tracer.enabled() {
+        if spans.is_detailed() {
             out.best.visit_depth(&mut |n, depth| {
-                tracer.emit(|| TraceEvent::BestNode {
+                spans.detail(|| TraceEvent::BestNode {
                     op: n.op.name(),
                     fp: n.fingerprint(),
                     depth,

@@ -11,7 +11,7 @@
 
 use starqo_plan::Props;
 use starqo_query::{PredSet, QSet};
-use starqo_trace::{TraceEvent, Tracer};
+use starqo_trace::{SpanContext, TraceEvent};
 
 use crate::hash::RunMap;
 use crate::store::{PlanId, RunStore};
@@ -43,8 +43,6 @@ pub struct PlanTable {
     /// ABLATION: when set, dominance pruning is skipped (duplicates are
     /// still dropped).
     pub ablate_pruning: bool,
-    /// Structured event sink for insert/prune/dominance churn.
-    tracer: Tracer,
 }
 
 /// Does `a` dominate `b`? Cheaper-or-equal on both cost components and at
@@ -65,14 +63,9 @@ impl PlanTable {
         Self::default()
     }
 
-    /// Attach a tracer for table churn events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Insert a plan, pruning dominated alternatives. Returns true if the
-    /// plan survived.
-    pub fn insert(&mut self, store: &RunStore, id: PlanId) -> bool {
+    /// Insert a plan, pruning dominated alternatives, and annotate the churn
+    /// on a detailed request. Returns true if the plan survived.
+    pub fn insert(&mut self, store: &RunStore, id: PlanId, spans: &SpanContext) -> bool {
         self.stats.offered += 1;
         let plan = &store[id];
         let (tables, preds) = (plan.props.tables, plan.props.preds);
@@ -88,7 +81,7 @@ impl PlanTable {
             .any(|&p| store[p].fingerprint == plan.fingerprint)
         {
             self.stats.duplicates += 1;
-            self.tracer.emit(|| TraceEvent::TablePrune {
+            spans.detail(|| TraceEvent::TablePrune {
                 op: plan.op.name(),
                 fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
@@ -97,7 +90,7 @@ impl PlanTable {
             return false;
         }
         if self.ablate_pruning {
-            self.tracer.emit(|| TraceEvent::TableInsert {
+            spans.detail(|| TraceEvent::TableInsert {
                 op: plan.op.name(),
                 fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
@@ -111,7 +104,7 @@ impl PlanTable {
             .any(|&p| dominates(&store[p].props, &plan.props))
         {
             self.stats.dominated += 1;
-            self.tracer.emit(|| TraceEvent::TablePrune {
+            spans.detail(|| TraceEvent::TablePrune {
                 op: plan.op.name(),
                 fp: plan.fingerprint,
                 cost: plan.props.cost.total(),
@@ -120,10 +113,10 @@ impl PlanTable {
             return false;
         }
         let before = slot.len();
-        if self.tracer.enabled() {
+        if spans.is_detailed() {
             let victims = slot.iter().map(|&p| &store[p]);
             for victim in victims.filter(|v| dominates(&plan.props, &v.props)) {
-                self.tracer.emit(|| TraceEvent::TableDominated {
+                spans.detail(|| TraceEvent::TableDominated {
                     op: victim.op.name(),
                     fp: victim.fingerprint,
                     cost: victim.props.cost.total(),
@@ -133,7 +126,7 @@ impl PlanTable {
         slot.retain(|&p| !dominates(&plan.props, &store[p].props));
         let evicted = before - slot.len();
         self.stats.evicted += evicted as u64;
-        self.tracer.emit(|| TraceEvent::TableInsert {
+        spans.detail(|| TraceEvent::TableInsert {
             op: plan.op.name(),
             fp: plan.fingerprint,
             cost: plan.props.cost.total(),
@@ -230,7 +223,7 @@ mod tests {
     impl Fx {
         fn insert(&mut self, plan: impl FnOnce(&mut RunStore) -> PlanId) -> bool {
             let id = plan(&mut self.store);
-            self.t.insert(&self.store, id)
+            self.t.insert(&self.store, id, &SpanContext::off())
         }
     }
 
@@ -277,8 +270,8 @@ mod tests {
     fn duplicates_dropped() {
         let mut f = Fx::default();
         let p = plan(5.0, 5.0, 0, false, 1)(&mut f.store);
-        assert!(f.t.insert(&f.store, p));
-        assert!(!f.t.insert(&f.store, p));
+        assert!(f.t.insert(&f.store, p, &SpanContext::off()));
+        assert!(!f.t.insert(&f.store, p, &SpanContext::off()));
         assert_eq!(f.t.stats.duplicates, 1);
     }
 

@@ -21,7 +21,7 @@ use starqo_plan::{
 };
 use starqo_query::{Classifier, CmpOp, PredSet, QCol, QId, Query, Scalar};
 use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
-use starqo_trace::{NodeActuals, TraceEvent, Tracer};
+use starqo_trace::{NodeActuals, SpanContext, TraceEvent};
 
 use crate::result::project_rows;
 use crate::scalar::{eval_preds, eval_scalar, Bindings, RowView};
@@ -76,8 +76,8 @@ pub struct Executor<'a> {
     temp_cache: HashMap<usize, Arc<Vec<Tuple>>>,
     /// Dynamic index cache: (store node, key) → key-values → row numbers.
     index_cache: HashMap<(usize, Vec<QCol>), TempIndex>,
-    /// Structured event sink for per-node run-time measurements.
-    tracer: Tracer,
+    /// The request's span recorder (`exec_node` events when detailed).
+    spans: SpanContext,
     /// When set, per-node actuals are collected (timing each `eval` call).
     collect: bool,
     /// Actuals per node fingerprint; filled only when `collect` is on.
@@ -95,7 +95,7 @@ impl<'a> Executor<'a> {
             stats: ExecStats::default(),
             temp_cache: HashMap::new(),
             index_cache: HashMap::new(),
-            tracer: Tracer::off(),
+            spans: SpanContext::off(),
             collect: false,
             node_stats: HashMap::new(),
             fault_hook: None,
@@ -107,15 +107,15 @@ impl<'a> Executor<'a> {
         self.fault_hook = Some(hook);
     }
 
-    /// Attach a tracer. Also turns on per-node actuals collection so
-    /// `exec_node` events can be emitted when a plan finishes.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.collect = self.collect || tracer.enabled();
-        self.tracer = tracer;
+    /// Attach a request's span recorder; a detailed request also collects
+    /// per-node actuals, annotated as `exec_node` events when a plan ends.
+    pub fn set_spans(&mut self, spans: SpanContext) {
+        self.collect = self.collect || spans.is_detailed();
+        self.spans = spans;
     }
 
-    /// Collect per-node actuals (invocations, rows, wall time) even without
-    /// a trace sink — what `explain_analyze` consumes.
+    /// Collect per-node actuals (invocations, rows, wall time) even on an
+    /// undetailed request — what `explain_analyze` consumes.
     pub fn enable_node_stats(&mut self) {
         self.collect = true;
     }
@@ -275,10 +275,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Emit one `exec_node` event per distinct plan node with its collected
-    /// actuals (shared subtrees appear once).
+    /// Annotate one `exec_node` event per distinct plan node with its
+    /// collected actuals (shared subtrees appear once).
     fn emit_node_events(&self, plan: &PlanRef) {
-        if !self.tracer.enabled() {
+        if !self.spans.is_detailed() {
             return;
         }
         let mut seen = std::collections::HashSet::new();
@@ -291,7 +291,7 @@ impl<'a> Executor<'a> {
                 .get(&n.fingerprint())
                 .copied()
                 .unwrap_or_default();
-            self.tracer.emit(|| TraceEvent::ExecNode {
+            self.spans.detail(|| TraceEvent::ExecNode {
                 op: n.op.name(),
                 fp: n.fingerprint(),
                 rows_out: a.rows_out,

@@ -229,7 +229,7 @@ fn node_actuals_track_invocations_and_rows() {
 /// (identity cache) and appear once in `node_actuals` and the trace.
 #[test]
 fn shared_subtree_in_a_dag_is_executed_and_counted_once() {
-    use starqo_trace::{MemorySink, TraceEvent, Tracer};
+    use starqo_trace::{SpanContext, TraceEvent};
 
     let f = Fx::new();
     let e = f.build(
@@ -259,9 +259,9 @@ fn shared_subtree_in_a_dag_is_executed_and_counted_once() {
     );
     let union = f.build(Lolepop::Union, vec![a1, a2]);
 
-    let sink = Arc::new(MemorySink::new());
+    let ctx = SpanContext::detailed(1);
     let mut ex = Executor::new(&f.db, &f.query);
-    ex.set_tracer(Tracer::shared(sink.clone()));
+    ex.set_spans(ctx.clone());
     let got = ex.run(&union).unwrap();
     // Both branches produce all 30 EMP rows.
     assert_eq!(got.rows.len(), 60);
@@ -277,7 +277,10 @@ fn shared_subtree_in_a_dag_is_executed_and_counted_once() {
     assert_eq!(scan.invocations, 2);
     // The trace carries exactly one exec_node per distinct fingerprint —
     // the shared STORE (and the EMP scan under it) are not double-counted.
-    let events = sink.events();
+    let tree = ctx
+        .finish(0, 0, 0, "miss", false, false, "sampled")
+        .unwrap();
+    let events: Vec<TraceEvent> = tree.events.into_iter().map(|e| e.event).collect();
     let mut exec_fps: Vec<u64> = events
         .iter()
         .filter_map(|ev| match ev {

@@ -4,9 +4,9 @@
 //! The join key is the plan node's structural fingerprint: `best_node`
 //! events carry the winning plan's estimates, `plan_built` events carry the
 //! per-component cost breakdown, and `exec_node` events carry the measured
-//! rows/invocations/nanos for the same fingerprints. A multi-query stream
-//! is segmented by `query_start`/`query_done` markers (a stream with no
-//! markers is treated as one unnamed query).
+//! rows/invocations/nanos for the same fingerprints. Each span tree is one
+//! query segment, named by its `query_start` event (`"(run)"` when it has
+//! none) and closed by `query_done`.
 //!
 //! **Q-error** is the standard symmetric ratio `max(est/act, act/est)`
 //! (≥ 1, 1 = perfect). Cardinalities are floored at half a row before the
@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 use starqo_trace::json::JsonObj;
-use starqo_trace::{CostBreakdownEv, Histogram, TraceEvent};
+use starqo_trace::{CostBreakdownEv, Histogram, SpanTree, TraceEvent};
 
 use crate::fmt::fmt_nanos;
 
@@ -167,7 +167,7 @@ fn quantile_of(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// One per-query segment accumulated while walking the stream.
+/// One per-query segment accumulated while walking a tree's events.
 #[derive(Default)]
 struct Seg {
     name: String,
@@ -187,74 +187,77 @@ impl Seg {
 }
 
 impl AccuracyReport {
-    pub fn from_events(events: &[TraceEvent]) -> AccuracyReport {
-        // Pass 1: segment the stream by query markers.
+    pub fn from_trees(trees: &[SpanTree]) -> AccuracyReport {
+        // Pass 1: one segment per tree (a `query_start` inside a tree
+        // opens another).
         let mut segs: Vec<Seg> = Vec::new();
-        let mut cur = Seg {
-            name: "(run)".to_string(),
-            ..Seg::default()
-        };
-        for ev in events {
-            match ev {
-                TraceEvent::QueryStart { name } => {
-                    if !cur.is_blank() {
-                        segs.push(std::mem::take(&mut cur));
+        for tree in trees {
+            let mut cur = Seg {
+                name: "(run)".to_string(),
+                ..Seg::default()
+            };
+            for ev in tree.events.iter().map(|e| &e.event) {
+                match ev {
+                    TraceEvent::QueryStart { name } => {
+                        if !cur.is_blank() {
+                            segs.push(std::mem::take(&mut cur));
+                        }
+                        cur = Seg {
+                            name: name.clone(),
+                            ..Seg::default()
+                        };
                     }
-                    cur = Seg {
-                        name: name.clone(),
-                        ..Seg::default()
-                    };
+                    TraceEvent::QueryDone { rows, nanos, .. } => {
+                        cur.done = Some((*rows, *nanos));
+                    }
+                    TraceEvent::BestNode {
+                        op,
+                        fp,
+                        depth,
+                        origin,
+                        card,
+                        cost,
+                    } => cur
+                        .best
+                        .push((*fp, op.clone(), *depth, origin.clone(), *card, *cost)),
+                    TraceEvent::PlanBuilt {
+                        fp,
+                        cost_once,
+                        cost_rescan,
+                        breakdown,
+                        ..
+                    } => {
+                        cur.built
+                            .insert(*fp, (*cost_once, *cost_rescan, *breakdown));
+                    }
+                    TraceEvent::ExecNode {
+                        op,
+                        fp,
+                        rows_out,
+                        invocations,
+                        nanos,
+                    } if *fp != 0 => {
+                        // A segment may execute the same plan several times
+                        // (workload runners repeat the traced run to tame timing
+                        // noise); keep the fastest observation per node — the
+                        // minimum is the standard robust estimator for repeated
+                        // timings, and rows/invocations are identical across
+                        // runs of the same plan.
+                        cur.exec
+                            .entry(*fp)
+                            .and_modify(|e| {
+                                if *nanos < e.3 {
+                                    *e = (op.clone(), *rows_out, *invocations, *nanos);
+                                }
+                            })
+                            .or_insert_with(|| (op.clone(), *rows_out, *invocations, *nanos));
+                    }
+                    _ => {}
                 }
-                TraceEvent::QueryDone { rows, nanos, .. } => {
-                    cur.done = Some((*rows, *nanos));
-                }
-                TraceEvent::BestNode {
-                    op,
-                    fp,
-                    depth,
-                    origin,
-                    card,
-                    cost,
-                } => cur
-                    .best
-                    .push((*fp, op.clone(), *depth, origin.clone(), *card, *cost)),
-                TraceEvent::PlanBuilt {
-                    fp,
-                    cost_once,
-                    cost_rescan,
-                    breakdown,
-                    ..
-                } => {
-                    cur.built
-                        .insert(*fp, (*cost_once, *cost_rescan, *breakdown));
-                }
-                TraceEvent::ExecNode {
-                    op,
-                    fp,
-                    rows_out,
-                    invocations,
-                    nanos,
-                } if *fp != 0 => {
-                    // A segment may execute the same plan several times
-                    // (workload runners repeat the traced run to tame timing
-                    // noise); keep the fastest observation per node — the
-                    // minimum is the standard robust estimator for repeated
-                    // timings, and rows/invocations are identical across
-                    // runs of the same plan.
-                    cur.exec
-                        .entry(*fp)
-                        .and_modify(|e| {
-                            if *nanos < e.3 {
-                                *e = (op.clone(), *rows_out, *invocations, *nanos);
-                            }
-                        })
-                        .or_insert_with(|| (op.clone(), *rows_out, *invocations, *nanos));
-                }
-                _ => {}
             }
-        }
-        if !cur.is_blank() {
-            segs.push(cur);
+            if !cur.is_blank() {
+                segs.push(cur);
+            }
         }
 
         // Pass 2: join estimates to actuals per segment.
@@ -262,6 +265,8 @@ impl AccuracyReport {
             cost_scale: 1.0,
             ..AccuracyReport::default()
         };
+        // The segment each joined node came from (names may repeat).
+        let mut node_query: Vec<usize> = Vec::new();
         for seg in &segs {
             let mut q = QuerySummary {
                 name: seg.name.clone(),
@@ -315,6 +320,7 @@ impl AccuracyReport {
                             card_q: q_error(*card, *rows_out as f64),
                             cost_q: 1.0, // filled after the scale fit
                         });
+                        node_query.push(report.queries.len());
                         q.joined += 1;
                     }
                     None => report.unmatched_est += 1,
@@ -343,12 +349,8 @@ impl AccuracyReport {
         // the distributions in histograms (merged per-query → overall).
         let mut by_op: BTreeMap<String, GroupStats> = BTreeMap::new();
         let mut by_rule: BTreeMap<String, GroupStats> = BTreeMap::new();
-        for n in &report.nodes {
-            let q = report
-                .queries
-                .iter_mut()
-                .find(|q| q.name == n.query)
-                .expect("joined node belongs to a segment");
+        for (n, &qi) in report.nodes.iter().zip(&node_query) {
+            let q = &mut report.queries[qi];
             q.card_hist.record(milli(n.card_q));
             q.cost_hist.record(milli(n.cost_q));
             if n.depth == 0 {
@@ -604,6 +606,7 @@ fn fmt_q(q: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::tree_of;
 
     #[test]
     fn q_error_edge_cases() {
@@ -655,11 +658,11 @@ mod tests {
         }
     }
 
-    /// Two queries with hand-computable joins: scale is exactly 100 ns/unit
-    /// for every node, so all cost Q-errors are 1; card Q-errors are 2 at
-    /// the roots and 1 at the leaves.
-    fn two_query_stream() -> Vec<TraceEvent> {
-        vec![
+    /// Two queries, one tree each, with hand-computable joins: scale is
+    /// exactly 100 ns/unit for every node, so all cost Q-errors are 1; card
+    /// Q-errors are 2 at the roots and 1 at the leaves.
+    fn two_query_stream() -> Vec<SpanTree> {
+        let q1 = vec![
             TraceEvent::QueryStart { name: "q1".into() },
             best(1, "JOIN(NL)", 0, "JMeth[alt 1]", 100.0, 50.0),
             best(2, "ACCESS(heap)", 1, "TblAccess[alt 1]", 10.0, 10.0),
@@ -672,6 +675,8 @@ mod tests {
                 rows: 50,
                 nanos: 6_000,
             },
+        ];
+        let q2 = vec![
             TraceEvent::QueryStart { name: "q2".into() },
             best(1, "JOIN(MG)", 0, "JMeth[alt 3]", 40.0, 20.0),
             exec(1, "JOIN(MG)", 20, 2_000),
@@ -680,12 +685,13 @@ mod tests {
                 rows: 20,
                 nanos: 2_500,
             },
-        ]
+        ];
+        vec![tree_of(q1), tree_of(q2)]
     }
 
     #[test]
     fn joins_estimates_to_actuals_per_query() {
-        let r = AccuracyReport::from_events(&two_query_stream());
+        let r = AccuracyReport::from_trees(&two_query_stream());
         assert_eq!(r.queries.len(), 2);
         assert_eq!(r.joined(), 3);
         assert_eq!(r.unmatched_est, 1); // the SORT node
@@ -712,7 +718,7 @@ mod tests {
 
     #[test]
     fn aggregates_by_op_and_rule_with_merged_hists() {
-        let r = AccuracyReport::from_events(&two_query_stream());
+        let r = AccuracyReport::from_trees(&two_query_stream());
         let ops: Vec<&str> = r.by_op.iter().map(|g| g.name.as_str()).collect();
         assert_eq!(ops, ["ACCESS(heap)", "JOIN(MG)", "JOIN(NL)"]);
         let rules: Vec<&str> = r.by_rule.iter().map(|g| g.name.as_str()).collect();
@@ -737,7 +743,7 @@ mod tests {
             best(7, "ACCESS(heap)", 0, "TblAccess[alt 1]", 30.0, 3.0),
             exec(7, "ACCESS(heap)", 30, 300),
         ];
-        let r = AccuracyReport::from_events(&evs);
+        let r = AccuracyReport::from_trees(&[tree_of(evs)]);
         assert_eq!(r.queries.len(), 1);
         assert_eq!(r.queries[0].name, "(run)");
         assert_eq!(r.joined(), 1);
@@ -757,7 +763,7 @@ mod tests {
             // Legacy exec_node without a fingerprint: never joins.
             exec(0, "SORT", 1, 1),
         ];
-        let r = AccuracyReport::from_events(&evs);
+        let r = AccuracyReport::from_trees(&[tree_of(evs)]);
         assert_eq!(r.joined(), 2);
         assert_eq!(r.unmatched_est, 0);
         assert_eq!(r.unmatched_act, 0); // fp=0 ignored, not "act-only"
@@ -792,7 +798,7 @@ mod tests {
                 nanos: 62_000,
             },
         ];
-        let r = AccuracyReport::from_events(&evs);
+        let r = AccuracyReport::from_trees(&[tree_of(evs)]);
         assert_eq!(r.joined(), 1);
         let n = &r.nodes[0];
         assert!((n.est_cost - 62.0).abs() < 1e-9, "{}", n.est_cost);
@@ -815,14 +821,14 @@ mod tests {
             exec(7, "ACCESS(heap)", 10, 400),
             exec(7, "ACCESS(heap)", 10, 650),
         ];
-        let r = AccuracyReport::from_events(&evs);
+        let r = AccuracyReport::from_trees(&[tree_of(evs)]);
         assert_eq!(r.joined(), 1);
         assert_eq!(r.nodes[0].act_nanos, 400);
     }
 
     #[test]
     fn render_and_json_have_the_advertised_shape() {
-        let r = AccuracyReport::from_events(&two_query_stream());
+        let r = AccuracyReport::from_trees(&two_query_stream());
         let text = r.render();
         assert!(text.contains("per LOLEPOP:"), "{text}");
         assert!(text.contains("per STAR rule:"), "{text}");

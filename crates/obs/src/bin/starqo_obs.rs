@@ -1,11 +1,11 @@
 //! Trace-analytics CLI.
 //!
 //! ```text
-//! starqo-obs profile  <trace.jsonl>                 rule-level profile
-//! starqo-obs flame    <trace.jsonl> [--folded]      expansion flamegraph
+//! starqo-obs profile  <trees.jsonl>                 rule-level profile
+//! starqo-obs flame    <trees.jsonl> [--folded]      expansion flamegraph
 //! starqo-obs diff     <a.jsonl> <b.jsonl>           compare two runs
-//! starqo-obs accuracy <trace.jsonl> [--json <out>]  est-vs-actual Q-error
-//! starqo-obs calibrate <trace.jsonl> [--out <file>] fit a cost profile
+//! starqo-obs accuracy <trees.jsonl> [--json <out>]  est-vs-actual Q-error
+//! starqo-obs calibrate <trees.jsonl> [--out <file>] fit a cost profile
 //! starqo-obs gate     <baseline.json> <fresh.json>  bench regression gate
 //! starqo-obs live     <snapshot.json>               live-telemetry dashboard
 //!                     [--since <prev.json>] [--prom]
@@ -13,10 +13,13 @@
 //!                     [--interval-ms N] [--once] [--json]
 //! starqo-obs doctor   <snapshot.json>               one-shot health verdict
 //!                     [--enforce] [--json <out>]
-//! starqo-obs spans    <spans.jsonl>                 retained-request table
+//! starqo-obs spans    <trees.jsonl>                 retained-request table
 //!                     [--limit N] [--chrome <out.json>]
-//! starqo-obs timeline <spans.jsonl> --request <id>  per-request waterfall
+//! starqo-obs timeline <trees.jsonl> --request <id>  per-request waterfall
 //! ```
+//!
+//! Every trace command reads the same input: span trees, one JSON object
+//! per line, as a service's span store or a workload runner writes them.
 //!
 //! `gate` reports every violation and exits 1 on a deterministic
 //! work-counter violation; wall-clock regressions stay report-only (CI
@@ -28,7 +31,7 @@ use starqo_obs::{
     calibrate, gate, AccuracyReport, Diagnosis, FlameTree, LiveReport, Profile, SpanReport,
     TraceDiff, Watcher,
 };
-use starqo_trace::{load_jsonl, read_span_trees, to_chrome_trace, TelemetrySnapshot, TraceEvent};
+use starqo_trace::{read_span_trees, to_chrome_trace, SpanTree, TelemetrySnapshot};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -86,12 +89,12 @@ fn main() -> ExitCode {
     }
 
     match positional.as_slice() {
-        ["profile", path] => with_trace(path, |events| {
-            print!("{}", Profile::from_events(&events).render());
+        ["profile", path] => with_spans(path, |trees| {
+            print!("{}", Profile::from_trees(&trees).render());
             ExitCode::SUCCESS
         }),
-        ["flame", path] => with_trace(path, |events| {
-            let tree = FlameTree::from_events(&events);
+        ["flame", path] => with_spans(path, |trees| {
+            let tree = FlameTree::from_trees(&trees);
             if folded {
                 print!("{}", tree.folded());
             } else {
@@ -99,15 +102,15 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }),
-        ["diff", a, b] => with_trace(a, |ea| {
-            with_trace(b, |eb| {
+        ["diff", a, b] => with_spans(a, |ea| {
+            with_spans(b, |eb| {
                 let d = TraceDiff::compare(&ea, &eb);
                 print!("{}", d.render());
                 ExitCode::SUCCESS
             })
         }),
-        ["accuracy", path] => with_trace(path, |events| {
-            let report = AccuracyReport::from_events(&events);
+        ["accuracy", path] => with_spans(path, |trees| {
+            let report = AccuracyReport::from_trees(&trees);
             print!("{}", report.render());
             if let Some(p) = json_out {
                 if let Err(e) = std::fs::write(p, report.to_json() + "\n") {
@@ -118,8 +121,8 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }),
-        ["calibrate", path] => with_trace(path, |events| {
-            let report = AccuracyReport::from_events(&events);
+        ["calibrate", path] => with_spans(path, |trees| {
+            let report = AccuracyReport::from_trees(&trees);
             match calibrate::fit(&calibrate::samples(&report)) {
                 Ok(f) => {
                     print!("{}", f.render());
@@ -272,7 +275,7 @@ fn load_snapshot(path: &str) -> Result<TelemetrySnapshot, String> {
 
 /// Load a span-tree JSONL file and hand it to `f`; unparsable lines are
 /// skipped with a note on stderr.
-fn with_spans(path: &str, f: impl FnOnce(Vec<starqo_trace::SpanTree>) -> ExitCode) -> ExitCode {
+fn with_spans(path: &str, f: impl FnOnce(Vec<SpanTree>) -> ExitCode) -> ExitCode {
     match std::fs::read_to_string(path) {
         Ok(text) => {
             let (trees, skipped) = read_span_trees(&text);
@@ -288,29 +291,12 @@ fn with_spans(path: &str, f: impl FnOnce(Vec<starqo_trace::SpanTree>) -> ExitCod
     }
 }
 
-/// Load a JSONL trace and hand it to `f`; unparsable lines are skipped
-/// with a note on stderr.
-fn with_trace(path: &str, f: impl FnOnce(Vec<TraceEvent>) -> ExitCode) -> ExitCode {
-    match load_jsonl(path) {
-        Ok((events, skipped)) => {
-            if skipped > 0 {
-                eprintln!("starqo-obs: skipped {skipped} unparsable line(s) in {path}");
-            }
-            f(events)
-        }
-        Err(e) => {
-            eprintln!("starqo-obs: cannot read {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("starqo-obs: {err}");
     }
     eprintln!(
-        "usage:\n  starqo-obs profile <trace.jsonl>\n  starqo-obs flame <trace.jsonl> [--folded]\n  starqo-obs diff <a.jsonl> <b.jsonl>\n  starqo-obs accuracy <trace.jsonl> [--json <out.json>]\n  starqo-obs calibrate <trace.jsonl> [--out <profile.json>]\n  starqo-obs gate <baseline.json> <fresh.json>\n  starqo-obs live <snapshot.json> [--since <prev.json>] [--prom]\n  starqo-obs watch <snapshot.json> [--interval-ms N] [--once] [--json <out.json>]\n  starqo-obs doctor <snapshot.json> [--enforce] [--json <out.json>]\n  starqo-obs spans <spans.jsonl> [--limit N] [--chrome <out.json>]\n  starqo-obs timeline <spans.jsonl> [--request <id>]"
+        "usage:\n  starqo-obs profile <trees.jsonl>\n  starqo-obs flame <trees.jsonl> [--folded]\n  starqo-obs diff <a.jsonl> <b.jsonl>\n  starqo-obs accuracy <trees.jsonl> [--json <out.json>]\n  starqo-obs calibrate <trees.jsonl> [--out <profile.json>]\n  starqo-obs gate <baseline.json> <fresh.json>\n  starqo-obs live <snapshot.json> [--since <prev.json>] [--prom]\n  starqo-obs watch <snapshot.json> [--interval-ms N] [--once] [--json <out.json>]\n  starqo-obs doctor <snapshot.json> [--enforce] [--json <out.json>]\n  starqo-obs spans <trees.jsonl> [--limit N] [--chrome <out.json>]\n  starqo-obs timeline <trees.jsonl> [--request <id>]"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

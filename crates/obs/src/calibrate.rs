@@ -587,7 +587,7 @@ mod tests {
                 nanos: 200,
             },
         ];
-        let r = AccuracyReport::from_events(&evs);
+        let r = AccuracyReport::from_trees(&[crate::testutil::tree_of(evs)]);
         let s = samples(&r);
         // Both nodes with a `plan_built` breakdown contribute — root and
         // leaf alike ("other" folds into the cpu column); the SORT node

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use starqo_trace::TraceEvent;
+use starqo_trace::{SpanTree, TraceEvent};
 
 use crate::profile::Profile;
 
@@ -49,10 +49,10 @@ pub struct TraceDiff {
 }
 
 impl TraceDiff {
-    /// Compare two event streams ("a" = baseline, "b" = candidate).
-    pub fn compare(a: &[TraceEvent], b: &[TraceEvent]) -> TraceDiff {
-        let pa = Profile::from_events(a);
-        let pb = Profile::from_events(b);
+    /// Compare two runs' span trees ("a" = baseline, "b" = candidate).
+    pub fn compare(a: &[SpanTree], b: &[SpanTree]) -> TraceDiff {
+        let pa = Profile::from_trees(a);
+        let pb = Profile::from_trees(b);
 
         let mut fires_a: BTreeMap<String, u64> = BTreeMap::new();
         let mut fires_b: BTreeMap<String, u64> = BTreeMap::new();
@@ -72,11 +72,12 @@ impl TraceDiff {
             }
         }
 
-        let fp_set = |events: &[TraceEvent]| -> BTreeSet<u64> {
-            events
+        let fp_set = |trees: &[SpanTree]| -> BTreeSet<u64> {
+            trees
                 .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::TableInsert { fp, .. } => Some(*fp),
+                .flat_map(|t| &t.events)
+                .filter_map(|e| match e.event {
+                    TraceEvent::TableInsert { fp, .. } => Some(fp),
                     _ => None,
                 })
                 .collect()
@@ -226,20 +227,17 @@ mod tests {
         let a = trace_one_star();
         // Run "b": alt 2 no longer fires (say its feature got disabled);
         // instead its condition fails and nothing is built.
-        let b: Vec<TraceEvent> = a
-            .iter()
-            .filter(|e| {
-                !matches!(
-                    e,
-                    TraceEvent::AltFired { .. }
-                        | TraceEvent::PlanBuilt { .. }
-                        | TraceEvent::TableInsert { .. }
-                        | TraceEvent::TablePrune { .. }
-                        | TraceEvent::BestNode { .. }
-                )
-            })
-            .cloned()
-            .collect();
+        let mut b = a.clone();
+        b[0].events.retain(|e| {
+            !matches!(
+                e.event,
+                TraceEvent::AltFired { .. }
+                    | TraceEvent::PlanBuilt { .. }
+                    | TraceEvent::TableInsert { .. }
+                    | TraceEvent::TablePrune { .. }
+                    | TraceEvent::BestNode { .. }
+            )
+        });
         let d = TraceDiff::compare(&a, &b);
         assert_eq!(d.fire_deltas.len(), 1);
         assert_eq!(d.fire_deltas[0].key, "JMeth[alt 2]");
@@ -257,8 +255,8 @@ mod tests {
     fn cost_regression_is_reported_in_percent() {
         let a = trace_one_star();
         let mut b = trace_one_star();
-        for ev in &mut b {
-            if let TraceEvent::BestNode { cost, depth: 0, .. } = ev {
+        for ev in &mut b[0].events {
+            if let TraceEvent::BestNode { cost, depth: 0, .. } = &mut ev.event {
                 *cost = 86.0;
             }
         }

@@ -1,12 +1,14 @@
 //! The STAR expansion tree as a flamegraph.
 //!
-//! `star_ref` events carry `(id, parent)`, so the expansion forest
-//! reconstructs exactly; sibling references of the same STAR under the same
+//! A fold over span trees. `star_ref` events carry `(id, parent)`, so each
+//! tree's expansion forest reconstructs exactly, and the forests of all
+//! trees merge; sibling references of the same STAR under the same
 //! aggregate path merge into one frame (the standard flamegraph collapse).
-//! Inclusive time comes from `star_done`; memo hits contribute a reference
-//! count but no time (the engine spent none). Self time is inclusive minus
-//! the children's inclusive, floored at zero — clock jitter between nested
-//! measurements must not produce negative frames.
+//! Inclusive time is the duration of the `star:<Name>` span whose `meta`
+//! is the reference id; memo hits contribute a reference count but no time
+//! (the engine spent none). Self time is inclusive minus the children's
+//! inclusive, floored at zero — clock jitter between nested measurements
+//! must not produce negative frames.
 //!
 //! Two renderings:
 //! - [`FlameTree::render`] — an indented ASCII tree with bars, counts, and
@@ -18,7 +20,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use starqo_trace::TraceEvent;
+use starqo_trace::{SpanTree, TraceEvent};
 
 use crate::fmt::fmt_nanos;
 
@@ -42,24 +44,26 @@ pub struct FlameTree {
 }
 
 impl FlameTree {
-    /// Build from a trace. Only `star_ref` / `star_done` events matter;
-    /// anything else is ignored.
-    pub fn from_events(events: &[TraceEvent]) -> FlameTree {
+    /// Build from span trees. Only `star_ref` events and `star:*` spans
+    /// matter; anything else is ignored.
+    pub fn from_trees(trees: &[SpanTree]) -> FlameTree {
         let mut frames = vec![Frame {
             name: "driver".to_string(),
             ..Frame::default()
         }];
-        // Concrete reference id → aggregate frame index.
-        let mut ref_frame: HashMap<u64, usize> = HashMap::new();
-        for ev in events {
-            match ev {
-                TraceEvent::StarRef {
+        for tree in trees {
+            // Concrete reference id → aggregate frame index (ids are
+            // unique within one request).
+            let mut ref_frame: HashMap<u64, usize> = HashMap::new();
+            for ev in tree.events.iter().map(|e| &e.event) {
+                if let TraceEvent::StarRef {
                     star,
                     id,
                     parent,
                     memo_hit,
                     ..
-                } => {
+                } = ev
+                {
                     let parent_idx = ref_frame.get(parent).copied().unwrap_or(0);
                     let idx = match frames[parent_idx].children.get(star) {
                         Some(i) => *i,
@@ -79,12 +83,11 @@ impl FlameTree {
                     }
                     ref_frame.insert(*id, idx);
                 }
-                TraceEvent::StarDone { id, nanos, .. } => {
-                    if let Some(idx) = ref_frame.get(id) {
-                        frames[*idx].inclusive += nanos;
-                    }
+            }
+            for span in tree.spans.iter().filter(|s| s.name.starts_with("star:")) {
+                if let Some(idx) = ref_frame.get(&span.meta) {
+                    frames[*idx].inclusive += span.end_nanos.saturating_sub(span.start_nanos);
                 }
-                _ => {}
             }
         }
         // The driver's inclusive time is its children's total.
@@ -191,7 +194,7 @@ mod tests {
 
     #[test]
     fn reconstructs_the_expansion_tree() {
-        let t = FlameTree::from_events(&trace_one_star());
+        let t = FlameTree::from_trees(&trace_one_star());
         assert_eq!(t.root().children.len(), 1, "one root star");
         let root_kid = *t.root().children.get("JoinRoot").unwrap();
         let jr = &t.frames[root_kid];
@@ -207,7 +210,7 @@ mod tests {
 
     #[test]
     fn self_time_is_inclusive_minus_children() {
-        let t = FlameTree::from_events(&trace_one_star());
+        let t = FlameTree::from_trees(&trace_one_star());
         let jr = *t.root().children.get("JoinRoot").unwrap();
         assert_eq!(t.self_nanos(jr), 500);
         let jm = *t.frames[jr].children.get("JMeth").unwrap();
@@ -216,7 +219,7 @@ mod tests {
 
     #[test]
     fn folded_output_matches_hand_computation() {
-        let t = FlameTree::from_events(&trace_one_star());
+        let t = FlameTree::from_trees(&trace_one_star());
         let folded = t.folded();
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines, vec!["JoinRoot 500", "JoinRoot;JMeth 1500"]);
@@ -225,43 +228,19 @@ mod tests {
     #[test]
     fn self_time_saturates_at_zero() {
         // Child claims more time than the parent measured.
-        let events = vec![
-            TraceEvent::StarRef {
-                star: "A".into(),
-                sid: 0,
-                id: 1,
-                parent: 0,
-                memo_hit: false,
-            },
-            TraceEvent::StarRef {
-                star: "B".into(),
-                sid: 1,
-                id: 2,
-                parent: 1,
-                memo_hit: false,
-            },
-            TraceEvent::StarDone {
-                star: "B".into(),
-                id: 2,
-                plans: 0,
-                nanos: 150,
-            },
-            TraceEvent::StarDone {
-                star: "A".into(),
-                id: 1,
-                plans: 0,
-                nanos: 100,
-            },
-        ];
-        let t = FlameTree::from_events(&events);
-        let a = *t.root().children.get("A").unwrap();
-        assert_eq!(t.self_nanos(a), 0);
-        assert!(t.folded().lines().all(|l| !l.starts_with("A ")));
+        let mut trees = trace_one_star();
+        for span in &mut trees[0].spans {
+            span.end_nanos = span.start_nanos + if span.meta == 1 { 100 } else { 150 };
+        }
+        let t = FlameTree::from_trees(&trees);
+        let jr = *t.root().children.get("JoinRoot").unwrap();
+        assert_eq!(t.self_nanos(jr), 0);
+        assert!(t.folded().lines().all(|l| !l.starts_with("JoinRoot ")));
     }
 
     #[test]
     fn render_mentions_every_star() {
-        let text = FlameTree::from_events(&trace_one_star()).render();
+        let text = FlameTree::from_trees(&trace_one_star()).render();
         assert!(text.contains("JoinRoot"), "{text}");
         assert!(text.contains("JMeth"), "{text}");
         assert!(text.contains("2.0µs"), "{text}");

@@ -1,10 +1,12 @@
 //! # starqo-obs
 //!
-//! Offline trace analytics for the STAR optimizer: everything here consumes
-//! the event stream `starqo-trace` sinks write (a `MemorySink` in-process,
-//! or a `.jsonl` file re-read with [`starqo_trace::load_jsonl`]) and
-//! produces reports — no optimizer types involved, so traces from any
-//! version of the engine that speaks the event schema analyze fine.
+//! Offline trace analytics for the STAR optimizer: everything here folds
+//! over [`starqo_trace::SpanTree`]s — a service's retained trees in-process,
+//! or a `.jsonl` file re-read with [`starqo_trace::read_span_trees`] — and
+//! produces reports. The optimizer's and executor's events ride on a
+//! detailed tree as annotations; no optimizer types are involved, so trees
+//! from any version of the engine that speaks the record schema analyze
+//! fine.
 //!
 //! - [`profile::Profile`] — per-STAR attribution: reference/memo counts,
 //!   per-alternative firings, failing conditions, plan-table churn,

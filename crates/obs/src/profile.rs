@@ -1,6 +1,8 @@
 //! Per-STAR attribution profile: what every rule did during a traced run.
 //!
-//! Built in one pass over the event stream. The joins:
+//! A fold over span trees: each `star:<Name>` span adds its duration to
+//! the rule's inclusive time, and one pass over the trees' events (in
+//! order) does the rest. The joins:
 //! - `star_ref.id` → STAR name maps every `ref_id`-carrying event (alt
 //!   firings, condition failures, plan construction) to the rule it
 //!   happened under;
@@ -14,7 +16,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use starqo_trace::TraceEvent;
+use starqo_trace::{SpanTree, TraceEvent};
 
 use crate::fmt::fmt_nanos;
 
@@ -85,8 +87,7 @@ pub struct DegradedRow {
     pub query: Option<String>,
 }
 
-/// Plan-cache activity from a serving-layer trace: the `cache_*` events
-/// plus any `serve_*` counter snapshots the service emitted.
+/// Plan-cache activity from a serving-layer trace: the `cache_*` events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeCacheStats {
     /// `cache_hit` events (true hits and coalesced in-flight shares).
@@ -97,15 +98,12 @@ pub struct ServeCacheStats {
     pub invalidates: u64,
     /// Cold-optimization time warm serves avoided, summed.
     pub saved_nanos: u64,
-    /// Latest `serve_*` counter snapshot (the service emits monotonic
-    /// snapshots, so last-write-wins is the end-of-run state).
-    pub counters: BTreeMap<String, u64>,
 }
 
 impl ServeCacheStats {
     /// Whether the trace carried any serving-layer activity at all.
     pub fn any(&self) -> bool {
-        self.hits + self.misses + self.evicts + self.invalidates > 0 || !self.counters.is_empty()
+        self.hits + self.misses + self.evicts + self.invalidates > 0
     }
 
     /// Warm serves over all serves that produced a plan.
@@ -117,15 +115,6 @@ impl ServeCacheStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Executor activity from a serving-layer trace: the `vexec_*` counter
-/// snapshots.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeExecStats {
-    /// Latest `vexec_*` counter snapshot (last-write-wins, like the serve
-    /// counters).
-    pub counters: BTreeMap<String, u64>,
 }
 
 /// Self-healing activity from a serving-layer trace: the `plan_reopt` /
@@ -173,15 +162,12 @@ pub struct Profile {
     pub serve: ServeCacheStats,
     /// Self-healing activity (empty unless the service healed something).
     pub heal: ServeHealStats,
-    /// Vectorized-executor activity (empty unless the service routed
-    /// requests through `starqo-vexec`).
-    pub exec: ServeExecStats,
 }
 
 impl Profile {
-    /// Aggregate a trace. Events with `ref_id` 0 (driver or Glue work
+    /// Aggregate span trees. Events with `ref_id` 0 (driver or Glue work
     /// outside any STAR) accumulate under `driver_plans_built`.
-    pub fn from_events(events: &[TraceEvent]) -> Profile {
+    pub fn from_trees(trees: &[SpanTree]) -> Profile {
         let mut by_name: BTreeMap<String, StarProfile> = BTreeMap::new();
         // ref id → STAR name, populated as star_ref events stream past
         // (references always precede the events they enclose).
@@ -195,10 +181,7 @@ impl Profile {
         let mut degraded = Vec::new();
         let mut serve = ServeCacheStats::default();
         let mut heal = ServeHealStats::default();
-        let mut exec = ServeExecStats::default();
-        // The query whose events are streaming past, when the trace carries
-        // `query_start` markers (fleet runs do; single-query traces don't).
-        let mut cur_query: Option<String> = None;
+        let mut events = 0;
 
         let star_of = |by_name: &mut BTreeMap<String, StarProfile>, name: &str| {
             by_name
@@ -209,152 +192,155 @@ impl Profile {
                 });
         };
 
-        for ev in events {
-            match ev {
-                TraceEvent::StarRef {
-                    star, id, memo_hit, ..
-                } => {
+        for tree in trees {
+            // The query this tree records, when the runner named it
+            // (workload runs do; a service's requests don't).
+            let mut cur_query: Option<String> = None;
+            for span in &tree.spans {
+                if let Some(star) = span.name.strip_prefix("star:") {
                     star_of(&mut by_name, star);
-                    let p = by_name.get_mut(star).unwrap();
-                    p.refs += 1;
-                    if *memo_hit {
-                        p.memo_hits += 1;
+                    by_name.get_mut(star).unwrap().inclusive_nanos +=
+                        span.end_nanos.saturating_sub(span.start_nanos);
+                }
+            }
+            events += tree.events.len();
+            for ev in tree.events.iter().map(|e| &e.event) {
+                match ev {
+                    TraceEvent::StarRef {
+                        star, id, memo_hit, ..
+                    } => {
+                        star_of(&mut by_name, star);
+                        let p = by_name.get_mut(star).unwrap();
+                        p.refs += 1;
+                        if *memo_hit {
+                            p.memo_hits += 1;
+                        }
+                        ref_star.insert(*id, star.clone());
                     }
-                    ref_star.insert(*id, star.clone());
-                }
-                TraceEvent::StarDone { star, nanos, .. } => {
-                    star_of(&mut by_name, star);
-                    by_name.get_mut(star).unwrap().inclusive_nanos += nanos;
-                }
-                TraceEvent::AltFired {
-                    star, alt, plans, ..
-                } => {
-                    star_of(&mut by_name, star);
-                    let p = by_name.get_mut(star).unwrap();
-                    *p.alt_fires.entry(*alt).or_insert(0) += 1;
-                    p.plans_from_alts += *plans as u64;
-                }
-                TraceEvent::CondFailed { star, cond, .. } => {
-                    star_of(&mut by_name, star);
-                    *by_name
-                        .get_mut(star)
-                        .unwrap()
-                        .cond_failures
-                        .entry(cond.clone())
-                        .or_insert(0) += 1;
-                }
-                TraceEvent::PlanBuilt { fp, ref_id, .. } => {
-                    match ref_star.get(ref_id) {
-                        Some(star) => {
+                    TraceEvent::AltFired {
+                        star, alt, plans, ..
+                    } => {
+                        star_of(&mut by_name, star);
+                        let p = by_name.get_mut(star).unwrap();
+                        *p.alt_fires.entry(*alt).or_insert(0) += 1;
+                        p.plans_from_alts += *plans as u64;
+                    }
+                    TraceEvent::CondFailed { star, cond, .. } => {
+                        star_of(&mut by_name, star);
+                        *by_name
+                            .get_mut(star)
+                            .unwrap()
+                            .cond_failures
+                            .entry(cond.clone())
+                            .or_insert(0) += 1;
+                    }
+                    TraceEvent::PlanBuilt { fp, ref_id, .. } => {
+                        match ref_star.get(ref_id) {
+                            Some(star) => {
+                                let star = star.clone();
+                                star_of(&mut by_name, &star);
+                                by_name.get_mut(&star).unwrap().plans_built += 1;
+                                fp_star.entry(*fp).or_insert(star);
+                            }
+                            None => driver_plans_built += 1,
+                        };
+                    }
+                    TraceEvent::PlanRejected { ref_id, .. } => {
+                        if let Some(star) = ref_star.get(ref_id) {
                             let star = star.clone();
                             star_of(&mut by_name, &star);
-                            by_name.get_mut(&star).unwrap().plans_built += 1;
-                            fp_star.entry(*fp).or_insert(star);
-                        }
-                        None => driver_plans_built += 1,
-                    };
-                }
-                TraceEvent::PlanRejected { ref_id, .. } => {
-                    if let Some(star) = ref_star.get(ref_id) {
-                        let star = star.clone();
-                        star_of(&mut by_name, &star);
-                        by_name.get_mut(&star).unwrap().plans_rejected += 1;
-                    }
-                }
-                TraceEvent::TableInsert { fp, .. } => {
-                    if let Some(star) = fp_star.get(fp) {
-                        if let Some(p) = by_name.get_mut(star) {
-                            p.table_inserted += 1;
+                            by_name.get_mut(&star).unwrap().plans_rejected += 1;
                         }
                     }
-                }
-                TraceEvent::TablePrune { fp, .. } => {
-                    if let Some(star) = fp_star.get(fp) {
-                        if let Some(p) = by_name.get_mut(star) {
-                            p.table_pruned += 1;
+                    TraceEvent::TableInsert { fp, .. } => {
+                        if let Some(star) = fp_star.get(fp) {
+                            if let Some(p) = by_name.get_mut(star) {
+                                p.table_inserted += 1;
+                            }
                         }
                     }
-                }
-                TraceEvent::TableDominated { fp, .. } => {
-                    if let Some(star) = fp_star.get(fp) {
-                        if let Some(p) = by_name.get_mut(star) {
-                            p.table_evicted += 1;
+                    TraceEvent::TablePrune { fp, .. } => {
+                        if let Some(star) = fp_star.get(fp) {
+                            if let Some(p) = by_name.get_mut(star) {
+                                p.table_pruned += 1;
+                            }
                         }
                     }
-                }
-                TraceEvent::BestNode {
-                    op,
-                    depth,
-                    origin,
-                    card,
-                    cost,
-                    ..
-                } => {
-                    lineage.push(LineageRow {
-                        op: op.clone(),
-                        depth: *depth,
-                        origin: origin.clone(),
-                        card: *card,
-                        cost: *cost,
-                    });
-                    if let Some(star) = origin.split('[').next().filter(|s| !s.is_empty()) {
-                        if let Some(p) = by_name.get_mut(star) {
-                            p.best_nodes += 1;
+                    TraceEvent::TableDominated { fp, .. } => {
+                        if let Some(star) = fp_star.get(fp) {
+                            if let Some(p) = by_name.get_mut(star) {
+                                p.table_evicted += 1;
+                            }
                         }
                     }
+                    TraceEvent::BestNode {
+                        op,
+                        depth,
+                        origin,
+                        card,
+                        cost,
+                        ..
+                    } => {
+                        lineage.push(LineageRow {
+                            op: op.clone(),
+                            depth: *depth,
+                            origin: origin.clone(),
+                            card: *card,
+                            cost: *cost,
+                        });
+                        if let Some(star) = origin.split('[').next().filter(|s| !s.is_empty()) {
+                            if let Some(p) = by_name.get_mut(star) {
+                                p.best_nodes += 1;
+                            }
+                        }
+                    }
+                    TraceEvent::QueryStart { name } => {
+                        cur_query = Some(name.clone());
+                    }
+                    TraceEvent::RuleQuarantined {
+                        star,
+                        alt,
+                        cond,
+                        reason,
+                        ..
+                    } => {
+                        quarantines.push(QuarantineRow {
+                            star: star.clone(),
+                            alt: *alt,
+                            cond: cond.clone(),
+                            reason: reason.clone(),
+                            query: cur_query.clone(),
+                        });
+                    }
+                    TraceEvent::BudgetExhausted { resource, detail } => {
+                        degraded.push(DegradedRow {
+                            resource: resource.clone(),
+                            detail: detail.clone(),
+                            query: cur_query.clone(),
+                        });
+                    }
+                    TraceEvent::CacheHit { saved_nanos, .. } => {
+                        serve.hits += 1;
+                        serve.saved_nanos += saved_nanos;
+                    }
+                    TraceEvent::CacheMiss { .. } => serve.misses += 1,
+                    TraceEvent::CacheEvict { .. } => serve.evicts += 1,
+                    TraceEvent::CacheInvalidate { .. } => serve.invalidates += 1,
+                    TraceEvent::PlanReopt { .. } => heal.reopts += 1,
+                    TraceEvent::PlanSwap {
+                        incumbent_work,
+                        candidate_work,
+                        ..
+                    } => {
+                        heal.swaps += 1;
+                        heal.incumbent_work += incumbent_work;
+                        heal.candidate_work += candidate_work;
+                    }
+                    TraceEvent::PlanPinned { reason, .. } => {
+                        *heal.pin_reasons.entry(reason.clone()).or_insert(0) += 1;
+                    }
+                    _ => {}
                 }
-                TraceEvent::QueryStart { name } => {
-                    cur_query = Some(name.clone());
-                }
-                TraceEvent::RuleQuarantined {
-                    star,
-                    alt,
-                    cond,
-                    reason,
-                    ..
-                } => {
-                    quarantines.push(QuarantineRow {
-                        star: star.clone(),
-                        alt: *alt,
-                        cond: cond.clone(),
-                        reason: reason.clone(),
-                        query: cur_query.clone(),
-                    });
-                }
-                TraceEvent::BudgetExhausted { resource, detail } => {
-                    degraded.push(DegradedRow {
-                        resource: resource.clone(),
-                        detail: detail.clone(),
-                        query: cur_query.clone(),
-                    });
-                }
-                TraceEvent::CacheHit { saved_nanos, .. } => {
-                    serve.hits += 1;
-                    serve.saved_nanos += saved_nanos;
-                }
-                TraceEvent::CacheMiss { .. } => serve.misses += 1,
-                TraceEvent::CacheEvict { .. } => serve.evicts += 1,
-                TraceEvent::CacheInvalidate { .. } => serve.invalidates += 1,
-                TraceEvent::Counter { name, value } if name.starts_with("serve_") => {
-                    serve.counters.insert(name.clone(), *value);
-                }
-                TraceEvent::Counter { name, value } if name.starts_with("vexec_") => {
-                    exec.counters.insert(name.clone(), *value);
-                }
-                TraceEvent::PlanReopt { .. } => heal.reopts += 1,
-                TraceEvent::PlanSwap {
-                    incumbent_work,
-                    candidate_work,
-                    ..
-                } => {
-                    heal.swaps += 1;
-                    heal.incumbent_work += incumbent_work;
-                    heal.candidate_work += candidate_work;
-                }
-                TraceEvent::PlanPinned { reason, .. } => {
-                    *heal.pin_reasons.entry(reason.clone()).or_insert(0) += 1;
-                }
-                _ => {}
             }
         }
 
@@ -368,13 +354,12 @@ impl Profile {
         Profile {
             stars,
             lineage,
-            events: events.len(),
+            events,
             driver_plans_built,
             quarantines,
             degraded,
             serve,
             heal,
-            exec,
         }
     }
 
@@ -487,15 +472,6 @@ impl Profile {
                 self.serve.hit_ratio(),
                 fmt_nanos(self.serve.saved_nanos),
             );
-            if !self.serve.counters.is_empty() {
-                let rendered: Vec<String> = self
-                    .serve
-                    .counters
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect();
-                let _ = writeln!(out, "  counters: {}", rendered.join("  "));
-            }
         }
 
         if self.heal.any() {
@@ -525,17 +501,6 @@ impl Profile {
             }
         }
 
-        if !self.exec.counters.is_empty() {
-            let _ = writeln!(out, "\nexecutor:");
-            let rendered: Vec<String> = self
-                .exec
-                .counters
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            let _ = writeln!(out, "  counters: {}", rendered.join("  "));
-        }
-
         if !self.lineage.is_empty() {
             let _ = writeln!(out, "\nwinning plan lineage:");
             for row in &self.lineage {
@@ -557,12 +522,12 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::trace_one_star;
+    use crate::testutil::{trace_one_star, tree_of};
 
     #[test]
     fn attributes_fires_failures_and_table_churn() {
         let events = trace_one_star();
-        let p = Profile::from_events(&events);
+        let p = Profile::from_trees(&events);
         let s = p.star("JMeth").expect("JMeth profiled");
         assert_eq!(s.refs, 2);
         assert_eq!(s.memo_hits, 1);
@@ -581,7 +546,7 @@ mod tests {
     #[test]
     fn lineage_comes_from_best_node_events() {
         let events = trace_one_star();
-        let p = Profile::from_events(&events);
+        let p = Profile::from_trees(&events);
         assert_eq!(p.lineage.len(), 2);
         assert_eq!(p.lineage[0].op, "JOIN(MG)");
         assert_eq!(p.lineage[0].depth, 0);
@@ -595,7 +560,7 @@ mod tests {
 
     #[test]
     fn unattributed_plans_count_as_driver_work() {
-        let events = vec![TraceEvent::PlanBuilt {
+        let events = [tree_of(vec![TraceEvent::PlanBuilt {
             op: "ACCESS(heap)".into(),
             fp: 1,
             ref_id: 0,
@@ -603,34 +568,38 @@ mod tests {
             cost_once: 1.0,
             cost_rescan: 0.0,
             breakdown: Default::default(),
-        }];
-        let p = Profile::from_events(&events);
+        }])];
+        let p = Profile::from_trees(&events);
         assert!(p.stars.is_empty());
         assert_eq!(p.driver_plans_built, 1);
     }
 
     #[test]
     fn quarantines_and_degradations_attributed_to_queries() {
-        let events = vec![
-            TraceEvent::QueryStart {
-                name: "paper_q1".into(),
-            },
-            TraceEvent::RuleQuarantined {
-                star: "JMeth".into(),
-                alt: 3,
-                ref_id: 7,
-                cond: "enabled('hashjoin')".into(),
-                reason: "panic in STAR JMeth[alt 3]: boom".into(),
-            },
-            TraceEvent::QueryStart {
-                name: "paper_q2".into(),
-            },
-            TraceEvent::BudgetExhausted {
-                resource: "memo_entries".into(),
-                detail: "cap 4 reached".into(),
-            },
+        let events = [
+            tree_of(vec![
+                TraceEvent::QueryStart {
+                    name: "paper_q1".into(),
+                },
+                TraceEvent::RuleQuarantined {
+                    star: "JMeth".into(),
+                    alt: 3,
+                    ref_id: 7,
+                    cond: "enabled('hashjoin')".into(),
+                    reason: "panic in STAR JMeth[alt 3]: boom".into(),
+                },
+            ]),
+            tree_of(vec![
+                TraceEvent::QueryStart {
+                    name: "paper_q2".into(),
+                },
+                TraceEvent::BudgetExhausted {
+                    resource: "memo_entries".into(),
+                    detail: "cap 4 reached".into(),
+                },
+            ]),
         ];
-        let p = Profile::from_events(&events);
+        let p = Profile::from_trees(&events);
         assert_eq!(p.quarantines.len(), 1);
         assert_eq!(p.quarantines[0].query.as_deref(), Some("paper_q1"));
         assert_eq!(p.degraded.len(), 1);
@@ -665,22 +634,10 @@ mod tests {
                 fp: 2,
                 reason: "capacity".into(),
             },
-            // Two snapshots of the same counter: last one wins.
-            TraceEvent::Counter {
-                name: "serve_requests".into(),
-                value: 2,
-            },
-            TraceEvent::Counter {
-                name: "serve_requests".into(),
-                value: 4,
-            },
-            // Non-serve counters stay out of the section.
-            TraceEvent::Counter {
-                name: "plans_built".into(),
-                value: 9,
-            },
         ];
-        let p = Profile::from_events(&events);
+        // Serve events land on every recorded request, one tree each.
+        let events: Vec<_> = events.into_iter().map(|e| tree_of(vec![e])).collect();
+        let p = Profile::from_trees(&events);
         assert!(p.serve.any());
         assert_eq!(p.serve.hits, 2);
         assert_eq!(p.serve.misses, 1);
@@ -688,63 +645,23 @@ mod tests {
         assert_eq!(p.serve.invalidates, 1);
         assert_eq!(p.serve.saved_nanos, 3_000);
         assert!((p.serve.hit_ratio() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(p.serve.counters.get("serve_requests"), Some(&4));
-        assert_eq!(p.serve.counters.get("plans_built"), None);
         let text = p.render();
         assert!(text.contains("serve cache:"), "{text}");
         assert!(text.contains("hit ratio 0.667"), "{text}");
-        assert!(text.contains("serve_requests=4"), "{text}");
     }
 
     #[test]
     fn profiles_without_serve_events_omit_the_section() {
-        let p = Profile::from_events(&trace_one_star());
+        let p = Profile::from_trees(&trace_one_star());
         assert!(!p.serve.any());
         assert!(!p.render().contains("serve cache:"));
         assert!(!p.heal.any());
         assert!(!p.render().contains("serve heal:"));
-        assert!(p.exec.counters.is_empty());
-        assert!(!p.render().contains("executor:"));
-    }
-
-    #[test]
-    fn vexec_counters_aggregate_into_their_own_section() {
-        let events = vec![
-            // Two snapshots of the same counter: last one wins.
-            TraceEvent::Counter {
-                name: "vexec_rows".into(),
-                value: 100,
-            },
-            TraceEvent::Counter {
-                name: "vexec_rows".into(),
-                value: 250,
-            },
-            TraceEvent::Counter {
-                name: "vexec_batches".into(),
-                value: 12,
-            },
-            // Serve and engine counters stay in their own homes.
-            TraceEvent::Counter {
-                name: "serve_requests".into(),
-                value: 3,
-            },
-        ];
-        let p = Profile::from_events(&events);
-        assert_eq!(p.exec.counters.get("vexec_rows"), Some(&250));
-        assert_eq!(p.exec.counters.get("vexec_batches"), Some(&12));
-        assert_eq!(p.exec.counters.get("serve_requests"), None);
-        assert_eq!(p.serve.counters.get("serve_requests"), Some(&3));
-        let text = p.render();
-        assert!(text.contains("executor:"), "{text}");
-        assert!(
-            text.contains("counters: vexec_batches=12  vexec_rows=250"),
-            "{text}"
-        );
     }
 
     #[test]
     fn heal_events_aggregate_into_their_own_section() {
-        let events = vec![
+        let events = [tree_of(vec![
             TraceEvent::PlanReopt {
                 fp: 7,
                 epoch: 1,
@@ -775,8 +692,8 @@ mod tests {
                 attempt: 1,
                 backoff_nanos: 2_000,
             },
-        ];
-        let p = Profile::from_events(&events);
+        ])];
+        let p = Profile::from_trees(&events);
         assert!(p.heal.any());
         assert_eq!(p.heal.reopts, 2);
         assert_eq!(p.heal.swaps, 1);
@@ -799,27 +716,26 @@ mod tests {
 
     #[test]
     fn sorted_by_inclusive_time() {
-        let mk = |star: &str, id: u64, nanos: u64| {
-            vec![
-                TraceEvent::StarRef {
-                    star: star.into(),
-                    sid: 0,
-                    id,
-                    parent: 0,
-                    memo_hit: false,
-                },
-                TraceEvent::StarDone {
-                    star: star.into(),
-                    id,
-                    plans: 0,
-                    nanos,
-                },
-            ]
+        // Inclusive time is the `star:*` spans' durations, memo hits (no
+        // span) adding none.
+        let mk = |star: &str, nanos: u64| SpanTree {
+            spans: vec![starqo_trace::SpanRecord {
+                id: 1,
+                name: format!("star:{star}").into(),
+                end_nanos: nanos,
+                ..Default::default()
+            }],
+            ..tree_of(vec![TraceEvent::StarRef {
+                star: star.into(),
+                sid: 0,
+                id: 1,
+                parent: 0,
+                memo_hit: false,
+            }])
         };
-        let mut events = mk("Cheap", 1, 10);
-        events.extend(mk("Hot", 2, 10_000));
-        let p = Profile::from_events(&events);
+        let p = Profile::from_trees(&[mk("Cheap", 10), mk("Hot", 10_000)]);
         assert_eq!(p.stars[0].name, "Hot");
         assert_eq!(p.stars[1].name, "Cheap");
+        assert_eq!(p.stars[0].inclusive_nanos, 10_000);
     }
 }

@@ -176,6 +176,7 @@ pub fn smoke_trees() -> Vec<SpanTree> {
                 span(1, 0, "request", 0, 2_600_000, 0),
             ],
             dropped: 0,
+            events: Vec::new(),
         },
         SpanTree {
             request_id: 9,
@@ -194,6 +195,7 @@ pub fn smoke_trees() -> Vec<SpanTree> {
                 span(1, 0, "request", 0, 9_000, 0),
             ],
             dropped: 0,
+            events: Vec::new(),
         },
     ]
 }

@@ -1,14 +1,51 @@
 //! Hand-constructed traces shared by the analytics tests. Every number
 //! here is asserted somewhere — change with care.
 
-use starqo_trace::{CostBreakdownEv, Counters, Metric, Phase, TelemetrySnapshot, TraceEvent};
+use starqo_trace::{
+    CostBreakdownEv, Counters, Metric, Phase, SpanEvent, SpanRecord, SpanTree, TelemetrySnapshot,
+    TraceEvent,
+};
 
-/// A minimal but complete run: `JoinRoot` expands once and references
-/// `JMeth` twice (one expansion, one memo hit). `JMeth`'s alt 1 fails its
-/// condition, alt 2 fires and builds two plans (one inserted, one pruned),
-/// and a third candidate is rejected. The winner is `JOIN(MG)` over
-/// `ACCESS(heap)`.
-pub fn trace_one_star() -> Vec<TraceEvent> {
+/// One recorded request carrying `events` (no spans, every event at offset
+/// 0 under no span).
+pub fn tree_of(events: Vec<TraceEvent>) -> SpanTree {
+    SpanTree {
+        events: events
+            .into_iter()
+            .map(|event| SpanEvent {
+                span: 0,
+                at: 0,
+                event,
+            })
+            .collect(),
+        ..SpanTree::default()
+    }
+}
+
+/// A minimal but complete run, one detailed tree: `JoinRoot` expands once
+/// (a 2 µs `star:JoinRoot` span) and references `JMeth` twice (one 1.5 µs
+/// expansion, one memo hit). `JMeth`'s alt 1 fails its condition, alt 2
+/// fires and builds two plans (one inserted, one pruned), and a third
+/// candidate is rejected. The winner is `JOIN(MG)` over `ACCESS(heap)`.
+pub fn trace_one_star() -> Vec<SpanTree> {
+    let star = |id: u32, parent: u32, name: &str, start_nanos: u64, end_nanos: u64| SpanRecord {
+        id,
+        parent,
+        name: format!("star:{name}").into(),
+        start_nanos,
+        end_nanos,
+        meta: u64::from(id),
+    };
+    vec![SpanTree {
+        spans: vec![
+            star(2, 1, "JMeth", 100, 1_600),
+            star(1, 0, "JoinRoot", 0, 2_000),
+        ],
+        ..tree_of(one_star_events())
+    }]
+}
+
+fn one_star_events() -> Vec<TraceEvent> {
     vec![
         TraceEvent::StarRef {
             star: "JoinRoot".into(),
@@ -71,24 +108,12 @@ pub fn trace_one_star() -> Vec<TraceEvent> {
             cost: 108.0,
             duplicate: false,
         },
-        TraceEvent::StarDone {
-            star: "JMeth".into(),
-            id: 2,
-            plans: 1,
-            nanos: 1_500,
-        },
         TraceEvent::StarRef {
             star: "JMeth".into(),
             sid: 1,
             id: 3,
             parent: 1,
             memo_hit: true,
-        },
-        TraceEvent::StarDone {
-            star: "JoinRoot".into(),
-            id: 1,
-            plans: 1,
-            nanos: 2_000,
         },
         TraceEvent::BestNode {
             op: "JOIN(MG)".into(),

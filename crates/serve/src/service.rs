@@ -11,7 +11,7 @@ use starqo_query::{canonicalize, CanonicalQuery, Query, QueryFingerprint};
 use starqo_storage::Database;
 use starqo_trace::{
     Counters, LatencyPath, Metric, Phase, SpanContext, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TraceEvent, Tracer,
+    TelemetrySnapshot, TraceEvent,
 };
 use starqo_vexec::{VexecExecutor, VexecStats};
 
@@ -42,7 +42,8 @@ pub struct ServiceConfig {
     /// (`None` = the budget in `opt_config` as-is).
     pub default_deadline: Option<Duration>,
     /// Live metrics plane sizing and gating. The default reads
-    /// `STARQO_TRACE_SAMPLE` for the head sampler and keeps every tier on.
+    /// `STARQO_TRACE_SAMPLE` for the head sampler (which recorded requests
+    /// are detailed) and keeps every tier on; spans are off.
     pub telemetry: TelemetryConfig,
     /// Self-healing re-optimization for fingerprints the feedback plane
     /// flags as cardinality suspects. `None` (the default) keeps the loop
@@ -142,7 +143,6 @@ pub struct Service {
     /// catalog under them.
     optimizer: RwLock<(u64, Arc<Optimizer>)>,
     telemetry: Arc<Telemetry>,
-    tracer: Tracer,
     /// The self-healing schedule, present iff `config.heal` is set.
     healer: Option<Healer>,
 }
@@ -168,18 +168,11 @@ impl Service {
             gate: OptGate::new(config.max_concurrent_opt),
             optimizer: RwLock::new((epoch, Arc::new(optimizer))),
             telemetry: Arc::new(Telemetry::new(config.telemetry)),
-            tracer: Tracer::off(),
             healer,
             config_sig,
             config,
             catalog,
         })
-    }
-
-    /// Attach a tracer (builder-style, before sharing the service).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     pub fn shared_catalog(&self) -> &Arc<SharedCatalog> {
@@ -237,21 +230,6 @@ impl Service {
         self.cache.len()
     }
 
-    /// Emit the counters as `counter` trace events (the obs `profile`
-    /// section reads these back). Deterministic counters only — wall-clock
-    /// sums (`*_nanos`) stay out so benchmark gates can enforce the values
-    /// exactly.
-    pub fn emit_counters(&self) {
-        for (m, value) in self.counters().iter() {
-            if !m.name().ends_with("_nanos") {
-                self.tracer.emit(|| TraceEvent::Counter {
-                    name: m.name().to_string(),
-                    value,
-                });
-            }
-        }
-    }
-
     /// Optimize a query end-to-end: prepare, then serve.
     pub fn optimize(&self, query: &Query) -> Result<ServeOutcome, ServeError> {
         let ctx = self.telemetry.span_context();
@@ -302,7 +280,11 @@ impl Service {
         let (cat, epoch) = self.catalog.snapshot();
         let fp = &prepared.canonical.fingerprint;
         let fp_text: Arc<str> = Arc::from(fp.text.as_str());
-        let tracer = self.request_tracer(fp.hash);
+        // The head decision, once per recorded request: a detailed tree also
+        // carries the optimizer's and executor's events.
+        if ctx.enabled() {
+            ctx.set_detailed(self.telemetry.admit_trace(fp.hash));
+        }
 
         // The lookup span covers the whole cache interaction: a hit returns
         // immediately, a leader's cold optimization nests its own `optimize`
@@ -313,7 +295,7 @@ impl Service {
         let (result, meta) = self
             .cache
             .serve(&fp_text, &self.config_sig, fp.hash, epoch, || {
-                match self.cold_optimize(prepared, &cat, epoch, deadline, &tracer, ctx) {
+                match self.cold_optimize(prepared, &cat, epoch, deadline, ctx) {
                     Ok((optimized, nanos)) => {
                         let cacheable = !optimized.degraded;
                         Ok((optimized, nanos, cacheable))
@@ -332,12 +314,12 @@ impl Service {
 
         if meta.invalidated {
             self.telemetry.add(Metric::CacheInvalidate, 1);
-            tracer.emit(|| TraceEvent::CacheInvalidate { fp: fp.hash, epoch });
+            ctx.annotate(|| TraceEvent::CacheInvalidate { fp: fp.hash, epoch });
         }
         for (victim_fp, reason) in &meta.evicted {
             self.telemetry.add(Metric::CacheEvict, 1);
             let (victim_fp, reason) = (*victim_fp, *reason);
-            tracer.emit(|| TraceEvent::CacheEvict {
+            ctx.annotate(|| TraceEvent::CacheEvict {
                 fp: victim_fp,
                 reason: reason.to_string(),
             });
@@ -365,7 +347,7 @@ impl Service {
                     self.telemetry.add(Metric::SavedNanos, meta.saved_nanos);
                     self.telemetry
                         .observe(LatencyPath::CacheHit, started.elapsed().as_nanos() as u64);
-                    tracer.emit(|| TraceEvent::CacheHit {
+                    ctx.annotate(|| TraceEvent::CacheHit {
                         fp: fp.hash,
                         epoch,
                         saved_nanos: meta.saved_nanos,
@@ -379,7 +361,7 @@ impl Service {
                     self.telemetry.add(Metric::CacheMiss, 1);
                     self.telemetry.add(Metric::OptNanos, nanos);
                     self.telemetry.observe(LatencyPath::Optimize, nanos);
-                    tracer.emit(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
+                    ctx.annotate(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
                 }
                 let outcome = self.finish(
                     prepared,
@@ -467,16 +449,16 @@ impl Service {
         self.telemetry.record_phase(Phase::Execute, nanos);
         // Fold this run's compact actuals into the feedback plane: the
         // cached plan's estimated root cardinality against what actually
-        // came out. Counted even when tracing is suppressed; only a
-        // *detection* (the sketch's first threshold crossing) reaches the
-        // tracer, unsampled — suspect events are rare and load-bearing.
+        // came out. Counted whether or not the request records; only a
+        // *detection* (the sketch's first threshold crossing) is annotated,
+        // on any recorded tree — suspect events are rare and load-bearing.
         let fp = outcome.fingerprint.hash;
         let est = outcome.optimized.best.props.card.round().max(0.0) as u64;
         if let Some(v) =
             self.telemetry
                 .record_feedback(fp, est, result.rows.len() as u64, nanos, outcome.epoch)
         {
-            self.tracer.emit(|| TraceEvent::PlanSuspect {
+            ctx.annotate(|| TraceEvent::PlanSuspect {
                 fp: v.fp,
                 epoch: v.epoch,
                 runs: v.runs,
@@ -526,22 +508,6 @@ impl Service {
             .retire_spans(ctx, fp, epoch, label, outcome.is_none(), degraded);
     }
 
-    /// The tracer one request's events flow through: the service tracer
-    /// when the head sampler admits this fingerprint, the off tracer when
-    /// it doesn't. Counts the decision either way (so the sampled /
-    /// suppressed split is visible live); with no tracer attached there is
-    /// no decision to make.
-    fn request_tracer(&self, fp: u64) -> Tracer {
-        if !self.tracer.enabled() {
-            return Tracer::off();
-        }
-        if self.telemetry.admit_trace(fp) {
-            self.tracer.clone()
-        } else {
-            Tracer::off()
-        }
-    }
-
     /// Close out a request that produced a plan: the end-to-end latency
     /// histogram and the hot-query tracker.
     fn finish_request(&self, fp: u64, epoch: u64, started: Instant) {
@@ -557,7 +523,6 @@ impl Service {
         cat: &Arc<Catalog>,
         epoch: u64,
         deadline: Option<Duration>,
-        tracer: &Tracer,
         ctx: &SpanContext,
     ) -> Result<(Arc<Optimized>, u64), ServeError> {
         let (_permit, _waited) = self.gate.acquire(self.config.max_queue_wait).map_err(|t| {
@@ -581,7 +546,7 @@ impl Service {
         let opt_span = ctx.enter(LatencyPath::Optimize.name());
         let started = Instant::now();
         let optimized = optimizer
-            .optimize_spanned(&prepared.canonical.query, &config, tracer.clone(), ctx)
+            .optimize_spanned(&prepared.canonical.query, &config, ctx)
             .map_err(|e| {
                 self.telemetry.add(Metric::Errors, 1);
                 ServeError::Optimize(e.to_string())
@@ -701,8 +666,7 @@ impl Service {
         };
         self.telemetry.add(Metric::ReoptAttempts, 1);
         let epoch = outcome.epoch;
-        self.tracer
-            .emit(|| TraceEvent::PlanReopt { fp, epoch, attempt });
+        ctx.annotate(|| TraceEvent::PlanReopt { fp, epoch, attempt });
         let span = ctx.enter(Phase::Reopt.name());
         let started = Instant::now();
         let cfg = healer.config().clone();
@@ -727,7 +691,7 @@ impl Service {
             } => {
                 healer.resolve_swap(fp, epoch);
                 self.telemetry.add(Metric::PlanSwap, 1);
-                self.tracer.emit(|| TraceEvent::PlanSwap {
+                ctx.annotate(|| TraceEvent::PlanSwap {
                     fp,
                     epoch,
                     incumbent_work,
@@ -744,7 +708,7 @@ impl Service {
                 if capped {
                     self.telemetry.add(Metric::ReoptRetryCapped, 1);
                 }
-                self.tracer.emit(|| TraceEvent::PlanPinned {
+                ctx.annotate(|| TraceEvent::PlanPinned {
                     fp,
                     epoch,
                     reason: why.to_string(),
@@ -1056,7 +1020,7 @@ mod tests {
 
     #[test]
     fn feedback_plane_flags_drifted_plan_and_emits_the_event() {
-        use starqo_trace::{MemorySink, SuspectConfig, TelemetryConfig};
+        use starqo_trace::{SpanMode, SuspectConfig, TelemetryConfig};
         // The catalog says EMP has 8 rows; the database actually holds
         // 800. Stats never move, so the cached plan keeps serving with a
         // massively wrong estimate — exactly the drift the feedback plane
@@ -1072,7 +1036,6 @@ mod tests {
                 .unwrap();
         }
         let db = b.build().unwrap();
-        let sink = Arc::new(MemorySink::new());
         let svc = Service::new(
             Arc::clone(&cat),
             ServiceConfig {
@@ -1081,13 +1044,13 @@ mod tests {
                         min_runs: 3,
                         ..SuspectConfig::default()
                     },
+                    spans: SpanMode::Full,
                     ..TelemetryConfig::default()
                 },
                 ..ServiceConfig::default()
             },
         )
-        .unwrap()
-        .with_tracer(Tracer::shared(sink.clone()));
+        .unwrap();
         let q = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
         for _ in 0..5 {
             svc.execute(&db, &q).unwrap();
@@ -1107,10 +1070,13 @@ mod tests {
         assert_eq!(tsnap.qerror.len(), 1);
         assert_eq!(tsnap.suspects().len(), 1);
         assert_eq!(tsnap.qerror[0].actual_min, 200);
-        // The detection reached the tracer as a typed event, once.
-        let suspect_events: Vec<_> = sink
-            .events()
+        // The detection reached the request's tree as a typed event, once.
+        let suspect_events: Vec<_> = svc
+            .telemetry()
+            .span_trees()
             .into_iter()
+            .flat_map(|t| t.events)
+            .map(|e| e.event)
             .filter(|e| matches!(e, TraceEvent::PlanSuspect { .. }))
             .collect();
         assert_eq!(suspect_events.len(), 1);
@@ -1230,37 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_counters_covers_every_counter_but_the_nanos() {
-        use starqo_trace::MemorySink;
-        let cat = catalog();
-        let db = database(&cat);
-        let sink = Arc::new(MemorySink::new());
-        let svc = Service::new(Arc::clone(&cat), ServiceConfig::default())
-            .unwrap()
-            .with_tracer(Tracer::shared(sink.clone()));
-        let q = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
-        svc.execute(&db, &q).unwrap();
-        let before = sink.events().len();
-        svc.emit_counters();
-        let emitted: Vec<(String, u64)> = sink.events()[before..]
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Counter { name, value } => Some((name.clone(), *value)),
-                _ => None,
-            })
-            .collect();
-        let expect: Vec<(String, u64)> = Metric::ALL
-            .iter()
-            .filter(|m| !m.name().ends_with("_nanos"))
-            .map(|m| (m.name().to_string(), svc.telemetry().get(*m)))
-            .collect();
-        assert_eq!(emitted, expect);
-        assert!(emitted
-            .iter()
-            .any(|(n, v)| n == "vexec_morsels_queued" && *v > 0));
-    }
-
-    #[test]
     fn counters_only_plane_skips_histograms_but_keeps_counts() {
         let cat = catalog();
         let svc = Service::new(
@@ -1282,35 +1217,54 @@ mod tests {
     }
 
     #[test]
-    fn head_sampler_gates_the_request_tracer_deterministically() {
-        use starqo_trace::{MemorySink, TraceSampler};
+    fn head_sampler_details_recorded_requests_deterministically() {
+        use starqo_trace::{SpanMode, TraceSampler};
         let cat = catalog();
-        let sampler = TraceSampler::one_in(1 << 30);
-        let sink = Arc::new(MemorySink::new());
-        let svc = Service::new(
-            Arc::clone(&cat),
-            ServiceConfig {
-                telemetry: TelemetryConfig {
-                    sample: sampler,
-                    ..TelemetryConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
-        .with_tracer(Tracer::shared(sink.clone()));
         let q = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
-        let prepared = svc.prepare(&q);
-        let admitted = sampler.admit(prepared.fingerprint().hash);
-        svc.optimize_prepared(&prepared, None).unwrap();
-        svc.optimize_prepared(&prepared, None).unwrap();
+        let service = |spans: SpanMode, sampler: TraceSampler| {
+            let telemetry = TelemetryConfig {
+                spans,
+                sample: Some(sampler),
+                ..TelemetryConfig::default()
+            };
+            let config = ServiceConfig {
+                telemetry,
+                ..ServiceConfig::default()
+            };
+            Service::new(Arc::clone(&cat), config).unwrap()
+        };
+        for sampler in [TraceSampler::all(), TraceSampler::one_in(1 << 30)] {
+            let svc = service(SpanMode::Tail, sampler);
+            let prepared = svc.prepare(&q);
+            let admitted = sampler.admit(prepared.fingerprint().hash);
+            svc.optimize_prepared(&prepared, None).unwrap();
+            svc.optimize_prepared(&prepared, None).unwrap();
+            let counters = svc.counters();
+            // The decision is per-request but deterministic on the
+            // fingerprint: both requests land on the same side.
+            let (expect_sampled, expect_unsampled) = if admitted { (2, 0) } else { (0, 2) };
+            assert_eq!(counters[Metric::TraceSampled], expect_sampled);
+            assert_eq!(counters[Metric::TraceUnsampled], expect_unsampled);
+            // A detailed tree is always kept and carries the optimizer's
+            // events; the tail sampler drops these fast undetailed ones.
+            let trees = svc.telemetry().span_trees();
+            assert!(trees.iter().all(|t| t.retained == "sampled"));
+            assert_eq!(trees.len(), expect_sampled as usize);
+            let star_refs = trees
+                .iter()
+                .flat_map(|t| &t.events)
+                .filter(|e| matches!(e.event, TraceEvent::StarRef { .. }))
+                .count();
+            assert_eq!(star_refs > 0, admitted);
+        }
+        // Spans off: nothing records, so no decision is taken.
+        let svc = service(SpanMode::Off, TraceSampler::all());
+        svc.optimize(&q).unwrap();
         let counters = svc.counters();
-        // The decision is per-request but deterministic on the fingerprint:
-        // both requests land on the same side of the sampler.
-        let (expect_sampled, expect_unsampled) = if admitted { (2, 0) } else { (0, 2) };
-        assert_eq!(counters[Metric::TraceSampled], expect_sampled);
-        assert_eq!(counters[Metric::TraceUnsampled], expect_unsampled);
-        assert_eq!(sink.events().is_empty(), !admitted);
+        assert_eq!(
+            counters[Metric::TraceSampled] + counters[Metric::TraceUnsampled],
+            0
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use starqo_core::FaultPlan;
 use starqo_query::parse_query;
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
-use starqo_trace::{MemorySink, Metric, SuspectConfig, TelemetryConfig, TraceEvent, Tracer};
+use starqo_trace::{Metric, SpanMode, SuspectConfig, TelemetryConfig, TraceEvent};
 
 const DRIFT_SQL: &str = "SELECT E.NAME FROM EMP E WHERE E.DNO = 1";
 
@@ -57,6 +57,7 @@ fn heal_service_config(heal: HealConfig) -> ServiceConfig {
                 min_runs: 3,
                 ..SuspectConfig::default()
             },
+            spans: SpanMode::Full,
             ..TelemetryConfig::default()
         },
         heal: Some(heal),
@@ -64,14 +65,21 @@ fn heal_service_config(heal: HealConfig) -> ServiceConfig {
     }
 }
 
+/// Every event on the service's retained request trees, in request order.
+fn events(svc: &Service) -> Vec<TraceEvent> {
+    let trees = svc.telemetry().span_trees();
+    trees
+        .into_iter()
+        .flat_map(|t| t.events)
+        .map(|e| e.event)
+        .collect()
+}
+
 #[test]
 fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     let cat = catalog();
     let db = drifted_database(&cat);
-    let sink = Arc::new(MemorySink::new());
-    let svc = Service::new(Arc::clone(&cat), heal_service_config(HealConfig::default()))
-        .unwrap()
-        .with_tracer(Tracer::shared(sink.clone()));
+    let svc = Service::new(Arc::clone(&cat), heal_service_config(HealConfig::default())).unwrap();
     let q = parse_query(&cat, DRIFT_SQL).unwrap();
 
     for _ in 0..5 {
@@ -101,7 +109,7 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     assert_eq!(snap.heal_for(fp).unwrap().swaps, 1);
 
     // Typed events, in causal order: reopt then swap.
-    let events = sink.events();
+    let events = events(&svc);
     let reopts: Vec<_> = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::PlanReopt { .. }))
@@ -130,7 +138,6 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
 fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     let cat = catalog();
     let db = drifted_database(&cat);
-    let sink = Arc::new(MemorySink::new());
     let mut config = heal_service_config(HealConfig {
         // Effectively-zero backoff so the retry is admitted immediately.
         backoff_base: Duration::from_nanos(1),
@@ -139,9 +146,7 @@ fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     // The first re-optimization hits an injected typed error; the retry
     // (after backoff) runs clean.
     config.opt_config.faults = Some(Arc::new(FaultPlan::parse("reopt:optimize:error").unwrap()));
-    let svc = Service::new(Arc::clone(&cat), config)
-        .unwrap()
-        .with_tracer(Tracer::shared(sink.clone()));
+    let svc = Service::new(Arc::clone(&cat), config).unwrap();
     let q = parse_query(&cat, DRIFT_SQL).unwrap();
 
     for _ in 0..6 {
@@ -155,8 +160,7 @@ fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
     assert_eq!(c[Metric::PlanPinned], 1);
     assert_eq!(c[Metric::PlanSwap], 1);
 
-    let pinned: Vec<_> = sink
-        .events()
+    let pinned: Vec<_> = events(&svc)
         .into_iter()
         .filter_map(|e| match e {
             TraceEvent::PlanPinned { reason, .. } => Some(reason),

@@ -1,14 +1,18 @@
-//! The typed event taxonomy emitted by the optimizer and executor.
+//! The typed event taxonomy the optimizer, executors and serving layer
+//! annotate on a request's span tree ([`crate::SpanEvent`]).
 //!
 //! Every variant serializes to one flat JSON object with a `"type"`
-//! discriminator, so a JSON-Lines trace is trivially greppable/`jq`-able —
-//! and parses back via [`TraceEvent::from_json`], so offline tooling (the
-//! `starqo-obs` analytics) consumes the same stream the sinks wrote. Both
-//! directions come from the `record!` table below.
+//! discriminator, written beside the annotation's span and offset, so a
+//! tree's events stay greppable/`jq`-able — and parse back via
+//! [`TraceEvent::from_json`], so offline tooling (the `starqo-obs`
+//! analytics) consumes the same record the service wrote. Both directions
+//! come from the `record!` table below.
 //!
 //! Attribution model: every STAR reference gets a unique `id` and carries
 //! the `parent` reference id it was expanded under (0 = the enumeration
-//! driver), so the full expansion tree reconstructs from a flat stream.
+//! driver), so the full expansion tree reconstructs from the events; a
+//! non-memoized reference's `star:<Name>` span carries the same id as its
+//! `meta` and times the expansion.
 //! Events emitted while an alternative evaluates carry the enclosing
 //! reference's id as `ref_id`, and plan-construction/table events carry the
 //! plan's structural fingerprint `fp`, letting consumers join "which rule
@@ -39,15 +43,6 @@ record! {
             id: u64,
             parent: u64,
             memo_hit: bool,
-        },
-        /// A non-memoized STAR reference finished expanding: how many plans it
-        /// returned and its inclusive wall-clock time. Pairs with the
-        /// `StarRef` of the same `id`.
-        StarDone = "star_done" {
-            star: String,
-            id: u64,
-            plans: usize,
-            nanos: u64,
         },
         /// One alternative of a STAR fired and produced plans.
         AltFired = "alt_fired" {
@@ -134,9 +129,8 @@ record! {
             invocations: u64,
             nanos: u64,
         },
-        /// A workload runner is about to optimize + execute one named query.
-        /// Delimits per-query segments in a combined multi-query stream: every
-        /// event until the next `QueryStart` belongs to this query.
+        /// A workload runner is about to optimize + execute one named query:
+        /// names the query segment its tree records.
         QueryStart = "query_start" {
             name: String,
         },
@@ -146,11 +140,6 @@ record! {
             name: String,
             rows: u64,
             nanos: u64,
-        },
-        /// A free-form named counter observation (metrics bridge).
-        Counter = "counter" {
-            name: String,
-            value: u64,
         },
         /// A rule alternative panicked or errored and was disabled for the
         /// rest of the run; `cond` is the rendered condition of applicability
@@ -240,29 +229,6 @@ record! {
     }
 }
 
-/// Parse a JSON-Lines trace: typed events plus the count of skipped lines
-/// (blank lines are not counted as skipped).
-pub fn read_events(text: &str) -> (Vec<TraceEvent>, usize) {
-    let mut events = Vec::new();
-    let mut skipped = 0;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match TraceEvent::from_json(line) {
-            Some(ev) => events.push(ev),
-            None => skipped += 1,
-        }
-    }
-    (events, skipped)
-}
-
-/// Load a `.jsonl` trace file written by a
-/// [`crate::sink::JsonLinesSink`].
-pub fn load_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<(Vec<TraceEvent>, usize)> {
-    Ok(read_events(&std::fs::read_to_string(path)?))
-}
-
 /// Actual per-plan-node measurements gathered during execution, keyed by the
 /// node's fingerprint. Defined here so both `starqo-plan` (the renderer) and
 /// `starqo-exec` (the collector) can see it without depending on each other.
@@ -289,12 +255,6 @@ mod tests {
                 id: 17,
                 parent: 4,
                 memo_hit: true,
-            },
-            TraceEvent::StarDone {
-                star: "JoinRoot".into(),
-                id: 17,
-                plans: 5,
-                nanos: 120,
             },
             TraceEvent::AltFired {
                 star: "JMeth".into(),
@@ -378,10 +338,6 @@ mod tests {
                 name: "paper/local".into(),
                 rows: 84,
                 nanos: 77_000,
-            },
-            TraceEvent::Counter {
-                name: "x".into(),
-                value: 1,
             },
             TraceEvent::RuleQuarantined {
                 star: "JMeth".into(),
@@ -502,8 +458,8 @@ mod tests {
             "not json",
             "{}",
             r#"{"type":"unknown_kind"}"#,
-            r#"{"type":"counter","name":"x"}"#,
-            r#"{"type":"counter","name":"x","value":"nope"}"#,
+            r#"{"type":"query_done","name":"x"}"#,
+            r#"{"type":"query_done","name":"x","rows":"nope","nanos":1}"#,
             r#"{"type":"exec_node","op":"SORT","rows_out":9,"invocations":1,"nanos":55}"#,
         ] {
             assert_eq!(TraceEvent::from_json(bad), None, "accepted: {bad:?}");
@@ -512,26 +468,15 @@ mod tests {
 
     #[test]
     fn out_of_range_integers_reject_the_line() {
-        // 2^32 does not fit `sid: u32`: the line is refused and counted as
-        // skipped, never loaded as a wrapped `sid: 0`.
+        // 2^32 does not fit `sid: u32`: the record is refused, never loaded
+        // as a wrapped `sid: 0`.
         let line =
             r#"{"type":"star_ref","star":"J","sid":4294967296,"id":1,"parent":0,"memo_hit":false}"#;
         assert_eq!(TraceEvent::from_json(line), None);
-        assert_eq!(read_events(line), (Vec::new(), 1));
         let widest = line.replace("4294967296", "4294967295");
         assert!(matches!(
             TraceEvent::from_json(&widest),
             Some(TraceEvent::StarRef { sid: u32::MAX, .. })
         ));
-    }
-
-    #[test]
-    fn read_events_skips_bad_lines_and_blanks() {
-        let text = "\n{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\ngarbage\n\n{\"type\":\"query_start\",\"name\":\"s\"}\n";
-        let (events, skipped) = read_events(text);
-        assert_eq!(events.len(), 2);
-        assert_eq!(skipped, 1);
-        assert_eq!(events[0].kind(), "counter");
-        assert_eq!(events[1].kind(), "query_start");
     }
 }

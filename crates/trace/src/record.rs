@@ -17,10 +17,11 @@
 //! rejects the record rather than wrapping.
 //!
 //! The tables sit next to the code that fills them: [`crate::TraceEvent`]
-//! and [`CostBreakdownEv`], [`crate::SpanTree`] and [`crate::SpanRecord`],
-//! [`crate::HotQuery`], [`crate::QErrorSketch`], [`crate::HealRecord`].
+//! and [`CostBreakdownEv`], [`crate::SpanTree`], [`crate::SpanRecord`],
+//! [`crate::SpanEvent`], [`crate::HotQuery`], [`crate::QErrorSketch`],
+//! [`crate::HealRecord`].
 
-use crate::event::CostBreakdownEv;
+use crate::event::{CostBreakdownEv, TraceEvent};
 use crate::hist::Histogram;
 use crate::json::JsonObj;
 use crate::read::JsonValue;
@@ -132,6 +133,17 @@ impl Field for CostBreakdownEv {
 
     fn read_field(v: &JsonValue, _key: &str) -> Option<Self> {
         CostBreakdownEv::read_fields(v)
+    }
+}
+
+/// Flattened: the event's `"type"` and fields sit beside the record's own.
+impl Field for TraceEvent {
+    fn write_field(&self, o: JsonObj, _key: &str) -> JsonObj {
+        self.write_fields(o)
+    }
+
+    fn read_field(v: &JsonValue, _key: &str) -> Option<Self> {
+        TraceEvent::read_fields(v)
     }
 }
 

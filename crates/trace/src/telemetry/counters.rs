@@ -38,11 +38,11 @@ catalog! {
         Executions = "serve_executions",
         /// Result rows produced by those executions.
         ExecRows = "serve_exec_rows",
-        /// Requests whose fingerprint the head-based sampler admitted to the
-        /// attached tracer.
+        /// Recorded requests whose fingerprint the head sampler admitted: a
+        /// detailed span tree.
         TraceSampled = "serve_trace_sampled",
-        /// Requests the sampler suppressed (tracer attached, fingerprint not
-        /// in the sample).
+        /// Recorded requests the head sampler left undetailed (spans on,
+        /// fingerprint not in the sample).
         TraceUnsampled = "serve_trace_unsampled",
         /// STAR references made by cold optimizations (engine work).
         StarRefs = "opt_star_refs",

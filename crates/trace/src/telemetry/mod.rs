@@ -13,8 +13,9 @@
 //! - [`topk`]: bounded-memory per-fingerprint hot-query tracking
 //!   (space-saving), recording count, cumulative latency, last epoch.
 //! - [`sample`]: head-based deterministic trace sampling
-//!   (`STARQO_TRACE_SAMPLE=1/N` over the fingerprint hash), so structured
-//!   tracing can stay attached in production at 1/N of its cost.
+//!   (`STARQO_TRACE_SAMPLE=1/N` over the fingerprint hash): which recorded
+//!   requests carry a *detailed* span tree, so full optimizer and executor
+//!   detail can stay on in production at 1/N of its cost.
 //! - [`qerror`]: the feedback plane — bounded per-fingerprint Q-error
 //!   sketches folded from the executor's per-run actuals, with a sticky
 //!   suspect flag when a fingerprint's plan-quality trend crosses the
@@ -47,8 +48,9 @@ pub use ring::SnapshotRing;
 pub use sample::TraceSampler;
 pub use snapshot::TelemetrySnapshot;
 pub use spans::{
-    from_chrome_trace, read_span_trees, to_chrome_trace, SpanContext, SpanGuard, SpanMode,
-    SpanName, SpanRecord, SpanStore, SpanTree, TailConfig, TailSampler,
+    events_constructed, from_chrome_trace, read_span_trees, to_chrome_trace, SpanContext,
+    SpanEvent, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree, TailConfig,
+    TailSampler,
 };
 pub use topk::{HotQuery, TopKTracker};
 
@@ -60,8 +62,11 @@ pub const TOPK_SHARDS: usize = 4;
 pub const FEEDBACK_SHARDS: usize = 4;
 /// Q-error sketches per feedback shard.
 pub const FEEDBACK_CAPACITY: usize = 64;
-/// Max recorded spans per request; overflow is counted, not grown.
+/// Max recorded spans per undetailed request; overflow is counted, not
+/// grown. A detailed request is not capped.
 pub const SPAN_CAP: usize = 256;
+/// Span-store shards (a power of two).
+pub const SPAN_SHARDS: usize = 4;
 
 /// Sizing and gating knobs for a [`Telemetry`] plane. Counters, histograms
 /// and the phase profiler take one stripe per available core; the other
@@ -72,8 +77,9 @@ pub struct TelemetryConfig {
     pub full: bool,
     /// Top-K capacity per shard, and the default `k` of snapshots.
     pub topk: usize,
-    /// Head sampler applied to attached tracers.
-    pub sample: TraceSampler,
+    /// Head sampler choosing the recorded requests whose span tree is
+    /// detailed (`None`: no request is).
+    pub sample: Option<TraceSampler>,
     /// Enable the per-fingerprint Q-error feedback plane.
     pub feedback: bool,
     /// Suspect-detection thresholds for the feedback plane.
@@ -82,8 +88,6 @@ pub struct TelemetryConfig {
     pub spans: SpanMode,
     /// Retained span-tree capacity across the span store's shards.
     pub span_store: usize,
-    /// Span-store shard count (rounded up to a power of two).
-    pub span_shards: usize,
     /// Tail-sampler thresholds (used when `spans` is [`SpanMode::Tail`]).
     pub tail: TailConfig,
 }
@@ -93,12 +97,11 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             full: true,
             topk: 32,
-            sample: TraceSampler::all(),
+            sample: None,
             feedback: true,
             suspect: SuspectConfig::default(),
             spans: SpanMode::Off,
             span_store: 64,
-            span_shards: 4,
             tail: TailConfig::default(),
         }
     }
@@ -106,7 +109,7 @@ impl Default for TelemetryConfig {
 
 impl TelemetryConfig {
     /// The default config with the sampler taken from
-    /// `STARQO_TRACE_SAMPLE` (admit-all when unset).
+    /// `STARQO_TRACE_SAMPLE` (no request detailed when unset).
     pub fn from_env() -> TelemetryConfig {
         TelemetryConfig {
             sample: TraceSampler::from_env(),
@@ -149,7 +152,7 @@ pub struct Telemetry {
     hists: [AtomicHistogram; LatencyPath::COUNT],
     topk: TopKTracker,
     topk_k: usize,
-    sampler: TraceSampler,
+    sample: Option<TraceSampler>,
     feedback: Option<FeedbackPlane>,
     phases: PhasePlane,
     spans: Option<SpanPlane>,
@@ -187,7 +190,7 @@ impl Telemetry {
             hists: std::array::from_fn(|_| AtomicHistogram::new(0)),
             topk: TopKTracker::new(TOPK_SHARDS, config.topk.max(1)),
             topk_k: config.topk.max(1),
-            sampler: config.sample,
+            sample: config.sample,
             feedback: config
                 .feedback
                 .then(|| FeedbackPlane::new(FEEDBACK_SHARDS, FEEDBACK_CAPACITY, config.suspect)),
@@ -195,7 +198,7 @@ impl Telemetry {
             spans: (config.spans != SpanMode::Off).then(|| SpanPlane {
                 mode: config.spans,
                 next_request: std::sync::atomic::AtomicU64::new(1),
-                store: SpanStore::new(config.span_shards, config.span_store),
+                store: SpanStore::new(SPAN_SHARDS, config.span_store),
                 tail: TailSampler::new(config.tail),
                 totals: AtomicHistogram::new(0),
             }),
@@ -210,11 +213,6 @@ impl Telemetry {
     /// Whether the histogram/top-K tiers are live.
     pub fn is_full(&self) -> bool {
         self.full
-    }
-
-    /// The head sampler attached tracers are filtered through.
-    pub fn sampler(&self) -> TraceSampler {
-        self.sampler
     }
 
     /// Nanos since this plane was created.
@@ -326,16 +324,6 @@ impl Telemetry {
         self.phases.get(phase)
     }
 
-    /// The configured span tracing mode.
-    pub fn span_mode(&self) -> SpanMode {
-        self.spans.as_ref().map(|s| s.mode).unwrap_or(SpanMode::Off)
-    }
-
-    /// Whether span recording is on (tail or full).
-    pub fn has_spans(&self) -> bool {
-        self.spans.is_some()
-    }
-
     /// A recorder for one new request: live (with a plane-unique request
     /// id) when span tracing is on, the no-op context otherwise.
     pub fn span_context(&self) -> SpanContext {
@@ -351,8 +339,8 @@ impl Telemetry {
     }
 
     /// Finish one request's span recording: take the tail-retention
-    /// decision (keep everything under [`SpanMode::Full`]), store the
-    /// tree or drop it, and count either way. `total_nanos` is the
+    /// decision (keep a detailed tree as "sampled", everything under
+    /// [`SpanMode::Full`]), store the tree or drop it, and count either way. `total_nanos` is the
     /// request's end-to-end latency; `suspect` is looked up live so a
     /// fingerprint flagged *by this very request's execution* retains its
     /// own tree. Returns the retention reason when the tree was kept.
@@ -372,6 +360,7 @@ impl Telemetry {
         let total_nanos = ctx.elapsed_nanos();
         let suspect = self.is_suspect(fp);
         let verdict = match plane.mode {
+            _ if ctx.is_detailed() => Some("sampled"),
             SpanMode::Full => Some("full"),
             _ => plane
                 .tail
@@ -432,12 +421,12 @@ impl Telemetry {
             .unwrap_or((0, 0, 0))
     }
 
-    /// Head-sampling decision for a request with an attached tracer:
+    /// Head-sampling decision for a recorded request: detailed or not,
     /// deterministic on the fingerprint, and counted either way so the
     /// sampled/suppressed split is visible in the counter plane.
     #[inline]
     pub fn admit_trace(&self, fp: u64) -> bool {
-        let admitted = self.sampler.admit(fp);
+        let admitted = self.sample.is_some_and(|s| s.admit(fp));
         self.add(
             if admitted {
                 Metric::TraceSampled
@@ -547,7 +536,7 @@ mod tests {
     #[test]
     fn admit_trace_counts_both_outcomes() {
         let t = Telemetry::new(TelemetryConfig {
-            sample: TraceSampler::one_in(64),
+            sample: Some(TraceSampler::one_in(64)),
             ..TelemetryConfig::default()
         });
         let mut admitted = 0u64;
@@ -565,7 +554,6 @@ mod tests {
     fn span_plane_retains_by_mode_and_counts_both_ways() {
         // Off: contexts are inert and the snapshot reports no store.
         let off = Telemetry::default();
-        assert!(!off.has_spans());
         assert!(!off.span_context().enabled());
         assert_eq!(off.snapshot().span_capacity, 0);
 
@@ -573,7 +561,6 @@ mod tests {
         let full = Telemetry::new(TelemetryConfig {
             spans: SpanMode::Full,
             span_store: 8,
-            span_shards: 1,
             ..TelemetryConfig::default()
         });
         for fp in 0..3u64 {

@@ -1,6 +1,7 @@
 //! Head-based trace sampling: decide *once per request, at the head*,
-//! whether the full event stream for that request is traced — so
-//! production keeps structured tracing always-on at 1/N of the cost.
+//! whether that request's span tree is detailed (every optimizer and
+//! executor event annotated, no span cap) — so production keeps full
+//! detail always-on at 1/N of the cost.
 //!
 //! The decision is a pure function of the canonical query fingerprint
 //! hash: deterministic (the same query shape is always in or out, so
@@ -24,13 +25,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSampler {
     one_in: u64,
-}
-
-impl Default for TraceSampler {
-    /// Admit everything (rate 1).
-    fn default() -> Self {
-        TraceSampler { one_in: 1 }
-    }
 }
 
 impl TraceSampler {
@@ -62,21 +56,15 @@ impl TraceSampler {
     }
 
     /// The sampler configured in the environment: `STARQO_TRACE_SAMPLE`
-    /// parsed per [`Self::parse`], defaulting to admit-all when unset or
-    /// malformed (a bad value must never silence tracing entirely).
-    pub fn from_env() -> TraceSampler {
+    /// parsed per [`Self::parse`]; `None` (no request detailed) when unset
+    /// or malformed.
+    pub fn from_env() -> Option<TraceSampler> {
         std::env::var("STARQO_TRACE_SAMPLE")
             .ok()
             .and_then(|v| TraceSampler::parse(&v))
-            .unwrap_or_default()
     }
 
-    /// The `N` of `1/N` (1 = admit everything).
-    pub fn rate(&self) -> u64 {
-        self.one_in
-    }
-
-    /// Whether requests with this fingerprint hash are traced.
+    /// Whether requests with this fingerprint hash are detailed.
     #[inline]
     pub fn admit(&self, fp: u64) -> bool {
         self.one_in <= 1 || mix64(fp).is_multiple_of(self.one_in)

@@ -1,21 +1,27 @@
-//! Request-scoped span trees with tail-based retention.
+//! Request-scoped span trees with tail-based retention: the one record of
+//! a request.
 //!
 //! Three cooperating pieces:
 //!
 //! - [`SpanContext`]: a per-request recorder threaded through
 //!   `Service::{prepare,optimize,execute}`, the optimizer (per-STAR
-//!   expansion, glue) and the executor (pipelines). [`SpanContext::enter`]
-//!   returns an RAII [`SpanGuard`]; the guard's drop appends one
-//!   [`SpanRecord`] to the request's buffer with nanosecond offsets from
-//!   the request's own monotonic clock. An off context (span tracing
-//!   disabled) reduces every call to an `Option` check.
+//!   expansion, glue) and the executors. [`SpanContext::enter`] returns an
+//!   RAII [`SpanGuard`]; the guard's drop appends one [`SpanRecord`] to the
+//!   request's buffer with nanosecond offsets from the request's own
+//!   monotonic clock. Typed [`TraceEvent`]s land on the same buffer as
+//!   timestamped [`SpanEvent`] annotations: [`SpanContext::annotate`] for
+//!   serve-level events (every recorded tree), [`SpanContext::detail`] for
+//!   the engine's, plan table's, Glue's and executors' (a *detailed* tree
+//!   only — the head decision, taken once the fingerprint is known). An
+//!   off context (span tracing disabled) reduces every call to an
+//!   `Option` check; an event closure runs only when its event is kept.
 //! - [`TailSampler`]: the retention decision taken *at request
 //!   completion* — keep the full tree for requests that were slow
 //!   (latency above a configured quantile of the live end-to-end
 //!   histogram), errored, degraded, or touched a suspect fingerprint;
-//!   drop-and-count the rest. This complements the head sampler
-//!   (`STARQO_TRACE_SAMPLE`), which must decide *before* the request runs
-//!   and therefore cannot know it will be interesting.
+//!   drop-and-count the rest. A detailed tree is always kept (and never
+//!   capped): the head sampler (`STARQO_TRACE_SAMPLE`) chose it before it
+//!   could know whether it would be interesting.
 //! - [`SpanStore`]: a bounded, sharded store of retained [`SpanTree`]s,
 //!   recycled FIFO like the feedback plane's sketches — memory stays
 //!   fixed however many requests flow past, and evictions are counted so
@@ -23,16 +29,18 @@
 //!
 //! Trees serialize as one-line JSON (JSONL streams, tolerant reader) and
 //! export as Chrome `trace_event` JSON for `about://tracing`; both forms
-//! come from the `record!` tables of [`SpanTree`] and [`SpanRecord`].
+//! come from the `record!` tables of [`SpanTree`], [`SpanRecord`] and
+//! [`SpanEvent`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::event::TraceEvent;
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
-use crate::record::Field;
+use crate::record::{Field, Record};
 
 /// Span tracing mode for a telemetry plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,16 +52,6 @@ pub enum SpanMode {
     Tail,
     /// Record and retain every request (tests, offline analysis).
     Full,
-}
-
-impl SpanMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanMode::Off => "off",
-            SpanMode::Tail => "tail",
-            SpanMode::Full => "full",
-        }
-    }
 }
 
 /// Tail-sampler thresholds. The slow test compares a finished request's
@@ -167,9 +165,23 @@ record! {
 }
 
 record! {
+    /// One typed event annotated on a recorded request: `span` is the
+    /// innermost span open when it happened (0 = none), `at` its offset in
+    /// nanos from the request's start. The event is written flattened
+    /// beside them, led by its `"type"`; a Chrome instant event carries
+    /// the kind as its name and the whole record in `args`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpanEvent {
+        pub span: u32,
+        pub at: u64,
+        pub event: TraceEvent,
+    }
+}
+
+record! {
     /// A finished request's retained span tree plus the request-level facts
     /// the tail sampler judged it by. A Chrome export's per-request metadata
-    /// event carries every field but the spans in `args`.
+    /// event carries every field but the spans and events in `args`.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct SpanTree {
         /// Plane-unique request id (also the Chrome export's `tid`).
@@ -186,13 +198,16 @@ record! {
         pub degraded: bool,
         /// The fingerprint was suspect when the request finished.
         pub suspect: bool,
-        /// Why the tail sampler kept this tree ("slow", "error", "degraded",
-        /// "suspect", or "full" when the mode retains everything).
+        /// Why the tree was kept: "sampled" (a detailed tree), the tail
+        /// sampler's "slow", "error", "degraded" or "suspect", or "full"
+        /// when the mode retains everything.
         pub retained: String,
         /// Spans discarded because the per-request buffer cap was hit.
         pub dropped: u32,
         /// Spans in completion order (children close before parents).
         pub spans: Vec<SpanRecord>,
+        /// Events annotated on the request, in the order they happened.
+        pub events: Vec<SpanEvent>,
     }
     args { request_id, fp, epoch, total_nanos, outcome, degraded, suspect, retained, dropped }
 }
@@ -279,9 +294,10 @@ pub fn read_span_trees(text: &str) -> (Vec<SpanTree>, usize) {
 
 /// Export trees as Chrome `trace_event` JSON (the object form with a
 /// `traceEvents` array), loadable in `about://tracing` / Perfetto. Each
-/// request becomes one `tid`; every span is a complete ("X") event with
-/// microsecond `ts`/`dur`, and a per-request metadata ("M") event carries
-/// the tree-level fields so [`from_chrome_trace`] round-trips exactly.
+/// request becomes one `tid`; every span is a complete ("X") event and
+/// every annotated event a thread-scoped instant ("i") event, both with
+/// microsecond `ts`, and a per-request metadata ("M") event carries the
+/// tree-level fields so [`from_chrome_trace`] round-trips exactly.
 pub fn to_chrome_trace(trees: &[SpanTree]) -> String {
     let mut events = Vec::new();
     for t in trees {
@@ -310,6 +326,20 @@ pub fn to_chrome_trace(trees: &[SpanTree]) -> String {
                     .finish(),
             );
         }
+        for e in &t.events {
+            events.push(
+                JsonObj::new()
+                    .str("name", e.event.kind())
+                    .str("cat", "starqo")
+                    .str("ph", "i")
+                    .str("s", "t")
+                    .u64("pid", 1)
+                    .u64("tid", t.request_id)
+                    .u64("ts", e.at / 1_000)
+                    .raw("args", &e.write_fields(JsonObj::new()).finish())
+                    .finish(),
+            );
+        }
     }
     format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
@@ -331,18 +361,24 @@ pub fn from_chrome_trace(text: &str) -> Result<Vec<SpanTree>, String> {
             .and_then(JsonValue::as_u64)
             .ok_or("event missing tid")?;
         let args = e.get("args").ok_or("event missing args")?;
-        match ph {
-            "M" => trees.push(SpanTree::read_args(args).ok_or("malformed metadata event")?),
-            "X" => {
-                let tree = trees
-                    .iter_mut()
-                    .find(|t| t.request_id == tid)
-                    .ok_or("span event before its metadata event")?;
-                let mut span = SpanRecord::read_args(args).ok_or("malformed span event")?;
-                span.name = SpanName::read_field(e, "name").ok_or("span event missing name")?;
-                tree.spans.push(span);
-            }
-            _ => {}
+        if ph == "M" {
+            trees.push(SpanTree::read_args(args).ok_or("malformed metadata event")?);
+            continue;
+        }
+        if ph != "X" && ph != "i" {
+            continue;
+        }
+        let tree = trees
+            .iter_mut()
+            .find(|t| t.request_id == tid)
+            .ok_or("span or instant event before its metadata event")?;
+        if ph == "X" {
+            let mut span = SpanRecord::read_args(args).ok_or("malformed span event")?;
+            span.name = SpanName::read_field(e, "name").ok_or("span event missing name")?;
+            tree.spans.push(span);
+        } else {
+            tree.events
+                .push(SpanEvent::read_fields(args).ok_or("malformed instant event")?);
         }
     }
     trees.sort_by_key(|t| t.request_id);
@@ -362,10 +398,14 @@ struct SpanBuf {
     /// Open-span stack; the top is the parent for the next `enter`.
     stack: Vec<u32>,
     dropped: u32,
+    events: Vec<SpanEvent>,
 }
 
 #[derive(Debug)]
 struct SpanInner {
+    /// The head decision: record every detail event, cap no span. Read
+    /// outside the lock on every [`SpanContext::detail`] call.
+    detailed: AtomicBool,
     buf: Mutex<SpanBuf>,
 }
 
@@ -403,6 +443,7 @@ impl SpanContext {
             // Sole ownership proves no clone from the previous request can
             // still record into this buffer.
             if let Some(inner) = Arc::get_mut(&mut arc) {
+                *inner.detailed.get_mut() = false;
                 let buf = inner.buf.get_mut().unwrap_or_else(|p| p.into_inner());
                 buf.request_id = request_id;
                 buf.started = Instant::now();
@@ -411,11 +452,13 @@ impl SpanContext {
                 buf.next_id = 0;
                 buf.stack.clear();
                 buf.dropped = 0;
+                buf.events.clear();
                 return SpanContext { inner: Some(arc) };
             }
         }
         SpanContext {
             inner: Some(Arc::new(SpanInner {
+                detailed: AtomicBool::new(false),
                 buf: Mutex::new(SpanBuf {
                     request_id,
                     started: Instant::now(),
@@ -426,9 +469,18 @@ impl SpanContext {
                     next_id: 0,
                     stack: Vec::with_capacity(4),
                     dropped: 0,
+                    events: Vec::new(),
                 }),
             })),
         }
+    }
+
+    /// A detailed recorder outside any telemetry plane (examples, workload
+    /// runners): every event is kept and no span is capped.
+    pub fn detailed(request_id: u64) -> SpanContext {
+        let ctx = SpanContext::start(request_id, super::SPAN_CAP);
+        ctx.set_detailed(true);
+        ctx
     }
 
     /// Whether spans are being recorded (callers gate allocation-heavy
@@ -438,12 +490,39 @@ impl SpanContext {
         self.inner.is_some()
     }
 
-    /// The request id, 0 when off.
-    pub fn request_id(&self) -> u64 {
+    /// Whether this request records detail events (false when off).
+    #[inline]
+    pub fn is_detailed(&self) -> bool {
         self.inner
             .as_ref()
-            .map(|i| i.lock().request_id)
-            .unwrap_or(0)
+            .is_some_and(|i| i.detailed.load(Ordering::Relaxed))
+    }
+
+    /// Take the head decision for this request; a no-op when off.
+    pub fn set_detailed(&self, detailed: bool) {
+        if let Some(inner) = &self.inner {
+            inner.detailed.store(detailed, Ordering::Relaxed);
+        }
+    }
+
+    /// Annotate a serve-level event on any recorded request. The closure
+    /// runs only when the context records.
+    #[inline]
+    pub fn annotate(&self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(inner) = &self.inner {
+            inner.push(make());
+        }
+    }
+
+    /// Annotate an engine, plan-table, Glue or executor event: kept only
+    /// on a detailed request, the closure never runs otherwise.
+    #[inline]
+    pub fn detail(&self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(inner) = &self.inner {
+            if inner.detailed.load(Ordering::Relaxed) {
+                inner.push(make());
+            }
+        }
     }
 
     /// Nanos since the request started (its own monotonic clock).
@@ -515,7 +594,7 @@ impl SpanContext {
     ) -> Option<SpanTree> {
         let inner = self.inner.as_ref()?;
         let mut buf = inner.lock();
-        if buf.records.is_empty() {
+        if buf.records.is_empty() && buf.events.is_empty() {
             return None;
         }
         Some(SpanTree {
@@ -529,6 +608,7 @@ impl SpanContext {
             retained: retained.to_string(),
             spans: std::mem::take(&mut buf.records),
             dropped: std::mem::take(&mut buf.dropped),
+            events: std::mem::take(&mut buf.events),
         })
     }
 }
@@ -577,6 +657,25 @@ impl SpanInner {
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanBuf> {
         self.buf.lock().unwrap_or_else(|p| p.into_inner())
     }
+
+    /// Append one event under the innermost open span.
+    fn push(&self, event: TraceEvent) {
+        EVENTS_CONSTRUCTED.fetch_add(1, Ordering::Relaxed);
+        let mut buf = self.lock();
+        let at = nanos_since(buf.started);
+        let span = buf.stack.last().copied().unwrap_or(0);
+        buf.events.push(SpanEvent { span, at, event });
+    }
+}
+
+/// Global count of trace events ever constructed in this process. Only
+/// advanced when an annotation is kept; tests use it to verify that an off
+/// or undetailed context never builds a detail event.
+static EVENTS_CONSTRUCTED: AtomicU64 = AtomicU64::new(0);
+
+/// Total trace events constructed so far in this process.
+pub fn events_constructed() -> u64 {
+    EVENTS_CONSTRUCTED.load(Ordering::Relaxed)
 }
 
 /// Nanos elapsed since `started`, saturating.
@@ -598,7 +697,7 @@ impl Drop for SpanGuard {
                 break;
             }
         }
-        if buf.records.len() >= buf.cap {
+        if buf.records.len() >= buf.cap && !inner.detailed.load(Ordering::Relaxed) {
             buf.dropped += 1;
             return;
         }
@@ -634,10 +733,6 @@ impl TailSampler {
             threshold: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
-    }
-
-    pub fn config(&self) -> TailConfig {
-        self.config
     }
 
     /// The current cached slow threshold in nanos (0 = none yet).
@@ -797,6 +892,7 @@ mod tests {
                 })
                 .collect(),
             dropped: 0,
+            events: Vec::new(),
         }
     }
 
@@ -846,7 +942,6 @@ mod tests {
         g.rename("still nothing");
         drop(g);
         assert!(ctx.finish(1, 1, 1, "hit", false, false, "full").is_none());
-        assert_eq!(ctx.request_id(), 0);
         assert_eq!(ctx.elapsed_nanos(), 0);
     }
 
@@ -864,6 +959,51 @@ mod tests {
         assert_eq!(tree.spans.len(), 2);
         // 5 leaf spans + the root = 6 closes, 2 retained.
         assert_eq!(tree.dropped, 4);
+    }
+
+    #[test]
+    fn a_detailed_request_is_not_capped() {
+        let ctx = SpanContext::start(1, 2);
+        ctx.set_detailed(true);
+        {
+            let _root = ctx.enter("request");
+            for i in 0..5 {
+                let _g = ctx.enter(format!("s{i}"));
+            }
+        }
+        let tree = ctx
+            .finish(1, 1, 100, "miss", false, false, "sampled")
+            .expect("tree");
+        assert_eq!((tree.spans.len(), tree.dropped), (6, 0));
+    }
+
+    #[test]
+    fn events_land_under_the_innermost_span_and_detail_needs_the_head_decision() {
+        let ctx = SpanContext::start(3, 64);
+        {
+            let _root = ctx.enter("request");
+            ctx.annotate(|| TraceEvent::CacheMiss { fp: 1, epoch: 0 });
+            ctx.detail(|| panic!("an undetailed request never builds detail"));
+            ctx.set_detailed(true);
+            let _star = ctx.enter_meta("star:JOIN", 1);
+            ctx.detail(|| TraceEvent::QueryStart { name: "q".into() });
+        }
+        let tree = ctx
+            .finish(1, 0, 100, "miss", false, false, "sampled")
+            .expect("tree");
+        let events: Vec<(u32, &str)> = tree
+            .events
+            .iter()
+            .map(|e| (e.span, e.event.kind()))
+            .collect();
+        assert_eq!(events, vec![(1, "cache_miss"), (2, "query_start")]);
+        assert!(tree.events[0].at <= tree.events[1].at);
+        // An off context runs no closure and takes no decision.
+        let off = SpanContext::off();
+        off.set_detailed(true);
+        assert!(!off.is_detailed());
+        off.annotate(|| panic!("off contexts build nothing"));
+        off.detail(|| panic!("off contexts build nothing"));
     }
 
     #[test]
@@ -901,7 +1041,18 @@ mod tests {
 
     #[test]
     fn chrome_export_roundtrips_exactly() {
-        let t1 = tree_with(&[("request", 0), ("execute", 1), ("pipeline:scan", 2)]);
+        let mut t1 = tree_with(&[("request", 0), ("execute", 1), ("pipeline:scan", 2)]);
+        t1.events.push(SpanEvent {
+            span: 3,
+            at: 1_234_567,
+            event: TraceEvent::ExecNode {
+                op: "ACCESS(heap)".into(),
+                fp: u64::MAX,
+                rows_out: 10,
+                invocations: 1,
+                nanos: 999,
+            },
+        });
         let mut t2 = tree_with(&[("request", 0)]);
         t2.request_id = 11;
         t2.degraded = true;
@@ -909,6 +1060,7 @@ mod tests {
         let text = to_chrome_trace(&[t1.clone(), t2.clone()]);
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"M\""));
+        assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"cat\":\"starqo\""));
         let back = from_chrome_trace(&text).expect("parse");
         assert_eq!(back, vec![t1, t2]);

@@ -1,12 +1,12 @@
-//! Every serialized record's exact text, pinned: one JSON-Lines event of
-//! every kind, one span tree as a JSONL line and as Chrome `trace_event`
-//! JSON, and a snapshot whose `topk`, `qerror` and `heal` arrays are all
+//! Every serialized record's exact text, pinned: one event of every kind,
+//! one span tree (with and without annotated events) as a JSONL line and
+//! as Chrome `trace_event` JSON, and a snapshot whose `topk`, `qerror` and `heal` arrays are all
 //! non-empty. A writer change shows up here as a diff; each text must also
 //! parse back to the value that wrote it.
 
 use starqo_trace::{
     from_chrome_trace, to_chrome_trace, CostBreakdownEv, Counters, HealRecord, Histogram, HotQuery,
-    Metric, Phase, QErrorSketch, SpanRecord, SpanTree, TelemetrySnapshot, TraceEvent,
+    Metric, Phase, QErrorSketch, SpanEvent, SpanRecord, SpanTree, TelemetrySnapshot, TraceEvent,
 };
 
 /// One event of every kind, next to its JSON-Lines text.
@@ -21,15 +21,6 @@ fn events() -> Vec<(TraceEvent, &'static str)> {
                 memo_hit: true,
             },
             r#"{"type":"star_ref","star":"JoinRoot","sid":3,"id":17,"parent":4,"memo_hit":true}"#,
-        ),
-        (
-            TraceEvent::StarDone {
-                star: "JoinRoot".into(),
-                id: 17,
-                plans: 5,
-                nanos: 120,
-            },
-            r#"{"type":"star_done","star":"JoinRoot","id":17,"plans":5,"nanos":120}"#,
         ),
         (
             TraceEvent::AltFired {
@@ -152,13 +143,6 @@ fn events() -> Vec<(TraceEvent, &'static str)> {
                 nanos: 77_000,
             },
             r#"{"type":"query_done","name":"paper/local","rows":84,"nanos":77000}"#,
-        ),
-        (
-            TraceEvent::Counter {
-                name: "x".into(),
-                value: 1,
-            },
-            r#"{"type":"counter","name":"x","value":1}"#,
         ),
         (
             TraceEvent::RuleQuarantined {
@@ -285,10 +269,11 @@ fn tree() -> SpanTree {
             },
         ],
         dropped: 1,
+        events: Vec::new(),
     }
 }
 
-const TREE_LINE: &str = r#"{"request_id":7,"fp":65261,"epoch":2,"total_nanos":5000,"outcome":"miss","degraded":false,"suspect":true,"retained":"suspect","dropped":1,"spans":[{"id":2,"parent":1,"name":"star:JOIN","start":1500,"end":3250,"meta":17},{"id":1,"parent":0,"name":"request","start":0,"end":4900,"meta":0}]}"#;
+const TREE_LINE: &str = r#"{"request_id":7,"fp":65261,"epoch":2,"total_nanos":5000,"outcome":"miss","degraded":false,"suspect":true,"retained":"suspect","dropped":1,"spans":[{"id":2,"parent":1,"name":"star:JOIN","start":1500,"end":3250,"meta":17},{"id":1,"parent":0,"name":"request","start":0,"end":4900,"meta":0}],"events":[]}"#;
 
 const TREE_CHROME: &str = r#"{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"req 0xfeed miss","request_id":7,"fp":65261,"epoch":2,"total_nanos":5000,"outcome":"miss","degraded":false,"suspect":true,"retained":"suspect","dropped":1}},{"name":"star:JOIN","cat":"starqo","ph":"X","pid":1,"tid":7,"ts":1,"dur":1,"args":{"id":2,"parent":1,"start_nanos":1500,"end_nanos":3250,"meta":17}},{"name":"request","cat":"starqo","ph":"X","pid":1,"tid":7,"ts":0,"dur":4,"args":{"id":1,"parent":0,"start_nanos":0,"end_nanos":4900,"meta":0}}]}"#;
 
@@ -300,6 +285,53 @@ fn span_tree_writes_its_pinned_line_and_chrome_text() {
     assert_eq!(to_chrome_trace(std::slice::from_ref(&tree)), TREE_CHROME);
     assert_eq!(
         from_chrome_trace(TREE_CHROME).expect("chrome parses"),
+        vec![tree]
+    );
+}
+
+/// [`tree`] with two annotated events: one under the STAR span, one
+/// under the root.
+fn tree_with_events() -> SpanTree {
+    SpanTree {
+        events: vec![
+            SpanEvent {
+                span: 2,
+                at: 2_100,
+                event: TraceEvent::AltFired {
+                    star: "JMeth".into(),
+                    alt: 2,
+                    ref_id: 17,
+                    plans: 3,
+                },
+            },
+            SpanEvent {
+                span: 1,
+                at: 4_000,
+                event: TraceEvent::CacheMiss {
+                    fp: 0xFEED,
+                    epoch: 2,
+                },
+            },
+        ],
+        ..tree()
+    }
+}
+
+const EVENTS_LINE: &str = r#"{"request_id":7,"fp":65261,"epoch":2,"total_nanos":5000,"outcome":"miss","degraded":false,"suspect":true,"retained":"suspect","dropped":1,"spans":[{"id":2,"parent":1,"name":"star:JOIN","start":1500,"end":3250,"meta":17},{"id":1,"parent":0,"name":"request","start":0,"end":4900,"meta":0}],"events":[{"span":2,"at":2100,"type":"alt_fired","star":"JMeth","alt":2,"ref_id":17,"plans":3},{"span":1,"at":4000,"type":"cache_miss","fp":65261,"epoch":2}]}"#;
+
+const EVENTS_CHROME: &str = r#"{"traceEvents":[{"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"req 0xfeed miss","request_id":7,"fp":65261,"epoch":2,"total_nanos":5000,"outcome":"miss","degraded":false,"suspect":true,"retained":"suspect","dropped":1}},{"name":"star:JOIN","cat":"starqo","ph":"X","pid":1,"tid":7,"ts":1,"dur":1,"args":{"id":2,"parent":1,"start_nanos":1500,"end_nanos":3250,"meta":17}},{"name":"request","cat":"starqo","ph":"X","pid":1,"tid":7,"ts":0,"dur":4,"args":{"id":1,"parent":0,"start_nanos":0,"end_nanos":4900,"meta":0}},{"name":"alt_fired","cat":"starqo","ph":"i","s":"t","pid":1,"tid":7,"ts":2,"args":{"span":2,"at":2100,"type":"alt_fired","star":"JMeth","alt":2,"ref_id":17,"plans":3}},{"name":"cache_miss","cat":"starqo","ph":"i","s":"t","pid":1,"tid":7,"ts":4,"args":{"span":1,"at":4000,"type":"cache_miss","fp":65261,"epoch":2}}]}"#;
+
+#[test]
+fn span_tree_events_write_their_pinned_line_and_chrome_text() {
+    let tree = tree_with_events();
+    assert_eq!(tree.to_json(), EVENTS_LINE);
+    assert_eq!(
+        SpanTree::from_json(EVENTS_LINE).expect("jsonl parses"),
+        tree
+    );
+    assert_eq!(to_chrome_trace(std::slice::from_ref(&tree)), EVENTS_CHROME);
+    assert_eq!(
+        from_chrome_trace(EVENTS_CHROME).expect("chrome parses"),
         vec![tree]
     );
 }

@@ -1,13 +1,14 @@
-//! Observability tour: optimize and execute a 3-way join with structured
-//! tracing attached, then show
+//! Observability tour: optimize and execute a 3-way join recorded as one
+//! detailed span tree, then show
 //!
 //! 1. the rule-firing events behind every operator of the chosen plan,
 //! 2. `EXPLAIN ANALYZE` — estimated CARD/COST against actual rows and time,
 //! 3. the per-phase timing and counter summary.
 //!
-//! The full event stream is also written to `target/trace_plan.jsonl` (one
-//! JSON object per line) through a [`JsonLinesSink`] — under `target/` so
-//! run artifacts never land in the repo root.
+//! The tree — spans plus every optimizer and executor event — is also
+//! written to `target/trace_plan.jsonl` (one JSON object) — under `target/`
+//! so run artifacts never land in the repo root — for `starqo-obs profile`,
+//! `flame`, `spans --chrome` and `timeline`.
 //!
 //! ```sh
 //! cargo run --example trace_plan
@@ -17,23 +18,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use starqo::prelude::*;
-use starqo::trace::TraceSink;
-
-/// Fan one event stream out to two sinks: a JSON-Lines file (the durable
-/// artifact) and an in-memory buffer (so this example can query the events
-/// afterwards). Any `TraceSink` composes this way.
-struct Tee(JsonLinesSink, Arc<MemorySink>);
-
-impl TraceSink for Tee {
-    fn emit(&self, event: &TraceEvent) {
-        self.0.emit(event);
-        self.1.emit(event);
-    }
-
-    fn flush(&self) {
-        self.0.flush();
-    }
-}
 
 fn main() {
     // A 3-table schema: customers place orders for items.
@@ -92,29 +76,37 @@ fn main() {
     .expect("query");
     let parse_nanos = parse_started.elapsed().as_nanos() as u64;
 
-    // Attach the tracer: everything the engine, plan table, Glue, and
-    // executor see goes to target/trace_plan.jsonl AND an in-memory buffer.
-    let trace_path = std::path::Path::new("target").join("trace_plan.jsonl");
-    std::fs::create_dir_all("target").expect("target dir");
-    let mem = Arc::new(MemorySink::new());
-    let sink = Tee(
-        JsonLinesSink::to_file(&trace_path).expect("trace file"),
-        mem.clone(),
-    );
-    let tracer = Tracer::new(sink);
-
+    // Record the request in detail: everything the engine, plan table, Glue
+    // and executor see is annotated on one span tree.
+    let ctx = SpanContext::detailed(1);
+    let root = ctx.enter("request");
     let optimizer = Optimizer::new(cat.clone()).expect("rules compile");
     let config = OptConfig::default().enable("hashjoin");
     let optimized = optimizer
-        .optimize_traced(&query, &config, tracer.clone())
+        .optimize_spanned(&query, &config, &ctx)
         .expect("optimize");
+
+    // Execute with per-node actuals (EXPLAIN ANALYZE reads them back).
+    let mut executor = Executor::new(&db, &query);
+    executor.set_spans(ctx.clone());
+    executor.enable_node_stats();
+    let exec_started = Instant::now();
+    let result = executor.run(&optimized.best).expect("execute");
+    let exec_nanos = exec_started.elapsed().as_nanos() as u64;
+    drop(root);
+    let tree = ctx
+        .finish(0, 0, ctx.elapsed_nanos(), "miss", false, false, "sampled")
+        .expect("a recorded request");
+    let trace_path = std::path::Path::new("target").join("trace_plan.jsonl");
+    std::fs::create_dir_all("target").expect("target dir");
+    std::fs::write(&trace_path, tree.to_json() + "\n").expect("trace file");
 
     // ── 1. rule firings behind the chosen plan ─────────────────────────
     // Each operator of the best plan was produced by one STAR alternative
     // (or by Glue); show that origin next to the matching `alt_fired` event
-    // from the trace.
+    // from the tree.
     println!("== rule firings behind the chosen plan ==");
-    let events = mem.events();
+    let events: Vec<&TraceEvent> = tree.events.iter().map(|e| &e.event).collect();
     let mut nodes = Vec::new();
     optimized
         .best
@@ -137,13 +129,7 @@ fn main() {
         println!("  {op:<18} <= {origin:<22} {fired}");
     }
 
-    // ── 2. execute with per-node actuals, then EXPLAIN ANALYZE ─────────
-    let mut executor = Executor::new(&db, &query);
-    executor.set_tracer(tracer.clone());
-    executor.enable_node_stats();
-    let exec_started = Instant::now();
-    let result = executor.run(&optimized.best).expect("execute");
-    let exec_nanos = exec_started.elapsed().as_nanos() as u64;
+    // ── 2. EXPLAIN ANALYZE ─────────────────────────────────────────────
     println!(
         "\n== EXPLAIN ANALYZE ({} result rows) ==",
         result.rows.len()
@@ -165,10 +151,10 @@ fn main() {
     println!("  {:?}", optimized.stats);
     println!("  {:?}", optimized.table_stats);
 
-    tracer.flush();
     println!(
-        "\nfull event stream: {} ({} events)",
+        "\nfull span tree: {} ({} spans, {} events)",
         trace_path.display(),
-        mem.events().len()
+        tree.spans.len(),
+        tree.events.len()
     );
 }

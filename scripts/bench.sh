@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The experiment harness end to end, in one of two modes:
 #   smoke  every experiment at its small size, then each starqo-obs command
-#          on the kind of artifact it reads;
+#          on the kind of artifact it reads (every trace fold on span-tree
+#          JSONL);
 #   gate   every experiment with a committed baseline at full size, gated
 #          against baselines/BENCH_<name>.json (work counters enforced,
 #          wall clock report-only), plus the full chaos sweep and one heal
@@ -25,11 +26,17 @@ smoke)
     $bench all --smoke > "$dir/smoke.txt"
     echo "== starqo-obs on the exported artifacts =="
     cargo run -q --release --offline --example trace_plan > /dev/null
-    $obs profile target/trace_plan.jsonl > /dev/null
-    $obs flame target/trace_plan.jsonl > /dev/null
-    $obs flame target/trace_plan.jsonl --folded > /dev/null
+    # Every fold reads span-tree JSONL: the detailed trace_plan tree and
+    # the workload runner's one tree per query.
+    for trees in target/trace_plan.jsonl "$dir/workload_trace.jsonl"; do
+        $obs profile "$trees" > /dev/null
+        $obs flame "$trees" > /dev/null
+        $obs flame "$trees" --folded > /dev/null
+        $obs accuracy "$trees" > /dev/null
+    done
     $obs diff target/trace_plan.jsonl "$dir/workload_trace.jsonl" > /dev/null
-    $obs accuracy "$dir/workload_trace.jsonl" > /dev/null
+    $obs spans target/trace_plan.jsonl --chrome "$dir/trace_plan_chrome.json" > /dev/null
+    $obs timeline target/trace_plan.jsonl > /dev/null
     $obs calibrate "$dir/workload_trace.jsonl" --out "$dir/smoke_profile.json" > /dev/null
     STARQO_COST_PROFILE="$dir/smoke_profile.json" \
         $bench workload_run --smoke --out "$dir/smoke_recal.jsonl" > /dev/null

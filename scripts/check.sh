@@ -21,6 +21,12 @@ for crate in starqo-serve starqo-vexec; do
     fi
 done
 
+echo "== one record of a request: the event-sink path stays deleted =="
+if grep -rnE 'TraceSink|JsonLinesSink|MemorySink|Tracer::' crates/ src/ examples/ tests/; then
+    echo "a request is recorded by its SpanContext alone (docs/OBSERVABILITY.md)." >&2
+    exit 1
+fi
+
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
 if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then

@@ -65,5 +65,5 @@ pub mod prelude {
     pub use starqo_plan::{CostModel, Explain, JoinFlavor, Lolepop, PlanRef};
     pub use starqo_query::{parse_query, Query, QueryBuilder};
     pub use starqo_storage::{Database, DatabaseBuilder};
-    pub use starqo_trace::{JsonLinesSink, MemorySink, NullSink, TraceEvent, Tracer};
+    pub use starqo_trace::{SpanContext, SpanTree, TraceEvent};
 }

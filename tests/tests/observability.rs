@@ -2,12 +2,10 @@
 //! events, metrics summaries, and the EXPLAIN ANALYZE renderer, exercised
 //! through full optimize + execute runs.
 
-use std::sync::Arc;
-
 use starqo_core::{OptConfig, Optimizer};
 use starqo_exec::Executor;
 use starqo_plan::Explain;
-use starqo_trace::{MemorySink, Phase, TraceEvent, Tracer};
+use starqo_trace::{Phase, SpanContext, TraceEvent};
 use starqo_workload::{query_shape, synth_catalog, synth_database, QueryShape, SynthSpec};
 
 fn spec() -> SynthSpec {
@@ -50,12 +48,14 @@ fn traced_run_emits_a_rule_firing_for_every_best_plan_node() {
     let cat = synth_catalog(7, &spec());
     let opt = Optimizer::new(cat.clone()).expect("rules");
     let query = query_shape(&cat, QueryShape::Chain, 3, false);
-    let sink = Arc::new(MemorySink::new());
-    let tracer = Tracer::shared(sink.clone());
+    let ctx = SpanContext::detailed(1);
     let out = opt
-        .optimize_traced(&query, &OptConfig::full(), tracer)
+        .optimize_spanned(&query, &OptConfig::full(), &ctx)
         .expect("optimize");
-    let events = sink.events();
+    let tree = ctx
+        .finish(0, 0, 0, "miss", false, false, "sampled")
+        .unwrap();
+    let events: Vec<TraceEvent> = tree.events.into_iter().map(|e| e.event).collect();
 
     // Per best-plan node: its provenance "Star[alt k]" must correspond to an
     // alt_fired event (or to a glue_ref for Glue veneers).
@@ -163,14 +163,18 @@ fn executor_emits_exec_node_events() {
         .optimize(&query, &OptConfig::default())
         .expect("optimize");
 
-    let sink = Arc::new(MemorySink::new());
+    let ctx = SpanContext::detailed(1);
     let mut ex = Executor::new(&db, &query);
-    ex.set_tracer(Tracer::shared(sink.clone()));
+    ex.set_spans(ctx.clone());
     ex.run(&out.best).expect("execute");
+    let tree = ctx
+        .finish(0, 0, 0, "miss", false, false, "sampled")
+        .unwrap();
 
-    let execs: Vec<_> = sink
-        .events()
+    let execs: Vec<_> = tree
+        .events
         .into_iter()
+        .map(|e| e.event)
         .filter(|e| e.kind() == "exec_node")
         .collect();
     // One exec_node event per distinct plan node.

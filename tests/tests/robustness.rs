@@ -17,7 +17,7 @@ use starqo_core::{
 use starqo_exec::{rows_equal_multiset, ExecError, Executor};
 use starqo_plan::Lolepop;
 use starqo_query::{PredSet, QId};
-use starqo_trace::{MemorySink, TraceEvent, Tracer};
+use starqo_trace::{SpanContext, TraceEvent};
 use starqo_workload::{
     dept_emp_catalog, dept_emp_database, dept_emp_query, query_shape, synth_catalog,
     synth_database, QueryShape, SynthSpec,
@@ -59,21 +59,21 @@ fn memo_cap_degrades_but_answer_matches() {
     assert!(full.degraded_reason.is_none());
     let want = Executor::new(&db, &query).run(&full.best).unwrap();
 
-    let sink = Arc::new(MemorySink::new());
-    let tracer = Tracer::shared(sink.clone());
+    let ctx = SpanContext::detailed(1);
     let config = OptConfig {
         budget: Budget::default().with_memo_cap(2),
         ..OptConfig::full()
     };
-    let out = opt.optimize_traced(&query, &config, tracer).unwrap();
+    let out = opt.optimize_spanned(&query, &config, &ctx).unwrap();
     assert!(out.degraded, "memo cap 2 must exhaust on a 3-way join");
     let reason = out.degraded_reason.as_deref().unwrap_or_default();
     assert!(reason.contains("memo_entries"), "{reason}");
+    let tree = ctx.finish(0, 0, 0, "miss", true, false, "sampled").unwrap();
     assert!(
-        sink.events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::BudgetExhausted { resource, .. }
-                if resource == "memo_entries")),
+        tree.events.iter().any(
+            |e| matches!(&e.event, TraceEvent::BudgetExhausted { resource, .. }
+                if resource == "memo_entries")
+        ),
         "budget_exhausted event missing from trace"
     );
 
@@ -156,15 +156,17 @@ fn quarantine_run(
     opt.load_rules(JOIN_RULES).unwrap();
     opt.load_rules(BROKEN_GUARD_RULES).unwrap();
     let query = dept_emp_query(&cat);
-    let sink = Arc::new(MemorySink::new());
-    let tracer = Tracer::shared(sink.clone());
+    let ctx = SpanContext::detailed(1);
     let out = opt
-        .optimize_traced(&query, &OptConfig::default(), tracer)
+        .optimize_spanned(&query, &OptConfig::default(), &ctx)
         .unwrap();
     // The optimizer survived a broken rule; the plan must still run.
     let db = dept_emp_database(cat);
     Executor::new(&db, &query).run(&out.best).unwrap();
-    (out, sink.events())
+    let tree = ctx
+        .finish(0, 0, 0, "miss", false, false, "sampled")
+        .unwrap();
+    (out, tree.events.into_iter().map(|e| e.event).collect())
 }
 
 #[test]

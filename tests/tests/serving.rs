@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use starqo_serve::{Service, ServiceConfig};
-use starqo_trace::{MemorySink, Metric, TraceEvent, Tracer};
+use starqo_trace::{Metric, SpanMode, TelemetryConfig, TraceEvent};
 use starqo_workload::{query_shape_param, synth_catalog, QueryShape, Rng64, SynthSpec};
 
 fn small_catalog(seed: u64) -> Arc<starqo_catalog::Catalog> {
@@ -26,16 +26,19 @@ fn small_catalog(seed: u64) -> Arc<starqo_catalog::Catalog> {
 /// 8 threads x 32 requests over 3 templates (fresh constants every time):
 /// the single-flight cache must run exactly one cold optimization per
 /// distinct fingerprint, counted both by the service counter and by the
-/// `cache_miss` events in the trace.
+/// `cache_miss` events on the request trees (every one kept).
 #[test]
 fn contention_one_cold_optimization_per_fingerprint() {
     let cat = small_catalog(11);
-    let sink = Arc::new(MemorySink::new());
-    let svc = Arc::new(
-        Service::new(Arc::clone(&cat), ServiceConfig::default())
-            .expect("service")
-            .with_tracer(Tracer::shared(sink.clone())),
-    );
+    let config = ServiceConfig {
+        telemetry: TelemetryConfig {
+            spans: SpanMode::Full,
+            span_store: 8 * 32,
+            ..TelemetryConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let svc = Arc::new(Service::new(Arc::clone(&cat), config).expect("service"));
     let templates = [
         (QueryShape::Chain, 2),
         (QueryShape::Chain, 3),
@@ -73,7 +76,13 @@ fn contention_one_cold_optimization_per_fingerprint() {
     assert!(snap.hit_ratio() > 0.9);
     assert_eq!(svc.cache_len(), templates.len());
 
-    let events = sink.events();
+    let trees = svc.telemetry().span_trees();
+    assert_eq!(trees.len(), 8 * 32);
+    let events: Vec<&TraceEvent> = trees
+        .iter()
+        .flat_map(|t| &t.events)
+        .map(|e| &e.event)
+        .collect();
     let miss_events = events
         .iter()
         .filter(|e| matches!(e, TraceEvent::CacheMiss { .. }))

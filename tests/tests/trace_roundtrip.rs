@@ -3,7 +3,7 @@
 //! failures reproduce exactly.
 
 use starqo_trace::json::{escape, JsonObj};
-use starqo_trace::{parse_json, read_events, JsonValue, TraceEvent};
+use starqo_trace::{parse_json, read_span_trees, JsonValue, SpanEvent, SpanTree, TraceEvent};
 use starqo_workload::Rng64;
 
 /// A random string biased toward the characters that make JSON escaping
@@ -112,8 +112,22 @@ fn events_with_random_payloads_survive_the_jsonl_loop() {
             },
         });
     }
-    let text: String = events.iter().map(|e| e.to_json() + "\n").collect();
-    let (back, skipped) = read_events(&text);
+    // One event per line on its own, and all of them annotated on one tree.
+    for e in &events {
+        assert_eq!(TraceEvent::from_json(&e.to_json()).as_ref(), Some(e));
+    }
+    let tree = SpanTree {
+        events: events
+            .into_iter()
+            .map(|event| SpanEvent {
+                span: rng.below(9) as u32,
+                at: rng.next_u64(),
+                event,
+            })
+            .collect(),
+        ..SpanTree::default()
+    };
+    let (back, skipped) = read_span_trees(&(tree.to_json() + "\n"));
     assert_eq!(skipped, 0);
-    assert_eq!(back, events);
+    assert_eq!(back, vec![tree]);
 }
