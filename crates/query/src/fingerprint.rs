@@ -33,13 +33,13 @@ use crate::qset::QId;
 use crate::query::{Quantifier, Query};
 use crate::scalar::{QCol, Scalar};
 
-/// A canonical query fingerprint: the normalized text (exact cache key —
-/// two queries with equal text are interchangeable up to constants) plus a
-/// stable 64-bit FNV-1a hash of it (cheap display / sharding key).
+/// A canonical query fingerprint: the normalized text (the exact cache key,
+/// shared by every clone; equal texts are interchangeable up to constants)
+/// plus a stable 64-bit FNV-1a hash of it (cheap display / sharding key).
 #[derive(Debug, Clone)]
 pub struct QueryFingerprint {
     pub hash: u64,
-    pub text: String,
+    pub text: std::sync::Arc<str>,
 }
 
 impl PartialEq for QueryFingerprint {
@@ -168,7 +168,7 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
     }
     text.push_str(&format!("] @{}", q.query_site.0));
 
-    let hash = fnv1a64(&text);
+    let (hash, text) = (fnv1a64(&text), text.into());
     CanonicalQuery {
         query: Query {
             quantifiers,
@@ -509,7 +509,7 @@ mod tests {
             z ^ (z >> 31)
         };
         let cat = cat();
-        let mut seen: HashMap<u64, String> = HashMap::new();
+        let mut seen: HashMap<u64, std::sync::Arc<str>> = HashMap::new();
         for _ in 0..10_000 {
             let mut b = QueryBuilder::new();
             let d = b.quantifier(&cat, "DEPT", "D").unwrap();

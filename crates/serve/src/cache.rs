@@ -1,11 +1,12 @@
 //! The sharded, single-flight plan cache.
 //!
-//! Entries are keyed by `(canonical fingerprint text, OptConfig signature)`
-//! and carry the catalog **epoch** they were optimized under: a probe with
-//! a newer epoch removes the stale entry on contact (lazy invalidation) and
-//! reports a miss. Each shard is an independent `RwLock`-ed LRU with a
-//! capacity bound and a byte bound; fingerprint hashes pick the shard, so
-//! unrelated queries never contend on one lock.
+//! Entries are keyed by the canonical fingerprint text alone (each service
+//! owns its cache and runs one `OptConfig`) and carry the catalog **epoch**
+//! they were optimized under: a probe with a newer epoch removes the stale
+//! entry on contact (lazy invalidation) and reports a miss. Each shard is
+//! an independent `RwLock`-ed LRU with a capacity bound and a byte bound;
+//! fingerprint hashes pick the shard, so unrelated queries never contend on
+//! one lock.
 //!
 //! Misses are **single-flight**: the first thread to miss on a key becomes
 //! the leader and pays for the cold optimization; concurrent threads asking
@@ -21,6 +22,7 @@ use std::sync::{Arc, RwLock};
 use starqo_core::Optimized;
 
 use crate::flight::{FlightMap, Role};
+use crate::service::ServeError;
 
 /// Sizing knobs for the plan cache.
 #[derive(Debug, Clone)]
@@ -60,10 +62,11 @@ pub struct CacheMeta {
     pub evicted: Vec<(u64, &'static str)>,
 }
 
-type Key = (Arc<str>, Arc<str>);
-/// Single-flight key: `(fingerprint, config signature, epoch)` — epochs do
-/// not coalesce across a catalog change.
-type FlightKey = (Arc<str>, Arc<str>, u64);
+/// What a cold optimization hands back: the plan, its wall-clock nanos and
+/// whether it may be cached.
+type Cold = Result<(Arc<Optimized>, u64, bool), ServeError>;
+/// What a lookup hands back: the plan and the cold nanos this request paid.
+type Lookup = Result<(Arc<Optimized>, u64), ServeError>;
 
 struct Entry {
     value: Arc<Optimized>,
@@ -78,7 +81,8 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Key, Entry>,
+    /// Fingerprint text → entry; the key shares the request's text.
+    map: HashMap<Arc<str>, Entry>,
     bytes: usize,
 }
 
@@ -90,7 +94,9 @@ pub struct PlanCache {
     per_shard_cap: usize,
     per_shard_bytes: usize,
     clock: AtomicU64,
-    flights: FlightMap<FlightKey, (Arc<Optimized>, u64)>,
+    /// Single-flight misses, keyed `(fingerprint text, epoch)`: epochs do
+    /// not coalesce across a catalog change.
+    flights: FlightMap<(Arc<str>, u64), (Arc<Optimized>, u64)>,
 }
 
 impl PlanCache {
@@ -134,7 +140,7 @@ impl PlanCache {
     /// a miss.
     fn probe(
         &self,
-        key: &Key,
+        key: &str,
         fp_hash: u64,
         epoch: u64,
         meta: &mut CacheMeta,
@@ -181,14 +187,14 @@ impl PlanCache {
     /// Install a leader's result, evicting LRU entries past either bound.
     fn insert(
         &self,
-        key: Key,
+        key: &Arc<str>,
         fp_hash: u64,
         epoch: u64,
         value: Arc<Optimized>,
         opt_nanos: u64,
         meta: &mut CacheMeta,
     ) {
-        let bytes = estimate_bytes(key.0.len(), &value);
+        let bytes = estimate_bytes(key.len(), &value);
         let shard = self.shard_of(fp_hash);
         // The replaced and evicted plans, freed once the shard is unlocked
         // (declared before the guard, so dropped after it).
@@ -202,7 +208,7 @@ impl PlanCache {
             bytes,
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
         };
-        if let Some(old) = g.map.insert(key, entry) {
+        if let Some(old) = g.map.insert(Arc::clone(key), entry) {
             g.bytes = g.bytes.saturating_sub(old.bytes);
             retired.push(old);
         }
@@ -231,42 +237,39 @@ impl PlanCache {
         }
     }
 
-    /// The heart of the cache: return a cached plan for `(fp, sig)` under
-    /// `epoch`, or run `cold` exactly once per key across all concurrent
-    /// callers and share its result. `cold` returns the optimized result
-    /// plus its wall-clock nanos; a `cacheable` of false (e.g. the run
-    /// degraded under a tight deadline) shares the result with followers
-    /// but keeps it out of the cache.
+    /// The heart of the cache: return a cached plan for `fp` under
+    /// `epoch`, or run `cold` exactly once per `(fp, epoch)` across all
+    /// concurrent callers and share its result — a leader's error included.
+    /// `cold` returns the optimized result plus its wall-clock nanos; a
+    /// `cacheable` of false (e.g. the run degraded under a tight deadline)
+    /// shares the result with followers but keeps it out of the cache.
     pub fn serve(
         &self,
         fp: &Arc<str>,
-        sig: &Arc<str>,
         fp_hash: u64,
         epoch: u64,
-        cold: impl FnOnce() -> Result<(Arc<Optimized>, u64, bool), String>,
-    ) -> (Result<(Arc<Optimized>, u64), String>, CacheMeta) {
+        cold: impl FnOnce() -> Cold,
+    ) -> (Lookup, CacheMeta) {
         let mut meta = CacheMeta::default();
-        let key: Key = (Arc::clone(fp), Arc::clone(sig));
-        if let Some((v, nanos)) = self.probe(&key, fp_hash, epoch, &mut meta) {
+        if let Some((v, nanos)) = self.probe(fp, fp_hash, epoch, &mut meta) {
             meta.hit = true;
             meta.saved_nanos = nanos;
             return (Ok((v, 0)), meta);
         }
-        self.fill(key, fp_hash, epoch, cold, meta)
+        self.fill(fp, fp_hash, epoch, cold, meta)
     }
 
     /// The miss path of [`Self::serve`]: join the key's flight; as its
     /// leader, optimize and install.
     fn fill(
         &self,
-        key: Key,
+        fp: &Arc<str>,
         fp_hash: u64,
         epoch: u64,
-        cold: impl FnOnce() -> Result<(Arc<Optimized>, u64, bool), String>,
+        cold: impl FnOnce() -> Cold,
         mut meta: CacheMeta,
-    ) -> (Result<(Arc<Optimized>, u64), String>, CacheMeta) {
-        let fkey = (Arc::clone(&key.0), Arc::clone(&key.1), epoch);
-        let mut guard = match self.flights.lead_or_wait(fkey) {
+    ) -> (Lookup, CacheMeta) {
+        let mut guard = match self.flights.lead_or_wait((Arc::clone(fp), epoch)) {
             Role::Leader(g) => g,
             Role::Follower(Ok((v, nanos))) => {
                 meta.coalesced = true;
@@ -279,7 +282,7 @@ impl PlanCache {
         // retired between our probe and our election; leading a second one
         // would optimize the same fingerprint twice. Look again now that no
         // other leader can exist: a resident entry is a hit.
-        if let Some((v, nanos)) = self.probe(&key, fp_hash, epoch, &mut meta) {
+        if let Some((v, nanos)) = self.probe(fp, fp_hash, epoch, &mut meta) {
             guard.complete(Ok((Arc::clone(&v), nanos)));
             meta.hit = true;
             meta.saved_nanos = nanos;
@@ -288,7 +291,7 @@ impl PlanCache {
         match cold() {
             Ok((value, nanos, cacheable)) => {
                 if cacheable {
-                    self.insert(key, fp_hash, epoch, Arc::clone(&value), nanos, &mut meta);
+                    self.insert(fp, fp_hash, epoch, Arc::clone(&value), nanos, &mut meta);
                 }
                 guard.complete(Ok((Arc::clone(&value), nanos)));
                 (Ok((value, nanos)), meta)
@@ -301,7 +304,7 @@ impl PlanCache {
     }
 
     /// Compare-and-swap for the self-healing loop: replace the resident
-    /// plan for `(fp, sig)` with `value` **only if** an entry is resident
+    /// plan for `fp` with `value` **only if** an entry is resident
     /// and was optimized under exactly `epoch` — the epoch the healed
     /// candidate was rebuilt against. A catalog-epoch bump that lands
     /// mid-re-optimization makes the CAS fail, so a stale-epoch candidate
@@ -309,21 +312,19 @@ impl PlanCache {
     /// invalidation). Returns whether the swap happened.
     pub fn swap_if_epoch(
         &self,
-        fp: &Arc<str>,
-        sig: &Arc<str>,
+        fp: &str,
         fp_hash: u64,
         epoch: u64,
         value: Arc<Optimized>,
         opt_nanos: u64,
     ) -> bool {
-        let key: Key = (Arc::clone(fp), Arc::clone(sig));
-        let bytes = estimate_bytes(key.0.len(), &value);
+        let bytes = estimate_bytes(fp.len(), &value);
         let shard = self.shard_of(fp_hash);
         // The replaced plan, freed once the shard is unlocked (declared
         // before the guard, so dropped after it).
         let _old;
         let mut g = shard.write().unwrap_or_else(|p| p.into_inner());
-        match g.map.get_mut(&key) {
+        match g.map.get_mut(fp) {
             Some(e) if e.epoch == epoch => {
                 let old_bytes = e.bytes;
                 _old = std::mem::replace(&mut e.value, value);
@@ -381,12 +382,11 @@ mod tests {
     fn miss_then_hit_with_saved_nanos() {
         let cache = PlanCache::new(&CacheConfig::default());
         let fp = key("q1");
-        let sig = key("cfg");
         let v = optimized();
-        let (r, meta) = cache.serve(&fp, &sig, 1, 0, || Ok((Arc::clone(&v), 777, true)));
+        let (r, meta) = cache.serve(&fp, 1, 0, || Ok((Arc::clone(&v), 777, true)));
         assert!(r.is_ok());
         assert!(!meta.hit && !meta.coalesced);
-        let (r, meta) = cache.serve(&fp, &sig, 1, 0, || panic!("must not optimize twice"));
+        let (r, meta) = cache.serve(&fp, 1, 0, || panic!("must not optimize twice"));
         assert!(r.is_ok());
         assert!(meta.hit);
         assert_eq!(meta.saved_nanos, 777);
@@ -397,17 +397,17 @@ mod tests {
     #[test]
     fn epoch_bump_invalidates_on_contact() {
         let cache = PlanCache::new(&CacheConfig::default());
-        let (fp, sig) = (key("q1"), key("cfg"));
+        let fp = key("q1");
         let v = optimized();
         let v2 = Arc::clone(&v);
-        let _ = cache.serve(&fp, &sig, 1, 0, move || Ok((v2, 10, true)));
+        let _ = cache.serve(&fp, 1, 0, move || Ok((v2, 10, true)));
         let v3 = Arc::clone(&v);
-        let (r, meta) = cache.serve(&fp, &sig, 1, 1, move || Ok((v3, 20, true)));
+        let (r, meta) = cache.serve(&fp, 1, 1, move || Ok((v3, 20, true)));
         assert!(r.is_ok());
         assert!(!meta.hit);
         assert!(meta.invalidated, "stale entry must be removed on contact");
         // The re-fill under the new epoch hits.
-        let (_, meta) = cache.serve(&fp, &sig, 1, 1, || panic!("cached"));
+        let (_, meta) = cache.serve(&fp, 1, 1, || panic!("cached"));
         assert!(meta.hit);
         assert_eq!(meta.saved_nanos, 20);
     }
@@ -419,17 +419,16 @@ mod tests {
             max_bytes: usize::MAX,
             shards: 1,
         });
-        let sig = key("cfg");
         let v = optimized();
         for (i, name) in ["a", "b"].iter().enumerate() {
             let vi = Arc::clone(&v);
-            let _ = cache.serve(&key(name), &sig, i as u64, 0, move || Ok((vi, 1, true)));
+            let _ = cache.serve(&key(name), i as u64, 0, move || Ok((vi, 1, true)));
         }
         // Touch "a" so "b" is the LRU victim.
-        let (_, m) = cache.serve(&key("a"), &sig, 0, 0, || panic!("cached"));
+        let (_, m) = cache.serve(&key("a"), 0, 0, || panic!("cached"));
         assert!(m.hit);
         let vi = Arc::clone(&v);
-        let (_, meta) = cache.serve(&key("c"), &sig, 2, 0, move || Ok((vi, 1, true)));
+        let (_, meta) = cache.serve(&key("c"), 2, 0, move || Ok((vi, 1, true)));
         assert_eq!(meta.evicted.len(), 1);
         assert_eq!(meta.evicted[0], (1, "capacity"), "LRU entry b evicted");
         assert_eq!(cache.len(), 2);
@@ -444,7 +443,7 @@ mod tests {
         });
         let v = optimized();
         let vi = Arc::clone(&v);
-        let (r, meta) = cache.serve(&key("a"), &key("cfg"), 0, 0, move || Ok((vi, 1, true)));
+        let (r, meta) = cache.serve(&key("a"), 0, 0, move || Ok((vi, 1, true)));
         assert!(
             r.is_ok(),
             "serving still works; the entry just doesn't stay"
@@ -457,10 +456,10 @@ mod tests {
     #[test]
     fn uncacheable_results_are_shared_but_not_stored() {
         let cache = PlanCache::new(&CacheConfig::default());
-        let (fp, sig) = (key("q"), key("cfg"));
+        let fp = key("q");
         let v = optimized();
         let vi = Arc::clone(&v);
-        let (r, _) = cache.serve(&fp, &sig, 1, 0, move || Ok((vi, 5, false)));
+        let (r, _) = cache.serve(&fp, 1, 0, move || Ok((vi, 5, false)));
         assert!(r.is_ok());
         assert_eq!(cache.len(), 0, "degraded results must not poison the cache");
     }
@@ -468,13 +467,13 @@ mod tests {
     #[test]
     fn leader_errors_propagate_and_do_not_cache() {
         let cache = PlanCache::new(&CacheConfig::default());
-        let (fp, sig) = (key("q"), key("cfg"));
-        let (r, _) = cache.serve(&fp, &sig, 1, 0, || Err("boom".to_string()));
-        assert_eq!(r.unwrap_err(), "boom");
+        let fp = key("q");
+        let (r, _) = cache.serve(&fp, 1, 0, || Err(ServeError::Optimize("boom".into())));
+        assert_eq!(r.unwrap_err(), ServeError::Optimize("boom".into()));
         assert_eq!(cache.len(), 0);
         // The flight is cleaned up: a retry runs cold again.
         let v = optimized();
-        let (r, _) = cache.serve(&fp, &sig, 1, 0, move || Ok((v, 1, true)));
+        let (r, _) = cache.serve(&fp, 1, 0, move || Ok((v, 1, true)));
         assert!(r.is_ok());
     }
 
@@ -486,26 +485,25 @@ mod tests {
     fn a_flight_retired_between_probe_and_election_is_a_hit() {
         use std::sync::Barrier;
         let cache = PlanCache::new(&CacheConfig::default());
-        let (fp, sig) = (key("q"), key("cfg"));
-        let k: Key = (Arc::clone(&fp), Arc::clone(&sig));
+        let fp = key("q");
         let v = optimized();
         let (probed, colds) = (Barrier::new(2), AtomicU64::new(0));
         std::thread::scope(|s| {
             let first = s.spawn(|| {
-                cache.serve(&fp, &sig, 1, 0, || {
+                cache.serve(&fp, 1, 0, || {
                     colds.fetch_add(1, Ordering::SeqCst);
                     probed.wait(); // the second caller has probed and missed
                     Ok((Arc::clone(&v), 42, true))
                 })
             });
             let mut meta = CacheMeta::default();
-            assert!(cache.probe(&k, 1, 0, &mut meta).is_none());
+            assert!(cache.probe(&fp, 1, 0, &mut meta).is_none());
             probed.wait();
             let (r, _) = first.join().expect("first caller");
             assert!(r.is_ok());
             // Installed and retired: the second caller now wins the election.
             let (r, meta) = cache.fill(
-                k.clone(),
+                &fp,
                 1,
                 0,
                 || {
@@ -520,30 +518,30 @@ mod tests {
         });
         assert_eq!(colds.load(Ordering::SeqCst), 1, "one cold optimization");
         // The hit retired its own flight: the key is served from the cache.
-        let (_, meta) = cache.serve(&fp, &sig, 1, 0, || panic!("cached"));
+        let (_, meta) = cache.serve(&fp, 1, 0, || panic!("cached"));
         assert!(meta.hit);
     }
 
     #[test]
     fn swap_if_epoch_is_a_real_cas() {
         let cache = PlanCache::new(&CacheConfig::default());
-        let (fp, sig) = (key("q"), key("cfg"));
+        let fp = key("q");
         let v = optimized();
         let vi = Arc::clone(&v);
-        let _ = cache.serve(&fp, &sig, 3, 5, move || Ok((vi, 10, true)));
+        let _ = cache.serve(&fp, 3, 5, move || Ok((vi, 10, true)));
 
         // Wrong epoch: the entry was cached under epoch 5.
-        assert!(!cache.swap_if_epoch(&fp, &sig, 3, 6, Arc::clone(&v), 20));
-        let (_, m) = cache.serve(&fp, &sig, 3, 5, || panic!("cached"));
+        assert!(!cache.swap_if_epoch(&fp, 3, 6, Arc::clone(&v), 20));
+        let (_, m) = cache.serve(&fp, 3, 5, || panic!("cached"));
         assert_eq!(m.saved_nanos, 10, "failed CAS left the entry alone");
 
         // Matching epoch: the swap lands and refreshes opt_nanos.
-        assert!(cache.swap_if_epoch(&fp, &sig, 3, 5, Arc::clone(&v), 20));
-        let (_, m) = cache.serve(&fp, &sig, 3, 5, || panic!("cached"));
+        assert!(cache.swap_if_epoch(&fp, 3, 5, Arc::clone(&v), 20));
+        let (_, m) = cache.serve(&fp, 3, 5, || panic!("cached"));
         assert_eq!(m.saved_nanos, 20, "swapped entry is what hits now");
 
         // Absent key: nothing to swap into.
-        assert!(!cache.swap_if_epoch(&key("other"), &sig, 4, 5, v, 1));
+        assert!(!cache.swap_if_epoch(&key("other"), 4, 5, v, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -559,7 +557,7 @@ mod tests {
             let cold_runs = Arc::clone(&cold_runs);
             let v = Arc::clone(&v);
             handles.push(std::thread::spawn(move || {
-                let (r, meta) = cache.serve(&key("hot"), &key("cfg"), 7, 0, move || {
+                let (r, meta) = cache.serve(&key("hot"), 7, 0, move || {
                     cold_runs.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     Ok((v, 123, true))

@@ -7,15 +7,18 @@
 //! fingerprint in flight" without duplicating the condvar protocol. The
 //! leader holds a [`FlightGuard`] that completes the flight on drop, so a
 //! leader that panics (or unwinds through an error path) can never strand
-//! followers on the condvar or wedge the key forever.
+//! followers on the condvar or wedge the key forever. A flight carries the
+//! leader's typed result: its followers see the leader's own [`ServeError`].
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::service::ServeError;
+
 enum FlightState<T> {
     Pending,
-    Done(Result<T, String>),
+    Done(Result<T, ServeError>),
 }
 
 struct Flight<T> {
@@ -28,7 +31,7 @@ pub(crate) enum Role<'a, K: Eq + Hash + Clone, T: Clone> {
     /// This caller leads: do the work, then `complete` the guard.
     Leader(FlightGuard<'a, K, T>),
     /// Another caller led; this is its shared result.
-    Follower(Result<T, String>),
+    Follower(Result<T, ServeError>),
 }
 
 /// A keyed set of in-flight operations with leader election.
@@ -102,7 +105,7 @@ pub(crate) struct FlightGuard<'a, K: Eq + Hash + Clone, T: Clone> {
 
 impl<K: Eq + Hash + Clone, T: Clone> FlightGuard<'_, K, T> {
     /// Publish the leader's result to followers and retire the flight.
-    pub fn complete(&mut self, result: Result<T, String>) {
+    pub fn complete(&mut self, result: Result<T, ServeError>) {
         let mut st = self.flight.state.lock().unwrap_or_else(|p| p.into_inner());
         *st = FlightState::Done(result);
         drop(st);
@@ -121,7 +124,7 @@ impl<K: Eq + Hash + Clone, T: Clone> Drop for FlightGuard<'_, K, T> {
         if !self.completed {
             let mut st = self.flight.state.lock().unwrap_or_else(|p| p.into_inner());
             if matches!(*st, FlightState::Pending) {
-                *st = FlightState::Done(Err("flight aborted".to_string()));
+                *st = FlightState::Done(Err(ServeError::Optimize("flight aborted".into())));
             }
             drop(st);
             self.flight.cv.notify_all();
@@ -190,8 +193,8 @@ mod tests {
                 match map.lead_or_wait(9) {
                     Role::Leader(mut g) => {
                         // Raced past the abort: lead trivially.
-                        g.complete(Err("led after abort".into()));
-                        "led".to_string()
+                        g.complete(Err(ServeError::Optimize("led after abort".into())));
+                        ServeError::Optimize("led after abort".into())
                     }
                     Role::Follower(r) => r.expect_err("leader aborted"),
                 }
@@ -202,7 +205,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
             // Dropped without complete(): simulated leader panic.
         }
-        let msg = follower.join().expect("no panic");
-        assert!(msg == "flight aborted" || msg == "led after abort");
+        let err = follower.join().expect("no panic");
+        let aborted = ServeError::Optimize("flight aborted".into());
+        let led = ServeError::Optimize("led after abort".into());
+        assert!(err == aborted || err == led, "{err}");
     }
 }

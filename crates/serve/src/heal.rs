@@ -72,8 +72,8 @@ pub struct HealConfig {
     /// next catalog epoch change.
     pub retry_cap: u32,
     /// Test hook invoked at stage boundaries (`"overlay"`, `"optimize"`,
-    /// `"verify"`, `"probation"`, `"reopt_done"`, `"swap"`) — lets tests
-    /// race a catalog mutation against a specific pipeline stage.
+    /// `"verify"`, `"probation"`, `"swap"`) — lets tests race a catalog
+    /// mutation against a specific pipeline stage.
     pub on_stage: Option<Arc<dyn Fn(&'static str) + Send + Sync>>,
 }
 
@@ -122,26 +122,13 @@ pub(crate) enum Admission {
     Capped,
 }
 
-#[derive(Default)]
-struct FpState {
-    /// Epoch this schedule belongs to; a different epoch resets it.
-    epoch: u64,
-    attempts: u64,
-    swaps: u64,
-    pins: u64,
-    backoff_hits: u64,
-    retry_capped: bool,
-    last_reason: String,
-    /// Nanos since healer start before which attempts are suppressed.
-    backoff_until: u64,
-}
-
 /// The per-fingerprint heal schedule: admission (backoff/cap), resolution
 /// bookkeeping, and single-flight election. Deliberately knows nothing
 /// about plans or catalogs.
 pub(crate) struct Healer {
     config: HealConfig,
-    states: Mutex<HashMap<u64, FpState>>,
+    /// Each fingerprint's schedule is the record a snapshot reports.
+    states: Mutex<HashMap<u64, HealRecord>>,
     flights: FlightMap<u64, ()>,
     started: Instant,
 }
@@ -166,8 +153,15 @@ impl Healer {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, FpState>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, HealRecord>> {
         self.states.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// `fp`'s schedule in the locked map, created on first use.
+    fn schedule(states: &mut HashMap<u64, HealRecord>, fp: u64) -> &mut HealRecord {
+        let s = states.entry(fp).or_default();
+        s.fp = fp;
+        s
     }
 
     /// Elect a single leader for this fingerprint's heal, non-blocking.
@@ -180,19 +174,19 @@ impl Healer {
     /// retry cap — because the world the pins were earned in is gone.
     pub fn admit(&self, fp: u64, epoch: u64, now: u64) -> Admission {
         let mut states = self.lock();
-        let s = states.entry(fp).or_default();
+        let s = Self::schedule(&mut states, fp);
         if s.epoch != epoch {
             s.epoch = epoch;
             s.attempts = 0;
             s.retry_capped = false;
-            s.backoff_until = 0;
+            s.backoff_until_nanos = 0;
         }
         if s.retry_capped {
             s.backoff_hits += 1;
             s.last_reason = reason::RETRY_CAPPED.to_string();
             return Admission::Capped;
         }
-        if now < s.backoff_until {
+        if now < s.backoff_until_nanos {
             s.backoff_hits += 1;
             return Admission::Backoff;
         }
@@ -206,12 +200,12 @@ impl Healer {
     /// fresh estimates — no reason to keep punishing the fingerprint).
     pub fn resolve_swap(&self, fp: u64, epoch: u64) {
         let mut states = self.lock();
-        let s = states.entry(fp).or_default();
+        let s = Self::schedule(&mut states, fp);
         s.epoch = epoch;
         s.swaps += 1;
         s.attempts = 0;
         s.retry_capped = false;
-        s.backoff_until = 0;
+        s.backoff_until_nanos = 0;
         s.last_reason = reason::SWAPPED.to_string();
     }
 
@@ -220,13 +214,13 @@ impl Healer {
     /// this pin just hit the retry cap.
     pub fn resolve_pin(&self, fp: u64, epoch: u64, why: &str, now: u64) -> (u64, bool) {
         let mut states = self.lock();
-        let s = states.entry(fp).or_default();
+        let s = Self::schedule(&mut states, fp);
         s.epoch = epoch;
         s.pins += 1;
         s.last_reason = why.to_string();
         if s.attempts >= u64::from(self.config.retry_cap) {
             s.retry_capped = true;
-            s.backoff_until = 0;
+            s.backoff_until_nanos = 0;
             return (0, true);
         }
         let base = u64::try_from(self.config.backoff_base.as_nanos())
@@ -237,28 +231,14 @@ impl Healer {
             .checked_shl(shift.min(20))
             .unwrap_or(u64::MAX)
             .saturating_add(splitmix64(fp ^ s.attempts) % base);
-        s.backoff_until = now.saturating_add(window);
+        s.backoff_until_nanos = now.saturating_add(window);
         (window, false)
     }
 
     /// Freeze every fingerprint's schedule, sorted by fingerprint for
     /// deterministic snapshots.
     pub fn records(&self) -> Vec<HealRecord> {
-        let states = self.lock();
-        let mut out: Vec<HealRecord> = states
-            .iter()
-            .map(|(fp, s)| HealRecord {
-                fp: *fp,
-                epoch: s.epoch,
-                attempts: s.attempts,
-                swaps: s.swaps,
-                pins: s.pins,
-                backoff_hits: s.backoff_hits,
-                retry_capped: s.retry_capped,
-                last_reason: s.last_reason.clone(),
-                backoff_until_nanos: s.backoff_until,
-            })
-            .collect();
+        let mut out: Vec<HealRecord> = self.lock().values().cloned().collect();
         out.sort_by_key(|r| r.fp);
         out
     }

@@ -15,8 +15,8 @@
 //!   cached plan — and cached-plan executions evaluate the *request's*
 //!   predicates, so results are exactly what a cold optimization would
 //!   produce;
-//! * at most one cold optimization runs per distinct `(fingerprint,
-//!   config, epoch)` at any moment (single-flight);
+//! * one cold optimization per `(fingerprint, epoch)` at any moment
+//!   (single-flight); its followers share its plan or its typed error;
 //! * a catalog epoch bump (stats refresh, index DDL) lazily invalidates
 //!   stale entries on contact and recompiles the optimizer;
 //! * cold optimizations are admission-controlled: a concurrency gate with

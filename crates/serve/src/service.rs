@@ -19,16 +19,11 @@ use crate::admission::OptGate;
 use crate::cache::{CacheConfig, PlanCache};
 use crate::heal::{reason, within_margin, work_units, Admission, HealConfig, Healer};
 
-/// Sentinel prefix carried inside flight errors when the leader was turned
-/// away by admission control, so followers sharing the flight surface the
-/// same typed outcome.
-const REJECTED_MARKER: &str = "\u{1}rejected\u{1}";
-
 /// Service-level configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The optimizer configuration every request runs under. Part of the
-    /// cache key: change it and previously cached plans no longer apply.
+    /// The optimizer configuration every request runs under, fixed for the
+    /// service's life. Its `budget.deadline` is the service-wide deadline.
     pub opt_config: OptConfig,
     /// Plan-cache sizing.
     pub cache: CacheConfig,
@@ -38,9 +33,6 @@ pub struct ServiceConfig {
     /// How long a cold optimization may queue for a slot before the request
     /// is rejected (`None` = wait forever).
     pub max_queue_wait: Option<Duration>,
-    /// Default per-request optimization deadline, folded into the budget
-    /// (`None` = the budget in `opt_config` as-is).
-    pub default_deadline: Option<Duration>,
     /// Live metrics plane sizing and gating. The default reads
     /// `STARQO_TRACE_SAMPLE` for the head sampler (which recorded requests
     /// are detailed) and keeps every tier on; spans are off.
@@ -58,7 +50,6 @@ impl Default for ServiceConfig {
             cache: CacheConfig::default(),
             max_concurrent_opt: 0,
             max_queue_wait: None,
-            default_deadline: None,
             telemetry: TelemetryConfig::from_env(),
             heal: None,
         }
@@ -122,11 +113,31 @@ pub struct ServeOutcome {
     pub coalesced: bool,
     /// Catalog epoch the plan belongs to.
     pub epoch: u64,
-    /// Cold-optimization wall time this request paid (0 on hits).
-    pub opt_nanos: u64,
-    /// Cold-optimization wall time this request avoided (0 on misses).
-    pub saved_nanos: u64,
+    /// The request's fingerprint; its text is the cache entry's key.
     pub fingerprint: QueryFingerprint,
+}
+
+/// What a request entry point was handed.
+enum Input<'a> {
+    Query(&'a Query),
+    Prepared(&'a Prepared),
+}
+
+/// What a request entry point returns, as the driver reads it.
+trait Served {
+    fn outcome(&self) -> &ServeOutcome;
+}
+
+impl Served for ServeOutcome {
+    fn outcome(&self) -> &ServeOutcome {
+        self
+    }
+}
+
+impl Served for (QueryResult, ServeOutcome) {
+    fn outcome(&self) -> &ServeOutcome {
+        &self.1
+    }
 }
 
 /// A thread-safe serving layer: one catalog, one compiled rule set, one
@@ -134,8 +145,8 @@ pub struct ServeOutcome {
 pub struct Service {
     catalog: Arc<SharedCatalog>,
     config: ServiceConfig,
-    /// Rendered `OptConfig`, the second component of the cache key.
-    config_sig: Arc<str>,
+    /// Keyed by fingerprint text alone: `config` is fixed for the service's
+    /// life and the cache is the service's own.
     cache: PlanCache,
     gate: OptGate,
     /// The optimizer, tagged with the catalog epoch it plans against. The
@@ -161,7 +172,6 @@ impl Service {
     ) -> Result<Self, ServeError> {
         let (cat, epoch) = catalog.snapshot();
         let optimizer = Optimizer::new(cat).map_err(|e| ServeError::Catalog(e.to_string()))?;
-        let config_sig: Arc<str> = Arc::from(format!("{:?}", config.opt_config).as_str());
         let healer = config.heal.clone().map(Healer::new);
         Ok(Service {
             cache: PlanCache::new(&config.cache),
@@ -169,7 +179,6 @@ impl Service {
             optimizer: RwLock::new((epoch, Arc::new(optimizer))),
             telemetry: Arc::new(Telemetry::new(config.telemetry)),
             healer,
-            config_sig,
             config,
             catalog,
         })
@@ -232,43 +241,62 @@ impl Service {
 
     /// Optimize a query end-to-end: prepare, then serve.
     pub fn optimize(&self, query: &Query) -> Result<ServeOutcome, ServeError> {
-        let ctx = self.telemetry.span_context();
-        let root = ctx.enter("request");
-        let prepared = self.prepare_spanned(query, &ctx);
-        let result = self.serve_prepared(&prepared, None, &ctx);
-        drop(root);
-        self.retire_spans(
-            &ctx,
-            prepared.canonical.fingerprint.hash,
-            result.as_ref().ok(),
-        );
-        result
+        let input = Input::Query(query);
+        self.request(input, |p, ctx| self.serve_prepared(p, None, ctx))
     }
 
-    /// Serve one prepared query, with an optional per-request deadline
-    /// overriding the service default. Deadlines fold into the optimizer
-    /// budget: an expired deadline *degrades* the plan (anytime semantics)
-    /// rather than failing, and degraded plans are shared with concurrent
-    /// waiters but never cached.
+    /// Serve one prepared query, with an optional per-request deadline that
+    /// tightens `opt_config.budget.deadline`. Deadlines fold into the
+    /// optimizer budget: an expired deadline *degrades* the plan (anytime
+    /// semantics) rather than failing, and degraded plans are shared with
+    /// concurrent waiters but never cached.
     pub fn optimize_prepared(
         &self,
         prepared: &Prepared,
         deadline: Option<Duration>,
     ) -> Result<ServeOutcome, ServeError> {
+        let input = Input::Prepared(prepared);
+        self.request(input, |p, ctx| self.serve_prepared(p, deadline, ctx))
+    }
+
+    /// The one request driver behind `optimize`, `optimize_prepared`,
+    /// `execute` and `execute_prepared`: it owns the request's root span,
+    /// prepares a bare query under a `prepare` span, runs `serve`, and hands
+    /// the finished tree to the tail sampler. Errors and degraded plans are
+    /// always kept; the rest ride on latency and suspect state.
+    fn request<R: Served>(
+        &self,
+        input: Input<'_>,
+        serve: impl FnOnce(&Prepared, &SpanContext) -> Result<R, ServeError>,
+    ) -> Result<R, ServeError> {
         let ctx = self.telemetry.span_context();
         let root = ctx.enter("request");
-        let result = self.serve_prepared(prepared, deadline, &ctx);
+        let prepared_here;
+        let prepared = match input {
+            Input::Prepared(p) => p,
+            Input::Query(q) => {
+                let _span = ctx.enter(Phase::Prepare.name());
+                prepared_here = self.prepare(q);
+                &prepared_here
+            }
+        };
+        let result = serve(prepared, &ctx);
         drop(root);
-        self.retire_spans(
-            &ctx,
-            prepared.canonical.fingerprint.hash,
-            result.as_ref().ok(),
-        );
+        let (label, epoch, degraded) = match result.as_ref().map(R::outcome) {
+            Ok(o) if o.cache_hit => ("hit", o.epoch, o.optimized.degraded),
+            Ok(o) if o.coalesced => ("coalesced", o.epoch, o.optimized.degraded),
+            Ok(o) => ("miss", o.epoch, o.optimized.degraded),
+            Err(_) => ("error", 0, false),
+        };
+        let fp = prepared.fingerprint().hash;
+        let errored = result.is_err();
+        self.telemetry
+            .retire_spans(&ctx, fp, epoch, label, errored, degraded);
         result
     }
 
-    /// [`Self::optimize_prepared`] with the caller's span context — the
-    /// wrappers own the request root span and the retire decision.
+    /// Serve one prepared query under the caller's span context: a cache
+    /// hit, a shared flight, or this request's own cold optimization.
     fn serve_prepared(
         &self,
         prepared: &Prepared,
@@ -279,7 +307,6 @@ impl Service {
         self.telemetry.add(Metric::Requests, 1);
         let (cat, epoch) = self.catalog.snapshot();
         let fp = &prepared.canonical.fingerprint;
-        let fp_text: Arc<str> = Arc::from(fp.text.as_str());
         // The head decision, once per recorded request: a detailed tree also
         // carries the optimizer's and executor's events.
         if ctx.enabled() {
@@ -292,20 +319,9 @@ impl Service {
         // case the span is renamed `flight_wait` to say what the time *was*.
         let mut lookup_span = ctx.enter(Phase::CacheLookup.name());
         let lookup_started = Instant::now();
-        let (result, meta) = self
-            .cache
-            .serve(&fp_text, &self.config_sig, fp.hash, epoch, || {
-                match self.cold_optimize(prepared, &cat, epoch, deadline, ctx) {
-                    Ok((optimized, nanos)) => {
-                        let cacheable = !optimized.degraded;
-                        Ok((optimized, nanos, cacheable))
-                    }
-                    Err(ServeError::Rejected { waited_ms, detail }) => {
-                        Err(format!("{REJECTED_MARKER}{waited_ms}\u{1}{detail}"))
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            });
+        let (result, meta) = self.cache.serve(&fp.text, fp.hash, epoch, || {
+            self.cold_optimize(prepared, &cat, epoch, deadline, ctx)
+        });
         let lookup_nanos = lookup_started.elapsed().as_nanos() as u64;
         if meta.coalesced {
             lookup_span.rename(Phase::FlightWait.name());
@@ -325,58 +341,45 @@ impl Service {
             });
         }
 
-        match result {
-            Ok((optimized, nanos)) => {
-                if meta.hit || meta.coalesced {
-                    self.telemetry.record_phase(
-                        if meta.coalesced {
-                            Phase::FlightWait
-                        } else {
-                            Phase::CacheLookup
-                        },
-                        lookup_nanos,
-                    );
-                    self.telemetry.add(
-                        if meta.hit {
-                            Metric::CacheHit
-                        } else {
-                            Metric::CacheCoalesced
-                        },
-                        1,
-                    );
-                    self.telemetry.add(Metric::SavedNanos, meta.saved_nanos);
-                    self.telemetry
-                        .observe(LatencyPath::CacheHit, started.elapsed().as_nanos() as u64);
-                    ctx.annotate(|| TraceEvent::CacheHit {
-                        fp: fp.hash,
-                        epoch,
-                        saved_nanos: meta.saved_nanos,
-                    });
-                } else {
-                    // A leader's lookup time is dominated by its own cold
-                    // optimization (attributed to its optimizer phases);
-                    // only the residue is cache bookkeeping.
-                    self.telemetry
-                        .record_phase(Phase::CacheLookup, lookup_nanos.saturating_sub(nanos));
-                    self.telemetry.add(Metric::CacheMiss, 1);
-                    self.telemetry.add(Metric::OptNanos, nanos);
-                    self.telemetry.observe(LatencyPath::Optimize, nanos);
-                    ctx.annotate(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
-                }
-                let outcome = self.finish(
-                    prepared,
-                    optimized,
-                    meta.hit,
-                    meta.coalesced,
-                    epoch,
-                    nanos,
-                    meta.saved_nanos,
-                );
-                self.finish_request(fp.hash, epoch, started);
-                Ok(outcome)
-            }
-            Err(msg) => Err(self.classify_flight_error(msg)),
+        let (optimized, nanos) = result?;
+        if meta.hit || meta.coalesced {
+            let (phase, metric) = if meta.coalesced {
+                (Phase::FlightWait, Metric::CacheCoalesced)
+            } else {
+                (Phase::CacheLookup, Metric::CacheHit)
+            };
+            self.telemetry.record_phase(phase, lookup_nanos);
+            self.telemetry.add(metric, 1);
+            self.telemetry.add(Metric::SavedNanos, meta.saved_nanos);
+            self.telemetry
+                .observe(LatencyPath::CacheHit, started.elapsed().as_nanos() as u64);
+            ctx.annotate(|| TraceEvent::CacheHit {
+                fp: fp.hash,
+                epoch,
+                saved_nanos: meta.saved_nanos,
+            });
+        } else {
+            // A leader's lookup time is dominated by its own cold
+            // optimization (attributed to its optimizer phases); only the
+            // residue is cache bookkeeping.
+            self.telemetry
+                .record_phase(Phase::CacheLookup, lookup_nanos.saturating_sub(nanos));
+            self.telemetry.add(Metric::CacheMiss, 1);
+            self.telemetry.add(Metric::OptNanos, nanos);
+            self.telemetry.observe(LatencyPath::Optimize, nanos);
+            ctx.annotate(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
         }
+        // Close out the request: end-to-end latency and the hot-query tracker.
+        let total = started.elapsed().as_nanos() as u64;
+        self.telemetry.observe(LatencyPath::EndToEnd, total);
+        self.telemetry.record_request(fp.hash, total, epoch);
+        Ok(ServeOutcome {
+            optimized,
+            cache_hit: meta.hit,
+            coalesced: meta.coalesced,
+            epoch,
+            fingerprint: fp.clone(),
+        })
     }
 
     /// Optimize and execute against `db`, returning rows plus the serving
@@ -388,17 +391,8 @@ impl Service {
         db: &Database,
         query: &Query,
     ) -> Result<(QueryResult, ServeOutcome), ServeError> {
-        let ctx = self.telemetry.span_context();
-        let root = ctx.enter("request");
-        let prepared = self.prepare_spanned(query, &ctx);
-        let result = self.execute_with(db, &prepared, None, &ctx);
-        drop(root);
-        self.retire_spans(
-            &ctx,
-            prepared.canonical.fingerprint.hash,
-            result.as_ref().ok().map(|(_, o)| o),
-        );
-        result
+        let input = Input::Query(query);
+        self.request(input, |p, ctx| self.execute_with(db, p, None, ctx))
     }
 
     /// [`Self::execute`] for an already-prepared query.
@@ -408,21 +402,13 @@ impl Service {
         prepared: &Prepared,
         deadline: Option<Duration>,
     ) -> Result<(QueryResult, ServeOutcome), ServeError> {
-        let ctx = self.telemetry.span_context();
-        let root = ctx.enter("request");
-        let result = self.execute_with(db, prepared, deadline, &ctx);
-        drop(root);
-        self.retire_spans(
-            &ctx,
-            prepared.canonical.fingerprint.hash,
-            result.as_ref().ok().map(|(_, o)| o),
-        );
-        result
+        let input = Input::Prepared(prepared);
+        self.request(input, |p, ctx| self.execute_with(db, p, deadline, ctx))
     }
 
     /// [`Self::execute_prepared`] with the caller's span context: serve,
     /// then run the winning plan under an `execute` span. Execution feedback
-    /// is folded in *before* the wrapper retires the span tree, so a run
+    /// is folded in *before* the driver retires the span tree, so a run
     /// that flags its own fingerprint is retained as suspect.
     fn execute_with(
         &self,
@@ -476,47 +462,8 @@ impl Service {
 
     // ---- internals ---------------------------------------------------
 
-    /// [`Self::prepare`] under a `prepare` span (phase attribution lives in
-    /// `prepare` itself, so direct callers are counted too).
-    fn prepare_spanned(&self, query: &Query, ctx: &SpanContext) -> Prepared {
-        let _span = ctx.enter(Phase::Prepare.name());
-        self.prepare(query)
-    }
-
-    /// Hand a finished request's spans to the tail sampler. Derives the
-    /// retention signals from how the request ended: errors and degraded
-    /// plans are always kept, the rest ride on latency and suspect state.
-    fn retire_spans(&self, ctx: &SpanContext, fp: u64, outcome: Option<&ServeOutcome>) {
-        if !ctx.enabled() {
-            return;
-        }
-        let (label, epoch, degraded) = match outcome {
-            Some(o) => (
-                if o.cache_hit {
-                    "hit"
-                } else if o.coalesced {
-                    "coalesced"
-                } else {
-                    "miss"
-                },
-                o.epoch,
-                o.optimized.degraded,
-            ),
-            None => ("error", 0, false),
-        };
-        self.telemetry
-            .retire_spans(ctx, fp, epoch, label, outcome.is_none(), degraded);
-    }
-
-    /// Close out a request that produced a plan: the end-to-end latency
-    /// histogram and the hot-query tracker.
-    fn finish_request(&self, fp: u64, epoch: u64, started: Instant) {
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.telemetry.observe(LatencyPath::EndToEnd, nanos);
-        self.telemetry.record_request(fp, nanos, epoch);
-    }
-
-    /// One gated, budgeted cold optimization against the given snapshot.
+    /// One gated, budgeted cold optimization against the given snapshot:
+    /// the plan, its wall-clock nanos and whether it may be cached.
     fn cold_optimize(
         &self,
         prepared: &Prepared,
@@ -524,7 +471,7 @@ impl Service {
         epoch: u64,
         deadline: Option<Duration>,
         ctx: &SpanContext,
-    ) -> Result<(Arc<Optimized>, u64), ServeError> {
+    ) -> Result<(Arc<Optimized>, u64, bool), ServeError> {
         let (_permit, _waited) = self.gate.acquire(self.config.max_queue_wait).map_err(|t| {
             self.telemetry.add(Metric::Rejected, 1);
             ServeError::Rejected {
@@ -537,7 +484,7 @@ impl Service {
         })?;
         let optimizer = self.optimizer_for(cat, epoch);
         let mut config = self.config.opt_config.clone();
-        if let Some(d) = deadline.or(self.config.default_deadline) {
+        if let Some(d) = deadline {
             config.budget.deadline = Some(match config.budget.deadline {
                 Some(existing) => existing.min(d),
                 None => d,
@@ -563,10 +510,11 @@ impl Service {
         for (phase, phase_nanos) in optimized.phase_nanos() {
             self.telemetry.record_phase(phase, phase_nanos);
         }
-        if optimized.degraded {
+        let degraded = optimized.degraded;
+        if degraded {
             self.telemetry.add(Metric::Degraded, 1);
         }
-        Ok((Arc::new(optimized), nanos))
+        Ok((Arc::new(optimized), nanos, !degraded))
     }
 
     /// The optimizer for this epoch: when the epoch moved, the compiled rule
@@ -584,41 +532,6 @@ impl Service {
             *g = (epoch, Arc::new(g.1.with_catalog(Arc::clone(cat))));
         }
         Arc::clone(&g.1)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        prepared: &Prepared,
-        optimized: Arc<Optimized>,
-        cache_hit: bool,
-        coalesced: bool,
-        epoch: u64,
-        opt_nanos: u64,
-        saved_nanos: u64,
-    ) -> ServeOutcome {
-        ServeOutcome {
-            optimized,
-            cache_hit,
-            coalesced,
-            epoch,
-            opt_nanos,
-            saved_nanos,
-            fingerprint: prepared.canonical.fingerprint.clone(),
-        }
-    }
-
-    /// Map a stringified flight error back to its typed form. Followers of
-    /// a rejected leader surface `Rejected` too — nobody optimized on their
-    /// behalf.
-    fn classify_flight_error(&self, msg: String) -> ServeError {
-        if let Some(rest) = msg.strip_prefix(REJECTED_MARKER) {
-            let mut parts = rest.splitn(2, '\u{1}');
-            let waited_ms = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-            let detail = parts.next().unwrap_or("admission").to_string();
-            return ServeError::Rejected { waited_ms, detail };
-        }
-        ServeError::Optimize(msg)
     }
 
     // ---- self-healing -------------------------------------------------
@@ -876,7 +789,6 @@ impl Service {
         }
 
         // -- swap CAS: only into the world the candidate was built for --
-        cfg.stage("reopt_done");
         cfg.stage("swap");
         if fault("swap") {
             return pin(reason::REOPT_ERROR, true);
@@ -884,15 +796,8 @@ impl Service {
         if self.catalog.epoch() != epoch {
             return pin(reason::EPOCH_MOVED, false);
         }
-        let fp_text: Arc<str> = Arc::from(outcome.fingerprint.text.as_str());
-        if !self.cache.swap_if_epoch(
-            &fp_text,
-            &self.config_sig,
-            fp,
-            epoch,
-            Arc::clone(&candidate),
-            opt_nanos,
-        ) {
+        let (text, plan) = (&outcome.fingerprint.text, Arc::clone(&candidate));
+        if !self.cache.swap_if_epoch(text, fp, epoch, plan, opt_nanos) {
             return pin(reason::EPOCH_MOVED, false);
         }
         // Un-stick the suspect flag and restart the Q-error window against
@@ -1124,6 +1029,41 @@ mod tests {
         let err = svc.optimize(&q).unwrap_err();
         assert!(matches!(err, ServeError::Rejected { .. }), "{err}");
         assert_eq!(svc.counters()[Metric::Rejected], 1);
+    }
+
+    /// A rejected leader's followers share its typed error, not a
+    /// re-parsed string: with the only slot held, two concurrent requests
+    /// for one fingerprint make one admission attempt between them.
+    #[test]
+    fn followers_of_a_rejected_leader_get_its_typed_error() {
+        use std::sync::Barrier;
+        let cat = catalog();
+        let config = ServiceConfig {
+            max_concurrent_opt: 1,
+            max_queue_wait: Some(Duration::from_millis(500)),
+            ..ServiceConfig::default()
+        };
+        let svc = Service::new(Arc::clone(&cat), config).unwrap();
+        let (_permit, _) = svc.gate.acquire(None).unwrap();
+        let prepared = svc.prepare(&parse_query(&cat, "SELECT E.NAME FROM EMP E").unwrap());
+        let start = Barrier::new(2);
+        let errs: Vec<ServeError> = std::thread::scope(|s| {
+            let request = || {
+                start.wait();
+                svc.optimize_prepared(&prepared, None).unwrap_err()
+            };
+            let handles = [s.spawn(request), s.spawn(request)];
+            handles.map(|h| h.join().unwrap()).to_vec()
+        });
+        for err in &errs {
+            let detail = "optimization queue full (1 concurrent)";
+            assert!(
+                matches!(err, ServeError::Rejected { detail: d, .. } if d == detail),
+                "{err}"
+            );
+        }
+        assert_eq!(errs[0], errs[1], "the follower got the leader's own error");
+        assert_eq!(svc.counters()[Metric::Rejected], 1, "one admission attempt");
     }
 
     #[test]

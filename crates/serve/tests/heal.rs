@@ -218,7 +218,7 @@ fn epoch_bump_mid_reopt_pins_epoch_moved_not_a_stale_swap() {
         on_stage: Some(Arc::new(move |stage| {
             // The catalog epoch moves after the candidate is fully built
             // and measured, just before the swap CAS.
-            if stage == "reopt_done" && hook_bumped.fetch_add(1, Ordering::SeqCst) == 0 {
+            if stage == "swap" && hook_bumped.fetch_add(1, Ordering::SeqCst) == 0 {
                 hook_shared.set_table_card("DEPT", 5).unwrap();
             }
         })),

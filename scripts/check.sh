@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== non-test lines per crate (report only: scripts/lines.sh) =="
+scripts/lines.sh
+
 echo "== one engine at run time: no runtime crate links the serial oracle =="
 for crate in starqo-serve starqo-vexec; do
     if cargo tree -p "$crate" -e normal --offline --prefix none | grep -q '^starqo-exec '; then

@@ -1,0 +1,24 @@
+#!/usr/bin/env sh
+# Non-test source lines per crate: every `.rs` file under `crates/*/src`
+# and `examples/`, counted up to (not including) its first `#[cfg(test)]`
+# line. `crates/obs/src/testutil.rs` is test support and is left out.
+# Report only: prints the counts and the `crates/*/src` total, gates nothing.
+# Usage: scripts/lines.sh
+set -eu
+cd "$(dirname "$0")/.."
+
+# Lines before the first `#[cfg(test)]` of each file named on stdin, summed.
+count() {
+    sort | while read -r f; do
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+    done | awk '{ s += $1 } END { print s + 0 }'
+}
+
+total=0
+for dir in crates/*/src; do
+    n=$(find "$dir" -name '*.rs' ! -path crates/obs/src/testutil.rs | count)
+    printf '%-22s %6d\n' "$dir" "$n"
+    total=$((total + n))
+done
+printf '%-22s %6d\n' "crates/*/src total" "$total"
+printf '%-22s %6d\n' "examples" "$(find examples -name '*.rs' | count)"

@@ -6,8 +6,9 @@
 //! So a run may allocate `rows_out` plus a fixed per-operator budget — not,
 //! like the row-at-a-time engine, several blocks per row per operator — and
 //! a second run on the same executor, whose pools are full by then, only
-//! what compiling the plan and building the result take. The counters are
-//! per thread, so the tests cannot see each other.
+//! what compiling the plan and building the result take. A plan-cache hit
+//! on the way there allocates nothing. The counters are per thread, so the
+//! tests cannot see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +19,7 @@ use starqo_core::{OptConfig, Optimizer};
 use starqo_exec::{is_correlated, Executor};
 use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::{parse_query, Query};
+use starqo_serve::{Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
 use starqo_vexec::VexecExecutor;
 use starqo_workload::Rng64;
@@ -304,4 +306,25 @@ fn keyed_inner_costs_what_the_optimizer_priced() {
     assert!(run.rows_out > 50, "{} outer rows", run.rows_out);
     let outer_pages = 300u64.div_ceil(64);
     assert_eq!(pages_read_everywhere(&db, &run), outer_pages + run.rows_out);
+}
+
+/// A warmed plan-cache hit through the service allocates nothing: the cache
+/// entry, its flight and the returned `ServeOutcome` share the fingerprint
+/// text `Service::prepare` built, and the default configuration records no
+/// spans.
+#[test]
+fn warmed_cache_hit_allocates_nothing() {
+    let (cat, _) = fixture(&[200, 100], true);
+    let svc = Service::new(cat.clone(), ServiceConfig::default()).unwrap();
+    let sql = "SELECT a.ID, b.P0 FROM T0 a, T1 b WHERE a.FK = b.ID AND a.P0 = 3";
+    let prepared = svc.prepare(&parse_query(&cat, sql).unwrap());
+    // One miss, then hits until every lazily built per-thread slot exists.
+    for _ in 0..4 {
+        svc.optimize_prepared(&prepared, None).unwrap();
+    }
+    let before = ALLOCS.get();
+    let outcome = svc.optimize_prepared(&prepared, None).unwrap();
+    let allocs = ALLOCS.get() - before;
+    assert!(outcome.cache_hit);
+    assert_eq!(allocs, 0, "a warmed cache hit allocated {allocs} blocks");
 }
