@@ -14,7 +14,7 @@
 //!         ("JOIN" matches "JOIN(NL)" etc.), a vectorized-executor stage
 //!         ("morsel" matches "morsel(SCAN T0)", "exchange" likewise), a
 //!         re-optimization stage ("overlay", "optimize", "verify",
-//!         "probation", "swap"), or "*" (any)
+//!         "swap"), or "*" (any)
 //! mode    panic | error | stallN   (N busy-loop iterations)
 //! k       fire on the k-th matching invocation (default 1)
 //! ```

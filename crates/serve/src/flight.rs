@@ -1,14 +1,11 @@
 //! Reusable single-flight coordination: at most one *leader* per key does
-//! the work; everyone else either waits for the leader's result (the plan
-//! cache's blocking mode) or walks away (the healer's non-blocking mode).
+//! the work; everyone else waits for the leader's result and shares it.
 //!
-//! Extracted from the plan cache so the self-healing loop can reuse the
-//! exact leader/follower machinery for "at most one re-optimization per
-//! fingerprint in flight" without duplicating the condvar protocol. The
-//! leader holds a [`FlightGuard`] that completes the flight on drop, so a
-//! leader that panics (or unwinds through an error path) can never strand
-//! followers on the condvar or wedge the key forever. A flight carries the
-//! leader's typed result: its followers see the leader's own [`ServeError`].
+//! The leader holds a [`FlightGuard`] that completes the flight on drop, so
+//! a leader that panics (or unwinds through an error path) can never
+//! strand followers on the condvar or wedge the key forever. A flight
+//! carries the leader's typed result: its followers see the leader's own
+//! [`ServeError`].
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -61,21 +58,17 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightMap<K, T> {
         }
     }
 
-    fn guard(&self, key: K, flight: Arc<Flight<T>>) -> FlightGuard<'_, K, T> {
-        FlightGuard {
-            map: self,
-            key,
-            flight,
-            completed: false,
-        }
-    }
-
     /// Blocking join: become the leader, or wait for the current leader
     /// and share its result.
     pub fn lead_or_wait(&self, key: K) -> Role<'_, K, T> {
         let (flight, leader) = self.join(&key);
         if leader {
-            return Role::Leader(self.guard(key, flight));
+            return Role::Leader(FlightGuard {
+                map: self,
+                key,
+                flight,
+                completed: false,
+            });
         }
         let mut st = flight.state.lock().unwrap_or_else(|p| p.into_inner());
         while matches!(*st, FlightState::Pending) {
@@ -85,13 +78,6 @@ impl<K: Eq + Hash + Clone, T: Clone> FlightMap<K, T> {
             FlightState::Done(r) => Role::Follower(r.clone()),
             FlightState::Pending => unreachable!("guarded by the wait loop"),
         }
-    }
-
-    /// Non-blocking join: become the leader, or walk away (`None`) because
-    /// a flight for this key is already in progress.
-    pub fn try_lead(&self, key: K) -> Option<FlightGuard<'_, K, T>> {
-        let (flight, leader) = self.join(&key);
-        leader.then(|| self.guard(key, flight))
     }
 }
 
@@ -167,16 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lead_refuses_while_in_flight_and_recovers_after() {
-        let map = FlightMap::<u64, ()>::new();
-        let mut g = map.try_lead(1).expect("first caller leads");
-        assert!(map.try_lead(1).is_none(), "key is in flight");
-        assert!(map.try_lead(2).is_some(), "other keys are independent");
-        g.complete(Ok(()));
-        assert!(map.try_lead(1).is_some(), "flight retired on completion");
-    }
-
-    #[test]
     fn dropped_leader_aborts_instead_of_stranding_followers() {
         let map = Arc::new(FlightMap::<u64, u64>::new());
         let follower = {
@@ -201,7 +177,9 @@ mod tests {
             })
         };
         {
-            let _guard = map.try_lead(9).expect("leads");
+            let Role::Leader(_guard) = map.lead_or_wait(9) else {
+                panic!("first caller leads");
+            };
             std::thread::sleep(std::time::Duration::from_millis(10));
             // Dropped without complete(): simulated leader panic.
         }

@@ -28,9 +28,10 @@
 //!   cardinality *suspect* by the feedback plane is re-optimized in-line
 //!   under a dedicated budget, verified against the incumbent (one run of
 //!   each on the serving engine, rows compared as multisets), and swapped
-//!   only if those runs' work units show it is not slower — every failure
-//!   pins the incumbent with a typed reason and arms exponential backoff
-//!   (see `docs/SERVING.md`, "Self-healing").
+//!   only if those runs' work units show it within 10 % of the incumbent —
+//!   every failure pins the incumbent with a typed reason and arms
+//!   exponential backoff (see `docs/SERVING.md`, "Self-healing"). Heal
+//!   state lives in the feedback plane, bounded with its sketches.
 //!
 //! Every plan runs on `starqo-vexec`, the one engine this crate links; the
 //! serial interpreter `starqo-exec` is a test and bench oracle only.

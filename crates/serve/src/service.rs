@@ -10,14 +10,14 @@ use starqo_plan::{rows_equal_multiset, PlanRef, QueryResult};
 use starqo_query::{canonicalize, CanonicalQuery, Query, QueryFingerprint};
 use starqo_storage::Database;
 use starqo_trace::{
-    Counters, LatencyPath, Metric, Phase, SpanContext, Telemetry, TelemetryConfig,
+    Counters, LatencyPath, Metric, Phase, QErrorSketch, SpanContext, Telemetry, TelemetryConfig,
     TelemetrySnapshot, TraceEvent,
 };
 use starqo_vexec::{VexecExecutor, VexecStats};
 
 use crate::admission::OptGate;
 use crate::cache::{CacheConfig, PlanCache};
-use crate::heal::{reason, within_margin, work_units, Admission, HealConfig, Healer};
+use crate::heal::{self, reason, work_units, HealConfig};
 
 /// Service-level configuration.
 #[derive(Debug, Clone)]
@@ -154,8 +154,6 @@ pub struct Service {
     /// catalog under them.
     optimizer: RwLock<(u64, Arc<Optimizer>)>,
     telemetry: Arc<Telemetry>,
-    /// The self-healing schedule, present iff `config.heal` is set.
-    healer: Option<Healer>,
 }
 
 impl Service {
@@ -172,13 +170,11 @@ impl Service {
     ) -> Result<Self, ServeError> {
         let (cat, epoch) = catalog.snapshot();
         let optimizer = Optimizer::new(cat).map_err(|e| ServeError::Catalog(e.to_string()))?;
-        let healer = config.heal.clone().map(Healer::new);
         Ok(Service {
             cache: PlanCache::new(&config.cache),
             gate: OptGate::new(config.max_concurrent_opt),
             optimizer: RwLock::new((epoch, Arc::new(optimizer))),
             telemetry: Arc::new(Telemetry::new(config.telemetry)),
-            healer,
             config,
             catalog,
         })
@@ -211,22 +207,11 @@ impl Service {
     }
 
     /// Freeze the full telemetry plane: counters, latency histograms,
-    /// hot-query top-K. See [`TelemetrySnapshot`] for JSON / Prometheus
-    /// rendering and interval diffing.
+    /// hot-query top-K, feedback sketches and heal records. See
+    /// [`TelemetrySnapshot`] for JSON / Prometheus rendering and interval
+    /// diffing.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = self.telemetry.snapshot();
-        if let Some(h) = &self.healer {
-            snap.heal = h.records();
-        }
-        snap
-    }
-
-    /// Per-fingerprint heal schedules (empty when healing is off).
-    pub fn heal_records(&self) -> Vec<starqo_trace::HealRecord> {
-        self.healer
-            .as_ref()
-            .map(Healer::records)
-            .unwrap_or_default()
+        self.telemetry.snapshot()
     }
 
     /// Current counters, folded from the striped plane.
@@ -536,11 +521,12 @@ impl Service {
 
     // ---- self-healing -------------------------------------------------
 
-    /// Act on a suspect fingerprint: elect one healer (single-flight,
-    /// non-blocking — losers keep serving the incumbent), consult the
-    /// backoff schedule, then run the re-optimization pipeline with every
-    /// failure mode contained. The request that triggered the heal pays
-    /// for it in-line; nothing here can fail the request.
+    /// Act on a suspect fingerprint: claim its feedback slot (suspect
+    /// check, single-flight election and backoff admission in one step —
+    /// losers keep serving the incumbent), then run the re-optimization
+    /// pipeline with every failure mode contained, and resolve the claim.
+    /// The request that triggered the heal pays for it in-line; nothing
+    /// here can fail the request.
     fn maybe_heal(
         &self,
         db: &Database,
@@ -548,52 +534,36 @@ impl Service {
         outcome: &ServeOutcome,
         ctx: &SpanContext,
     ) {
-        let Some(healer) = &self.healer else { return };
+        let (Some(cfg), Some(plane)) = (&self.config.heal, self.telemetry.feedback()) else {
+            return;
+        };
         // A degraded incumbent is never cached: there is no entry to swap.
         if outcome.optimized.degraded {
             return;
         }
-        let fp = outcome.fingerprint.hash;
-        if !self.telemetry.is_suspect(fp) {
-            return;
-        }
-        // Election before admission: a loser must not advance the schedule.
-        let Some(mut flight) = healer.try_lead(fp) else {
-            return;
-        };
-        // Re-check under the flight: a concurrent heal that just swapped
-        // refreshed the sketch *before* releasing its flight, so winning
-        // the election after a swap always observes the un-stuck flag —
-        // exactly one heal per suspect episode, even under contention.
-        if !self.telemetry.is_suspect(fp) {
-            flight.complete(Ok(()));
-            return;
-        }
-        let attempt = match healer.admit(fp, outcome.epoch, healer.now_nanos()) {
-            Admission::Proceed { attempt } => attempt,
-            Admission::Backoff | Admission::Capped => {
+        let (fp, epoch) = (outcome.fingerprint.hash, outcome.epoch);
+        let now = || self.telemetry.uptime_nanos();
+        let (attempt, sketch) = match plane.claim(fp, |rec| heal::admit(rec, epoch, now())) {
+            None => return,
+            Some(Err(_)) => {
                 self.telemetry.add(Metric::ReoptBackoff, 1);
-                flight.complete(Ok(()));
                 return;
             }
+            Some(Ok(claimed)) => claimed,
         };
         self.telemetry.add(Metric::ReoptAttempts, 1);
-        let epoch = outcome.epoch;
         ctx.annotate(|| TraceEvent::PlanReopt { fp, epoch, attempt });
         let span = ctx.enter(Phase::Reopt.name());
         let started = Instant::now();
-        let cfg = healer.config().clone();
         // The whole pipeline is panic-contained: an injected (or real)
         // panic anywhere inside resolves as a typed pin, never an escape.
-        let resolution = match catch_unwind(AssertUnwindSafe(|| {
-            self.heal_pipeline(db, prepared, outcome, &cfg)
-        })) {
-            Ok(r) => r,
-            Err(_) => HealResolution::Pinned {
-                why: reason::REOPT_PANIC,
-                failure: true,
-            },
-        };
+        let resolution = catch_unwind(AssertUnwindSafe(|| {
+            self.heal_pipeline(db, prepared, outcome, cfg, &sketch)
+        }))
+        .unwrap_or(HealResolution::Pinned {
+            why: reason::REOPT_PANIC,
+            failure: true,
+        });
         self.telemetry
             .record_phase(Phase::Reopt, started.elapsed().as_nanos() as u64);
         drop(span);
@@ -601,8 +571,12 @@ impl Service {
             HealResolution::Swapped {
                 incumbent_work,
                 candidate_work,
+                est_rows,
             } => {
-                healer.resolve_swap(fp, epoch);
+                // Un-stick the suspect flag and restart the Q-error window
+                // against the healed plan's estimate — the whole point of
+                // the exercise.
+                plane.resolve(fp, Some((est_rows, epoch)), |rec| heal::swapped(rec, epoch));
                 self.telemetry.add(Metric::PlanSwap, 1);
                 ctx.annotate(|| TraceEvent::PlanSwap {
                     fp,
@@ -615,8 +589,15 @@ impl Service {
                 if failure {
                     self.telemetry.add(Metric::ReoptFailures, 1);
                 }
-                let (backoff_nanos, capped) =
-                    healer.resolve_pin(fp, epoch, why, healer.now_nanos());
+                // The incumbent just beat a freshly optimized candidate in
+                // a paired run: its suspect verdict is refuted, not merely
+                // deferred. Refresh its window (estimate unchanged) so it
+                // is re-judged on new observations instead of burning
+                // retries against a plan current statistics cannot improve.
+                let refresh = (why == reason::REGRESSION).then_some((sketch.est_rows, epoch));
+                let (backoff_nanos, capped) = plane
+                    .resolve(fp, refresh, |rec| heal::pinned(rec, cfg, epoch, why, now()))
+                    .unwrap_or_default();
                 self.telemetry.add(Metric::PlanPinned, 1);
                 if capped {
                     self.telemetry.add(Metric::ReoptRetryCapped, 1);
@@ -630,22 +611,22 @@ impl Service {
                 });
             }
         }
-        flight.complete(Ok(()));
     }
 
-    /// The pipeline: overlay → re-optimize → verify → probation → swap
-    /// CAS. Returns how the attempt resolved; every exit that keeps
-    /// the incumbent carries its typed reason. Chaos sites (`reopt:<stage>`
-    /// in `STARQO_FAULTS`) fire at each stage boundary.
+    /// The pipeline: overlay → re-optimize → verify → swap CAS, judged on
+    /// the `sketch` the claim handed over. Returns how the attempt
+    /// resolved; every exit that keeps the incumbent carries its typed
+    /// reason. Chaos sites (`reopt:<stage>` in `STARQO_FAULTS`) fire at
+    /// each stage boundary.
     fn heal_pipeline(
         &self,
         db: &Database,
         prepared: &Prepared,
         outcome: &ServeOutcome,
         cfg: &HealConfig,
+        sketch: &QErrorSketch,
     ) -> HealResolution {
         let pin = |why: &'static str, failure: bool| HealResolution::Pinned { why, failure };
-        let fp = outcome.fingerprint.hash;
         let plan_faults = self.config.opt_config.faults.clone();
         // Injected `Error` surfaces as a typed failure; `Panic` unwinds to
         // the caller's catch_unwind; `Stall` burns time and continues.
@@ -667,10 +648,6 @@ impl Service {
             // under the new epoch anyway.
             return pin(reason::EPOCH_MOVED, false);
         }
-        let Some(sketch) = self.telemetry.feedback_sketch(fp) else {
-            // Recycled out of the feedback plane between trigger and here.
-            return pin(reason::REOPT_ERROR, true);
-        };
         let query = &prepared.canonical.query;
         // Spread the observed root-cardinality miss across the referenced
         // tables: with k quantifiers, each base cardinality scales by
@@ -726,7 +703,6 @@ impl Service {
         // *unscaled* catalog, whose root estimate must not clobber the
         // sketch's (possibly previously healed) estimate at refresh time.
         let corrected = !overlay.is_empty();
-        let sketch_est = sketch.est_rows;
         let overlay_cat = match overlay.materialize() {
             Ok(c) => c,
             Err(_) => return pin(reason::REOPT_ERROR, true),
@@ -753,7 +729,10 @@ impl Service {
         }
         let candidate = Arc::new(optimized);
 
-        // -- verify: the candidate's rows bit-match the incumbent's -----
+        // -- verify: equal rows, and work within 10 % of the incumbent's --
+        // One run per side: every counter `work_units` reads is
+        // deterministic per (plan, database), so re-running either side
+        // could not change the verdict.
         cfg.stage("verify");
         if fault("verify") {
             return pin(reason::REOPT_ERROR, true);
@@ -767,24 +746,9 @@ impl Service {
         if !rows_equal_multiset(&inc_rows.rows, &cand_rows.rows) {
             return pin(reason::VERIFY_MISMATCH, false);
         }
-
-        // -- probation A/B over the verify runs' work units --------------
-        // Every counter `work_units` reads is deterministic per (plan,
-        // database), so re-running either side could not change the verdict.
-        cfg.stage("probation");
-        if fault("probation") {
-            return pin(reason::REOPT_ERROR, true);
-        }
         let incumbent_work = work_units(&inc_stats);
         let candidate_work = work_units(&cand_stats);
-        if !within_margin(incumbent_work, candidate_work, cfg.regression_margin) {
-            // The incumbent just beat a freshly optimized candidate in a
-            // paired A/B: its suspect verdict is refuted, not merely
-            // deferred. Refresh its feedback window (estimate unchanged)
-            // so it is re-judged on new observations instead of staying
-            // sticky-suspect and burning retries against a plan that
-            // cannot be improved under current statistics.
-            self.telemetry.refresh_feedback(fp, sketch_est, epoch);
+        if !heal::no_regression(incumbent_work, candidate_work) {
             return pin(reason::REGRESSION, false);
         }
 
@@ -796,21 +760,21 @@ impl Service {
         if self.catalog.epoch() != epoch {
             return pin(reason::EPOCH_MOVED, false);
         }
-        let (text, plan) = (&outcome.fingerprint.text, Arc::clone(&candidate));
-        if !self.cache.swap_if_epoch(text, fp, epoch, plan, opt_nanos) {
+        let (fp, plan) = (&outcome.fingerprint, Arc::clone(&candidate));
+        if !self
+            .cache
+            .swap_if_epoch(&fp.text, fp.hash, epoch, plan, opt_nanos)
+        {
             return pin(reason::EPOCH_MOVED, false);
         }
-        // Un-stick the suspect flag and restart the Q-error window against
-        // the healed plan's estimate — the whole point of the exercise.
-        let new_est = if corrected {
-            candidate.best.props.card.round().max(0.0) as u64
-        } else {
-            sketch_est
-        };
-        self.telemetry.refresh_feedback(fp, new_est, epoch);
         HealResolution::Swapped {
             incumbent_work,
             candidate_work,
+            est_rows: if corrected {
+                candidate.best.props.card.round().max(0.0) as u64
+            } else {
+                sketch.est_rows
+            },
         }
     }
 }
@@ -829,6 +793,8 @@ enum HealResolution {
     Swapped {
         incumbent_work: u64,
         candidate_work: u64,
+        /// The estimate the sketch's fresh window is judged against.
+        est_rows: u64,
     },
     Pinned {
         why: &'static str,

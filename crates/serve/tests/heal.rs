@@ -17,6 +17,7 @@ use starqo_core::FaultPlan;
 use starqo_query::parse_query;
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
+use starqo_trace::telemetry::{FEEDBACK_CAPACITY, FEEDBACK_SHARDS};
 use starqo_trace::{Metric, SpanMode, SuspectConfig, TelemetryConfig, TraceEvent};
 
 const DRIFT_SQL: &str = "SELECT E.NAME FROM EMP E WHERE E.DNO = 1";
@@ -97,13 +98,13 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     // Q-error window restarted against the healed plan's estimate.
     let fp = svc.prepare(&q).fingerprint().hash;
     assert!(!svc.telemetry().is_suspect(fp));
-    let records = svc.heal_records();
+    let records = svc.telemetry_snapshot().heal;
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].swaps, 1);
     assert_eq!(records[0].last_reason, "swapped");
     assert_eq!(records[0].attempts, 0, "schedule reset by the swap");
 
-    // The stitched snapshot carries the heal section.
+    // The snapshot's heal section, by fingerprint.
     let snap = svc.telemetry_snapshot();
     assert_eq!(snap.heal.len(), 1);
     assert_eq!(snap.heal_for(fp).unwrap().swaps, 1);
@@ -168,7 +169,7 @@ fn injected_error_pins_with_typed_reason_then_retry_succeeds() {
         })
         .collect();
     assert_eq!(pinned, vec!["reopt_error".to_string()]);
-    let records = svc.heal_records();
+    let records = svc.telemetry_snapshot().heal;
     assert_eq!(records[0].pins, 1);
     assert_eq!(records[0].swaps, 1);
     assert_eq!(records[0].last_reason, "swapped");
@@ -200,7 +201,7 @@ fn injected_panic_is_contained_as_a_pin() {
         c[Metric::ReoptBackoff] >= 1,
         "later triggers suppressed by backoff"
     );
-    let records = svc.heal_records();
+    let records = svc.telemetry_snapshot().heal;
     assert_eq!(records[0].last_reason, "reopt_panic");
     assert!(records[0].backoff_until_nanos > 0, "backoff armed");
 }
@@ -241,7 +242,7 @@ fn epoch_bump_mid_reopt_pins_epoch_moved_not_a_stale_swap() {
     );
     assert_eq!(c[Metric::PlanPinned], 1);
     assert_eq!(bumped.load(Ordering::SeqCst), 1, "hook fired once");
-    let records = svc.heal_records();
+    let records = svc.telemetry_snapshot().heal;
     assert_eq!(records[0].last_reason, "epoch_moved");
 }
 
@@ -301,4 +302,39 @@ fn eight_threads_one_reopt_flight_per_fingerprint() {
     assert_eq!(c[Metric::PlanSwap], 1);
     let fp = svc.prepare(&q).fingerprint().hash;
     assert!(!svc.telemetry().is_suspect(fp));
+}
+
+#[test]
+fn heal_records_stay_bounded_by_the_feedback_plane() {
+    let cat = catalog();
+    let db = drifted_database(&cat);
+    let mut config = heal_service_config(HealConfig::default());
+    config.telemetry.suspect.min_runs = 1;
+    config.telemetry.spans = SpanMode::Off;
+    let svc = Service::new(Arc::clone(&cat), config).unwrap();
+    let bound = FEEDBACK_SHARDS * FEEDBACK_CAPACITY;
+
+    // Conjuncts are sorted but never deduplicated, so each (a, b) count of
+    // two always-true ranges is its own fingerprint — 18 × 18 of them, and
+    // each drifts: the catalog's 8 EMP rows against the database's 800.
+    let mut fingerprints = 0;
+    for a in 1..=18 {
+        for b in 1..=18 {
+            let mut conjuncts = vec!["E.DNO >= 0"; a];
+            conjuncts.extend(vec!["E.DNO < 4"; b]);
+            let sql = format!("SELECT E.NAME FROM EMP E WHERE {}", conjuncts.join(" AND "));
+            let q = parse_query(&cat, &sql).unwrap();
+            let (rows, _) = svc.execute(&db, &q).unwrap();
+            assert_eq!(rows.rows.len(), 800);
+            fingerprints += 1;
+            let heal = svc.telemetry_snapshot().heal;
+            assert!(heal.len() <= bound, "{} heal records", heal.len());
+        }
+    }
+    assert!(fingerprints > bound);
+    let attempts = svc.counters()[Metric::ReoptAttempts];
+    assert_eq!(
+        attempts, fingerprints as u64,
+        "every fingerprint tried a heal"
+    );
 }

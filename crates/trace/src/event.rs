@@ -204,9 +204,9 @@ record! {
             epoch: u64,
             attempt: u64,
         },
-        /// A re-optimized candidate passed the stability guard (shadow
-        /// verification + probation A/B) and replaced the incumbent cached
-        /// plan. Work units are the probation window's deterministic
+        /// A re-optimized candidate passed the stability guard (verify:
+        /// equal rows, work within 10 %) and replaced the incumbent cached
+        /// plan. Work units are the verify runs' deterministic
         /// execution-effort totals for each side.
         PlanSwap = "plan_swap" {
             fp: u64,

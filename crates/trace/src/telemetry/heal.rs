@@ -1,8 +1,9 @@
 //! Per-fingerprint heal-state records: the serving layer's adaptive
-//! re-optimization loop (suspect → reopt → probation → swap/pin/backoff)
-//! reports its state through these so snapshots, the doctor, and the
-//! watch view can reason about healing without reaching into the serve
-//! crate. The state machine itself lives in `starqo-serve`; this is the
+//! re-optimization loop (suspect → reopt → verify → swap/pin/backoff)
+//! keeps its schedule in these, one per slot of the feedback plane
+//! ([`crate::telemetry::qerror`]), so snapshots, the doctor, and the watch
+//! view can reason about healing without reaching into the serve crate.
+//! The policy that updates them lives in `starqo-serve`; this is also the
 //! frozen export form (snapshot JSON version 4's `heal` array, Prometheus
 //! `starqo_heal_*` gauges).
 

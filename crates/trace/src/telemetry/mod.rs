@@ -280,20 +280,10 @@ impl Telemetry {
         verdict
     }
 
-    /// A new plan was installed for `fp` (adaptive swap or explicit
-    /// re-plan): reset its sketch's Q window and suspect flag, keeping the
-    /// lifetime history. Returns whether a resident sketch was refreshed
-    /// (always false when feedback is off).
-    pub fn refresh_feedback(&self, fp: u64, est_rows: u64, epoch: u64) -> bool {
-        self.feedback
-            .as_ref()
-            .is_some_and(|plane| plane.refresh(fp, est_rows, epoch))
-    }
-
-    /// One fingerprint's resident Q-error sketch, cloned (`None` when
-    /// feedback is off or the fingerprint has no sketch).
-    pub fn feedback_sketch(&self, fp: u64) -> Option<QErrorSketch> {
-        self.feedback.as_ref()?.sketch(fp)
+    /// The feedback plane, when live: the owner of every fingerprint's
+    /// sketch and heal state (see [`FeedbackPlane::claim`]).
+    pub fn feedback(&self) -> Option<&FeedbackPlane> {
+        self.feedback.as_ref()
     }
 
     /// The feedback plane's suspect registry (empty when feedback is off).
@@ -439,7 +429,8 @@ impl Telemetry {
     }
 
     /// Freeze the plane: every counter, one histogram per latency path,
-    /// the current top-K (at most `topk` entries).
+    /// the current top-K (at most `topk` entries), the feedback plane's
+    /// sketches and heal records.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let (span_resident, span_capacity, span_evicted) = self.span_store_stats();
         TelemetrySnapshot {
@@ -456,10 +447,11 @@ impl Telemetry {
             span_resident,
             span_capacity,
             span_evicted,
-            // The heal state machine lives in the serving layer; a bare
-            // plane snapshot carries no records (the service stitches its
-            // own in before export).
-            heal: Vec::new(),
+            heal: self
+                .feedback
+                .as_ref()
+                .map(FeedbackPlane::heal_records)
+                .unwrap_or_default(),
         }
     }
 }

@@ -34,7 +34,7 @@ catalog! {
         /// Plan execution.
         Execute = "execute",
         /// Suspect-triggered re-optimization (overlay build, re-plan,
-        /// shadow verify, and probation — the whole heal pipeline).
+        /// verify and swap — the whole heal pipeline).
         Reopt = "reopt",
     }
 }

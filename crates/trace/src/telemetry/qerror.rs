@@ -9,14 +9,21 @@
 //! thresholds. The flag is sticky **per installed plan**: it clears only
 //! when a new plan or epoch is installed for the fingerprint (an
 //! epoch-keyed [`QErrorSketch::refresh_estimate`], triggered by a newer
-//! epoch arriving in `record` or by an explicit
-//! [`FeedbackPlane::refresh`] after an adaptive plan swap). A refresh
+//! epoch arriving in `record` or by a heal's [`FeedbackPlane::resolve`]
+//! after an adaptive plan swap). A refresh
 //! resets the Q-error *window* (the accumulators the thresholds read) but
 //! preserves the lifetime run count, latency histogram, and observed
 //! actual-row extremes, so drift trends survive legitimate invalidations.
 //! Flagging emits a counter and (at the caller's discretion) a trace
 //! event — acting on a suspect plan is the serving layer's business, not
 //! the plane's.
+//!
+//! The plane is also the one owner of each fingerprint's heal state: a
+//! [`HealRecord`] and an in-flight flag sit beside its sketch in the same
+//! slot. The serving layer's heal policy reads and writes them only through
+//! [`FeedbackPlane::claim`] and [`FeedbackPlane::resolve`], each one step
+//! under the shard lock, so heal state is bounded with the sketches and a
+//! recycled sketch takes its heal history with it.
 //!
 //! ## Determinism under concurrency
 //!
@@ -37,11 +44,13 @@
 //!   arrival order.
 //!
 //! Memory is bounded like the top-K tracker: `shards × capacity` sketches,
-//! with the least-run sketch recycled when a shard overflows.
+//! with the least-run sketch recycled when a shard overflows (never one
+//! with a heal in flight).
 
 use std::sync::Mutex;
 
 use crate::hist::Histogram;
+use crate::telemetry::heal::HealRecord;
 use crate::telemetry::sample::mix64;
 
 /// Fixed-point scale for quantized `log₂ Q`: one unit is a millionth of a
@@ -216,14 +225,36 @@ pub struct SuspectVerdict {
     pub reason: &'static str,
 }
 
+/// One fingerprint's slot: its sketch plus the heal state the serving
+/// layer keeps for it.
+struct Slot {
+    sketch: QErrorSketch,
+    /// The heal schedule, created by the first claim. Boxed so the
+    /// slots `record` probes stay the size of a sketch.
+    heal: Option<Box<HealRecord>>,
+    /// A claimed heal is in flight: no second claim, no recycling.
+    healing: bool,
+}
+
+impl Slot {
+    fn new(fp: u64) -> Slot {
+        Slot {
+            sketch: QErrorSketch::new(fp),
+            heal: None,
+            healing: false,
+        }
+    }
+}
+
 /// The sharded, bounded feedback plane. Sharding follows the top-K
 /// tracker: each fingerprint hashes to exactly one shard, each shard is a
 /// small mutex-guarded array, and memory stays fixed at `shards ×
-/// capacity` sketches however many fingerprints flow past. On overflow
-/// the least-run sketch is recycled for the newcomer (its history is the
-/// evicted fingerprint's, so the sketch restarts from zero).
+/// capacity` slots however many fingerprints flow past. On overflow the
+/// least-run slot without a heal in flight is recycled for the newcomer
+/// (its history is the evicted fingerprint's, so sketch and heal record
+/// restart from zero).
 pub struct FeedbackPlane {
-    shards: Box<[Mutex<Vec<QErrorSketch>>]>,
+    shards: Box<[Mutex<Vec<Slot>>]>,
     mask: usize,
     capacity: usize,
     config: SuspectConfig,
@@ -255,9 +286,16 @@ impl FeedbackPlane {
         self.config
     }
 
+    fn shard(&self, fp: u64) -> std::sync::MutexGuard<'_, Vec<Slot>> {
+        self.shards[(mix64(fp) as usize) & self.mask]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Fold one executed run's actuals into its fingerprint's sketch.
     /// Returns `Some` exactly when this fold flipped the sticky suspect
-    /// flag (at most once per resident sketch).
+    /// flag (at most once per resident sketch). A newcomer to a shard full
+    /// of in-flight heals is not folded.
     pub fn record(
         &self,
         fp: u64,
@@ -266,12 +304,11 @@ impl FeedbackPlane {
         nanos: u64,
         epoch: u64,
     ) -> Option<SuspectVerdict> {
-        let shard = &self.shards[(mix64(fp) as usize) & self.mask];
-        let mut entries = shard.lock().unwrap_or_else(|p| p.into_inner());
-        let slot = match entries.iter().position(|e| e.fp == fp) {
+        let mut entries = self.shard(fp);
+        let slot = match entries.iter().position(|e| e.sketch.fp == fp) {
             Some(i) => i,
             None if entries.len() < self.capacity => {
-                entries.push(QErrorSketch::new(fp));
+                entries.push(Slot::new(fp));
                 entries.len() - 1
             }
             None => {
@@ -281,13 +318,14 @@ impl FeedbackPlane {
                 let victim = entries
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, e)| (e.runs, e.fp))
+                    .filter(|(_, e)| !e.healing)
+                    .min_by_key(|(_, e)| (e.sketch.runs, e.sketch.fp))
                     .map(|(i, _)| i)?;
-                entries[victim] = QErrorSketch::new(fp);
+                entries[victim] = Slot::new(fp);
                 victim
             }
         };
-        let s = &mut entries[slot];
+        let s = &mut entries[slot].sketch;
         s.runs += 1;
         s.actual_min = s.actual_min.min(actual_rows);
         s.actual_max = s.actual_max.max(actual_rows);
@@ -329,11 +367,7 @@ impl FeedbackPlane {
     /// descending, ties by fingerprint ascending — an integer sort, so the
     /// order is exactly reproducible).
     pub fn snapshot(&self) -> Vec<QErrorSketch> {
-        let mut all: Vec<QErrorSketch> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).clone())
-            .collect();
+        let mut all = self.collect(|e| Some(e.sketch.clone()));
         all.sort_unstable_by(|a, b| {
             let key = |e: &QErrorSketch| e.qlog_sum_micro.checked_div(e.q_runs).unwrap_or(0);
             key(b).cmp(&key(a)).then(a.fp.cmp(&b.fp))
@@ -341,58 +375,92 @@ impl FeedbackPlane {
         all
     }
 
-    /// A new plan was installed for `fp` (adaptive swap or explicit
-    /// invalidation): reset its resident sketch's Q window and suspect
-    /// flag to judge the new plan's estimate on fresh observations, while
-    /// preserving the lifetime history. Returns whether a resident sketch
-    /// was refreshed (a non-resident fingerprint is a no-op — its next
-    /// `record` starts a fresh sketch anyway).
-    pub fn refresh(&self, fp: u64, est_rows: u64, epoch: u64) -> bool {
-        let shard = &self.shards[(mix64(fp) as usize) & self.mask];
-        let mut entries = shard.lock().unwrap_or_else(|p| p.into_inner());
-        match entries.iter_mut().find(|e| e.fp == fp) {
-            Some(s) => {
-                s.refresh_estimate(est_rows, epoch);
-                true
-            }
-            None => false,
-        }
+    /// Every resident heal record, fingerprint ascending (at most one per
+    /// slot, so at most `shards × capacity`).
+    pub fn heal_records(&self) -> Vec<HealRecord> {
+        let mut out = self.collect(|e| e.heal.as_deref().cloned());
+        out.sort_unstable_by_key(|r| r.fp);
+        out
     }
 
-    /// One fingerprint's resident sketch, cloned (`None` when absent).
-    pub fn sketch(&self, fp: u64) -> Option<QErrorSketch> {
-        let shard = &self.shards[(mix64(fp) as usize) & self.mask];
-        shard
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .find(|e| e.fp == fp)
-            .cloned()
+    /// Claim `fp` for a heal: the suspect check, the single-flight
+    /// election and the schedule's admission in one step under its shard
+    /// lock. `None` when there is nothing to claim — no resident sketch,
+    /// not suspect, or a heal already in flight. Otherwise `admit` rules on
+    /// the slot's heal record (created on first use): `Ok` marks the heal
+    /// in flight and hands back the sketch it was judged on, `Err` leaves
+    /// the slot unclaimed.
+    pub fn claim<T, E>(
+        &self,
+        fp: u64,
+        admit: impl FnOnce(&mut HealRecord) -> Result<T, E>,
+    ) -> Option<Result<(T, QErrorSketch), E>> {
+        let mut entries = self.shard(fp);
+        let e = entries
+            .iter_mut()
+            .find(|e| e.sketch.fp == fp)
+            .filter(|e| e.sketch.suspect && !e.healing)?;
+        let rec = e.heal.get_or_insert_with(|| {
+            Box::new(HealRecord {
+                fp,
+                ..HealRecord::default()
+            })
+        });
+        Some(admit(rec).map(|t| {
+            e.healing = true;
+            (t, e.sketch.clone())
+        }))
+    }
+
+    /// Resolve `fp`'s claimed heal in one slot update: `resolve` updates
+    /// its record, the claim is released, and `refresh: Some((est_rows,
+    /// epoch))` restarts the sketch's Q window and clears its suspect flag
+    /// (a new plan was installed, or the verdict was refuted). `None` when
+    /// `fp` holds no claim.
+    pub fn resolve<R>(
+        &self,
+        fp: u64,
+        refresh: Option<(u64, u64)>,
+        resolve: impl FnOnce(&mut HealRecord) -> R,
+    ) -> Option<R> {
+        let mut entries = self.shard(fp);
+        let e = entries
+            .iter_mut()
+            .find(|e| e.sketch.fp == fp)
+            .filter(|e| e.healing)?;
+        e.healing = false;
+        if let Some((est_rows, epoch)) = refresh {
+            e.sketch.refresh_estimate(est_rows, epoch);
+        }
+        e.heal.as_deref_mut().map(resolve)
     }
 
     /// Whether one fingerprint's resident sketch is flagged suspect.
     /// Cheap enough for the serve path: one shard lock, a small linear
     /// probe, no cloning (the tail sampler calls this per retirement).
     pub fn is_suspect(&self, fp: u64) -> bool {
-        let shard = &self.shards[(mix64(fp) as usize) & self.mask];
-        shard
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+        self.shard(fp)
             .iter()
-            .any(|e| e.fp == fp && e.suspect)
+            .any(|e| e.sketch.fp == fp && e.sketch.suspect)
     }
 
     /// The suspect registry: resident sketches with the flag set,
     /// fingerprint ascending.
     pub fn suspects(&self) -> Vec<QErrorSketch> {
-        let mut out: Vec<QErrorSketch> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).clone())
-            .filter(|e| e.suspect)
-            .collect();
+        let mut out = self.collect(|e| e.sketch.suspect.then(|| e.sketch.clone()));
         out.sort_unstable_by_key(|e| e.fp);
         out
+    }
+
+    /// `pick` over every resident slot, shard by shard.
+    fn collect<T>(&self, pick: impl Fn(&Slot) -> Option<T>) -> Vec<T> {
+        self.shards
+            .iter()
+            .flat_map(|s| {
+                let entries = s.lock().unwrap_or_else(|p| p.into_inner());
+                entries.iter().filter_map(&pick).collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     /// Resident sketches across all shards (≤ shards × capacity).
@@ -538,9 +606,10 @@ mod tests {
         let v = plane.record(7, 100, 800, 1_000, 1).expect("flagged");
         assert_eq!(v.runs, 2);
         assert!(plane.is_suspect(7));
-        // A plan swap refreshes the sketch: suspect clears, the Q window
+        // A heal's swap refreshes the sketch: suspect clears, the Q window
         // restarts, lifetime runs/latency/actual extremes survive.
-        assert!(plane.refresh(7, 800, 1));
+        assert!(claim(&plane, 7).is_some());
+        assert_eq!(plane.resolve(7, Some((800, 1)), |_| ()), Some(()));
         assert!(!plane.is_suspect(7));
         let s = &plane.snapshot()[0];
         assert_eq!((s.runs, s.q_runs, s.qlog_sum_micro), (2, 0, 0));
@@ -552,8 +621,98 @@ mod tests {
             assert!(plane.record(7, 800, 800, 1_000, 1).is_none());
         }
         assert!(!plane.is_suspect(7));
-        // A non-resident fingerprint is a no-op.
-        assert!(!plane.refresh(999, 10, 1));
+        // A fingerprint without a claim is a no-op.
+        assert_eq!(plane.resolve(999, Some((10, 1)), |_| ()), None);
+    }
+
+    /// Claim `fp` with an admission that always proceeds.
+    fn claim(plane: &FeedbackPlane, fp: u64) -> Option<QErrorSketch> {
+        match plane.claim(fp, |_| Ok::<(), ()>(()))? {
+            Ok(((), sketch)) => Some(sketch),
+            Err(()) => None,
+        }
+    }
+
+    /// A plane of one shard with `capacity` slots that flags on the first
+    /// Q = 8 run, and `fp` flagged in it.
+    fn flagged(capacity: usize, fp: u64) -> FeedbackPlane {
+        let config = SuspectConfig {
+            min_runs: 1,
+            ..SuspectConfig::default()
+        };
+        let plane = FeedbackPlane::new(1, capacity, config);
+        assert!(plane.record(fp, 100, 800, 1_000, 1).is_some());
+        plane
+    }
+
+    #[test]
+    fn claimed_slot_refuses_a_second_claim_until_resolved() {
+        let plane = flagged(4, 7);
+        plane.record(8, 100, 100, 1_000, 1);
+        assert!(claim(&plane, 8).is_none(), "not suspect: nothing to claim");
+        assert!(claim(&plane, 9).is_none(), "not resident: nothing to claim");
+        // A refused admission counts on the record but claims nothing.
+        let refused = plane.claim(7, |rec| {
+            rec.backoff_hits += 1;
+            Err::<(), _>("backoff")
+        });
+        assert_eq!(refused, Some(Err("backoff")));
+        let sketch = claim(&plane, 7).expect("suspect and unclaimed");
+        assert_eq!((sketch.fp, sketch.est_rows, sketch.suspect), (7, 100, true));
+        assert!(claim(&plane, 7).is_none(), "a heal is in flight");
+        plane.record(10, 100, 800, 1_000, 1);
+        assert!(
+            claim(&plane, 10).is_some(),
+            "other fingerprints are independent"
+        );
+        // Resolving without a refresh releases the claim; the slot is still
+        // suspect, so the next claim succeeds.
+        assert_eq!(plane.resolve(7, None, |rec| rec.pins += 1), Some(()));
+        assert!(claim(&plane, 7).is_some());
+        let recs = plane.heal_records();
+        assert_eq!(recs.iter().map(|r| r.fp).collect::<Vec<_>>(), [7, 10]);
+        assert_eq!((recs[0].pins, recs[0].backoff_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_slot_with_a_heal_in_flight_is_never_recycled() {
+        let plane = flagged(2, 1);
+        assert!(claim(&plane, 1).is_some());
+        // Fingerprint 1 has the fewest runs, but its heal is in flight:
+        // every newcomer recycles the other slot instead.
+        for _ in 0..5 {
+            plane.record(2, 10, 10, 100, 1);
+        }
+        for fp in 100..110u64 {
+            plane.record(fp, 10, 10, 100, 1);
+            assert!(plane.snapshot().iter().any(|e| e.fp == 1));
+        }
+        assert_eq!(plane.resolve(1, None, |_| ()), Some(()));
+        // Released, it is the least-run victim again.
+        plane.record(200, 10, 10, 100, 1);
+        assert!(plane.snapshot().iter().all(|e| e.fp != 1));
+        // A shard whose every slot is in flight folds no newcomer.
+        let full = flagged(1, 3);
+        assert!(claim(&full, 3).is_some());
+        assert!(full.record(4, 10, 10, 100, 1).is_none());
+        assert_eq!(full.snapshot()[0].fp, 3);
+    }
+
+    #[test]
+    fn a_recycled_slot_drops_its_record() {
+        let plane = flagged(1, 5);
+        assert!(claim(&plane, 5).is_some());
+        plane.resolve(5, Some((800, 1)), |rec| rec.swaps += 1);
+        assert_eq!(plane.heal_records().len(), 1);
+        plane.record(6, 10, 10, 100, 1);
+        assert!(
+            plane.heal_records().is_empty(),
+            "the record left with its sketch"
+        );
+        // The fingerprint returns with a fresh sketch and no heal history.
+        plane.record(5, 100, 800, 1_000, 1);
+        assert_eq!(plane.snapshot()[0].runs, 1);
+        assert!(plane.heal_records().is_empty());
     }
 
     #[test]

@@ -44,10 +44,9 @@ pub struct TelemetrySnapshot {
     pub span_capacity: u64,
     /// Retained trees recycled to make room, cumulatively.
     pub span_evicted: u64,
-    /// The serving layer's per-fingerprint heal records (suspect-triggered
-    /// re-optimization state), fingerprint ascending. Empty when healing
-    /// is off or the snapshot came from a bare telemetry plane (the
-    /// service stitches these in).
+    /// The feedback plane's per-fingerprint heal records (suspect-triggered
+    /// re-optimization state), fingerprint ascending: at most one per
+    /// sketch slot. Empty when healing or feedback is off.
     pub heal: Vec<HealRecord>,
 }
 

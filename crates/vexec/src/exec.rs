@@ -50,7 +50,7 @@ const SPARE_COLUMNS: usize = 32;
 /// Every resource counter but `pages_read` equals the oracle's; that one
 /// charges the I/O this engine does, so an uncorrelated nested-loop inner,
 /// evaluated once, is read once (the oracle re-scans it per outer row).
-/// Heal's probation judges plans by these counters.
+/// Heal's verify step judges plans by these counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VexecStats {
     /// Batch-sized source ranges pushed through chains.

@@ -51,7 +51,7 @@ gate)
     echo "== chaos: the full fault-injection sweep =="
     $bench chaos
     for spec in reopt:overlay:panic reopt:optimize:error reopt:verify:panic \
-                reopt:probation:error reopt:swap:panic reopt:optimize:stall20000; do
+                reopt:verify:error reopt:swap:panic reopt:optimize:stall20000; do
         echo "== heal under STARQO_FAULTS=$spec =="
         STARQO_FAULTS=$spec $bench heal
     done

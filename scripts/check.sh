@@ -30,6 +30,12 @@ if grep -rnE 'TraceSink|JsonLinesSink|MemorySink|Tracer::' crates/ src/ examples
     exit 1
 fi
 
+echo "== heal keeps no state of its own: the private schedule stays deleted =="
+if grep -rnE 'struct Healer|regression_margin|within_margin|try_lead' crates/serve/src; then
+    echo "heal state lives in the feedback plane's slots (docs/SERVING.md, \"Heal state\")." >&2
+    exit 1
+fi
+
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
 if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then

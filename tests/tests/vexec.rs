@@ -79,8 +79,8 @@ fn same_outcome(
             continue;
         }
         let mut s = *vx.stats();
-        // The counters the service, the feedback plane and heal's probation
-        // read must not notice which engine ran. `pages_read` is the one
+        // The counters the service, the feedback plane and heal's verify
+        // step read must not notice which engine ran. `pages_read` is the one
         // resource counter that may differ: vexec evaluates an uncorrelated
         // nested-loop inner once, where the oracle re-scans it per outer row.
         assert_eq!(
