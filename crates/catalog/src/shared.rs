@@ -7,10 +7,12 @@
 //! with a monotonically increasing **epoch**: every mutation (stats refresh,
 //! index create/drop) installs a new snapshot and bumps the epoch, so a plan
 //! cached under epoch `e` is observably stale the moment the epoch moves.
-//! Consumers never block mutators for long — reads take a shared lock just
-//! long enough to clone an `Arc`.
+//! Readers and mutators never block each other for long: reads take a shared
+//! lock just long enough to clone an `Arc`, and a mutator builds its
+//! successor outside that lock (mutators queue on a lock of their own), then
+//! takes it only to swap the `Arc` and bump the epoch.
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::catalog::Catalog;
 use crate::error::Result;
@@ -22,12 +24,16 @@ pub const INITIAL_EPOCH: u64 = 0;
 #[derive(Debug)]
 pub struct SharedCatalog {
     inner: RwLock<(Arc<Catalog>, u64)>,
+    /// Held by a mutator from reading the snapshot it copies until its
+    /// successor is installed: no update is lost to a concurrent one.
+    writer: Mutex<()>,
 }
 
 impl SharedCatalog {
     pub fn new(catalog: Arc<Catalog>) -> Self {
         SharedCatalog {
             inner: RwLock::new((catalog, INITIAL_EPOCH)),
+            writer: Mutex::new(()),
         }
     }
 
@@ -60,10 +66,15 @@ impl SharedCatalog {
     /// Apply an arbitrary copy-on-write mutation: `f` receives the current
     /// snapshot and returns the successor. On success the new snapshot is
     /// installed and the bumped epoch returned; on error nothing changes.
+    /// Readers wait only for the swap, not for `f`.
     pub fn update(&self, f: impl FnOnce(&Catalog) -> Result<Catalog>) -> Result<u64> {
+        let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
+        // Declared before the guard, so the old snapshot is freed (if this
+        // was its last holder) after the write lock is released.
+        let current = self.catalog();
+        let next = Arc::new(f(&current)?);
         let mut g = self.write();
-        let next = f(&g.0)?;
-        g.0 = Arc::new(next);
+        g.0 = next;
         g.1 += 1;
         Ok(g.1)
     }
@@ -177,6 +188,37 @@ mod tests {
         assert_eq!(b.id.0, 0, "surviving index renumbered to position");
         let tid = cat.table_by_name("DEPT").unwrap().id;
         assert_eq!(cat.indexes_on(tid).count(), 1);
+    }
+
+    /// Concurrent mutators each copy the snapshot the last one installed:
+    /// every value lands and every bump counts.
+    #[test]
+    fn concurrent_updates_lose_nothing() {
+        let mut b = Catalog::builder().site("NY");
+        for t in 0..4 {
+            b = b.table(format!("T{t}"), "NY", StorageKind::Heap, 1).column(
+                "A",
+                DataType::Int,
+                None,
+            );
+        }
+        let shared = SharedCatalog::new(Arc::new(b.build().unwrap()));
+        let start = shared.epoch();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let shared = &shared;
+                s.spawn(move || {
+                    for card in 1..=50 {
+                        shared.set_table_card(&format!("T{t}"), card).unwrap();
+                    }
+                });
+            }
+        });
+        let cat = shared.catalog();
+        for t in 0..4 {
+            assert_eq!(cat.table_by_name(&format!("T{t}")).unwrap().card, 50);
+        }
+        assert_eq!(shared.epoch(), start + 200);
     }
 
     #[test]

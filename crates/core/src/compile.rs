@@ -18,7 +18,6 @@
 //! `JMeth`.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use starqo_dsl::{AltAst, BinOpAst, ExprAst, GuardAst, ReqAst, RuleFileAst, StarDefAst};
 
@@ -81,6 +80,9 @@ pub fn compile_into(rules: &mut RuleSet, ast: &RuleFileAst, env: &CompileEnv<'_>
     for def in &ast.stars {
         let id = rules.by_name[&def.name];
         let group = compile_star_group(rules, def, env)?;
+        for k in 1..=group.alts.len() {
+            rules.labels.push(format!("{}[alt {k}]", def.name).into());
+        }
         rules.stars[id.0 as usize].groups.push(group);
     }
     Ok(())
@@ -135,7 +137,8 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
     let forall_slot = scope.next;
     let mut alts = Vec::new();
     for alt in def.body.alternatives() {
-        let label = format!("{}[alt {}]", def.name, alts.len() + 1);
+        // `compile_into` renders the label once the whole group compiled.
+        let label = (rules.labels.len() + alts.len()) as u32;
         alts.push(compile_alt(
             rules,
             alt,
@@ -143,7 +146,7 @@ fn compile_star_group(rules: &RuleSet, def: &StarDefAst, env: &CompileEnv<'_>) -
             forall_slot,
             env,
             &def.name,
-            label.into(),
+            label,
         )?);
     }
     Ok(AltGroup {
@@ -160,7 +163,7 @@ fn compile_alt(
     forall_slot: u32,
     env: &CompileEnv<'_>,
     star: &str,
-    label: Arc<str>,
+    label: u32,
 ) -> Result<Alt> {
     let (forall, inner_scope);
     match &alt.forall {

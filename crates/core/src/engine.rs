@@ -29,7 +29,7 @@ use starqo_trace::{CostBreakdownEv, SpanContext, SpanGuard, TraceEvent};
 use crate::error::{CoreError, Res, Result};
 use crate::faults::{self, FaultPlan};
 use crate::glue;
-use crate::hash::{DigestMap, RunHasher, RunMap, RunSet};
+use crate::hash::{DigestMap, RunHasher, RunSet};
 use crate::natives::{NativeCtx, Natives};
 use crate::optimizer::OptConfig;
 use crate::rules::{Alt, BinOp, Expr, Guard, ReqExpr, RuleSet, StarDef, StarId};
@@ -147,13 +147,6 @@ pub struct Engine<'a> {
     pub store: RunStore,
     pub table: PlanTable,
     pub stats: OptStats,
-    /// Plan provenance: fingerprint → "Star[alt k]" of the alternative that
-    /// first produced the node, realizing §1's "traced to explain the
-    /// origin of any execution plan". Glue veneers record as "Glue". The
-    /// values are handles on labels rendered when the rules were compiled.
-    pub provenance: RunMap<u64, Arc<str>>,
-    /// The provenance label of Glue veneers.
-    pub(crate) glue_label: Arc<str>,
     /// Request-scoped span recorder; `SpanContext::off()` by default.
     /// When live, every non-memoized STAR expansion and top-level Glue
     /// invocation appends a span to the owning request's tree; on a
@@ -242,8 +235,6 @@ impl<'a> Engine<'a> {
             store: RunStore::default(),
             table,
             stats: OptStats::default(),
-            provenance: RunMap::default(),
-            glue_label: "Glue".into(),
             spans: SpanContext::off(),
             glue_nanos: 0,
             glue_depth: 0,
@@ -592,9 +583,11 @@ impl<'a> Engine<'a> {
                         // — which is why handing its SAP on unchanged
                         // leaves every origin as it was.
                         if !matches!(alt.expr, Expr::CallStar(..)) {
-                            for &p in produced.iter().flat_map(|&sap| self.store.sap(sap)) {
-                                let origin = self.provenance.entry(self.store[p].fingerprint);
-                                origin.or_insert_with(|| alt.label.clone());
+                            for &sap in produced {
+                                for at in 0..sap.len() {
+                                    let p = self.store.sap(sap)[at];
+                                    self.store.label(p, alt.label);
+                                }
                             }
                         }
                         let productive = produced.iter().any(|sap| !sap.is_empty());
@@ -616,7 +609,7 @@ impl<'a> Engine<'a> {
                         self.ref_stack.truncate(stack0);
                         self.glue_depth = glue_depth0;
                         let e = Box::new(CoreError::Panicked {
-                            context: format!("STAR {}", alt.label),
+                            context: format!("STAR {}", self.rules.labels[alt.label as usize]),
                             msg: panic_msg(payload),
                         });
                         let e = self.quarantine_alt(id, group_idx, alt_idx, star, alt, e);
@@ -1483,9 +1476,10 @@ impl<'a> Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// The recorded rule origin of a plan node, if any.
+    /// The rule that first produced a node with this fingerprint, if any.
     pub fn origin(&self, fingerprint: u64) -> Option<&str> {
-        self.provenance.get(&fingerprint).map(|s| &**s)
+        let (_, label) = self.store.origins(std::iter::once(fingerprint))[&fingerprint]?;
+        Some(&self.rules.labels[label as usize])
     }
 }
 

@@ -32,11 +32,14 @@
 //! `JoinRoot` rule's conditions, exactly as §4.1 suggests; the driver only
 //! skips pairs no rule could accept, as an efficiency matter.
 
+use std::sync::Arc;
+
 use starqo_plan::PlanRef;
 use starqo_query::QSet;
 
 use crate::engine::Engine;
 use crate::error::{CoreError, Result};
+use crate::hash::RunMap;
 use crate::store::PlanId;
 use crate::value::ReqVec;
 
@@ -49,6 +52,8 @@ pub struct Enumerated {
     /// All surviving root alternatives (before the final Glue), for
     /// strategy-space experiments.
     pub root_alternatives: Vec<PlanRef>,
+    /// The rule origin of every node of `best` and `root_alternatives`.
+    pub provenance: RunMap<u64, Arc<str>>,
 }
 
 /// Run bottom-up enumeration over the engine's query.
@@ -105,10 +110,12 @@ pub fn enumerate(engine: &mut Engine<'_>) -> Result<Enumerated> {
         .min_by(|a, b| cost(a).total_cmp(&cost(b)));
     let best = *best.ok_or_else(|| CoreError::NoPlan("glue returned no final plan".into()))?;
     // The run ends here: what leaves it is made into shared plan DAGs.
-    let mut root_alternatives = store.materialize(std::iter::once(best).chain(roots));
+    let leaving = std::iter::once(best).chain(roots);
+    let (mut root_alternatives, provenance) = store.materialize(leaving, &engine.rules.labels);
     Ok(Enumerated {
         best: root_alternatives.remove(0),
         root_alternatives,
+        provenance,
     })
 }
 

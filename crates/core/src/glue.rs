@@ -28,6 +28,7 @@ use starqo_trace::{Phase, SpanGuard, TraceEvent};
 use crate::engine::Engine;
 use crate::error::{CoreError, Res, Result};
 use crate::hash::RunHasher;
+use crate::rules::GLUE_LABEL;
 use crate::store::PlanId;
 use crate::value::{ReqVec, Sap, StreamRef};
 
@@ -119,8 +120,7 @@ fn glue_miss(engine: &mut Engine<'_>, tables: QSet, reqs: &ReqVec, pushdown: Pre
     }
     engine.dedup(satisfied);
     for &p in &engine.plans[satisfied..] {
-        let origin = engine.provenance.entry(engine.store[p].fingerprint);
-        origin.or_insert_with(|| engine.glue_label.clone());
+        engine.store.label(p, GLUE_LABEL);
     }
     if !engine.config.glue_keep_all {
         // The first of the cheapest, as a stable sort would put it.

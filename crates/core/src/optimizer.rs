@@ -98,8 +98,10 @@ pub struct Optimized {
     pub table_keys: usize,
     /// Rule provenance: node fingerprint → "Star[alt k]" (or "Glue") that
     /// first produced it — §1's "traced to explain the origin of any
-    /// execution plan". The labels are shared with the compiled rules; the
-    /// map is the engine's own, handed over as the run ends.
+    /// execution plan" — for the nodes of `best` and `root_alternatives`
+    /// that a rule alternative or Glue produced (any other node has no
+    /// rule in [`Self::origin_trace`]), and for no plan the run built and
+    /// dropped. The labels are shared with the compiled rules.
     pub provenance: RunMap<u64, Arc<str>>,
     /// True when a budget resource ran out and the plan came from greedy,
     /// best-so-far exploration (anytime semantics). The plan is still
@@ -322,7 +324,7 @@ impl Optimizer {
             compile_nanos: self.compile_nanos,
             table_plans: engine.table.total_plans(),
             table_keys: engine.table.total_keys(),
-            provenance: engine.provenance,
+            provenance: out.provenance,
             degraded,
             degraded_reason,
             quarantined: engine.quarantine_log,

@@ -83,9 +83,10 @@ pub struct Alt {
     pub forall: Option<Expr>,
     pub expr: Expr,
     pub guard: Guard,
-    /// `Star[alt k]`, rendered once here: the provenance of every plan the
-    /// alternative produces is a clone of this handle, not a new string.
-    pub label: Arc<str>,
+    /// The alternative's provenance label, `Star[alt k]`: its id in
+    /// [`RuleSet::labels`], which is what a plan the alternative produces
+    /// records.
+    pub label: u32,
 }
 
 /// A group of alternatives sharing `with`-bindings and bracket kind.
@@ -109,11 +110,27 @@ pub struct StarDef {
     pub groups: Vec<AltGroup>,
 }
 
+/// The id of Glue's provenance label in [`RuleSet::labels`].
+pub const GLUE_LABEL: u32 = 0;
+
 /// An ordered collection of compiled STARs with name lookup.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RuleSet {
     pub stars: Vec<StarDef>,
     pub by_name: HashMap<String, StarId>,
+    /// Every provenance label, rendered once: `Glue` ([`GLUE_LABEL`]), then
+    /// each alternative's `Star[alt k]` ([`Alt::label`]).
+    pub labels: Vec<Arc<str>>,
+}
+
+impl Default for RuleSet {
+    fn default() -> Self {
+        RuleSet {
+            stars: Vec::new(),
+            by_name: HashMap::new(),
+            labels: vec!["Glue".into()],
+        }
+    }
 }
 
 impl BinOp {

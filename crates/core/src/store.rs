@@ -8,7 +8,9 @@
 //! streams accumulate (§3.2) live here too. Only what leaves the run is made
 //! into `PlanRef` DAGs ([`RunStore::materialize`]): one `Arc<PlanNode>` per
 //! entry reached, so every subplan the run shared stays shared (both
-//! executors key temps by node address).
+//! executors key temps by node address). Provenance is per entry too (a
+//! label id, [`RunStore::label`]); it becomes strings only for the nodes
+//! that leave the run.
 //!
 //! Entries live in chunks allocated at their final size: an entry never
 //! moves, the store is freed as a handful of blocks when the run ends, and
@@ -16,6 +18,7 @@
 //! back to the kernel and is faulted in again by the next run).
 
 use std::ops::Index;
+use std::sync::Arc;
 
 use starqo_plan::{Inputs, Lolepop, PlanNode, PlanRef, Props};
 use starqo_query::QSet;
@@ -54,6 +57,11 @@ impl<T, const N: usize> Chunks<T, N> {
         let at = at as usize;
         &self.0[at / N][at % N]
     }
+
+    fn get_mut(&mut self, at: u32) -> &mut T {
+        let at = at as usize;
+        &mut self.0[at / N][at % N]
+    }
 }
 
 /// A plan node of the run: its index in the [`RunStore`].
@@ -91,7 +99,13 @@ pub struct Plan {
     pub inputs: Sap,
     pub props: Props,
     pub fingerprint: u64,
+    /// Its first label ([`RunStore::label`]).
+    origin: Option<Origin>,
 }
+
+/// When an entry was first labeled (the store's count of labels handed
+/// out before it), then the label id: ordered by the former.
+pub(crate) type Origin = (u32, u32);
 
 /// The store (see the module documentation).
 #[derive(Default)]
@@ -99,6 +113,8 @@ pub struct RunStore {
     nodes: Chunks<Plan, NODES>,
     ids: Vec<Vec<PlanId>>,
     reqs: Chunks<ReqVec, REQS>,
+    /// Labels handed out so far ([`RunStore::label`]).
+    labeled: u32,
 }
 
 static NO_REQS: ReqVec = ReqVec {
@@ -118,8 +134,36 @@ impl RunStore {
             inputs: self.add_sap(inputs),
             props,
             fingerprint,
+            origin: None,
         };
         PlanId(self.nodes.push(plan))
+    }
+
+    /// Record that the rule labeled `label` (an id into `RuleSet::labels`)
+    /// produced entry `id`, unless an earlier producer already did.
+    pub(crate) fn label(&mut self, id: PlanId, label: u32) {
+        let origin = &mut self.nodes.get_mut(id.0).origin;
+        if origin.is_none() {
+            *origin = Some((self.labeled, label));
+            self.labeled += 1;
+        }
+    }
+
+    /// The first label any entry of each of `fingerprints` got — its order
+    /// and label id, `None` if no rule produced one — whichever of a
+    /// fingerprint's entries the caller holds.
+    pub(crate) fn origins(
+        &self,
+        fingerprints: impl Iterator<Item = u64>,
+    ) -> RunMap<u64, Option<Origin>> {
+        let mut first: RunMap<u64, Option<Origin>> = fingerprints.map(|fp| (fp, None)).collect();
+        let labeled = self.nodes.0.iter().flatten();
+        for (fp, origin) in labeled.filter_map(|p| Some((p.fingerprint, p.origin?))) {
+            if let Some(slot) = first.get_mut(&fp) {
+                *slot = Some(slot.map_or(origin, |earlier| earlier.min(origin)));
+            }
+        }
+        first
     }
 
     /// The plans of a SAP.
@@ -182,14 +226,23 @@ impl RunStore {
         a.tables == b.tables && (a.reqs == b.reqs || self.reqs(a) == self.reqs(b))
     }
 
-    /// The `PlanRef` DAGs of `roots`: one `Arc<PlanNode>` per entry reached,
-    /// shared by every root and every input that names it.
-    pub fn materialize(&self, roots: impl IntoIterator<Item = PlanId>) -> Vec<PlanRef> {
+    /// The `PlanRef` DAGs of `roots` — one `Arc<PlanNode>` per entry
+    /// reached, shared by every root and every input that names it — and
+    /// their provenance: each node's fingerprint mapped to the label
+    /// (`labels[id]`) of its first producer, if a rule produced it.
+    pub fn materialize(
+        &self,
+        roots: impl IntoIterator<Item = PlanId>,
+        labels: &[Arc<str>],
+    ) -> (Vec<PlanRef>, RunMap<u64, Arc<str>>) {
         let mut made = RunMap::default();
-        roots
-            .into_iter()
-            .map(|id| self.make(id, &mut made))
-            .collect()
+        let plans = roots.into_iter().map(|id| self.make(id, &mut made));
+        let plans = plans.collect();
+        let origins = self.origins(made.values().map(|n| n.fingerprint()));
+        let label = |(fp, origin): (u64, Option<Origin>)| {
+            Some((fp, Arc::clone(&labels[origin?.1 as usize])))
+        };
+        (plans, origins.into_iter().filter_map(label).collect())
     }
 
     fn make(&self, id: PlanId, made: &mut RunMap<PlanId, PlanRef>) -> PlanRef {
@@ -307,13 +360,32 @@ mod tests {
         assert!(!store.same_plans(ab, just_a));
     }
 
+    /// Of two entries with one fingerprint, the first labeled names both;
+    /// an entry no rule produced has no provenance.
+    #[test]
+    fn the_first_producer_of_a_fingerprint_wins() {
+        let mut store = RunStore::default();
+        let (a, b) = (leaf(&mut store, 0), leaf(&mut store, 0));
+        let c = leaf(&mut store, 1);
+        store.label(b, 2);
+        store.label(a, 1);
+        store.label(b, 1);
+        let labels: Vec<Arc<str>> = ["Glue", "X[alt 1]", "Y[alt 1]"].map(Arc::from).into();
+        let (plans, provenance) = store.materialize([a, c], &labels);
+        assert_eq!(provenance.len(), 1);
+        assert_eq!(&*provenance[&plans[0].fingerprint()], "Y[alt 1]");
+        let (fa, fc) = (store[a].fingerprint, store[c].fingerprint);
+        let origins = store.origins([fa, fc].into_iter());
+        assert_eq!((origins[&fa], origins[&fc]), (Some((0, 2)), None));
+    }
+
     #[test]
     fn materialized_plans_share_what_the_store_shares() {
         let mut store = RunStore::default();
         let a = leaf(&mut store, 0);
         let temp = store.add(Lolepop::Store, &[a], Props::empty(SiteId(0)));
         let union = store.add(Lolepop::Union, &[temp, temp], Props::empty(SiteId(0)));
-        let plans = store.materialize([union, temp]);
+        let (plans, _) = store.materialize([union, temp], &[]);
         let (u, t) = (&plans[0], &plans[1]);
         assert!(Arc::ptr_eq(&u.inputs[0], &u.inputs[1]));
         assert!(Arc::ptr_eq(&u.inputs[0], t));

@@ -84,7 +84,8 @@ impl Fx {
 
 /// The plans of a SAP, as the run would hand them out.
 fn plans_of(e: &Engine<'_>, sap: Sap) -> Vec<PlanRef> {
-    e.store.materialize(e.store.sap(sap).to_vec())
+    let ids = e.store.sap(sap).to_vec();
+    e.store.materialize(ids, &e.rules.labels).0
 }
 
 fn stream(q: u32) -> RuleValue {

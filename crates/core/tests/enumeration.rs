@@ -131,7 +131,7 @@ fn plans_exist_for_exactly_the_connected_subsets() {
                 );
                 for key in engine.table.keys_for_tables(s) {
                     let kept = engine.table.get(key).to_vec();
-                    for plan in engine.store.materialize(kept) {
+                    for plan in engine.store.materialize(kept, &engine.rules.labels).0 {
                         assert_eq!(
                             count_predicate_less_joins(&plan),
                             0,

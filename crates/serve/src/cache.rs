@@ -14,12 +14,18 @@
 //! instead of duplicating the work. This is what makes "exactly one cold
 //! optimization per distinct fingerprint" a testable property under
 //! contention.
+//!
+//! An entry — and a flight's shared value — holds what a hit and heal read
+//! of a run: the winner and its own provenance ([`winner_only`]). Root
+//! alternatives are the business of whoever calls `Optimizer::optimize`,
+//! which re-derives them deterministically per (fingerprint, epoch).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use starqo_core::Optimized;
+use starqo_plan::PlanNode;
 
 use crate::flight::{FlightMap, Role};
 use crate::service::ServeError;
@@ -62,9 +68,9 @@ pub struct CacheMeta {
     pub evicted: Vec<(u64, &'static str)>,
 }
 
-/// What a cold optimization hands back: the plan, its wall-clock nanos and
+/// What a cold optimization hands back: the run, its wall-clock nanos and
 /// whether it may be cached.
-type Cold = Result<(Arc<Optimized>, u64, bool), ServeError>;
+type Cold = Result<(Optimized, u64, bool), ServeError>;
 /// What a lookup hands back: the plan and the cold nanos this request paid.
 type Lookup = Result<(Arc<Optimized>, u64), ServeError>;
 
@@ -135,6 +141,13 @@ impl PlanCache {
             .sum()
     }
 
+    /// Mark `e` most recently used; its plan and cold nanos.
+    fn touch(&self, e: &Entry) -> (Arc<Optimized>, u64) {
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        e.last_used.store(now, Ordering::Relaxed);
+        (Arc::clone(&e.value), e.opt_nanos)
+    }
+
     /// Look up; on a fresh-epoch hit, bump recency and return the entry.
     /// A stale-epoch entry is removed (`meta.invalidated`) and reported as
     /// a miss.
@@ -150,11 +163,7 @@ impl PlanCache {
             let g = shard.read().unwrap_or_else(|p| p.into_inner());
             if let Some(e) = g.map.get(key) {
                 if e.epoch == epoch {
-                    e.last_used.store(
-                        self.clock.fetch_add(1, Ordering::Relaxed),
-                        Ordering::Relaxed,
-                    );
-                    return Some((Arc::clone(&e.value), e.opt_nanos));
+                    return Some(self.touch(e));
                 }
             } else {
                 return None;
@@ -168,12 +177,7 @@ impl PlanCache {
         if let Some(e) = g.map.get(key) {
             if e.epoch == epoch {
                 // Raced with a concurrent re-fill; treat as a hit.
-                e.last_used.store(
-                    self.clock.fetch_add(1, Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
-                let out = (Arc::clone(&e.value), e.opt_nanos);
-                return Some(out);
+                return Some(self.touch(e));
             }
             stale = g.map.remove_entry(key);
             if let Some((_, e)) = &stale {
@@ -289,7 +293,8 @@ impl PlanCache {
             return (Ok((v, 0)), meta);
         }
         match cold() {
-            Ok((value, nanos, cacheable)) => {
+            Ok((optimized, nanos, cacheable)) => {
+                let value = winner_only(optimized);
                 if cacheable {
                     self.insert(fp, fp_hash, epoch, Arc::clone(&value), nanos, &mut meta);
                 }
@@ -304,8 +309,8 @@ impl PlanCache {
     }
 
     /// Compare-and-swap for the self-healing loop: replace the resident
-    /// plan for `fp` with `value` **only if** an entry is resident
-    /// and was optimized under exactly `epoch` — the epoch the healed
+    /// plan for `fp` with the winner of `optimized` **only if** an entry is
+    /// resident and was optimized under exactly `epoch` — the epoch the healed
     /// candidate was rebuilt against. A catalog-epoch bump that lands
     /// mid-re-optimization makes the CAS fail, so a stale-epoch candidate
     /// is never installed over a fresher plan (or resurrected after lazy
@@ -315,9 +320,10 @@ impl PlanCache {
         fp: &str,
         fp_hash: u64,
         epoch: u64,
-        value: Arc<Optimized>,
+        optimized: Optimized,
         opt_nanos: u64,
     ) -> bool {
+        let value = winner_only(optimized);
         let bytes = estimate_bytes(fp.len(), &value);
         let shard = self.shard_of(fp_hash);
         // The replaced plan, freed once the shard is unlocked (declared
@@ -330,10 +336,7 @@ impl PlanCache {
                 _old = std::mem::replace(&mut e.value, value);
                 e.opt_nanos = opt_nanos;
                 e.bytes = bytes;
-                e.last_used.store(
-                    self.clock.fetch_add(1, Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
+                self.touch(e);
                 g.bytes = g.bytes.saturating_sub(old_bytes) + bytes;
                 true
             }
@@ -342,15 +345,29 @@ impl PlanCache {
     }
 }
 
-/// Rough resident-size estimate of one cache entry: the key text, the plan
-/// tree, and the provenance map dominate.
+/// The one trim of a run before it is shared: the root alternatives go, and
+/// the provenance keeps the winner's nodes only. Stats, phase times and the
+/// degraded and quarantine records stay.
+fn winner_only(mut optimized: Optimized) -> Arc<Optimized> {
+    optimized.root_alternatives = Vec::new();
+    let mut all = std::mem::take(&mut optimized.provenance);
+    optimized.best.visit(&mut |n| {
+        let fp = n.fingerprint();
+        if let Some(label) = all.remove(&fp) {
+            optimized.provenance.insert(fp, label);
+        }
+    });
+    Arc::new(optimized)
+}
+
+/// Rough resident size of one cache entry: the key text, each distinct node
+/// of the winner once, and its provenance entries.
 fn estimate_bytes(key_len: usize, opt: &Optimized) -> usize {
-    let mut nodes = 0usize;
-    opt.best.visit(&mut |_| nodes += 1);
-    for alt in &opt.root_alternatives {
-        alt.visit(&mut |_| nodes += 1);
-    }
-    256 + key_len + nodes * 160 + opt.provenance.len() * 56
+    let mut nodes = HashSet::new();
+    opt.best.visit(&mut |n| {
+        nodes.insert(n as *const PlanNode);
+    });
+    256 + key_len + nodes.len() * 160 + opt.provenance.len() * 56
 }
 
 #[cfg(test)]
@@ -360,7 +377,7 @@ mod tests {
     use starqo_core::{OptConfig, Optimizer};
     use starqo_query::parse_query;
 
-    fn optimized() -> Arc<Optimized> {
+    fn optimized() -> Optimized {
         let cat = Arc::new(
             Catalog::builder()
                 .site("NY")
@@ -371,11 +388,24 @@ mod tests {
         );
         let q = parse_query(&cat, "SELECT A FROM T").unwrap();
         let opt = Optimizer::new(Arc::clone(&cat)).unwrap();
-        Arc::new(opt.optimize(&q, &OptConfig::default()).unwrap())
+        opt.optimize(&q, &OptConfig::default()).unwrap()
     }
 
     fn key(s: &str) -> Arc<str> {
         Arc::from(s)
+    }
+
+    /// An entry's size counts what it holds: a node the winner reaches
+    /// twice is one block, so it is counted once.
+    #[test]
+    fn a_shared_winner_node_is_counted_once() {
+        use starqo_plan::{Inputs, Lolepop};
+        let mut opt = optimized();
+        let once = estimate_bytes(1, &opt);
+        let (shared, props) = (opt.best.clone(), opt.best.props.clone());
+        let twice = Inputs::Two([shared.clone(), shared]);
+        opt.best = PlanNode::with_props(Lolepop::Union, twice, props);
+        assert_eq!(estimate_bytes(1, &opt), once + 160);
     }
 
     #[test]
@@ -383,7 +413,7 @@ mod tests {
         let cache = PlanCache::new(&CacheConfig::default());
         let fp = key("q1");
         let v = optimized();
-        let (r, meta) = cache.serve(&fp, 1, 0, || Ok((Arc::clone(&v), 777, true)));
+        let (r, meta) = cache.serve(&fp, 1, 0, || Ok((v.clone(), 777, true)));
         assert!(r.is_ok());
         assert!(!meta.hit && !meta.coalesced);
         let (r, meta) = cache.serve(&fp, 1, 0, || panic!("must not optimize twice"));
@@ -399,9 +429,9 @@ mod tests {
         let cache = PlanCache::new(&CacheConfig::default());
         let fp = key("q1");
         let v = optimized();
-        let v2 = Arc::clone(&v);
+        let v2 = v.clone();
         let _ = cache.serve(&fp, 1, 0, move || Ok((v2, 10, true)));
-        let v3 = Arc::clone(&v);
+        let v3 = v.clone();
         let (r, meta) = cache.serve(&fp, 1, 1, move || Ok((v3, 20, true)));
         assert!(r.is_ok());
         assert!(!meta.hit);
@@ -421,13 +451,13 @@ mod tests {
         });
         let v = optimized();
         for (i, name) in ["a", "b"].iter().enumerate() {
-            let vi = Arc::clone(&v);
+            let vi = v.clone();
             let _ = cache.serve(&key(name), i as u64, 0, move || Ok((vi, 1, true)));
         }
         // Touch "a" so "b" is the LRU victim.
         let (_, m) = cache.serve(&key("a"), 0, 0, || panic!("cached"));
         assert!(m.hit);
-        let vi = Arc::clone(&v);
+        let vi = v.clone();
         let (_, meta) = cache.serve(&key("c"), 2, 0, move || Ok((vi, 1, true)));
         assert_eq!(meta.evicted.len(), 1);
         assert_eq!(meta.evicted[0], (1, "capacity"), "LRU entry b evicted");
@@ -442,7 +472,7 @@ mod tests {
             shards: 1,
         });
         let v = optimized();
-        let vi = Arc::clone(&v);
+        let vi = v.clone();
         let (r, meta) = cache.serve(&key("a"), 0, 0, move || Ok((vi, 1, true)));
         assert!(
             r.is_ok(),
@@ -458,7 +488,7 @@ mod tests {
         let cache = PlanCache::new(&CacheConfig::default());
         let fp = key("q");
         let v = optimized();
-        let vi = Arc::clone(&v);
+        let vi = v.clone();
         let (r, _) = cache.serve(&fp, 1, 0, move || Ok((vi, 5, false)));
         assert!(r.is_ok());
         assert_eq!(cache.len(), 0, "degraded results must not poison the cache");
@@ -493,7 +523,7 @@ mod tests {
                 cache.serve(&fp, 1, 0, || {
                     colds.fetch_add(1, Ordering::SeqCst);
                     probed.wait(); // the second caller has probed and missed
-                    Ok((Arc::clone(&v), 42, true))
+                    Ok((v.clone(), 42, true))
                 })
             });
             let mut meta = CacheMeta::default();
@@ -508,7 +538,7 @@ mod tests {
                 0,
                 || {
                     colds.fetch_add(1, Ordering::SeqCst);
-                    Ok((Arc::clone(&v), 99, true))
+                    Ok((v.clone(), 99, true))
                 },
                 meta,
             );
@@ -527,16 +557,16 @@ mod tests {
         let cache = PlanCache::new(&CacheConfig::default());
         let fp = key("q");
         let v = optimized();
-        let vi = Arc::clone(&v);
+        let vi = v.clone();
         let _ = cache.serve(&fp, 3, 5, move || Ok((vi, 10, true)));
 
         // Wrong epoch: the entry was cached under epoch 5.
-        assert!(!cache.swap_if_epoch(&fp, 3, 6, Arc::clone(&v), 20));
+        assert!(!cache.swap_if_epoch(&fp, 3, 6, v.clone(), 20));
         let (_, m) = cache.serve(&fp, 3, 5, || panic!("cached"));
         assert_eq!(m.saved_nanos, 10, "failed CAS left the entry alone");
 
         // Matching epoch: the swap lands and refreshes opt_nanos.
-        assert!(cache.swap_if_epoch(&fp, 3, 5, Arc::clone(&v), 20));
+        assert!(cache.swap_if_epoch(&fp, 3, 5, v.clone(), 20));
         let (_, m) = cache.serve(&fp, 3, 5, || panic!("cached"));
         assert_eq!(m.saved_nanos, 20, "swapped entry is what hits now");
 
@@ -555,7 +585,7 @@ mod tests {
         for _ in 0..8 {
             let cache = Arc::clone(&cache);
             let cold_runs = Arc::clone(&cold_runs);
-            let v = Arc::clone(&v);
+            let v = v.clone();
             handles.push(std::thread::spawn(move || {
                 let (r, meta) = cache.serve(&key("hot"), 7, 0, move || {
                     cold_runs.fetch_add(1, Ordering::SeqCst);

@@ -106,6 +106,10 @@ impl Prepared {
 /// What one `optimize` request experienced.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
+    /// The plan as the cache holds it, cold or hit alike: the winner
+    /// (`best`), its nodes' provenance only, the run's stats, phase times
+    /// and degraded/quarantine record — no root alternatives. A caller that
+    /// wants those calls `Optimizer::optimize` on the canonical query.
     pub optimized: Arc<Optimized>,
     /// Served from the cache (no optimization, no admission).
     pub cache_hit: bool,
@@ -456,7 +460,7 @@ impl Service {
         epoch: u64,
         deadline: Option<Duration>,
         ctx: &SpanContext,
-    ) -> Result<(Arc<Optimized>, u64, bool), ServeError> {
+    ) -> Result<(Optimized, u64, bool), ServeError> {
         let (_permit, _waited) = self.gate.acquire(self.config.max_queue_wait).map_err(|t| {
             self.telemetry.add(Metric::Rejected, 1);
             ServeError::Rejected {
@@ -499,7 +503,7 @@ impl Service {
         if degraded {
             self.telemetry.add(Metric::Degraded, 1);
         }
-        Ok((Arc::new(optimized), nanos, !degraded))
+        Ok((optimized, nanos, !degraded))
     }
 
     /// The optimizer for this epoch: when the epoch moved, the compiled rule
@@ -727,7 +731,6 @@ impl Service {
         if optimized.degraded {
             return pin(reason::BUDGET_DEGRADED, true);
         }
-        let candidate = Arc::new(optimized);
 
         // -- verify: equal rows, and work within 10 % of the incumbent's --
         // One run per side: every counter `work_units` reads is
@@ -740,7 +743,7 @@ impl Service {
         let Some((inc_rows, inc_stats)) = verify_run(db, query, &outcome.optimized.best) else {
             return pin(reason::REOPT_ERROR, true);
         };
-        let Some((cand_rows, cand_stats)) = verify_run(db, query, &candidate.best) else {
+        let Some((cand_rows, cand_stats)) = verify_run(db, query, &optimized.best) else {
             return pin(reason::REOPT_ERROR, true);
         };
         if !rows_equal_multiset(&inc_rows.rows, &cand_rows.rows) {
@@ -760,21 +763,22 @@ impl Service {
         if self.catalog.epoch() != epoch {
             return pin(reason::EPOCH_MOVED, false);
         }
-        let (fp, plan) = (&outcome.fingerprint, Arc::clone(&candidate));
+        let est_rows = if corrected {
+            optimized.best.props.card.round().max(0.0) as u64
+        } else {
+            sketch.est_rows
+        };
+        let fp = &outcome.fingerprint;
         if !self
             .cache
-            .swap_if_epoch(&fp.text, fp.hash, epoch, plan, opt_nanos)
+            .swap_if_epoch(&fp.text, fp.hash, epoch, optimized, opt_nanos)
         {
             return pin(reason::EPOCH_MOVED, false);
         }
         HealResolution::Swapped {
             incumbent_work,
             candidate_work,
-            est_rows: if corrected {
-                candidate.best.props.card.round().max(0.0) as u64
-            } else {
-                sketch.est_rows
-            },
+            est_rows,
         }
     }
 }
@@ -887,6 +891,37 @@ mod tests {
         assert!(starqo_exec::rows_equal_multiset(&r1.rows, &ref1));
         assert!(starqo_exec::rows_equal_multiset(&r2.rows, &ref2));
         assert!(!starqo_exec::rows_equal_multiset(&r1.rows, &r2.rows));
+    }
+
+    /// A cached plan is the winner and the winner's provenance, nothing
+    /// else the run built: the origins a fresh optimization reports.
+    #[test]
+    fn a_cached_plan_holds_its_winner_and_the_winners_origins() {
+        let cat = catalog();
+        let db = database(&cat);
+        let svc = Service::new(Arc::clone(&cat), ServiceConfig::default()).unwrap();
+        let sql = "SELECT E.NAME FROM EMP E, DEPT D WHERE D.DNO = E.DNO AND D.MGR = 'M1'";
+        let q = parse_query(&cat, sql).unwrap();
+        let (_, cold) = svc.execute(&db, &q).unwrap();
+        let (_, hit) = svc.execute(&db, &q).unwrap();
+        assert!(!cold.cache_hit && hit.cache_hit);
+        let cached = &hit.optimized;
+        assert!(cached.root_alternatives.is_empty());
+        let mut winner = std::collections::HashSet::new();
+        cached.best.visit(&mut |n| {
+            winner.insert(n.fingerprint());
+        });
+        let kept: std::collections::HashSet<u64> = cached.provenance.keys().copied().collect();
+        assert_eq!(kept, winner);
+        let optimizer = Optimizer::new(Arc::clone(&cat)).unwrap();
+        let fresh = optimizer
+            .optimize(svc.prepare(&q).query(), &OptConfig::default())
+            .unwrap();
+        assert!(fresh.provenance.len() > kept.len(), "the run built more");
+        assert_eq!(
+            cached.origin_trace(&cached.best),
+            fresh.origin_trace(&fresh.best)
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! the healer must re-plan with overlay-corrected statistics, verify, and
 //! swap.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use starqo_catalog::{Catalog, DataType, SharedCatalog, StorageKind, Value};
-use starqo_core::FaultPlan;
+use starqo_core::{FaultPlan, OptConfig, Optimizer};
 use starqo_query::parse_query;
 use starqo_serve::{HealConfig, Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
@@ -124,7 +125,8 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
 
     // Post-swap the sketch tracks the healed estimate: more runs do not
     // re-flag the fingerprint.
-    for _ in 0..5 {
+    let (_, healed) = svc.execute(&db, &q).unwrap();
+    for _ in 0..4 {
         svc.execute(&db, &q).unwrap();
     }
     assert!(!svc.telemetry().is_suspect(fp));
@@ -133,6 +135,30 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     // Heal's verify runs stay out of the telemetry and feedback planes:
     // only the 10 served requests were counted.
     assert_eq!((c[Metric::Executions], c[Metric::FeedbackRuns]), (10, 10));
+
+    // The swapped-in plan is trimmed like any entry: its winner and the
+    // winner's origins, as an optimization under the corrected card (8 rows
+    // on record, 800 observed) reports them.
+    let cached = &healed.optimized;
+    assert!(healed.cache_hit && cached.root_alternatives.is_empty());
+    let mut winner = HashSet::new();
+    cached.best.visit(&mut |n| {
+        winner.insert(n.fingerprint());
+    });
+    assert_eq!(
+        cached.provenance.keys().copied().collect::<HashSet<_>>(),
+        winner
+    );
+    let corrected = Arc::new(cat.with_table_card("EMP", 800).unwrap());
+    let fresh = Optimizer::new(corrected)
+        .unwrap()
+        .optimize(svc.prepare(&q).query(), &OptConfig::default())
+        .unwrap();
+    assert_eq!(
+        cached.origin_trace(&cached.best),
+        fresh.origin_trace(&fresh.best)
+    );
+    assert_eq!(cached.best.props.card, fresh.best.props.card);
 }
 
 #[test]

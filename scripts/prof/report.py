@@ -13,9 +13,13 @@ samples by `Arc` payload, and where the futex waits came from.
 
 Program addresses are resolved with `llvm-addr2line` (or `addr2line`, whose
 innermost inline name is the enclosing symbol's) with `-i`, shared-library
-addresses by the nearest symbol `nm -D` lists — libc ships no local symbols,
-which is why its samples are classified by their Rust caller. $ADDR2LINE
-picks the tool.
+addresses by the exported symbol `nm -D -S` lists that contains them. libc
+ships no local symbols: an address past the end of the exported symbol
+before it is its library's static code (glibc's malloc.c, for one) and is
+labeled by where that gap starts, e.g. `libc.so.6+0x96063 (static)`, not
+after its neighbour. That is also why libc samples are classified by their
+Rust caller (the allocator share counts libc frames called from Rust's
+alloc/dealloc paths, static or not). $ADDR2LINE picks the tool.
 """
 
 import bisect
@@ -73,22 +77,33 @@ class Module:
                 return fo
         return None
 
-    def nearest(self, addr):
+    def name(self, addr):
+        """`symbol@library`, or `library+start (static)` for an address in
+        the gap after an exported symbol's end (a symbol nm gives no size is
+        taken to reach the next one)."""
         if self.syms is None:
             out = subprocess.run(
-                ["nm", "-D", "--defined-only", self.path],
+                ["nm", "-D", "-S", "--defined-only", self.path],
                 capture_output=True, text=True, check=False,
             ).stdout
-            pairs = []
+            syms = []
             for line in out.splitlines():
                 parts = line.split()
-                if len(parts) == 3 and parts[1] in "TtWwi":
-                    pairs.append((int(parts[0], 16), parts[2]))
-            pairs.sort()
-            self.syms = ([a for a, _ in pairs], [n for _, n in pairs])
-        addrs, names = self.syms
-        i = bisect.bisect_right(addrs, addr) - 1
-        return names[i] if i >= 0 else "??"
+                if len(parts) == 4 and parts[2] in "TtWwi":
+                    syms.append((int(parts[0], 16), int(parts[1], 16), parts[3]))
+                elif len(parts) == 3 and parts[1] in "TtWwi":
+                    syms.append((int(parts[0], 16), None, parts[2]))
+            syms.sort()
+            self.syms = ([a for a, _, _ in syms], syms)
+        base = os.path.basename(self.path)
+        starts, syms = self.syms
+        i = bisect.bisect_right(starts, addr) - 1
+        if i < 0:
+            return "??@" + base
+        start, size, name = syms[i]
+        if size is not None and addr >= start + size:
+            return f"{base}+{start + size:#x} (static)"
+        return name + "@" + base
 
 
 def read_samples(path):
@@ -188,7 +203,7 @@ def main():
             return [("??", "")]
         if os.path.realpath(m.path) == exe:
             return inline.get(va) or [("??", "")]
-        return [(m.nearest(va) + "@" + os.path.basename(m.path), LIB)]
+        return [(m.name(va), LIB)]
 
     prof = [[f for pc in pcs for f in frames(pc)] for k, pcs in stacks if k == "S"]
     waits = [[f for pc in pcs for f in frames(pc)] for k, pcs in stacks if k == "F"]
@@ -239,7 +254,7 @@ LIB = "<shared library>"
 REFCOUNT = "refcount (Arc inc/dec)"
 ALLOCATOR = "allocator (libc, called from alloc/dealloc)"
 MOVES = "memcpy family (libc, called from elsewhere)"
-TEARDOWN = "teardown (drops made by optimize_inner itself; overlaps the above)"
+TEARDOWN = "teardown (drops made by optimize_spanned itself; overlaps the above)"
 
 
 def owner(chain):
@@ -277,9 +292,9 @@ def arc_payload(chain):
 
 
 def teardown(chain):
-    """A drop called by `optimize_inner` itself: the run's state going away."""
+    """A drop called by `optimize_spanned` itself: the run's state going away."""
     for i, (n, _) in enumerate(chain):
-        if n.endswith("optimize_inner"):
+        if n.endswith("optimize_spanned"):
             return i > 0 and "drop_in_place<" in chain[i - 1][0]
     return False
 

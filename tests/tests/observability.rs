@@ -2,9 +2,14 @@
 //! events, metrics summaries, and the EXPLAIN ANALYZE renderer, exercised
 //! through full optimize + execute runs.
 
-use starqo_core::{OptConfig, Optimizer};
+use std::collections::HashSet;
+
+use starqo_core::enumerate::enumerate;
+use starqo_core::natives::Natives;
+use starqo_core::{Engine, OptConfig, Optimizer};
 use starqo_exec::Executor;
-use starqo_plan::Explain;
+use starqo_integration::cold::golden_fleet;
+use starqo_plan::{CostModel, Explain, PropEngine};
 use starqo_trace::{Phase, SpanContext, TraceEvent};
 use starqo_workload::{query_shape, synth_catalog, synth_database, QueryShape, SynthSpec};
 
@@ -40,6 +45,50 @@ fn provenance_names_every_node_of_the_best_plan() {
         out.best.visit(&mut |n| {
             assert!(out.provenance.contains_key(&n.fingerprint()));
         });
+    }
+}
+
+/// Provenance covers what a run hands out and nothing else: each node of
+/// the winner and of the root alternatives carries the label the engine
+/// recorded for its first producer — a rule alternative or Glue; a node no
+/// rule returned has none, as the golden origin traces pin — and no plan
+/// the run built and dropped has an entry. Every golden run, under its own
+/// configuration (default, full, keep-all, degraded).
+#[test]
+fn provenance_is_exactly_what_leaves_every_golden_run() {
+    let (natives, prop, model) = (
+        Natives::builtin(),
+        PropEngine::default(),
+        CostModel::default(),
+    );
+    for case in golden_fleet() {
+        let opt = Optimizer::new(case.cat.clone()).expect("rules");
+        let (cat, query, config) = (&case.cat, &case.query, &case.config);
+        let mut engine = Engine::new(opt.rules(), &natives, &prop, cat, query, &model, config);
+        let out = enumerate(&mut engine).expect("enumerate");
+        let optimized = opt.optimize(query, config).expect("optimize");
+        assert_eq!(optimized.provenance, out.provenance, "{}", case.name);
+        let mut left = HashSet::new();
+        for plan in std::iter::once(&out.best).chain(&out.root_alternatives) {
+            plan.visit(&mut |n| {
+                left.insert(n.fingerprint());
+            });
+        }
+        for fp in out.provenance.keys() {
+            assert!(
+                left.contains(fp),
+                "{}: a dropped plan has an origin",
+                case.name
+            );
+        }
+        for &fp in &left {
+            let label = out.provenance.get(&fp).map(|l| &**l);
+            assert_eq!(label, engine.origin(fp), "{}", case.name);
+        }
+        for label in out.provenance.values() {
+            let rule = label.ends_with(']') && label.contains("[alt ");
+            assert!(rule || &**label == "Glue", "{}: origin {label}", case.name);
+        }
     }
 }
 
