@@ -108,8 +108,8 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
         .collect();
 
     // 2. Remap + orient every predicate, then sort conjuncts by their
-    //    canonical keys. The abstract key (constants as typed `?`) decides
-    //    order; the concrete key (constants rendered) breaks ties so
+    //    canonical keys, rendered once each. The abstract key (constants as
+    //    typed `?`) decides order; the concrete key breaks ties so
     //    structurally identical conjuncts order deterministically — and
     //    identically for any permutation of the same conjunct set.
     let mut preds: Vec<PredExpr> = q
@@ -117,7 +117,7 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
         .iter()
         .map(|p| normalize_expr(remap_expr(&p.expr, &remap)))
         .collect();
-    preds.sort_by_key(|e| {
+    preds.sort_by_cached_key(|e| {
         (
             render_expr(e, RenderMode::Abstract),
             render_expr(e, RenderMode::Concrete),

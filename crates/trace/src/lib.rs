@@ -28,6 +28,7 @@ pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod read;
+pub mod runmem;
 pub mod telemetry;
 
 pub use event::{CostBreakdownEv, NodeActuals, TraceEvent};

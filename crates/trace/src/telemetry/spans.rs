@@ -41,6 +41,7 @@ use crate::event::TraceEvent;
 use crate::json::JsonObj;
 use crate::read::{parse_json, JsonValue};
 use crate::record::{Field, Record};
+use crate::runmem::{self, RunMemory};
 
 /// Span tracing mode for a telemetry plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -409,16 +410,14 @@ struct SpanInner {
     buf: Mutex<SpanBuf>,
 }
 
-/// Per-thread recycled span buffers: a retired request's `SpanInner` (the
-/// `Arc`, the record vector, the open-span stack) is parked here and the
-/// next request on this thread reuses it, so steady-state span recording
-/// allocates nothing. Bounded; a buffer still shared with a live clone is
-/// simply not reused (`Arc` sole-ownership check).
-const SPAN_POOL_CAP: usize = 4;
-thread_local! {
-    static SPAN_POOL: std::cell::RefCell<Vec<Arc<SpanInner>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
+/// A retired request's span buffer (the `Arc`, the record vector, the
+/// open-span stack), parked in the thread's run memory for its next request,
+/// so steady-state span recording allocates nothing. One buffer a thread, no
+/// larger than one request made it: bounded by construction.
+#[derive(Default)]
+struct ParkedSpans(Option<Arc<SpanInner>>);
+
+impl RunMemory for ParkedSpans {}
 
 /// A cloneable handle to one request's span recorder, or a no-op when
 /// span tracing is off. Threaded from the service through the optimizer
@@ -435,11 +434,10 @@ impl SpanContext {
     }
 
     /// A live recorder for one request. `cap` bounds the per-request span
-    /// buffer; overflow is counted, not grown. Reuses a recycled buffer
-    /// from this thread's pool when one is free.
+    /// buffer; overflow is counted, not grown. Reuses the buffer parked in
+    /// this thread's run memory when there is one.
     pub fn start(request_id: u64, cap: usize) -> SpanContext {
-        let recycled = SPAN_POOL.with(|p| p.borrow_mut().pop());
-        if let Some(mut arc) = recycled {
+        if let Some(mut arc) = runmem::check_out::<ParkedSpans>().0 {
             // Sole ownership proves no clone from the previous request can
             // still record into this buffer.
             if let Some(inner) = Arc::get_mut(&mut arc) {
@@ -533,19 +531,13 @@ impl SpanContext {
             .unwrap_or(0)
     }
 
-    /// Park this request's buffer in the thread's recycling pool so the
-    /// next request can reuse its allocations. Called once per request at
-    /// retirement; a no-op when off or the pool is full.
+    /// Park this request's buffer in the thread's run memory so the next
+    /// request can reuse its allocations. Called once per request at
+    /// retirement; a no-op when off.
     pub fn recycle(&self) {
-        let Some(inner) = self.inner.as_ref() else {
-            return;
-        };
-        SPAN_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < SPAN_POOL_CAP {
-                pool.push(Arc::clone(inner));
-            }
-        });
+        if let Some(inner) = &self.inner {
+            runmem::park(ParkedSpans(Some(Arc::clone(inner))), 0);
+        }
     }
 
     /// Open a span under the current innermost open span. The returned
@@ -932,6 +924,41 @@ mod tests {
         assert!(ctx
             .finish(0xAB, 1, 0, "miss", false, false, "full")
             .is_none());
+    }
+
+    #[test]
+    fn a_thread_reuses_its_retired_buffer_from_its_second_request() {
+        std::thread::spawn(|| {
+            // A first request that outgrows a fresh buffer's 8 records.
+            let first = SpanContext::start(1, 64);
+            for _ in 0..20 {
+                drop(first.enter("request"));
+            }
+            let buf = Arc::as_ptr(first.inner.as_ref().unwrap());
+            first.recycle();
+            drop(first);
+            // The same buffer, emptied for its new request, its records'
+            // capacity kept.
+            let next = SpanContext::start(2, 8);
+            let inner = next.inner.as_ref().unwrap();
+            assert_eq!(Arc::as_ptr(inner), buf);
+            assert!(inner.buf.lock().unwrap().records.capacity() >= 20);
+            drop(next.enter("serve"));
+            let tree = next.finish(0, 0, 0, "hit", false, false, "full").unwrap();
+            assert_eq!(
+                (tree.request_id, tree.structure()),
+                (2, "serve".to_string())
+            );
+            // One still shared with a live clone is not reused.
+            let held = next.clone();
+            next.recycle();
+            drop(next);
+            let other = SpanContext::start(3, 8);
+            assert_ne!(Arc::as_ptr(other.inner.as_ref().unwrap()), buf);
+            drop(held);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -30,6 +30,7 @@ use starqo_plan::result::{ExecError, Result};
 use starqo_plan::{panic_msg, position, FaultHook, Lolepop, PlanRef, QueryResult};
 use starqo_query::Query;
 use starqo_storage::{pages_spanned, Database, Tid, Tuple, ROWS_PER_PAGE};
+use starqo_trace::runmem::{self, RunMemory};
 use starqo_trace::{LatencyPath, Metric, SpanContext, SpanGuard, Telemetry};
 
 use crate::batch::{Batch, Column, Rel, Val};
@@ -41,7 +42,7 @@ use crate::plan::{Compiler, Kind, Node};
 /// so batch boundaries never straddle morsels.
 pub const MORSEL_ROWS: usize = 4096;
 
-/// Column buffers kept for reuse within one run.
+/// Column buffers a run keeps for reuse.
 const SPARE_COLUMNS: usize = 32;
 
 /// Run counters (the serial oracle's `ExecStats` resource model plus the
@@ -107,20 +108,7 @@ pub struct VexecExecutor<'a> {
     /// Dynamic indexes by temp node: the temp's row numbers in key order
     /// (stable, so equal keys keep row order).
     index_cache: HashMap<usize, Arc<[u32]>>,
-    /// Integer column buffers of consumed relations, reused by the next
-    /// chain run or breaker output: a correlated inner re-run per outer row
-    /// allocates nothing, and a plan touches about its peak live memory, not
-    /// the sum of its intermediates. Demoted columns are not pooled — every
-    /// column starts out typed, so their buffers would have no taker.
-    spare: Vec<Vec<i64>>,
-    /// The emptied column lists those buffers came in.
-    shells: Vec<Vec<Column>>,
-    /// Chain and probe scratch, reused across re-runs like `spare`.
-    scratch: Vec<Scratch>,
-    /// The radix sort's ping-pong buffers, likewise.
-    sort_buf: SortBuf,
-    prefix_buf: Vec<Value>,
-    tid_buf: Vec<Tid>,
+    mem: RunMem,
     /// Fault hook for the `vexec` site; consulted per morsel
     /// (`morsel(<op>)`) and per exchange (`exchange(<op>)`).
     fault_hook: Option<FaultHook>,
@@ -130,6 +118,7 @@ pub struct VexecExecutor<'a> {
 
 impl<'a> VexecExecutor<'a> {
     pub fn new(db: &'a Database, query: &'a Query) -> Self {
+        let buf: Buffers = runmem::check_out();
         VexecExecutor {
             db,
             query,
@@ -137,12 +126,10 @@ impl<'a> VexecExecutor<'a> {
             stats: VexecStats::default(),
             temp_cache: HashMap::new(),
             index_cache: HashMap::new(),
-            spare: Vec::new(),
-            shells: Vec::new(),
-            scratch: Vec::new(),
-            sort_buf: SortBuf::default(),
-            prefix_buf: Vec::new(),
-            tid_buf: Vec::new(),
+            mem: RunMem {
+                untouched: buf.spare.len(),
+                buf,
+            },
             fault_hook: None,
             telemetry: None,
             spans: SpanContext::off(),
@@ -239,7 +226,7 @@ impl<'a> VexecExecutor<'a> {
         let rows = (0..rel.rows)
             .map(|r| Tuple(cols.iter().map(|c| c.value(r)).collect()))
             .collect();
-        self.recycle(rel);
+        self.mem.recycle(rel);
         Ok(QueryResult { schema, rows })
     }
 
@@ -255,41 +242,14 @@ impl<'a> VexecExecutor<'a> {
         if in_order {
             return input;
         }
-        let mut out = self.fresh(input.cols.len());
-        let perm = sorted_rows(&input, key, &mut self.sort_buf);
+        let mut out = self.mem.fresh(input.cols.len(), Some(input.rows));
+        let perm = sorted_rows(&input, key, &mut self.mem.buf.sort_buf);
         for (dst, src) in out.cols.iter_mut().zip(&input.cols) {
             dst.gather(src, perm.iter().map(|i| *i as usize));
         }
         out.rows = input.rows;
-        self.recycle(input);
+        self.mem.recycle(input);
         Rel::Owned(out)
-    }
-
-    /// An empty `width`-column batch, built from pooled column buffers.
-    fn fresh(&mut self, width: usize) -> Batch {
-        let mut cols = self.shells.pop().unwrap_or_default();
-        cols.extend((0..width).map(|_| Column::Int(self.spare.pop().unwrap_or_default())));
-        Batch {
-            cols,
-            rows: 0,
-            sel: None,
-        }
-    }
-
-    /// Return a consumed relation's column buffers to the pool (shared
-    /// relations stay with the cache).
-    fn recycle(&mut self, rel: Rel) {
-        if let Rel::Owned(mut b) = rel {
-            for col in b.cols.drain(..) {
-                if let Column::Int(mut ints) = col {
-                    if self.spare.len() < SPARE_COLUMNS {
-                        ints.clear();
-                        self.spare.push(ints);
-                    }
-                }
-            }
-            self.shells.push(b.cols);
-        }
     }
 
     /// Evaluate one node under the bindings in `scope` (the values of the
@@ -367,11 +327,11 @@ impl<'a> VexecExecutor<'a> {
                 self.joined(combine, outer, inner, &pairs)
             }
             Kind::Union(l, r) => {
-                let mut out = self.fresh(node.width());
+                let mut out = self.mem.fresh(node.width(), None);
                 for arm in [l, r] {
                     let rel = self.run_node(arm, scope)?;
                     out.append_live(&rel);
-                    self.recycle(rel);
+                    self.mem.recycle(rel);
                 }
                 Ok(Rel::Owned(out))
             }
@@ -388,10 +348,10 @@ impl<'a> VexecExecutor<'a> {
         inner: Rel,
         pairs: &[(u32, u32)],
     ) -> Result<Rel> {
-        let mut out = self.fresh(combine.width());
+        let mut out = self.mem.fresh(combine.width(), Some(pairs.len()));
         combine.gather(&outer, &inner, pairs, &mut out);
-        self.recycle(outer);
-        self.recycle(inner);
+        self.mem.recycle(outer);
+        self.mem.recycle(inner);
         Ok(Rel::Owned(out))
     }
 
@@ -436,7 +396,7 @@ impl<'a> VexecExecutor<'a> {
         let outer_width = outer.width();
         let outer = self.run_node(outer, scope)?;
         let mut pairs = Vec::new();
-        let mut out = self.fresh(combine.width());
+        let mut out = self.mem.fresh(combine.width(), None);
         let Some(binds) = binds else {
             if outer.rows > 0 {
                 let probes = self.stats.probes;
@@ -448,9 +408,9 @@ impl<'a> VexecExecutor<'a> {
                     }
                 }
                 combine.gather(&outer, &inner, &pairs, &mut out);
-                self.recycle(inner);
+                self.mem.recycle(inner);
             }
-            self.recycle(outer);
+            self.mem.recycle(outer);
             return Ok(Rel::Owned(out));
         };
         let base = scope.len();
@@ -465,10 +425,10 @@ impl<'a> VexecExecutor<'a> {
                 combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
             }
             combine.gather(&outer, &inner, &pairs, &mut out);
-            self.recycle(inner);
+            self.mem.recycle(inner);
         }
         scope.truncate(base);
-        self.recycle(outer);
+        self.mem.recycle(outer);
         Ok(Rel::Owned(out))
     }
 
@@ -483,9 +443,9 @@ impl<'a> VexecExecutor<'a> {
             Source::Table { table, key } => {
                 // The pages of the rows read, charged up front like the
                 // serial engine.
-                let mut bound = std::mem::take(&mut self.prefix_buf);
+                let mut bound = std::mem::take(&mut self.mem.buf.prefix_buf);
                 let range = key.resolve(table, scope, &mut bound);
-                self.prefix_buf = bound;
+                self.mem.buf.prefix_buf = bound;
                 self.stats.pages_read += pages_spanned(&range);
                 self.drive(chain, width, &Input::Table(table, range), scope)
             }
@@ -494,8 +454,8 @@ impl<'a> VexecExecutor<'a> {
                 data,
                 prefix,
             } => {
-                let mut bound = std::mem::take(&mut self.prefix_buf);
-                let mut tids = std::mem::take(&mut self.tid_buf);
+                let mut bound = std::mem::take(&mut self.mem.buf.prefix_buf);
+                let mut tids = std::mem::take(&mut self.mem.buf.tid_buf);
                 prefix.eval(scope, &mut bound);
                 tids.clear();
                 if bound.is_empty() {
@@ -507,7 +467,7 @@ impl<'a> VexecExecutor<'a> {
                     self.stats.pages_read += (tids.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
                 }
                 let out = self.drive(chain, width, &Input::Tids(table, &tids), scope);
-                (self.prefix_buf, self.tid_buf) = (bound, tids);
+                (self.mem.buf.prefix_buf, self.mem.buf.tid_buf) = (bound, tids);
                 out
             }
             Source::Rel { child, temp } => {
@@ -521,20 +481,23 @@ impl<'a> VexecExecutor<'a> {
                 if chain.ops.is_empty() && chain.emit.is_passthrough(rel.cols.len()) {
                     return Ok(rel);
                 }
-                self.drive(chain, width, &Input::Rel(&rel), scope)
+                let out = self.drive(chain, width, &Input::Rel(&rel), scope);
+                self.mem.recycle(rel);
+                out
             }
             Source::TempIndex { child, key, prefix } => {
                 let rel = self.run_cached(child, scope)?;
                 let index = match self.index_cache.get(&child.key()) {
                     Some(ix) => ix.clone(),
                     None => {
-                        let ix: Arc<[u32]> = sorted_rows(&rel, key, &mut self.sort_buf).into();
+                        let ix: Arc<[u32]> =
+                            sorted_rows(&rel, key, &mut self.mem.buf.sort_buf).into();
                         self.stats.indexes_built += 1;
                         self.index_cache.insert(child.key(), ix.clone());
                         ix
                     }
                 };
-                let mut bound = std::mem::take(&mut self.prefix_buf);
+                let mut bound = std::mem::take(&mut self.mem.buf.prefix_buf);
                 prefix.eval(scope, &mut bound);
                 self.stats.probes += 1;
                 // Rows whose key starts with the bound prefix, in key order;
@@ -554,7 +517,7 @@ impl<'a> VexecExecutor<'a> {
                 };
                 self.stats.pages_read += (input.len() as u64).div_ceil(ROWS_PER_PAGE) + 1;
                 let out = self.drive(chain, width, &input, scope);
-                self.prefix_buf = bound;
+                self.mem.buf.prefix_buf = bound;
                 out
             }
         }
@@ -584,7 +547,7 @@ impl<'a> VexecExecutor<'a> {
     ) -> Result<Rel> {
         let n = input.len();
         let m = n.div_ceil(MORSEL_ROWS);
-        let mut dest = self.fresh(width);
+        let mut dest = self.mem.fresh(width, None);
         if m == 0 {
             return Ok(Rel::Owned(dest));
         }
@@ -598,7 +561,7 @@ impl<'a> VexecExecutor<'a> {
         self.stats.max_workers = self.stats.max_workers.max(workers as u64);
 
         if workers <= 1 {
-            let mut scratch = self.scratch.pop().unwrap_or_default();
+            let mut scratch = self.mem.buf.scratch.pop().unwrap_or_default();
             let hook = &self.fault_hook;
             let run = (0..m).try_for_each(|i| -> Result<()> {
                 Self::fault(hook, "morsel", chain)?;
@@ -606,7 +569,7 @@ impl<'a> VexecExecutor<'a> {
                 self.stats.morsels += 1;
                 Ok(())
             });
-            self.scratch.push(scratch);
+            self.mem.buf.scratch.push(scratch);
             run?;
         } else {
             let next = AtomicUsize::new(0);
@@ -677,6 +640,108 @@ impl<'a> VexecExecutor<'a> {
         }
         Ok(Rel::Owned(dest))
     }
+}
+
+/// A run's [`Buffers`], checked out of this thread's run memory and parked
+/// there again on drop: by this and not by the executor, whose `Drop` would
+/// make every borrow it holds outlive it.
+struct RunMem {
+    buf: Buffers,
+    /// The spare buffers at the front, as checked out, that the run has not
+    /// taken: it has had all else checked out at once by its end.
+    untouched: usize,
+}
+
+impl RunMem {
+    /// An empty `width`-column batch, built from pooled column buffers: for
+    /// a known row count each the smallest that holds it, reserved exactly,
+    /// else the last one returned.
+    fn fresh(&mut self, width: usize, rows: Option<usize>) -> Batch {
+        let mut cols = self.buf.shells.pop().unwrap_or_default();
+        for _ in 0..width {
+            let spare = &mut self.buf.spare;
+            let size = |i: &usize| spare[*i].capacity();
+            let fit = rows.and_then(|n| (0..spare.len()).filter(|i| size(i) >= n).min_by_key(size));
+            let at = fit.or(spare.len().checked_sub(1));
+            self.untouched -= at.is_some_and(|i| i < self.untouched) as usize;
+            let mut ints = at.map_or_else(Vec::new, |i| spare.remove(i));
+            ints.reserve_exact(rows.unwrap_or(0));
+            cols.push(Column::Int(ints));
+        }
+        Batch {
+            cols,
+            ..Batch::default()
+        }
+    }
+
+    /// Return a consumed relation's column buffers to the pool (shared
+    /// relations stay with the cache).
+    fn recycle(&mut self, rel: Rel) {
+        if let Rel::Owned(mut b) = rel {
+            for col in b.cols.drain(..) {
+                if let Column::Int(mut ints) = col {
+                    if self.buf.spare.len() < SPARE_COLUMNS {
+                        ints.clear();
+                        self.buf.spare.push(ints);
+                    }
+                }
+            }
+            self.buf.shells.push(b.cols);
+        }
+    }
+}
+
+impl Drop for RunMem {
+    fn drop(&mut self) {
+        let untouched = self.buf.spare[..self.untouched].iter().map(bytes_of);
+        let peak = self.buf.bytes() - untouched.sum::<usize>();
+        runmem::park(std::mem::take(&mut self.buf), peak);
+    }
+}
+
+/// The buffers a run reuses. Integer column buffers of consumed relations
+/// go to `spare` for the next chain run or breaker output: a correlated
+/// inner re-run per outer row allocates nothing, and a plan touches about
+/// its peak live memory, not the sum of its intermediates. Demoted columns
+/// are not pooled — every column starts out typed, so their buffers would
+/// have no taker.
+#[derive(Default)]
+struct Buffers {
+    spare: Vec<Vec<i64>>,
+    /// The emptied column lists those buffers came in.
+    shells: Vec<Vec<Column>>,
+    /// Chain and probe scratch (bounded by the batch size, so not counted),
+    /// reused across re-runs like `spare`.
+    scratch: Vec<Scratch>,
+    /// The radix sort's ping-pong buffers, likewise.
+    sort_buf: SortBuf,
+    prefix_buf: Vec<Value>,
+    tid_buf: Vec<Tid>,
+}
+
+impl RunMemory for Buffers {
+    const GROWS: bool = true;
+
+    fn bytes(&self) -> usize {
+        let SortBuf { keys, rows, counts } = &self.sort_buf;
+        let sort =
+            keys.iter().map(bytes_of).sum::<usize>() + rows.iter().map(bytes_of).sum::<usize>();
+        let rest = bytes_of(&self.shells) + bytes_of(&self.prefix_buf) + bytes_of(&self.tid_buf);
+        self.spare.iter().map(bytes_of).sum::<usize>() + sort + bytes_of(counts) + rest
+    }
+
+    /// Free the smallest spare buffers, and park the rest largest-first, so
+    /// that `fresh`'s `pop` takes the smallest.
+    fn trim(&mut self, budget: usize) {
+        self.spare
+            .sort_unstable_by_key(|v| std::cmp::Reverse(v.capacity()));
+        while self.bytes() > budget && self.spare.pop().is_some() {}
+    }
+}
+
+/// Bytes a vector's buffer holds.
+fn bytes_of<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// A row's hash-join key, or `None` if any part is NULL (NULL keys never

@@ -36,6 +36,14 @@ if grep -rnE 'struct Healer|regression_margin|within_margin|try_lead' crates/ser
     exit 1
 fi
 
+echo "== one per-thread cache of run memory, and no allocator knob =="
+if grep -rn 'SPAN_POOL' crates/*/src \
+    || grep -rl 'thread_local!' crates/*/src | grep -vE '^crates/trace/src/(runmem|telemetry/counters)\.rs$' \
+    || grep -rnE 'mallopt|GLIBC_TUNABLES|#\[global_allocator\]' crates/*/src; then
+    echo "run memory is parked in starqo-trace's runmem alone (docs/EXECUTOR.md); counters.rs's THREAD_STRIPE is an index." >&2
+    exit 1
+fi
+
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
 if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then

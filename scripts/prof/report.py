@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Summarize what scripts/prof/sampler.c recorded.
 
-Usage: report.py <executable> <samples file> [--top N]
+Usage: report.py <executable> <samples file> [--top N] [--rep <rep output>]
 
 Prints, over the SIGPROF samples: self time by innermost function (inline
 frames resolved), inclusive time by function, time by nearest `starqo_*`
@@ -20,6 +20,12 @@ labeled by where that gap starts, e.g. `libc.so.6+0x96063 (static)`, not
 after its neighbour. That is also why libc samples are classified by their
 Rust caller (the allocator share counts libc frames called from Rust's
 alloc/dealloc paths, static or not). $ADDR2LINE picks the tool.
+
+With --rep (the repetition's stdout, which names its `attempted` requests)
+it first prints minor page faults per request: the process's `ru_minflt` at
+exit, which the sampler records, over `attempted`. Setup and warm-up faults
+are in the numerator too, so a run with no fault per request in steady
+state still reads a small positive figure that shrinks as the run grows.
 """
 
 import bisect
@@ -107,7 +113,7 @@ class Module:
 
 
 def read_samples(path):
-    modules, records, dropped = {}, [], 0
+    modules, records, dropped, minflt = {}, [], 0, None
     with open(path) as f:
         for line in f:
             kind, _, rest = line.rstrip("\n").partition(" ")
@@ -120,7 +126,9 @@ def read_samples(path):
                 records.append((kind, [int(x, 16) for x in rest.split()]))
             elif kind == "D":
                 dropped = int(rest)
-    return modules, records, dropped
+            elif kind == "R":
+                minflt = int(rest)
+    return modules, records, dropped, minflt
 
 
 def module_of(modules, pc):
@@ -164,9 +172,20 @@ def main():
         at = args.index("--top")
         top = int(args[at + 1])
         del args[at:at + 2]
+    rep = None
+    if "--rep" in args:
+        at = args.index("--rep")
+        rep = args[at + 1]
+        del args[at:at + 2]
     exe, path = args
     exe = os.path.realpath(exe)
-    modules, records, dropped = read_samples(path)
+    modules, records, dropped, minflt = read_samples(path)
+    if rep is not None and minflt is not None:
+        with open(rep) as f:
+            fields = dict(line.split(" ", 1) for line in f if " " in line)
+        attempted = int(fields["attempted"])
+        print(f"minor faults: {minflt} over {attempted} requests = "
+              f"{minflt / max(attempted, 1):.2f} per request")
 
     # Drop the sampler's own frames, and for a SIGPROF sample the signal
     # trampoline after them; every frame but an interrupted PC is a return

@@ -14,6 +14,7 @@
  *   M <start> <end> <file offset> <path>     one per executable mapping
  *   S <pc> <pc> ...                          one SIGPROF sample, innermost first
  *   F <pc> <pc> ...                          one futex wait
+ *   R <minflt>                               the process's minor faults
  *
  * Build: cc -O2 -shared -fPIC -o sampler.so sampler.c -ldl
  */
@@ -27,6 +28,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/time.h>
 
@@ -128,5 +130,8 @@ __attribute__((destructor)) static void finish(void)
         fputc('\n', out);
     }
     fprintf(out, "D %u\n", atomic_load(&dropped));
+    struct rusage usage;
+    if (getrusage(RUSAGE_SELF, &usage) == 0)
+        fprintf(out, "R %ld\n", usage.ru_minflt);
     fclose(out);
 }

@@ -6,7 +6,8 @@
 # own build is untouched), preloads scripts/prof/sampler.c into one
 # repetition (SIGPROF every millisecond of CPU time — the kernel's tick, 4 ms
 # on many hosts, is the real resolution — plus the stack of every futex wait)
-# and prints scripts/prof/report.py's tables. Needs cc, python3 and
+# and prints the repetition's minor page faults per request, then
+# scripts/prof/report.py's tables. Needs cc, python3 and
 # addr2line (llvm-addr2line when present, for exact inline frames).
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,4 +22,5 @@ CARGO_TARGET_DIR=$dir CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
 STARQO_PROF_OUT="$dir/$workload.samples" LD_PRELOAD="$PWD/$dir/sampler.so" \
     "$dir/release/perf" rep --workload "$workload" --seed "$seed" --seconds "$seconds" \
     > "$dir/$workload.rep"
-python3 scripts/prof/report.py "$dir/release/perf" "$dir/$workload.samples"
+python3 scripts/prof/report.py "$dir/release/perf" "$dir/$workload.samples" \
+    --rep "$dir/$workload.rep"

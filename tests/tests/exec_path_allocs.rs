@@ -21,6 +21,8 @@ use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::{parse_query, Query};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder};
+use starqo_trace::runmem::{self, PARK_FROM_RUN};
+use starqo_trace::SpanMode;
 use starqo_vexec::VexecExecutor;
 use starqo_workload::Rng64;
 
@@ -327,4 +329,111 @@ fn warmed_cache_hit_allocates_nothing() {
     let allocs = ALLOCS.get() - before;
     assert!(outcome.cache_hit);
     assert_eq!(allocs, 0, "a warmed cache hit allocated {allocs} blocks");
+}
+
+/// `f` on a fresh thread, whose parking threshold counts from zero.
+fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
+}
+
+const JOIN_SQL: &str = "SELECT a.ID, c.P0 FROM T0 a, T1 b, T2 c \
+                        WHERE a.FK = b.ID AND b.FK = c.ID AND a.P0 >= 1";
+
+/// The ledger's `exec_join` shape served by `Service::execute` on a thread
+/// past the parking threshold: a cache hit, then a run whose column, sort
+/// and scratch buffers all come out of the thread's run memory. What is left
+/// is the request's fingerprint, compiling the plan, the merges' match lists
+/// and the result: measured 118 beyond the 2 807 result rows, where the same
+/// request measured 180 when every executor freed its buffers after its run.
+#[test]
+fn served_execute_past_the_threshold_allocates_compile_and_result_only() {
+    let (cat, db) = fixture(&[3_000, 2_500, 3_500], false);
+    let svc = Service::new(cat.clone(), ServiceConfig::default()).unwrap();
+    let query = parse_query(&cat, JOIN_SQL).unwrap();
+    let (allocs, rows_out) = on_fresh_thread(|| {
+        for _ in 0..PARK_FROM_RUN {
+            svc.execute(&db, &query).unwrap();
+        }
+        let before = ALLOCS.get();
+        let (result, outcome) = svc.execute(&db, &query).unwrap();
+        let allocs = ALLOCS.get() - before;
+        assert!(outcome.cache_hit);
+        (allocs, result.rows.len() as u64)
+    });
+    assert!(rows_out > 2_500);
+    let beyond = allocs.saturating_sub(rows_out);
+    assert!(
+        beyond <= 130,
+        "{allocs} allocations for {rows_out} result rows"
+    );
+}
+
+/// A thread parks nothing before its `PARK_FROM_RUN`th executor run — a
+/// setup or warm-up thread that runs fewer hands every run's memory back,
+/// as before — and parks from that run on.
+#[test]
+fn a_thread_below_the_threshold_parks_nothing() {
+    let (cat, db) = fixture(&[3_000, 2_500, 3_500], false);
+    let run = served_run(&cat, &db, JOIN_SQL);
+    on_fresh_thread(|| {
+        for i in 1..PARK_FROM_RUN {
+            VexecExecutor::new(&db, &run.query).run(&run.plan).unwrap();
+            assert_eq!(runmem::held(), (0, 0), "run {i} parked");
+        }
+        VexecExecutor::new(&db, &run.query).run(&run.plan).unwrap();
+        assert!(runmem::held().0 > 0, "run {PARK_FROM_RUN} parked nothing");
+    });
+}
+
+/// Only the executor's runs count towards its threshold: a service that
+/// records a span tree per request, whose span buffer parks from the first
+/// request, parks the executor's buffers from the same request as one that
+/// records none.
+#[test]
+fn span_mode_does_not_move_the_parking_threshold() {
+    let (cat, db) = fixture(&[3_000, 2_500, 3_500], false);
+    let query = parse_query(&cat, JOIN_SQL).unwrap();
+    for spans in [SpanMode::Off, SpanMode::Tail, SpanMode::Full] {
+        let mut config = ServiceConfig::default();
+        config.telemetry.spans = spans;
+        let svc = Service::new(cat.clone(), config).unwrap();
+        let first_parked = on_fresh_thread(|| {
+            (1..=2 * PARK_FROM_RUN).find(|_| {
+                svc.execute(&db, &query).unwrap();
+                runmem::held().0 > 0
+            })
+        });
+        assert_eq!(first_parked, Some(PARK_FROM_RUN), "{spans:?}");
+    }
+}
+
+/// Bounded by use: after a large run, a thread's small runs check out its
+/// parked set, and what they park again never exceeds what the large run had
+/// checked out at once.
+#[test]
+fn parked_bytes_stay_within_the_largest_runs_checkout() {
+    let (cat, db) = fixture(&[3_000, 2_500, 3_500], false);
+    let large = served_run(&cat, &db, JOIN_SQL);
+    let small = served_run(&cat, &db, "SELECT a.ID, a.FK FROM T1 a WHERE a.P0 = 3");
+    on_fresh_thread(|| {
+        let run = |r: &Served| VexecExecutor::new(&db, &r.query).run(&r.plan).unwrap();
+        for _ in 0..PARK_FROM_RUN {
+            run(&small);
+        }
+        let (_, small_peak) = runmem::held();
+        run(&large);
+        let (parked, peak) = runmem::held();
+        assert!(
+            peak > 4 * small_peak && parked <= peak,
+            "{parked} of {peak}"
+        );
+        for i in 0..10 {
+            run(&small);
+            let (parked, bound) = runmem::held();
+            assert!(
+                parked <= peak && bound == peak,
+                "run {i}: {parked} of {bound}"
+            );
+        }
+    });
 }

@@ -17,6 +17,7 @@ use starqo_exec::{is_correlated, ExecError, Executor, QueryResult};
 use starqo_plan::{JoinFlavor, Lolepop, PlanRef};
 use starqo_query::Query;
 use starqo_storage::Database;
+use starqo_trace::runmem::{self, PARK_FROM_RUN};
 use starqo_vexec::{supports, VexecExecutor, VexecStats, MORSEL_ROWS};
 use starqo_workload::{
     query_shape, query_shape_param, synth_catalog, synth_database, QueryShape, Rng64, SynthSpec,
@@ -170,6 +171,50 @@ fn vexec_matches_serial_on_random_fleet() {
         total >= 300 && correlated * 2 >= total,
         "fleet has {correlated} correlated-NL plans of {total}"
     );
+}
+
+/// Parked buffers carry no rows from one run into the next. On a thread
+/// past the parking threshold, where every executor checks out the buffers
+/// the last one parked, a 3-way join over ~3 k-row tables and a small one
+/// alternate for 20 runs at 1, 2 and 8 workers, and every result equals the
+/// oracle's.
+#[test]
+fn vexec_parked_buffers_hold_no_stale_rows() {
+    let plan_of = |seed: u64, card_range: (u64, u64), local_pred: bool| {
+        let spec = SynthSpec {
+            tables: 3,
+            card_range,
+            ..Default::default()
+        };
+        let cat = synth_catalog(seed, &spec);
+        let db = synth_database(seed, cat.clone());
+        let query = query_shape(&cat, QueryShape::Chain, 3, local_pred);
+        let opt = Optimizer::new(cat).unwrap();
+        let plan = opt.optimize(&query, &OptConfig::default()).unwrap().best;
+        let want = Executor::new(&db, &query).run(&plan).unwrap();
+        (db, query, plan, want)
+    };
+    let large = plan_of(3, (2_000, 4_000), false);
+    let small = plan_of(4, (10, 80), true);
+    assert!(large.3.rows.len() > 10 * small.3.rows.len().max(1));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let (db, query, plan, _) = &small;
+            for _ in 0..PARK_FROM_RUN {
+                VexecExecutor::new(db, query).run(plan).unwrap();
+            }
+            for run in 0..20 {
+                let (db, query, plan, want) = [&large, &small][run % 2];
+                for w in WORKER_COUNTS {
+                    let mut vx = VexecExecutor::new(db, query);
+                    vx.set_workers(w);
+                    let got = vx.run(plan).unwrap();
+                    assert!(got == *want, "run {run}, {w} workers: diverged");
+                }
+                assert!(runmem::held().0 > 0, "run {run}: nothing parked");
+            }
+        });
+    });
 }
 
 /// True if some JOIN(NL) in the plan has a correlated inner.
