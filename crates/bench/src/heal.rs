@@ -175,7 +175,11 @@ fn run_sweep(label: &str, plan: Arc<FaultPlan>, report: &mut HealChaosReport) {
     report.pins += c[Metric::PlanPinned];
     report.swaps += c[Metric::PlanSwap];
     let fp = svc.prepare(&query).fingerprint().hash;
-    if c[Metric::PlanSwap] == 0 || svc.telemetry().is_suspect(fp) {
+    let suspect = svc
+        .telemetry_snapshot()
+        .qerror_for(fp)
+        .is_some_and(|s| s.suspect);
+    if c[Metric::PlanSwap] == 0 || suspect {
         report.unhealed += 1;
     }
 }

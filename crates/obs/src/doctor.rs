@@ -1,6 +1,6 @@
 //! `starqo-obs doctor`: a one-shot health verdict over a telemetry
 //! snapshot. Runs a fixed checklist — cache efficacy, admission/pressure
-//! counters, error rates, plan-quality drift hotspots, top-K tracker
+//! counters, error rates, plan-quality drift hotspots, hot-query top-K
 //! saturation, feedback-plane coverage — and renders a finding list with
 //! an overall verdict. Detection and advice only: the doctor never
 //! mutates anything.
@@ -167,7 +167,7 @@ impl Diagnosis {
                 "topk_saturation",
                 format!(
                     "{saturated} hot-query entries have overcount bound >= count/2 \
-                     (raise topk capacity)"
+                     (more distinct fingerprints than the feedback plane holds)"
                 ),
             );
         }

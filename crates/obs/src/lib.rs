@@ -29,7 +29,7 @@
 //!   successive snapshots into a [`starqo_trace::SnapshotRing`] and
 //!   renders interval frames with trend sparklines;
 //! - [`doctor::Diagnosis`] — a one-shot health verdict: cache efficacy,
-//!   pressure counters, drift hotspots, tracker saturation, feedback
+//!   pressure counters, drift hotspots, top-K saturation, feedback
 //!   coverage.
 //!
 //! The `starqo-obs` binary exposes all of these as subcommands.

@@ -189,7 +189,7 @@ impl LiveReport {
             if saturated > 0 {
                 out.push_str(&format!(
                     "  warning: {saturated} entries have overcount bound >= count/2 \
-                     (tracker saturated; raise topk capacity)\n"
+                     (more distinct fingerprints than the feedback plane holds)\n"
                 ));
             }
         }

@@ -241,8 +241,8 @@ pub fn smoke_snapshot() -> TelemetrySnapshot {
                 },
             );
             for i in 0..8u64 {
-                plane.record(0xA11CE, 20, 320, 40_000 + i * 1_000, 1);
-                plane.record(0xB0B, 64, 64, 45_000 + i * 1_000, 1);
+                plane.record(0xA11CE, 1, 0, Some((20, 320, 40_000 + i * 1_000)));
+                plane.record(0xB0B, 1, 0, Some((64, 64, 45_000 + i * 1_000)));
             }
             plane.snapshot()
         },

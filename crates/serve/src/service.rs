@@ -231,7 +231,7 @@ impl Service {
     /// Optimize a query end-to-end: prepare, then serve.
     pub fn optimize(&self, query: &Query) -> Result<ServeOutcome, ServeError> {
         let input = Input::Query(query);
-        self.request(input, |p, ctx| self.serve_prepared(p, None, ctx))
+        self.request(input, |p, ctx| self.serve(p, None, ctx))
     }
 
     /// Serve one prepared query, with an optional per-request deadline that
@@ -245,18 +245,19 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<ServeOutcome, ServeError> {
         let input = Input::Prepared(prepared);
-        self.request(input, |p, ctx| self.serve_prepared(p, deadline, ctx))
+        self.request(input, |p, ctx| self.serve(p, deadline, ctx))
     }
 
     /// The one request driver behind `optimize`, `optimize_prepared`,
     /// `execute` and `execute_prepared`: it owns the request's root span,
     /// prepares a bare query under a `prepare` span, runs `serve`, and hands
     /// the finished tree to the tail sampler. Errors and degraded plans are
-    /// always kept; the rest ride on latency and suspect state.
+    /// always kept; the rest ride on latency and on the suspect flag `serve`
+    /// returns beside its result (the request's own record's).
     fn request<R: Served>(
         &self,
         input: Input<'_>,
-        serve: impl FnOnce(&Prepared, &SpanContext) -> Result<R, ServeError>,
+        serve: impl FnOnce(&Prepared, &SpanContext) -> (Result<R, ServeError>, bool),
     ) -> Result<R, ServeError> {
         let ctx = self.telemetry.span_context();
         let root = ctx.enter("request");
@@ -269,7 +270,7 @@ impl Service {
                 &prepared_here
             }
         };
-        let result = serve(prepared, &ctx);
+        let (result, suspect) = serve(prepared, &ctx);
         drop(root);
         let (label, epoch, degraded) = match result.as_ref().map(R::outcome) {
             Ok(o) if o.cache_hit => ("hit", o.epoch, o.optimized.degraded),
@@ -278,20 +279,39 @@ impl Service {
             Err(_) => ("error", 0, false),
         };
         let fp = prepared.fingerprint().hash;
-        let errored = result.is_err();
         self.telemetry
-            .retire_spans(&ctx, fp, epoch, label, errored, degraded);
+            .retire_spans(&ctx, fp, epoch, label, degraded, suspect);
         result
     }
 
+    /// An optimize-only request: serve, then record it. A failed serve
+    /// records nothing.
+    fn serve(
+        &self,
+        prepared: &Prepared,
+        deadline: Option<Duration>,
+        ctx: &SpanContext,
+    ) -> (Result<ServeOutcome, ServeError>, bool) {
+        match self.serve_prepared(prepared, deadline, ctx) {
+            Ok((outcome, nanos)) => {
+                let fp = outcome.fingerprint.hash;
+                let suspect = self.telemetry.record(fp, outcome.epoch, nanos, None, ctx);
+                (Ok(outcome), suspect)
+            }
+            Err(e) => (Err(e), false),
+        }
+    }
+
     /// Serve one prepared query under the caller's span context: a cache
-    /// hit, a shared flight, or this request's own cold optimization.
+    /// hit, a shared flight, or this request's own cold optimization. Also
+    /// returns the serve latency, which the caller records once the
+    /// request's outcome is known.
     fn serve_prepared(
         &self,
         prepared: &Prepared,
         deadline: Option<Duration>,
         ctx: &SpanContext,
-    ) -> Result<ServeOutcome, ServeError> {
+    ) -> Result<(ServeOutcome, u64), ServeError> {
         let started = Instant::now();
         self.telemetry.add(Metric::Requests, 1);
         let (cat, epoch) = self.catalog.snapshot();
@@ -358,17 +378,16 @@ impl Service {
             self.telemetry.observe(LatencyPath::Optimize, nanos);
             ctx.annotate(|| TraceEvent::CacheMiss { fp: fp.hash, epoch });
         }
-        // Close out the request: end-to-end latency and the hot-query tracker.
         let total = started.elapsed().as_nanos() as u64;
         self.telemetry.observe(LatencyPath::EndToEnd, total);
-        self.telemetry.record_request(fp.hash, total, epoch);
-        Ok(ServeOutcome {
+        let outcome = ServeOutcome {
             optimized,
             cache_hit: meta.hit,
             coalesced: meta.coalesced,
             epoch,
             fingerprint: fp.clone(),
-        })
+        };
+        Ok((outcome, total))
     }
 
     /// Optimize and execute against `db`, returning rows plus the serving
@@ -396,8 +415,9 @@ impl Service {
     }
 
     /// [`Self::execute_prepared`] with the caller's span context: serve,
-    /// then run the winning plan under an `execute` span. Execution feedback
-    /// is folded in *before* the driver retires the span tree, so a run
+    /// then run the winning plan under an `execute` span, then record the
+    /// request — the run's actuals with it, or none after a failed run.
+    /// That happens *before* the driver retires the span tree, so a run
     /// that flags its own fingerprint is retained as suspect.
     fn execute_with(
         &self,
@@ -405,8 +425,11 @@ impl Service {
         prepared: &Prepared,
         deadline: Option<Duration>,
         ctx: &SpanContext,
-    ) -> Result<(QueryResult, ServeOutcome), ServeError> {
-        let outcome = self.serve_prepared(prepared, deadline, ctx)?;
+    ) -> (Result<(QueryResult, ServeOutcome), ServeError>, bool) {
+        let (outcome, serve_nanos) = match self.serve_prepared(prepared, deadline, ctx) {
+            Ok(served) => served,
+            Err(e) => return (Err(e), false),
+        };
         let query = &prepared.canonical.query;
         let plan = &outcome.optimized.best;
         // One executor: the vectorized engine, inline on this thread. The
@@ -416,37 +439,31 @@ impl Service {
         let mut vx = VexecExecutor::new(db, query);
         vx.set_telemetry(Arc::clone(&self.telemetry));
         vx.set_spans(ctx.clone());
-        let result = vx
-            .run(plan)
-            .map_err(|e| ServeError::Execute(e.to_string()))?;
+        let (fp, epoch) = (outcome.fingerprint.hash, outcome.epoch);
+        let result = match vx.run(plan) {
+            Ok(result) => result,
+            Err(e) => {
+                let suspect = self.telemetry.record(fp, epoch, serve_nanos, None, ctx);
+                return (Err(ServeError::Execute(e.to_string())), suspect);
+            }
+        };
         drop(exec_span);
         let nanos = exec_started.elapsed().as_nanos() as u64;
         self.telemetry.record_phase(Phase::Execute, nanos);
-        // Fold this run's compact actuals into the feedback plane: the
-        // cached plan's estimated root cardinality against what actually
-        // came out. Counted whether or not the request records; only a
-        // *detection* (the sketch's first threshold crossing) is annotated,
-        // on any recorded tree — suspect events are rare and load-bearing.
-        let fp = outcome.fingerprint.hash;
+        // The run's compact actuals: the cached plan's estimated root
+        // cardinality against what actually came out.
         let est = outcome.optimized.best.props.card.round().max(0.0) as u64;
-        if let Some(v) =
-            self.telemetry
-                .record_feedback(fp, est, result.rows.len() as u64, nanos, outcome.epoch)
-        {
-            ctx.annotate(|| TraceEvent::PlanSuspect {
-                fp: v.fp,
-                epoch: v.epoch,
-                runs: v.runs,
-                geomean_q: v.geomean_q,
-                max_q: v.max_q,
-                reason: v.reason.to_string(),
-            });
-        }
+        let run = (est, result.rows.len() as u64, nanos);
+        let mut suspect = self
+            .telemetry
+            .record(fp, epoch, serve_nanos, Some(run), ctx);
         // Self-healing: a (possibly long-)suspect fingerprint triggers one
         // in-line re-optimization attempt, gated by single-flight election
         // and the per-fingerprint backoff schedule.
-        self.maybe_heal(db, prepared, &outcome, ctx);
-        Ok((result, outcome))
+        if suspect {
+            suspect = self.maybe_heal(db, prepared, &outcome, ctx);
+        }
+        (Ok((result, outcome)), suspect)
     }
 
     // ---- internals ---------------------------------------------------
@@ -530,28 +547,29 @@ impl Service {
     /// losers keep serving the incumbent), then run the re-optimization
     /// pipeline with every failure mode contained, and resolve the claim.
     /// The request that triggered the heal pays for it in-line; nothing
-    /// here can fail the request.
+    /// here can fail the request. Returns whether the fingerprint is still
+    /// suspect: not after a swap or a refuted verdict.
     fn maybe_heal(
         &self,
         db: &Database,
         prepared: &Prepared,
         outcome: &ServeOutcome,
         ctx: &SpanContext,
-    ) {
+    ) -> bool {
         let (Some(cfg), Some(plane)) = (&self.config.heal, self.telemetry.feedback()) else {
-            return;
+            return true;
         };
         // A degraded incumbent is never cached: there is no entry to swap.
         if outcome.optimized.degraded {
-            return;
+            return true;
         }
         let (fp, epoch) = (outcome.fingerprint.hash, outcome.epoch);
         let now = || self.telemetry.uptime_nanos();
         let (attempt, sketch) = match plane.claim(fp, |rec| heal::admit(rec, epoch, now())) {
-            None => return,
+            None => return true,
             Some(Err(_)) => {
                 self.telemetry.add(Metric::ReoptBackoff, 1);
-                return;
+                return true;
             }
             Some(Ok(claimed)) => claimed,
         };
@@ -588,6 +606,7 @@ impl Service {
                     incumbent_work,
                     candidate_work,
                 });
+                false
             }
             HealResolution::Pinned { why, failure } => {
                 if failure {
@@ -613,6 +632,7 @@ impl Service {
                     attempt,
                     backoff_nanos,
                 });
+                refresh.is_none()
             }
         }
     }
@@ -631,19 +651,20 @@ impl Service {
         sketch: &QErrorSketch,
     ) -> HealResolution {
         let pin = |why: &'static str, failure: bool| HealResolution::Pinned { why, failure };
-        let plan_faults = self.config.opt_config.faults.clone();
-        // Injected `Error` surfaces as a typed failure; `Panic` unwinds to
-        // the caller's catch_unwind; `Stall` burns time and continues.
-        let fault = |stage: &'static str| -> bool {
-            match plan_faults.as_ref().and_then(|p| p.trigger("reopt", stage)) {
-                Some(mode) => faults::fire(mode, "reopt").is_some(),
-                None => false,
-            }
+        let plan_faults = self.config.opt_config.faults.as_ref();
+        // One stage boundary: the test hook first (tests race catalog
+        // mutations against it), then the chaos site. Injected `Error`
+        // returns true, to pin as a typed failure; `Panic` unwinds to the
+        // caller's catch_unwind; `Stall` burns time and continues.
+        let fault_at = |stage: &'static str| -> bool {
+            cfg.stage(stage);
+            plan_faults
+                .and_then(|p| p.trigger("reopt", stage))
+                .is_some_and(|mode| faults::fire(mode, "reopt").is_some())
         };
 
         // -- overlay: observed cardinalities → a scoped catalog ---------
-        cfg.stage("overlay");
-        if fault("overlay") {
+        if fault_at("overlay") {
             return pin(reason::REOPT_ERROR, true);
         }
         let (cat, epoch) = self.catalog.snapshot();
@@ -713,8 +734,7 @@ impl Service {
         };
 
         // -- re-optimize under the dedicated heal budget ----------------
-        cfg.stage("optimize");
-        if fault("optimize") {
+        if fault_at("optimize") {
             return pin(reason::REOPT_ERROR, true);
         }
         let current = self.optimizer.read().unwrap_or_else(|p| p.into_inner());
@@ -736,8 +756,7 @@ impl Service {
         // One run per side: every counter `work_units` reads is
         // deterministic per (plan, database), so re-running either side
         // could not change the verdict.
-        cfg.stage("verify");
-        if fault("verify") {
+        if fault_at("verify") {
             return pin(reason::REOPT_ERROR, true);
         }
         let Some((inc_rows, inc_stats)) = verify_run(db, query, &outcome.optimized.best) else {
@@ -756,8 +775,7 @@ impl Service {
         }
 
         // -- swap CAS: only into the world the candidate was built for --
-        cfg.stage("swap");
-        if fault("swap") {
+        if fault_at("swap") {
             return pin(reason::REOPT_ERROR, true);
         }
         if self.catalog.epoch() != epoch {
@@ -968,11 +986,11 @@ mod tests {
             snap[Metric::PipelineRows] >= 5 * 200,
             "root rows counted per run"
         );
-        let suspects = svc.telemetry().suspects();
+        let tsnap = svc.telemetry_snapshot();
+        let suspects = tsnap.suspects();
         assert_eq!(suspects.len(), 1);
         assert_eq!(suspects[0].runs, 5, "sketch keeps folding after the flag");
         assert!(suspects[0].geomean_q().unwrap() > 4.0);
-        let tsnap = svc.telemetry_snapshot();
         assert_eq!(tsnap.qerror.len(), 1);
         assert_eq!(tsnap.suspects().len(), 1);
         assert_eq!(tsnap.qerror[0].actual_min, 200);
@@ -1107,6 +1125,52 @@ mod tests {
             (fp, 5, 0)
         );
         assert!(snap.topk[0].nanos > 0);
+    }
+
+    /// One executed and one optimize-only request, on two fingerprints:
+    /// each is a hot query counted once with its serve latency (exactly the
+    /// end-to-end path's sample, execution excluded), and only the executed
+    /// one has a sketch — its plan's estimate, its rows and its run's nanos.
+    #[test]
+    fn one_record_per_request_fills_the_hot_totals_and_the_sketch() {
+        let cat = catalog();
+        let db = database(&cat);
+        let svc = Service::new(Arc::clone(&cat), ServiceConfig::default()).unwrap();
+        let executed = parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.DNO = 1").unwrap();
+        let planned = parse_query(&cat, "SELECT D.MGR FROM DEPT D").unwrap();
+        let (rows, ran) = svc.execute(&db, &executed).unwrap();
+        let only = svc.optimize(&planned).unwrap();
+        let snap = svc.telemetry_snapshot();
+        let (ran_fp, only_fp) = (ran.fingerprint.hash, only.fingerprint.hash);
+        let hot = |fp: u64| *snap.topk.iter().find(|e| e.fp == fp).expect("hot");
+        assert_eq!(snap.topk.len(), 2);
+        for (fp, epoch) in [(ran_fp, ran.epoch), (only_fp, only.epoch)] {
+            let h = hot(fp);
+            assert_eq!((h.count, h.err, h.last_epoch), (1, 0, epoch));
+            assert!(h.nanos > 0);
+        }
+        let serve = &snap.latency[LatencyPath::EndToEnd];
+        assert_eq!(serve.count(), 2);
+        assert_eq!(
+            u128::from(hot(ran_fp).nanos + hot(only_fp).nanos),
+            serve.sum()
+        );
+        assert_eq!(
+            snap.qerror.len(),
+            1,
+            "the optimize-only request has no sketch"
+        );
+        let s = snap.qerror_for(ran_fp).expect("sketch");
+        let est = ran.optimized.best.props.card.round() as u64;
+        let actual = rows.rows.len() as u64;
+        assert_eq!(actual, 2, "EMP rows with DNO = 1");
+        assert_eq!((s.runs, s.q_runs, s.est_rows), (1, 1, est));
+        assert_eq!((s.actual_min, s.actual_max), (actual, actual));
+        assert_eq!(s.qlog_sum_micro, starqo_trace::qlog_micro(est, actual));
+        assert_eq!((s.last_epoch, s.suspect), (ran.epoch, false));
+        assert_eq!(s.nanos.count(), 1);
+        assert_eq!(s.nanos.sum(), u128::from(snap.phases[Phase::Execute].0));
+        assert_eq!(snap.counters[Metric::FeedbackRuns], 1);
     }
 
     #[test]

@@ -98,7 +98,10 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     // Satellite: the sticky suspect flag is un-stuck by the swap, and the
     // Q-error window restarted against the healed plan's estimate.
     let fp = svc.prepare(&q).fingerprint().hash;
-    assert!(!svc.telemetry().is_suspect(fp));
+    assert!(!svc
+        .telemetry_snapshot()
+        .qerror_for(fp)
+        .is_some_and(|s| s.suspect));
     let records = svc.telemetry_snapshot().heal;
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].swaps, 1);
@@ -129,7 +132,10 @@ fn suspect_triggers_reopt_swap_and_unsticks_the_flag() {
     for _ in 0..4 {
         svc.execute(&db, &q).unwrap();
     }
-    assert!(!svc.telemetry().is_suspect(fp));
+    assert!(!svc
+        .telemetry_snapshot()
+        .qerror_for(fp)
+        .is_some_and(|s| s.suspect));
     let c = svc.counters();
     assert_eq!(c[Metric::ReoptAttempts], 1, "no reopt storm");
     // Heal's verify runs stay out of the telemetry and feedback planes:
@@ -327,7 +333,10 @@ fn eight_threads_one_reopt_flight_per_fingerprint() {
     );
     assert_eq!(c[Metric::PlanSwap], 1);
     let fp = svc.prepare(&q).fingerprint().hash;
-    assert!(!svc.telemetry().is_suspect(fp));
+    assert!(!svc
+        .telemetry_snapshot()
+        .qerror_for(fp)
+        .is_some_and(|s| s.suspect));
 }
 
 #[test]

@@ -39,6 +39,6 @@ pub use telemetry::{
     events_constructed, from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, Counters,
     FeedbackPlane, HealRecord, HotQuery, LatencyPath, Metric, Phase, PhasePlane, QErrorSketch,
     SnapshotRing, SpanContext, SpanEvent, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore,
-    SpanTree, SuspectConfig, SuspectVerdict, TailConfig, TailSampler, Telemetry, TelemetryConfig,
+    SpanTree, SuspectConfig, TailConfig, TailSampler, Telemetry, TelemetryConfig,
     TelemetrySnapshot, TraceSampler,
 };

@@ -1,7 +1,7 @@
 //! The live telemetry plane: always-on, low-overhead metrics for the
 //! serving path.
 //!
-//! Four cooperating pieces, each in its own module:
+//! Seven cooperating pieces, each in its own module:
 //!
 //! - [`counters`]: the striped lock-free counter plane — a fixed catalog
 //!   of serve/optimizer/executor metrics, one relaxed `fetch_add` per
@@ -10,22 +10,28 @@
 //! - [`atomic_hist`]: wait-free log₂ latency histograms (optimize,
 //!   cache-hit, execute, end-to-end) with mergeable snapshots and
 //!   p50/p90/p99/p999 at < 2× relative error.
-//! - [`topk`]: bounded-memory per-fingerprint hot-query tracking
-//!   (space-saving), recording count, cumulative latency, last epoch.
+//! - [`phases`]: the cold-path phase profiler — striped nanos and counts
+//!   per phase (prepare, lookup, enumerate, Glue, compile, execute, reopt).
+//! - [`qerror`]: the feedback plane — one bounded table of per-fingerprint
+//!   slots. A slot holds the fingerprint's hot-query totals (space-saving
+//!   top-K: count, cumulative serve latency, last epoch), its Q-error
+//!   sketch folded from the executor's per-run actuals (with a sticky
+//!   suspect flag when the plan-quality trend crosses the configured
+//!   thresholds), and its [`heal`] record.
 //! - [`sample`]: head-based deterministic trace sampling
 //!   (`STARQO_TRACE_SAMPLE=1/N` over the fingerprint hash): which recorded
 //!   requests carry a *detailed* span tree, so full optimizer and executor
 //!   detail can stay on in production at 1/N of its cost.
-//! - [`qerror`]: the feedback plane — bounded per-fingerprint Q-error
-//!   sketches folded from the executor's per-run actuals, with a sticky
-//!   suspect flag when a fingerprint's plan-quality trend crosses the
-//!   configured thresholds.
+//! - [`spans`]: request-scoped span trees, kept or dropped by the tail
+//!   sampler and held in a bounded store.
 //! - [`ring`]: a bounded time-series of snapshot deltas for trend views
 //!   (`starqo-obs watch`).
 //!
-//! The *full* flag gates the second and third tiers (histograms, top-K);
-//! the *feedback* flag gates the Q-error plane; counters never turn off.
-//! [`Telemetry::snapshot`] freezes the whole plane into a
+//! The *full* flag gates the histograms and the snapshot's hot-query
+//! top-K; the *feedback* flag gates the Q-error sketches; the slot table
+//! exists when either is on; counters never turn off. Every served request
+//! makes one [`Telemetry::record`] call, one lock on its fingerprint's
+//! slot. [`Telemetry::snapshot`] freezes the whole plane into a
 //! [`TelemetrySnapshot`] for JSON/Prometheus export and interval diffing.
 
 pub mod atomic_hist;
@@ -37,13 +43,12 @@ pub mod ring;
 pub mod sample;
 pub mod snapshot;
 pub mod spans;
-pub mod topk;
 
 pub use atomic_hist::AtomicHistogram;
 pub use counters::{CounterPlane, Counters, Metric};
 pub use heal::HealRecord;
 pub use phases::{Phase, PhasePlane};
-pub use qerror::{qlog_micro, FeedbackPlane, QErrorSketch, SuspectConfig, SuspectVerdict};
+pub use qerror::{qlog_micro, FeedbackPlane, HotQuery, QErrorSketch, SuspectConfig};
 pub use ring::SnapshotRing;
 pub use sample::TraceSampler;
 pub use snapshot::TelemetrySnapshot;
@@ -52,16 +57,15 @@ pub use spans::{
     SpanEvent, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree, TailConfig,
     TailSampler,
 };
-pub use topk::{HotQuery, TopKTracker};
 
 use std::time::Instant;
 
-/// Top-K tracker shards (rounded up to a power of two).
-pub const TOPK_SHARDS: usize = 4;
 /// Feedback-plane shards (rounded up to a power of two).
 pub const FEEDBACK_SHARDS: usize = 4;
-/// Q-error sketches per feedback shard.
+/// Per-fingerprint slots per feedback shard.
 pub const FEEDBACK_CAPACITY: usize = 64;
+/// Hot queries a snapshot lists: the `k` of its top-K.
+pub const TOPK: usize = 32;
 /// Max recorded spans per undetailed request; overflow is counted, not
 /// grown. A detailed request is not capped.
 pub const SPAN_CAP: usize = 256;
@@ -73,14 +77,13 @@ pub const SPAN_SHARDS: usize = 4;
 /// sizes are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
-    /// Enable the histogram and top-K tiers (counters are always on).
+    /// Enable the latency histograms and the snapshot's hot-query top-K
+    /// (counters are always on).
     pub full: bool,
-    /// Top-K capacity per shard, and the default `k` of snapshots.
-    pub topk: usize,
     /// Head sampler choosing the recorded requests whose span tree is
     /// detailed (`None`: no request is).
     pub sample: Option<TraceSampler>,
-    /// Enable the per-fingerprint Q-error feedback plane.
+    /// Fold executed runs into the per-fingerprint Q-error sketches.
     pub feedback: bool,
     /// Suspect-detection thresholds for the feedback plane.
     pub suspect: SuspectConfig,
@@ -96,7 +99,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             full: true,
-            topk: 32,
             sample: None,
             feedback: true,
             suspect: SuspectConfig::default(),
@@ -117,7 +119,8 @@ impl TelemetryConfig {
         }
     }
 
-    /// Counters only: histograms, top-K, and feedback disabled.
+    /// Counters only: histograms, top-K, and feedback disabled (no slot
+    /// table at all).
     pub fn counters_only() -> TelemetryConfig {
         TelemetryConfig {
             full: false,
@@ -147,13 +150,13 @@ catalog! {
 #[derive(Debug)]
 pub struct Telemetry {
     full: bool,
+    feedback: bool,
     started: Instant,
     counters: CounterPlane,
     hists: [AtomicHistogram; LatencyPath::COUNT],
-    topk: TopKTracker,
-    topk_k: usize,
     sample: Option<TraceSampler>,
-    feedback: Option<FeedbackPlane>,
+    /// The per-fingerprint slot table, present when `full || feedback`.
+    plane: Option<FeedbackPlane>,
     phases: PhasePlane,
     spans: Option<SpanPlane>,
 }
@@ -185,14 +188,12 @@ impl Telemetry {
         // Striped planes take 0 stripes to mean one per available core.
         Telemetry {
             full: config.full,
+            feedback: config.feedback,
             started: Instant::now(),
             counters: CounterPlane::new(0),
             hists: std::array::from_fn(|_| AtomicHistogram::new(0)),
-            topk: TopKTracker::new(TOPK_SHARDS, config.topk.max(1)),
-            topk_k: config.topk.max(1),
             sample: config.sample,
-            feedback: config
-                .feedback
+            plane: (config.full || config.feedback)
                 .then(|| FeedbackPlane::new(FEEDBACK_SHARDS, FEEDBACK_CAPACITY, config.suspect)),
             phases: PhasePlane::new(0),
             spans: (config.spans != SpanMode::Off).then(|| SpanPlane {
@@ -203,16 +204,6 @@ impl Telemetry {
                 totals: AtomicHistogram::new(0),
             }),
         }
-    }
-
-    /// A counters-only plane (histograms and top-K disabled).
-    pub fn counters_only() -> Telemetry {
-        Telemetry::new(TelemetryConfig::counters_only())
-    }
-
-    /// Whether the histogram/top-K tiers are live.
-    pub fn is_full(&self) -> bool {
-        self.full
     }
 
     /// Nanos since this plane was created.
@@ -244,62 +235,43 @@ impl Telemetry {
         }
     }
 
-    /// Attribute one served request to its fingerprint in the top-K
-    /// tracker. No-op unless the plane is full.
-    #[inline]
-    pub fn record_request(&self, fp: u64, nanos: u64, epoch: u64) {
-        if self.full {
-            self.topk.record(fp, nanos, epoch);
-        }
-    }
-
-    /// Whether the Q-error feedback plane is live.
-    pub fn has_feedback(&self) -> bool {
-        self.feedback.is_some()
-    }
-
-    /// Fold one executed run's actuals into the feedback plane: bumps
-    /// [`Metric::FeedbackRuns`], and on a sketch's first threshold
-    /// crossing bumps [`Metric::SuspectFlagged`] and returns the verdict
-    /// so the caller can emit the detection trace event. No-op (`None`)
-    /// when feedback is disabled.
-    pub fn record_feedback(
+    /// Record one served request, once, where its outcome is known: its
+    /// serve latency into its fingerprint's hot-query totals and, when it
+    /// executed, `run = (est_rows, actual_rows, exec_nanos)` into its
+    /// Q-error sketch — one lock on the fingerprint's slot. Runs are folded
+    /// only with feedback on, each bumping [`Metric::FeedbackRuns`]. A
+    /// sketch's first threshold crossing bumps [`Metric::SuspectFlagged`]
+    /// and annotates one `plan_suspect` event on `ctx`'s tree (any recorded
+    /// tree: detections are rare and load-bearing). Returns the
+    /// fingerprint's suspect flag after the fold (false with neither tier
+    /// on).
+    pub fn record(
         &self,
         fp: u64,
-        est_rows: u64,
-        actual_rows: u64,
-        nanos: u64,
         epoch: u64,
-    ) -> Option<SuspectVerdict> {
-        let plane = self.feedback.as_ref()?;
-        self.add(Metric::FeedbackRuns, 1);
-        let verdict = plane.record(fp, est_rows, actual_rows, nanos, epoch);
-        if verdict.is_some() {
-            self.add(Metric::SuspectFlagged, 1);
+        serve_nanos: u64,
+        run: Option<(u64, u64, u64)>,
+        ctx: &SpanContext,
+    ) -> bool {
+        let Some(plane) = &self.plane else {
+            return false;
+        };
+        let run = run.filter(|_| self.feedback);
+        if run.is_some() {
+            self.add(Metric::FeedbackRuns, 1);
         }
-        verdict
+        let (suspect, flagged) = plane.record(fp, epoch, serve_nanos, run);
+        if let Some(event) = flagged {
+            self.add(Metric::SuspectFlagged, 1);
+            ctx.annotate(|| event);
+        }
+        suspect
     }
 
-    /// The feedback plane, when live: the owner of every fingerprint's
+    /// The slot table, when live: the owner of every fingerprint's
     /// sketch and heal state (see [`FeedbackPlane::claim`]).
     pub fn feedback(&self) -> Option<&FeedbackPlane> {
-        self.feedback.as_ref()
-    }
-
-    /// The feedback plane's suspect registry (empty when feedback is off).
-    pub fn suspects(&self) -> Vec<QErrorSketch> {
-        self.feedback
-            .as_ref()
-            .map(FeedbackPlane::suspects)
-            .unwrap_or_default()
-    }
-
-    /// Whether one fingerprint is currently flagged suspect by the
-    /// feedback plane (false when feedback is off).
-    pub fn is_suspect(&self, fp: u64) -> bool {
-        self.feedback
-            .as_ref()
-            .is_some_and(|plane| plane.is_suspect(fp))
+        self.plane.as_ref()
     }
 
     /// Attribute nanos to one cold-path phase occurrence. Always live,
@@ -330,25 +302,27 @@ impl Telemetry {
 
     /// Finish one request's span recording: take the tail-retention
     /// decision (keep a detailed tree as "sampled", everything under
-    /// [`SpanMode::Full`]), store the tree or drop it, and count either way. `total_nanos` is the
-    /// request's end-to-end latency; `suspect` is looked up live so a
-    /// fingerprint flagged *by this very request's execution* retains its
-    /// own tree. Returns the retention reason when the tree was kept.
+    /// [`SpanMode::Full`]), store the tree or drop it, and count either
+    /// way. `outcome` is the request's label; `"error"` marks a failed
+    /// request. `suspect` is the flag the request's own [`Self::record`]
+    /// returned, so a fingerprint flagged *by this very request's
+    /// execution* retains its own tree. Returns the retention reason when
+    /// the tree was kept.
     pub fn retire_spans(
         &self,
         ctx: &SpanContext,
         fp: u64,
         epoch: u64,
         outcome: &str,
-        errored: bool,
         degraded: bool,
+        suspect: bool,
     ) -> Option<&'static str> {
         let plane = self.spans.as_ref()?;
         if !ctx.enabled() {
             return None;
         }
         let total_nanos = ctx.elapsed_nanos();
-        let suspect = self.is_suspect(fp);
+        let errored = outcome == "error";
         let verdict = match plane.mode {
             _ if ctx.is_detailed() => Some("sampled"),
             SpanMode::Full => Some("full"),
@@ -429,29 +403,25 @@ impl Telemetry {
     }
 
     /// Freeze the plane: every counter, one histogram per latency path,
-    /// the current top-K (at most `topk` entries), the feedback plane's
-    /// sketches and heal records.
+    /// the current top-K (at most [`TOPK`] entries, when full), the
+    /// sketches of executed fingerprints and the heal records.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let (span_resident, span_capacity, span_evicted) = self.span_store_stats();
+        let plane = self.plane.as_ref();
         TelemetrySnapshot {
             uptime_nanos: self.uptime_nanos(),
             counters: self.fold(),
             latency: self.hists.each_ref().map(AtomicHistogram::snapshot),
-            topk: self.topk.snapshot(self.topk_k),
-            qerror: self
-                .feedback
-                .as_ref()
-                .map(FeedbackPlane::snapshot)
+            topk: plane
+                .filter(|_| self.full)
+                .map(|p| p.hot(TOPK))
                 .unwrap_or_default(),
+            qerror: plane.map(FeedbackPlane::snapshot).unwrap_or_default(),
             phases: self.phases.fold(),
             span_resident,
             span_capacity,
             span_evicted,
-            heal: self
-                .feedback
-                .as_ref()
-                .map(FeedbackPlane::heal_records)
-                .unwrap_or_default(),
+            heal: plane.map(FeedbackPlane::heal_records).unwrap_or_default(),
         }
     }
 }
@@ -459,16 +429,14 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TraceEvent;
 
     #[test]
     fn counters_stay_live_when_not_full() {
-        let t = Telemetry::counters_only();
-        assert!(!t.is_full());
-        assert!(!t.has_feedback());
+        let t = Telemetry::new(TelemetryConfig::counters_only());
         t.add(Metric::Requests, 3);
         t.observe(LatencyPath::EndToEnd, 500);
-        t.record_request(42, 500, 1);
-        assert!(t.record_feedback(42, 10, 1_000, 500, 1).is_none());
+        assert!(!t.record(42, 1, 500, Some((10, 1_000, 500)), &SpanContext::off()));
         let snap = t.snapshot();
         assert_eq!(snap.counters[Metric::Requests], 3);
         assert_eq!(snap.counters[Metric::FeedbackRuns], 0);
@@ -486,19 +454,20 @@ mod tests {
             },
             ..TelemetryConfig::default()
         });
-        assert!(t.has_feedback());
         // An accurate fingerprint never trips; a drifted one trips once.
+        let off = SpanContext::off();
         for i in 0..5u64 {
-            assert!(t.record_feedback(1, 100, 100, 1_000, 0).is_none());
-            let drifted = t.record_feedback(2, 100, 1_600, 2_000, 0);
-            assert_eq!(drifted.is_some(), i == 2, "run {i}");
+            assert!(!t.record(1, 0, 10, Some((100, 100, 1_000)), &off));
+            let suspect = t.record(2, 0, 10, Some((100, 1_600, 2_000)), &off);
+            assert_eq!(suspect, i >= 2, "run {i}");
+            assert_eq!(t.get(Metric::SuspectFlagged), u64::from(i >= 2), "run {i}");
         }
         assert_eq!(t.get(Metric::FeedbackRuns), 10);
         assert_eq!(t.get(Metric::SuspectFlagged), 1);
-        let suspects = t.suspects();
+        let snap = t.snapshot();
+        let suspects = snap.suspects();
         assert_eq!(suspects.len(), 1);
         assert_eq!(suspects[0].fp, 2);
-        let snap = t.snapshot();
         assert_eq!(snap.qerror.len(), 2);
         // Snapshot order: worst geomean first.
         assert_eq!(snap.qerror[0].fp, 2);
@@ -507,14 +476,11 @@ mod tests {
 
     #[test]
     fn full_plane_populates_every_tier() {
-        let t = Telemetry::new(TelemetryConfig {
-            topk: 4,
-            ..TelemetryConfig::default()
-        });
+        let t = Telemetry::default();
         t.add(Metric::Requests, 2);
         t.observe(LatencyPath::Optimize, 1_000);
         t.observe(LatencyPath::EndToEnd, 1_100);
-        t.record_request(7, 1_100, 3);
+        t.record(7, 3, 1_100, None, &SpanContext::off());
         let snap = t.snapshot();
         assert_eq!(snap.counters[Metric::Requests], 2);
         assert_eq!(snap.latency[LatencyPath::Optimize].count(), 1);
@@ -523,6 +489,49 @@ mod tests {
             (snap.topk[0].fp, snap.topk[0].nanos, snap.topk[0].last_epoch),
             (7, 1_100, 3)
         );
+    }
+
+    #[test]
+    fn an_optimize_only_fingerprint_is_hot_but_has_no_sketch() {
+        let t = Telemetry::default();
+        let off = SpanContext::off();
+        t.record(7, 1, 900, None, &off);
+        t.record(7, 2, 1_100, None, &off);
+        t.record(8, 2, 500, Some((10, 40, 3_000)), &off);
+        let snap = t.snapshot();
+        let hot: Vec<_> = snap.topk.iter().map(|e| (e.fp, e.count, e.nanos)).collect();
+        assert_eq!(hot, [(7, 2, 2_000), (8, 1, 500)]);
+        assert_eq!(snap.topk[0].last_epoch, 2);
+        assert_eq!(snap.qerror.len(), 1);
+        assert_eq!((snap.qerror[0].fp, snap.qerror[0].runs), (8, 1));
+        assert_eq!(snap.counters[Metric::FeedbackRuns], 1);
+    }
+
+    #[test]
+    fn full_and_feedback_gate_top_k_and_sketches_apart() {
+        for (full, feedback) in [(false, false), (false, true), (true, false), (true, true)] {
+            let t = Telemetry::new(TelemetryConfig {
+                full,
+                feedback,
+                suspect: SuspectConfig {
+                    min_runs: 1,
+                    ..SuspectConfig::default()
+                },
+                ..TelemetryConfig::default()
+            });
+            let suspect = t.record(9, 1, 700, Some((10, 1_000, 500)), &SpanContext::off());
+            let snap = t.snapshot();
+            let case = format!("full {full}, feedback {feedback}");
+            assert_eq!(snap.topk.len(), usize::from(full), "{case}");
+            assert_eq!(snap.qerror.len(), usize::from(feedback), "{case}");
+            assert_eq!(suspect, feedback, "{case}");
+            let flagged = snap.counters[Metric::SuspectFlagged];
+            assert_eq!(flagged, u64::from(feedback), "{case}");
+            assert_eq!(snap.suspects().len(), usize::from(feedback), "{case}");
+            assert_eq!(t.feedback().is_some(), full || feedback, "{case}");
+            let runs = snap.counters[Metric::FeedbackRuns];
+            assert_eq!(runs, u64::from(feedback), "{case}");
+        }
     }
 
     #[test]
@@ -592,18 +601,24 @@ mod tests {
         let ctx = tail.span_context();
         let _ = ctx.enter("request");
         assert_eq!(
-            tail.retire_spans(&ctx, 9, 1, "miss", false, true),
+            tail.retire_spans(&ctx, 9, 1, "miss", true, false),
             Some("degraded")
         );
         let ctx = tail.span_context();
         let _ = ctx.enter("request");
-        tail.record_feedback(11, 10, 1_000, 500, 1);
-        assert!(tail.is_suspect(11));
+        let suspect = tail.record(11, 1, 500, Some((10, 1_000, 500)), &ctx);
+        assert!(suspect);
         assert_eq!(
-            tail.retire_spans(&ctx, 11, 1, "hit", false, false),
+            tail.retire_spans(&ctx, 11, 1, "hit", false, suspect),
             Some("suspect")
         );
-        assert!(tail.span_trees().iter().any(|t| t.suspect && t.fp == 11));
+        let trees = tail.span_trees();
+        let flagged = trees.iter().find(|t| t.suspect && t.fp == 11).unwrap();
+        let event = flagged.events.iter().map(|e| &e.event);
+        assert_eq!(
+            event.map(TraceEvent::kind).collect::<Vec<_>>(),
+            ["plan_suspect"]
+        );
     }
 
     #[test]

@@ -1,29 +1,38 @@
-//! The feedback plane: bounded-memory, per-fingerprint plan-quality
-//! sketches fed by the executor's compact per-run actuals.
+//! The feedback plane: one bounded table of per-fingerprint slots. A slot
+//! holds everything the telemetry plane keeps about one query shape: its
+//! hot-query totals, its plan-quality sketch and its heal state.
 //!
-//! Each served-and-executed request folds one `(estimate, actual, nanos,
-//! epoch)` observation into its fingerprint's [`QErrorSketch`]: a streaming
-//! geometric-mean and max Q-error against the cached plan's cardinality
-//! estimate, a log₂ latency histogram, run counts, and a *suspect* flag
-//! that trips once the sketch crosses the configured [`SuspectConfig`]
-//! thresholds. The flag is sticky **per installed plan**: it clears only
-//! when a new plan or epoch is installed for the fingerprint (an
-//! epoch-keyed [`QErrorSketch::refresh_estimate`], triggered by a newer
-//! epoch arriving in `record` or by a heal's [`FeedbackPlane::resolve`]
-//! after an adaptive plan swap). A refresh
-//! resets the Q-error *window* (the accumulators the thresholds read) but
-//! preserves the lifetime run count, latency histogram, and observed
-//! actual-row extremes, so drift trends survive legitimate invalidations.
-//! Flagging emits a counter and (at the caller's discretion) a trace
-//! event — acting on a suspect plan is the serving layer's business, not
-//! the plane's.
+//! Every served request makes one [`FeedbackPlane::record`] call — one
+//! shard lock, one linear probe — where its outcome is known:
 //!
-//! The plane is also the one owner of each fingerprint's heal state: a
-//! [`HealRecord`] and an in-flight flag sit beside its sketch in the same
-//! slot. The serving layer's heal policy reads and writes them only through
-//! [`FeedbackPlane::claim`] and [`FeedbackPlane::resolve`], each one step
-//! under the shard lock, so heal state is bounded with the sketches and a
-//! recycled sketch takes its heal history with it.
+//! - the **hot-query totals** ([`HotQuery`]) count the request and add its
+//!   serve latency and epoch. They are exact while every distinct
+//!   fingerprint fits (the common case for template-driven workloads);
+//!   under overflow the space-saving rule (Metwally et al.) keeps any
+//!   fingerprint whose true count exceeds the evicted minimum, and `err`
+//!   bounds the overcount;
+//! - an **executed** request also folds its `(estimate, actual, nanos,
+//!   epoch)` observation into the [`QErrorSketch`]: a streaming
+//!   geometric-mean and max Q-error against the cached plan's cardinality
+//!   estimate, a log₂ latency histogram, run counts, and a *suspect* flag
+//!   that trips once the sketch crosses the configured [`SuspectConfig`]
+//!   thresholds. The flag is sticky **per installed plan**: it clears only
+//!   when a new plan or epoch is installed for the fingerprint (an
+//!   epoch-keyed [`QErrorSketch::refresh_estimate`], triggered by a newer
+//!   epoch arriving in `record` or by a heal's [`FeedbackPlane::resolve`]
+//!   after an adaptive plan swap). A refresh resets the Q-error *window*
+//!   (the accumulators the thresholds read) but preserves the lifetime run
+//!   count, latency histogram, and observed actual-row extremes, so drift
+//!   trends survive legitimate invalidations;
+//! - the **heal state** is a [`HealRecord`] and an in-flight flag. The
+//!   serving layer's heal policy reads and writes them only through
+//!   [`FeedbackPlane::claim`] and [`FeedbackPlane::resolve`], each one step
+//!   under the shard lock.
+//!
+//! `record` returns the slot's suspect flag, so the caller acts on it
+//! (heal, span retention) without a second lookup. Flagging is reported
+//! back once; acting on a suspect plan is the serving layer's business,
+//! not the plane's.
 //!
 //! ## Determinism under concurrency
 //!
@@ -33,7 +42,8 @@
 //! - per-run `log₂ Q` is quantized to integer micro-units
 //!   ([`qlog_micro`]) and *summed* — integer addition is order-free,
 //!   unlike floating-point;
-//! - max Q, min/max actual rows, and last-epoch are max/min folds;
+//! - request counts and latency sums are integer sums; max Q, min/max
+//!   actual rows, and last-epoch are max/min folds;
 //! - the latency histogram is bucket-count addition;
 //! - the estimate is keyed by epoch (highest epoch wins), and for a fixed
 //!   `(fingerprint, epoch)` the cached plan's estimate is a constant;
@@ -43,12 +53,20 @@
 //!   window — so the final window is the same multiset whatever the
 //!   arrival order.
 //!
-//! Memory is bounded like the top-K tracker: `shards × capacity` sketches,
-//! with the least-run sketch recycled when a shard overflows (never one
-//! with a heal in flight).
+//! ## Bounded memory
+//!
+//! Each fingerprint hashes to exactly one shard, each shard is a small
+//! mutex-guarded array, and memory stays fixed at `shards × capacity`
+//! slots however many fingerprints flow past. One recycling rule: when a
+//! shard is full, the newcomer takes the slot with the smallest count
+//! that has no heal in flight (ties by fingerprint). It inherits that
+//! count plus one, with the count as its overcount bound (space-saving);
+//! its sketch and heal record start from zero, since the evicted
+//! fingerprint's history is not its own.
 
 use std::sync::Mutex;
 
+use crate::event::TraceEvent;
 use crate::hist::Histogram;
 use crate::telemetry::heal::HealRecord;
 use crate::telemetry::sample::mix64;
@@ -75,6 +93,24 @@ pub fn qlog_micro(est_rows: u64, actual_rows: u64) -> u64 {
 /// A Q-error in linear terms from its quantized log form.
 pub fn qlog_to_q(qlog: u64) -> f64 {
     (qlog as f64 / QLOG_SCALE as f64).exp2()
+}
+
+record! {
+    /// One tracked fingerprint: exact or space-saving-approximate totals.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HotQuery {
+        /// Canonical query fingerprint hash.
+        pub fp: u64,
+        /// Requests observed (overcounted by at most `err`).
+        pub count: u64,
+        /// Space-saving overcount bound: 0 while the entry never recycled.
+        pub err: u64,
+        /// Cumulative serve latency nanos attributed to this entry
+        /// (execution excluded).
+        pub nanos: u64,
+        /// Catalog epoch of the most recent request.
+        pub last_epoch: u64,
+    }
 }
 
 record! {
@@ -159,6 +195,50 @@ impl QErrorSketch {
     pub fn mean_nanos(&self) -> Option<u64> {
         self.nanos.mean().map(|m| m.round().max(0.0) as u64)
     }
+
+    /// Fold one executed run's actuals. Returns the `plan_suspect` event
+    /// exactly when this fold flipped the sticky suspect flag.
+    fn fold(
+        &mut self,
+        config: &SuspectConfig,
+        (est_rows, actual_rows, nanos): (u64, u64, u64),
+        epoch: u64,
+    ) -> Option<TraceEvent> {
+        self.runs += 1;
+        self.actual_min = self.actual_min.min(actual_rows);
+        self.actual_max = self.actual_max.max(actual_rows);
+        self.nanos.record(nanos);
+        if epoch > self.last_epoch && self.q_runs > 0 {
+            // A newer plan is installed: start a fresh Q window for it
+            // (keeping the lifetime history folded above).
+            self.refresh_estimate(est_rows, epoch);
+        }
+        if epoch >= self.last_epoch {
+            // For a fixed (fp, epoch) the cached plan's estimate is a
+            // constant, so "highest epoch wins" is order-independent.
+            self.est_rows = est_rows;
+            self.last_epoch = epoch;
+            self.q_runs += 1;
+            let qlog = qlog_micro(est_rows, actual_rows);
+            self.qlog_sum_micro += qlog;
+            self.qlog_max_micro = self.qlog_max_micro.max(qlog);
+        }
+        // Stale-epoch stragglers (epoch < last_epoch) fold into the
+        // lifetime totals only — the window judges the current plan.
+        if self.suspect {
+            return None;
+        }
+        let reason = config.crossed(self)?;
+        self.suspect = true;
+        Some(TraceEvent::PlanSuspect {
+            fp: self.fp,
+            epoch: self.last_epoch,
+            runs: self.q_runs,
+            geomean_q: self.geomean_q().unwrap_or(1.0),
+            max_q: self.max_q().unwrap_or(1.0),
+            reason: reason.to_string(),
+        })
+    }
 }
 
 /// Suspect-detection thresholds, in the sketch's own integer units so the
@@ -212,33 +292,32 @@ impl SuspectConfig {
     }
 }
 
-/// What a fold that newly flagged its fingerprint reports back, so the
-/// caller can bump counters and emit the detection trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SuspectVerdict {
-    pub fp: u64,
-    pub epoch: u64,
-    pub runs: u64,
-    pub geomean_q: f64,
-    pub max_q: f64,
-    /// Which threshold tripped: `geomean_q`, `max_q`, or `mean_latency`.
-    pub reason: &'static str,
-}
-
-/// One fingerprint's slot: its sketch plus the heal state the serving
-/// layer keeps for it.
+/// One fingerprint's slot: its hot-query totals, its sketch, and the heal
+/// state the serving layer keeps for it.
 struct Slot {
+    hot: HotQuery,
+    /// Folded only by executed requests: `runs == 0` for a fingerprint
+    /// that was only ever optimized.
     sketch: QErrorSketch,
-    /// The heal schedule, created by the first claim. Boxed so the
-    /// slots `record` probes stay the size of a sketch.
+    /// The heal schedule, created by the first claim. Boxed because few
+    /// slots ever heal.
     heal: Option<Box<HealRecord>>,
     /// A claimed heal is in flight: no second claim, no recycling.
     healing: bool,
 }
 
 impl Slot {
-    fn new(fp: u64) -> Slot {
+    /// A fresh slot whose count starts at `inherited`, the space-saving
+    /// overcount bound (0 for a slot never recycled).
+    fn new(fp: u64, inherited: u64) -> Slot {
         Slot {
+            hot: HotQuery {
+                fp,
+                count: inherited,
+                err: inherited,
+                nanos: 0,
+                last_epoch: 0,
+            },
             sketch: QErrorSketch::new(fp),
             heal: None,
             healing: false,
@@ -246,13 +325,8 @@ impl Slot {
     }
 }
 
-/// The sharded, bounded feedback plane. Sharding follows the top-K
-/// tracker: each fingerprint hashes to exactly one shard, each shard is a
-/// small mutex-guarded array, and memory stays fixed at `shards ×
-/// capacity` slots however many fingerprints flow past. On overflow the
-/// least-run slot without a heal in flight is recycled for the newcomer
-/// (its history is the evicted fingerprint's, so sketch and heal record
-/// restart from zero).
+/// The sharded, bounded per-fingerprint table (see the module docs for
+/// its recycling rule).
 pub struct FeedbackPlane {
     shards: Box<[Mutex<Vec<Slot>>]>,
     mask: usize,
@@ -271,7 +345,7 @@ impl std::fmt::Debug for FeedbackPlane {
 
 impl FeedbackPlane {
     /// A plane with `shards` shards (rounded up to a power of two), each
-    /// holding at most `capacity` sketches.
+    /// holding at most `capacity` slots.
     pub fn new(shards: usize, capacity: usize, config: SuspectConfig) -> FeedbackPlane {
         let n = shards.max(1).next_power_of_two();
         FeedbackPlane {
@@ -282,92 +356,70 @@ impl FeedbackPlane {
         }
     }
 
-    pub fn config(&self) -> SuspectConfig {
-        self.config
-    }
-
     fn shard(&self, fp: u64) -> std::sync::MutexGuard<'_, Vec<Slot>> {
         self.shards[(mix64(fp) as usize) & self.mask]
             .lock()
             .unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Fold one executed run's actuals into its fingerprint's sketch.
-    /// Returns `Some` exactly when this fold flipped the sticky suspect
-    /// flag (at most once per resident sketch). A newcomer to a shard full
-    /// of in-flight heals is not folded.
+    /// Record one served request for `fp`: its serve latency and epoch
+    /// into the hot-query totals and, when it executed, `run = (est_rows,
+    /// actual_rows, nanos)` into the sketch. Returns the slot's suspect
+    /// flag after the fold, and the `plan_suspect` event exactly when this
+    /// fold flipped it (at most once per resident sketch). A newcomer to a
+    /// shard whose every slot has a heal in flight is not recorded:
+    /// `(false, None)`.
     pub fn record(
         &self,
         fp: u64,
-        est_rows: u64,
-        actual_rows: u64,
-        nanos: u64,
         epoch: u64,
-    ) -> Option<SuspectVerdict> {
+        serve_nanos: u64,
+        run: Option<(u64, u64, u64)>,
+    ) -> (bool, Option<TraceEvent>) {
         let mut entries = self.shard(fp);
-        let slot = match entries.iter().position(|e| e.sketch.fp == fp) {
+        let i = match entries.iter().position(|e| e.hot.fp == fp) {
             Some(i) => i,
             None if entries.len() < self.capacity => {
-                entries.push(Slot::new(fp));
+                entries.push(Slot::new(fp, 0));
                 entries.len() - 1
             }
             None => {
-                // Recycle the least-informed sketch (fewest runs; ties by
-                // fingerprint for determinism). Unlike space-saving counts,
-                // Q-error sketches must not inherit a stranger's history.
                 let victim = entries
                     .iter()
                     .enumerate()
                     .filter(|(_, e)| !e.healing)
-                    .min_by_key(|(_, e)| (e.sketch.runs, e.sketch.fp))
-                    .map(|(i, _)| i)?;
-                entries[victim] = Slot::new(fp);
-                victim
+                    .min_by_key(|(_, e)| (e.hot.count, e.hot.fp))
+                    .map(|(i, e)| (i, e.hot.count));
+                let Some((i, count)) = victim else {
+                    return (false, None);
+                };
+                entries[i] = Slot::new(fp, count);
+                i
             }
         };
-        let s = &mut entries[slot].sketch;
-        s.runs += 1;
-        s.actual_min = s.actual_min.min(actual_rows);
-        s.actual_max = s.actual_max.max(actual_rows);
-        s.nanos.record(nanos);
-        if epoch > s.last_epoch && s.q_runs > 0 {
-            // A newer plan is installed: start a fresh Q window for it
-            // (keeping the lifetime history folded above).
-            s.refresh_estimate(est_rows, epoch);
-        }
-        if epoch >= s.last_epoch {
-            // For a fixed (fp, epoch) the cached plan's estimate is a
-            // constant, so "highest epoch wins" is order-independent.
-            s.est_rows = est_rows;
-            s.last_epoch = epoch;
-            s.q_runs += 1;
-            let qlog = qlog_micro(est_rows, actual_rows);
-            s.qlog_sum_micro += qlog;
-            s.qlog_max_micro = s.qlog_max_micro.max(qlog);
-        }
-        // Stale-epoch stragglers (epoch < last_epoch) fold into the
-        // lifetime totals only — the window judges the current plan.
-        if !s.suspect {
-            if let Some(reason) = self.config.crossed(s) {
-                s.suspect = true;
-                return Some(SuspectVerdict {
-                    fp,
-                    epoch: s.last_epoch,
-                    runs: s.q_runs,
-                    geomean_q: s.geomean_q().unwrap_or(1.0),
-                    max_q: s.max_q().unwrap_or(1.0),
-                    reason,
-                });
-            }
-        }
-        None
+        let slot = &mut entries[i];
+        slot.hot.count += 1;
+        slot.hot.nanos += serve_nanos;
+        slot.hot.last_epoch = slot.hot.last_epoch.max(epoch);
+        let flagged = run.and_then(|run| slot.sketch.fold(&self.config, run, epoch));
+        (slot.sketch.suspect, flagged)
     }
 
-    /// Every resident sketch, worst plan quality first (geomean `log₂ Q`
-    /// descending, ties by fingerprint ascending — an integer sort, so the
-    /// order is exactly reproducible).
+    /// The top `k` hot queries by count (ties broken by fingerprint for
+    /// determinism). Each fingerprint lives in exactly one shard, so the
+    /// merge never double-counts.
+    pub fn hot(&self, k: usize) -> Vec<HotQuery> {
+        let mut all = self.collect(|e| Some(e.hot));
+        all.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.fp.cmp(&b.fp)));
+        all.truncate(k);
+        all
+    }
+
+    /// Every resident sketch with at least one executed run, worst plan
+    /// quality first (geomean `log₂ Q` descending, ties by fingerprint
+    /// ascending — an integer sort, so the order is exactly reproducible).
     pub fn snapshot(&self) -> Vec<QErrorSketch> {
-        let mut all = self.collect(|e| Some(e.sketch.clone()));
+        let mut all = self.collect(|e| (e.sketch.runs > 0).then(|| e.sketch.clone()));
         all.sort_unstable_by(|a, b| {
             let key = |e: &QErrorSketch| e.qlog_sum_micro.checked_div(e.q_runs).unwrap_or(0);
             key(b).cmp(&key(a)).then(a.fp.cmp(&b.fp))
@@ -385,7 +437,7 @@ impl FeedbackPlane {
 
     /// Claim `fp` for a heal: the suspect check, the single-flight
     /// election and the schedule's admission in one step under its shard
-    /// lock. `None` when there is nothing to claim — no resident sketch,
+    /// lock. `None` when there is nothing to claim — no resident slot,
     /// not suspect, or a heal already in flight. Otherwise `admit` rules on
     /// the slot's heal record (created on first use): `Ok` marks the heal
     /// in flight and hands back the sketch it was judged on, `Err` leaves
@@ -398,7 +450,7 @@ impl FeedbackPlane {
         let mut entries = self.shard(fp);
         let e = entries
             .iter_mut()
-            .find(|e| e.sketch.fp == fp)
+            .find(|e| e.hot.fp == fp)
             .filter(|e| e.sketch.suspect && !e.healing)?;
         let rec = e.heal.get_or_insert_with(|| {
             Box::new(HealRecord {
@@ -426,30 +478,13 @@ impl FeedbackPlane {
         let mut entries = self.shard(fp);
         let e = entries
             .iter_mut()
-            .find(|e| e.sketch.fp == fp)
+            .find(|e| e.hot.fp == fp)
             .filter(|e| e.healing)?;
         e.healing = false;
         if let Some((est_rows, epoch)) = refresh {
             e.sketch.refresh_estimate(est_rows, epoch);
         }
         e.heal.as_deref_mut().map(resolve)
-    }
-
-    /// Whether one fingerprint's resident sketch is flagged suspect.
-    /// Cheap enough for the serve path: one shard lock, a small linear
-    /// probe, no cloning (the tail sampler calls this per retirement).
-    pub fn is_suspect(&self, fp: u64) -> bool {
-        self.shard(fp)
-            .iter()
-            .any(|e| e.sketch.fp == fp && e.sketch.suspect)
-    }
-
-    /// The suspect registry: resident sketches with the flag set,
-    /// fingerprint ascending.
-    pub fn suspects(&self) -> Vec<QErrorSketch> {
-        let mut out = self.collect(|e| e.sketch.suspect.then(|| e.sketch.clone()));
-        out.sort_unstable_by_key(|e| e.fp);
-        out
     }
 
     /// `pick` over every resident slot, shard by shard.
@@ -463,7 +498,7 @@ impl FeedbackPlane {
             .collect()
     }
 
-    /// Resident sketches across all shards (≤ shards × capacity).
+    /// Resident slots across all shards (≤ shards × capacity).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -479,6 +514,173 @@ impl FeedbackPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fields of the `plan_suspect` event a fold returned.
+    #[derive(Debug)]
+    struct Verdict {
+        fp: u64,
+        epoch: u64,
+        runs: u64,
+        geomean_q: f64,
+        max_q: f64,
+        reason: String,
+    }
+
+    /// Record one executed request for `fp` (serve latency 0): the verdict
+    /// when this run flipped the suspect flag.
+    fn run(
+        plane: &FeedbackPlane,
+        fp: u64,
+        est: u64,
+        actual: u64,
+        nanos: u64,
+        epoch: u64,
+    ) -> Option<Verdict> {
+        match plane.record(fp, epoch, 0, Some((est, actual, nanos))).1? {
+            TraceEvent::PlanSuspect {
+                fp,
+                epoch,
+                runs,
+                geomean_q,
+                max_q,
+                reason,
+            } => Some(Verdict {
+                fp,
+                epoch,
+                runs,
+                geomean_q,
+                max_q,
+                reason,
+            }),
+            other => panic!("not a plan_suspect event: {other:?}"),
+        }
+    }
+
+    /// The suspect sketches, as a snapshot reads them.
+    fn suspects(plane: &FeedbackPlane) -> Vec<QErrorSketch> {
+        plane.snapshot().into_iter().filter(|s| s.suspect).collect()
+    }
+
+    fn is_suspect(plane: &FeedbackPlane, fp: u64) -> bool {
+        suspects(plane).iter().any(|s| s.fp == fp)
+    }
+
+    #[test]
+    fn exact_counts_when_under_capacity() {
+        let t = FeedbackPlane::new(4, 8, SuspectConfig::default());
+        for (fp, n) in [(7u64, 5u64), (9, 3), (11, 1)] {
+            for i in 0..n {
+                t.record(fp, i, 100 + i, None);
+            }
+        }
+        let snap = t.hot(10);
+        assert_eq!(snap.len(), 3);
+        assert_eq!((snap[0].fp, snap[0].count, snap[0].err), (7, 5, 0));
+        assert_eq!(snap[0].nanos, 100 + 101 + 102 + 103 + 104);
+        assert_eq!(snap[0].last_epoch, 4);
+        assert_eq!((snap[1].fp, snap[1].count), (9, 3));
+        assert_eq!((snap[2].fp, snap[2].count), (11, 1));
+    }
+
+    #[test]
+    fn snapshot_truncates_to_k_deterministically() {
+        let t = FeedbackPlane::new(1, 16, SuspectConfig::default());
+        for fp in 0..10u64 {
+            t.record(fp, 0, 1, None);
+            if fp < 5 {
+                t.record(fp, 0, 1, None);
+            }
+        }
+        let snap = t.hot(5);
+        assert_eq!(snap.len(), 5);
+        // All five have count 2; ties break by ascending fingerprint.
+        assert_eq!(
+            snap.iter().map(|e| e.fp).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn memory_stays_bounded_and_heavy_hitter_survives() {
+        let t = FeedbackPlane::new(1, 4, SuspectConfig::default());
+        // One heavy hitter among a stream of one-off fingerprints.
+        for i in 0..1_000u64 {
+            t.record(42, 0, 10, None);
+            t.record(1_000_000 + i, 0, 10, None);
+        }
+        assert!(t.len() <= 4, "capacity must bound memory");
+        let snap = t.hot(4);
+        let heavy = snap.iter().find(|e| e.fp == 42).expect("heavy hitter");
+        assert_eq!(heavy.count, 1_000);
+        assert_eq!(heavy.err, 0, "never evicted, so exact");
+        // Recycled entries carry a non-zero overcount bound.
+        assert!(snap.iter().any(|e| e.fp != 42 && e.err > 0));
+        // Space-saving invariant: count never below the true count.
+        for e in &snap {
+            assert!(e.count >= 1);
+            assert!(e.err < e.count);
+        }
+    }
+
+    #[test]
+    fn concurrent_records_stay_exact_under_capacity() {
+        let t = std::sync::Arc::new(FeedbackPlane::new(8, 8, SuspectConfig::default()));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let t = t.clone();
+                scope.spawn(move || {
+                    for i in 0..1_000u64 {
+                        t.record(i % 6, 1, 2, None);
+                    }
+                });
+            }
+        });
+        let snap = t.hot(6);
+        assert_eq!(snap.len(), 6);
+        for e in &snap {
+            // 8 threads × 1000 records over 6 fps: 166 or 167 each... but
+            // exactly: each thread records fp (i % 6), i in 0..1000 →
+            // fps 0..3 get 167, fps 4..5 get 166; ×8 threads.
+            let per_thread = if e.fp < 4 { 167 } else { 166 };
+            assert_eq!(e.count, per_thread * 8, "fp {}", e.fp);
+            assert_eq!(e.nanos, e.count * 2);
+            assert_eq!(e.err, 0);
+        }
+    }
+
+    #[test]
+    fn a_recycled_slot_inherits_the_count_but_not_the_history() {
+        let plane = flagged(2, 1);
+        assert!(claim(&plane, 1).is_some());
+        plane.resolve(1, None, |rec| rec.pins += 1);
+        for _ in 0..3 {
+            plane.record(1, 1, 10, Some((100, 800, 1_000)));
+        }
+        for _ in 0..5 {
+            plane.record(2, 1, 10, None);
+        }
+        // Fingerprint 1 (count 4) is the least-count slot: the newcomer
+        // takes it with count 4 + 1 and overcount bound 4.
+        let (suspect, verdict) = plane.record(3, 2, 7, Some((10, 10, 100)));
+        assert_eq!((suspect, verdict), (false, None));
+        let hot = plane.hot(2);
+        let newcomer = hot.iter().find(|e| e.fp == 3).expect("resident");
+        assert_eq!(
+            (
+                newcomer.count,
+                newcomer.err,
+                newcomer.nanos,
+                newcomer.last_epoch
+            ),
+            (5, 4, 7, 2)
+        );
+        assert!(hot.iter().all(|e| e.fp != 1), "fingerprint 1 was evicted");
+        // Its sketch holds only its own run, and no heal record came along.
+        let sketch = plane.snapshot().into_iter().find(|s| s.fp == 3).unwrap();
+        assert_eq!((sketch.runs, sketch.q_runs, sketch.suspect), (1, 1, false));
+        assert_eq!((sketch.actual_min, sketch.actual_max), (10, 10));
+        assert!(plane.heal_records().is_empty());
+    }
 
     #[test]
     fn qlog_micro_is_symmetric_and_zero_guarded() {
@@ -499,7 +701,7 @@ mod tests {
         let plane = FeedbackPlane::new(1, 8, SuspectConfig::default());
         // Qs of 2, 8, 2: geomean = (2·8·2)^(1/3) = 32^(1/3) ≈ 3.1748.
         for (est, actual) in [(100u64, 200u64), (100, 800), (200, 100)] {
-            plane.record(7, est, actual, 1_000, 1);
+            run(&plane, 7, est, actual, 1_000, 1);
         }
         let snap = plane.snapshot();
         assert_eq!(snap.len(), 1);
@@ -525,22 +727,22 @@ mod tests {
         let plane = FeedbackPlane::new(2, 8, config);
         // Three runs at Q = 8: under min_runs, never flagged.
         for _ in 0..3 {
-            assert!(plane.record(9, 100, 800, 500, 2).is_none());
+            assert!(run(&plane, 9, 100, 800, 500, 2).is_none());
         }
         // Fourth run crosses: flagged exactly once, with the verdict.
-        let v = plane.record(9, 100, 800, 500, 2).expect("flagged");
-        assert_eq!((v.fp, v.runs, v.reason), (9, 4, "geomean_q"));
+        let v = run(&plane, 9, 100, 800, 500, 2).expect("flagged");
+        assert_eq!((v.fp, v.runs, v.reason.as_str()), (9, 4, "geomean_q"));
         assert_eq!(v.epoch, 2);
         assert!((v.geomean_q - 8.0).abs() < 1e-6);
         // Further runs keep the flag but never re-report.
-        assert!(plane.record(9, 100, 800, 500, 2).is_none());
-        assert_eq!(plane.suspects().len(), 1);
-        assert!(plane.suspects()[0].suspect);
+        assert!(run(&plane, 9, 100, 800, 500, 2).is_none());
+        assert_eq!(suspects(&plane).len(), 1);
+        assert!(suspects(&plane)[0].suspect);
         // An accurate fingerprint never flags.
         for _ in 0..10 {
-            assert!(plane.record(11, 100, 100, 500, 2).is_none());
+            assert!(run(&plane, 11, 100, 100, 500, 2).is_none());
         }
-        assert_eq!(plane.suspects().len(), 1);
+        assert_eq!(suspects(&plane).len(), 1);
     }
 
     #[test]
@@ -552,8 +754,8 @@ mod tests {
             mean_latency_nanos: u64::MAX,
         };
         let plane = FeedbackPlane::new(1, 4, config);
-        assert!(plane.record(5, 10, 10, 100, 0).is_none());
-        let v = plane.record(5, 10, 1_000, 100, 0).expect("flagged");
+        assert!(run(&plane, 5, 10, 10, 100, 0).is_none());
+        let v = run(&plane, 5, 10, 1_000, 100, 0).expect("flagged");
         assert_eq!(v.reason, "max_q");
         assert!((v.max_q - 100.0).abs() < 0.5);
     }
@@ -567,9 +769,9 @@ mod tests {
             mean_latency_nanos: 10_000,
         };
         let plane = FeedbackPlane::new(1, 4, config);
-        assert!(plane.record(5, 10, 10, 9_000, 0).is_none());
-        assert!(plane.record(5, 10, 10, 9_000, 0).is_none());
-        let v = plane.record(5, 10, 10, 50_000, 0).expect("flagged");
+        assert!(run(&plane, 5, 10, 10, 9_000, 0).is_none());
+        assert!(run(&plane, 5, 10, 10, 9_000, 0).is_none());
+        let v = run(&plane, 5, 10, 10, 50_000, 0).expect("flagged");
         assert_eq!(v.reason, "mean_latency");
     }
 
@@ -577,15 +779,15 @@ mod tests {
     fn memory_stays_bounded_and_recycling_resets_history() {
         let plane = FeedbackPlane::new(1, 4, SuspectConfig::default());
         for fp in 0..100u64 {
-            plane.record(fp, 10, 10, 100, 0);
+            run(&plane, fp, 10, 10, 100, 0);
         }
         assert!(plane.len() <= 4, "capacity must bound memory");
         // A heavy fingerprint folded repeatedly survives recycling.
         for _ in 0..50 {
-            plane.record(1_000, 10, 10, 100, 0);
+            run(&plane, 1_000, 10, 10, 100, 0);
         }
         for fp in 200..260u64 {
-            plane.record(fp, 10, 10, 100, 0);
+            run(&plane, fp, 10, 10, 100, 0);
         }
         let snap = plane.snapshot();
         let heavy = snap.iter().find(|e| e.fp == 1_000).expect("survives");
@@ -602,15 +804,15 @@ mod tests {
             ..SuspectConfig::default()
         };
         let plane = FeedbackPlane::new(1, 4, config);
-        plane.record(7, 100, 800, 1_000, 1);
-        let v = plane.record(7, 100, 800, 1_000, 1).expect("flagged");
+        run(&plane, 7, 100, 800, 1_000, 1);
+        let v = run(&plane, 7, 100, 800, 1_000, 1).expect("flagged");
         assert_eq!(v.runs, 2);
-        assert!(plane.is_suspect(7));
+        assert!(is_suspect(&plane, 7));
         // A heal's swap refreshes the sketch: suspect clears, the Q window
         // restarts, lifetime runs/latency/actual extremes survive.
         assert!(claim(&plane, 7).is_some());
         assert_eq!(plane.resolve(7, Some((800, 1)), |_| ()), Some(()));
-        assert!(!plane.is_suspect(7));
+        assert!(!is_suspect(&plane, 7));
         let s = &plane.snapshot()[0];
         assert_eq!((s.runs, s.q_runs, s.qlog_sum_micro), (2, 0, 0));
         assert_eq!(s.est_rows, 800);
@@ -618,9 +820,9 @@ mod tests {
         assert_eq!(s.nanos.count(), 2);
         // The refreshed estimate is accurate: no re-flag.
         for _ in 0..6 {
-            assert!(plane.record(7, 800, 800, 1_000, 1).is_none());
+            assert!(run(&plane, 7, 800, 800, 1_000, 1).is_none());
         }
-        assert!(!plane.is_suspect(7));
+        assert!(!is_suspect(&plane, 7));
         // A fingerprint without a claim is a no-op.
         assert_eq!(plane.resolve(999, Some((10, 1)), |_| ()), None);
     }
@@ -641,14 +843,14 @@ mod tests {
             ..SuspectConfig::default()
         };
         let plane = FeedbackPlane::new(1, capacity, config);
-        assert!(plane.record(fp, 100, 800, 1_000, 1).is_some());
+        assert!(run(&plane, fp, 100, 800, 1_000, 1).is_some());
         plane
     }
 
     #[test]
     fn claimed_slot_refuses_a_second_claim_until_resolved() {
         let plane = flagged(4, 7);
-        plane.record(8, 100, 100, 1_000, 1);
+        run(&plane, 8, 100, 100, 1_000, 1);
         assert!(claim(&plane, 8).is_none(), "not suspect: nothing to claim");
         assert!(claim(&plane, 9).is_none(), "not resident: nothing to claim");
         // A refused admission counts on the record but claims nothing.
@@ -660,7 +862,7 @@ mod tests {
         let sketch = claim(&plane, 7).expect("suspect and unclaimed");
         assert_eq!((sketch.fp, sketch.est_rows, sketch.suspect), (7, 100, true));
         assert!(claim(&plane, 7).is_none(), "a heal is in flight");
-        plane.record(10, 100, 800, 1_000, 1);
+        run(&plane, 10, 100, 800, 1_000, 1);
         assert!(
             claim(&plane, 10).is_some(),
             "other fingerprints are independent"
@@ -678,23 +880,27 @@ mod tests {
     fn a_slot_with_a_heal_in_flight_is_never_recycled() {
         let plane = flagged(2, 1);
         assert!(claim(&plane, 1).is_some());
-        // Fingerprint 1 has the fewest runs, but its heal is in flight:
+        // Fingerprint 1 holds the minimum count, but its heal is in flight:
         // every newcomer recycles the other slot instead.
         for _ in 0..5 {
-            plane.record(2, 10, 10, 100, 1);
+            run(&plane, 2, 10, 10, 100, 1);
         }
         for fp in 100..110u64 {
-            plane.record(fp, 10, 10, 100, 1);
+            run(&plane, fp, 10, 10, 100, 1);
+            let hot = plane.hot(2);
+            assert_eq!(hot.last().map(|e| (e.fp, e.count)), Some((1, 1)));
             assert!(plane.snapshot().iter().any(|e| e.fp == 1));
         }
         assert_eq!(plane.resolve(1, None, |_| ()), Some(()));
-        // Released, it is the least-run victim again.
-        plane.record(200, 10, 10, 100, 1);
+        // Released, it is the least-count victim again.
+        run(&plane, 200, 10, 10, 100, 1);
+        assert!(plane.hot(2).iter().all(|e| e.fp != 1));
         assert!(plane.snapshot().iter().all(|e| e.fp != 1));
-        // A shard whose every slot is in flight folds no newcomer.
+        // A shard whose every slot is in flight records no newcomer.
         let full = flagged(1, 3);
         assert!(claim(&full, 3).is_some());
-        assert!(full.record(4, 10, 10, 100, 1).is_none());
+        assert_eq!(full.record(4, 1, 10, Some((10, 10, 100))), (false, None));
+        assert_eq!(full.hot(2).iter().map(|e| e.fp).collect::<Vec<_>>(), [3]);
         assert_eq!(full.snapshot()[0].fp, 3);
     }
 
@@ -704,13 +910,13 @@ mod tests {
         assert!(claim(&plane, 5).is_some());
         plane.resolve(5, Some((800, 1)), |rec| rec.swaps += 1);
         assert_eq!(plane.heal_records().len(), 1);
-        plane.record(6, 10, 10, 100, 1);
+        run(&plane, 6, 10, 10, 100, 1);
         assert!(
             plane.heal_records().is_empty(),
             "the record left with its sketch"
         );
         // The fingerprint returns with a fresh sketch and no heal history.
-        plane.record(5, 100, 800, 1_000, 1);
+        run(&plane, 5, 100, 800, 1_000, 1);
         assert_eq!(plane.snapshot()[0].runs, 1);
         assert!(plane.heal_records().is_empty());
     }
@@ -723,18 +929,18 @@ mod tests {
             ..SuspectConfig::default()
         };
         let plane = FeedbackPlane::new(1, 4, config);
-        plane.record(7, 100, 800, 1_000, 1);
-        assert!(plane.record(7, 100, 800, 1_000, 1).is_some());
+        run(&plane, 7, 100, 800, 1_000, 1);
+        assert!(run(&plane, 7, 100, 800, 1_000, 1).is_some());
         // Stats DDL bumped the epoch and a re-planned entry serves with a
         // corrected estimate: the first new-epoch fold resets the window.
-        assert!(plane.record(7, 800, 800, 1_000, 2).is_none());
+        assert!(run(&plane, 7, 800, 800, 1_000, 2).is_none());
         let s = &plane.snapshot()[0];
         assert_eq!((s.runs, s.q_runs), (3, 1));
         assert_eq!((s.qlog_sum_micro, s.last_epoch, s.est_rows), (0, 2, 800));
         assert!(!s.suspect);
         assert_eq!(s.nanos.count(), 3, "latency history survives the epoch");
         // A stale-epoch straggler folds into lifetime totals only.
-        plane.record(7, 100, 800, 1_000, 1);
+        run(&plane, 7, 100, 800, 1_000, 1);
         let s = &plane.snapshot()[0];
         assert_eq!((s.runs, s.q_runs, s.qlog_sum_micro), (4, 1, 0));
     }
@@ -757,7 +963,7 @@ mod tests {
                 let plane = plane.clone();
                 scope.spawn(move || {
                     for (fp, est, actual, nanos) in workload(tid) {
-                        plane.record(fp, est, actual, nanos, 3);
+                        run(&plane, fp, est, actual, nanos, 3);
                     }
                 });
             }
@@ -765,7 +971,7 @@ mod tests {
         let serial = FeedbackPlane::new(4, 16, SuspectConfig::default());
         for tid in 0..8u64 {
             for (fp, est, actual, nanos) in workload(tid) {
-                serial.record(fp, est, actual, nanos, 3);
+                run(&serial, fp, est, actual, nanos, 3);
             }
         }
         assert_eq!(plane.snapshot(), serial.snapshot());

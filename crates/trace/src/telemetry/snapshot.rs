@@ -1,8 +1,8 @@
 //! Point-in-time telemetry exports: a [`TelemetrySnapshot`] captures the
-//! counter plane, the latency histograms, and the top-K tracker without
-//! stopping the world, serializes losslessly as JSON (buckets included, so
-//! consumers re-derive any quantile), renders as Prometheus text
-//! exposition format, and diffs against an earlier snapshot to yield
+//! counter plane, the latency histograms, and the feedback plane's slots
+//! without stopping the world, serializes losslessly as JSON (buckets
+//! included, so consumers re-derive any quantile), renders as Prometheus
+//! text exposition format, and diffs against an earlier snapshot to yield
 //! interval metrics (`starqo-obs live --since`).
 
 use crate::hist::{Histogram, BUCKETS};
@@ -12,8 +12,7 @@ use crate::record::{Field, Record};
 use crate::telemetry::counters::{Counters, Metric};
 use crate::telemetry::heal::HealRecord;
 use crate::telemetry::phases::Phase;
-use crate::telemetry::qerror::QErrorSketch;
-use crate::telemetry::topk::HotQuery;
+use crate::telemetry::qerror::{HotQuery, QErrorSketch};
 use crate::telemetry::LatencyPath;
 
 /// A consistent-enough copy of the whole telemetry plane: every counter,
@@ -525,12 +524,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        for (est, actual, nanos) in [
+        for run in [
             (100u64, 400u64, 3_000u64),
             (100, 800, 4_000),
             (100, 400, 3_500),
         ] {
-            plane.record(0xDEAD_BEEF, est, actual, nanos, 2);
+            plane.record(0xDEAD_BEEF, 2, 0, Some(run));
         }
         plane.snapshot().remove(0)
     }

@@ -3,7 +3,9 @@
 //! the Prometheus text format. Any change to a name, an order or a number
 //! format shows up here as a diff, not as a `contains` that still passes.
 
-use starqo_trace::{LatencyPath, Metric, Phase, Telemetry, TelemetryConfig, TelemetrySnapshot};
+use starqo_trace::{
+    LatencyPath, Metric, Phase, SpanContext, Telemetry, TelemetryConfig, TelemetrySnapshot,
+};
 
 fn pinned_snapshot() -> TelemetrySnapshot {
     let t = Telemetry::new(TelemetryConfig::default());
@@ -24,19 +26,27 @@ fn pinned_snapshot() -> TelemetrySnapshot {
     t.record_phase(Phase::Enumerate, 30_000);
     t.record_phase(Phase::Glue, 8_000);
     t.record_phase(Phase::Execute, 12_000);
-    t.record_request(0xA11CE, 1_000, 1);
-    t.record_request(0xA11CE, 60_000, 2);
-    t.record_request(0xB0B, 900, 2);
-    for (actual, nanos) in [(40u64, 3_000u64), (400, 5_000), (4_000, 7_000)] {
-        let _ = t.record_feedback(0xA11CE, 40, actual, nanos, 2);
+    t.record(0xA11CE, 1, 1_000, None, &SpanContext::off());
+    for (serve, actual, nanos) in [
+        (60_000, 40, 3_000),
+        (2_000, 400, 5_000),
+        (3_000, 4_000, 7_000),
+    ] {
+        t.record(
+            0xA11CE,
+            2,
+            serve,
+            Some((40, actual, nanos)),
+            &SpanContext::off(),
+        );
     }
-    let _ = t.record_feedback(0xB0B, 10, 10, 800, 2);
+    t.record(0xB0B, 2, 900, Some((10, 10, 800)), &SpanContext::off());
     let mut snap = t.snapshot();
     snap.uptime_nanos = 2_000_000_000;
     snap
 }
 
-const JSON: &str = r#"{"version":4,"uptime_nanos":2000000000,"counters":{"serve_requests":7,"serve_cache_hit":5,"serve_cache_coalesced":0,"serve_cache_miss":2,"serve_cache_evict":0,"serve_cache_invalidate":0,"serve_rejected":0,"serve_degraded":0,"serve_errors":0,"serve_executions":0,"serve_exec_rows":0,"serve_trace_sampled":0,"serve_trace_unsampled":0,"opt_star_refs":0,"opt_memo_hits":0,"opt_plans_built":41,"opt_glue_refs":0,"serve_opt_nanos":90000,"serve_saved_nanos":0,"serve_exec_nanos":0,"serve_pipeline_rows":0,"serve_feedback_runs":4,"serve_suspects_flagged":0,"serve_spans_kept":0,"serve_spans_dropped":0,"serve_reopt_attempts":0,"serve_reopt_failures":0,"serve_reopt_backoff":0,"serve_reopt_retry_capped":0,"serve_plan_swap":0,"serve_plan_pinned":0,"vexec_batches":0,"vexec_morsels_queued":3,"vexec_morsels":0,"vexec_rows":120},"latency":{"optimize":{"count":2,"sum":90000,"min":40000,"max":50000,"buckets":{"16":2}},"cache_hit":{"count":1,"sum":900,"min":900,"max":900,"buckets":{"10":1}},"execute":{"count":1,"sum":12345,"min":12345,"max":12345,"buckets":{"14":1}},"end_to_end":{"count":2,"sum":61000,"min":1000,"max":60000,"buckets":{"10":1,"16":1}}},"topk":[{"fp":659918,"count":2,"err":0,"nanos":61000,"last_epoch":2},{"fp":2827,"count":1,"err":0,"nanos":900,"last_epoch":2}],"qerror":[{"fp":659918,"runs":3,"q_runs":3,"qlog_sum_micro":9965784,"qlog_max_micro":6643856,"est_rows":40,"actual_min":40,"actual_max":4000,"nanos":{"count":3,"sum":15000,"min":3000,"max":7000,"buckets":{"12":1,"13":2}},"last_epoch":2,"suspect":false},{"fp":2827,"runs":1,"q_runs":1,"qlog_sum_micro":0,"qlog_max_micro":0,"est_rows":10,"actual_min":10,"actual_max":10,"nanos":{"count":1,"sum":800,"min":800,"max":800,"buckets":{"10":1}},"last_epoch":2,"suspect":false}],"phases":{"prepare":{"nanos":300,"count":1},"cache_lookup":{"nanos":0,"count":0},"flight_wait":{"nanos":0,"count":0},"enumerate":{"nanos":30000,"count":1},"glue":{"nanos":8000,"count":1},"compile":{"nanos":0,"count":0},"execute":{"nanos":12000,"count":1},"reopt":{"nanos":0,"count":0}},"span_store":{"resident":0,"capacity":0,"evicted":0},"heal":[]}"#;
+const JSON: &str = r#"{"version":4,"uptime_nanos":2000000000,"counters":{"serve_requests":7,"serve_cache_hit":5,"serve_cache_coalesced":0,"serve_cache_miss":2,"serve_cache_evict":0,"serve_cache_invalidate":0,"serve_rejected":0,"serve_degraded":0,"serve_errors":0,"serve_executions":0,"serve_exec_rows":0,"serve_trace_sampled":0,"serve_trace_unsampled":0,"opt_star_refs":0,"opt_memo_hits":0,"opt_plans_built":41,"opt_glue_refs":0,"serve_opt_nanos":90000,"serve_saved_nanos":0,"serve_exec_nanos":0,"serve_pipeline_rows":0,"serve_feedback_runs":4,"serve_suspects_flagged":0,"serve_spans_kept":0,"serve_spans_dropped":0,"serve_reopt_attempts":0,"serve_reopt_failures":0,"serve_reopt_backoff":0,"serve_reopt_retry_capped":0,"serve_plan_swap":0,"serve_plan_pinned":0,"vexec_batches":0,"vexec_morsels_queued":3,"vexec_morsels":0,"vexec_rows":120},"latency":{"optimize":{"count":2,"sum":90000,"min":40000,"max":50000,"buckets":{"16":2}},"cache_hit":{"count":1,"sum":900,"min":900,"max":900,"buckets":{"10":1}},"execute":{"count":1,"sum":12345,"min":12345,"max":12345,"buckets":{"14":1}},"end_to_end":{"count":2,"sum":61000,"min":1000,"max":60000,"buckets":{"10":1,"16":1}}},"topk":[{"fp":659918,"count":4,"err":0,"nanos":66000,"last_epoch":2},{"fp":2827,"count":1,"err":0,"nanos":900,"last_epoch":2}],"qerror":[{"fp":659918,"runs":3,"q_runs":3,"qlog_sum_micro":9965784,"qlog_max_micro":6643856,"est_rows":40,"actual_min":40,"actual_max":4000,"nanos":{"count":3,"sum":15000,"min":3000,"max":7000,"buckets":{"12":1,"13":2}},"last_epoch":2,"suspect":false},{"fp":2827,"runs":1,"q_runs":1,"qlog_sum_micro":0,"qlog_max_micro":0,"est_rows":10,"actual_min":10,"actual_max":10,"nanos":{"count":1,"sum":800,"min":800,"max":800,"buckets":{"10":1}},"last_epoch":2,"suspect":false}],"phases":{"prepare":{"nanos":300,"count":1},"cache_lookup":{"nanos":0,"count":0},"flight_wait":{"nanos":0,"count":0},"enumerate":{"nanos":30000,"count":1},"glue":{"nanos":8000,"count":1},"compile":{"nanos":0,"count":0},"execute":{"nanos":12000,"count":1},"reopt":{"nanos":0,"count":0}},"span_store":{"resident":0,"capacity":0,"evicted":0},"heal":[]}"#;
 
 const PROMETHEUS: &str = r#"# TYPE starqo_uptime_nanos gauge
 starqo_uptime_nanos 2000000000
@@ -173,8 +183,8 @@ starqo_phase_nanos{phase="reopt"} 0
 starqo_phase_count{phase="reopt"} 0
 # TYPE starqo_hot_query_requests gauge
 # TYPE starqo_hot_query_nanos gauge
-starqo_hot_query_requests{fp="0x00000000000a11ce",rank="1"} 2
-starqo_hot_query_nanos{fp="0x00000000000a11ce",rank="1"} 61000
+starqo_hot_query_requests{fp="0x00000000000a11ce",rank="1"} 4
+starqo_hot_query_nanos{fp="0x00000000000a11ce",rank="1"} 66000
 starqo_hot_query_requests{fp="0x0000000000000b0b",rank="2"} 1
 starqo_hot_query_nanos{fp="0x0000000000000b0b",rank="2"} 900
 # TYPE starqo_plan_qerror_geomean gauge

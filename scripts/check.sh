@@ -36,6 +36,12 @@ if grep -rnE 'struct Healer|regression_margin|within_margin|try_lead' crates/ser
     exit 1
 fi
 
+echo "== one per-fingerprint table: the separate top-K tracker stays deleted =="
+if grep -rnE 'TopKTracker|TOPK_SHARDS|record_request|record_feedback' crates/*/src; then
+    echo "hot-query totals live in the feedback plane's slots; a served request makes one Telemetry::record call (docs/TELEMETRY.md)." >&2
+    exit 1
+fi
+
 echo "== one per-thread cache of run memory, and no allocator knob =="
 if grep -rn 'SPAN_POOL' crates/*/src \
     || grep -rl 'thread_local!' crates/*/src | grep -vE '^crates/trace/src/(runmem|telemetry/counters)\.rs$' \

@@ -1,22 +1,24 @@
 //! Cross-crate telemetry-plane tests: the striped counters, histograms,
-//! and top-K tracker must agree with a deterministic serial total no matter
-//! how many threads hammer them, and a snapshot must survive the trip
-//! through both exporters (exactly through JSON, faithfully through the
-//! Prometheus text format).
+//! and per-fingerprint slots (hot-query top-K and Q-error sketches) must
+//! agree with a deterministic serial total no matter how many threads
+//! hammer them, and a snapshot must survive the trip through both
+//! exporters (exactly through JSON, faithfully through the Prometheus text
+//! format).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use starqo_trace::telemetry::{FEEDBACK_CAPACITY, FEEDBACK_SHARDS};
 use starqo_trace::{
-    FeedbackPlane, Histogram, LatencyPath, Metric, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    FeedbackPlane, Histogram, LatencyPath, Metric, SpanContext, Telemetry, TelemetryConfig,
+    TelemetrySnapshot,
 };
 
 /// The workload one thread contributes: a deterministic function of its id,
 /// so the expected totals are computable without running anything.
 fn thread_workload(tid: u64) -> Vec<(u64, u64)> {
     // (fingerprint, nanos) pairs; fingerprints cycle over a small hot set so
-    // the top-K tracker sees real skew, latencies spread over buckets.
+    // the top-K sees real skew, latencies spread over buckets.
     (0..500)
         .map(|i| {
             let fp = 0xF00D + (i + tid) % 7;
@@ -26,7 +28,8 @@ fn thread_workload(tid: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// The feedback observations one thread folds: `(fp, est, actual, nanos)`.
+/// The executed requests one thread records: `(fp, est, actual, nanos)`,
+/// `nanos` serving as both the serve latency and the run's.
 /// Every quantity that ends up in a sketch is an order-independent fold of
 /// this multiset (integer sums, maxes, a constant per-fp estimate), so the
 /// concurrent result must *bit-match* a serial replay. The suspect flag is
@@ -63,10 +66,16 @@ fn concurrent_hammering_matches_the_serial_total() {
                     t.add(Metric::Requests, 1);
                     t.add(Metric::ExecRows, nanos % 13);
                     t.observe(LatencyPath::EndToEnd, nanos);
-                    t.record_request(fp, nanos, 3);
+                    t.record(fp, 3, nanos, None, &SpanContext::off());
                 }
                 for (fp, est, actual, nanos) in feedback_workload(tid) {
-                    let _ = t.record_feedback(fp, est, actual, nanos, 3);
+                    t.record(
+                        fp,
+                        3,
+                        nanos,
+                        Some((est, actual, nanos)),
+                        &SpanContext::off(),
+                    );
                 }
             });
         }
@@ -87,6 +96,11 @@ fn concurrent_hammering_matches_the_serial_total() {
             e.0 += 1;
             e.1 += nanos;
         }
+        for (fp, _, _, nanos) in feedback_workload(tid) {
+            let e = expect_per_fp.entry(fp).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += nanos;
+        }
     }
 
     let snap = telemetry.snapshot();
@@ -100,8 +114,8 @@ fn concurrent_hammering_matches_the_serial_total() {
         assert_eq!(hist.quantile(q), expect_hist.quantile(q), "quantile {q}");
     }
 
-    // 7 distinct fingerprints fit the tracker, so counts are exact and the
-    // overcount bound is zero for every entry.
+    // 7 + 5 distinct fingerprints fit the slot table, so counts are exact
+    // and the overcount bound is zero for every entry.
     assert_eq!(snap.topk.len(), expect_per_fp.len());
     for entry in &snap.topk {
         let &(count, nanos) = expect_per_fp.get(&entry.fp).expect("known fp");
@@ -119,7 +133,7 @@ fn concurrent_hammering_matches_the_serial_total() {
     let oracle = FeedbackPlane::new(FEEDBACK_SHARDS, FEEDBACK_CAPACITY, config.suspect);
     for tid in 0..threads {
         for (fp, est, actual, nanos) in feedback_workload(tid) {
-            let _ = oracle.record(fp, est, actual, nanos, 3);
+            oracle.record(fp, 3, nanos, Some((est, actual, nanos)));
         }
     }
     assert_eq!(snap.qerror, oracle.snapshot());
@@ -163,8 +177,13 @@ fn delta_since_never_underflows_under_concurrent_updates() {
                     let nanos = 1 + (i * 29 + tid * 7) % 50_000;
                     t.add(Metric::Requests, 1);
                     t.observe(LatencyPath::EndToEnd, nanos);
-                    t.record_request(fp, nanos, tid);
-                    let _ = t.record_feedback(fp, 50, 40 + i % 30, nanos, tid);
+                    t.record(
+                        fp,
+                        tid,
+                        nanos,
+                        Some((50, 40 + i % 30, nanos)),
+                        &SpanContext::off(),
+                    );
                     i += 1;
                 }
             });
@@ -227,7 +246,7 @@ fn delta_since_never_underflows_under_concurrent_updates() {
 
 #[test]
 fn counters_only_plane_is_safe_under_concurrency_and_stays_lean() {
-    let telemetry = Arc::new(Telemetry::counters_only());
+    let telemetry = Arc::new(Telemetry::new(TelemetryConfig::counters_only()));
     std::thread::scope(|scope| {
         for tid in 0..4u64 {
             let t = Arc::clone(&telemetry);
@@ -235,7 +254,7 @@ fn counters_only_plane_is_safe_under_concurrency_and_stays_lean() {
                 for (fp, nanos) in thread_workload(tid) {
                     t.add(Metric::Requests, 1);
                     t.observe(LatencyPath::Execute, nanos);
-                    t.record_request(fp, nanos, 0);
+                    t.record(fp, 0, nanos, None, &SpanContext::off());
                 }
             });
         }
@@ -253,10 +272,16 @@ fn snapshot_survives_json_and_prometheus_exposition() {
         telemetry.add(Metric::Requests, 1);
         telemetry.add(Metric::CacheHit, 1);
         telemetry.observe(LatencyPath::CacheHit, nanos);
-        telemetry.record_request(fp, nanos, 1);
+        telemetry.record(fp, 1, nanos, None, &SpanContext::off());
     }
     for (fp, est, actual, nanos) in feedback_workload(1) {
-        let _ = telemetry.record_feedback(fp, est, actual, nanos, 1);
+        telemetry.record(
+            fp,
+            1,
+            nanos,
+            Some((est, actual, nanos)),
+            &SpanContext::off(),
+        );
     }
     let snap = telemetry.snapshot();
 
