@@ -38,10 +38,11 @@ impl Database {
         self.tables.get(&id).map(|t| t.len() as u64).unwrap_or(0)
     }
 
-    /// Append one row to a loaded table and rebuild the table's indexes over
-    /// it (a unique violation is reported with the row already stored). The
-    /// table loses what `build` derived from its rows — the key order of a
-    /// B-tree-stored table and the integer mirror — and is read row by row
+    /// Add one row to a loaded table and rebuild the table's indexes over it
+    /// (a unique violation is reported with the row already stored). A heap
+    /// takes the row at its end; a B-tree-stored table at its place in key
+    /// order, since every plan reads it in that order. The table loses the
+    /// integer mirror `build` derived from its rows and is read row by row
     /// from then on. A maintenance path, linear in the table per call: bulk
     /// loading is [`DatabaseBuilder`]'s job.
     pub fn insert(&mut self, table: TableId, row: Tuple) -> Result<Tid> {
@@ -49,7 +50,11 @@ impl Database {
             .tables
             .get_mut(&table)
             .ok_or(StorageError::NoSuchTable(table))?;
-        let tid = data.insert(self.catalog.table(table), row)?;
+        let schema = self.catalog.table(table);
+        let tid = match &schema.storage {
+            StorageKind::BTree { key } => data.insert_in_order(schema, row, key)?,
+            StorageKind::Heap => data.insert(schema, row)?,
+        };
         for def in self.catalog.indexes_on(table) {
             self.indexes
                 .insert(def.id, BTreeIndexData::build(def, data)?);
@@ -166,8 +171,8 @@ mod tests {
     }
 
     /// `build` mirrors the integer column of the rows *as sorted*; a clone
-    /// keeps the mirror; a row inserted afterwards is stored and indexed, and
-    /// the table is back to rows alone.
+    /// keeps the mirror; a row inserted afterwards is stored at its place in
+    /// key order and indexed, and the table is back to rows alone.
     #[test]
     fn build_mirrors_sorted_rows_and_a_later_insert_drops_the_mirror() {
         let mut b = DatabaseBuilder::new(catalog());
@@ -186,15 +191,17 @@ mod tests {
         let tid = db
             .insert(TableId(0), Tuple(vec![Value::Int(0), Value::str("b")]))
             .unwrap();
-        assert_eq!(tid.0, 3);
+        assert_eq!(tid.0, 0);
         let t = db.table(TableId(0)).unwrap();
         assert_eq!((t.len(), t.int_column(0)), (4, None));
+        let keys: Vec<_> = t.scan().map(|(_, r)| r.get(0).clone()).collect();
+        assert_eq!(keys, [0, 1, 2, 3].map(Value::Int));
         let ix = db.index(IndexId(0)).unwrap();
         let b_rows: Vec<_> = ix
             .probe_prefix(&[Value::str("b")])
             .map(|(_, t)| t.0)
             .collect();
-        assert_eq!((ix.entries(), b_rows), (4, vec![1, 3]));
+        assert_eq!((ix.entries(), b_rows), (4, vec![0, 2]));
         // The clone taken before the insert still has its own mirror.
         let t = copy.table(TableId(0)).unwrap();
         assert_eq!((t.len(), t.int_column(0)), (3, Some(&[1, 2, 3][..])));

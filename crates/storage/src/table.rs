@@ -35,6 +35,15 @@ fn partition(mut range: Range<usize>, before: impl Fn(usize) -> bool) -> usize {
     range.start
 }
 
+/// `a` against `b` on the columns of `key`, in turn.
+fn cmp_on(key: &[ColId], a: &Tuple, b: &Tuple) -> Ordering {
+    let ord = |c: &ColId| a.get(c.0 as usize).cmp(b.get(c.0 as usize));
+    key.iter()
+        .map(ord)
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
 /// The stored rows of one table. For `StorageKind::BTree` tables the rows
 /// are kept sorted on the key, which is how the storage manager delivers
 /// them in key order — and what lets [`StoredTable::key_range`] find the rows
@@ -44,7 +53,8 @@ pub struct StoredTable {
     pub table: TableId,
     rows: Vec<Tuple>,
     /// The key the rows are known to be sorted on; empty when no order is
-    /// known (set by `sort_on`, cleared by `insert`).
+    /// known (set by `sort_on`, kept by `insert_in_order`, cleared by
+    /// `insert`).
     sorted_on: Vec<ColId>,
     /// Column-major mirror of the integer columns (see
     /// [`StoredTable::int_column`]): per column, every row's integer by
@@ -80,18 +90,29 @@ impl StoredTable {
         Ok(tid)
     }
 
+    /// [`Self::insert`] into a table sorted on `key`, at the row's place in
+    /// key order — after the rows of an equal key — so the table stays
+    /// sorted, as a B-tree does; the rows after it move up one TID. Into a
+    /// table not sorted on `key` the row is appended.
+    pub fn insert_in_order(&mut self, schema: &Table, row: Tuple, key: &[ColId]) -> Result<Tid> {
+        let sorted = self.sorted_on == key;
+        let tid = self.insert(schema, row)?;
+        if !sorted {
+            return Ok(tid);
+        }
+        let row = self.rows.pop().expect("the row just appended");
+        let at = self
+            .rows
+            .partition_point(|r| cmp_on(key, r, &row) != Ordering::Greater);
+        self.rows.insert(at, row);
+        self.sorted_on = key.to_vec();
+        Ok(Tid(at as u64))
+    }
+
     /// Sort rows on the given key columns (used when loading B-tree-stored
     /// tables). Note: invalidates TIDs, so must happen before index builds.
     pub fn sort_on(&mut self, key: &[ColId]) {
-        self.rows.sort_by(|a, b| {
-            for c in key {
-                let ord = a.get(c.0 as usize).cmp(b.get(c.0 as usize));
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
+        self.rows.sort_by(|a, b| cmp_on(key, a, b));
         self.sorted_on = key.to_vec();
         self.ints.clear();
     }

@@ -77,8 +77,36 @@ pub struct VexecStats {
     pub indexes_built: u64,
     /// Index probes, as the serial engine counts them: an uncorrelated
     /// nested-loop inner is evaluated once here but charged once per outer
-    /// row, like the re-scan it stands for.
+    /// row, like the re-evaluation it stands for (see `Work`).
     pub probes: u64,
+}
+
+/// The counters the serial engine adds each time it re-evaluates a subtree,
+/// less what its caches answer after the first time: the charge of an
+/// uncorrelated nested-loop inner per further outer row.
+#[derive(Debug, Clone, Copy, Default)]
+struct Work([u64; 4]);
+
+impl Work {
+    fn of(s: &VexecStats) -> Work {
+        Work([s.probes, s.tuples_fetched, s.msgs, s.bytes_shipped])
+    }
+
+    fn since(self, earlier: Work) -> Work {
+        Work(std::array::from_fn(|i| self.0[i] - earlier.0[i]))
+    }
+
+    fn plus(self, more: Work) -> Work {
+        Work(std::array::from_fn(|i| self.0[i] + more.0[i]))
+    }
+
+    fn charge(self, s: &mut VexecStats, times: u64) {
+        let [probes, fetched, msgs, bytes] = self.0.map(|w| w * times);
+        s.probes += probes;
+        s.tuples_fetched += fetched;
+        s.msgs += msgs;
+        s.bytes_shipped += bytes;
+    }
 }
 
 /// Can the vectorized executor run this plan? Returns the reason it cannot.
@@ -108,6 +136,10 @@ pub struct VexecExecutor<'a> {
     /// Dynamic indexes by temp node: the temp's row numbers in key order
     /// (stable, so equal keys keep row order).
     index_cache: HashMap<usize, Arc<[u32]>>,
+    /// The [`Work`] of the correlation-free temp inputs and SORTs run so
+    /// far: done once, however often the serial engine would re-evaluate
+    /// the subtrees around them (its temp cache answers them after that).
+    cached: Work,
     mem: RunMem,
     /// Fault hook for the `vexec` site; consulted per morsel
     /// (`morsel(<op>)`) and per exchange (`exchange(<op>)`).
@@ -126,6 +158,7 @@ impl<'a> VexecExecutor<'a> {
             stats: VexecStats::default(),
             temp_cache: HashMap::new(),
             index_cache: HashMap::new(),
+            cached: Work::default(),
             mem: RunMem {
                 untouched: buf.spare.len(),
                 buf,
@@ -261,6 +294,7 @@ impl<'a> VexecExecutor<'a> {
                 if let Some(hit) = self.temp_cache.get(&node.key()) {
                     return Ok(Rel::Shared(hit.clone()));
                 }
+                let at = self.mark();
                 let input = if child.is_store() {
                     Rel::Shared(self.run_cached(child, scope)?)
                 } else {
@@ -269,6 +303,9 @@ impl<'a> VexecExecutor<'a> {
                 let sorted = self.sort(input, key);
                 // Cache the sorted output (not, like the serial engine, the
                 // unsorted child it would re-sort per evaluation).
+                if node.uncorrelated {
+                    self.filled(at);
+                }
                 Ok(if node.cacheable {
                     let shared = sorted.share();
                     self.temp_cache.insert(node.key(), shared.clone());
@@ -363,6 +400,7 @@ impl<'a> VexecExecutor<'a> {
         if let Some(hit) = self.temp_cache.get(&node.key()) {
             return Ok(hit.clone());
         }
+        let at = self.mark();
         let mut store_span = if node.is_store() {
             self.spans.enter("pipeline:store")
         } else {
@@ -378,7 +416,21 @@ impl<'a> VexecExecutor<'a> {
         if node.cacheable {
             self.temp_cache.insert(node.key(), rel.clone());
         }
+        if node.uncorrelated {
+            self.filled(at);
+        }
         Ok(rel)
+    }
+
+    /// The run's [`Work`] so far, and its `cached` part.
+    fn mark(&self) -> (Work, Work) {
+        (Work::of(&self.stats), self.cached)
+    }
+
+    /// Everything done since `at` went into a correlation-free temp input or
+    /// SORT.
+    fn filled(&mut self, at: (Work, Work)) {
+        self.cached = at.1.plus(Work::of(&self.stats).since(at.0));
     }
 
     /// JOIN(NL). An uncorrelated inner is evaluated once; a correlated one
@@ -399,9 +451,13 @@ impl<'a> VexecExecutor<'a> {
         let mut out = self.mem.fresh(combine.width(), None);
         let Some(binds) = binds else {
             if outer.rows > 0 {
-                let probes = self.stats.probes;
+                let at = self.mark();
                 let inner = self.run_node(inner_node, scope)?;
-                self.stats.probes += (self.stats.probes - probes) * (outer.rows as u64 - 1);
+                // The serial engine re-evaluates the inner per outer row, its
+                // caches answering the part that filled them.
+                let (work, cached) = self.mark();
+                let again = work.since(at.0).since(cached.since(at.1));
+                again.charge(&mut self.stats, outer.rows as u64 - 1);
                 for o in 0..outer.rows {
                     for i in 0..inner.rows {
                         combine.admit((&outer, o), (&inner, i), scope, &mut pairs)?;
@@ -549,6 +605,8 @@ impl<'a> VexecExecutor<'a> {
         let m = n.div_ceil(MORSEL_ROWS);
         let mut dest = self.mem.fresh(width, None);
         if m == 0 {
+            // A SHIP that carries nothing still sends its one message.
+            self.stats.msgs += chain.ships as u64;
             return Ok(Rel::Owned(dest));
         }
         let morsel = |i: usize| i * MORSEL_ROWS..((i + 1) * MORSEL_ROWS).min(n);

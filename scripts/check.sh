@@ -42,6 +42,12 @@ if grep -rnE 'TopKTracker|TOPK_SHARDS|record_request|record_feedback' crates/*/s
     exit 1
 fi
 
+echo "== one differential checker: the per-file equivalence loops stay deleted =="
+if grep -rnE 'fn (rand_config|same_outcome|check_all|assert_equivalent)\b' tests/tests; then
+    echo "plan equivalence is stated once, in tests/src/diff.rs (diff::check, diff::check_plan)." >&2
+    exit 1
+fi
+
 echo "== one per-thread cache of run memory, and no allocator knob =="
 if grep -rn 'SPAN_POOL' crates/*/src \
     || grep -rl 'thread_local!' crates/*/src | grep -vE '^crates/trace/src/(runmem|telemetry/counters)\.rs$' \

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use starqo_catalog::{Catalog, ColId, SiteId};
 use starqo_core::{Budget, OptConfig, Optimized};
 use starqo_plan::{PlanNode, PlanRef};
+use starqo_query::fingerprint::fnv1a64;
 use starqo_query::{CmpOp, PredExpr, QCol, Query, QueryBuilder, Scalar};
 use starqo_workload::{synth_catalog, SynthSpec};
 
@@ -137,13 +138,6 @@ pub fn golden_fleet() -> Vec<Case> {
     out
 }
 
-/// FNV-1a over bytes: a stable digest for text the fleet does not spell out.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ *b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// How the plans an optimization hands out share their nodes: the distinct
 /// `Arc`s reachable from `best` and the root alternatives, and a digest of
 /// the DAG walked from those roots in order — each node numbered when first
@@ -168,5 +162,5 @@ pub fn sharing(out: &Optimized) -> (usize, u64) {
         walk(root, &mut seen, &mut trail);
         trail.push('|');
     }
-    (seen.len(), fnv(trail.as_bytes()))
+    (seen.len(), fnv1a64(&trail))
 }

@@ -28,8 +28,9 @@ use std::sync::Arc;
 
 use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value};
 use starqo_core::{Budget, OptConfig, Optimized, Optimizer};
-use starqo_integration::cold::{fnv, golden_fleet, sharing};
+use starqo_integration::cold::{golden_fleet, sharing};
 use starqo_plan::{Cost, Explain, Lolepop, PlanError, Props};
+use starqo_query::fingerprint::fnv1a64;
 use starqo_query::{CmpOp, PredExpr, PredSet, QCol, QSet, Query, QueryBuilder, Scalar, Shared};
 use starqo_workload::Rng64;
 
@@ -178,7 +179,7 @@ fn line(name: &str, cat: &Catalog, query: &Query, out: &Optimized) -> String {
     format!(
         "{name} plan={:016x} cost={:?} roots={} stats={},{},{},{},{},{},{},{},{},{} \
          table={},{},{},{} kept={}/{} degraded={} arcs={arcs} dag={dag:016x}\n",
-        fnv(plan.as_bytes()),
+        fnv1a64(&plan),
         out.best.props.cost.total(),
         out.root_alternatives.len(),
         s.star_refs,

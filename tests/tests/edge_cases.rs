@@ -1,155 +1,110 @@
 //! Edge cases the generators don't produce: NULL values in data, empty
-//! tables, all-rows-match predicates, duplicate join keys.
+//! tables, all-rows-match predicates, duplicate join keys. Each is a
+//! `diff::Case` checked by `diff::check`.
 
-use std::sync::Arc;
+use starqo_catalog::{DataType, Value};
+use starqo_integration::diff::{check, Case, Table};
 
-use starqo_catalog::{Catalog, DataType, StorageKind, Value};
-use starqo_core::{OptConfig, Optimizer};
-use starqo_exec::{reference_eval, rows_equal_multiset, Executor};
-use starqo_query::parse_query;
-use starqo_storage::{Database, DatabaseBuilder};
-
-fn catalog() -> Arc<Catalog> {
-    Arc::new(
-        Catalog::builder()
-            .site("x")
-            .table("L", "x", StorageKind::Heap, 20)
-            .column("K", DataType::Int, Some(10))
-            .column("V", DataType::Str, None)
-            .table("R", "x", StorageKind::Heap, 20)
-            .column("K", DataType::Int, Some(10))
-            .column("W", DataType::Int, Some(5))
-            .index("R_K", "R", &["K"], false, false)
-            .build()
-            .unwrap(),
-    )
+/// `L(K, V)` and `R(K, W)` with an index on `R.K`, the catalog saying 20
+/// rows each whatever the data holds.
+fn tables(l: Vec<Vec<Value>>, r: Vec<Vec<Value>>) -> Vec<Table> {
+    vec![
+        Table::new("L", 20)
+            .col("K", DataType::Int, Some(10))
+            .col("V", DataType::Str, None)
+            .rows(l),
+        Table::new("R", 20)
+            .col("K", DataType::Int, Some(10))
+            .col("W", DataType::Int, Some(5))
+            .index(&["K"])
+            .rows(r),
+    ]
 }
 
-/// Check every alternative under every configuration against the reference.
-fn check_all(db: &Database, cat: &Arc<Catalog>, sql: &str) -> usize {
-    let query = parse_query(cat, sql).unwrap();
-    let want = reference_eval(db, &query).unwrap();
-    let opt = Optimizer::new(cat.clone()).unwrap();
-    for config in [OptConfig::default(), OptConfig::full()] {
-        let mut config = config;
-        config.glue_keep_all = true;
-        let out = opt.optimize(&query, &config).unwrap();
-        for plan in out.root_alternatives.iter().chain([&out.best]) {
-            let mut ex = Executor::new(db, &query);
-            let got = ex.run(plan).unwrap();
-            assert!(
-                rows_equal_multiset(&got.rows, &want),
-                "{sql}: diverged on {:?} ({} vs {})",
-                plan.op_names(),
-                got.rows.len(),
-                want.len()
-            );
-        }
-    }
-    want.len()
+/// Check `sql` over the rows; the size of the reference answer.
+fn answered(sql: &str, tables: Vec<Table>) -> usize {
+    check(&Case::new(sql, tables)).rows.len()
 }
+
+const JOIN: &str = "SELECT L.V, R.W FROM L, R WHERE L.K = R.K";
 
 #[test]
 fn null_join_keys_never_match() {
-    let cat = catalog();
-    let mut b = DatabaseBuilder::new(cat.clone());
+    let (mut l, mut r) = (Vec::new(), Vec::new());
     for k in 0..10i64 {
         let key = if k % 3 == 0 {
             Value::Null
         } else {
             Value::Int(k)
         };
-        b.insert("L", vec![key.clone(), Value::str(format!("l{k}"))])
-            .unwrap();
-        b.insert("R", vec![key, Value::Int(k % 5)]).unwrap();
+        l.push(vec![key.clone(), Value::str(format!("l{k}"))]);
+        r.push(vec![key, Value::Int(k % 5)]);
     }
-    let db = b.build().unwrap();
     // NULL = NULL is false: NULL-keyed rows join with nothing, in every
-    // join method (NL filter, MG merge, HA hash, index probes).
-    let n = check_all(&db, &cat, "SELECT L.V, R.W FROM L, R WHERE L.K = R.K");
-    // 6 non-null keys survive on each side, keys unique → 6 matches? Keys
-    // 1,2,4,5,7,8 on both sides → 6.
-    assert_eq!(n, 6);
+    // join method (NL filter, MG merge, HA hash, index probes) — `R` also
+    // filled after `build`, where its index is rebuilt row by row.
+    let mut t = tables(l, r);
+    t[1].late = true;
+    // Keys 1, 2, 4, 5, 7, 8 on both sides, unique → 6 matches.
+    assert_eq!(answered(JOIN, t), 6);
 }
 
 #[test]
 fn null_local_predicates_filter_out() {
-    let cat = catalog();
-    let mut b = DatabaseBuilder::new(cat.clone());
-    b.insert("L", vec![Value::Null, Value::str("null-key")])
-        .unwrap();
-    b.insert("L", vec![Value::Int(1), Value::str("one")])
-        .unwrap();
-    b.insert("R", vec![Value::Int(1), Value::Int(0)]).unwrap();
-    let db = b.build().unwrap();
+    let l = vec![
+        vec![Value::Null, Value::str("null-key")],
+        vec![Value::Int(1), Value::str("one")],
+    ];
+    let r = vec![vec![Value::Int(1), Value::Int(0)]];
     // Comparisons against NULL are false for every operator.
-    assert_eq!(check_all(&db, &cat, "SELECT L.V FROM L WHERE L.K = 1"), 1);
-    assert_eq!(check_all(&db, &cat, "SELECT L.V FROM L WHERE L.K < 5"), 1);
-    assert_eq!(check_all(&db, &cat, "SELECT L.V FROM L WHERE L.K <> 99"), 1);
+    for sql in [
+        "SELECT L.V FROM L WHERE L.K = 1",
+        "SELECT L.V FROM L WHERE L.K < 5",
+        "SELECT L.V FROM L WHERE L.K <> 99",
+    ] {
+        assert_eq!(answered(sql, tables(l.clone(), r.clone())), 1, "{sql}");
+    }
 }
 
 #[test]
 fn empty_tables_yield_empty_results_everywhere() {
-    let cat = catalog();
-    let db = DatabaseBuilder::new(cat.clone()).build().unwrap(); // no rows at all
-    assert_eq!(check_all(&db, &cat, "SELECT L.V FROM L"), 0);
-    assert_eq!(
-        check_all(&db, &cat, "SELECT L.V, R.W FROM L, R WHERE L.K = R.K"),
-        0
-    );
+    for sql in ["SELECT L.V FROM L", JOIN] {
+        assert_eq!(answered(sql, tables(vec![], vec![])), 0, "{sql}");
+    }
 }
 
 #[test]
 fn one_sided_empty_join() {
-    let cat = catalog();
-    let mut b = DatabaseBuilder::new(cat.clone());
-    for k in 0..5i64 {
-        b.insert("L", vec![Value::Int(k), Value::str(format!("l{k}"))])
-            .unwrap();
-    }
-    let db = b.build().unwrap();
-    assert_eq!(
-        check_all(&db, &cat, "SELECT L.V, R.W FROM L, R WHERE L.K = R.K"),
-        0
-    );
+    let l = (0..5i64)
+        .map(|k| vec![Value::Int(k), Value::str(format!("l{k}"))])
+        .collect();
+    assert_eq!(answered(JOIN, tables(l, vec![])), 0);
 }
 
 #[test]
 fn duplicate_join_keys_produce_cross_groups() {
-    let cat = catalog();
-    let mut b = DatabaseBuilder::new(cat.clone());
     // Three L rows and two R rows all with key 7: 3 × 2 = 6 matches — the
     // merge join's group-cartesian logic must produce all of them.
-    for i in 0..3i64 {
-        b.insert("L", vec![Value::Int(7), Value::str(format!("l{i}"))])
-            .unwrap();
-    }
-    for i in 0..2i64 {
-        b.insert("R", vec![Value::Int(7), Value::Int(i)]).unwrap();
-    }
-    b.insert("L", vec![Value::Int(1), Value::str("lone")])
-        .unwrap();
-    b.insert("R", vec![Value::Int(2), Value::Int(9)]).unwrap();
-    let db = b.build().unwrap();
-    assert_eq!(
-        check_all(&db, &cat, "SELECT L.V, R.W FROM L, R WHERE L.K = R.K"),
-        6
-    );
+    let mut l: Vec<_> = (0..3i64)
+        .map(|i| vec![Value::Int(7), Value::str(format!("l{i}"))])
+        .collect();
+    let mut r: Vec<_> = (0..2i64)
+        .map(|i| vec![Value::Int(7), Value::Int(i)])
+        .collect();
+    l.push(vec![Value::Int(1), Value::str("lone")]);
+    r.push(vec![Value::Int(2), Value::Int(9)]);
+    assert_eq!(answered(JOIN, tables(l, r)), 6);
 }
 
 #[test]
 fn catalog_stats_may_disagree_with_data() {
     // The catalog says 20 rows; the database holds 200. Estimates are wrong
     // but plans must still be correct.
-    let cat = catalog();
-    let mut b = DatabaseBuilder::new(cat.clone());
-    for k in 0..200i64 {
-        b.insert("L", vec![Value::Int(k % 10), Value::str(format!("l{k}"))])
-            .unwrap();
-        b.insert("R", vec![Value::Int(k % 10), Value::Int(k % 5)])
-            .unwrap();
-    }
-    let db = b.build().unwrap();
-    let n = check_all(&db, &cat, "SELECT L.V, R.W FROM L, R WHERE L.K = R.K");
-    assert_eq!(n, 200 * 20); // each L row matches 20 R rows
+    let l = (0..200i64)
+        .map(|k| vec![Value::Int(k % 10), Value::str(format!("l{k}"))])
+        .collect();
+    let r = (0..200i64)
+        .map(|k| vec![Value::Int(k % 10), Value::Int(k % 5)])
+        .collect();
+    assert_eq!(answered(JOIN, tables(l, r)), 200 * 20); // each L row matches 20 R rows
 }

@@ -4,106 +4,62 @@
 
 use std::sync::Arc;
 
-use starqo_catalog::{Catalog, DataType, StorageKind, Value};
+use starqo_catalog::{Catalog, DataType, Value};
 use starqo_core::{OptConfig, Optimizer};
-use starqo_exec::{reference_eval, rows_equal_multiset, Executor};
+use starqo_integration::diff::{check, Case, Table};
 use starqo_query::parse_query;
-use starqo_storage::{Database, DatabaseBuilder};
 
-/// A compact retail-ish schema exercising heap & B-tree storage, single- and
-/// multi-column indexes, and three sites.
-fn catalog() -> Arc<Catalog> {
-    Arc::new(
-        Catalog::builder()
-            .site("hq")
-            .site("east")
-            .site("west")
-            .table(
-                "CUST",
-                "hq",
-                StorageKind::BTree {
-                    key: vec![starqo_catalog::ColId(0)],
-                },
-                300,
-            )
-            .column("CID", DataType::Int, Some(300))
-            .column("TIER", DataType::Int, Some(3))
-            .column("NAME", DataType::Str, None)
-            .table("ORD", "east", StorageKind::Heap, 1_200)
-            .column("OID", DataType::Int, Some(1_200))
-            .column("CID", DataType::Int, Some(300))
-            .column("ITEM", DataType::Int, Some(40))
-            .table("ITEMS", "west", StorageKind::Heap, 40)
-            .column("IID", DataType::Int, Some(40))
-            .column("PRICE", DataType::Int, Some(20))
-            .index("ORD_CID", "ORD", &["CID"], false, false)
-            .index("ORD_CID_ITEM", "ORD", &["CID", "ITEM"], false, false)
-            .build()
-            .unwrap(),
+/// `sql` over a compact retail-ish schema exercising heap & B-tree storage,
+/// single- and multi-column indexes, and three sites.
+fn retail(sql: &str) -> Case {
+    let int = |v: i64| Value::Int(v);
+    let cust = (0..300).map(|c| vec![int(c), int(c % 3), Value::str(format!("c{c}"))]);
+    let ord = (0..1_200).map(|o| vec![int(o), int(o % 300), int(o % 40)]);
+    let items = (0..40).map(|i| vec![int(i), int(i % 20)]);
+    Case::new(
+        sql,
+        vec![
+            Table::new("CUST", 300)
+                .btree(&["CID"])
+                .col("CID", DataType::Int, Some(300))
+                .col("TIER", DataType::Int, Some(3))
+                .col("NAME", DataType::Str, None)
+                .rows(cust.collect()),
+            Table::new("ORD", 1_200)
+                .site(1)
+                .col("OID", DataType::Int, Some(1_200))
+                .col("CID", DataType::Int, Some(300))
+                .col("ITEM", DataType::Int, Some(40))
+                .index(&["CID"])
+                .index(&["CID", "ITEM"])
+                .rows(ord.collect()),
+            Table::new("ITEMS", 40)
+                .site(2)
+                .col("IID", DataType::Int, Some(40))
+                .col("PRICE", DataType::Int, Some(20))
+                .rows(items.collect()),
+        ],
     )
 }
 
-fn database(cat: Arc<Catalog>) -> Database {
-    let mut b = DatabaseBuilder::new(cat);
-    for c in 0..300i64 {
-        b.insert(
-            "CUST",
-            vec![
-                Value::Int(c),
-                Value::Int(c % 3),
-                Value::str(format!("c{c}")),
-            ],
-        )
-        .unwrap();
-    }
-    for o in 0..1_200i64 {
-        b.insert(
-            "ORD",
-            vec![Value::Int(o), Value::Int(o % 300), Value::Int(o % 40)],
-        )
-        .unwrap();
-    }
-    for i in 0..40i64 {
-        b.insert("ITEMS", vec![Value::Int(i), Value::Int(i % 20)])
-            .unwrap();
-    }
-    b.build().unwrap()
+fn catalog() -> Arc<Catalog> {
+    retail("").catalog()
 }
 
-fn check(sql: &str, config: &OptConfig) -> usize {
-    let cat = catalog();
-    let db = database(cat.clone());
-    let query = parse_query(&cat, sql).unwrap();
-    let opt = Optimizer::new(cat).unwrap();
-    let out = opt.optimize(&query, config).unwrap();
-    let mut ex = Executor::new(&db, &query);
-    let got = ex.run(&out.best).unwrap();
-    let want = reference_eval(&db, &query).unwrap();
-    assert!(
-        rows_equal_multiset(&got.rows, &want),
-        "{sql}: best plan diverged ({} vs {} rows): {:?}",
-        got.rows.len(),
-        want.len(),
-        out.best.op_names()
-    );
-    got.rows.len()
+/// `diff::check` of `sql` over the retail data; the size of the answer.
+fn answered(sql: &str) -> usize {
+    check(&retail(sql)).rows.len()
 }
 
 #[test]
 fn single_table_with_btree_range() {
-    let n = check(
-        "SELECT C.NAME FROM CUST C WHERE C.CID < 10",
-        &OptConfig::default(),
-    );
+    let n = answered("SELECT C.NAME FROM CUST C WHERE C.CID < 10");
     assert_eq!(n, 10);
 }
 
 #[test]
 fn two_way_distributed_join() {
-    let n = check(
-        "SELECT C.NAME, O.OID FROM CUST C, ORD O WHERE C.CID = O.CID AND C.TIER = 0",
-        &OptConfig::default(),
-    );
+    let n = answered("SELECT C.NAME, O.OID FROM CUST C, ORD O WHERE C.CID = O.CID AND C.TIER = 0");
     assert_eq!(n, 400);
 }
 
@@ -111,51 +67,31 @@ fn two_way_distributed_join() {
 fn three_way_join_all_configs() {
     let sql = "SELECT C.NAME, I.PRICE FROM CUST C, ORD O, ITEMS I \
                WHERE C.CID = O.CID AND O.ITEM = I.IID AND C.TIER = 1 AND I.PRICE = 3";
-    let n1 = check(sql, &OptConfig::default());
-    let n2 = check(sql, &OptConfig::full());
-    let n3 = check(
-        sql,
-        &OptConfig {
-            glue_keep_all: true,
-            ..OptConfig::full()
-        },
-    );
-    assert_eq!(n1, n2);
-    assert_eq!(n2, n3);
-    assert!(n1 > 0);
+    // `check` runs every alternative of the default and the full
+    // repertoire against one reference answer.
+    assert!(answered(sql) > 0);
 }
 
 #[test]
 fn order_by_is_satisfied_by_final_glue() {
-    let cat = catalog();
-    let db = database(cat.clone());
-    let query = parse_query(
-        &cat,
-        "SELECT C.CID, C.NAME FROM CUST C WHERE C.TIER = 2 ORDER BY C.CID",
-    )
-    .unwrap();
+    let case = retail("SELECT C.CID, C.NAME FROM CUST C WHERE C.TIER = 2 ORDER BY C.CID");
+    let cat = case.catalog();
+    let query = parse_query(&cat, &case.sql).unwrap();
     let opt = Optimizer::new(cat).unwrap();
     let out = opt.optimize(&query, &OptConfig::default()).unwrap();
     assert!(out.best.props.order_satisfies(&query.order_by));
-    let mut ex = Executor::new(&db, &query);
-    let got = ex.run(&out.best).unwrap();
-    // Rows actually come out ordered.
-    let keys: Vec<_> = got.rows.iter().map(|r| r.get(0).clone()).collect();
-    let mut sorted = keys.clone();
-    sorted.sort();
-    assert_eq!(keys, sorted);
+    // Rows actually come out ordered: `check` asserts it of every plan that
+    // claims the order.
+    assert_eq!(check(&case).rows.len(), 100);
 }
 
 #[test]
 fn multi_column_index_is_exploited() {
     // Both CID and ITEM are bound: the two-column index prefix applies both.
-    let cat = catalog();
-    let query = parse_query(
-        &cat,
-        "SELECT O.OID FROM ORD O WHERE O.CID = 5 AND O.ITEM = 5",
-    )
-    .unwrap();
-    let opt = Optimizer::new(cat.clone()).unwrap();
+    let case = retail("SELECT O.OID FROM ORD O WHERE O.CID = 5 AND O.ITEM = 5");
+    let cat = case.catalog();
+    let query = parse_query(&cat, &case.sql).unwrap();
+    let opt = Optimizer::new(cat).unwrap();
     let config = OptConfig {
         glue_keep_all: true,
         ..Default::default()
@@ -174,62 +110,41 @@ fn multi_column_index_is_exploited() {
         })
     });
     assert!(uses_two_col, "two-column index never used");
-    let db = database(cat);
-    let want = reference_eval(&db, &query).unwrap();
-    for p in &out.root_alternatives {
-        let mut ex = Executor::new(&db, &query);
-        let got = ex.run(p).unwrap();
-        assert!(rows_equal_multiset(&got.rows, &want));
-    }
+    check(&case);
 }
 
 #[test]
 fn expression_and_inequality_predicates() {
-    let n = check(
-        "SELECT O.OID FROM ORD O, ITEMS I WHERE O.ITEM + 0 = I.IID AND I.PRICE > 17",
-        &OptConfig::full(),
-    );
+    let n = answered("SELECT O.OID FROM ORD O, ITEMS I WHERE O.ITEM + 0 = I.IID AND I.PRICE > 17");
     assert!(n > 0);
 }
 
 #[test]
 fn or_predicates_survive_optimization() {
-    let n = check(
-        "SELECT C.NAME FROM CUST C WHERE (C.TIER = 0 OR C.TIER = 2)",
-        &OptConfig::default(),
-    );
+    let n = answered("SELECT C.NAME FROM CUST C WHERE (C.TIER = 0 OR C.TIER = 2)");
     assert_eq!(n, 200);
 }
 
 #[test]
 fn select_star_round_trip() {
-    let n = check(
-        "SELECT * FROM ITEMS I WHERE I.PRICE = 0",
-        &OptConfig::default(),
-    );
+    let n = answered("SELECT * FROM ITEMS I WHERE I.PRICE = 0");
     assert_eq!(n, 2);
 }
 
 #[test]
 fn empty_result_queries() {
-    let n = check(
-        "SELECT C.NAME FROM CUST C WHERE C.CID = 99999",
-        &OptConfig::default(),
-    );
+    let n = answered("SELECT C.NAME FROM CUST C WHERE C.CID = 99999");
     assert_eq!(n, 0);
-    let n = check(
-        "SELECT C.NAME, O.OID FROM CUST C, ORD O WHERE C.CID = O.CID AND C.CID = 99999",
-        &OptConfig::full(),
-    );
+    let n =
+        answered("SELECT C.NAME, O.OID FROM CUST C, ORD O WHERE C.CID = O.CID AND C.CID = 99999");
     assert_eq!(n, 0);
 }
 
 #[test]
 fn self_join_via_aliases() {
     // Two quantifiers over the same table; indexes must bind per-quantifier.
-    let n = check(
+    let n = answered(
         "SELECT A.OID, B.OID FROM ORD A, ORD B WHERE A.CID = B.CID AND A.OID = 7 AND B.ITEM = 7",
-        &OptConfig::default(),
     );
     // Order 7 has CID 7; orders with CID ≡ 7 (mod 300): 10 of them; of
     // those, ITEM == 7 means OID % 40 == 7 — OID ∈ {7, 607, 1207, 1807,
