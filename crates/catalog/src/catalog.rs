@@ -49,8 +49,7 @@ impl Catalog {
     }
 
     pub fn table_by_name(&self, name: &str) -> Result<&Table> {
-        self.table_names
-            .get(&name.to_ascii_uppercase())
+        get_folded(&self.table_names, name)
             .map(|id| self.table(*id))
             .ok_or_else(|| CatalogError::NotFound {
                 kind: "table",
@@ -68,8 +67,7 @@ impl Catalog {
     }
 
     pub fn index_by_name(&self, name: &str) -> Result<&Index> {
-        self.index_names
-            .get(&name.to_ascii_uppercase())
+        get_folded(&self.index_names, name)
             .map(|id| self.index(*id))
             .ok_or_else(|| CatalogError::NotFound {
                 kind: "index",
@@ -139,7 +137,20 @@ impl Catalog {
         unique: bool,
         clustered: bool,
     ) -> Result<Catalog> {
-        let name = name.to_ascii_uppercase();
+        let mut cat = self.clone();
+        cat.add_index(name.to_ascii_uppercase(), table, cols, unique, clustered)?;
+        Ok(cat)
+    }
+
+    /// Define index `name` (uppercase) on `table`'s columns `cols`.
+    fn add_index(
+        &mut self,
+        name: String,
+        table: &str,
+        cols: &[&str],
+        unique: bool,
+        clustered: bool,
+    ) -> Result<()> {
         if self.index_names.contains_key(&name) {
             return Err(CatalogError::Duplicate {
                 kind: "index",
@@ -155,16 +166,13 @@ impl Catalog {
             col_ids.push(cid);
         }
         if col_ids.is_empty() {
-            return Err(CatalogError::Invalid(format!(
-                "index {name} has no columns"
-            )));
+            let msg = format!("index {name} has no columns");
+            return Err(CatalogError::Invalid(msg));
         }
-        let tid = t.id;
-        let mut cat = self.clone();
-        let id = IndexId(cat.indexes.len() as u32);
-        cat.index_names.insert(name.clone(), id);
-        cat.by_table.entry(tid).or_default().push(id);
-        cat.indexes.push(Index {
+        let (tid, id) = (t.id, IndexId(self.indexes.len() as u32));
+        self.index_names.insert(name.clone(), id);
+        self.by_table.entry(tid).or_default().push(id);
+        self.indexes.push(Index {
             id,
             name,
             table: tid,
@@ -172,7 +180,7 @@ impl Catalog {
             unique,
             clustered,
         });
-        Ok(cat)
+        Ok(())
     }
 
     /// A copy of this catalog with the named index removed. Surviving
@@ -191,6 +199,22 @@ impl Catalog {
         }
         Ok(cat)
     }
+}
+
+/// `map[name.to_ascii_uppercase()]` without allocating: catalog names are
+/// stored in uppercase, so an uppercase name is looked up as it is and any
+/// other is folded into a stack buffer (on the heap only past 64 bytes).
+fn get_folded<'m, V>(map: &'m HashMap<String, V>, name: &str) -> Option<&'m V> {
+    if !name.bytes().any(|b| b.is_ascii_lowercase()) {
+        return map.get(name);
+    }
+    let mut buf = [0u8; 64];
+    let Some(folded) = buf.get_mut(..name.len()) else {
+        return map.get(&name.to_ascii_uppercase());
+    };
+    folded.copy_from_slice(name.as_bytes());
+    folded.make_ascii_uppercase();
+    map.get(std::str::from_utf8(folded).ok()?)
 }
 
 /// Fluent builder for catalogs.
@@ -302,42 +326,8 @@ impl CatalogBuilder {
             }
         }
         for (name, table, cols, unique, clustered) in self.pending_indexes {
-            let tid = *cat
-                .table_names
-                .get(&table)
-                .ok_or_else(|| CatalogError::NotFound {
-                    kind: "table",
-                    name: table.clone(),
-                })?;
-            let t = cat.table(tid).clone();
-            let mut col_ids = Vec::with_capacity(cols.len());
-            for c in &cols {
-                let (cid, _) = t.column_by_name(c).ok_or_else(|| {
-                    CatalogError::Invalid(format!("index {name}: no column {c} on {table}"))
-                })?;
-                col_ids.push(cid);
-            }
-            if col_ids.is_empty() {
-                return Err(CatalogError::Invalid(format!(
-                    "index {name} has no columns"
-                )));
-            }
-            let id = IndexId(cat.indexes.len() as u32);
-            if cat.index_names.insert(name.clone(), id).is_some() {
-                return Err(CatalogError::Duplicate {
-                    kind: "index",
-                    name,
-                });
-            }
-            cat.by_table.entry(tid).or_default().push(id);
-            cat.indexes.push(Index {
-                id,
-                name,
-                table: tid,
-                cols: col_ids,
-                unique,
-                clustered,
-            });
+            let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+            cat.add_index(name, &table, &cols, unique, clustered)?;
         }
         Ok(cat)
     }
@@ -386,6 +376,31 @@ mod tests {
         assert_eq!(cat.indexes_on(emp.id).count(), 2);
         let dept = cat.table_by_name("dept").unwrap();
         assert_eq!(cat.indexes_on(dept.id).count(), 0);
+    }
+
+    #[test]
+    fn names_resolve_in_any_case() {
+        let long = "T".repeat(70);
+        let cat = Catalog::builder()
+            .table("DEPT", "x", StorageKind::Heap, 1)
+            .column("A", DataType::Int, None)
+            .table(long.to_lowercase(), "x", StorageKind::Heap, 1)
+            .column("A", DataType::Int, None)
+            .index("Dept_A", "dept", &["a"], false, false)
+            .build()
+            .unwrap();
+        for name in ["DEPT", "dept", "DePt"] {
+            assert_eq!(cat.table_by_name(name).unwrap().id, TableId(0));
+        }
+        // Past the 64-byte stack buffer the name is folded on the heap.
+        assert_eq!(cat.table_by_name(&long).unwrap().id, TableId(1));
+        assert_eq!(
+            cat.table_by_name(&long.to_lowercase()).unwrap().id,
+            TableId(1)
+        );
+        assert!(cat.table_by_name("DEP").is_err());
+        assert!(cat.table_by_name("d\u{e9}pt").is_err());
+        assert_eq!(cat.index_by_name("dept_a").unwrap().id, IndexId(0));
     }
 
     #[test]

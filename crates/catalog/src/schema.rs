@@ -29,11 +29,6 @@ impl Column {
         self.distinct = Some(distinct.max(1));
         self
     }
-
-    pub fn with_width(mut self, width: u32) -> Self {
-        self.width = width.max(1);
-        self
-    }
 }
 
 /// How a table's primary data is stored — the paper's storage-manager kinds

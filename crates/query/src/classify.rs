@@ -19,8 +19,6 @@
 //! predicates a multi-column index can apply ("the columns referenced in the
 //! predicates form a prefix of the columns in the index").
 
-use std::collections::BTreeSet;
-
 use starqo_catalog::ColId;
 
 use crate::pred::{CmpOp, PredExpr, PredSet};
@@ -36,18 +34,6 @@ pub struct Classifier<'q> {
 impl<'q> Classifier<'q> {
     pub fn new(query: &'q Query) -> Self {
         Classifier { query }
-    }
-
-    /// χ(T): all catalog columns of a quantifier set (as quantified columns).
-    /// Note this is *schema* columns, not just required ones.
-    pub fn cols_of(&self, qs: QSet, ncols: impl Fn(QId) -> u32) -> BTreeSet<QCol> {
-        let mut out = BTreeSet::new();
-        for q in qs.iter() {
-            for c in 0..ncols(q) {
-                out.insert(QCol::new(q, ColId(c)));
-            }
-        }
-        out
     }
 
     /// JP: join predicates among `p_set` — multi-table simple comparisons

@@ -3,7 +3,7 @@
 //! The query model for the `starqo` optimizer: quantifiers (table
 //! references), scalar expressions, predicates, bitset representations of
 //! quantifier and predicate sets, the paper's §4 predicate classifications
-//! (JP / SP / HP / IP / XP), and a mini-SQL parser for examples and tests.
+//! (JP / SP / HP / IP / XP), and the mini-SQL parser every request goes through.
 //!
 //! The optimizer (in `starqo-core`) consumes a [`Query`] and the catalog; it
 //! never sees SQL text.

@@ -1,4 +1,6 @@
-//! A mini-SQL parser for examples and tests.
+//! The mini-SQL parser every request's text goes through: `parse_query`
+//! turns SQL into the [`Query`] the optimizer starts from (§4's
+//! "non-procedural set of parameters from the query").
 //!
 //! Grammar (conjunctive select-project-join queries, which is exactly the
 //! query class the paper's STARs cover — subqueries and recursion are
@@ -16,436 +18,436 @@
 //! atom    := colref | NUMBER | 'string' | '(' scalar ')'
 //! colref  := IDENT '.' IDENT | IDENT
 //! ```
+//!
+//! Tokens are lexed one at a time from the text they point into; the parser
+//! saves and restores its cursor to backtrack (`factor`'s `(`, and the
+//! select list, read after FROM). So a parse allocates only what the
+//! returned `Query` owns. Integer literals are exact: `-` folds onto one, so
+//! `i64::MIN` reads, and one outside `i64` is an error.
 
 use starqo_catalog::{Catalog, Value};
 
 use crate::error::{QueryError, Result};
 use crate::pred::{CmpOp, PredExpr};
 use crate::query::{Query, QueryBuilder};
-use crate::scalar::{ArithOp, Scalar};
+use crate::scalar::{ArithOp, QCol, Scalar};
 
-#[derive(Debug, Clone, PartialEq)]
+/// What a token is; its text lies between its lexeme's offsets. `Int`
+/// reads as a `u64` (2^63 may yet be negated), `Double` as an `f64`; `Str`
+/// includes its quotes; `Punct` is `,` `.` `(` or `)`. `Bad` is text that
+/// does not lex: it ends where it starts, so no rule gets past it, and
+/// `parse_query` reports it as [`lex_error`].
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Tok {
-    Ident(String),
-    Number(f64, bool), // value, is_integer
-    Str(String),
-    Sym(&'static str),
+    Ident,
+    Int,
+    Double,
+    Str,
+    Punct(u8),
+    Arith(ArithOp),
+    Cmp(CmpOp),
     Eof,
+    Bad,
 }
 
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
+/// A token and its byte offsets, cheap to copy and to save.
+#[derive(Clone, Copy)]
+struct Lexeme {
+    tok: Tok,
+    at: u32,
+    end: u32,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0 }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> QueryError {
-        QueryError::Parse {
-            msg: msg.into(),
-            pos: self.pos,
+/// The token of `src` at or after byte `from`. A non-ASCII byte takes the
+/// `char` path, so white space and letters mean what `char` says they mean.
+/// Inlined into [`Parser::bump`], and that into every rule: called, the two
+/// cost the parse about a fifth more.
+#[inline(always)]
+fn lex(src: &str, from: u32) -> Lexeme {
+    let b = src.as_bytes();
+    let mut at = from as usize;
+    loop {
+        match b.get(at) {
+            Some(b' ' | b'\t'..=b'\r') => at += 1,
+            Some(0x80..) if src[at..].starts_with(char::is_whitespace) => {
+                at = src.len() - src[at..].trim_start().len();
+            }
+            _ => break,
         }
     }
-
-    fn bump_while(&mut self, f: impl Fn(char) -> bool) -> &'a str {
-        let start = self.pos;
-        while let Some(c) = self.src[self.pos..].chars().next() {
-            if f(c) {
-                self.pos += c.len_utf8();
-            } else {
-                break;
+    let (tok, len) = match b.get(at) {
+        None => (Tok::Eof, 0),
+        Some(b'a'..=b'z' | b'A'..=b'Z' | b'_') => (Tok::Ident, ident_len(&src[at..])),
+        Some(b'0'..=b'9') => {
+            let w = &src[at..at + number_len(&src[at..])];
+            match w.contains('.') {
+                true if w.parse::<f64>().is_ok() => (Tok::Double, w.len()),
+                false if w.parse::<u64>().is_ok() => (Tok::Int, w.len()),
+                _ => (Tok::Bad, 0),
             }
         }
-        &self.src[start..self.pos]
-    }
+        Some(b'\'') => match b[at + 1..].iter().position(|c| *c == b'\'') {
+            Some(n) => (Tok::Str, n + 2),
+            None => (Tok::Bad, 0),
+        },
+        Some(&c) => match (c, b.get(at + 1)) {
+            (b'<', Some(b'=')) => (Tok::Cmp(CmpOp::Le), 2),
+            (b'<', Some(b'>')) | (b'!', Some(b'=')) => (Tok::Cmp(CmpOp::Ne), 2),
+            (b'>', Some(b'=')) => (Tok::Cmp(CmpOp::Ge), 2),
+            (b'<', _) => (Tok::Cmp(CmpOp::Lt), 1),
+            (b'>', _) => (Tok::Cmp(CmpOp::Gt), 1),
+            (b'=', _) => (Tok::Cmp(CmpOp::Eq), 1),
+            (b'+', _) => (Tok::Arith(ArithOp::Add), 1),
+            (b'-', _) => (Tok::Arith(ArithOp::Sub), 1),
+            (b'*', _) => (Tok::Arith(ArithOp::Mul), 1),
+            (b'/', _) => (Tok::Arith(ArithOp::Div), 1),
+            (b',' | b'.' | b'(' | b')', _) => (Tok::Punct(c), 1),
+            _ => (Tok::Bad, 0),
+        },
+    };
+    // `parse_query` turns away a text whose offsets do not fit in `u32`.
+    let (at, end) = (at as u32, (at + len) as u32);
+    Lexeme { tok, at, end }
+}
 
-    fn next_tok(&mut self) -> Result<(Tok, usize)> {
-        {
-            self.bump_while(|c| c.is_whitespace());
-            let at = self.pos;
-            let Some(c) = self.src[self.pos..].chars().next() else {
-                return Ok((Tok::Eof, at));
-            };
-            match c {
-                'a'..='z' | 'A'..='Z' | '_' => {
-                    let w = self.bump_while(|c| c.is_alphanumeric() || c == '_');
-                    Ok((Tok::Ident(w.to_string()), at))
-                }
-                '0'..='9' => {
-                    let w = self.bump_while(|c| c.is_ascii_digit() || c == '.');
-                    let is_int = !w.contains('.');
-                    let v: f64 = w
-                        .parse()
-                        .map_err(|_| self.error(format!("bad number {w}")))?;
-                    Ok((Tok::Number(v, is_int), at))
-                }
-                '\'' => {
-                    self.pos += 1;
-                    let start = self.pos;
-                    while let Some(c) = self.src[self.pos..].chars().next() {
-                        if c == '\'' {
-                            let s = self.src[start..self.pos].to_string();
-                            self.pos += 1;
-                            return Ok((Tok::Str(s), at));
-                        }
-                        self.pos += c.len_utf8();
-                    }
-                    Err(self.error("unterminated string literal"))
-                }
-                '<' => {
-                    self.pos += 1;
-                    if self.src[self.pos..].starts_with('=') {
-                        self.pos += 1;
-                        return Ok((Tok::Sym("<="), at));
-                    }
-                    if self.src[self.pos..].starts_with('>') {
-                        self.pos += 1;
-                        return Ok((Tok::Sym("<>"), at));
-                    }
-                    Ok((Tok::Sym("<"), at))
-                }
-                '>' => {
-                    self.pos += 1;
-                    if self.src[self.pos..].starts_with('=') {
-                        self.pos += 1;
-                        return Ok((Tok::Sym(">="), at));
-                    }
-                    Ok((Tok::Sym(">"), at))
-                }
-                '!' => {
-                    self.pos += 1;
-                    if self.src[self.pos..].starts_with('=') {
-                        self.pos += 1;
-                        return Ok((Tok::Sym("<>"), at));
-                    }
-                    Err(self.error("unexpected '!'"))
-                }
-                '=' => {
-                    self.pos += 1;
-                    Ok((Tok::Sym("="), at))
-                }
-                ',' | '.' | '(' | ')' | '*' | '+' | '-' | '/' => {
-                    self.pos += 1;
-                    let s = match c {
-                        ',' => ",",
-                        '.' => ".",
-                        '(' => "(",
-                        ')' => ")",
-                        '*' => "*",
-                        '+' => "+",
-                        '-' => "-",
-                        '/' => "/",
-                        _ => unreachable!(),
-                    };
-                    Ok((Tok::Sym(s), at))
-                }
-                _ => Err(self.error(format!("unexpected character {c:?}"))),
-            }
+/// Bytes of the identifier `s` starts with.
+fn ident_len(s: &str) -> usize {
+    let b = s.as_bytes();
+    let mut n = 1;
+    while n < b.len() && (b[n].is_ascii_alphanumeric() || b[n] == b'_') {
+        n += 1;
+    }
+    match b.get(n) {
+        Some(0x80..) => {
+            let word = |c: char| c.is_alphanumeric() || c == '_';
+            n + s[n..].find(|c| !word(c)).unwrap_or(s.len() - n)
         }
+        _ => n,
     }
 }
+
+/// Bytes of the digits and dots `s` starts with.
+fn number_len(s: &str) -> usize {
+    let n = s.bytes().position(|c| !(c.is_ascii_digit() || c == b'.'));
+    n.unwrap_or(s.len())
+}
+
+/// The error of the `Bad` token at byte `at` of `src`.
+fn lex_error(src: &str, at: usize) -> QueryError {
+    let (msg, pos) = match src.as_bytes()[at] {
+        b'0'..=b'9' => {
+            let n = number_len(&src[at..]);
+            (format!("bad number {}", &src[at..at + n]), at + n)
+        }
+        b'\'' => ("unterminated string literal".to_string(), src.len()),
+        b'!' => ("unexpected '!'".to_string(), at + 1),
+        _ => {
+            let c = src[at..].chars().next().unwrap_or_default();
+            (format!("unexpected character {c:?}"), at)
+        }
+    };
+    QueryError::Parse { msg, pos }
+}
+
+/// A rule's result. The error is boxed: a `Result` carrying the
+/// `QueryError` itself is copied through memory at every `?`.
+type Parsed<T> = std::result::Result<T, Box<QueryError>>;
 
 struct Parser<'a> {
-    toks: Vec<(Tok, usize)>,
-    at: usize,
+    src: &'a str,
+    /// The token under the cursor.
+    cur: Lexeme,
     cat: &'a Catalog,
     builder: QueryBuilder,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at.min(self.toks.len() - 1)].0
+    #[inline(always)]
+    fn bump(&mut self) -> Lexeme {
+        let l = self.cur;
+        self.cur = lex(self.src, l.end);
+        l
     }
 
-    fn pos(&self) -> usize {
-        self.toks[self.at.min(self.toks.len() - 1)].1
+    fn text(&self, l: Lexeme) -> &'a str {
+        &self.src[l.at as usize..l.end as usize]
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at.min(self.toks.len() - 1)].0.clone();
-        self.at += 1;
-        t
-    }
-
-    fn error(&self, msg: impl Into<String>) -> QueryError {
-        QueryError::Parse {
-            msg: msg.into(),
-            pos: self.pos(),
+    /// A token as errors name it: as the derived `Debug` of the owned
+    /// tokens this parser once had printed it, numbers as `f64`.
+    fn show(&self, l: Lexeme) -> String {
+        let text = self.text(l);
+        match l.tok {
+            Tok::Ident => format!("Ident({text:?})"),
+            Tok::Int | Tok::Double => {
+                let v = text.parse::<f64>().unwrap_or(f64::NAN);
+                format!("Number({v:?}, {})", l.tok == Tok::Int)
+            }
+            Tok::Str => format!("Str({:?})", &text[1..text.len() - 1]),
+            Tok::Punct(_) | Tok::Arith(_) => format!("Sym({text:?})"),
+            Tok::Cmp(op) => format!("Sym({:?})", op.symbol()),
+            Tok::Eof | Tok::Bad => "Eof".to_string(),
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
-        match self.bump() {
-            Tok::Ident(w) if w.eq_ignore_ascii_case(kw) => Ok(()),
-            other => Err(self.error(format!("expected {kw}, found {other:?}"))),
-        }
+    /// A syntax error at byte `pos`.
+    fn error_at(pos: u32, msg: impl Into<String>) -> Box<QueryError> {
+        let (msg, pos) = (msg.into(), pos as usize);
+        Box::new(QueryError::Parse { msg, pos })
+    }
+
+    /// A syntax error at the token under the cursor.
+    fn error(&self, msg: impl Into<String>) -> Box<QueryError> {
+        Self::error_at(self.cur.at, msg)
+    }
+
+    fn is_kw(&self, l: Lexeme, kw: &str) -> bool {
+        l.tok == Tok::Ident && self.text(l).eq_ignore_ascii_case(kw)
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(w) if w.eq_ignore_ascii_case(kw))
+        self.is_kw(self.cur, kw)
     }
 
-    fn expect_sym(&mut self, sym: &str) -> Result<()> {
-        match self.bump() {
-            Tok::Sym(s) if s == sym => Ok(()),
-            other => Err(self.error(format!("expected '{sym}', found {other:?}"))),
-        }
+    fn eat(&mut self, tok: Tok) -> bool {
+        (self.cur.tok == tok).then(|| self.bump()).is_some()
     }
 
-    fn eat_sym(&mut self, sym: &str) -> bool {
-        if matches!(self.peek(), Tok::Sym(s) if *s == sym) {
-            self.at += 1;
-            true
-        } else {
-            false
-        }
+    /// Consume the token under the cursor and read it with `read`; "expected
+    /// `what`" if that gives nothing.
+    fn expect<T>(&mut self, what: &str, read: impl Fn(&Self, Lexeme) -> Option<T>) -> Parsed<T> {
+        let l = self.bump();
+        let found = || format!("expected {what}, found {}", self.show(l));
+        read(self, l).ok_or_else(|| self.error(found()))
     }
 
-    fn ident(&mut self) -> Result<String> {
-        match self.bump() {
-            Tok::Ident(w) => Ok(w),
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
-        }
+    fn expect_kw(&mut self, kw: &str) -> Parsed<()> {
+        self.expect(kw, |p, l| p.is_kw(l, kw).then_some(()))
+    }
+
+    fn expect_close(&mut self) -> Parsed<()> {
+        self.expect("')'", |_, l| (l.tok == Tok::Punct(b')')).then_some(()))
+    }
+
+    fn ident(&mut self) -> Parsed<&'a str> {
+        self.expect("identifier", |p, l| {
+            (l.tok == Tok::Ident).then(|| p.text(l))
+        })
     }
 
     /// Parse a column reference (after FROM resolution).
-    fn colref(&mut self) -> Result<crate::scalar::QCol> {
+    fn colref(&mut self) -> Parsed<QCol> {
         let first = self.ident()?;
-        if self.eat_sym(".") {
+        if self.eat(Tok::Punct(b'.')) {
             let col = self.ident()?;
-            self.builder.resolve(self.cat, &first, &col)
+            Ok(self.builder.resolve(self.cat, first, col)?)
         } else {
-            self.builder.resolve_bare(self.cat, &first)
+            Ok(self.builder.resolve_bare(self.cat, first)?)
         }
     }
 
-    fn atom(&mut self) -> Result<Scalar> {
-        match self.peek().clone() {
-            Tok::Number(v, is_int) => {
-                self.at += 1;
-                Ok(Scalar::Const(if is_int {
-                    Value::Int(v as i64)
-                } else {
-                    Value::Double(v)
-                }))
-            }
-            Tok::Str(s) => {
-                self.at += 1;
-                Ok(Scalar::Const(Value::str(s)))
-            }
-            Tok::Sym("(") => {
-                self.at += 1;
+    fn atom(&mut self) -> Parsed<Scalar> {
+        let l = self.cur;
+        let text = self.text(l);
+        // Out of range is a bad number, reported past it like the lexer's.
+        let int = |v: Option<i64>, end, text: std::fmt::Arguments| match v {
+            Some(i) => Ok(Scalar::Const(Value::Int(i))),
+            None => Err(Self::error_at(end, format!("bad number {text}"))),
+        };
+        let e = match l.tok {
+            Tok::Ident => return Ok(Scalar::Col(self.colref()?)),
+            Tok::Int => int(text.parse().ok(), l.end, format_args!("{text}")),
+            Tok::Double => Ok(Scalar::Const(Value::Double(
+                text.parse().unwrap_or(f64::NAN),
+            ))),
+            Tok::Str => Ok(Scalar::Const(Value::str(&text[1..text.len() - 1]))),
+            Tok::Punct(b'(') => {
+                self.bump();
                 let e = self.scalar()?;
-                self.expect_sym(")")?;
-                Ok(e)
+                return self.expect_close().map(|()| e);
             }
-            Tok::Sym("-") => {
-                self.at += 1;
-                let e = self.atom()?;
-                match e {
-                    Scalar::Const(Value::Int(i)) => Ok(Scalar::Const(Value::Int(-i))),
-                    Scalar::Const(Value::Double(d)) => Ok(Scalar::Const(Value::Double(-d))),
-                    other => Ok(Scalar::Arith(
-                        ArithOp::Sub,
-                        Box::new(Scalar::Const(Value::Int(0))),
-                        Box::new(other),
-                    )),
+            Tok::Arith(ArithOp::Sub) => {
+                self.bump();
+                if self.cur.tok != Tok::Int {
+                    return match self.atom()? {
+                        Scalar::Const(Value::Int(i)) => {
+                            int(i.checked_neg(), self.cur.at, format_args!("-({i})"))
+                        }
+                        Scalar::Const(Value::Double(d)) => Ok(Scalar::Const(Value::Double(-d))),
+                        other => {
+                            let zero = Box::new(Scalar::Const(Value::Int(0)));
+                            Ok(Scalar::Arith(ArithOp::Sub, zero, Box::new(other)))
+                        }
+                    };
                 }
+                let (l, text) = (self.cur, self.text(self.cur));
+                let v = text.parse().ok().and_then(|v| 0i64.checked_sub_unsigned(v));
+                int(v, l.end, format_args!("-{text}"))
             }
-            Tok::Ident(_) => Ok(Scalar::Col(self.colref()?)),
-            other => Err(self.error(format!("expected scalar, found {other:?}"))),
-        }
+            _ => return Err(self.error(format!("expected scalar, found {}", self.show(l)))),
+        };
+        self.bump();
+        e
     }
 
-    fn term(&mut self) -> Result<Scalar> {
+    fn term(&mut self) -> Parsed<Scalar> {
         let mut e = self.atom()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Sym("*") => ArithOp::Mul,
-                Tok::Sym("/") => ArithOp::Div,
-                _ => break,
-            };
-            self.at += 1;
+        while let Tok::Arith(op @ (ArithOp::Mul | ArithOp::Div)) = self.cur.tok {
+            self.bump();
             let r = self.atom()?;
             e = Scalar::Arith(op, Box::new(e), Box::new(r));
         }
         Ok(e)
     }
 
-    fn scalar(&mut self) -> Result<Scalar> {
+    fn scalar(&mut self) -> Parsed<Scalar> {
         let mut e = self.term()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Sym("+") => ArithOp::Add,
-                Tok::Sym("-") => ArithOp::Sub,
-                _ => break,
-            };
-            self.at += 1;
+        while let Tok::Arith(op @ (ArithOp::Add | ArithOp::Sub)) = self.cur.tok {
+            self.bump();
             let r = self.term()?;
             e = Scalar::Arith(op, Box::new(e), Box::new(r));
         }
         Ok(e)
     }
 
-    fn cmp(&mut self) -> Result<PredExpr> {
+    fn cmp(&mut self) -> Parsed<PredExpr> {
         let l = self.scalar()?;
-        let op = match self.bump() {
-            Tok::Sym("=") => CmpOp::Eq,
-            Tok::Sym("<>") => CmpOp::Ne,
-            Tok::Sym("<") => CmpOp::Lt,
-            Tok::Sym("<=") => CmpOp::Le,
-            Tok::Sym(">") => CmpOp::Gt,
-            Tok::Sym(">=") => CmpOp::Ge,
-            other => return Err(self.error(format!("expected comparison, found {other:?}"))),
-        };
-        let r = self.scalar()?;
-        Ok(PredExpr::Cmp(op, l, r))
+        let op = self.expect("comparison", |_, l| match l.tok {
+            Tok::Cmp(op) => Some(op),
+            _ => None,
+        })?;
+        Ok(PredExpr::Cmp(op, l, self.scalar()?))
     }
 
     /// A WHERE factor: either a parenthesized OR-group or a comparison.
-    fn factor(&mut self) -> Result<PredExpr> {
-        if matches!(self.peek(), Tok::Sym("(")) {
+    fn factor(&mut self) -> Parsed<PredExpr> {
+        if self.cur.tok == Tok::Punct(b'(') {
             // Could be "(scalar) op scalar" or "(cmp OR cmp)". Try the OR
             // group by lookahead: parse inside as cmp; if followed by OR it
             // is a group, otherwise re-parse as comparison.
-            let save = self.at;
-            self.at += 1;
+            let save = self.cur;
+            self.bump();
             if let Ok(first) = self.cmp() {
                 if self.at_kw("OR") {
                     let mut arms = vec![first];
                     while self.at_kw("OR") {
-                        self.at += 1;
+                        self.bump();
                         arms.push(self.cmp()?);
                     }
-                    self.expect_sym(")")?;
+                    self.expect_close()?;
                     return Ok(PredExpr::Or(arms));
                 }
-                if self.eat_sym(")") && !self.is_cmp_op() {
+                if self.eat(Tok::Punct(b')')) && !matches!(self.cur.tok, Tok::Cmp(_)) {
                     return Ok(first);
                 }
             }
-            self.at = save;
+            self.cur = save;
         }
         self.cmp()
     }
 
-    fn is_cmp_op(&self) -> bool {
-        matches!(self.peek(), Tok::Sym("=" | "<>" | "<" | "<=" | ">" | ">="))
-    }
-
-    fn parse(mut self) -> Result<Query> {
+    fn parse(&mut self) -> Parsed<()> {
         self.expect_kw("SELECT")?;
-        // FROM must be parsed before select columns can resolve; collect the
-        // select token range first.
-        let select_start = self.at;
+        // FROM must be parsed before select columns can resolve; skip the
+        // select list first and come back to it.
+        let select = self.cur;
         let mut depth = 0usize;
         while !(depth == 0 && self.at_kw("FROM")) {
-            match self.peek() {
-                Tok::Eof => return Err(self.error("expected FROM")),
-                Tok::Sym("(") => depth += 1,
-                Tok::Sym(")") => depth = depth.saturating_sub(1),
+            match self.bump().tok {
+                Tok::Eof | Tok::Bad => return Err(self.error("expected FROM")),
+                Tok::Punct(b'(') => depth += 1,
+                Tok::Punct(b')') => depth = depth.saturating_sub(1),
                 _ => {}
             }
-            self.at += 1;
         }
-        let select_end = self.at;
+        let select_end = self.cur.at;
         self.expect_kw("FROM")?;
         loop {
             let table = self.ident()?;
-            let alias = match self.peek() {
-                Tok::Ident(w)
-                    if !w.eq_ignore_ascii_case("WHERE") && !w.eq_ignore_ascii_case("ORDER") =>
-                {
+            let alias = match self.cur {
+                l if l.tok == Tok::Ident && !self.is_kw(l, "WHERE") && !self.is_kw(l, "ORDER") => {
                     self.ident()?
                 }
-                _ => table.clone(),
+                _ => table,
             };
-            self.builder.quantifier(self.cat, &table, &alias)?;
-            if !self.eat_sym(",") {
+            self.builder.quantifier(self.cat, table, alias)?;
+            if !self.eat(Tok::Punct(b',')) {
                 break;
             }
         }
-        let after_from = self.at;
+        let after_from = self.cur;
 
         // Now resolve the select list.
-        self.at = select_start;
-        if matches!(self.peek(), Tok::Sym("*")) {
-            self.at += 1;
-            // Expand `*` into every column of every quantifier, in
-            // (quantifier, column) order, so the projection is explicit.
-            for qt in self.builder.quantifiers_snapshot() {
-                let ncols = self.cat.table(qt.1).columns.len() as u32;
-                for ci in 0..ncols {
-                    self.builder
-                        .select(crate::scalar::QCol::new(qt.0, starqo_catalog::ColId(ci)));
-                }
-            }
+        self.cur = select;
+        if self.eat(Tok::Arith(ArithOp::Mul)) {
+            self.builder.select_all(self.cat);
         } else {
             loop {
                 let c = self.colref()?;
                 self.builder.select(c);
-                if !self.eat_sym(",") {
+                if !self.eat(Tok::Punct(b',')) {
                     break;
                 }
             }
         }
-        if self.at != select_end {
+        if self.cur.at != select_end {
             return Err(self.error("trailing tokens in select list"));
         }
-        self.at = after_from;
+        self.cur = after_from;
 
-        if self.at_kw("WHERE") {
-            self.at += 1;
-            loop {
-                let p = self.factor()?;
-                self.builder.predicate(p)?;
-                if self.at_kw("AND") {
-                    self.at += 1;
-                } else {
-                    break;
-                }
-            }
+        let mut kw = "WHERE";
+        while self.at_kw(kw) {
+            self.bump();
+            let p = self.factor()?;
+            self.builder.predicate(p)?;
+            kw = "AND";
         }
         if self.at_kw("ORDER") {
-            self.at += 1;
+            self.bump();
             self.expect_kw("BY")?;
             loop {
                 let c = self.colref()?;
                 self.builder.order_by(c);
-                if !self.eat_sym(",") {
+                if !self.eat(Tok::Punct(b',')) {
                     break;
                 }
             }
         }
-        match self.peek() {
-            Tok::Eof => self.builder.build(),
-            other => Err(self.error(format!("unexpected trailing token {other:?}"))),
+        match self.cur {
+            l if l.tok == Tok::Eof => Ok(()),
+            l => Err(self.error(format!("unexpected trailing token {}", self.show(l)))),
         }
     }
 }
 
-/// Parse a mini-SQL query against a catalog.
+/// Parse a mini-SQL query against a catalog. Where the text does not lex,
+/// the first place it fails to is the error, wherever the parse stopped.
 pub fn parse_query(cat: &Catalog, sql: &str) -> Result<Query> {
-    let mut lx = Lexer::new(sql);
-    let mut toks = Vec::new();
-    loop {
-        let (t, p) = lx.next_tok()?;
-        let eof = t == Tok::Eof;
-        toks.push((t, p));
-        if eof {
-            break;
-        }
+    if u32::try_from(sql.len()).is_err() {
+        return Err(QueryError::Limit("SQL text of 4 GiB or more".into()));
     }
-    Parser {
-        toks,
-        at: 0,
+    let mut p = Parser {
+        src: sql,
+        cur: lex(sql, 0),
         cat,
         builder: QueryBuilder::new(),
+    };
+    match p.parse() {
+        Ok(()) => p.builder.build(),
+        Err(e) => Err(first_lex_error(sql).unwrap_or(*e)),
     }
-    .parse()
+}
+
+/// The first place `sql` does not lex, if there is one.
+fn first_lex_error(sql: &str) -> Option<QueryError> {
+    let mut l = lex(sql, 0);
+    loop {
+        match l.tok {
+            Tok::Bad => return Some(lex_error(sql, l.at as usize)),
+            Tok::Eof => return None,
+            _ => l = lex(sql, l.end),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -546,6 +548,58 @@ mod tests {
         assert!(parse_query(&cat, "SELECT E.NAME FROM EMP E extra garbage").is_err());
         assert!(parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.SAL = 'oops").is_err());
         assert!(parse_query(&cat, "SELECT E.NAME FROM EMP E WHERE E.SAL ! 3").is_err());
+    }
+
+    /// The literal `lit` as the right side of a one-predicate query.
+    fn literal(lit: &str) -> Result<Value> {
+        let sql = format!("SELECT E.NAME FROM EMP E WHERE E.DNO = {lit}");
+        let q = parse_query(&cat(), &sql)?;
+        match &q.pred(PredId(0)).expr {
+            PredExpr::Cmp(_, _, Scalar::Const(v)) => Ok(v.clone()),
+            other => panic!("{lit} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_literals_are_exact() {
+        // Read as `f64` and cast, these were 2^53, `i64::MAX` and
+        // `i64::MIN + 1`.
+        assert_eq!(
+            literal("9007199254740993"),
+            Ok(Value::Int(9_007_199_254_740_993))
+        );
+        assert_eq!(literal("-9223372036854775808"), Ok(Value::Int(i64::MIN)));
+        assert_eq!(literal("9223372036854775807"), Ok(Value::Int(i64::MAX)));
+        assert_eq!(literal("- 9223372036854775808"), Ok(Value::Int(i64::MIN)));
+        assert_eq!(literal("--5"), Ok(Value::Int(5)));
+        // Out of range is an error just past the literal, which starts at
+        // byte 39.
+        let bad = |msg: &str, pos| {
+            Err(QueryError::Parse {
+                msg: msg.to_string(),
+                pos,
+            })
+        };
+        let max = "99999999999999999999";
+        assert_eq!(literal(max), bad(&format!("bad number {max}"), 59));
+        let big = "9223372036854775808";
+        assert_eq!(literal(big), bad(&format!("bad number {big}"), 58));
+        assert_eq!(
+            literal("-9223372036854775809"),
+            bad("bad number -9223372036854775809", 59)
+        );
+        assert_eq!(
+            literal("--9223372036854775808"),
+            bad("bad number -(-9223372036854775808)", 60)
+        );
+        // Doubles read as before.
+        assert_eq!(literal("2.5"), Ok(Value::Double(2.5)));
+        assert_eq!(literal("-0.125"), Ok(Value::Double(-0.125)));
+        assert_eq!(literal("7."), Ok(Value::Double(7.0)));
+        assert_eq!(
+            literal("99999999999999999999.5"),
+            Ok(Value::Double(99_999_999_999_999_999_999.5))
+        );
     }
 
     #[test]

@@ -244,10 +244,14 @@ impl QueryBuilder {
         self
     }
 
-    /// Snapshot of declared quantifiers as (id, table) pairs (used by the
-    /// parser to expand `SELECT *`).
-    pub fn quantifiers_snapshot(&self) -> Vec<(QId, TableId)> {
-        self.quantifiers.iter().map(|q| (q.id, q.table)).collect()
+    /// Select every column of every declared quantifier, in (quantifier,
+    /// column) order: `SELECT *` made explicit.
+    pub fn select_all(&mut self, cat: &Catalog) {
+        for qt in &self.quantifiers {
+            let ncols = cat.table(qt.table).columns.len() as u32;
+            let cols = (0..ncols).map(|c| QCol::new(qt.id, starqo_catalog::ColId(c)));
+            self.select.extend(cols);
+        }
     }
 
     /// Resolve `alias.column` against the declared quantifiers.
@@ -278,14 +282,9 @@ impl QueryBuilder {
         found.ok_or_else(|| QueryError::Resolve(format!("unknown column {column}")))
     }
 
-    pub fn build(mut self) -> Result<Query> {
+    pub fn build(self) -> Result<Query> {
         if self.quantifiers.is_empty() {
             return Err(QueryError::Resolve("query has no tables".into()));
-        }
-        if self.select.is_empty() {
-            // SELECT * — project everything? Keep it explicit: all columns of
-            // all quantifiers, in quantifier order.
-            self.select = Vec::new();
         }
         Ok(Query {
             quantifiers: self.quantifiers,

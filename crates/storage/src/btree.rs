@@ -7,14 +7,22 @@ use starqo_catalog::{Index, IndexId, Value};
 
 use crate::error::{Result, StorageError};
 use crate::table::StoredTable;
-use crate::tuple::Tid;
+use crate::tuple::{Tid, Tuple};
+
+/// `row`'s key under `def`.
+fn key_of(def: &Index, row: &Tuple) -> Vec<Value> {
+    def.cols
+        .iter()
+        .map(|c| row.get(c.0 as usize).clone())
+        .collect()
+}
 
 /// The stored form of a secondary index: composite key → TIDs.
 ///
 /// Range scans over this map are what an index-flavored `ACCESS` executes;
 /// the keys come back in key order, which is where the ORDER property of an
 /// index scan comes from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BTreeIndexData {
     pub index: IndexId,
     map: BTreeMap<Vec<Value>, Vec<Tid>>,
@@ -27,12 +35,7 @@ impl BTreeIndexData {
         let mut map: BTreeMap<Vec<Value>, Vec<Tid>> = BTreeMap::new();
         let mut entries = 0u64;
         for (tid, row) in data.scan() {
-            let key: Vec<Value> = def
-                .cols
-                .iter()
-                .map(|c| row.get(c.0 as usize).clone())
-                .collect();
-            let bucket = map.entry(key).or_default();
+            let bucket = map.entry(key_of(def, row)).or_default();
             if def.unique && !bucket.is_empty() {
                 return Err(StorageError::UniqueViolation { index: def.id });
             }
@@ -44,6 +47,27 @@ impl BTreeIndexData {
             map,
             entries,
         })
+    }
+
+    /// `Err(UniqueViolation)` if `def` is unique and `row`'s key is taken.
+    pub(crate) fn admit(&self, def: &Index, row: &Tuple) -> Result<()> {
+        match def.unique && self.map.contains_key(&key_of(def, row)) {
+            true => Err(StorageError::UniqueViolation { index: def.id }),
+            false => Ok(()),
+        }
+    }
+
+    /// Index `row`, just stored at `tid`: the rows at `tid` and after it
+    /// (if it was not appended) moved up one TID, and so do their entries.
+    /// Every bucket stays in TID order, as [`Self::build`] leaves it.
+    pub(crate) fn insert(&mut self, def: &Index, row: &Tuple, tid: Tid) {
+        if tid.0 < self.entries {
+            let moved = self.map.values_mut().flatten().filter(|t| t.0 >= tid.0);
+            moved.for_each(|t| t.0 += 1);
+        }
+        let bucket = self.map.entry(key_of(def, row)).or_default();
+        bucket.insert(bucket.partition_point(|t| t.0 < tid.0), tid);
+        self.entries += 1;
     }
 
     /// Full scan in key order.

@@ -76,18 +76,23 @@ impl StoredTable {
 
     /// Append a row, validating arity against the schema.
     pub fn insert(&mut self, schema: &Table, row: Tuple) -> Result<Tid> {
-        if row.arity() != schema.columns.len() {
-            return Err(StorageError::SchemaMismatch {
-                table: self.table,
-                expected: schema.columns.len(),
-                got: row.arity(),
-            });
-        }
+        self.check_arity(schema, &row)?;
         let tid = Tid(self.rows.len() as u64);
         self.rows.push(row);
         self.sorted_on.clear();
         self.ints.clear();
         Ok(tid)
+    }
+
+    /// `Err(SchemaMismatch)` unless `row` has one value per column.
+    pub(crate) fn check_arity(&self, schema: &Table, row: &Tuple) -> Result<()> {
+        let (table, expected, got) = (self.table, schema.columns.len(), row.arity());
+        let mismatch = StorageError::SchemaMismatch {
+            table,
+            expected,
+            got,
+        };
+        (got == expected).then_some(()).ok_or(mismatch)
     }
 
     /// [`Self::insert`] into a table sorted on `key`, at the row's place in

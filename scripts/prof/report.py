@@ -5,7 +5,9 @@ Usage: report.py <executable> <samples file> [--top N] [--rep <rep output>]
 
 Prints, over the SIGPROF samples: self time by innermost function (inline
 frames resolved), inclusive time by function, time by nearest `starqo_*`
-owner; then, of the samples inside `Optimizer::optimize`, the shares in
+owner, the inclusive share of each layer a request passes through
+(`LAYERS`: the whole request, parse, canonicalize, the served and the cold
+path, the executor); then, of the samples inside `Optimizer::optimize`, the shares in
 reference counting (innermost frame an `Arc` count), the allocator (libc
 called from Rust's alloc/dealloc paths), the rest of libc (the memcpy
 family: moves too large to inline) and tearing the run down, refcount
@@ -249,6 +251,12 @@ def main():
     table("inclusive", incl, total)
     table("nearest starqo_* owner", owners, total)
 
+    print("\n== request layers (inclusive, % of all samples)")
+    for layer in LAYERS:
+        n = sum(any(name == layer or name.endswith("::" + layer) for name, _ in chain)
+                for chain in prof)
+        print(f"{100.0 * n / total:6.1f}%  {n:6d}  {layer}")
+
     opt = len(inside)
     print(f"\n== inside {OPTIMIZE}: {opt} samples ({100.0 * opt / total:.1f}% of all)")
     if not opt:
@@ -270,6 +278,10 @@ def main():
 
 
 LIB = "<shared library>"
+# Where a request's time goes, outermost first: a frame matches a layer when
+# its name is the layer's or ends in `::` and the layer's.
+LAYERS = ["perf::run::request", "parse_query", "canonicalize", "Service::serve_prepared",
+          "Service::cold_optimize", "VexecExecutor::run"]
 REFCOUNT = "refcount (Arc inc/dec)"
 ALLOCATOR = "allocator (libc, called from alloc/dealloc)"
 MOVES = "memcpy family (libc, called from elsewhere)"
