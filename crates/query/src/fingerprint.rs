@@ -26,8 +26,6 @@
 
 use std::fmt;
 
-use starqo_catalog::Value;
-
 use crate::pred::{PredExpr, PredId, Predicate};
 use crate::qset::QId;
 use crate::query::{Quantifier, Query};
@@ -63,13 +61,11 @@ impl fmt::Display for QueryFingerprint {
 }
 
 /// The canonical form of a query: the remapped/normalized [`Query`] (the
-/// one to optimize *and* execute), its fingerprint, and the literal
-/// constants extracted into bind-parameter slots, in slot order.
+/// one to optimize *and* execute) and its fingerprint.
 #[derive(Debug, Clone)]
 pub struct CanonicalQuery {
     pub query: Query,
     pub fingerprint: QueryFingerprint,
-    pub params: Vec<Value>,
 }
 
 /// Stable 64-bit FNV-1a (deterministic across processes and runs, unlike
@@ -136,8 +132,8 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
     let order_by: Vec<QCol> = q.order_by.iter().map(|&c| remap(c)).collect();
 
     // 3. Render the fingerprint text, numbering constant slots in
-    //    canonical traversal order and extracting their values.
-    let mut params = Vec::new();
+    //    canonical traversal order.
+    let mut slots = 0;
     let mut text = String::from("Q[");
     for (i, qt) in quantifiers.iter().enumerate() {
         if i > 0 {
@@ -150,7 +146,7 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
         if i > 0 {
             text.push_str(" & ");
         }
-        render_slots(&p.expr, &mut text, &mut params);
+        render_slots(&p.expr, &mut text, &mut slots);
     }
     text.push_str("] S[");
     for (i, c) in select.iter().enumerate() {
@@ -179,7 +175,6 @@ pub fn canonicalize(q: &Query) -> CanonicalQuery {
             facts: Default::default(),
         },
         fingerprint: QueryFingerprint { hash, text },
-        params,
     }
 }
 
@@ -280,9 +275,9 @@ fn render_expr(e: &PredExpr, mode: RenderMode) -> String {
     }
 }
 
-/// Render with numbered slots, pushing each constant into `params`.
-fn render_slots(e: &PredExpr, out: &mut String, params: &mut Vec<Value>) {
-    fn scalar(s: &Scalar, out: &mut String, params: &mut Vec<Value>) {
+/// Render with each constant as a typed slot, numbered from `*slots` on.
+fn render_slots(e: &PredExpr, out: &mut String, slots: &mut usize) {
+    fn scalar(s: &Scalar, out: &mut String, slots: &mut usize) {
         match s {
             Scalar::Col(c) => out.push_str(&c.to_string()),
             Scalar::Const(v) => {
@@ -290,23 +285,23 @@ fn render_slots(e: &PredExpr, out: &mut String, params: &mut Vec<Value>) {
                     .data_type()
                     .map(|t| t.to_string())
                     .unwrap_or_else(|| "null".into());
-                out.push_str(&format!("?{}:{}", params.len(), ty));
-                params.push(v.clone());
+                out.push_str(&format!("?{slots}:{ty}"));
+                *slots += 1;
             }
             Scalar::Arith(op, l, r) => {
                 out.push('(');
-                scalar(l, out, params);
+                scalar(l, out, slots);
                 out.push_str(&format!(" {} ", op.symbol()));
-                scalar(r, out, params);
+                scalar(r, out, slots);
                 out.push(')');
             }
         }
     }
     match e {
         PredExpr::Cmp(op, l, r) => {
-            scalar(l, out, params);
+            scalar(l, out, slots);
             out.push_str(&format!(" {} ", op.symbol()));
-            scalar(r, out, params);
+            scalar(r, out, slots);
         }
         PredExpr::Or(ps) => {
             out.push('(');
@@ -314,7 +309,7 @@ fn render_slots(e: &PredExpr, out: &mut String, params: &mut Vec<Value>) {
                 if i > 0 {
                     out.push_str(" | ");
                 }
-                render_slots(p, out, params);
+                render_slots(p, out, slots);
             }
             out.push(')');
         }
@@ -326,7 +321,7 @@ mod tests {
     use super::*;
     use crate::pred::CmpOp;
     use crate::query::QueryBuilder;
-    use starqo_catalog::{Catalog, ColId, DataType, StorageKind};
+    use starqo_catalog::{Catalog, ColId, DataType, StorageKind, Value};
 
     fn cat() -> Catalog {
         Catalog::builder()
@@ -412,10 +407,6 @@ mod tests {
         let a = canonicalize(&build(false, false, false, "Haas"));
         let b = canonicalize(&build(true, true, true, "Smith"));
         assert_eq!(a.fingerprint, b.fingerprint, "constants must not key");
-        assert_eq!(a.params.len(), 1);
-        assert_eq!(b.params.len(), 1);
-        assert_eq!(a.params[0].to_string(), "'Haas'");
-        assert_eq!(b.params[0].to_string(), "'Smith'");
         assert!(
             a.fingerprint.text.contains("?0:str"),
             "{}",
@@ -490,8 +481,6 @@ mod tests {
         let a = mk(false);
         let b = mk(true);
         assert_eq!(a.fingerprint, b.fingerprint);
-        // Params align with the canonical (sorted) disjunct order for both.
-        assert_eq!(a.params, b.params);
     }
 
     /// 10k structurally-varied random queries: equal hashes only for equal

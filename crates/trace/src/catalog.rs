@@ -7,7 +7,7 @@
 //! - `Index`/`IndexMut` on `[T; COUNT]`, so a fold is an array read by the
 //!   catalog's own type.
 //!
-//! Each table sits next to the plane that writes it:
+//! Each table names one tier of the striped plane:
 //! [`crate::telemetry::Metric`] (the counters),
 //! [`crate::telemetry::Phase`] (the phase profiler) and
 //! [`crate::telemetry::LatencyPath`] (the latency histograms). Every

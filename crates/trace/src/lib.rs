@@ -37,8 +37,8 @@ pub use metrics::MetricsSummary;
 pub use read::{parse_json, JsonError, JsonValue};
 pub use telemetry::{
     events_constructed, from_chrome_trace, qlog_micro, read_span_trees, to_chrome_trace, Counters,
-    FeedbackPlane, HealRecord, HotQuery, LatencyPath, Metric, Phase, PhasePlane, QErrorSketch,
-    SnapshotRing, SpanContext, SpanEvent, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore,
-    SpanTree, SuspectConfig, TailConfig, TailSampler, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TraceSampler,
+    FeedbackPlane, HealRecord, HotQuery, LatencyPath, Metric, Phase, QErrorSketch, SnapshotRing,
+    SpanContext, SpanEvent, SpanGuard, SpanMode, SpanName, SpanRecord, SpanStore, SpanTree,
+    SuspectConfig, TailConfig, TailSampler, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TraceSampler,
 };

@@ -1,14 +1,19 @@
-//! The lock-free serve-path counter plane: a fixed catalog of metrics,
-//! each striped across cache-line-padded per-thread slots.
+//! The striped plane behind [`crate::Telemetry`] and the counter catalog
+//! it folds into [`Counters`].
 //!
-//! Writers touch exactly one relaxed atomic (their stripe's slot for the
-//! metric) — no locks, no CAS loops, no false sharing between stripes.
-//! Readers fold all stripes on demand; a fold concurrent with writers sees
-//! each slot atomically (totals may lag in-flight increments by design —
-//! monotonic counters make that harmless).
+//! Each thread writes only its cache-line-padded stripe (assigned
+//! round-robin; threads past the stripe count share one), which holds
+//! every [`Metric`] slot, every [`Phase`]'s nanos and count, and one log₂
+//! histogram per [`LatencyPath`] plus the tail sampler's span totals. A
+//! counter bump is one relaxed atomic, a phase two, a histogram record
+//! four; readers fold all stripes on demand.
 
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::hist::{Histogram, BUCKETS};
+use crate::telemetry::phases::Phase;
+use crate::telemetry::LatencyPath;
 
 catalog! {
     /// The fixed serve-path counter catalog. Each name is the counter's JSON
@@ -144,20 +149,40 @@ impl Counters {
     }
 }
 
-/// One cache-line-padded stripe of counter slots. 128-byte alignment keeps
-/// adjacent stripes off each other's lines on every mainstream core
-/// (including 128-byte-prefetch x86 and Apple silicon).
-#[repr(align(128))]
-struct Stripe {
-    slots: [AtomicU64; Metric::COUNT],
+/// One log₂ histogram's slots: the bucketing of [`Histogram`], recorded
+/// through relaxed atomics.
+struct HistSlots {
+    buckets: [AtomicU64; BUCKETS],
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
 }
 
-impl Stripe {
-    fn new() -> Stripe {
-        Stripe {
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+impl HistSlots {
+    fn load(&self) -> Histogram {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (sum, min, max) = (load(&self.sum), load(&self.min), load(&self.max));
+        Histogram::from_raw(self.buckets.each_ref().map(load), sum.into(), min, max)
     }
+}
+
+fn zeroed<const N: usize>() -> [AtomicU64; N] {
+    std::array::from_fn(|_| AtomicU64::new(0))
+}
+
+/// The histogram slot of the tail sampler's retired root-span totals,
+/// after the one per [`LatencyPath`].
+pub(crate) const SPAN_TOTALS: usize = LatencyPath::COUNT;
+
+/// One thread's stripe: every counter, every phase's `[nanos, count]`,
+/// and the histograms. 128-byte alignment keeps adjacent stripes off each
+/// other's lines on every mainstream core (including 128-byte-prefetch x86
+/// and Apple silicon).
+#[repr(align(128))]
+struct Stripe {
+    counters: [AtomicU64; Metric::COUNT],
+    phases: [[AtomicU64; 2]; Phase::COUNT],
+    hists: [HistSlots; SPAN_TOTALS + 1],
 }
 
 /// Monotonically assigns each OS thread a stripe index once, round-robin.
@@ -169,73 +194,124 @@ thread_local! {
     static THREAD_STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed);
 }
 
-/// This thread's stripe assignment (shared by every plane in the process).
-pub(crate) fn thread_stripe() -> usize {
-    THREAD_STRIPE.with(|s| *s)
+/// Stripes per plane: one per available core, rounded up to a power of
+/// two and clamped to `[1, 64]`.
+fn stripe_count() -> usize {
+    std::thread::available_parallelism()
+        .map_or(8, |n| n.get())
+        .next_power_of_two()
+        .clamp(1, 64)
 }
 
-/// Round up to a power of two, clamped to `[1, 64]`.
-pub(crate) fn stripe_count(requested: usize) -> usize {
-    let auto = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(8)
-    } else {
-        requested
-    };
-    auto.next_power_of_two().clamp(1, 64)
-}
-
-/// The striped counter plane: `stripes × Metric::COUNT` relaxed atomics.
-pub struct CounterPlane {
+/// The striped plane behind [`crate::Telemetry`]: a writer makes relaxed
+/// atomic ops on its own thread's stripe only — no locks, no CAS loops, no
+/// false sharing — and a reader folds the stripes on demand. A fold
+/// concurrent with writers reads each slot atomically, so it may split one
+/// histogram observation between its bucket and its sum, min and max;
+/// totals are exact at quiescence and monotone in between.
+pub(crate) struct StripedPlane {
     stripes: Box<[Stripe]>,
-    mask: usize,
 }
 
-impl std::fmt::Debug for CounterPlane {
+impl std::fmt::Debug for StripedPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CounterPlane")
-            .field("stripes", &self.stripes.len())
-            .finish()
+        write!(f, "StripedPlane({} stripes)", self.stripes.len())
     }
 }
 
-impl CounterPlane {
-    /// A plane with `stripes` stripes (0 = one per available core, rounded
-    /// up to a power of two).
-    pub fn new(stripes: usize) -> CounterPlane {
-        let n = stripe_count(stripes);
-        CounterPlane {
-            stripes: (0..n).map(|_| Stripe::new()).collect(),
-            mask: n - 1,
+impl StripedPlane {
+    pub(crate) fn new() -> StripedPlane {
+        let stripe = |_| Stripe {
+            counters: zeroed(),
+            phases: std::array::from_fn(|_| zeroed()),
+            hists: std::array::from_fn(|_| HistSlots {
+                buckets: zeroed(),
+                sum: AtomicU64::new(0),
+                min: AtomicU64::new(u64::MAX),
+                max: AtomicU64::new(0),
+            }),
+        };
+        StripedPlane {
+            stripes: (0..stripe_count()).map(stripe).collect(),
         }
     }
 
-    /// Bump a metric: one relaxed `fetch_add` on this thread's stripe.
     #[inline]
-    pub fn add(&self, m: Metric, delta: u64) {
-        self.stripes[thread_stripe() & self.mask].slots[m as usize]
-            .fetch_add(delta, Ordering::Relaxed);
+    fn mine(&self) -> &Stripe {
+        &self.stripes[THREAD_STRIPE.with(|s| *s) & (self.stripes.len() - 1)]
     }
 
-    /// Fold one metric across stripes.
-    pub fn get(&self, m: Metric) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.slots[m as usize].load(Ordering::Relaxed))
-            .sum()
+    /// Bump a metric: one relaxed `fetch_add`.
+    #[inline]
+    pub(crate) fn add(&self, m: Metric, delta: u64) {
+        self.mine().counters[m].fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Fold every metric across stripes.
-    pub fn fold(&self) -> Counters {
-        let mut out = Counters::default();
+    /// Attribute `nanos` to one phase occurrence: two relaxed `fetch_add`s.
+    #[inline]
+    pub(crate) fn add_phase(&self, phase: Phase, nanos: u64) {
+        let [n, count] = &self.mine().phases[phase];
+        n.fetch_add(nanos, Ordering::Relaxed);
+        count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one observation into histogram `h` (a [`LatencyPath`] or
+    /// [`SPAN_TOTALS`]): four relaxed atomic ops.
+    #[inline]
+    pub(crate) fn record(&self, h: usize, v: u64) {
+        let s = &self.mine().hists[h];
+        s.buckets[Histogram::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(v, Ordering::Relaxed);
+        s.min.fetch_min(v, Ordering::Relaxed);
+        s.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Fold every counter.
+    pub(crate) fn counters(&self) -> Counters {
+        Counters(std::array::from_fn(|m| {
+            let slots = self.stripes.iter().map(|s| &s.counters[m]);
+            slots.map(|a| a.load(Ordering::Relaxed)).sum()
+        }))
+    }
+
+    /// Fold the span-totals histogram.
+    pub(crate) fn span_totals(&self) -> Histogram {
+        let mut out = Histogram::new();
         for s in self.stripes.iter() {
-            for (o, slot) in out.0.iter_mut().zip(s.slots.iter()) {
-                *o += slot.load(Ordering::Relaxed);
-            }
+            out.merge(&s.hists[SPAN_TOTALS].load());
         }
         out
     }
+
+    /// Fold the counters, the phases' `(nanos, count)` and one histogram
+    /// per [`LatencyPath`], in one pass over the stripes.
+    pub(crate) fn fold(&self) -> Fold {
+        let mut fold = Fold {
+            counters: Counters::default(),
+            phases: [(0, 0); Phase::COUNT],
+            latency: Default::default(),
+        };
+        for s in self.stripes.iter() {
+            for (o, slot) in fold.counters.0.iter_mut().zip(&s.counters) {
+                *o += slot.load(Ordering::Relaxed);
+            }
+            for (o, [nanos, count]) in fold.phases.iter_mut().zip(&s.phases) {
+                o.0 += nanos.load(Ordering::Relaxed);
+                o.1 += count.load(Ordering::Relaxed);
+            }
+            for (h, slots) in fold.latency.iter_mut().zip(&s.hists) {
+                h.merge(&slots.load());
+            }
+        }
+        fold
+    }
+}
+
+/// Everything [`StripedPlane::fold`] reads but the span totals.
+pub(crate) struct Fold {
+    pub counters: Counters,
+    pub phases: [(u64, u64); Phase::COUNT],
+    pub latency: [Histogram; LatencyPath::COUNT],
 }
 
 #[cfg(test)]
@@ -259,31 +335,68 @@ mod tests {
 
     #[test]
     fn stripe_count_rounds_and_clamps() {
-        assert_eq!(stripe_count(1), 1);
-        assert_eq!(stripe_count(3), 4);
-        assert_eq!(stripe_count(64), 64);
-        assert_eq!(stripe_count(1000), 64);
-        assert!(stripe_count(0).is_power_of_two());
+        let n = stripe_count();
+        let cores = std::thread::available_parallelism().map_or(8, |c| c.get());
+        assert!(n.is_power_of_two() && n <= 64, "{n}");
+        assert!(n >= cores.min(64), "{n} stripes for {cores} cores");
+        assert_eq!(std::mem::size_of::<Stripe>(), 3_200, "docs/TELEMETRY.md");
     }
 
+    /// Four threads bump counters and phases and record into every
+    /// histogram, the span totals included: the fold equals a serial replay
+    /// of the same records exactly, and a fresh plane folds to the empty one.
     #[test]
     fn adds_fold_across_threads() {
-        let plane = std::sync::Arc::new(CounterPlane::new(4));
+        // Record `i` of thread `t`, cycling through every catalog entry and
+        // histogram `h`, with values from the zero bucket to 2^40 (the least
+        // is `h`, so each histogram's min differs).
+        let op = |t: u64, i: u64| {
+            let (n, h) = (i as usize, i as usize % (SPAN_TOTALS + 1));
+            (
+                Metric::ALL[(t as usize + n) % Metric::COUNT],
+                i % 5,
+                Phase::ALL[n % Phase::COUNT],
+                t * 100 + i,
+                h,
+                [t * 7 + h as u64, t * 1_000 + 8 + i % 7, 900, 1 << 40][n % 4],
+            )
+        };
+        let plane = StripedPlane::new();
+        let mut counters = Counters::default();
+        let mut phases = [(0, 0); Phase::COUNT];
+        let mut hists: [Histogram; SPAN_TOTALS + 1] = Default::default();
+        let check = |counters: &Counters, phases, hists: &[Histogram; SPAN_TOTALS + 1]| {
+            let fold = plane.fold();
+            assert_eq!(fold.counters, *counters);
+            assert_eq!(plane.counters(), *counters);
+            assert_eq!(fold.phases, phases);
+            assert_eq!(fold.latency[..], hists[..SPAN_TOTALS]);
+            assert_eq!(plane.span_totals(), hists[SPAN_TOTALS]);
+        };
+        check(&counters, phases, &hists);
         std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let plane = plane.clone();
+            for t in 0..4 {
+                let plane = &plane;
                 scope.spawn(move || {
-                    for _ in 0..1000 {
-                        plane.add(Metric::Requests, 1);
-                        plane.add(Metric::ExecRows, 3);
+                    for i in 0..2_000 {
+                        let (m, delta, p, nanos, h, v) = op(t, i);
+                        plane.add(m, delta);
+                        plane.add_phase(p, nanos);
+                        plane.record(h, v);
                     }
                 });
             }
         });
-        assert_eq!(plane.get(Metric::Requests), 8_000);
-        assert_eq!(plane.get(Metric::ExecRows), 24_000);
-        let fold = plane.fold();
-        assert_eq!(fold[Metric::Requests], 8_000);
-        assert_eq!(fold[Metric::CacheMiss], 0);
+        for t in 0..4 {
+            for i in 0..2_000 {
+                let (m, delta, p, nanos, h, v) = op(t, i);
+                counters[m] += delta;
+                phases[p].0 += nanos;
+                phases[p].1 += 1;
+                hists[h].record(v);
+            }
+        }
+        assert!(hists.iter().all(|h| h.count() == 1_600));
+        check(&counters, phases, &hists);
     }
 }

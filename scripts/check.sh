@@ -48,6 +48,12 @@ if grep -rnE 'fn (rand_config|same_outcome|check_all|assert_equivalent)\b' tests
     exit 1
 fi
 
+echo "== one striped plane: the per-tier stripe copies stay deleted =="
+if grep -rnE 'AtomicHistogram|PhasePlane|CounterPlane|HistStripe|PhaseStripe' crates/*/src; then
+    echo "counters, phases and latency histograms share one per-thread stripe (crates/trace/src/telemetry/counters.rs, docs/TELEMETRY.md)." >&2
+    exit 1
+fi
+
 echo "== one per-thread cache of run memory, and no allocator knob =="
 if grep -rn 'SPAN_POOL' crates/*/src \
     || grep -rl 'thread_local!' crates/*/src | grep -vE '^crates/trace/src/(runmem|telemetry/counters)\.rs$' \

@@ -2,7 +2,9 @@
 # Non-test source lines per crate: every `.rs` file under `crates/*/src`
 # and `examples/`, counted up to (not including) its first `#[cfg(test)]`
 # line. `crates/obs/src/testutil.rs` is test support and is left out.
-# Report only: prints the counts and the `crates/*/src` total, gates nothing.
+# Then the raw line count, tests included, of the observability and bench
+# scaffolding (`crates/{trace,obs,bench}/src`), the number ROADMAP item 6
+# tracks. Report only: prints the counts, gates nothing.
 # Usage: scripts/lines.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -22,3 +24,11 @@ for dir in crates/*/src; do
 done
 printf '%-22s %6d\n' "crates/*/src total" "$total"
 printf '%-22s %6d\n' "examples" "$(find examples -name '*.rs' | count)"
+
+raw=0
+for dir in crates/trace/src crates/obs/src crates/bench/src; do
+    n=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
+    printf '%-22s %6d raw\n' "$dir" "$n"
+    raw=$((raw + n))
+done
+printf '%-22s %6d raw\n' "trace + obs + bench" "$raw"
