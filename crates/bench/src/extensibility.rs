@@ -69,7 +69,7 @@ pub fn register_bloomjoin(opt: &mut Optimizer) {
                 o.cost.rescan
                     + i.cost.rescan
                     + i.card * pass * model.hash_cpu
-                    + model.stream_cpu(card, new_preds.len()),
+                    + model.stream_cpu(card, new_preds.len()).total(),
             );
             Ok(out)
         }),

@@ -29,7 +29,6 @@ pub mod serving;
 pub mod spans;
 pub mod strategies;
 pub mod telemetry;
-pub mod vexec;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -163,7 +162,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         Some(plan) => heal::e22_under_plan(plan),
         None => heal::e22_heal(a.smoke),
     }] },
-    Experiment { name: "exec", ids: "E23", run: |_| vec![vexec::e23_vexec()] },
     Experiment { name: "workload_run", ids: "E16 trace", run: |a| {
         let path = a.out.clone().unwrap_or_else(|| bench_dir().join("workload_trace.jsonl"));
         vec![observatory::workload_trace(&path, a.smoke)]

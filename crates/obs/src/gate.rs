@@ -7,8 +7,8 @@
 //!   a fixed rule set and query — allowed the tighter [`COUNTER_PCT`].
 //!
 //! Only *increases* violate: doing less work or running faster never
-//! fails the gate. A counter whose baseline is zero (`exec_divergences`,
-//! heal `escapes`, ...) must stay zero: any non-zero fresh value violates.
+//! fails the gate. A counter whose baseline is zero (`heal_chaos_escapes`,
+//! `heal_false_reopts`, ...) must stay zero: any non-zero fresh value violates.
 //! A baseline counter the fresh run no longer emits violates too — a pinned
 //! counter must not vanish silently. A counter new in the fresh run is an
 //! informational note (benchmarks grow new counters).

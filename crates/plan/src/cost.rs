@@ -68,78 +68,42 @@ impl CostModel {
     }
 
     /// I/O cost of scanning those pages.
-    pub fn scan_io(&self, card: f64, width: f64) -> f64 {
-        self.pages(card, width) * self.w_io
+    pub fn scan_io(&self, card: f64, width: f64) -> CostComponents {
+        CostComponents::io(self.pages(card, width) * self.w_io)
     }
 
     /// CPU cost of streaming `card` tuples through an operator while
     /// evaluating `npreds` predicates per tuple.
-    pub fn stream_cpu(&self, card: f64, npreds: u32) -> f64 {
-        card.max(0.0) * (self.w_cpu + npreds as f64 * self.w_pred)
+    pub fn stream_cpu(&self, card: f64, npreds: u32) -> CostComponents {
+        CostComponents::cpu(card.max(0.0) * (self.w_cpu + npreds as f64 * self.w_pred))
     }
 
     /// Communication cost of shipping `card` tuples of `width` bytes.
-    pub fn ship_cost(&self, card: f64, width: f64) -> f64 {
+    pub fn ship_cost(&self, card: f64, width: f64) -> CostComponents {
         let bytes = card.max(0.0) * width.max(1.0);
         let msgs = (bytes / self.msg_bytes).ceil().max(1.0);
-        msgs * self.w_msg + bytes * self.w_byte
+        CostComponents::comm(msgs * self.w_msg + bytes * self.w_byte)
     }
 
     /// Cost of sorting `card` tuples of `width` bytes: n·log₂n comparisons
-    /// plus a write+read I/O pass.
-    pub fn sort_cost(&self, card: f64, width: f64) -> f64 {
-        let n = card.max(2.0);
-        n * n.log2() * self.sort_cpu + 2.0 * self.pages(card, width) * self.w_io
-    }
-
-    /// One-time cost of building a B-tree index over `card` entries of key
-    /// width `kwidth` (sort the entries, write the leaves).
-    pub fn index_build_cost(&self, card: f64, kwidth: f64) -> f64 {
-        self.sort_cost(card, kwidth + 8.0) + self.pages(card, kwidth + 8.0) * self.w_io
-    }
-
-    /// Per-probe cost of a B-tree lookup touching `leaf_pages` leaf pages.
-    pub fn probe_cost(&self, leaf_pages: f64) -> f64 {
-        (self.probe_pages + leaf_pages) * self.w_io
-    }
-
-    // ----- component-attributed variants --------------------------------
-    //
-    // Same arithmetic as the scalar helpers above, but tagged with the
-    // resource they consume, so property functions can keep the
-    // I/O-vs-CPU-vs-communication split intact for EXPLAIN and tracing.
-
-    /// [`Self::scan_io`] attributed to I/O.
-    pub fn scan_io_c(&self, card: f64, width: f64) -> CostComponents {
-        CostComponents::io(self.scan_io(card, width))
-    }
-
-    /// [`Self::stream_cpu`] attributed to CPU.
-    pub fn stream_cpu_c(&self, card: f64, npreds: u32) -> CostComponents {
-        CostComponents::cpu(self.stream_cpu(card, npreds))
-    }
-
-    /// [`Self::ship_cost`] attributed to communication.
-    pub fn ship_cost_c(&self, card: f64, width: f64) -> CostComponents {
-        CostComponents::comm(self.ship_cost(card, width))
-    }
-
-    /// [`Self::sort_cost`] split into its comparison-CPU and spill-I/O parts.
-    pub fn sort_cost_c(&self, card: f64, width: f64) -> CostComponents {
+    /// (CPU) plus a write+read pass (I/O).
+    pub fn sort_cost(&self, card: f64, width: f64) -> CostComponents {
         let n = card.max(2.0);
         CostComponents::cpu(n * n.log2() * self.sort_cpu)
             + CostComponents::io(2.0 * self.pages(card, width) * self.w_io)
     }
 
-    /// [`Self::index_build_cost`] split like the sort it contains.
-    pub fn index_build_cost_c(&self, card: f64, kwidth: f64) -> CostComponents {
-        self.sort_cost_c(card, kwidth + 8.0)
+    /// One-time cost of building a B-tree index over `card` entries of key
+    /// width `kwidth`: sort the entries, write the leaves.
+    pub fn index_build_cost(&self, card: f64, kwidth: f64) -> CostComponents {
+        self.sort_cost(card, kwidth + 8.0)
             + CostComponents::io(self.pages(card, kwidth + 8.0) * self.w_io)
     }
 
-    /// [`Self::probe_cost`] attributed to I/O.
-    pub fn probe_cost_c(&self, leaf_pages: f64) -> CostComponents {
-        CostComponents::io(self.probe_cost(leaf_pages))
+    /// Per-probe I/O cost of a B-tree lookup touching `leaf_pages` leaf
+    /// pages.
+    pub fn probe_cost(&self, leaf_pages: f64) -> CostComponents {
+        CostComponents::io((self.probe_pages + leaf_pages) * self.w_io)
     }
 }
 
@@ -159,8 +123,8 @@ mod tests {
     #[test]
     fn ship_cost_charges_messages_and_bytes() {
         let m = CostModel::default();
-        let one_page = m.ship_cost(1.0, 100.0);
-        let many = m.ship_cost(1000.0, 100.0);
+        let one_page = m.ship_cost(1.0, 100.0).total();
+        let many = m.ship_cost(1000.0, 100.0).total();
         assert!(many > one_page);
         // 100_000 bytes = 25 messages.
         assert!((many - (25.0 * m.w_msg + 100_000.0 * m.w_byte)).abs() < 1e-9);
@@ -169,8 +133,8 @@ mod tests {
     #[test]
     fn sort_cost_superlinear() {
         let m = CostModel::default();
-        let c1 = m.sort_cost(1_000.0, 50.0);
-        let c2 = m.sort_cost(2_000.0, 50.0);
+        let c1 = m.sort_cost(1_000.0, 50.0).total();
+        let c2 = m.sort_cost(2_000.0, 50.0).total();
         assert!(
             c2 > 2.0 * c1 * 0.99,
             "sort should be at least ~2x for 2x input"
@@ -180,27 +144,29 @@ mod tests {
     #[test]
     fn component_helpers_match_scalars() {
         let m = CostModel::default();
-        assert_eq!(m.scan_io_c(500.0, 80.0).total(), m.scan_io(500.0, 80.0));
-        assert_eq!(m.stream_cpu_c(500.0, 2).total(), m.stream_cpu(500.0, 2));
-        assert_eq!(m.ship_cost_c(500.0, 80.0).total(), m.ship_cost(500.0, 80.0));
-        assert!((m.sort_cost_c(500.0, 80.0).total() - m.sort_cost(500.0, 80.0)).abs() < 1e-9);
-        assert!(
-            (m.index_build_cost_c(500.0, 8.0).total() - m.index_build_cost(500.0, 8.0)).abs()
-                < 1e-9
-        );
-        assert_eq!(m.probe_cost_c(3.0).total(), m.probe_cost(3.0));
+        let pages = m.pages(500.0, 80.0);
+        assert_eq!(m.scan_io(500.0, 80.0).total(), pages * m.w_io);
+        let cpu = 500.0 * (m.w_cpu + 2.0 * m.w_pred);
+        assert_eq!(m.stream_cpu(500.0, 2).total(), cpu);
+        let comm = (40_000.0f64 / m.msg_bytes).ceil() * m.w_msg + 40_000.0 * m.w_byte;
+        assert_eq!(m.ship_cost(500.0, 80.0).total(), comm);
+        let sort = 500.0 * 500f64.log2() * m.sort_cpu + 2.0 * pages * m.w_io;
+        assert!((m.sort_cost(500.0, 80.0).total() - sort).abs() < 1e-9);
+        let build = m.sort_cost(500.0, 16.0).total() + m.pages(500.0, 16.0) * m.w_io;
+        assert!((m.index_build_cost(500.0, 8.0).total() - build).abs() < 1e-9);
+        assert_eq!(m.probe_cost(3.0).total(), (m.probe_pages + 3.0) * m.w_io);
         // Attribution lands in the right buckets.
-        assert_eq!(m.scan_io_c(500.0, 80.0).cpu, 0.0);
-        assert_eq!(m.ship_cost_c(500.0, 80.0).io, 0.0);
-        let sort = m.sort_cost_c(500.0, 80.0);
+        assert_eq!(m.scan_io(500.0, 80.0).cpu, 0.0);
+        assert_eq!(m.ship_cost(500.0, 80.0).io, 0.0);
+        let sort = m.sort_cost(500.0, 80.0);
         assert!(sort.cpu > 0.0 && sort.io > 0.0 && sort.comm == 0.0);
     }
 
     #[test]
     fn probe_much_cheaper_than_scan_for_big_tables() {
         let m = CostModel::default();
-        let scan = m.scan_io(100_000.0, 100.0);
-        let probe = m.probe_cost(1.0);
+        let scan = m.scan_io(100_000.0, 100.0).total();
+        let probe = m.probe_cost(1.0).total();
         assert!(probe * 100.0 < scan);
     }
 }

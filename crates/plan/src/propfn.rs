@@ -244,7 +244,7 @@ impl PropEngine {
             (1.0, Shared::EMPTY)
         };
         let scanned = base_card * scanned_frac;
-        let rescan = model.scan_io_c(scanned, row_w) + model.stream_cpu_c(scanned, preds.len());
+        let rescan = model.scan_io(scanned, row_w) + model.stream_cpu(scanned, preds.len());
 
         Ok(Props {
             tables: local,
@@ -310,11 +310,11 @@ impl PropEngine {
         let model = ctx.model;
         let leaf_pages = model.pages(base_card, entry_w);
         let rescan = if ncols > 0 {
-            model.probe_cost_c(matched_frac * leaf_pages)
-                + model.stream_cpu_c(base_card * matched_frac, preds.minus(matched).len())
+            model.probe_cost(matched_frac * leaf_pages)
+                + model.stream_cpu(base_card * matched_frac, preds.minus(matched).len())
         } else {
             // Full index scan.
-            CostComponents::io(leaf_pages * model.w_io) + model.stream_cpu_c(base_card, preds.len())
+            CostComponents::io(leaf_pages * model.w_io) + model.stream_cpu(base_card, preds.len())
         };
         Ok(Props {
             tables: local,
@@ -356,7 +356,7 @@ impl PropEngine {
         out.card = input.card * sel.preds(preds.minus(input.preds), input.tables);
         out.cost = Cost::from_parts(
             input.cost.once_by,
-            input.cost.rescan_by + ctx.model.stream_cpu_c(input.card, preds.len()),
+            input.cost.rescan_by + ctx.model.stream_cpu(input.card, preds.len()),
         );
         Ok(out)
     }
@@ -420,11 +420,11 @@ impl PropEngine {
         let key_set: ColSet = key.iter().copied().collect();
         let leaf_pages = model.pages(input.card, ctx.width(&key_set) + 8.0);
         let matched_card = input.card * matched_frac;
-        let rescan = model.probe_cost_c(matched_frac * leaf_pages)
+        let rescan = model.probe_cost(matched_frac * leaf_pages)
             + CostComponents::io(
                 matched_card * model.fetch_io * model.clustered_factor * model.w_io,
             )
-            + model.stream_cpu_c(matched_card, preds.minus(matched).len());
+            + model.stream_cpu(matched_card, preds.minus(matched).len());
         let mut out = input.clone();
         out.cols = cols.clone();
         out.preds = input.preds.union(preds);
@@ -482,7 +482,7 @@ impl PropEngine {
         };
         let n = input.card;
         let io = CostComponents::io(n * model.fetch_io * factor * model.w_io);
-        let cpu = model.stream_cpu_c(n, preds.len());
+        let cpu = model.stream_cpu(n, preds.len());
         let sel = ctx.sel();
         let mut out = input.clone();
         let carried = input.cols.iter().filter(|c| !c.col.is_tid());
@@ -507,8 +507,8 @@ impl PropEngine {
         let mut out = input.clone();
         out.order = key.clone();
         out.cost = Cost::from_parts(
-            input.cost.breakdown() + model.sort_cost_c(input.card, width),
-            model.scan_io_c(input.card, width) + model.stream_cpu_c(input.card, 0),
+            input.cost.breakdown() + model.sort_cost(input.card, width),
+            model.scan_io(input.card, width) + model.stream_cpu(input.card, 0),
         );
         Ok(out)
     }
@@ -524,7 +524,7 @@ impl PropEngine {
         if input.site != to {
             out.cost = Cost::from_parts(
                 input.cost.once_by,
-                input.cost.rescan_by + model.ship_cost_c(input.card, ctx.width(&input.cols)),
+                input.cost.rescan_by + model.ship_cost(input.card, ctx.width(&input.cols)),
             );
         }
         Ok(out)
@@ -539,7 +539,7 @@ impl PropEngine {
         out.cost = Cost::from_parts(
             input.cost.breakdown()
                 + CostComponents::io(model.pages(input.card, width) * model.w_io),
-            model.scan_io_c(input.card, width) + model.stream_cpu_c(input.card, 0),
+            model.scan_io(input.card, width) + model.stream_cpu(input.card, 0),
         );
         Ok(out)
     }
@@ -571,7 +571,7 @@ impl PropEngine {
         };
         out.paths = input.paths.iter().cloned().chain([built]).collect();
         out.cost = Cost::from_parts(
-            input.cost.once_by + model.index_build_cost_c(input.card, ctx.width(&key_set)),
+            input.cost.once_by + model.index_build_cost(input.card, ctx.width(&key_set)),
             input.cost.rescan_by,
         );
         Ok(out)
@@ -585,7 +585,7 @@ impl PropEngine {
         out.card = input.card * sel.preds(new, input.tables);
         out.cost = Cost::from_parts(
             input.cost.once_by,
-            input.cost.rescan_by + ctx.model.stream_cpu_c(input.card, preds.len()),
+            input.cost.rescan_by + ctx.model.stream_cpu(input.card, preds.len()),
         );
         Ok(out)
     }
@@ -655,15 +655,15 @@ impl PropEngine {
                 outer.cost.once_by + inner.cost.once_by,
                 outer.cost.rescan_by
                     + inner.cost.rescan_by * outer.card.max(1.0)
-                    + model.stream_cpu_c(outer.card, 0)
-                    + model.stream_cpu_c(card, residual.len()),
+                    + model.stream_cpu(outer.card, 0)
+                    + model.stream_cpu(card, residual.len()),
             ),
             JoinFlavor::MG => Cost::from_parts(
                 outer.cost.once_by + inner.cost.once_by,
                 outer.cost.rescan_by
                     + inner.cost.rescan_by
-                    + model.stream_cpu_c(outer.card + inner.card, join_preds.len())
-                    + model.stream_cpu_c(card, residual.len()),
+                    + model.stream_cpu(outer.card + inner.card, join_preds.len())
+                    + model.stream_cpu(card, residual.len()),
             ),
             JoinFlavor::HA => Cost::from_parts(
                 // Build the hash table on the inner once.
@@ -673,7 +673,7 @@ impl PropEngine {
                     + CostComponents::cpu(inner.card * model.hash_cpu),
                 outer.cost.rescan_by
                     + CostComponents::cpu(outer.card * model.hash_cpu)
-                    + model.stream_cpu_c(card, join_preds.union(residual).len()),
+                    + model.stream_cpu(card, join_preds.union(residual).len()),
             ),
         };
 

@@ -104,11 +104,11 @@ fn cost_model_monotonicity() {
         let m = CostModel::default();
         assert!(m.pages(card, width) >= 1.0);
         assert!(m.pages(card + extra, width) >= m.pages(card, width));
-        assert!(m.scan_io(card + extra, width) >= m.scan_io(card, width));
-        assert!(m.ship_cost(card + extra, width) >= m.ship_cost(card, width));
-        assert!(m.sort_cost(card + extra, width) >= m.sort_cost(card, width));
-        assert!(m.stream_cpu(card, 3) >= m.stream_cpu(card, 0));
-        assert!(m.probe_cost(0.0) > 0.0);
+        assert!(m.scan_io(card + extra, width).total() >= m.scan_io(card, width).total());
+        assert!(m.ship_cost(card + extra, width).total() >= m.ship_cost(card, width).total());
+        assert!(m.sort_cost(card + extra, width).total() >= m.sort_cost(card, width).total());
+        assert!(m.stream_cpu(card, 3).total() >= m.stream_cpu(card, 0).total());
+        assert!(m.probe_cost(0.0).total() > 0.0);
     }
 }
 

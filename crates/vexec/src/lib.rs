@@ -46,8 +46,8 @@
 //! fetches and shipped messages and bytes. Only `pages_read` may be lower:
 //! an uncorrelated nested-loop inner is evaluated, and read, once. The result
 //! and error types, and the key-binding helpers both engines use, live in
-//! `starqo-plan`. The equivalence harness in `tests/tests/vexec.rs` and
-//! experiment E23 enforce this.
+//! `starqo-plan`. The differential checker, `tests/src/diff.rs`, enforces
+//! this over generated cases and the fixtures of `tests/tests/vexec.rs`.
 
 pub mod batch;
 pub mod chain;

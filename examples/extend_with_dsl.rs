@@ -89,7 +89,7 @@ fn main() {
                 o.cost.rescan
                     + i.cost.rescan
                     + i.card * pass * ctx.model.hash_cpu
-                    + ctx.model.stream_cpu(out.card, new_preds.len()),
+                    + ctx.model.stream_cpu(out.card, new_preds.len()).total(),
             );
             Ok(out)
         }),

@@ -48,6 +48,12 @@ if grep -rnE 'fn (rand_config|same_outcome|check_all|assert_equivalent)\b' tests
     exit 1
 fi
 
+echo "== one equivalence harness: E23's serial-vs-vexec bench stays deleted =="
+if grep -rnE 'e23_vexec|CaseSpec' crates/bench/src || [ -e baselines/BENCH_exec.json ]; then
+    echo "serial = vexec at 1/2/8 workers is checked by diff::check_plan over generated cases that cross batches and morsels (tests/src/diff.rs, EXPERIMENTS.md E37)." >&2
+    exit 1
+fi
+
 echo "== one striped plane: the per-tier stripe copies stay deleted =="
 if grep -rnE 'AtomicHistogram|PhasePlane|CounterPlane|HistStripe|PhaseStripe' crates/*/src; then
     echo "counters, phases and latency histograms share one per-thread stripe (crates/trace/src/telemetry/counters.rs, docs/TELEMETRY.md)." >&2

@@ -31,7 +31,7 @@ use starqo_plan::{CostModel, JoinFlavor, Lolepop, PlanRef, PropCtx, PropEngine};
 use starqo_query::{canonicalize, parse_query, Query};
 use starqo_serve::{Service, ServiceConfig};
 use starqo_storage::{Database, DatabaseBuilder, Tuple};
-use starqo_vexec::{VexecExecutor, VexecStats};
+use starqo_vexec::{VexecExecutor, VexecStats, BATCH_ROWS, MORSEL_ROWS};
 use starqo_workload::Rng64;
 
 /// The worker counts every vexec run is repeated at.
@@ -48,9 +48,8 @@ pub const SEEDS: Range<u64> = 0..200;
 /// `vexec.rs` (the random fleet, the degraded plans).
 pub const SEED_SLICES: [Range<u64>; 3] = [0..67, 67..134, 134..200];
 
-/// A bound on a generated case's cross product, which the brute-force
-/// reference walks.
-const MAX_PRODUCT: usize = 6_000;
+/// A bound on a generated case's cross product, outside the size class.
+pub const MAX_PRODUCT: usize = 6_000;
 
 /// One table of a [`Case`]: its catalog entry and its rows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -522,8 +521,9 @@ fn panic_text(e: Option<Box<dyn std::any::Any + Send>>) -> String {
 
 /// Greedily take the first smaller variant of `case` that still `fails`,
 /// until none does: without a WHERE conjunct, the ORDER BY, a table the
-/// query does not name, a run of rows (halves first, then single rows), the
-/// late fill, an index, the B-tree key or a remote site.
+/// query does not name, a run of rows (halves first, down to single rows or
+/// a 64th of the table), the late fill, an index, the B-tree key or a remote
+/// site.
 pub fn shrink(mut case: Case, fails: impl Fn(&Case) -> bool) -> Case {
     while let Some(smaller) = smaller(&case).into_iter().find(|c| fails(c)) {
         case = smaller;
@@ -563,8 +563,10 @@ fn smaller(case: &Case) -> Vec<Case> {
                 out.push(c);
             }
         };
+        // Runs no shorter than a 64th of the table: a grown table offers
+        // 126 variants a round, not twice its rows.
         let mut run = t.rows.len().div_ceil(2);
-        while run > 0 {
+        while run > 0 && run * 64 >= t.rows.len() {
             for at in (0..t.rows.len()).step_by(run) {
                 variant(&|t| t.rows.drain(at..(at + run).min(t.rows.len())).len() > 0);
             }
@@ -586,34 +588,112 @@ fn smaller(case: &Case) -> Vec<Case> {
 /// names to an earlier one (equi-, non-equi- and expression joins, and
 /// sometimes one more pair), adds `=`, `<`, range, OR-group and expression
 /// predicates and sometimes an ORDER BY on an Int or Str column; sometimes
-/// it leaves the last table out.
+/// it leaves the last table out. One in [`SIZE_CLASS`] of the seeds that
+/// name one or two tables then [`grow`]s one of them past a morsel.
 pub fn generate(seed: u64) -> Case {
     let mut rng = Rng64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1FF);
     let n = 1 + rng.index(4);
     let sites = if n == 4 { 1 } else { 1 + rng.below(3) };
     let mut tables: Vec<Table> = (0..n).map(|t| gen_table(&mut rng, t, sites)).collect();
-    while tables
-        .iter()
-        .map(|t| t.rows.len().max(1))
-        .product::<usize>()
-        > MAX_PRODUCT
-    {
-        let big = tables
-            .iter_mut()
-            .max_by_key(|t| t.rows.len())
-            .expect("a table");
-        big.rows.truncate(big.rows.len() / 2);
-    }
+    bound(&mut tables, |_| true, MAX_PRODUCT);
     if rng.chance(0.35) {
         tables[rng.index(n)].late = true;
     }
     let named = if n > 1 && rng.chance(0.25) { n - 1 } else { n };
     let sql = gen_query(&mut rng, &tables[..named]);
+    // A stream of its own, so that every seed's query text stays as it was.
+    let mut size = Rng64::new(seed ^ 0x5EED_0B16);
+    if named <= 2 && size.index(SIZE_CLASS) == 0 {
+        let big = size.index(named);
+        grow(&mut size, &mut tables, big);
+    }
     Case { tables, sql }
+}
+
+/// Halve the largest of the tables that `which` picks, by index, until
+/// their row product is at most `max`.
+fn bound(tables: &mut [Table], which: impl Fn(usize) -> bool, max: usize) {
+    loop {
+        let picked = tables.iter().enumerate().filter(|(i, _)| which(*i));
+        if picked.map(|(_, t)| t.rows.len().max(1)).product::<usize>() <= max {
+            return;
+        }
+        let picked = tables.iter_mut().enumerate().filter(|(i, _)| which(*i));
+        let (_, big) = picked.max_by_key(|(_, t)| t.rows.len()).expect("a table");
+        big.rows.truncate(big.rows.len() / 2);
+    }
+}
+
+/// One in this many seeds that name one or two tables is in the size class
+/// (12 of [`SEEDS`]). A 10k-row table in a 3- or 4-way join ran ~200 plans,
+/// up to 15 s a case in a debug build.
+const SIZE_CLASS: usize = 8;
+
+/// The row product a grown table's partners are cut to: the serial executor
+/// walks nested-loop products of the grown table with them.
+const PARTNERS: usize = 4;
+
+/// Give table `big` 5–9k rows (two morsels, three past 8 192), nine in ten
+/// keyed on 2–7 values, so that sorted equal-key runs cross batch and
+/// morsel boundaries, and the rest on any key, so that its partners meet
+/// it; with NULL keys in a tenth of the rows from a turning row on: none,
+/// anywhere, the second batch or the second morsel (where the key column is
+/// demoted from integers). Cut the other tables to [`PARTNERS`] rows of
+/// product, filled by `build`: a late-filled form of a case is a second run
+/// of every plan over the grown table, and the small cases fill small
+/// tables late.
+fn grow(rng: &mut Rng64, tables: &mut [Table], big: usize) {
+    bound(tables, |i| i != big, PARTNERS);
+    for (i, t) in tables.iter_mut().enumerate() {
+        t.late &= i == big;
+    }
+    let t = &mut tables[big];
+    let has = |c: &str| t.cols.iter().any(|(n, ..)| n == c);
+    let (key_ty, double, string) = (t.cols[0].1, has("D"), has("S"));
+    let len = 5_000 + rng.below(4_000) as usize;
+    let keys = 2 + rng.below(6);
+    let turn = [len, rng.index(len), BATCH_ROWS, MORSEL_ROWS][rng.index(4)];
+    t.rows = (0..len)
+        .map(|i| {
+            let k = if rng.chance(0.9) {
+                rng.below(keys)
+            } else {
+                rng.below(KEYS)
+            };
+            let key = key_value(key_ty, k);
+            let mut row = gen_row(rng, key, double, string);
+            if i >= turn && rng.chance(0.1) {
+                row[0] = Value::Null;
+            }
+            row
+        })
+        .collect();
+    t.card = len as u64;
 }
 
 /// Join keys are drawn from `0..KEYS`, shared by every table.
 const KEYS: u64 = 12;
+
+/// Key `k` as a value of `ty`.
+fn key_value(ty: DataType, k: u64) -> Value {
+    match ty {
+        DataType::Double => Value::Double(k as f64 + (k % 4 / 3) as f64 / 2.0),
+        DataType::Str => Value::str(format!("k{k}")),
+        _ => Value::Int(k as i64),
+    }
+}
+
+/// A row `[key, V, D?, S?]`.
+fn gen_row(rng: &mut Rng64, key: Value, double: bool, string: bool) -> Vec<Value> {
+    let mut row = vec![key, Value::Int(rng.below(20) as i64)];
+    if double {
+        row.push(Value::Double(rng.below(40) as f64 / 4.0));
+    }
+    if string {
+        row.push(Value::str(["", "a", "ab", "b", "ba", "c"][rng.index(6)]));
+    }
+    row
+}
 
 fn gen_table(rng: &mut Rng64, t: usize, sites: u64) -> Table {
     let len = match rng.below(10) {
@@ -639,19 +719,8 @@ fn gen_table(rng: &mut Rng64, t: usize, sites: u64) -> Table {
     let (dist, nulls) = (rng.index(3), if rng.chance(0.4) { 0.2 } else { 0.0 });
     for _ in 0..len {
         let top = [KEYS, rng.below(KEYS) + 1, 3][dist];
-        let k = rng.below(top);
-        let key = match key_ty {
-            DataType::Double => Value::Double(k as f64 + (k % 4 / 3) as f64 / 2.0),
-            DataType::Str => Value::str(format!("k{k}")),
-            _ => Value::Int(k as i64),
-        };
-        let mut row = vec![key, Value::Int(rng.below(20) as i64)];
-        if double {
-            row.push(Value::Double(rng.below(40) as f64 / 4.0));
-        }
-        if string {
-            row.push(Value::str(["", "a", "ab", "b", "ba", "c"][rng.index(6)]));
-        }
+        let key = key_value(key_ty, rng.below(top));
+        let mut row = gen_row(rng, key, double, string);
         for v in &mut row {
             if rng.chance(nulls) {
                 *v = Value::Null;

@@ -10,9 +10,14 @@
 
 use std::ops::Range;
 
-use starqo_catalog::{DataType, Value};
-use starqo_integration::diff::{check, check_seed, generate, shrink, Case, Table, SEEDS};
+use starqo_catalog::{ColId, DataType, Value};
+use starqo_exec::reference_eval;
+use starqo_exec::scalar::{eval_preds, Bindings, RowView};
+use starqo_integration::diff::{check, check_seed, generate, shrink, Case, Table};
+use starqo_integration::diff::{MAX_PRODUCT, SEEDS};
 use starqo_query::{parse_query, CmpOp, PredExpr, QCol, Query, Scalar};
+use starqo_storage::{Database, Tuple};
+use starqo_vexec::MORSEL_ROWS;
 use Value::{Double as D, Int as I};
 
 /// The seeds of the deep run.
@@ -24,7 +29,7 @@ fn deep_seed_range() {
     DEEP.for_each(|seed| drop(check_seed(seed)));
 }
 
-const HAZARDS: [&str; 9] = [
+const HAZARDS: [&str; 10] = [
     "NULL join key",
     "Str column",
     "Double column",
@@ -34,10 +39,11 @@ const HAZARDS: [&str; 9] = [
     "late table",
     "2+ sites",
     "Str ORDER BY",
+    "table over one morsel",
 ];
 
 /// Which [`HAZARDS`] a generated case holds, read off its data and query.
-fn hazards(case: &Case, query: &Query) -> [bool; 9] {
+fn hazards(case: &Case, query: &Query) -> [bool; 10] {
     let table = |id: u32| case.tables.iter().find(move |t| t.name == format!("T{id}"));
     let named: Vec<&Table> = query
         .quantifiers
@@ -53,10 +59,17 @@ fn hazards(case: &Case, query: &Query) -> [bool; 9] {
         .iter()
         .filter(|p| p.quantifiers().len() > 1);
     let null_key = joins.any(|p| p.cols().into_iter().any(|c| column(c).any(Value::is_null)));
-    let dup = |c: QCol, v: &Value| column(c).filter(|x| *x == v).count() > 1;
+    // The non-NULL values a column holds more than once.
+    let repeated = |c: QCol| {
+        let mut vals: Vec<&Value> = column(c).filter(|v| !v.is_null()).collect();
+        vals.sort();
+        let twice = vals.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]);
+        twice.collect::<Vec<_>>()
+    };
     let many = query.predicates.iter().any(|p| match &p.expr {
         PredExpr::Cmp(CmpOp::Eq, Scalar::Col(a), Scalar::Col(b)) if a.q != b.q => {
-            column(*a).any(|v| !v.is_null() && dup(*a, v) && dup(*b, v))
+            let b = repeated(*b);
+            repeated(*a).iter().any(|v| b.contains(v))
         }
         _ => false,
     });
@@ -74,6 +87,7 @@ fn hazards(case: &Case, query: &Query) -> [bool; 9] {
         named.iter().any(|t| t.late),
         sites().min() != sites().max(),
         query.order_by.iter().any(str_order),
+        named.iter().any(|t| t.rows.len() > MORSEL_ROWS),
     ]
 }
 
@@ -91,6 +105,65 @@ fn generator_covers_every_hazard() {
     for (n, name) in seen.iter().zip(HAZARDS) {
         assert!(*n > 0, "no seed of {SEEDS:?} generates a {name}");
     }
+}
+
+/// `reference_eval` before it tested conjuncts early: every row of the
+/// Cartesian product, in nested-loop order, filtered by every conjunct.
+fn full_product(db: &Database, query: &Query) -> Vec<Tuple> {
+    let mut schema = Vec::new();
+    let mut rows = vec![Tuple(Vec::new())];
+    for qt in &query.quantifiers {
+        let ncols = db.catalog().table(qt.table).columns.len() as u32;
+        schema.extend((0..ncols).map(|c| QCol::new(qt.id, ColId(c))));
+        let table = db.table(qt.table).expect("a table");
+        let extend = |p: Tuple| {
+            table
+                .scan()
+                .map(move |(_, r)| Tuple([&p.0[..], &r.0].concat()))
+        };
+        rows = rows.into_iter().flat_map(extend).collect();
+    }
+    let bindings = Bindings::new();
+    let pass = |row: &Tuple| {
+        let view = RowView {
+            schema: &schema,
+            row,
+            bindings: &bindings,
+        };
+        eval_preds(query, query.all_preds(), &view).expect("every column bound")
+    };
+    let at = |c: &QCol| schema.iter().position(|s| s == c).expect("selected");
+    let project = |r: Tuple| Tuple(query.select.iter().map(|c| r.get(at(c)).clone()).collect());
+    rows.into_iter().filter(pass).map(project).collect()
+}
+
+/// On every tier-1 seed whose product the full evaluator can afford, the
+/// reference returns exactly its rows, in its order.
+#[test]
+fn reference_prunes_to_the_full_products_rows_in_order() {
+    let mut compared = 0;
+    for seed in SEEDS {
+        let case = generate(seed);
+        let product: usize = case.tables.iter().map(|t| t.rows.len().max(1)).product();
+        if product > MAX_PRODUCT {
+            continue;
+        }
+        let cat = case.catalog();
+        let query = parse_query(&cat, &case.sql).expect("a generated query parses");
+        for db in case.databases(&cat) {
+            let got = reference_eval(&db, &query).expect("reference answer");
+            assert!(
+                got == full_product(&db, &query),
+                "seed {seed}: {}",
+                case.sql
+            );
+        }
+        compared += 1;
+    }
+    assert!(
+        compared * 4 > SEEDS.count() * 3,
+        "{compared} seeds compared"
+    );
 }
 
 /// A planted failure that needs one row of one table and one conjunct

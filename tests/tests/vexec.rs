@@ -4,25 +4,26 @@
 //! it supports, its output is **identical** to the serial `starqo-exec`
 //! interpreter — same rows, same order, same schema — at any worker count.
 //! Every optimizer alternative of a generated query is checked for that by
-//! `diff::check` (the random fleet and degraded plans below); the other
-//! plans here are the cases a generator cannot
-//! guarantee: empty/partial selection vectors, morsel boundaries landing
-//! mid-duplicate-key-run in a hash join, injected faults under
-//! multi-threaded morsel scheduling, and hand-built join, sort, key-range
-//! and scan plans. Each goes through `diff::check_plan`; what a fixture
-//! asserts beyond that (row counts, order, stability, pages read) stays
-//! here.
+//! `diff::check` (the random fleet and degraded plans below), and the
+//! generator's size class reaches the engine's real sizes: tables of two or
+//! three morsels whose duplicate-key runs cross batch and morsel boundaries,
+//! with key columns demoted in one morsel and not the next. The plans here
+//! are the cases a generator does not reach: empty/partial selection
+//! vectors, injected faults under multi-threaded morsel scheduling, and
+//! hand-built join, sort, key-range and scan plans at the edges of the key
+//! domain. Each goes through `diff::check_plan`; what a fixture asserts
+//! beyond that (row counts, order, stability, pages read) stays here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use starqo_core::{OptConfig, Optimizer};
 use starqo_exec::{ExecError, QueryResult};
-use starqo_integration::diff::{check_plan, check_seeds, has_correlated_nl};
+use starqo_integration::diff::{check_plan, check_seeds};
 use starqo_integration::diff::{SEED_SLICES, WORKER_COUNTS};
 use starqo_plan::PlanRef;
 use starqo_trace::runmem::{self, PARK_FROM_RUN};
-use starqo_vexec::{supports, VexecExecutor, MORSEL_ROWS};
+use starqo_vexec::{supports, VexecExecutor};
 use starqo_workload::{
     query_shape, query_shape_param, synth_catalog, synth_database, QueryShape, Rng64, SynthSpec,
 };
@@ -120,50 +121,6 @@ fn vexec_handles_empty_and_partial_selections() {
             }
         }
     }
-}
-
-/// Tables bigger than one morsel, joined on a low-cardinality key: morsel
-/// boundaries land in the middle of duplicate-key runs on both sides of a
-/// hash join, and the exchange must still reassemble the serial row order.
-#[test]
-fn vexec_survives_morsel_boundaries_mid_duplicate_run() {
-    let spec = SynthSpec {
-        tables: 2,
-        // > MORSEL_ROWS per table so every scan splits into several morsels.
-        card_range: (9_000, 9_500),
-        index_prob: 0.0,
-        btree_prob: 0.0,
-        payload_cols: 1,
-        ..Default::default()
-    };
-    let cat = synth_catalog(3, &spec);
-    let db = synth_database(3, cat.clone());
-    let query = query_shape(&cat, QueryShape::Chain, 2, false);
-    let opt = Optimizer::new(cat).unwrap();
-    let out = opt
-        .optimize(&query, &OptConfig::full().enable("hashjoin"))
-        .unwrap();
-    let mut saw_hash_join = false;
-    let mut saw_multi_morsel = false;
-    for plan in out
-        .root_alternatives
-        .iter()
-        .chain(std::iter::once(&out.best))
-    {
-        // The serial oracle re-scans a 9k-row inner per outer row on these;
-        // the fleet and the edge cases cover them at sizes it can afford.
-        if has_correlated_nl(plan, &query) {
-            continue;
-        }
-        saw_hash_join |= plan.op_names().iter().any(|n| n.contains("JOIN(HA)"));
-        check_plan(&db, &query, plan, "dup-run").unwrap();
-        let mut vx = VexecExecutor::new(&db, &query);
-        vx.set_workers(8);
-        vx.run(plan).unwrap();
-        saw_multi_morsel |= vx.stats().morsels > 1 && vx.stats().rows > MORSEL_ROWS as u64;
-    }
-    assert!(saw_hash_join, "fleet produced no hash-join alternative");
-    assert!(saw_multi_morsel, "tables never split into multiple morsels");
 }
 
 /// A panic inside a morsel worker is contained: the pool drains, the run
@@ -526,19 +483,6 @@ fn vexec_handles_null_and_cross_type_join_keys() {
     assert_eq!(want.rows.len(), 4 + 1 + 1);
 }
 
-/// Duplicate-key runs on BOTH merge sides that straddle the batch boundary
-/// (row 1024 falls mid-run on each side), plus keys only one side has.
-#[test]
-fn vexec_merges_duplicate_runs_across_batch_boundaries() {
-    assert_eq!(starqo_vexec::BATCH_ROWS, 1024);
-    let l = ints((0..1500).map(|i| i / 100)); // run 1000..1100 holds row 1024
-    let r = ints((0..1300).map(|i| 3 + i / 50)); // run 1000..1050 holds row 1024
-    let e = Edge::new(&l, &r, 0, 0);
-    let want = check_edge(&e, "batch boundary");
-    // L keys 0..=14, R keys 3..=28: 12 common keys, 100 × 50 rows each.
-    assert_eq!(want.rows.len(), 12 * 100 * 50);
-}
-
 /// An empty outer never evaluates the inner; an empty inner yields nothing;
 /// both hold for every flavor and every correlated inner.
 #[test]
@@ -838,55 +782,10 @@ fn vexec_merge_leaves_a_projected_out_key_to_the_interpreter() {
 //
 // A column travels as plain `i64`s until the first value that is not an
 // integer, and a single typed key column is sorted by radix. Neither may be
-// observable: the cases below put the change of representation at every
-// place it can happen and the sort keys at every edge of the key domain.
-
-/// `n` keys `(7 i) mod ndv` that stop being integers only in the rows just
-/// past each of `turns`: first a NULL, then the key as a `Double` (equal to
-/// the integer it replaces), then a string — and integers again after that.
-fn turning_keys(n: usize, ndv: i64, turns: &[usize]) -> Vec<Value> {
-    let mut keys = ints((0..n as i64).map(|i| (7 * i) % ndv));
-    for &t in turns {
-        for at in (t + 6..t + 300).step_by(31).filter(|at| *at < n) {
-            let key = (7 * at as i64) % ndv;
-            keys[at] = match (at - t) / 100 {
-                0 => Null,
-                1 => D(key as f64),
-                _ => Value::str(format!("k{}", key % 5)),
-            };
-        }
-    }
-    keys
-}
-
-/// A join/sort column that turns NULL, then `Double`, then `Str` in the
-/// middle of the second batch, in the middle of the second morsel, or both —
-/// so the column is demoted mid-batch inside a morsel, or arrives typed from
-/// one morsel and demoted from the next and meets itself at the exchange —
-/// on either side of every join flavor.
-#[test]
-fn vexec_demotes_integer_columns_mid_batch_mid_morsel_and_at_the_exchange() {
-    assert_eq!((starqo_vexec::BATCH_ROWS, MORSEL_ROWS), (1024, 4096));
-    for turns in [&[1024][..], &[4096], &[1024, 4096]] {
-        let l = turning_keys(5_000, 1_900, turns);
-        let r = turning_keys(4_700, 2_300, turns);
-        let e = Edge::new(&l, &r, 0, 0);
-        let want = check_edge_plans(&e, &format!("turns {turns:?}"), &SUBQUADRATIC);
-        // Strings met strings, doubles met integers, NULLs met nothing.
-        let l_key = |row: &starqo_storage::Tuple| match row.get(0) {
-            I(v) => l[*v as usize].clone(),
-            other => panic!("L.V is a row number, got {other}"),
-        };
-        let met = |what: fn(&Value) -> bool| want.rows.iter().any(|row| what(&l_key(row)));
-        assert!(met(|k| matches!(k, Value::Str(_))) && met(|k| matches!(k, D(_))));
-        assert!(!met(Value::is_null) && want.rows.len() > 5_000);
-    }
-    // The same at a size every plan can afford: the quadratic nested loops
-    // and the re-scanned temp, column turning inside the second batch.
-    let l = turning_keys(1_400, 45, &[1024]);
-    let r = turning_keys(1_350, 60, &[1024]);
-    check_edge(&Edge::new(&l, &r, 1_000, 1_000), "turning, all plans");
-}
+// observable: the generated size class demotes key columns mid-batch and at
+// a morsel edge and sorts long duplicate runs; the cases below meet typed
+// and demoted columns in one join and put the sort keys at every edge of
+// the key domain.
 
 /// A typed key column against a demoted one, both ways round: an `Int`
 /// equals the `Double` of the same value in merge order, hash probe and
@@ -934,21 +833,6 @@ fn vexec_sorts_extreme_constant_single_and_empty_keys() {
     let one = check_edge(&Edge::new(&l, &r, 8, 8), "one each");
     let none = check_edge(&Edge::new(&l, &r, 9, 9), "no rows");
     assert_eq!((one.rows.len(), none.rows.len()), (1, 0));
-}
-
-/// 70 000 rows on a 3-bit key: eight duplicate runs of thousands of rows
-/// that a stable sort must leave in source order, through SORT and through
-/// the dynamic index alike.
-#[test]
-fn vexec_radix_sort_is_stable_across_long_duplicate_runs() {
-    let l = ints((0..70_000).map(|i| (i * 5 + i / 1_000) % 8));
-    let r = ints([5, 2, 7, 0, 2]);
-    let e = Edge::new(&l, &r, 0, 0);
-    let want = check_edge_plans(&e, "3-bit key", &["MG", "HA"]);
-    let matches = |k: &Value| l.iter().filter(|x| *x == k).count();
-    assert_eq!(want.rows.len(), r.iter().map(matches).sum::<usize>());
-    // …and as the indexed inner of a small outer.
-    check_edge_plans(&Edge::new(&r, &l, 0, 0), "3-bit index", &SUBQUADRATIC);
 }
 
 /// Keys drawn from the whole `i64` range: every radix pass runs, on offsets
@@ -1179,38 +1063,6 @@ fn vexec_key_range_reads_range_predicates_with_and_without_a_prefix() {
         let full = 1 + 12 * whole;
         assert_eq!(pages < full, narrows, "{conds}: {pages} pages of {full}");
     }
-}
-
-/// A range of one key that starts before row 4 096 and ends after it, and
-/// one of 5 000 rows — several morsels, none starting at row 0 — at every
-/// worker count: TIDs are absolute and the exchange keeps key order.
-#[test]
-fn vexec_key_range_reads_straddle_morsel_boundaries() {
-    // Key 0: rows 0..3 900; key 1: 3 900..4 400; key 2: 4 400..9 400.
-    let key_of = |i: i64| match i % 94 {
-        0..=38 => 0,
-        39..=43 => 1,
-        _ => 2,
-    };
-    let r: Vec<_> = (0..9_400).map(|i| pair(I(key_of(i)), i % 50)).collect();
-    let l = vec![pair(I(1), 10), pair(I(2), 45), pair(I(3), 0)];
-    let k = Keyed::new(&l, &r, "L.K = R.A AND R.B >= L.J");
-    let plan = k.nl(keyed::preds(&[0, 1]));
-    let (got, pages) = check_read(&k, &plan, "morsel boundary");
-    assert_eq!(got.rows.len(), 500 * 40 / 50 + 5_000 * 5 / 50);
-    let tid = |r: &starqo_storage::Tuple| Tid::from_value(r.get(2)).unwrap().0;
-    let tids: Vec<u64> = got.rows.iter().map(tid).collect();
-    assert!(tids.windows(2).all(|w| w[0] < w[1]), "rows left key order");
-    assert!(tids[0] < MORSEL_ROWS as u64 && tids[399] > MORSEL_ROWS as u64);
-    // Without the equality prefix the same rows come from whole-key ranges
-    // of several morsels each.
-    let k = Keyed::new(&l, &r, "L.K = R.A AND R.W >= 0");
-    let (_, wide) = check_read(&k, &k.nl(keyed::preds(&[0])), "whole keys");
-    assert!(pages < wide && wide < 3 * 9_400u64.div_ceil(ROWS_PER_PAGE));
-    let mut vx = VexecExecutor::new(&k.db, &k.query);
-    vx.set_workers(8);
-    vx.run(&k.nl(keyed::preds(&[0]))).unwrap();
-    assert!(vx.stats().max_workers > 1, "5 000 rows are two morsels");
 }
 
 /// A predicate that can only fail — it names a column nothing binds — ahead
