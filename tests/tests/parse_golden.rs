@@ -10,16 +10,22 @@
 //! boundary, which walks the error paths. No integer in it lies outside
 //! ±2^53, where the literal's `f64` and `i64` readings agree.
 //!
+//! `fingerprint_golden.txt` pins `canonicalize` the same way: for each input
+//! of the same corpus that parses, the fingerprint's hash and text and the
+//! `Debug` text of the canonical quantifiers, predicates, select and
+//! ORDER BY lists.
+//!
 //! `STARQO_UPDATE_GOLDEN=1 cargo test -p starqo-integration --test
-//! parse_golden` rewrites the file; a diff in it is a behaviour change.
+//! parse_golden` rewrites both files; a diff in either is a behaviour change.
 
 use std::fmt::Write as _;
 
 use starqo_catalog::{Catalog, DataType, StorageKind};
 use starqo_integration::diff;
-use starqo_query::parse_query;
+use starqo_query::{canonicalize, parse_query};
 
 const GOLDEN: &str = include_str!("parse_golden.txt");
+const FINGERPRINT_GOLDEN: &str = include_str!("fingerprint_golden.txt");
 
 /// The parser unit tests' schema.
 fn dept_emp() -> Catalog {
@@ -162,41 +168,67 @@ fn cuts(sql: &str) -> Vec<usize> {
         .collect()
 }
 
-fn line(out: &mut String, cat: &Catalog, sql: &str) {
-    let _ = writeln!(out, "{sql:?} => {:?}", parse_query(cat, sql));
+/// Every input of the corpus, with its catalog, in file order: each seed's
+/// SQL and the hand list, each followed by its cuts, then the limits.
+fn corpus(mut visit: impl FnMut(&Catalog, &str)) {
+    let mut with_cuts = |cat: &Catalog, sql: &str| {
+        visit(cat, sql);
+        for at in cuts(sql) {
+            visit(cat, &sql[..at]);
+        }
+    };
+    for seed in diff::SEEDS {
+        let case = diff::generate(seed);
+        with_cuts(&case.catalog(), &case.sql);
+    }
+    let cat = dept_emp();
+    for sql in hand_list() {
+        with_cuts(&cat, &sql);
+    }
+    for sql in limits() {
+        visit(&cat, &sql);
+    }
 }
 
-/// `sql` and every cut of it.
-fn render(out: &mut String, cat: &Catalog, sql: &str) {
-    line(out, cat, sql);
-    for at in cuts(sql) {
-        line(out, cat, &sql[..at]);
+/// Compare `actual` with the golden `file` holds (`golden`), or rewrite the
+/// file under `STARQO_UPDATE_GOLDEN`.
+fn check_golden(file: &str, golden: &str, actual: &str) {
+    if std::env::var_os("STARQO_UPDATE_GOLDEN").is_some() {
+        let path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, actual).expect("write golden");
+        return;
     }
+    // Report the first line that moved, not a diff of the whole file.
+    for (n, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, g, "{file} line {} moved", n + 1);
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count(), "{file}");
+    assert_eq!(actual, golden, "{file}: same lines, different bytes");
 }
 
 #[test]
 fn same_text_same_query() {
     let mut actual = String::new();
-    for seed in diff::SEEDS {
-        let case = diff::generate(seed);
-        render(&mut actual, &case.catalog(), &case.sql);
-    }
-    let cat = dept_emp();
-    for sql in hand_list() {
-        render(&mut actual, &cat, &sql);
-    }
-    for sql in limits() {
-        line(&mut actual, &cat, &sql);
-    }
-    if std::env::var_os("STARQO_UPDATE_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/parse_golden.txt");
-        std::fs::write(path, &actual).expect("write golden");
-        return;
-    }
-    // Report the first line that moved, not a diff of the whole file.
-    for (n, (a, g)) in actual.lines().zip(GOLDEN.lines()).enumerate() {
-        assert_eq!(a, g, "parse_golden.txt line {} moved", n + 1);
-    }
-    assert_eq!(actual.lines().count(), GOLDEN.lines().count());
-    assert_eq!(actual, GOLDEN, "same lines, different bytes");
+    corpus(|cat, sql| {
+        let _ = writeln!(actual, "{sql:?} => {:?}", parse_query(cat, sql));
+    });
+    check_golden("parse_golden.txt", GOLDEN, &actual);
+}
+
+#[test]
+fn same_query_same_fingerprint() {
+    let mut actual = String::new();
+    corpus(|cat, sql| {
+        let Ok(q) = parse_query(cat, sql) else {
+            return;
+        };
+        let c = canonicalize(&q);
+        let (fp, q) = (&c.fingerprint, &c.query);
+        let _ = writeln!(
+            actual,
+            "{sql:?} => {:016x} {:?} {:?} {:?} {:?} {:?}",
+            fp.hash, fp.text, q.quantifiers, q.predicates, q.select, q.order_by
+        );
+    });
+    check_golden("fingerprint_golden.txt", FINGERPRINT_GOLDEN, &actual);
 }
