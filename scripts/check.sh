@@ -68,6 +68,13 @@ if grep -rn 'SPAN_POOL' crates/*/src \
     exit 1
 fi
 
+echo "== canonicalize renders once: no format! or to_string in fingerprint.rs =="
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /format!|\.to_string\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' crates/query/src/fingerprint.rs; then
+    echo "canonicalize renders each key and its text once, into one buffer (crates/query/src/fingerprint.rs)." >&2
+    exit 1
+fi
+
 # A re-recorded golden may move work counters, never a winner, its EXPLAIN
 # text, its cost or an origin trace.
 if ! git diff --quiet HEAD -- tests/tests/cold_path_golden.txt tests/tests/cold_path_fleet.txt; then

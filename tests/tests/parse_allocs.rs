@@ -1,14 +1,19 @@
-//! What parsing costs the allocator, counted, not timed: `parse_query`
-//! allocates only the blocks the `Query` it returns owns — its `Vec`s, one
-//! alias `String` per quantifier, and here no string literal or arithmetic
-//! box — and a catalog name lookup allocates nothing. The counter is per
-//! thread, so the tests cannot see each other.
+//! What parsing and recognizing a query cost the allocator, counted, not
+//! timed: `parse_query` allocates only the blocks the `Query` it returns
+//! owns — its `Vec`s, one alias `String` per quantifier, and here no string
+//! literal or arithmetic box — and a catalog name lookup allocates nothing;
+//! `canonicalize` allocates the blocks its `CanonicalQuery` owns and three
+//! scratch blocks, and a plan-cache hit allocates nothing. The counter is
+//! per thread, so the tests cannot see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use starqo_catalog::{Catalog, ColId, DataType, StorageKind};
-use starqo_query::{parse_query, Query};
+use starqo_query::{canonicalize, parse_query, Query};
+use starqo_serve::{Service, ServiceConfig};
 
 struct Counting;
 
@@ -71,26 +76,13 @@ fn parse_counted(cat: &Catalog, sql: &str) -> (Query, u64) {
     (q.unwrap(), n)
 }
 
-/// A `serve_mix` fleet shape: a 3-way chain with one parameter. Its
-/// `Query` owns 6 blocks: the quantifier, predicate and select `Vec`s (each
-/// within its first allocation of 4) and 3 aliases.
-#[test]
-fn three_way_allocates_its_six_blocks() {
-    let cat = catalog();
-    let sql = "SELECT q0.ID, q2.ID FROM T3 q0, T4 q1, T5 q2 \
-               WHERE q0.FK = q1.ID AND q1.FK = q2.ID AND q0.P0 = 7";
-    let (q, n) = parse_counted(&cat, sql);
-    assert_eq!((q.quantifiers.len(), q.predicates.len()), (3, 3));
-    assert_eq!(n, 6);
-}
+/// A `serve_mix` fleet shape: a 3-way chain with one parameter.
+const THREE_WAY: &str = "SELECT q0.ID, q2.ID FROM T3 q0, T4 q1, T5 q2 \
+                         WHERE q0.FK = q1.ID AND q1.FK = q2.ID AND q0.P0 = 7";
 
 /// `hot_plan`'s `wide5?`: a 5-way clique, 10 join predicates and a
-/// parameter. Its `Query` owns 8 blocks (3 `Vec`s and 5 aliases); pushing
-/// grows the quantifier `Vec` once (4 -> 8) and the predicate `Vec` twice
-/// (4 -> 8 -> 16), 11 allocator calls in all.
-#[test]
-fn wide_clique_allocates_its_eight_blocks_and_three_growths() {
-    let cat = catalog();
+/// parameter.
+fn wide5() -> String {
     let mut sql = String::from("SELECT q0.ID, q4.ID FROM T0 q0, T1 q1, T2 q2, T3 q3, T4 q4");
     let mut kw = " WHERE ";
     for a in 0..5 {
@@ -99,10 +91,65 @@ fn wide_clique_allocates_its_eight_blocks_and_three_growths() {
             kw = " AND ";
         }
     }
-    sql += " AND q0.P0 = 11";
-    let (q, n) = parse_counted(&cat, &sql);
+    sql + " AND q0.P0 = 11"
+}
+
+/// The 3-way chain's `Query` owns 6 blocks: the quantifier, predicate and
+/// select `Vec`s (each within its first allocation of 4) and 3 aliases.
+#[test]
+fn three_way_allocates_its_six_blocks() {
+    let cat = catalog();
+    let (q, n) = parse_counted(&cat, THREE_WAY);
+    assert_eq!((q.quantifiers.len(), q.predicates.len()), (3, 3));
+    assert_eq!(n, 6);
+}
+
+/// `wide5?`'s `Query` owns 8 blocks (3 `Vec`s and 5 aliases); pushing
+/// grows the quantifier `Vec` once (4 -> 8) and the predicate `Vec` twice
+/// (4 -> 8 -> 16), 11 allocator calls in all.
+#[test]
+fn wide_clique_allocates_its_eight_blocks_and_three_growths() {
+    let cat = catalog();
+    let (q, n) = parse_counted(&cat, &wide5());
     assert_eq!((q.quantifiers.len(), q.predicates.len()), (5, 11));
     assert_eq!(n, 8 + 3);
+}
+
+/// `canonicalize` allocates the blocks its `CanonicalQuery` owns — the
+/// quantifier, predicate and select `Vec`s (no ORDER BY here), one alias
+/// per quantifier and the fingerprint text's `Arc<str>` — and three scratch
+/// blocks it frees: the quantifier map, the render buffer (sized up front)
+/// and the conjuncts' key offsets. 3-way: 3 + 3 + 1 + 3 = 10; `wide5?`:
+/// 3 + 5 + 1 + 3 = 12.
+#[test]
+fn canonicalize_allocates_its_blocks_and_three_scratch_blocks() {
+    let cat = catalog();
+    for (sql, want) in [(THREE_WAY, 10), (&wide5(), 12)] {
+        let q = parse_query(&cat, sql).unwrap();
+        let (c, n) = allocs(|| canonicalize(&q));
+        assert_eq!(c.query.order_by.len(), 0);
+        assert_eq!(n, want, "{}", c.fingerprint.text);
+    }
+}
+
+/// A repeated request for a cached plan, through `optimize_prepared` as the
+/// ledger's `serve.hit_allocs` times it, allocates nothing: the hit hands
+/// out shared plans.
+#[test]
+fn a_plan_cache_hit_allocates_nothing() {
+    let cat = Arc::new(catalog());
+    let svc = Service::new(Arc::clone(&cat), ServiceConfig::default()).unwrap();
+    for sql in [THREE_WAY, &wide5()] {
+        let q = parse_query(&cat, sql).unwrap();
+        // A miss, then hits that warm this thread's span buffers.
+        for _ in 0..3 {
+            svc.optimize(&q).unwrap();
+        }
+        let prepared = svc.prepare(&q);
+        let (out, n) = allocs(|| svc.optimize_prepared(&prepared, None));
+        assert!(out.unwrap().cache_hit, "{sql}");
+        assert_eq!(n, 0, "{sql}");
+    }
 }
 
 #[test]
