@@ -155,26 +155,42 @@ impl Case {
     /// The database as `build` leaves it, and — when a table is late — the
     /// same rows with that table filled through `Database::insert`.
     pub fn databases(&self, cat: &Arc<Catalog>) -> Vec<Database> {
-        let load = |late: bool| {
-            let mut b = DatabaseBuilder::new(cat.clone());
-            let (now, after): (Vec<&Table>, _) = self.tables.iter().partition(|t| !late || !t.late);
-            for t in now {
-                for row in &t.rows {
-                    b.insert(&t.name, row.clone()).expect("a row");
-                }
-            }
-            let mut db = b.build().expect("case database");
-            for t in after {
-                let id = cat.table_by_name(&t.name).expect("a table").id;
-                for row in &t.rows {
-                    db.insert(id, Tuple(row.clone())).expect("a row");
-                }
-            }
-            db
-        };
         let late = self.tables.iter().any(|t| t.late);
         let forms = [false, true].into_iter().take(1 + late as usize);
-        forms.map(load).collect()
+        forms.map(|late| self.database(cat, late)).collect()
+    }
+
+    /// The database with every table loaded by `build`, or with the late
+    /// table filled through `Database::insert` after it.
+    fn database(&self, cat: &Arc<Catalog>, late: bool) -> Database {
+        let mut b = DatabaseBuilder::new(cat.clone());
+        let (now, after): (Vec<&Table>, _) = self.tables.iter().partition(|t| !late || !t.late);
+        for t in now {
+            for row in &t.rows {
+                b.insert(&t.name, row.clone()).expect("a row");
+            }
+        }
+        let mut db = b.build().expect("case database");
+        for t in after {
+            let id = cat.table_by_name(&t.name).expect("a table").id;
+            for row in &t.rows {
+                db.insert(id, Tuple(row.clone())).expect("a row");
+            }
+        }
+        db
+    }
+
+    /// Whether the query returns a row from the first batch of each table
+    /// (a select-project-join only gains rows from more).
+    fn answers(&self) -> bool {
+        let mut head = self.clone();
+        head.tables
+            .iter_mut()
+            .for_each(|t| t.rows.truncate(BATCH_ROWS));
+        let cat = head.catalog();
+        let query = parse_query(&cat, &head.sql).expect("a generated query parses");
+        let got = reference_eval(&head.database(&cat, false), &query);
+        !got.expect("reference answer").is_empty()
     }
 
     /// The case as a Rust expression that rebuilds it.
@@ -519,16 +535,29 @@ fn panic_text(e: Option<Box<dyn std::any::Any + Send>>) -> String {
         .unwrap_or_default()
 }
 
-/// Greedily take the first smaller variant of `case` that still `fails`,
-/// until none does: without a WHERE conjunct, the ORDER BY, a table the
-/// query does not name, a run of rows (halves first, down to single rows or
-/// a 64th of the table), the late fill, an index, the B-tree key or a remote
-/// site.
+/// Greedily take a smaller variant of `case` that still `fails`, until none
+/// does: a half of a table past a morsel, then without a WHERE conjunct,
+/// the ORDER BY, a table the query does not name, a run of rows (halves
+/// first, down to single rows or a 64th of the table), the late fill, an
+/// index, the B-tree key or a remote site. Every variant is a check of
+/// every alternative, so a table past a morsel is halved before anything is
+/// tried over all of its rows, and each round starts at the place in the
+/// list where the last one took its variant: those before it passed on a
+/// larger case. The result is as minimal as a restart's: no variant of it
+/// fails.
 pub fn shrink(mut case: Case, fails: impl Fn(&Case) -> bool) -> Case {
-    while let Some(smaller) = smaller(&case).into_iter().find(|c| fails(c)) {
-        case = smaller;
+    let mut from = 0;
+    loop {
+        let mut variants = smaller(&case);
+        let n = variants.len();
+        match (0..n)
+            .map(|k| (from + k) % n)
+            .find(|&i| fails(&variants[i]))
+        {
+            Some(i) => (case, from) = (variants.swap_remove(i), i),
+            None => return case,
+        }
     }
-    case
 }
 
 fn smaller(case: &Case) -> Vec<Case> {
@@ -537,7 +566,18 @@ fn smaller(case: &Case) -> Vec<Case> {
         sql,
         ..case.clone()
     };
+    let without = |i: usize, at: usize, run: usize| {
+        let mut c = case.clone();
+        let rows = &mut c.tables[i].rows;
+        rows.drain(at..(at + run).min(rows.len()));
+        c
+    };
+    let big = |t: &Table| t.rows.len() > MORSEL_ROWS;
     let mut out = Vec::new();
+    for (i, t) in case.tables.iter().enumerate().filter(|(_, t)| big(t)) {
+        let half = t.rows.len().div_ceil(2);
+        out.extend([0, half].map(|at| without(i, at, half)));
+    }
     for i in 0..conds.len() {
         let mut fewer = conds.clone();
         fewer.remove(i);
@@ -557,21 +597,22 @@ fn smaller(case: &Case) -> Vec<Case> {
             c.tables.remove(i);
             out.push(c);
         }
+        // Runs no shorter than a 64th of the table: a grown table offers
+        // 126 variants a round, not twice its rows (its halves came first).
+        let mut run = t.rows.len().div_ceil(2);
+        if big(t) {
+            run /= 2;
+        }
+        while run > 0 && run * 64 >= t.rows.len() {
+            out.extend((0..t.rows.len()).step_by(run).map(|at| without(i, at, run)));
+            run /= 2;
+        }
         let mut variant = |edit: &dyn Fn(&mut Table) -> bool| {
             let mut c = case.clone();
             if edit(&mut c.tables[i]) {
                 out.push(c);
             }
         };
-        // Runs no shorter than a 64th of the table: a grown table offers
-        // 126 variants a round, not twice its rows.
-        let mut run = t.rows.len().div_ceil(2);
-        while run > 0 && run * 64 >= t.rows.len() {
-            for at in (0..t.rows.len()).step_by(run) {
-                variant(&|t| t.rows.drain(at..(at + run).min(t.rows.len())).len() > 0);
-            }
-            run /= 2;
-        }
         variant(&|t| std::mem::take(&mut t.late));
         variant(&|t| t.indexes.pop().is_some());
         variant(&|t| !std::mem::take(&mut t.key).is_empty());
@@ -601,13 +642,21 @@ pub fn generate(seed: u64) -> Case {
     }
     let named = if n > 1 && rng.chance(0.25) { n - 1 } else { n };
     let sql = gen_query(&mut rng, &tables[..named]);
+    let mut case = Case { tables, sql };
     // A stream of its own, so that every seed's query text stays as it was.
     let mut size = Rng64::new(seed ^ 0x5EED_0B16);
     if named <= 2 && size.index(SIZE_CLASS) == 0 {
         let big = size.index(named);
-        grow(&mut size, &mut tables, big);
+        let small = std::mem::take(&mut case.tables);
+        for _ in 0..GROW_TRIES {
+            case.tables = small.clone();
+            grow(&mut size, &mut case.tables, big);
+            if case.answers() {
+                break;
+            }
+        }
     }
-    Case { tables, sql }
+    case
 }
 
 /// Halve the largest of the tables that `which` picks, by index, until
@@ -629,34 +678,54 @@ fn bound(tables: &mut [Table], which: impl Fn(usize) -> bool, max: usize) {
 /// up to 15 s a case in a debug build.
 const SIZE_CLASS: usize = 8;
 
+/// Draws of a grown case until its query returns a row from the first batch
+/// of the grown table: an empty answer hides every fault past it. A partner
+/// that is empty or has no row its conjuncts pass, or a contradictory
+/// WHERE, spends them all.
+const GROW_TRIES: usize = 32;
+
 /// The row product a grown table's partners are cut to: the serial executor
 /// walks nested-loop products of the grown table with them.
 const PARTNERS: usize = 4;
 
 /// Give table `big` 5–9k rows (two morsels, three past 8 192), nine in ten
 /// keyed on 2–7 values, so that sorted equal-key runs cross batch and
-/// morsel boundaries, and the rest on any key, so that its partners meet
-/// it; with NULL keys in a tenth of the rows from a turning row on: none,
-/// anywhere, the second batch or the second morsel (where the key column is
-/// demoted from integers). Cut the other tables to [`PARTNERS`] rows of
-/// product, filled by `build`: a late-filled form of a case is a second run
-/// of every plan over the grown table, and the small cases fill small
-/// tables late.
+/// morsel boundaries, and the rest on any key. The 2–7 are drawn from the
+/// partners' non-NULL keys when they have any, so that the grown table
+/// meets its partners. NULL keys fill a tenth of the rows from a turning
+/// row on: none, anywhere, the second batch or the second morsel (where the
+/// key column is demoted from integers). Cut the other tables to
+/// [`PARTNERS`] rows of product, a window from a random row on, filled by
+/// `build`: a late-filled form of a case is a second run of every plan over
+/// the grown table, and the small cases fill small tables late.
 fn grow(rng: &mut Rng64, tables: &mut [Table], big: usize) {
-    bound(tables, |i| i != big, PARTNERS);
     for (i, t) in tables.iter_mut().enumerate() {
         t.late &= i == big;
+        if i != big {
+            let at = rng.index(t.rows.len().max(1));
+            t.rows.rotate_left(at);
+        }
     }
+    bound(tables, |i| i != big, PARTNERS);
+    let partners = tables.iter().enumerate().filter(|(i, _)| *i != big);
+    let theirs: Vec<u64> = partners
+        .flat_map(|(_, t)| t.rows.iter().filter_map(|r| key_index(&r[0])))
+        .collect();
     let t = &mut tables[big];
     let has = |c: &str| t.cols.iter().any(|(n, ..)| n == c);
     let (key_ty, double, string) = (t.cols[0].1, has("D"), has("S"));
     let len = 5_000 + rng.below(4_000) as usize;
-    let keys = 2 + rng.below(6);
+    let dense: Vec<u64> = (0..2 + rng.below(6))
+        .map(|k| match theirs.len() {
+            0 => k,
+            n => theirs[rng.index(n)],
+        })
+        .collect();
     let turn = [len, rng.index(len), BATCH_ROWS, MORSEL_ROWS][rng.index(4)];
     t.rows = (0..len)
         .map(|i| {
             let k = if rng.chance(0.9) {
-                rng.below(keys)
+                dense[rng.index(dense.len())]
             } else {
                 rng.below(KEYS)
             };
@@ -680,6 +749,16 @@ fn key_value(ty: DataType, k: u64) -> Value {
         DataType::Double => Value::Double(k as f64 + (k % 4 / 3) as f64 / 2.0),
         DataType::Str => Value::str(format!("k{k}")),
         _ => Value::Int(k as i64),
+    }
+}
+
+/// The `k` that [`key_value`] made `v` from; `None` for NULL.
+fn key_index(v: &Value) -> Option<u64> {
+    match v {
+        Value::Int(i) => Some(*i as u64),
+        Value::Double(d) => Some(*d as u64),
+        Value::Str(s) => s.strip_prefix('k')?.parse().ok(),
+        _ => None,
     }
 }
 
